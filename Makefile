@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint update-schema ci chaos recovery bench bench-hotpath fuzz-smoke sweep examples clean
+.PHONY: all build test race vet lint update-schema ci chaos recovery bench bench-hotpath bench-e2e-smoke fuzz-smoke sweep examples clean
 
 # Pinned external linter versions (CI installs these; locally they run
 # only when already on PATH — the build never downloads tools).
@@ -106,6 +106,16 @@ bench-hotpath:
 	$(GO) run ./cmd/benchjson -require '$(HOTPATH_REQUIRE)' < bench_output.txt > BENCH_hotpath.json
 	@rm -f bench_output.txt
 	@echo "wrote BENCH_hotpath.json"
+
+# End-to-end benchmark smoke. benchmark/ is its own module, outside
+# ./..., so this is where a wire or cluster API change that breaks it
+# is seen before the benchmark driver sees it: vet, the instrument's own
+# tests, and one tiny run of all four workloads through the correctness
+# gate. It measures nothing.
+bench-e2e-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	$(GO) run -C benchmark . -smoke
 
 # Fuzz smoke: the three parsers that face bytes off disk or the wire —
 # the binary refresh codec, WAL frame replay (torn tails and bit rot),

@@ -314,8 +314,8 @@ func runReplica(listen string, id int, certAddr, bootstrap, dataDir string, chec
 	}, backend, cc)
 	// Serve gate: while the refresh stream has been dead longer than the
 	// grace (or the replica is still catching up to the version floor it
-	// saw at resubscribe), begin requests fail with ErrUnavailable and
-	// the gateway routes elsewhere — a partitioned replica must not
+	// saw at resubscribe), requests carrying a begin header fail with
+	// ErrUnavailable and the gateway routes elsewhere — a partitioned replica must not
 	// serve possibly stale strong reads.
 	gate := func() error {
 		if cc.Ready(streamGrace) {
@@ -513,6 +513,9 @@ func runClient(connect, session string, wireOpts []wire.Option) {
 		case line == "\\quit" || line == "\\q":
 			return
 		case line == "\\begin":
+			// Eager on purpose: at a prompt, routing and gate errors belong
+			// to \begin, and a mistyped first statement should not cost
+			// the transaction.
 			if err := c.Begin(""); err != nil {
 				fmt.Println("error:", err)
 			} else {
@@ -536,14 +539,13 @@ func runClient(connect, session string, wireOpts []wire.Option) {
 				printRes(c.Exec(line))
 				continue
 			}
-			if err := c.Begin(""); err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
+			// Autocommit is two round trips: the begin header rides on
+			// the statement, and a header request that fails leaves no
+			// transaction to abort.
+			c.Start("", nil, dtrace.SpanContext{})
 			res, err := c.Exec(line)
 			if err != nil {
 				fmt.Println("error:", err)
-				_ = c.Abort()
 				continue
 			}
 			if _, _, err := c.Commit(); err != nil {

@@ -696,9 +696,12 @@ type Tx struct {
 	name   string
 	done   bool
 
-	// Networked path (rtx is nil): the gateway connection the
-	// transaction runs on, its begin snapshot, and the session epoch ID
-	// it was begun under.
+	// Networked path (rtx is nil). Begin sends nothing: the begin header
+	// (name or tables, and the root span) rides on the transaction's
+	// first request, and until that request is answered wc is nil. After
+	// it: the gateway connection the transaction runs on, its begin
+	// snapshot, and the session epoch ID it was begun under.
+	tables []string
 	wc     *wire.Client
 	snap   uint64
 	sessID string
@@ -728,7 +731,8 @@ func (t *Tx) endSpan(outcome string, version uint64, err error) {
 
 // Begin dispatches a transaction named txnName (the identifier the
 // fine-grained mode resolves to a table-set; any string — including
-// "" — works under the other modes).
+// "" — works under the other modes). On a networked cluster it sends
+// nothing and cannot fail: see netBegin.
 func (s *Session) Begin(txnName string) (*Tx, error) {
 	span := s.c.clientSpan(txnName)
 	if s.c.net != nil {
@@ -781,44 +785,53 @@ func (s *Session) BeginTables(tables []string) (*Tx, error) {
 	return &Tx{s: s, rtx: rtx, timer: timer, submit: submit, span: span}, nil
 }
 
-// netBegin starts a transaction over the wire. Begin leaves no state
-// behind when its response is lost (the gateway aborts on connection
-// death), so a transport failure is retried once on a fresh
-// connection.
+// netBegin starts a networked transaction without sending anything, as
+// the in-process model charges begin forward hops only: the balancer
+// routes and the replica applies the start rule when the first request
+// arrives, so routing and gate errors surface from there, and Submit —
+// the moment the oracle holds the start rule to — is still now.
 func (s *Session) netBegin(txnName string, tables []string, span *dtrace.ActiveSpan) (*Tx, error) {
-	submit := time.Now()
+	return &Tx{
+		s: s, timer: metrics.NewTxnTimer(), submit: time.Now(), name: txnName,
+		tables: tables, span: span,
+	}, nil
+}
+
+// netFirst sends the transaction's first request, the one that carries
+// its begin header. A failed header request leaves nothing behind (the
+// gateway aborts on connection death), so unless it carried the commit
+// a transport failure is retried once on a fresh connection. Any other
+// failure is terminal: no transaction was started.
+func (t *Tx) netFirst(commit bool, do func(*wire.Client) error) error {
 	for attempt := 0; ; attempt++ {
-		wc, err := s.ensureClient()
-		if err != nil {
-			span.SetAttr("outcome", "error")
-			span.End()
-			return nil, err
-		}
-		sessID := s.effectiveID()
-		var snap uint64
-		if len(tables) > 0 {
-			snap, err = wc.BeginTablesTxCtx(tables, span.Context())
-		} else {
-			snap, err = wc.BeginTxCtx(txnName, span.Context())
-		}
-		if err != nil {
-			if wc.Broken() && attempt == 0 {
+		wc, err := t.s.ensureClient()
+		if err == nil {
+			wc.Start(t.name, t.tables, t.span.Context())
+			if err = do(wc); err == nil {
+				t.wc, t.snap, t.sessID = wc, wc.Snapshot(), t.s.effectiveID()
+				return nil
+			}
+			if wc.Broken() && attempt == 0 && !commit {
 				continue
 			}
-			span.SetAttr("outcome", "error")
-			span.End()
-			return nil, err
 		}
-		return &Tx{
-			s: s, timer: metrics.NewTxnTimer(), submit: submit, name: txnName,
-			wc: wc, snap: snap, sessID: sessID, span: span,
-		}, nil
+		t.abandon(err)
+		return err
+	}
+}
+
+// abandon ends a transaction that err has already finished.
+func (t *Tx) abandon(err error) {
+	if !t.done {
+		t.done = true
+		t.endSpan("error", 0, err)
+		t.s.c.coll.RecordAbort()
 	}
 }
 
 // Exec runs one prepared statement (one client round trip).
 func (t *Tx) Exec(p *sql.Prepared, params ...any) (*sql.Result, error) {
-	if t.wc != nil {
+	if t.rtx == nil {
 		return t.netExec(p.SQL, params...)
 	}
 	t.s.lat.RoundTrip()
@@ -832,7 +845,7 @@ func (t *Tx) Exec(p *sql.Prepared, params ...any) (*sql.Result, error) {
 
 // ExecSQL runs one ad-hoc statement.
 func (t *Tx) ExecSQL(src string, params ...any) (*sql.Result, error) {
-	if t.wc != nil {
+	if t.rtx == nil {
 		return t.netExec(src, params...)
 	}
 	t.s.lat.RoundTrip()
@@ -845,8 +858,19 @@ func (t *Tx) ExecSQL(src string, params ...any) (*sql.Result, error) {
 }
 
 func (t *Tx) netExec(src string, params ...any) (*sql.Result, error) {
-	res, err := t.wc.Exec(src, params...)
-	if err != nil {
+	if t.done {
+		return nil, replica.ErrTxnDone
+	}
+	var res *sql.Result
+	exec := func(wc *wire.Client) (err error) {
+		res, err = wc.Exec(src, params...)
+		return err
+	}
+	if t.wc == nil {
+		err := t.netFirst(false, exec)
+		return res, err
+	}
+	if err := exec(t.wc); err != nil {
 		t.failed(err)
 		return nil, err
 	}
@@ -861,10 +885,8 @@ func (t *Tx) failed(err error) {
 	if t.wc != nil && t.wc.Broken() {
 		terminal = true
 	}
-	if terminal && !t.done {
-		t.done = true
-		t.endSpan("error", 0, err)
-		t.s.c.coll.RecordAbort()
+	if terminal {
+		t.abandon(err)
 	}
 }
 
@@ -875,15 +897,15 @@ func (t *Tx) Abort() {
 	}
 	t.done = true
 	t.endSpan("abort", 0, nil)
-	if t.wc != nil {
-		if !t.wc.Broken() {
-			_ = t.wc.Abort()
-		}
-		t.s.c.coll.RecordAbort()
-		return
-	}
-	t.rtx.Abort()
 	t.s.c.coll.RecordAbort()
+	switch {
+	case t.rtx != nil:
+		t.rtx.Abort()
+	case t.wc != nil && !t.wc.Broken():
+		// A networked transaction that sent no request has nothing to
+		// abort anywhere.
+		_ = t.wc.Abort()
+	}
 }
 
 // Commit finishes the transaction through the consistency mode's
@@ -892,10 +914,10 @@ func (t *Tx) Commit() (replica.CommitResult, error) {
 	if t.done {
 		return replica.CommitResult{}, replica.ErrTxnDone
 	}
-	t.done = true
-	if t.wc != nil {
+	if t.rtx == nil {
 		return t.netCommit()
 	}
+	t.done = true
 	t.s.lat.RoundTrip()
 	snapshot := t.rtx.Snapshot()
 	readTables := t.rtx.Touched()
@@ -943,10 +965,20 @@ func (t *Tx) Commit() (replica.CommitResult, error) {
 // commit whose ack was lost to a fault may well have happened, but the
 // client observed nothing, so the oracle has nothing to hold it to.
 func (t *Tx) netCommit() (replica.CommitResult, error) {
-	info, err := t.wc.CommitEx()
+	var info wire.CommitInfo
+	commit := func(wc *wire.Client) (err error) {
+		info, err = wc.CommitEx()
+		return err
+	}
+	var err error
+	if t.wc == nil {
+		// No statement ran: the header rides on the commit itself.
+		err = t.netFirst(true, commit)
+	} else if err = commit(t.wc); err != nil {
+		t.abandon(err)
+	}
+	t.done = true
 	if err != nil {
-		t.endSpan("error", 0, err)
-		t.s.c.coll.RecordAbort()
 		return replica.CommitResult{}, err
 	}
 	t.endSpan("commit", info.Version, nil)
@@ -979,9 +1011,10 @@ func (t *Tx) netCommit() (replica.CommitResult, error) {
 // Timer exposes the transaction's stage timer (tests).
 func (t *Tx) Timer() *metrics.TxnTimer { return t.timer }
 
-// Snapshot returns the version the transaction reads.
+// Snapshot returns the version the transaction reads: 0 for a networked
+// transaction until its first request has been answered.
 func (t *Tx) Snapshot() uint64 {
-	if t.wc != nil {
+	if t.rtx == nil {
 		return t.snap
 	}
 	return t.rtx.Snapshot()

@@ -1,11 +1,19 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sconrep/internal/core"
 	"sconrep/internal/history"
+	"sconrep/internal/replica"
+	"sconrep/internal/sql"
 	"sconrep/internal/storage"
 	"sconrep/internal/wire"
 )
@@ -31,15 +39,24 @@ func loadNetKV(e *storage.Engine) error {
 
 func newNetCluster(t *testing.T, mode core.Mode) *Cluster {
 	t.Helper()
+	return newNetClusterWith(t, mode, func(*NetConfig) {})
+}
+
+// newNetClusterWith is newNetCluster with the net configuration edited
+// by tweak before the cluster starts.
+func newNetClusterWith(t *testing.T, mode core.Mode, tweak func(*NetConfig)) *Cluster {
+	t.Helper()
+	ncfg := NetConfig{
+		Timeouts: wire.Timeouts{Call: 5 * time.Second, LongPoll: 5 * time.Second, Idle: 2 * time.Second},
+		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+	}
+	tweak(&ncfg)
 	c, err := NewNetworked(Config{
 		Replicas:      3,
 		Mode:          mode,
 		Seed:          1,
 		RecordHistory: true,
-	}, NetConfig{
-		Timeouts: wire.Timeouts{Call: 5 * time.Second, LongPoll: 5 * time.Second, Idle: 2 * time.Second},
-		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
-	})
+	}, ncfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +176,333 @@ func TestNetworkedSessionReconnect(t *testing.T) {
 	}
 	if violations := history.CheckMonotonicSessions(events); len(violations) != 0 {
 		t.Fatalf("monotonic-session violations: %v", violations)
+	}
+}
+
+// frameCounter counts the frames the dialing side of the client link
+// and of the replica links moves: socket writes plus non-empty reads,
+// one per request or response.
+type frameCounter struct{ client, replica atomic.Int64 }
+
+func (f *frameCounter) dialerFor(label string) wire.Dialer {
+	var n *atomic.Int64
+	switch {
+	case label == LinkClient:
+		n = &f.client
+	case strings.HasPrefix(label, "replica/"):
+		n = &f.replica
+	default:
+		return nil
+	}
+	return func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &countedConn{Conn: c, n: n}, nil
+	}
+}
+
+type countedConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c *countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.n.Add(1)
+	}
+	return n, err
+}
+
+func (c *countedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if n > 0 {
+		c.n.Add(1)
+	}
+	return n, err
+}
+
+// framesOf runs txn three times and returns the fewest frames one run
+// moved on the client link and on the replica links: the gateway's
+// status probes share the replica links and can only add frames.
+func framesOf(f *frameCounter, txn func()) (client, replica int64) {
+	client, replica = math.MaxInt64, math.MaxInt64
+	for i := 0; i < 3; i++ {
+		c0, r0 := f.client.Load(), f.replica.Load()
+		txn()
+		client = min(client, f.client.Load()-c0)
+		replica = min(replica, f.replica.Load()-r0)
+	}
+	return client, replica
+}
+
+// TestNetworkedFrameCounts pins what a transaction costs on the wire
+// now that begin rides on the first request: 2N+2 frames per link for
+// N statements, 2 for a bare commit, none for a bare abort.
+func TestNetworkedFrameCounts(t *testing.T) {
+	var fc frameCounter
+	c := newNetClusterWith(t, core.Coarse, func(n *NetConfig) { n.DialerFor = fc.dialerFor })
+	s := c.SessionWithID("counted")
+	defer s.Close()
+	mustExec := func(tx *Tx, q string) {
+		t.Helper()
+		if _, err := tx.ExecSQL(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	begin := func() *Tx {
+		t.Helper()
+		tx, err := s.Begin("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	// Connect first: the hello frame belongs to the session, not to a
+	// transaction.
+	tx := begin()
+	mustExec(tx, `SELECT v FROM kv WHERE k = 1`)
+	tx.Abort()
+
+	for _, tc := range []struct {
+		name   string
+		txn    func()
+		frames int64
+	}{
+		{"one statement", func() {
+			tx := begin()
+			mustExec(tx, `SELECT v FROM kv WHERE k = 1`)
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}, 4},
+		{"three statements", func() {
+			tx := begin()
+			mustExec(tx, `SELECT v FROM kv WHERE k = 1`)
+			mustExec(tx, `UPDATE kv SET v = 'counted' WHERE k = 1`)
+			mustExec(tx, `SELECT v FROM kv WHERE k = 2`)
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}, 8},
+		{"begin, abort", func() { begin().Abort() }, 0},
+		{"begin, commit", func() {
+			res, err := begin().Commit()
+			if err != nil || !res.ReadOnly {
+				t.Fatalf("bare commit = %+v, %v", res, err)
+			}
+		}, 2},
+	} {
+		client, replica := framesOf(&fc, tc.txn)
+		if client != tc.frames || replica != tc.frames {
+			t.Errorf("%s: %d client-link and %d replica-link frames, want %d and %d",
+				tc.name, client, replica, tc.frames, tc.frames)
+		}
+	}
+	for i := 0; i < c.NumReplicas(); i++ {
+		if n := c.Replica(i).Active(); n != 0 {
+			t.Errorf("replica %d still has %d open transactions", i, n)
+		}
+	}
+}
+
+// TestNetworkedDeferredStart checks where the start of a networked
+// transaction now sits: nothing is pinned at Begin, and the balancer's
+// start rule runs when the first request arrives — so an update
+// acknowledged between another session's Begin and its first statement
+// is visible to it, which Definition 1 (held to the time of Begin) does
+// not even require.
+func TestNetworkedDeferredStart(t *testing.T) {
+	for _, mode := range []core.Mode{core.Coarse, core.Fine} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newNetCluster(t, mode)
+			read, _ := sql.Prepare(`SELECT v FROM kv WHERE k = 3`)
+			write, _ := sql.Prepare(`UPDATE kv SET v = ? WHERE k = 3`)
+			c.RegisterTxn("readKV", read)
+			c.RegisterTxn("writeKV", write)
+			a, b := c.SessionWithID("a"), c.SessionWithID("b")
+			defer a.Close()
+			defer b.Close()
+
+			for i, first := range []string{"exec", "commit"} {
+				want := fmt.Sprintf("acked-%d", i)
+				btx, err := b.Begin("readKV")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap := btx.Snapshot(); snap != 0 {
+					t.Fatalf("snapshot %d pinned at Begin", snap)
+				}
+				atx, err := a.Begin("writeKV")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := atx.Exec(write, want); err != nil {
+					t.Fatal(err)
+				}
+				acked, err := atx.Commit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == "exec" {
+					res, err := btx.Exec(read)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := res.Rows[0][0].(string); got != want {
+						t.Fatalf("b read %q, want the update acknowledged before its first statement (%q)", got, want)
+					}
+					if snap := btx.Snapshot(); snap < acked.Version {
+						t.Fatalf("snapshot %d after the first statement, want >= %d", snap, acked.Version)
+					}
+				}
+				res, err := btx.Commit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.ReadOnly || res.Version < acked.Version || res.Version != btx.Snapshot() {
+					t.Fatalf("b committed %+v at snapshot %d, want read-only at a snapshot >= %d", res, btx.Snapshot(), acked.Version)
+				}
+			}
+			if violations := history.CheckStrong(c.Recorder().Events()); len(violations) != 0 {
+				t.Fatalf("strong-consistency violations: %v", violations)
+			}
+		})
+	}
+}
+
+// TestNetworkedStartErrorsSurfaceFromFirstStatement: with no replica to
+// route to, Begin still succeeds (it sends nothing) and the first
+// request reports it; the transaction is then over.
+func TestNetworkedStartErrorsSurfaceFromFirstStatement(t *testing.T) {
+	var fc frameCounter
+	c := newNetClusterWith(t, core.Coarse, func(n *NetConfig) { n.DialerFor = fc.dialerFor })
+	s := c.SessionWithID("nowhere")
+	defer s.Close()
+	for i := 0; i < c.NumReplicas(); i++ {
+		c.Replica(i).Crash()
+	}
+	// The first transactions find the crashed replicas out; from then on
+	// the balancer has nowhere to route.
+	var err error
+	for i := 0; i < 2*c.NumReplicas() && !errors.Is(err, wire.ErrUnavailable); i++ {
+		tx, berr := s.Begin("")
+		if berr != nil {
+			t.Fatalf("Begin reported %v: it sends nothing", berr)
+		}
+		if _, err = tx.ExecSQL(`SELECT v FROM kv WHERE k = 1`); err == nil {
+			t.Fatal("statement ran on a crashed cluster")
+		}
+		before := fc.client.Load()
+		if _, err2 := tx.ExecSQL(`SELECT v FROM kv WHERE k = 1`); !errors.Is(err2, replica.ErrTxnDone) {
+			t.Fatalf("second statement after a failed start: %v, want ErrTxnDone", err2)
+		}
+		if _, err2 := tx.Commit(); !errors.Is(err2, replica.ErrTxnDone) {
+			t.Fatalf("commit after a failed start: %v, want ErrTxnDone", err2)
+		}
+		tx.Abort()
+		if after := fc.client.Load(); after != before {
+			t.Fatalf("a finished transaction sent %d frames", after-before)
+		}
+	}
+	if !errors.Is(err, wire.ErrUnavailable) {
+		t.Fatalf("no replica live, first statement error = %v, want wire.ErrUnavailable", err)
+	}
+	tx, _ := s.Begin("")
+	if _, err := tx.Commit(); !errors.Is(err, wire.ErrUnavailable) {
+		t.Fatalf("bare commit with no replica live: %v, want wire.ErrUnavailable", err)
+	}
+}
+
+// dropResponses wraps the client link: while armed, the next response
+// is read off the socket — the gateway did serve the request — and
+// thrown away with the connection.
+type dropResponses struct{ armed atomic.Bool }
+
+func (d *dropResponses) dial(network, addr string) (net.Conn, error) {
+	c, err := net.Dial(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &droppingConn{Conn: c, d: d}, nil
+}
+
+type droppingConn struct {
+	net.Conn
+	d *dropResponses
+}
+
+func (c *droppingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && c.d.armed.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, errors.New("test: response dropped")
+	}
+	return n, err
+}
+
+// TestNetworkedLostFirstResponseRetries drops the response to the
+// request that carries the begin header and a statement. Nothing can
+// have committed, so the session retries it once on a fresh connection
+// under a new epoch, and the gateway aborts the orphan when the old
+// connection dies: every increment lands exactly once.
+func TestNetworkedLostFirstResponseRetries(t *testing.T) {
+	var drop dropResponses
+	c := newNetClusterWith(t, core.Coarse, func(n *NetConfig) {
+		n.DialerFor = func(link string) wire.Dialer {
+			if link == LinkClient {
+				return drop.dial
+			}
+			return nil
+		}
+	})
+	if err := c.ExecSchemaAll(`CREATE TABLE counter (id INT, n INT, PRIMARY KEY (id))`); err != nil {
+		t.Fatal(err)
+	}
+	s := c.SessionWithID("lossy")
+	defer s.Close()
+	run := func(q string) *sql.Result {
+		t.Helper()
+		tx, err := s.Begin("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tx.ExecSQL(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run(`INSERT INTO counter VALUES (1, 0)`)
+
+	const rounds = 5
+	for i := 1; i <= rounds; i++ {
+		drop.armed.Store(true)
+		run(`UPDATE counter SET n = n + 1 WHERE id = 1`)
+		if drop.armed.Load() {
+			t.Fatal("no response was dropped")
+		}
+		if got, want := s.effectiveID(), fmt.Sprintf("lossy#%d", i); got != want {
+			t.Fatalf("round %d ran as %q, want one reconnect per dropped response (%q)", i, got, want)
+		}
+	}
+	if got := run(`SELECT n FROM counter WHERE id = 1`).Rows[0][0].(int64); got != rounds {
+		t.Fatalf("counter = %d after %d increments: a retried statement ran twice or not at all", got, rounds)
+	}
+
+	// A request that carries the commit is never retried: the commit may
+	// have happened.
+	drop.armed.Store(true)
+	tx, _ := s.Begin("")
+	if _, err := tx.Commit(); err == nil {
+		t.Fatal("a bare commit whose response was lost reported success")
+	}
+	if got, want := s.effectiveID(), fmt.Sprintf("lossy#%d", rounds); got != want {
+		t.Fatalf("session epoch moved to %q during a commit, want %q", got, want)
 	}
 }

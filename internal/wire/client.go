@@ -22,6 +22,10 @@ type Client struct {
 	// broken is set on any transport error: the session's gateway state
 	// is unknown and the caller must reconnect with a fresh session.
 	broken atomic.Bool
+	// pending is the begin header armed by Start and not yet sent.
+	pending *clientRequest
+	// snapshot is the latest transaction's begin snapshot.
+	snapshot uint64
 }
 
 // Dial opens a session against a gateway.
@@ -55,6 +59,11 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 	if c.broken.Load() {
 		return nil, fmt.Errorf("wire: session broken, reconnect")
 	}
+	hdr := c.pending
+	if hdr != nil {
+		c.pending = nil
+		req.Begin, req.TxnName, req.Tables, req.Trace = true, hdr.TxnName, hdr.Tables, hdr.Trace
+	}
 	c.seq++
 	req.Seq = c.seq
 	if d := c.to.Call; d > 0 {
@@ -81,6 +90,9 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 		fake := replicaResponse{Err: resp.Err, ErrCode: resp.ErrCode}
 		return &resp, decodeErr(&fake)
 	}
+	if hdr != nil {
+		c.snapshot = resp.Snapshot
+	}
 	return &resp, nil
 }
 
@@ -91,6 +103,22 @@ func (c *Client) RegisterTxn(name string, tables []string) error {
 	return err
 }
 
+// Start arms the begin header of the session's next transaction and
+// sends nothing: the header (transaction name or explicit table-set,
+// and the caller's span context) rides on the next Exec or Commit, so
+// a transaction costs no round trip of its own to begin. The gateway
+// routes it and the replica applies the mode's start rule when that
+// request arrives; routing and gate errors surface from it, and a
+// failed header request leaves no transaction behind. Abort before the
+// header went out discards it locally.
+func (c *Client) Start(txnName string, tables []string, sc dtrace.SpanContext) {
+	c.pending = &clientRequest{Begin: true, TxnName: txnName, Tables: tables, Trace: sc}
+}
+
+// Snapshot returns the version the session's latest transaction reads
+// at, as answered by the request that carried its begin header.
+func (c *Client) Snapshot() uint64 { return c.snapshot }
+
 // Begin starts a transaction under the given name.
 func (c *Client) Begin(txnName string) error {
 	_, err := c.BeginTx(txnName)
@@ -98,7 +126,8 @@ func (c *Client) Begin(txnName string) error {
 }
 
 // BeginTx starts a transaction and returns the snapshot version it
-// reads at.
+// reads at. Unlike Start it is eager: the header goes out alone, in a
+// round trip of its own.
 func (c *Client) BeginTx(txnName string) (snapshot uint64, err error) {
 	return c.BeginTxCtx(txnName, dtrace.SpanContext{})
 }
@@ -107,11 +136,16 @@ func (c *Client) BeginTx(txnName string) (snapshot uint64, err error) {
 // gateway threads through its routing decision and the replica begin
 // so the whole chain joins one trace.
 func (c *Client) BeginTxCtx(txnName string, sc dtrace.SpanContext) (snapshot uint64, err error) {
-	resp, err := c.call(clientRequest{Op: "begin", TxnName: txnName, Trace: sc})
-	if err != nil {
+	return c.beginNow(txnName, nil, sc)
+}
+
+// beginNow sends the begin header on a request with no operation.
+func (c *Client) beginNow(txnName string, tables []string, sc dtrace.SpanContext) (snapshot uint64, err error) {
+	c.Start(txnName, tables, sc)
+	if _, err := c.call(clientRequest{}); err != nil {
 		return 0, err
 	}
-	return resp.Snapshot, nil
+	return c.snapshot, nil
 }
 
 // BeginTablesTx starts a transaction tagged with an explicit table-set
@@ -122,11 +156,7 @@ func (c *Client) BeginTablesTx(tables []string) (snapshot uint64, err error) {
 
 // BeginTablesTxCtx is BeginTablesTx carrying the caller's span context.
 func (c *Client) BeginTablesTxCtx(tables []string, sc dtrace.SpanContext) (snapshot uint64, err error) {
-	resp, err := c.call(clientRequest{Op: "begin", Tables: tables, Trace: sc})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Snapshot, nil
+	return c.beginNow("", tables, sc)
 }
 
 // Exec runs one SQL statement in the open transaction.
@@ -174,8 +204,13 @@ func (c *Client) CommitEx() (CommitInfo, error) {
 	}, nil
 }
 
-// Abort discards the open transaction.
+// Abort discards the open transaction. One whose begin header never
+// went out exists only here, so nothing is sent.
 func (c *Client) Abort() error {
+	if c.pending != nil {
+		c.pending = nil
+		return nil
+	}
 	_, err := c.call(clientRequest{Op: "abort"})
 	return err
 }

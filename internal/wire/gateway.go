@@ -26,13 +26,20 @@ type clientHello struct {
 type clientRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  string // "register", "begin", "exec", "commit", "abort"
+	// Op is "register", "exec", "commit" or "abort"; empty on a request
+	// that carries nothing but the begin header.
+	Op string
 
-	// register; for begin, an explicit table-set (DispatchTables)
+	// register; with Begin, an explicit table-set (DispatchTables)
 	Name   string
 	Tables []string
 
-	// begin
+	// Begin marks the begin header: the session's next transaction
+	// starts with this request — routed by TxnName or Tables, started at
+	// the chosen replica under the mode's start rule — and Op then runs
+	// in it, all in the one round trip. A header request that fails
+	// leaves no transaction behind.
+	Begin   bool
 	TxnName string
 	// Trace is the client-side root span's context, propagated through
 	// the lb route and the replica begin. Optional frame-header
@@ -49,7 +56,7 @@ type clientResponse struct {
 	Err     string
 	ErrCode string
 	Result  *sql.Result
-	// begin / commit
+	// begin header / commit
 	Snapshot uint64
 	// commit
 	Version     uint64
@@ -75,9 +82,9 @@ type Gateway struct {
 	// conns is the set of live client connections.
 	// guarded by mu
 	conns map[net.Conn]struct{}
-	// obsReqs is nil-safe until EnableObs.
-	// guarded by mu
-	obsReqs  *obs.CounterVec
+	// obsReqs is set once by EnableObs, before traffic; nil-safe until
+	// then.
+	obsReqs  atomic.Pointer[obs.CounterVec]
 	sessions atomic.Int64
 }
 
@@ -88,10 +95,8 @@ func (g *Gateway) EnableObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	g.mu.Lock()
-	g.obsReqs = reg.CounterVec("sconrep_wire_requests_total",
-		"Wire requests served, by link and operation.", "op", "link", "gateway")
-	g.mu.Unlock()
+	g.obsReqs.Store(reg.CounterVec("sconrep_wire_requests_total",
+		"Wire requests served, by link and operation.", "op", "link", "gateway"))
 	reg.GaugeFunc("sconrep_gateway_sessions",
 		"Client sessions currently connected to the gateway.",
 		func() float64 { return float64(g.sessions.Load()) })
@@ -180,6 +185,12 @@ type gatewaySession struct {
 	open    bool
 }
 
+// end closes the session's open transaction in the gateway's books.
+func (s *gatewaySession) end() {
+	s.open = false
+	s.replica.active.Add(-1)
+}
+
 func (g *Gateway) handle(c net.Conn) {
 	defer c.Close()
 	g.mu.Lock()
@@ -207,7 +218,7 @@ func (g *Gateway) handle(c net.Conn) {
 	defer func() {
 		if sess.open {
 			_, _ = sess.replica.call(&replicaRequest{Op: "abort", TxnID: sess.txnID})
-			sess.replica.active.Add(-1)
+			sess.end()
 		}
 		g.balancer.EndSession(sess.id)
 	}()
@@ -228,11 +239,18 @@ func (g *Gateway) handle(c net.Conn) {
 	}
 }
 
+// dispatch serves one client request. Apart from register, every
+// request is one request to the transaction's replica: a begin header
+// is routed here and forwarded on it, so starting a transaction and
+// running its first operation cost one round trip on each link.
 func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResponse {
-	g.mu.Lock()
-	reqs := g.obsReqs
-	g.mu.Unlock()
-	reqs.With(req.Op).Inc()
+	reqs := g.obsReqs.Load()
+	if req.Begin {
+		reqs.With("begin").Inc()
+	}
+	if req.Op != "" {
+		reqs.With(req.Op).Inc()
+	}
 	resp := &clientResponse{}
 	fail := func(err error) *clientResponse {
 		resp.Err = err.Error()
@@ -242,7 +260,14 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 	switch req.Op {
 	case "register":
 		g.balancer.RegisterTxn(req.Name, req.Tables)
-	case "begin":
+		return resp
+	case "", "exec", "commit", "abort":
+	default:
+		return fail(fmt.Errorf("wire: unknown client op %q", req.Op))
+	}
+	fwd := &replicaRequest{Op: req.Op, TxnID: sess.txnID, SQL: req.SQL, Params: req.Params}
+	switch {
+	case req.Begin:
 		if sess.open {
 			return fail(errors.New("wire: transaction already open on this session"))
 		}
@@ -256,62 +281,51 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if err != nil {
 			return fail(err)
 		}
-		rr := route.Node.(*remoteReplica)
-		rr.active.Add(1)
+		sess.replica = route.Node.(*remoteReplica)
+		sess.replica.active.Add(1)
+		sess.open = true
 		// An untraced (or pre-tracing) client supplies no span context;
 		// fall back to the route span so the replica's work still joins
 		// a gateway-rooted trace instead of fragmenting.
-		downstream := req.Trace
-		if !downstream.Valid() {
-			downstream = route.Trace
+		fwd.Begin, fwd.MinVersion, fwd.Trace = true, route.MinVersion, req.Trace
+		if !fwd.Trace.Valid() {
+			fwd.Trace = route.Trace
 		}
-		r, err := rr.call(&replicaRequest{Op: "begin", MinVersion: route.MinVersion, Trace: downstream})
-		if err != nil {
-			rr.active.Add(-1)
-			return fail(err)
-		}
-		sess.replica = rr
-		sess.txnID = r.TxnID
-		sess.open = true
-		resp.Snapshot = r.Snapshot
-	case "exec":
-		if !sess.open {
-			return fail(errors.New("wire: no open transaction"))
-		}
-		r, err := sess.replica.call(&replicaRequest{Op: "exec", TxnID: sess.txnID, SQL: req.SQL, Params: req.Params})
-		if err != nil {
-			if errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed) {
-				sess.open = false
-				sess.replica.active.Add(-1)
-			}
-			return fail(err)
-		}
-		resp.Result = r.Result
+	case req.Op == "abort" && !sess.open:
+		return resp
+	case !sess.open:
+		return fail(errors.New("wire: no open transaction"))
+	}
+	switch req.Op {
 	case "commit":
-		if !sess.open {
-			return fail(errors.New("wire: no open transaction"))
+		fwd.Eager = g.balancer.Mode() == core.Eager
+		sess.end()
+	case "abort":
+		sess.end()
+	}
+	r, err := sess.replica.call(fwd)
+	if err != nil {
+		// A failed header request leaves no transaction at the replica,
+		// and neither does a statement the replica aborted on.
+		if sess.open && (req.Begin || errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed)) {
+			sess.end()
 		}
-		sess.open = false
-		sess.replica.active.Add(-1)
-		eager := g.balancer.Mode() == core.Eager
-		r, err := sess.replica.call(&replicaRequest{Op: "commit", TxnID: sess.txnID, Eager: eager})
-		if err != nil {
-			return fail(err)
+		if req.Op == "abort" {
+			return resp
 		}
+		return fail(err)
+	}
+	if req.Begin {
+		sess.txnID = r.TxnID
+	}
+	resp.Snapshot = r.Snapshot
+	resp.Result = r.Result
+	if req.Op == "commit" {
 		g.balancer.ObserveCommit(sess.id, r.Commit)
 		resp.Version = r.Commit.Version
 		resp.ReadOnly = r.Commit.ReadOnly
-		resp.Snapshot = r.Snapshot
 		resp.WriteTables = r.Commit.WrittenTables
 		resp.ReadTables = r.Touched
-	case "abort":
-		if sess.open {
-			sess.open = false
-			sess.replica.active.Add(-1)
-			_, _ = sess.replica.call(&replicaRequest{Op: "abort", TxnID: sess.txnID})
-		}
-	default:
-		return fail(fmt.Errorf("wire: unknown client op %q", req.Op))
 	}
 	return resp
 }

@@ -112,10 +112,10 @@ func WithSubLease(d time.Duration) Option {
 	return func(o *options) { o.subLease = d }
 }
 
-// WithGate installs a serve gate on a replica server: begin requests
-// fail with the gate's error while it is non-nil. The gate is how a
-// replica that has lost its refresh stream (or is catching up after
-// one) stops serving possibly stale strong reads.
+// WithGate installs a serve gate on a replica server: requests that
+// carry a begin header fail with the gate's error while it is non-nil.
+// The gate is how a replica that has lost its refresh stream (or is
+// catching up after one) stops serving possibly stale strong reads.
 func WithGate(g func() error) Option {
 	return func(o *options) { o.gate = g }
 }

@@ -22,16 +22,22 @@ import (
 type replicaRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  string // "begin", "exec", "commit", "abort", "status"
+	// Op is "exec", "commit", "abort" or "status"; empty on a request
+	// that carries nothing but the begin header.
+	Op string
 
-	// begin
+	// Begin marks the begin header: the replica passes its serve gate,
+	// starts a transaction under MinVersion (the start delay), and runs
+	// Op in it. The response carries the new TxnID and Snapshot unless
+	// the request failed or ended the transaction.
+	Begin      bool
 	MinVersion uint64
-	// Trace is the caller's span context for begin — an optional
+	// Trace is the caller's span context for the begin — an optional
 	// frame-header extension old peers ignore (gob skips unknown
 	// fields and zero-fills missing ones).
 	Trace dtrace.SpanContext
 
-	// exec / commit / abort
+	// exec / commit / abort (ignored under Begin)
 	TxnID  uint64
 	SQL    string
 	Params []any
@@ -128,12 +134,12 @@ type ReplicaServer struct {
 	// next is the last issued wire txn ID.
 	// guarded by mu
 	next uint64
-	// stmts caches parses by statement text.
-	// guarded by mu
-	stmts map[string]*sql.Prepared
-	// obsReqs is nil-safe until EnableObs.
-	// guarded by mu
-	obsReqs *obs.CounterVec
+	// stmts caches parses by statement text (string → *sql.Prepared):
+	// written once per distinct statement, read on every exec.
+	stmts sync.Map
+	// obsReqs is set once by EnableObs, before traffic; nil-safe until
+	// then.
+	obsReqs atomic.Pointer[obs.CounterVec]
 }
 
 // EnableObs counts served requests per operation under
@@ -142,10 +148,8 @@ func (s *ReplicaServer) EnableObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.mu.Lock()
-	s.obsReqs = reg.CounterVec("sconrep_wire_requests_total",
-		"Wire requests served, by link and operation.", "op", "link", "replica")
-	s.mu.Unlock()
+	s.obsReqs.Store(reg.CounterVec("sconrep_wire_requests_total",
+		"Wire requests served, by link and operation.", "op", "link", "replica"))
 }
 
 // ServeReplica starts serving rep on addr.
@@ -160,7 +164,6 @@ func ServeReplica(rep *replica.Replica, addr string, opts ...Option) (*ReplicaSe
 		opts:  buildOptions(opts),
 		conns: make(map[net.Conn]struct{}),
 		txns:  make(map[uint64]*replica.Txn),
-		stmts: make(map[string]*sql.Prepared),
 	}
 	go s.acceptLoop()
 	return s, nil
@@ -197,19 +200,14 @@ func (s *ReplicaServer) acceptLoop() {
 
 // prepared caches parses by statement text.
 func (s *ReplicaServer) prepared(text string) (*sql.Prepared, error) {
-	s.mu.Lock()
-	p, ok := s.stmts[text]
-	s.mu.Unlock()
-	if ok {
-		return p, nil
+	if p, ok := s.stmts.Load(text); ok {
+		return p.(*sql.Prepared), nil
 	}
 	p, err := sql.Prepare(text)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.stmts[text] = p
-	s.mu.Unlock()
+	s.stmts.Store(text, p)
 	return p, nil
 }
 
@@ -218,6 +216,15 @@ func (s *ReplicaServer) getTxn(id uint64) (*replica.Txn, bool) {
 	defer s.mu.Unlock()
 	tx, ok := s.txns[id]
 	return tx, ok
+}
+
+// addTxn registers an open transaction under a fresh wire txn ID.
+func (s *ReplicaServer) addTxn(tx *replica.Txn) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.next++
+	s.txns[s.next] = tx
+	return s.next
 }
 
 func (s *ReplicaServer) dropTxn(id uint64) {
@@ -267,72 +274,25 @@ func (s *ReplicaServer) handle(c net.Conn) {
 	}
 }
 
+// dispatch serves one request: the begin header, when present, opens
+// the transaction the operation then runs in; otherwise TxnID names it.
 func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
-	s.mu.Lock()
-	reqs := s.obsReqs
-	s.mu.Unlock()
-	reqs.With(req.Op).Inc()
+	reqs := s.obsReqs.Load()
+	if req.Begin {
+		reqs.With("begin").Inc()
+	}
+	if req.Op != "" {
+		reqs.With(req.Op).Inc()
+	}
 	resp := &replicaResponse{}
 	fail := func(err error) *replicaResponse {
 		resp.Err = err.Error()
 		resp.ErrCode = errCode(err)
 		return resp
 	}
-	switch req.Op {
-	case "begin":
-		if g := s.opts.gate; g != nil {
-			if err := g(); err != nil {
-				return fail(err)
-			}
-		}
-		tx, err := s.rep.BeginCtx(req.MinVersion, metrics.NewTxnTimer(), req.Trace)
-		if err != nil {
-			return fail(err)
-		}
-		s.mu.Lock()
-		s.next++
-		id := s.next
-		s.txns[id] = tx
-		s.mu.Unlock()
-		resp.TxnID = id
-		resp.Snapshot = tx.Snapshot()
-	case "exec":
-		tx, ok := s.getTxn(req.TxnID)
-		if !ok {
-			return fail(replica.ErrTxnDone)
-		}
-		p, err := s.prepared(req.SQL)
-		if err != nil {
-			return fail(err)
-		}
-		res, err := tx.Exec(p, req.Params...)
-		if err != nil {
-			if errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed) {
-				s.dropTxn(req.TxnID)
-			}
-			return fail(err)
-		}
-		resp.Result = res
-	case "commit":
-		tx, ok := s.getTxn(req.TxnID)
-		if !ok {
-			return fail(replica.ErrTxnDone)
-		}
-		s.dropTxn(req.TxnID)
-		touched := tx.Touched()
-		cres, err := tx.Commit(req.Eager)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Commit = cres
-		resp.Snapshot = tx.Snapshot()
-		resp.Touched = touched
-	case "abort":
-		if tx, ok := s.getTxn(req.TxnID); ok {
-			s.dropTxn(req.TxnID)
-			tx.Abort()
-		}
-	case "status":
+	var tx *replica.Txn
+	switch {
+	case req.Op == "status":
 		resp.Version = s.rep.Version()
 		resp.Active = s.rep.Active()
 		resp.Crashed = s.rep.Crashed()
@@ -340,8 +300,64 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 		if g := s.opts.gate; g != nil && g() != nil {
 			resp.Ready = false
 		}
+		return resp
+	case req.Begin:
+		if g := s.opts.gate; g != nil {
+			if err := g(); err != nil {
+				return fail(err)
+			}
+		}
+		var err error
+		tx, err = s.rep.BeginCtx(req.MinVersion, metrics.NewTxnTimer(), req.Trace)
+		if err != nil {
+			return fail(err)
+		}
+		resp.Snapshot = tx.Snapshot()
 	default:
-		return fail(fmt.Errorf("wire: unknown replica op %q", req.Op))
+		var ok bool
+		if tx, ok = s.getTxn(req.TxnID); !ok {
+			if req.Op == "abort" {
+				return resp
+			}
+			return fail(replica.ErrTxnDone)
+		}
+	}
+	// ended: the operation finished the transaction, one way or another.
+	var ended bool
+	var err error
+	switch req.Op {
+	case "":
+	case "exec":
+		var p *sql.Prepared
+		if p, err = s.prepared(req.SQL); err == nil {
+			resp.Result, err = tx.Exec(p, req.Params...)
+		}
+		ended = errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed)
+	case "commit":
+		ended = true
+		resp.Touched = tx.Touched()
+		resp.Commit, err = tx.Commit(req.Eager)
+		resp.Snapshot = tx.Snapshot()
+	case "abort":
+		ended = true
+		tx.Abort()
+	default:
+		err = fmt.Errorf("wire: unknown replica op %q", req.Op)
+	}
+	switch {
+	case !req.Begin:
+		if ended {
+			s.dropTxn(req.TxnID)
+		}
+	case err != nil:
+		// A header request is all or nothing: its caller learns no
+		// TxnID from a failure, so nothing may stay open under one.
+		tx.Abort()
+	case !ended:
+		resp.TxnID = s.addTxn(tx)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	return resp
 }

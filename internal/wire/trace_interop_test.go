@@ -10,8 +10,8 @@ import (
 	"sconrep/internal/obs/dtrace"
 )
 
-// The pre-tracing wire format: the same frames without the Trace
-// extension, exactly as a peer built before this change would encode
+// The untraced wire format: the same frames without the Trace
+// extension, exactly as a peer built without tracing would encode
 // and decode them. gob matches struct fields by name, skipping stream
 // fields the receiver lacks and zero-filling receiver fields the
 // stream lacks — which is what makes Trace an optional extension.
@@ -21,6 +21,7 @@ type legacyClientRequest struct {
 	Op      string
 	Name    string
 	Tables  []string
+	Begin   bool
 	TxnName string
 	SQL     string
 	Params  []any
@@ -29,6 +30,7 @@ type legacyClientRequest struct {
 type legacyReplicaRequest struct {
 	Seq        uint64
 	Op         string
+	Begin      bool
 	MinVersion uint64
 	TxnID      uint64
 	SQL        string
@@ -47,7 +49,7 @@ func TestTraceFrameGobCompat(t *testing.T) {
 
 	// Modern → legacy: the Trace field is skipped, everything else lands.
 	var buf bytes.Buffer
-	modern := clientRequest{Seq: 7, Op: "begin", TxnName: "tpcw.buyConfirm", Trace: sc}
+	modern := clientRequest{Seq: 7, Op: "exec", Begin: true, TxnName: "tpcw.buyConfirm", Trace: sc}
 	if err := gob.NewEncoder(&buf).Encode(&modern); err != nil {
 		t.Fatal(err)
 	}
@@ -55,20 +57,20 @@ func TestTraceFrameGobCompat(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
 		t.Fatalf("legacy peer failed to decode a span-carrying frame: %v", err)
 	}
-	if old.Seq != 7 || old.Op != "begin" || old.TxnName != "tpcw.buyConfirm" {
+	if old.Seq != 7 || old.Op != "exec" || !old.Begin || old.TxnName != "tpcw.buyConfirm" {
 		t.Fatalf("legacy decode mangled fields: %+v", old)
 	}
 
 	// Legacy → modern: Trace zero-fills to the invalid context.
 	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&legacyReplicaRequest{Seq: 3, Op: "begin", MinVersion: 9}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&legacyReplicaRequest{Seq: 3, Begin: true, MinVersion: 9}); err != nil {
 		t.Fatal(err)
 	}
 	var now replicaRequest
 	if err := gob.NewDecoder(&buf).Decode(&now); err != nil {
 		t.Fatalf("modern peer failed to decode a legacy frame: %v", err)
 	}
-	if now.Seq != 3 || now.MinVersion != 9 {
+	if now.Seq != 3 || !now.Begin || now.MinVersion != 9 {
 		t.Fatalf("modern decode mangled fields: %+v", now)
 	}
 	if now.Trace.Valid() {
@@ -76,7 +78,7 @@ func TestTraceFrameGobCompat(t *testing.T) {
 	}
 }
 
-// TestLegacyClientRoundTrip runs a full begin/exec/commit against a
+// TestLegacyClientRoundTrip runs a full header+exec/commit against a
 // real traced deployment from a hand-rolled legacy client that never
 // sends span-context frames — the old-peer interop the wire layer
 // promises.
@@ -118,9 +120,8 @@ func TestLegacyClientRoundTrip(t *testing.T) {
 		return resp
 	}
 
-	call(legacyClientRequest{Seq: 1, Op: "begin"})
-	call(legacyClientRequest{Seq: 2, Op: "exec", SQL: `UPDATE kv SET v = ? WHERE k = ?`, Params: []any{"legacy", int64(1)}})
-	resp := call(legacyClientRequest{Seq: 3, Op: "commit"})
+	call(legacyClientRequest{Seq: 1, Begin: true, Op: "exec", SQL: `UPDATE kv SET v = ? WHERE k = ?`, Params: []any{"legacy", int64(1)}})
+	resp := call(legacyClientRequest{Seq: 2, Op: "commit"})
 	if resp.Version == 0 || resp.ReadOnly {
 		t.Fatalf("commit = %+v", resp)
 	}

@@ -14,6 +14,10 @@
 //   - client link (Gateway / Client): applications open sessions and
 //     run named transactions.
 //
+// On the last two a request is an optional begin header plus an
+// operation: starting a transaction is not an exchange of its own, the
+// header rides on the transaction's first request.
+//
 // Request/response calls use small per-destination connection pools
 // (one in-flight call per connection); refresh streaming uses one
 // dedicated connection per replica. Row values are []any restricted to

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sconrep/internal/certifier"
 	"sconrep/internal/core"
+	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
 	"sconrep/internal/storage"
 )
@@ -47,6 +49,13 @@ func loadKV(t *testing.T, eng *storage.Engine) {
 
 func newDeployment(t *testing.T, n int, mode core.Mode) *deployment {
 	t.Helper()
+	return newDeploymentWith(t, n, mode)
+}
+
+// newDeploymentWith is newDeployment with extra options on the replica
+// servers.
+func newDeploymentWith(t *testing.T, n int, mode core.Mode, repOpts ...Option) *deployment {
+	t.Helper()
 	d := &deployment{}
 	cert := certifier.New(append([]certifier.Option(nil), func() []certifier.Option {
 		if mode == core.Eager {
@@ -65,7 +74,7 @@ func newDeployment(t *testing.T, n int, mode core.Mode) *deployment {
 		loadKV(t, eng)
 		cc := DialCertifier(d.certSrv.Addr(), i, eng.Version())
 		rep := replica.New(replica.Config{ID: i, EarlyCert: true}, eng, cc)
-		srv, err := ServeReplica(rep, "127.0.0.1:0")
+		srv, err := ServeReplica(rep, "127.0.0.1:0", repOpts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,6 +86,18 @@ func newDeployment(t *testing.T, n int, mode core.Mode) *deployment {
 	d.gateway, err = ServeGateway("127.0.0.1:0", mode, replicaAddrs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// As cluster.NewNetworked does: a replica whose refresh stream is
+	// not up yet is no subscriber, so a commit made now would neither
+	// wait for it (eager) nor reach it.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, cc := range d.clients {
+		for !cc.Ready(0) {
+			if time.Now().After(deadline) {
+				t.Fatal("replica refresh streams not up")
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	t.Cleanup(func() {
 		d.gateway.Close()
@@ -366,9 +387,8 @@ func TestStatusAndStmtCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d.repSrvs[0].mu.Lock()
-	cached := len(d.repSrvs[0].stmts)
-	d.repSrvs[0].mu.Unlock()
+	cached := 0
+	d.repSrvs[0].stmts.Range(func(_, _ any) bool { cached++; return true })
 	if cached != 1 {
 		t.Fatalf("statement cache has %d entries, want 1", cached)
 	}
@@ -389,5 +409,157 @@ func TestClientErrorsWithoutTxn(t *testing.T) {
 	}
 	if err := c.Begin(""); err == nil {
 		t.Fatal("double begin succeeded")
+	}
+}
+
+// idle fails the test unless no transaction is open anywhere: neither in
+// the gateway's per-replica active counts (what the balancer routes by)
+// nor at a replica.
+func (d *deployment) idle(t *testing.T) {
+	t.Helper()
+	for i, rr := range d.gateway.replicas {
+		if n := rr.Active(); n != 0 {
+			t.Errorf("gateway counts %d open transactions on replica %d", n, i)
+		}
+		if n := d.replicas[i].Active(); n != 0 {
+			t.Errorf("replica %d has %d open transactions", i, n)
+		}
+	}
+}
+
+// TestBeginHeader covers the begin header on the client API: armed by
+// Start it rides on the next request, BeginTx sends it alone, and a
+// header request that fails leaves no transaction anywhere.
+func TestBeginHeader(t *testing.T) {
+	d := newDeployment(t, 2, core.Coarse)
+	c, err := Dial(d.gateway.Addr(), "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Armed and discarded: nothing was sent, so nothing is open.
+	c.Start("", nil, dtrace.SpanContext{})
+	if err := c.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if c.seq != 0 {
+		t.Fatalf("Start+Abort sent %d requests", c.seq)
+	}
+	d.idle(t)
+
+	// Header + exec, then commit: two requests for the transaction.
+	c.Start("", nil, dtrace.SpanContext{})
+	if _, err := c.Exec(`UPDATE kv SET v = 'deferred' WHERE k = 1`); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Snapshot()
+	info, err := c.CommitEx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.seq != 2 || info.ReadOnly || info.Snapshot != snap || info.Version <= snap {
+		t.Fatalf("after %d requests: commit %+v, begin snapshot %d", c.seq, info, snap)
+	}
+
+	// Header + commit: a transaction with no statement is one request.
+	c.Start("", nil, dtrace.SpanContext{})
+	bare, err := c.CommitEx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.seq != 3 || !bare.ReadOnly || bare.Version < info.Version {
+		t.Fatalf("bare commit after %d requests: %+v, want read-only at >= %d", c.seq, bare, info.Version)
+	}
+
+	// Eager: the header goes out alone and plain operations follow.
+	eager, err := c.BeginTx("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.seq != 4 || eager < info.Version {
+		t.Fatalf("BeginTx: %d requests, snapshot %d, want >= %d", c.seq, eager, info.Version)
+	}
+	res, err := c.Exec(`SELECT v FROM kv WHERE k = 1`)
+	if err != nil || res.Rows[0][0].(string) != "deferred" {
+		t.Fatalf("read after eager begin = %v, %v", res, err)
+	}
+	if _, _, err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BeginTx(""); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	d.idle(t)
+
+	// A header request whose statement fails opens nothing.
+	c.Start("", nil, dtrace.SpanContext{})
+	if _, err := c.Exec(`SELECT nothing FROM nowhere`); err == nil {
+		t.Fatal("bad statement succeeded")
+	}
+	if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); err == nil {
+		t.Fatal("exec ran in a transaction whose header request failed")
+	}
+	d.idle(t)
+}
+
+// TestBeginHeaderRefused: the serve gate and the balancer refuse the
+// header wherever it rides, the caller can tell (ErrUnavailable), and
+// the session stays usable.
+func TestBeginHeaderRefused(t *testing.T) {
+	var shut atomic.Bool
+	gate := func() error {
+		if shut.Load() {
+			return ErrUnavailable
+		}
+		return nil
+	}
+	d := newDeploymentWith(t, 2, core.Coarse, WithGate(gate))
+	c, err := Dial(d.gateway.Addr(), "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	shut.Store(true)
+	for i := 0; i < 3; i++ {
+		c.Start("", nil, dtrace.SpanContext{})
+		if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("header+exec on gated replicas: %v, want ErrUnavailable", err)
+		}
+		c.Start("", nil, dtrace.SpanContext{})
+		if _, err := c.CommitEx(); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("header+commit on gated replicas: %v, want ErrUnavailable", err)
+		}
+	}
+	d.idle(t)
+	shut.Store(false)
+	for _, rr := range d.gateway.replicas {
+		rr.probe()
+	}
+	c.Start("", nil, dtrace.SpanContext{})
+	if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil {
+		t.Fatalf("after the gate reopened: %v", err)
+	}
+	if _, _, err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// No replica configured at all.
+	gw, err := ServeGateway("127.0.0.1:0", core.Coarse, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	lone, err := Dial(gw.Addr(), "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Close()
+	lone.Start("", nil, dtrace.SpanContext{})
+	if _, err := lone.Exec(`SELECT v FROM kv WHERE k = 1`); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("header+exec with no replica configured: %v, want ErrUnavailable", err)
 	}
 }

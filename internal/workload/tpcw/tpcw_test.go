@@ -1,11 +1,14 @@
 package tpcw
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"sconrep/internal/cluster"
 	"sconrep/internal/core"
+	"sconrep/internal/replica"
 	"sconrep/internal/shard"
 	"sconrep/internal/sql"
 	"sconrep/internal/storage"
@@ -204,6 +207,23 @@ func TestBuyConfirmSemantics(t *testing.T) {
 	}
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadErrorsKeepAbortInChain pins the retry contract of the reads
+// that must return a row (BuyConfirm's customer and stock reads): an
+// abort raised by the read stays matchable with errors.Is through
+// errShaped, so callers can tell it from a failure.
+func TestReadErrorsKeepAbortInChain(t *testing.T) {
+	for _, abort := range []error{replica.ErrCertifyConflict, replica.ErrEarlyAbort} {
+		err := errShaped("buyConfirm", rowErr("customer", fmt.Errorf("exec: %w", abort)))
+		if !errors.Is(err, abort) {
+			t.Errorf("%v lost from the chain of %q", abort, err)
+		}
+	}
+	err := errShaped("buyConfirm", rowErr("stock", nil))
+	if got := err.Error(); got != "tpcw buyConfirm: stock read: no row" {
+		t.Errorf("missing-row error = %q", got)
 	}
 }
 

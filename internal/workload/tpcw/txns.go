@@ -193,6 +193,16 @@ func errShaped(name string, err error) error {
 	return fmt.Errorf("tpcw %s: %w", name, err)
 }
 
+// rowErr is the failure of a read that must return a row: the read's
+// own error kept in the chain (an abort must stay recognisable as
+// one), or the missing row.
+func rowErr(what string, err error) error {
+	if err == nil {
+		return fmt.Errorf("%s read: no row", what)
+	}
+	return fmt.Errorf("%s read: %w", what, err)
+}
+
 // Home models the Home interaction: customer greeting plus promotional
 // items.
 func Home(s *cluster.Session, x *Ctx) error {
@@ -461,7 +471,7 @@ func BuyConfirm(s *cluster.Session, x *Ctx) error {
 	cust, err := tx.Exec(stGetCustomerByID, int64(x.CustomerID))
 	if err != nil || len(cust.Rows) == 0 {
 		tx.Abort()
-		return errShaped("buyConfirm", fmt.Errorf("customer read: %v", err))
+		return errShaped("buyConfirm", rowErr("customer", err))
 	}
 	discount := cust.Rows[0][2].(float64)
 
@@ -493,7 +503,7 @@ func BuyConfirm(s *cluster.Session, x *Ctx) error {
 		st, err := tx.Exec(stItemStock, itemID)
 		if err != nil || len(st.Rows) == 0 {
 			tx.Abort()
-			return errShaped("buyConfirm", fmt.Errorf("stock read: %v", err))
+			return errShaped("buyConfirm", rowErr("stock", err))
 		}
 		stock := st.Rows[0][0].(int64) - qty
 		if stock < 10 {

@@ -321,6 +321,13 @@ type Tx struct{ tx *cluster.Tx }
 // fine-grained synchronization; pass "" when not using Fine mode or
 // when the name is unknown (strong consistency is preserved either
 // way).
+//
+// Sessions of a networked deployment (cluster.NewNetworked, sconrepd)
+// send nothing here: the begin rides on the transaction's first
+// statement (or on Commit when there is none). Routing and serve-gate
+// errors therefore surface from that call, the start rule is applied
+// when it arrives — never earlier than Begin returned, so the guarantee
+// only gets stronger — and Snapshot reads 0 until it has been answered.
 func (s *SessionHandle) Begin(txnName string) (*Tx, error) {
 	tx, err := s.s.Begin(txnName)
 	if err != nil {
