@@ -89,16 +89,16 @@ bench:
 # per-writeset path, sharded certification throughput (1 vs 4
 # sequencers over disjoint / cross-shard / single-hot-table
 # workloads), the 100k-entry History lookup, refresh streaming
-# over a real TCP link in both stream codecs (gob and the negotiated
-# binary one), per-replica refresh bytes under partial shard
-# subscriptions, and disk restart (checkpoint restore + WAL replay vs
-# full history replay). Results land in BENCH_hotpath.json (committed,
+# over a real TCP link, per-replica refresh bytes under partial shard
+# subscriptions, a transaction's two request links over loopback
+# (eager begin + abort, one-statement read), and disk restart
+# (checkpoint restore + WAL replay vs full history replay). Results land in BENCH_hotpath.json (committed,
 # so before/after numbers travel with the code); benchjson -require
 # fails the run if any expected benchmark went missing. Override
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
-HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkTraceOverhead|BenchmarkRecovery
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/parallel,BenchmarkRefreshApply/conflicting,BenchmarkRefreshApply/perwriteset,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream/gob,BenchmarkWireRefreshStream/binary,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory
+HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/parallel,BenchmarkRefreshApply/conflicting,BenchmarkRefreshApply/perwriteset,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
 		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ \
@@ -117,14 +117,15 @@ bench-e2e-smoke:
 	$(GO) -C benchmark test ./...
 	$(GO) run -C benchmark . -smoke
 
-# Fuzz smoke: the three parsers that face bytes off disk or the wire —
-# the binary refresh codec, WAL frame replay (torn tails and bit rot),
-# and checkpoint snapshot load — each long enough to shake out parser
-# regressions without stalling CI. Override FUZZTIME for longer local
-# runs.
+# Fuzz smoke: the parsers that face bytes off disk or the wire — the
+# refresh frame and every other frame type of the wire codec, WAL frame
+# replay (torn tails and bit rot), and checkpoint snapshot load — each
+# long enough to shake out parser regressions without stalling CI.
+# Override FUZZTIME for longer local runs.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRefreshCodec -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime $(FUZZTIME) ./internal/pstore/
 

@@ -6,14 +6,15 @@
 //
 // Packages default to ./... and are resolved with `go list`, so the
 // command must run from the module root (`make lint` does). Errors
-// (consistency holes: wire fields legacy peers can't decode, lock
-// cycles, staleness bugs) always fail the run; Warnings (hygiene:
-// unreviewed new wire fields, undeclared lock orders) fail only under
+// (consistency holes: a wire layout that differs from the locked one,
+// lock cycles, staleness bugs) always fail the run; Warnings (hygiene:
+// undeclared lock orders, unexported wire fields) fail only under
 // -strict, which is how `make lint` and CI run.
 //
 // -update-schema regenerates internal/wire/schema.lock from the
 // current tree instead of analyzing, making intentional protocol
-// evolution a reviewed diff.
+// evolution a reviewed diff. It refuses when a layout changed but the
+// owning package's codecVersion did not.
 //
 // The suite is built on a stdlib-only mirror of
 // golang.org/x/tools/go/analysis; if x/tools is ever vendored, the
@@ -122,10 +123,12 @@ func main() {
 	}
 }
 
-// writeSchemaLock collects the gob-reachable schema from every listed
-// package, merges, and rewrites the committed lockfile.
+// writeSchemaLock collects the codec-reachable schema from every listed
+// package, checks it against the lock it replaces (a changed layout
+// needs a bumped codecVersion), merges, and rewrites the lockfile.
 func writeSchemaLock(loader *analysis.Loader, pkgs []listPkg) error {
-	merged := &analysis.Schema{Structs: map[string]*analysis.SchemaStruct{}}
+	merged := analysis.NewSchema()
+	var perPkg []*analysis.Schema
 	for _, p := range pkgs {
 		files := make([]string, 0, len(p.GoFiles))
 		for _, f := range p.GoFiles {
@@ -145,9 +148,19 @@ func writeSchemaLock(loader *analysis.Loader, pkgs []listPkg) error {
 		if err := merged.Merge(schema); err != nil {
 			return err
 		}
+		perPkg = append(perPkg, schema)
 	}
 	if len(merged.Structs) == 0 {
-		return fmt.Errorf("no gob-reachable wire structs found in the listed packages; refusing to write an empty %s", analysis.WireSchemaLockFile)
+		return fmt.Errorf("no codec-reachable wire structs found in the listed packages; refusing to write an empty %s", analysis.WireSchemaLockFile)
+	}
+	if data, err := os.ReadFile(analysis.WireSchemaLockFile); err == nil {
+		old, err := analysis.ParseSchemaLock(data)
+		if err != nil {
+			return fmt.Errorf("%s: %v", analysis.WireSchemaLockFile, err)
+		}
+		if err := analysis.CheckBump(old, perPkg); err != nil {
+			return err
+		}
 	}
 	if err := os.WriteFile(analysis.WireSchemaLockFile, merged.Format(), 0o644); err != nil {
 		return err

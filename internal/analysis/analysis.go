@@ -18,10 +18,11 @@
 //     no global math/rand, no unannotated map iteration — and
 //     packages importing math/rand outside the seeded list are
 //     flagged as coverage gaps.
-//   - wirecompat: every struct reachable from a gob encode/decode
-//     call site must match the committed wire schema lock
-//     (internal/wire/schema.lock), so protocol evolution that breaks
-//     legacy-peer interop is a reviewed diff, not an accident.
+//   - wirecompat: every struct that reaches the binary frame codec or
+//     the WAL record codec must match the committed wire schema lock
+//     (internal/wire/schema.lock), and a layout may change only
+//     together with its package's codecVersion byte — the positional
+//     codec's one compatibility mechanism.
 //   - lockorder: the inter-mutex acquisition graph, built from
 //     "locks after" annotations plus observed acquisitions, must be
 //     acyclic, and cross-shard same-class multi-acquires must be
@@ -41,9 +42,9 @@ import (
 
 // Severity classifies a diagnostic. The driver always fails the run
 // on an Error (a correctness hole — an FSC staleness bug, a wire
-// field legacy peers can no longer decode, a lock cycle); a Warning
+// layout that differs from the locked one, a lock cycle); a Warning
 // (a performance or hygiene regression, an undeclared-but-consistent
-// lock order, an unreviewed new wire field) fails only under
+// lock order, an unexported wire field) fails only under
 // sconrep-vet -strict, which is how CI runs.
 type Severity int
 

@@ -3,10 +3,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -15,68 +18,92 @@ import (
 // The fixture tests point it at per-fixture lock files.
 var WireSchemaLockFile = "internal/wire/schema.lock"
 
-// WireCompat locks the module's gob wire schema. Every struct
-// reachable from a gob Encode/Decode call site — the protocol hellos,
-// request/response envelopes, refresh batches, and WAL records, plus
-// everything their fields reach (writesets, span contexts, SQL
-// results, commit results) — is part of the upgrade contract: the
-// paper's "bargain" survives rolling upgrades only because legacy
-// peers can gob-skip fields they do not know and zero-fill fields they
-// never received. The analyzer derives the canonical schema (struct,
-// field order, field name, gob-visible type) from the type-checked
-// tree and diffs it against the committed lockfile
-// (internal/wire/schema.lock):
+// WireCodecTag marks, in a function's doc comment, a codec entry point:
+// a function whose parameters are what travels. frameConn.send/recv in
+// internal/wire carry it, and wal's record encoder and parser.
+const WireCodecTag = "wirecompat:codec"
+
+// WireVersionConst is the package-level constant a package with codec
+// entry points must declare: the version byte it writes ahead of its
+// layouts (the hello's protocol version in wire, the record payload's
+// first byte in wal).
+const WireVersionConst = "codecVersion"
+
+// WireCompat locks the module's binary wire and log schema. The frame
+// codec is positional and hand-written: a struct's fields travel in
+// declaration order with no names, no skipping and no zero-fill, so a
+// peer (or a log) written against another layout cannot be read at
+// all, and the one compatibility mechanism is the version byte each
+// connection's hello — and each log record — starts with. The analyzer
+// keeps the two honest with each other. It derives the canonical
+// schema (struct, field order, field name, type) of every struct that
+// reaches a codec entry point — the hellos, request/response
+// envelopes, refresh batches and WAL records, plus everything their
+// fields reach (writesets, span contexts, SQL results, commit results)
+// — and diffs it against the committed lockfile
+// (internal/wire/schema.lock), which also records each package's
+// codecVersion:
 //
-//   - a field present in the lock but not in the code was removed or
-//     renamed — legacy peers still send it, and data they expect back
-//     silently vanishes: Error until the lock is regenerated;
-//   - a field whose gob-visible type changed decodes wrong or not at
-//     all across versions: Error;
-//   - a new field not yet in the lock is gob-safe mechanically (old
-//     decoders skip it, new decoders zero-fill it when absent) but its
-//     ZERO VALUE must be a correct "legacy peer" reading: Warning
-//     until reviewed and locked;
-//   - chan/func fields break gob encoding at runtime, unexported
-//     fields and non-empty interface fields travel only partially or
-//     not at all: flagged regardless of the lock.
+//   - any difference in a locked struct — a field added, removed,
+//     renamed, reordered or retyped, or a struct newly reachable — is
+//     an Error until the lock is regenerated;
+//   - a codecVersion that differs from the locked one is an Error
+//     until the lock is regenerated;
+//   - regenerating (`sconrep-vet -update-schema`) refuses to write a
+//     lock whose layouts changed under an unchanged codecVersion, so
+//     "changed the layout, kept the version byte" cannot be committed;
+//   - chan and func fields cannot travel, unexported fields are
+//     invisible to the lock, and non-empty interface fields have no
+//     layout: flagged regardless of the lock.
 //
-// Intentional evolution is a reviewed diff: `sconrep-vet
-// -update-schema` regenerates the lockfile.
+// The lock tracks struct shapes, not the append/parse functions that
+// implement them; those are held to the shapes by the codec round-trip
+// and fuzz tests in internal/wire.
 //
-// Root discovery follows the data, not a hand-kept list: direct
-// gob.Encoder.Encode / gob.Decoder.Decode arguments with concrete
-// struct types seed the walk, and a package-local fixpoint marks
-// "sink" parameters (an `any` parameter that flows into a gob call,
-// like connPool.call's req/resp or frameWriter.encode's v) so the
-// concrete envelopes passed through wrappers are found too. Arguments
-// whose static type never resolves to a concrete struct (e.g. a hello
-// stored in an `any` field) are skipped — every such value in this
-// codebase also crosses a typed call site.
+// Root discovery follows the data, not a hand-kept list. Functions
+// tagged `wirecompat:codec` seed it: a parameter of concrete struct
+// type is a root outright (wal's record codec), and an interface
+// parameter is a "sink" — concrete struct arguments at its call sites
+// are roots, and a package-local fixpoint propagates sinks through
+// wrappers (connPool.call's req/resp reach frameConn.send/recv), so the
+// envelopes passed through them are found too. Arguments whose static
+// type never resolves to a concrete struct (a hello returned as an
+// interface) are skipped — every such value in this codebase also
+// crosses a typed call site.
 var WireCompat = &Analyzer{
 	Name: "wirecompat",
-	Doc:  "structs reachable from gob call sites must match the committed wire schema lock",
+	Doc:  "structs that reach the frame codec must match the committed wire schema lock",
 	Run:  runWireCompat,
 }
 
-// Schema is the canonical gob-visible shape of every wire-reachable
-// struct, keyed by qualified name ("sconrep/internal/wal.Record").
+// Schema is the canonical shape of every codec-reachable struct, keyed
+// by qualified name ("sconrep/internal/wal.Record"), plus the
+// codecVersion of each package that has codec entry points.
 type Schema struct {
-	Structs map[string]*SchemaStruct
+	Versions map[string]int64
+	Structs  map[string]*SchemaStruct
+}
+
+// NewSchema returns an empty schema.
+func NewSchema() *Schema {
+	return &Schema{Versions: map[string]int64{}, Structs: map[string]*SchemaStruct{}}
 }
 
 // SchemaStruct is one struct's locked shape; Fields are in declaration
-// order (gob matches by name, but order changes are still surfaced as
-// reviewable diffs).
+// order, which is the order they travel in.
 type SchemaStruct struct {
 	Name   string
 	Fields []SchemaField
 }
 
-// SchemaField is one exported field's locked name and gob-visible
-// type string.
+// SchemaField is one exported field's locked name and type string.
 type SchemaField struct {
 	Name string
 	Type string
+}
+
+func (st *SchemaStruct) equal(other *SchemaStruct) bool {
+	return other != nil && slices.Equal(st.Fields, other.Fields)
 }
 
 // sortedNames returns the schema's struct names in canonical order.
@@ -93,20 +120,14 @@ func (s *Schema) sortedNames() []string {
 // several packages (e.g. writeset.WriteSet from both wire and wal)
 // derived identical schemas.
 func (s *Schema) Merge(other *Schema) error {
+	for pkg, v := range other.Versions {
+		s.Versions[pkg] = v
+	}
 	for name, st := range other.Structs {
-		prev, ok := s.Structs[name]
-		if !ok {
-			s.Structs[name] = st
-			continue
-		}
-		if len(prev.Fields) != len(st.Fields) {
+		if prev, ok := s.Structs[name]; ok && !prev.equal(st) {
 			return fmt.Errorf("wire schema for %s differs between packages", name)
 		}
-		for i := range prev.Fields {
-			if prev.Fields[i] != st.Fields[i] {
-				return fmt.Errorf("wire schema for %s differs between packages", name)
-			}
-		}
+		s.Structs[name] = st
 	}
 	return nil
 }
@@ -114,11 +135,21 @@ func (s *Schema) Merge(other *Schema) error {
 // Format renders the schema in the committed lockfile format.
 func (s *Schema) Format() []byte {
 	var b strings.Builder
-	b.WriteString("# sconrep wire schema lock — the canonical gob-visible schema of every\n")
-	b.WriteString("# struct reachable from the module's gob encode/decode call sites.\n")
+	b.WriteString("# sconrep wire schema lock — the canonical layout of every struct that\n")
+	b.WriteString("# reaches the binary frame codec or the WAL record codec, and the codec\n")
+	b.WriteString("# version each package wrote them under. The codec is positional: any\n")
+	b.WriteString("# change below needs a codecVersion bump in the package that owns it.\n")
 	b.WriteString("# Regenerate after intentional protocol evolution with:\n")
 	b.WriteString("#   go run ./cmd/sconrep-vet -update-schema ./...\n")
 	b.WriteString("# Reviewed by the wirecompat analyzer; see DESIGN.md \"Protocol-safety analysis\".\n")
+	pkgs := make([]string, 0, len(s.Versions))
+	for p := range s.Versions {
+		pkgs = append(pkgs, p)
+	}
+	sort.Strings(pkgs)
+	for _, p := range pkgs {
+		fmt.Fprintf(&b, "version %s %d\n", p, s.Versions[p])
+	}
 	for _, name := range s.sortedNames() {
 		st := s.Structs[name]
 		fmt.Fprintf(&b, "struct %s\n", name)
@@ -131,12 +162,21 @@ func (s *Schema) Format() []byte {
 
 // ParseSchemaLock parses a lockfile produced by Format.
 func ParseSchemaLock(data []byte) (*Schema, error) {
-	s := &Schema{Structs: map[string]*SchemaStruct{}}
+	s := NewSchema()
 	var cur *SchemaStruct
 	for ln, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimRight(line, " \t\r")
 		trimmed := strings.TrimSpace(line)
 		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "version "); ok {
+			pkg, num, _ := strings.Cut(rest, " ")
+			v, err := strconv.ParseInt(num, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("schema lock line %d: want \"version <package> <n>\", got %q", ln+1, trimmed)
+			}
+			s.Versions[pkg] = v
 			continue
 		}
 		if name, ok := strings.CutPrefix(line, "struct "); ok {
@@ -156,6 +196,45 @@ func ParseSchemaLock(data []byte) (*Schema, error) {
 	return s, nil
 }
 
+// CheckBump is the regeneration rule: given the committed lock (nil if
+// there is none) and the freshly derived per-package schemas, it
+// refuses a regeneration that changes a layout a package reaches while
+// that package's codecVersion is the one already locked, or that drops
+// a struct while no version changed at all. Peers and logs tell layouts
+// apart by that byte alone.
+func CheckBump(old *Schema, pkgs []*Schema) error {
+	if old == nil {
+		return nil
+	}
+	bumped := false
+	reachable := map[string]bool{}
+	for _, cur := range pkgs {
+		for name := range cur.Structs {
+			reachable[name] = true
+		}
+		for pkg, v := range cur.Versions {
+			if ov, locked := old.Versions[pkg]; !locked || ov != v {
+				bumped = true
+				continue
+			}
+			for _, name := range cur.sortedNames() {
+				if !cur.Structs[name].equal(old.Structs[name]) {
+					return fmt.Errorf("layout of %s changed but %s still declares %s = %d, the version already locked: bump it, then regenerate",
+						name, pkg, WireVersionConst, v)
+				}
+			}
+		}
+	}
+	if !bumped {
+		for _, name := range old.sortedNames() {
+			if !reachable[name] {
+				return fmt.Errorf("%s no longer reaches the codec but no package's %s changed: bump the owner's, then regenerate", name, WireVersionConst)
+			}
+		}
+	}
+	return nil
+}
+
 // CollectSchema derives the package's wire schema without diffing it —
 // the `-update-schema` path. Field-shape diagnostics (chan/func,
 // non-empty interface, unexported fields) are discarded here; the next
@@ -169,7 +248,7 @@ func runWireCompat(pass *Pass) error {
 	w := newSchemaWalker(pass.Files, pass.Pkg, pass.Info, pass.Report)
 	schema := w.collect()
 	if len(schema.Structs) == 0 {
-		return nil // no gob call sites in this package
+		return nil // no codec entry points in this package
 	}
 	data, err := os.ReadFile(WireSchemaLockFile)
 	if err != nil {
@@ -183,54 +262,66 @@ func runWireCompat(pass *Pass) error {
 		pass.Reportf(w.firstRootPos, Error, "wire schema lock %s: %v", WireSchemaLockFile, err)
 		return nil
 	}
+	path := pass.Pkg.Path()
+	switch v, declared := schema.Versions[path]; {
+	case !declared:
+		pass.Reportf(w.firstRootPos, Error,
+			"package has %s entry points but declares no integer constant %s: the version byte is the codec's only compatibility mechanism",
+			WireCodecTag, WireVersionConst)
+	case lock.Versions[path] != v:
+		pass.Reportf(w.versionPos, Error,
+			"%s is %d but %s locks version %d for %s: run `sconrep-vet -update-schema`",
+			WireVersionConst, v, WireSchemaLockFile, lock.Versions[path], path)
+	}
 	diffSchemas(pass, w, schema, lock)
 	return nil
 }
 
 // diffSchemas reports every divergence between the derived schema and
-// the lock, for the structs reachable from this package.
+// the lock, for the structs reachable from this package. The codec is
+// positional, so every divergence is an Error.
 func diffSchemas(pass *Pass, w *schemaWalker, schema, lock *Schema) {
+	const fix = "bump " + WireVersionConst + " and run `sconrep-vet -update-schema`, or revert"
 	for _, name := range schema.sortedNames() {
 		st := schema.Structs[name]
 		anchor := w.anchorFor(name)
 		locked, ok := lock.Structs[name]
 		if !ok {
-			pass.Reportf(anchor, Warning,
-				"wire struct %s is reachable from a gob call site but not locked in %s: review its fields for legacy-peer zero-value safety, then run `sconrep-vet -update-schema`",
-				name, WireSchemaLockFile)
+			pass.Reportf(anchor, Error,
+				"wire struct %s reaches the codec but is not locked in %s: %s", name, WireSchemaLockFile, fix)
 			continue
 		}
 		code := map[string]SchemaField{}
 		for _, f := range st.Fields {
 			code[f.Name] = f
 		}
-		lockedSet := map[string]SchemaField{}
+		lockedSet := map[string]bool{}
 		for _, lf := range locked.Fields {
-			lockedSet[lf.Name] = lf
+			lockedSet[lf.Name] = true
 			cf, present := code[lf.Name]
 			if !present {
 				pass.Reportf(anchor, Error,
-					"wire field %s.%s (%s) was removed or renamed: legacy peers still send it and silently lose what they expect back; restore it or regenerate %s to accept the evolution",
-					name, lf.Name, lf.Type, WireSchemaLockFile)
+					"wire field %s.%s (%s) was removed or renamed: every later field of the layout %s locks has moved; %s",
+					name, lf.Name, lf.Type, WireSchemaLockFile, fix)
 				continue
 			}
 			if cf.Type != lf.Type {
 				pass.Reportf(w.fieldPos(name, lf.Name, anchor), Error,
-					"wire field %s.%s changed gob-visible type %s -> %s: legacy peers mis-decode it; revert or regenerate %s to accept the evolution",
-					name, lf.Name, lf.Type, cf.Type, WireSchemaLockFile)
+					"wire field %s.%s changed type %s -> %s: peers on the locked layout mis-decode it; %s",
+					name, lf.Name, lf.Type, cf.Type, fix)
 			}
 		}
 		for _, cf := range st.Fields {
-			if _, present := lockedSet[cf.Name]; !present {
-				pass.Reportf(w.fieldPos(name, cf.Name, anchor), Warning,
-					"new wire field %s.%s (%s) is not locked in %s: legacy encoders never send it, so its zero value must read as a correct legacy peer; verify that, then run `sconrep-vet -update-schema`",
-					name, cf.Name, cf.Type, WireSchemaLockFile)
+			if !lockedSet[cf.Name] {
+				pass.Reportf(w.fieldPos(name, cf.Name, anchor), Error,
+					"new wire field %s.%s (%s) is not locked in %s: a positional codec has no way to skip it; %s",
+					name, cf.Name, cf.Type, WireSchemaLockFile, fix)
 			}
 		}
 		if orderChanged(st.Fields, locked.Fields) {
-			pass.Reportf(anchor, Warning,
-				"wire struct %s field order differs from %s (gob matches by name, so this is wire-compatible, but the lock records declaration order): run `sconrep-vet -update-schema`",
-				name, WireSchemaLockFile)
+			pass.Reportf(anchor, Error,
+				"wire struct %s field order differs from %s: fields travel in declaration order; %s",
+				name, WireSchemaLockFile, fix)
 		}
 	}
 }
@@ -257,18 +348,10 @@ func orderChanged(code, locked []SchemaField) bool {
 			b = append(b, f.Name)
 		}
 	}
-	if len(a) != len(b) {
-		return false // covered by add/remove diagnostics
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return true
-		}
-	}
-	return false
+	return !slices.Equal(a, b)
 }
 
-// schemaWalker discovers gob roots and walks the reachable type
+// schemaWalker discovers codec roots and walks the reachable type
 // closure into a Schema.
 type schemaWalker struct {
 	files  []*ast.File
@@ -280,6 +363,7 @@ type schemaWalker struct {
 	// them (the diagnostic anchor for foreign types).
 	roots        map[*types.Named]token.Pos
 	firstRootPos token.Pos
+	versionPos   token.Pos // the codecVersion declaration, if any
 
 	schema  *Schema
 	anchors map[string]token.Pos // struct name -> pos (decl if local, else root site)
@@ -295,7 +379,7 @@ func newSchemaWalker(files []*ast.File, pkg *types.Package, info *types.Info, re
 		info:    info,
 		report:  report,
 		roots:   map[*types.Named]token.Pos{},
-		schema:  &Schema{Structs: map[string]*SchemaStruct{}},
+		schema:  NewSchema(),
 		anchors: map[string]token.Pos{},
 		fields:  map[string]token.Pos{},
 		visited: map[*types.Named]bool{},
@@ -315,6 +399,12 @@ func (w *schemaWalker) collect() *Schema {
 		w.queue = w.queue[1:]
 		w.walkStruct(n)
 	}
+	if c, ok := w.pkg.Scope().Lookup(WireVersionConst).(*types.Const); ok && len(w.roots) > 0 {
+		if v, exact := constant.Int64Val(constant.ToInt(c.Val())); exact {
+			w.schema.Versions[w.pkg.Path()] = v
+			w.versionPos = c.Pos()
+		}
+	}
 	return w.schema
 }
 
@@ -327,12 +417,13 @@ func (w *schemaWalker) fieldPos(structName, field string, fallback token.Pos) to
 	return fallback
 }
 
-// findRoots locates every concrete struct type that reaches a gob
-// Encode/Decode call: direct arguments, plus arguments to "sink"
-// parameters computed by a package-local fixpoint over wrappers.
+// findRoots locates every concrete struct type that reaches a codec
+// entry point: struct-typed parameters of tagged functions, arguments
+// to their interface-typed ("sink") parameters, and arguments to sink
+// parameters of wrappers, computed by a package-local fixpoint.
 func (w *schemaWalker) findRoots() {
 	// Map from function object to the set of parameter indices that
-	// flow into a gob call (receivers excluded from the index space).
+	// flow into the codec (receivers excluded from the index space).
 	sinks := map[*types.Func]map[int]bool{}
 	decls := map[*types.Func]*ast.FuncDecl{}
 	for _, file := range w.files {
@@ -360,8 +451,66 @@ func (w *schemaWalker) findRoots() {
 		}
 		return -1
 	}
-	// classify handles one argument that reaches a gob sink: concrete
-	// struct types become roots; sink parameters propagate.
+	// root records a value of type t reaching the codec at pos: a named
+	// struct (through pointers) is a root; any other named type is
+	// walked for the structs it contains (a named slice of refreshes).
+	root := func(t types.Type, pos token.Pos) (isConcrete, changed bool) {
+		for {
+			p, ok := t.(*types.Pointer)
+			if !ok {
+				break
+			}
+			t = p.Elem()
+		}
+		n, ok := t.(*types.Named)
+		if !ok {
+			return false, false
+		}
+		if _, isIface := n.Underlying().(*types.Interface); isIface {
+			return false, false
+		}
+		if _, seen := w.roots[n]; seen {
+			return true, false
+		}
+		w.roots[n] = pos
+		return true, true
+	}
+	markSink := func(obj *types.Func, idx int) bool {
+		if sinks[obj] == nil {
+			sinks[obj] = map[int]bool{}
+		}
+		if sinks[obj][idx] {
+			return false
+		}
+		sinks[obj][idx] = true
+		return true
+	}
+	// Seed: the parameters of tagged functions.
+	for obj, fn := range decls {
+		if fn.Doc == nil || !strings.Contains(fn.Doc.Text(), WireCodecTag) {
+			continue
+		}
+		i := 0
+		for _, f := range fn.Type.Params.List {
+			for _, name := range f.Names {
+				def := w.info.Defs[name]
+				if def == nil {
+					i++
+					continue
+				}
+				t := def.Type()
+				if concrete, _ := root(t, name.Pos()); !concrete {
+					if _, isIface := t.Underlying().(*types.Interface); isIface {
+						markSink(obj, i)
+					}
+				}
+				i++
+			}
+		}
+	}
+	// classify handles one argument that reaches a sink: concrete named
+	// types become roots; the caller's own interface parameters become
+	// sinks in turn.
 	classify := func(fn *ast.FuncDecl, obj *types.Func, arg ast.Expr) (changed bool) {
 		if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
 			arg = u.X
@@ -370,33 +519,13 @@ func (w *schemaWalker) findRoots() {
 		if !ok {
 			return false
 		}
-		t := tv.Type
-		for {
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-				continue
-			}
-			break
+		if concrete, changed := root(tv.Type, arg.Pos()); concrete {
+			return changed
 		}
-		if n, ok := t.(*types.Named); ok {
-			if _, isStruct := n.Underlying().(*types.Struct); isStruct {
-				if _, seen := w.roots[n]; !seen {
-					w.roots[n] = arg.Pos()
-					return true
-				}
-				return false
-			}
-		}
-		if _, isIface := t.Underlying().(*types.Interface); isIface && fn != nil && obj != nil {
+		if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
 			if id, ok := arg.(*ast.Ident); ok {
 				if idx := paramIndex(fn, id); idx >= 0 {
-					if sinks[obj] == nil {
-						sinks[obj] = map[int]bool{}
-					}
-					if !sinks[obj][idx] {
-						sinks[obj][idx] = true
-						return true
-					}
+					return markSink(obj, idx)
 				}
 			}
 		}
@@ -407,13 +536,7 @@ func (w *schemaWalker) findRoots() {
 		for obj, fn := range decls {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				if isGobSink(w.info, call) {
-					if classify(fn, obj, call.Args[0]) {
-						changed = true
-					}
+				if !ok {
 					return true
 				}
 				callee := calleeFunc(w.info, call)
@@ -431,20 +554,6 @@ func (w *schemaWalker) findRoots() {
 	}
 }
 
-// isGobSink reports whether call is (*gob.Encoder).Encode or
-// (*gob.Decoder).Decode.
-func isGobSink(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Encode" && sel.Sel.Name != "Decode") {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == "encoding/gob"
-}
-
 // calleeFunc resolves a call's static callee, if it is a declared
 // function or method.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -459,12 +568,14 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// walkStruct records one struct's gob-visible fields and enqueues the
-// named structs its fields reach.
+// walkStruct records one struct's fields and enqueues the named
+// structs its fields reach. A root that is a named non-struct type
+// contributes only what it reaches.
 func (w *schemaWalker) walkStruct(n *types.Named) {
 	name := qualifiedName(n)
 	st, ok := n.Underlying().(*types.Struct)
 	if !ok {
+		w.typeString(n.Underlying(), w.anchors[name], name)
 		return
 	}
 	anchor := w.anchors[name]
@@ -482,7 +593,7 @@ func (w *schemaWalker) walkStruct(n *types.Named) {
 		}
 		if !f.Exported() {
 			w.report(Diagnostic{Pos: fpos, Severity: Warning, Message: fmt.Sprintf(
-				"wire struct %s has unexported field %s: gob silently drops it, so peers never see the value — export it or move it off the wire struct", name, f.Name())})
+				"wire struct %s has unexported field %s: the schema lock cannot see it, so a change to it escapes review — export it or move it off the wire struct", name, f.Name())})
 			continue
 		}
 		ts := w.typeString(f.Type(), fpos, name+"."+f.Name())
@@ -504,8 +615,8 @@ func (w *schemaWalker) enqueue(n *types.Named, anchor token.Pos) {
 	w.queue = append(w.queue, n)
 }
 
-// typeString renders a field type the way gob sees it, flagging
-// gob-hostile shapes and enqueueing reachable named structs.
+// typeString renders a field type canonically, flagging shapes that
+// cannot travel and enqueueing reachable named structs.
 func (w *schemaWalker) typeString(t types.Type, pos token.Pos, path string) string {
 	switch t := t.(type) {
 	case *types.Basic:
@@ -526,24 +637,21 @@ func (w *schemaWalker) typeString(t types.Type, pos token.Pos, path string) stri
 		return "map[" + w.typeString(t.Key(), pos, path) + "]" + w.typeString(t.Elem(), pos, path)
 	case *types.Chan:
 		w.report(Diagnostic{Pos: pos, Severity: Error, Message: fmt.Sprintf(
-			"wire field %s contains a chan: gob cannot encode channels and the whole envelope fails at runtime", path)})
+			"wire field %s contains a chan: a channel cannot travel in a frame", path)})
 		return "chan"
 	case *types.Signature:
 		w.report(Diagnostic{Pos: pos, Severity: Error, Message: fmt.Sprintf(
-			"wire field %s contains a func: gob cannot encode functions and the whole envelope fails at runtime", path)})
+			"wire field %s contains a func: a function cannot travel in a frame", path)})
 		return "func"
 	case *types.Interface:
 		if t.Empty() {
-			return "any" // row values; concrete scalars are gob.Register'd in wire's init
+			return "any" // row values: the scalars internal/writeset lays out
 		}
 		w.report(Diagnostic{Pos: pos, Severity: Warning, Message: fmt.Sprintf(
-			"wire field %s is a non-empty interface: it travels only via gob.Register'd concrete types — prefer a concrete field", path)})
+			"wire field %s is a non-empty interface: it has no layout the lock can pin — use a concrete field", path)})
 		return "interface"
 	case *types.Named:
 		name := qualifiedName(t)
-		if hasCustomGobCodec(t) {
-			return name + "(gob:custom)"
-		}
 		if _, isStruct := t.Underlying().(*types.Struct); isStruct {
 			w.enqueue(t, pos)
 			return name
@@ -570,18 +678,4 @@ func qualifiedName(n *types.Named) string {
 		return obj.Name()
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// hasCustomGobCodec reports whether the type encodes itself
-// (GobEncoder or BinaryMarshaler) — its fields are then not part of
-// the gob schema.
-func hasCustomGobCodec(n *types.Named) bool {
-	ms := types.NewMethodSet(types.NewPointer(n))
-	for i := 0; i < ms.Len(); i++ {
-		switch ms.At(i).Obj().Name() {
-		case "GobEncode", "GobDecode", "MarshalBinary", "UnmarshalBinary":
-			return true
-		}
-	}
-	return false
 }

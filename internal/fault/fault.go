@@ -57,8 +57,8 @@ type Config struct {
 	// connection down (the peer sees a reset mid-exchange).
 	DropProb float64
 	// DupProb is the probability that a Write's bytes are sent twice —
-	// duplicated frames, which corrupt a gob stream and force the
-	// endpoints through their reconnect paths.
+	// duplicated frames, which the receiver's sequence check rejects,
+	// forcing the endpoints through their reconnect paths.
 	DupProb float64
 	// HalfCloseProb is the probability that an operation first shuts
 	// down the write side of the connection (CloseWrite), leaving a

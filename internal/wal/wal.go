@@ -12,12 +12,16 @@
 //
 // # Frame format
 //
-// Each record is a gob payload wrapped in a 14-byte header:
+// Each record is a payload wrapped in a 14-byte header:
 //
 //	[0:2]   magic 0x53 0x57 ("SW")
 //	[2:6]   payload size, little-endian uint32 (capped at MaxRecordSize)
 //	[6:10]  CRC32 (IEEE) of the payload
 //	[10:14] CRC32 (IEEE) of header bytes [0:10]
+//
+// The payload is the codec version byte, uvarint Version, uvarint TxnID
+// and the writeset in internal/writeset's binary layout — the same bytes
+// the certify request and the refresh stream carry it in.
 //
 // The header CRC makes the size field trustworthy before any payload
 // allocation happens, so a bit flip in a length prefix cannot turn
@@ -28,13 +32,15 @@
 // crashed append and is discarded cleanly. ReplayN reports the byte
 // length of the valid prefix so callers can truncate the file before
 // appending — appending after a torn tail without truncating would
-// strand every later record behind garbage.
+// strand every later record behind garbage. A record that passes both
+// CRCs but whose payload does not decode is neither: the log was
+// written by a build with another payload format, and replay fails
+// with ErrFormat instead of discarding records that were durable.
 package wal
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -56,6 +62,15 @@ type Record struct {
 // the tail, where truncation is the expected crash artifact).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
+// ErrFormat reports a record that is intact on disk (both checksums
+// match) but whose payload this build cannot decode: a log written by
+// an incompatible build. It is never treated as a torn tail.
+var ErrFormat = errors.New("wal: record payload in an unknown format")
+
+// codecVersion is the first byte of every record payload; sconrep-vet's
+// wirecompat analyzer ties it to Record's locked layout.
+const codecVersion = 1
+
 const (
 	headerSize = 14
 	magic0     = 0x53
@@ -75,6 +90,8 @@ type Log struct {
 	closer io.Closer
 	syncer interface{ Sync() error }
 	buf    bytes.Buffer
+	// frame is the reusable header+payload assembly buffer.
+	frame []byte
 }
 
 // NewMemory returns a log writing to an in-memory buffer — used by
@@ -110,15 +127,56 @@ func Open(path string) (*Log, error) {
 	return &Log{w: f, closer: f, syncer: f}, nil
 }
 
+// maxRetainedFrame caps the assembly buffer kept between appends, so one
+// huge record does not pin its size for the life of the log.
+const maxRetainedFrame = 1 << 20
+
+// appendRecord appends r's payload encoding to buf.
+//
+// wirecompat:codec
+func appendRecord(buf []byte, r *Record) ([]byte, error) {
+	buf = append(buf, codecVersion)
+	buf = binary.AppendUvarint(buf, r.Version)
+	buf = binary.AppendUvarint(buf, r.TxnID)
+	return r.WriteSet.AppendTo(buf)
+}
+
+// parseRecord decodes one payload into r. Decoded strings alias p.
+//
+// wirecompat:codec
+func parseRecord(p []byte, r *Record) error {
+	d := writeset.NewDecoder(p)
+	if v := d.Byte(); v != codecVersion && !d.Failed() {
+		return fmt.Errorf("payload version %d, this build reads version %d", v, codecVersion)
+	}
+	r.Version = d.Uvarint()
+	r.TxnID = d.Uvarint()
+	ws := d.WriteSet()
+	if err := d.Done(); err != nil {
+		return err
+	}
+	if ws == nil {
+		return errors.New("record without a writeset")
+	}
+	r.WriteSet = *ws
+	return nil
+}
+
 // Append writes one record and, for forced logs, syncs it to stable
 // storage.
 func (l *Log) Append(r *Record) error {
-	var payload bytes.Buffer
-	payload.Write(make([]byte, headerSize)) // header placeholder, filled below
-	if err := gob.NewEncoder(&payload).Encode(r); err != nil {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if cap(l.frame) < headerSize {
+		l.frame = make([]byte, headerSize, 256)
+	}
+	frame, err := appendRecord(l.frame[:headerSize], r)
+	if err != nil {
 		return fmt.Errorf("wal: encode: %w", err)
 	}
-	frame := payload.Bytes()
+	if cap(frame) <= maxRetainedFrame {
+		l.frame = frame
+	}
 	body := frame[headerSize:]
 	if len(body) > MaxRecordSize {
 		return fmt.Errorf("wal: record too large (%d bytes)", len(body))
@@ -129,8 +187,6 @@ func (l *Log) Append(r *Record) error {
 	binary.LittleEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(body))
 	binary.LittleEndian.PutUint32(frame[10:14], crc32.ChecksumIEEE(frame[0:10]))
 
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if _, err := l.w.Write(frame); err != nil {
 		return fmt.Errorf("wal: write: %w", err)
 	}
@@ -163,7 +219,9 @@ func (l *Log) MemoryBytes() []byte {
 // Replay reads records from r until EOF, invoking fn for each. A
 // truncated or bit-flipped tail record (torn final write) ends replay
 // cleanly; a checksum mismatch with a valid record after it returns
-// ErrCorrupt.
+// ErrCorrupt, and an intact record this build cannot decode returns
+// ErrFormat. Strings in a delivered record alias that record's payload
+// buffer, which is allocated per record and never reused.
 func Replay(r io.Reader, fn func(*Record) error) error {
 	_, err := ReplayN(r, fn)
 	return err
@@ -202,8 +260,8 @@ func ReplayN(r io.Reader, fn func(*Record) error) (int64, error) {
 			return valid, resync(br, hdr[:], payload, start)
 		}
 		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return valid, fmt.Errorf("wal: decode at offset %d: %w", start, err)
+		if err := parseRecord(payload, &rec); err != nil {
+			return valid, fmt.Errorf("%w at offset %d (checksums match, so this is not a torn tail; the log was written by an incompatible build): %v", ErrFormat, start, err)
 		}
 		if err := fn(&rec); err != nil {
 			return valid, err

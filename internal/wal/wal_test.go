@@ -248,3 +248,54 @@ func TestReplayFilePermissionIndependent(t *testing.T) {
 		t.Fatalf("replay = %d, %v", n, err)
 	}
 }
+
+// framed wraps payload in a record header with valid checksums, as
+// Append would.
+func framed(payload []byte) []byte {
+	frame := make([]byte, headerSize, headerSize+len(payload))
+	frame[0], frame[1] = magic0, magic1
+	binary.LittleEndian.PutUint32(frame[2:6], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(frame[10:14], crc32.ChecksumIEEE(frame[0:10]))
+	return append(frame, payload...)
+}
+
+// TestIntactRecordInAnotherFormatFailsLoudly: a record that passes both
+// checksums but whose payload this build cannot decode — a log written
+// by a build with another payload format, here the first bytes of a
+// gob stream, another version byte, and a truncated current payload —
+// fails replay with ErrFormat. It is not a torn tail, wherever it sits:
+// the valid prefix stops before it and nothing is discarded silently.
+func TestIntactRecordInAnotherFormatFailsLoudly(t *testing.T) {
+	l := NewMemory()
+	_ = l.Append(record(1))
+	good := l.MemoryBytes()
+	current, err := appendRecord(nil, record(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{
+		"gob stream":      {0x3b, 0xff, 0x81, 0x03, 0x01, 0x01, 0x06, 'R', 'e', 'c', 'o', 'r', 'd'},
+		"later version":   append([]byte{codecVersion + 1}, current[1:]...),
+		"short payload":   current[:len(current)-1],
+		"trailing bytes":  append(append([]byte{}, current...), 0),
+		"nil writeset":    {codecVersion, 2, 20, 0},
+		"empty payload":   {},
+		"unknown op byte": {codecVersion, 2, 20, 1, 1, 1, 't', 1, 'k', 9, 0},
+	} {
+		for _, tail := range [][]byte{nil, good} { // at the tail, and mid-log
+			data := append(append(append([]byte{}, good...), framed(payload)...), tail...)
+			var got []uint64
+			n, err := ReplayN(bytes.NewReader(data), func(r *Record) error {
+				got = append(got, r.Version)
+				return nil
+			})
+			if !errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: err = %v, want ErrFormat", name, err)
+			}
+			if n != int64(len(good)) || len(got) != 1 {
+				t.Errorf("%s: valid prefix %d with %d records, want %d with 1", name, n, len(got), len(good))
+			}
+		}
+	}
+}

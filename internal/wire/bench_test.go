@@ -1,41 +1,30 @@
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"sconrep/internal/certifier"
+	"sconrep/internal/core"
+	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/shard"
 	"sconrep/internal/writeset"
 )
 
 // BenchmarkWireRefreshStream measures end-to-end refresh delivery over
 // a real TCP subscription link: certify on the server side, consume
-// the replica-side queue — once per stream codec. The gob number
-// reflects the frame batching (one frame per mailbox Take, never per
-// refresh) and the pooled encode buffers; the binary number adds the
-// zero-copy length-prefixed codec the subscription negotiates by
-// default.
+// the replica-side queue. The number reflects the frame batching (one
+// frame per mailbox Take, never per refresh) and the zero-copy decode.
 func BenchmarkWireRefreshStream(b *testing.B) {
-	for _, codec := range []string{RefreshCodecGob, RefreshCodecBinary} {
-		b.Run(codec, func(b *testing.B) { benchRefreshStream(b, codec) })
-	}
-}
-
-func benchRefreshStream(b *testing.B, codec string) {
 	cert := certifier.New()
 	srv, err := ServeCertifier(cert, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	cli := DialCertifier(srv.Addr(), 1, 0, WithRefreshCodec(codec))
+	cli := DialCertifier(srv.Addr(), 1, 0)
 	defer cli.Close()
 	q := cli.Subscribe(1)
 
@@ -129,29 +118,13 @@ func benchPartialSubscription(b *testing.B, shards []int) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(certHello{Kind: "sub", ReplicaID: 1, Shards: shards}); err != nil {
-		b.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(cert.Replicas()) == 0 {
-		if time.Now().After(deadline) {
-			b.Fatal("server never subscribed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	fc, _ := subscribeRaw(b, srv.Addr(), certHello{ReplicaID: 1, Shards: shards})
+	fc.c.SetDeadline(time.Time{})
 
 	// A realistic row payload so the full-writeset versus skip-marker
-	// gap dominates gob's fixed framing.
+	// gap dominates the fixed framing.
 	row := []any{strings.Repeat("v", 96), int64(7), strings.Repeat("w", 32)}
-	var read atomic.Int64
-	cr := &countingReader{r: conn, n: &read}
-	dec := gob.NewDecoder(cr)
+	var read int
 	done := make(chan error, 1)
 	last := uint64(b.N)
 
@@ -160,13 +133,19 @@ func benchPartialSubscription(b *testing.B, shards []int) {
 	go func() {
 		var seen, trimmed uint64
 		for seen < last {
-			var batch refreshBatch
-			if err := dec.Decode(&batch); err != nil {
+			p, err := fc.readFrame()
+			if err != nil {
 				done <- err
 				return
 			}
-			for i := range batch.Refreshes {
-				if v := batch.Refreshes[i].Version; v > seen {
+			read += 4 + len(p)
+			var batch refreshBatch
+			if err := parsePayload(p, &batch); err != nil {
+				done <- err
+				return
+			}
+			for i := range batch {
+				if v := batch[i].Version; v > seen {
 					seen = v
 				}
 			}
@@ -189,22 +168,46 @@ func benchPartialSubscription(b *testing.B, shards []int) {
 			b.Fatalf("certify %d aborted", i+1)
 		}
 	}
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	fc.c.SetReadDeadline(time.Now().Add(30 * time.Second))
 	if err := <-done; err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(read.Load())/float64(b.N), "bytes/refresh")
+	b.ReportMetric(float64(read)/float64(b.N), "bytes/refresh")
 }
 
-// countingReader counts the bytes a gob decoder pulls off the link.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
+// BenchmarkWireRoundTrip measures what the two request links cost a
+// transaction over loopback TCP (client → gateway → replica and back):
+// an eager begin and its abort, and a one-statement read transaction
+// whose begin rides on the statement — two round trips each.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	d := newDeployment(b, 1, core.Coarse)
+	c, err := Dial(d.gateway.Addr(), "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.Run("begin-abort", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.BeginTx("bench.txn"); err != nil {
+				b.Fatal(err)
+			}
+			if err := c.Abort(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read-txn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Start("bench.txn", nil, dtrace.SpanContext{})
+			if _, err := c.Exec(`SELECT v FROM kv WHERE k = ?`, int64(i%10)); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := c.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -19,42 +19,60 @@ import (
 )
 
 // Certifier-link protocol. Every connection starts with certHello;
-// Kind selects streaming ("sub") or request/response ("req").
+// Kind selects streaming (linkCertSub) or request/response
+// (linkCertReq).
 type certHello struct {
-	Kind      string // "sub" or "req"
+	Kind      link
 	ReplicaID int
 	VLocal    uint64 // replica's durable version, for StartAt adoption
-	// Codec is the refresh-stream codec the subscriber offers (empty =
-	// gob). A server that understands the offer accepts it by making its
-	// first stream frame a gob refreshBatch{Codec: ...} marker; gob
-	// skips unknown fields in both directions, so legacy peers on
-	// either side silently keep the gob stream.
-	Codec string
 	// Shards restricts the refresh subscription to the listed
 	// certification shards (nil or empty = all). Versions certified
 	// entirely elsewhere arrive as skip markers — refreshes with a nil
 	// writeset — keeping the replica's version order contiguous at a
-	// fraction of the bytes. Legacy peers on either side degrade to the
-	// full stream: an old server never decodes the field, an old client
-	// never sets it.
+	// fraction of the bytes.
 	Shards []int
 }
 
-// certRequest is the request envelope on "req" connections; exactly
-// one field group is set per call.
+func (h *certHello) appendTo(buf []byte) ([]byte, error) {
+	buf = binary.AppendVarint(appendHello(buf, h.Kind), int64(h.ReplicaID))
+	return appendInts(binary.AppendUvarint(buf, h.VLocal), h.Shards), nil
+}
+
+// parse reads what follows the hello prefix; recvHello sets Kind.
+func (h *certHello) parse(d *writeset.Decoder) {
+	h.ReplicaID = int(d.Varint())
+	h.VLocal = d.Uvarint()
+	h.Shards = readInts(d)
+}
+
+// subAck answers a subscription hello. The server writes it after the
+// subscription is registered, so Version — the certifier's version at
+// that moment — bounds what the stream will not carry: everything
+// above it is delivered on the stream, everything up to it is the
+// subscriber's to backfill.
+type subAck struct {
+	Version uint64
+}
+
+func (a *subAck) appendTo(buf []byte) ([]byte, error) {
+	return binary.AppendUvarint(appendHello(buf, linkSubAck), a.Version), nil
+}
+
+func (a *subAck) parse(d *writeset.Decoder) { a.Version = d.Uvarint() }
+
+// certRequest is the request envelope on linkCertReq connections;
+// exactly one field group is set per call.
 type certRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  string // "certify", "applied", "history", "globalwait", "version", "unsubscribe"
+	Op  op // opCertify, opApplied, opHistory, opGlobalWait, opVersion, opTableVers, opUnsubscribe
 
 	// certify
 	Origin   int
 	TxnID    uint64
 	Snapshot uint64
 	WS       *writeset.WriteSet
-	// Trace is the committing span's context — an optional frame-header
-	// extension; peers that predate tracing leave it zero and gob lets
-	// older servers skip it entirely.
+	// Trace is the committing span's context; zero when untraced.
 	Trace dtrace.SpanContext
 
 	// applied / globalwait / unsubscribe
@@ -66,9 +84,39 @@ type certRequest struct {
 	// Shards filters the history page like a partial subscription
 	// filters the stream: entries certified entirely outside these
 	// shards come back as skip markers (nil writeset). Nil = full
-	// fidelity; legacy servers ignore the field and return full pages,
-	// which is correct, just larger.
+	// fidelity.
 	Shards []int
+}
+
+func (r *certRequest) appendTo(buf []byte) ([]byte, error) {
+	flags := flagIf(r.Trace != dtrace.SpanContext{}, flagTrace)
+	buf = binary.AppendUvarint(buf, r.Seq)
+	buf = appendSpan(append(buf, byte(r.Op), flags), flags, r.Trace)
+	buf = binary.AppendVarint(buf, int64(r.Origin))
+	buf = binary.AppendUvarint(buf, r.TxnID)
+	buf = binary.AppendUvarint(buf, r.Snapshot)
+	buf, err := r.WS.AppendTo(buf)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.AppendVarint(buf, int64(r.ReplicaID))
+	buf = binary.AppendUvarint(buf, r.Version)
+	buf = binary.AppendUvarint(buf, r.After)
+	return appendInts(buf, r.Shards), nil
+}
+
+func (r *certRequest) parse(d *writeset.Decoder) {
+	r.Seq = d.Uvarint()
+	r.Op = readOp(d)
+	r.Trace = readSpan(d, readFlags(d, flagTrace))
+	r.Origin = int(d.Varint())
+	r.TxnID = d.Uvarint()
+	r.Snapshot = d.Uvarint()
+	r.WS = d.WriteSet()
+	r.ReplicaID = int(d.Varint())
+	r.Version = d.Uvarint()
+	r.After = d.Uvarint()
+	r.Shards = readInts(d)
 }
 
 // certResponse is the response envelope.
@@ -78,24 +126,37 @@ type certResponse struct {
 	Decision certifier.Decision
 	History  []certifier.Refresh
 	Version  uint64
-	// TableVers answers the "tablevers" op: the latest commit version
-	// that wrote each table.
+	// TableVers answers opTableVers: the latest commit version that
+	// wrote each table.
 	TableVers map[string]uint64
+}
+
+func (r *certResponse) appendTo(buf []byte) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, r.Seq)
+	buf = writeset.AppendString(append(buf, flagIf(r.Decision.Commit, flagCommit)), r.Err)
+	buf = binary.AppendUvarint(buf, r.Decision.Version)
+	buf = writeset.AppendLen(buf, len(r.History), r.History == nil)
+	for i := range r.History {
+		var err error
+		if buf, err = appendRefresh(buf, &r.History[i]); err != nil {
+			return nil, err
+		}
+	}
+	return appendVersions(binary.AppendUvarint(buf, r.Version), r.TableVers), nil
+}
+
+func (r *certResponse) parse(d *writeset.Decoder) {
+	r.Seq = d.Uvarint()
+	r.Decision.Commit = readFlags(d, flagCommit) != 0
+	r.Err = d.Str()
+	r.Decision.Version = d.Uvarint()
+	r.History = readSlice(d, readRefresh)
+	r.Version = d.Uvarint()
+	r.TableVers = readVersions(d)
 }
 
 func (r *certRequest) setSeq(n uint64) { r.Seq = n }
 func (r *certResponse) seq() uint64    { return r.Seq }
-
-// refreshBatch is pushed on "sub" connections.
-type refreshBatch struct {
-	Refreshes []certifier.Refresh
-	// Codec, on the first frame of a stream only, accepts the
-	// subscriber's offered codec: every subsequent frame on this
-	// connection is in that codec (binary length-prefixed frames for
-	// codecBinary), not gob. Empty on legacy servers, which keeps the
-	// whole stream gob.
-	Codec string
-}
 
 // CertServer exposes a certifier on a TCP listener.
 type CertServer struct {
@@ -116,9 +177,9 @@ type CertServer struct {
 	// guarded by mu
 	streamGen map[int]int
 
-	// obsReqs is nil-safe until EnableObs.
-	// guarded by mu
-	obsReqs *obs.CounterVec
+	// obsReqs is set once by EnableObs, before traffic; nil-safe until
+	// then.
+	obsReqs atomic.Pointer[obs.CounterVec]
 }
 
 // EnableObs counts served requests per operation under
@@ -127,10 +188,8 @@ func (s *CertServer) EnableObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.mu.Lock()
-	s.obsReqs = reg.CounterVec("sconrep_wire_requests_total",
-		"Wire requests served, by link and operation.", "op", "link", "certifier")
-	s.mu.Unlock()
+	s.obsReqs.Store(reg.CounterVec("sconrep_wire_requests_total",
+		"Wire requests served, by link and operation.", "op", "link", "certifier"))
 }
 
 // ServeCertifier starts serving cert on addr and returns the server.
@@ -210,22 +269,22 @@ func (s *CertServer) handle(c net.Conn) {
 		return
 	}
 	defer s.untrack(c)
-	dec := gob.NewDecoder(c)
-	fw := newFrameWriter(c)
-	defer fw.release()
+	fc := newFrameConn(c)
 	if d := s.opts.to.Idle; d > 0 {
 		c.SetReadDeadline(time.Now().Add(d))
 	}
 	var hello certHello
-	if err := dec.Decode(&hello); err != nil {
+	var err error
+	if hello.Kind, err = fc.recvHello(string(linkCertReq)+string(linkCertSub), &hello); err != nil {
+		log.Printf("wire: certifier: rejecting %s: %v", c.RemoteAddr(), err)
 		return
 	}
 	s.maybeAdopt(hello)
 	switch hello.Kind {
-	case "sub":
-		s.streamRefreshes(c, fw, hello)
-	case "req":
-		s.serveRequests(c, dec, fw)
+	case linkCertSub:
+		s.streamRefreshes(fc, hello)
+	case linkCertReq:
+		s.serveRequests(fc)
 	}
 }
 
@@ -244,12 +303,12 @@ func (s *CertServer) maybeAdopt(h certHello) {
 	}
 }
 
-// streamRefreshes pumps the subscription to the replica, one gob frame
-// per Take batch — never per refresh. The mailbox coalesces bursts, so
-// a backlogged replica receives a few large frames instead of a frame
+// streamRefreshes pumps the subscription to the replica, one frame per
+// Take batch — never per refresh. The mailbox coalesces bursts, so a
+// backlogged replica receives a few large frames instead of a frame
 // per committed transaction.
-func (s *CertServer) streamRefreshes(c net.Conn, fw *frameWriter, hello certHello) {
-	replicaID := hello.ReplicaID
+func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
+	c, replicaID := fc.c, hello.ReplicaID
 	s.mu.Lock()
 	s.streamGen[replicaID]++
 	gen := s.streamGen[replicaID]
@@ -259,18 +318,15 @@ func (s *CertServer) streamRefreshes(c net.Conn, fw *frameWriter, hello certHell
 	// The stream only writes; reads would block forever, so drop the
 	// hello deadline.
 	c.SetReadDeadline(time.Time{})
-	// Codec negotiation: accept exactly the binary token (anything else
-	// — including future codecs this build predates — degrades to gob).
-	// The accept marker is itself a gob frame, so a modern client that
-	// reached a legacy server simply never sees one.
-	binFrames := hello.Codec == codecBinary
-	if binFrames {
-		if d := s.opts.to.Call; d > 0 {
-			c.SetWriteDeadline(time.Now().Add(d))
-		}
-		if err := fw.encode(refreshBatch{Codec: codecBinary}); err != nil {
-			return
-		}
+	// The ack is written only now that the subscription is registered,
+	// and carries the version read after it: a commit certified before
+	// registration is at or below that version (the subscriber's
+	// backfill), a later one is in the mailbox.
+	if d := s.opts.to.Call; d > 0 {
+		c.SetWriteDeadline(time.Now().Add(d))
+	}
+	if err := fc.send(&subAck{Version: s.cert.Version()}); err != nil {
+		return
 	}
 	for {
 		batch, ok := sub.Take()
@@ -280,13 +336,7 @@ func (s *CertServer) streamRefreshes(c net.Conn, fw *frameWriter, hello certHell
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
 		}
-		var err error
-		if binFrames {
-			err = writeRefreshFrame(fw.bw, batch)
-		} else {
-			err = fw.encode(refreshBatch{Refreshes: batch})
-		}
-		if err != nil {
+		if err := fc.send(refreshBatch(batch)); err != nil {
 			return
 		}
 	}
@@ -321,44 +371,44 @@ func (s *CertServer) releaseStream(replicaID, gen int, sub *certifier.Subscripti
 	})
 }
 
-func (s *CertServer) serveRequests(c net.Conn, dec *gob.Decoder, fw *frameWriter) {
+func (s *CertServer) serveRequests(fc *frameConn) {
+	c := fc.c
 	var guard seqGuard
 	for {
 		if d := s.opts.to.Idle; d > 0 {
 			c.SetReadDeadline(time.Now().Add(d))
 		}
 		var req certRequest
-		if err := dec.Decode(&req); err != nil {
+		if err := fc.recv(&req); err != nil {
 			return
 		}
 		if !guard.ok(req.Seq) {
 			return
 		}
 		c.SetReadDeadline(time.Time{})
-		s.mu.Lock()
-		reqs := s.obsReqs
-		s.mu.Unlock()
-		reqs.With(req.Op).Inc()
+		s.obsReqs.Load().With(req.Op.String()).Inc()
 		var resp certResponse
 		resp.Seq = req.Seq
 		switch req.Op {
-		case "certify":
-			d, err := s.cert.CertifyCtx(req.Origin, req.TxnID, req.Snapshot, cloneWS(req.WS), req.Trace)
+		case opCertify:
+			// The decoded writeset is this request's alone (its strings
+			// alias the request frame, which nothing else holds).
+			d, err := s.cert.CertifyCtx(req.Origin, req.TxnID, req.Snapshot, req.WS, req.Trace)
 			if err != nil {
 				resp.Err = err.Error()
 			}
 			resp.Decision = d
-		case "applied":
+		case opApplied:
 			s.cert.Applied(req.ReplicaID, req.Version)
-		case "history":
+		case opHistory:
 			resp.History = s.cert.FilterUnserved(s.cert.History(req.After), req.Shards)
-		case "globalwait":
+		case opGlobalWait:
 			<-s.cert.GlobalCommitted(req.Version)
-		case "version":
+		case opVersion:
 			resp.Version = s.cert.Version()
-		case "tablevers":
+		case opTableVers:
 			resp.TableVers = s.cert.TableVersions()
-		case "unsubscribe":
+		case opUnsubscribe:
 			s.cert.Unsubscribe(req.ReplicaID)
 		default:
 			resp.Err = fmt.Sprintf("wire: unknown certifier op %q", req.Op)
@@ -366,7 +416,7 @@ func (s *CertServer) serveRequests(c net.Conn, dec *gob.Decoder, fw *frameWriter
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
 		}
-		if err := fw.encode(&resp); err != nil {
+		if err := fc.send(&resp); err != nil {
 			return
 		}
 	}
@@ -435,12 +485,12 @@ func DialCertifier(addr string, replicaID int, vlocal uint64, opts ...Option) *C
 	// restarted without its decision log adopts from the first hello it
 	// sees, and adopting a stale version would hand out already-used
 	// commit versions (crashing every replica past the stale point).
-	hello := func() any {
+	hello := func() outFrame {
 		v := vlocal
 		if o.vlocalFn != nil {
 			v = o.vlocalFn()
 		}
-		return certHello{Kind: "req", ReplicaID: replicaID, VLocal: v}
+		return &certHello{Kind: linkCertReq, ReplicaID: replicaID, VLocal: v}
 	}
 	c := &CertClient{
 		addr:      addr,
@@ -511,7 +561,7 @@ func (c *CertClient) appErr(resp certResponse) (certResponse, error) {
 // so a retry after a lost response returns the original decision
 // instead of a spurious conflict.
 func (c *CertClient) Certify(origin int, txnID, snapshot uint64, ws *writeset.WriteSet, sc dtrace.SpanContext) (certifier.Decision, error) {
-	resp, err := c.callRetry(certRequest{Op: "certify", Origin: origin, TxnID: txnID, Snapshot: snapshot, WS: ws, Trace: sc}, c.opts.to.Call, 0)
+	resp, err := c.callRetry(certRequest{Op: opCertify, Origin: origin, TxnID: txnID, Snapshot: snapshot, WS: ws, Trace: sc}, c.opts.to.Call, 0)
 	return resp.Decision, err
 }
 
@@ -545,8 +595,8 @@ func (c *CertClient) subscribed(gen int) bool {
 }
 
 // subLoop maintains the refresh stream for one subscription
-// generation: connect, learn the certifier's current version (the
-// serve floor), backfill missed refreshes, then pump batches until the
+// generation: connect, take the certifier's version at registration as
+// the serve floor, backfill up to it, then pump batches until the
 // stream breaks; repeat with backoff.
 func (c *CertClient) subLoop(gen int, q *refreshQueue) {
 	b := c.opts.backoff
@@ -605,37 +655,35 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 	if c.opts.vlocalFn != nil {
 		from = c.opts.vlocalFn()
 	}
-	enc := gob.NewEncoder(conn)
+	fc := newFrameConn(conn)
 	if d := c.opts.to.Call; d > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d))
+		conn.SetDeadline(time.Now().Add(d))
 	}
-	hello := certHello{Kind: "sub", ReplicaID: c.replicaID, VLocal: from, Shards: c.opts.shards}
-	if c.opts.refreshCodec != RefreshCodecGob {
-		hello.Codec = codecBinary
-	}
-	if err := enc.Encode(hello); err != nil {
+	if err := fc.send(&certHello{Kind: linkCertSub, ReplicaID: c.replicaID, VLocal: from, Shards: c.opts.shards}); err != nil {
 		return false
 	}
-	conn.SetWriteDeadline(time.Time{})
-
-	// The serve floor must be learned before this replica serves again:
-	// every version the certifier has assigned so far may already be
-	// acknowledged to some client, so strong reads must wait for it.
-	// Then backfill what the replica missed while disconnected; the
+	// The ack arrives once the server has registered the subscription;
+	// its version is the serve floor. Every version the certifier had
+	// assigned by then may already be acknowledged to some client, so
+	// strong reads must wait for it, and none of them is on the stream:
+	// backfill (from, floor] before reporting the stream up. The
 	// replica's reorder buffer deduplicates overlap with the stream.
-	ver, err := c.callRetry(certRequest{Op: "version"}, c.opts.to.Call, c.opts.backoff.Max)
-	if err != nil {
+	var ack subAck
+	if _, err := fc.recvHello(string(linkSubAck), &ack); err != nil {
+		if !errors.Is(err, io.EOF) {
+			log.Printf("wire: subscribe to %s: %v", c.addr, err)
+		}
 		return false
 	}
-	if v := ver.Version; v > c.serveFloor.Load() {
-		c.serveFloor.Store(v)
+	conn.SetDeadline(time.Time{})
+	floor := ack.Version
+	if floor > c.serveFloor.Load() {
+		c.serveFloor.Store(floor)
 	}
 	// History is paged (certifier.MaxHistoryBatch per response): loop
-	// until the backfill reaches the serve floor or the certifier's
-	// pages run dry. Against a legacy server the first page carries the
-	// whole suffix and the loop exits after one round trip.
-	for after := from; after < ver.Version; {
-		hist, err := c.callRetry(certRequest{Op: "history", After: after, Shards: c.opts.shards}, c.opts.to.Call, c.opts.backoff.Max)
+	// until the backfill reaches the floor or the pages run dry.
+	for after := from; after < floor; {
+		hist, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.to.Call, c.opts.backoff.Max)
 		if err != nil {
 			return false
 		}
@@ -648,38 +696,14 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 
 	c.streamUp.Store(true)
 	defer c.streamDown()
-	// One bufio reader feeds both the gob decoder and the binary frame
-	// reader: gob given an io.ByteReader reads exactly one message per
-	// Decode (no lookahead buffering of its own), so after the accept
-	// marker the binary frames start at the reader's current position.
-	br := bufio.NewReader(conn)
-	dec := gob.NewDecoder(br)
-	binFrames, first := false, true
 	for {
 		if d := c.opts.to.Idle; d > 0 {
 			conn.SetReadDeadline(time.Now().Add(d))
 		}
-		var batch []certifier.Refresh
-		if binFrames {
-			b, err := readRefreshFrame(br)
-			if err != nil {
-				return true
-			}
-			batch = b
-		} else {
-			var fr refreshBatch
-			if err := dec.Decode(&fr); err != nil {
-				return true
-			}
-			if first && fr.Codec == codecBinary {
-				// The server accepted the binary offer; every following
-				// frame on this connection is binary. A legacy server
-				// never sets Codec, leaving the stream on gob.
-				binFrames = true
-			}
-			batch = fr.Refreshes
+		var batch refreshBatch
+		if err := fc.recv(&batch); err != nil {
+			return true
 		}
-		first = false
 		if !c.subscribed(gen) {
 			return true
 		}
@@ -742,7 +766,7 @@ func (c *CertClient) Unsubscribe(replicaID int) {
 	c.streamDown()
 	// Best effort: a partition here means the server-side lease cleans
 	// up instead.
-	_, _ = c.callRetry(certRequest{Op: "unsubscribe", ReplicaID: replicaID}, c.opts.to.Call, c.opts.backoff.Max)
+	_, _ = c.callRetry(certRequest{Op: opUnsubscribe, ReplicaID: replicaID}, c.opts.to.Call, c.opts.backoff.Max)
 }
 
 // Applied implements replica.CertService. Acks are shipped
@@ -773,7 +797,7 @@ func (c *CertClient) ackLoop() {
 			return
 		}
 		c.ackMu.Unlock()
-		if _, err := c.callRetry(certRequest{Op: "applied", ReplicaID: c.replicaID, Version: v}, c.opts.to.Call, 0); err != nil {
+		if _, err := c.callRetry(certRequest{Op: opApplied, ReplicaID: c.replicaID, Version: v}, c.opts.to.Call, 0); err != nil {
 			log.Printf("wire: applied(%d): %v", v, err)
 			c.ackMu.Lock()
 			c.ackBusy = false
@@ -800,7 +824,7 @@ func (c *CertClient) GlobalCommitted(v uint64) <-chan struct{} {
 		if exchange == 0 {
 			exchange = c.opts.to.Call
 		}
-		if _, err := c.callRetry(certRequest{Op: "globalwait", Version: v}, exchange, 0); err != nil {
+		if _, err := c.callRetry(certRequest{Op: opGlobalWait, Version: v}, exchange, 0); err != nil {
 			log.Printf("wire: globalwait(%d): %v", v, err)
 		}
 	}()
@@ -812,7 +836,7 @@ func (c *CertClient) GlobalCommitted(v uint64) <-chan struct{} {
 // report replication lag on /healthz.
 func (c *CertClient) Version() (uint64, error) {
 	var resp certResponse
-	if err := c.pool.callDeadline(&certRequest{Op: "version"}, &resp, c.opts.to.Call); err != nil {
+	if err := c.pool.callDeadline(&certRequest{Op: opVersion}, &resp, c.opts.to.Call); err != nil {
 		return 0, err
 	}
 	return resp.Version, nil
@@ -824,7 +848,7 @@ func (c *CertClient) Version() (uint64, error) {
 // report the max per-table lag instead of a scalar version delta).
 func (c *CertClient) TableVersions() (map[string]uint64, error) {
 	var resp certResponse
-	if err := c.pool.callDeadline(&certRequest{Op: "tablevers"}, &resp, c.opts.to.Call); err != nil {
+	if err := c.pool.callDeadline(&certRequest{Op: opTableVers}, &resp, c.opts.to.Call); err != nil {
 		return nil, err
 	}
 	return resp.TableVers, nil
@@ -834,7 +858,7 @@ func (c *CertClient) TableVersions() (map[string]uint64, error) {
 // replica's recovery loop pages until empty. Pages honour the client's
 // shard subscription (unserved entries arrive as skip markers).
 func (c *CertClient) History(after uint64) []certifier.Refresh {
-	resp, err := c.callRetry(certRequest{Op: "history", After: after, Shards: c.opts.shards}, c.opts.to.Call, c.opts.backoff.Max)
+	resp, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.to.Call, c.opts.backoff.Max)
 	if err != nil {
 		log.Printf("wire: history(%d): %v", after, err)
 		return nil

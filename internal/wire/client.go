@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -15,8 +14,7 @@ import (
 // transaction at a time.
 type Client struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	fc   *frameConn
 	to   Timeouts
 	seq  uint64
 	// broken is set on any transport error: the session's gateway state
@@ -35,11 +33,11 @@ func Dial(addr, sessionID string, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial gateway %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), to: o.to}
+	c := &Client{conn: conn, fc: newFrameConn(conn), to: o.to}
 	if d := o.to.Call; d > 0 {
 		conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := c.enc.Encode(clientHello{SessionID: sessionID}); err != nil {
+	if err := c.fc.send(&clientHello{SessionID: sessionID}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: hello: %w", err)
 	}
@@ -69,7 +67,7 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 	if d := c.to.Call; d > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := c.enc.Encode(&req); err != nil {
+	if err := c.fc.send(&req); err != nil {
 		c.broken.Store(true)
 		return nil, fmt.Errorf("wire: send: %w", err)
 	}
@@ -77,7 +75,7 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 		c.conn.SetReadDeadline(time.Now().Add(d))
 	}
 	var resp clientResponse
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.fc.recv(&resp); err != nil {
 		c.broken.Store(true)
 		return nil, fmt.Errorf("wire: recv: %w", err)
 	}
@@ -87,8 +85,7 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 	}
 	c.conn.SetDeadline(time.Time{})
 	if resp.Err != "" {
-		fake := replicaResponse{Err: resp.Err, ErrCode: resp.ErrCode}
-		return &resp, decodeErr(&fake)
+		return &resp, decodeErr(resp.ErrCode, resp.Err)
 	}
 	if hdr != nil {
 		c.snapshot = resp.Snapshot
@@ -99,7 +96,7 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 // RegisterTxn declares a named transaction's table-set at the gateway
 // (fine-grained consistency).
 func (c *Client) RegisterTxn(name string, tables []string) error {
-	_, err := c.call(clientRequest{Op: "register", Name: name, Tables: tables})
+	_, err := c.call(clientRequest{Op: opRegister, Name: name, Tables: tables})
 	return err
 }
 
@@ -161,7 +158,7 @@ func (c *Client) BeginTablesTxCtx(tables []string, sc dtrace.SpanContext) (snaps
 
 // Exec runs one SQL statement in the open transaction.
 func (c *Client) Exec(query string, params ...any) (*sql.Result, error) {
-	resp, err := c.call(clientRequest{Op: "exec", SQL: query, Params: params})
+	resp, err := c.call(clientRequest{Op: opExec, SQL: query, Params: params})
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +188,7 @@ func (c *Client) Commit() (version uint64, readOnly bool, err error) {
 // CommitEx finishes the open transaction and returns the full commit
 // observation.
 func (c *Client) CommitEx() (CommitInfo, error) {
-	resp, err := c.call(clientRequest{Op: "commit"})
+	resp, err := c.call(clientRequest{Op: opCommit})
 	if err != nil {
 		return CommitInfo{}, err
 	}
@@ -211,6 +208,6 @@ func (c *Client) Abort() error {
 		c.pending = nil
 		return nil
 	}
-	_, err := c.call(clientRequest{Op: "abort"})
+	_, err := c.call(clientRequest{Op: opAbort})
 	return err
 }

@@ -1,10 +1,12 @@
 package wire
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
 	"sconrep/internal/sql"
+	"sconrep/internal/writeset"
 )
 
 // Client-link protocol (application ⇄ gateway).
@@ -23,12 +26,18 @@ type clientHello struct {
 	SessionID string
 }
 
+func (h *clientHello) appendTo(buf []byte) ([]byte, error) {
+	return writeset.AppendString(appendHello(buf, linkClient), h.SessionID), nil
+}
+
+func (h *clientHello) parse(d *writeset.Decoder) { h.SessionID = d.Str() }
+
 type clientRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	// Op is "register", "exec", "commit" or "abort"; empty on a request
+	// Op is opRegister, opExec, opCommit or opAbort; opNone on a request
 	// that carries nothing but the begin header.
-	Op string
+	Op op
 
 	// register; with Begin, an explicit table-set (DispatchTables)
 	Name   string
@@ -42,8 +51,7 @@ type clientRequest struct {
 	Begin   bool
 	TxnName string
 	// Trace is the client-side root span's context, propagated through
-	// the lb route and the replica begin. Optional frame-header
-	// extension: old clients never set it, old gateways skip it.
+	// the lb route and the replica begin; zero from an untraced client.
 	Trace dtrace.SpanContext
 
 	// exec
@@ -51,10 +59,34 @@ type clientRequest struct {
 	Params []any
 }
 
+func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
+	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace)
+	buf = binary.AppendUvarint(buf, r.Seq)
+	buf = appendSpan(append(buf, byte(r.Op), flags), flags, r.Trace)
+	buf = writeset.AppendString(buf, r.Name)
+	buf = appendStrings(buf, r.Tables)
+	buf = writeset.AppendString(buf, r.TxnName)
+	buf = writeset.AppendString(buf, r.SQL)
+	return writeset.AppendRow(buf, r.Params)
+}
+
+func (r *clientRequest) parse(d *writeset.Decoder) {
+	r.Seq = d.Uvarint()
+	r.Op = readOp(d)
+	flags := readFlags(d, flagBegin|flagTrace)
+	r.Begin = flags&flagBegin != 0
+	r.Trace = readSpan(d, flags)
+	r.Name = d.Str()
+	r.Tables = readStrings(d)
+	r.TxnName = d.Str()
+	r.SQL = d.Str()
+	r.Params = d.Row()
+}
+
 type clientResponse struct {
 	Seq     uint64
 	Err     string
-	ErrCode string
+	ErrCode errCode
 	Result  *sql.Result
 	// begin header / commit
 	Snapshot uint64
@@ -63,6 +95,33 @@ type clientResponse struct {
 	ReadOnly    bool
 	WriteTables []string
 	ReadTables  []string
+}
+
+func (r *clientResponse) appendTo(buf []byte) ([]byte, error) {
+	flags := flagIf(r.Result != nil, flagResult) | flagIf(r.ReadOnly, flagReadOnly)
+	buf = binary.AppendUvarint(buf, r.Seq)
+	buf = writeset.AppendString(append(buf, flags, byte(r.ErrCode)), r.Err)
+	buf, err := appendResult(buf, r.Result)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.AppendUvarint(buf, r.Snapshot)
+	buf = binary.AppendUvarint(buf, r.Version)
+	buf = appendStrings(buf, r.WriteTables)
+	return appendStrings(buf, r.ReadTables), nil
+}
+
+func (r *clientResponse) parse(d *writeset.Decoder) {
+	r.Seq = d.Uvarint()
+	flags := readFlags(d, flagResult|flagReadOnly)
+	r.ReadOnly = flags&flagReadOnly != 0
+	r.ErrCode = readErrCode(d)
+	r.Err = d.Str()
+	r.Result = readResult(d, flags)
+	r.Snapshot = d.Uvarint()
+	r.Version = d.Uvarint()
+	r.WriteTables = readStrings(d)
+	r.ReadTables = readStrings(d)
 }
 
 // Gateway is the networked load balancer: it accepts client sessions,
@@ -205,19 +264,19 @@ func (g *Gateway) handle(c net.Conn) {
 		delete(g.conns, c)
 		g.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(c)
-	fw := newFrameWriter(c)
-	defer fw.release()
+	fc := newFrameConn(c)
 	var hello clientHello
-	if err := dec.Decode(&hello); err != nil {
+	if _, err := fc.recvHello(string(linkClient), &hello); err != nil {
+		log.Printf("wire: gateway: rejecting %s: %v", c.RemoteAddr(), err)
 		return
 	}
-	sess := &gatewaySession{id: hello.SessionID}
+	// The balancer keeps the session id until EndSession.
+	sess := &gatewaySession{id: strings.Clone(hello.SessionID)}
 	g.sessions.Add(1)
 	defer g.sessions.Add(-1)
 	defer func() {
 		if sess.open {
-			_, _ = sess.replica.call(&replicaRequest{Op: "abort", TxnID: sess.txnID})
+			_, _ = sess.replica.call(&replicaRequest{Op: opAbort, TxnID: sess.txnID})
 			sess.end()
 		}
 		g.balancer.EndSession(sess.id)
@@ -225,7 +284,7 @@ func (g *Gateway) handle(c net.Conn) {
 	var guard seqGuard
 	for {
 		var req clientRequest
-		if err := dec.Decode(&req); err != nil {
+		if err := fc.recv(&req); err != nil {
 			return
 		}
 		if !guard.ok(req.Seq) {
@@ -233,7 +292,7 @@ func (g *Gateway) handle(c net.Conn) {
 		}
 		resp := g.dispatch(sess, &req)
 		resp.Seq = req.Seq
-		if err := fw.encode(resp); err != nil {
+		if err := fc.send(resp); err != nil {
 			return
 		}
 	}
@@ -248,20 +307,25 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 	if req.Begin {
 		reqs.With("begin").Inc()
 	}
-	if req.Op != "" {
-		reqs.With(req.Op).Inc()
+	if req.Op != opNone {
+		reqs.With(req.Op.String()).Inc()
 	}
 	resp := &clientResponse{}
 	fail := func(err error) *clientResponse {
 		resp.Err = err.Error()
-		resp.ErrCode = errCode(err)
+		resp.ErrCode = codeOf(err)
 		return resp
 	}
 	switch req.Op {
-	case "register":
-		g.balancer.RegisterTxn(req.Name, req.Tables)
+	case opRegister:
+		// The registry keeps these strings for good.
+		tables := make([]string, len(req.Tables))
+		for i, t := range req.Tables {
+			tables[i] = strings.Clone(t)
+		}
+		g.balancer.RegisterTxn(strings.Clone(req.Name), tables)
 		return resp
-	case "", "exec", "commit", "abort":
+	case opNone, opExec, opCommit, opAbort:
 	default:
 		return fail(fmt.Errorf("wire: unknown client op %q", req.Op))
 	}
@@ -284,23 +348,23 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		sess.replica = route.Node.(*remoteReplica)
 		sess.replica.active.Add(1)
 		sess.open = true
-		// An untraced (or pre-tracing) client supplies no span context;
+		// An untraced client supplies no span context;
 		// fall back to the route span so the replica's work still joins
 		// a gateway-rooted trace instead of fragmenting.
 		fwd.Begin, fwd.MinVersion, fwd.Trace = true, route.MinVersion, req.Trace
 		if !fwd.Trace.Valid() {
 			fwd.Trace = route.Trace
 		}
-	case req.Op == "abort" && !sess.open:
+	case req.Op == opAbort && !sess.open:
 		return resp
 	case !sess.open:
 		return fail(errors.New("wire: no open transaction"))
 	}
 	switch req.Op {
-	case "commit":
+	case opCommit:
 		fwd.Eager = g.balancer.Mode() == core.Eager
 		sess.end()
-	case "abort":
+	case opAbort:
 		sess.end()
 	}
 	r, err := sess.replica.call(fwd)
@@ -310,7 +374,7 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if sess.open && (req.Begin || errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed)) {
 			sess.end()
 		}
-		if req.Op == "abort" {
+		if req.Op == opAbort {
 			return resp
 		}
 		return fail(err)
@@ -320,7 +384,11 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 	}
 	resp.Snapshot = r.Snapshot
 	resp.Result = r.Result
-	if req.Op == "commit" {
+	if req.Op == opCommit {
+		// The tracker keeps table names as map keys for good.
+		for i, t := range r.Commit.WrittenTables {
+			r.Commit.WrittenTables[i] = strings.Clone(t)
+		}
 		g.balancer.ObserveCommit(sess.id, r.Commit)
 		resp.Version = r.Commit.Version
 		resp.ReadOnly = r.Commit.ReadOnly

@@ -1,9 +1,10 @@
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +13,10 @@ import (
 	"sconrep/internal/metrics"
 	"sconrep/internal/replica"
 	"sconrep/internal/storage"
+	"sconrep/internal/writeset"
 )
+
+func testHello() outFrame { return &certHello{Kind: linkCertReq} }
 
 // TestCallDeadlineOnStalledPeer guards the deadline hardening: a peer
 // that accepts the request but never responds must not hang the call
@@ -22,18 +26,16 @@ func TestCallDeadlineOnStalledPeer(t *testing.T) {
 	defer server.Close()
 	go func() {
 		// Drain the hello and the first request, then go silent.
-		dec := gob.NewDecoder(server)
-		var h certHello
-		_ = dec.Decode(&h)
-		var req certRequest
-		_ = dec.Decode(&req)
+		fc := newFrameConn(server)
+		_, _ = fc.readFrame()
+		_, _ = fc.readFrame()
 		select {} // stall forever; Close from the deferred cleanup frees us
 	}()
 	dial := func(network, addr string) (net.Conn, error) { return client, nil }
-	p := newConnPool("stalled", certHello{Kind: "req"}, dial, Timeouts{Call: 100 * time.Millisecond})
+	p := newConnPool("stalled", testHello, dial, Timeouts{Call: 100 * time.Millisecond})
 	start := time.Now()
 	var resp certResponse
-	err := p.call(&certRequest{Op: "version"}, &resp)
+	err := p.call(&certRequest{Op: opVersion}, &resp)
 	if err == nil {
 		t.Fatal("call against a stalled peer succeeded")
 	}
@@ -49,10 +51,10 @@ func TestCallDeadlineOnDeafPeer(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
 	dial := func(network, addr string) (net.Conn, error) { return client, nil }
-	p := newConnPool("deaf", certHello{Kind: "req"}, dial, Timeouts{Call: 100 * time.Millisecond})
+	p := newConnPool("deaf", testHello, dial, Timeouts{Call: 100 * time.Millisecond})
 	start := time.Now()
 	var resp certResponse
-	err := p.call(&certRequest{Op: "version"}, &resp)
+	err := p.call(&certRequest{Op: opVersion}, &resp)
 	if err == nil {
 		t.Fatal("call against a deaf peer succeeded")
 	}
@@ -71,13 +73,15 @@ func TestSeqGuardDropsDuplicatedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&replicaRequest{Seq: 1, Op: "status"}); err != nil {
+	fc := newFrameConn(conn)
+	if err := fc.send(bareHello(linkReplica)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.send(&replicaRequest{Seq: 1, Op: opStatus}); err != nil {
 		t.Fatal(err)
 	}
 	var resp replicaResponse
-	if err := dec.Decode(&resp); err != nil {
+	if err := fc.recv(&resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Seq != 1 || resp.Crashed {
@@ -85,11 +89,11 @@ func TestSeqGuardDropsDuplicatedFrame(t *testing.T) {
 	}
 	// Replay the same sequence number: the server must drop the
 	// connection without serving it.
-	if err := enc.Encode(&replicaRequest{Seq: 1, Op: "status"}); err != nil {
+	if err := fc.send(&replicaRequest{Seq: 1, Op: opStatus}); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := dec.Decode(&resp); err == nil {
+	if err := fc.recv(&resp); err == nil {
 		t.Fatal("duplicated frame was served instead of dropping the connection")
 	}
 }
@@ -279,5 +283,122 @@ func TestLossyCertifierRestartAdoptsLiveVersion(t *testing.T) {
 	}
 	if kv := snapshotKV(t, eng); kv[1] != "after" {
 		t.Fatalf("post-restart state = %v", kv)
+	}
+}
+
+// lateHello holds a connection's first Write — the hello — back for a
+// moment while reporting it written, so the server sees it late
+// relative to everything else the client goes on to do.
+type lateHello struct {
+	net.Conn
+	first sync.Once
+	sent  sync.WaitGroup
+}
+
+func (c *lateHello) Write(p []byte) (int, error) {
+	late := false
+	c.first.Do(func() {
+		late = true
+		b := append([]byte(nil), p...)
+		c.sent.Add(1)
+		go func() {
+			defer c.sent.Done()
+			time.Sleep(2 * time.Millisecond)
+			c.Conn.Write(b)
+		}()
+	})
+	if late {
+		return len(p), nil
+	}
+	c.sent.Wait()
+	return c.Conn.Write(p)
+}
+
+// TestSubscribeHasNoLostRefreshWindow: while the certifier commits
+// continuously, a subscriber that connects, catches up and disconnects
+// a few hundred times must see every version exactly in sequence. A
+// commit certified between "the client learned the certifier's
+// version" and "the server registered the subscription" used to be in
+// neither the backfill nor the stream, and nothing on a live stream
+// refills a gap; the serve floor now comes from the ack the server
+// writes after registering.
+func TestSubscribeHasNoLostRefreshWindow(t *testing.T) {
+	cert := certifier.New()
+	srv, err := ServeCertifier(cert, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	certified := make(chan struct{})
+	go func() {
+		defer close(certified)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ws := &writeset.WriteSet{Items: []writeset.Item{
+				{Table: "t", Key: fmt.Sprint(i), Op: writeset.OpInsert, Row: []any{int64(i)}},
+			}}
+			if d, err := cert.Certify(0, uint64(i), cert.Version(), ws); err != nil || !d.Commit {
+				t.Errorf("certify %d: %+v, %v", i, d, err)
+				return
+			}
+			if i%4 == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	defer func() { close(stop); <-certified }()
+
+	rounds := 300
+	if testing.Short() {
+		rounds = 40
+	}
+	// applied is the contiguous prefix delivered so far: the subscriber's
+	// Vlocal, from which each reconnect resumes.
+	var applied atomic.Uint64
+	for round := 0; round < rounds; round++ {
+		// The first connection a client dials is its subscription stream.
+		var dials atomic.Int32
+		dial := func(network, addr string) (net.Conn, error) {
+			c, err := net.Dial(network, addr)
+			if err != nil || dials.Add(1) > 1 {
+				return c, err
+			}
+			return &lateHello{Conn: c}, nil
+		}
+		cli := DialCertifier(srv.Addr(), 1, applied.Load(), WithDialer(dial), WithVLocal(applied.Load),
+			WithBackoff(Backoff{Min: time.Millisecond, Max: 10 * time.Millisecond}))
+		q := cli.Subscribe(1)
+		ahead := map[uint64]bool{} // delivered above a gap, waiting for it to fill
+		deadline := time.Now().Add(10 * time.Second)
+		// Run until the stream is up and has carried the prefix a little
+		// past the serve floor: both the backfill and the live stream
+		// have then been exercised.
+		for !cli.StreamLive(0) || applied.Load() < cli.serveFloor.Load()+8 {
+			if time.Now().After(deadline) {
+				cli.Close()
+				t.Fatalf("round %d: version %d never arrived (serve floor %d, %d later versions delivered)",
+					round, applied.Load()+1, cli.serveFloor.Load(), len(ahead))
+			}
+			batch, ok := q.Take()
+			if !ok {
+				t.Fatalf("round %d: queue closed", round)
+			}
+			for _, r := range batch {
+				if r.Version > applied.Load() {
+					ahead[r.Version] = true
+				}
+			}
+			for ahead[applied.Load()+1] {
+				delete(ahead, applied.Load()+1)
+				applied.Add(1)
+			}
+		}
+		cli.Close()
 	}
 }

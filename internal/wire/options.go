@@ -63,14 +63,13 @@ func (b Backoff) next(d time.Duration) time.Duration {
 
 // options collects the knobs shared across wire constructors.
 type options struct {
-	dialFor      func(addr string) Dialer
-	to           Timeouts
-	backoff      Backoff
-	subLease     time.Duration
-	gate         func() error
-	vlocalFn     func() uint64
-	refreshCodec string
-	shards       []int
+	dialFor  func(addr string) Dialer
+	to       Timeouts
+	backoff  Backoff
+	subLease time.Duration
+	gate     func() error
+	vlocalFn func() uint64
+	shards   []int
 }
 
 // Option configures a wire endpoint.
@@ -126,32 +125,12 @@ func WithVLocal(f func() uint64) Option {
 	return func(o *options) { o.vlocalFn = f }
 }
 
-// Refresh-stream codec names for WithRefreshCodec.
-const (
-	// RefreshCodecBinary offers the length-prefixed binary refresh
-	// codec (the default): a server that understands it switches the
-	// stream to binary frames, a legacy server silently keeps gob.
-	RefreshCodecBinary = "binary"
-	// RefreshCodecGob pins the stream to gob, skipping negotiation.
-	RefreshCodecGob = "gob"
-)
-
-// WithRefreshCodec selects the refresh-stream codec a certifier client
-// offers (CertClient). The default, RefreshCodecBinary, negotiates the
-// zero-copy binary codec with servers that support it and falls back
-// to gob against older ones; RefreshCodecGob forces the legacy stream,
-// the escape hatch for mixed-version debugging.
-func WithRefreshCodec(name string) Option {
-	return func(o *options) { o.refreshCodec = name }
-}
-
 // WithShards restricts a certifier client's refresh subscription (and
 // its reconnect backfills) to the given certification shards. Versions
 // certified entirely on other shards arrive as skip markers — the
 // replica advances its version counter without row data — so a replica
 // serving a slice of the table space pays refresh bandwidth only for
-// that slice. Nil keeps the full stream; against a pre-sharding server
-// the option is silently ignored and the full stream flows.
+// that slice. Nil keeps the full stream.
 func WithShards(shards []int) Option {
 	return func(o *options) { o.shards = shards }
 }

@@ -1,417 +1,58 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-	"math"
-	"sync"
-	"unsafe"
 
 	"sconrep/internal/certifier"
-	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/writeset"
 )
 
-// Binary refresh codec. The refresh stream is the replication hot path
-// — every committed update transaction crosses it once per replica —
-// and gob spends most of its time on reflection and type descriptors.
-// This codec replaces it with length-prefixed binary frames:
+// Refresh frames. The refresh stream is the replication hot path —
+// every committed update transaction crosses it once per replica — and
+// a refresh has the same layout wherever it travels, pushed on the
+// stream or paged in a history response:
 //
-//	u32 payload length (little-endian)
-//	payload:
-//	  uvarint count
-//	  per refresh:
-//	    uvarint TxnID, uvarint Version, varint Origin, flags byte
-//	    [flagTrace] 16-byte TraceID + 8-byte SpanID
-//	    [flagWS]    uvarint item count, then per item:
-//	                  string Table, string Key, op byte,
-//	                  uvarint rowTag (0 = nil row, else 1+len), then per
-//	                  value a tag byte (nil/int64/float64/string/bool)
-//	                  followed by the value bytes
+//	uvarint TxnID, uvarint Version, varint Origin, writeset
 //
-// Strings are uvarint-length-prefixed. Decoding reads the payload into
-// one exact-size buffer and aliases every decoded string into it with
-// unsafe.String — zero copies, zero per-string allocations. The buffer
-// is freshly allocated per frame and never reused, so the aliases stay
-// valid for as long as the writesets live; the cost is that one
-// retained string pins its whole frame, which is fine here because
-// refresh writesets are applied and dropped promptly.
+// where the writeset is internal/writeset's encoding, whose leading
+// flags byte is zero for a version skip marker. A stream frame is a
+// uvarint count followed by that many refreshes.
 //
-// Negotiation rides the existing gob layer: the subscriber offers the
-// codec in certHello.Codec, and a server that understands it answers
-// with one gob refreshBatch{Codec: codecBinary} marker frame before
-// switching the stream to binary frames. Gob skips unknown struct
-// fields in both directions, so a legacy peer on either end silently
-// degrades to the gob stream (see the interop tests).
+// The receiver's frame buffer is exact-size and single-use, and every
+// decoded string aliases it — zero copies, zero per-string allocations.
+// The cost is that one retained string pins its whole frame, which is
+// fine here because refresh writesets are applied and dropped promptly.
 
-// codecBinary is the wire token for this codec, offered in
-// certHello.Codec and echoed in the accept marker. Versioned so a
-// future layout change is a new token, not a silent break.
-const codecBinary = "sconrep-bin/1"
+// refreshBatch is one frame of the refresh stream.
+type refreshBatch []certifier.Refresh
 
-// maxRefreshFrame bounds one binary frame (64 MiB). A length prefix
-// beyond it means a corrupt or hostile stream; the connection is torn
-// down rather than the allocation attempted.
-const maxRefreshFrame = 64 << 20
-
-// Refresh flags.
-const (
-	flagWS    = 1 << 0 // refresh carries a writeset
-	flagTrace = 1 << 1 // writeset carries a span context (16+8 bytes)
-)
-
-// Row value tags.
-const (
-	tagNil = iota
-	tagInt64
-	tagFloat64
-	tagString
-	tagFalse
-	tagTrue
-)
-
-var errFrameCorrupt = errors.New("wire: corrupt refresh frame")
-
-// refreshBufPool recycles encode buffers; the decoded side cannot pool
-// (frames are aliased by the decoded strings).
-var refreshBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, encBufSize); return &b },
-}
-
-// writeRefreshFrame encodes one batch as a binary frame into bw and
-// flushes it. The encode buffer is pooled; only the bufio writer's copy
-// touches the connection.
-func writeRefreshFrame(bw *bufio.Writer, batch []certifier.Refresh) error {
-	bp := refreshBufPool.Get().(*[]byte)
-	buf, err := appendRefreshPayload((*bp)[:0], batch)
-	if err == nil && len(buf) > maxRefreshFrame {
-		err = fmt.Errorf("wire: refresh frame %d bytes exceeds limit", len(buf))
-	}
-	if err != nil {
-		refreshBufPool.Put(bp)
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(buf)))
-	_, werr := bw.Write(hdr[:])
-	if werr == nil {
-		_, werr = bw.Write(buf)
-	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	*bp = buf
-	refreshBufPool.Put(bp)
-	return werr
-}
-
-// appendRefreshPayload appends the batch's payload encoding to buf.
-func appendRefreshPayload(buf []byte, batch []certifier.Refresh) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(batch)))
-	for i := range batch {
-		r := &batch[i]
-		buf = binary.AppendUvarint(buf, r.TxnID)
-		buf = binary.AppendUvarint(buf, r.Version)
-		buf = binary.AppendVarint(buf, int64(r.Origin))
-		var flags byte
-		if r.WS != nil {
-			flags |= flagWS
-			if r.WS.Trace != nil {
-				flags |= flagTrace
-			}
-		}
-		buf = append(buf, flags)
-		if r.WS == nil {
-			continue
-		}
-		if tr := r.WS.Trace; tr != nil {
-			buf = append(buf, tr.Trace[:]...)
-			buf = append(buf, tr.Span[:]...)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.WS.Items)))
-		for j := range r.WS.Items {
-			it := &r.WS.Items[j]
-			buf = appendString(buf, it.Table)
-			buf = appendString(buf, it.Key)
-			buf = append(buf, byte(it.Op))
-			if it.Row == nil {
-				buf = binary.AppendUvarint(buf, 0)
-				continue
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(it.Row))+1)
-			for _, v := range it.Row {
-				var err error
-				if buf, err = appendValue(buf, v); err != nil {
-					return nil, err
-				}
-			}
+func (b refreshBatch) appendTo(buf []byte) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	for i := range b {
+		var err error
+		if buf, err = appendRefresh(buf, &b[i]); err != nil {
+			return nil, err
 		}
 	}
 	return buf, nil
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
+func (b *refreshBatch) parse(d *writeset.Decoder) {
+	n := d.Count()
+	out := make([]certifier.Refresh, n)
+	for i := 0; i < n && !d.Failed(); i++ {
+		out[i] = readRefresh(d)
+	}
+	*b = out
 }
 
-func appendValue(buf []byte, v any) ([]byte, error) {
-	switch v := v.(type) {
-	case nil:
-		return append(buf, tagNil), nil
-	case int64:
-		return binary.AppendVarint(append(buf, tagInt64), v), nil
-	case float64:
-		return binary.LittleEndian.AppendUint64(append(buf, tagFloat64), math.Float64bits(v)), nil
-	case string:
-		return appendString(append(buf, tagString), v), nil
-	case bool:
-		if v {
-			return append(buf, tagTrue), nil
-		}
-		return append(buf, tagFalse), nil
-	default:
-		return nil, fmt.Errorf("wire: refresh codec: unsupported row value %T", v)
-	}
+func appendRefresh(buf []byte, r *certifier.Refresh) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, r.TxnID)
+	buf = binary.AppendUvarint(buf, r.Version)
+	buf = binary.AppendVarint(buf, int64(r.Origin))
+	return r.WS.AppendTo(buf)
 }
 
-// readRefreshFrame reads one binary frame from r and decodes it. The
-// payload buffer is exact-size and single-use: decoded strings alias
-// it.
-func readRefreshFrame(r io.Reader) ([]certifier.Refresh, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxRefreshFrame {
-		return nil, fmt.Errorf("wire: refresh frame length %d exceeds limit", n)
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return nil, err
-	}
-	return parseRefreshPayload(p)
-}
-
-// payloadReader walks one frame payload. Every read is bounds-checked;
-// any truncation or malformed varint surfaces as errFrameCorrupt, and
-// count fields are sanity-bounded by the remaining bytes before any
-// allocation, so a hostile frame cannot force a huge make().
-type payloadReader struct {
-	p   []byte
-	off int
-}
-
-func (d *payloadReader) remaining() int { return len(d.p) - d.off }
-
-func (d *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.p[d.off:])
-	if n <= 0 {
-		return 0, errFrameCorrupt
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *payloadReader) varint() (int64, error) {
-	v, n := binary.Varint(d.p[d.off:])
-	if n <= 0 {
-		return 0, errFrameCorrupt
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *payloadReader) byte() (byte, error) {
-	if d.off >= len(d.p) {
-		return 0, errFrameCorrupt
-	}
-	b := d.p[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *payloadReader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > d.remaining() {
-		return nil, errFrameCorrupt
-	}
-	b := d.p[d.off : d.off+n]
-	d.off += n
-	return b, nil
-}
-
-// str decodes a length-prefixed string aliasing the frame buffer.
-func (d *payloadReader) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(int(n))
-	if err != nil || len(b) == 0 {
-		return "", err
-	}
-	return unsafe.String(&b[0], len(b)), nil
-}
-
-// count reads a count field and rejects values that cannot possibly
-// fit in the remaining payload (each counted element is ≥ 1 byte).
-func (d *payloadReader) count() (int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(d.remaining()) {
-		return 0, errFrameCorrupt
-	}
-	return int(n), nil
-}
-
-// parseRefreshPayload decodes one frame payload. Trailing garbage
-// after the last refresh is rejected: a desynchronized stream must
-// fail loudly, not deliver a prefix.
-func parseRefreshPayload(p []byte) ([]certifier.Refresh, error) {
-	d := &payloadReader{p: p}
-	cnt, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]certifier.Refresh, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		r, err := d.refresh()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	if d.remaining() != 0 {
-		return nil, errFrameCorrupt
-	}
-	return out, nil
-}
-
-func (d *payloadReader) refresh() (certifier.Refresh, error) {
-	var r certifier.Refresh
-	var err error
-	if r.TxnID, err = d.uvarint(); err != nil {
-		return r, err
-	}
-	if r.Version, err = d.uvarint(); err != nil {
-		return r, err
-	}
-	origin, err := d.varint()
-	if err != nil {
-		return r, err
-	}
-	r.Origin = int(origin)
-	flags, err := d.byte()
-	if err != nil {
-		return r, err
-	}
-	if flags&^(flagWS|flagTrace) != 0 {
-		return r, errFrameCorrupt
-	}
-	var trace *dtrace.SpanContext
-	if flags&flagTrace != 0 {
-		b, err := d.bytes(16 + 8)
-		if err != nil {
-			return r, err
-		}
-		trace = new(dtrace.SpanContext)
-		copy(trace.Trace[:], b[:16])
-		copy(trace.Span[:], b[16:])
-	}
-	if flags&flagWS == 0 {
-		if flags&flagTrace != 0 {
-			return r, errFrameCorrupt // trace rides the writeset
-		}
-		return r, nil
-	}
-	ws := &writeset.WriteSet{Trace: trace}
-	items, err := d.count()
-	if err != nil {
-		return r, err
-	}
-	if items > 0 {
-		ws.Items = make([]writeset.Item, items)
-	}
-	for j := 0; j < items; j++ {
-		if err := d.item(&ws.Items[j]); err != nil {
-			return r, err
-		}
-	}
-	r.WS = ws
-	return r, nil
-}
-
-func (d *payloadReader) item(it *writeset.Item) error {
-	var err error
-	if it.Table, err = d.str(); err != nil {
-		return err
-	}
-	if it.Key, err = d.str(); err != nil {
-		return err
-	}
-	op, err := d.byte()
-	if err != nil {
-		return err
-	}
-	switch writeset.Op(op) {
-	case writeset.OpInsert, writeset.OpUpdate, writeset.OpDelete:
-		it.Op = writeset.Op(op)
-	default:
-		return errFrameCorrupt
-	}
-	rowTag, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if rowTag == 0 {
-		return nil // nil row (deletes)
-	}
-	// rowTag is 1+len, so the value count is rowTag-1 (each ≥ 1 byte).
-	if rowTag-1 > uint64(d.remaining()) {
-		return errFrameCorrupt
-	}
-	it.Row = make([]any, rowTag-1)
-	for k := range it.Row {
-		if it.Row[k], err = d.value(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *payloadReader) value() (any, error) {
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case tagNil:
-		return nil, nil
-	case tagInt64:
-		return d.varint()
-	case tagFloat64:
-		b, err := d.bytes(8)
-		if err != nil {
-			return nil, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-	case tagString:
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	case tagFalse:
-		return false, nil
-	case tagTrue:
-		return true, nil
-	default:
-		return nil, errFrameCorrupt
-	}
+func readRefresh(d *writeset.Decoder) certifier.Refresh {
+	return certifier.Refresh{TxnID: d.Uvarint(), Version: d.Uvarint(), Origin: int(d.Varint()), WS: d.WriteSet()}
 }

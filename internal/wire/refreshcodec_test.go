@@ -1,27 +1,22 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
 	"sconrep/internal/certifier"
-	"sconrep/internal/obs/dtrace"
+	"sconrep/internal/shard"
 	"sconrep/internal/writeset"
 )
 
-// codecBatch exercises every shape the codec must carry: all five row
-// value types, nil rows (deletes), empty strings, an empty writeset, a
-// recovery-replay origin (-1), and a traced writeset.
+// codecBatch exercises every shape a refresh frame must carry: all five
+// row value types, nil rows (deletes), empty strings, an empty
+// writeset, a version skip marker (nil writeset), a recovery-replay
+// origin (-1), and a traced writeset.
 func codecBatch() []certifier.Refresh {
-	sc := &dtrace.SpanContext{}
-	sc.Trace[0], sc.Trace[15] = 0xab, 0xcd
-	sc.Span[3] = 0xef
+	sc := testSpan()
 	return []certifier.Refresh{
 		{TxnID: 1, Version: 10, Origin: 0, WS: &writeset.WriteSet{Items: []writeset.Item{
 			{Table: "kv", Key: "k1", Op: writeset.OpUpdate, Row: []any{int64(-7), "hello", float64(3.25), true, false, nil}},
@@ -32,113 +27,30 @@ func codecBatch() []certifier.Refresh {
 		}}},
 		{TxnID: 3, Version: 12, Origin: 2, WS: &writeset.WriteSet{}},
 		{TxnID: 4, Version: 13, Origin: 1, WS: &writeset.WriteSet{
-			Trace: sc,
+			Trace: &sc,
 			Items: []writeset.Item{{Table: "t", Key: "x", Op: writeset.OpUpdate, Row: []any{}}},
 		}},
-	}
-}
-
-func TestRefreshCodecRoundTrip(t *testing.T) {
-	batch := codecBatch()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeRefreshFrame(bw, batch); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readRefreshFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, batch) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, batch)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("%d trailing bytes after one frame", buf.Len())
-	}
-}
-
-// TestRefreshCodecMatchesGob pins the binary codec to gob's semantics:
-// the same batch decoded from either codec is identical, so a replica
-// behaves the same whichever stream the negotiation landed on.
-func TestRefreshCodecMatchesGob(t *testing.T) {
-	batch := codecBatch()
-
-	var gb bytes.Buffer
-	if err := gob.NewEncoder(&gb).Encode(refreshBatch{Refreshes: batch}); err != nil {
-		t.Fatal(err)
-	}
-	var viaGob refreshBatch
-	if err := gob.NewDecoder(&gb).Decode(&viaGob); err != nil {
-		t.Fatal(err)
-	}
-
-	var bb bytes.Buffer
-	bw := bufio.NewWriter(&bb)
-	if err := writeRefreshFrame(bw, batch); err != nil {
-		t.Fatal(err)
-	}
-	viaBin, err := readRefreshFrame(&bb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// gob decodes zero-length non-nil slices back as nil; normalize that
-	// one representational difference before comparing.
-	for i := range viaBin {
-		if ws := viaBin[i].WS; ws != nil && len(ws.Items) == 0 {
-			ws.Items = nil
-		}
-		if ws := viaBin[i].WS; ws != nil {
-			for j := range ws.Items {
-				if ws.Items[j].Row != nil && len(ws.Items[j].Row) == 0 {
-					ws.Items[j].Row = nil
-				}
-			}
-		}
-	}
-	if !reflect.DeepEqual(viaBin, viaGob.Refreshes) {
-		t.Fatalf("codecs disagree:\n bin %+v\n gob %+v", viaBin, viaGob.Refreshes)
-	}
-}
-
-func TestRefreshCodecTruncatedRejected(t *testing.T) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeRefreshFrame(bw, codecBatch()); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	for n := 0; n < len(frame); n++ {
-		if _, err := readRefreshFrame(bytes.NewReader(frame[:n])); err == nil {
-			t.Fatalf("truncation at %d/%d bytes decoded cleanly", n, len(frame))
-		}
+		{TxnID: 5, Version: 14, Origin: 0}, // skip marker
 	}
 }
 
 func TestRefreshCodecCorruptRejected(t *testing.T) {
-	// A length prefix beyond the frame limit is refused before any
-	// allocation.
-	var huge [4]byte
-	binary.LittleEndian.PutUint32(huge[:], maxRefreshFrame+1)
-	if _, err := readRefreshFrame(bytes.NewReader(huge[:])); err == nil {
-		t.Fatal("oversize length prefix accepted")
-	}
-
-	// Payload-level corruption: unknown flags, bad op, bad value tag,
-	// counts beyond the payload, trailing garbage.
+	// Payload-level corruption: unknown writeset flags, a trace without
+	// the writeset it rides, counts beyond the payload, a bad op byte.
 	bad := [][]byte{
 		{0x01, 0x01, 0x01, 0x00, 0xff},       // unknown flag bits
+		{0x01, 0x01, 0x01, 0x00, 0x02},       // flagTrace without the writeset
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // count > remaining
 	}
-	valid, err := appendRefreshPayload(nil, codecBatch())
+	valid, err := refreshBatch(codecBatch()).appendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad = append(bad, append(append([]byte{}, valid...), 0x00)) // trailing garbage
 	tamperOp := append([]byte{}, valid...)
 	tamperOp[bytes.IndexByte(tamperOp, byte(writeset.OpUpdate))] = 0x7f
 	bad = append(bad, tamperOp)
 	for i, p := range bad {
-		if _, err := parseRefreshPayload(p); err == nil {
+		if err := parsePayload(p, new(refreshBatch)); err == nil {
 			t.Fatalf("corrupt payload %d decoded cleanly", i)
 		}
 	}
@@ -158,10 +70,34 @@ func certifyN(t testing.TB, cert *certifier.Certifier, n int) {
 	}
 }
 
-// TestRefreshStreamBinaryNegotiated drives the server's accept path
-// with a hand-rolled subscriber: offer the binary codec in the hello,
-// require the gob marker frame, then consume raw binary frames.
-func TestRefreshStreamBinaryNegotiated(t *testing.T) {
+// subscribeRaw opens a hand-rolled subscription: the hello, then the
+// ack, which the server writes only once the subscription is
+// registered — so a commit certified after subscribeRaw returns is on
+// the stream.
+func subscribeRaw(t testing.TB, addr string, hello certHello) (*frameConn, subAck) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fc := newFrameConn(conn)
+	hello.Kind = linkCertSub
+	if err := fc.send(&hello); err != nil {
+		t.Fatal(err)
+	}
+	var ack subAck
+	if _, err := fc.recvHello(string(linkSubAck), &ack); err != nil {
+		t.Fatalf("subscription ack: %v", err)
+	}
+	return fc, ack
+}
+
+// TestRefreshStreamFrames drives the server's stream path with a
+// hand-rolled subscriber: the ack carries the certifier's version at
+// registration, then refresh frames arrive in version order.
+func TestRefreshStreamFrames(t *testing.T) {
 	cert := certifier.New()
 	srv, err := ServeCertifier(cert, "127.0.0.1:0")
 	if err != nil {
@@ -169,31 +105,22 @@ func TestRefreshStreamBinaryNegotiated(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	certifyN(t, cert, 2)
+	fc, ack := subscribeRaw(t, srv.Addr(), certHello{ReplicaID: 7})
+	if ack.Version != 2 {
+		t.Fatalf("ack version = %d, want the certifier's version at registration (2)", ack.Version)
 	}
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(certHello{Kind: "sub", ReplicaID: 7, Codec: codecBinary}); err != nil {
-		t.Fatal(err)
+	ws := &writeset.WriteSet{Items: []writeset.Item{{Table: "t", Key: "cold", Op: writeset.OpUpdate, Row: []any{"x"}}}}
+	for i := 0; i < 5; i++ {
+		if d, err := cert.Certify(0, uint64(100+i), cert.Version(), ws); err != nil || !d.Commit {
+			t.Fatalf("certify: %+v, %v", d, err)
+		}
 	}
-	br := bufio.NewReader(conn)
-	dec := gob.NewDecoder(br)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var marker refreshBatch
-	if err := dec.Decode(&marker); err != nil {
-		t.Fatal(err)
-	}
-	if marker.Codec != codecBinary || len(marker.Refreshes) != 0 {
-		t.Fatalf("accept marker = %+v", marker)
-	}
-
-	certifyN(t, cert, 5)
-	var seen uint64
-	for seen < 5 {
-		batch, err := readRefreshFrame(br)
-		if err != nil {
-			t.Fatalf("binary frame after %d refreshes: %v", seen, err)
+	seen := ack.Version
+	for seen < 7 {
+		var batch refreshBatch
+		if err := fc.recv(&batch); err != nil {
+			t.Fatalf("refresh frame after version %d: %v", seen, err)
 		}
 		for i := range batch {
 			if batch[i].Version != seen+1 {
@@ -207,151 +134,125 @@ func TestRefreshStreamBinaryNegotiated(t *testing.T) {
 	}
 }
 
-// legacyCertHello / legacyRefreshBatch are the pre-codec frame shapes,
-// exactly as a peer built before this change would use them.
-type legacyCertHello struct {
-	Kind      string
-	ReplicaID int
-	VLocal    uint64
+// newShardedCert builds a 4-shard certifier with tables t0..t3 pinned
+// to shards 0..3.
+func newShardedCert(t *testing.T) *certifier.Certifier {
+	t.Helper()
+	smap, err := shard.New(4, map[string]int{"t0": 0, "t1": 1, "t2": 2, "t3": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return certifier.New(certifier.WithShards(smap))
 }
 
-type legacyRefreshBatch struct {
-	Refreshes []certifier.Refresh
+// certifyOn commits one single-row writeset on the given table.
+func certifyOn(t *testing.T, cert *certifier.Certifier, table string, txnID uint64) {
+	t.Helper()
+	ws := &writeset.WriteSet{Items: []writeset.Item{
+		{Table: table, Key: "k", Op: writeset.OpUpdate, Row: []any{"x"}},
+	}}
+	d, err := cert.Certify(0, txnID, cert.Version(), ws)
+	if err != nil || !d.Commit {
+		t.Fatalf("certify %s: commit=%v err=%v", table, d.Commit, err)
+	}
 }
 
-// TestRefreshStreamLegacyClient proves a pre-codec subscriber against a
-// modern server stays on gob: no Codec offer means no marker frame and
-// plain gob batches.
-func TestRefreshStreamLegacyClient(t *testing.T) {
-	cert := certifier.New()
+// TestShardedStreamSubscriptions proves the partial-subscription
+// contract on the stream: a subscriber declaring Shards gets full
+// writesets for its shards and nil-writeset skip markers — version
+// order still contiguous — for everything else, and a subscriber
+// declaring none gets every writeset and no marker.
+func TestShardedStreamSubscriptions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards []int
+		served map[uint64]bool // nil: everything
+	}{
+		{"full", nil, nil},
+		{"partial", []int{0, 2}, map[uint64]bool{1: true, 3: true}}, // t0 → v1, t2 → v3
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cert := newShardedCert(t)
+			srv, err := ServeCertifier(cert, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			fc, _ := subscribeRaw(t, srv.Addr(), certHello{ReplicaID: 5, Shards: tc.shards})
+			for i, table := range []string{"t0", "t1", "t2", "t3"} {
+				certifyOn(t, cert, table, uint64(i+1))
+			}
+			var seen uint64
+			for seen < 4 {
+				var batch refreshBatch
+				if err := fc.recv(&batch); err != nil {
+					t.Fatalf("refresh frame after %d refreshes: %v", seen, err)
+				}
+				for _, r := range batch {
+					if r.Version != seen+1 {
+						t.Fatalf("version %d out of order (want %d): skip markers must keep the order contiguous", r.Version, seen+1)
+					}
+					seen = r.Version
+					served := tc.served == nil || tc.served[r.Version]
+					if served && (r.WS == nil || len(r.WS.Items) != 1) {
+						t.Fatalf("version %d is on a subscribed shard but arrived as a skip marker", r.Version)
+					}
+					if !served && r.WS != nil {
+						t.Fatalf("version %d is on an unsubscribed shard but carried writeset %+v", r.Version, r.WS)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardedHistoryPartialRequest proves the backfill side of partial
+// subscriptions: a history request declaring Shards gets the same
+// filtering as the live stream, one declaring none gets every writeset.
+func TestShardedHistoryPartialRequest(t *testing.T) {
+	cert := newShardedCert(t)
 	srv, err := ServeCertifier(cert, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	for i, table := range []string{"t0", "t1", "t2", "t3"} {
+		certifyOn(t, cert, table, uint64(i+1))
+	}
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	fullCli := DialCertifier(srv.Addr(), 9, 0)
+	defer fullCli.Close()
+	full := fullCli.History(0)
+	if len(full) != 4 {
+		t.Fatalf("full history returned %d refreshes, want 4", len(full))
 	}
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(legacyCertHello{Kind: "sub", ReplicaID: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// Refreshes flow only to live subscriptions; wait until the server
-	// has processed the hello before certifying.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(cert.Replicas()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never subscribed the legacy client")
+	for _, r := range full {
+		if r.WS == nil {
+			t.Fatalf("full history: version %d is a skip marker", r.Version)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	certifyN(t, cert, 3)
-	dec := gob.NewDecoder(conn)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var seen uint64
-	for seen < 3 {
-		var batch legacyRefreshBatch
-		if err := dec.Decode(&batch); err != nil {
-			t.Fatalf("gob frame after %d refreshes: %v", seen, err)
+
+	partCli := DialCertifier(srv.Addr(), 9, 0, WithShards([]int{1}))
+	defer partCli.Close()
+	part := partCli.History(0)
+	if len(part) != 4 {
+		t.Fatalf("partial history returned %d refreshes, want 4 (markers keep the order contiguous)", len(part))
+	}
+	for _, r := range part {
+		if r.Version == 2 && r.WS == nil {
+			t.Fatalf("partial history: version 2 is on the requested shard but arrived as a skip marker")
 		}
-		for i := range batch.Refreshes {
-			seen = batch.Refreshes[i].Version
+		if r.Version != 2 && r.WS != nil {
+			t.Fatalf("partial history: version %d is off-shard but carried a writeset", r.Version)
 		}
 	}
 }
 
-// TestRefreshStreamLegacyServer proves a modern client against a
-// pre-codec server falls back to gob: the server skips the unknown
-// Codec hello field, streams legacy frames, and the client consumes
-// them because no accept marker ever arrives.
-func TestRefreshStreamLegacyServer(t *testing.T) {
-	cert := certifier.New()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				dec, enc := gob.NewDecoder(c), gob.NewEncoder(c)
-				var hello legacyCertHello
-				if dec.Decode(&hello) != nil {
-					return
-				}
-				switch hello.Kind {
-				case "req":
-					for {
-						var req certRequest
-						if dec.Decode(&req) != nil {
-							return
-						}
-						resp := certResponse{Seq: req.Seq}
-						switch req.Op {
-						case "version":
-							resp.Version = cert.Version()
-						case "history":
-							resp.History = cert.History(req.After)
-						}
-						if enc.Encode(&resp) != nil {
-							return
-						}
-					}
-				case "sub":
-					sub := cert.Subscribe(hello.ReplicaID)
-					defer sub.Cancel()
-					for {
-						batch, ok := sub.Take()
-						if !ok {
-							return
-						}
-						if enc.Encode(legacyRefreshBatch{Refreshes: batch}) != nil {
-							return
-						}
-					}
-				}
-			}(c)
-		}
-	}()
-
-	cli := DialCertifier(ln.Addr().String(), 1, 0) // default: offers binary
-	defer cli.Close()
-	q := cli.Subscribe(1)
-	deadline := time.Now().Add(5 * time.Second)
-	for !cli.StreamLive(0) || len(cert.Replicas()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stream never came up against legacy server")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	certifyN(t, cert, 4)
-	var seen uint64
-	for seen < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("stalled at version %d", seen)
-		}
-		batch, ok := q.Take()
-		if !ok {
-			t.Fatal("queue closed")
-		}
-		for i := range batch {
-			seen = batch[i].Version
-		}
-	}
-}
-
-// FuzzRefreshCodec feeds arbitrary bytes to the payload parser: it must
-// never panic, and anything it accepts must round-trip through the
-// encoder unchanged (the parse→encode→parse fixed point).
+// FuzzRefreshCodec feeds arbitrary bytes to the refresh payload parser:
+// it must never panic, and anything it accepts must round-trip through
+// the encoder unchanged (the parse→encode→parse fixed point).
 func FuzzRefreshCodec(f *testing.F) {
-	seed, err := appendRefreshPayload(nil, codecBatch())
+	seed, err := refreshBatch(codecBatch()).appendTo(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -360,23 +261,23 @@ func FuzzRefreshCodec(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x01, 0x01, 0x01, 0x00, 0x01, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := parseRefreshPayload(data)
-		if err != nil {
+		var batch refreshBatch
+		if err := parsePayload(data, &batch); err != nil {
 			return
 		}
-		enc, err := appendRefreshPayload(nil, batch)
+		enc, err := batch.appendTo(nil)
 		if err != nil {
 			t.Fatalf("accepted payload failed to re-encode: %v", err)
 		}
-		again, err := parseRefreshPayload(enc)
-		if err != nil {
+		var again refreshBatch
+		if err := parsePayload(enc, &again); err != nil {
 			t.Fatalf("re-encoded payload failed to parse: %v", err)
 		}
 		// The fixed point is asserted at the byte level: encode(again)
 		// must reproduce enc exactly. DeepEqual would be wrong here —
 		// float rows can legally hold NaN, which the codec round-trips
 		// bit-exactly but == (and so DeepEqual) reports as unequal.
-		enc2, err := appendRefreshPayload(nil, again)
+		enc2, err := again.appendTo(nil)
 		if err != nil {
 			t.Fatalf("re-parsed payload failed to encode: %v", err)
 		}

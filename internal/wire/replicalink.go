@@ -1,10 +1,12 @@
 package wire
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
 	"sconrep/internal/sql"
+	"sconrep/internal/writeset"
 )
 
 // Replica-link protocol (gateway ⇄ replica).
@@ -22,9 +25,9 @@ import (
 type replicaRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	// Op is "exec", "commit", "abort" or "status"; empty on a request
+	// Op is opExec, opCommit, opAbort or opStatus; opNone on a request
 	// that carries nothing but the begin header.
-	Op string
+	Op op
 
 	// Begin marks the begin header: the replica passes its serve gate,
 	// starts a transaction under MinVersion (the start delay), and runs
@@ -32,9 +35,7 @@ type replicaRequest struct {
 	// the request failed or ended the transaction.
 	Begin      bool
 	MinVersion uint64
-	// Trace is the caller's span context for the begin — an optional
-	// frame-header extension old peers ignore (gob skips unknown
-	// fields and zero-fills missing ones).
+	// Trace is the caller's span context for the begin.
 	Trace dtrace.SpanContext
 
 	// exec / commit / abort (ignored under Begin)
@@ -44,10 +45,32 @@ type replicaRequest struct {
 	Eager  bool
 }
 
+func (r *replicaRequest) appendTo(buf []byte) ([]byte, error) {
+	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) | flagIf(r.Eager, flagEager)
+	buf = binary.AppendUvarint(buf, r.Seq)
+	buf = appendSpan(append(buf, byte(r.Op), flags), flags, r.Trace)
+	buf = binary.AppendUvarint(buf, r.MinVersion)
+	buf = binary.AppendUvarint(buf, r.TxnID)
+	buf = writeset.AppendString(buf, r.SQL)
+	return writeset.AppendRow(buf, r.Params)
+}
+
+func (r *replicaRequest) parse(d *writeset.Decoder) {
+	r.Seq = d.Uvarint()
+	r.Op = readOp(d)
+	flags := readFlags(d, flagBegin|flagTrace|flagEager)
+	r.Begin, r.Eager = flags&flagBegin != 0, flags&flagEager != 0
+	r.Trace = readSpan(d, flags)
+	r.MinVersion = d.Uvarint()
+	r.TxnID = d.Uvarint()
+	r.SQL = d.Str()
+	r.Params = d.Row()
+}
+
 type replicaResponse struct {
 	Seq     uint64
 	Err     string
-	ErrCode string // "conflict", "crashed", "unavailable", "" — retryability over the wire
+	ErrCode errCode // retryability over the wire
 
 	TxnID    uint64
 	Snapshot uint64
@@ -64,6 +87,42 @@ type replicaResponse struct {
 	// Ready reports the serve gate: false while the replica's refresh
 	// stream is down or it is catching up after a partition.
 	Ready bool
+}
+
+func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
+	flags := flagIf(r.Result != nil, flagResult) | flagIf(r.Commit.ReadOnly, flagReadOnly) |
+		flagIf(r.Crashed, flagCrashed) | flagIf(r.Ready, flagReady)
+	buf = binary.AppendUvarint(buf, r.Seq)
+	buf = writeset.AppendString(append(buf, flags, byte(r.ErrCode)), r.Err)
+	buf = binary.AppendUvarint(buf, r.TxnID)
+	buf = binary.AppendUvarint(buf, r.Snapshot)
+	buf, err := appendResult(buf, r.Result)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.AppendUvarint(buf, r.Commit.Version)
+	buf = appendStrings(buf, r.Commit.WrittenTables)
+	buf = appendVersions(buf, r.Commit.TableVersions)
+	buf = appendStrings(buf, r.Touched)
+	buf = binary.AppendUvarint(buf, r.Version)
+	return binary.AppendVarint(buf, int64(r.Active)), nil
+}
+
+func (r *replicaResponse) parse(d *writeset.Decoder) {
+	r.Seq = d.Uvarint()
+	flags := readFlags(d, flagResult|flagReadOnly|flagCrashed|flagReady)
+	r.Commit.ReadOnly, r.Crashed, r.Ready = flags&flagReadOnly != 0, flags&flagCrashed != 0, flags&flagReady != 0
+	r.ErrCode = readErrCode(d)
+	r.Err = d.Str()
+	r.TxnID = d.Uvarint()
+	r.Snapshot = d.Uvarint()
+	r.Result = readResult(d, flags)
+	r.Commit.Version = d.Uvarint()
+	r.Commit.WrittenTables = readStrings(d)
+	r.Commit.TableVersions = readVersions(d)
+	r.Touched = readStrings(d)
+	r.Version = d.Uvarint()
+	r.Active = int(d.Varint())
 }
 
 func (r *replicaRequest) setSeq(n uint64) { r.Seq = n }
@@ -84,34 +143,54 @@ func (g *seqGuard) ok(seq uint64) bool {
 	return true
 }
 
-func errCode(err error) string {
+// errCode carries an error's retryability over the wire.
+type errCode uint8
+
+const (
+	codeNone errCode = iota
+	codeOther
+	codeConflict
+	codeCrashed
+	codeUnavailable
+	numErrCodes
+)
+
+func readErrCode(d *writeset.Decoder) errCode {
+	c := errCode(d.Byte())
+	if c >= numErrCodes {
+		d.Fail()
+	}
+	return c
+}
+
+func codeOf(err error) errCode {
 	switch {
 	case err == nil:
-		return ""
+		return codeNone
 	case errors.Is(err, replica.ErrCertifyConflict), errors.Is(err, replica.ErrEarlyAbort):
-		return "conflict"
+		return codeConflict
 	case errors.Is(err, replica.ErrCrashed):
-		return "crashed"
+		return codeCrashed
 	case errors.Is(err, ErrUnavailable), errors.Is(err, lb.ErrNoReplicas):
-		return "unavailable"
+		return codeUnavailable
 	default:
-		return "other"
+		return codeOther
 	}
 }
 
-func decodeErr(resp *replicaResponse) error {
-	if resp.Err == "" {
+func decodeErr(code errCode, msg string) error {
+	if msg == "" {
 		return nil
 	}
-	switch resp.ErrCode {
-	case "conflict":
-		return fmt.Errorf("%w: %s", replica.ErrCertifyConflict, resp.Err)
-	case "crashed":
-		return fmt.Errorf("%w: %s", replica.ErrCrashed, resp.Err)
-	case "unavailable":
-		return fmt.Errorf("%w: %s", ErrUnavailable, resp.Err)
+	switch code {
+	case codeConflict:
+		return fmt.Errorf("%w: %s", replica.ErrCertifyConflict, msg)
+	case codeCrashed:
+		return fmt.Errorf("%w: %s", replica.ErrCrashed, msg)
+	case codeUnavailable:
+		return fmt.Errorf("%w: %s", ErrUnavailable, msg)
 	default:
-		return errors.New(resp.Err)
+		return errors.New(msg)
 	}
 }
 
@@ -121,6 +200,9 @@ type ReplicaServer struct {
 	ln   net.Listener
 	opts options
 
+	// mu guards the server's books; an operation that ends a transaction
+	// drops it from txns while still holding that transaction's lock.
+	// locks after openTxn.mu
 	mu sync.Mutex
 	// closed refuses new connections.
 	// guarded by mu
@@ -130,12 +212,14 @@ type ReplicaServer struct {
 	conns map[net.Conn]struct{}
 	// txns maps wire txn IDs to open transactions.
 	// guarded by mu
-	txns map[uint64]*replica.Txn
+	txns map[uint64]*openTxn
 	// next is the last issued wire txn ID.
 	// guarded by mu
 	next uint64
 	// stmts caches parses by statement text (string → *sql.Prepared):
-	// written once per distinct statement, read on every exec.
+	// written once per distinct statement, read on every exec. Keys and
+	// parses are built from an owned copy of the text, never from the
+	// request frame it first arrived in.
 	stmts sync.Map
 	// obsReqs is set once by EnableObs, before traffic; nil-safe until
 	// then.
@@ -163,7 +247,7 @@ func ServeReplica(rep *replica.Replica, addr string, opts ...Option) (*ReplicaSe
 		ln:    ln,
 		opts:  buildOptions(opts),
 		conns: make(map[net.Conn]struct{}),
-		txns:  make(map[uint64]*replica.Txn),
+		txns:  make(map[uint64]*openTxn),
 	}
 	go s.acceptLoop()
 	return s, nil
@@ -203,6 +287,7 @@ func (s *ReplicaServer) prepared(text string) (*sql.Prepared, error) {
 	if p, ok := s.stmts.Load(text); ok {
 		return p.(*sql.Prepared), nil
 	}
+	text = strings.Clone(text)
 	p, err := sql.Prepare(text)
 	if err != nil {
 		return nil, err
@@ -211,11 +296,22 @@ func (s *ReplicaServer) prepared(text string) (*sql.Prepared, error) {
 	return p, nil
 }
 
-func (s *ReplicaServer) getTxn(id uint64) (*replica.Txn, bool) {
+// openTxn is a transaction a TxnID names. A replica.Txn is one
+// client's and not safe for concurrent use, but requests naming the same
+// TxnID can arrive on two connections at once: the gateway gives up on
+// an exchange whose connection broke while the replica is still
+// executing it, and sends the session's abort on another.
+type openTxn struct {
+	// mu serializes operations on tx.
+	mu sync.Mutex
+	tx *replica.Txn
+}
+
+func (s *ReplicaServer) getTxn(id uint64) (*openTxn, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tx, ok := s.txns[id]
-	return tx, ok
+	ot, ok := s.txns[id]
+	return ot, ok
 }
 
 // addTxn registers an open transaction under a fresh wire txn ID.
@@ -223,7 +319,7 @@ func (s *ReplicaServer) addTxn(tx *replica.Txn) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.next++
-	s.txns[s.next] = tx
+	s.txns[s.next] = &openTxn{tx: tx}
 	return s.next
 }
 
@@ -247,16 +343,21 @@ func (s *ReplicaServer) handle(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(c)
-	fw := newFrameWriter(c)
-	defer fw.release()
+	fc := newFrameConn(c)
+	if d := s.opts.to.Idle; d > 0 {
+		c.SetReadDeadline(time.Now().Add(d))
+	}
+	if _, err := fc.recvHello(string(linkReplica), nil); err != nil {
+		log.Printf("wire: replica %d: rejecting %s: %v", s.rep.ID(), c.RemoteAddr(), err)
+		return
+	}
 	var guard seqGuard
 	for {
 		if d := s.opts.to.Idle; d > 0 {
 			c.SetReadDeadline(time.Now().Add(d))
 		}
 		var req replicaRequest
-		if err := dec.Decode(&req); err != nil {
+		if err := fc.recv(&req); err != nil {
 			return
 		}
 		if !guard.ok(req.Seq) {
@@ -268,10 +369,21 @@ func (s *ReplicaServer) handle(c net.Conn) {
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
 		}
-		if err := fw.encode(resp); err != nil {
+		if err := fc.send(resp); err != nil {
 			return
 		}
 	}
+}
+
+// ownStrings replaces string parameters, which alias the request frame,
+// with copies: a parameter can end up stored in a row.
+func ownStrings(params []any) []any {
+	for i, v := range params {
+		if s, ok := v.(string); ok {
+			params[i] = strings.Clone(s)
+		}
+	}
+	return params
 }
 
 // dispatch serves one request: the begin header, when present, opens
@@ -281,18 +393,18 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 	if req.Begin {
 		reqs.With("begin").Inc()
 	}
-	if req.Op != "" {
-		reqs.With(req.Op).Inc()
+	if req.Op != opNone {
+		reqs.With(req.Op.String()).Inc()
 	}
 	resp := &replicaResponse{}
 	fail := func(err error) *replicaResponse {
 		resp.Err = err.Error()
-		resp.ErrCode = errCode(err)
+		resp.ErrCode = codeOf(err)
 		return resp
 	}
 	var tx *replica.Txn
 	switch {
-	case req.Op == "status":
+	case req.Op == opStatus:
 		resp.Version = s.rep.Version()
 		resp.Active = s.rep.Active()
 		resp.Crashed = s.rep.Crashed()
@@ -314,31 +426,34 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 		}
 		resp.Snapshot = tx.Snapshot()
 	default:
-		var ok bool
-		if tx, ok = s.getTxn(req.TxnID); !ok {
-			if req.Op == "abort" {
+		ot, ok := s.getTxn(req.TxnID)
+		if !ok {
+			if req.Op == opAbort {
 				return resp
 			}
 			return fail(replica.ErrTxnDone)
 		}
+		ot.mu.Lock()
+		defer ot.mu.Unlock()
+		tx = ot.tx
 	}
 	// ended: the operation finished the transaction, one way or another.
 	var ended bool
 	var err error
 	switch req.Op {
-	case "":
-	case "exec":
+	case opNone:
+	case opExec:
 		var p *sql.Prepared
 		if p, err = s.prepared(req.SQL); err == nil {
-			resp.Result, err = tx.Exec(p, req.Params...)
+			resp.Result, err = tx.Exec(p, ownStrings(req.Params)...)
 		}
 		ended = errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed)
-	case "commit":
+	case opCommit:
 		ended = true
 		resp.Touched = tx.Touched()
 		resp.Commit, err = tx.Commit(req.Eager)
 		resp.Snapshot = tx.Snapshot()
-	case "abort":
+	case opAbort:
 		ended = true
 		tx.Abort()
 	default:
@@ -374,7 +489,8 @@ type remoteReplica struct {
 }
 
 func newRemoteReplica(id int, addr string, o *options) *remoteReplica {
-	r := &remoteReplica{id: id, pool: newConnPool(addr, nil, o.dialer(addr), o.to)}
+	hello := func() outFrame { return bareHello(linkReplica) }
+	r := &remoteReplica{id: id, pool: newConnPool(addr, hello, o.dialer(addr), o.to)}
 	r.healthy.Store(true)
 	return r
 }
@@ -394,10 +510,10 @@ func (r *remoteReplica) call(req *replicaRequest) (*replicaResponse, error) {
 		r.healthy.Store(false)
 		return nil, err
 	}
-	if resp.ErrCode == "crashed" || resp.ErrCode == "unavailable" {
+	if resp.ErrCode == codeCrashed || resp.ErrCode == codeUnavailable {
 		r.healthy.Store(false)
 	}
-	return &resp, decodeErr(&resp)
+	return &resp, decodeErr(resp.ErrCode, resp.Err)
 }
 
 // probe refreshes the health flag; the gateway calls it periodically
@@ -405,7 +521,7 @@ func (r *remoteReplica) call(req *replicaRequest) (*replicaResponse, error) {
 // recover or catch up.
 func (r *remoteReplica) probe() {
 	var resp replicaResponse
-	if err := r.pool.call(&replicaRequest{Op: "status"}, &resp); err != nil {
+	if err := r.pool.call(&replicaRequest{Op: opStatus}, &resp); err != nil {
 		r.healthy.Store(false)
 		return
 	}

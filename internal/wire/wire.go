@@ -1,10 +1,11 @@
-// Package wire provides the TCP/gob transport that turns the
-// in-process cluster into a distributed deployment, mirroring the
-// paper's testbed topology (Figure 2):
+// Package wire provides the TCP transport that turns the in-process
+// cluster into a distributed deployment, mirroring the paper's testbed
+// topology (Figure 2):
 //
 //	client ⇄ gateway (load balancer) ⇄ replicas ⇄ certifier
 //
-// Three protocols, all gob-framed over TCP:
+// Three protocols over TCP, all in the one length-prefixed binary frame
+// codec of frame.go:
 //
 //   - certifier link (CertServer / CertClient): replicas certify
 //     writesets, stream refreshes, acknowledge applies, and fetch
@@ -14,34 +15,27 @@
 //   - client link (Gateway / Client): applications open sessions and
 //     run named transactions.
 //
-// On the last two a request is an optional begin header plus an
-// operation: starting a transaction is not an exchange of its own, the
-// header rides on the transaction's first request.
+// Every connection opens with a hello frame carrying the protocol
+// version; there is no negotiation. On the last two links a request is
+// an optional begin header plus an operation: starting a transaction is
+// not an exchange of its own, the header rides on the transaction's
+// first request.
 //
 // Request/response calls use small per-destination connection pools
 // (one in-flight call per connection); refresh streaming uses one
 // dedicated connection per replica. Row values are []any restricted to
-// int64/float64/string/bool/nil, which gob handles once registered.
+// int64/float64/string/bool/nil, laid out by internal/writeset.
 package wire
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"sconrep/internal/certifier"
-	"sconrep/internal/writeset"
 )
-
-func init() {
-	// Row values travel as interface fields.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
-}
 
 // connPool is a lazily grown pool of connections to one address. Each
 // Call takes a connection for a full request/response exchange.
@@ -56,16 +50,14 @@ type connPool struct {
 	// free is the idle-connection list.
 	// guarded by mu
 	free []*rpcConn
-	// hello is sent once on every new connection to select the peer's
-	// handler. A func() any is invoked per connection, for hellos that
-	// carry live state (the certifier client's Vlocal).
-	hello any
+	// hello builds the first frame of every new connection; invoked per
+	// connection because a hello can carry live state (the certifier
+	// client's Vlocal).
+	hello func() outFrame
 }
 
 type rpcConn struct {
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	*frameConn
 	// pooled marks connections reused from the free list: a send
 	// failure on one usually means the server idled it out, so the call
 	// is retried once on a fresh dial.
@@ -77,12 +69,19 @@ type rpcConn struct {
 	seq uint64
 }
 
-// seqReq / seqResp are implemented by request/response frame types that
-// carry a per-connection sequence number.
-type seqReq interface{ setSeq(uint64) }
-type seqResp interface{ seq() uint64 }
+// request / response are the frame types of a call: each carries a
+// per-connection sequence number.
+type request interface {
+	outFrame
+	setSeq(uint64)
+}
 
-func newConnPool(addr string, hello any, dial Dialer, to Timeouts) *connPool {
+type response interface {
+	inFrame
+	seq() uint64
+}
+
+func newConnPool(addr string, hello func() outFrame, dial Dialer, to Timeouts) *connPool {
 	if dial == nil {
 		dial = net.Dial
 	}
@@ -103,19 +102,13 @@ func (p *connPool) get() (*rpcConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", p.addr, err)
 	}
-	rc := &rpcConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
-	if p.hello != nil {
-		h := p.hello
-		if fn, ok := h.(func() any); ok {
-			h = fn()
-		}
-		if d := p.to.Call; d > 0 {
-			c.SetWriteDeadline(time.Now().Add(d))
-		}
-		if err := rc.enc.Encode(h); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("wire: hello to %s: %w", p.addr, err)
-		}
+	rc := &rpcConn{frameConn: newFrameConn(c)}
+	if d := p.to.Call; d > 0 {
+		c.SetWriteDeadline(time.Now().Add(d))
+	}
+	if err := rc.send(p.hello()); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("wire: hello to %s: %w", p.addr, err)
 	}
 	return rc, nil
 }
@@ -128,7 +121,7 @@ func (p *connPool) put(rc *rpcConn) {
 
 // call performs one request/response exchange; on any error the
 // connection is discarded.
-func (p *connPool) call(req, resp any) error {
+func (p *connPool) call(req request, resp response) error {
 	return p.callDeadline(req, resp, p.to.Call)
 }
 
@@ -137,22 +130,20 @@ func (p *connPool) call(req, resp any) error {
 // server likely reaped it while idle — the exchange is retried once on
 // a fresh connection; a send that reached the wire is never retried
 // here, so retry-safety decisions stay with the callers.
-func (p *connPool) callDeadline(req, resp any, d time.Duration) error {
+func (p *connPool) callDeadline(req request, resp response, d time.Duration) error {
 	for {
 		rc, err := p.get()
 		if err != nil {
 			return err
 		}
 		rc.seq++
-		if sr, ok := req.(seqReq); ok {
-			sr.setSeq(rc.seq)
-		}
+		req.setSeq(rc.seq)
 		if d > 0 {
 			rc.c.SetWriteDeadline(time.Now().Add(d))
 		}
-		if err := rc.enc.Encode(req); err != nil {
+		if err := rc.send(req); err != nil {
 			rc.c.Close()
-			if rc.pooled {
+			if rc.pooled && !errors.Is(err, errEncode) {
 				continue
 			}
 			return fmt.Errorf("wire: send to %s: %w", p.addr, err)
@@ -160,13 +151,13 @@ func (p *connPool) callDeadline(req, resp any, d time.Duration) error {
 		if d > 0 {
 			rc.c.SetReadDeadline(time.Now().Add(d))
 		}
-		if err := rc.dec.Decode(resp); err != nil {
+		if err := rc.recv(resp); err != nil {
 			rc.c.Close()
 			return fmt.Errorf("wire: recv from %s: %w", p.addr, err)
 		}
-		if sr, ok := resp.(seqResp); ok && sr.seq() != rc.seq {
+		if resp.seq() != rc.seq {
 			rc.c.Close()
-			return fmt.Errorf("wire: response out of sequence from %s (got %d, want %d)", p.addr, sr.seq(), rc.seq)
+			return fmt.Errorf("wire: response out of sequence from %s (got %d, want %d)", p.addr, resp.seq(), rc.seq)
 		}
 		if d > 0 {
 			rc.c.SetDeadline(time.Time{})
@@ -261,8 +252,3 @@ func (q *refreshQueue) close() {
 	default:
 	}
 }
-
-// cloneWS deep-copies a writeset received from the network (defensive;
-// gob already allocates fresh storage, but the certifier retains
-// references).
-func cloneWS(ws *writeset.WriteSet) *writeset.WriteSet { return ws.Clone() }

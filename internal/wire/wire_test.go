@@ -19,6 +19,7 @@ import (
 // loopback TCP: certifier server, N replica servers (each dialing the
 // certifier through the network), and a gateway.
 type deployment struct {
+	cert     *certifier.Certifier
 	certSrv  *CertServer
 	repSrvs  []*ReplicaServer
 	clients  []*CertClient
@@ -26,7 +27,7 @@ type deployment struct {
 	gateway  *Gateway
 }
 
-func loadKV(t *testing.T, eng *storage.Engine) {
+func loadKV(t testing.TB, eng *storage.Engine) {
 	t.Helper()
 	err := eng.CreateTable(&storage.Schema{
 		Table:   "kv",
@@ -47,14 +48,14 @@ func loadKV(t *testing.T, eng *storage.Engine) {
 	}
 }
 
-func newDeployment(t *testing.T, n int, mode core.Mode) *deployment {
+func newDeployment(t testing.TB, n int, mode core.Mode) *deployment {
 	t.Helper()
 	return newDeploymentWith(t, n, mode)
 }
 
 // newDeploymentWith is newDeployment with extra options on the replica
 // servers.
-func newDeploymentWith(t *testing.T, n int, mode core.Mode, repOpts ...Option) *deployment {
+func newDeploymentWith(t testing.TB, n int, mode core.Mode, repOpts ...Option) *deployment {
 	t.Helper()
 	d := &deployment{}
 	cert := certifier.New(append([]certifier.Option(nil), func() []certifier.Option {
@@ -63,6 +64,7 @@ func newDeploymentWith(t *testing.T, n int, mode core.Mode, repOpts ...Option) *
 		}
 		return nil
 	}()...)...)
+	d.cert = cert
 	var err error
 	d.certSrv, err = ServeCertifier(cert, "127.0.0.1:0")
 	if err != nil {
@@ -366,7 +368,7 @@ func TestDistributedReplicaCrashFailover(t *testing.T) {
 func TestStatusAndStmtCache(t *testing.T) {
 	d := newDeployment(t, 1, core.Coarse)
 	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &options{})
-	resp, err := rr.call(&replicaRequest{Op: "status"})
+	resp, err := rr.call(&replicaRequest{Op: opStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,5 +563,92 @@ func TestBeginHeaderRefused(t *testing.T) {
 	lone.Start("", nil, dtrace.SpanContext{})
 	if _, err := lone.Exec(`SELECT v FROM kv WHERE k = 1`); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("header+exec with no replica configured: %v, want ErrUnavailable", err)
+	}
+}
+
+// TestTraceContextPropagates: a span context set by the client rides
+// the begin header through the gateway's route span to the replica's
+// transaction, the certify request to the certifier, and the writeset
+// of the refresh to the other replica's apply — one trace, no orphan.
+// An untraced client's transaction roots at the gateway's route span
+// instead of fragmenting.
+func TestTraceContextPropagates(t *testing.T) {
+	d := newDeployment(t, 2, core.Coarse)
+	coll := dtrace.NewCollector(256)
+	d.gateway.Balancer().EnableTracing(dtrace.New("gateway", coll))
+	d.cert.EnableTracing(dtrace.New("certifier", coll))
+	for i, rep := range d.replicas {
+		rep.EnableTracing(dtrace.New(fmt.Sprintf("replica%d", i), coll))
+	}
+	c, err := Dial(d.gateway.Addr(), "traced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	update := func(sc dtrace.SpanContext) {
+		t.Helper()
+		c.Start("", nil, sc)
+		if _, err := c.Exec(`UPDATE kv SET v = ? WHERE k = ?`, "traced", int64(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ro, err := c.Commit(); err != nil || ro {
+			t.Fatalf("commit: readOnly=%v err=%v", ro, err)
+		}
+		waitConverged(t, d)
+	}
+	// spansOf polls for the trace until the asynchronous refresh apply
+	// has ended its span.
+	spansOf := func(pick func(dtrace.Span) bool) (map[string]dtrace.Span, []dtrace.Span) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			byName := map[string]dtrace.Span{}
+			var trace dtrace.TraceID
+			for _, sp := range coll.Recent(0) {
+				if pick(sp) {
+					trace = sp.Trace
+				}
+			}
+			spans := coll.Trace(trace)
+			for _, sp := range spans {
+				byName[sp.Name] = sp
+			}
+			if _, ok := byName["refresh.apply"]; ok {
+				return byName, dtrace.Orphans(spans)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("trace incomplete: have %v", byName)
+			}
+		}
+	}
+
+	root := testSpan()
+	update(root)
+	spans, orphans := spansOf(func(sp dtrace.Span) bool { return sp.Trace == root.Trace })
+	// The client's own span was never recorded; its children (the route
+	// and the replica transaction) are the only spans missing a parent.
+	for _, sp := range orphans {
+		if sp.Parent != root.Span {
+			t.Errorf("orphan span %s: parent %s missing", sp.Name, sp.Parent)
+		}
+	}
+	for _, name := range []string{"lb.route", "replica.txn", "replica.commit", "certifier.certify", "refresh.apply"} {
+		if sp, ok := spans[name]; !ok || sp.Trace != root.Trace {
+			t.Errorf("span %s not in the client's trace (have %v)", name, sp)
+		}
+	}
+	if got := spans["lb.route"].Parent; got != root.Span {
+		t.Errorf("lb.route parent = %s, want the client's span %s", got, root.Span)
+	}
+
+	update(dtrace.SpanContext{})
+	spans, orphans = spansOf(func(sp dtrace.Span) bool { return sp.Name == "lb.route" && sp.Trace != root.Trace })
+	if len(orphans) != 0 {
+		t.Errorf("orphans in a gateway-rooted trace: %v", orphans)
+	}
+	if got := spans["lb.route"].Parent; got != (dtrace.SpanID{}) {
+		t.Errorf("lb.route for an untraced client has parent %s", got)
+	}
+	if got := spans["replica.txn"].Parent; got != spans["lb.route"].ID {
+		t.Errorf("replica.txn parent = %s, want the route span %s", got, spans["lb.route"].ID)
 	}
 }

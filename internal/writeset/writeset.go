@@ -63,8 +63,7 @@ type WriteSet struct {
 	// writeset is the one allocation already shared by every replica's
 	// refresh copy: the envelopes that flow through mailbox rings,
 	// reorder buffers, and group-apply batches by value stay exactly
-	// as small as before tracing. Nil when tracing is off; peers that
-	// predate tracing leave it nil and gob skips it in both directions.
+	// as small as before tracing. Nil when tracing is off.
 	Trace *dtrace.SpanContext
 }
 

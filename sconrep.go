@@ -348,16 +348,19 @@ func (s *SessionHandle) BeginWithTableSet(tables ...string) (*Tx, error) {
 	return &Tx{tx: tx}, nil
 }
 
-// Exec runs an ad-hoc SQL statement inside the transaction.
+// Exec runs an ad-hoc SQL statement inside the transaction. ErrConflict
+// means early certification already aborted it; retry the whole
+// transaction.
 func (t *Tx) Exec(q string, args ...any) (*Result, error) {
 	r, err := t.tx.ExecSQL(q, args...)
-	return fromSQLResult(r), err
+	return fromSQLResult(r), mapErr(err)
 }
 
-// Stmt runs a prepared statement inside the transaction.
+// Stmt runs a prepared statement inside the transaction; errors as for
+// Exec.
 func (t *Tx) Stmt(st *Stmt, args ...any) (*Result, error) {
 	r, err := t.tx.Exec(st.p, args...)
-	return fromSQLResult(r), err
+	return fromSQLResult(r), mapErr(err)
 }
 
 // Commit finishes the transaction. ErrConflict means a concurrent
