@@ -64,8 +64,10 @@ ci:
 
 # Seeded chaos harness: fault-injected TPC-W over the networked
 # cluster, oracle-checked in all four modes, under the race detector.
-# -run TestChaos matches both the single-sequencer runs and
-# TestChaosSharded (4-shard certifier, version-order oracle).
+# -run TestChaos matches the single-sequencer runs, TestChaosSharded
+# (4-shard certifier, version-order oracle) and TestChaosBacklog
+# (replicas held down until a deep backlog forms, so the refresh
+# applier cuts batches into concurrent runs; fails if none was cut).
 # Replay one failing seed with:
 #   SCONREP_CHAOS_SEED=<s> $(GO) test -race -run 'TestChaos/<mode>' ./internal/cluster/
 chaos:
@@ -84,9 +86,10 @@ recovery:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-path benchmarks: group-applied refresh batches (serial, parallel
-# conflict-aware, fully-conflicting fallback) vs the seed's
-# per-writeset path, sharded certification throughput (1 vs 4
+# Hot-path benchmarks: the one refresh-apply route on four inputs
+# (one-run batches at cap 1, a record-disjoint batch cut into
+# concurrent runs, a fully-conflicting batch, an 8192-deep backlog
+# under the default config), sharded certification throughput (1 vs 4
 # sequencers over disjoint / cross-shard / single-hot-table
 # workloads), the 100k-entry History lookup, refresh streaming
 # over a real TCP link, per-replica refresh bytes under partial shard
@@ -98,7 +101,7 @@ bench:
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
 HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/parallel,BenchmarkRefreshApply/conflicting,BenchmarkRefreshApply/perwriteset,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/parallel,BenchmarkRefreshApply/conflicting,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
 		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ \

@@ -62,7 +62,7 @@ func main() {
 	backoffMax := flag.Duration("backoff-max", time.Second, "backoff ceiling")
 	subLease := flag.Duration("sub-lease", 10*time.Second, "certifier role: how long a replica stays subscribed after its refresh stream drops")
 	streamGrace := flag.Duration("stream-grace", 500*time.Millisecond, "replica role: how long after losing the refresh stream the replica keeps serving; must stay below -sub-lease")
-	applyWorkers := flag.Int("apply-workers", 0, "replica role: width of the conflict-aware parallel refresh applier (0 = default, 1 = serial group apply)")
+	applyWorkers := flag.Int("apply-workers", 0, "replica role: cap on how many concurrently installed runs one refresh batch is cut into (0 = default, 1 = always one run)")
 	maxApplyBatch := flag.Int("max-apply-batch", 0, "replica role: refresh group-apply batch bound (0 = default)")
 	shards := flag.Int("shards", 1, "certifier/replica/gateway roles: number of certification shards; every role of one deployment must agree")
 	shardTables := flag.String("shard-tables", "", "explicit table→shard pins as table=shard[,table=shard...]; unlisted tables hash over [0,shards). Must be identical on every role")

@@ -54,8 +54,8 @@ type Config struct {
 	WAL *wal.Log
 	// RecordHistory enables the consistency-checking event recorder.
 	RecordHistory bool
-	// ApplyWorkers is forwarded to every replica's conflict-aware
-	// parallel refresh applier (0 = the replica default).
+	// ApplyWorkers is forwarded to every replica as the cap on its
+	// refresh-apply width (0 = the replica default).
 	ApplyWorkers int
 	// MaxApplyBatch is forwarded to every replica's group-apply batch
 	// bound (0 = the replica default).

@@ -173,7 +173,7 @@ func (s *Source) Statement() { s.sleep(s.m.StatementCPU) }
 func (s *Source) ApplyWriteSet() { s.sleep(s.heavyTailed(s.m.ApplyWriteSet)) }
 
 // ApplyWriteSetBatch simulates group-applying n contiguous refresh
-// writesets under one engine critical section: the first writeset pays
+// writesets as one batch: the first writeset pays
 // the full apply cost, each subsequent one only the marginal fraction,
 // and the heavy tail is drawn once for the whole batch — a checkpoint
 // stall hits the group, not every member (the group-commit shape).

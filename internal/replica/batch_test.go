@@ -344,6 +344,59 @@ func TestCommitAdoptsOwnBackfilledRefresh(t *testing.T) {
 	if tx2.Snapshot() != 2 {
 		t.Fatalf("snapshot = %d, want 2", tx2.Snapshot())
 	}
+	// The same race can leave the backfilled copy in the reorder buffer
+	// after its version is published (admitted against a pre-apply
+	// Vlocal). Plant one: the drainer drops it the next time it idles.
+	r.mu.Lock()
+	r.reorder[2] = certifier.Refresh{TxnID: tx.id, Version: 2, Origin: -1, WS: &writeset.WriteSet{}}
+	r.cond.Broadcast()
+	r.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		r.mu.Lock()
+		stale := len(r.reorder)
+		r.mu.Unlock()
+		if stale == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stale reorder entry survived an idle drainer: %d left", stale)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEarlyCertIgnoresStaleReorderEntry: a duplicate refresh that
+// reached the reorder buffer after its version was published stays
+// there until the drainer next idles. A transaction whose snapshot
+// already includes that version must not be killed by it.
+func TestEarlyCertIgnoresStaleReorderEntry(t *testing.T) {
+	rg := newRig(t, 2, true)
+	defer rg.close()
+	r := rg.replicas[1]
+
+	res := commitUpdate(t, rg.replicas[0], 7, "first")
+	waitVersion(t, r, res.Version)
+	dup := rg.cert.History(res.Version - 1)
+	if len(dup) == 0 || dup[0].Version != res.Version {
+		t.Fatalf("history after %d = %v", res.Version-1, dup)
+	}
+	tx, err := r.Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
+	// No broadcast: the drainer sleeps on, so the entry is still there
+	// when the write statement scans the buffer.
+	r.mu.Lock()
+	r.reorder[res.Version] = dup[0]
+	r.mu.Unlock()
+	if _, err := tx.Exec(setStmt, "second", int64(7)); err != nil {
+		t.Fatalf("write over an already visible version: %v", err)
+	}
+	if _, err := tx.Commit(false); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestEarlyCertKillMidBatch pins an active transaction against a

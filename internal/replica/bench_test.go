@@ -11,7 +11,12 @@ import (
 
 // benchBacklog is the refresh backlog each measured drain works
 // through — the acceptance scenario for the group-apply hot path.
-const benchBacklog = 64
+// deepBacklog is the deep sub-benchmark's: what a recovering replica's
+// History backfill or a stalled drainer leaves behind.
+const (
+	benchBacklog = 64
+	deepBacklog  = 8192
+)
 
 func benchEngine(b *testing.B) *storage.Engine {
 	b.Helper()
@@ -36,46 +41,44 @@ func benchEngine(b *testing.B) *storage.Engine {
 	return eng
 }
 
-// BenchmarkRefreshApply drains a 64-refresh backlog per iteration:
+// BenchmarkRefreshApply drains a refresh backlog per iteration — four
+// inputs to the one apply route (applyBatch):
 //
-//   - batched: the serial group-apply configuration (ApplyWorkers=1) —
-//     the PR 4 baseline the parallel applier is measured against;
-//   - parallel: the conflict-aware worker pool on a non-conflicting
-//     backlog (64 distinct keys), the applier's best case;
-//   - conflicting: the pool on a fully-conflicting backlog (one hot
-//     key) — the conflict graph is a pure chain, so this exercises the
-//     serial fallback and must not regress against batched;
-//   - perwriteset: the seed's pre-batching path (one engine critical
-//     section, one broadcast, and one ack goroutine per refresh).
+//   - batched: 64 refreshes over ten keys at ApplyWorkers = 1 and the
+//     default batch bound, so eight one-run batches of eight;
+//   - parallel: 64 distinct keys in one batch at cap 4 — an edge-free
+//     conflict graph, as many runs as the host's processors allow;
+//   - conflicting: one hot key in one batch at cap 4 — a pure chain, so
+//     one run on the drainer's goroutine; must not regress against
+//     batched;
+//   - deep: an 8192-deep backlog under the default Config, keys
+//     i mod 997, delivered in one Take — the regression guard for the
+//     drain staying linear in the backlog's depth.
 //
 // No latency model is attached: the numbers are the pure hot-path
-// cost, which is what the batching and parallel-apply work set out to
-// cut.
+// cost.
 func BenchmarkRefreshApply(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		cfg  Config
-		per  bool
-		key  func(i int) int64
+		name    string
+		cfg     Config
+		backlog int
+		key     func(i int) int64
 	}{
-		{"batched", Config{ID: 0, ApplyWorkers: 1}, false, func(i int) int64 { return int64(i % 10) }},
-		{"parallel", Config{ID: 0, ApplyWorkers: 4, MaxApplyBatch: benchBacklog}, false, func(i int) int64 { return int64(i) }},
-		{"conflicting", Config{ID: 0, ApplyWorkers: 4, MaxApplyBatch: benchBacklog}, false, func(i int) int64 { return 0 }},
-		{"perwriteset", Config{ID: 0, ApplyWorkers: 1}, true, func(i int) int64 { return int64(i % 10) }},
+		{"batched", Config{ID: 0, ApplyWorkers: 1}, benchBacklog, func(i int) int64 { return int64(i % 10) }},
+		{"parallel", Config{ID: 0, ApplyWorkers: 4, MaxApplyBatch: benchBacklog}, benchBacklog, func(i int) int64 { return int64(i) }},
+		{"conflicting", Config{ID: 0, ApplyWorkers: 4, MaxApplyBatch: benchBacklog}, benchBacklog, func(i int) int64 { return 0 }},
+		{"deep", Config{ID: 0}, deepBacklog, func(i int) int64 { return int64(i % 997) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := benchEngine(b)
 			fake := newFakeCert()
 			r := New(mode.cfg, eng, fake)
 			defer r.Crash()
-			r.mu.Lock()
-			r.benchPerWriteset = mode.per
-			r.mu.Unlock()
 
 			// Writesets are prebuilt and reused; only the Refresh envelope
 			// (version, txn id) changes per iteration. The engine copies
 			// rows on apply, so sharing is safe.
-			wss := make([]*writeset.WriteSet, benchBacklog)
+			wss := make([]*writeset.WriteSet, mode.backlog)
 			schema, ok := eng.Schema("kv")
 			if !ok {
 				b.Fatal("kv schema missing")
@@ -90,7 +93,7 @@ func BenchmarkRefreshApply(b *testing.B) {
 					{Table: "kv", Key: key, Op: writeset.OpUpdate, Row: row},
 				}}
 			}
-			refs := make([]certifier.Refresh, benchBacklog)
+			refs := make([]certifier.Refresh, mode.backlog)
 
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -108,7 +111,7 @@ func BenchmarkRefreshApply(b *testing.B) {
 				r.mu.Unlock()
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.N)*benchBacklog/b.Elapsed().Seconds(), "refreshes/s")
+			b.ReportMetric(float64(b.N)*float64(mode.backlog)/b.Elapsed().Seconds(), "refreshes/s")
 		})
 	}
 }

@@ -24,12 +24,10 @@ type obsState struct {
 	// batches (ObserveValue, unitless).
 	reorderWait *obs.Histogram
 	applyBatch  *obs.Histogram
-	// applyParallelism records, per parallel-applied batch, the
-	// achievable speedup batch/critical-path (ObserveValue, unitless);
-	// applySerialFallbacks counts batches routed to the serial path
-	// because their dependency graph was one pure chain.
-	applyParallelism     *obs.Histogram
-	applySerialFallbacks *obs.Counter
+	// applyParallelism records, per batch whose conflict graph was built
+	// (the other width bounds allowed a second run), the achievable
+	// speedup batch/critical-path (ObserveValue, unitless).
+	applyParallelism *obs.Histogram
 
 	// mu guards the gauge snapshots; the applier updates them from
 	// inside the replica's apply critical section.
@@ -74,8 +72,6 @@ func (r *Replica) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 	o.applyParallelism = reg.Histogram("sconrep_replica_apply_parallelism",
 		"Per batch, the conflict graph's achievable speedup: batch size over critical-path length (1 = fully conflicting).",
 		[]float64{1, 1.5, 2, 3, 4, 6, 8, 16, 32, 64}, "replica", id)
-	o.applySerialFallbacks = reg.Counter("sconrep_replica_apply_serial_fallbacks_total",
-		"Parallel-eligible batches routed to the serial path because their dependency graph was one pure chain.", "replica", id)
 	reg.GaugeFunc("sconrep_replica_reorder_depth",
 		"Refreshes held in the reorder buffer awaiting a contiguous run (plus the in-flight batch).",
 		func() float64 {

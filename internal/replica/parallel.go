@@ -2,286 +2,163 @@ package replica
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"sconrep/internal/storage"
 	"sconrep/internal/writeset"
 )
 
-// applyBatchParallel installs one group-applied refresh batch through
-// the conflict-aware worker pool: a dependency DAG over the batch's
-// writesets (writeset.NewConflictGraph) lets non-conflicting refreshes
-// write into the storage engine concurrently, while a watermark
-// publishes versions strictly in order — C5's "apply in parallel,
-// commit in order" shape on top of the engine's install/publish split.
+// minApplyRun is the fewest writesets worth a goroutine of their own: a
+// batch is never cut into runs shorter than this. Measured, not tuned
+// per deployment: a single-row install costs 0.3–0.5 µs inside a run,
+// a goroutine start plus its two hand-offs several microseconds, so a
+// shorter run spends longer being scheduled than installing. With the
+// default MaxApplyBatch of 8 every batch is therefore one run.
+const minApplyRun = 16
+
+// applyRun is the per-run state of one applyBatch call. Both events
+// are armed with Add(1) before any run starts and fired exactly once.
+type applyRun struct {
+	// installed fires when the run's row versions are all linked (or its
+	// install failed) — what a later run sharing a record with it waits
+	// for.
+	installed sync.WaitGroup
+	// published fires when the watermark covers the run, or never will —
+	// what the next run waits for before publishing.
+	published sync.WaitGroup
+	// err is this run's install error; stuck is set when it or any
+	// earlier run failed, so the watermark stops before the first
+	// failure. Both are written before published fires and read after.
+	err   error
+	stuck bool
+}
+
+// applyBatch is the one refresh-apply route: it installs the
+// group-applied batch wss at versions start, start+1, … and publishes
+// them. The batch is cut into w contiguous runs of equal length; each
+// run goes into the engine through one InstallWriteSets call on one
+// goroutine, a run starts once every earlier run it shares a record
+// with (read off the conflict graph's Succs) has installed, and run k
+// publishes its tail version once run k-1 has published — C5's "apply
+// in parallel, commit in order" at run granularity.
 //
-// Scheduling invariants, which together discharge InstallWriteSet's
-// preconditions:
+// w is computed, not configured: the ApplyWorkers cap, the processors
+// this process may use, how many minimum-length runs the batch holds,
+// and — when those leave more than one — the batch's own parallelism,
+// ⌈n ÷ critical path⌉. A one-writeset batch, ApplyWorkers = 1, a pure
+// dependency chain and a batch too short to split all come out at
+// w = 1: the same two steps every run takes — one InstallWriteSets, one
+// publishRun — on the caller's goroutine, with no run state, no
+// goroutine, and no graph built unless the first three bounds allowed
+// a second run. Run 0 of a wider batch runs on the caller's goroutine
+// too.
 //
-//   - an item is handed to a worker only after all its graph
-//     predecessors completed, so no two concurrent installs share a
-//     record and same-record installs are version-ordered with a
-//     happens-before edge (the deps counter);
-//   - the watermark advances over the contiguous prefix of completed
-//     items, so PublishVersion(v) implies every version ≤ v is fully
-//     installed;
-//   - a fully-conflicting run (critical path == batch length) falls
-//     back to the serial engine batch path, so pathological workloads
-//     pay no scheduling overhead.
+// Together this discharges the engine's run precondition: writes to one
+// record inside a run are linked in version order by the run's one
+// goroutine; two runs sharing a record are ordered by the installed
+// event; runs in the engine at the same time are therefore
+// record-disjoint. PublishVersion(v) is reached only after every
+// version ≤ v is installed, and only after AppliedRefreshes counts
+// them, so a visible version is always a counted one.
 //
 // Mid-batch publishes do NOT broadcast r.cond: snapshot reads observe
 // the published watermark directly through Begin (no wait involved),
 // and version waiters (commit sync, tests) are woken by the caller's
-// broadcast under r.mu after the batch completes — exactly when the
-// serial path would have published, so no waiter waits longer than it
-// did before parallel apply. Per-publish broadcasts were measured to
-// cost more than the installs themselves on non-conflicting backlogs
-// (a wakeup storm of r.mu acquisitions).
+// broadcast under r.mu after the batch completes. Per-publish
+// broadcasts were measured to cost more than the installs themselves
+// on non-conflicting backlogs (a wakeup storm of r.mu acquisitions).
 //
-// The caller must hold the r.applying window (at most one batch inside
-// the engine) and must NOT hold r.mu.
-func (r *Replica) applyBatchParallel(wss []*writeset.WriteSet, start uint64) error {
-	n := len(wss)
-	g := r.gb.Build(wss)
-	if o := r.obs.Load(); o != nil {
-		o.applyParallelism.ObserveValue(float64(n) / float64(g.CriticalPath))
+// On an install error the watermark stops at the last run before the
+// first failing one and that run's error is returned; the caller treats
+// it as divergence. The caller must hold the r.applying window (at most
+// one batch inside the engine) and must NOT hold r.mu.
+func (r *Replica) applyBatch(wss []*writeset.WriteSet, start uint64) error {
+	eng := r.engine()
+	// The applying window and the commit slot protocol make this batch
+	// the engine's only writer, so the check cannot race — it turns an
+	// ordering bug into a loud error whatever the schedule.
+	if v := eng.Version(); start != v+1 {
+		return fmt.Errorf("%w: engine at %d, refresh batch starts at %d", storage.ErrBadVersion, v, start)
 	}
-	if g.CriticalPath == n {
-		// One pure dependency chain: every install would wait for its
-		// predecessor anyway, so take the serial single-critical-section
-		// path and skip the pool entirely.
+	n := len(wss)
+	w := min(r.cfg.ApplyWorkers, n/minApplyRun, runtime.GOMAXPROCS(0))
+	var succs [][]int
+	if w > 1 {
+		g := r.gb.Build(wss)
 		if o := r.obs.Load(); o != nil {
-			o.applySerialFallbacks.Inc()
+			o.applyParallelism.ObserveValue(float64(n) / float64(g.CriticalPath))
 		}
-		if err := r.engine().ApplyWriteSetBatch(wss, start); err != nil {
-			return err
+		w = min(w, (n+g.CriticalPath-1)/g.CriticalPath)
+		succs = g.Succs
+	}
+	if w <= 1 {
+		// One run has nobody to wait for and nobody waiting on it, so it
+		// needs no run state: nine batches in ten end here, and they
+		// should allocate nothing beyond the engine's two slabs.
+		if err := eng.InstallWriteSets(wss, start); err != nil {
+			return fmt.Errorf("refresh apply run at %d: %w", start, err)
 		}
-		r.appliedRefreshes.Add(int64(n))
+		r.publishRun(eng, n, start+uint64(n)-1)
 		return nil
 	}
+	size := (n + w - 1) / w // run k is wss[k*size : (k+1)*size]
+	w = (n + size - 1) / size
 
-	workers := r.cfg.ApplyWorkers
-	if workers > n {
-		workers = n
+	runs := make([]applyRun, w)
+	for k := range runs {
+		runs[k].installed.Add(1)
+		runs[k].published.Add(1)
 	}
-	if g.Edges == 0 {
-		// Pairwise record-disjoint batch: no scheduling needed at all.
-		// Contiguous stripes amortize the engine and table locks across
-		// many installs instead of paying them per item.
-		return r.applyBatchStriped(wss, start, workers)
-	}
-
-	sched := &parallelSchedule{
-		r:     r,
-		eng:   r.engine(),
-		wss:   wss,
-		succs: g.Succs,
-		start: start,
-		ready: make(chan int, n),
-		quit:  make(chan struct{}),
-	}
-	sched.deps = make([]atomic.Int32, n)
-	sched.installed = make([]atomic.Bool, n)
-	for i := 0; i < n; i++ {
-		sched.deps[i].Store(int32(g.Deps[i]))
-	}
-	// Seed sources in version order so the watermark starts moving on
-	// the oldest versions first.
-	for i := 0; i < n; i++ {
-		if g.Deps[i] == 0 {
-			sched.ready <- i
+	run := func(k int) {
+		me := &runs[k]
+		lo, hi := k*size, min((k+1)*size, n)
+		// Wait for every earlier run with a conflict edge into this one;
+		// Succs lists ascend, so the first successor at or past lo decides.
+		for i, s := range succs[:min(lo, len(succs))] {
+			for _, j := range s {
+				if j >= lo {
+					if j < hi {
+						runs[i/size].installed.Wait()
+					}
+					break
+				}
+			}
 		}
+		me.err = eng.InstallWriteSets(wss[lo:hi], start+uint64(lo))
+		me.installed.Done()
+		if k > 0 {
+			runs[k-1].published.Wait()
+			me.stuck = runs[k-1].stuck
+		}
+		if me.err != nil {
+			me.stuck = true
+		}
+		if !me.stuck {
+			r.publishRun(eng, hi-lo, start+uint64(hi)-1)
+		}
+		me.published.Done()
 	}
-
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sched.run()
-		}()
+	for k := 1; k < w; k++ {
+		go run(k)
 	}
-	sched.run() // the drainer's goroutine is the pool's first worker
-	wg.Wait()
-	if err := sched.err.Load(); err != nil {
-		return *err
+	run(0)
+	// Run k fires published only after run k-1 did, so the last run's
+	// signal means every run has finished.
+	runs[w-1].published.Wait()
+	for k := range runs {
+		if err := runs[k].err; err != nil {
+			return fmt.Errorf("refresh apply run at %d: %w", start+uint64(k*size), err)
+		}
 	}
 	return nil
 }
 
-// applyBatchStriped installs an edge-free batch (every writeset
-// pairwise record-disjoint) by splitting it into one contiguous stripe
-// per worker. Each stripe goes into the engine through one
-// InstallWriteSets call — one engine read-lock and one table-lock
-// acquisition per same-table run, instead of per item — and the
-// watermark publishes whole stripes as the contiguous prefix of them
-// completes. Record-disjointness makes any install interleaving
-// equivalent, so stripes need no cross-worker ordering; publish order
-// alone preserves reader-visible version order.
-//
-// Counting order matches the scheduler's: a stripe's refreshes are
-// added to appliedRefreshes before its done flag is set, so a
-// published version always implies its refreshes are counted.
-func (r *Replica) applyBatchStriped(wss []*writeset.WriteSet, start uint64, workers int) error {
-	n := len(wss)
-	bounds, done := r.stripes.reset(workers)
-	base, rem := n/workers, n%workers
-	for w := 0; w < workers; w++ {
-		bounds[w+1] = bounds[w] + base
-		if w < rem {
-			bounds[w+1]++
-		}
-	}
-	eng := r.engine()
-	var (
-		prefix atomic.Int32
-		errp   atomic.Pointer[error]
-	)
-	// advance publishes the contiguous completed-stripe prefix; racing
-	// workers CAS-claim stripe positions, and PublishVersion's max-CAS
-	// keeps the watermark monotonic whatever the claim order.
-	advance := func() {
-		for {
-			p := prefix.Load()
-			if int(p) >= workers || !done[p].Load() {
-				return
-			}
-			if prefix.CompareAndSwap(p, p+1) {
-				eng.PublishVersion(start + uint64(bounds[p+1]) - 1)
-			}
-		}
-	}
-	runStripe := func(w int) {
-		lo, hi := bounds[w], bounds[w+1]
-		if err := eng.InstallWriteSets(wss[lo:hi], start+uint64(lo)); err != nil {
-			werr := fmt.Errorf("parallel apply stripe at %d: %w", start+uint64(lo), err)
-			errp.CompareAndSwap(nil, &werr)
-			return
-		}
-		r.appliedRefreshes.Add(int64(hi - lo))
-		done[w].Store(true)
-		advance()
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			runStripe(w)
-		}(w)
-	}
-	runStripe(0)
-	wg.Wait()
-	if err := errp.Load(); err != nil {
-		return *err
-	}
-	return nil
-}
-
-// stripeScratch recycles the striped applier's per-batch slices. Like
-// the replica's graph builder, it is serialized by the applying window
-// (at most one batch inside the engine), so it needs no lock.
-type stripeScratch struct {
-	bounds []int
-	done   []atomic.Bool
-}
-
-// reset returns zeroed bounds (workers+1) and done (workers) slices,
-// growing the backing arrays only when the worker count does.
-func (s *stripeScratch) reset(workers int) ([]int, []atomic.Bool) {
-	if cap(s.bounds) < workers+1 {
-		s.bounds = make([]int, workers+1)
-		s.done = make([]atomic.Bool, workers)
-	}
-	bounds, done := s.bounds[:workers+1], s.done[:workers]
-	for i := range bounds {
-		bounds[i] = 0
-	}
-	for i := range done {
-		done[i].Store(false)
-	}
-	return bounds, done
-}
-
-// parallelSchedule is the per-batch state of one conflict-aware apply.
-// It lives for a single applyBatchParallel call and is shared only by
-// that call's worker goroutines; all cross-worker state is atomic or
-// channel-carried, so it needs no mutex.
-type parallelSchedule struct {
-	r     *Replica
-	eng   *storage.Engine
-	wss   []*writeset.WriteSet
-	succs [][]int
-	start uint64
-	// deps counts each item's unfinished predecessors; an item enters
-	// ready when its counter hits zero.
-	deps []atomic.Int32
-	// installed marks completed installs; the watermark advances over
-	// the contiguous true prefix.
-	installed []atomic.Bool
-	// prefix is the number of items covered by the published watermark.
-	prefix atomic.Int64
-	// completed counts finished items; the last one closes quit.
-	completed atomic.Int64
-	// err holds the first install failure; the watermark then stops at
-	// the durable prefix, mirroring ApplyWriteSetBatch's semantics.
-	err atomic.Pointer[error]
-	// ready carries runnable item indices. Capacity len(wss): every
-	// item is enqueued at most once, so sends never block.
-	ready chan int
-	// quit is closed on completion or first error.
-	quit chan struct{}
-}
-
-// run is one worker's loop: take a runnable item, install it, advance
-// the watermark, release successors.
-func (s *parallelSchedule) run() {
-	for {
-		select {
-		case <-s.quit:
-			return
-		case i := <-s.ready:
-			v := s.start + uint64(i)
-			if err := s.eng.InstallWriteSet(s.wss[i], v); err != nil {
-				werr := fmt.Errorf("parallel apply at %d: %w", v, err)
-				if s.err.CompareAndSwap(nil, &werr) {
-					close(s.quit)
-				}
-				return
-			}
-			// Count before the item becomes publishable: once a version
-			// is visible, every refresh at or below it is already in
-			// AppliedRefreshes — the ordering tests and convergence
-			// waiters observe.
-			s.r.appliedRefreshes.Add(1)
-			s.installed[i].Store(true)
-			s.advance()
-			for _, succ := range s.succs[i] {
-				if s.deps[succ].Add(-1) == 0 {
-					s.ready <- succ
-				}
-			}
-			if s.completed.Add(1) == int64(len(s.wss)) {
-				close(s.quit)
-				return
-			}
-		}
-	}
-}
-
-// advance publishes the contiguous completed prefix. Racing workers
-// may claim different prefix positions; PublishVersion is a max-CAS,
-// so the published watermark is monotonic regardless of claim order,
-// and a claimed position always has every earlier install completed.
-func (s *parallelSchedule) advance() {
-	for {
-		p := s.prefix.Load()
-		if p >= int64(len(s.wss)) || !s.installed[p].Load() {
-			return
-		}
-		if s.prefix.CompareAndSwap(p, p+1) {
-			s.eng.PublishVersion(s.start + uint64(p))
-		}
-	}
+// publishRun makes an installed run of n refreshes ending at version
+// tail visible. It counts before it publishes: once a version is
+// published, every refresh at or below it is in AppliedRefreshes — the
+// order the ordering tests and convergence waiters observe.
+func (r *Replica) publishRun(eng *storage.Engine, n int, tail uint64) {
+	r.appliedRefreshes.Add(int64(n))
+	eng.PublishVersion(tail)
 }

@@ -12,8 +12,8 @@
 //     futile certification round trips;
 //   - routes update commits through the certifier and commits local
 //     and refresh transactions in the certifier's global order;
-//   - applies refresh writesets sequentially through a reorder buffer
-//     (the certifier may deliver out of version order);
+//   - applies refresh writesets in certifier order through a reorder
+//     buffer (the certifier may deliver out of version order);
 //   - supports crash (detach, keep durable state) and recovery
 //     (reattach, catch up from the certifier's history).
 package replica
@@ -129,25 +129,20 @@ type Config struct {
 	// least-loaded routing sidesteps.
 	DBSlots int
 	// MaxApplyBatch bounds one group-applied refresh batch (default 8).
-	// Larger batches amortize the apply cost further, but only the tail
-	// version of a batch is published, so a transaction waiting for a
-	// mid-batch version waits for the whole batch; an unbounded batch
-	// on a deep backlog would erase the fine-grained mode's start-delay
-	// advantage over the coarse one. Same trade-off, and same fix, as
-	// bounding a group commit.
-	//
-	// With ApplyWorkers > 1 the parallel applier publishes versions
-	// progressively (each version becomes visible as soon as its
-	// contiguous prefix is installed), which removes the tail-only-
-	// publication penalty and makes larger batches safe to run wide.
+	// Larger batches amortize the apply cost further, but a batch
+	// publishes run by run (applyBatch) and a run only at its tail, so a
+	// transaction waiting for a mid-run version waits for the whole run;
+	// an unbounded batch on a deep backlog would erase the fine-grained
+	// mode's start-delay advantage over the coarse one. Same trade-off,
+	// and same fix, as bounding a group commit.
 	MaxApplyBatch int
-	// ApplyWorkers is the width of the conflict-aware parallel refresh
-	// applier: how many goroutines may install writesets from one
-	// group-applied batch into the engine concurrently (default 4).
-	// The batch's dependency graph (writeset.NewConflictGraph) keeps
-	// conflicting writesets ordered, and versions publish strictly in
-	// order regardless of install interleaving. 1 restores the serial
-	// single-critical-section batch path of PR 4.
+	// ApplyWorkers caps how many runs applyBatch may cut one
+	// group-applied batch into, and so how many goroutines install into
+	// the engine concurrently (default 4). The width actually used is
+	// computed per batch from this cap, GOMAXPROCS, the batch length and
+	// its conflict graph; 1 pins every batch to a single run on the
+	// drainer's goroutine — the reference the equivalence tests compare
+	// wider schedules against, through the same code.
 	ApplyWorkers int
 }
 
@@ -201,10 +196,6 @@ type Replica struct {
 	// replaced on every attach.
 	// guarded by mu
 	acks *ackBox
-	// benchPerWriteset restores the pre-batching hot path (one slot
-	// acquisition, engine commit, ack goroutine, and broadcast per
-	// refresh). Benchmark baseline only — see BenchmarkRefreshApply.
-	benchPerWriteset bool
 	// minServe is the recovery catch-up floor: the highest version the
 	// certifier had assigned when this replica last recovered. Commits
 	// up to it may already be acknowledged to clients, so transactions
@@ -220,9 +211,6 @@ type Replica struct {
 	// as gb (built under mu while the applying window is empty, used
 	// until the batch completes).
 	wssBuf []*writeset.WriteSet
-	// stripes recycles the striped applier's per-batch state; same
-	// serialization as gb.
-	stripes stripeScratch
 
 	slots chan struct{}
 
@@ -446,12 +434,11 @@ func (r *Replica) abortConflictingActivesLocked(ws *writeset.WriteSet) {
 // with Vlocal and reports whether it applied anything. Each round
 // coalesces the longest run of queued refreshes — stopping at a
 // version owned by an in-flight local commit, and bounded by
-// Config.MaxApplyBatch — into ONE batch applied
-// under a single DBMS slot and a single engine critical section, with
-// one amortized latency charge, one coalesced apply acknowledgment,
-// and one broadcast. Only the batch's tail version is published, so
-// no intermediate version is observable before its predecessors and
-// Vlocal stays monotonic.
+// Config.MaxApplyBatch — into ONE batch applied by applyBatch under a
+// single DBMS slot, with one amortized latency charge, one coalesced
+// apply acknowledgment, and one broadcast. Versions publish in order,
+// so no version is observable before its predecessors and Vlocal stays
+// monotonic.
 //
 // r.mu is temporarily released around the (slow) apply itself so
 // statements on other transactions proceed concurrently; entries are
@@ -471,26 +458,10 @@ func (r *Replica) applyReadyLocked() bool {
 			return progress
 		}
 		start := r.engine().Version() + 1
-		// Drop entries a completed batch has already covered: a refresh
-		// or a history backfill admitted against a pre-apply Vlocal can
-		// land below the published tail and would otherwise pin its
-		// writeset in the reorder buffer forever.
-		for v := range r.reorder {
-			if v < start {
-				delete(r.reorder, v)
-			}
-		}
 		// Pre-size to the group bound (capped by what is buffered): the
 		// batch escapes into r.applying, so growth by append would pay
 		// log2(n) reallocations per drained backlog.
-		hint := r.cfg.MaxApplyBatch
-		if hint > len(r.reorder) {
-			hint = len(r.reorder)
-		}
-		if r.benchPerWriteset {
-			hint = 1
-		}
-		batch := make([]certifier.Refresh, 0, hint)
+		batch := make([]certifier.Refresh, 0, min(r.cfg.MaxApplyBatch, len(r.reorder)))
 		for v := start; ; v++ {
 			if r.committing[v] {
 				break // a local commit owns this version
@@ -501,14 +472,23 @@ func (r *Replica) applyReadyLocked() bool {
 			}
 			delete(r.reorder, v)
 			batch = append(batch, ref)
-			if r.benchPerWriteset {
-				break // baseline: one writeset per slot cycle
-			}
 			if len(batch) >= r.cfg.MaxApplyBatch {
 				break // bounded group: see Config.MaxApplyBatch
 			}
 		}
 		if len(batch) == 0 {
+			// Nothing contiguous is left, so the drainer is about to sleep:
+			// drop entries a completed batch has already covered. A refresh
+			// or a history backfill admitted against a pre-apply Vlocal can
+			// land below the published tail and would otherwise pin its
+			// writeset in the reorder buffer forever. Sweeping here and not
+			// per batch keeps a deep backlog's drain linear in its depth.
+			for v := range r.reorder {
+				if v < start {
+					delete(r.reorder, v)
+					delete(r.arrived, v)
+				}
+			}
 			return progress
 		}
 		if o := r.obs.Load(); o != nil {
@@ -535,27 +515,17 @@ func (r *Replica) applyReadyLocked() bool {
 		r.applying = batch
 		r.mu.Unlock()
 		var err error
-		var counted bool
 		r.withSlot(func() {
 			if r.lat != nil {
-				if r.benchPerWriteset {
-					r.lat.ApplyWriteSet()
-				} else {
-					r.lat.ApplyWriteSetBatch(len(batch))
-				}
+				r.lat.ApplyWriteSetBatch(len(batch))
 			}
-			// The conflict-aware pool models the DBMS's intra-operation
-			// parallelism, so the whole batch still costs one DBMS slot
-			// and one amortized latency charge, exactly like the serial
-			// batch path it replaces. It owns the AppliedRefreshes
-			// accounting too, so a progressively published version never
-			// becomes visible before its refreshes are counted.
-			if r.cfg.ApplyWorkers > 1 && len(wss) > 1 && !r.benchPerWriteset {
-				counted = true
-				err = r.applyBatchParallel(wss, start)
-			} else {
-				err = r.engine().ApplyWriteSetBatch(wss, start)
-			}
+			// Runs installing side by side model the DBMS's intra-operation
+			// parallelism, so the whole batch costs one DBMS slot and one
+			// amortized latency charge whatever its width. applyBatch owns
+			// the AppliedRefreshes accounting, so a progressively published
+			// version never becomes visible before its refreshes are
+			// counted.
+			err = r.applyBatch(wss, start)
 		})
 		if err == nil {
 			// Durable logging is non-forced and advisory (the certifier
@@ -576,23 +546,12 @@ func (r *Replica) applyReadyLocked() bool {
 			panic(fmt.Sprintf("replica %d: refresh apply at %d..%d: %v", r.cfg.ID, start, last, err))
 		}
 		progress = true
-		if !counted {
-			r.appliedRefreshes.Add(int64(len(batch)))
-		}
 		if o := r.obs.Load(); o != nil {
 			for i := range batch {
 				o.noteTables(batch[i].WS.Tables(), batch[i].Version)
 			}
 		}
-		if r.benchPerWriteset {
-			// Baseline: the pre-batching per-refresh ack goroutine.
-			go func(v uint64) {
-				if r.lat != nil {
-					r.lat.NetworkHop()
-				}
-				r.cert.Applied(r.cfg.ID, v)
-			}(last)
-		} else if r.acks != nil {
+		if r.acks != nil {
 			r.acks.post(last)
 		}
 		r.cond.Broadcast()
@@ -837,8 +796,16 @@ func (t *Txn) afterWrite() error {
 	killed := t.killed
 	var sub RefreshSource
 	if r.cfg.EarlyCert && !killed {
+		// A refresh at or below this transaction's snapshot committed
+		// before it began and cannot fail its certification — aborting on
+		// it would be a spurious kill, not an early detection. Both scans
+		// exempt those: a reorder entry goes stale when a duplicate (a
+		// reconnect, a history backfill) arrives while its version is in
+		// the in-flight batch, and stays until the drainer idles; and
+		// applyBatch publishes the in-flight batch progressively.
+		snap := t.stx.Snapshot()
 		for _, ref := range r.reorder {
-			if ref.WS.ConflictsWith(ws) {
+			if ref.Version > snap && ref.WS.ConflictsWith(ws) {
 				killed = true
 				t.killed = true
 				break
@@ -846,13 +813,8 @@ func (t *Txn) afterWrite() error {
 		}
 		// The drainer's in-flight batch left the reorder buffer but is
 		// not yet applied; each of its writesets must still be checked
-		// individually. Members at or below this transaction's snapshot
-		// are exempt: the parallel applier publishes versions
-		// progressively, so such a member already committed before our
-		// snapshot and cannot fail our certification — aborting on it
-		// would be a spurious kill, not an early detection.
+		// individually.
 		if !killed {
-			snap := t.stx.Snapshot()
 			for i := range r.applying {
 				if r.applying[i].Version > snap && r.applying[i].WS.ConflictsWith(ws) {
 					killed = true

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sconrep/internal/writeset"
@@ -73,6 +74,9 @@ func TestApplyWriteSetBatchVersionCheck(t *testing.T) {
 func TestApplyWriteSetBatchMidBatchErrorKeepsPrefix(t *testing.T) {
 	e := newTestEngine(t)
 	bad := &writeset.WriteSet{Items: []writeset.Item{
+		// A well-formed item first: the offending writeset must be left
+		// out whole, not installed up to its bad row.
+		{Table: "acct", Key: EncodeKey(int64(8)), Op: writeset.OpInsert, Row: row(8, "eve", 8, true)},
 		// Wrong arity: CheckRow rejects it mid-batch.
 		{Table: "acct", Key: EncodeKey(int64(9)), Op: writeset.OpInsert, Row: []any{int64(9)}},
 	}}
@@ -105,6 +109,9 @@ func TestApplyWriteSetBatchMidBatchErrorKeepsPrefix(t *testing.T) {
 	if e.Version() != 4 {
 		t.Fatalf("Version after retry = %d, want 4", e.Version())
 	}
+	if _, ok, _ := e.Begin().Get("acct", EncodeKey(int64(8))); ok {
+		t.Fatal("the offending writeset's first item was installed")
+	}
 }
 
 func TestApplyWriteSetBatchUpdatesSecondaryIndexes(t *testing.T) {
@@ -130,8 +137,70 @@ func TestApplyWriteSetBatchUpdatesSecondaryIndexes(t *testing.T) {
 	}
 }
 
+// randomRun builds a seeded run over a small keyspace with inserts,
+// updates, deletes and re-inserts after delete, one to three items per
+// writeset, so records recur inside the run and the owner index sees
+// values come and go.
+func randomRun(seed int64, n int) []*writeset.WriteSet {
+	rng := rand.New(rand.NewSource(seed))
+	live := map[int64]bool{}
+	wss := make([]*writeset.WriteSet, n)
+	for i := range wss {
+		ws := &writeset.WriteSet{}
+		seen := map[int64]bool{}
+		for j := 1 + rng.Intn(3); j > 0; j-- {
+			id := int64(rng.Intn(6))
+			if seen[id] {
+				continue // a writeset names a record at most once
+			}
+			seen[id] = true
+			it := writeset.Item{Table: "acct", Key: EncodeKey(id)}
+			switch {
+			case !live[id]:
+				it.Op, it.Row = writeset.OpInsert, row(id, fmt.Sprintf("o%d", rng.Intn(3)), float64(i), true)
+			case rng.Intn(3) == 0:
+				it.Op = writeset.OpDelete
+			default:
+				it.Op, it.Row = writeset.OpUpdate, row(id, fmt.Sprintf("o%d", rng.Intn(3)), float64(i), false)
+			}
+			live[id] = it.Op != writeset.OpDelete
+			ws.Items = append(ws.Items, it)
+		}
+		wss[i] = ws
+	}
+	return wss
+}
+
+// dumpAt renders everything a snapshot at v can read: the table in key
+// order and each owner's index scan.
+func dumpAt(t *testing.T, e *Engine, v uint64) string {
+	t.Helper()
+	tx, err := e.BeginAt(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs, err := tx.ScanAll("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := fmt.Sprint(kvs)
+	for o := 0; o < 4; o++ {
+		ix, err := tx.ScanIndexEq("acct", "acct_owner", fmt.Sprintf("o%d", o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += fmt.Sprint(ix)
+	}
+	return out
+}
+
+// TestApplyWriteSetBatchMatchesPerWriteset drives the three callers of
+// the one install body — ApplyWriteSetBatch, one ApplyWriteSet per
+// writeset, and InstallWriteSets followed by PublishVersion — over the
+// same runs and requires every version of the three engines to read
+// the same.
 func TestApplyWriteSetBatchMatchesPerWriteset(t *testing.T) {
-	mk := func() []*writeset.WriteSet {
+	fixed := func() []*writeset.WriteSet {
 		var wss []*writeset.WriteSet
 		for id := int64(1); id <= 8; id++ {
 			wss = append(wss, insertWS(id, fmt.Sprintf("o%d", id%3), float64(id)))
@@ -145,27 +214,37 @@ func TestApplyWriteSetBatchMatchesPerWriteset(t *testing.T) {
 		}})
 		return wss
 	}
-	one, many := newTestEngine(t), newTestEngine(t)
-	for i, ws := range mk() {
-		if err := one.ApplyWriteSet(ws, uint64(i+1)); err != nil {
-			t.Fatal(err)
-		}
+	inputs := map[string][]*writeset.WriteSet{"fixed": fixed()}
+	for seed := int64(1); seed <= 5; seed++ {
+		inputs[fmt.Sprintf("seed=%d", seed)] = randomRun(seed, 40)
 	}
-	if err := many.ApplyWriteSetBatch(mk(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if one.Version() != many.Version() {
-		t.Fatalf("versions diverge: %d vs %d", one.Version(), many.Version())
-	}
-	t1, t2 := one.Begin(), many.Begin()
-	for id := int64(1); id <= 8; id++ {
-		r1, ok1, _ := t1.Get("acct", EncodeKey(id))
-		r2, ok2, _ := t2.Get("acct", EncodeKey(id))
-		if ok1 != ok2 {
-			t.Fatalf("key %d presence diverges: %v vs %v", id, ok1, ok2)
-		}
-		if ok1 && fmt.Sprint(r1) != fmt.Sprint(r2) {
-			t.Fatalf("key %d rows diverge: %v vs %v", id, r1, r2)
-		}
+	for name, wss := range inputs {
+		t.Run(name, func(t *testing.T) {
+			one, many, split := newTestEngine(t), newTestEngine(t), newTestEngine(t)
+			for i, ws := range wss {
+				if err := one.ApplyWriteSet(ws, uint64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := many.ApplyWriteSetBatch(wss, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := split.InstallWriteSets(wss, 1); err != nil {
+				t.Fatal(err)
+			}
+			if split.Version() != 0 {
+				t.Fatalf("install published: Version = %d", split.Version())
+			}
+			split.PublishVersion(uint64(len(wss)))
+			for v := uint64(0); v <= uint64(len(wss)); v++ {
+				want := dumpAt(t, one, v)
+				if got := dumpAt(t, many, v); got != want {
+					t.Fatalf("version %d: batch reads %s, per-writeset %s", v, got, want)
+				}
+				if got := dumpAt(t, split, v); got != want {
+					t.Fatalf("version %d: install+publish reads %s, per-writeset %s", v, got, want)
+				}
+			}
+		})
 	}
 }

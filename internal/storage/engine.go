@@ -19,19 +19,17 @@
 // value-superset indexes: an entry exists while any live version of the
 // row carries the indexed value, and readers re-check visibility.
 //
-// Concurrency model. Two write paths exist. The serial path
-// (ApplyWriteSet, ApplyWriteSetBatch, CommitLocal, Vacuum) holds e.mu
-// exclusively, exactly as the paper's one-commit-at-a-time proxy
-// requires. The concurrent path splits install from publish:
-// InstallWriteSet installs row versions under only a read lock on e.mu
-// plus short per-table critical sections, and a later PublishVersion
-// makes them visible by advancing the version watermark. Readers take
-// the per-table lock for B-tree and index traversal and rely on
-// atomically swapped chain heads plus the snapshot filter, so versions
-// installed but not yet published are never observable. The caller
-// (the replica's conflict-aware applier) guarantees that concurrent
-// installs never share a record and that same-record installs are
-// ordered by version.
+// Concurrency model. One function, installRun, links row versions into
+// chains; every writer is a thin caller that picks the engine lock and
+// the ordering check. ApplyWriteSet, ApplyWriteSetBatch and CommitLocal
+// (and Vacuum) hold e.mu exclusively and publish the versions they
+// install before releasing it, exactly as the paper's
+// one-commit-at-a-time proxy requires. InstallWriteSets holds e.mu
+// shared, so several runs install concurrently, and leaves publication
+// to a later PublishVersion. Readers take the per-table lock for B-tree
+// and index traversal and rely on atomically swapped chain heads plus
+// the snapshot filter, so versions installed but not yet published are
+// never observable. installRun states what concurrent callers owe it.
 package storage
 
 import (
@@ -66,8 +64,8 @@ type verRow struct {
 }
 
 // chain is the version chain of one primary key, newest first. The
-// head is swapped atomically so concurrent installers (which never
-// share a key) and lock-free readers agree on a fully initialised
+// head is swapped atomically so concurrent installRun calls (which
+// never share a key) and lock-free readers agree on a fully initialised
 // newest version.
 type chain struct {
 	head atomic.Pointer[verRow]
@@ -127,10 +125,10 @@ func (ix *secIndex) remove(val any, pk string) {
 // table holds one table's schema, row chains, and secondary indexes.
 type table struct {
 	schema *Schema
-	// mu guards the B-tree structures against concurrent installers:
-	// readers traverse rows/indexes under RLock, installers mutate them
-	// under Lock. Serial engine paths additionally hold e.mu exclusively,
-	// which keeps them mutually exclusive with every installer.
+	// mu guards the B-tree structures: readers traverse rows/indexes
+	// under RLock, installRun mutates them under Lock. Callers holding
+	// e.mu exclusively are thereby also exclusive with every concurrent
+	// InstallWriteSets.
 	// locks after Engine.mu
 	mu sync.RWMutex
 	// rows maps encoded pk → *chain.
@@ -155,7 +153,7 @@ type Engine struct {
 	tables map[string]*table
 	// version is the published commit version (Vlocal): the highest v
 	// such that every version in [1, v] is fully installed and visible.
-	// Serial commits store it directly under e.mu; concurrent appliers
+	// Exclusive-lock commits store it directly; InstallWriteSets callers
 	// advance it through PublishVersion's max-CAS.
 	version atomic.Uint64
 }
@@ -299,52 +297,112 @@ func storeMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// installItem installs one writeset item into table t at version v.
-// The B-tree and index mutations serialize under a short t.mu critical
-// section; the version chain is then extended with an atomic head swap.
-// Concurrent installItem calls are safe provided no two share a record
-// and same-record installs are version-ordered — the conflict
-// scheduling the replica's parallel applier enforces.
-func installItem(t *table, it *writeset.Item, v uint64) error {
-	nv := &verRow{version: v}
-	if it.Op == writeset.OpDelete {
-		nv.deleted = true
-	} else {
-		if err := t.schema.CheckRow(it.Row); err != nil {
-			return err
+// sizeRun validates a run against the table schemas and sizes its
+// slabs. n is how many leading writesets are installable: len(wss)
+// with a nil error, otherwise the index of the first writeset naming
+// an unknown table or carrying a malformed row. items and elems count
+// the row versions and row cells of those n writesets. Caller holds
+// e.mu.
+func (e *Engine) sizeRun(wss []*writeset.WriteSet) (n, items, elems int, err error) {
+	var cur *table
+	for i, ws := range wss {
+		wsElems := 0
+		for j := range ws.Items {
+			it := &ws.Items[j]
+			if cur == nil || cur.schema.Table != it.Table {
+				if cur = e.tables[it.Table]; cur == nil {
+					return i, items, elems, fmt.Errorf("%w: %s", ErrNoTable, it.Table)
+				}
+			}
+			if it.Op != writeset.OpDelete {
+				if err := cur.schema.CheckRow(it.Row); err != nil {
+					return i, items, elems, err
+				}
+				wsElems += len(it.Row)
+			}
 		}
-		nv.row = append([]any(nil), it.Row...)
+		items += len(ws.Items)
+		elems += wsElems
 	}
-	t.mu.Lock()
-	var ch *chain
-	if cv, ok := t.rows.Get(it.Key); ok {
-		ch = cv.(*chain)
-	} else {
-		ch = &chain{}
-		t.rows.Set(it.Key, ch)
-	}
-	if !nv.deleted {
-		// Index entries may precede the chain install: the index is a
-		// value superset and readers re-check visibility on the chain.
-		for _, ix := range t.indexes {
-			ix.add(nv.row[ix.col], it.Key)
-		}
-	}
-	t.mu.Unlock()
-	nv.prev = ch.head.Load()
-	ch.head.Store(nv)
-	storeMax(&t.lastWrite, v)
-	return nil
+	return len(wss), items, elems, nil
 }
 
-// applyItem installs one writeset item at version v. Caller holds e.mu
-// (read or write); the table-level work serializes inside installItem.
-func (e *Engine) applyItem(it *writeset.Item, v uint64) error {
-	t, ok := e.tables[it.Table]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, it.Table)
+// installRun is the one place a row version is linked into a chain:
+// wss[i]'s items install at version atVersion+i, in run order, without
+// publishing. It returns how many leading writesets it installed — all
+// of them, or on error the ones before the offending writeset, which
+// itself is left untouched.
+//
+// The caller holds e.mu, shared or exclusive, and owns every ordering
+// check. Writes to one record inside one run are linked in version
+// order by the goroutine that runs it, so a run may write a record as
+// often as it likes. Concurrent callers (InstallWriteSets under the
+// shared lock) owe each other only this: two runs in the engine at the
+// same time are record-disjoint, and a run that shares a record with
+// an earlier-versioned run starts after that run returned, with a
+// happens-before edge.
+//
+// Version rows and their row copies come from two run-sized slabs: two
+// allocations per call instead of two per item, which is most of what
+// the refresh-apply hot path allocates. A slab stays reachable while any
+// one of its rows does (chains point into it), so vacuum reclaims slab
+// memory at run granularity rather than row granularity — bounded
+// amplification (a run is one local commit or at most one apply batch)
+// traded for an allocation rate the garbage collector no longer
+// dominates. Each table's lock is taken once per stretch of same-table
+// items.
+func (e *Engine) installRun(wss []*writeset.WriteSet, atVersion uint64) (int, error) {
+	n, items, elems, err := e.sizeRun(wss)
+	slab := make([]verRow, items)
+	rowBuf := make([]any, elems)
+	var (
+		cur  *table
+		last uint64 // newest version linked into cur since it was locked
+	)
+	for i, ws := range wss[:n] {
+		v := atVersion + uint64(i)
+		for j := range ws.Items {
+			it := &ws.Items[j]
+			if cur == nil || cur.schema.Table != it.Table {
+				if cur != nil {
+					cur.mu.Unlock()
+					storeMax(&cur.lastWrite, last)
+				}
+				cur = e.tables[it.Table]
+				cur.mu.Lock()
+			}
+			nv := &slab[0]
+			slab = slab[1:]
+			nv.version = v
+			var ch *chain
+			if cv, found := cur.rows.Get(it.Key); found {
+				ch = cv.(*chain)
+			} else {
+				ch = &chain{}
+				cur.rows.Set(it.Key, ch)
+			}
+			if it.Op == writeset.OpDelete {
+				nv.deleted = true
+			} else {
+				nv.row = rowBuf[:len(it.Row):len(it.Row)]
+				rowBuf = rowBuf[len(it.Row):]
+				copy(nv.row, it.Row)
+				// Index entries may precede the chain link: the index is a
+				// value superset and readers re-check visibility on the chain.
+				for _, ix := range cur.indexes {
+					ix.add(nv.row[ix.col], it.Key)
+				}
+			}
+			nv.prev = ch.head.Load()
+			ch.head.Store(nv)
+			last = v
+		}
 	}
-	return installItem(t, it, v)
+	if cur != nil {
+		cur.mu.Unlock()
+		storeMax(&cur.lastWrite, last)
+	}
+	return n, err
 }
 
 // ApplyWriteSet commits a writeset at the given version. The version
@@ -352,33 +410,21 @@ func (e *Engine) applyItem(it *writeset.Item, v uint64) error {
 // refresh and local commits in certifier order, and this check turns
 // an ordering bug into a loud error instead of silent corruption.
 func (e *Engine) ApplyWriteSet(ws *writeset.WriteSet, atVersion uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v := e.version.Load(); atVersion != v+1 {
-		return fmt.Errorf("%w: engine at %d, writeset at %d", ErrBadVersion, v, atVersion)
-	}
-	for i := range ws.Items {
-		if err := e.applyItem(&ws.Items[i], atVersion); err != nil {
-			return err
-		}
-	}
-	e.version.Store(atVersion)
-	return nil
+	return e.ApplyWriteSetBatch([]*writeset.WriteSet{ws}, atVersion)
 }
 
 // ApplyWriteSetBatch commits a contiguous run of writesets in version
-// order under a single lock acquisition: wss[i] commits at
+// order under a single exclusive lock acquisition: wss[i] commits at
 // startVersion+i, and startVersion must be exactly Version()+1. The
 // whole batch is installed inside one critical section and only the
 // tail version is published, so no reader can ever observe an
 // intermediate version before its predecessors — the group-apply
 // equivalent of the per-writeset ordering check.
 //
-// On a mid-batch failure the version counter stops at the last fully
-// applied writeset (the contiguous durable prefix) and the error names
-// the offending version; the failing writeset may be partially
-// installed, which callers treat as state divergence (the replica
-// panics), exactly as with ApplyWriteSet.
+// On a mid-batch failure the version counter stops at the last
+// writeset before the offending one (the contiguous durable prefix)
+// and the error names the offending version; callers treat it as state
+// divergence (the replica panics).
 func (e *Engine) ApplyWriteSetBatch(wss []*writeset.WriteSet, startVersion uint64) error {
 	if len(wss) == 0 {
 		return nil
@@ -388,148 +434,30 @@ func (e *Engine) ApplyWriteSetBatch(wss []*writeset.WriteSet, startVersion uint6
 	if v := e.version.Load(); startVersion != v+1 {
 		return fmt.Errorf("%w: engine at %d, batch starts at %d", ErrBadVersion, v, startVersion)
 	}
-	for i, ws := range wss {
-		v := startVersion + uint64(i)
-		for j := range ws.Items {
-			if err := e.applyItem(&ws.Items[j], v); err != nil {
-				e.version.Store(v - 1) // durable prefix: everything before the failing writeset
-				return fmt.Errorf("storage: batch apply at %d: %w", v, err)
-			}
-		}
-	}
-	e.version.Store(startVersion + uint64(len(wss)) - 1)
-	return nil
-}
-
-// InstallWriteSet installs a writeset's row versions at atVersion
-// without publishing them: readers cannot observe the new versions
-// until PublishVersion raises the watermark to atVersion or beyond.
-// Unlike ApplyWriteSet it holds only a read lock on the engine, so
-// installs proceed concurrently. The caller must guarantee that no two
-// concurrent installs share a record and that installs touching the
-// same record are issued in version order with a happens-before edge
-// between them — the invariants the replica's conflict-aware applier
-// derives from its dependency graph. atVersion must be above the
-// published version (the watermark only ever chases installs).
-func (e *Engine) InstallWriteSet(ws *writeset.WriteSet, atVersion uint64) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if v := e.version.Load(); atVersion <= v {
-		return fmt.Errorf("%w: install at %d behind published %d", ErrBadVersion, atVersion, v)
-	}
-	for i := range ws.Items {
-		if err := e.applyItem(&ws.Items[i], atVersion); err != nil {
-			return err
-		}
+	n, err := e.installRun(wss, startVersion)
+	e.version.Store(startVersion + uint64(n) - 1)
+	if err != nil {
+		return fmt.Errorf("storage: batch apply at %d: %w", startVersion+uint64(n), err)
 	}
 	return nil
 }
 
-// InstallWriteSets bulk-installs a contiguous run of writesets without
-// publishing: wss[i] installs at atVersion+i. It shares
-// InstallWriteSet's preconditions and adds one: the run must be
-// pairwise record-disjoint (and disjoint from every other concurrent
-// install), because the whole run goes in under one engine read-lock
-// with each table's lock taken once per same-table item run — so this
-// call provides no same-record ordering at all. The replica's parallel
-// applier uses it for batches whose conflict graph has no edges, where
-// per-item locking is pure overhead.
+// InstallWriteSets installs a contiguous run of writesets without
+// publishing them: wss[i] installs at atVersion+i, and readers cannot
+// observe the new versions until PublishVersion raises the watermark
+// to them. It holds only a shared lock on the engine, so runs that meet
+// installRun's precondition install concurrently — the replica's
+// refresh applier derives that schedule from the batch's conflict
+// graph. atVersion must be above the published version (the watermark
+// only ever chases installs).
 func (e *Engine) InstallWriteSets(wss []*writeset.WriteSet, atVersion uint64) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if v := e.version.Load(); atVersion <= v {
 		return fmt.Errorf("%w: install at %d behind published %d", ErrBadVersion, atVersion, v)
 	}
-	// pend carries rows prepared outside the table lock (allocation and
-	// schema checks), flushed into the B-tree one same-table run at a
-	// time.
-	type pend struct {
-		it *writeset.Item
-		nv *verRow
-	}
-	nitems, nelems := 0, 0
-	for _, ws := range wss {
-		nitems += len(ws.Items)
-		for j := range ws.Items {
-			if ws.Items[j].Op != writeset.OpDelete {
-				nelems += len(ws.Items[j].Row)
-			}
-		}
-	}
-	// Version rows and their row copies come from two run-sized slabs:
-	// two allocations per call instead of two per item, which is most of
-	// what the refresh-apply hot path allocates. A slab stays reachable
-	// while any one of its rows does (chains point into it), so vacuum
-	// reclaims slab memory at run granularity rather than row
-	// granularity — bounded amplification (a run is at most one
-	// worker-stripe of one apply batch) traded for an allocation rate
-	// the garbage collector no longer dominates.
-	slab := make([]verRow, nitems)
-	rowBuf := make([]any, nelems)
-	var (
-		cur    *table
-		run    = make([]pend, 0, nitems)
-		runMax uint64
-		si     int // next free slab slot; never reset by flush
-	)
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		cur.mu.Lock()
-		for _, p := range run {
-			var ch *chain
-			if cv, ok := cur.rows.Get(p.it.Key); ok {
-				ch = cv.(*chain)
-			} else {
-				ch = &chain{}
-				cur.rows.Set(p.it.Key, ch)
-			}
-			if !p.nv.deleted {
-				for _, ix := range cur.indexes {
-					ix.add(p.nv.row[ix.col], p.it.Key)
-				}
-			}
-			p.nv.prev = ch.head.Load()
-			ch.head.Store(p.nv)
-		}
-		cur.mu.Unlock()
-		storeMax(&cur.lastWrite, runMax)
-		run, runMax = run[:0], 0
-	}
-	for i, ws := range wss {
-		v := atVersion + uint64(i)
-		for j := range ws.Items {
-			it := &ws.Items[j]
-			if cur == nil || cur.schema.Table != it.Table {
-				flush()
-				t, ok := e.tables[it.Table]
-				if !ok {
-					return fmt.Errorf("%w: %s", ErrNoTable, it.Table)
-				}
-				cur = t
-			}
-			nv := &slab[si]
-			si++
-			nv.version = v
-			if it.Op == writeset.OpDelete {
-				nv.deleted = true
-			} else {
-				if err := cur.schema.CheckRow(it.Row); err != nil {
-					return err
-				}
-				nv.row = rowBuf[:len(it.Row):len(it.Row)]
-				copy(nv.row, it.Row)
-				rowBuf = rowBuf[len(it.Row):]
-			}
-			run = append(run, pend{it: it, nv: nv})
-			if v > runMax {
-				runMax = v
-			}
-		}
-	}
-	flush()
-	return nil
+	_, err := e.installRun(wss, atVersion)
+	return err
 }
 
 // PublishVersion advances the published version (Vlocal) to v; lower

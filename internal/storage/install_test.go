@@ -42,7 +42,7 @@ func newKVEngine(t testing.TB, keys int64) *Engine {
 // PublishVersion raises the watermark past it.
 func TestInstallInvisibleUntilPublish(t *testing.T) {
 	e := newKVEngine(t, 2) // version 1
-	if err := e.InstallWriteSet(updateWS("kv", 0, 42), 2); err != nil {
+	if err := e.InstallWriteSets([]*writeset.WriteSet{updateWS("kv", 0, 42)}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if e.Version() != 1 {
@@ -80,10 +80,10 @@ func TestPublishVersionMonotonic(t *testing.T) {
 	if e.Version() != 1 {
 		t.Fatalf("Version regressed to %d", e.Version())
 	}
-	if err := e.InstallWriteSet(updateWS("kv", 0, 1), 2); err != nil {
+	if err := e.InstallWriteSets([]*writeset.WriteSet{updateWS("kv", 0, 1)}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.InstallWriteSet(updateWS("kv", 0, 2), 3); err != nil {
+	if err := e.InstallWriteSets([]*writeset.WriteSet{updateWS("kv", 0, 2)}, 3); err != nil {
 		t.Fatal(err)
 	}
 	e.PublishVersion(3)
@@ -97,18 +97,46 @@ func TestPublishVersionMonotonic(t *testing.T) {
 // install at or below the watermark is an ordering bug.
 func TestInstallBehindPublishedRejected(t *testing.T) {
 	e := newKVEngine(t, 1) // version 1
-	if err := e.InstallWriteSet(updateWS("kv", 0, 9), 1); !errors.Is(err, ErrBadVersion) {
+	if err := e.InstallWriteSets([]*writeset.WriteSet{updateWS("kv", 0, 9)}, 1); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("install at published version: err = %v, want ErrBadVersion", err)
 	}
 }
 
-// TestInstallThenSerialApplyInterleave proves the serial path picks up
-// exactly where published installs left off, as the replica does when
-// a local commit follows a parallel refresh batch.
+// TestInstallRunRewritesRecord pins the run precondition as the code
+// needs it: one run may write a record as often as it likes, because
+// the run's one goroutine links those writes in version order. After
+// the publish, every version in the run reads its own write.
+func TestInstallRunRewritesRecord(t *testing.T) {
+	e := newKVEngine(t, 2) // version 1
+	run := []*writeset.WriteSet{
+		updateWS("kv", 0, 20), updateWS("kv", 1, 30), updateWS("kv", 0, 40), updateWS("kv", 0, 50),
+	}
+	if err := e.InstallWriteSets(run, 2); err != nil {
+		t.Fatal(err)
+	}
+	e.PublishVersion(5)
+	for v, want := range map[uint64]int64{1: 0, 2: 20, 3: 20, 4: 40, 5: 50} {
+		tx, err := e.BeginAt(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok, err := tx.Get("kv", EncodeKey(int64(0)))
+		if err != nil || !ok {
+			t.Fatalf("snapshot %d: Get = %v, %v, %v", v, r, ok, err)
+		}
+		if got := r[1].(int64); got != want {
+			t.Fatalf("snapshot %d reads %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestInstallThenSerialApplyInterleave proves an exclusive-lock commit
+// picks up exactly where published installs left off, as the replica
+// does when a local commit follows a refresh batch.
 func TestInstallThenSerialApplyInterleave(t *testing.T) {
 	e := newKVEngine(t, 4) // version 1
 	for v := uint64(2); v <= 4; v++ {
-		if err := e.InstallWriteSet(updateWS("kv", int64(v%4), int64(v)), v); err != nil {
+		if err := e.InstallWriteSets([]*writeset.WriteSet{updateWS("kv", int64(v%4), int64(v))}, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +152,7 @@ func TestInstallThenSerialApplyInterleave(t *testing.T) {
 }
 
 // TestConcurrentInstallPublishReaders is the storage-level model of
-// the parallel applier: K worker goroutines install disjoint keys (so
+// the replica's refresh applier: K worker goroutines install disjoint keys (so
 // no two concurrent installs conflict, and each key's versions are
 // installed in order by its owner), a publisher advances the watermark
 // over the contiguous completed prefix, and reader goroutines assert
@@ -146,7 +174,7 @@ func TestConcurrentInstallPublishReaders(t *testing.T) {
 				if int64(v%keys) != g {
 					continue
 				}
-				if err := e.InstallWriteSet(updateWS("kv", g, int64(v)), v); err != nil {
+				if err := e.InstallWriteSets([]*writeset.WriteSet{updateWS("kv", g, int64(v))}, v); err != nil {
 					t.Error(err)
 					return
 				}

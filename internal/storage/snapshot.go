@@ -18,8 +18,8 @@ const scanChunk = 512
 // immutable version image and must not be mutated.
 //
 // This is the fuzzy-checkpoint scan: it holds only the per-table read
-// lock, released every scanChunk keys, so serial applies (which need
-// e.mu exclusively) and concurrent installers proceed underneath it.
+// lock, released every scanChunk keys, so commits and installs (which
+// need e.mu, exclusively or shared) proceed underneath it.
 // The result is still a consistent snapshot at `snapshot`: versions
 // installed during the scan are above it and filtered out by the
 // visibility check, and Vacuum only removes versions invisible at the
@@ -78,13 +78,11 @@ func (e *Engine) TablesSorted() []string {
 // finish with RestoreVersion. Row images are schema-checked so a
 // corrupt checkpoint cannot plant malformed rows.
 func (e *Engine) RestoreRow(tableName, key string, row []any, version uint64) error {
+	ws := writeset.WriteSet{Items: []writeset.Item{{Table: tableName, Key: key, Op: writeset.OpUpdate, Row: row}}}
 	e.mu.RLock()
-	t, ok := e.tables[tableName]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	return installItem(t, &writeset.Item{Table: tableName, Key: key, Op: writeset.OpUpdate, Row: row}, version)
+	defer e.mu.RUnlock()
+	_, err := e.installRun([]*writeset.WriteSet{&ws}, version)
+	return err
 }
 
 // RestoreVersion force-sets the published version after a checkpoint

@@ -397,8 +397,8 @@ func (t *Txn) CommitLocal() (uint64, error) {
 		return t.e.version.Load(), nil
 	}
 	// First committer wins: if any written record changed after our
-	// snapshot, abort. The exclusive e.mu excludes every installer, so
-	// the plain tree reads here are race-free.
+	// snapshot, abort. The exclusive e.mu excludes every other installRun
+	// caller, so the plain tree reads here are race-free.
 	for i := range ws.Items {
 		it := &ws.Items[i]
 		tb, ok := t.e.tables[it.Table]
@@ -412,10 +412,8 @@ func (t *Txn) CommitLocal() (uint64, error) {
 		}
 	}
 	v := t.e.version.Load() + 1
-	for i := range ws.Items {
-		if err := t.e.applyItem(&ws.Items[i], v); err != nil {
-			return 0, err
-		}
+	if _, err := t.e.installRun([]*writeset.WriteSet{ws}, v); err != nil {
+		return 0, err
 	}
 	t.e.version.Store(v)
 	return v, nil

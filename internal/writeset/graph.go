@@ -28,7 +28,7 @@ type ConflictGraph struct {
 	// CriticalPath is the length of the longest dependency chain — the
 	// lower bound, in writesets, on the schedule's serial fraction. A
 	// value equal to len(wss) means the run is one pure chain and
-	// parallel scheduling cannot help.
+	// cutting it into concurrent runs cannot help.
 	CriticalPath int
 }
 
