@@ -179,6 +179,11 @@ func WithLatency(s *latency.Source) Option { return func(c *Certifier) { c.lat =
 // consistency.
 func WithEager() Option { return func(c *Certifier) { c.eager = true } }
 
+// Eager reports whether the certifier was built WithEager — whether
+// anything counts the apply acknowledgments replicas send it. Fixed at
+// New.
+func (c *Certifier) Eager() bool { return c.eager }
+
 // WithShards partitions certification by the given table→shard map.
 // Nil (or a single-shard map) keeps the paper's single sequencer.
 func WithShards(m *shard.Map) Option { return func(c *Certifier) { c.smap = m } }
@@ -580,8 +585,12 @@ func (c *Certifier) CertifyCtx(origin int, txnID, snapshot uint64, ws *writeset.
 // Acks are cumulative: replicas apply in strict version order, so an
 // ack for v also clears the replica from every wait below v. That
 // makes coalesced and retried acks (the wire client ships only the
-// highest version) sound.
+// highest version) sound. Without eager mode no wait exists and the
+// call returns before the lock the refresh fan-out holds.
 func (c *Certifier) Applied(replicaID int, v uint64) {
+	if !c.eager {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for ver, w := range c.waits {

@@ -178,6 +178,28 @@ func TestEagerReleasedOnReplicaCrash(t *testing.T) {
 	}
 }
 
+// TestAppliedLazyTakesNoLock: a certifier built without WithEager has
+// no wait to clear, and replicas call Applied once per applied batch —
+// it must not queue behind the refresh fan-out's lock.
+func TestAppliedLazyTakesNoLock(t *testing.T) {
+	c := New()
+	if c.Eager() {
+		t.Fatal("a certifier built without WithEager reports eager")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	returned := make(chan struct{})
+	go func() {
+		c.Applied(1, 1)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Applied on a lazy certifier waited for c.mu")
+	}
+}
+
 func TestHistoryCatchUp(t *testing.T) {
 	c := New()
 	for i := uint64(1); i <= 5; i++ {

@@ -308,6 +308,112 @@ func TestNetworkedFrameCounts(t *testing.T) {
 	}
 }
 
+// certLinkFrames counts what the replicas' certifier links carry after
+// each connection's hello: frames either way on request connections,
+// and client → server frames — apply acknowledgments — on subscription
+// connections.
+type certLinkFrames struct{ req, acks atomic.Int64 }
+
+func (f *certLinkFrames) dialerFor(label string) wire.Dialer {
+	if !strings.HasPrefix(label, "cert/") {
+		return nil
+	}
+	return func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &certConn{Conn: c, f: f}, nil
+	}
+}
+
+// certConn learns which kind of connection it is from its first write,
+// the hello: u32 length, 4-byte magic, version, then the link byte —
+// 's' on a subscription.
+type certConn struct {
+	net.Conn
+	f     *certLinkFrames
+	hello bool
+	sub   bool
+}
+
+// Write counts before it writes: the frame's effect — a commit
+// returning to the test — can outrun this goroutine's next statement.
+func (c *certConn) Write(p []byte) (int, error) {
+	switch {
+	case !c.hello:
+		c.hello, c.sub = true, p[9] == 's'
+	case c.sub:
+		c.f.acks.Add(1)
+	default:
+		c.f.req.Add(1)
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *certConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && !c.sub {
+		c.f.req.Add(1)
+	}
+	return n, err
+}
+
+// TestNetworkedCertLinkFrames pins what a commit costs on the certifier
+// links, counted from the moment the cluster is up. Under a lazy mode
+// nothing counts apply acknowledgments and none is sent: N sequential
+// updates are N certify exchanges and not one frame more. Under ESC the
+// acknowledgments are one-way frames on the refresh streams — one per
+// commit and non-origin replica, since each commit returns only when
+// they are in — and the request links add the global-commit wait.
+func TestNetworkedCertLinkFrames(t *testing.T) {
+	const n = 50
+	for _, tc := range []struct {
+		mode core.Mode
+		req  int64 // request-link frames
+		acks int64 // subscription-link acknowledgment frames, all replicas
+	}{
+		{core.Coarse, 2 * n, 0},
+		{core.Eager, 4 * n, 2 * n},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			var f certLinkFrames
+			c := newNetClusterWith(t, tc.mode, func(nc *NetConfig) { nc.DialerFor = f.dialerFor })
+			s := c.SessionWithID("counted")
+			defer s.Close()
+			for i := 0; i < n; i++ {
+				tx, err := s.Begin("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.ExecSQL(`UPDATE kv SET v = 'counted' WHERE k = 1`); err != nil {
+					t.Fatal(err)
+				}
+				if res, err := tx.Commit(); err != nil || res.ReadOnly {
+					t.Fatalf("commit %d = %+v, %v", i, res, err)
+				}
+			}
+			// Lazy refreshes are still in flight; let every replica apply
+			// them, so an acknowledgment that was going to be sent has been.
+			want, deadline := c.Certifier().Version(), time.Now().Add(10*time.Second)
+			for i := 0; i < c.NumReplicas(); i++ {
+				for c.Replica(i).Version() < want {
+					if time.Now().After(deadline) {
+						t.Fatalf("replica %d stuck at version %d, want %d", i, c.Replica(i).Version(), want)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if got := f.acks.Load(); got != tc.acks {
+				t.Errorf("%d acknowledgment frames on the subscription connections, want %d", got, tc.acks)
+			}
+			if got := f.req.Load(); got != tc.req {
+				t.Errorf("%d frames on the request connections, want %d", got, tc.req)
+			}
+		})
+	}
+}
+
 // TestNetworkedDeferredStart checks where the start of a networked
 // transaction now sits: nothing is pinned at Begin, and the balancer's
 // start rule runs when the first request arrives — so an update

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"fmt"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,10 +178,36 @@ func benchPartialSubscription(b *testing.B, shards []int) {
 	b.ReportMetric(float64(read)/float64(b.N), "bytes/refresh")
 }
 
-// BenchmarkWireRoundTrip measures what the two request links cost a
-// transaction over loopback TCP (client → gateway → replica and back):
-// an eager begin and its abort, and a one-statement read transaction
-// whose begin rides on the statement — two round trips each.
+// frameCountConn counts the frames one connection moves: socket writes
+// plus non-empty reads, one per message either way.
+type frameCountConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c frameCountConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.n.Add(1)
+	}
+	return n, err
+}
+
+func (c frameCountConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if n > 0 {
+		c.n.Add(1)
+	}
+	return n, err
+}
+
+// BenchmarkWireRoundTrip measures what the links cost a transaction
+// over loopback TCP. On the two request links (client → gateway →
+// replica and back): an eager begin and its abort, and a one-statement
+// read transaction whose begin rides on the statement — two round
+// trips each. With the certifier links behind them: a one-statement
+// update on three replicas, which adds the certify exchange and the
+// refresh fan-out, and reports every frame those links moved.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	d := newDeployment(b, 1, core.Coarse)
 	c, err := Dial(d.gateway.Addr(), "bench")
@@ -187,6 +215,21 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	// Both deployments start here and not inside b.Run: what a start
+	// logs would land in the middle of a sub-benchmark's result line.
+	var certFrames atomic.Int64
+	d3 := newDeploymentWith(b, 3, core.Coarse, WithDialer(func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return frameCountConn{c, &certFrames}, nil
+	}))
+	c3, err := Dial(d3.gateway.Addr(), "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c3.Close()
 	b.Run("begin-abort", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -209,5 +252,20 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("update-txn", func(b *testing.B) {
+		b.ReportAllocs()
+		start := certFrames.Load()
+		for i := 0; i < b.N; i++ {
+			c3.Start("bench.txn", nil, dtrace.SpanContext{})
+			if _, err := c3.Exec(`UPDATE kv SET v = 'u' WHERE k = ?`, int64(i%10)); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := c3.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(certFrames.Load()-start)/float64(b.N), "certframes/op")
 	})
 }

@@ -52,20 +52,42 @@ func (h *certHello) parse(d *writeset.Decoder) {
 // subscriber's to backfill.
 type subAck struct {
 	Version uint64
+	// Acks asks the subscriber for appliedAck frames on this stream. The
+	// certifier sets it when something counts them — the eager mode's
+	// global commit — and a subscriber that is not asked sends none.
+	Acks bool
 }
 
 func (a *subAck) appendTo(buf []byte) ([]byte, error) {
-	return binary.AppendUvarint(appendHello(buf, linkSubAck), a.Version), nil
+	buf = append(appendHello(buf, linkSubAck), flagIf(a.Acks, flagAcks))
+	return binary.AppendUvarint(buf, a.Version), nil
 }
 
-func (a *subAck) parse(d *writeset.Decoder) { a.Version = d.Uvarint() }
+func (a *subAck) parse(d *writeset.Decoder) {
+	a.Acks = readFlags(d, flagAcks) != 0
+	a.Version = d.Uvarint()
+}
+
+// appliedAck is the one frame a subscriber writes on its subscription
+// connection after the hello: every refresh up to Version is applied.
+// It is one-way and cumulative, so a lost, coalesced or duplicated
+// frame costs nothing a later one does not repair.
+type appliedAck struct {
+	Version uint64
+}
+
+func (a *appliedAck) appendTo(buf []byte) ([]byte, error) {
+	return binary.AppendUvarint(buf, a.Version), nil
+}
+
+func (a *appliedAck) parse(d *writeset.Decoder) { a.Version = d.Uvarint() }
 
 // certRequest is the request envelope on linkCertReq connections;
 // exactly one field group is set per call.
 type certRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  op // opCertify, opApplied, opHistory, opGlobalWait, opVersion, opTableVers, opUnsubscribe
+	Op  op // opCertify, opHistory, opGlobalWait, opVersion, opTableVers, opUnsubscribe
 
 	// certify
 	Origin   int
@@ -75,7 +97,7 @@ type certRequest struct {
 	// Trace is the committing span's context; zero when untraced.
 	Trace dtrace.SpanContext
 
-	// applied / globalwait / unsubscribe
+	// globalwait / unsubscribe
 	ReplicaID int
 	Version   uint64
 
@@ -183,7 +205,9 @@ type CertServer struct {
 }
 
 // EnableObs counts served requests per operation under
-// sconrep_wire_requests_total{link="certifier"}. Call before traffic.
+// sconrep_wire_requests_total{link="certifier"} — and, as op="applied",
+// the acknowledgment frames received on subscription streams. Call
+// before traffic.
 func (s *CertServer) EnableObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -303,10 +327,13 @@ func (s *CertServer) maybeAdopt(h certHello) {
 	}
 }
 
-// streamRefreshes pumps the subscription to the replica, one frame per
-// Take batch — never per refresh. The mailbox coalesces bursts, so a
-// backlogged replica receives a few large frames instead of a frame
-// per committed transaction.
+// streamRefreshes serves one subscription connection in both
+// directions. A writer goroutine pumps the subscription to the replica,
+// one frame per Take batch — never per refresh: the mailbox coalesces
+// bursts, so a backlogged replica receives a few large frames instead
+// of a frame per committed transaction. This goroutine reads the
+// replica's appliedAck frames. Either side's failure closes the
+// connection, which ends the other.
 func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	c, replicaID := fc.c, hello.ReplicaID
 	s.mu.Lock()
@@ -315,8 +342,9 @@ func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	s.mu.Unlock()
 	sub := s.cert.SubscribeShards(replicaID, hello.Shards)
 	defer s.releaseStream(replicaID, gen, sub)
-	// The stream only writes; reads would block forever, so drop the
-	// hello deadline.
+	// A replica that is asked for no acks never writes again, and one
+	// that is writes only when it applies: reads have no deadline, and
+	// return when the peer closes or half-closes.
 	c.SetReadDeadline(time.Time{})
 	// The ack is written only now that the subscription is registered,
 	// and carries the version read after it: a commit certified before
@@ -325,20 +353,38 @@ func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	if d := s.opts.to.Call; d > 0 {
 		c.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := fc.send(&subAck{Version: s.cert.Version()}); err != nil {
+	if err := fc.send(&subAck{Version: s.cert.Version(), Acks: s.cert.Eager()}); err != nil {
 		return
 	}
+	go func() {
+		defer c.Close()
+		for {
+			batch, ok := sub.Take()
+			if !ok {
+				return
+			}
+			if d := s.opts.to.Call; d > 0 {
+				c.SetWriteDeadline(time.Now().Add(d))
+			}
+			if err := fc.send(refreshBatch(batch)); err != nil {
+				return
+			}
+		}
+	}()
 	for {
-		batch, ok := sub.Take()
-		if !ok {
+		var ack appliedAck
+		if err := fc.recv(&ack); err != nil {
 			return
 		}
-		if d := s.opts.to.Call; d > 0 {
-			c.SetWriteDeadline(time.Now().Add(d))
-		}
-		if err := fc.send(refreshBatch(batch)); err != nil {
+		// An ack clears the replica from every eager wait at or below
+		// its version, so one for a version nobody assigned would
+		// release commits the replica never saw.
+		if v := s.cert.Version(); ack.Version > v {
+			log.Printf("wire: certifier: replica %d acknowledged version %d, latest is %d; closing its stream", replicaID, ack.Version, v)
 			return
 		}
+		s.obsReqs.Load().With("applied").Inc()
+		s.cert.Applied(replicaID, ack.Version)
 	}
 }
 
@@ -398,8 +444,6 @@ func (s *CertServer) serveRequests(fc *frameConn) {
 				resp.Err = err.Error()
 			}
 			resp.Decision = d
-		case opApplied:
-			s.cert.Applied(req.ReplicaID, req.Version)
 		case opHistory:
 			resp.History = s.cert.FilterUnserved(s.cert.History(req.After), req.Shards)
 		case opGlobalWait:
@@ -458,20 +502,22 @@ type CertClient struct {
 	// until Vlocal reaches it (see Ready).
 	serveFloor atomic.Uint64
 
-	// Coalesced apply acknowledgments: Applied is called once per
-	// refresh on the applier's hot path, so acks are shipped
-	// asynchronously and collapsed to the highest version (the
-	// certifier treats acks as cumulative).
-	ackMu sync.Mutex
-	// ackMax is the highest version posted for acknowledgment.
-	// guarded by ackMu
-	ackMax uint64
-	// ackSent is the highest version shipped to the certifier.
-	// guarded by ackMu
-	ackSent uint64
-	// ackBusy marks a running ackLoop goroutine.
-	// guarded by ackMu
-	ackBusy bool
+	// wmu serializes what the client writes on the subscription
+	// connection after the hello. It is held across one socket write,
+	// and never while taking mu.
+	// locks after CertClient.mu
+	wmu sync.Mutex
+	// applied is the highest version Applied was called with.
+	// guarded by wmu
+	applied uint64
+	// ackTo is the stream whose subAck asked for apply acknowledgments;
+	// nil while the stream is down or nothing counts them.
+	// guarded by wmu
+	ackTo *frameConn
+	// ackGen is the subscription generation that set ackTo: a stream
+	// superseded by Subscribe must not displace its successor's.
+	// guarded by wmu
+	ackGen int
 }
 
 var _ replica.CertService = (*CertClient)(nil)
@@ -676,6 +722,10 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 		return false
 	}
 	conn.SetDeadline(time.Time{})
+	if ack.Acks {
+		c.ackOn(gen, fc)
+		defer c.ackOn(gen, nil)
+	}
 	floor := ack.Version
 	if floor > c.serveFloor.Load() {
 		c.serveFloor.Store(floor)
@@ -769,46 +819,54 @@ func (c *CertClient) Unsubscribe(replicaID int) {
 	_, _ = c.callRetry(certRequest{Op: opUnsubscribe, ReplicaID: replicaID}, c.opts.to.Call, c.opts.backoff.Max)
 }
 
-// Applied implements replica.CertService. Acks are shipped
-// asynchronously, coalesced to the highest applied version; the
-// certifier's accounting is cumulative, so collapsed and retried acks
-// are safe.
+// Applied implements replica.CertService: one appliedAck frame on the
+// subscription stream, when the certifier asked for them. The caller
+// is the replica's notifier, which has already coalesced to the highest
+// applied version and may block for one socket write. The version is
+// kept either way: it opens the next stream that asks.
 func (c *CertClient) Applied(replicaID int, v uint64) {
-	c.ackMu.Lock()
-	if v > c.ackMax {
-		c.ackMax = v
-	}
-	if c.ackBusy {
-		c.ackMu.Unlock()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if v <= c.applied {
 		return
 	}
-	c.ackBusy = true
-	c.ackMu.Unlock()
-	go c.ackLoop()
+	c.applied = v
+	c.sendAckLocked()
 }
 
-func (c *CertClient) ackLoop() {
-	for {
-		c.ackMu.Lock()
-		v := c.ackMax
-		if v <= c.ackSent {
-			c.ackBusy = false
-			c.ackMu.Unlock()
-			return
-		}
-		c.ackMu.Unlock()
-		if _, err := c.callRetry(certRequest{Op: opApplied, ReplicaID: c.replicaID, Version: v}, c.opts.to.Call, 0); err != nil {
-			log.Printf("wire: applied(%d): %v", v, err)
-			c.ackMu.Lock()
-			c.ackBusy = false
-			c.ackMu.Unlock()
-			return
-		}
-		c.ackMu.Lock()
-		if v > c.ackSent {
-			c.ackSent = v
-		}
-		c.ackMu.Unlock()
+// ackOn makes fc — generation gen's stream, whose subAck asked for
+// acknowledgments — the one Applied writes to, and opens it with the
+// highest version applied so far: an ack posted while no stream was up
+// is late by the reconnect, never lost. A nil fc ends that when the
+// stream does.
+func (c *CertClient) ackOn(gen int, fc *frameConn) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if gen < c.ackGen {
+		return
+	}
+	c.ackGen, c.ackTo = gen, fc
+	if c.applied > 0 {
+		c.sendAckLocked()
+	}
+}
+
+// sendAckLocked writes the cumulative ack on the current stream, if
+// any. A failed write closes the connection: the stream's reader then
+// fails and resubscribes, and the next stream re-sends.
+//
+// Caller holds c.wmu.
+func (c *CertClient) sendAckLocked() {
+	fc := c.ackTo
+	if fc == nil {
+		return
+	}
+	if d := c.opts.to.Call; d > 0 {
+		fc.c.SetWriteDeadline(time.Now().Add(d))
+	}
+	if err := fc.send(&appliedAck{Version: c.applied}); err != nil {
+		c.ackTo = nil
+		fc.c.Close()
 	}
 }
 

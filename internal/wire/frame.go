@@ -16,7 +16,7 @@ import (
 )
 
 // Frame codec. Every message on every link — hellos, request and
-// response envelopes, refresh batches — is one frame:
+// response envelopes, refresh batches, apply acks — is one frame:
 //
 //	u32 payload length (little-endian, at most maxFrame)
 //	payload: the message's fields in declaration order, positional
@@ -46,7 +46,7 @@ import (
 
 // codecVersion is the protocol version carried in every hello. Bump it
 // with any change to a frame layout, then run `make update-schema`.
-const codecVersion = 1
+const codecVersion = 2
 
 // helloMagic opens every connection's first frame.
 const helloMagic = "SCRP"
@@ -88,7 +88,6 @@ const (
 	opRegister
 	opStatus
 	opCertify
-	opApplied
 	opHistory
 	opGlobalWait
 	opVersion
@@ -98,7 +97,7 @@ const (
 )
 
 var opNames = [numOps]string{"", "exec", "commit", "abort", "register", "status",
-	"certify", "applied", "history", "globalwait", "version", "tablevers", "unsubscribe"}
+	"certify", "history", "globalwait", "version", "tablevers", "unsubscribe"}
 
 // String is the operation's name in metrics labels and errors.
 func (o op) String() string {
@@ -252,8 +251,10 @@ func (fc *frameConn) recvHello(accept string, f inFrame) (link, error) {
 
 // Shared field shapes.
 
-// Message flag bits. Each message uses the subset its struct has.
+// Message flag bits. Each message uses the subset its struct has, and
+// flags that never meet in one message may share a bit.
 const (
+	flagAcks     = 1 << 0 // subAck only
 	flagBegin    = 1 << 0
 	flagTrace    = 1 << 1 // a 24-byte span context follows the flags
 	flagEager    = 1 << 2

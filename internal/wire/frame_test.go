@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -67,6 +68,9 @@ func frameCases() []struct {
 		{"certHello", &certHello{Kind: linkCertSub, ReplicaID: -1, VLocal: math.MaxUint64, Shards: []int{0, 3}}, &certHello{}},
 		{"certHello/emptyShards", &certHello{Kind: linkCertReq, Shards: []int{}}, &certHello{}},
 		{"subAck", &subAck{Version: math.MaxUint64}, &subAck{}},
+		{"subAck/acks", &subAck{Version: 7, Acks: true}, &subAck{}},
+		{"appliedAck", &appliedAck{Version: math.MaxUint64}, &appliedAck{}},
+		{"appliedAck/zero", &appliedAck{}, &appliedAck{}},
 		{"clientRequest", &clientRequest{Seq: math.MaxUint64, Op: opExec, Name: "n", Tables: []string{"a", ""},
 			Begin: true, TxnName: "tpcw.buyConfirm", Trace: sc, SQL: "SELECT 1", Params: edgeValues()}, &clientRequest{}},
 		{"clientRequest/zero", &clientRequest{}, &clientRequest{}},
@@ -224,6 +228,8 @@ func TestFrameHostileBytesRejected(t *testing.T) {
 		"unknown error code": {[]byte{1, 0, byte(numErrCodes), 0, 0, 0, 0, 0}, &clientResponse{}},
 		"huge varint count":  {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, new(refreshBatch)},
 		"unknown value tag":  {[]byte{1, 0, 0, 0, 0, 2, 9}, &replicaRequest{}},
+		"subAck flag bits":   {[]byte{flagAcks | 0x02, 7}, &subAck{}},
+		"ack varint > 64 b":  {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, &appliedAck{}},
 	}
 	for name, tc := range bad {
 		if err := parsePayload(tc.p, tc.f); err == nil {
@@ -253,24 +259,29 @@ func TestReadFrameLengthBound(t *testing.T) {
 }
 
 // TestHelloRejected: on every link a first frame with the wrong magic,
-// another protocol version, or another link's byte gets the connection
-// closed without a response, and the error names both versions.
+// a newer or the previous protocol version, or another link's byte gets
+// the connection closed without a response, and the error names both
+// versions. Each hello is otherwise the link's own, so a server that
+// let it pass would answer — the subscription link with its subAck at
+// once, the others the request that follows.
 func TestHelloRejected(t *testing.T) {
 	d := newDeployment(t, 1, core.Coarse)
 	links := []struct {
 		name, addr string
-		l          link
+		hello      outFrame
 	}{
-		{"client", d.gateway.Addr(), linkClient},
-		{"replica", d.repSrvs[0].Addr(), linkReplica},
-		{"certifier", d.certSrv.Addr(), linkCertReq},
+		{"client", d.gateway.Addr(), &clientHello{SessionID: "s"}},
+		{"replica", d.repSrvs[0].Addr(), bareHello(linkReplica)},
+		{"certifier", d.certSrv.Addr(), &certHello{Kind: linkCertReq}},
+		{"subscription", d.certSrv.Addr(), &certHello{Kind: linkCertSub, ReplicaID: 9}},
 	}
 	for _, lk := range links {
-		good, _ := encodeFrame(nil, bareHello(lk.l))
+		good, _ := encodeFrame(nil, lk.hello)
 		for name, mutate := range map[string]func([]byte){
-			"magic":   func(b []byte) { b[4] = 'X' },
-			"version": func(b []byte) { b[4+len(helloMagic)] = codecVersion + 1 },
-			"link":    func(b []byte) { b[4+len(helloMagic)+1] = 'z' },
+			"magic":            func(b []byte) { b[4] = 'X' },
+			"version":          func(b []byte) { b[4+len(helloMagic)] = codecVersion + 1 },
+			"previous version": func(b []byte) { b[4+len(helloMagic)] = codecVersion - 1 },
+			"link":             func(b []byte) { b[4+len(helloMagic)+1] = 'z' },
 		} {
 			hello := append([]byte(nil), good...)
 			mutate(hello)
@@ -278,8 +289,6 @@ func TestHelloRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The hello, then a well-formed first request: a server that
-			// let the hello pass would answer it.
 			req, _ := encodeFrame(nil, &replicaRequest{Seq: 1, Op: opStatus})
 			conn.Write(append(hello, req...))
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -293,7 +302,7 @@ func TestHelloRejected(t *testing.T) {
 	hello := appendHello(nil, linkClient)
 	hello[len(helloMagic)] = 9
 	_, err := checkHello(writeset.NewDecoder(hello), "c")
-	if err == nil || !strings.Contains(err.Error(), "version 9") || !strings.Contains(err.Error(), "version 1") {
+	if err == nil || !strings.Contains(err.Error(), "version 9") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", codecVersion)) {
 		t.Fatalf("version mismatch error = %v, want both versions named", err)
 	}
 }
@@ -364,6 +373,7 @@ func FuzzFrameCodec(f *testing.F) {
 		func() frame { return &clientHello{} },
 		func() frame { return &certHello{} },
 		func() frame { return &subAck{} },
+		func() frame { return &appliedAck{} },
 		func() frame { return &clientRequest{} },
 		func() frame { return &clientResponse{} },
 		func() frame { return &replicaRequest{} },

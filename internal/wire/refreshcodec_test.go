@@ -107,8 +107,8 @@ func TestRefreshStreamFrames(t *testing.T) {
 
 	certifyN(t, cert, 2)
 	fc, ack := subscribeRaw(t, srv.Addr(), certHello{ReplicaID: 7})
-	if ack.Version != 2 {
-		t.Fatalf("ack version = %d, want the certifier's version at registration (2)", ack.Version)
+	if ack.Version != 2 || ack.Acks {
+		t.Fatalf("ack = %+v, want the certifier's version at registration (2) and, nothing counting them, no apply acks asked for", ack)
 	}
 	ws := &writeset.WriteSet{Items: []writeset.Item{{Table: "t", Key: "cold", Op: writeset.OpUpdate, Row: []any{"x"}}}}
 	for i := 0; i < 5; i++ {

@@ -8,8 +8,11 @@
 // codec of frame.go:
 //
 //   - certifier link (CertServer / CertClient): replicas certify
-//     writesets, stream refreshes, acknowledge applies, and fetch
-//     recovery history;
+//     writesets and fetch recovery history on request/response
+//     connections, and hold one subscription connection each, on which
+//     refreshes stream down and — when the certifier's subAck asks for
+//     them, i.e. under eager mode — cumulative apply acknowledgments
+//     travel up as one-way frames;
 //   - replica link (ReplicaServer / replicaConn): the gateway begins,
 //     executes, and commits transactions on a replica;
 //   - client link (Gateway / Client): applications open sessions and

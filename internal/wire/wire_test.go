@@ -54,7 +54,7 @@ func newDeployment(t testing.TB, n int, mode core.Mode) *deployment {
 }
 
 // newDeploymentWith is newDeployment with extra options on the replica
-// servers.
+// servers and their certifier clients.
 func newDeploymentWith(t testing.TB, n int, mode core.Mode, repOpts ...Option) *deployment {
 	t.Helper()
 	d := &deployment{}
@@ -74,7 +74,7 @@ func newDeploymentWith(t testing.TB, n int, mode core.Mode, repOpts ...Option) *
 	for i := 0; i < n; i++ {
 		eng := storage.NewEngine()
 		loadKV(t, eng)
-		cc := DialCertifier(d.certSrv.Addr(), i, eng.Version())
+		cc := DialCertifier(d.certSrv.Addr(), i, eng.Version(), repOpts...)
 		rep := replica.New(replica.Config{ID: i, EarlyCert: true}, eng, cc)
 		srv, err := ServeReplica(rep, "127.0.0.1:0", repOpts...)
 		if err != nil {
