@@ -94,8 +94,9 @@ bench:
 # workloads), the 100k-entry History lookup, refresh streaming
 # over a real TCP link, per-replica refresh bytes under partial shard
 # subscriptions, a transaction's links over loopback (eager begin +
-# abort, one-statement read, one-statement update on three replicas with
-# its certifier-link frame count), and disk restart
+# abort, one-statement read with its client-link frame count,
+# one-statement update on three replicas with its certifier-link frame
+# count), and disk restart
 # (checkpoint restore + WAL replay vs full history replay). Results land in BENCH_hotpath.json (committed,
 # so before/after numbers travel with the code); benchjson -require
 # fails the run if any expected benchmark went missing. Override

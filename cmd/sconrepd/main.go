@@ -539,9 +539,10 @@ func runClient(connect, session string, wireOpts []wire.Option) {
 				printRes(c.Exec(line))
 				continue
 			}
-			// Autocommit is two round trips: the begin header rides on
-			// the statement, and a header request that fails leaves no
-			// transaction to abort.
+			// Autocommit is one round trip for a read and two for an
+			// update: the begin header rides on the statement, a commit
+			// that wrote nothing is not answered, and a header request
+			// that fails leaves no transaction to abort.
 			c.Start("", nil, dtrace.SpanContext{})
 			res, err := c.Exec(line)
 			if err != nil {

@@ -878,10 +878,13 @@ func (t *Tx) netExec(src string, params ...any) (*sql.Result, error) {
 }
 
 // failed marks execution errors that already aborted the transaction
-// at the replica so Commit/Abort do not double-count. A broken wire
+// at the replica so Commit/Abort do not double-count. Over the wire an
+// early-certification kill arrives as ErrCertifyConflict (the one
+// conflict code), which no statement returns in process. A broken wire
 // session is terminal for the transaction the same way.
 func (t *Tx) failed(err error) {
-	terminal := errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed)
+	terminal := errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed) ||
+		errors.Is(err, replica.ErrCertifyConflict)
 	if t.wc != nil && t.wc.Broken() {
 		terminal = true
 	}

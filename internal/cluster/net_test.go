@@ -216,31 +216,65 @@ func (c *countedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write counts before it writes: a one-way frame's effect — the replica
+// ending the transaction — can outrun this goroutine's next statement.
 func (c *countedConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.n.Add(1)
+	c.n.Add(1)
+	return c.Conn.Write(p)
+}
+
+// waitQuiet polls, within a bound, until no replica has a transaction
+// open. A transaction's last frame can be a one-way commit or abort —
+// nobody's round trip — so what it costs and leaves behind is read only
+// after it has arrived.
+func waitQuiet(t *testing.T, c *Cluster) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < c.NumReplicas(); i++ {
+		for c.Replica(i).Active() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d still has %d open transactions", i, c.Replica(i).Active())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	return n, err
+}
+
+// waitApplied waits until every replica has applied version v.
+func waitApplied(t *testing.T, c *Cluster, v uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < c.NumReplicas(); i++ {
+		for c.Replica(i).Version() < v {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d stuck at version %d, want %d", i, c.Replica(i).Version(), v)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 // framesOf runs txn three times and returns the fewest frames one run
 // moved on the client link and on the replica links: the gateway's
 // status probes share the replica links and can only add frames.
-func framesOf(f *frameCounter, txn func()) (client, replica int64) {
+func framesOf(t *testing.T, c *Cluster, f *frameCounter, txn func()) (client, replica int64) {
 	client, replica = math.MaxInt64, math.MaxInt64
 	for i := 0; i < 3; i++ {
 		c0, r0 := f.client.Load(), f.replica.Load()
 		txn()
+		waitQuiet(t, c)
 		client = min(client, f.client.Load()-c0)
 		replica = min(replica, f.replica.Load()-r0)
 	}
 	return client, replica
 }
 
-// TestNetworkedFrameCounts pins what a transaction costs on the wire
-// now that begin rides on the first request: 2N+2 frames per link for
-// N statements, 2 for a bare commit, none for a bare abort.
+// TestNetworkedFrameCounts pins what a transaction costs on the wire.
+// Begin rides on the first request, and a transaction that wrote nothing
+// ends with one frame — its commit, or any abort, is not answered: 2N+1
+// frames per link for N read statements, 2N+2 once one of them wrote, 2
+// for a bare commit (no response had said read-only yet), none for a bare
+// abort.
 func TestNetworkedFrameCounts(t *testing.T) {
 	var fc frameCounter
 	c := newNetClusterWith(t, core.Coarse, func(n *NetConfig) { n.DialerFor = fc.dialerFor })
@@ -265,45 +299,42 @@ func TestNetworkedFrameCounts(t *testing.T) {
 	tx := begin()
 	mustExec(tx, `SELECT v FROM kv WHERE k = 1`)
 	tx.Abort()
+	waitQuiet(t, c)
 
+	// run commits a transaction of the given statements.
+	run := func(readOnly bool, stmts ...string) func() {
+		return func() {
+			t.Helper()
+			tx := begin()
+			for _, q := range stmts {
+				mustExec(tx, q)
+			}
+			if res, err := tx.Commit(); err != nil || res.ReadOnly != readOnly {
+				t.Fatalf("commit = %+v, %v; want ReadOnly=%v", res, err, readOnly)
+			}
+		}
+	}
+	const read1, read2, write = `SELECT v FROM kv WHERE k = 1`, `SELECT v FROM kv WHERE k = 2`, `UPDATE kv SET v = 'counted' WHERE k = 1`
 	for _, tc := range []struct {
 		name   string
 		txn    func()
 		frames int64
 	}{
-		{"one statement", func() {
+		{"one read", run(true, read1), 3},
+		{"three reads", run(true, read1, read2, read1), 7},
+		{"read, update, read", run(false, read1, write, read2), 8},
+		{"read, abort", func() {
 			tx := begin()
-			mustExec(tx, `SELECT v FROM kv WHERE k = 1`)
-			if _, err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}, 4},
-		{"three statements", func() {
-			tx := begin()
-			mustExec(tx, `SELECT v FROM kv WHERE k = 1`)
-			mustExec(tx, `UPDATE kv SET v = 'counted' WHERE k = 1`)
-			mustExec(tx, `SELECT v FROM kv WHERE k = 2`)
-			if _, err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}, 8},
+			mustExec(tx, read1)
+			tx.Abort()
+		}, 3},
+		{"begin, commit", run(true), 2},
 		{"begin, abort", func() { begin().Abort() }, 0},
-		{"begin, commit", func() {
-			res, err := begin().Commit()
-			if err != nil || !res.ReadOnly {
-				t.Fatalf("bare commit = %+v, %v", res, err)
-			}
-		}, 2},
 	} {
-		client, replica := framesOf(&fc, tc.txn)
+		client, replica := framesOf(t, c, &fc, tc.txn)
 		if client != tc.frames || replica != tc.frames {
 			t.Errorf("%s: %d client-link and %d replica-link frames, want %d and %d",
 				tc.name, client, replica, tc.frames, tc.frames)
-		}
-	}
-	for i := 0; i < c.NumReplicas(); i++ {
-		if n := c.Replica(i).Active(); n != 0 {
-			t.Errorf("replica %d still has %d open transactions", i, n)
 		}
 	}
 }
@@ -395,15 +426,7 @@ func TestNetworkedCertLinkFrames(t *testing.T) {
 			}
 			// Lazy refreshes are still in flight; let every replica apply
 			// them, so an acknowledgment that was going to be sent has been.
-			want, deadline := c.Certifier().Version(), time.Now().Add(10*time.Second)
-			for i := 0; i < c.NumReplicas(); i++ {
-				for c.Replica(i).Version() < want {
-					if time.Now().After(deadline) {
-						t.Fatalf("replica %d stuck at version %d, want %d", i, c.Replica(i).Version(), want)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
+			waitApplied(t, c, c.Certifier().Version())
 			if got := f.acks.Load(); got != tc.acks {
 				t.Errorf("%d acknowledgment frames on the subscription connections, want %d", got, tc.acks)
 			}
@@ -610,5 +633,138 @@ func TestNetworkedLostFirstResponseRetries(t *testing.T) {
 	}
 	if got, want := s.effectiveID(), fmt.Sprintf("lossy#%d", rounds); got != want {
 		t.Fatalf("session epoch moved to %q during a commit, want %q", got, want)
+	}
+}
+
+// TestNetworkedKilledStatementIsTerminal: early certification kills a
+// networked transaction on its second statement — a conflicting refresh
+// finds its partial writeset. Replica and gateway have both ended it, and
+// over the wire that verdict is the one conflict code: the client ends it
+// too. Abort then sends nothing and counts nothing.
+func TestNetworkedKilledStatementIsTerminal(t *testing.T) {
+	var fc frameCounter
+	c := newNetClusterWith(t, core.Coarse, func(n *NetConfig) { n.DialerFor = fc.dialerFor })
+	victim, winner := c.SessionWithID("victim"), c.SessionWithID("winner")
+	defer victim.Close()
+	defer winner.Close()
+	const write = `UPDATE kv SET v = ? WHERE k = 5`
+
+	vtx, _ := victim.Begin("")
+	if _, err := vtx.ExecSQL(write, "victim"); err != nil {
+		t.Fatal(err)
+	}
+	// The victim's replica has a transaction open, so the winner is routed
+	// elsewhere and reaches the victim's replica as a refresh.
+	wtx, _ := winner.Begin("")
+	if _, err := wtx.ExecSQL(write, "winner"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := wtx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, c, res.Version)
+
+	aborted := c.Collector().Snapshot().Aborted
+	if _, err := vtx.ExecSQL(`SELECT v FROM kv WHERE k = 5`); !errors.Is(err, replica.ErrCertifyConflict) {
+		t.Fatalf("second statement of a killed transaction: %v, want a conflict", err)
+	}
+	frames := fc.client.Load()
+	vtx.Abort()
+	if _, err := vtx.Commit(); !errors.Is(err, replica.ErrTxnDone) {
+		t.Fatalf("commit after the kill: %v, want ErrTxnDone", err)
+	}
+	if got := fc.client.Load() - frames; got != 0 {
+		t.Errorf("aborting a transaction the wire had already ended sent %d frames", got)
+	}
+	if got := c.Collector().Snapshot().Aborted - aborted; got != 1 {
+		t.Errorf("the killed transaction was counted as %d aborts", got)
+	}
+	waitQuiet(t, c)
+}
+
+// mangleWrites wraps the client link: while armed, the next frame
+// written is dropped (reported written, never sent) or sent twice.
+type mangleWrites struct{ drop, dup atomic.Bool }
+
+func (m *mangleWrites) dial(network, addr string) (net.Conn, error) {
+	c, err := net.Dial(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &mangledConn{Conn: c, m: m}, nil
+}
+
+type mangledConn struct {
+	net.Conn
+	m *mangleWrites
+}
+
+func (c *mangledConn) Write(p []byte) (int, error) {
+	switch {
+	case c.m.drop.CompareAndSwap(true, false):
+		return len(p), nil
+	case c.m.dup.CompareAndSwap(true, false):
+		p = append(append([]byte(nil), p...), p...)
+		n, err := c.Conn.Write(p)
+		return n / 2, err
+	}
+	return c.Conn.Write(p)
+}
+
+// TestNetworkedOneWayFrameLostOrDoubled: a one-way frame has no response
+// to miss, but it consumes a sequence number like any other. Dropped, it
+// is a gap at the session's next frame; doubled, a repeat at once. Either
+// way the gateway closes the connection — which aborts what the lost
+// commit left open — and the session goes on under a new epoch.
+func TestNetworkedOneWayFrameLostOrDoubled(t *testing.T) {
+	var m mangleWrites
+	c := newNetClusterWith(t, core.Session, func(n *NetConfig) {
+		n.DialerFor = func(link string) wire.Dialer {
+			if link == LinkClient {
+				return m.dial
+			}
+			return nil
+		}
+	})
+	s := c.SessionWithID("mangled")
+	defer s.Close()
+	read := func() {
+		t.Helper()
+		tx, _ := s.Begin("")
+		if _, err := tx.ExecSQL(`SELECT v FROM kv WHERE k = 1`); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := tx.Commit(); err != nil || !res.ReadOnly {
+			t.Fatalf("commit = %+v, %v", res, err)
+		}
+	}
+	read()
+	for epoch, arm := range []*atomic.Bool{&m.drop, &m.dup} {
+		// The armed frame is the read's commit: the statement before it
+		// was answered. The commit reports success either way — the read
+		// saw one consistent snapshot and has no effect.
+		tx, _ := s.Begin("")
+		if _, err := tx.ExecSQL(`SELECT v FROM kv WHERE k = 1`); err != nil {
+			t.Fatal(err)
+		}
+		arm.Store(true)
+		if res, err := tx.Commit(); err != nil || !res.ReadOnly {
+			t.Fatalf("commit = %+v, %v", res, err)
+		}
+		if arm.Load() {
+			t.Fatal("the commit wrote no frame")
+		}
+		// The next transaction's first request finds the connection
+		// closed, or is the frame that shows the gap; it carries no
+		// commit, so it is retried on a fresh connection.
+		read()
+		if got, want := s.effectiveID(), fmt.Sprintf("mangled#%d", epoch+1); got != want {
+			t.Fatalf("session runs as %q, want %q", got, want)
+		}
+		waitQuiet(t, c)
+	}
+	if violations := history.CheckMonotonicSessions(c.Recorder().Events()); len(violations) != 0 {
+		t.Fatalf("monotonic-session violations: %v", violations)
 	}
 }

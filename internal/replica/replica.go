@@ -611,6 +611,11 @@ type Txn struct {
 	// touched accumulates the table-sets of executed statements — the
 	// transaction's observed read set, reported to the history checker.
 	touched map[string]bool
+	// roCommit and roTouched cache ReadOnlyCommit's answer; roCommit is
+	// unset (not ReadOnly) until built and again once a statement has
+	// touched a table they do not cover.
+	roCommit  CommitResult
+	roTouched []string
 	// outcome/commitVersion/readOnly feed the trace recorder; outcome
 	// stays "" (recorded as abort) unless Commit succeeds.
 	outcome       string
@@ -706,16 +711,51 @@ func (t *Txn) Touched() []string {
 	return out
 }
 
-// checkAlive returns the error state of the transaction, if any.
+// touch adds a statement's table-set to the observed read set.
+func (t *Txn) touch(tables []string) {
+	for _, tab := range tables {
+		if !t.touched[tab] {
+			t.touched[tab] = true
+			t.roCommit = CommitResult{}
+		}
+	}
+}
+
+// ReadOnlyCommit returns what Commit would return now, and Touched, for
+// a transaction that has buffered no write; ok is false for one that
+// has. Such a commit is local (§IV), so its outcome is known as soon as
+// the last statement is: the wire layer reports it with every statement
+// and a read-only commit needs no answer. Table versions read now bound
+// what the snapshot can have observed at least as tightly as at commit
+// time: every version at or below the snapshot was installed before it
+// was taken. The returned values are shared with later calls and must
+// not be modified.
+func (t *Txn) ReadOnlyCommit() (res CommitResult, touched []string, ok bool) {
+	if !t.stx.ReadOnly() {
+		return CommitResult{}, nil, false
+	}
+	if !t.roCommit.ReadOnly {
+		snap := t.stx.Snapshot()
+		t.roTouched = t.Touched()
+		t.roCommit = CommitResult{Version: snap, ReadOnly: true, TableVersions: t.r.engine().TableVersionsAt(t.roTouched, snap)}
+	}
+	return t.roCommit, t.roTouched, true
+}
+
+// checkAlive returns the error state of the transaction, if any. A
+// transaction that early certification killed is over with the first
+// operation that finds out, whichever it is.
 func (t *Txn) checkAlive() error {
 	t.r.mu.Lock()
-	defer t.r.mu.Unlock()
+	done, killed, crashed := t.done, t.killed, t.r.crashed
+	t.r.mu.Unlock()
 	switch {
-	case t.done:
+	case done:
 		return ErrTxnDone
-	case t.killed:
+	case killed:
+		t.abortInternal()
 		return ErrEarlyAbort
-	case t.r.crashed:
+	case crashed:
 		return ErrCrashed
 	default:
 		return nil
@@ -741,9 +781,7 @@ func (t *Txn) Exec(p *sql.Prepared, params ...any) (*sql.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, tab := range p.TableSet {
-		t.touched[tab] = true
-	}
+	t.touch(p.TableSet)
 	if !p.ReadOnly {
 		if err := t.afterWrite(); err != nil {
 			return nil, err
@@ -773,9 +811,7 @@ func (t *Txn) ExecSQL(src string, params ...any) (*sql.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, tab := range sql.Tables(stmt) {
-		t.touched[tab] = true
-	}
+	t.touch(sql.Tables(stmt))
 	if !sql.IsReadOnly(stmt) {
 		if err := t.afterWrite(); err != nil {
 			return nil, err
@@ -902,15 +938,11 @@ type CommitResult struct {
 // eager — held until every replica has applied them.
 func (t *Txn) Commit(eager bool) (CommitResult, error) {
 	if err := t.checkAlive(); err != nil {
-		if errors.Is(err, ErrEarlyAbort) {
-			t.abortInternal()
-		}
 		return CommitResult{}, err
 	}
 	commitSpan := t.r.tracer.Load().StartSpan("replica.commit", t.span.Context())
 	defer commitSpan.End()
-	ws := t.stx.WriteSet()
-	if ws.Empty() {
+	if res, _, ok := t.ReadOnlyCommit(); ok {
 		commitSpan.SetAttr("read_only", "true")
 		// Read-only: local commit, no certification (§IV).
 		if t.timer != nil {
@@ -921,12 +953,11 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 				t.r.lat.LocalCommit()
 			}
 		})
-		snap := t.stx.Snapshot()
-		tv := t.r.engine().TableVersionsAt(t.Touched(), snap)
-		t.outcome, t.commitVersion, t.readOnly = "commit", snap, true
+		t.outcome, t.commitVersion, t.readOnly = "commit", res.Version, true
 		t.abortInternal() // releases the storage txn; nothing to apply
-		return CommitResult{Version: snap, ReadOnly: true, TableVersions: tv}, nil
+		return res, nil
 	}
+	ws := t.stx.WriteSet()
 
 	// Certification round trip.
 	if t.timer != nil {

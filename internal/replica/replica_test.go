@@ -308,6 +308,11 @@ func TestEarlyCertificationRefreshSideKillsActive(t *testing.T) {
 	if !errors.Is(execErr, ErrEarlyAbort) {
 		t.Fatalf("err = %v, want ErrEarlyAbort", execErr)
 	}
+	// The statement that found out ended the transaction: its caller is
+	// told it is over and owes no Abort.
+	if n := rg.replicas[1].Active(); n != 0 {
+		t.Fatalf("killed transaction still counted active (%d)", n)
+	}
 }
 
 func TestEarlyCertDisabledStillAbortsAtCertifier(t *testing.T) {

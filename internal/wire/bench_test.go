@@ -201,16 +201,30 @@ func (c frameCountConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// countingDialer dials connections that count their frames into n.
+func countingDialer(n *atomic.Int64) Dialer {
+	return func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return frameCountConn{c, n}, nil
+	}
+}
+
 // BenchmarkWireRoundTrip measures what the links cost a transaction
 // over loopback TCP. On the two request links (client → gateway →
 // replica and back): an eager begin and its abort, and a one-statement
-// read transaction whose begin rides on the statement — two round
-// trips each. With the certifier links behind them: a one-statement
-// update on three replicas, which adds the certify exchange and the
-// refresh fan-out, and reports every frame those links moved.
+// read transaction whose begin rides on the statement — one round trip
+// each and then a frame nobody waits for, the abort or the read-only
+// commit; the read reports every frame the client link moved. With the
+// certifier links behind them: a one-statement update on three replicas,
+// which adds an answered commit, the certify exchange and the refresh
+// fan-out, and reports every frame the certifier links moved.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	d := newDeployment(b, 1, core.Coarse)
-	c, err := Dial(d.gateway.Addr(), "bench")
+	var clientFrames atomic.Int64
+	c, err := Dial(d.gateway.Addr(), "bench", WithDialer(countingDialer(&clientFrames)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,13 +232,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	// Both deployments start here and not inside b.Run: what a start
 	// logs would land in the middle of a sub-benchmark's result line.
 	var certFrames atomic.Int64
-	d3 := newDeploymentWith(b, 3, core.Coarse, WithDialer(func(network, addr string) (net.Conn, error) {
-		c, err := net.Dial(network, addr)
-		if err != nil {
-			return nil, err
-		}
-		return frameCountConn{c, &certFrames}, nil
-	}))
+	d3 := newDeploymentWith(b, 3, core.Coarse, WithDialer(countingDialer(&certFrames)))
 	c3, err := Dial(d3.gateway.Addr(), "bench")
 	if err != nil {
 		b.Fatal(err)
@@ -243,6 +251,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	})
 	b.Run("read-txn", func(b *testing.B) {
 		b.ReportAllocs()
+		start := clientFrames.Load()
 		for i := 0; i < b.N; i++ {
 			c.Start("bench.txn", nil, dtrace.SpanContext{})
 			if _, err := c.Exec(`SELECT v FROM kv WHERE k = ?`, int64(i%10)); err != nil {
@@ -252,6 +261,8 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		b.ReportMetric(float64(clientFrames.Load()-start)/float64(b.N), "clientframes/op")
 	})
 	b.Run("update-txn", func(b *testing.B) {
 		b.ReportAllocs()

@@ -24,6 +24,12 @@ type Client struct {
 	pending *clientRequest
 	// snapshot is the latest transaction's begin snapshot.
 	snapshot uint64
+	// readOnly: the latest response left a transaction open that had
+	// written nothing, with readTables its observed table-set. Committing
+	// it is local to its replica (§IV) and everything the commit response
+	// would say is already here, so that commit is a one-way frame.
+	readOnly   bool
+	readTables []string
 }
 
 // Dial opens a session against a gateway.
@@ -53,23 +59,40 @@ func (c *Client) Close() error { return c.conn.Close() }
 // open transaction and dropped the session's version floor.
 func (c *Client) Broken() bool { return c.broken.Load() }
 
-func (c *Client) call(req clientRequest) (*clientResponse, error) {
+// send puts one request on the wire, the armed begin header riding on
+// it. It is all there is to a one-way request, and the first half of
+// call.
+func (c *Client) send(req *clientRequest) error {
 	if c.broken.Load() {
-		return nil, fmt.Errorf("wire: session broken, reconnect")
+		return fmt.Errorf("wire: session broken, reconnect")
 	}
-	hdr := c.pending
-	if hdr != nil {
+	if hdr := c.pending; hdr != nil {
 		c.pending = nil
 		req.Begin, req.TxnName, req.Tables, req.Trace = true, hdr.TxnName, hdr.Tables, hdr.Trace
 	}
+	c.readOnly = false
 	c.seq++
 	req.Seq = c.seq
 	if d := c.to.Call; d > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := c.fc.send(&req); err != nil {
+	if err := c.fc.send(req); err != nil {
 		c.broken.Store(true)
-		return nil, fmt.Errorf("wire: send: %w", err)
+		return fmt.Errorf("wire: send: %w", err)
+	}
+	return nil
+}
+
+// sendOneWay sends a request the gateway does not answer.
+func (c *Client) sendOneWay(o op) error {
+	err := c.send(&clientRequest{Op: o, OneWay: true})
+	c.conn.SetWriteDeadline(time.Time{})
+	return err
+}
+
+func (c *Client) call(req clientRequest) (*clientResponse, error) {
+	if err := c.send(&req); err != nil {
+		return nil, err
 	}
 	if d := c.to.Call; d > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(d))
@@ -87,9 +110,10 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 	if resp.Err != "" {
 		return &resp, decodeErr(resp.ErrCode, resp.Err)
 	}
-	if hdr != nil {
+	if req.Begin {
 		c.snapshot = resp.Snapshot
 	}
+	c.readOnly, c.readTables = resp.ReadOnly && req.Op != opCommit, resp.ReadTables
 	return &resp, nil
 }
 
@@ -186,8 +210,16 @@ func (c *Client) Commit() (version uint64, readOnly bool, err error) {
 }
 
 // CommitEx finishes the open transaction and returns the full commit
-// observation.
+// observation. A transaction that wrote nothing commits without a round
+// trip: the frame goes out at once — an idle session must not pin a
+// snapshot at its replica — and nobody waits for an answer.
 func (c *Client) CommitEx() (CommitInfo, error) {
+	if c.readOnly && c.pending == nil {
+		if err := c.sendOneWay(opCommit); err != nil {
+			return CommitInfo{}, err
+		}
+		return CommitInfo{Version: c.snapshot, ReadOnly: true, Snapshot: c.snapshot, ReadTables: c.readTables}, nil
+	}
 	resp, err := c.call(clientRequest{Op: opCommit})
 	if err != nil {
 		return CommitInfo{}, err
@@ -201,13 +233,13 @@ func (c *Client) CommitEx() (CommitInfo, error) {
 	}, nil
 }
 
-// Abort discards the open transaction. One whose begin header never
-// went out exists only here, so nothing is sent.
+// Abort discards the open transaction, one-way: there is nothing to
+// learn from an answer. One whose begin header never went out exists
+// only here, so nothing is sent.
 func (c *Client) Abort() error {
 	if c.pending != nil {
 		c.pending = nil
 		return nil
 	}
-	_, err := c.call(clientRequest{Op: opAbort})
-	return err
+	return c.sendOneWay(opAbort)
 }

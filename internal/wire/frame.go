@@ -46,7 +46,7 @@ import (
 
 // codecVersion is the protocol version carried in every hello. Bump it
 // with any change to a frame layout, then run `make update-schema`.
-const codecVersion = 2
+const codecVersion = 3
 
 // helloMagic opens every connection's first frame.
 const helloMagic = "SCRP"
@@ -258,6 +258,7 @@ const (
 	flagBegin    = 1 << 0
 	flagTrace    = 1 << 1 // a 24-byte span context follows the flags
 	flagEager    = 1 << 2
+	flagOneWay   = 1 << 3 // requests only: no response is written
 	flagResult   = 1 << 3 // a sql.Result is present
 	flagReadOnly = 1 << 4
 	flagCrashed  = 1 << 5

@@ -74,6 +74,7 @@ func frameCases() []struct {
 		{"clientRequest", &clientRequest{Seq: math.MaxUint64, Op: opExec, Name: "n", Tables: []string{"a", ""},
 			Begin: true, TxnName: "tpcw.buyConfirm", Trace: sc, SQL: "SELECT 1", Params: edgeValues()}, &clientRequest{}},
 		{"clientRequest/zero", &clientRequest{}, &clientRequest{}},
+		{"clientRequest/oneWay", &clientRequest{Seq: 2, Op: opCommit, OneWay: true}, &clientRequest{}},
 		{"clientRequest/empties", &clientRequest{Tables: []string{}, Params: []any{}}, &clientRequest{}},
 		{"clientResponse", &clientResponse{Seq: 9, Err: "boom", ErrCode: codeConflict, Result: result, Snapshot: math.MaxUint64,
 			Version: math.MaxUint64, ReadOnly: true, WriteTables: []string{"kv"}, ReadTables: []string{}}, &clientResponse{}},
@@ -82,6 +83,7 @@ func frameCases() []struct {
 		{"replicaRequest", &replicaRequest{Seq: 3, Op: opCommit, Begin: true, MinVersion: math.MaxUint64, Trace: sc,
 			TxnID: 77, SQL: "UPDATE kv SET v = ? WHERE k = ?", Params: edgeValues(), Eager: true}, &replicaRequest{}},
 		{"replicaRequest/zero", &replicaRequest{}, &replicaRequest{}},
+		{"replicaRequest/oneWay", &replicaRequest{Seq: 2, Op: opAbort, TxnID: 77, OneWay: true}, &replicaRequest{}},
 		{"replicaResponse", &replicaResponse{Seq: 4, Err: "x", ErrCode: codeUnavailable, TxnID: 5, Snapshot: 6, Result: result,
 			Commit: replica.CommitResult{Version: math.MaxUint64, ReadOnly: true, WrittenTables: []string{"b", "a"},
 				TableVersions: map[string]uint64{"b": 2, "a": math.MaxUint64, "c": 0}},
@@ -218,12 +220,23 @@ func TestFrameHostileBytesRejected(t *testing.T) {
 		p[i] = b
 		return p
 	}
+	// oneWay is a one-way replica request with its flags byte replaced.
+	oneWay := func(flags byte) []byte {
+		p, _ := (&replicaRequest{Seq: 1, Op: opCommit, TxnID: 7, OneWay: true}).appendTo(nil)
+		p[2] = flags
+		return p
+	}
+	if err := parsePayload(oneWay(flagOneWay|flagEager), &replicaRequest{}); err != nil {
+		t.Fatalf("one-way eager replica request: %v", err)
+	}
 	bad := map[string]struct {
 		p []byte
 		f inFrame
 	}{
 		"unknown op byte":    {mutate(1, byte(numOps)), &clientRequest{}},
 		"unknown flag bits":  {mutate(2, 0x80), &clientRequest{}},
+		"client flag eager":  {mutate(2, flagOneWay|flagEager), &clientRequest{}},
+		"replica flag bits":  {oneWay(flagOneWay | flagReadOnly), &replicaRequest{}},
 		"tables count > len": {mutate(4, 0x7f), &clientRequest{}},
 		"unknown error code": {[]byte{1, 0, byte(numErrCodes), 0, 0, 0, 0, 0}, &clientResponse{}},
 		"huge varint count":  {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, new(refreshBatch)},

@@ -57,10 +57,15 @@ type clientRequest struct {
 	// exec
 	SQL    string
 	Params []any
+
+	// OneWay marks a frame that is not answered (see replicaRequest): an
+	// abort always, a commit when the open transaction's latest response
+	// said ReadOnly.
+	OneWay bool
 }
 
 func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
-	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace)
+	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) | flagIf(r.OneWay, flagOneWay)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = appendSpan(append(buf, byte(r.Op), flags), flags, r.Trace)
 	buf = writeset.AppendString(buf, r.Name)
@@ -73,8 +78,8 @@ func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
 func (r *clientRequest) parse(d *writeset.Decoder) {
 	r.Seq = d.Uvarint()
 	r.Op = readOp(d)
-	flags := readFlags(d, flagBegin|flagTrace)
-	r.Begin = flags&flagBegin != 0
+	flags := readFlags(d, flagBegin|flagTrace|flagOneWay)
+	r.Begin, r.OneWay = flags&flagBegin != 0, flags&flagOneWay != 0
 	r.Trace = readSpan(d, flags)
 	r.Name = d.Str()
 	r.Tables = readStrings(d)
@@ -90,7 +95,10 @@ type clientResponse struct {
 	Result  *sql.Result
 	// begin header / commit
 	Snapshot uint64
-	// commit
+	// commit; ReadOnly and ReadTables also on every response that leaves
+	// open a transaction that has written nothing: its commit would be
+	// read-only over ReadTables at its snapshot, and the client sends it
+	// one-way.
 	Version     uint64
 	ReadOnly    bool
 	WriteTables []string
@@ -242,6 +250,10 @@ type gatewaySession struct {
 	replica *remoteReplica
 	txnID   uint64
 	open    bool
+	// roCommit is what committing the open transaction would return, as
+	// of its replica's latest response; unset (not ReadOnly) once the
+	// transaction has written, and while a request is in flight.
+	roCommit replica.CommitResult
 }
 
 // end closes the session's open transaction in the gateway's books.
@@ -276,7 +288,7 @@ func (g *Gateway) handle(c net.Conn) {
 	defer g.sessions.Add(-1)
 	defer func() {
 		if sess.open {
-			_, _ = sess.replica.call(&replicaRequest{Op: opAbort, TxnID: sess.txnID})
+			sess.replica.send(&replicaRequest{Op: opAbort, TxnID: sess.txnID})
 			sess.end()
 		}
 		g.balancer.EndSession(sess.id)
@@ -290,12 +302,46 @@ func (g *Gateway) handle(c net.Conn) {
 		if !guard.ok(req.Seq) {
 			return
 		}
+		if req.OneWay {
+			if !g.oneWay(sess, &req) {
+				log.Printf("wire: gateway: closing %s: one-way %q frame out of place", c.RemoteAddr(), req.Op)
+				return
+			}
+			continue
+		}
 		resp := g.dispatch(sess, &req)
 		resp.Seq = req.Seq
 		if err := fc.send(resp); err != nil {
 			return
 		}
 	}
+}
+
+// oneWay serves a frame the client does not wait on, and reports
+// whether it was one that may travel so: an abort, or the commit of an
+// open transaction that had written nothing when its replica last
+// answered. That commit is local to the replica and its result is
+// already here, so the gateway does now what the commit response used to
+// make it do — before it reads the session's next request, the order an
+// answered commit gave — and passes the frame on to release the
+// snapshot. Anything else is refused: the caller closes the connection,
+// which aborts what was open.
+func (g *Gateway) oneWay(sess *gatewaySession, req *clientRequest) bool {
+	switch {
+	case req.Begin:
+		return false
+	case req.Op == opAbort:
+	case req.Op == opCommit && sess.open && sess.roCommit.ReadOnly:
+		g.balancer.ObserveCommit(sess.id, sess.roCommit)
+	default:
+		return false
+	}
+	g.obsReqs.Load().With(req.Op.String()).Inc()
+	if sess.open {
+		sess.end()
+		sess.replica.send(&replicaRequest{Op: req.Op, TxnID: sess.txnID})
+	}
+	return true
 }
 
 // dispatch serves one client request. Apart from register, every
@@ -325,9 +371,9 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		}
 		g.balancer.RegisterTxn(strings.Clone(req.Name), tables)
 		return resp
-	case opNone, opExec, opCommit, opAbort:
+	case opNone, opExec, opCommit:
 	default:
-		return fail(fmt.Errorf("wire: unknown client op %q", req.Op))
+		return fail(fmt.Errorf("wire: no answered client op %q", req.Op))
 	}
 	fwd := &replicaRequest{Op: req.Op, TxnID: sess.txnID, SQL: req.SQL, Params: req.Params}
 	switch {
@@ -355,27 +401,20 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if !fwd.Trace.Valid() {
 			fwd.Trace = route.Trace
 		}
-	case req.Op == opAbort && !sess.open:
-		return resp
 	case !sess.open:
 		return fail(errors.New("wire: no open transaction"))
 	}
-	switch req.Op {
-	case opCommit:
+	if req.Op == opCommit {
 		fwd.Eager = g.balancer.Mode() == core.Eager
 		sess.end()
-	case opAbort:
-		sess.end()
 	}
+	sess.roCommit = replica.CommitResult{}
 	r, err := sess.replica.call(fwd)
 	if err != nil {
 		// A failed header request leaves no transaction at the replica,
 		// and neither does a statement the replica aborted on.
 		if sess.open && (req.Begin || errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed)) {
 			sess.end()
-		}
-		if req.Op == opAbort {
-			return resp
 		}
 		return fail(err)
 	}
@@ -384,6 +423,8 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 	}
 	resp.Snapshot = r.Snapshot
 	resp.Result = r.Result
+	resp.ReadOnly = r.Commit.ReadOnly
+	resp.ReadTables = r.Touched
 	if req.Op == opCommit {
 		// The tracker keeps table names as map keys for good.
 		for i, t := range r.Commit.WrittenTables {
@@ -391,9 +432,9 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		}
 		g.balancer.ObserveCommit(sess.id, r.Commit)
 		resp.Version = r.Commit.Version
-		resp.ReadOnly = r.Commit.ReadOnly
 		resp.WriteTables = r.Commit.WrittenTables
-		resp.ReadTables = r.Touched
+	} else {
+		sess.roCommit = r.Commit
 	}
 	return resp
 }

@@ -43,10 +43,18 @@ type replicaRequest struct {
 	SQL    string
 	Params []any
 	Eager  bool
+
+	// OneWay marks a frame nobody waits on: no response is written. Only
+	// what needs no answer travels so — an abort, and the commit of a
+	// transaction that wrote nothing, whose outcome the last response
+	// already carried. A flag and not a rule both ends infer: a receiver
+	// that disagreed would desynchronize the Seq echo silently.
+	OneWay bool
 }
 
 func (r *replicaRequest) appendTo(buf []byte) ([]byte, error) {
-	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) | flagIf(r.Eager, flagEager)
+	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) |
+		flagIf(r.Eager, flagEager) | flagIf(r.OneWay, flagOneWay)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = appendSpan(append(buf, byte(r.Op), flags), flags, r.Trace)
 	buf = binary.AppendUvarint(buf, r.MinVersion)
@@ -58,8 +66,8 @@ func (r *replicaRequest) appendTo(buf []byte) ([]byte, error) {
 func (r *replicaRequest) parse(d *writeset.Decoder) {
 	r.Seq = d.Uvarint()
 	r.Op = readOp(d)
-	flags := readFlags(d, flagBegin|flagTrace|flagEager)
-	r.Begin, r.Eager = flags&flagBegin != 0, flags&flagEager != 0
+	flags := readFlags(d, flagBegin|flagTrace|flagEager|flagOneWay)
+	r.Begin, r.Eager, r.OneWay = flags&flagBegin != 0, flags&flagEager != 0, flags&flagOneWay != 0
 	r.Trace = readSpan(d, flags)
 	r.MinVersion = d.Uvarint()
 	r.TxnID = d.Uvarint()
@@ -75,9 +83,13 @@ type replicaResponse struct {
 	TxnID    uint64
 	Snapshot uint64
 	Result   *sql.Result
-	Commit   replica.CommitResult
-	// Touched is the transaction's observed table-set at commit (reads
-	// and writes) — forwarded to the history checker.
+	// Commit is the commit's result — and, on a response that leaves open
+	// a transaction that has written nothing, what its commit would
+	// return now (replica.Txn.ReadOnlyCommit): that commit is then a
+	// one-way frame.
+	Commit replica.CommitResult
+	// Touched is the transaction's observed table-set (reads and writes),
+	// as of the same moment as Commit — forwarded to the history checker.
 	Touched []string
 
 	// status
@@ -363,8 +375,15 @@ func (s *ReplicaServer) handle(c net.Conn) {
 		if !guard.ok(req.Seq) {
 			return
 		}
+		if req.OneWay && (req.Begin || req.Op != opCommit && req.Op != opAbort) {
+			log.Printf("wire: replica %d: closing %s: one-way %q frame", s.rep.ID(), c.RemoteAddr(), req.Op)
+			return
+		}
 		c.SetReadDeadline(time.Time{})
 		resp := s.dispatch(&req)
+		if req.OneWay {
+			continue
+		}
 		resp.Seq = req.Seq
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
@@ -428,9 +447,6 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 	default:
 		ot, ok := s.getTxn(req.TxnID)
 		if !ok {
-			if req.Op == opAbort {
-				return resp
-			}
 			return fail(replica.ErrTxnDone)
 		}
 		ot.mu.Lock()
@@ -450,6 +466,13 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 		ended = errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed)
 	case opCommit:
 		ended = true
+		if req.OneWay {
+			if _, _, readOnly := tx.ReadOnlyCommit(); !readOnly {
+				// Nobody could hear the verdict: never certify.
+				tx.Abort()
+				break
+			}
+		}
 		resp.Touched = tx.Touched()
 		resp.Commit, err = tx.Commit(req.Eager)
 		resp.Snapshot = tx.Snapshot()
@@ -473,6 +496,9 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 	}
 	if err != nil {
 		return fail(err)
+	}
+	if !ended {
+		resp.Commit, resp.Touched, _ = tx.ReadOnlyCommit()
 	}
 	return resp
 }
@@ -503,6 +529,14 @@ func (r *remoteReplica) Active() int { return int(r.active.Load()) }
 
 // Crashed implements lb.Node.
 func (r *remoteReplica) Crashed() bool { return !r.healthy.Load() }
+
+// send puts req on the wire one-way: nothing comes back.
+func (r *remoteReplica) send(req *replicaRequest) {
+	req.OneWay = true
+	if err := r.pool.call(req, nil); err != nil {
+		r.healthy.Store(false)
+	}
+}
 
 func (r *remoteReplica) call(req *replicaRequest) (*replicaResponse, error) {
 	var resp replicaResponse

@@ -22,10 +22,15 @@
 // version; there is no negotiation. On the last two links a request is
 // an optional begin header plus an operation: starting a transaction is
 // not an exchange of its own, the header rides on the transaction's
-// first request.
+// first request. Neither is ending one that wrote nothing: a read-only
+// commit is local to its replica and has no verdict, so every response
+// that leaves such a transaction open already says what the commit
+// would return, and the commit — like any abort — is a request flagged
+// OneWay, which no hop answers. A one-way frame still takes a sequence
+// number, and a receiver closes the connection on one out of place.
 //
-// Request/response calls use small per-destination connection pools
-// (one in-flight call per connection); refresh streaming uses one
+// Requests use small per-destination connection pools (one in-flight
+// call per connection, answered or not); refresh streaming uses one
 // dedicated connection per replica. Row values are []any restricted to
 // int64/float64/string/bool/nil, laid out by internal/writeset.
 package wire
@@ -41,7 +46,8 @@ import (
 )
 
 // connPool is a lazily grown pool of connections to one address. Each
-// Call takes a connection for a full request/response exchange.
+// call takes a connection for a full request/response exchange, or for
+// the one frame of a request that is not answered.
 type connPool struct {
 	addr string
 	dial Dialer
@@ -122,8 +128,9 @@ func (p *connPool) put(rc *rpcConn) {
 	p.mu.Unlock()
 }
 
-// call performs one request/response exchange; on any error the
-// connection is discarded.
+// call performs one request/response exchange, or with a nil resp puts
+// a one-way request on the wire; on any error the connection is
+// discarded.
 func (p *connPool) call(req request, resp response) error {
 	return p.callDeadline(req, resp, p.to.Call)
 }
@@ -151,16 +158,18 @@ func (p *connPool) callDeadline(req request, resp response, d time.Duration) err
 			}
 			return fmt.Errorf("wire: send to %s: %w", p.addr, err)
 		}
-		if d > 0 {
-			rc.c.SetReadDeadline(time.Now().Add(d))
-		}
-		if err := rc.recv(resp); err != nil {
-			rc.c.Close()
-			return fmt.Errorf("wire: recv from %s: %w", p.addr, err)
-		}
-		if resp.seq() != rc.seq {
-			rc.c.Close()
-			return fmt.Errorf("wire: response out of sequence from %s (got %d, want %d)", p.addr, resp.seq(), rc.seq)
+		if resp != nil {
+			if d > 0 {
+				rc.c.SetReadDeadline(time.Now().Add(d))
+			}
+			if err := rc.recv(resp); err != nil {
+				rc.c.Close()
+				return fmt.Errorf("wire: recv from %s: %w", p.addr, err)
+			}
+			if resp.seq() != rc.seq {
+				rc.c.Close()
+				return fmt.Errorf("wire: response out of sequence from %s (got %d, want %d)", p.addr, resp.seq(), rc.seq)
+			}
 		}
 		if d > 0 {
 			rc.c.SetDeadline(time.Time{})

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -416,9 +417,21 @@ func TestClientErrorsWithoutTxn(t *testing.T) {
 
 // idle fails the test unless no transaction is open anywhere: neither in
 // the gateway's per-replica active counts (what the balancer routes by)
-// nor at a replica.
+// nor at a replica. It polls, within a bound: a transaction's last frame
+// can be a one-way commit or abort, which returns before it has arrived.
 func (d *deployment) idle(t *testing.T) {
 	t.Helper()
+	busy := func() bool {
+		for i, rr := range d.gateway.replicas {
+			if rr.Active() != 0 || d.replicas[i].Active() != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); busy() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	for i, rr := range d.gateway.replicas {
 		if n := rr.Active(); n != 0 {
 			t.Errorf("gateway counts %d open transactions on replica %d", n, i)
@@ -474,7 +487,8 @@ func TestBeginHeader(t *testing.T) {
 		t.Fatalf("bare commit after %d requests: %+v, want read-only at >= %d", c.seq, bare, info.Version)
 	}
 
-	// Eager: the header goes out alone and plain operations follow.
+	// Eager: the header goes out alone and plain operations follow. The
+	// transaction wrote nothing, so its commit is a frame and no exchange.
 	eager, err := c.BeginTx("")
 	if err != nil {
 		t.Fatal(err)
@@ -486,9 +500,12 @@ func TestBeginHeader(t *testing.T) {
 	if err != nil || res.Rows[0][0].(string) != "deferred" {
 		t.Fatalf("read after eager begin = %v, %v", res, err)
 	}
-	if _, _, err := c.Commit(); err != nil {
-		t.Fatal(err)
+	read, err := c.CommitEx()
+	want := CommitInfo{Version: eager, ReadOnly: true, Snapshot: eager, ReadTables: []string{"kv"}}
+	if err != nil || !reflect.DeepEqual(read, want) {
+		t.Fatalf("read-only commit = %+v, %v; want %+v", read, err, want)
 	}
+	d.idle(t)
 	if _, err := c.BeginTx(""); err != nil {
 		t.Fatal(err)
 	}
