@@ -66,8 +66,8 @@ ci:
 # cluster, oracle-checked in all four modes, under the race detector.
 # -run TestChaos matches the single-sequencer runs, TestChaosSharded
 # (4-shard certifier, version-order oracle) and TestChaosBacklog
-# (replicas held down until a deep backlog forms, so the refresh
-# applier cuts batches into concurrent runs; fails if none was cut).
+# (replicas held 80–200 versions down, then recovered into live faulted
+# traffic; slot sums checked at every version on every replica).
 # Replay one failing seed with:
 #   SCONREP_CHAOS_SEED=<s> $(GO) test -race -run 'TestChaos/<mode>' ./internal/cluster/
 chaos:
@@ -86,12 +86,11 @@ recovery:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-path benchmarks: the one refresh-apply route on four inputs
-# (one-run batches at cap 1, a record-disjoint batch cut into
-# concurrent runs, a fully-conflicting batch, an 8192-deep backlog
-# under the default config), sharded certification throughput (1 vs 4
-# sequencers over disjoint / cross-shard / single-hot-table
-# workloads), the 100k-entry History lookup, refresh streaming
+# Hot-path benchmarks: the refresh-apply route on two inputs (a
+# 64-refresh backlog over ten keys, an 8192-deep backlog), sharded
+# certification throughput (1 vs 4 sequencers over disjoint /
+# cross-shard / single-hot-table workloads), the 100k-entry History
+# lookup, refresh streaming
 # over a real TCP link, per-replica refresh bytes under partial shard
 # subscriptions, a transaction's links over loopback (eager begin +
 # abort, one-statement read with its client-link frame count,
@@ -103,7 +102,7 @@ bench:
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
 HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/parallel,BenchmarkRefreshApply/conflicting,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
 		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ \

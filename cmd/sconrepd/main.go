@@ -62,8 +62,6 @@ func main() {
 	backoffMax := flag.Duration("backoff-max", time.Second, "backoff ceiling")
 	subLease := flag.Duration("sub-lease", 10*time.Second, "certifier role: how long a replica stays subscribed after its refresh stream drops")
 	streamGrace := flag.Duration("stream-grace", 500*time.Millisecond, "replica role: how long after losing the refresh stream the replica keeps serving; must stay below -sub-lease")
-	applyWorkers := flag.Int("apply-workers", 0, "replica role: cap on how many concurrently installed runs one refresh batch is cut into (0 = default, 1 = always one run)")
-	maxApplyBatch := flag.Int("max-apply-batch", 0, "replica role: refresh group-apply batch bound (0 = default)")
 	shards := flag.Int("shards", 1, "certifier/replica/gateway roles: number of certification shards; every role of one deployment must agree")
 	shardTables := flag.String("shard-tables", "", "explicit table→shard pins as table=shard[,table=shard...]; unlisted tables hash over [0,shards). Must be identical on every role")
 	serveShards := flag.String("serve-shards", "", "replica role: comma-separated shard IDs this replica subscribes to (empty = all); versions certified elsewhere arrive as skip markers")
@@ -88,7 +86,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("-serve-shards: %v", err)
 		}
-		runReplica(*listen, *id, *certAddr, *bootstrap, *dataDir, *checkpointEvery, *obsAddr, *obsMaxLag, *streamGrace, *applyWorkers, *maxApplyBatch, smap, served, wireOpts)
+		runReplica(*listen, *id, *certAddr, *bootstrap, *dataDir, *checkpointEvery, *obsAddr, *obsMaxLag, *streamGrace, smap, served, wireOpts)
 	case "gateway":
 		served, err := parseReplicaShards(*replicaShards)
 		if err != nil {
@@ -188,53 +186,58 @@ func runCertifier(listen, walPath string, eager bool, obsAddr string, smap *shar
 	if smap != nil {
 		opts = append(opts, certifier.WithShards(smap))
 	}
-	if walPath != "" {
-		// Recover prior decisions, then append to the same log. A crash
-		// can leave a torn final frame; replay reports the valid prefix
-		// and we truncate to it so the reopened log appends cleanly
-		// instead of burying new records behind garbage. The validation
-		// pass must share the shard map: a sharded log interleaves
-		// per-shard record streams that a single-shard replay would
-		// reject as gapped.
-		fresh := certifier.New(opts...)
-		valid, err := wal.ReplayFileN(walPath, func(*wal.Record) error { return nil })
-		if err != nil {
-			log.Fatalf("wal replay: %v", err)
-		}
-		if fi, statErr := os.Stat(walPath); statErr == nil && fi.Size() > valid {
-			log.Printf("wal: discarding torn tail (%d of %d bytes valid)", valid, fi.Size())
-			if err := os.Truncate(walPath, valid); err != nil {
-				log.Fatalf("wal truncate: %v", err)
-			}
-		}
-		if err := fresh.RestoreFromWAL(func(fn func(*wal.Record) error) error {
-			return wal.ReplayFile(walPath, fn)
-		}); err != nil {
-			log.Fatalf("wal replay: %v", err)
-		}
-		l, err := wal.Open(walPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts = append(opts, certifier.WithWAL(l))
-		if eager {
-			opts = append(opts, certifier.WithEager())
-		}
-		// Rebuild with the log attached; state replays again into the
-		// final instance to keep construction simple.
-		cert := certifier.New(opts...)
-		if err := cert.RestoreFromWAL(func(fn func(*wal.Record) error) error {
-			return wal.ReplayFile(walPath, fn)
-		}); err != nil {
-			log.Fatalf("wal replay: %v", err)
-		}
-		serveCertifier(cert, listen, obsAddr, wireOpts)
-		return
-	}
 	if eager {
 		opts = append(opts, certifier.WithEager())
 	}
-	serveCertifier(certifier.New(opts...), listen, obsAddr, wireOpts)
+	if walPath == "" {
+		serveCertifier(certifier.New(opts...), listen, obsAddr, wireOpts)
+		return
+	}
+	cert, err := openCertifier(walPath, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	serveCertifier(cert, listen, obsAddr, wireOpts)
+}
+
+// openCertifier builds a certifier on the decision log at walPath:
+// prior decisions are recovered in one replay, new ones append to the
+// same file. A crash can leave a torn final frame; the replay reports
+// the valid prefix and the file is truncated to it, so the log appends
+// cleanly instead of burying new records behind garbage. A replay error
+// returns before the file is touched.
+func openCertifier(walPath string, opts []certifier.Option) (_ *certifier.Certifier, err error) {
+	// Append mode: opening writes nothing until the first decision.
+	l, err := wal.Open(walPath)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			l.Close()
+		}
+	}()
+	cert := certifier.New(append(opts, certifier.WithWAL(l))...)
+	var valid int64
+	err = cert.RestoreFromWAL(func(fn func(*wal.Record) error) error {
+		var err error
+		valid, err = wal.ReplayFileN(walPath, fn)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("wal replay: %w", err)
+	}
+	fi, err := os.Stat(walPath)
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > valid {
+		log.Printf("wal: discarding torn tail (%d of %d bytes valid)", valid, fi.Size())
+		if err := os.Truncate(walPath, valid); err != nil {
+			return nil, fmt.Errorf("wal truncate: %w", err)
+		}
+	}
+	return cert, nil
 }
 
 func serveCertifier(cert *certifier.Certifier, listen, obsAddr string, wireOpts []wire.Option) {
@@ -263,7 +266,7 @@ func serveCertifier(cert *certifier.Certifier, listen, obsAddr string, wireOpts 
 	select {}
 }
 
-func runReplica(listen string, id int, certAddr, bootstrap, dataDir string, checkpointEvery uint64, obsAddr string, maxLag uint64, streamGrace time.Duration, applyWorkers, maxApplyBatch int, smap *shard.Map, served []int, wireOpts []wire.Option) {
+func runReplica(listen string, id int, certAddr, bootstrap, dataDir string, checkpointEvery uint64, obsAddr string, maxLag uint64, streamGrace time.Duration, smap *shard.Map, served []int, wireOpts []wire.Option) {
 	if certAddr == "" {
 		log.Fatal("replica role requires -certifier")
 	}
@@ -306,12 +309,7 @@ func runReplica(listen string, id int, certAddr, bootstrap, dataDir string, chec
 	eng := backend.Engine()
 	cc := wire.DialCertifier(certAddr, id, eng.Version(),
 		append(wireOpts, wire.WithVLocal(eng.Version), wire.WithShards(served))...)
-	rep := replica.NewWithBackend(replica.Config{
-		ID:            id,
-		EarlyCert:     true,
-		ApplyWorkers:  applyWorkers,
-		MaxApplyBatch: maxApplyBatch,
-	}, backend, cc)
+	rep := replica.NewWithBackend(replica.Config{ID: id, EarlyCert: true}, backend, cc)
 	// Serve gate: while the refresh stream has been dead longer than the
 	// grace (or the replica is still catching up to the version floor it
 	// saw at resubscribe), requests carrying a begin header fail with

@@ -7,10 +7,7 @@
 // and uses its own MVCC machinery for readers.
 package btree
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // degree is the maximum number of children of an internal node. Leaves
 // hold up to degree-1 keys. 64 keeps nodes around a cache line multiple
@@ -333,15 +330,6 @@ func (it *Iter) Key() string { return it.k }
 // Value returns the value at the current position.
 func (it *Iter) Value() any { return it.v }
 
-// Min returns the smallest key, if any.
-func (t *Tree) Min() (string, any, bool) {
-	it := t.ScanAll()
-	if it.Next() {
-		return it.Key(), it.Value(), true
-	}
-	return "", nil, false
-}
-
 // Height returns the number of internal levels above the leaves.
 func (t *Tree) Height() int { return t.height }
 
@@ -382,24 +370,4 @@ func (t *Tree) checkNode(n node, depth int) error {
 		}
 	}
 	return nil
-}
-
-// String renders the tree structure; for debugging.
-func (t *Tree) String() string {
-	var b strings.Builder
-	var rec func(n node, depth int)
-	rec = func(n node, depth int) {
-		pad := strings.Repeat("  ", depth)
-		switch nd := n.(type) {
-		case *leaf:
-			fmt.Fprintf(&b, "%sleaf %v\n", pad, nd.keys)
-		case *internal:
-			fmt.Fprintf(&b, "%sinternal %v\n", pad, nd.keys)
-			for _, c := range nd.children {
-				rec(c, depth+1)
-			}
-		}
-	}
-	rec(t.root, 0)
-	return b.String()
 }

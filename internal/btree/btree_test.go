@@ -180,20 +180,6 @@ func TestDeleteMissing(t *testing.T) {
 	}
 }
 
-func TestMin(t *testing.T) {
-	tr := New()
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree returned ok")
-	}
-	tr.Set("m", 1)
-	tr.Set("a", 2)
-	tr.Set("z", 3)
-	k, v, ok := tr.Min()
-	if !ok || k != "a" || v.(int) != 2 {
-		t.Fatalf("Min = %q, %v, %v", k, v, ok)
-	}
-}
-
 // TestQuickAgainstMap drives the tree with random operation sequences and
 // compares every observable behaviour against a plain map + sort oracle.
 func TestQuickAgainstMap(t *testing.T) {

@@ -274,7 +274,7 @@ func (c *Certifier) SubscribeShards(replicaID int, shards []int) *Subscription {
 		old.mb.close()
 	}
 	sub := &subscriber{mb: newMailbox()}
-	if len(shards) > 0 && len(c.seqs) > 1 {
+	if len(shards) > 0 {
 		serves := make([]bool, len(c.seqs))
 		for _, id := range shards {
 			if id >= 0 && id < len(serves) {
@@ -717,7 +717,7 @@ func (c *Certifier) historyPage(after uint64) ([]Refresh, bool) {
 // refresh subscription. A nil or empty shard set serves everything and
 // returns refs untouched.
 func (c *Certifier) FilterUnserved(refs []Refresh, shards []int) []Refresh {
-	if len(shards) == 0 || len(c.seqs) == 1 {
+	if len(shards) == 0 {
 		return refs
 	}
 	serves := make([]bool, len(c.seqs))
@@ -811,13 +811,18 @@ func (c *Certifier) Replicas() []int {
 // indexes, history) by replaying a decision log — certifier crash
 // recovery.
 //
-// Single-shard logs are strictly version-ordered, so a gap is
-// corruption. With shards, records interleave in per-shard order: the
-// replay is sorted by version, a duplicate version is corruption, and
-// a missing version — assigned by a sequencer whose record did not
-// reach the log before the crash — is replayed as a skip marker (nil
-// writeset): such a transaction was never acknowledged or fanned out,
-// so no replica and no client ever observed it.
+// Records of different shards interleave in the log, each shard's in
+// its own order: a shard's group log appends in seq order, and seq
+// order is version order under the home lock. So a record at or below
+// its home shard's previous one is corruption, whatever the shard
+// count. The replay is then sorted by version; a version recorded twice
+// is corruption, and a missing version — reserved by a sequencer whose
+// record did not reach the log before the crash — is replayed as a skip
+// marker (nil writeset): such a transaction was never acknowledged or
+// fanned out, so no replica and no client ever observed it. Only
+// another shard can have lost a version between two durable ones: under
+// a one-shard map every version is home to shard 0, whose records are
+// dense, so there a gap is corruption too.
 func (c *Certifier) RestoreFromWAL(records func(fn func(*wal.Record) error) error) error {
 	c.lockAll()
 	defer c.unlockAll()
@@ -829,57 +834,24 @@ func (c *Certifier) RestoreFromWAL(records func(fn func(*wal.Record) error) erro
 			return errors.New("certifier: RestoreFromWAL on non-empty certifier")
 		}
 	}
-	if len(c.seqs) == 1 {
-		if err := c.restoreSingleLocked(records); err != nil {
-			return err
-		}
-	} else if err := c.restoreShardedLocked(records); err != nil {
-		return err
-	}
-	// Continue each shard's durable log exactly where its replay ended.
-	for _, s := range c.seqs {
-		s.glog.startAt(s.seq)
-	}
-	return nil
-}
-
-// restoreSingleLocked is the legacy strict replay: one sequencer, one
-// version-ordered log stream. Caller holds every sequencer lock.
-func (c *Certifier) restoreSingleLocked(records func(fn func(*wal.Record) error) error) error {
-	s := c.seqs[0]
-	first := true
-	return records(func(r *wal.Record) error {
-		if first {
-			// The first record sets the baseline: data bootstrapped at
-			// StartAt(v) makes the log begin at v+1.
-			first = false
-		} else if r.Version != c.version.Load()+1 {
-			return fmt.Errorf("certifier: wal gap: have %d, next record %d", c.version.Load(), r.Version)
-		}
-		c.version.Store(r.Version)
-		ws := r.WriteSet.Clone()
-		s.index.Add(ws, r.Version)
-		for _, t := range ws.Tables() {
-			s.tableVers[t] = r.Version
-		}
-		s.history = append(s.history, historyEntry{txnID: r.TxnID, version: r.Version, origin: -1, ws: ws})
-		s.seq++
-		return nil
-	})
-}
-
-// restoreShardedLocked sorts the replay by version, distributes
-// records to their shards, and fills lost versions with skip markers.
-// Caller holds every sequencer lock.
-func (c *Certifier) restoreShardedLocked(records func(fn func(*wal.Record) error) error) error {
 	type rec struct {
 		version uint64
 		txnID   uint64
 		ws      *writeset.WriteSet
+		shards  []int // involved shards, home first
 	}
 	var recs []rec
+	// lastOf[h] is the version of home shard h's previous record (no
+	// version is 0).
+	lastOf := make([]uint64, len(c.seqs))
 	err := records(func(r *wal.Record) error {
-		recs = append(recs, rec{version: r.Version, txnID: r.TxnID, ws: r.WriteSet.Clone()})
+		ids := c.smap.OfTables(r.WriteSet.Tables())
+		home := ids[0]
+		if r.Version <= lastOf[home] {
+			return fmt.Errorf("certifier: wal corrupt: shard %d logged version %d after %d", home, r.Version, lastOf[home])
+		}
+		lastOf[home] = r.Version
+		recs = append(recs, rec{version: r.Version, txnID: r.TxnID, ws: r.WriteSet.Clone(), shards: ids})
 		return nil
 	})
 	if err != nil {
@@ -889,29 +861,40 @@ func (c *Certifier) restoreShardedLocked(records func(fn func(*wal.Record) error
 		return nil
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].version < recs[j].version })
+	// The first record sets the baseline: data bootstrapped at
+	// StartAt(v) makes the log begin at v+1.
 	prev := recs[0].version - 1
+	markers := c.seqs[0] // lost versions are recorded on shard 0
 	for _, r := range recs {
 		if r.version == prev {
 			return fmt.Errorf("certifier: wal corrupt: version %d recorded twice", r.version)
+		}
+		if r.version != prev+1 && c.smap.N() == 1 {
+			return fmt.Errorf("certifier: wal gap: have %d, next record %d", prev, r.version)
 		}
 		// Versions lost between durable records: reserved by a shard
 		// whose group flush never completed. Nobody observed them;
 		// replicas advance past them without applying.
 		for v := prev + 1; v < r.version; v++ {
-			c.seqs[0].history = append(c.seqs[0].history, historyEntry{version: v, origin: -1, ws: nil})
+			markers.history = append(markers.history, historyEntry{version: v, origin: -1, ws: nil})
 		}
-		ids := c.smap.OfTables(r.ws.Tables())
-		home := c.seqs[ids[0]]
-		for _, id := range ids {
-			c.seqs[id].index.Add(r.ws, r.version)
+		home := c.seqs[r.shards[0]]
+		for _, id := range r.shards {
+			s := c.seqs[id]
+			s.index.Add(r.ws, r.version)
 		}
 		for _, t := range r.ws.Tables() {
-			c.seqs[c.smap.Of(t)].tableVers[t] = r.version
+			s := c.seqs[c.smap.Of(t)]
+			s.tableVers[t] = r.version
 		}
 		home.history = append(home.history, historyEntry{txnID: r.txnID, version: r.version, origin: -1, ws: r.ws})
 		home.seq++
 		prev = r.version
 	}
 	c.version.Store(prev)
+	// Continue each shard's durable log exactly where its replay ended.
+	for _, s := range c.seqs {
+		s.glog.startAt(s.seq)
+	}
 	return nil
 }

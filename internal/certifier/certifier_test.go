@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sconrep/internal/shard"
 	"sconrep/internal/wal"
 	"sconrep/internal/writeset"
 )
@@ -289,22 +290,64 @@ func TestDurabilityOrderAndRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsGaps: one replay, two properties, for every shard
+// count. A home shard's records must ascend in log order; a missing
+// version is a skip marker only when another shard could have lost it.
 func TestRestoreRejectsGaps(t *testing.T) {
-	c := New()
-	recs := []*wal.Record{
-		{Version: 1, TxnID: 1, WriteSet: *ws("a")},
-		{Version: 3, TxnID: 3, WriteSet: *ws("b")}, // gap
+	four, err := shard.New(4, map[string]int{"t0": 0, "t1": 1, "t2": 2, "t3": 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	err := c.RestoreFromWAL(func(fn func(*wal.Record) error) error {
-		for _, r := range recs {
-			if err := fn(r); err != nil {
-				return err
+	rec := func(table string, v uint64) *wal.Record {
+		return &wal.Record{Version: v, TxnID: v, WriteSet: writeset.WriteSet{Items: []writeset.Item{
+			{Table: table, Key: "k", Op: writeset.OpUpdate, Row: []any{"k"}},
+		}}}
+	}
+	for _, tc := range []struct {
+		name  string
+		smap  *shard.Map
+		recs  []*wal.Record
+		skips int // skip markers in the restored history; -1 = refused
+	}{
+		{"one shard, gap", nil, []*wal.Record{rec("t", 1), rec("t", 3)}, -1},
+		{"one shard, out of order", nil, []*wal.Record{rec("t", 1), rec("t", 3), rec("t", 2)}, -1},
+		{"four shards, gap", four, []*wal.Record{rec("t0", 1), rec("t1", 3)}, 1},
+		{"four shards, interleaved", four, []*wal.Record{rec("t0", 1), rec("t1", 3), rec("t0", 2)}, 0},
+		{"four shards, same-shard inversion", four, []*wal.Record{rec("t0", 1), rec("t1", 3), rec("t1", 2)}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(WithShards(tc.smap))
+			err := c.RestoreFromWAL(func(fn func(*wal.Record) error) error {
+				for _, r := range tc.recs {
+					if err := fn(r); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if tc.skips < 0 {
+				if err == nil {
+					t.Fatal("corrupt WAL accepted")
+				}
+				return
 			}
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("gap in WAL accepted")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := c.History(0)
+			skips := 0
+			for i, r := range h {
+				if r.Version != uint64(i+1) {
+					t.Fatalf("history = %v, want versions 1..3", h)
+				}
+				if r.WS == nil {
+					skips++
+				}
+			}
+			if c.Version() != 3 || len(h) != 3 || skips != tc.skips {
+				t.Fatalf("restored to version %d with %d entries, %d skip markers; want 3, 3, %d", c.Version(), len(h), skips, tc.skips)
+			}
+		})
 	}
 }
 

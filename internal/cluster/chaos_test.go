@@ -127,14 +127,6 @@ func runChaos(t *testing.T, mode core.Mode, seed int64, shards int) {
 		Mode:          mode,
 		Seed:          seed,
 		RecordHistory: true,
-		// The refresh applier's cap and batch bound stay above their
-		// defaults so reconnect storms coalesce into longer batches. At
-		// this run's scale (a few dozen versions) a batch still stays
-		// below the two minimum-length runs the applier needs before it
-		// cuts one, so what is covered here is its one-run case; the
-		// cut-into-runs case under faults is TestChaosBacklog's.
-		ApplyWorkers:  4,
-		MaxApplyBatch: 32,
 	}
 	if shards > 1 {
 		cfg.Shards = shards

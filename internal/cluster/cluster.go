@@ -54,12 +54,6 @@ type Config struct {
 	WAL *wal.Log
 	// RecordHistory enables the consistency-checking event recorder.
 	RecordHistory bool
-	// ApplyWorkers is forwarded to every replica as the cap on its
-	// refresh-apply width (0 = the replica default).
-	ApplyWorkers int
-	// MaxApplyBatch is forwarded to every replica's group-apply batch
-	// bound (0 = the replica default).
-	MaxApplyBatch int
 	// DataDir, when non-empty, gives every replica a persistent
 	// storage backend rooted at DataDir/replica-<i>: applied writesets
 	// are WAL-logged and asynchronous fuzzy checkpoints bound restart
@@ -82,7 +76,7 @@ type Config struct {
 	// certified entirely elsewhere reach that replica as skip markers,
 	// and the balancer routes transactions only to replicas covering
 	// their table-set's shards. Must have one entry per replica when
-	// set. Ignored unless Shards>1.
+	// set, every ID in [0, Shards). Ignored unless Shards>1.
 	ReplicaShards [][]int
 }
 
@@ -179,6 +173,14 @@ func newCore(cfg Config) (*Cluster, error) {
 	if cfg.ReplicaShards != nil && len(cfg.ReplicaShards) != cfg.Replicas {
 		return nil, fmt.Errorf("cluster: ReplicaShards has %d entries for %d replicas", len(cfg.ReplicaShards), cfg.Replicas)
 	}
+	nShards := max(cfg.Shards, 1)
+	for i, served := range cfg.ReplicaShards {
+		for _, id := range served {
+			if id < 0 || id >= nShards {
+				return nil, fmt.Errorf("cluster: ReplicaShards[%d] names shard %d, want [0,%d)", i, id, nShards)
+			}
+		}
+	}
 	c := &Cluster{
 		cfg:  cfg,
 		cert: certifier.New(certOpts...),
@@ -232,11 +234,9 @@ func New(cfg Config) (*Cluster, error) {
 	c.stores = make([]*pstore.Store, cfg.Replicas)
 	for i := 0; i < cfg.Replicas; i++ {
 		rcfg := replica.Config{
-			ID:            i,
-			EarlyCert:     !cfg.DisableEarlyCert,
-			Latency:       latency.NewSource(cfg.Latency, cfg.Seed+int64(i)*7919+1),
-			ApplyWorkers:  cfg.ApplyWorkers,
-			MaxApplyBatch: cfg.MaxApplyBatch,
+			ID:        i,
+			EarlyCert: !cfg.DisableEarlyCert,
+			Latency:   latency.NewSource(cfg.Latency, cfg.Seed+int64(i)*7919+1),
 		}
 		cs := replica.LocalShards(c.cert, c.replicaShards(i))
 		var r *replica.Replica

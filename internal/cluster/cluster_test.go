@@ -113,11 +113,16 @@ func TestClusterBasicFlow(t *testing.T) {
 }
 
 func TestInvalidConfig(t *testing.T) {
-	if _, err := New(Config{Replicas: 0}); err == nil {
-		t.Fatal("0 replicas accepted")
-	}
-	if _, err := New(Config{Replicas: 65}); err == nil {
-		t.Fatal("65 replicas accepted")
+	for name, cfg := range map[string]Config{
+		"0 replicas":  {Replicas: 0},
+		"65 replicas": {Replicas: 65},
+		// A shard the certifier will not have: the replica would be
+		// served nothing but skip markers.
+		"ReplicaShards outside [0, Shards)": {Replicas: 2, Shards: 4, ReplicaShards: [][]int{{0, 1}, {2, 4}}},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

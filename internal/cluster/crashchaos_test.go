@@ -120,8 +120,6 @@ func runCrashRecoveryChaos(t *testing.T, mode core.Mode, seed int64) {
 		Mode:          mode,
 		Seed:          seed,
 		RecordHistory: true,
-		ApplyWorkers:  4,
-		MaxApplyBatch: 32,
 		DataDir:       dataDir,
 		// Small interval: the run must cross several checkpoint
 		// rotations so restarts exercise restore + replay, not replay

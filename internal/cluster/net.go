@@ -141,11 +141,9 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 				wire.WithShards(c.replicaShards(i)))...)
 		n.certClients = append(n.certClients, cc)
 		r := replica.NewWithBackend(replica.Config{
-			ID:            i,
-			EarlyCert:     !cfg.DisableEarlyCert,
-			Latency:       latency.NewSource(cfg.Latency, cfg.Seed+int64(i)*7919+1),
-			ApplyWorkers:  cfg.ApplyWorkers,
-			MaxApplyBatch: cfg.MaxApplyBatch,
+			ID:        i,
+			EarlyCert: !cfg.DisableEarlyCert,
+			Latency:   latency.NewSource(cfg.Latency, cfg.Seed+int64(i)*7919+1),
 		}, backend, cc)
 		rslot.Store(r)
 		c.replicas = append(c.replicas, r)

@@ -420,7 +420,7 @@ func TestEarlyCertKillMidBatch(t *testing.T) {
 
 	// Backlog [2..31]; the first collected batch is [2..9] (the whole
 	// backlog is inserted under one lock hold, so the collector sees it
-	// all and cuts at MaxApplyBatch). Version 5 — mid-first-batch —
+	// all and cuts at maxApplyBatch). Version 5 — mid-first-batch —
 	// writes key 7.
 	var backlog []certifier.Refresh
 	for v := uint64(2); v <= 31; v++ {

@@ -41,38 +41,30 @@ func benchEngine(b *testing.B) *storage.Engine {
 	return eng
 }
 
-// BenchmarkRefreshApply drains a refresh backlog per iteration — four
-// inputs to the one apply route (applyBatch):
+// BenchmarkRefreshApply drains a refresh backlog per iteration — two
+// inputs to the apply route (applyBatch):
 //
-//   - batched: 64 refreshes over ten keys at ApplyWorkers = 1 and the
-//     default batch bound, so eight one-run batches of eight;
-//   - parallel: 64 distinct keys in one batch at cap 4 — an edge-free
-//     conflict graph, as many runs as the host's processors allow;
-//   - conflicting: one hot key in one batch at cap 4 — a pure chain, so
-//     one run on the drainer's goroutine; must not regress against
-//     batched;
-//   - deep: an 8192-deep backlog under the default Config, keys
-//     i mod 997, delivered in one Take — the regression guard for the
-//     drain staying linear in the backlog's depth.
+//   - batched: 64 refreshes over ten keys, so eight batches of eight
+//     with same-key writes inside and across them;
+//   - deep: an 8192-deep backlog, keys i mod 997, delivered in one
+//     Take — the regression guard for the drain staying linear in the
+//     backlog's depth.
 //
 // No latency model is attached: the numbers are the pure hot-path
 // cost.
 func BenchmarkRefreshApply(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
-		cfg     Config
 		backlog int
 		key     func(i int) int64
 	}{
-		{"batched", Config{ID: 0, ApplyWorkers: 1}, benchBacklog, func(i int) int64 { return int64(i % 10) }},
-		{"parallel", Config{ID: 0, ApplyWorkers: 4, MaxApplyBatch: benchBacklog}, benchBacklog, func(i int) int64 { return int64(i) }},
-		{"conflicting", Config{ID: 0, ApplyWorkers: 4, MaxApplyBatch: benchBacklog}, benchBacklog, func(i int) int64 { return 0 }},
-		{"deep", Config{ID: 0}, deepBacklog, func(i int) int64 { return int64(i % 997) }},
+		{"batched", benchBacklog, func(i int) int64 { return int64(i % 10) }},
+		{"deep", deepBacklog, func(i int) int64 { return int64(i % 997) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := benchEngine(b)
 			fake := newFakeCert()
-			r := New(mode.cfg, eng, fake)
+			r := New(Config{ID: 0}, eng, fake)
 			defer r.Crash()
 
 			// Writesets are prebuilt and reused; only the Refresh envelope

@@ -24,10 +24,6 @@ type obsState struct {
 	// batches (ObserveValue, unitless).
 	reorderWait *obs.Histogram
 	applyBatch  *obs.Histogram
-	// applyParallelism records, per batch whose conflict graph was built
-	// (the other width bounds allowed a second run), the achievable
-	// speedup batch/critical-path (ObserveValue, unitless).
-	applyParallelism *obs.Histogram
 
 	// mu guards the gauge snapshots; the applier updates them from
 	// inside the replica's apply critical section.
@@ -67,11 +63,8 @@ func (r *Replica) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 		"Time refreshes spend in the reorder buffer between arrival and the start of their group apply.",
 		nil, "replica", id)
 	o.applyBatch = reg.Histogram("sconrep_replica_apply_batch_size",
-		"Refreshes coalesced into one group-applied batch (bounded by MaxApplyBatch).",
-		[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}, "replica", id)
-	o.applyParallelism = reg.Histogram("sconrep_replica_apply_parallelism",
-		"Per batch, the conflict graph's achievable speedup: batch size over critical-path length (1 = fully conflicting).",
-		[]float64{1, 1.5, 2, 3, 4, 6, 8, 16, 32, 64}, "replica", id)
+		"Refreshes coalesced into one group-applied batch (at most 8).",
+		[]float64{1, 2, 3, 4, 6, 8}, "replica", id)
 	reg.GaugeFunc("sconrep_replica_reorder_depth",
 		"Refreshes held in the reorder buffer awaiting a contiguous run (plus the in-flight batch).",
 		func() float64 {

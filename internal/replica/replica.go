@@ -128,22 +128,6 @@ type Config struct {
 	// eager mode's slowest-replica wait amplifies and the lazy modes'
 	// least-loaded routing sidesteps.
 	DBSlots int
-	// MaxApplyBatch bounds one group-applied refresh batch (default 8).
-	// Larger batches amortize the apply cost further, but a batch
-	// publishes run by run (applyBatch) and a run only at its tail, so a
-	// transaction waiting for a mid-run version waits for the whole run;
-	// an unbounded batch on a deep backlog would erase the fine-grained
-	// mode's start-delay advantage over the coarse one. Same trade-off,
-	// and same fix, as bounding a group commit.
-	MaxApplyBatch int
-	// ApplyWorkers caps how many runs applyBatch may cut one
-	// group-applied batch into, and so how many goroutines install into
-	// the engine concurrently (default 4). The width actually used is
-	// computed per batch from this cap, GOMAXPROCS, the batch length and
-	// its conflict graph; 1 pins every batch to a single run on the
-	// drainer's goroutine — the reference the equivalence tests compare
-	// wider schedules against, through the same code.
-	ApplyWorkers int
 }
 
 // Replica is one proxy + DBMS pair.
@@ -203,13 +187,10 @@ type Replica struct {
 	// guarded by mu
 	minServe uint64
 
-	// gb recycles conflict-graph builder state across group-applied
-	// batches. Accessed only from inside the applying window (at most
-	// one batch is inside the engine at a time), which serializes it.
-	gb writeset.GraphBuilder
-	// wssBuf recycles the per-batch writeset slice; same serialization
-	// as gb (built under mu while the applying window is empty, used
-	// until the batch completes).
+	// wssBuf recycles the per-batch writeset slice. The applying window
+	// (at most one batch is inside the engine at a time) serializes it:
+	// built under mu while the window is empty, used until the batch
+	// completes.
 	wssBuf []*writeset.WriteSet
 
 	slots chan struct{}
@@ -272,12 +253,6 @@ func NewWithBackend(cfg Config, b storage.Backend, cert CertService) *Replica {
 func newReplica(cfg Config, b storage.Backend, cert CertService) *Replica {
 	if cfg.DBSlots <= 0 {
 		cfg.DBSlots = 2
-	}
-	if cfg.MaxApplyBatch <= 0 {
-		cfg.MaxApplyBatch = 8
-	}
-	if cfg.ApplyWorkers <= 0 {
-		cfg.ApplyWorkers = 4
 	}
 	r := &Replica{
 		cfg:        cfg,
@@ -430,11 +405,19 @@ func (r *Replica) abortConflictingActivesLocked(ws *writeset.WriteSet) {
 	}
 }
 
+// maxApplyBatch bounds one group-applied refresh batch. Larger batches
+// amortize the apply cost further, but a batch publishes only at its
+// tail (applyBatch), so a transaction waiting for a mid-batch version
+// waits for the whole batch; an unbounded batch on a deep backlog would
+// erase the fine-grained mode's start-delay advantage over the coarse
+// one. Same trade-off, and same fix, as bounding a group commit.
+const maxApplyBatch = 8
+
 // applyReadyLocked group-applies reorder-buffer entries contiguous
 // with Vlocal and reports whether it applied anything. Each round
 // coalesces the longest run of queued refreshes — stopping at a
 // version owned by an in-flight local commit, and bounded by
-// Config.MaxApplyBatch — into ONE batch applied by applyBatch under a
+// maxApplyBatch — into ONE batch applied by applyBatch under a
 // single DBMS slot, with one amortized latency charge, one coalesced
 // apply acknowledgment, and one broadcast. Versions publish in order,
 // so no version is observable before its predecessors and Vlocal stays
@@ -461,7 +444,7 @@ func (r *Replica) applyReadyLocked() bool {
 		// Pre-size to the group bound (capped by what is buffered): the
 		// batch escapes into r.applying, so growth by append would pay
 		// log2(n) reallocations per drained backlog.
-		batch := make([]certifier.Refresh, 0, min(r.cfg.MaxApplyBatch, len(r.reorder)))
+		batch := make([]certifier.Refresh, 0, min(maxApplyBatch, len(r.reorder)))
 		for v := start; ; v++ {
 			if r.committing[v] {
 				break // a local commit owns this version
@@ -472,8 +455,8 @@ func (r *Replica) applyReadyLocked() bool {
 			}
 			delete(r.reorder, v)
 			batch = append(batch, ref)
-			if len(batch) >= r.cfg.MaxApplyBatch {
-				break // bounded group: see Config.MaxApplyBatch
+			if len(batch) >= maxApplyBatch {
+				break
 			}
 		}
 		if len(batch) == 0 {
@@ -519,12 +502,6 @@ func (r *Replica) applyReadyLocked() bool {
 			if r.lat != nil {
 				r.lat.ApplyWriteSetBatch(len(batch))
 			}
-			// Runs installing side by side model the DBMS's intra-operation
-			// parallelism, so the whole batch costs one DBMS slot and one
-			// amortized latency charge whatever its width. applyBatch owns
-			// the AppliedRefreshes accounting, so a progressively published
-			// version never becomes visible before its refreshes are
-			// counted.
 			err = r.applyBatch(wss, start)
 		})
 		if err == nil {
@@ -556,6 +533,39 @@ func (r *Replica) applyReadyLocked() bool {
 		}
 		r.cond.Broadcast()
 	}
+}
+
+// applyBatch installs the group-applied batch wss at versions start,
+// start+1, … and publishes its tail, on the caller's goroutine — the
+// paper's replica applies refresh writesets one after another in
+// certifier order. It counts before it publishes: once a version is
+// visible, every refresh at or below it is in AppliedRefreshes — the
+// order the ordering tests and convergence waiters observe.
+//
+// The publish does NOT broadcast r.cond: snapshot reads observe the
+// published watermark directly through Begin (no wait involved), and
+// version waiters (commit sync, tests) are woken by the caller's
+// broadcast under r.mu after the batch completes. Broadcasting per
+// publish as well was measured to cost more than the installs
+// themselves (a wakeup storm of r.mu acquisitions).
+//
+// An install error leaves the watermark where it was; the caller treats
+// it as divergence. The caller must hold the r.applying window (at most
+// one batch inside the engine) and must NOT hold r.mu.
+func (r *Replica) applyBatch(wss []*writeset.WriteSet, start uint64) error {
+	eng := r.engine()
+	// The applying window and the commit slot protocol make this batch
+	// the engine's only writer, so the check cannot race — it turns an
+	// ordering bug into a loud error whatever the schedule.
+	if v := eng.Version(); start != v+1 {
+		return fmt.Errorf("%w: engine at %d, refresh batch starts at %d", storage.ErrBadVersion, v, start)
+	}
+	if err := eng.InstallWriteSets(wss, start); err != nil {
+		return fmt.Errorf("refresh apply at %d: %w", start, err)
+	}
+	r.appliedRefreshes.Add(int64(len(wss)))
+	eng.PublishVersion(start + uint64(len(wss)) - 1)
+	return nil
 }
 
 // startApplySpans mints one refresh.apply span per coalesced commit,
@@ -838,7 +848,8 @@ func (t *Txn) afterWrite() error {
 		// exempt those: a reorder entry goes stale when a duplicate (a
 		// reconnect, a history backfill) arrives while its version is in
 		// the in-flight batch, and stays until the drainer idles; and
-		// applyBatch publishes the in-flight batch progressively.
+		// applyBatch publishes the in-flight batch before the drainer
+		// retakes r.mu to clear r.applying.
 		snap := t.stx.Snapshot()
 		for _, ref := range r.reorder {
 			if ref.Version > snap && ref.WS.ConflictsWith(ws) {
@@ -1104,7 +1115,7 @@ func (r *Replica) Crash() {
 	r.cert.Unsubscribe(r.cfg.ID)
 }
 
-// / Recover reattaches a crashed replica: it resubscribes, replays the
+// Recover reattaches a crashed replica: it resubscribes, replays the
 // certifier history it missed, and resumes applying new refreshes.
 func (r *Replica) Recover() error {
 	r.mu.Lock()

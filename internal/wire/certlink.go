@@ -336,6 +336,15 @@ func (s *CertServer) maybeAdopt(h certHello) {
 // connection, which ends the other.
 func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	c, replicaID := fc.c, hello.ReplicaID
+	// A shard this certifier does not have means the two roles were
+	// started with different -shards: refuse, so the replica's gate
+	// never opens, rather than serve it a stream of skip markers.
+	for _, id := range hello.Shards {
+		if id < 0 || id >= s.cert.Shards() {
+			log.Printf("wire: certifier: replica %d subscribes to shard %d, certifier has %d shard(s); closing its stream", replicaID, id, s.cert.Shards())
+			return
+		}
+	}
 	s.mu.Lock()
 	s.streamGen[replicaID]++
 	gen := s.streamGen[replicaID]

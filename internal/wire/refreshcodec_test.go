@@ -248,6 +248,47 @@ func TestShardedHistoryPartialRequest(t *testing.T) {
 	}
 }
 
+// TestSubscribeRefusesUnknownShard: a subscription naming a shard the
+// certifier does not have means the two roles disagree on -shards. The
+// server closes the connection with nothing registered and no ack, so
+// the replica's gate never opens — whatever the certifier's shard count.
+func TestSubscribeRefusesUnknownShard(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cert  *certifier.Certifier
+		shard int
+	}{
+		{"one shard", certifier.New(), 3},
+		{"four shards", newShardedCert(t), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := ServeCertifier(tc.cert, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			fc := newFrameConn(conn)
+			if err := fc.send(&certHello{Kind: linkCertSub, ReplicaID: 1, Shards: []int{0, tc.shard}}); err != nil {
+				t.Fatal(err)
+			}
+			var ack subAck
+			_, err = fc.recvHello(string(linkSubAck), &ack)
+			if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+				t.Fatalf("subscription to shard %d of %d: err = %v, want the connection closed", tc.shard, tc.cert.Shards(), err)
+			}
+			if ids := tc.cert.Replicas(); len(ids) != 0 {
+				t.Fatalf("refused subscription registered replicas %v", ids)
+			}
+		})
+	}
+}
+
 // FuzzRefreshCodec feeds arbitrary bytes to the refresh payload parser:
 // it must never panic, and anything it accepts must round-trip through
 // the encoder unchanged (the parse→encode→parse fixed point).
