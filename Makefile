@@ -52,10 +52,14 @@ update-schema:
 
 # The same gate CI runs (.github/workflows/ci.yml): build, vet,
 # sconrep-vet, formatting (fails on any unformatted file), tests, race
-# tests.
+# tests. Vetting benchmark/ is a compile check of the frozen nested
+# module, which ./... does not reach: an API break it would not survive
+# (a changed Begin or Dispatch signature) fails here, not only in the
+# separate bench-e2e-smoke step.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 	$(GO) run ./cmd/sconrep-vet -strict ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi

@@ -69,14 +69,16 @@ type Config struct {
 	// sequencers (0 or 1 = the paper's single sequencer).
 	Shards int
 	// ShardTables pins tables to shards explicitly; unlisted tables
-	// hash deterministically over [0, Shards). Ignored unless Shards>1.
+	// hash deterministically over [0, Shards). An entry naming a shard
+	// the certifier will not have is refused, on an unsharded cluster
+	// too: its one shard is shard 0.
 	ShardTables map[string]int
 	// ReplicaShards, when non-nil, gives replica i the partial refresh
 	// subscription ReplicaShards[i] (a nil entry = all shards): versions
 	// certified entirely elsewhere reach that replica as skip markers,
 	// and the balancer routes transactions only to replicas covering
 	// their table-set's shards. Must have one entry per replica when
-	// set, every ID in [0, Shards). Ignored unless Shards>1.
+	// set, every ID in [0, Shards) — [0, 1) on an unsharded cluster.
 	ReplicaShards [][]int
 }
 
@@ -163,17 +165,16 @@ func newCore(cfg Config) (*Cluster, error) {
 	if cfg.Mode == core.Eager {
 		certOpts = append(certOpts, certifier.WithEager())
 	}
-	if cfg.Shards > 1 {
-		smap, err := shard.New(cfg.Shards, cfg.ShardTables)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		certOpts = append(certOpts, certifier.WithShards(smap))
+	// An unsharded cluster is the one-shard configuration.
+	nShards := max(cfg.Shards, 1)
+	smap, err := shard.New(nShards, cfg.ShardTables)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	certOpts = append(certOpts, certifier.WithShards(smap))
 	if cfg.ReplicaShards != nil && len(cfg.ReplicaShards) != cfg.Replicas {
 		return nil, fmt.Errorf("cluster: ReplicaShards has %d entries for %d replicas", len(cfg.ReplicaShards), cfg.Replicas)
 	}
-	nShards := max(cfg.Shards, 1)
 	for i, served := range cfg.ReplicaShards {
 		for _, id := range served {
 			if id < 0 || id >= nShards {
@@ -197,7 +198,7 @@ func newCore(cfg Config) (*Cluster, error) {
 
 // replicaShards returns replica i's subscription shard set (nil = all).
 func (c *Cluster) replicaShards(i int) []int {
-	if c.cfg.Shards <= 1 || c.cfg.ReplicaShards == nil {
+	if c.cfg.ReplicaShards == nil {
 		return nil
 	}
 	return c.cfg.ReplicaShards[i]
@@ -206,7 +207,7 @@ func (c *Cluster) replicaShards(i int) []int {
 // shardRouting wires the balancer's shard-aware dispatch when the
 // cluster runs with partial replica subscriptions.
 func (c *Cluster) shardRouting(bal *lb.LoadBalancer) {
-	if c.cfg.Shards <= 1 || c.cfg.ReplicaShards == nil {
+	if c.cfg.ReplicaShards == nil {
 		return
 	}
 	served := make(map[int][]int, len(c.cfg.ReplicaShards))
@@ -691,7 +692,6 @@ func (s *Session) Think(mean time.Duration) { s.lat.Think(mean) }
 type Tx struct {
 	s      *Session
 	rtx    *replica.Txn
-	timer  *metrics.TxnTimer
 	submit time.Time
 	name   string
 	done   bool
@@ -732,69 +732,40 @@ func (t *Tx) endSpan(outcome string, version uint64, err error) {
 // Begin dispatches a transaction named txnName (the identifier the
 // fine-grained mode resolves to a table-set; any string — including
 // "" — works under the other modes). On a networked cluster it sends
-// nothing and cannot fail: see netBegin.
-func (s *Session) Begin(txnName string) (*Tx, error) {
-	span := s.c.clientSpan(txnName)
-	if s.c.net != nil {
-		return s.netBegin(txnName, nil, span)
-	}
-	submit := time.Now()
-	// Client → LB → replica.
-	s.lat.NetworkHop()
-	route, err := s.c.balancer.DispatchCtx(s.id, txnName, span.Context())
-	if err != nil {
-		span.SetAttr("outcome", "error")
-		span.End()
-		return nil, err
-	}
-	s.lat.NetworkHop()
-	timer := metrics.NewTxnTimer()
-	rtx, err := route.Node.(*replica.Replica).BeginCtx(route.MinVersion, timer, span.Context())
-	if err != nil {
-		span.SetAttr("outcome", "error")
-		span.End()
-		return nil, err
-	}
-	return &Tx{s: s, rtx: rtx, timer: timer, submit: submit, name: txnName, span: span}, nil
-}
+// nothing and cannot fail: see begin.
+func (s *Session) Begin(txnName string) (*Tx, error) { return s.begin(txnName, nil) }
 
 // BeginTables dispatches a transaction tagged with an explicit
 // table-set (the paper's footnote-1 alternative to registered
 // transaction names).
-func (s *Session) BeginTables(tables []string) (*Tx, error) {
-	span := s.c.clientSpan("")
-	if s.c.net != nil {
-		return s.netBegin("", tables, span)
-	}
-	submit := time.Now()
-	s.lat.NetworkHop()
-	route, err := s.c.balancer.DispatchTables(s.id, tables)
-	if err != nil {
-		span.SetAttr("outcome", "error")
-		span.End()
-		return nil, err
-	}
-	s.lat.NetworkHop()
-	timer := metrics.NewTxnTimer()
-	rtx, err := route.Node.(*replica.Replica).BeginCtx(route.MinVersion, timer, span.Context())
-	if err != nil {
-		span.SetAttr("outcome", "error")
-		span.End()
-		return nil, err
-	}
-	return &Tx{s: s, rtx: rtx, timer: timer, submit: submit, span: span}, nil
-}
+func (s *Session) BeginTables(tables []string) (*Tx, error) { return s.begin("", tables) }
 
-// netBegin starts a networked transaction without sending anything, as
-// the in-process model charges begin forward hops only: the balancer
-// routes and the replica applies the start rule when the first request
-// arrives, so routing and gate errors surface from there, and Submit —
-// the moment the oracle holds the start rule to — is still now.
-func (s *Session) netBegin(txnName string, tables []string, span *dtrace.ActiveSpan) (*Tx, error) {
-	return &Tx{
-		s: s, timer: metrics.NewTxnTimer(), submit: time.Now(), name: txnName,
-		tables: tables, span: span,
-	}, nil
+// begin starts a transaction routed by name or, when tables is
+// non-empty, by table-set. A networked transaction starts without
+// sending anything, as the in-process model charges begin forward hops
+// only: the balancer routes and the replica applies the start rule when
+// the first request arrives, so routing and gate errors surface from
+// there, and Submit — the moment the oracle holds the start rule to —
+// is still now.
+func (s *Session) begin(txnName string, tables []string) (*Tx, error) {
+	t := &Tx{s: s, submit: time.Now(), name: txnName, tables: tables, span: s.c.clientSpan(txnName)}
+	if s.c.net != nil {
+		return t, nil
+	}
+	// Client → LB → replica.
+	s.lat.NetworkHop()
+	sc := t.span.Context()
+	route, err := s.c.balancer.DispatchCtx(s.id, txnName, tables, sc)
+	if err == nil {
+		s.lat.NetworkHop()
+		t.rtx, err = route.Node.(*replica.Replica).Begin(route.MinVersion, &sc)
+	}
+	if err != nil {
+		t.span.SetAttr("outcome", "error")
+		t.span.End()
+		return nil, err
+	}
+	return t, nil
 }
 
 // netFirst sends the transaction's first request, the one that carries
@@ -937,12 +908,12 @@ func (t *Tx) Commit() (replica.CommitResult, error) {
 	acked := time.Now()
 	t.endSpan("commit", res.Version, nil)
 
-	t.timer.Stop()
-	syncDelay := t.timer.Stage(metrics.StageVersion)
+	stages := t.rtx.Stages()
+	syncDelay := stages.Stage(metrics.StageVersion)
 	if t.s.c.cfg.Mode == core.Eager {
-		syncDelay = t.timer.Stage(metrics.StageGlobal)
+		syncDelay = stages.Stage(metrics.StageGlobal)
 	}
-	t.s.c.coll.RecordCommit(t.timer, !res.ReadOnly, acked.Sub(t.submit), syncDelay)
+	t.s.c.coll.RecordCommit(stages, !res.ReadOnly, acked.Sub(t.submit), syncDelay)
 	if obs := t.s.c.commitObs; obs != nil {
 		obs(t.name, readTables, res.WrittenTables)
 	}
@@ -986,8 +957,8 @@ func (t *Tx) netCommit() (replica.CommitResult, error) {
 	}
 	t.endSpan("commit", info.Version, nil)
 	acked := time.Now()
-	t.timer.Stop()
-	t.s.c.coll.RecordCommit(t.timer, !info.ReadOnly, acked.Sub(t.submit), 0)
+	// The stages are the replica's; a networked client never sees them.
+	t.s.c.coll.RecordCommit(metrics.Timeline{}, !info.ReadOnly, acked.Sub(t.submit), 0)
 	if obs := t.s.c.commitObs; obs != nil {
 		obs(t.name, info.ReadTables, info.WriteTables)
 	}
@@ -1010,9 +981,6 @@ func (t *Tx) netCommit() (replica.CommitResult, error) {
 		WrittenTables: info.WriteTables,
 	}, nil
 }
-
-// Timer exposes the transaction's stage timer (tests).
-func (t *Tx) Timer() *metrics.TxnTimer { return t.timer }
 
 // Snapshot returns the version the transaction reads: 0 for a networked
 // transaction until its first request has been answered.

@@ -119,6 +119,9 @@ func TestInvalidConfig(t *testing.T) {
 		// A shard the certifier will not have: the replica would be
 		// served nothing but skip markers.
 		"ReplicaShards outside [0, Shards)": {Replicas: 2, Shards: 4, ReplicaShards: [][]int{{0, 1}, {2, 4}}},
+		// An unsharded cluster has shard 0 and no other; this used to be
+		// ignored, and the table certified on shard 0 all the same.
+		"ShardTables outside [0, 1) on an unsharded cluster": {Replicas: 2, ShardTables: map[string]int{"counter": 1}},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s accepted", name)

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"sconrep/internal/core"
 	"sconrep/internal/metrics"
 	"sconrep/internal/obs"
+	"sconrep/internal/obs/dtrace"
 )
 
 // TestClusterObservability drives an instrumented FSC cluster and
@@ -72,7 +75,11 @@ func TestClusterObservability(t *testing.T) {
 			sawCommitted = true
 		}
 		prevRank, prevEnd := -1, int64(0)
+		var sumUs int64
+		named := map[string]bool{}
 		for _, sp := range trc.Stages {
+			named[sp.Stage] = true
+			sumUs += sp.DurationUs
 			r, ok := rank[sp.Stage]
 			if !ok {
 				t.Fatalf("txn %d: unknown stage %q", trc.TxnID, sp.Stage)
@@ -84,6 +91,18 @@ func TestClusterObservability(t *testing.T) {
 				t.Fatalf("txn %d: stage %s overlaps previous span in %v", trc.TxnID, sp.Stage, trc.Stages)
 			}
 			prevRank, prevEnd = r, sp.StartUs+sp.DurationUs
+		}
+		// No tracer is attached (EnableObs only): the stages come from the
+		// replica's own timeline, under the names the end-to-end benchmark
+		// matches on. Names, not durations — a 1 µs commit truncates to 0.
+		if trc.Outcome == "commit" && (!named["Version"] || !named["Queries"] || !named["Commit"]) {
+			t.Errorf("txn %d: committed trace lacks Version/Queries/Commit: %v", trc.TxnID, trc.Stages)
+		}
+		if trc.Outcome == "commit" && !trc.ReadOnly && !(named["Certify"] && named["Sync"]) {
+			t.Errorf("txn %d: committed update lacks Certify/Sync: %v", trc.TxnID, trc.Stages)
+		}
+		if trc.TotalUs < sumUs {
+			t.Errorf("txn %d: total %d µs < stage sum %d µs in %v", trc.TxnID, trc.TotalUs, sumUs, trc.Stages)
 		}
 	}
 	if !sawCommitted {
@@ -111,5 +130,71 @@ func TestClusterObsDisabledIsFree(t *testing.T) {
 	obs.NewRegistry().WritePrometheus(&sb)
 	if sb.Len() != 0 {
 		t.Fatalf("fresh registry not empty: %q", sb.String())
+	}
+}
+
+// TestBeginTablesRouteSpan: a transaction begun by table-set (the
+// paper's footnote 1) is routed through the same traced dispatch as one
+// begun by name, in process and through the gateway: its trace holds an
+// lb.route span under the client's root, annotated with the replica
+// chosen and the start bound — here the version of the update that last
+// wrote the table — and replica.txn joins the same trace.
+func TestBeginTablesRouteSpan(t *testing.T) {
+	for _, tc := range []struct {
+		name, table, update, read string
+		mk                        func(*testing.T) *Cluster
+	}{
+		{"inprocess", "counter", `UPDATE counter SET n = 7 WHERE id = 1`, `SELECT n FROM counter WHERE id = 1`,
+			func(t *testing.T) *Cluster { return newCluster(t, Config{Replicas: 2, Mode: core.Fine, Seed: 5}) }},
+		{"networked", "kv", `UPDATE kv SET v = 'x' WHERE k = 1`, `SELECT v FROM kv WHERE k = 1`,
+			func(t *testing.T) *Cluster { return newNetCluster(t, core.Fine) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.mk(t)
+			colls := c.EnableDTrace(256)
+			s := c.NewSession()
+			defer s.Close()
+			run := func(stmt string) (*Tx, uint64) {
+				t.Helper()
+				tx, err := s.BeginTables([]string{tc.table})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.ExecSQL(stmt); err != nil {
+					t.Fatal(err)
+				}
+				res, err := tx.Commit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tx, res.Version
+			}
+			_, wrote := run(tc.update)
+			tx, _ := run(tc.read)
+
+			// A networked read's commit is a one-way frame: replica.txn ends
+			// when the replica gets to it, not when Commit returns.
+			byName := map[string]dtrace.Span{}
+			for deadline := time.Now().Add(5 * time.Second); byName["replica.txn"].ID.IsZero() && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				for _, coll := range colls {
+					for _, sp := range coll.Trace(tx.Trace()) {
+						byName[sp.Name] = sp
+					}
+				}
+			}
+			root, route, rtxn := byName["client.txn"], byName["lb.route"], byName["replica.txn"]
+			if root.ID.IsZero() || route.ID.IsZero() || rtxn.ID.IsZero() {
+				t.Fatalf("trace lacks client.txn / lb.route / replica.txn: %v", byName)
+			}
+			if route.Parent != root.ID {
+				t.Errorf("lb.route parent = %s, want the client root %s", route.Parent, root.ID)
+			}
+			if got, want := route.Attrs["min_version"], strconv.FormatUint(wrote, 10); got != want {
+				t.Errorf("lb.route min_version = %q, want %q (the table's last write)", got, want)
+			}
+			if route.Attrs["replica"] == "" || route.Attrs["replica"] != rtxn.Attrs["replica"] {
+				t.Errorf("lb.route replica = %q, replica.txn ran on %q", route.Attrs["replica"], rtxn.Attrs["replica"])
+			}
+		})
 	}
 }

@@ -232,64 +232,43 @@ func (l *LoadBalancer) requiredShards(tables []string, known bool) []int {
 // (synchronize on Vsystem), preserving strong consistency when the
 // workload information is missing — the degradation §V-D describes.
 func (l *LoadBalancer) Dispatch(sessionID, txnName string) (Route, error) {
-	return l.DispatchCtx(sessionID, txnName, dtrace.SpanContext{})
+	return l.DispatchCtx(sessionID, txnName, nil, dtrace.SpanContext{})
 }
 
 // DispatchCtx is Dispatch under the caller's span context: the routing
 // decision is recorded as an lb.route span annotated with the chosen
-// replica and the start-version tag.
-func (l *LoadBalancer) DispatchCtx(sessionID, txnName string, sc dtrace.SpanContext) (Route, error) {
+// replica and the start-version tag. A non-empty tables is the
+// transaction's table-set, stated by the client instead of looked up
+// under txnName — the paper's footnote-1 alternative; under non-fine
+// modes it only constrains shard routing.
+func (l *LoadBalancer) DispatchCtx(sessionID, txnName string, tables []string, sc dtrace.SpanContext) (Route, error) {
 	span := l.tracer.Load().StartSpan("lb.route", sc)
-	route, err := l.dispatch(sessionID, txnName)
+	defer span.End()
+	// The table-set drives routing in every mode once sharding is on,
+	// not just fine-grained version tagging: a replica with a partial
+	// shard subscription never sees row data for other shards, so it
+	// must not serve transactions that touch them.
+	known := len(tables) > 0
+	if !known {
+		tables, known = l.registry.Lookup(txnName)
+	}
+	node, err := l.pick(l.requiredShards(tables, known))
 	if err != nil {
 		span.SetAttr("error", err.Error())
-		span.End()
 		return Route{}, err
 	}
-	span.SetAttr("replica", strconv.Itoa(route.Node.ID()))
-	span.SetAttr("min_version", strconv.FormatUint(route.MinVersion, 10))
-	route.Trace = span.Context()
-	span.End()
-	return route, nil
-}
-
-func (l *LoadBalancer) dispatch(sessionID, txnName string) (Route, error) {
-	// The table-set dictionary drives routing in every mode once
-	// sharding is on, not just fine-grained version tagging: a replica
-	// with a partial shard subscription never sees row data for other
-	// shards, so it must not serve transactions that touch them.
-	ts, known := l.registry.Lookup(txnName)
-	best, err := l.pick(l.requiredShards(ts, known))
-	if err != nil {
-		return Route{}, err
-	}
-
 	mode := l.mode
-	if mode == core.Fine {
-		if !known {
-			// Unknown workload: degrade to coarse, never to weaker.
-			l.obsDegraded.Inc()
-			return Route{Node: best, MinVersion: l.tracker.MinStartVersion(core.Coarse, nil, sessionID)}, nil
-		}
-		return Route{Node: best, MinVersion: l.tracker.MinStartVersion(core.Fine, ts, sessionID)}, nil
+	if mode == core.Fine && !known {
+		// Unknown workload: degrade to coarse, never to weaker.
+		l.obsDegraded.Inc()
+		mode = core.Coarse
 	}
-	return Route{Node: best, MinVersion: l.tracker.MinStartVersion(mode, nil, sessionID)}, nil
-}
-
-// DispatchTables is Dispatch with an explicit table-set instead of a
-// registered transaction name — the paper's footnote-1 alternative
-// where clients tag requests with the tables they will access. Under
-// non-fine modes the table-set is ignored.
-func (l *LoadBalancer) DispatchTables(sessionID string, tables []string) (Route, error) {
-	node, err := l.pick(l.requiredShards(tables, true))
-	if err != nil {
-		return Route{}, err
+	route := Route{Node: node, MinVersion: l.tracker.MinStartVersion(mode, tables, sessionID), Trace: span.Context()}
+	if span != nil {
+		span.SetAttr("replica", strconv.Itoa(node.ID()))
+		span.SetAttr("min_version", strconv.FormatUint(route.MinVersion, 10))
 	}
-	ts := []string(nil)
-	if l.mode == core.Fine {
-		ts = tables
-	}
-	return Route{Node: node, MinVersion: l.tracker.MinStartVersion(l.mode, ts, sessionID)}, nil
+	return route, nil
 }
 
 // ObserveCommit folds a replica's commit response into the version

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sconrep/internal/core"
+	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
 )
 
@@ -155,16 +156,16 @@ func TestDispatchTables(t *testing.T) {
 	l := New(core.Fine, []Node{&fakeNode{id: 0}})
 	l.ObserveCommit("s", replica.CommitResult{Version: 4, WrittenTables: []string{"orders"}})
 	l.ObserveCommit("s", replica.CommitResult{Version: 9, WrittenTables: []string{"item"}})
-	if r, _ := l.DispatchTables("x", []string{"orders"}); r.MinVersion != 4 {
+	if r, _ := l.DispatchCtx("x", "", []string{"orders"}, dtrace.SpanContext{}); r.MinVersion != 4 {
 		t.Fatalf("explicit tables min = %d, want 4", r.MinVersion)
 	}
-	if r, _ := l.DispatchTables("x", []string{"country"}); r.MinVersion != 0 {
+	if r, _ := l.DispatchCtx("x", "", []string{"country"}, dtrace.SpanContext{}); r.MinVersion != 0 {
 		t.Fatalf("untouched table min = %d, want 0", r.MinVersion)
 	}
 	// Non-fine modes ignore the set and use their own rule.
 	lc := New(core.Coarse, []Node{&fakeNode{id: 0}})
 	lc.ObserveCommit("s", replica.CommitResult{Version: 7, WrittenTables: []string{"t"}})
-	if r, _ := lc.DispatchTables("x", []string{"country"}); r.MinVersion != 7 {
+	if r, _ := lc.DispatchCtx("x", "", []string{"country"}, dtrace.SpanContext{}); r.MinVersion != 7 {
 		t.Fatalf("coarse with explicit tables min = %d, want 7", r.MinVersion)
 	}
 }

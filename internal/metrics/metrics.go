@@ -59,68 +59,82 @@ func (s Stage) String() string {
 	}
 }
 
-// Span is one timed visit to a stage, in wall-clock order. A stage
-// revisited later in the transaction produces a second span.
-type Span struct {
-	Stage Stage
-	Start time.Time
-	End   time.Time
+// Timeline is one transaction's stage record: which stages it visited,
+// in order, and when each began. It is a fixed-size value — the owner
+// holds it in place and writing it allocates nothing — with room for
+// one visit per stage, which is what a transaction makes; an Enter
+// beyond that is dropped and the last visit absorbs its time. The zero
+// value is an empty timeline. Not safe for concurrent use.
+type Timeline struct {
+	begin time.Time
+	// at[i] is visit i's start as an offset from begin; a visit ends
+	// where the next starts, the last at at[n] once stopped.
+	at      [numStages + 1]time.Duration
+	stage   [numStages]uint8
+	n       uint8
+	stopped bool
 }
 
-// TxnTimer accumulates one transaction's stage durations and the
-// ordered span timeline (for trace recording). It is not safe for
-// concurrent use; each in-flight transaction owns one.
-type TxnTimer struct {
-	stages  [numStages]time.Duration
-	spans   []Span
-	started time.Time
-	current Stage
-	running bool
-}
-
-// NewTxnTimer returns a timer with no running stage.
-func NewTxnTimer() *TxnTimer { return &TxnTimer{} }
-
-// Start begins timing a stage, ending any stage already running.
-func (t *TxnTimer) Start(s Stage) {
-	now := time.Now()
-	if t.running {
-		t.stages[t.current] += now.Sub(t.started)
-		t.spans = append(t.spans, Span{Stage: t.current, Start: t.started, End: now})
+// Enter ends the running visit, if any, and starts one to stage s.
+func (tl *Timeline) Enter(s Stage) {
+	if tl.stopped || int(tl.n) == len(tl.stage) {
+		return
 	}
-	t.current = s
-	t.started = now
-	t.running = true
-}
-
-// Stop ends the running stage.
-func (t *TxnTimer) Stop() {
-	if t.running {
-		now := time.Now()
-		t.stages[t.current] += now.Sub(t.started)
-		t.spans = append(t.spans, Span{Stage: t.current, Start: t.started, End: now})
-		t.running = false
+	if tl.n == 0 {
+		tl.begin = time.Now()
+	} else {
+		tl.at[tl.n] = time.Since(tl.begin)
 	}
+	tl.stage[tl.n] = uint8(s)
+	tl.n++
 }
 
-// Spans returns the completed stage visits in wall-clock order. The
-// currently running stage (if any) is not included; call Stop first
-// for a complete timeline.
-func (t *TxnTimer) Spans() []Span { return t.spans }
+// Stop ends the running visit. A stopped timeline no longer changes.
+func (tl *Timeline) Stop() {
+	if tl.stopped || tl.n == 0 {
+		return
+	}
+	tl.at[tl.n] = time.Since(tl.begin)
+	tl.stopped = true
+}
 
-// Stage returns the accumulated duration of one stage.
-func (t *TxnTimer) Stage(s Stage) time.Duration { return t.stages[s] }
+// Begin returns when the first visit started (zero if none did).
+func (tl *Timeline) Begin() time.Time { return tl.begin }
 
-// Total returns the sum of all stages.
-func (t *TxnTimer) Total() time.Duration {
+// Len returns the number of finished visits. The running visit is not
+// one of them; call Stop first for the complete record.
+func (tl *Timeline) Len() int {
+	if tl.stopped || tl.n == 0 {
+		return int(tl.n)
+	}
+	return int(tl.n) - 1
+}
+
+// Visit returns finished visit i in wall-clock order: its stage, its
+// start as an offset from Begin, and its duration.
+func (tl *Timeline) Visit(i int) (s Stage, start, dur time.Duration) {
+	return Stage(tl.stage[i]), tl.at[i], tl.at[i+1] - tl.at[i]
+}
+
+// Stage returns the time spent in one stage over all finished visits.
+func (tl *Timeline) Stage(s Stage) time.Duration {
 	var sum time.Duration
-	for _, d := range t.stages {
-		sum += d
+	for i := 0; i < tl.Len(); i++ {
+		if st, _, dur := tl.Visit(i); st == s {
+			sum += dur
+		}
 	}
 	return sum
 }
 
+// Total returns the time covered by finished visits; visits are
+// contiguous, so it is also the sum of all stages.
+func (tl *Timeline) Total() time.Duration { return tl.at[tl.Len()] }
+
 // Collector aggregates transaction outcomes across concurrent clients.
+// The stage means are filled by in-process clusters only: the stages
+// are the replica's, a networked client never sees them and records an
+// empty timeline.
 type Collector struct {
 	mu          sync.Mutex
 	start       time.Time
@@ -161,11 +175,12 @@ func (c *Collector) Reset() {
 	c.readSyncDelays = durationHist{}
 }
 
-// RecordCommit records one committed transaction with its timer.
-// response is the client-observed wall time (stages plus network and
-// queueing); syncDelay is the consistency synchronization delay: the
-// version stage for the lazy modes, the global stage for eager.
-func (c *Collector) RecordCommit(t *TxnTimer, update bool, response, syncDelay time.Duration) {
+// RecordCommit records one committed transaction with its stage
+// timeline. response is the client-observed wall time (stages plus
+// network and queueing); syncDelay is the consistency synchronization
+// delay: the version stage for the lazy modes, the global stage for
+// eager.
+func (c *Collector) RecordCommit(tl Timeline, update bool, response, syncDelay time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.collecting {
@@ -178,8 +193,9 @@ func (c *Collector) RecordCommit(t *TxnTimer, update bool, response, syncDelay t
 		c.readOnly++
 		c.readSyncDelays.add(syncDelay)
 	}
-	for i := Stage(0); i < numStages; i++ {
-		c.stageTotals[i] += t.stages[i]
+	for i := 0; i < tl.Len(); i++ {
+		s, _, d := tl.Visit(i)
+		c.stageTotals[s] += d
 	}
 	c.respTimes.add(response)
 	c.syncDelays.add(syncDelay)

@@ -17,52 +17,55 @@ func TestStageStrings(t *testing.T) {
 	}
 }
 
-func TestTxnTimerAccumulates(t *testing.T) {
-	tm := NewTxnTimer()
-	tm.Start(StageVersion)
+func TestTimelineAccumulates(t *testing.T) {
+	var tl Timeline
+	tl.Enter(StageVersion)
 	time.Sleep(10 * time.Millisecond)
-	tm.Start(StageQueries) // implicitly ends Version
+	tl.Enter(StageQueries) // implicitly ends Version
+	if tl.Stage(StageQueries) != 0 || tl.Len() != 1 {
+		t.Fatalf("running visit counted: queries = %v, len = %d", tl.Stage(StageQueries), tl.Len())
+	}
 	time.Sleep(10 * time.Millisecond)
-	tm.Stop()
-	if tm.Stage(StageVersion) < 5*time.Millisecond {
-		t.Fatalf("version stage = %v", tm.Stage(StageVersion))
+	tl.Stop()
+	if tl.Stage(StageVersion) < 5*time.Millisecond {
+		t.Fatalf("version stage = %v", tl.Stage(StageVersion))
 	}
-	if tm.Stage(StageQueries) < 5*time.Millisecond {
-		t.Fatalf("queries stage = %v", tm.Stage(StageQueries))
+	if tl.Stage(StageQueries) < 5*time.Millisecond {
+		t.Fatalf("queries stage = %v", tl.Stage(StageQueries))
 	}
-	if tm.Stage(StageGlobal) != 0 {
-		t.Fatalf("untouched stage = %v", tm.Stage(StageGlobal))
+	if tl.Stage(StageGlobal) != 0 {
+		t.Fatalf("untouched stage = %v", tl.Stage(StageGlobal))
 	}
-	total := tm.Total()
-	if total != tm.Stage(StageVersion)+tm.Stage(StageQueries) {
+	total := tl.Total()
+	if total != tl.Stage(StageVersion)+tl.Stage(StageQueries) {
 		t.Fatalf("total %v != sum of stages", total)
 	}
-	// Stop is idempotent.
-	before := tm.Total()
-	tm.Stop()
-	if tm.Total() != before {
-		t.Fatal("double Stop changed totals")
+	// Stop is idempotent, and a stopped timeline no longer changes.
+	tl.Stop()
+	tl.Enter(StageCommit)
+	if tl.Total() != total || tl.Len() != 2 {
+		t.Fatalf("stopped timeline changed: total %v → %v, len %d", total, tl.Total(), tl.Len())
 	}
 }
 
 func TestTimerReenterStage(t *testing.T) {
-	tm := NewTxnTimer()
-	tm.Start(StageSync)
+	var tl Timeline
+	tl.Enter(StageSync)
 	time.Sleep(5 * time.Millisecond)
-	tm.Start(StageCommit)
+	tl.Enter(StageCommit)
 	time.Sleep(1 * time.Millisecond)
-	tm.Start(StageSync) // revisit
+	tl.Enter(StageSync) // revisit
 	time.Sleep(5 * time.Millisecond)
-	tm.Stop()
-	if tm.Stage(StageSync) < 8*time.Millisecond {
-		t.Fatalf("revisited stage did not accumulate: %v", tm.Stage(StageSync))
+	tl.Stop()
+	if tl.Stage(StageSync) < 8*time.Millisecond {
+		t.Fatalf("revisited stage did not accumulate: %v", tl.Stage(StageSync))
 	}
 }
 
 func TestCollectorFlow(t *testing.T) {
 	c := NewCollector()
-	tm := NewTxnTimer()
-	tm.Start(StageQueries)
+	var tm Timeline
+	tm.Enter(StageQueries)
 	time.Sleep(time.Millisecond)
 	tm.Stop()
 	c.RecordCommit(tm, true, 10*time.Millisecond, 2*time.Millisecond)
@@ -95,7 +98,7 @@ func TestCollectorFlow(t *testing.T) {
 
 func TestResetDropsWarmup(t *testing.T) {
 	c := NewCollector()
-	tm := NewTxnTimer()
+	var tm Timeline
 	c.RecordCommit(tm, true, time.Millisecond, 0)
 	c.Reset()
 	s := c.Snapshot()
@@ -118,7 +121,7 @@ func TestEmptySnapshotSafe(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	c := NewCollector()
-	tm := NewTxnTimer()
+	var tm Timeline
 	for i := 1; i <= 100; i++ {
 		c.RecordCommit(tm, false, time.Duration(i)*time.Millisecond, 0)
 	}
@@ -132,7 +135,7 @@ func TestPercentileNearestRank(t *testing.T) {
 	// 10 samples of 1..10ms: nearest-rank p95 is the 10th value. The
 	// old floored-index formula returned the 9th.
 	c := NewCollector()
-	tm := NewTxnTimer()
+	var tm Timeline
 	for i := 1; i <= 10; i++ {
 		c.RecordCommit(tm, false, time.Duration(i)*time.Millisecond, 0)
 	}
@@ -158,8 +161,8 @@ func TestPercentileNearestRank(t *testing.T) {
 
 func TestSnapshotMarshalJSON(t *testing.T) {
 	c := NewCollector()
-	tm := NewTxnTimer()
-	tm.Start(StageQueries)
+	var tm Timeline
+	tm.Enter(StageQueries)
 	time.Sleep(2 * time.Millisecond)
 	tm.Stop()
 	c.RecordCommit(tm, true, 10*time.Millisecond, 3*time.Millisecond)
@@ -192,26 +195,55 @@ func TestSnapshotMarshalJSON(t *testing.T) {
 }
 
 func TestTimerSpans(t *testing.T) {
-	tm := NewTxnTimer()
-	tm.Start(StageVersion)
-	tm.Start(StageQueries)
-	tm.Start(StageCertify)
-	tm.Stop()
-	spans := tm.Spans()
-	want := []Stage{StageVersion, StageQueries, StageCertify}
-	if len(spans) != len(want) {
-		t.Fatalf("spans = %d, want %d", len(spans), len(want))
+	var tl Timeline
+	if tl.Len() != 0 || tl.Total() != 0 || !tl.Begin().IsZero() {
+		t.Fatalf("zero timeline not empty: %+v", tl)
 	}
-	for i, sp := range spans {
-		if sp.Stage != want[i] {
-			t.Fatalf("span %d stage = %v, want %v", i, sp.Stage, want[i])
+	entered := time.Now()
+	tl.Enter(StageVersion)
+	tl.Enter(StageQueries)
+	tl.Enter(StageCertify)
+	tl.Stop()
+	if tl.Begin().Before(entered) {
+		t.Fatalf("begin %v before the first Enter %v", tl.Begin(), entered)
+	}
+	want := []Stage{StageVersion, StageQueries, StageCertify}
+	if tl.Len() != len(want) {
+		t.Fatalf("visits = %d, want %d", tl.Len(), len(want))
+	}
+	var end time.Duration
+	for i := range want {
+		st, start, dur := tl.Visit(i)
+		if st != want[i] {
+			t.Fatalf("visit %d stage = %v, want %v", i, st, want[i])
 		}
-		if sp.End.Before(sp.Start) {
-			t.Fatalf("span %d ends before it starts", i)
+		if dur < 0 {
+			t.Fatalf("visit %d ends before it starts", i)
 		}
-		if i > 0 && spans[i].Start.Before(spans[i-1].End) {
-			t.Fatalf("span %d overlaps predecessor", i)
+		if start != end {
+			t.Fatalf("visit %d starts at %v, predecessor ended at %v", i, start, end)
 		}
+		end = start + dur
+	}
+	if end != tl.Total() {
+		t.Fatalf("last visit ends at %v, total %v", end, tl.Total())
+	}
+}
+
+// A transaction visits each stage once; the timeline holds that many
+// visits and folds anything further into the last one.
+func TestTimelineFull(t *testing.T) {
+	var tl Timeline
+	for _, st := range Stages {
+		tl.Enter(st)
+	}
+	tl.Enter(StageVersion) // dropped
+	tl.Stop()
+	if tl.Len() != len(Stages) {
+		t.Fatalf("visits = %d, want %d", tl.Len(), len(Stages))
+	}
+	if st, _, _ := tl.Visit(tl.Len() - 1); st != StageGlobal {
+		t.Fatalf("last visit = %v, want Global", st)
 	}
 }
 
@@ -252,8 +284,8 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tm := NewTxnTimer()
-			tm.Start(StageQueries)
+			var tm Timeline
+			tm.Enter(StageQueries)
 			tm.Stop()
 			for i := 0; i < 500; i++ {
 				switch i % 4 {
@@ -284,7 +316,7 @@ func TestCollectorConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tm := NewTxnTimer()
+			var tm Timeline
 			for i := 0; i < 200; i++ {
 				c.RecordCommit(tm, i%2 == 0, time.Millisecond, 0)
 			}

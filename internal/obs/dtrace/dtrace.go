@@ -88,8 +88,8 @@ func ParseTraceID(s string) (TraceID, error) {
 
 // SpanContext is the wire-propagated fragment of a span: just enough
 // for a downstream process to parent its own spans under ours. The
-// zero value is "no context"; gob encodes it compactly and old peers
-// that do not know the field simply never set it.
+// zero value is "no context": a frame carrying it omits the 24 bytes
+// (one flag bit says which) and decodes back to it.
 type SpanContext struct {
 	Trace TraceID
 	Span  SpanID

@@ -9,7 +9,8 @@ import (
 
 // obsState holds a replica's live-observability instruments. It is nil
 // until EnableObs; every hot-path hook is guarded by one atomic load
-// and a nil check, so a replica without observability pays nothing.
+// and a nil check, so a replica without observability pays only the
+// clock reads of its transactions' stage timelines.
 type obsState struct {
 	id     int
 	traces *obs.TraceRecorder
@@ -133,45 +134,36 @@ func (o *obsState) tableVersions() map[string]float64 {
 	return out
 }
 
-// finish records the outcome counters and the transaction's timeline
-// trace. Called exactly once per transaction, from abortInternal (the
-// single finalization point), after the timer is stopped.
-func (o *obsState) finish(t *Txn) {
-	outcome := t.outcome
-	if outcome == "" {
-		outcome = "abort"
+// finish records the outcome counters and, from the stopped stage
+// timeline, the transaction's trace. Called exactly once per
+// transaction, from abortInternal (the single finalization point);
+// early says early certification killed it.
+func (o *obsState) finish(t *Txn, early bool) {
+	if t.committed {
+		o.commits.Inc()
+	} else {
 		o.aborts.Inc()
-		if t.killed {
+		if early {
 			o.earlyAborts.Inc()
 		}
-	} else {
-		o.commits.Inc()
 	}
-	if o.traces == nil || t.timer == nil {
+	if o.traces == nil {
 		return
 	}
-	spans := t.timer.Spans()
-	if len(spans) == 0 {
-		return
-	}
-	start := spans[0].Start
-	stages := make([]obs.StageSpan, 0, len(spans))
-	for _, sp := range spans {
-		stages = append(stages, obs.StageSpan{
-			Stage:      sp.Stage.String(),
-			StartUs:    sp.Start.Sub(start).Microseconds(),
-			DurationUs: sp.End.Sub(sp.Start).Microseconds(),
-		})
+	stages := make([]obs.StageSpan, t.stages.Len())
+	for i := range stages {
+		st, start, dur := t.stages.Visit(i)
+		stages[i] = obs.StageSpan{Stage: st.String(), StartUs: start.Microseconds(), DurationUs: dur.Microseconds()}
 	}
 	o.traces.Record(obs.Trace{
 		TxnID:         t.id,
 		Replica:       o.id,
-		Outcome:       outcome,
+		Outcome:       t.outcome(),
 		ReadOnly:      t.readOnly,
 		Snapshot:      t.stx.Snapshot(),
 		CommitVersion: t.commitVersion,
-		Start:         start,
-		TotalUs:       spans[len(spans)-1].End.Sub(start).Microseconds(),
+		Start:         t.stages.Begin(),
+		TotalUs:       t.stages.Total().Microseconds(),
 		Stages:        stages,
 	})
 }

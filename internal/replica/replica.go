@@ -611,13 +611,24 @@ func (r *Replica) WaitVersion(v uint64) error {
 
 // Txn is one client transaction executing on this replica.
 type Txn struct {
-	r       *Replica
-	id      uint64
-	stx     *storage.Txn
-	timer   *metrics.TxnTimer
-	killed  bool // set by early certification
-	done    bool
-	partial *writeset.WriteSet // updated after each write statement
+	r   *Replica
+	id  uint64
+	stx *storage.Txn
+	// stages is the transaction's one clock: enter writes it at every
+	// stage boundary and abortInternal stops it, after which Figure 4,
+	// the trace recorder and the sync-delay histograms read it.
+	stages metrics.Timeline
+	killed bool // set by early certification, and by Crash
+	// crashKilled marks a kill that came from Crash rather than from
+	// early certification.
+	crashKilled bool
+	done        bool
+	// committed/readOnly/commitVersion feed the trace recorder;
+	// committed stays false (recorded as abort) unless Commit succeeds.
+	committed     bool
+	readOnly      bool
+	commitVersion uint64
+	partial       *writeset.WriteSet // updated after each write statement
 	// touched accumulates the table-sets of executed statements — the
 	// transaction's observed read set, reported to the history checker.
 	touched map[string]bool
@@ -626,84 +637,103 @@ type Txn struct {
 	// touched a table they do not cover.
 	roCommit  CommitResult
 	roTouched []string
-	// outcome/commitVersion/readOnly feed the trace recorder; outcome
-	// stays "" (recorded as abort) unless Commit succeeds.
-	outcome       string
-	commitVersion uint64
-	readOnly      bool
 	// span is the transaction's replica.txn span (nil when tracing is
 	// off); ended in abortInternal, the single finalization point.
-	span *dtrace.ActiveSpan
+	// waits is the span the wait spans hang under — span, then
+	// replica.commit — and wait the open one, if any.
+	span, waits, wait *dtrace.ActiveSpan
 }
 
 // TraceContext returns the transaction's replica.txn span context
 // (zero when tracing is off).
 func (t *Txn) TraceContext() dtrace.SpanContext { return t.span.Context() }
 
-// Begin starts a client transaction once the replica has reached
-// minVersion. The timer's Version stage covers the wait.
-func (r *Replica) Begin(minVersion uint64, timer *metrics.TxnTimer) (*Txn, error) {
-	return r.BeginCtx(minVersion, timer, dtrace.SpanContext{})
+// outcome names how the transaction ended, as traces and spans record it.
+func (t *Txn) outcome() string {
+	if t.committed {
+		return "commit"
+	}
+	return "abort"
 }
 
-// BeginCtx is Begin carrying the caller's span context: the
-// transaction records a replica.txn span (with a replica.version_wait
-// child covering the synchronization start delay) parented under sc.
-func (r *Replica) BeginCtx(minVersion uint64, timer *metrics.TxnTimer, sc dtrace.SpanContext) (*Txn, error) {
-	if timer != nil {
-		timer.Start(metrics.StageVersion)
+// Stages returns the transaction's stage timeline, complete once the
+// transaction has finished.
+func (t *Txn) Stages() metrics.Timeline { return t.stages }
+
+// waitSpans names the span that covers each stage spent waiting.
+var waitSpans = [...]string{
+	metrics.StageVersion: "replica.version_wait",
+	metrics.StageSync:    "replica.sync_wait",
+	metrics.StageGlobal:  "replica.global_wait",
+}
+
+// enter crosses a stage boundary: the stage being left ends on the
+// timeline and s begins, and with a tracer attached so do their wait
+// spans.
+func (t *Txn) enter(s metrics.Stage) {
+	t.stages.Enter(s)
+	t.wait.End()
+	t.wait = nil
+	if name := waitSpans[s]; name != "" {
+		t.wait = t.r.tracer.Load().StartSpan(name, t.waits.Context())
 	}
+}
+
+// leave is the last boundary: the timeline stops.
+func (t *Txn) leave() {
+	t.stages.Stop()
+	t.wait.End()
+}
+
+// Begin starts a client transaction once the replica has reached
+// minVersion; the Version stage covers the wait. parent, when non-nil,
+// is the caller's span context: the transaction's replica.txn span is
+// recorded under it.
+func (r *Replica) Begin(minVersion uint64, parent *dtrace.SpanContext) (*Txn, error) {
+	tx := &Txn{r: r, id: r.nextTxnID.Add(1), touched: make(map[string]bool)}
+	if tr := r.tracer.Load(); tr != nil {
+		var sc dtrace.SpanContext
+		if parent != nil {
+			sc = *parent
+		}
+		tx.span = tr.StartSpan("replica.txn", sc)
+		tx.waits = tx.span
+	}
+	tx.enter(metrics.StageVersion)
 	r.mu.Lock()
 	if r.minServe > minVersion {
 		minVersion = r.minServe
 	}
 	r.mu.Unlock()
-	span := r.tracer.Load().StartSpan("replica.txn", sc)
-	span.SetAttr("replica", strconv.Itoa(r.cfg.ID))
-	span.SetAttr("min_version", strconv.FormatUint(minVersion, 10))
-	waitSpan := r.tracer.Load().StartSpan("replica.version_wait", span.Context())
-	o := r.obs.Load()
-	cb := r.readStartCB.Load()
-	var waitStart time.Time
-	if o != nil || cb != nil {
-		waitStart = time.Now()
+	if tx.span != nil {
+		tx.span.SetAttr("replica", strconv.Itoa(r.cfg.ID))
+		tx.span.SetAttr("min_version", strconv.FormatUint(minVersion, 10))
 	}
 	err := r.WaitVersion(minVersion)
-	waitSpan.End()
+	if err == nil {
+		r.mu.Lock()
+		if r.crashed {
+			err = ErrCrashed
+		} else {
+			tx.stx = r.engine().Begin()
+			r.actives[tx.id] = tx
+		}
+		r.mu.Unlock()
+	}
 	if err != nil {
-		span.SetAttr("outcome", "crashed")
-		span.End()
+		tx.leave()
+		tx.span.SetAttr("outcome", "crashed")
+		tx.span.End()
 		return nil, err
 	}
-	if o != nil || cb != nil {
-		d := time.Since(waitStart)
-		if o != nil {
-			o.syncDelay.Observe(d)
-		}
-		if cb != nil {
-			(*cb)(d)
-		}
-	}
-	tx := &Txn{
-		r:       r,
-		id:      r.nextTxnID.Add(1),
-		timer:   timer,
-		touched: make(map[string]bool),
-		span:    span,
-	}
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
-		span.SetAttr("outcome", "crashed")
-		span.End()
-		return nil, ErrCrashed
-	}
-	tx.stx = r.engine().Begin()
-	r.actives[tx.id] = tx
-	r.mu.Unlock()
 	r.active.Add(1)
-	if timer != nil {
-		timer.Start(metrics.StageQueries)
+	tx.enter(metrics.StageQueries)
+	delay := tx.stages.Stage(metrics.StageVersion)
+	if o := r.obs.Load(); o != nil {
+		o.syncDelay.Observe(delay)
+	}
+	if cb := r.readStartCB.Load(); cb != nil {
+		(*cb)(delay)
 	}
 	return tx, nil
 }
@@ -901,22 +931,17 @@ func (t *Txn) abortInternal() {
 		return
 	}
 	t.done = true
+	early := t.killed && !t.crashKilled
 	delete(t.r.actives, t.id)
 	t.r.mu.Unlock()
 	t.stx.Abort()
 	t.r.active.Add(-1)
-	if t.timer != nil {
-		t.timer.Stop()
-	}
+	t.leave()
 	if o := t.r.obs.Load(); o != nil {
-		o.finish(t)
+		o.finish(t, early)
 	}
 	if t.span != nil {
-		outcome := t.outcome
-		if outcome == "" {
-			outcome = "abort"
-		}
-		t.span.SetAttr("outcome", outcome)
+		t.span.SetAttr("outcome", t.outcome())
 		if t.commitVersion != 0 {
 			t.span.SetAttr("version", strconv.FormatUint(t.commitVersion, 10))
 		}
@@ -953,27 +978,24 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 	}
 	commitSpan := t.r.tracer.Load().StartSpan("replica.commit", t.span.Context())
 	defer commitSpan.End()
+	t.waits = commitSpan
 	if res, _, ok := t.ReadOnlyCommit(); ok {
 		commitSpan.SetAttr("read_only", "true")
 		// Read-only: local commit, no certification (§IV).
-		if t.timer != nil {
-			t.timer.Start(metrics.StageCommit)
-		}
+		t.enter(metrics.StageCommit)
 		t.r.withSlot(func() {
 			if t.r.lat != nil {
 				t.r.lat.LocalCommit()
 			}
 		})
-		t.outcome, t.commitVersion, t.readOnly = "commit", res.Version, true
+		t.committed, t.commitVersion, t.readOnly = true, res.Version, true
 		t.abortInternal() // releases the storage txn; nothing to apply
 		return res, nil
 	}
 	ws := t.stx.WriteSet()
 
 	// Certification round trip.
-	if t.timer != nil {
-		t.timer.Start(metrics.StageCertify)
-	}
+	t.enter(metrics.StageCertify)
 	if t.r.lat != nil {
 		t.r.lat.RoundTrip()
 	}
@@ -992,11 +1014,8 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 
 	// Claim our version slot so the applier will not wait for a
 	// refresh at dec.Version, then wait for all predecessors.
-	if t.timer != nil {
-		t.timer.Start(metrics.StageSync)
-	}
+	t.enter(metrics.StageSync)
 	r := t.r
-	syncSpan := r.tracer.Load().StartSpan("replica.sync_wait", commitSpan.Context())
 	r.mu.Lock()
 	r.committing[dec.Version] = true
 	r.cond.Broadcast() // let the drainer re-evaluate its stop condition
@@ -1005,7 +1024,6 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 		if r.crashed {
 			delete(r.committing, dec.Version)
 			r.mu.Unlock()
-			syncSpan.End()
 			t.abortInternal()
 			return CommitResult{}, ErrCrashed
 		}
@@ -1026,12 +1044,9 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 		r.cond.Wait()
 	}
 	r.mu.Unlock()
-	syncSpan.End()
 
 	// Local commit at the assigned version.
-	if t.timer != nil {
-		t.timer.Start(metrics.StageCommit)
-	}
+	t.enter(metrics.StageCommit)
 	if !appliedAsRefresh {
 		var commitErr error
 		r.withSlot(func() {
@@ -1068,12 +1083,8 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 	// notifies the origin — one more round trip on top of the slowest
 	// replica's apply (§IV-D).
 	if eager {
-		if t.timer != nil {
-			t.timer.Start(metrics.StageGlobal)
-		}
-		globalSpan := r.tracer.Load().StartSpan("replica.global_wait", commitSpan.Context())
+		t.enter(metrics.StageGlobal)
 		<-r.cert.GlobalCommitted(dec.Version)
-		globalSpan.End()
 		if r.lat != nil {
 			r.lat.RoundTrip()
 		}
@@ -1084,7 +1095,7 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 		tv[tab] = dec.Version
 	}
 	res := CommitResult{Version: dec.Version, WrittenTables: ws.Tables(), TableVersions: tv}
-	t.outcome, t.commitVersion = "commit", dec.Version
+	t.committed, t.commitVersion = true, dec.Version
 	t.abortInternal() // storage txn state is no longer needed
 	return res, nil
 }
@@ -1101,7 +1112,9 @@ func (r *Replica) Crash() {
 	r.crashed = true
 	r.applierGen++ // invalidate the running applier
 	for _, tx := range r.actives {
-		tx.killed = true
+		if !tx.killed {
+			tx.killed, tx.crashKilled = true, true
+		}
 	}
 	r.reorder = make(map[uint64]certifier.Refresh)
 	r.committing = make(map[uint64]bool)

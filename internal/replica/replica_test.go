@@ -9,6 +9,7 @@ import (
 
 	"sconrep/internal/certifier"
 	"sconrep/internal/metrics"
+	"sconrep/internal/obs"
 	"sconrep/internal/sql"
 	"sconrep/internal/storage"
 )
@@ -77,7 +78,7 @@ var (
 // commitUpdate runs one update transaction on replica r.
 func commitUpdate(t *testing.T, r *Replica, k int64, v string) CommitResult {
 	t.Helper()
-	tx, err := r.Begin(0, metrics.NewTxnTimer())
+	tx, err := r.Begin(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestReadOnlyCommitsLocally(t *testing.T) {
 	rg := newRig(t, 2, true)
 	defer rg.close()
 	certV := rg.cert.Version()
-	tx, err := rg.replicas[0].Begin(0, metrics.NewTxnTimer())
+	tx, err := rg.replicas[0].Begin(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +235,7 @@ func TestBeginWaitsForMinVersion(t *testing.T) {
 
 	// Replica 1 must reach res.Version before the txn starts; the read
 	// must therefore see the update.
-	timer := metrics.NewTxnTimer()
-	tx, err := rg.replicas[1].Begin(res.Version, timer)
+	tx, err := rg.replicas[1].Begin(res.Version, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestEagerCommitWaitsForAllReplicas(t *testing.T) {
 	}
 	defer rg.close()
 
-	tx, _ := rg.replicas[0].Begin(0, metrics.NewTxnTimer())
+	tx, _ := rg.replicas[0].Begin(0, nil)
 	if _, err := tx.Exec(setStmt, "eager", int64(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -466,6 +466,47 @@ func TestCrashKillsActiveTxns(t *testing.T) {
 	}
 }
 
+// Crash marks active transactions killed so their next operation cleans
+// them up; that is an abort, but not one early certification decided —
+// sconrep_replica_early_aborts_total counts only those.
+func TestCrashKillIsNotAnEarlyAbort(t *testing.T) {
+	rg := newRig(t, 2, true)
+	defer rg.close()
+	r := rg.replicas[1]
+	r.EnableObs(obs.NewRegistry(), nil)
+	o := r.obs.Load()
+
+	// The control: a refresh that conflicts with an active transaction's
+	// writes kills it, and that is an early abort.
+	tx, err := r.Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(setStmt, "local", int64(8)); err != nil {
+		t.Fatal(err)
+	}
+	commitUpdate(t, rg.replicas[0], 8, "remote")
+	waitVersion(t, r, rg.cert.Version())
+	if _, err := tx.Exec(getStmt, int64(8)); !errors.Is(err, ErrEarlyAbort) {
+		t.Fatalf("err = %v, want ErrEarlyAbort", err)
+	}
+	if a, e := o.aborts.Value(), o.earlyAborts.Value(); a != 1 || e != 1 {
+		t.Fatalf("after an early-certification kill: aborts %d early %d, want 1 and 1", a, e)
+	}
+
+	tx, err = r.Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Crash()
+	if _, err := tx.Exec(getStmt, int64(1)); err == nil {
+		t.Fatal("exec succeeded on crashed replica")
+	}
+	if a, e := o.aborts.Value(), o.earlyAborts.Value(); a != 2 || e != 1 {
+		t.Fatalf("after a crash kill: aborts %d early %d, want 2 and 1", a, e)
+	}
+}
+
 func TestRecoverOnLiveReplicaFails(t *testing.T) {
 	rg := newRig(t, 1, true)
 	defer rg.close()
@@ -477,26 +518,68 @@ func TestRecoverOnLiveReplicaFails(t *testing.T) {
 func TestTimerStages(t *testing.T) {
 	rg := newRig(t, 2, true)
 	defer rg.close()
-	timer := metrics.NewTxnTimer()
-	tx, err := rg.replicas[0].Begin(0, timer)
-	if err != nil {
-		t.Fatal(err)
+	// run commits one transaction — an update, or a read — and returns
+	// its finished stage timeline.
+	run := func(update, eager bool) metrics.Timeline {
+		t.Helper()
+		tx, err := rg.replicas[0].Begin(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if update {
+			_, err = tx.Exec(setStmt, "x", int64(4))
+		} else {
+			_, err = tx.Exec(getStmt, int64(4))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := tx.Stages(); st.Stage(metrics.StageVersion) <= 0 || st.Stage(metrics.StageQueries) != 0 {
+			t.Errorf("in flight: version %v, want > 0 (closed by Begin); queries %v, want 0 (still running)",
+				st.Stage(metrics.StageVersion), st.Stage(metrics.StageQueries))
+		}
+		if _, err := tx.Commit(eager); err != nil {
+			t.Fatal(err)
+		}
+		st := tx.Stages()
+		var sum time.Duration
+		for _, stage := range metrics.Stages {
+			sum += st.Stage(stage)
+		}
+		if sum != st.Total() {
+			t.Errorf("stages sum to %v, total %v", sum, st.Total())
+		}
+		return st
 	}
-	if _, err := tx.Exec(setStmt, "x", int64(4)); err != nil {
-		t.Fatal(err)
+
+	// Lazy update: every stage but Global was entered.
+	lazy := run(true, false)
+	for _, stage := range []metrics.Stage{metrics.StageVersion, metrics.StageQueries, metrics.StageCertify, metrics.StageSync, metrics.StageCommit} {
+		if lazy.Stage(stage) <= 0 {
+			t.Errorf("lazy update: %v stage empty", stage)
+		}
 	}
-	if _, err := tx.Commit(false); err != nil {
-		t.Fatal(err)
-	}
-	// Queries, certify, and commit stages must have been entered.
-	if timer.Stage(metrics.StageQueries) <= 0 {
-		t.Error("queries stage empty")
-	}
-	if timer.Stage(metrics.StageCommit) <= 0 {
-		t.Error("commit stage empty")
-	}
-	if timer.Stage(metrics.StageGlobal) != 0 {
+	if lazy.Stage(metrics.StageGlobal) != 0 {
 		t.Error("global stage nonzero for lazy commit")
+	}
+	if lazy.Len() != 5 {
+		t.Errorf("lazy update made %d visits, want 5", lazy.Len())
+	}
+
+	// Eager update: the global commit wait is the sixth stage.
+	eager := run(true, true)
+	if eager.Stage(metrics.StageGlobal) <= 0 {
+		t.Error("global stage empty for eager commit")
+	}
+
+	// Read-only: commits locally, never certified, never ordered.
+	ro := run(false, true)
+	if ro.Stage(metrics.StageCertify) != 0 || ro.Stage(metrics.StageSync) != 0 || ro.Stage(metrics.StageGlobal) != 0 {
+		t.Errorf("read-only commit: certify %v sync %v global %v, want all 0",
+			ro.Stage(metrics.StageCertify), ro.Stage(metrics.StageSync), ro.Stage(metrics.StageGlobal))
+	}
+	if ro.Stage(metrics.StageQueries) <= 0 || ro.Stage(metrics.StageCommit) <= 0 {
+		t.Errorf("read-only commit: queries %v commit %v, want both > 0", ro.Stage(metrics.StageQueries), ro.Stage(metrics.StageCommit))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sconrep/internal/certifier"
-	"sconrep/internal/metrics"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/sql"
 )
@@ -49,7 +48,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				root := tr.StartRoot("client.txn")
-				tx, err := r.BeginCtx(0, metrics.NewTxnTimer(), root.Context())
+				sc := root.Context()
+				tx, err := r.Begin(0, &sc)
 				if err != nil {
 					b.Fatal(err)
 				}

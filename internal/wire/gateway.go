@@ -39,7 +39,7 @@ type clientRequest struct {
 	// that carries nothing but the begin header.
 	Op op
 
-	// register; with Begin, an explicit table-set (DispatchTables)
+	// register; with Begin, an explicit table-set (lb.DispatchCtx)
 	Name   string
 	Tables []string
 
@@ -381,13 +381,7 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if sess.open {
 			return fail(errors.New("wire: transaction already open on this session"))
 		}
-		var route lb.Route
-		var err error
-		if len(req.Tables) > 0 {
-			route, err = g.balancer.DispatchTables(sess.id, req.Tables)
-		} else {
-			route, err = g.balancer.DispatchCtx(sess.id, req.TxnName, req.Trace)
-		}
+		route, err := g.balancer.DispatchCtx(sess.id, req.TxnName, req.Tables, req.Trace)
 		if err != nil {
 			return fail(err)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"sconrep/internal/certifier"
 	"sconrep/internal/core"
-	"sconrep/internal/metrics"
 	"sconrep/internal/replica"
 	"sconrep/internal/storage"
 	"sconrep/internal/writeset"
@@ -143,7 +142,7 @@ func TestCertClientResubscribeAfterServerRestart(t *testing.T) {
 
 	commit := func(r *replica.Replica, stmt string) uint64 {
 		t.Helper()
-		tx, err := r.Begin(0, metrics.NewTxnTimer())
+		tx, err := r.Begin(0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +231,7 @@ func TestLossyCertifierRestartAdoptsLiveVersion(t *testing.T) {
 
 	commit := func(stmt string) uint64 {
 		t.Helper()
-		tx, err := rep.Begin(0, metrics.NewTxnTimer())
+		tx, err := rep.Begin(0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sconrep/internal/lb"
-	"sconrep/internal/metrics"
 	"sconrep/internal/obs"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
@@ -439,7 +438,7 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 			}
 		}
 		var err error
-		tx, err = s.rep.BeginCtx(req.MinVersion, metrics.NewTxnTimer(), req.Trace)
+		tx, err = s.rep.Begin(req.MinVersion, &req.Trace)
 		if err != nil {
 			return fail(err)
 		}
