@@ -279,11 +279,14 @@ func (t *Tree) unlinkIfEmpty(n *internal, ci int) {
 	}
 }
 
-// Iter is a forward iterator over a key range.
+// Iter is an iterator over a key range, ascending (Scan) or descending
+// (Descend).
 type Iter struct {
 	l    *leaf
 	i    int
-	hi   string // exclusive upper bound; "" means unbounded
+	lo   string // inclusive lower bound; checked when descending
+	hi   string // exclusive upper bound, "" means unbounded; checked when ascending
+	back bool
 	k    string
 	v    any
 	done bool
@@ -300,27 +303,57 @@ func (t *Tree) Scan(lo, hi string) *Iter {
 // ScanAll returns an iterator over the whole tree.
 func (t *Tree) ScanAll() *Iter { return t.Scan("", "") }
 
+// Descend returns an iterator over keys in [lo, hi) from the largest
+// down. An empty hi means "from the end".
+func (t *Tree) Descend(lo, hi string) *Iter {
+	if hi != "" {
+		l := t.findLeaf(hi)
+		return &Iter{l: l, i: search(l.keys, hi) - 1, lo: lo, back: true}
+	}
+	n := t.root
+	for {
+		switch v := n.(type) {
+		case *leaf:
+			return &Iter{l: v, i: len(v.keys) - 1, lo: lo, back: true}
+		case *internal:
+			n = v.children[len(v.children)-1]
+		}
+	}
+}
+
 // Next advances the iterator and reports whether a pair is available
 // via Key/Value.
 func (it *Iter) Next() bool {
 	if it.done {
 		return false
 	}
-	for it.l != nil && it.i >= len(it.l.keys) {
-		it.l = it.l.next
-		it.i = 0
+	if it.back {
+		for it.l != nil && it.i < 0 {
+			if it.l = it.l.prev; it.l != nil {
+				it.i = len(it.l.keys) - 1
+			}
+		}
+	} else {
+		for it.l != nil && it.i >= len(it.l.keys) {
+			it.l = it.l.next
+			it.i = 0
+		}
 	}
 	if it.l == nil {
 		it.done = true
 		return false
 	}
 	k := it.l.keys[it.i]
-	if it.hi != "" && k >= it.hi {
+	if it.back && k < it.lo || !it.back && it.hi != "" && k >= it.hi {
 		it.done = true
 		return false
 	}
 	it.k, it.v = k, it.l.values[it.i]
-	it.i++
+	if it.back {
+		it.i--
+	} else {
+		it.i++
+	}
 	return true
 }
 

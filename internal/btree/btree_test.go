@@ -263,6 +263,68 @@ func TestQuickRangeScan(t *testing.T) {
 	}
 }
 
+// TestDescend checks the backwards iterator against a sorted slice on a
+// tree deep enough to cross leaves, with ranges whose bounds fall on,
+// between and outside the keys, before and after deletions that empty
+// whole leaves.
+func TestDescend(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	tr := New()
+	present := map[string]bool{}
+	for i := 0; i < 3000; i++ {
+		k := fmt.Sprintf("%05d", rng.Intn(6000)*2)
+		tr.Set(k, k)
+		present[k] = true
+	}
+	check := func() {
+		t.Helper()
+		var keys []string
+		for k := range present {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for trial := 0; trial < 300; trial++ {
+			lo := fmt.Sprintf("%05d", rng.Intn(12100))
+			hi := fmt.Sprintf("%05d", rng.Intn(12100))
+			switch trial % 5 {
+			case 0:
+				lo = ""
+			case 1:
+				hi = ""
+			case 2:
+				lo, hi = "", ""
+			}
+			var want []string
+			for i := len(keys) - 1; i >= 0; i-- {
+				if keys[i] >= lo && (hi == "" || keys[i] < hi) {
+					want = append(want, keys[i])
+				}
+			}
+			it := tr.Descend(lo, hi)
+			for _, k := range want {
+				if !it.Next() || it.Key() != k || it.Value() != k {
+					t.Fatalf("Descend(%q, %q): got %q, want %q", lo, hi, it.Key(), k)
+				}
+			}
+			if it.Next() {
+				t.Fatalf("Descend(%q, %q): extra key %q", lo, hi, it.Key())
+			}
+		}
+	}
+	check()
+	// Delete a contiguous stretch (whole leaves go) and a random half.
+	for k := range present {
+		if (k >= "03000" && k < "07000") || rng.Intn(2) == 0 {
+			tr.Delete(k)
+			delete(present, k)
+		}
+	}
+	check()
+	if it := New().Descend("", ""); it.Next() {
+		t.Fatal("Descend on an empty tree yielded a key")
+	}
+}
+
 func BenchmarkTreeInsert(b *testing.B) {
 	tr := New()
 	b.ReportAllocs()

@@ -24,26 +24,36 @@ func Exec(tx *storage.Txn, e *storage.Engine, src string, params ...any) (*Resul
 	return ExecStmt(tx, e, stmt, params...)
 }
 
-// ExecStmt executes a parsed statement inside tx. DDL statements go
-// directly to the engine and are not transactional.
-func ExecStmt(tx *storage.Txn, e *storage.Engine, stmt Stmt, params ...any) (*Result, error) {
-	norm := make([]any, len(params))
+// newEnv normalises the statement parameters, once, into a fresh
+// evaluation environment.
+func newEnv(params []any) (*env, error) {
+	ev := &env{params: make([]any, len(params))}
 	for i, p := range params {
 		v, err := normalizeParam(p)
 		if err != nil {
 			return nil, err
 		}
-		norm[i] = v
+		ev.params[i] = v
+	}
+	return ev, nil
+}
+
+// ExecStmt executes a parsed statement inside tx. DDL statements go
+// directly to the engine and are not transactional.
+func ExecStmt(tx *storage.Txn, e *storage.Engine, stmt Stmt, params ...any) (*Result, error) {
+	ev, err := newEnv(params)
+	if err != nil {
+		return nil, err
 	}
 	switch s := stmt.(type) {
 	case *Select:
-		return execSelect(tx, e, s, norm)
+		return execSelect(tx, e, s, ev)
 	case *Insert:
-		return execInsert(tx, e, s, norm)
+		return execInsert(tx, e, s, ev)
 	case *Update:
-		return execUpdate(tx, e, s, norm)
+		return execUpdate(tx, e, s, ev)
 	case *Delete:
-		return execDelete(tx, e, s, norm)
+		return execDelete(tx, e, s, ev)
 	case *CreateTable:
 		return &Result{}, e.CreateTable(s.Schema)
 	case *CreateIndex:
@@ -52,284 +62,269 @@ func ExecStmt(tx *storage.Txn, e *storage.Engine, stmt Stmt, params ...any) (*Re
 	return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 }
 
-// joinedRows produces the joined relation for a SELECT: the base-table
-// rows (filtered by the best access path) extended through each JOIN.
-func joinedRows(tx *storage.Txn, e *storage.Engine, s *Select, params []any) ([]boundTable, [][]any, error) {
-	baseSchema, ok := e.Schema(s.From.Table)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", storage.ErrNoTable, s.From.Table)
-	}
-	tables := []boundTable{{alias: s.From.Alias, schema: baseSchema}}
+// selectRun is one execution of a planned SELECT. Tuples stream through
+// it one at a time: the base table's scan drives a nested loop over the
+// joined tables, each tuple that passes the predicate is handed to the
+// sink (projection, top-n or aggregation), and the scan ends as soon as
+// the sink has what it needs.
+type selectRun struct {
+	p  *selectPlan
+	tx *storage.Txn
+	ev *env
+	// hashes[k] is table k's hash-join build, made on first probe.
+	hashes []map[string][][]any
 
-	path := choosePath(baseSchema, s.From.Alias, s.Where, params)
-	kvs, err := fetch(tx, s.From.Table, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := make([][]any, len(kvs))
-	for i, kv := range kvs {
-		rows[i] = kv.Row
-	}
+	rows [][]any // the output, when it needs no sorting
+	top  topN    // the output, when it does
+	// out and keys are the projection and sort keys of the tuple at hand;
+	// the top-n takes them over when it keeps the tuple.
+	out, keys []any
 
-	for _, j := range s.Joins {
-		rightSchema, ok := e.Schema(j.Right.Table)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s", storage.ErrNoTable, j.Right.Table)
-		}
-		// Decide which side of ON binds to the tables joined so far.
-		leftCol, rightCol, err := orientJoin(j, tables, rightSchema)
-		if err != nil {
-			return nil, nil, err
-		}
-		leftResolver := newEnvResolver(tables)
-		leftEnv := &env{cols: leftResolver, params: params}
-		rci := rightSchema.ColIndex(rightCol.Name)
-		if rci < 0 {
-			return nil, nil, fmt.Errorf("sql: unknown join column %s.%s", j.Right.Alias, rightCol.Name)
-		}
-
-		// Pick the right-side strategy: point lookups when the join
-		// column is the whole primary key, index lookups when indexed,
-		// hash join otherwise.
-		var probe func(val any) ([][]any, error)
-		switch {
-		case len(rightSchema.Key) == 1 && rightSchema.Key[0] == rightCol.Name:
-			probe = func(val any) ([][]any, error) {
-				cv, err := coerceValue(val, rightSchema.Columns[rci].Type)
-				if err != nil {
-					return nil, nil
-				}
-				row, ok, err := tx.Get(j.Right.Table, storage.EncodeKey(cv))
-				if err != nil || !ok {
-					return nil, err
-				}
-				return [][]any{row}, nil
-			}
-		case indexOn(rightSchema, rightCol.Name) != "":
-			ixName := indexOn(rightSchema, rightCol.Name)
-			probe = func(val any) ([][]any, error) {
-				cv, err := coerceValue(val, rightSchema.Columns[rci].Type)
-				if err != nil {
-					return nil, nil
-				}
-				kvs, err := tx.ScanIndexEq(j.Right.Table, ixName, cv)
-				if err != nil {
-					return nil, err
-				}
-				out := make([][]any, len(kvs))
-				for i, kv := range kvs {
-					out[i] = kv.Row
-				}
-				return out, nil
-			}
-		default:
-			// Hash join: build once over a full scan.
-			build := make(map[string][][]any)
-			all, err := tx.ScanAll(j.Right.Table)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, kv := range all {
-				if kv.Row[rci] == nil {
-					continue
-				}
-				hk := storage.EncodeKey(kv.Row[rci])
-				build[hk] = append(build[hk], kv.Row)
-			}
-			probe = func(val any) ([][]any, error) {
-				cv, err := coerceValue(val, rightSchema.Columns[rci].Type)
-				if err != nil {
-					return nil, nil
-				}
-				return build[storage.EncodeKey(cv)], nil
-			}
-		}
-
-		var joined [][]any
-		for _, lrow := range rows {
-			leftEnv.row = lrow
-			val, err := eval(leftCol, leftEnv)
-			if err != nil {
-				return nil, nil, err
-			}
-			if val == nil {
-				continue
-			}
-			matches, err := probe(val)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, rrow := range matches {
-				combined := make([]any, 0, len(lrow)+len(rrow))
-				combined = append(combined, lrow...)
-				combined = append(combined, rrow...)
-				joined = append(joined, combined)
-			}
-		}
-		rows = joined
-		tables = append(tables, boundTable{alias: j.Right.Alias, schema: rightSchema})
-	}
-	return tables, rows, nil
+	// Aggregation: group numbers by encoded GROUP BY values, and every
+	// group's first tuple and aggregate states (see newGroup).
+	groups map[string]int
+	firsts [][]any
+	aggs   []aggState
+	keyBuf []byte
 }
 
-// orientJoin decides which Col of the ON clause references the
-// already-joined tables (left) and which references the new table.
-func orientJoin(j Join, left []boundTable, rightSchema *storage.Schema) (*Col, *Col, error) {
-	a := j.On.L.(*Col)
-	b := j.On.R.(*Col)
-	belongsRight := func(c *Col) bool {
-		if c.Table != "" {
-			return c.Table == j.Right.Alias
-		}
-		return rightSchema.ColIndex(c.Name) >= 0 && !belongsLeftName(c.Name, left)
-	}
-	switch {
-	case belongsRight(b) && !belongsRight(a):
-		return a, b, nil
-	case belongsRight(a) && !belongsRight(b):
-		return b, a, nil
-	default:
-		return nil, nil, fmt.Errorf("sql: cannot orient join condition %s = %s", exprString(a), exprString(b))
-	}
-}
-
-func belongsLeftName(name string, left []boundTable) bool {
-	for _, bt := range left {
-		if bt.schema.ColIndex(name) >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func indexOn(s *storage.Schema, col string) string {
-	for _, def := range s.Indexes {
-		if def.Column == col {
-			return def.Name
-		}
-	}
-	return ""
-}
-
-func execSelect(tx *storage.Txn, e *storage.Engine, s *Select, params []any) (*Result, error) {
-	tables, rows, err := joinedRows(tx, e, s, params)
+func execSelect(tx *storage.Txn, e *storage.Engine, s *Select, ev *env) (*Result, error) {
+	p, err := planSelect(e, s, ev)
 	if err != nil {
 		return nil, err
 	}
-	resolver := newEnvResolver(tables)
-	ev := &env{cols: resolver, params: params}
-
-	// Residual filter (the access path is conservative).
-	if s.Where != nil {
-		filtered := rows[:0]
-		for _, r := range rows {
-			ev.row = r
-			v, err := eval(s.Where, ev)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.(bool); ok && b {
-				filtered = append(filtered, r)
-			}
-		}
-		rows = filtered
-	}
-
-	// Expand * into column references now that tables are bound.
-	items, err := expandStars(s.Items, tables)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{Columns: make([]string, len(items))}
-	for i, it := range items {
-		if it.Alias != "" {
-			res.Columns[i] = it.Alias
-		} else {
-			res.Columns[i] = exprString(it.Expr)
-		}
-	}
-
-	aggregated := len(s.GroupBy) > 0 || hasAggregate(items)
-	var orderRows [][]any // rows the ORDER BY keys are evaluated on
-	if aggregated {
-		res.Rows, orderRows, err = execAggregate(s, items, rows, ev)
-		if err != nil {
-			return nil, err
-		}
+	r := &selectRun{p: p, tx: tx, ev: ev, top: topN{order: p.order, n: p.keep}}
+	ev.rows = make([][]any, len(p.tables))
+	if p.aggregated {
+		r.groups = map[string]int{}
 	} else {
-		res.Rows = make([][]any, 0, len(rows))
-		orderRows = rows
-		for _, r := range rows {
-			ev.row = r
-			out := make([]any, len(items))
-			for i, it := range items {
-				out[i], err = eval(it.Expr, ev)
-				if err != nil {
-					return nil, err
-				}
-			}
-			res.Rows = append(res.Rows, out)
-		}
+		r.rows = [][]any{} // no rows is an empty Rows, not a nil one; the wire tells them apart
 	}
 
-	if len(s.OrderBy) > 0 {
-		if err := sortRows(s, items, res, orderRows, ev, aggregated); err != nil {
+	base := &p.tables[0]
+	err = scanPath(tx, base.name, base.path, p.edge == "max", func(kv storage.KV) (bool, error) {
+		more, err := r.bindRow(0, kv.Row)
+		return more && p.edge == "", err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if p.aggregated {
+		if err := r.emitGroups(); err != nil {
 			return nil, err
 		}
 	}
-	if s.Offset > 0 {
-		if s.Offset >= len(res.Rows) {
-			res.Rows = nil
+
+	rows := r.rows
+	if !p.inOrder {
+		rows = r.top.appendSorted(rows)
+	}
+	if p.keep >= 0 && len(rows) > p.keep {
+		rows = rows[:p.keep]
+	}
+	if p.offset > 0 {
+		if p.offset >= len(rows) {
+			rows = nil
 		} else {
-			res.Rows = res.Rows[s.Offset:]
+			rows = rows[p.offset:]
 		}
 	}
-	if s.Limit >= 0 && len(res.Rows) > s.Limit {
-		res.Rows = res.Rows[:s.Limit]
-	}
-	return res, nil
+	return &Result{Columns: p.columns, Rows: rows}, nil
 }
 
-func expandStars(items []SelectItem, tables []boundTable) ([]SelectItem, error) {
-	var out []SelectItem
-	for _, it := range items {
-		if !it.Star {
-			out = append(out, it)
+// bindRow puts table k's row into the tuple, applies the conjuncts that
+// become evaluable there, and goes on to the next table. It reports
+// whether the scan should continue.
+func (r *selectRun) bindRow(k int, row []any) (bool, error) {
+	r.ev.rows[k] = row
+	for _, f := range r.p.tables[k].filters {
+		// A filter cannot fail (planTables); were it to, the whole
+		// predicate below decides.
+		if ok, err := isTrue(f, r.ev); err == nil && !ok {
+			return true, nil
+		}
+	}
+	if k+1 < len(r.p.tables) {
+		return r.probe(k + 1)
+	}
+	if r.p.where != nil {
+		if ok, err := isTrue(r.p.where, r.ev); err != nil || !ok {
+			return err == nil, err
+		}
+	}
+	if r.p.aggregated {
+		return true, r.accumulate()
+	}
+	return r.emit()
+}
+
+// probe extends the tuple through table k: every row whose join column
+// equals the left key, in primary-key order.
+func (r *selectRun) probe(k int) (bool, error) {
+	t := &r.p.tables[k]
+	val := r.ev.rows[t.leftKey.tab][t.leftKey.off]
+	if val == nil {
+		return true, nil
+	}
+	cv, err := coerceValue(val, t.schema.Columns[t.rightCol].Type)
+	if err != nil {
+		return true, nil // no value of the column's type equals it
+	}
+	switch t.join {
+	case joinPK:
+		row, ok, err := r.tx.Get(t.name, storage.EncodeKey(cv))
+		if err != nil || !ok {
+			return err == nil, err
+		}
+		return r.bindRow(k, row)
+	case joinIndex:
+		kvs, err := r.tx.ScanIndexEq(t.name, t.index, cv)
+		if err != nil {
+			return false, err
+		}
+		for _, kv := range kvs {
+			if more, err := r.bindRow(k, kv.Row); err != nil || !more {
+				return false, err
+			}
+		}
+		return true, nil
+	}
+	if r.hashes == nil {
+		r.hashes = make([]map[string][][]any, len(r.p.tables))
+	}
+	if r.hashes[k] == nil {
+		// Hash join: build once over a full scan.
+		build := make(map[string][][]any)
+		c := r.tx.Cursor(t.name, "", "", false)
+		for c.Next() {
+			if row := c.KV().Row; row[t.rightCol] != nil {
+				hk := storage.EncodeKey(row[t.rightCol])
+				build[hk] = append(build[hk], row)
+			}
+		}
+		if c.Err() != nil {
+			return false, c.Err()
+		}
+		r.hashes[k] = build
+	}
+	for _, row := range r.hashes[k][storage.EncodeKey(cv)] {
+		if more, err := r.bindRow(k, row); err != nil || !more {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// emit projects the tuple at hand (of a plain SELECT) or the group at
+// hand (of an aggregated one) into the output, and reports whether more
+// are wanted.
+func (r *selectRun) emit() (bool, error) {
+	p := r.p
+	if r.out == nil {
+		r.out = make([]any, len(p.items))
+	}
+	for i, it := range p.items {
+		v, err := eval(it, r.ev)
+		if err != nil {
+			return false, err
+		}
+		r.out[i] = v
+	}
+	if p.inOrder {
+		r.rows = append(r.rows, r.out)
+		r.out = nil
+		return p.keep < 0 || len(r.rows) < p.keep, nil
+	}
+	return true, r.offer()
+}
+
+// offer evaluates the sort keys of the output row at hand — against the
+// select list where ORDER BY names an output column, the tuple otherwise
+// — and hands row and keys to the top-n.
+func (r *selectRun) offer() error {
+	if r.keys == nil {
+		r.keys = make([]any, len(r.p.order))
+	}
+	for i, o := range r.p.order {
+		if o.item >= 0 {
+			r.keys[i] = r.out[o.item]
 			continue
 		}
-		for _, bt := range tables {
-			for _, c := range bt.schema.Columns {
-				out = append(out, SelectItem{Expr: &Col{Table: bt.alias, Name: c.Name}})
-			}
+		v, err := eval(o.expr, r.ev)
+		if err != nil {
+			return err
 		}
+		r.keys[i] = v
 	}
-	return out, nil
+	if r.top.offer(r.keys, r.out) {
+		r.keys, r.out = nil, nil
+	}
+	return nil
 }
 
-func hasAggregate(items []SelectItem) bool {
-	for _, it := range items {
-		if containsAgg(it.Expr) {
-			return true
-		}
-	}
-	return false
+// topN selects the first n rows of a stable sort without sorting the
+// rest. Rows are ordered by (keys, arrival), which is the order
+// sort.SliceStable over the whole input would give: rows with equal keys
+// keep arrival order. It buffers up to 2n rows, cuts back to the best n
+// when the buffer fills, and from then on turns away any row that does
+// not beat the worst of those. n < 0 keeps everything.
+type topN struct {
+	order []orderTerm
+	n     int
+	rows  []sortedRow
+	seq   int
+	bar   *sortedRow // the n-th best row at the last cut
 }
 
-func containsAgg(e Expr) bool {
-	switch x := e.(type) {
-	case *Agg:
-		return true
-	case *BinOp:
-		return containsAgg(x.L) || containsAgg(x.R)
-	case *Not:
-		return containsAgg(x.E)
-	case *IsNull:
-		return containsAgg(x.E)
-	case *Between:
-		return containsAgg(x.E) || containsAgg(x.Lo) || containsAgg(x.Hi)
+type sortedRow struct {
+	keys, out []any
+	seq       int
+}
+
+// before reports whether a sorts before b.
+func (t *topN) before(a, b *sortedRow) bool {
+	for i, o := range t.order {
+		c := storage.CompareValues(a.keys[i], b.keys[i])
+		if c == 0 {
+			continue
+		}
+		return (c < 0) != o.desc
 	}
-	return false
+	return a.seq < b.seq
+}
+
+// offer considers the next row in arrival order and reports whether it
+// was kept (so its slices now belong to the topN).
+func (t *topN) offer(keys, out []any) bool {
+	row := sortedRow{keys: keys, out: out, seq: t.seq}
+	t.seq++
+	if t.n == 0 || (t.bar != nil && !t.before(&row, t.bar)) {
+		return false
+	}
+	if len(t.rows) == 2*t.n {
+		t.cut()
+	}
+	t.rows = append(t.rows, row)
+	return true
+}
+
+// cut sorts the buffered rows and drops all but the best n.
+func (t *topN) cut() {
+	sort.Slice(t.rows, func(a, b int) bool { return t.before(&t.rows[a], &t.rows[b]) })
+	if t.n >= 0 && len(t.rows) > t.n {
+		t.rows = t.rows[:t.n]
+		bar := t.rows[t.n-1]
+		t.bar = &bar
+	}
+}
+
+// appendSorted appends the kept rows, in order, to rows.
+func (t *topN) appendSorted(rows [][]any) [][]any {
+	t.cut()
+	for i := range t.rows {
+		rows = append(rows, t.rows[i].out)
+	}
+	return rows
 }
 
 // aggState accumulates one aggregate function over a group.
@@ -395,199 +390,74 @@ func (a *aggState) result(fn string) any {
 	return nil
 }
 
-// group holds per-group state during aggregation.
-type group struct {
-	firstRow []any // representative joined row, for grouping exprs
-	aggs     map[int]*aggState
+// newGroup starts a group whose first tuple is first, and returns its
+// number. Groups are numbered in order of first appearance; group g's
+// first tuple and aggregate states are the g-th stretches of firsts and
+// aggs, so a group costs no allocation of its own.
+func (r *selectRun) newGroup(first [][]any) int {
+	g := len(r.firsts) / len(r.p.tables)
+	r.firsts = append(r.firsts, first...)
+	for _, a := range r.p.aggs {
+		var st aggState
+		if a.distinct {
+			st.distinct = map[string]bool{}
+		}
+		r.aggs = append(r.aggs, st)
+	}
+	return g
 }
 
-// execAggregate evaluates grouped (or globally aggregated) output rows.
-// It returns the result rows and, aligned with them, the rows ORDER BY
-// keys should be evaluated against (the result rows themselves).
-func execAggregate(s *Select, items []SelectItem, rows [][]any, ev *env) ([][]any, [][]any, error) {
-	groups := map[string]*group{}
-	var orderKeys []string
-
-	for _, r := range rows {
-		ev.row = r
-		keyVals := make([]any, len(s.GroupBy))
-		for i, g := range s.GroupBy {
-			v, err := eval(g, ev)
-			if err != nil {
-				return nil, nil, err
-			}
-			keyVals[i] = v
+// accumulate feeds the tuple at hand to its group's aggregates.
+func (r *selectRun) accumulate() error {
+	r.keyBuf = r.keyBuf[:0]
+	for _, g := range r.p.groupBy {
+		v, err := eval(g, r.ev)
+		if err != nil {
+			return err
 		}
-		gk := storage.EncodeKey(keyVals...)
-		grp, ok := groups[gk]
-		if !ok {
-			grp = &group{firstRow: r, aggs: map[int]*aggState{}}
-			groups[gk] = grp
-			orderKeys = append(orderKeys, gk)
-		}
-		// Accumulate every aggregate that appears in the select list.
-		for i, it := range items {
-			if err := accumulate(it.Expr, i*1000, grp, ev); err != nil {
-				return nil, nil, err
-			}
-		}
+		r.keyBuf = storage.EncodeValue(r.keyBuf, v)
 	}
-
-	// Empty input with no GROUP BY still yields one (empty) group.
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		groups[""] = &group{aggs: map[int]*aggState{}}
-		orderKeys = append(orderKeys, "")
+	g, ok := r.groups[string(r.keyBuf)]
+	if !ok {
+		g = r.newGroup(r.ev.rows)
+		r.groups[string(r.keyBuf)] = g
 	}
-
-	var out [][]any
-	for _, gk := range orderKeys {
-		grp := groups[gk]
-		ev.row = grp.firstRow
-		row := make([]any, len(items))
-		for i, it := range items {
-			v, err := evalWithAggs(it.Expr, i*1000, grp, ev)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
-		}
-		out = append(out, row)
-	}
-	return out, out, nil
-}
-
-// accumulate walks an expression and feeds each aggregate node. Nodes
-// are keyed by a base id plus traversal position so the same Agg node
-// maps to the same state on every row.
-func accumulate(e Expr, id int, grp *group, ev *env) error {
-	switch x := e.(type) {
-	case *Agg:
-		st, ok := grp.aggs[id]
-		if !ok {
-			st = &aggState{}
-			if x.Distinct {
-				st.distinct = map[string]bool{}
-			}
-			grp.aggs[id] = st
-		}
-		if x.Star {
+	for i, a := range r.p.aggs {
+		st := &r.aggs[g*len(r.p.aggs)+i]
+		if a.star {
 			st.count++
-			return nil
+			continue
 		}
-		v, err := eval(x.Arg, ev)
+		v, err := eval(a.arg, r.ev)
 		if err != nil {
 			return err
 		}
 		st.add(v)
-		return nil
-	case *BinOp:
-		if err := accumulate(x.L, id*2+1, grp, ev); err != nil {
+	}
+	return nil
+}
+
+// emitGroups computes each group's output row, in order of first
+// appearance, with the group's first tuple standing in for any column
+// outside an aggregate.
+func (r *selectRun) emitGroups() error {
+	p := r.p
+	nt, na := len(p.tables), len(p.aggs)
+	// Empty input with no GROUP BY still yields one (empty) group, its
+	// columns all NULL.
+	if len(r.firsts) == 0 && len(p.groupBy) == 0 {
+		r.newGroup(make([][]any, nt))
+	}
+	for g := 0; g < len(r.firsts)/nt; g++ {
+		r.ev.rows, r.ev.aggs = r.firsts[g*nt:(g+1)*nt], r.aggs[g*na:(g+1)*na]
+		if _, err := r.emit(); err != nil {
 			return err
 		}
-		return accumulate(x.R, id*2+2, grp, ev)
-	case *Not:
-		return accumulate(x.E, id*2+1, grp, ev)
 	}
 	return nil
 }
 
-// evalWithAggs evaluates an expression, substituting aggregate nodes
-// with their accumulated results.
-func evalWithAggs(e Expr, id int, grp *group, ev *env) (any, error) {
-	switch x := e.(type) {
-	case *Agg:
-		st, ok := grp.aggs[id]
-		if !ok {
-			if x.Star || x.Func == "COUNT" {
-				return int64(0), nil
-			}
-			return nil, nil
-		}
-		return st.result(x.Func), nil
-	case *BinOp:
-		if !containsAgg(x) {
-			return eval(x, ev)
-		}
-		l, err := evalWithAggs(x.L, id*2+1, grp, ev)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalWithAggs(x.R, id*2+2, grp, ev)
-		if err != nil {
-			return nil, err
-		}
-		return evalBinOp(&BinOp{Op: x.Op, L: &Lit{Val: l}, R: &Lit{Val: r}}, ev)
-	default:
-		return eval(e, ev)
-	}
-}
-
-// sortRows applies ORDER BY. In plain mode keys are computed from the
-// joined rows; in aggregated mode from the output rows, with aggregate
-// expressions matched positionally against select items.
-func sortRows(s *Select, items []SelectItem, res *Result, orderRows [][]any, ev *env, aggregated bool) error {
-	type keyed struct {
-		out  []any
-		keys []any
-	}
-	ks := make([]keyed, len(res.Rows))
-	for i := range res.Rows {
-		keys := make([]any, len(s.OrderBy))
-		for ki, ob := range s.OrderBy {
-			var v any
-			var err error
-			if aggregated {
-				v, err = orderKeyAggregated(ob.Expr, items, res.Rows[i], ev)
-			} else {
-				ev.row = orderRows[i]
-				v, err = eval(ob.Expr, ev)
-			}
-			if err != nil {
-				return err
-			}
-			keys[ki] = v
-		}
-		ks[i] = keyed{out: res.Rows[i], keys: keys}
-	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		for ki, ob := range s.OrderBy {
-			c := storage.CompareValues(ks[a].keys[ki], ks[b].keys[ki])
-			if c == 0 {
-				continue
-			}
-			if ob.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	for i := range ks {
-		res.Rows[i] = ks[i].out
-	}
-	return nil
-}
-
-// orderKeyAggregated resolves an ORDER BY expression against the
-// aggregated output: aliases and textually identical select items map
-// to their output column.
-func orderKeyAggregated(e Expr, items []SelectItem, outRow []any, ev *env) (any, error) {
-	want := exprString(e)
-	for i, it := range items {
-		if it.Alias != "" {
-			if c, ok := e.(*Col); ok && c.Table == "" && c.Name == it.Alias {
-				return outRow[i], nil
-			}
-		}
-		if exprString(it.Expr) == want {
-			return outRow[i], nil
-		}
-	}
-	// Fall back to a plain evaluation (grouping column not projected).
-	return eval(e, ev)
-}
-
-func execInsert(tx *storage.Txn, e *storage.Engine, s *Insert, params []any) (*Result, error) {
+func execInsert(tx *storage.Txn, e *storage.Engine, s *Insert, ev *env) (*Result, error) {
 	schema, ok := e.Schema(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", storage.ErrNoTable, s.Table)
@@ -607,7 +477,7 @@ func execInsert(tx *storage.Txn, e *storage.Engine, s *Insert, params []any) (*R
 		}
 		colIdx[i] = ci
 	}
-	ev := &env{params: params}
+	b := &binder{nparams: len(ev.params)} // no table: VALUES names no column
 	n := 0
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(cols) {
@@ -615,7 +485,11 @@ func execInsert(tx *storage.Txn, e *storage.Engine, s *Insert, params []any) (*R
 		}
 		row := make([]any, schema.NumColumns())
 		for i, ex := range exprRow {
-			v, err := eval(ex, ev)
+			bound, err := b.bind(ex)
+			if err != nil {
+				return nil, err
+			}
+			v, err := eval(bound, ev)
 			if err != nil {
 				return nil, err
 			}
@@ -633,57 +507,52 @@ func execInsert(tx *storage.Txn, e *storage.Engine, s *Insert, params []any) (*R
 	return &Result{Affected: n}, nil
 }
 
-// matchingKVs returns rows of a single table matching WHERE, for
-// UPDATE and DELETE.
-func matchingKVs(tx *storage.Txn, e *storage.Engine, table string, where Expr, params []any) ([]storage.KV, *storage.Schema, error) {
-	schema, ok := e.Schema(table)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", storage.ErrNoTable, table)
-	}
-	path := choosePath(schema, table, where, params)
-	kvs, err := fetch(tx, table, path)
+// matchingKVs returns the rows of a single table matching WHERE, for
+// UPDATE and DELETE, all of them before the first is written.
+func matchingKVs(tx *storage.Txn, e *storage.Engine, table string, where Expr, ev *env) ([]storage.KV, *tablesPlan, error) {
+	p, err := planTables(e, TableRef{Table: table, Alias: table}, nil, where, ev)
 	if err != nil {
 		return nil, nil, err
 	}
-	if where == nil {
-		return kvs, schema, nil
-	}
-	resolver := newEnvResolver([]boundTable{{alias: table, schema: schema}})
-	ev := &env{cols: resolver, params: params}
-	out := kvs[:0]
-	for _, kv := range kvs {
-		ev.row = kv.Row
-		v, err := eval(where, ev)
-		if err != nil {
-			return nil, nil, err
+	ev.rows = make([][]any, 1)
+	var out []storage.KV
+	err = scanPath(tx, table, p.tables[0].path, false, func(kv storage.KV) (bool, error) {
+		ev.rows[0] = kv.Row
+		if p.where != nil {
+			if ok, err := isTrue(p.where, ev); err != nil || !ok {
+				return err == nil, err
+			}
 		}
-		if b, ok := v.(bool); ok && b {
-			out = append(out, kv)
-		}
-	}
-	return out, schema, nil
+		out = append(out, kv)
+		return true, nil
+	})
+	return out, p, err
 }
 
-func execUpdate(tx *storage.Txn, e *storage.Engine, s *Update, params []any) (*Result, error) {
-	kvs, schema, err := matchingKVs(tx, e, s.Table, s.Where, params)
+func execUpdate(tx *storage.Txn, e *storage.Engine, s *Update, ev *env) (*Result, error) {
+	kvs, p, err := matchingKVs(tx, e, s.Table, s.Where, ev)
 	if err != nil {
 		return nil, err
 	}
+	schema := p.tables[0].schema
 	setIdx := make([]int, len(s.Set))
+	setExpr := make([]Expr, len(s.Set))
 	for i, sc := range s.Set {
 		ci := schema.ColIndex(sc.Column)
 		if ci < 0 {
 			return nil, fmt.Errorf("sql: table %s has no column %s", s.Table, sc.Column)
 		}
 		setIdx[i] = ci
+		if setExpr[i], err = p.binder.bind(sc.Expr); err != nil {
+			return nil, err
+		}
 	}
-	resolver := newEnvResolver([]boundTable{{alias: s.Table, schema: schema}})
-	ev := &env{cols: resolver, params: params}
 	for _, kv := range kvs {
-		ev.row = kv.Row
+		ev.rows[0] = kv.Row
+		// kv.Row is the stored row, shared: the new image is a copy.
 		newRow := append([]any(nil), kv.Row...)
-		for i, sc := range s.Set {
-			v, err := eval(sc.Expr, ev)
+		for i := range s.Set {
+			v, err := eval(setExpr[i], ev)
 			if err != nil {
 				return nil, err
 			}
@@ -700,8 +569,8 @@ func execUpdate(tx *storage.Txn, e *storage.Engine, s *Update, params []any) (*R
 	return &Result{Affected: len(kvs)}, nil
 }
 
-func execDelete(tx *storage.Txn, e *storage.Engine, s *Delete, params []any) (*Result, error) {
-	kvs, _, err := matchingKVs(tx, e, s.Table, s.Where, params)
+func execDelete(tx *storage.Txn, e *storage.Engine, s *Delete, ev *env) (*Result, error) {
+	kvs, _, err := matchingKVs(tx, e, s.Table, s.Where, ev)
 	if err != nil {
 		return nil, err
 	}

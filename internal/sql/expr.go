@@ -7,76 +7,160 @@ import (
 	"sconrep/internal/storage"
 )
 
-// env is the runtime environment for expression evaluation: a joined
-// row with a name→offset resolver, plus statement parameters.
+// env is the runtime environment of a bound expression: the current
+// tuple — one row reference per table of the statement, in FROM order;
+// a joined row is never materialised — the statement parameters, and,
+// while a group's output row is computed, that group's aggregate states.
 type env struct {
-	cols   map[string]int // "alias.col" always; bare "col" when unambiguous
-	row    []any
-	params []any
+	rows   [][]any
+	params []any // normalised once, by ExecStmt
+	aggs   []aggState
 }
 
-// newEnvResolver builds the column resolver for a list of (alias,
-// schema) pairs laid out consecutively in the joined row.
-func newEnvResolver(tables []boundTable) map[string]int {
-	cols := make(map[string]int)
-	ambiguous := make(map[string]bool)
-	off := 0
-	for _, bt := range tables {
-		for i, c := range bt.schema.Columns {
-			qualified := bt.alias + "." + c.Name
-			cols[qualified] = off + i
-			if _, dup := cols[c.Name]; dup {
-				ambiguous[c.Name] = true
-			} else if !ambiguous[c.Name] {
-				cols[c.Name] = off + i
-			}
-		}
-		off += bt.schema.NumColumns()
-	}
-	for name := range ambiguous {
-		delete(cols, name)
-	}
-	return cols
+// slot is a column reference bound to its position in the tuple. bind
+// replaces every *Col by a slot once per execution, so no name is
+// resolved per row.
+type slot struct {
+	tab, off int
+	typ      storage.ColType
 }
+
+// aggSlot is an aggregate bound to its position in a group's states,
+// its argument bound.
+type aggSlot struct {
+	fn       string
+	star     bool
+	distinct bool
+	arg      Expr
+	idx      int
+}
+
+func (*slot) isExpr()    {}
+func (*aggSlot) isExpr() {}
 
 type boundTable struct {
 	alias  string
 	schema *storage.Schema
 }
 
-// errUnknown distinguishes SQL three-valued UNKNOWN from errors; eval
-// returns (nil, nil) for NULL results, and predicates treat them as
-// not-true.
-
-func (ev *env) lookup(c *Col) (int, error) {
-	var key string
-	if c.Table != "" {
-		key = c.Table + "." + c.Name
-	} else {
-		key = c.Name
-	}
-	if off, ok := ev.cols[key]; ok {
-		return off, nil
-	}
-	return 0, fmt.Errorf("sql: unknown column %s", key)
+// binder resolves the names of a statement's expressions against its
+// tables. Whatever it cannot resolve is an error of the statement, found
+// before any row is read.
+type binder struct {
+	tables  []boundTable
+	nparams int
+	// aggs collects the aggregates bound so far; allowAgg says whether
+	// one may appear in the expression being bound.
+	aggs     []*aggSlot
+	allowAgg bool
 }
 
-// eval evaluates a non-aggregate expression. NULL propagates as nil.
+// bind returns e with every column and aggregate bound, sharing the
+// subtrees that hold neither.
+func (b *binder) bind(e Expr) (Expr, error) {
+	switch x := e.(type) {
+	case nil, *Lit:
+		return e, nil
+	case *Placeholder:
+		if x.Index >= b.nparams {
+			return nil, fmt.Errorf("sql: missing parameter %d (%d bound)", x.Index+1, b.nparams)
+		}
+		return x, nil
+	case *Col:
+		return b.resolve(x)
+	case *Not:
+		in, err := b.bind(x.E)
+		if err != nil || in == x.E {
+			return x, err
+		}
+		return &Not{E: in}, nil
+	case *IsNull:
+		in, err := b.bind(x.E)
+		if err != nil || in == x.E {
+			return x, err
+		}
+		return &IsNull{E: in, Negate: x.Negate}, nil
+	case *Between:
+		v, err := b.bind(x.E)
+		if err != nil {
+			return nil, err
+		}
+		lo, err := b.bind(x.Lo)
+		if err != nil {
+			return nil, err
+		}
+		hi, err := b.bind(x.Hi)
+		if err != nil || (v == x.E && lo == x.Lo && hi == x.Hi) {
+			return x, err
+		}
+		return &Between{E: v, Lo: lo, Hi: hi}, nil
+	case *BinOp:
+		l, err := b.bind(x.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := b.bind(x.R)
+		if err != nil || (l == x.L && r == x.R) {
+			return x, err
+		}
+		return &BinOp{Op: x.Op, L: l, R: r}, nil
+	case *Agg:
+		if !b.allowAgg {
+			return nil, fmt.Errorf("sql: aggregate %s not allowed here", x.Func)
+		}
+		a := &aggSlot{fn: x.Func, star: x.Star, distinct: x.Distinct, idx: len(b.aggs)}
+		if !x.Star {
+			b.allowAgg = false
+			arg, err := b.bind(x.Arg)
+			b.allowAgg = true
+			if err != nil {
+				return nil, err
+			}
+			a.arg = arg
+		}
+		b.aggs = append(b.aggs, a)
+		return a, nil
+	}
+	return nil, fmt.Errorf("sql: cannot evaluate %T", e)
+}
+
+// resolve finds the one column c names: in the table it is qualified
+// with, or, unqualified, in the only table that has it.
+func (b *binder) resolve(c *Col) (Expr, error) {
+	var found *slot
+	for ti, bt := range b.tables {
+		if c.Table != "" && c.Table != bt.alias {
+			continue
+		}
+		off := bt.schema.ColIndex(c.Name)
+		if off < 0 {
+			continue
+		}
+		if found != nil && c.Table == "" {
+			return nil, fmt.Errorf("sql: ambiguous column %s", c.Name)
+		}
+		found = &slot{tab: ti, off: off, typ: bt.schema.Columns[off].Type}
+	}
+	if found == nil {
+		return nil, fmt.Errorf("sql: unknown column %s", exprString(c))
+	}
+	return found, nil
+}
+
+// eval evaluates a bound non-aggregate expression. NULL propagates as
+// nil. A table without a current row (the one group of an aggregate
+// over no input) reads as NULL in every column.
 func eval(e Expr, ev *env) (any, error) {
 	switch x := e.(type) {
 	case *Lit:
 		return x.Val, nil
-	case *Col:
-		off, err := ev.lookup(x)
-		if err != nil {
-			return nil, err
+	case *slot:
+		if r := ev.rows[x.tab]; r != nil {
+			return r[x.off], nil
 		}
-		return ev.row[off], nil
+		return nil, nil
 	case *Placeholder:
-		if x.Index >= len(ev.params) {
-			return nil, fmt.Errorf("sql: missing parameter %d (%d bound)", x.Index+1, len(ev.params))
-		}
-		return normalizeParam(ev.params[x.Index])
+		return ev.params[x.Index], nil
 	case *Not:
 		v, err := eval(x.E, ev)
 		if err != nil {
@@ -112,13 +196,135 @@ func eval(e Expr, ev *env) (any, error) {
 		if v == nil || lo == nil || hi == nil {
 			return nil, nil
 		}
-		return storage.CompareValues(v, lo) >= 0 && storage.CompareValues(v, hi) <= 0, nil
+		if c, err := safeCompare(v, lo); err != nil || c < 0 {
+			return false, err
+		}
+		c, err := safeCompare(v, hi)
+		return c <= 0, err
 	case *BinOp:
 		return evalBinOp(x, ev)
-	case *Agg:
-		return nil, fmt.Errorf("sql: aggregate %s not allowed here", x.Func)
+	case *aggSlot:
+		return ev.aggs[x.idx].result(x.fn), nil
 	}
-	return nil, fmt.Errorf("sql: cannot evaluate %T", e)
+	return nil, fmt.Errorf("sql: cannot evaluate unbound %T", e)
+}
+
+// kind is what binding knows of an expression's value before a row is
+// read: every value it can take is of that kind or NULL — columns are
+// typed, parameters are in hand — or evaluating it may raise an error.
+type kind uint8
+
+const (
+	kNull kind = iota // always NULL
+	kInt
+	kFloat
+	kString
+	kBool
+	kMayFail
+)
+
+func kindOfValue(v any) kind {
+	switch v.(type) {
+	case nil:
+		return kNull
+	case int64:
+		return kInt
+	case float64:
+		return kFloat
+	case string:
+		return kString
+	case bool:
+		return kBool
+	}
+	return kMayFail
+}
+
+func (k kind) numeric() bool { return k == kInt || k == kFloat }
+
+func kindOfType(t storage.ColType) kind {
+	switch t {
+	case storage.TInt:
+		return kInt
+	case storage.TFloat:
+		return kFloat
+	case storage.TString:
+		return kString
+	case storage.TBool:
+		return kBool
+	}
+	return kMayFail
+}
+
+// comparableKinds reports whether CompareValues accepts the two kinds;
+// a NULL operand is never compared.
+func comparableKinds(a, b kind) bool {
+	return a != kMayFail && b != kMayFail && (a == kNull || b == kNull || a == b || (a.numeric() && b.numeric()))
+}
+
+// kindOf types a bound expression the way eval would evaluate it. Its
+// one use is to decide whether a predicate is free of evaluation errors,
+// which is what makes applying its conjuncts early, and skipping rows
+// on them, indistinguishable from applying it whole.
+func kindOf(e Expr, params []any) kind {
+	switch x := e.(type) {
+	case *Lit:
+		return kindOfValue(x.Val)
+	case *Placeholder:
+		return kindOfValue(params[x.Index])
+	case *slot:
+		return kindOfType(x.typ)
+	case *Not:
+		if k := kindOf(x.E, params); k == kNull || k == kBool {
+			return k
+		}
+	case *IsNull:
+		if kindOf(x.E, params) != kMayFail {
+			return kBool
+		}
+	case *Between:
+		v, lo, hi := kindOf(x.E, params), kindOf(x.Lo, params), kindOf(x.Hi, params)
+		if v != kMayFail && lo != kMayFail && hi != kMayFail && comparableKinds(v, lo) && comparableKinds(v, hi) {
+			return kBool
+		}
+	case *BinOp:
+		l, r := kindOf(x.L, params), kindOf(x.R, params)
+		if l == kMayFail || r == kMayFail {
+			return kMayFail
+		}
+		switch x.Op {
+		case "AND", "OR":
+			return kBool // a non-boolean operand counts as UNKNOWN
+		case "=", "<>", "<", "<=", ">", ">=":
+			if comparableKinds(l, r) {
+				return kBool
+			}
+		case "LIKE":
+			if (l == kNull || l == kString) && (r == kNull || r == kString) {
+				return kBool
+			}
+		case "+", "-", "*": // "/" can divide by zero
+			switch {
+			case l == kNull || r == kNull:
+				return kNull
+			case l == kInt && r == kInt:
+				return kInt
+			case l.numeric() && r.numeric():
+				return kFloat
+			}
+		}
+	}
+	return kMayFail
+}
+
+// isTrue evaluates a predicate and reports whether it is TRUE; FALSE
+// and UNKNOWN both reject a row.
+func isTrue(e Expr, ev *env) (bool, error) {
+	v, err := eval(e, ev)
+	if err != nil {
+		return false, err
+	}
+	b, ok := v.(bool)
+	return ok && b, nil
 }
 
 func evalBinOp(x *BinOp, ev *env) (any, error) {
@@ -224,12 +430,12 @@ func toBool3(v any) (bool, bool) {
 	return false, true
 }
 
-func safeCompare(a, b any) (cmp int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sql: cannot compare %T with %T", a, b)
-		}
-	}()
+// safeCompare orders two non-NULL values, or fails where CompareValues
+// would panic: on values of different, non-numeric types.
+func safeCompare(a, b any) (int, error) {
+	if !comparableKinds(kindOfValue(a), kindOfValue(b)) {
+		return 0, fmt.Errorf("sql: cannot compare %T with %T", a, b)
+	}
 	return storage.CompareValues(a, b), nil
 }
 

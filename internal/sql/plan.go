@@ -2,12 +2,19 @@ package sql
 
 import (
 	"fmt"
+	"strings"
 
 	"sconrep/internal/storage"
 )
 
-// This file chooses access paths for base-table scans. The planner is
-// deliberately simple: it recognizes sargable conjuncts of the form
+// This file plans statements: it binds every expression to the tables'
+// columns, picks the base table's access path and each join's probe,
+// decides where each conjunct of WHERE is applied, and how ORDER BY and
+// LIMIT are met. There is no cost model and no join reordering: tables
+// are joined in the order written, and every choice follows from the
+// statement's shape, the schemas and the constants in hand.
+//
+// The access path recognizes sargable conjuncts of the form
 // <column> <op> <constant> and picks, in order of preference,
 //
 //  1. a primary-key point lookup (equality on every key column),
@@ -17,7 +24,7 @@ import (
 //
 // Bounds are conservative (they may admit extra rows); the executor
 // always re-applies the full predicate, so the planner affects cost,
-// never correctness.
+// never which rows come back or in what order.
 
 // accessPath describes how to fetch the candidate rows of one table.
 type accessPath struct {
@@ -52,11 +59,12 @@ func (k pathKind) String() string {
 	}
 }
 
-// conjunct is a sargable condition extracted from the WHERE clause.
-type conjunct struct {
-	col string // unqualified column name on the target table
+// sarg is a sargable condition on the scanned table, extracted from a
+// conjunct of WHERE.
+type sarg struct {
+	off int    // column position
 	op  string // "=", "<", "<=", ">", ">="
-	val any    // evaluated constant
+	val any    // evaluated constant, never NULL
 }
 
 // splitConjuncts flattens a WHERE tree into AND-ed conjuncts.
@@ -68,84 +76,73 @@ func splitConjuncts(e Expr, out []Expr) []Expr {
 	return append(out, e)
 }
 
-// constValue evaluates an expression that must not reference columns:
+// constValue evaluates a bound expression that references no column:
 // literals, placeholders, and arithmetic over them.
-func constValue(e Expr, params []any) (any, bool) {
-	switch e.(type) {
-	case *Col, *Agg:
+func constValue(e Expr, ev *env) (any, bool) {
+	if lastTable(e) != noTable {
 		return nil, false
 	}
-	// Reject anything containing a column reference.
-	if refsColumns(e) {
-		return nil, false
-	}
-	v, err := eval(e, &env{params: params})
-	if err != nil {
-		return nil, false
-	}
-	return v, true
+	v, err := eval(e, ev)
+	return v, err == nil
 }
 
-func refsColumns(e Expr) bool {
+// noTable is lastTable's answer for an expression without columns.
+const noTable = -1
+
+// lastTable returns the position of the last table, in join order, that
+// a bound expression reads: the first point at which it can be
+// evaluated.
+func lastTable(e Expr) int {
 	switch x := e.(type) {
-	case *Col:
-		return true
-	case *Lit, *Placeholder, nil:
-		return false
+	case *slot:
+		return x.tab
 	case *Not:
-		return refsColumns(x.E)
+		return lastTable(x.E)
 	case *IsNull:
-		return refsColumns(x.E)
+		return lastTable(x.E)
 	case *Between:
-		return refsColumns(x.E) || refsColumns(x.Lo) || refsColumns(x.Hi)
+		return max(lastTable(x.E), lastTable(x.Lo), lastTable(x.Hi))
 	case *BinOp:
-		return refsColumns(x.L) || refsColumns(x.R)
-	case *Agg:
-		return true
+		return max(lastTable(x.L), lastTable(x.R))
+	case *aggSlot:
+		if !x.star {
+			return lastTable(x.arg)
+		}
 	}
-	return true
+	return noTable
 }
 
-// sargable extracts a conjunct usable for index selection on the table
-// bound to alias.
-func sargable(e Expr, alias string, schema *storage.Schema, params []any) (conjunct, bool) {
-	b, ok := e.(*BinOp)
-	if ok {
-		col, colOK := b.L.(*Col)
-		val, valOK := constValue(b.R, params)
-		op := b.Op
+// sargable extracts the condition a bound conjunct puts on a column of
+// the base table, if it has that form.
+func sargable(e Expr, ev *env) (sarg, bool) {
+	switch x := e.(type) {
+	case *BinOp:
+		col, colOK := x.L.(*slot)
+		val, valOK := constValue(x.R, ev)
+		op := x.Op
 		if !colOK {
 			// constant <op> column: flip.
-			col, colOK = b.R.(*Col)
-			val, valOK = constValue(b.L, params)
+			col, colOK = x.R.(*slot)
+			val, valOK = constValue(x.L, ev)
 			op = flipOp(op)
 		}
-		if !colOK || !valOK || val == nil {
-			return conjunct{}, false
-		}
-		if col.Table != "" && col.Table != alias {
-			return conjunct{}, false
-		}
-		if schema.ColIndex(col.Name) < 0 {
-			return conjunct{}, false
+		if !colOK || !valOK || val == nil || col.tab != 0 {
+			return sarg{}, false
 		}
 		switch op {
 		case "=", "<", "<=", ">", ">=":
-			return conjunct{col: col.Name, op: op, val: val}, true
+			return sarg{off: col.off, op: op, val: val}, true
 		}
-		return conjunct{}, false
-	}
-	if bt, ok := e.(*Between); ok {
+	case *Between:
 		// BETWEEN contributes its lower bound; the upper bound is
-		// re-checked by the residual filter. (Only the lo conjunct is
-		// returned; callers treat BETWEEN as ">= lo".)
-		col, colOK := bt.E.(*Col)
-		lo, loOK := constValue(bt.Lo, params)
-		if colOK && loOK && lo != nil && (col.Table == "" || col.Table == alias) && schema.ColIndex(col.Name) >= 0 {
-			return conjunct{col: col.Name, op: ">=", val: lo}, true
+		// re-checked by the residual filter.
+		col, colOK := x.E.(*slot)
+		lo, loOK := constValue(x.Lo, ev)
+		if colOK && loOK && lo != nil && col.tab == 0 {
+			return sarg{off: col.off, op: ">=", val: lo}, true
 		}
 	}
-	return conjunct{}, false
+	return sarg{}, false
 }
 
 func flipOp(op string) string {
@@ -163,90 +160,69 @@ func flipOp(op string) string {
 	}
 }
 
-// choosePath picks the access path for one table given the WHERE
-// conjuncts that mention it.
-func choosePath(schema *storage.Schema, alias string, where Expr, params []any) accessPath {
-	var conjs []conjunct
-	if where != nil {
-		for _, e := range splitConjuncts(where, nil) {
-			if c, ok := sargable(e, alias, schema, params); ok {
-				conjs = append(conjs, c)
-			}
+// eqValue returns the constant the conditions pin column off to, coerced
+// to the column's type.
+func eqValue(schema *storage.Schema, sargs []sarg, off int) (any, bool) {
+	var v any
+	for _, s := range sargs {
+		if s.op == "=" && s.off == off {
+			v = s.val
 		}
 	}
-	if len(conjs) == 0 {
+	if v == nil {
+		return nil, false
+	}
+	cv, err := coerceValue(v, schema.Columns[off].Type)
+	return cv, err == nil
+}
+
+// choosePath picks the access path for one table given the sargable
+// conditions on it.
+func choosePath(schema *storage.Schema, sargs []sarg) accessPath {
+	if len(sargs) == 0 {
 		return accessPath{kind: kindFull}
 	}
 
-	// 1. Full-PK equality → point lookup.
-	eq := map[string]any{}
-	for _, c := range conjs {
-		if c.op == "=" {
-			eq[c.col] = c.val
-		}
-	}
-	if len(eq) > 0 {
-		vals := make([]any, 0, len(schema.Key))
-		all := true
-		for _, kc := range schema.Key {
-			v, ok := eq[kc]
-			if !ok {
-				all = false
-				break
-			}
-			cv, err := coerceValue(v, schema.Columns[schema.ColIndex(kc)].Type)
-			if err != nil {
-				all = false
-				break
-			}
-			vals = append(vals, cv)
-		}
-		if all {
-			return accessPath{kind: kindPoint, pointKey: storage.EncodeKey(vals...)}
-		}
-	}
-
-	// 2. PK prefix: equality on leading key columns, optional range on
-	// the next one.
+	// PK prefix: equality on leading key columns. All of them is a point
+	// lookup.
 	var prefix []any
 	for _, kc := range schema.Key {
-		v, ok := eq[kc]
+		v, ok := eqValue(schema, sargs, schema.ColIndex(kc))
 		if !ok {
 			break
 		}
-		cv, err := coerceValue(v, schema.Columns[schema.ColIndex(kc)].Type)
-		if err != nil {
-			break
-		}
-		prefix = append(prefix, cv)
+		prefix = append(prefix, v)
 	}
+	if len(prefix) == len(schema.Key) {
+		return accessPath{kind: kindPoint, pointKey: storage.EncodeKey(prefix...)}
+	}
+
+	// Otherwise the prefix bounds a range, narrowed by range conditions
+	// on the next key column.
 	var lo, hi string
 	if len(prefix) > 0 {
 		base := storage.EncodeKey(prefix...)
 		lo, hi = base, base+"\xff"
 	}
-	if len(prefix) < len(schema.Key) {
-		nextCol := schema.Key[len(prefix)]
-		nextType := schema.Columns[schema.ColIndex(nextCol)].Type
-		for _, c := range conjs {
-			if c.col != nextCol || c.op == "=" {
-				continue
+	next := schema.ColIndex(schema.Key[len(prefix)])
+	for _, c := range sargs {
+		if c.off != next || c.op == "=" {
+			continue
+		}
+		cv, err := coerceValue(c.val, schema.Columns[next].Type)
+		if err != nil {
+			continue
+		}
+		bound := storage.EncodeKey(append(prefix[:len(prefix):len(prefix)], cv)...)
+		switch c.op {
+		case ">", ">=":
+			if bound > lo {
+				lo = bound
 			}
-			cv, err := coerceValue(c.val, nextType)
-			if err != nil {
-				continue
-			}
-			bound := storage.EncodeKey(append(append([]any{}, prefix...), cv)...)
-			switch c.op {
-			case ">", ">=":
-				if bound > lo {
-					lo = bound
-				}
-			case "<", "<=":
-				b := bound + "\xff"
-				if hi == "" || b < hi {
-					hi = b
-				}
+		case "<", "<=":
+			b := bound + "\xff"
+			if hi == "" || b < hi {
+				hi = b
 			}
 		}
 	}
@@ -254,33 +230,46 @@ func choosePath(schema *storage.Schema, alias string, where Expr, params []any) 
 		return accessPath{kind: kindRange, lo: lo, hi: hi}
 	}
 
-	// 3. Secondary-index equality.
+	// Secondary-index equality.
 	for _, def := range schema.Indexes {
-		if v, ok := eq[def.Column]; ok {
-			cv, err := coerceValue(v, schema.Columns[schema.ColIndex(def.Column)].Type)
-			if err == nil {
-				return accessPath{kind: kindIndexEq, indexName: def.Name, indexVal: cv}
-			}
+		if v, ok := eqValue(schema, sargs, schema.ColIndex(def.Column)); ok {
+			return accessPath{kind: kindIndexEq, indexName: def.Name, indexVal: v}
 		}
 	}
 	return accessPath{kind: kindFull}
 }
 
-// fetch runs the access path against a transaction.
-func fetch(tx *storage.Txn, table string, path accessPath) ([]storage.KV, error) {
+// scanPath feeds fn the candidate rows of one table, in primary-key
+// order (reversed when desc is set, which only a full or range path
+// honours), until fn returns false.
+func scanPath(tx *storage.Txn, table string, path accessPath, desc bool, fn func(kv storage.KV) (bool, error)) error {
 	switch path.kind {
 	case kindPoint:
 		row, ok, err := tx.Get(table, path.pointKey)
 		if err != nil || !ok {
-			return nil, err
+			return err
 		}
-		return []storage.KV{{Key: path.pointKey, Row: row}}, nil
-	case kindRange:
-		return tx.ScanRange(table, path.lo, path.hi)
+		_, err = fn(storage.KV{Key: path.pointKey, Row: row})
+		return err
 	case kindIndexEq:
-		return tx.ScanIndexEq(table, path.indexName, path.indexVal)
+		kvs, err := tx.ScanIndexEq(table, path.indexName, path.indexVal)
+		if err != nil {
+			return err
+		}
+		for _, kv := range kvs {
+			if more, err := fn(kv); err != nil || !more {
+				return err
+			}
+		}
+		return nil
 	default:
-		return tx.ScanAll(table)
+		c := tx.Cursor(table, path.lo, path.hi, desc)
+		for c.Next() {
+			if more, err := fn(c.KV()); err != nil || !more {
+				return err
+			}
+		}
+		return c.Err()
 	}
 }
 
@@ -307,26 +296,454 @@ func coerceValue(v any, t storage.ColType) (any, error) {
 	return v, nil
 }
 
-// Explain returns a one-line description of the access path a SELECT,
-// UPDATE, or DELETE would use for its primary table — handy in tests
-// and the CLI.
+// joinKind is how a joined table's matching rows are found.
+type joinKind uint8
+
+const (
+	joinPK    joinKind = iota // the join column is the whole primary key: point lookup
+	joinIndex                 // the join column is indexed: index lookup
+	joinHash                  // neither: hash table built once over a full scan
+)
+
+func (k joinKind) String() string {
+	return [...]string{"pk-probe", "index-probe", "hash-join"}[k]
+}
+
+// tablePlan is one table of a statement: tables[0] is scanned by path,
+// every later one probed per tuple of the tables before it.
+type tablePlan struct {
+	name, alias string
+	schema      *storage.Schema
+
+	path accessPath // tables[0]
+
+	join     joinKind // tables[1:]
+	index    string   // joinIndex
+	leftKey  *slot    // the ON column among the earlier tables
+	rightCol int      // the ON column of this table
+
+	// filters are the conjuncts of WHERE applied as soon as this table's
+	// row is in the tuple, before any later table is probed. The last
+	// table has none: the whole predicate is applied there.
+	filters []Expr
+
+	on [2]*Col // the ON columns as written, left then right, for Explain
+}
+
+// orderTerm is one ORDER BY key: an output column of an aggregated
+// SELECT (item >= 0) or a bound expression over the tuple.
+type orderTerm struct {
+	item int
+	expr Expr
+	desc bool
+}
+
+// tablesPlan is the part of a plan every row-reading statement has:
+// the tables, the predicate, and where its conjuncts apply.
+type tablesPlan struct {
+	tables []tablePlan
+	where  Expr    // bound; applied whole to every complete tuple
+	sargs  []sarg  // what the predicate's conjuncts pin or bound on tables[0]
+	binder *binder // knows every table; binds the rest of the statement
+	// For Explain: WHERE as written and, per conjunct, the table at which
+	// it first applies; nil when all apply at the last table.
+	written Expr
+	levels  []int
+}
+
+// selectPlan is a planned SELECT.
+type selectPlan struct {
+	tablesPlan
+	columns    []string
+	items      []Expr
+	aggregated bool
+	aggs       []*aggSlot
+	groupBy    []Expr
+	order      []orderTerm
+	offset     int
+	// keep is how many rows of the ordered output are wanted,
+	// OFFSET+LIMIT, or -1 for all.
+	keep int
+	// inOrder says tuples arrive in ORDER BY order already (or there is
+	// no ORDER BY), so the scan stops once keep rows are out. Otherwise
+	// the output goes through a stable top-keep.
+	inOrder bool
+	// edge is "min" or "max" when the statement is that aggregate of the
+	// leading key column over the whole table: the scan runs from that
+	// end of the tree and stops at the first visible row.
+	edge string
+}
+
+// planTables binds the FROM clause and WHERE shared by SELECT, UPDATE
+// and DELETE (the latter two with no joins), and chooses the access
+// path.
+func planTables(e *storage.Engine, from TableRef, joins []Join, where Expr, ev *env) (*tablesPlan, error) {
+	schema, ok := e.Schema(from.Table)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", storage.ErrNoTable, from.Table)
+	}
+	b := &binder{nparams: len(ev.params), tables: make([]boundTable, 1, 1+len(joins))}
+	b.tables[0] = boundTable{alias: from.Alias, schema: schema}
+	p := &tablesPlan{binder: b, tables: make([]tablePlan, 1, 1+len(joins))}
+	p.tables[0] = tablePlan{name: from.Table, alias: from.Alias, schema: schema}
+
+	for _, j := range joins {
+		right, ok := e.Schema(j.Right.Table)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", storage.ErrNoTable, j.Right.Table)
+		}
+		// Decide which side of ON binds to the tables joined so far.
+		leftCol, rightCol, err := orientJoin(j, b.tables, right)
+		if err != nil {
+			return nil, err
+		}
+		left, err := b.resolve(leftCol)
+		if err != nil {
+			return nil, err
+		}
+		t := tablePlan{
+			name:     j.Right.Table,
+			alias:    j.Right.Alias,
+			schema:   right,
+			leftKey:  left.(*slot),
+			rightCol: right.ColIndex(rightCol.Name),
+			on:       [2]*Col{leftCol, rightCol},
+		}
+		if t.rightCol < 0 {
+			return nil, fmt.Errorf("sql: unknown join column %s.%s", j.Right.Alias, rightCol.Name)
+		}
+		switch {
+		case len(right.Key) == 1 && right.Key[0] == rightCol.Name:
+			t.join = joinPK
+		case indexOn(right, rightCol.Name) != "":
+			t.join, t.index = joinIndex, indexOn(right, rightCol.Name)
+		default:
+			t.join = joinHash
+		}
+		p.tables = append(p.tables, t)
+		b.tables = append(b.tables, boundTable{alias: j.Right.Alias, schema: right})
+	}
+
+	if where != nil {
+		var err error
+		if p.where, err = b.bind(where); err != nil {
+			return nil, err
+		}
+		// A conjunct belongs to the first table at which all its columns
+		// are in the tuple. Dropping a tuple there, before the later
+		// tables are probed, is the same as dropping it on the whole
+		// predicate only if no part of the predicate can raise an error
+		// (an early drop would hide the error a conjunct written before it
+		// raises on that tuple), so that is when it is done; the whole
+		// predicate is applied to every complete tuple either way.
+		last := len(p.tables) - 1
+		early := last > 0 && kindOf(p.where, ev.params) != kMayFail
+		conjs := splitConjuncts(p.where, nil)
+		p.written = where
+		if early {
+			p.levels = make([]int, len(conjs))
+		}
+		for i, c := range conjs {
+			if early {
+				at := max(lastTable(c), 0)
+				p.levels[i] = at
+				if at < last {
+					p.tables[at].filters = append(p.tables[at].filters, c)
+				}
+			}
+			if s, ok := sargable(c, ev); ok {
+				p.sargs = append(p.sargs, s)
+			}
+		}
+	}
+	p.tables[0].path = choosePath(schema, p.sargs)
+	return p, nil
+}
+
+// orientJoin decides which Col of the ON clause references the
+// already-joined tables (left) and which references the new table.
+func orientJoin(j Join, left []boundTable, rightSchema *storage.Schema) (*Col, *Col, error) {
+	a := j.On.L.(*Col)
+	b := j.On.R.(*Col)
+	belongsRight := func(c *Col) bool {
+		if c.Table != "" {
+			return c.Table == j.Right.Alias
+		}
+		return rightSchema.ColIndex(c.Name) >= 0 && !belongsLeftName(c.Name, left)
+	}
+	switch {
+	case belongsRight(b) && !belongsRight(a):
+		return a, b, nil
+	case belongsRight(a) && !belongsRight(b):
+		return b, a, nil
+	default:
+		return nil, nil, fmt.Errorf("sql: cannot orient join condition %s = %s", exprString(a), exprString(b))
+	}
+}
+
+func belongsLeftName(name string, left []boundTable) bool {
+	for _, bt := range left {
+		if bt.schema.ColIndex(name) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func indexOn(s *storage.Schema, col string) string {
+	for _, def := range s.Indexes {
+		if def.Column == col {
+			return def.Name
+		}
+	}
+	return ""
+}
+
+// planSelect plans a SELECT against the engine's current schemas and
+// the parameters in ev.
+func planSelect(e *storage.Engine, s *Select, ev *env) (*selectPlan, error) {
+	tp, err := planTables(e, s.From, s.Joins, s.Where, ev)
+	if err != nil {
+		return nil, err
+	}
+	b := tp.binder
+	p := &selectPlan{tablesPlan: *tp, offset: s.Offset, keep: -1}
+	if s.Limit >= 0 {
+		p.keep = s.Offset + s.Limit
+	}
+
+	// Expand * into column references now that tables are bound.
+	written := expandStars(s.Items, b.tables)
+	p.columns = make([]string, len(written))
+	p.items = make([]Expr, len(written))
+	b.allowAgg = true
+	for i, it := range written {
+		p.columns[i] = it.Alias
+		if it.Alias == "" {
+			p.columns[i] = exprString(it.Expr)
+		}
+		if p.items[i], err = b.bind(it.Expr); err != nil {
+			return nil, err
+		}
+	}
+	b.allowAgg = false
+	p.aggs = b.aggs
+	p.aggregated = len(s.GroupBy) > 0 || len(p.aggs) > 0
+
+	p.groupBy = make([]Expr, len(s.GroupBy))
+	for i, g := range s.GroupBy {
+		if p.groupBy[i], err = b.bind(g); err != nil {
+			return nil, err
+		}
+	}
+	p.order = make([]orderTerm, len(s.OrderBy))
+	for i, ob := range s.OrderBy {
+		t := orderTerm{item: -1, desc: ob.Desc}
+		if p.aggregated {
+			t.item = outputColumn(ob.Expr, written)
+		}
+		if t.item < 0 {
+			// A plain SELECT orders by the tuple; an aggregated one falls
+			// back to it (on the group's first tuple) for a grouping
+			// column it does not project.
+			if t.expr, err = b.bind(ob.Expr); err != nil {
+				return nil, err
+			}
+		}
+		p.order[i] = t
+	}
+
+	switch {
+	case p.aggregated:
+		p.inOrder = len(p.order) == 0 && p.keep < 0
+		p.edge = edgeOf(p, s)
+	default:
+		p.inOrder = scanOrdered(p.tables[0].schema, p.sargs, p.order)
+	}
+	return p, nil
+}
+
+// outputColumn resolves an ORDER BY expression against an aggregated
+// SELECT's output: an alias or a textually identical select item maps
+// to that output column. -1 when neither matches.
+func outputColumn(e Expr, items []SelectItem) int {
+	want := exprString(e)
+	for i, it := range items {
+		if it.Alias != "" {
+			if c, ok := e.(*Col); ok && c.Table == "" && c.Name == it.Alias {
+				return i
+			}
+		}
+		if exprString(it.Expr) == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// scanOrdered reports whether the base table's scan order — primary-key
+// order on every access path, and joins extend tuples without
+// reordering them — is the order ORDER BY asks for, ties included: the
+// keys, all ascending, spell out a prefix of the primary key, where a
+// column the predicate pins to one constant may be skipped or named
+// anywhere, since every surviving row agrees on it.
+func scanOrdered(schema *storage.Schema, sargs []sarg, order []orderTerm) bool {
+	pinned := func(off int) bool {
+		_, ok := eqValue(schema, sargs, off)
+		return ok
+	}
+	ki := 0
+	for _, o := range order {
+		c, ok := o.expr.(*slot)
+		if !ok || c.tab != 0 {
+			return false
+		}
+		if pinned(c.off) {
+			continue
+		}
+		for ki < len(schema.Key) && pinned(schema.ColIndex(schema.Key[ki])) {
+			ki++
+		}
+		if o.desc || ki == len(schema.Key) || schema.ColIndex(schema.Key[ki]) != c.off {
+			return false
+		}
+		ki++
+	}
+	return true
+}
+
+// edgeOf recognises SELECT MIN(k) / MAX(k) FROM t, k the leading
+// primary-key column, with nothing else in the statement: its answer is
+// the first or last visible row of the tree.
+func edgeOf(p *selectPlan, s *Select) string {
+	if len(p.tables) != 1 || s.Where != nil || len(s.GroupBy) != 0 || len(s.OrderBy) != 0 || len(p.items) != 1 {
+		return ""
+	}
+	a, ok := p.items[0].(*aggSlot)
+	if !ok || a.star {
+		return ""
+	}
+	schema := p.tables[0].schema
+	if c, ok := a.arg.(*slot); !ok || c.off != schema.ColIndex(schema.Key[0]) {
+		return ""
+	}
+	switch a.fn {
+	case "MIN":
+		return "min"
+	case "MAX":
+		return "max"
+	}
+	return ""
+}
+
+func expandStars(items []SelectItem, tables []boundTable) []SelectItem {
+	var out []SelectItem
+	for _, it := range items {
+		if !it.Star {
+			out = append(out, it)
+			continue
+		}
+		for _, bt := range tables {
+			for _, c := range bt.schema.Columns {
+				out = append(out, SelectItem{Expr: &Col{Table: bt.alias, Name: c.Name}})
+			}
+		}
+	}
+	return out
+}
+
+// describe renders the tables of a plan: per table its access path
+// (base names it; an edge read is not the full scan its path says) or
+// join strategy, and the conjuncts applied once its row is in the tuple.
+func (p *tablesPlan) describe(sb *strings.Builder, base string) {
+	var conjs []Expr
+	if p.written != nil {
+		conjs = splitConjuncts(p.written, nil)
+	}
+	for i := range p.tables {
+		t := &p.tables[i]
+		if i == 0 {
+			fmt.Fprintf(sb, "%s on %s", base, t.name)
+		} else {
+			fmt.Fprintf(sb, " -> %s %s", t.join, t.name)
+		}
+		if t.alias != t.name {
+			sb.WriteString(" " + t.alias)
+		}
+		if i > 0 {
+			fmt.Fprintf(sb, " on %s = %s", exprString(t.on[0]), exprString(t.on[1]))
+		}
+		sep := " where "
+		for ci, c := range conjs {
+			at := len(p.tables) - 1
+			if p.levels != nil {
+				at = p.levels[ci]
+			}
+			if at == i {
+				sb.WriteString(sep + exprString(c))
+				sep = " and "
+			}
+		}
+	}
+}
+
+// Explain describes the plan a statement would run with the given
+// parameters, on one line: for each table, in join order, its access
+// path or join strategy and the conjuncts of WHERE applied there, then
+// how the output is grouped, ordered and cut — "ordered-stop(n)" when
+// the scan's own order is ORDER BY's and it ends after n rows, "top-n(n)"
+// when a bounded stable selection stands in for the sort, "sort" when
+// everything is sorted, "edge(min|max)" when the answer is read off one
+// end of the tree.
 func Explain(e *storage.Engine, stmt Stmt, params []any) (string, error) {
-	var table, alias string
+	ev, err := newEnv(params)
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	var target string // of an UPDATE or DELETE
 	var where Expr
 	switch s := stmt.(type) {
 	case *Select:
-		table, alias, where = s.From.Table, s.From.Alias, s.Where
+		p, err := planSelect(e, s, ev)
+		if err != nil {
+			return "", err
+		}
+		base := p.tables[0].path.kind.String()
+		if p.edge != "" {
+			base = "edge(" + p.edge + ")"
+		}
+		p.describe(&sb, base)
+		if p.aggregated {
+			sb.WriteString(" -> group")
+		}
+		switch {
+		case p.inOrder && p.keep >= 0:
+			fmt.Fprintf(&sb, " -> ordered-stop(%d)", p.keep)
+		case p.inOrder && len(p.order) > 0:
+			sb.WriteString(" -> ordered")
+		case !p.inOrder && p.keep >= 0:
+			fmt.Fprintf(&sb, " -> top-n(%d)", p.keep)
+		case !p.inOrder:
+			sb.WriteString(" -> sort")
+		}
+		return sb.String(), nil
+	case *Insert:
+		if _, ok := e.Schema(s.Table); !ok {
+			return "", fmt.Errorf("%w: %s", storage.ErrNoTable, s.Table)
+		}
+		return "insert on " + s.Table, nil
 	case *Update:
-		table, alias, where = s.Table, s.Table, s.Where
+		target, where = s.Table, s.Where
 	case *Delete:
-		table, alias, where = s.Table, s.Table, s.Where
+		target, where = s.Table, s.Where
 	default:
 		return "", fmt.Errorf("sql: cannot explain %T", stmt)
 	}
-	schema, ok := e.Schema(table)
-	if !ok {
-		return "", fmt.Errorf("%w: %s", storage.ErrNoTable, table)
+	p, err := planTables(e, TableRef{Table: target, Alias: target}, nil, where, ev)
+	if err != nil {
+		return "", err
 	}
-	path := choosePath(schema, alias, where, params)
-	return fmt.Sprintf("%s on %s", path.kind, table), nil
+	p.describe(&sb, p.tables[0].path.kind.String())
+	return sb.String(), nil
 }

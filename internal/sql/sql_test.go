@@ -399,6 +399,38 @@ func TestUnknownColumnAndTableErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "nosuch") && !strings.Contains(err.Error(), "orient") {
 		t.Fatalf("join err = %v", err)
 	}
+	// A name that resolves nowhere is an error of the statement, not of
+	// the rows: reported when no row reaches the expression — an empty
+	// table, a WHERE that rejects everything, an AND that short-circuits
+	// before it, a LIMIT of none — and wherever in the statement it is.
+	h.exec(`CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
+	for _, src := range []string{
+		`SELECT nosuch FROM t`,
+		`SELECT id FROM t WHERE nosuch = 1`,
+		`SELECT id FROM t WHERE nosuch = 1 ORDER BY alsono`,
+		`SELECT id FROM t ORDER BY nosuch`,
+		`SELECT COUNT(*) FROM t GROUP BY nosuch`,
+		`SELECT SUM(nosuch) FROM t`,
+		`SELECT t.id FROM t JOIN emp ON emp.id = t.id WHERE emp.nosuch = 1`,
+		`UPDATE t SET v = nosuch`,
+		`UPDATE t SET v = 1 WHERE nosuch = 1`,
+		`DELETE FROM t WHERE nosuch = 1`,
+		`SELECT id FROM emp WHERE id = 99 AND nosuch = 1`,
+		`SELECT id FROM emp WHERE FALSE AND nosuch = 1`,
+		`SELECT id FROM emp WHERE id < 0 AND nosuch = 1`,
+		`SELECT nosuch FROM emp WHERE id < 0`,
+		`SELECT nosuch FROM emp LIMIT 0`,
+		`SELECT id FROM emp WHERE id = 1 OR nosuch = 1`,
+		`SELECT zz.id FROM emp`,
+	} {
+		if err := h.execErr(src); !strings.Contains(err.Error(), "unknown column") {
+			t.Errorf("%s: err = %v, want unknown column", src, err)
+		}
+	}
+	// The same for a parameter that was not supplied.
+	if err := h.execErr(`SELECT id FROM t WHERE v = ?`); !strings.Contains(err.Error(), "missing parameter") {
+		t.Errorf("missing parameter on an empty table: %v", err)
+	}
 }
 
 func TestAmbiguousColumn(t *testing.T) {
@@ -409,6 +441,21 @@ func TestAmbiguousColumn(t *testing.T) {
 	h.exec(`INSERT INTO y VALUES (1, 2)`)
 	// Unqualified v is ambiguous across x and y.
 	h.execErr(`SELECT v FROM x JOIN y ON x.id = y.id`)
+	// Also where no row reaches it: a join with no match, a predicate
+	// that short-circuits first, an empty table.
+	h.exec(`CREATE TABLE z (id INT PRIMARY KEY, v INT)`)
+	for _, src := range []string{
+		`SELECT v FROM x JOIN y ON x.id = y.id WHERE x.id = 99`,
+		`SELECT x.id FROM x JOIN y ON x.id = y.id WHERE x.id = 99 AND v = 1`,
+		`SELECT x.id FROM x JOIN y ON x.id = y.id WHERE FALSE AND v = 1`,
+		`SELECT x.id FROM x JOIN y ON x.id = y.id ORDER BY v`,
+		`SELECT v FROM z JOIN y ON z.id = y.id`,
+		`SELECT z.id FROM z JOIN y ON z.id = y.id WHERE v > 0`,
+	} {
+		if err := h.execErr(src); !strings.Contains(err.Error(), "ambiguous column") {
+			t.Errorf("%s: err = %v, want ambiguous column", src, err)
+		}
+	}
 	res := h.query(`SELECT x.v, y.v FROM x JOIN y ON x.id = y.id`)
 	if res.Rows[0][0].(int64) != 1 || res.Rows[0][1].(int64) != 2 {
 		t.Fatalf("qualified cols = %v", res.Rows[0])
@@ -443,6 +490,65 @@ func TestPlannerPaths(t *testing.T) {
 		}
 		if !strings.HasPrefix(got, c.want) {
 			t.Errorf("%s: plan = %q, want %s", c.src, got, c.want)
+		}
+	}
+}
+
+// TestExplainPlans pins the decisions beyond the base table's access
+// path: the join strategy, the table at which each conjunct applies
+// (early only when no part of the predicate can fail), and how ORDER BY
+// and LIMIT are met.
+func TestExplainPlans(t *testing.T) {
+	h := setupEmployees(t)
+	h.exec(`CREATE TABLE ol (order_id INT, line INT, item TEXT, PRIMARY KEY (order_id, line))`)
+	h.exec(`CREATE TABLE proj (id INT PRIMARY KEY, lead INT, dept TEXT)`)
+	cases := []struct{ src, want string }{
+		{`SELECT name FROM emp WHERE id >= 2 ORDER BY id LIMIT 2`, "pk-range on emp where (id >= 2) -> ordered-stop(2)"},
+		{`SELECT name FROM emp WHERE id >= 2 ORDER BY id DESC LIMIT 2`, "pk-range on emp where (id >= 2) -> top-n(2)"},
+		{`SELECT name FROM emp ORDER BY id`, "full-scan on emp -> ordered"},
+		{`SELECT name FROM emp ORDER BY salary`, "full-scan on emp -> sort"},
+		{`SELECT name FROM emp ORDER BY salary LIMIT 3 OFFSET 1`, "full-scan on emp -> top-n(4)"},
+		{`SELECT name FROM emp LIMIT 3`, "full-scan on emp -> ordered-stop(3)"},
+		{`SELECT name FROM emp WHERE dept = 'eng' ORDER BY dept, id LIMIT 5`, "index-eq on emp where (dept = eng) -> ordered-stop(5)"},
+		{`SELECT item FROM ol WHERE order_id = 1 ORDER BY line LIMIT 5`, "pk-range on ol where (order_id = 1) -> ordered-stop(5)"},
+		{`SELECT item FROM ol ORDER BY order_id LIMIT 5`, "full-scan on ol -> ordered-stop(5)"},
+		{`SELECT item FROM ol ORDER BY line LIMIT 5`, "full-scan on ol -> top-n(5)"},
+		{`SELECT item FROM ol ORDER BY order_id, item LIMIT 5`, "full-scan on ol -> top-n(5)"},
+
+		{`SELECT MAX(id) FROM emp`, "edge(max) on emp -> group"},
+		{`SELECT MIN(order_id) FROM ol`, "edge(min) on ol -> group"},
+		{`SELECT MAX(line) FROM ol`, "full-scan on ol -> group"},
+		{`SELECT MAX(id) FROM emp WHERE id > 1`, "pk-range on emp where (id > 1) -> group"},
+		{`SELECT MAX(id), MIN(id) FROM emp`, "full-scan on emp -> group"},
+		{`SELECT dept, COUNT(*) FROM emp GROUP BY dept ORDER BY dept LIMIT 2`, "full-scan on emp -> group -> top-n(2)"},
+		{`SELECT dept, COUNT(*) FROM emp GROUP BY dept`, "full-scan on emp -> group"},
+
+		{`SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE d.city = 'SEA' AND e.salary > 90`,
+			"full-scan on emp e where (e.salary > 90) -> pk-probe dept d on e.dept = d.name where (d.city = SEA)"},
+		{`SELECT e.name FROM dept d JOIN emp e ON e.dept = d.name WHERE e.salary > 90 AND d.city = 'SEA' ORDER BY d.name LIMIT 4`,
+			"full-scan on dept d where (d.city = SEA) -> index-probe emp e on d.name = e.dept where (e.salary > 90) -> ordered-stop(4)"},
+		{`SELECT e.name FROM emp e JOIN proj p ON p.lead = e.id WHERE e.salary * 2 > 10 AND e.active AND 1 = 1`,
+			"full-scan on emp e where ((e.salary * 2) > 10) and e.active and (1 = 1) -> hash-join proj p on e.id = p.lead"},
+		// A division can fail, and so can comparing a string with a number:
+		// nothing is applied before the join.
+		{`SELECT e.name FROM emp e JOIN proj p ON p.lead = e.id WHERE e.salary / 2 > 10 AND e.active`,
+			"full-scan on emp e -> hash-join proj p on e.id = p.lead where ((e.salary / 2) > 10) and e.active"},
+		{`SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 90 AND d.city = 5`,
+			"full-scan on emp e -> pk-probe dept d on e.dept = d.name where (e.salary > 90) and (d.city = 5)"},
+		{`SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name JOIN proj p ON p.dept = d.name WHERE p.id > 1 AND d.city <> 'SEA' AND e.active`,
+			"full-scan on emp e where e.active -> pk-probe dept d on e.dept = d.name where (d.city <> SEA) -> hash-join proj p on d.name = p.dept where (p.id > 1)"},
+
+		{`UPDATE emp SET salary = 1 WHERE dept = 'eng'`, "index-eq on emp where (dept = eng)"},
+		{`DELETE FROM emp WHERE id > 3`, "pk-range on emp where (id > 3)"},
+		{`INSERT INTO dept VALUES ('ops', 'SFO')`, "insert on dept"},
+	}
+	for _, c := range cases {
+		stmt, err := Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Explain(h.e, stmt, nil); err != nil || got != c.want {
+			t.Errorf("%s\n\tplan: %s (%v)\n\twant: %s", c.src, got, err, c.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"sconrep/internal/btree"
 	"sconrep/internal/writeset"
 )
 
@@ -12,6 +13,17 @@ import (
 // writes; writes are buffered until commit.
 //
 // A Txn must be used from a single goroutine.
+//
+// Rows are shared, not copied. Every row a read hands out — from Get,
+// ScanRange, ScanAll, ScanIndexEq or a Cursor — is the stored slice
+// itself: a committed version's row in its chain, or the transaction's
+// own pending image. Neither is ever written again (a chain row is
+// immutable once installed, vacuum only unlinks it; a later write by
+// this transaction replaces the pending image with a new slice), so a
+// caller may keep a row as long as it likes, across commits and after
+// the transaction ends. In exchange the caller must not write into it:
+// copy first, as the SQL layer's UPDATE does. Insert and Update copy
+// the row they are given, so the caller's slice stays the caller's.
 type Txn struct {
 	e        *Engine
 	snapshot uint64
@@ -103,11 +115,12 @@ func (t *Txn) committedAt(table, key string) ([]any, bool, error) {
 	if vr == nil {
 		return nil, false, nil
 	}
-	return append([]any(nil), vr.row...), true, nil
+	return vr.row, true, nil
 }
 
-// Get returns a copy of the row under the encoded primary key, as
-// visible to this transaction.
+// Get returns the row under the encoded primary key, as visible to
+// this transaction. The row is shared (see Txn): read it, do not write
+// into it.
 func (t *Txn) Get(table, key string) ([]any, bool, error) {
 	if t.finished {
 		return nil, false, ErrTxnFinished
@@ -116,7 +129,7 @@ func (t *Txn) Get(table, key string) ([]any, bool, error) {
 		if pw.op == writeset.OpDelete {
 			return nil, false, nil
 		}
-		return append([]any(nil), pw.row...), true, nil
+		return pw.row, true, nil
 	}
 	return t.committedAt(table, key)
 }
@@ -233,54 +246,153 @@ func (t *Txn) Delete(table, key string) error {
 	return nil
 }
 
-// KV is a scan result: the encoded primary key and a copy of the row.
+// KV is a scan result: the encoded primary key and the row, shared
+// like every row a read returns (see Txn).
 type KV struct {
 	Key string
 	Row []any
 }
 
-// ScanRange returns the rows visible to this transaction with encoded
-// primary keys in [lo, hi), in key order. Empty lo scans from the
-// start; empty hi scans to the end.
-func (t *Txn) ScanRange(table, lo, hi string) ([]KV, error) {
+// Cursor chunk sizes: the first read of the tree takes few rows, so a
+// scan that stops early (ORDER BY key LIMIT 5) pays for few; each later
+// read takes four times as many, up to a bound that keeps the table
+// lock short.
+const (
+	firstChunk = 16
+	maxChunk   = 1024
+)
+
+// Cursor iterates the rows visible to a transaction over a range of
+// encoded primary keys, in key order or its reverse, with the
+// transaction's own pending writes merged in. It reads the tree a chunk
+// at a time and holds no lock between calls, so the caller may go on
+// using the transaction (Get, other cursors) while it iterates, and a
+// scan abandoned early costs only the chunks it read. A write by the
+// transaction invalidates its open cursors. Rows are shared (see Txn).
+type Cursor struct {
+	t      *Txn
+	table  string
+	lo, hi string // the part of the range not read yet
+	desc   bool
+	buf    []KV // committed rows of the current chunk, own-written keys left out
+	i      int
+	more   bool // the tree may hold keys beyond buf
+	own    []KV // this transaction's live writes in the range, in scan order
+	cur    KV
+	err    error
+}
+
+// Cursor opens a scan of the rows visible to this transaction with
+// encoded primary keys in [lo, hi), ascending, or descending when desc
+// is set. Empty lo scans from the start; empty hi scans to the end.
+func (t *Txn) Cursor(table, lo, hi string, desc bool) *Cursor {
+	c := &Cursor{t: t, table: table, lo: lo, hi: hi, desc: desc, more: true}
 	if t.finished {
-		return nil, ErrTxnFinished
+		c.err, c.more = ErrTxnFinished, false
+		return c
 	}
-	var out []KV
+	// Collected in map order, then sorted.
+	for key, pw := range t.writes[table] {
+		if pw.removed || pw.op == writeset.OpDelete || key < lo || (hi != "" && key >= hi) {
+			continue
+		}
+		c.own = append(c.own, KV{Key: key, Row: pw.row})
+	}
+	sort.Slice(c.own, func(i, j int) bool { return (c.own[i].Key < c.own[j].Key) != desc })
+	return c
+}
+
+// fill reads the next chunk of committed rows under the table lock and
+// moves the unread range past it.
+func (c *Cursor) fill() {
+	n := 4 * cap(c.buf)
+	if n < firstChunk {
+		n = firstChunk
+	} else if n > maxChunk {
+		n = maxChunk
+	}
+	if n > cap(c.buf) {
+		c.buf = make([]KV, 0, n)
+	}
+	c.buf, c.i, c.more = c.buf[:0], 0, false
+
+	t := c.t
 	t.e.mu.RLock()
-	tb, ok := t.e.tables[table]
+	defer t.e.mu.RUnlock()
+	tb, ok := t.e.tables[c.table]
 	if !ok {
-		t.e.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, table)
+		c.err = fmt.Errorf("%w: %s", ErrNoTable, c.table)
+		return
 	}
+	written := t.writes[c.table]
 	tb.mu.RLock()
-	it := tb.rows.Scan(lo, hi)
+	defer tb.mu.RUnlock()
+	var it *btree.Iter
+	if c.desc {
+		it = tb.rows.Descend(c.lo, c.hi)
+	} else {
+		it = tb.rows.Scan(c.lo, c.hi)
+	}
+	last := ""
 	for it.Next() {
 		key := it.Key()
-		if pw := t.pending(table, key); pw != nil {
-			continue // own write overrides; merged below
+		if len(c.buf) == cap(c.buf) {
+			// Chunk full with keys left: the next chunk starts at key.
+			if c.desc {
+				c.hi = last
+			} else {
+				c.lo = key
+			}
+			c.more = true
+			return
+		}
+		last = key
+		if pw, ok := written[key]; ok && !pw.removed {
+			continue // own write overrides; merged from c.own
 		}
 		if vr := it.Value().(*chain).visibleAt(t.snapshot); vr != nil {
-			out = append(out, KV{Key: key, Row: append([]any(nil), vr.row...)})
+			c.buf = append(c.buf, KV{Key: key, Row: vr.row})
 		}
 	}
-	tb.mu.RUnlock()
-	t.e.mu.RUnlock()
+}
 
-	// Overlay this transaction's own writes in the range.
-	if m := t.writes[table]; len(m) > 0 {
-		for key, pw := range m {
-			if pw.removed || pw.op == writeset.OpDelete {
-				continue
-			}
-			if key < lo || (hi != "" && key >= hi) {
-				continue
-			}
-			out = append(out, KV{Key: key, Row: append([]any(nil), pw.row...)})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+// Next advances to the next visible row and reports whether there is
+// one; after it returns false, Err tells whether the scan failed.
+func (c *Cursor) Next() bool {
+	if c.i == len(c.buf) && c.more {
+		c.fill()
 	}
-	return out, nil
+	if c.err != nil {
+		return false
+	}
+	if c.i < len(c.buf) && (len(c.own) == 0 || (c.buf[c.i].Key < c.own[0].Key) != c.desc) {
+		c.cur = c.buf[c.i]
+		c.i++
+		return true
+	}
+	if len(c.own) == 0 {
+		return false
+	}
+	c.cur, c.own = c.own[0], c.own[1:]
+	return true
+}
+
+// KV returns the row at the current position.
+func (c *Cursor) KV() KV { return c.cur }
+
+// Err returns the error that ended the scan, if any.
+func (c *Cursor) Err() error { return c.err }
+
+// ScanRange returns the rows visible to this transaction with encoded
+// primary keys in [lo, hi), in key order. Empty lo scans from the
+// start; empty hi scans to the end. The rows are shared (see Txn).
+func (t *Txn) ScanRange(table, lo, hi string) ([]KV, error) {
+	var out []KV
+	c := t.Cursor(table, lo, hi, false)
+	for c.Next() {
+		out = append(out, c.cur)
+	}
+	return out, c.err
 }
 
 // ScanAll returns every row visible to this transaction, in key order.
@@ -290,7 +402,7 @@ func (t *Txn) ScanAll(table string) ([]KV, error) {
 
 // ScanIndexEq returns the visible rows whose indexed column equals
 // val, using the named secondary index, in primary-key order within
-// equal values.
+// equal values. The rows are shared (see Txn).
 func (t *Txn) ScanIndexEq(table, index string, val any) ([]KV, error) {
 	if t.finished {
 		return nil, ErrTxnFinished
@@ -327,7 +439,7 @@ func (t *Txn) ScanIndexEq(table, index string, val any) ([]KV, error) {
 		vr := cv.(*chain).visibleAt(t.snapshot)
 		// The index is a superset over versions: re-check the value.
 		if vr != nil && ValuesEqual(vr.row[col], val) {
-			out = append(out, KV{Key: pk, Row: append([]any(nil), vr.row...)})
+			out = append(out, KV{Key: pk, Row: vr.row})
 		}
 	}
 	tb.mu.RUnlock()
@@ -339,7 +451,7 @@ func (t *Txn) ScanIndexEq(table, index string, val any) ([]KV, error) {
 				continue
 			}
 			if ValuesEqual(pw.row[col], val) {
-				out = append(out, KV{Key: key, Row: append([]any(nil), pw.row...)})
+				out = append(out, KV{Key: key, Row: pw.row})
 			}
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

@@ -125,13 +125,25 @@ func CompareValues(a, b any) int {
 }
 
 // ValuesEqual reports typed equality with numeric coercion between
-// int64 and float64.
+// int64 and float64. Values of different kinds are unequal; two NULLs
+// are equal.
 func ValuesEqual(a, b any) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+	switch av := a.(type) {
+	case nil:
+		return b == nil
+	case int64, float64:
+		switch b.(type) {
+		case int64, float64:
+			return CompareValues(a, b) == 0
+		}
+	case string:
+		bv, ok := b.(string)
+		return ok && av == bv
+	case bool:
+		bv, ok := b.(bool)
+		return ok && av == bv
 	}
-	defer func() { recover() }()
-	return CompareValues(a, b) == 0
+	return false
 }
 
 // EncodeValue appends an order-preserving encoding of v to dst:
@@ -184,7 +196,8 @@ func EncodeValue(dst []byte, v any) []byte {
 // EncodeKey encodes a composite key as a single order-preserving
 // string. The result is the storage engine's row identifier.
 func EncodeKey(vals ...any) string {
-	var dst []byte
+	var buf [64]byte // on the stack: most keys are one or two integers
+	dst := buf[:0]
 	for _, v := range vals {
 		dst = EncodeValue(dst, v)
 	}

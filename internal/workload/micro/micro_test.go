@@ -6,6 +6,7 @@ import (
 
 	"sconrep/internal/cluster"
 	"sconrep/internal/core"
+	"sconrep/internal/sql"
 	"sconrep/internal/storage"
 )
 
@@ -32,6 +33,24 @@ func TestLoadDeterministic(t *testing.T) {
 	_ = Load(b, smallScale())
 	if a.Version() != b.Version() {
 		t.Fatal("versions differ")
+	}
+}
+
+// TestStatementPlans pins the micro-benchmark's eight statements to
+// primary-key point lookups.
+func TestStatementPlans(t *testing.T) {
+	e := storage.NewEngine()
+	if err := Load(e, smallScale()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < NumTables; i++ {
+		want := "pk-point on " + tableName(i) + " where (id = ?)"
+		for _, st := range []*sql.Prepared{readStmts[i], updateStmts[i]} {
+			got, err := sql.Explain(e, st.Stmt, []any{int64(1)})
+			if err != nil || got != want {
+				t.Errorf("%s: plan %q (%v), want %q", st.SQL, got, err, want)
+			}
+		}
 	}
 }
 
