@@ -50,16 +50,15 @@ lint:
 update-schema:
 	$(GO) run ./cmd/sconrep-vet -update-schema ./...
 
-# The same gate CI runs (.github/workflows/ci.yml): build, vet,
-# sconrep-vet, formatting (fails on any unformatted file), tests, race
-# tests. Vetting benchmark/ is a compile check of the frozen nested
-# module, which ./... does not reach: an API break it would not survive
-# (a changed Begin or Dispatch signature) fails here, not only in the
-# separate bench-e2e-smoke step.
-ci:
+# The same gate CI runs (.github/workflows/ci.yml): the end-to-end
+# benchmark smoke, then build, vet, sconrep-vet, formatting (fails on
+# any unformatted file), tests, race tests. benchmark/ is a frozen
+# nested module ./... does not reach; bench-e2e-smoke starts by vetting
+# it, so an API break it would not survive (a changed Begin or Dispatch
+# signature) is the first thing this target reports.
+ci: bench-e2e-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) -C benchmark vet ./...
 	$(GO) run ./cmd/sconrep-vet -strict ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi

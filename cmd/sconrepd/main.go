@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -26,16 +27,14 @@ import (
 	"strings"
 	"time"
 
-	"sconrep/internal/certifier"
+	"sconrep/internal/cluster"
 	"sconrep/internal/core"
 	"sconrep/internal/obs"
 	"sconrep/internal/obs/dtrace"
-	"sconrep/internal/pstore"
 	"sconrep/internal/replica"
 	"sconrep/internal/shard"
 	"sconrep/internal/sql"
 	"sconrep/internal/storage"
-	"sconrep/internal/wal"
 	"sconrep/internal/wire"
 )
 
@@ -72,43 +71,68 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	wireOpts := []wire.Option{
-		wire.WithTimeouts(wire.Timeouts{Call: *callTimeout, LongPoll: *longPollTimeout, Idle: *streamIdle}),
-		wire.WithBackoff(wire.Backoff{Min: *backoffMin, Max: *backoffMax}),
+	ncfg := cluster.NetConfig{
+		Timeouts:    wire.Timeouts{Call: *callTimeout, LongPoll: *longPollTimeout, Idle: *streamIdle},
+		Backoff:     wire.Backoff{Min: *backoffMin, Max: *backoffMax},
+		StreamGrace: *streamGrace,
+		SubLease:    *subLease,
 	}
 
 	switch *role {
 	case "certifier":
-		runCertifier(*listen, *walPath, *eager, *obsAddr, smap, append(wireOpts, wire.WithSubLease(*subLease)))
+		_, _, err = runCertifier(cluster.CertifierConfig{
+			Listen:  *listen,
+			Shards:  smap,
+			Eager:   *eager,
+			WALPath: *walPath,
+			Net:     ncfg,
+		}, *obsAddr)
 	case "replica":
-		served, err := parseShardList(*serveShards)
-		if err != nil {
+		cfg := cluster.ReplicaConfig{
+			Replica:         replica.Config{ID: *id, EarlyCert: true},
+			Listen:          *listen,
+			Certifier:       *certAddr,
+			DataDir:         *dataDir,
+			CheckpointEvery: *checkpointEvery,
+			Shards:          smap,
+			MaxLag:          *obsMaxLag,
+			Net:             ncfg,
+		}
+		if *bootstrap != "" {
+			cfg.Bootstrap = func(e *storage.Engine) error { return loadBootstrap(e, *bootstrap) }
+		}
+		if cfg.ServeShards, err = parseShardList(*serveShards, ","); err != nil {
 			log.Fatalf("-serve-shards: %v", err)
 		}
-		runReplica(*listen, *id, *certAddr, *bootstrap, *dataDir, *checkpointEvery, *obsAddr, *obsMaxLag, *streamGrace, smap, served, wireOpts)
+		_, _, err = runReplica(cfg, *obsAddr)
 	case "gateway":
-		served, err := parseReplicaShards(*replicaShards)
-		if err != nil {
+		cfg := cluster.GatewayConfig{Listen: *listen, Shards: smap, Net: ncfg}
+		if cfg.Mode, err = core.ParseMode(*modeFlag); err != nil {
+			log.Fatal(err)
+		}
+		if *replicasFlag != "" {
+			cfg.Replicas = strings.Split(*replicasFlag, ",")
+		}
+		if cfg.ReplicaShards, err = parseReplicaShards(*replicaShards); err != nil {
 			log.Fatalf("-replica-shards: %v", err)
 		}
-		runGateway(*listen, *modeFlag, *replicasFlag, *obsAddr, smap, served, wireOpts)
+		_, _, err = runGateway(cfg, *obsAddr)
 	case "client":
-		runClient(*connect, *session, wireOpts)
+		runClient(*connect, *session, ncfg)
+		return
 	default:
 		log.Fatalf("unknown -role %q (want certifier, replica, gateway, or client)", *role)
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	select {}
 }
 
-// buildShardMap turns the -shards / -shard-tables flags into a shard
-// map; nil when sharding is off (n <= 1).
+// buildShardMap turns the -shards / -shard-tables flags into the
+// deployment's shard map; the default is the one-shard map. An entry
+// naming a shard outside [0, n) is refused.
 func buildShardMap(n int, tablesSpec string) (*shard.Map, error) {
-	if n <= 1 {
-		if tablesSpec != "" {
-			return nil, fmt.Errorf("-shard-tables requires -shards > 1")
-		}
-		return nil, nil
-	}
 	assign := map[string]int{}
 	if tablesSpec != "" {
 		for _, pair := range strings.Split(tablesSpec, ",") {
@@ -126,13 +150,14 @@ func buildShardMap(n int, tablesSpec string) (*shard.Map, error) {
 	return shard.New(n, assign)
 }
 
-// parseShardList parses a comma-separated shard ID list; nil for "".
-func parseShardList(spec string) ([]int, error) {
+// parseShardList parses a list of shard IDs separated by sep; nil for
+// "".
+func parseShardList(spec, sep string) ([]int, error) {
 	if spec == "" {
 		return nil, nil
 	}
 	var out []int
-	for _, f := range strings.Split(spec, ",") {
+	for _, f := range strings.Split(spec, sep) {
 		s, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			return nil, err
@@ -158,263 +183,61 @@ func parseReplicaShards(spec string) (map[int][]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		var served []int
-		for _, f := range strings.Split(shardsStr, "+") {
-			s, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return nil, err
-			}
-			served = append(served, s)
+		if out[idx], err = parseShardList(shardsStr, "+"); err != nil {
+			return nil, err
 		}
-		out[idx] = served
 	}
 	return out, nil
 }
 
-// serveObs starts the observability endpoint, fatally on bind errors
-// (a requested but unserved endpoint is worse than no endpoint).
-func serveObs(addr, role string, o obs.Options) {
-	srv, err := obs.Serve(addr, o)
+// node is what the handles of the three server roles share.
+type node interface {
+	EnableObs(*obs.Registry) obs.Options
+	Close() error
+}
+
+// serveObs starts n's observability endpoint on addr when one was
+// asked for (nil otherwise). A bind error stops the node: a requested
+// but unserved endpoint is worse than no endpoint.
+func serveObs(n node, role, addr string) (*obs.Server, error) {
+	if addr == "" {
+		return nil, nil
+	}
+	srv, err := obs.Serve(addr, n.EnableObs(obs.NewRegistry()))
 	if err != nil {
-		log.Fatalf("obs: %v", err)
+		n.Close()
+		return nil, fmt.Errorf("obs: %w", err)
 	}
 	log.Printf("%s observability on http://%s (/metrics /healthz /traces /debug/pprof)", role, srv.Addr())
+	return srv, nil
 }
 
-func runCertifier(listen, walPath string, eager bool, obsAddr string, smap *shard.Map, wireOpts []wire.Option) {
-	var opts []certifier.Option
-	if smap != nil {
-		opts = append(opts, certifier.WithShards(smap))
-	}
-	if eager {
-		opts = append(opts, certifier.WithEager())
-	}
-	if walPath == "" {
-		serveCertifier(certifier.New(opts...), listen, obsAddr, wireOpts)
-		return
-	}
-	cert, err := openCertifier(walPath, opts)
+func runCertifier(cfg cluster.CertifierConfig, obsAddr string) (*cluster.CertifierNode, *obs.Server, error) {
+	n, err := cluster.StartCertifier(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
-	serveCertifier(cert, listen, obsAddr, wireOpts)
+	log.Printf("certifier serving on %s (version %d)", n.Addr(), n.Cert.Version())
+	srv, err := serveObs(n, "certifier", obsAddr)
+	return n, srv, err
 }
 
-// openCertifier builds a certifier on the decision log at walPath:
-// prior decisions are recovered in one replay, new ones append to the
-// same file. A crash can leave a torn final frame; the replay reports
-// the valid prefix and the file is truncated to it, so the log appends
-// cleanly instead of burying new records behind garbage. A replay error
-// returns before the file is touched.
-func openCertifier(walPath string, opts []certifier.Option) (_ *certifier.Certifier, err error) {
-	// Append mode: opening writes nothing until the first decision.
-	l, err := wal.Open(walPath)
+func runReplica(cfg cluster.ReplicaConfig, obsAddr string) (*cluster.ReplicaNode, *obs.Server, error) {
+	if cfg.Certifier == "" {
+		return nil, nil, errors.New("replica role requires -certifier")
+	}
+	n, err := cluster.StartReplica(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer func() {
-		if err != nil {
-			l.Close()
-		}
-	}()
-	cert := certifier.New(append(opts, certifier.WithWAL(l))...)
-	var valid int64
-	err = cert.RestoreFromWAL(func(fn func(*wal.Record) error) error {
-		var err error
-		valid, err = wal.ReplayFileN(walPath, fn)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("wal replay: %w", err)
-	}
-	fi, err := os.Stat(walPath)
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() > valid {
-		log.Printf("wal: discarding torn tail (%d of %d bytes valid)", valid, fi.Size())
-		if err := os.Truncate(walPath, valid); err != nil {
-			return nil, fmt.Errorf("wal truncate: %w", err)
-		}
-	}
-	return cert, nil
-}
-
-func serveCertifier(cert *certifier.Certifier, listen, obsAddr string, wireOpts []wire.Option) {
-	srv, err := wire.ServeCertifier(cert, listen, wireOpts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if obsAddr != "" {
-		reg := obs.NewRegistry()
-		cert.EnableObs(reg)
-		srv.EnableObs(reg)
-		coll := dtrace.NewCollector(4096)
-		cert.EnableTracing(dtrace.New("certifier", coll))
-		serveObs(obsAddr, "certifier", obs.Options{
-			Registry: reg,
-			Spans:    coll,
-			Health: func() obs.Health {
-				return obs.Health{Ready: true, Role: "certifier", Detail: map[string]any{
-					"version":  cert.Version(),
-					"replicas": len(cert.Replicas()),
-				}}
-			},
-		})
-	}
-	log.Printf("certifier serving on %s (version %d)", srv.Addr(), cert.Version())
-	select {}
-}
-
-func runReplica(listen string, id int, certAddr, bootstrap, dataDir string, checkpointEvery uint64, obsAddr string, maxLag uint64, streamGrace time.Duration, smap *shard.Map, served []int, wireOpts []wire.Option) {
-	if certAddr == "" {
-		log.Fatal("replica role requires -certifier")
-	}
-	if served != nil && smap == nil {
-		log.Fatal("-serve-shards requires -shards > 1 (and the same -shard-tables as the certifier)")
-	}
-	var backend storage.Backend
-	var st *pstore.Store
-	if dataDir != "" {
-		// Durable replica: restore the newest verifying fuzzy checkpoint
-		// plus the contiguous WAL suffix; a wiped directory re-runs the
-		// bootstrap. Whatever the disk is missing, the certifier
-		// backfills on resubscription.
-		var boot func(e *storage.Engine) error
-		if bootstrap != "" {
-			boot = func(e *storage.Engine) error { return loadBootstrap(e, bootstrap) }
-		}
-		var err error
-		st, err = pstore.Open(dataDir, pstore.Options{
-			CheckpointEvery: checkpointEvery,
-			Bootstrap:       boot,
-		})
-		if err != nil {
-			log.Fatalf("data-dir: %v", err)
-		}
-		defer st.Close()
+	if st := n.Store(); st != nil {
 		stats := st.Stats()
 		log.Printf("replica %d recovered to version %d from %s (checkpoint %d, took %s)",
-			id, st.Engine().Version(), dataDir, stats.CheckpointVersion, stats.RecoveryTook)
-		backend = st
-	} else {
-		eng := storage.NewEngine()
-		if bootstrap != "" {
-			if err := loadBootstrap(eng, bootstrap); err != nil {
-				log.Fatalf("bootstrap: %v", err)
-			}
-		}
-		backend = storage.MemBackend{Eng: eng}
+			cfg.Replica.ID, n.Replica.Version(), cfg.DataDir, stats.CheckpointVersion, stats.RecoveryTook)
 	}
-	eng := backend.Engine()
-	cc := wire.DialCertifier(certAddr, id, eng.Version(),
-		append(wireOpts, wire.WithVLocal(eng.Version), wire.WithShards(served))...)
-	rep := replica.NewWithBackend(replica.Config{ID: id, EarlyCert: true}, backend, cc)
-	// Serve gate: while the refresh stream has been dead longer than the
-	// grace (or the replica is still catching up to the version floor it
-	// saw at resubscribe), requests carrying a begin header fail with
-	// ErrUnavailable and the gateway routes elsewhere — a partitioned replica must not
-	// serve possibly stale strong reads.
-	gate := func() error {
-		if cc.Ready(streamGrace) {
-			return nil
-		}
-		return wire.ErrUnavailable
-	}
-	srv, err := wire.ServeReplica(rep, listen, append(wireOpts, wire.WithGate(gate))...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if obsAddr != "" {
-		reg := obs.NewRegistry()
-		tr := obs.NewTraceRecorder(512)
-		rep.EnableObs(reg, tr)
-		srv.EnableObs(reg)
-		if st != nil {
-			reg.GaugeFunc("sconrep_pstore_checkpoint_version",
-				"Version the last durable fuzzy checkpoint captured.",
-				func() float64 { return float64(st.Stats().CheckpointVersion) })
-			reg.GaugeFunc("sconrep_pstore_checkpoint_age_seconds",
-				"Seconds since the last durable fuzzy checkpoint (0 before the first).",
-				func() float64 {
-					at := st.Stats().LastCheckpointAt
-					if at.IsZero() {
-						return 0
-					}
-					return time.Since(at).Seconds()
-				})
-			reg.GaugeFunc("sconrep_pstore_checkpoint_seconds",
-				"Duration of the last fuzzy checkpoint write.",
-				func() float64 { return st.Stats().LastCheckpointTook.Seconds() })
-			reg.GaugeFunc("sconrep_pstore_wal_bytes",
-				"Live WAL footprint: bytes across the retained log segments.",
-				func() float64 { return float64(st.Stats().WALBytes) })
-			reg.GaugeFunc("sconrep_pstore_recovery_seconds",
-				"This process's startup recovery time: checkpoint restore plus WAL suffix replay.",
-				func() float64 { return st.Stats().RecoveryTook.Seconds() })
-		}
-		coll := dtrace.NewCollector(4096)
-		rep.EnableTracing(dtrace.New(fmt.Sprintf("replica-%d", id), coll))
-		serveObs(obsAddr, "replica", obs.Options{
-			Registry: reg,
-			Traces:   tr,
-			Spans:    coll,
-			// Readiness is replication lag, measured per table: the
-			// certifier's last committed version for each table against
-			// this replica's applied version of it. The worst table
-			// governs — a scalar version delta over-reports lag when the
-			// missing versions only touch tables this replica already has
-			// current (e.g. after a refresh batch applied out of a larger
-			// backlog). A crashed replica or one whose worst table lags
-			// more than maxLag versions is unready.
-			Health: func() obs.Health {
-				vlocal := rep.Version()
-				serving := cc.Ready(streamGrace)
-				detail := map[string]any{"replica": id, "vlocal": vlocal, "crashed": rep.Crashed(), "serving": serving}
-				ready := !rep.Crashed() && serving
-				if certTV, err := cc.TableVersions(); err != nil {
-					detail["certifier_error"] = err.Error()
-					ready = false
-				} else {
-					// A partial subscription deliberately never applies
-					// unserved tables' data; their lag is meaningless and
-					// would otherwise grow without bound.
-					if served != nil {
-						for t := range certTV {
-							if !shard.Covers(served, []int{smap.Of(t)}) {
-								delete(certTV, t)
-							}
-						}
-					}
-					names := make([]string, 0, len(certTV))
-					for t := range certTV {
-						names = append(names, t)
-					}
-					engTV := eng.TableVersionsAt(names, vlocal)
-					lags := make(map[string]uint64, len(certTV))
-					var maxTableLag uint64
-					for t, cv := range certTV {
-						var lag uint64
-						if lv := engTV[t]; cv > lv {
-							lag = cv - lv
-						}
-						lags[t] = lag
-						if lag > maxTableLag {
-							maxTableLag = lag
-						}
-					}
-					detail["table_lag"] = lags
-					detail["lag"] = maxTableLag
-					if maxTableLag > maxLag {
-						ready = false
-					}
-				}
-				return obs.Health{Ready: ready, Role: "replica", Detail: detail}
-			},
-		})
-	}
-	log.Printf("replica %d serving on %s (bootstrapped at version %d)", id, srv.Addr(), eng.Version())
-	select {}
+	log.Printf("replica %d serving on %s (bootstrapped at version %d)", cfg.Replica.ID, n.Addr(), n.Replica.Version())
+	srv, err := serveObs(n, "replica", obsAddr)
+	return n, srv, err
 }
 
 // loadBootstrap executes semicolon-terminated statements from a file.
@@ -440,54 +263,24 @@ func loadBootstrap(eng *storage.Engine, path string) error {
 	return nil
 }
 
-func runGateway(listen, modeFlag, replicasFlag, obsAddr string, smap *shard.Map, served map[int][]int, wireOpts []wire.Option) {
-	mode, err := core.ParseMode(modeFlag)
+func runGateway(cfg cluster.GatewayConfig, obsAddr string) (*cluster.GatewayNode, *obs.Server, error) {
+	if len(cfg.Replicas) == 0 {
+		return nil, nil, errors.New("gateway role requires -replicas")
+	}
+	n, err := cluster.StartGateway(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
-	if replicasFlag == "" {
-		log.Fatal("gateway role requires -replicas")
-	}
-	if served != nil && smap == nil {
-		log.Fatal("-replica-shards requires -shards > 1 (and the same -shard-tables as the certifier)")
-	}
-	addrs := strings.Split(replicasFlag, ",")
-	gw, err := wire.ServeGateway(listen, mode, addrs, wireOpts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if smap != nil {
-		gw.Balancer().SetShardRouting(smap, served)
-	}
-	if obsAddr != "" {
-		reg := obs.NewRegistry()
-		gw.EnableObs(reg)
-		coll := dtrace.NewCollector(4096)
-		gw.Balancer().EnableTracing(dtrace.New("gateway", coll))
-		serveObs(obsAddr, "gateway", obs.Options{
-			Registry: reg,
-			Spans:    coll,
-			// The gateway is ready while it has at least one live
-			// replica to route to.
-			Health: func() obs.Health {
-				live := gw.Balancer().LiveReplicas()
-				return obs.Health{Ready: live > 0, Role: "gateway", Detail: map[string]any{
-					"mode":          mode.String(),
-					"live_replicas": live,
-					"replicas":      len(addrs),
-				}}
-			},
-		})
-	}
-	log.Printf("gateway serving on %s, mode %s, %d replicas", gw.Addr(), mode, len(addrs))
-	select {}
+	log.Printf("gateway serving on %s, mode %s, %d replicas", n.Addr(), cfg.Mode, len(cfg.Replicas))
+	srv, err := serveObs(n, "gateway", obsAddr)
+	return n, srv, err
 }
 
-func runClient(connect, session string, wireOpts []wire.Option) {
+func runClient(connect, session string, ncfg cluster.NetConfig) {
 	if connect == "" {
 		log.Fatal("client role requires -connect")
 	}
-	c, err := wire.Dial(connect, session, wireOpts...)
+	c, err := wire.Dial(connect, session, wire.WithTimeouts(ncfg.Timeouts), wire.WithBackoff(ncfg.Backoff))
 	if err != nil {
 		log.Fatal(err)
 	}

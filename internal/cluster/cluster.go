@@ -105,8 +105,6 @@ type Cluster struct {
 	// tracer mints client.txn root spans; nil until EnableDTrace (set
 	// before traffic, so plain field access suffices).
 	tracer *dtrace.Tracer
-	// spanColls holds the per-component span collectors by node name.
-	spanColls map[string]*dtrace.Collector
 
 	// smu guards stores: RestartReplica swaps entries while obs
 	// scrapes read them.
@@ -123,69 +121,60 @@ type Cluster struct {
 	recoveryHist *obs.Histogram
 }
 
-// store returns replica i's persistent backend (nil for in-memory).
-func (c *Cluster) store(i int) *pstore.Store {
+// Store returns replica i's persistent backend, nil for in-memory
+// replicas. The store is live: CheckpointNow forces a fuzzy
+// checkpoint, and KillReplica/RestartReplica abandon and replace it.
+func (c *Cluster) Store(i int) *pstore.Store {
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	return c.stores[i]
 }
 
-// Store returns replica i's persistent backend, nil for in-memory
-// replicas. The store is live: CheckpointNow forces a fuzzy
-// checkpoint, and KillReplica/RestartReplica abandon and replace it.
-func (c *Cluster) Store(i int) *pstore.Store { return c.store(i) }
-
-// storeDir is replica i's data directory under Config.DataDir.
+// storeDir is replica i's data directory under Config.DataDir; empty
+// for an in-memory cluster.
 func (c *Cluster) storeDir(i int) string {
+	if c.cfg.DataDir == "" {
+		return ""
+	}
 	return filepath.Join(c.cfg.DataDir, fmt.Sprintf("replica-%d", i))
 }
 
-// openStore opens replica i's persistent backend. boot is nil on
-// first construction (LoadData populates and aligns the store) and
-// the saved LoadData function on restart (recovery re-runs it when
-// the directory holds no checkpoint).
-func (c *Cluster) openStore(i int, boot func(e *storage.Engine) error) (*pstore.Store, error) {
-	return pstore.Open(c.storeDir(i), pstore.Options{
-		CheckpointEvery: c.cfg.CheckpointEvery,
-		Bootstrap:       boot,
-	})
+// certifierConfig validates cfg and derives the certifier's
+// configuration from it. An unsharded cluster is the one-shard
+// configuration.
+func (cfg Config) certifierConfig() (CertifierConfig, error) {
+	if cfg.Replicas < 1 || cfg.Replicas > 64 {
+		return CertifierConfig{}, fmt.Errorf("cluster: replica count %d out of range [1,64]", cfg.Replicas)
+	}
+	smap, err := shard.New(max(cfg.Shards, 1), cfg.ShardTables)
+	if err != nil {
+		return CertifierConfig{}, fmt.Errorf("cluster: %w", err)
+	}
+	if cfg.ReplicaShards != nil && len(cfg.ReplicaShards) != cfg.Replicas {
+		return CertifierConfig{}, fmt.Errorf("cluster: ReplicaShards has %d entries for %d replicas", len(cfg.ReplicaShards), cfg.Replicas)
+	}
+	for i, served := range cfg.ReplicaShards {
+		if err := checkShards(fmt.Sprintf("ReplicaShards[%d]", i), served, smap.N()); err != nil {
+			return CertifierConfig{}, err
+		}
+	}
+	return CertifierConfig{
+		Shards:  smap,
+		Eager:   cfg.Mode == core.Eager,
+		WAL:     cfg.WAL,
+		Latency: latency.NewSource(cfg.Latency, cfg.Seed),
+	}, nil
 }
 
 // newCore builds the pieces shared by the in-process and networked
-// deployments: certifier, collector, recorder, client latency sources.
-func newCore(cfg Config) (*Cluster, error) {
-	log := cfg.WAL
-	if log == nil {
-		log = wal.NewMemory()
-	}
-	certOpts := []certifier.Option{
-		certifier.WithWAL(log),
-		certifier.WithLatency(latency.NewSource(cfg.Latency, cfg.Seed)),
-	}
-	if cfg.Mode == core.Eager {
-		certOpts = append(certOpts, certifier.WithEager())
-	}
-	// An unsharded cluster is the one-shard configuration.
-	nShards := max(cfg.Shards, 1)
-	smap, err := shard.New(nShards, cfg.ShardTables)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	certOpts = append(certOpts, certifier.WithShards(smap))
-	if cfg.ReplicaShards != nil && len(cfg.ReplicaShards) != cfg.Replicas {
-		return nil, fmt.Errorf("cluster: ReplicaShards has %d entries for %d replicas", len(cfg.ReplicaShards), cfg.Replicas)
-	}
-	for i, served := range cfg.ReplicaShards {
-		for _, id := range served {
-			if id < 0 || id >= nShards {
-				return nil, fmt.Errorf("cluster: ReplicaShards[%d] names shard %d, want [0,%d)", i, id, nShards)
-			}
-		}
-	}
+// deployments around their certifier: collector, recorder, client
+// latency sources.
+func newCore(cfg Config, cert *certifier.Certifier) *Cluster {
 	c := &Cluster{
-		cfg:  cfg,
-		cert: certifier.New(certOpts...),
-		coll: metrics.NewCollector(),
+		cfg:    cfg,
+		cert:   cert,
+		coll:   metrics.NewCollector(),
+		stores: make([]*pstore.Store, cfg.Replicas),
 		clientLat: func(seed int64) *latency.Source {
 			return latency.NewSource(cfg.Latency, cfg.Seed^seed)
 		},
@@ -193,7 +182,16 @@ func newCore(cfg Config) (*Cluster, error) {
 	if cfg.RecordHistory {
 		c.rec = history.NewRecorder()
 	}
-	return c, nil
+	return c
+}
+
+// replicaConfig is replica i's proxy configuration.
+func (c *Cluster) replicaConfig(i int) replica.Config {
+	return replica.Config{
+		ID:        i,
+		EarlyCert: !c.cfg.DisableEarlyCert,
+		Latency:   latency.NewSource(c.cfg.Latency, c.cfg.Seed+int64(i)*7919+1),
+	}
 }
 
 // replicaShards returns replica i's subscription shard set (nil = all).
@@ -204,11 +202,12 @@ func (c *Cluster) replicaShards(i int) []int {
 	return c.cfg.ReplicaShards[i]
 }
 
-// shardRouting wires the balancer's shard-aware dispatch when the
-// cluster runs with partial replica subscriptions.
-func (c *Cluster) shardRouting(bal *lb.LoadBalancer) {
+// servedShards is Config.ReplicaShards in the balancer's form (see
+// GatewayConfig.ReplicaShards): nil unless the cluster runs with partial
+// replica subscriptions.
+func (c *Cluster) servedShards() map[int][]int {
 	if c.cfg.ReplicaShards == nil {
-		return
+		return nil
 	}
 	served := make(map[int][]int, len(c.cfg.ReplicaShards))
 	for i, s := range c.cfg.ReplicaShards {
@@ -216,47 +215,36 @@ func (c *Cluster) shardRouting(bal *lb.LoadBalancer) {
 			served[i] = s
 		}
 	}
-	bal.SetShardRouting(c.cert.ShardMap(), served)
+	return served
 }
-
-// ShardOf returns the certification shard the table maps to.
-func (c *Cluster) ShardOf(table string) int { return c.cert.ShardMap().Of(table) }
 
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Replicas < 1 || cfg.Replicas > 64 {
-		return nil, fmt.Errorf("cluster: replica count %d out of range [1,64]", cfg.Replicas)
-	}
-	c, err := newCore(cfg)
+	ccfg, err := cfg.certifierConfig()
 	if err != nil {
 		return nil, err
 	}
+	cert, err := openCertifier(ccfg)
+	if err != nil {
+		return nil, err
+	}
+	c := newCore(cfg, cert)
 	nodes := make([]lb.Node, 0, cfg.Replicas)
-	c.stores = make([]*pstore.Store, cfg.Replicas)
 	for i := 0; i < cfg.Replicas; i++ {
-		rcfg := replica.Config{
-			ID:        i,
-			EarlyCert: !cfg.DisableEarlyCert,
-			Latency:   latency.NewSource(cfg.Latency, cfg.Seed+int64(i)*7919+1),
+		backend, err := openBackend(c.storeDir(i), cfg.CheckpointEvery, nil)
+		if err != nil {
+			c.Close()
+			return nil, err
 		}
-		cs := replica.LocalShards(c.cert, c.replicaShards(i))
-		var r *replica.Replica
-		if cfg.DataDir != "" {
-			st, err := c.openStore(i, nil)
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			c.stores[i] = st
-			r = replica.NewWithBackend(rcfg, st, cs)
-		} else {
-			r = replica.New(rcfg, storage.NewEngine(), cs)
-		}
+		c.stores[i], _ = backend.(*pstore.Store)
+		r := replica.NewWithBackend(c.replicaConfig(i), backend, replica.LocalShards(cert, c.replicaShards(i)))
 		c.replicas = append(c.replicas, r)
 		nodes = append(nodes, r)
 	}
 	c.balancer = lb.New(cfg.Mode, nodes)
-	c.shardRouting(c.balancer)
+	if served := c.servedShards(); served != nil {
+		c.balancer.SetShardRouting(ccfg.Shards, served)
+	}
 	return c, nil
 }
 
@@ -306,7 +294,7 @@ func (c *Cluster) LoadData(load func(e *storage.Engine) error) error {
 // replicas it is plain Crash.
 func (c *Cluster) KillReplica(i int) {
 	c.replicas[i].Crash()
-	if st := c.store(i); st != nil {
+	if st := c.Store(i); st != nil {
 		st.Abandon()
 	}
 }
@@ -327,10 +315,13 @@ func (c *Cluster) RestartReplica(i int) error {
 	}
 	boot := c.loadFn
 	c.smu.Unlock()
-	st, err := c.openStore(i, boot)
+	// boot re-runs the LoadData function when the directory holds no
+	// checkpoint.
+	backend, err := openBackend(c.storeDir(i), c.cfg.CheckpointEvery, boot)
 	if err != nil {
 		return err
 	}
+	st := backend.(*pstore.Store)
 	c.smu.Lock()
 	c.stores[i] = st
 	hist := c.recoveryHist
@@ -348,8 +339,7 @@ func (c *Cluster) RestartReplica(i int) error {
 // ExecSchemaAll applies a DDL statement (CREATE TABLE / CREATE INDEX)
 // to every replica's engine. Schema changes are not replicated through
 // the commit protocol and bump no versions; this is the cluster-level
-// twin of sconrep.DB.ExecSchema, used by the staleness probe to roll
-// out its sentinel table.
+// twin of sconrep.DB.ExecSchema.
 func (c *Cluster) ExecSchemaAll(q string) error {
 	for i, r := range c.replicas {
 		e := r.Engine()
@@ -397,26 +387,16 @@ func (c *Cluster) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 	for i, r := range c.replicas {
 		r.EnableObs(reg, tr)
 		r.OnReadStartDelay(func(d time.Duration) { readDelay.Observe(d) })
-		r := r
+		served := c.replicaShards(i)
 		reg.GaugeVecFunc("sconrep_replica_table_lag",
-			"Replication lag per table: the certifier's last committed version for the table minus this replica's applied version of it.",
+			"Replication lag per table: the certifier's last committed version for the table minus this replica's applied version of it, over the tables of the shards the replica subscribes to.",
 			"table", func() map[string]float64 {
 				// Resolve the engine at scrape time: a disk restart
 				// swaps it.
-				eng := r.Engine()
-				certTV := c.cert.TableVersions()
-				names := make([]string, 0, len(certTV))
-				for t := range certTV {
-					names = append(names, t)
-				}
-				engTV := eng.TableVersionsAt(names, eng.Version())
-				out := make(map[string]float64, len(certTV))
-				for t, cv := range certTV {
-					if lv := engTV[t]; cv > lv {
-						out[t] = float64(cv - lv)
-					} else {
-						out[t] = 0
-					}
+				lags := tableLag(c.cert.TableVersions(), r.Engine(), c.cert.ShardMap(), served)
+				out := make(map[string]float64, len(lags))
+				for t, lag := range lags {
+					out[t] = float64(lag)
 				}
 				return out
 			}, "replica", strconv.Itoa(i))
@@ -426,58 +406,16 @@ func (c *Cluster) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 }
 
 // enableStoreObs registers the durable-storage instruments: per
-// replica, the checkpoint's age and write duration and the live WAL
-// footprint, plus one recovery-time histogram fed by RestartReplica.
-// No-op for in-memory clusters.
+// replica, the store's gauges, plus one recovery-time histogram fed by
+// RestartReplica. No-op for in-memory clusters.
 func (c *Cluster) enableStoreObs(reg *obs.Registry) {
 	durable := false
 	for i := range c.replicas {
-		if c.store(i) == nil {
+		if c.Store(i) == nil {
 			continue
 		}
 		durable = true
-		i := i
-		id := strconv.Itoa(i)
-		reg.GaugeFunc("sconrep_pstore_checkpoint_version",
-			"Version the last durable fuzzy checkpoint captured.",
-			func() float64 {
-				st := c.store(i)
-				if st == nil {
-					return 0
-				}
-				return float64(st.Stats().CheckpointVersion)
-			}, "replica", id)
-		reg.GaugeFunc("sconrep_pstore_checkpoint_age_seconds",
-			"Seconds since this replica's last durable fuzzy checkpoint (0 before the first).",
-			func() float64 {
-				st := c.store(i)
-				if st == nil {
-					return 0
-				}
-				at := st.Stats().LastCheckpointAt
-				if at.IsZero() {
-					return 0
-				}
-				return time.Since(at).Seconds()
-			}, "replica", id)
-		reg.GaugeFunc("sconrep_pstore_checkpoint_seconds",
-			"Duration of this replica's last fuzzy checkpoint write.",
-			func() float64 {
-				st := c.store(i)
-				if st == nil {
-					return 0
-				}
-				return st.Stats().LastCheckpointTook.Seconds()
-			}, "replica", id)
-		reg.GaugeFunc("sconrep_pstore_wal_bytes",
-			"Live WAL footprint: bytes across this replica's retained log segments.",
-			func() float64 {
-				st := c.store(i)
-				if st == nil {
-					return 0
-				}
-				return float64(st.Stats().WALBytes)
-			}, "replica", id)
+		storeGauges(reg, func() *pstore.Store { return c.Store(i) }, "replica", strconv.Itoa(i))
 	}
 	if durable {
 		hist := reg.Histogram("sconrep_pstore_recovery_seconds",
@@ -501,10 +439,10 @@ func (c *Cluster) enableStoreObs(reg *obs.Registry) {
 // multi-process deployment; serve them via obs.Options.Spans and
 // stitch with sconrep-cli trace. Call after New, before traffic.
 func (c *Cluster) EnableDTrace(capacity int) map[string]*dtrace.Collector {
-	c.spanColls = make(map[string]*dtrace.Collector)
+	colls := make(map[string]*dtrace.Collector)
 	mk := func(node string) *dtrace.Tracer {
 		coll := dtrace.NewCollector(capacity)
-		c.spanColls[node] = coll
+		colls[node] = coll
 		return dtrace.New(node, coll)
 	}
 	c.tracer = mk("client")
@@ -513,12 +451,8 @@ func (c *Cluster) EnableDTrace(capacity int) map[string]*dtrace.Collector {
 	for i, r := range c.replicas {
 		r.EnableTracing(mk(fmt.Sprintf("replica-%d", i)))
 	}
-	return c.spanColls
+	return colls
 }
-
-// SpanCollectors returns the per-node span collectors (nil before
-// EnableDTrace).
-func (c *Cluster) SpanCollectors() map[string]*dtrace.Collector { return c.spanColls }
 
 // clientSpan mints the client.txn root span for one transaction; nil
 // (a no-op span) when tracing is off.
@@ -568,7 +502,7 @@ func (c *Cluster) Balancer() *lb.LoadBalancer { return c.balancer }
 // down its servers and wire clients.
 func (c *Cluster) Close() {
 	if c.net != nil {
-		c.net.close(c)
+		c.net.close()
 	} else {
 		for _, r := range c.replicas {
 			r.Crash()

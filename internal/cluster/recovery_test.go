@@ -1,12 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
-	"sconrep/internal/certifier"
 	"sconrep/internal/core"
 	"sconrep/internal/wal"
 )
@@ -16,7 +15,12 @@ import (
 // from the log and verify it resumes exactly where the old one
 // stopped — same version, same conflict knowledge.
 func TestCertifierWALRecovery(t *testing.T) {
-	log := wal.NewMemory()
+	path := filepath.Join(t.TempDir(), "cert.wal")
+	log, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
 	c, err := New(Config{Replicas: 2, Mode: core.Coarse, Seed: 31, WAL: log})
 	if err != nil {
 		t.Fatal(err)
@@ -47,11 +51,9 @@ func TestCertifierWALRecovery(t *testing.T) {
 		t.Fatalf("no traffic: committed=%d version=%d", committed, oldVersion)
 	}
 
-	// "Crash" the certifier and restore a replacement from its log.
-	restored := certifier.New()
-	err = restored.RestoreFromWAL(func(fn func(*wal.Record) error) error {
-		return wal.Replay(bytes.NewReader(log.MemoryBytes()), fn)
-	})
+	// "Crash" the certifier and restore a replacement from its log, the
+	// way a restarting certifier node does.
+	restored, err := reopenCertifier(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -644,10 +644,6 @@ type Txn struct {
 	span, waits, wait *dtrace.ActiveSpan
 }
 
-// TraceContext returns the transaction's replica.txn span context
-// (zero when tracing is off).
-func (t *Txn) TraceContext() dtrace.SpanContext { return t.span.Context() }
-
 // outcome names how the transaction ended, as traces and spans record it.
 func (t *Txn) outcome() string {
 	if t.committed {

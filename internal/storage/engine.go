@@ -469,21 +469,6 @@ func (e *Engine) PublishVersion(v uint64) {
 	storeMax(&e.version, v)
 }
 
-// AdvanceEmpty advances the version counter without modifying data.
-// The proxy uses it when the certifier assigns a version to a
-// transaction whose writeset is not applied locally (never the case in
-// the current protocol, but required by recovery replay of aborted
-// slots) and by tests.
-func (e *Engine) AdvanceEmpty(atVersion uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v := e.version.Load(); atVersion != v+1 {
-		return fmt.Errorf("%w: engine at %d, advance to %d", ErrBadVersion, v, atVersion)
-	}
-	e.version.Store(atVersion)
-	return nil
-}
-
 // Vacuum drops row versions that are no longer visible to any
 // snapshot at or above keepVersion, and returns how many versions were
 // reclaimed. Chains whose only remaining version is a tombstone at or

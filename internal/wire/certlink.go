@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sconrep/internal/certifier"
-	"sconrep/internal/obs"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
 	"sconrep/internal/writeset"
@@ -180,40 +179,21 @@ func (r *certResponse) parse(d *writeset.Decoder) {
 func (r *certRequest) setSeq(n uint64) { r.Seq = n }
 func (r *certResponse) seq() uint64    { return r.Seq }
 
-// CertServer exposes a certifier on a TCP listener.
+// CertServer exposes a certifier on a TCP listener. Its request counter
+// also counts, as op="applied", the acknowledgment frames received on
+// subscription streams. Closing it leaves subscriptions to their
+// leases: a certifier server restart is indistinguishable from a
+// partition to the replicas, and they resubscribe the same way.
 type CertServer struct {
+	*server
 	cert *certifier.Certifier
-	ln   net.Listener
-	opts options
 
 	mu sync.Mutex
-	// closed refuses new connection tracking.
-	// guarded by mu
-	closed bool
-	// conns is the set of live connections.
-	// guarded by mu
-	conns map[net.Conn]struct{}
 	// streamGen numbers each replica's subscription streams so a
 	// superseded stream (the replica reconnected) never cancels its
 	// successor's subscription.
 	// guarded by mu
 	streamGen map[int]int
-
-	// obsReqs is set once by EnableObs, before traffic; nil-safe until
-	// then.
-	obsReqs atomic.Pointer[obs.CounterVec]
-}
-
-// EnableObs counts served requests per operation under
-// sconrep_wire_requests_total{link="certifier"} — and, as op="applied",
-// the acknowledgment frames received on subscription streams. Call
-// before traffic.
-func (s *CertServer) EnableObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.obsReqs.Store(reg.CounterVec("sconrep_wire_requests_total",
-		"Wire requests served, by link and operation.", "op", "link", "certifier"))
 }
 
 // ServeCertifier starts serving cert on addr and returns the server.
@@ -222,85 +202,19 @@ func (s *CertServer) EnableObs(reg *obs.Registry) {
 // deterministically bootstrapped replicas (and with replicas that are
 // ahead after a certifier restart without its decision log).
 func ServeCertifier(cert *certifier.Certifier, addr string, opts ...Option) (*CertServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	srv, err := listen("certifier", addr, opts)
 	if err != nil {
-		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
+		return nil, err
 	}
-	s := &CertServer{
-		cert:      cert,
-		ln:        ln,
-		opts:      buildOptions(opts),
-		conns:     make(map[net.Conn]struct{}),
-		streamGen: make(map[int]int),
-	}
-	go s.acceptLoop()
+	s := &CertServer{server: srv, cert: cert, streamGen: make(map[int]int)}
+	go s.acceptLoop(s.handle)
 	return s, nil
 }
 
-// Addr returns the bound address.
-func (s *CertServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener and severs every live connection.
-// Subscriptions are left to their leases: a certifier server restart
-// is indistinguishable from a partition to the replicas, and they
-// resubscribe the same way.
-func (s *CertServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	return err
-}
-
-func (s *CertServer) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		go s.handle(c)
-	}
-}
-
-// track registers a live connection; it reports false when the server
-// is already closed.
-func (s *CertServer) track(c net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[c] = struct{}{}
-	return true
-}
-
-func (s *CertServer) untrack(c net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-}
-
-func (s *CertServer) handle(c net.Conn) {
-	defer c.Close()
-	if !s.track(c) {
-		return
-	}
-	defer s.untrack(c)
-	fc := newFrameConn(c)
-	if d := s.opts.to.Idle; d > 0 {
-		c.SetReadDeadline(time.Now().Add(d))
-	}
+func (s *CertServer) handle(fc *frameConn) {
 	var hello certHello
-	var err error
-	if hello.Kind, err = fc.recvHello(string(linkCertReq)+string(linkCertSub), &hello); err != nil {
-		log.Printf("wire: certifier: rejecting %s: %v", c.RemoteAddr(), err)
+	var ok bool
+	if hello.Kind, ok = s.hello(fc, string(linkCertReq)+string(linkCertSub), &hello); !ok {
 		return
 	}
 	s.maybeAdopt(hello)
@@ -896,17 +810,6 @@ func (c *CertClient) GlobalCommitted(v uint64) <-chan struct{} {
 		}
 	}()
 	return done
-}
-
-// Version fetches the certifier's latest assigned commit version —
-// the system-wide watermark a replica compares its Vlocal against to
-// report replication lag on /healthz.
-func (c *CertClient) Version() (uint64, error) {
-	var resp certResponse
-	if err := c.pool.callDeadline(&certRequest{Op: opVersion}, &resp, c.opts.to.Call); err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
 }
 
 // TableVersions fetches the certifier's per-table commit versions —

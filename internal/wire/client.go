@@ -147,37 +147,14 @@ func (c *Client) Begin(txnName string) error {
 }
 
 // BeginTx starts a transaction and returns the snapshot version it
-// reads at. Unlike Start it is eager: the header goes out alone, in a
-// round trip of its own.
+// reads at. Unlike Start it is eager: the header goes out alone, on a
+// request with no operation, in a round trip of its own.
 func (c *Client) BeginTx(txnName string) (snapshot uint64, err error) {
-	return c.BeginTxCtx(txnName, dtrace.SpanContext{})
-}
-
-// BeginTxCtx is BeginTx carrying the caller's span context, which the
-// gateway threads through its routing decision and the replica begin
-// so the whole chain joins one trace.
-func (c *Client) BeginTxCtx(txnName string, sc dtrace.SpanContext) (snapshot uint64, err error) {
-	return c.beginNow(txnName, nil, sc)
-}
-
-// beginNow sends the begin header on a request with no operation.
-func (c *Client) beginNow(txnName string, tables []string, sc dtrace.SpanContext) (snapshot uint64, err error) {
-	c.Start(txnName, tables, sc)
+	c.Start(txnName, nil, dtrace.SpanContext{})
 	if _, err := c.call(clientRequest{}); err != nil {
 		return 0, err
 	}
 	return c.snapshot, nil
-}
-
-// BeginTablesTx starts a transaction tagged with an explicit table-set
-// (the fine-grained mode's footnote-1 alternative to registration).
-func (c *Client) BeginTablesTx(tables []string) (snapshot uint64, err error) {
-	return c.BeginTablesTxCtx(tables, dtrace.SpanContext{})
-}
-
-// BeginTablesTxCtx is BeginTablesTx carrying the caller's span context.
-func (c *Client) BeginTablesTxCtx(tables []string, sc dtrace.SpanContext) (snapshot uint64, err error) {
-	return c.beginNow("", tables, sc)
 }
 
 // Exec runs one SQL statement in the open transaction.

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -136,22 +134,10 @@ func (r *clientResponse) parse(d *writeset.Decoder) {
 // routes transactions to replica processes per the consistency mode,
 // and maintains the version tracker from commit acknowledgments.
 type Gateway struct {
+	*server
 	balancer *lb.LoadBalancer
 	replicas []*remoteReplica
-	ln       net.Listener
 	stop     chan struct{}
-	opts     options
-
-	mu sync.Mutex
-	// closed refuses new connections.
-	// guarded by mu
-	closed bool
-	// conns is the set of live client connections.
-	// guarded by mu
-	conns map[net.Conn]struct{}
-	// obsReqs is set once by EnableObs, before traffic; nil-safe until
-	// then.
-	obsReqs  atomic.Pointer[obs.CounterVec]
 	sessions atomic.Int64
 }
 
@@ -162,8 +148,7 @@ func (g *Gateway) EnableObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	g.obsReqs.Store(reg.CounterVec("sconrep_wire_requests_total",
-		"Wire requests served, by link and operation.", "op", "link", "gateway"))
+	g.server.EnableObs(reg)
 	reg.GaugeFunc("sconrep_gateway_sessions",
 		"Client sessions currently connected to the gateway.",
 		func() float64 { return float64(g.sessions.Load()) })
@@ -173,11 +158,11 @@ func (g *Gateway) EnableObs(reg *obs.Registry) {
 // ServeGateway starts a gateway on addr routing to the given replica
 // addresses under the given consistency mode.
 func ServeGateway(addr string, mode core.Mode, replicaAddrs []string, opts ...Option) (*Gateway, error) {
-	ln, err := net.Listen("tcp", addr)
+	srv, err := listen("gateway", addr, opts)
 	if err != nil {
-		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
+		return nil, err
 	}
-	g := &Gateway{ln: ln, stop: make(chan struct{}), opts: buildOptions(opts), conns: make(map[net.Conn]struct{})}
+	g := &Gateway{server: srv, stop: make(chan struct{})}
 	nodes := make([]lb.Node, 0, len(replicaAddrs))
 	for i, a := range replicaAddrs {
 		rr := newRemoteReplica(i, a, &g.opts)
@@ -185,29 +170,16 @@ func ServeGateway(addr string, mode core.Mode, replicaAddrs []string, opts ...Op
 		nodes = append(nodes, rr)
 	}
 	g.balancer = lb.New(mode, nodes)
-	go g.acceptLoop()
+	go g.acceptLoop(g.handle)
 	go g.probeLoop()
 	return g, nil
 }
 
-// Addr returns the bound address.
-func (g *Gateway) Addr() string { return g.ln.Addr().String() }
-
-// Close stops the gateway: listener, live client sessions, and the
-// replica connection pools.
+// Close stops the gateway: the probe loop, the listener and live client
+// sessions, and the replica connection pools.
 func (g *Gateway) Close() error {
 	close(g.stop)
-	g.mu.Lock()
-	g.closed = true
-	conns := make([]net.Conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
-	g.mu.Unlock()
-	err := g.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
+	err := g.server.Close()
 	for _, r := range g.replicas {
 		r.pool.close()
 	}
@@ -216,16 +188,6 @@ func (g *Gateway) Close() error {
 
 // Balancer exposes the LB (tests).
 func (g *Gateway) Balancer() *lb.LoadBalancer { return g.balancer }
-
-func (g *Gateway) acceptLoop() {
-	for {
-		c, err := g.ln.Accept()
-		if err != nil {
-			return
-		}
-		go g.handle(c)
-	}
-}
 
 // probeLoop keeps replica health fresh so recovered replicas rejoin.
 func (g *Gateway) probeLoop() {
@@ -262,26 +224,15 @@ func (s *gatewaySession) end() {
 	s.replica.active.Add(-1)
 }
 
-func (g *Gateway) handle(c net.Conn) {
-	defer c.Close()
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.conns[c] = struct{}{}
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, c)
-		g.mu.Unlock()
-	}()
-	fc := newFrameConn(c)
+func (g *Gateway) handle(fc *frameConn) {
+	c := fc.c
 	var hello clientHello
-	if _, err := fc.recvHello(string(linkClient), &hello); err != nil {
-		log.Printf("wire: gateway: rejecting %s: %v", c.RemoteAddr(), err)
+	if _, ok := g.hello(fc, string(linkClient), &hello); !ok {
 		return
 	}
+	// A session may think for as long as it likes between requests: only
+	// the hello runs under the idle deadline.
+	c.SetReadDeadline(time.Time{})
 	// The balancer keeps the session id until EndSession.
 	sess := &gatewaySession{id: strings.Clone(hello.SessionID)}
 	g.sessions.Add(1)

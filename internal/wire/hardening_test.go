@@ -401,3 +401,62 @@ func TestSubscribeHasNoLostRefreshWindow(t *testing.T) {
 		cli.Close()
 	}
 }
+
+// TestSilentPeerIsReaped: a peer that connects and never sends its
+// hello is torn down after Timeouts.Idle on all three servers — before
+// the servers shared one prologue the gateway read the hello with no
+// deadline and kept such a connection, and its goroutine, for good. A
+// session that did say hello is the gateway's to keep: it may think for
+// longer than Idle between requests.
+func TestSilentPeerIsReaped(t *testing.T) {
+	idle := WithTimeouts(Timeouts{Call: 2 * time.Second, Idle: 100 * time.Millisecond})
+	cert := certifier.New()
+	certSrv, err := ServeCertifier(cert, "127.0.0.1:0", idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer certSrv.Close()
+	eng := storage.NewEngine()
+	loadKV(t, eng)
+	rep := replica.New(replica.Config{ID: 0, EarlyCert: true}, eng, replica.Local(cert))
+	defer rep.Crash()
+	repSrv, err := ServeReplica(rep, "127.0.0.1:0", idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repSrv.Close()
+	gw, err := ServeGateway("127.0.0.1:0", core.Coarse, []string{repSrv.Addr()}, idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	for name, addr := range map[string]string{"certifier": certSrv.Addr(), "replica": repSrv.Addr(), "gateway": gw.Addr()} {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+			t.Errorf("%s kept a peer that never said hello (read: %v)", name, err)
+		}
+	}
+
+	cli, err := Dial(gw.Addr(), "thinker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	time.Sleep(300 * time.Millisecond)
+	// Register is answered by the gateway alone: the replica link's own
+	// idle reaping stays out of the picture.
+	if err := cli.RegisterTxn("readKV", []string{"kv"}); err != nil {
+		t.Fatalf("session idle for 3× Idle was dropped: %v", err)
+	}
+}
+
+func isTimeout(err error) bool {
+	ne, ok := err.(net.Error)
+	return ok && ne.Timeout()
+}

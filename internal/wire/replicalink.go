@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sconrep/internal/lb"
-	"sconrep/internal/obs"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
 	"sconrep/internal/sql"
@@ -207,20 +205,14 @@ func decodeErr(code errCode, msg string) error {
 
 // ReplicaServer exposes one replica's transaction API on a listener.
 type ReplicaServer struct {
-	rep  *replica.Replica
-	ln   net.Listener
-	opts options
+	*server
+	rep *replica.Replica
 
-	// mu guards the server's books; an operation that ends a transaction
-	// drops it from txns while still holding that transaction's lock.
+	// mu guards the open-transaction table; an operation that ends a
+	// transaction drops it from txns while still holding that
+	// transaction's lock.
 	// locks after openTxn.mu
 	mu sync.Mutex
-	// closed refuses new connections.
-	// guarded by mu
-	closed bool
-	// conns is the set of live connections.
-	// guarded by mu
-	conns map[net.Conn]struct{}
 	// txns maps wire txn IDs to open transactions.
 	// guarded by mu
 	txns map[uint64]*openTxn
@@ -232,65 +224,17 @@ type ReplicaServer struct {
 	// parses are built from an owned copy of the text, never from the
 	// request frame it first arrived in.
 	stmts sync.Map
-	// obsReqs is set once by EnableObs, before traffic; nil-safe until
-	// then.
-	obsReqs atomic.Pointer[obs.CounterVec]
-}
-
-// EnableObs counts served requests per operation under
-// sconrep_wire_requests_total{link="replica"}. Call before traffic.
-func (s *ReplicaServer) EnableObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.obsReqs.Store(reg.CounterVec("sconrep_wire_requests_total",
-		"Wire requests served, by link and operation.", "op", "link", "replica"))
 }
 
 // ServeReplica starts serving rep on addr.
 func ServeReplica(rep *replica.Replica, addr string, opts ...Option) (*ReplicaServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	srv, err := listen("replica", addr, opts)
 	if err != nil {
-		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
+		return nil, err
 	}
-	s := &ReplicaServer{
-		rep:   rep,
-		ln:    ln,
-		opts:  buildOptions(opts),
-		conns: make(map[net.Conn]struct{}),
-		txns:  make(map[uint64]*openTxn),
-	}
-	go s.acceptLoop()
+	s := &ReplicaServer{server: srv, rep: rep, txns: make(map[uint64]*openTxn)}
+	go s.acceptLoop(s.handle)
 	return s, nil
-}
-
-// Addr returns the bound address.
-func (s *ReplicaServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener and severs live connections.
-func (s *ReplicaServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	return err
-}
-
-func (s *ReplicaServer) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		go s.handle(c)
-	}
 }
 
 // prepared caches parses by statement text.
@@ -340,26 +284,9 @@ func (s *ReplicaServer) dropTxn(id uint64) {
 	s.mu.Unlock()
 }
 
-func (s *ReplicaServer) handle(c net.Conn) {
-	defer c.Close()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-	}()
-	fc := newFrameConn(c)
-	if d := s.opts.to.Idle; d > 0 {
-		c.SetReadDeadline(time.Now().Add(d))
-	}
-	if _, err := fc.recvHello(string(linkReplica), nil); err != nil {
-		log.Printf("wire: replica %d: rejecting %s: %v", s.rep.ID(), c.RemoteAddr(), err)
+func (s *ReplicaServer) handle(fc *frameConn) {
+	c := fc.c
+	if _, ok := s.hello(fc, string(linkReplica), nil); !ok {
 		return
 	}
 	var guard seqGuard
