@@ -54,8 +54,7 @@ func main() {
 	eager := flag.Bool("eager", false, "enable eager global-commit tracking (certifier role; required when the gateway runs -mode ESC)")
 	obsAddr := flag.String("obs", "", "observability listen address (server roles): serves /metrics, /healthz, /traces, /debug/pprof")
 	obsMaxLag := flag.Uint64("obs-maxlag", 100, "replica /healthz reports unready when the worst per-table lag (certifier table version - applied table version) exceeds this")
-	callTimeout := flag.Duration("call-timeout", 15*time.Second, "deadline for one request/response exchange; must exceed -sub-lease or eager commits can time out while the certifier waits for a leased replica (0 = none)")
-	longPollTimeout := flag.Duration("long-poll-timeout", 30*time.Second, "deadline for deliberately long-blocking calls such as the eager global-commit wait (0 = none)")
+	callTimeout := flag.Duration("call-timeout", 15*time.Second, "deadline for one request/response exchange; a client's or the gateway's eager commit is answered after the global commit, which waits up to -sub-lease for a replica whose stream dropped, so keep it above that (0 = none)")
 	streamIdle := flag.Duration("stream-idle", 5*time.Second, "server-side idle teardown and refresh-stream partition detector (0 = none)")
 	backoffMin := flag.Duration("backoff-min", 20*time.Millisecond, "initial reconnect/retry backoff")
 	backoffMax := flag.Duration("backoff-max", time.Second, "backoff ceiling")
@@ -72,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ncfg := cluster.NetConfig{
-		Timeouts:    wire.Timeouts{Call: *callTimeout, LongPoll: *longPollTimeout, Idle: *streamIdle},
+		Timeouts:    wire.Timeouts{Call: *callTimeout, Idle: *streamIdle},
 		Backoff:     wire.Backoff{Min: *backoffMin, Max: *backoffMax},
 		StreamGrace: *streamGrace,
 		SubLease:    *subLease,

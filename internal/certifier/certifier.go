@@ -20,6 +20,7 @@ package certifier
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -52,6 +53,11 @@ type Refresh struct {
 	// so the replica advances its version counter without applying
 	// anything.
 	WS *writeset.WriteSet
+	// GlobalThrough makes the entry a global-commit notice (eager mode),
+	// not a refresh: Version is 0, and every commit the receiving replica
+	// originated at or below GlobalThrough has been applied everywhere.
+	// Notices are cumulative: a later one repairs a lost one.
+	GlobalThrough uint64
 }
 
 // Decision is the certifier's answer for one update transaction.
@@ -79,9 +85,9 @@ type historyEntry struct {
 }
 
 type eagerWait struct {
+	origin int // told when the wait ends
 	// waiting tracks the replica IDs that have not yet applied.
 	waiting map[int]bool
-	done    chan struct{}
 }
 
 // memoKey identifies one certification request for idempotency.
@@ -152,6 +158,17 @@ type Certifier struct {
 	// waits tracks outstanding eager global-commit waits.
 	// guarded by mu
 	waits map[uint64]*eagerWait
+	// through[o] is the highest version of origin o whose wait has ended.
+	// Lower ones have too: an ack or an unsubscribe clears a replica from
+	// every version at or below at once, and a replica missing from a
+	// lower wait subscribed after that version was assigned, so its serve
+	// floor is above it.
+	// guarded by mu
+	through map[int]uint64
+	// base is the version this certifier started deciding at (StartAt,
+	// RestoreFromWAL): nothing at or below it has a wait, and every
+	// subscriber's serve floor is at or above it.
+	base atomic.Uint64
 
 	// Live-observability counters (nil-safe no-ops until EnableObs).
 	obsCommits *obs.Counter
@@ -179,11 +196,6 @@ func WithLatency(s *latency.Source) Option { return func(c *Certifier) { c.lat =
 // consistency.
 func WithEager() Option { return func(c *Certifier) { c.eager = true } }
 
-// Eager reports whether the certifier was built WithEager — whether
-// anything counts the apply acknowledgments replicas send it. Fixed at
-// New.
-func (c *Certifier) Eager() bool { return c.eager }
-
 // WithShards partitions certification by the given table→shard map.
 // Nil (or a single-shard map) keeps the paper's single sequencer.
 func WithShards(m *shard.Map) Option { return func(c *Certifier) { c.smap = m } }
@@ -191,8 +203,9 @@ func WithShards(m *shard.Map) Option { return func(c *Certifier) { c.smap = m } 
 // New returns a certifier at version 0.
 func New(opts ...Option) *Certifier {
 	c := &Certifier{
-		subs:  make(map[int]*subscriber),
-		waits: make(map[uint64]*eagerWait),
+		subs:    make(map[int]*subscriber),
+		waits:   make(map[uint64]*eagerWait),
+		through: make(map[int]uint64),
 	}
 	for _, o := range opts {
 		o(c)
@@ -247,6 +260,7 @@ func (c *Certifier) StartAt(v uint64) error {
 		return errors.New("certifier: StartAt below current version")
 	}
 	c.version.Store(v)
+	c.base.Store(v)
 	return nil
 }
 
@@ -284,7 +298,42 @@ func (c *Certifier) SubscribeShards(replicaID int, shards []int) *Subscription {
 		sub.serves = serves
 	}
 	c.subs[replicaID] = sub
+	if c.eager {
+		// The subscription opens with where the replica's own commits
+		// stand: a notice put in the mailbox this one replaces is not lost.
+		c.noticeLocked(replicaID, 0)
+	}
 	return &Subscription{c: c, replicaID: replicaID, mb: sub.mb}
+}
+
+// noticeLocked records that origin's commits through v are globally
+// committed (0: nothing new) and puts the cumulative notice in its
+// mailbox. An origin that is not subscribed gets it when it is again.
+//
+// Caller holds c.mu.
+func (c *Certifier) noticeLocked(origin int, v uint64) {
+	v = max(v, c.through[origin], c.base.Load())
+	c.through[origin] = v
+	if sub, ok := c.subs[origin]; ok {
+		sub.mb.put(Refresh{Origin: origin, GlobalThrough: v})
+	}
+}
+
+// clearLocked stops every wait at or below v waiting for replicaID;
+// one that waits for nobody else is over.
+//
+// Caller holds c.mu.
+func (c *Certifier) clearLocked(replicaID int, v uint64) {
+	for ver, w := range c.waits {
+		if ver > v || !w.waiting[replicaID] {
+			continue
+		}
+		delete(w.waiting, replicaID)
+		if len(w.waiting) == 0 {
+			delete(c.waits, ver)
+			c.noticeLocked(w.origin, ver)
+		}
+	}
 }
 
 // Unsubscribe detaches a replica (crash). Pending eager waits stop
@@ -301,15 +350,7 @@ func (c *Certifier) unsubscribeLocked(replicaID int) {
 		delete(c.subs, replicaID)
 	}
 	// A crashed replica will never ack: stop waiting for it.
-	for v, w := range c.waits {
-		if w.waiting[replicaID] {
-			delete(w.waiting, replicaID)
-			if len(w.waiting) == 0 {
-				close(w.done)
-				delete(c.waits, v)
-			}
-		}
-	}
+	c.clearLocked(replicaID, math.MaxUint64)
 }
 
 // Subscription is one replica's attachment to the certifier.
@@ -343,6 +384,11 @@ func (s *Subscription) Pending() []Refresh { return s.mb.peekPending() }
 
 // QueueLen returns the number of queued refreshes.
 func (s *Subscription) QueueLen() int { return s.mb.len() }
+
+// GlobalTracked reports whether the certifier was built WithEager:
+// whether it counts the subscriber's apply acknowledgments and sends it
+// global-commit notices.
+func (s *Subscription) GlobalTracked() bool { return s.c.eager }
 
 // EnableObs registers the certifier's live metrics with reg: the
 // version counter (Vsystem as the certifier sees it), certification
@@ -537,7 +583,9 @@ func (c *Certifier) CertifyCtx(origin int, txnID, snapshot uint64, ws *writeset.
 			}
 		}
 		if len(waiting) > 0 {
-			c.waits[v] = &eagerWait{waiting: waiting, done: make(chan struct{})}
+			c.waits[v] = &eagerWait{origin: origin, waiting: waiting}
+		} else {
+			c.noticeLocked(origin, v)
 		}
 		c.mu.Unlock()
 	}
@@ -593,30 +641,7 @@ func (c *Certifier) Applied(replicaID int, v uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for ver, w := range c.waits {
-		if ver > v || !w.waiting[replicaID] {
-			continue
-		}
-		delete(w.waiting, replicaID)
-		if len(w.waiting) == 0 {
-			close(w.done)
-			delete(c.waits, ver)
-		}
-	}
-}
-
-// GlobalCommitted returns a channel closed once every replica has
-// applied version v. A nil channel (already satisfied) is returned
-// when no wait is registered.
-func (c *Certifier) GlobalCommitted(v uint64) <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w, ok := c.waits[v]; ok {
-		return w.done
-	}
-	closed := make(chan struct{})
-	close(closed)
-	return closed
+	c.clearLocked(replicaID, v)
 }
 
 // History returns one version-ordered page (at most MaxHistoryBatch
@@ -892,6 +917,7 @@ func (c *Certifier) RestoreFromWAL(records func(fn func(*wal.Record) error) erro
 		prev = r.version
 	}
 	c.version.Store(prev)
+	c.base.Store(prev)
 	// Continue each shard's durable log exactly where its replay ended.
 	for _, s := range c.seqs {
 		s.glog.startAt(s.seq)

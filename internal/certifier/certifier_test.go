@@ -118,64 +118,110 @@ func TestUnsubscribeClosesMailbox(t *testing.T) {
 	}
 }
 
+// noticed takes what is queued on an origin's subscription, which must
+// hold notices only, and returns the highest; ok is false when nothing
+// is queued.
+func noticed(t *testing.T, sub *Subscription) (through uint64, ok bool) {
+	t.Helper()
+	if sub.QueueLen() == 0 {
+		return 0, false
+	}
+	batch, _ := sub.Take()
+	for _, r := range batch {
+		if r.Version != 0 || r.WS != nil {
+			t.Fatalf("origin's subscription carries a refresh: %+v", r)
+		}
+		through = max(through, r.GlobalThrough)
+	}
+	return through, true
+}
+
 func TestEagerGlobalCommit(t *testing.T) {
 	c := New(WithEager())
-	c.Subscribe(0)
+	s0 := c.Subscribe(0)
 	c.Subscribe(1)
 	c.Subscribe(2)
+	// The subscription opens with where the origin's commits stand.
+	if v, ok := noticed(t, s0); !ok || v != 0 || !s0.GlobalTracked() {
+		t.Fatalf("opening notice = %d, %v; want 0, true", v, ok)
+	}
 
 	d, err := c.Certify(0, 1, 0, ws("a"))
 	if err != nil || !d.Commit {
 		t.Fatal(err)
 	}
-	done := c.GlobalCommitted(d.Version)
-	select {
-	case <-done:
-		t.Fatal("global commit before any ack")
-	default:
+	if v, ok := noticed(t, s0); ok {
+		t.Fatalf("global commit through %d before any ack", v)
 	}
 	c.Applied(1, d.Version)
-	select {
-	case <-done:
-		t.Fatal("global commit after one of two acks")
-	default:
+	if v, ok := noticed(t, s0); ok {
+		t.Fatalf("global commit through %d after one of two acks", v)
 	}
 	c.Applied(2, d.Version)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("global commit never completed")
+	if v, _ := noticed(t, s0); v != d.Version {
+		t.Fatalf("global commit through %d after both acks, want %d", v, d.Version)
 	}
-	// A second wait on a completed version returns a closed channel.
-	select {
-	case <-c.GlobalCommitted(d.Version):
-	default:
-		t.Fatal("completed version not reported closed")
+	// A resubscription opens with the same watermark.
+	if v, _ := noticed(t, c.Subscribe(0)); v != d.Version {
+		t.Fatalf("resubscription opens through %d, want %d", v, d.Version)
+	}
+}
+
+// TestLazySendsNoNotice: without WithEager an origin's subscription
+// stays empty, and says that nobody tracks global commits.
+func TestLazySendsNoNotice(t *testing.T) {
+	c := New()
+	s0 := c.Subscribe(0)
+	if s0.GlobalTracked() {
+		t.Fatal("a lazy certifier's subscription claims to track global commits")
+	}
+	c.Subscribe(1)
+	d, _ := c.Certify(0, 1, 0, ws("a"))
+	c.Applied(1, d.Version)
+	if n := s0.QueueLen(); n != 0 {
+		t.Fatalf("lazy certifier queued %d entries for the origin", n)
 	}
 }
 
 func TestEagerSingleReplicaNeedsNoWait(t *testing.T) {
 	c := New(WithEager())
-	c.Subscribe(0)
+	s0 := c.Subscribe(0)
 	d, _ := c.Certify(0, 1, 0, ws("a"))
-	select {
-	case <-c.GlobalCommitted(d.Version):
-	default:
-		t.Fatal("single-replica eager commit should complete immediately")
+	if v, _ := noticed(t, s0); v != d.Version {
+		t.Fatalf("single-replica eager commit: through %d at certify time, want %d", v, d.Version)
 	}
 }
 
 func TestEagerReleasedOnReplicaCrash(t *testing.T) {
 	c := New(WithEager())
-	c.Subscribe(0)
+	s0 := c.Subscribe(0)
 	c.Subscribe(1)
 	d, _ := c.Certify(0, 1, 0, ws("a"))
-	done := c.GlobalCommitted(d.Version)
+	noticed(t, s0)   // the opening notice
 	c.Unsubscribe(1) // crash: the waiter must not block forever
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("eager wait not released by crash")
+	if v, _ := noticed(t, s0); v != d.Version {
+		t.Fatalf("eager wait not released by crash: through %d, want %d", v, d.Version)
+	}
+}
+
+// TestRestoredVersionsAreGlobal: a certifier restored from its log has
+// no wait for what the previous incarnation certified, so a replica
+// still waiting for one of those is released by its resubscription.
+func TestRestoredVersionsAreGlobal(t *testing.T) {
+	log := wal.NewMemory()
+	old := New(WithEager(), WithWAL(log))
+	old.Subscribe(0)
+	old.Subscribe(1)
+	d, _ := old.Certify(0, 1, 0, ws("a")) // replica 1 never acks
+
+	c := New(WithEager())
+	if err := c.RestoreFromWAL(func(fn func(*wal.Record) error) error {
+		return wal.Replay(bytes.NewReader(log.MemoryBytes()), fn)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := noticed(t, c.Subscribe(0)); v != d.Version {
+		t.Fatalf("after restore the subscription opens through %d, want %d", v, d.Version)
 	}
 }
 
@@ -184,9 +230,6 @@ func TestEagerReleasedOnReplicaCrash(t *testing.T) {
 // it must not queue behind the refresh fan-out's lock.
 func TestAppliedLazyTakesNoLock(t *testing.T) {
 	c := New()
-	if c.Eager() {
-		t.Fatal("a certifier built without WithEager reports eager")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	returned := make(chan struct{})
@@ -389,7 +432,7 @@ func TestMailboxOrderIndependence(t *testing.T) {
 	if !ok || len(batch) != 10 {
 		t.Fatalf("take = %d, %v", len(batch), ok)
 	}
-	if got := mb.tryTake(); len(got) != 0 {
-		t.Fatalf("tryTake after drain = %v", got)
+	if n := mb.len(); n != 0 {
+		t.Fatalf("%d entries left after the drain", n)
 	}
 }

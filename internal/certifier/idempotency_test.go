@@ -3,7 +3,6 @@ package certifier
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // TestCertifyRetryIsIdempotent: a certify request retried after a lost
@@ -92,34 +91,27 @@ func TestAppliedIsCumulative(t *testing.T) {
 	c := New(WithEager())
 	c.Subscribe(0)
 	c.Subscribe(1)
+	s2 := c.Subscribe(2) // the origin
 	defer c.Unsubscribe(0)
 	defer c.Unsubscribe(1)
 
 	var versions []uint64
 	for i := 0; i < 3; i++ {
-		d, err := c.Certify(0, uint64(i+1), c.Version(), ws(fmt.Sprintf("k%d", i)))
+		d, err := c.Certify(2, uint64(i+1), c.Version(), ws(fmt.Sprintf("k%d", i)))
 		if err != nil || !d.Commit {
 			t.Fatalf("certify %d: %+v, %v", i, d, err)
 		}
 		versions = append(versions, d.Version)
 	}
-	done1 := c.GlobalCommitted(versions[0])
-	done3 := c.GlobalCommitted(versions[2])
-	select {
-	case <-done1:
-		t.Fatal("global commit before any ack")
-	default:
+	if v, _ := noticed(t, s2); v != 0 {
+		t.Fatalf("global commit through %d before any ack", v)
 	}
 	// Each replica acks only the HIGHEST version, as the coalescing
 	// wire client does.
 	c.Applied(0, versions[2])
 	c.Applied(1, versions[2])
-	for i, ch := range []<-chan struct{}{done1, done3} {
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("wait %d not released by cumulative ack", i)
-		}
+	if v, _ := noticed(t, s2); v != versions[2] {
+		t.Fatalf("cumulative ack released through %d, want %d", v, versions[2])
 	}
 }
 

@@ -81,15 +81,6 @@ func (m *mailbox) take() (batch []Refresh, ok bool) {
 	}
 }
 
-// tryTake is take without blocking.
-func (m *mailbox) tryTake() []Refresh {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	batch := m.items
-	m.items = nil
-	return batch
-}
-
 // peekPending returns a snapshot of the queued refreshes without
 // removing them — the proxy's early certification scans these.
 func (m *mailbox) peekPending() []Refresh {

@@ -224,7 +224,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cert, err := openCertifier(ccfg)
+	cert, _, err := openCertifier(ccfg) // no WALPath: nothing opened
 	if err != nil {
 		return nil, err
 	}
@@ -338,8 +338,7 @@ func (c *Cluster) RestartReplica(i int) error {
 
 // ExecSchemaAll applies a DDL statement (CREATE TABLE / CREATE INDEX)
 // to every replica's engine. Schema changes are not replicated through
-// the commit protocol and bump no versions; this is the cluster-level
-// twin of sconrep.DB.ExecSchema.
+// the commit protocol and bump no versions.
 func (c *Cluster) ExecSchemaAll(q string) error {
 	for i, r := range c.replicas {
 		e := r.Engine()

@@ -47,7 +47,7 @@ func newNetCluster(t *testing.T, mode core.Mode) *Cluster {
 func newNetClusterWith(t *testing.T, mode core.Mode, tweak func(*NetConfig)) *Cluster {
 	t.Helper()
 	ncfg := NetConfig{
-		Timeouts: wire.Timeouts{Call: 5 * time.Second, LongPoll: 5 * time.Second, Idle: 2 * time.Second},
+		Timeouts: wire.Timeouts{Call: 5 * time.Second, Idle: 2 * time.Second},
 		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 	}
 	tweak(&ncfg)
@@ -396,7 +396,8 @@ func (c *certConn) Read(p []byte) (int, error) {
 // updates are N certify exchanges and not one frame more. Under ESC the
 // acknowledgments are one-way frames on the refresh streams — one per
 // commit and non-origin replica, since each commit returns only when
-// they are in — and the request links add the global-commit wait.
+// they are in — and so is the certifier's notice to the origin: the
+// request links carry the same N certify exchanges.
 func TestNetworkedCertLinkFrames(t *testing.T) {
 	const n = 50
 	for _, tc := range []struct {
@@ -405,7 +406,7 @@ func TestNetworkedCertLinkFrames(t *testing.T) {
 		acks int64 // subscription-link acknowledgment frames, all replicas
 	}{
 		{core.Coarse, 2 * n, 0},
-		{core.Eager, 4 * n, 2 * n},
+		{core.Eager, 2 * n, 2 * n},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			var f certLinkFrames

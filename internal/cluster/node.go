@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -71,9 +72,9 @@ type CertifierConfig struct {
 // crash can leave a torn final frame; the replay reports the valid
 // prefix and the file is truncated to it, so the log appends cleanly
 // instead of burying new records behind garbage. A replay error returns
-// before the file is touched. The file stays open for as long as the
-// process: the certifier may be asked to decide until then.
-func openCertifier(cfg CertifierConfig) (_ *certifier.Certifier, err error) {
+// before the file is touched. The file is returned open for the caller
+// to close; opened is nil when the log is cfg.WAL or in memory.
+func openCertifier(cfg CertifierConfig) (_ *certifier.Certifier, opened *wal.Log, err error) {
 	opts := []certifier.Option{certifier.WithShards(cfg.Shards), certifier.WithLatency(cfg.Latency)}
 	if cfg.Eager {
 		opts = append(opts, certifier.WithEager())
@@ -83,12 +84,12 @@ func openCertifier(cfg CertifierConfig) (_ *certifier.Certifier, err error) {
 		if l == nil {
 			l = wal.NewMemory()
 		}
-		return certifier.New(append(opts, certifier.WithWAL(l))...), nil
+		return certifier.New(append(opts, certifier.WithWAL(l))...), nil, nil
 	}
 	// Append mode: opening writes nothing until the first decision.
 	l, err := wal.Open(cfg.WALPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer func() {
 		if err != nil {
@@ -103,39 +104,54 @@ func openCertifier(cfg CertifierConfig) (_ *certifier.Certifier, err error) {
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("wal replay: %w", err)
+		return nil, nil, fmt.Errorf("wal replay: %w", err)
 	}
 	fi, err := os.Stat(cfg.WALPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if fi.Size() > valid {
 		log.Printf("wal: discarding torn tail (%d of %d bytes valid)", valid, fi.Size())
 		if err := os.Truncate(cfg.WALPath, valid); err != nil {
-			return nil, fmt.Errorf("wal truncate: %w", err)
+			return nil, nil, fmt.Errorf("wal truncate: %w", err)
 		}
 	}
-	return cert, nil
+	return cert, l, nil
 }
 
-// CertifierNode is a running certifier. Closing it stops serving and
-// leaves subscriptions to their leases.
+// CertifierNode is a running certifier. Closing it stops serving,
+// leaves subscriptions to their leases, and closes the decision-log
+// file it opened on a WALPath (a CertifierConfig.WAL stays the
+// caller's), so a successor on that file is its only writer.
 type CertifierNode struct {
 	*wire.CertServer
 	Cert *certifier.Certifier
+	log  *wal.Log // opened on CertifierConfig.WALPath, or nil
 }
 
 // StartCertifier builds cfg's certifier and serves it.
 func StartCertifier(cfg CertifierConfig) (*CertifierNode, error) {
-	cert, err := openCertifier(cfg)
+	cert, opened, err := openCertifier(cfg)
 	if err != nil {
 		return nil, err
 	}
 	srv, err := wire.ServeCertifier(cert, cfg.Listen, cfg.Net.options(wire.WithSubLease(cfg.Net.SubLease))...)
 	if err != nil {
+		if opened != nil {
+			opened.Close()
+		}
 		return nil, err
 	}
-	return &CertifierNode{CertServer: srv, Cert: cert}, nil
+	return &CertifierNode{CertServer: srv, Cert: cert, log: opened}, nil
+}
+
+// Close stops the server, then closes the log file the node opened.
+func (n *CertifierNode) Close() error {
+	err := n.CertServer.Close()
+	if n.log != nil {
+		err = errors.Join(err, n.log.Close())
+	}
+	return err
 }
 
 // EnableObs attaches the node to reg and returns what its

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,16 +13,21 @@ import (
 	"sconrep/internal/core"
 	"sconrep/internal/history"
 	"sconrep/internal/obs"
+	"sconrep/internal/replica"
+	"sconrep/internal/storage"
 	"sconrep/internal/wire"
 	"sconrep/internal/writeset"
 )
 
-func certifyKey(t *testing.T, c *certifier.Certifier, txnID uint64) {
-	t.Helper()
-	ws := &writeset.WriteSet{Items: []writeset.Item{
+func keyWS(txnID uint64) *writeset.WriteSet {
+	return &writeset.WriteSet{Items: []writeset.Item{
 		{Table: "t", Key: fmt.Sprintf("k%d", txnID), Op: writeset.OpUpdate, Row: []any{"x"}},
 	}}
-	if d, err := c.Certify(0, txnID, c.Version(), ws); err != nil || !d.Commit {
+}
+
+func certifyKey(t *testing.T, c *certifier.Certifier, txnID uint64) {
+	t.Helper()
+	if d, err := c.Certify(0, txnID, c.Version(), keyWS(txnID)); err != nil || !d.Commit {
 		t.Fatalf("certify %d: %+v, %v", txnID, d, err)
 	}
 }
@@ -38,7 +44,8 @@ func fileSize(t *testing.T, path string) int64 {
 // reopenCertifier opens the decision log at path the way a restarting
 // certifier node does.
 func reopenCertifier(path string) (*certifier.Certifier, error) {
-	return openCertifier(CertifierConfig{WALPath: path})
+	c, _, err := openCertifier(CertifierConfig{WALPath: path})
+	return c, err
 }
 
 // TestOpenCertifierRestart drives the certifier node's restart path: a
@@ -81,6 +88,32 @@ func TestOpenCertifierRestart(t *testing.T) {
 		t.Fatalf("after a sixth decision: version %d, History(5) = %v", c.Version(), h)
 	}
 
+	// A node restarted in process: Close gives the file up, so the node
+	// it was can log nothing behind its successor's back.
+	cfg := CertifierConfig{Listen: "127.0.0.1:0", WALPath: path}
+	first, err := StartCertifier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certifyKey(t, first.Cert, 7)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second, err := StartCertifier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := fileSize(t, path)
+	if _, err := first.Cert.Certify(0, 8, first.Cert.Version(), keyWS(8)); err == nil {
+		t.Fatal("a closed node's certifier still appends to the decision log")
+	}
+	if second.Cert.Version() != 7 || fileSize(t, path) != size {
+		t.Fatalf("restarted at version %d with %d bytes, want 7 and %d", second.Cert.Version(), fileSize(t, path), size)
+	}
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	// Flip a bit inside the first record: valid records follow it, so
 	// this is not a torn tail.
 	data, err := os.ReadFile(path)
@@ -99,6 +132,81 @@ func TestOpenCertifierRestart(t *testing.T) {
 	}
 }
 
+// TestEagerGatewayNeedsEagerCertifier: a gateway in ESC mode over a
+// certifier started without Eager. Nobody counts apply acknowledgments,
+// so no commit would ever be reported global; each is refused with
+// replica.ErrNotEager — typed through both hops, certified nowhere —
+// instead of being acknowledged before any other replica applied it.
+func TestEagerGatewayNeedsEagerCertifier(t *testing.T) {
+	ncfg := NetConfig{
+		Timeouts:    wire.Timeouts{Call: 5 * time.Second, Idle: 2 * time.Second},
+		Backoff:     wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+		StreamGrace: 500 * time.Millisecond,
+	}
+	cert, err := StartCertifier(CertifierConfig{Listen: "127.0.0.1:0", Eager: false, Net: ncfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cert.Close()
+	gwCfg := GatewayConfig{Listen: "127.0.0.1:0", Mode: core.Eager, Net: ncfg}
+	for id := 0; id < 2; id++ {
+		r, err := StartReplica(ReplicaConfig{
+			Replica:   replica.Config{ID: id, EarlyCert: true},
+			Listen:    "127.0.0.1:0",
+			Certifier: cert.Addr(),
+			Bootstrap: func(e *storage.Engine) error {
+				return e.CreateTable(&storage.Schema{Table: "kv", Key: []string{"k"},
+					Columns: []storage.Column{{Name: "k", Type: storage.TInt}, {Name: "v", Type: storage.TInt}}})
+			},
+			Net: ncfg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for deadline := time.Now().Add(10 * time.Second); !r.Health().Ready; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d never ready: %+v", id, r.Health())
+			}
+		}
+		gwCfg.Replicas = append(gwCfg.Replicas, r.Addr())
+	}
+	gw, err := StartGateway(gwCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	client, err := wire.Dial(gw.Addr(), "esc", wire.WithTimeouts(ncfg.Timeouts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	before := cert.Cert.Version()
+	if err := client.Begin(""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Exec(`INSERT INTO kv VALUES (1, 1)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.Commit(); !errors.Is(err, replica.ErrNotEager) {
+		t.Fatalf("ESC commit against a lazy certifier: %v, want replica.ErrNotEager", err)
+	}
+	if v := cert.Cert.Version(); v != before {
+		t.Fatalf("the refused commit was certified (version %d → %d)", before, v)
+	}
+	// Reads need no global commit and still run.
+	if err := client.Begin(""); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := client.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil || len(res.Rows) != 0 {
+		t.Fatalf("read after the refused commit: %+v, %v; want no row", res, err)
+	}
+	if _, _, err := client.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPartialSubscriptions runs a networked two-shard cluster in which
 // each replica subscribes to one shard: a transaction is routed only to
 // the replica covering its table-set, a replica advances through the
@@ -114,7 +222,7 @@ func TestPartialSubscriptions(t *testing.T) {
 		ShardTables:   map[string]int{"counter": 0, "ref": 1},
 		ReplicaShards: [][]int{{0}, {1}},
 	}, NetConfig{
-		Timeouts: wire.Timeouts{Call: 5 * time.Second, LongPoll: 5 * time.Second, Idle: 2 * time.Second},
+		Timeouts: wire.Timeouts{Call: 5 * time.Second, Idle: 2 * time.Second},
 		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 	})
 	if err != nil {

@@ -48,7 +48,7 @@ func runTraceChaos(t *testing.T, seed int64) {
 		DialerFor: func(link string) wire.Dialer {
 			return wire.Dialer(inj.Dialer(link, nil))
 		},
-		Timeouts: wire.Timeouts{Call: 3 * time.Second, LongPoll: 3 * time.Second, Idle: 2 * time.Second},
+		Timeouts: wire.Timeouts{Call: 3 * time.Second, Idle: 2 * time.Second},
 		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 80 * time.Millisecond},
 	})
 	if err != nil {

@@ -127,12 +127,6 @@ func (f *fakeCert) Applied(replicaID int, v uint64) {
 	f.acks = append(f.acks, v)
 }
 
-func (f *fakeCert) GlobalCommitted(v uint64) <-chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}
-
 func (f *fakeCert) History(after uint64) []certifier.Refresh {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -47,6 +47,10 @@ var (
 	ErrCrashed = errors.New("replica: crashed")
 	// ErrTxnDone is returned for operations on a finished transaction.
 	ErrTxnDone = errors.New("replica: transaction finished")
+	// ErrNotEager refuses an eager commit whose certifier does not track
+	// global commits: nobody would ever report it global. The transaction
+	// is aborted, and a retry would be too.
+	ErrNotEager = errors.New("replica: eager commit, but the certifier does not track global commits")
 )
 
 // CertService is the certifier as seen by a replica: local
@@ -62,9 +66,6 @@ type CertService interface {
 	Unsubscribe(replicaID int)
 	// Applied acknowledges that the replica applied version v.
 	Applied(replicaID int, v uint64)
-	// GlobalCommitted returns a channel closed when every replica has
-	// applied v (eager mode).
-	GlobalCommitted(v uint64) <-chan struct{}
 	// History returns one version-ordered page of refreshes with
 	// versions greater than after, for recovery catch-up. A page is
 	// capped (certifier.MaxHistoryBatch) and may end early at a version
@@ -75,12 +76,19 @@ type CertService interface {
 
 // RefreshSource is one replica's view of its refresh stream.
 type RefreshSource interface {
-	// Take blocks for the next batch; ok is false once detached.
+	// Take blocks for the next batch — refreshes and, under eager mode,
+	// global-commit notices; ok is false once detached.
 	Take() ([]certifier.Refresh, bool)
 	// Pending peeks at queued refreshes (early certification).
 	Pending() []certifier.Refresh
 	// QueueLen returns the number of queued refreshes.
 	QueueLen() int
+}
+
+// globalTracker is implemented by a RefreshSource whose certifier may
+// track global commits, i.e. send the notices an eager commit waits for.
+type globalTracker interface {
+	GlobalTracked() bool
 }
 
 // localCert adapts *certifier.Certifier to CertService (the Subscribe
@@ -97,7 +105,6 @@ func (l localCert) Certify(origin int, txnID, snapshot uint64, ws *writeset.Writ
 func (l localCert) Subscribe(id int) RefreshSource           { return l.c.SubscribeShards(id, l.shards) }
 func (l localCert) Unsubscribe(id int)                       { l.c.Unsubscribe(id) }
 func (l localCert) Applied(id int, v uint64)                 { l.c.Applied(id, v) }
-func (l localCert) GlobalCommitted(v uint64) <-chan struct{} { return l.c.GlobalCommitted(v) }
 func (l localCert) History(after uint64) []certifier.Refresh { return l.c.History(after) }
 
 // Local wraps an in-process certifier as a CertService.
@@ -186,6 +193,10 @@ type Replica struct {
 	// — even ESC ones, whose MinVersion is 0 — must not start below it.
 	// guarded by mu
 	minServe uint64
+	// globalThrough is the certifier's latest global-commit notice; eager
+	// commits wait on cond for it to reach their version.
+	// guarded by mu
+	globalThrough uint64
 
 	// wssBuf recycles the per-batch writeset slice. The applying window
 	// (at most one batch is inside the engine at a time) serializes it:
@@ -355,6 +366,10 @@ func (r *Replica) applier(sub RefreshSource, gen int) {
 		}
 		o := r.obs.Load()
 		for _, ref := range batch {
+			if ref.Version == 0 { // global-commit notice
+				r.globalThrough = max(r.globalThrough, ref.GlobalThrough)
+				continue
+			}
 			// A nil writeset is a skip marker: the version committed
 			// entirely on shards this replica does not subscribe to.
 			// Substitute an empty writeset so the whole apply path —
@@ -989,6 +1004,16 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 		return res, nil
 	}
 	ws := t.stx.WriteSet()
+	r := t.r
+	if eager {
+		r.mu.Lock()
+		sub := r.sub
+		r.mu.Unlock()
+		if g, ok := sub.(globalTracker); !ok || !g.GlobalTracked() {
+			t.abortInternal()
+			return CommitResult{}, ErrNotEager
+		}
+	}
 
 	// Certification round trip.
 	t.enter(metrics.StageCertify)
@@ -1011,7 +1036,6 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 	// Claim our version slot so the applier will not wait for a
 	// refresh at dec.Version, then wait for all predecessors.
 	t.enter(metrics.StageSync)
-	r := t.r
 	r.mu.Lock()
 	r.committing[dec.Version] = true
 	r.cond.Broadcast() // let the drainer re-evaluate its stop condition
@@ -1076,11 +1100,21 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 	// Eager strong consistency: hold the acknowledgment until every
 	// replica has applied the writeset (global commit delay). The
 	// certifier collects per-replica commit notifications and then
-	// notifies the origin — one more round trip on top of the slowest
-	// replica's apply (§IV-D).
+	// notifies the origin down its subscription — one more round trip on
+	// top of the slowest replica's apply (§IV-D). A crash ends the wait;
+	// the commit stands.
 	if eager {
 		t.enter(metrics.StageGlobal)
-		<-r.cert.GlobalCommitted(dec.Version)
+		r.mu.Lock()
+		for r.globalThrough < dec.Version && !r.crashed {
+			r.cond.Wait()
+		}
+		crashed := r.globalThrough < dec.Version
+		r.mu.Unlock()
+		if crashed {
+			t.abortInternal()
+			return CommitResult{}, ErrCrashed
+		}
 		if r.lat != nil {
 			r.lat.RoundTrip()
 		}

@@ -21,9 +21,9 @@ type rig struct {
 	replicas []*Replica
 }
 
-func newRig(t *testing.T, n int, earlyCert bool) *rig {
+func newRig(t *testing.T, n int, earlyCert bool, opts ...certifier.Option) *rig {
 	t.Helper()
-	cert := certifier.New()
+	cert := certifier.New(opts...)
 	r := &rig{cert: cert}
 	for i := 0; i < n; i++ {
 		eng := storage.NewEngine()
@@ -386,16 +386,7 @@ func TestCommitOrderMatchesCertifier(t *testing.T) {
 }
 
 func TestEagerCommitWaitsForAllReplicas(t *testing.T) {
-	cert := certifier.New(certifier.WithEager())
-	rg := &rig{cert: cert}
-	for i := 0; i < 3; i++ {
-		eng := storage.NewEngine()
-		loadKV(t, eng)
-		rg.replicas = append(rg.replicas, New(Config{ID: i, EarlyCert: true}, eng, Local(cert)))
-	}
-	if err := cert.StartAt(rg.replicas[0].Version()); err != nil {
-		t.Fatal(err)
-	}
+	rg := newRig(t, 3, true, certifier.WithEager())
 	defer rg.close()
 
 	tx, _ := rg.replicas[0].Begin(0, nil)
@@ -411,6 +402,70 @@ func TestEagerCommitWaitsForAllReplicas(t *testing.T) {
 		if r.Version() < res.Version {
 			t.Fatalf("eager ack before replica %d applied (at %d, want %d)", r.ID(), r.Version(), res.Version)
 		}
+	}
+}
+
+// TestCrashInsideGlobalWait: an eager commit waiting for the certifier's
+// notice ends with ErrCrashed when its replica crashes, without waiting
+// for the replicas that have not applied. Subscriber 1 is a bare
+// subscription that never acknowledges.
+func TestCrashInsideGlobalWait(t *testing.T) {
+	rg := newRig(t, 1, true, certifier.WithEager())
+	defer rg.close()
+	rg.cert.Subscribe(1)
+	origin := rg.replicas[0]
+	before := origin.Version()
+
+	tx, err := origin.Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(setStmt, "eager", int64(0)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := tx.Commit(true)
+		done <- err
+	}()
+	waitVersion(t, origin, before+1) // committed locally; the global wait is next
+	select {
+	case err := <-done:
+		t.Fatalf("eager commit returned (%v) before subscriber 1 applied", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	origin.Crash()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("eager commit on a crashed origin: %v, want ErrCrashed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a crash did not end the global wait")
+	}
+}
+
+// TestEagerCommitOnLazyCertifier: nobody would ever report the global
+// commit, so the commit is refused before anything is certified.
+func TestEagerCommitOnLazyCertifier(t *testing.T) {
+	rg := newRig(t, 2, true)
+	defer rg.close()
+	before := rg.cert.Version()
+	tx, err := rg.replicas[0].Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(setStmt, "eager", int64(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(true); !errors.Is(err, ErrNotEager) {
+		t.Fatalf("eager commit on a lazy certifier: %v, want ErrNotEager", err)
+	}
+	if v := rg.cert.Version(); v != before {
+		t.Fatalf("the refused commit was certified (version %d → %d)", before, v)
+	}
+	if n := rg.replicas[0].Active(); n != 0 {
+		t.Fatalf("%d transactions still active after the refused commit", n)
 	}
 }
 
@@ -516,7 +571,7 @@ func TestRecoverOnLiveReplicaFails(t *testing.T) {
 }
 
 func TestTimerStages(t *testing.T) {
-	rg := newRig(t, 2, true)
+	rg := newRig(t, 2, true, certifier.WithEager())
 	defer rg.close()
 	// run commits one transaction — an update, or a read — and returns
 	// its finished stage timeline.

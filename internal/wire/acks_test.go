@@ -4,11 +4,14 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sconrep/internal/certifier"
 	"sconrep/internal/obs"
+	"sconrep/internal/replica"
+	"sconrep/internal/storage"
 )
 
 // gatedDialer records every connection a client dials and can hold
@@ -68,13 +71,25 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func isOpen(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return false
-	default:
-		return true
-	}
+// watchGlobal drains an origin's subscription and keeps the highest
+// global-commit notice it carried, which is how a test sees an eager
+// wait end.
+func watchGlobal(q replica.RefreshSource) *atomic.Uint64 {
+	through := new(atomic.Uint64)
+	go func() {
+		for {
+			batch, ok := q.Take()
+			if !ok {
+				return
+			}
+			for _, r := range batch {
+				if r.Version == 0 && r.GlobalThrough > through.Load() {
+					through.Store(r.GlobalThrough)
+				}
+			}
+		}
+	}()
+	return through
 }
 
 func serveEager(t *testing.T) (*certifier.Certifier, *CertServer) {
@@ -98,7 +113,7 @@ func TestAckPostedWhileStreamDown(t *testing.T) {
 	backoff := WithBackoff(Backoff{Min: time.Millisecond, Max: 10 * time.Millisecond})
 	c0 := DialCertifier(srv.Addr(), 0, 0, backoff)
 	defer c0.Close()
-	c0.Subscribe(0)
+	through := watchGlobal(c0.Subscribe(0))
 	var dialer gatedDialer
 	c1 := DialCertifier(srv.Addr(), 1, 0, backoff, WithDialer(dialer.dial))
 	defer c1.Close()
@@ -107,8 +122,7 @@ func TestAckPostedWhileStreamDown(t *testing.T) {
 
 	certifyN(t, cert, 1) // from origin 0
 	v := cert.Version()
-	committed := cert.GlobalCommitted(v)
-	if !isOpen(committed) {
+	if through.Load() >= v {
 		t.Fatal("global commit complete before replica 1 acknowledged")
 	}
 
@@ -116,15 +130,79 @@ func TestAckPostedWhileStreamDown(t *testing.T) {
 	dialer.dialed()[0].Close()
 	waitFor(t, "replica 1's stream to drop", func() bool { return !c1.StreamLive(0) })
 	c1.Applied(1, v) // synchronous: on return it has written, or kept v
-	if !isOpen(committed) {
+	if through.Load() >= v {
 		t.Fatal("an ack posted with no stream up reached the certifier")
 	}
 
 	release()
+	waitFor(t, "the ack posted while the stream was down to be re-sent on resubscribe",
+		func() bool { return through.Load() >= v })
+}
+
+// TestNoticeLostWithStream: the global-commit notice is a frame on the
+// origin's subscription, so one put while that stream is down is gone.
+// Replica 0 commits eagerly and waits for replica 1; its stream is cut,
+// replica 1 acknowledges, and the commit returns on the notice the
+// resubscription opens with.
+func TestNoticeLostWithStream(t *testing.T) {
+	cert, srv := serveEager(t)
+	reg := obs.NewRegistry()
+	cert.EnableObs(reg)
+	eng := storage.NewEngine()
+	loadKV(t, eng)
+	var dialer gatedDialer
+	c0 := DialCertifier(srv.Addr(), 0, eng.Version(), WithDialer(dialer.dial), WithVLocal(eng.Version),
+		WithBackoff(Backoff{Min: time.Millisecond, Max: 10 * time.Millisecond}))
+	defer c0.Close()
+	rep := replica.New(replica.Config{ID: 0}, eng, c0)
+	defer rep.Crash()
+	waitFor(t, "replica 0's stream", func() bool { return c0.Ready(0) })
+	fc1, _ := subscribeRaw(t, srv.Addr(), certHello{ReplicaID: 1})
+
+	committed := make(chan error, 1)
+	go func() {
+		tx, err := rep.Begin(0, nil)
+		if err == nil {
+			if _, err = tx.ExecSQL(`UPDATE kv SET v = 'eager' WHERE k = 1`); err == nil {
+				_, err = tx.Commit(true)
+			}
+		}
+		committed <- err
+	}()
+	var v uint64
+	for v == 0 { // replica 1's own opening notice, then the refresh
+		var batch refreshBatch
+		if err := fc1.recv(&batch); err != nil {
+			t.Fatal(err)
+		}
+		v = batch[len(batch)-1].Version
+	}
+
+	release := dialer.hold()
+	dialer.dialed()[0].Close() // the first dial is the subscription
+	waitFor(t, "replica 0's stream to drop", func() bool { return !c0.StreamLive(0) })
+	if err := fc1.send(&appliedAck{Version: v}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the certifier to end the wait", func() bool {
+		var sb strings.Builder
+		reg.WritePrometheus(&sb)
+		return strings.Contains(sb.String(), "sconrep_certifier_eager_outstanding 0")
+	})
 	select {
-	case <-committed:
+	case err := <-committed:
+		t.Fatalf("eager commit returned (%v) with the origin's stream down", err)
+	default:
+	}
+
+	release()
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("the ack posted while the stream was down was not re-sent on resubscribe")
+		t.Fatal("the resubscription's opening notice did not release the eager commit")
 	}
 }
 
@@ -171,13 +249,16 @@ func TestAckAboveVersionClosesStream(t *testing.T) {
 	cert, srv := serveEager(t)
 	reg := obs.NewRegistry()
 	srv.EnableObs(reg)
+	c0 := DialCertifier(srv.Addr(), 0, 0)
+	defer c0.Close()
+	through := watchGlobal(c0.Subscribe(0))
+	waitFor(t, "the origin's stream", func() bool { return c0.StreamLive(0) })
 	fc, ack := subscribeRaw(t, srv.Addr(), certHello{ReplicaID: 1})
 	if !ack.Acks {
 		t.Fatal("an eager certifier's subAck did not ask for acknowledgments")
 	}
 	certifyN(t, cert, 1) // from origin 0
 	v := cert.Version()
-	committed := cert.GlobalCommitted(v)
 
 	if err := fc.send(&appliedAck{Version: 1 << 60}); err != nil {
 		t.Fatal(err)
@@ -192,7 +273,7 @@ func TestAckAboveVersionClosesStream(t *testing.T) {
 			break
 		}
 	}
-	if !isOpen(committed) {
+	if through.Load() >= v {
 		t.Fatal("an ack for an unassigned version released the global commit")
 	}
 
@@ -200,11 +281,7 @@ func TestAckAboveVersionClosesStream(t *testing.T) {
 	if err := fc.send(&appliedAck{Version: v}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-committed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the honest ack did not complete the global commit")
-	}
+	waitFor(t, "the honest ack to complete the global commit", func() bool { return through.Load() >= v })
 	// The counter kept its name when the ack left the request link; it
 	// counts frames that reached the certifier, so not the refused one.
 	var sb strings.Builder

@@ -220,7 +220,9 @@ func countingDialer(n *atomic.Int64) Dialer {
 // commit; the read reports every frame the client link moved. With the
 // certifier links behind them: a one-statement update on three replicas,
 // which adds an answered commit, the certify exchange and the refresh
-// fan-out, and reports every frame the certifier links moved.
+// fan-out, and reports every frame the certifier links moved — under
+// CSC, and under ESC, where the commit also waits for two apply
+// acknowledgments and the certifier's notice, all on the streams.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	d := newDeployment(b, 1, core.Coarse)
 	var clientFrames atomic.Int64
@@ -229,15 +231,22 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	// Both deployments start here and not inside b.Run: what a start
+	// Every deployment starts here and not inside b.Run: what a start
 	// logs would land in the middle of a sub-benchmark's result line.
-	var certFrames atomic.Int64
-	d3 := newDeploymentWith(b, 3, core.Coarse, WithDialer(countingDialer(&certFrames)))
-	c3, err := Dial(d3.gateway.Addr(), "bench")
-	if err != nil {
-		b.Fatal(err)
+	updates := []struct {
+		name       string
+		mode       core.Mode
+		certFrames atomic.Int64
+		c          *Client
+	}{{name: "update-txn", mode: core.Coarse}, {name: "update-txn-esc", mode: core.Eager}}
+	for i := range updates {
+		u := &updates[i]
+		d3 := newDeploymentWith(b, 3, u.mode, WithDialer(countingDialer(&u.certFrames)))
+		if u.c, err = Dial(d3.gateway.Addr(), "bench"); err != nil {
+			b.Fatal(err)
+		}
+		defer u.c.Close()
 	}
-	defer c3.Close()
 	b.Run("begin-abort", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -264,19 +273,22 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(clientFrames.Load()-start)/float64(b.N), "clientframes/op")
 	})
-	b.Run("update-txn", func(b *testing.B) {
-		b.ReportAllocs()
-		start := certFrames.Load()
-		for i := 0; i < b.N; i++ {
-			c3.Start("bench.txn", nil, dtrace.SpanContext{})
-			if _, err := c3.Exec(`UPDATE kv SET v = 'u' WHERE k = ?`, int64(i%10)); err != nil {
-				b.Fatal(err)
+	for i := range updates {
+		u := &updates[i]
+		b.Run(u.name, func(b *testing.B) {
+			b.ReportAllocs()
+			start := u.certFrames.Load()
+			for i := 0; i < b.N; i++ {
+				u.c.Start("bench.txn", nil, dtrace.SpanContext{})
+				if _, err := u.c.Exec(`UPDATE kv SET v = 'u' WHERE k = ?`, int64(i%10)); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := u.c.Commit(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if _, _, err := c3.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(certFrames.Load()-start)/float64(b.N), "certframes/op")
-	})
+			b.StopTimer()
+			b.ReportMetric(float64(u.certFrames.Load()-start)/float64(b.N), "certframes/op")
+		})
+	}
 }

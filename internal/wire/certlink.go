@@ -86,7 +86,7 @@ func (a *appliedAck) parse(d *writeset.Decoder) { a.Version = d.Uvarint() }
 type certRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  op // opCertify, opHistory, opGlobalWait, opVersion, opTableVers, opUnsubscribe
+	Op  op // opCertify, opHistory, opTableVers, opUnsubscribe
 
 	// certify
 	Origin   int
@@ -96,9 +96,8 @@ type certRequest struct {
 	// Trace is the committing span's context; zero when untraced.
 	Trace dtrace.SpanContext
 
-	// globalwait / unsubscribe
+	// unsubscribe
 	ReplicaID int
-	Version   uint64
 
 	// history
 	After uint64
@@ -121,7 +120,6 @@ func (r *certRequest) appendTo(buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	buf = binary.AppendVarint(buf, int64(r.ReplicaID))
-	buf = binary.AppendUvarint(buf, r.Version)
 	buf = binary.AppendUvarint(buf, r.After)
 	return appendInts(buf, r.Shards), nil
 }
@@ -135,7 +133,6 @@ func (r *certRequest) parse(d *writeset.Decoder) {
 	r.Snapshot = d.Uvarint()
 	r.WS = d.WriteSet()
 	r.ReplicaID = int(d.Varint())
-	r.Version = d.Uvarint()
 	r.After = d.Uvarint()
 	r.Shards = readInts(d)
 }
@@ -146,7 +143,6 @@ type certResponse struct {
 	Err      string
 	Decision certifier.Decision
 	History  []certifier.Refresh
-	Version  uint64
 	// TableVers answers opTableVers: the latest commit version that
 	// wrote each table.
 	TableVers map[string]uint64
@@ -163,7 +159,7 @@ func (r *certResponse) appendTo(buf []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return appendVersions(binary.AppendUvarint(buf, r.Version), r.TableVers), nil
+	return appendVersions(buf, r.TableVers), nil
 }
 
 func (r *certResponse) parse(d *writeset.Decoder) {
@@ -172,7 +168,6 @@ func (r *certResponse) parse(d *writeset.Decoder) {
 	r.Err = d.Str()
 	r.Decision.Version = d.Uvarint()
 	r.History = readSlice(d, readRefresh)
-	r.Version = d.Uvarint()
 	r.TableVers = readVersions(d)
 }
 
@@ -276,7 +271,7 @@ func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	if d := s.opts.to.Call; d > 0 {
 		c.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := fc.send(&subAck{Version: s.cert.Version(), Acks: s.cert.Eager()}); err != nil {
+	if err := fc.send(&subAck{Version: s.cert.Version(), Acks: sub.GlobalTracked()}); err != nil {
 		return
 	}
 	go func() {
@@ -369,10 +364,6 @@ func (s *CertServer) serveRequests(fc *frameConn) {
 			resp.Decision = d
 		case opHistory:
 			resp.History = s.cert.FilterUnserved(s.cert.History(req.After), req.Shards)
-		case opGlobalWait:
-			<-s.cert.GlobalCommitted(req.Version)
-		case opVersion:
-			resp.Version = s.cert.Version()
 		case opTableVers:
 			resp.TableVers = s.cert.TableVersions()
 		case opUnsubscribe:
@@ -419,6 +410,8 @@ type CertClient struct {
 	// Stream health for the replica serve gate.
 	streamUp  atomic.Bool
 	downSince atomic.Int64 // unix nanos
+	// tracked is the latest subAck's Acks bit, read through every queue.
+	tracked atomic.Bool
 	// serveFloor is the certifier version observed at the last
 	// (re)subscribe: everything the certifier may already have
 	// acknowledged to clients. A replica must not serve strong reads
@@ -480,7 +473,7 @@ var errClientClosed = errors.New("wire: certifier client closed")
 // MaxElapsed (when set, or the override) runs out. Application-level
 // responses — including abort decisions and certifier errors — return
 // immediately; only the transport retries.
-func (c *CertClient) callRetry(req certRequest, exchange, maxElapsed time.Duration) (certResponse, error) {
+func (c *CertClient) callRetry(req certRequest, maxElapsed time.Duration) (certResponse, error) {
 	b := c.opts.backoff
 	if maxElapsed == 0 {
 		maxElapsed = b.MaxElapsed
@@ -495,7 +488,7 @@ func (c *CertClient) callRetry(req certRequest, exchange, maxElapsed time.Durati
 		default:
 		}
 		resp = certResponse{}
-		err := c.pool.callDeadline(&req, &resp, exchange)
+		err := c.pool.call(&req, &resp)
 		if err == nil {
 			return c.appErr(resp)
 		}
@@ -530,7 +523,7 @@ func (c *CertClient) appErr(resp certResponse) (certResponse, error) {
 // so a retry after a lost response returns the original decision
 // instead of a spurious conflict.
 func (c *CertClient) Certify(origin int, txnID, snapshot uint64, ws *writeset.WriteSet, sc dtrace.SpanContext) (certifier.Decision, error) {
-	resp, err := c.callRetry(certRequest{Op: opCertify, Origin: origin, TxnID: txnID, Snapshot: snapshot, WS: ws, Trace: sc}, c.opts.to.Call, 0)
+	resp, err := c.callRetry(certRequest{Op: opCertify, Origin: origin, TxnID: txnID, Snapshot: snapshot, WS: ws, Trace: sc}, 0)
 	return resp.Decision, err
 }
 
@@ -550,7 +543,7 @@ func (c *CertClient) Subscribe(replicaID int) replica.RefreshSource {
 		c.sub = nil
 	}
 	c.subGen++
-	q := newRefreshQueue()
+	q := newRefreshQueue(&c.tracked)
 	c.queue = q
 	go c.subLoop(c.subGen, q)
 	return q
@@ -645,6 +638,7 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 		return false
 	}
 	conn.SetDeadline(time.Time{})
+	c.tracked.Store(ack.Acks)
 	if ack.Acks {
 		c.ackOn(gen, fc)
 		defer c.ackOn(gen, nil)
@@ -656,7 +650,7 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 	// History is paged (certifier.MaxHistoryBatch per response): loop
 	// until the backfill reaches the floor or the pages run dry.
 	for after := from; after < floor; {
-		hist, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.to.Call, c.opts.backoff.Max)
+		hist, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.backoff.Max)
 		if err != nil {
 			return false
 		}
@@ -739,7 +733,7 @@ func (c *CertClient) Unsubscribe(replicaID int) {
 	c.streamDown()
 	// Best effort: a partition here means the server-side lease cleans
 	// up instead.
-	_, _ = c.callRetry(certRequest{Op: opUnsubscribe, ReplicaID: replicaID}, c.opts.to.Call, c.opts.backoff.Max)
+	_, _ = c.callRetry(certRequest{Op: opUnsubscribe, ReplicaID: replicaID}, c.opts.backoff.Max)
 }
 
 // Applied implements replica.CertService: one appliedAck frame on the
@@ -793,32 +787,13 @@ func (c *CertClient) sendAckLocked() {
 	}
 }
 
-// GlobalCommitted implements replica.CertService. The wait retries
-// across certifier reconnects (GlobalCommitted is idempotent: once
-// satisfied, the certifier answers immediately); the channel closes
-// early only if the client itself is shut down.
-func (c *CertClient) GlobalCommitted(v uint64) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		exchange := c.opts.to.LongPoll
-		if exchange == 0 {
-			exchange = c.opts.to.Call
-		}
-		if _, err := c.callRetry(certRequest{Op: opGlobalWait, Version: v}, exchange, 0); err != nil {
-			log.Printf("wire: globalwait(%d): %v", v, err)
-		}
-	}()
-	return done
-}
-
 // TableVersions fetches the certifier's per-table commit versions —
 // the authoritative side of the per-table replication-lag gauges a
 // replica compares its own TableVersionsAt against (so /healthz can
 // report the max per-table lag instead of a scalar version delta).
 func (c *CertClient) TableVersions() (map[string]uint64, error) {
 	var resp certResponse
-	if err := c.pool.callDeadline(&certRequest{Op: opTableVers}, &resp, c.opts.to.Call); err != nil {
+	if err := c.pool.call(&certRequest{Op: opTableVers}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.TableVers, nil
@@ -828,7 +803,7 @@ func (c *CertClient) TableVersions() (map[string]uint64, error) {
 // replica's recovery loop pages until empty. Pages honour the client's
 // shard subscription (unserved entries arrive as skip markers).
 func (c *CertClient) History(after uint64) []certifier.Refresh {
-	resp, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.to.Call, c.opts.backoff.Max)
+	resp, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.backoff.Max)
 	if err != nil {
 		log.Printf("wire: history(%d): %v", after, err)
 		return nil

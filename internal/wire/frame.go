@@ -46,7 +46,7 @@ import (
 
 // codecVersion is the protocol version carried in every hello. Bump it
 // with any change to a frame layout, then run `make update-schema`.
-const codecVersion = 3
+const codecVersion = 4
 
 // helloMagic opens every connection's first frame.
 const helloMagic = "SCRP"
@@ -89,15 +89,13 @@ const (
 	opStatus
 	opCertify
 	opHistory
-	opGlobalWait
-	opVersion
 	opTableVers
 	opUnsubscribe
 	numOps
 )
 
 var opNames = [numOps]string{"", "exec", "commit", "abort", "register", "status",
-	"certify", "history", "globalwait", "version", "tablevers", "unsubscribe"}
+	"certify", "history", "tablevers", "unsubscribe"}
 
 // String is the operation's name in metrics labels and errors.
 func (o op) String() string {

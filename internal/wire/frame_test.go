@@ -92,11 +92,11 @@ func frameCases() []struct {
 		{"replicaResponse/empties", &replicaResponse{Commit: replica.CommitResult{WrittenTables: []string{},
 			TableVersions: map[string]uint64{}}, Touched: []string{}}, &replicaResponse{}},
 		{"certRequest", &certRequest{Seq: 1, Op: opCertify, Origin: -1, TxnID: 2, Snapshot: 3, WS: ws, Trace: sc,
-			ReplicaID: 4, Version: 5, After: math.MaxUint64, Shards: []int{1}}, &certRequest{}},
+			ReplicaID: 4, After: math.MaxUint64, Shards: []int{1}}, &certRequest{}},
 		{"certRequest/zero", &certRequest{}, &certRequest{}},
 		{"certRequest/emptyWS", &certRequest{Op: opCertify, WS: &writeset.WriteSet{}}, &certRequest{}},
 		{"certResponse", &certResponse{Seq: 1, Err: "e", Decision: certifier.Decision{Commit: true, Version: 9},
-			History: codecBatch(), Version: 10, TableVers: map[string]uint64{"t": 1, "s": 2}}, &certResponse{}},
+			History: codecBatch(), TableVers: map[string]uint64{"t": 1, "s": 2}}, &certResponse{}},
 		{"certResponse/zero", &certResponse{}, &certResponse{}},
 		{"certResponse/empties", &certResponse{History: []certifier.Refresh{}, TableVers: map[string]uint64{}}, &certResponse{}},
 		{"refreshBatch", ptr(refreshBatch(codecBatch())), new(refreshBatch)},

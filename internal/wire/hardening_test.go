@@ -10,6 +10,7 @@ import (
 
 	"sconrep/internal/certifier"
 	"sconrep/internal/core"
+	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
 	"sconrep/internal/storage"
 	"sconrep/internal/writeset"
@@ -34,7 +35,7 @@ func TestCallDeadlineOnStalledPeer(t *testing.T) {
 	p := newConnPool("stalled", testHello, dial, Timeouts{Call: 100 * time.Millisecond})
 	start := time.Now()
 	var resp certResponse
-	err := p.call(&certRequest{Op: opVersion}, &resp)
+	err := p.call(&certRequest{Op: opTableVers}, &resp)
 	if err == nil {
 		t.Fatal("call against a stalled peer succeeded")
 	}
@@ -53,7 +54,7 @@ func TestCallDeadlineOnDeafPeer(t *testing.T) {
 	p := newConnPool("deaf", testHello, dial, Timeouts{Call: 100 * time.Millisecond})
 	start := time.Now()
 	var resp certResponse
-	err := p.call(&certRequest{Op: opVersion}, &resp)
+	err := p.call(&certRequest{Op: opTableVers}, &resp)
 	if err == nil {
 		t.Fatal("call against a deaf peer succeeded")
 	}
@@ -105,7 +106,7 @@ func TestSeqGuardDropsDuplicatedFrame(t *testing.T) {
 func TestCertClientResubscribeAfterServerRestart(t *testing.T) {
 	cert := certifier.New()
 	srv, err := ServeCertifier(cert, "127.0.0.1:0",
-		WithTimeouts(Timeouts{Call: 2 * time.Second, LongPoll: 2 * time.Second, Idle: 200 * time.Millisecond}),
+		WithTimeouts(Timeouts{Call: 2 * time.Second, Idle: 200 * time.Millisecond}),
 		WithBackoff(Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestCertClientResubscribeAfterServerRestart(t *testing.T) {
 	eng := storage.NewEngine()
 	loadKV(t, eng)
 	cc := DialCertifier(addr, 0, eng.Version(),
-		WithTimeouts(Timeouts{Call: 2 * time.Second, LongPoll: 2 * time.Second, Idle: 200 * time.Millisecond}),
+		WithTimeouts(Timeouts{Call: 2 * time.Second, Idle: 200 * time.Millisecond}),
 		WithBackoff(Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond}),
 		WithVLocal(eng.Version))
 	defer cc.Close()
@@ -189,7 +190,7 @@ func TestCertClientResubscribeAfterServerRestart(t *testing.T) {
 	// Restart on the same port; the client must resubscribe from its
 	// Vlocal and backfill v2 and v3 with no gap.
 	srv2, err := ServeCertifier(cert, addr,
-		WithTimeouts(Timeouts{Call: 2 * time.Second, LongPoll: 2 * time.Second, Idle: 200 * time.Millisecond}))
+		WithTimeouts(Timeouts{Call: 2 * time.Second, Idle: 200 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestCertClientResubscribeAfterServerRestart(t *testing.T) {
 // the dial-time snapshot would re-assign already-used commit versions
 // and crash every replica past the stale point.
 func TestLossyCertifierRestartAdoptsLiveVersion(t *testing.T) {
-	to := Timeouts{Call: 2 * time.Second, LongPoll: 2 * time.Second, Idle: 200 * time.Millisecond}
+	to := Timeouts{Call: 2 * time.Second, Idle: 200 * time.Millisecond}
 	bo := Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond}
 	cert := certifier.New()
 	srv, err := ServeCertifier(cert, "127.0.0.1:0", WithTimeouts(to), WithBackoff(bo))
@@ -407,7 +408,10 @@ func TestSubscribeHasNoLostRefreshWindow(t *testing.T) {
 // the servers shared one prologue the gateway read the hello with no
 // deadline and kept such a connection, and its goroutine, for good. A
 // session that did say hello is the gateway's to keep: it may think for
-// longer than Idle between requests.
+// longer than Idle between requests, and its next transaction must not
+// land on the pooled gateway → replica connection the replica reaped
+// meanwhile (the pool drops one idle for Idle/2; before it did, the
+// request was written to the dead connection and failed at the read).
 func TestSilentPeerIsReaped(t *testing.T) {
 	idle := WithTimeouts(Timeouts{Call: 2 * time.Second, Idle: 100 * time.Millisecond})
 	cert := certifier.New()
@@ -448,11 +452,15 @@ func TestSilentPeerIsReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	time.Sleep(300 * time.Millisecond)
-	// Register is answered by the gateway alone: the replica link's own
-	// idle reaping stays out of the picture.
-	if err := cli.RegisterTxn("readKV", []string{"kv"}); err != nil {
-		t.Fatalf("session idle for 3× Idle was dropped: %v", err)
+	for _, pause := range []time.Duration{0, 300 * time.Millisecond} {
+		time.Sleep(pause)
+		cli.Start("", nil, dtrace.SpanContext{})
+		if _, err := cli.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil {
+			t.Fatalf("read after a %v pause (Idle is 100ms): %v", pause, err)
+		}
+		if _, _, err := cli.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

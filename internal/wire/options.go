@@ -21,9 +21,6 @@ type Timeouts struct {
 	// Call bounds one request/response exchange: the write deadline for
 	// the request and the read deadline for the response.
 	Call time.Duration
-	// LongPoll replaces Call on deliberately long-blocking calls (the
-	// eager global-commit wait).
-	LongPoll time.Duration
 	// Idle is a server-side read deadline between requests and the
 	// subscription stream's per-batch receive deadline. Idle
 	// connections beyond it are torn down; pooled clients re-dial

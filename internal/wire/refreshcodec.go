@@ -15,8 +15,9 @@ import (
 //	uvarint TxnID, uvarint Version, varint Origin, writeset
 //
 // where the writeset is internal/writeset's encoding, whose leading
-// flags byte is zero for a version skip marker. A stream frame is a
-// uvarint count followed by that many refreshes.
+// flags byte is zero for a version skip marker. Version 0 is a
+// global-commit notice, followed by its uvarint GlobalThrough. A stream
+// frame is a uvarint count followed by that many entries.
 //
 // The receiver's frame buffer is exact-size and single-use, and every
 // decoded string aliases it — zero copies, zero per-string allocations.
@@ -50,9 +51,17 @@ func appendRefresh(buf []byte, r *certifier.Refresh) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, r.TxnID)
 	buf = binary.AppendUvarint(buf, r.Version)
 	buf = binary.AppendVarint(buf, int64(r.Origin))
-	return r.WS.AppendTo(buf)
+	buf, err := r.WS.AppendTo(buf)
+	if err != nil || r.Version != 0 {
+		return buf, err
+	}
+	return binary.AppendUvarint(buf, r.GlobalThrough), nil
 }
 
 func readRefresh(d *writeset.Decoder) certifier.Refresh {
-	return certifier.Refresh{TxnID: d.Uvarint(), Version: d.Uvarint(), Origin: int(d.Varint()), WS: d.WriteSet()}
+	r := certifier.Refresh{TxnID: d.Uvarint(), Version: d.Uvarint(), Origin: int(d.Varint()), WS: d.WriteSet()}
+	if r.Version == 0 {
+		r.GlobalThrough = d.Uvarint()
+	}
+	return r
 }

@@ -14,7 +14,7 @@ import (
 // codecBatch exercises every shape a refresh frame must carry: all five
 // row value types, nil rows (deletes), empty strings, an empty
 // writeset, a version skip marker (nil writeset), a recovery-replay
-// origin (-1), and a traced writeset.
+// origin (-1), a traced writeset, and a global-commit notice.
 func codecBatch() []certifier.Refresh {
 	sc := testSpan()
 	return []certifier.Refresh{
@@ -31,6 +31,7 @@ func codecBatch() []certifier.Refresh {
 			Items: []writeset.Item{{Table: "t", Key: "x", Op: writeset.OpUpdate, Row: []any{}}},
 		}},
 		{TxnID: 5, Version: 14, Origin: 0}, // skip marker
+		{Origin: 2, GlobalThrough: 13},     // global-commit notice
 	}
 }
 

@@ -161,6 +161,7 @@ const (
 	codeConflict
 	codeCrashed
 	codeUnavailable
+	codeNotEager
 	numErrCodes
 )
 
@@ -182,6 +183,8 @@ func codeOf(err error) errCode {
 		return codeCrashed
 	case errors.Is(err, ErrUnavailable), errors.Is(err, lb.ErrNoReplicas):
 		return codeUnavailable
+	case errors.Is(err, replica.ErrNotEager):
+		return codeNotEager
 	default:
 		return codeOther
 	}
@@ -198,6 +201,8 @@ func decodeErr(code errCode, msg string) error {
 		return fmt.Errorf("%w: %s", replica.ErrCrashed, msg)
 	case codeUnavailable:
 		return fmt.Errorf("%w: %s", ErrUnavailable, msg)
+	case codeNotEager:
+		return fmt.Errorf("%w: %s", replica.ErrNotEager, msg)
 	default:
 		return errors.New(msg)
 	}

@@ -10,9 +10,9 @@
 //   - certifier link (CertServer / CertClient): replicas certify
 //     writesets and fetch recovery history on request/response
 //     connections, and hold one subscription connection each, on which
-//     refreshes stream down and — when the certifier's subAck asks for
-//     them, i.e. under eager mode — cumulative apply acknowledgments
-//     travel up as one-way frames;
+//     refreshes stream down and — when the certifier's subAck says so,
+//     i.e. under eager mode — global-commit notices with them, and
+//     cumulative apply acknowledgments travel up as one-way frames;
 //   - replica link (ReplicaServer / replicaConn): the gateway begins,
 //     executes, and commits transactions on a replica;
 //   - client link (Gateway / Client): applications open sessions and
@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sconrep/internal/certifier"
@@ -76,6 +77,8 @@ type rpcConn struct {
 	// byte stream desynchronized (e.g. a duplicated frame); the
 	// connection is unusable and is torn down.
 	seq uint64
+	// idleSince is when the connection went back to the free list.
+	idleSince time.Time
 }
 
 // request / response are the frame types of a call: each carries a
@@ -97,11 +100,19 @@ func newConnPool(addr string, hello func() outFrame, dial Dialer, to Timeouts) *
 	return &connPool{addr: addr, hello: hello, dial: dial, to: to}
 }
 
+// get returns an idle connection or dials one. The server reaps at
+// Timeouts.Idle, and a request written to a reaped connection fails only
+// at the response read, which is never retried: one idle for more than
+// half of that is closed instead of used.
 func (p *connPool) get() (*rpcConn, error) {
 	p.mu.Lock()
-	if n := len(p.free); n > 0 {
+	for n := len(p.free); n > 0; n = len(p.free) {
 		rc := p.free[n-1]
 		p.free = p.free[:n-1]
+		if p.to.Idle > 0 && time.Since(rc.idleSince) > p.to.Idle/2 {
+			rc.c.Close()
+			continue
+		}
 		p.mu.Unlock()
 		rc.pooled = true
 		return rc, nil
@@ -123,24 +134,23 @@ func (p *connPool) get() (*rpcConn, error) {
 }
 
 func (p *connPool) put(rc *rpcConn) {
+	if p.to.Idle > 0 {
+		rc.idleSince = time.Now()
+	}
 	p.mu.Lock()
 	p.free = append(p.free, rc)
 	p.mu.Unlock()
 }
 
 // call performs one request/response exchange, or with a nil resp puts
-// a one-way request on the wire; on any error the connection is
-// discarded.
+// a one-way request on the wire, under the Timeouts.Call deadline (zero
+// means none); on any error the connection is discarded. If the request
+// fails to send on a pooled connection — the server likely reaped it
+// while idle — the exchange is retried once on a fresh connection; a
+// send that reached the wire is never retried here, so retry-safety
+// decisions stay with the callers.
 func (p *connPool) call(req request, resp response) error {
-	return p.callDeadline(req, resp, p.to.Call)
-}
-
-// callDeadline is call with an explicit exchange deadline (zero means
-// none). If the request fails to send on a pooled connection — the
-// server likely reaped it while idle — the exchange is retried once on
-// a fresh connection; a send that reached the wire is never retried
-// here, so retry-safety decisions stay with the callers.
-func (p *connPool) callDeadline(req request, resp response, d time.Duration) error {
+	d := p.to.Call
 	for {
 		rc, err := p.get()
 		if err != nil {
@@ -202,10 +212,13 @@ type refreshQueue struct {
 	// closed drops further pushes.
 	// guarded by mu
 	closed bool
+	// tracked is the client's latest subAck's Acks bit; it outlives the
+	// queue, which a recovering replica replaces before the next subAck.
+	tracked *atomic.Bool
 }
 
-func newRefreshQueue() *refreshQueue {
-	return &refreshQueue{notify: make(chan struct{}, 1)}
+func newRefreshQueue(tracked *atomic.Bool) *refreshQueue {
+	return &refreshQueue{notify: make(chan struct{}, 1), tracked: tracked}
 }
 
 func (q *refreshQueue) push(batch []certifier.Refresh) {
@@ -247,6 +260,11 @@ func (q *refreshQueue) Pending() []certifier.Refresh {
 	defer q.mu.Unlock()
 	return append([]certifier.Refresh(nil), q.items...)
 }
+
+// GlobalTracked tells the replica whether the certifier sends
+// global-commit notices. It is set before the stream reports up, so
+// before the serve gate lets a transaction in.
+func (q *refreshQueue) GlobalTracked() bool { return q.tracked.Load() }
 
 // QueueLen implements replica.RefreshSource.
 func (q *refreshQueue) QueueLen() int {

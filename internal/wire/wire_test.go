@@ -190,6 +190,33 @@ func TestDistributedEager(t *testing.T) {
 	}
 }
 
+// TestEagerCommitRightAfterRecover: a recovering replica subscribes
+// anew, and its eager commit may come before the new stream's subAck.
+// What the certifier said about tracking global commits must survive
+// the queue the recovery replaced, or that commit is refused.
+func TestEagerCommitRightAfterRecover(t *testing.T) {
+	d := newDeployment(t, 2, core.Eager)
+	rep := d.replicas[0]
+	rep.Crash()
+	if err := rep.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := rep.Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.ExecSQL(`UPDATE kv SET v = 'back' WHERE k = 0`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tx.Commit(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := d.replicas[1].Version(); v < res.Version {
+		t.Fatalf("eager ack at %d before replica 1 applied (at %d)", res.Version, v)
+	}
+}
+
 func TestDistributedConflict(t *testing.T) {
 	d := newDeployment(t, 2, core.Coarse)
 	// Two sessions race on the same row; with serial client calls we

@@ -225,18 +225,7 @@ func (db *DB) Bootstrap(fn func(*Boot) error) error {
 // every replica. Schema changes are not replicated through the commit
 // protocol (the paper's prototype pre-creates the TPC-W schema); this
 // is the managed way to roll one out after Bootstrap.
-func (db *DB) ExecSchema(q string) error {
-	for i := 0; i < db.c.NumReplicas(); i++ {
-		e := db.c.Replica(i).Engine()
-		tx := e.Begin()
-		_, err := sql.Exec(tx, e, q)
-		tx.Abort() // DDL is engine-level; nothing to commit
-		if err != nil {
-			return fmt.Errorf("sconrep: schema on replica %d: %w", i, err)
-		}
-	}
-	return nil
-}
+func (db *DB) ExecSchema(q string) error { return db.c.ExecSchemaAll(q) }
 
 // Stmt is a prepared statement, shareable across sessions.
 type Stmt struct{ p *sql.Prepared }
