@@ -1,6 +1,6 @@
 // Command sconrep-bench regenerates the paper's evaluation (§V): every
-// table and figure, as aligned text tables, on an in-process cluster
-// with the simulated LAN cost model.
+// table and figure, as aligned text tables, on a loopback cluster
+// (cluster.New) with the simulated LAN cost model.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
-// Command sconrep-cli is an interactive SQL shell against an
-// in-process replicated cluster — a sandbox for exploring the system's
-// behaviour by hand.
+// Command sconrep-cli is an interactive SQL shell against a replicated
+// cluster whose nodes run inside this process, on loopback — a sandbox
+// for exploring the system's behaviour by hand.
 //
 //	sconrep-cli -replicas 3 -mode FSC
 //

@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: it runs one (workload,
-// mode, replicas, clients) point on an in-process cluster and collects
+// mode, replicas, clients) point on a loopback cluster and collects
 // the paper's metrics, and it exposes one experiment function per
 // table/figure of §V that sweeps the corresponding parameter grid and
 // renders the same rows/series the paper reports.

@@ -1,11 +1,13 @@
-// Package cluster assembles the replicated database of Figure 2 in
-// process: one certifier, N replicas (proxy + storage engine), and a
-// load balancer, with simulated network/IO costs injected from a
-// latency model.
+// Package cluster assembles the replicated database of Figure 2: one
+// certifier, N replicas (proxy + storage engine) and a gateway (the
+// load balancer), each a node of its own (node.go) that talks to the
+// others only by messages over loopback TCP. Simulated costs come from
+// a latency model: the network's one-way delay is charged per message
+// on the link that carries it, the rest inside the node that pays it.
 //
 // Clients interact through Sessions, which reproduce the paper's
-// client path: every interaction flows through the load balancer,
-// transactions are tagged with the minimum start version their
+// client path: every interaction is a message to the gateway,
+// transactions are tagged there with the minimum start version their
 // consistency mode requires, and commit acknowledgments feed the
 // balancer's version accounting.
 package cluster
@@ -43,7 +45,8 @@ type Config struct {
 	// Mode is the consistency configuration.
 	Mode core.Mode
 	// Latency is the simulated cost model; the zero Model injects no
-	// delays (useful for correctness tests).
+	// delays (useful for correctness tests). Its OneWay is charged per
+	// message on every link (see NewNetworked).
 	Latency latency.Model
 	// DisableEarlyCert turns off early certification (ablation).
 	DisableEarlyCert bool
@@ -82,29 +85,34 @@ type Config struct {
 	ReplicaShards [][]int
 }
 
-// Cluster is a running replicated database.
+// Cluster is a running replicated database: its nodes, and the client
+// side of the sessions that talk to its gateway.
 type Cluster struct {
-	cfg       Config
-	cert      *certifier.Certifier
-	replicas  []*replica.Replica
-	balancer  *lb.LoadBalancer
-	coll      *metrics.Collector
-	rec       *history.Recorder
-	clientLat func(seed int64) *latency.Source
-	nextSess  atomic.Int64
-	nextTxn   atomic.Uint64
-	loaded    bool
+	cfg  Config
+	ncfg NetConfig
+	// The nodes, and what they run: certNode's certifier, the replica
+	// nodes' proxies, the gateway's balancer.
+	certNode *CertifierNode
+	nodes    []*ReplicaNode
+	gateway  *GatewayNode
+	cert     *certifier.Certifier
+	replicas []*replica.Replica
+	balancer *lb.LoadBalancer
+	coll     *metrics.Collector
+	rec      *history.Recorder
+	nextSess atomic.Int64
+	nextTxn  atomic.Uint64
+	loaded   bool
 	// commitObs, when set, observes every committed transaction's
 	// runtime table accesses (see ObserveCommits). Set once, before
 	// serving traffic.
 	commitObs func(txnName string, readTables, writtenTables []string)
-	// net is non-nil for a NewNetworked cluster: sessions then run over
-	// wire clients against a real TCP gateway instead of calling the
-	// balancer in process.
-	net *netCluster
 	// tracer mints client.txn root spans; nil until EnableDTrace (set
 	// before traffic, so plain field access suffices).
 	tracer *dtrace.Tracer
+	// readDelay is the per-mode read-start-delay histogram fed by
+	// finished; nil until EnableObs.
+	readDelay atomic.Pointer[obs.Histogram]
 
 	// smu guards stores: RestartReplica swaps entries while obs
 	// scrapes read them.
@@ -166,25 +174,6 @@ func (cfg Config) certifierConfig() (CertifierConfig, error) {
 	}, nil
 }
 
-// newCore builds the pieces shared by the in-process and networked
-// deployments around their certifier: collector, recorder, client
-// latency sources.
-func newCore(cfg Config, cert *certifier.Certifier) *Cluster {
-	c := &Cluster{
-		cfg:    cfg,
-		cert:   cert,
-		coll:   metrics.NewCollector(),
-		stores: make([]*pstore.Store, cfg.Replicas),
-		clientLat: func(seed int64) *latency.Source {
-			return latency.NewSource(cfg.Latency, cfg.Seed^seed)
-		},
-	}
-	if cfg.RecordHistory {
-		c.rec = history.NewRecorder()
-	}
-	return c
-}
-
 // replicaConfig is replica i's proxy configuration.
 func (c *Cluster) replicaConfig(i int) replica.Config {
 	return replica.Config{
@@ -218,34 +207,27 @@ func (c *Cluster) servedShards() map[int][]int {
 	return served
 }
 
-// New builds and starts a cluster.
-func New(cfg Config) (*Cluster, error) {
-	ccfg, err := cfg.certifierConfig()
-	if err != nil {
-		return nil, err
+// New builds and starts a cluster on loopback with the default wire
+// configuration: NewNetworked(cfg, NetConfig{}).
+func New(cfg Config) (*Cluster, error) { return NewNetworked(cfg, NetConfig{}) }
+
+// finished is every replica's OnFinish hook. A committed transaction's
+// timeline feeds Figure 4's stage means and the sync-delay series — the
+// global stage under ESC, the version stage under the lazy modes — and
+// every transaction's version stage the read-start-delay histogram.
+func (c *Cluster) finished(tl metrics.Timeline, committed, readOnly bool) {
+	start := tl.Stage(metrics.StageVersion)
+	if h := c.readDelay.Load(); h != nil {
+		h.Observe(start)
 	}
-	cert, _, err := openCertifier(ccfg) // no WALPath: nothing opened
-	if err != nil {
-		return nil, err
+	if !committed {
+		return
 	}
-	c := newCore(cfg, cert)
-	nodes := make([]lb.Node, 0, cfg.Replicas)
-	for i := 0; i < cfg.Replicas; i++ {
-		backend, err := openBackend(c.storeDir(i), cfg.CheckpointEvery, nil)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.stores[i], _ = backend.(*pstore.Store)
-		r := replica.NewWithBackend(c.replicaConfig(i), backend, replica.LocalShards(cert, c.replicaShards(i)))
-		c.replicas = append(c.replicas, r)
-		nodes = append(nodes, r)
+	syncDelay := start
+	if c.cfg.Mode == core.Eager {
+		syncDelay = tl.Stage(metrics.StageGlobal)
 	}
-	c.balancer = lb.New(cfg.Mode, nodes)
-	if served := c.servedShards(); served != nil {
-		c.balancer.SetShardRouting(ccfg.Shards, served)
-	}
-	return c, nil
+	c.coll.RecordTimeline(tl, !readOnly, syncDelay)
 }
 
 // LoadData bootstraps every replica with identical initial data by
@@ -379,13 +361,11 @@ func (c *Cluster) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 		return
 	}
 	c.cert.EnableObs(reg)
-	mode := c.cfg.Mode.String()
-	readDelay := reg.Histogram("sconrep_read_start_delay_seconds",
+	c.readDelay.Store(reg.Histogram("sconrep_read_start_delay_seconds",
 		"Delay between a transaction's arrival at its replica and its first possible read: the synchronization wait the consistency mode imposes, split by mode.",
-		nil, "mode", mode)
+		nil, "mode", c.cfg.Mode.String()))
 	for i, r := range c.replicas {
 		r.EnableObs(reg, tr)
-		r.OnReadStartDelay(func(d time.Duration) { readDelay.Observe(d) })
 		served := c.replicaShards(i)
 		reg.GaugeVecFunc("sconrep_replica_table_lag",
 			"Replication lag per table: the certifier's last committed version for the table minus this replica's applied version of it, over the tables of the shards the replica subscribes to.",
@@ -496,17 +476,18 @@ func (c *Cluster) NumReplicas() int { return len(c.replicas) }
 // Balancer exposes the load balancer.
 func (c *Cluster) Balancer() *lb.LoadBalancer { return c.balancer }
 
-// Close detaches all replicas, stopping their appliers, and closes
-// any persistent stores gracefully; a networked cluster also tears
-// down its servers and wire clients.
+// Close stops the nodes in reverse construction order — each replica
+// node detaches its replica, stopping its appliers — and closes any
+// persistent stores gracefully, including ones a disk restart swapped
+// in.
 func (c *Cluster) Close() {
-	if c.net != nil {
-		c.net.close()
-	} else {
-		for _, r := range c.replicas {
-			r.Crash()
-		}
+	if c.gateway != nil {
+		c.gateway.Close()
 	}
+	for _, n := range c.nodes {
+		n.Close()
+	}
+	c.certNode.Close()
 	c.smu.Lock()
 	stores := append([]*pstore.Store(nil), c.stores...)
 	c.smu.Unlock()
@@ -539,18 +520,18 @@ func (c *Cluster) VacuumAll() {
 	c.cert.TrimBelow(watermark)
 }
 
-// Session is one client's connection through the load balancer. A
-// session issues transactions serially (closed loop).
+// Session is one client's connection to the gateway. A session issues
+// transactions serially (closed loop).
 type Session struct {
 	c   *Cluster
 	id  string
 	lat *latency.Source
 
-	// Networked path: the session's gateway connection. A transport
-	// failure makes wc unusable (its gateway-side version floor is
-	// gone), so ensureClient reconnects under a fresh epoch — to the
-	// consistency oracle the reconnect is a brand-new session, exactly
-	// the guarantee a real client loses when its connection drops.
+	// wc is the session's gateway connection. A transport failure makes
+	// it unusable (its gateway-side version floor is gone), so
+	// ensureClient reconnects under a fresh epoch — to the consistency
+	// oracle the reconnect is a brand-new session, exactly the guarantee
+	// a real client loses when its connection drops.
 	wc    *wire.Client
 	epoch int
 }
@@ -563,7 +544,8 @@ func (c *Cluster) NewSession() *Session {
 
 // SessionWithID opens a session with an explicit ID.
 func (c *Cluster) SessionWithID(id string) *Session {
-	return &Session{c: c, id: id, lat: c.clientLat(int64(len(id)) + c.nextSess.Add(1)*104729)}
+	seed := int64(len(id)) + c.nextSess.Add(1)*104729
+	return &Session{c: c, id: id, lat: latency.NewSource(c.cfg.Latency, c.cfg.Seed^seed)}
 }
 
 // ID returns the session identifier.
@@ -590,13 +572,13 @@ func (s *Session) ensureClient() (*wire.Client, error) {
 		s.wc = nil
 		s.epoch++
 	}
-	n := s.c.net
-	to := n.cfg.ClientTimeouts
+	n := s.c.ncfg
+	to := n.ClientTimeouts
 	if to == (wire.Timeouts{}) {
-		to = n.cfg.Timeouts
+		to = n.Timeouts
 	}
-	wc, err := wire.Dial(n.gateway.Addr(), s.effectiveID(),
-		wire.WithDialer(n.cfg.dialer(LinkClient)),
+	wc, err := wire.Dial(s.c.gateway.Addr(), s.effectiveID(),
+		wire.WithDialer(n.dialer(LinkClient)),
 		wire.WithTimeouts(to))
 	if err != nil {
 		return nil, err
@@ -605,36 +587,29 @@ func (s *Session) ensureClient() (*wire.Client, error) {
 	return wc, nil
 }
 
-// Close drops the session's accounting at the balancer. In networked
-// mode, closing the gateway connection does the same server-side.
+// Close ends the session: closing its gateway connection drops its
+// accounting at the balancer.
 func (s *Session) Close() {
-	if s.c.net != nil {
-		if s.wc != nil {
-			s.wc.Close()
-			s.wc = nil
-		}
-		return
+	if s.wc != nil {
+		s.wc.Close()
+		s.wc = nil
 	}
-	s.c.balancer.EndSession(s.id)
 }
 
 // Think blocks for an exponential think time with the given mean.
 func (s *Session) Think(mean time.Duration) { s.lat.Think(mean) }
 
-// Tx is one client transaction in flight.
+// Tx is one client transaction in flight. Begin sends nothing: the
+// begin header (name or tables, and the root span) rides on the
+// transaction's first request, and until that request is answered wc
+// is nil. After it: the gateway connection the transaction runs on, its
+// begin snapshot, and the session epoch ID it was begun under.
 type Tx struct {
 	s      *Session
-	rtx    *replica.Txn
 	submit time.Time
 	name   string
-	done   bool
-
-	// Networked path (rtx is nil). Begin sends nothing: the begin header
-	// (name or tables, and the root span) rides on the transaction's
-	// first request, and until that request is answered wc is nil. After
-	// it: the gateway connection the transaction runs on, its begin
-	// snapshot, and the session epoch ID it was begun under.
 	tables []string
+	done   bool
 	wc     *wire.Client
 	snap   uint64
 	sessID string
@@ -662,51 +637,31 @@ func (t *Tx) endSpan(outcome string, version uint64, err error) {
 	t.span.End()
 }
 
-// Begin dispatches a transaction named txnName (the identifier the
-// fine-grained mode resolves to a table-set; any string — including
-// "" — works under the other modes). On a networked cluster it sends
-// nothing and cannot fail: see begin.
-func (s *Session) Begin(txnName string) (*Tx, error) { return s.begin(txnName, nil) }
+// Begin starts a transaction named txnName (the identifier the
+// fine-grained mode resolves to a table-set; any string — including ""
+// — works under the other modes). It sends nothing and never fails: see
+// begin.
+func (s *Session) Begin(txnName string) (*Tx, error) { return s.begin(txnName, nil), nil }
 
-// BeginTables dispatches a transaction tagged with an explicit
-// table-set (the paper's footnote-1 alternative to registered
-// transaction names).
-func (s *Session) BeginTables(tables []string) (*Tx, error) { return s.begin("", tables) }
+// BeginTables starts a transaction tagged with an explicit table-set
+// (the paper's footnote-1 alternative to registered transaction names).
+func (s *Session) BeginTables(tables []string) (*Tx, error) { return s.begin("", tables), nil }
 
 // begin starts a transaction routed by name or, when tables is
-// non-empty, by table-set. A networked transaction starts without
-// sending anything, as the in-process model charges begin forward hops
-// only: the balancer routes and the replica applies the start rule when
-// the first request arrives, so routing and gate errors surface from
-// there, and Submit — the moment the oracle holds the start rule to —
-// is still now.
-func (s *Session) begin(txnName string, tables []string) (*Tx, error) {
-	t := &Tx{s: s, submit: time.Now(), name: txnName, tables: tables, span: s.c.clientSpan(txnName)}
-	if s.c.net != nil {
-		return t, nil
-	}
-	// Client → LB → replica.
-	s.lat.NetworkHop()
-	sc := t.span.Context()
-	route, err := s.c.balancer.DispatchCtx(s.id, txnName, tables, sc)
-	if err == nil {
-		s.lat.NetworkHop()
-		t.rtx, err = route.Node.(*replica.Replica).Begin(route.MinVersion, &sc)
-	}
-	if err != nil {
-		t.span.SetAttr("outcome", "error")
-		t.span.End()
-		return nil, err
-	}
-	return t, nil
+// non-empty, by table-set, without sending anything: the gateway routes
+// it and the replica applies the start rule when its first request
+// arrives, so routing and gate errors surface from there, and Submit —
+// the moment the oracle holds the start rule to — is still now.
+func (s *Session) begin(txnName string, tables []string) *Tx {
+	return &Tx{s: s, submit: time.Now(), name: txnName, tables: tables, span: s.c.clientSpan(txnName)}
 }
 
-// netFirst sends the transaction's first request, the one that carries
-// its begin header. A failed header request leaves nothing behind (the
+// first sends the transaction's first request, the one that carries its
+// begin header. A failed header request leaves nothing behind (the
 // gateway aborts on connection death), so unless it carried the commit
 // a transport failure is retried once on a fresh connection. Any other
 // failure is terminal: no transaction was started.
-func (t *Tx) netFirst(commit bool, do func(*wire.Client) error) error {
+func (t *Tx) first(commit bool, do func(*wire.Client) error) error {
 	for attempt := 0; ; attempt++ {
 		wc, err := t.s.ensureClient()
 		if err == nil {
@@ -735,33 +690,12 @@ func (t *Tx) abandon(err error) {
 
 // Exec runs one prepared statement (one client round trip).
 func (t *Tx) Exec(p *sql.Prepared, params ...any) (*sql.Result, error) {
-	if t.rtx == nil {
-		return t.netExec(p.SQL, params...)
-	}
-	t.s.lat.RoundTrip()
-	res, err := t.rtx.Exec(p, params...)
-	if err != nil {
-		t.failed(err)
-		return nil, err
-	}
-	return res, nil
+	return t.ExecSQL(p.SQL, params...)
 }
 
-// ExecSQL runs one ad-hoc statement.
+// ExecSQL runs one ad-hoc statement (one client round trip); the
+// replica parses each distinct text once.
 func (t *Tx) ExecSQL(src string, params ...any) (*sql.Result, error) {
-	if t.rtx == nil {
-		return t.netExec(src, params...)
-	}
-	t.s.lat.RoundTrip()
-	res, err := t.rtx.ExecSQL(src, params...)
-	if err != nil {
-		t.failed(err)
-		return nil, err
-	}
-	return res, nil
-}
-
-func (t *Tx) netExec(src string, params ...any) (*sql.Result, error) {
 	if t.done {
 		return nil, replica.ErrTxnDone
 	}
@@ -771,7 +705,7 @@ func (t *Tx) netExec(src string, params ...any) (*sql.Result, error) {
 		return err
 	}
 	if t.wc == nil {
-		err := t.netFirst(false, exec)
+		err := t.first(false, exec)
 		return res, err
 	}
 	if err := exec(t.wc); err != nil {
@@ -781,18 +715,12 @@ func (t *Tx) netExec(src string, params ...any) (*sql.Result, error) {
 	return res, nil
 }
 
-// failed marks execution errors that already aborted the transaction
-// at the replica so Commit/Abort do not double-count. Over the wire an
-// early-certification kill arrives as ErrCertifyConflict (the one
-// conflict code), which no statement returns in process. A broken wire
-// session is terminal for the transaction the same way.
+// failed ends the transaction on a statement error that already ended
+// it at the replica — an early-certification kill, which arrives as
+// ErrCertifyConflict (the one conflict code), or a crash — and on a
+// broken connection, which leaves it nowhere to go on.
 func (t *Tx) failed(err error) {
-	terminal := errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed) ||
-		errors.Is(err, replica.ErrCertifyConflict)
-	if t.wc != nil && t.wc.Broken() {
-		terminal = true
-	}
-	if terminal {
+	if errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed) || t.wc.Broken() {
 		t.abandon(err)
 	}
 }
@@ -805,73 +733,22 @@ func (t *Tx) Abort() {
 	t.done = true
 	t.endSpan("abort", 0, nil)
 	t.s.c.coll.RecordAbort()
-	switch {
-	case t.rtx != nil:
-		t.rtx.Abort()
-	case t.wc != nil && !t.wc.Broken():
-		// A networked transaction that sent no request has nothing to
-		// abort anywhere.
+	// A transaction that sent no request has nothing to abort anywhere.
+	if t.wc != nil && !t.wc.Broken() {
 		_ = t.wc.Abort()
 	}
 }
 
-// Commit finishes the transaction through the consistency mode's
-// commit path and records metrics and history.
+// Commit finishes the transaction through the consistency mode's commit
+// path and records the observation for metrics and the history oracle.
+// An event is only recorded when the acknowledgment actually reached
+// this client: a commit whose ack was lost to a fault may well have
+// happened, but the client observed nothing, so the oracle has nothing
+// to hold it to.
 func (t *Tx) Commit() (replica.CommitResult, error) {
 	if t.done {
 		return replica.CommitResult{}, replica.ErrTxnDone
 	}
-	if t.rtx == nil {
-		return t.netCommit()
-	}
-	t.done = true
-	t.s.lat.RoundTrip()
-	snapshot := t.rtx.Snapshot()
-	readTables := t.rtx.Touched()
-	res, err := t.rtx.Commit(t.s.c.cfg.Mode == core.Eager)
-	if err != nil {
-		t.endSpan("error", 0, err)
-		t.s.c.coll.RecordAbort()
-		return res, err
-	}
-	// Response travels replica → LB → client.
-	t.s.lat.NetworkHop()
-	t.s.c.balancer.ObserveCommit(t.s.id, res)
-	t.s.lat.NetworkHop()
-	acked := time.Now()
-	t.endSpan("commit", res.Version, nil)
-
-	stages := t.rtx.Stages()
-	syncDelay := stages.Stage(metrics.StageVersion)
-	if t.s.c.cfg.Mode == core.Eager {
-		syncDelay = stages.Stage(metrics.StageGlobal)
-	}
-	t.s.c.coll.RecordCommit(stages, !res.ReadOnly, acked.Sub(t.submit), syncDelay)
-	if obs := t.s.c.commitObs; obs != nil {
-		obs(t.name, readTables, res.WrittenTables)
-	}
-	if rec := t.s.c.rec; rec != nil {
-		rec.Record(history.Event{
-			TxnID:       t.s.c.nextTxn.Add(1),
-			Session:     t.s.id,
-			ReadOnly:    res.ReadOnly,
-			Submit:      t.submit,
-			Acked:       acked,
-			Snapshot:    snapshot,
-			Commit:      res.Version,
-			WriteTables: res.WrittenTables,
-			ReadTables:  readTables,
-		})
-	}
-	return res, nil
-}
-
-// netCommit finishes the transaction over the wire and records the
-// observation for metrics and the history oracle. An event is only
-// recorded when the acknowledgment actually reached this client: a
-// commit whose ack was lost to a fault may well have happened, but the
-// client observed nothing, so the oracle has nothing to hold it to.
-func (t *Tx) netCommit() (replica.CommitResult, error) {
 	var info wire.CommitInfo
 	commit := func(wc *wire.Client) (err error) {
 		info, err = wc.CommitEx()
@@ -880,7 +757,7 @@ func (t *Tx) netCommit() (replica.CommitResult, error) {
 	var err error
 	if t.wc == nil {
 		// No statement ran: the header rides on the commit itself.
-		err = t.netFirst(true, commit)
+		err = t.first(true, commit)
 	} else if err = commit(t.wc); err != nil {
 		t.abandon(err)
 	}
@@ -890,8 +767,7 @@ func (t *Tx) netCommit() (replica.CommitResult, error) {
 	}
 	t.endSpan("commit", info.Version, nil)
 	acked := time.Now()
-	// The stages are the replica's; a networked client never sees them.
-	t.s.c.coll.RecordCommit(metrics.Timeline{}, !info.ReadOnly, acked.Sub(t.submit), 0)
+	t.s.c.coll.RecordCommit(!info.ReadOnly, acked.Sub(t.submit))
 	if obs := t.s.c.commitObs; obs != nil {
 		obs(t.name, info.ReadTables, info.WriteTables)
 	}
@@ -915,11 +791,6 @@ func (t *Tx) netCommit() (replica.CommitResult, error) {
 	}, nil
 }
 
-// Snapshot returns the version the transaction reads: 0 for a networked
-// transaction until its first request has been answered.
-func (t *Tx) Snapshot() uint64 {
-	if t.rtx == nil {
-		return t.snap
-	}
-	return t.rtx.Snapshot()
-}
+// Snapshot returns the version the transaction reads: 0 until its first
+// request has been answered.
+func (t *Tx) Snapshot() uint64 { return t.snap }

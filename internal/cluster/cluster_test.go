@@ -211,16 +211,16 @@ func TestSessionModeViolatesStrongConsistency(t *testing.T) {
 		}
 		// Immediately read from the other session: under SC the begin
 		// is not delayed, so a stale replica serves old data.
-		rtx, err := reader.Begin("readCounter")
+		rd, err := reader.Begin("readCounter")
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rtx.Exec(readCounter, int64(3))
+		res, err := rd.Exec(readCounter, int64(3))
 		if err != nil {
-			rtx.Abort()
+			rd.Abort()
 			continue
 		}
-		if _, err := rtx.Commit(); err != nil {
+		if _, err := rd.Commit(); err != nil {
 			continue
 		}
 		if res.Rows[0][0].(int64) != int64(round+1) {
@@ -340,12 +340,12 @@ func TestAbortedTxnLeavesNoTrace(t *testing.T) {
 		t.Fatalf("commit after abort: %v", err)
 	}
 
-	rtx, _ := s.Begin("readCounter")
-	res, err := rtx.Exec(readCounter, int64(5))
+	rd, _ := s.Begin("readCounter")
+	res, err := rd.Exec(readCounter, int64(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = rtx.Commit()
+	_, _ = rd.Commit()
 	if res.Rows[0][0].(int64) != 0 {
 		t.Fatalf("aborted write visible: %v", res.Rows[0][0])
 	}

@@ -9,8 +9,8 @@ import (
 	"sconrep/internal/pstore"
 )
 
-// newDurableCluster builds an in-process cluster whose replicas run on
-// persistent backends under dir.
+// newDurableCluster builds a cluster whose replicas run on persistent
+// backends under cfg.DataDir.
 func newDurableCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
 	c, err := New(cfg)

@@ -2,8 +2,15 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
+	"net"
+	"sync"
 	"time"
 
+	"sconrep/internal/history"
+	"sconrep/internal/latency"
+	"sconrep/internal/metrics"
+	"sconrep/internal/pstore"
 	"sconrep/internal/wire"
 )
 
@@ -21,10 +28,9 @@ func CertLink(i int) string { return fmt.Sprintf("cert/%d", i) }
 // ReplicaLink labels the gateway's link to replica i.
 func ReplicaLink(i int) string { return fmt.Sprintf("replica/%d", i) }
 
-// NetConfig configures the networked (real TCP) deployment of a
-// cluster, and the wire layer of each of its nodes (see node.go):
-// per-link dialers for fault injection and the wire layer's hardening
-// knobs.
+// NetConfig configures the wire layer of a cluster's nodes (see
+// node.go): per-link dialers for fault injection and the wire layer's
+// hardening knobs.
 type NetConfig struct {
 	// DialerFor returns the dialer for a link label (LinkClient,
 	// CertLink(i), ReplicaLink(i)); nil — or a nil return — means
@@ -56,26 +62,57 @@ func (n *NetConfig) dialer(link string) wire.Dialer {
 	return n.DialerFor(link)
 }
 
-// netCluster holds the nodes of a networked cluster.
-type netCluster struct {
-	cfg      NetConfig
-	cert     *CertifierNode
-	replicas []*ReplicaNode
-	gateway  *GatewayNode
+// delayLinks composes dialerFor with the latency model's one-way
+// delay: every connection dialed on a link pays m.OneWay per message
+// (latency.Source.Link), drawn from one source per link, seeded by seed
+// and the link's label, so one link's jitter does not depend on
+// another's traffic.
+func delayLinks(m latency.Model, seed int64, dialerFor func(link string) wire.Dialer) func(link string) wire.Dialer {
+	var mu sync.Mutex
+	srcs := make(map[string]*latency.Source)
+	return func(link string) wire.Dialer {
+		mu.Lock()
+		src := srcs[link]
+		if src == nil {
+			h := fnv.New64a()
+			h.Write([]byte(link))
+			src = latency.NewSource(m, seed^int64(h.Sum64()))
+			srcs[link] = src
+		}
+		mu.Unlock()
+		var dial wire.Dialer = net.Dial
+		if dialerFor != nil {
+			if d := dialerFor(link); d != nil {
+				dial = d
+			}
+		}
+		return func(network, addr string) (net.Conn, error) {
+			c, err := dial(network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return src.Link(c), nil
+		}
+	}
 }
 
-// NewNetworked builds and starts a cluster deployed over real loopback
-// TCP: a certifier node, one replica node per replica and a gateway
-// node, each started through the same StartCertifier / StartReplica /
-// StartGateway that cmd/sconrepd runs one per process. Sessions opened
-// on the returned cluster talk to the gateway through wire.Client
-// connections, so every link can be faulted via NetConfig.DialerFor.
+// NewNetworked builds and starts a cluster on loopback TCP: a
+// certifier node, one replica node per replica and a gateway node, each
+// started through the same StartCertifier / StartReplica / StartGateway
+// that cmd/sconrepd runs one per process. Sessions opened on the
+// returned cluster talk to the gateway through wire.Client connections,
+// so every link can be faulted via NetConfig.DialerFor. When the latency
+// model has a one-way delay, every link's dialer — the caller's, if it
+// gave one — is wrapped to charge it per message.
 func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 	if ncfg.StreamGrace <= 0 {
 		ncfg.StreamGrace = 500 * time.Millisecond
 	}
 	if ncfg.ReadyTimeout <= 0 {
 		ncfg.ReadyTimeout = 10 * time.Second
+	}
+	if cfg.Latency.OneWay > 0 {
+		ncfg.DialerFor = delayLinks(cfg.Latency, cfg.Seed, ncfg.DialerFor)
 	}
 	ccfg, err := cfg.certifierConfig()
 	if err != nil {
@@ -87,9 +124,17 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newCore(cfg, cert.Cert)
-	n := &netCluster{cfg: ncfg, cert: cert}
-	c.net = n
+	c := &Cluster{
+		cfg:      cfg,
+		ncfg:     ncfg,
+		certNode: cert,
+		cert:     cert.Cert,
+		coll:     metrics.NewCollector(),
+		stores:   make([]*pstore.Store, cfg.Replicas),
+	}
+	if cfg.RecordHistory {
+		c.rec = history.NewRecorder()
+	}
 
 	gcfg := GatewayConfig{
 		Listen:        loopback,
@@ -115,25 +160,26 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		n.replicas = append(n.replicas, r)
+		r.Replica.OnFinish(c.finished)
+		c.nodes = append(c.nodes, r)
 		c.replicas = append(c.replicas, r.Replica)
 		c.stores[i] = r.Store()
 		gcfg.Replicas = append(gcfg.Replicas, r.Addr())
 	}
 
-	if n.gateway, err = StartGateway(gcfg); err != nil {
+	if c.gateway, err = StartGateway(gcfg); err != nil {
 		c.Close()
 		return nil, err
 	}
-	// The gateway owns the balancer in networked mode; RegisterTxn,
-	// Balancer(), and EnableObs route through it unchanged.
-	c.balancer = n.gateway.Balancer()
+	// The gateway owns the balancer: RegisterTxn, Balancer() and
+	// EnableObs route through it.
+	c.balancer = c.gateway.Balancer()
 
 	// Wait for every replica's refresh stream before declaring the
 	// cluster up: a replica whose subscription never connected would
 	// start gated and the first transactions would all reroute.
 	deadline := time.Now().Add(ncfg.ReadyTimeout)
-	for _, r := range n.replicas {
+	for _, r := range c.nodes {
 		for !r.cc.Ready(0) {
 			if time.Now().After(deadline) {
 				c.Close()
@@ -145,21 +191,5 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// GatewayAddr returns the networked gateway's address ("" in-process).
-func (c *Cluster) GatewayAddr() string {
-	if c.net == nil {
-		return ""
-	}
-	return c.net.gateway.Addr()
-}
-
-// close stops the nodes in reverse construction order.
-func (n *netCluster) close() {
-	if n.gateway != nil {
-		n.gateway.Close()
-	}
-	for _, r := range n.replicas {
-		r.Close()
-	}
-	n.cert.Close()
-}
+// GatewayAddr returns the gateway's address.
+func (c *Cluster) GatewayAddr() string { return c.gateway.Addr() }

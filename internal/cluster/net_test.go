@@ -12,6 +12,8 @@ import (
 
 	"sconrep/internal/core"
 	"sconrep/internal/history"
+	"sconrep/internal/latency"
+	"sconrep/internal/metrics"
 	"sconrep/internal/replica"
 	"sconrep/internal/sql"
 	"sconrep/internal/storage"
@@ -767,5 +769,160 @@ func TestNetworkedOneWayFrameLostOrDoubled(t *testing.T) {
 	}
 	if violations := history.CheckMonotonicSessions(c.Recorder().Events()); len(violations) != 0 {
 		t.Fatalf("monotonic-session violations: %v", violations)
+	}
+}
+
+// TestNetworkedParamTypes: a statement takes every parameter type the
+// SQL layer takes — Go's int, int32, uint32 and float32 widen to the
+// canonical row values on the client — and a type the SQL layer refuses
+// fails with its error before anything is sent.
+func TestNetworkedParamTypes(t *testing.T) {
+	var fc frameCounter
+	c := newNetClusterWith(t, core.Coarse, func(n *NetConfig) { n.DialerFor = fc.dialerFor })
+	if err := c.ExecSchemaAll(`CREATE TABLE p (id INT, i INT, f FLOAT, s TEXT, b BOOL, PRIMARY KEY (id))`); err != nil {
+		t.Fatal(err)
+	}
+	s := c.SessionWithID("params")
+	defer s.Close()
+	for id, tc := range []struct {
+		col         string
+		param, want any
+	}{
+		{"i", int(7), int64(7)},
+		{"i", int32(-7), int64(-7)},
+		{"i", uint32(7), int64(7)},
+		{"i", int64(7), int64(7)},
+		{"f", float32(1.5), float64(1.5)},
+		{"f", 2.5, 2.5},
+		{"s", "x", "x"},
+		{"b", true, true},
+		{"s", nil, nil},
+	} {
+		tx, _ := s.Begin("")
+		if _, err := tx.ExecSQL(fmt.Sprintf(`INSERT INTO p (id, %s) VALUES (?, ?)`, tc.col), id, tc.param); err != nil {
+			t.Fatalf("%T parameter: %v", tc.param, err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tx, _ = s.Begin("")
+		res, err := tx.ExecSQL(fmt.Sprintf(`SELECT %s FROM p WHERE id = ?`, tc.col), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; got != tc.want {
+			t.Errorf("%T parameter %v stored as %T %v, want %T %v", tc.param, tc.param, got, got, tc.want, tc.want)
+		}
+	}
+
+	for _, bad := range []any{uint64(7), []byte("x"), struct{}{}} {
+		tx, _ := s.Begin("")
+		before := fc.client.Load()
+		_, err := tx.ExecSQL(`SELECT v FROM kv WHERE k = ?`, bad)
+		if err == nil || !strings.Contains(err.Error(), "sql: unsupported parameter type") {
+			t.Errorf("%T parameter: %v, want the SQL layer's refusal", bad, err)
+		}
+		if sent := fc.client.Load() - before; sent != 0 {
+			t.Errorf("%T parameter: %d frames sent", bad, sent)
+		}
+	}
+}
+
+// TestNetworkedStageMeans: the replicas feed Figure 4 — every stage a
+// committed transaction visits, and the sync-delay series — into the
+// cluster's collector, though no client ever sees a stage.
+func TestNetworkedStageMeans(t *testing.T) {
+	c := newNetCluster(t, core.Coarse)
+	s := c.SessionWithID("staged")
+	defer s.Close()
+	for i := 0; i < 20; i++ {
+		tx, _ := s.Begin("")
+		q := `SELECT v FROM kv WHERE k = 1`
+		if i%2 == 0 {
+			q = `UPDATE kv SET v = 'staged' WHERE k = 1`
+		}
+		if _, err := tx.ExecSQL(q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A read's commit is a one-way frame: its replica finishes it later.
+	waitQuiet(t, c)
+	snap := c.Collector().Snapshot()
+	for _, st := range []metrics.Stage{metrics.StageVersion, metrics.StageQueries, metrics.StageCertify, metrics.StageCommit} {
+		if snap.StageMeans[st] <= 0 {
+			t.Errorf("%s stage mean = %v", st, snap.StageMeans[st])
+		}
+	}
+	if snap.MeanSync <= 0 || snap.MeanReadSync <= 0 {
+		t.Errorf("mean sync = %v, read-only %v", snap.MeanSync, snap.MeanReadSync)
+	}
+}
+
+// TestLinkChargesOneWay pins the latency model's network charge: with
+// only OneWay set, every message pays it once, on the link that carries
+// it. A one-statement read pays 5 (client → gateway → replica and back,
+// then the one-way commit frame); a one-statement update pays 10 (the
+// statement's 4, and the commit's client → gateway → replica →
+// certifier and back); under ESC with a second replica the update's
+// commit also waits for the refresh → apply ack → global-commit notice
+// exchange, of which 2 messages are not hidden behind the certify
+// answer: 12.
+func TestLinkChargesOneWay(t *testing.T) {
+	const ow = 20 * time.Millisecond
+	for _, tc := range []struct {
+		mode         core.Mode
+		replicas     int
+		read, update int
+	}{
+		{core.Coarse, 1, 5, 10},
+		{core.Eager, 2, 5, 12},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			c, err := New(Config{Replicas: tc.replicas, Mode: tc.mode, Latency: latency.Model{OneWay: ow}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			if err := c.LoadData(loadNetKV); err != nil {
+				t.Fatal(err)
+			}
+			s := c.SessionWithID("timed")
+			defer s.Close()
+			run := func(q string) time.Duration {
+				t.Helper()
+				start := time.Now()
+				tx, _ := s.Begin("")
+				if _, err := tx.ExecSQL(q); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				return time.Since(start)
+			}
+			// The fewest of a few runs: a new connection's hello, or a pooled
+			// one a status probe holds, can only add messages.
+			read, update := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+			for i := 0; i < 4; i++ {
+				read = min(read, run(`SELECT v FROM kv WHERE k = 1`))
+				update = min(update, run(`UPDATE kv SET v = 'timed' WHERE k = 1`))
+			}
+			for _, m := range []struct {
+				what string
+				took time.Duration
+				hops int
+			}{{"read", read, tc.read}, {"update", update, tc.update}} {
+				want := time.Duration(m.hops) * ow
+				if m.took < want || m.took >= want+ow {
+					t.Errorf("one-statement %s took %v, want %d one-way delays: at least %v, less than one more", m.what, m.took, m.hops, want)
+				}
+			}
+		})
 	}
 }

@@ -135,18 +135,19 @@ func TestClusterObsDisabledIsFree(t *testing.T) {
 
 // TestBeginTablesRouteSpan: a transaction begun by table-set (the
 // paper's footnote 1) is routed through the same traced dispatch as one
-// begun by name, in process and through the gateway: its trace holds an
-// lb.route span under the client's root, annotated with the replica
-// chosen and the start bound — here the version of the update that last
-// wrote the table — and replica.txn joins the same trace.
+// begun by name, on a cluster built by New and by NewNetworked: its
+// trace holds an lb.route span under the client's root, annotated with
+// the replica chosen and the start bound — here the version of the
+// update that last wrote the table — and replica.txn joins the same
+// trace.
 func TestBeginTablesRouteSpan(t *testing.T) {
 	for _, tc := range []struct {
 		name, table, update, read string
 		mk                        func(*testing.T) *Cluster
 	}{
-		{"inprocess", "counter", `UPDATE counter SET n = 7 WHERE id = 1`, `SELECT n FROM counter WHERE id = 1`,
+		{"New", "counter", `UPDATE counter SET n = 7 WHERE id = 1`, `SELECT n FROM counter WHERE id = 1`,
 			func(t *testing.T) *Cluster { return newCluster(t, Config{Replicas: 2, Mode: core.Fine, Seed: 5}) }},
-		{"networked", "kv", `UPDATE kv SET v = 'x' WHERE k = 1`, `SELECT v FROM kv WHERE k = 1`,
+		{"NewNetworked", "kv", `UPDATE kv SET v = 'x' WHERE k = 1`, `SELECT v FROM kv WHERE k = 1`,
 			func(t *testing.T) *Cluster { return newNetCluster(t, core.Fine) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,8 +183,8 @@ func TestBeginTablesRouteSpan(t *testing.T) {
 					}
 				}
 			}
-			root, route, rtxn := byName["client.txn"], byName["lb.route"], byName["replica.txn"]
-			if root.ID.IsZero() || route.ID.IsZero() || rtxn.ID.IsZero() {
+			root, route, rspan := byName["client.txn"], byName["lb.route"], byName["replica.txn"]
+			if root.ID.IsZero() || route.ID.IsZero() || rspan.ID.IsZero() {
 				t.Fatalf("trace lacks client.txn / lb.route / replica.txn: %v", byName)
 			}
 			if route.Parent != root.ID {
@@ -192,8 +193,8 @@ func TestBeginTablesRouteSpan(t *testing.T) {
 			if got, want := route.Attrs["min_version"], strconv.FormatUint(wrote, 10); got != want {
 				t.Errorf("lb.route min_version = %q, want %q (the table's last write)", got, want)
 			}
-			if route.Attrs["replica"] == "" || route.Attrs["replica"] != rtxn.Attrs["replica"] {
-				t.Errorf("lb.route replica = %q, replica.txn ran on %q", route.Attrs["replica"], rtxn.Attrs["replica"])
+			if route.Attrs["replica"] == "" || route.Attrs["replica"] != rspan.Attrs["replica"] {
+				t.Errorf("lb.route replica = %q, replica.txn ran on %q", route.Attrs["replica"], rspan.Attrs["replica"])
 			}
 		})
 	}

@@ -192,12 +192,16 @@ func TestSessionMonotonicAcrossReplicas(t *testing.T) {
 				} else if _, err := wtx.Commit(); err != nil {
 					continue
 				}
-				rtx := mustBegin(t, reader, "readCounter")
-				snap := rtx.Snapshot()
-				if _, err := rtx.Exec(readCounter, int64(i%16)); err != nil {
+				rd := mustBegin(t, reader, "readCounter")
+				if _, err := rd.Exec(readCounter, int64(i%16)); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := rtx.Commit(); err != nil {
+				// The snapshot is the first answer's: nothing is sent at Begin.
+				snap := rd.Snapshot()
+				if snap == 0 {
+					t.Fatal("snapshot 0 after the first statement was answered")
+				}
+				if _, err := rd.Commit(); err != nil {
 					t.Fatal(err)
 				}
 				if snap < last {

@@ -1,5 +1,5 @@
 // Package latency models the costs the paper's testbed imposed
-// physically: LAN round trips between middleware components, commit
+// physically: LAN messages between middleware components, commit
 // I/O at the certifier, applying refresh writesets inside a replica,
 // and client think time.
 //
@@ -12,6 +12,7 @@ package latency
 
 import (
 	"math/rand"
+	"net"
 	"sync"
 	"time"
 )
@@ -20,7 +21,8 @@ import (
 // "no injected delays" (pure CPU execution).
 type Model struct {
 	// OneWay is the one-way network latency between any two nodes
-	// (client↔LB, LB↔replica, replica↔certifier).
+	// (client↔LB, LB↔replica, replica↔certifier), charged per message
+	// on the link that carries it (Source.Link).
 	OneWay time.Duration
 	// CommitIO is the certifier's forced-log write for an update
 	// transaction's certification decision.
@@ -138,11 +140,32 @@ func (s *Source) sleep(d time.Duration) {
 	}
 }
 
-// NetworkHop simulates one one-way message between nodes.
-func (s *Source) NetworkHop() { s.sleep(s.m.OneWay) }
+// Link wraps the dialing end of a connection so that every message it
+// carries pays one jittered OneWay: a Write sleeps before it writes, a
+// Read that returns bytes sleeps before it returns them. The accepting
+// end is not wrapped, so a request/response exchange pays two. A
+// message is a Write — the wire codec writes each frame in one — and a
+// Read: reads of a frame too large for one, or of frames that queued up
+// while the reader slept, are charged once per Read, not per frame.
+func (s *Source) Link(c net.Conn) net.Conn { return &link{Conn: c, s: s} }
 
-// RoundTrip simulates a request/response pair.
-func (s *Source) RoundTrip() { s.sleep(2 * s.m.OneWay) }
+type link struct {
+	net.Conn
+	s *Source
+}
+
+func (l *link) Write(p []byte) (int, error) {
+	l.s.sleep(l.s.m.OneWay)
+	return l.Conn.Write(p)
+}
+
+func (l *link) Read(p []byte) (int, error) {
+	n, err := l.Conn.Read(p)
+	if n > 0 {
+		l.s.sleep(l.s.m.OneWay)
+	}
+	return n, err
+}
 
 // heavyTailed stretches d by TailFactor with probability TailProb —
 // the write-path straggler model.

@@ -1,15 +1,22 @@
 package latency
 
 import (
+	"net"
 	"testing"
 	"time"
 )
 
 func TestZeroModelInjectsNothing(t *testing.T) {
 	s := NewSource(Model{}, 1)
+	a, b := net.Pipe()
+	defer b.Close()
+	l := s.Link(a)
+	defer l.Close()
 	start := time.Now()
-	s.NetworkHop()
-	s.RoundTrip()
+	go b.Write([]byte("x"))
+	l.Read(make([]byte, 1))
+	go b.Read(make([]byte, 1))
+	l.Write([]byte("x"))
 	s.CommitIO()
 	s.Statement()
 	s.ApplyWriteSet()
@@ -17,6 +24,35 @@ func TestZeroModelInjectsNothing(t *testing.T) {
 	s.Think(0)
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
 		t.Fatalf("zero model slept %v", elapsed)
+	}
+}
+
+// TestLinkChargesEachMessage: a Write pays OneWay before it writes, a
+// Read that returns bytes pays it before it returns them.
+func TestLinkChargesEachMessage(t *testing.T) {
+	const ow = 20 * time.Millisecond
+	a, b := net.Pipe()
+	defer b.Close()
+	l := NewSource(Model{OneWay: ow}, 1).Link(a)
+	defer l.Close()
+	go func() {
+		buf := make([]byte, 1)
+		b.Read(buf)
+		b.Write(buf)
+	}()
+	start := time.Now()
+	if _, err := l.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < ow {
+		t.Fatalf("write took %v, want at least OneWay %v", d, ow)
+	}
+	start = time.Now()
+	if _, err := l.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < ow {
+		t.Fatalf("read took %v, want at least OneWay %v", d, ow)
 	}
 }
 

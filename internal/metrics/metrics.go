@@ -132,9 +132,11 @@ func (tl *Timeline) Stage(s Stage) time.Duration {
 func (tl *Timeline) Total() time.Duration { return tl.at[tl.Len()] }
 
 // Collector aggregates transaction outcomes across concurrent clients.
-// The stage means are filled by in-process clusters only: the stages
-// are the replica's, a networked client never sees them and records an
-// empty timeline.
+// Two sides record into it: the client counts each outcome and times
+// its response (RecordCommit, RecordAbort), and the replica that ran a
+// committed transaction records its stage timeline and synchronization
+// delay (RecordTimeline) — the stages are the replica's, and no client
+// sees them.
 type Collector struct {
 	mu          sync.Mutex
 	start       time.Time
@@ -143,8 +145,9 @@ type Collector struct {
 	aborted     int64
 	readOnly    int64
 	updates     int64
-	stageTotals [numStages]time.Duration
 	respTimes   durationHist
+	timelines   int64
+	stageTotals [numStages]time.Duration
 	syncDelays  durationHist
 	// readSyncDelays tracks the sync delay of read-only transactions
 	// separately: on skewed workloads it isolates the fine-grained
@@ -169,18 +172,17 @@ func (c *Collector) Reset() {
 	c.start = time.Now()
 	c.collecting = true
 	c.committed, c.aborted, c.readOnly, c.updates = 0, 0, 0, 0
-	c.stageTotals = [numStages]time.Duration{}
 	c.respTimes = durationHist{}
+	c.timelines = 0
+	c.stageTotals = [numStages]time.Duration{}
 	c.syncDelays = durationHist{}
 	c.readSyncDelays = durationHist{}
 }
 
-// RecordCommit records one committed transaction with its stage
-// timeline. response is the client-observed wall time (stages plus
-// network and queueing); syncDelay is the consistency synchronization
-// delay: the version stage for the lazy modes, the global stage for
-// eager.
-func (c *Collector) RecordCommit(tl Timeline, update bool, response, syncDelay time.Duration) {
+// RecordCommit records one committed transaction as its client saw it.
+// response is the client-observed wall time (stages plus network and
+// queueing).
+func (c *Collector) RecordCommit(update bool, response time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.collecting {
@@ -191,14 +193,29 @@ func (c *Collector) RecordCommit(tl Timeline, update bool, response, syncDelay t
 		c.updates++
 	} else {
 		c.readOnly++
-		c.readSyncDelays.add(syncDelay)
 	}
+	c.respTimes.add(response)
+}
+
+// RecordTimeline records one committed transaction as its replica saw
+// it: the stopped stage timeline, and the consistency synchronization
+// delay — the version stage for the lazy modes, the global stage for
+// eager.
+func (c *Collector) RecordTimeline(tl Timeline, update bool, syncDelay time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.collecting {
+		return
+	}
+	c.timelines++
 	for i := 0; i < tl.Len(); i++ {
 		s, _, d := tl.Visit(i)
 		c.stageTotals[s] += d
 	}
-	c.respTimes.add(response)
 	c.syncDelays.add(syncDelay)
+	if !update {
+		c.readSyncDelays.add(syncDelay)
+	}
 }
 
 // RecordAbort records one aborted transaction.
@@ -225,10 +242,10 @@ type Snapshot struct {
 	// MeanReadSync is the mean sync delay over read-only transactions
 	// only (zero when none committed).
 	MeanReadSync time.Duration
-	// StageMeans averages each stage over all committed transactions;
-	// stages that only occur on update transactions (certify, sync,
-	// global) are averaged over the whole mix, matching the paper's
-	// per-mix breakdown in Figure 4.
+	// StageMeans averages each stage over the committed transactions
+	// whose timelines were recorded; stages that only occur on update
+	// transactions (certify, sync, global) are averaged over the whole
+	// mix, matching the paper's per-mix breakdown in Figure 4.
 	StageMeans map[Stage]time.Duration
 }
 
@@ -250,15 +267,15 @@ func (c *Collector) Snapshot() Snapshot {
 	if elapsed > 0 {
 		s.TPS = float64(c.committed) / elapsed.Seconds()
 	}
-	if c.committed > 0 {
+	if c.timelines > 0 {
 		for i := Stage(0); i < numStages; i++ {
-			s.StageMeans[i] = c.stageTotals[i] / time.Duration(c.committed)
+			s.StageMeans[i] = c.stageTotals[i] / time.Duration(c.timelines)
 		}
-		s.MeanResponse = c.respTimes.mean()
-		s.P95Response = c.respTimes.percentile(0.95)
-		s.MeanSync = c.syncDelays.mean()
-		s.MeanReadSync = c.readSyncDelays.mean()
 	}
+	s.MeanResponse = c.respTimes.mean()
+	s.P95Response = c.respTimes.percentile(0.95)
+	s.MeanSync = c.syncDelays.mean()
+	s.MeanReadSync = c.readSyncDelays.mean()
 	return s
 }
 

@@ -68,9 +68,12 @@ func TestCollectorFlow(t *testing.T) {
 	tm.Enter(StageQueries)
 	time.Sleep(time.Millisecond)
 	tm.Stop()
-	c.RecordCommit(tm, true, 10*time.Millisecond, 2*time.Millisecond)
-	c.RecordCommit(tm, false, 20*time.Millisecond, 0)
+	c.RecordCommit(true, 10*time.Millisecond)
+	c.RecordCommit(false, 20*time.Millisecond)
 	c.RecordAbort()
+	// The replicas' side: one timeline per commit, or none yet for one
+	// whose replica has not finished it.
+	c.RecordTimeline(tm, true, 2*time.Millisecond)
 
 	s := c.Snapshot()
 	if s.Committed != 2 || s.Updates != 1 || s.ReadOnly != 1 || s.Aborted != 1 {
@@ -79,8 +82,15 @@ func TestCollectorFlow(t *testing.T) {
 	if s.MeanResponse != 15*time.Millisecond {
 		t.Fatalf("mean response = %v", s.MeanResponse)
 	}
-	if s.MeanSync != time.Millisecond {
-		t.Fatalf("mean sync = %v", s.MeanSync)
+	if s.MeanSync != 2*time.Millisecond || s.MeanReadSync != 0 {
+		t.Fatalf("mean sync = %v, read-only %v", s.MeanSync, s.MeanReadSync)
+	}
+	if got := s.StageMeans[StageQueries]; got != tm.Stage(StageQueries) {
+		t.Fatalf("queries mean = %v over the one recorded timeline, want %v", got, tm.Stage(StageQueries))
+	}
+	c.RecordTimeline(tm, false, 0)
+	if s := c.Snapshot(); s.MeanSync != time.Millisecond || s.StageMeans[StageQueries] != tm.Stage(StageQueries) {
+		t.Fatalf("after the read's timeline: mean sync = %v, queries mean = %v", s.MeanSync, s.StageMeans[StageQueries])
 	}
 	if got := s.AbortRate(); got < 0.3 || got > 0.4 {
 		t.Fatalf("abort rate = %v", got)
@@ -99,13 +109,16 @@ func TestCollectorFlow(t *testing.T) {
 func TestResetDropsWarmup(t *testing.T) {
 	c := NewCollector()
 	var tm Timeline
-	c.RecordCommit(tm, true, time.Millisecond, 0)
+	tm.Enter(StageQueries)
+	tm.Stop()
+	c.RecordCommit(true, time.Millisecond)
+	c.RecordTimeline(tm, true, time.Millisecond)
 	c.Reset()
 	s := c.Snapshot()
-	if s.Committed != 0 {
+	if s.Committed != 0 || len(s.StageMeans) != 0 || s.MeanSync != 0 {
 		t.Fatalf("warm-up data survived Reset: %+v", s)
 	}
-	c.RecordCommit(tm, true, time.Millisecond, 0)
+	c.RecordCommit(true, time.Millisecond)
 	if c.Snapshot().Committed != 1 {
 		t.Fatal("post-Reset commit not recorded")
 	}
@@ -121,9 +134,8 @@ func TestEmptySnapshotSafe(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	c := NewCollector()
-	var tm Timeline
 	for i := 1; i <= 100; i++ {
-		c.RecordCommit(tm, false, time.Duration(i)*time.Millisecond, 0)
+		c.RecordCommit(false, time.Duration(i)*time.Millisecond)
 	}
 	s := c.Snapshot()
 	if s.P95Response < 90*time.Millisecond || s.P95Response > 100*time.Millisecond {
@@ -135,9 +147,8 @@ func TestPercentileNearestRank(t *testing.T) {
 	// 10 samples of 1..10ms: nearest-rank p95 is the 10th value. The
 	// old floored-index formula returned the 9th.
 	c := NewCollector()
-	var tm Timeline
 	for i := 1; i <= 10; i++ {
-		c.RecordCommit(tm, false, time.Duration(i)*time.Millisecond, 0)
+		c.RecordCommit(false, time.Duration(i)*time.Millisecond)
 	}
 	if got := c.Snapshot().P95Response; got != 10*time.Millisecond {
 		t.Fatalf("p95 of 10 samples = %v, want 10ms", got)
@@ -165,7 +176,8 @@ func TestSnapshotMarshalJSON(t *testing.T) {
 	tm.Enter(StageQueries)
 	time.Sleep(2 * time.Millisecond)
 	tm.Stop()
-	c.RecordCommit(tm, true, 10*time.Millisecond, 3*time.Millisecond)
+	c.RecordCommit(true, 10*time.Millisecond)
+	c.RecordTimeline(tm, true, 3*time.Millisecond)
 	data, err := json.Marshal(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +301,11 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 			tm.Stop()
 			for i := 0; i < 500; i++ {
 				switch i % 4 {
-				case 0, 1:
-					c.RecordCommit(tm, i%2 == 0, time.Duration(i)*time.Microsecond, 0)
+				case 0:
+					c.RecordCommit(true, time.Duration(i)*time.Microsecond)
+				case 1:
+					c.RecordCommit(false, time.Duration(i)*time.Microsecond)
+					c.RecordTimeline(tm, false, time.Duration(i)*time.Microsecond)
 				case 2:
 					c.RecordAbort()
 				case 3:
@@ -316,9 +331,8 @@ func TestCollectorConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var tm Timeline
 			for i := 0; i < 200; i++ {
-				c.RecordCommit(tm, i%2 == 0, time.Millisecond, 0)
+				c.RecordCommit(i%2 == 0, time.Millisecond)
 			}
 		}()
 	}

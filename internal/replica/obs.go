@@ -38,7 +38,8 @@ type obsState struct {
 // EnableObs registers this replica's metrics with reg and, when tr is
 // non-nil, records a timeline trace for every finished transaction.
 // Call once, before serving traffic. Metric labels carry the replica
-// ID so multiple replicas share one registry (in-process clusters).
+// ID so multiple replicas share one registry (a cluster's nodes run in
+// one process).
 func (r *Replica) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 	if reg == nil || r.obs.Load() != nil {
 		return

@@ -92,31 +92,21 @@ type globalTracker interface {
 }
 
 // localCert adapts *certifier.Certifier to CertService (the Subscribe
-// return type differs). shards restricts the refresh subscription to
-// the given shard set (nil = all).
+// return type differs).
 type localCert struct {
-	c      *certifier.Certifier
-	shards []int
+	c *certifier.Certifier
 }
 
 func (l localCert) Certify(origin int, txnID, snapshot uint64, ws *writeset.WriteSet, sc dtrace.SpanContext) (certifier.Decision, error) {
 	return l.c.CertifyCtx(origin, txnID, snapshot, ws, sc)
 }
-func (l localCert) Subscribe(id int) RefreshSource           { return l.c.SubscribeShards(id, l.shards) }
+func (l localCert) Subscribe(id int) RefreshSource           { return l.c.Subscribe(id) }
 func (l localCert) Unsubscribe(id int)                       { l.c.Unsubscribe(id) }
 func (l localCert) Applied(id int, v uint64)                 { l.c.Applied(id, v) }
 func (l localCert) History(after uint64) []certifier.Refresh { return l.c.History(after) }
 
 // Local wraps an in-process certifier as a CertService.
 func Local(c *certifier.Certifier) CertService { return localCert{c: c} }
-
-// LocalShards wraps an in-process certifier as a CertService whose
-// refresh subscription covers only the given shards: versions
-// certified entirely on other shards arrive as skip markers and the
-// replica advances past them without row data.
-func LocalShards(c *certifier.Certifier, shards []int) CertService {
-	return localCert{c: c, shards: shards}
-}
 
 // Config holds replica construction parameters.
 type Config struct {
@@ -217,10 +207,9 @@ type Replica struct {
 	// tracer mints distributed-tracing spans; nil (one atomic load and
 	// a nil check on hot paths) until EnableTracing.
 	tracer atomic.Pointer[dtrace.Tracer]
-	// readStartCB observes each transaction's synchronization start
-	// delay; the cluster layer labels it with the consistency mode the
-	// replica itself does not know. Nil until OnReadStartDelay.
-	readStartCB atomic.Pointer[func(time.Duration)]
+	// finished observes each finished transaction's timeline; nil until
+	// OnFinish.
+	finished atomic.Pointer[func(tl metrics.Timeline, committed, readOnly bool)]
 	// arrived timestamps reorder-buffer entries for the wait histogram.
 	// Populated only while obs is enabled.
 	// guarded by mu
@@ -233,16 +222,18 @@ type Replica struct {
 // that shipped them. Call before traffic; a nil store disables again.
 func (r *Replica) EnableTracing(tr *dtrace.Tracer) { r.tracer.Store(tr) }
 
-// OnReadStartDelay installs a callback observing every transaction's
-// synchronization start delay (the wait for Vlocal to reach the
-// required version). The cluster layer uses it to feed the per-mode
-// read-start-delay histograms. Call before traffic; nil disables.
-func (r *Replica) OnReadStartDelay(fn func(time.Duration)) {
+// OnFinish installs fn as the finished-transaction hook: it is called
+// once per transaction begun here, committed or not, with its stopped
+// stage timeline. The cluster layer builds Figure 4's stage means, the
+// sync-delay series and the per-mode read-start-delay histogram from it
+// — what a stage means for consistency depends on the mode, which the
+// replica does not know. Call before traffic; nil disables.
+func (r *Replica) OnFinish(fn func(tl metrics.Timeline, committed, readOnly bool)) {
 	if fn == nil {
-		r.readStartCB.Store(nil)
+		r.finished.Store(nil)
 		return
 	}
-	r.readStartCB.Store(&fn)
+	r.finished.Store(&fn)
 }
 
 // New creates a replica around an existing engine (already loaded with
@@ -339,11 +330,8 @@ func (r *Replica) notifier(acks *ackBox) {
 		if !ok {
 			return
 		}
-		// The commit notification (eager accounting, §IV-D) travels one
-		// network hop; it runs here so it never stalls the drainer.
-		if r.lat != nil {
-			r.lat.NetworkHop()
-		}
+		// The commit notification (eager accounting, §IV-D) is a message;
+		// it goes out here so it never stalls the drainer.
 		r.cert.Applied(r.cfg.ID, v)
 	}
 }
@@ -743,9 +731,6 @@ func (r *Replica) Begin(minVersion uint64, parent *dtrace.SpanContext) (*Txn, er
 	if o := r.obs.Load(); o != nil {
 		o.syncDelay.Observe(delay)
 	}
-	if cb := r.readStartCB.Load(); cb != nil {
-		(*cb)(delay)
-	}
 	return tx, nil
 }
 
@@ -951,6 +936,9 @@ func (t *Txn) abortInternal() {
 	if o := t.r.obs.Load(); o != nil {
 		o.finish(t, early)
 	}
+	if fn := t.r.finished.Load(); fn != nil {
+		(*fn)(t.stages, t.committed, t.readOnly)
+	}
 	if t.span != nil {
 		t.span.SetAttr("outcome", t.outcome())
 		if t.commitVersion != 0 {
@@ -1017,9 +1005,6 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 
 	// Certification round trip.
 	t.enter(metrics.StageCertify)
-	if t.r.lat != nil {
-		t.r.lat.RoundTrip()
-	}
 	dec, err := t.r.cert.Certify(t.r.cfg.ID, t.id, t.stx.Snapshot(), ws, commitSpan.Context())
 	if err != nil {
 		t.abortInternal()
@@ -1114,9 +1099,6 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 		if crashed {
 			t.abortInternal()
 			return CommitResult{}, ErrCrashed
-		}
-		if r.lat != nil {
-			r.lat.RoundTrip()
 		}
 	}
 

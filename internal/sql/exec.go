@@ -27,15 +27,11 @@ func Exec(tx *storage.Txn, e *storage.Engine, src string, params ...any) (*Resul
 // newEnv normalises the statement parameters, once, into a fresh
 // evaluation environment.
 func newEnv(params []any) (*env, error) {
-	ev := &env{params: make([]any, len(params))}
-	for i, p := range params {
-		v, err := normalizeParam(p)
-		if err != nil {
-			return nil, err
-		}
-		ev.params[i] = v
+	params, err := NormalizeParams(params)
+	if err != nil {
+		return nil, err
 	}
-	return ev, nil
+	return &env{params: params}, nil
 }
 
 // ExecStmt executes a parsed statement inside tx. DDL statements go

@@ -519,23 +519,35 @@ func likeMatch(s, pattern string) bool {
 	return pi == len(pattern)
 }
 
-// normalizeParam widens Go integer parameter types to int64 and
-// validates the value is a supported SQL type.
-func normalizeParam(p any) (any, error) {
-	switch v := p.(type) {
-	case nil, int64, float64, string, bool:
-		return p, nil
-	case int:
-		return int64(v), nil
-	case int32:
-		return int64(v), nil
-	case uint32:
-		return int64(v), nil
-	case float32:
-		return float64(v), nil
-	default:
-		return nil, fmt.Errorf("sql: unsupported parameter type %T", p)
+// NormalizeParams is the one rule statement parameters follow, on
+// every path that takes them: Go integer types widen to int64, float32
+// to float64, and anything but nil, int64, float64, string and bool is
+// refused. params itself is returned when every value is already
+// canonical, a copy otherwise.
+func NormalizeParams(params []any) ([]any, error) {
+	out := params
+	for i, p := range params {
+		var v any
+		switch x := p.(type) {
+		case nil, int64, float64, string, bool:
+			continue
+		case int:
+			v = int64(x)
+		case int32:
+			v = int64(x)
+		case uint32:
+			v = int64(x)
+		case float32:
+			v = float64(x)
+		default:
+			return nil, fmt.Errorf("sql: unsupported parameter type %T", p)
+		}
+		if &out[0] == &params[0] {
+			out = append([]any(nil), params...)
+		}
+		out[i] = v
 	}
+	return out, nil
 }
 
 // exprString renders an expression for column headers.

@@ -95,8 +95,8 @@ type Log struct {
 }
 
 // NewMemory returns a log writing to an in-memory buffer — used by
-// in-process clusters where durability is simulated by the latency
-// model rather than real disk I/O.
+// clusters where durability is simulated by the latency model rather
+// than real disk I/O.
 func NewMemory() *Log {
 	l := &Log{}
 	l.w = &l.buf

@@ -224,8 +224,8 @@ func (s *CertServer) handle(fc *frameConn) {
 // maybeAdopt aligns a decision-free certifier with bootstrapped
 // replicas. Tried on every hello, not just the first: hellos carry
 // the replica's live Vlocal, so one racing an in-progress bootstrap
-// can land a partial version that a later hello (or the in-process
-// LoadData path) must raise. StartAt itself refuses to move once any
+// can land a partial version that a later hello (or cluster.LoadData)
+// must raise. StartAt itself refuses to move once any
 // decision exists, or to move backwards.
 func (s *CertServer) maybeAdopt(h certHello) {
 	if h.VLocal == 0 || h.VLocal <= s.cert.Version() {

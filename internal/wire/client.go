@@ -157,8 +157,14 @@ func (c *Client) BeginTx(txnName string) (snapshot uint64, err error) {
 	return c.snapshot, nil
 }
 
-// Exec runs one SQL statement in the open transaction.
+// Exec runs one SQL statement in the open transaction. Parameters
+// follow sql.NormalizeParams; one it refuses fails the call before
+// anything is sent.
 func (c *Client) Exec(query string, params ...any) (*sql.Result, error) {
+	params, err := sql.NormalizeParams(params)
+	if err != nil {
+		return nil, err
+	}
 	resp, err := c.call(clientRequest{Op: opExec, SQL: query, Params: params})
 	if err != nil {
 		return nil, err

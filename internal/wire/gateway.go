@@ -326,42 +326,54 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 	default:
 		return fail(fmt.Errorf("wire: no answered client op %q", req.Op))
 	}
-	fwd := &replicaRequest{Op: req.Op, TxnID: sess.txnID, SQL: req.SQL, Params: req.Params}
 	switch {
-	case req.Begin:
-		if sess.open {
-			return fail(errors.New("wire: transaction already open on this session"))
-		}
-		route, err := g.balancer.DispatchCtx(sess.id, req.TxnName, req.Tables, req.Trace)
-		if err != nil {
-			return fail(err)
-		}
-		sess.replica = route.Node.(*remoteReplica)
-		sess.replica.active.Add(1)
-		sess.open = true
-		// An untraced client supplies no span context;
-		// fall back to the route span so the replica's work still joins
-		// a gateway-rooted trace instead of fragmenting.
-		fwd.Begin, fwd.MinVersion, fwd.Trace = true, route.MinVersion, req.Trace
-		if !fwd.Trace.Valid() {
-			fwd.Trace = route.Trace
-		}
-	case !sess.open:
+	case req.Begin && sess.open:
+		return fail(errors.New("wire: transaction already open on this session"))
+	case !req.Begin && !sess.open:
 		return fail(errors.New("wire: no open transaction"))
 	}
-	if req.Op == opCommit {
-		fwd.Eager = g.balancer.Mode() == core.Eager
-		sess.end()
-	}
-	sess.roCommit = replica.CommitResult{}
-	r, err := sess.replica.call(fwd)
-	if err != nil {
+	fwd := &replicaRequest{Op: req.Op, TxnID: sess.txnID, SQL: req.SQL, Params: req.Params}
+	// A header request the replica refused with an answer — its gate is
+	// closed or it crashed — started nothing there: route it again. The
+	// refusal marked that replica down, so the balancer picks another;
+	// after every other has refused too, the refusal is the answer. A
+	// transport error is not routed again: the request may have run.
+	var r *replicaResponse
+	var err error
+	for refusals := 0; ; refusals++ {
+		if req.Begin {
+			route, rerr := g.balancer.DispatchCtx(sess.id, req.TxnName, req.Tables, req.Trace)
+			if rerr != nil {
+				return fail(rerr)
+			}
+			sess.replica = route.Node.(*remoteReplica)
+			sess.replica.active.Add(1)
+			sess.open = true
+			// An untraced client supplies no span context;
+			// fall back to the route span so the replica's work still joins
+			// a gateway-rooted trace instead of fragmenting.
+			fwd.Begin, fwd.MinVersion, fwd.Trace = true, route.MinVersion, req.Trace
+			if !fwd.Trace.Valid() {
+				fwd.Trace = route.Trace
+			}
+		}
+		if req.Op == opCommit {
+			fwd.Eager = g.balancer.Mode() == core.Eager
+			sess.end()
+		}
+		sess.roCommit = replica.CommitResult{}
+		r, err = sess.replica.call(fwd)
+		if err == nil {
+			break
+		}
 		// A failed header request leaves no transaction at the replica,
 		// and neither does a statement the replica aborted on.
 		if sess.open && (req.Begin || errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed)) {
 			sess.end()
 		}
-		return fail(err)
+		if !req.Begin || r == nil || !r.refused() || refusals >= len(g.replicas)-1 {
+			return fail(err)
+		}
 	}
 	if req.Begin {
 		sess.txnID = r.TxnID

@@ -469,16 +469,24 @@ func (r *remoteReplica) send(req *replicaRequest) {
 	}
 }
 
+// call performs one exchange. An answered error comes back with its
+// response, a transport error without one.
 func (r *remoteReplica) call(req *replicaRequest) (*replicaResponse, error) {
 	var resp replicaResponse
 	if err := r.pool.call(req, &resp); err != nil {
 		r.healthy.Store(false)
 		return nil, err
 	}
-	if resp.ErrCode == codeCrashed || resp.ErrCode == codeUnavailable {
+	if resp.refused() {
 		r.healthy.Store(false)
 	}
 	return &resp, decodeErr(resp.ErrCode, resp.Err)
+}
+
+// refused reports an answer that says the replica is not serving: it
+// crashed, or its serve gate is closed.
+func (r *replicaResponse) refused() bool {
+	return r.ErrCode == codeCrashed || r.ErrCode == codeUnavailable
 }
 
 // probe refreshes the health flag; the gateway calls it periodically

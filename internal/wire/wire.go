@@ -1,6 +1,6 @@
-// Package wire provides the TCP transport that turns the in-process
-// cluster into a distributed deployment, mirroring the paper's testbed
-// topology (Figure 2):
+// Package wire provides the TCP transport every cluster runs on —
+// loopback in one process (cluster.New) or one node per process
+// (cmd/sconrepd) — mirroring the paper's testbed topology (Figure 2):
 //
 //	client ⇄ gateway (load balancer) ⇄ replicas ⇄ certifier
 //

@@ -610,6 +610,45 @@ func TestBeginHeaderRefused(t *testing.T) {
 	}
 }
 
+// TestGatewayReroutesRefusedBegin: a replica that answers a begin header
+// with a refusal — its gate is closed, or it crashed — started nothing,
+// so the gateway routes the request again. Of two replicas one refuses:
+// the first transaction on a fresh session commits, though the balancer
+// routes it to the refusing replica first.
+func TestGatewayReroutesRefusedBegin(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		refuse func(d *deployment)
+	}{
+		{"gated", func(d *deployment) { d.repSrvs[0].opts.gate = func() error { return ErrUnavailable } }},
+		{"crashed", func(d *deployment) { d.replicas[0].Crash() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDeployment(t, 2, core.Coarse)
+			tc.refuse(d)
+			c, err := Dial(d.gateway.Addr(), "fresh")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.Start("", nil, dtrace.SpanContext{})
+			if _, err := c.Exec(`UPDATE kv SET v = 'rerouted' WHERE k = 1`); err != nil {
+				t.Fatalf("first statement: %v", err)
+			}
+			if _, _, err := c.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			// A header riding on a bare commit is routed again the same way.
+			d.gateway.replicas[0].healthy.Store(true)
+			c.Start("", nil, dtrace.SpanContext{})
+			if _, err := c.CommitEx(); err != nil {
+				t.Fatalf("bare commit: %v", err)
+			}
+			d.idle(t)
+		})
+	}
+}
+
 // TestTraceContextPropagates: a span context set by the client rides
 // the begin header through the gateway's route span to the replica's
 // transaction, the certify request to the certifier, and the writeset

@@ -47,6 +47,7 @@ import (
 	"sconrep/internal/sql"
 	"sconrep/internal/storage"
 	"sconrep/internal/wal"
+	"sconrep/internal/wire"
 )
 
 // Mode selects the consistency configuration.
@@ -131,7 +132,10 @@ type DB struct {
 	cfg Config
 }
 
-// Open starts a cluster.
+// Open starts a cluster: a certifier, the replicas and a gateway, each
+// a node listening on its own loopback TCP port (127.0.0.1, ports the
+// kernel picks), which sessions reach only through messages to the
+// gateway — the deployment cmd/sconrepd runs one node per process.
 func Open(cfg Config) (*DB, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 1
@@ -311,12 +315,11 @@ type Tx struct{ tx *cluster.Tx }
 // when the name is unknown (strong consistency is preserved either
 // way).
 //
-// Sessions of a networked deployment (cluster.NewNetworked, sconrepd)
-// send nothing here: the begin rides on the transaction's first
-// statement (or on Commit when there is none). Routing and serve-gate
-// errors therefore surface from that call, the start rule is applied
-// when it arrives — never earlier than Begin returned, so the guarantee
-// only gets stronger — and Snapshot reads 0 until it has been answered.
+// Begin sends nothing: the begin rides on the transaction's first
+// statement (or on Commit when there is none). Routing errors therefore
+// surface from that call, the start rule is applied when it arrives —
+// never earlier than Begin returned, so the guarantee only gets
+// stronger — and Snapshot reads 0 until it has been answered.
 func (s *SessionHandle) Begin(txnName string) (*Tx, error) {
 	tx, err := s.s.Begin(txnName)
 	if err != nil {
@@ -373,7 +376,8 @@ var (
 	// ErrConflict is a certification (or early-certification) abort:
 	// retry the transaction.
 	ErrConflict = errors.New("sconrep: write conflict, retry the transaction")
-	// ErrUnavailable means the contacted replica crashed mid-flight.
+	// ErrUnavailable means no replica could serve the transaction: the
+	// one serving it crashed mid-flight, or none was live to start it.
 	ErrUnavailable = errors.New("sconrep: replica unavailable, retry")
 )
 
@@ -381,7 +385,7 @@ func mapErr(err error) error {
 	switch {
 	case errors.Is(err, replica.ErrCertifyConflict), errors.Is(err, replica.ErrEarlyAbort):
 		return fmt.Errorf("%w: %v", ErrConflict, err)
-	case errors.Is(err, replica.ErrCrashed):
+	case errors.Is(err, replica.ErrCrashed), errors.Is(err, wire.ErrUnavailable):
 		return fmt.Errorf("%w: %v", ErrUnavailable, err)
 	default:
 		return err
@@ -393,7 +397,7 @@ func mapErr(err error) error {
 func IsRetryable(err error) bool {
 	return errors.Is(err, ErrConflict) || errors.Is(err, ErrUnavailable) ||
 		errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrEarlyAbort) ||
-		errors.Is(err, replica.ErrCrashed)
+		errors.Is(err, replica.ErrCrashed) || errors.Is(err, wire.ErrUnavailable)
 }
 
 // CrashReplica detaches replica i (fault injection). Its durable state
