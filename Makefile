@@ -105,13 +105,15 @@ bench:
 # stand-in DBMS alone on the TPC-W read statements that carry the
 # tpcw-durable profile (join + GROUP BY, join + ORDER BY … LIMIT,
 # ordered scan to a LIMIT, MAX of the key) plus one point read, at the
-# default scale. Results land in BENCH_hotpath.json (committed,
+# default scale, and the two that read every order line above a fixed
+# floor again after 2 000 runtime orders (the *Grown cases, the table a
+# live run reads). Results land in BENCH_hotpath.json (committed,
 # so before/after numbers travel with the code); benchjson -require
 # fails the run if any expected benchmark went missing. Override
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
 HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
 		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ \
@@ -133,14 +135,17 @@ bench-e2e-smoke:
 # Fuzz smoke: the parsers that face bytes off disk or the wire — the
 # refresh frame and every other frame type of the wire codec, WAL frame
 # replay (torn tails and bit rot), and checkpoint snapshot load — each
-# long enough to shake out parser regressions without stalling CI.
-# Override FUZZTIME for longer local runs.
+# long enough to shake out parser regressions without stalling CI; and
+# the SQL executor against its reference evaluator, one random schema,
+# data set and statement batch per seed. Override FUZZTIME for longer
+# local runs.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRefreshCodec -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime $(FUZZTIME) ./internal/pstore/
+	$(GO) test -run '^$$' -fuzz FuzzDifferentialSQL -fuzztime $(FUZZTIME) ./internal/sql/
 
 # Full evaluation sweep (regenerates every figure; ~15 minutes).
 sweep:

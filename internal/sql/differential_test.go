@@ -80,8 +80,8 @@ func (d *diff) commit(tx *storage.Txn) {
 // alone is held against the executor only when its plan reads the whole
 // base table and runs to the end — which is where a conjunct applied
 // early could hide an error the whole predicate would raise. An error of
-// the executor's alone always fails.
-func (d *diff) compare(tx *storage.Txn, src string, params ...any) {
+// the executor's alone always fails. It returns the statement's plan.
+func (d *diff) compare(tx *storage.Txn, src string, params ...any) string {
 	d.t.Helper()
 	stmt, err := sql.Parse(src)
 	if err != nil {
@@ -93,7 +93,7 @@ func (d *diff) compare(tx *storage.Txn, src string, params ...any) {
 	readsAll := strings.HasPrefix(plan, "full-scan") && !strings.Contains(plan, "ordered-stop")
 	switch {
 	case refErr != nil && (err != nil || !readsAll):
-		return
+		return plan
 	case refErr != nil || err != nil:
 		d.t.Fatalf("%s %v\n\tplan: %s\n\texecutor error: %v\n\toracle error:   %v", src, params, plan, err, refErr)
 	}
@@ -105,6 +105,7 @@ func (d *diff) compare(tx *storage.Txn, src string, params ...any) {
 			d.t.Fatalf("%s %v\n\tplan: %s\n\trow %d: executor %v, oracle %v\n\texecutor: %v\n\toracle:   %v", src, params, plan, i, got.Rows[i], want[i], got.Rows, want)
 		}
 	}
+	return plan
 }
 
 // TestDifferentialCases runs the shapes the executor treats specially —
@@ -119,6 +120,7 @@ func TestDifferentialCases(t *testing.T) {
 		`CREATE INDEX ord_cust ON ord (cust)`,
 		`CREATE TABLE item (code TEXT PRIMARY KEY, title TEXT, cat INT)`,
 		`CREATE TABLE tag (id INT PRIMARY KEY, cust INT, label TEXT)`,
+		`CREATE INDEX tag_label ON tag (label)`,
 		`CREATE TABLE empty (id INT PRIMARY KEY, v INT)`,
 	)
 	tx := d.e.Begin()
@@ -254,10 +256,52 @@ func TestDifferentialCases(t *testing.T) {
 		{`SELECT id FROM cust ORDER BY 10 / (id - 5) LIMIT 2`, nil},
 		{`SELECT id FROM cust WHERE name LIKE 5`, nil},
 	}
+	// Filtered builds — a joined table read once through the path of its
+	// own conjuncts into a hash on the join column — on each join kind,
+	// and the plans that must not make one, each with the plan it runs.
+	planned := []struct {
+		src    string
+		params []any
+		plan   string
+	}{
+		{`SELECT o.oid, o.line, c.name FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region = 'north'`, nil,
+			"full-scan on ord o -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = north)"},
+		{`SELECT o.oid, c.id, c.score FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region = ? AND o.qty > 0 ORDER BY c.score DESC LIMIT 4`, []any{"north"},
+			"full-scan on ord o where (o.qty > 0) -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = ?) -> top-n(4)"},
+		{`SELECT c.region, COUNT(*), SUM(o.qty) FROM ord o JOIN cust c ON o.cust = c.id WHERE c.id >= 3 AND c.id < 10 GROUP BY c.region`, nil,
+			"full-scan on ord o -> hash-join cust c via pk-range on o.cust = c.id where (c.id >= 3) and (c.id < 10) -> group"},
+		{`SELECT o.oid, c.name FROM ord o JOIN cust c ON o.cust = c.id WHERE c.id = 5`, nil,
+			"full-scan on ord o -> hash-join cust c via pk-point on o.cust = c.id where (c.id = 5)"},
+		{`SELECT c.id, o.oid, o.line FROM cust c JOIN ord o ON o.cust = c.id WHERE o.oid >= 4 AND o.oid < 9`, nil,
+			"full-scan on cust c -> hash-join ord o via pk-range on c.id = o.cust where (o.oid >= 4) and (o.oid < 9)"},
+		{`SELECT c.id, o.line FROM cust c JOIN ord o ON o.cust = c.id WHERE o.oid = 5 AND o.line = 1`, nil,
+			"full-scan on cust c -> hash-join ord o via pk-point on c.id = o.cust where (o.oid = 5) and (o.line = 1)"},
+		{`SELECT c.id, o.oid FROM cust c JOIN ord o ON o.price = c.id WHERE o.oid > 2`, nil,
+			"full-scan on cust c -> hash-join ord o via pk-range on c.id = o.price where (o.oid > 2)"},
+		{`SELECT c.id, t.id FROM cust c JOIN tag t ON t.cust = c.id WHERE t.label = 't1'`, nil,
+			"full-scan on cust c -> hash-join tag t via index-eq(tag_label) on c.id = t.cust where (t.label = t1)"},
+		{`SELECT c.id, t.label FROM cust c JOIN tag t ON t.cust = c.id WHERE t.id BETWEEN 2 AND 7 AND c.vip`, nil,
+			"full-scan on cust c where c.vip -> hash-join tag t via pk-range on c.id = t.cust where t.id BETWEEN 2 AND 7"},
+		{`SELECT o.oid, c.name, i.title FROM ord o JOIN cust c ON o.cust = c.id JOIN item i ON i.code = o.item WHERE c.region = 'south' AND i.code >= 'b'`, nil,
+			"full-scan on ord o -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = south) -> hash-join item i via pk-range on o.item = i.code where (i.code >= b)"},
+		// No build: part of the predicate may fail, the base is one row, the
+		// scan stops at its LIMIT.
+		{`SELECT o.oid FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region = 'north' AND o.qty / o.qty = 1`, nil,
+			"full-scan on ord o -> pk-probe cust c on o.cust = c.id where (c.region = north) and ((o.qty / o.qty) = 1)"},
+		{`SELECT c.name, o.oid FROM cust c JOIN ord o ON o.cust = c.id WHERE c.id = 3 AND o.oid > 2`, nil,
+			"pk-point on cust c where (c.id = 3) -> index-probe ord o on c.id = o.cust where (o.oid > 2)"},
+		{`SELECT o.oid, o.line, c.name FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region = 'north' ORDER BY o.oid LIMIT 3`, nil,
+			"full-scan on ord o -> pk-probe cust c on o.cust = c.id where (c.region = north) -> ordered-stop(3)"},
+	}
 	run := func(tx *storage.Txn) {
 		t.Helper()
 		for _, s := range stmts {
 			d.compare(tx, s.src, s.params...)
+		}
+		for _, s := range planned {
+			if plan := d.compare(tx, s.src, s.params...); plan != s.plan {
+				t.Errorf("%s\n\tplan: %s\n\twant: %s", s.src, plan, s.plan)
+			}
 		}
 	}
 	tx = d.e.Begin()
@@ -265,9 +309,10 @@ func TestDifferentialCases(t *testing.T) {
 	tx.Abort()
 
 	// The same statements under the transaction's own writes: new first
-	// and last keys, the old ones deleted, rows moved between index
-	// values and groups, a key inserted then deleted, a table filled that
-	// was empty.
+	// and last keys, the old ones deleted, rows moved into an index value,
+	// out of it and to NULL, rows moved between groups, a join key moved
+	// or set to NULL, a key inserted then deleted, a table filled that was
+	// empty.
 	tx = d.e.Begin()
 	d.insert(tx, "cust", int64(0), "name00", "north", 9.5, true)
 	d.insert(tx, "cust", int64(40), "zed", nil, 0.5, false)
@@ -275,6 +320,8 @@ func TestDifferentialCases(t *testing.T) {
 	d.delete(tx, "cust", []any{int64(12)})
 	d.update(tx, "cust", int64(5), "name99", "south", nil, true)
 	d.update(tx, "cust", int64(6), "name06", "north", 3.0, true)
+	d.update(tx, "cust", int64(4), "name04", "east", 6.0, false)
+	d.update(tx, "cust", int64(8), "name08", nil, 4.5, false)
 	d.insert(tx, "cust", int64(7000), "gone", "east", 1.0, true)
 	d.delete(tx, "cust", []any{int64(7000)})
 	d.insert(tx, "ord", int64(0), int64(1), int64(40), "a1", int64(3), 2.5)
@@ -283,11 +330,15 @@ func TestDifferentialCases(t *testing.T) {
 	d.delete(tx, "ord", []any{int64(10), int64(3)})
 	d.delete(tx, "ord", []any{int64(3), int64(1)})
 	d.update(tx, "ord", int64(4), int64(1), nil, "c1", int64(1), 9.5)
+	d.update(tx, "ord", int64(5), int64(1), int64(3), "a1", int64(1), 2.5)
 	d.insert(tx, "item", "zz", "last title", int64(1))
 	d.delete(tx, "item", []any{"a1"})
 	d.update(tx, "item", "b1", "title 0", int64(1))
 	d.insert(tx, "tag", int64(10), int64(40), "t1")
 	d.update(tx, "tag", int64(3), int64(6), "t0")
+	d.update(tx, "tag", int64(2), int64(3), "t1")
+	d.update(tx, "tag", int64(4), int64(1), "t2")
+	d.update(tx, "tag", int64(7), nil, nil)
 	d.delete(tx, "tag", []any{int64(1)})
 	d.insert(tx, "empty", int64(5), int64(50))
 	run(tx)
@@ -532,67 +583,92 @@ func randomRow(rng *rand.Rand, key ...any) []any {
 
 // TestDifferentialRandom compares executor and oracle on seeded random
 // schemas' worth of indexes, data and statements: first on committed
-// data, then under a transaction's own pending writes.
+// data, then under a transaction's own pending writes. Some statements
+// must run a filtered build, or the test says nothing about it.
 func TestDifferentialRandom(t *testing.T) {
-	seeds, perSeed := 30, 120
+	seeds := 30
 	if testing.Short() {
 		seeds = 6
 	}
+	builds := 0
 	for seed := 0; seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		ddl := []string{
-			`CREATE TABLE t0 (id INT PRIMARY KEY, x INT, y INT, f FLOAT, s TEXT, g BOOL)`,
-			`CREATE TABLE t1 (id INT, sub INT, x INT, y INT, f FLOAT, s TEXT, g BOOL, PRIMARY KEY (id, sub))`,
-			`CREATE TABLE t2 (code TEXT PRIMARY KEY, x INT, y INT, f FLOAT, s TEXT, g BOOL)`,
-		}
-		for _, tab := range genTables {
-			for _, col := range []string{"x", "y", "s", "f"} {
-				if rng.Intn(3) == 0 {
-					ddl = append(ddl, fmt.Sprintf(`CREATE INDEX %s_%s ON %s (%s)`, tab.name, col, tab.name, col))
-				}
-			}
-		}
-		d := newDiff(t, ddl...)
-		keyOf := func(table string) []any {
-			switch table {
-			case "t0":
-				return []any{int64(rng.Intn(40))}
-			case "t1":
-				return []any{int64(rng.Intn(8)), int64(rng.Intn(6))}
-			}
-			return []any{genWords[rng.Intn(len(genWords))] + string(rune('a'+rng.Intn(4)))}
-		}
-		write := func(tx *storage.Txn, n int) {
-			for i := 0; i < n; i++ {
-				table := genTables[rng.Intn(len(genTables))].name
-				row := randomRow(rng, keyOf(table)...)
-				_, exists := d.db[table].find(row)
-				switch {
-				case !exists:
-					d.insert(tx, table, row...)
-				case rng.Intn(3) == 0:
-					d.delete(tx, table, row)
-				default:
-					d.update(tx, table, row...)
-				}
-			}
-		}
-		tx := d.e.Begin()
-		write(tx, 20+rng.Intn(120))
-		d.commit(tx)
-
-		g := &gen{rng: rng}
-		tx = d.e.Begin()
-		for i := 0; i < perSeed; i++ {
-			if i == perSeed/2 {
-				write(tx, 5+rng.Intn(40))
-			}
-			g.mayFail = i%4 == 3
-			src, params := g.statement()
-			d.compare(tx, src, params...)
-		}
-		tx.Abort()
+		builds += differentialRandom(t, int64(seed))
 	}
+	if builds == 0 {
+		t.Fatal("no statement ran a filtered build")
+	}
+	t.Logf("%d statements ran a filtered build", builds)
+}
+
+// FuzzDifferentialSQL is TestDifferentialRandom on seeds beyond its own.
+func FuzzDifferentialSQL(f *testing.F) {
+	for seed := int64(0); seed < 30; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { differentialRandom(t, seed) })
+}
+
+// differentialRandom builds one random schema, data set and statement
+// batch from seed, compares executor and oracle on all of it, and
+// returns how many statements ran a filtered build.
+func differentialRandom(t *testing.T, seed int64) (builds int) {
+	const perSeed = 120
+	rng := rand.New(rand.NewSource(seed))
+	ddl := []string{
+		`CREATE TABLE t0 (id INT PRIMARY KEY, x INT, y INT, f FLOAT, s TEXT, g BOOL)`,
+		`CREATE TABLE t1 (id INT, sub INT, x INT, y INT, f FLOAT, s TEXT, g BOOL, PRIMARY KEY (id, sub))`,
+		`CREATE TABLE t2 (code TEXT PRIMARY KEY, x INT, y INT, f FLOAT, s TEXT, g BOOL)`,
+	}
+	for _, tab := range genTables {
+		for _, col := range []string{"x", "y", "s", "f"} {
+			if rng.Intn(3) == 0 {
+				ddl = append(ddl, fmt.Sprintf(`CREATE INDEX %s_%s ON %s (%s)`, tab.name, col, tab.name, col))
+			}
+		}
+	}
+	d := newDiff(t, ddl...)
+	keyOf := func(table string) []any {
+		switch table {
+		case "t0":
+			return []any{int64(rng.Intn(40))}
+		case "t1":
+			return []any{int64(rng.Intn(8)), int64(rng.Intn(6))}
+		}
+		return []any{genWords[rng.Intn(len(genWords))] + string(rune('a'+rng.Intn(4)))}
+	}
+	write := func(tx *storage.Txn, n int) {
+		for i := 0; i < n; i++ {
+			table := genTables[rng.Intn(len(genTables))].name
+			row := randomRow(rng, keyOf(table)...)
+			_, exists := d.db[table].find(row)
+			switch {
+			case !exists:
+				d.insert(tx, table, row...)
+			case rng.Intn(3) == 0:
+				d.delete(tx, table, row)
+			default:
+				d.update(tx, table, row...)
+			}
+		}
+	}
+	tx := d.e.Begin()
+	write(tx, 20+rng.Intn(120))
+	d.commit(tx)
+
+	g := &gen{rng: rng}
+	tx = d.e.Begin()
+	defer tx.Abort()
+	for i := 0; i < perSeed; i++ {
+		if i == perSeed/2 {
+			write(tx, 5+rng.Intn(40))
+		}
+		g.mayFail = i%4 == 3
+		src, params := g.statement()
+		if plan := d.compare(tx, src, params...); strings.Contains(plan, " via ") { // a filtered build
+			builds++
+		}
+	}
+	return builds
 }
 
 // TestDifferentialTPCW runs every prepared SELECT of the TPC-W workload

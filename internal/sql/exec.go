@@ -68,7 +68,7 @@ type selectRun struct {
 	tx *storage.Txn
 	ev *env
 	// hashes[k] is table k's hash-join build, made on first probe.
-	hashes []map[string][][]any
+	hashes []hashBuild
 
 	rows [][]any // the output, when it needs no sorting
 	top  topN    // the output, when it does
@@ -81,7 +81,17 @@ type selectRun struct {
 	groups map[string]int
 	firsts [][]any
 	aggs   []aggState
+	// keyBuf holds the encoded key of one lookup — a group's, or a hash
+	// join's — from its encoding to the map access, which converts it
+	// without a copy.
 	keyBuf []byte
+}
+
+// hashBuild is a joined table's rows grouped by their join column's
+// encoded value, each group in primary-key order.
+type hashBuild struct {
+	group map[string]int
+	rows  [][][]any
 }
 
 func execSelect(tx *storage.Txn, e *storage.Engine, s *Select, ev *env) (*Result, error) {
@@ -155,7 +165,8 @@ func (r *selectRun) bindRow(k int, row []any) (bool, error) {
 }
 
 // probe extends the tuple through table k: every row whose join column
-// equals the left key, in primary-key order.
+// equals the left key, in primary-key order — of those a filtered build
+// read, when it has one (filteredBuilds).
 func (r *selectRun) probe(k int) (bool, error) {
 	t := &r.p.tables[k]
 	val := r.ev.rows[t.leftKey.tab][t.leftKey.off]
@@ -186,24 +197,36 @@ func (r *selectRun) probe(k int) (bool, error) {
 		return true, nil
 	}
 	if r.hashes == nil {
-		r.hashes = make([]map[string][][]any, len(r.p.tables))
+		r.hashes = make([]hashBuild, len(r.p.tables))
 	}
-	if r.hashes[k] == nil {
-		// Hash join: build once over a full scan.
-		build := make(map[string][][]any)
-		c := r.tx.Cursor(t.name, "", "", false)
-		for c.Next() {
-			if row := c.KV().Row; row[t.rightCol] != nil {
-				hk := storage.EncodeKey(row[t.rightCol])
-				build[hk] = append(build[hk], row)
+	h := &r.hashes[k]
+	if h.group == nil {
+		h.group = map[string]int{}
+		err := scanPath(r.tx, t.name, t.path, false, func(kv storage.KV) (bool, error) {
+			v := kv.Row[t.rightCol]
+			if v == nil {
+				return true, nil
 			}
+			r.keyBuf = storage.EncodeValue(r.keyBuf[:0], v)
+			g, ok := h.group[string(r.keyBuf)]
+			if !ok {
+				g = len(h.rows)
+				h.group[string(r.keyBuf)] = g
+				h.rows = append(h.rows, nil)
+			}
+			h.rows[g] = append(h.rows[g], kv.Row)
+			return true, nil
+		})
+		if err != nil {
+			return false, err
 		}
-		if c.Err() != nil {
-			return false, c.Err()
-		}
-		r.hashes[k] = build
 	}
-	for _, row := range r.hashes[k][storage.EncodeKey(cv)] {
+	r.keyBuf = storage.EncodeValue(r.keyBuf[:0], cv)
+	g, ok := h.group[string(r.keyBuf)]
+	if !ok {
+		return true, nil
+	}
+	for _, row := range h.rows[g] {
 		if more, err := r.bindRow(k, row); err != nil || !more {
 			return false, err
 		}

@@ -12,7 +12,10 @@ import (
 // decides where each conjunct of WHERE is applied, and how ORDER BY and
 // LIMIT are met. There is no cost model and no join reordering: tables
 // are joined in the order written, and every choice follows from the
-// statement's shape, the schemas and the constants in hand.
+// statement's shape, the schemas and the constants in hand — including
+// the one choice that reads a joined table ahead of its probes, the
+// filtered build (see filteredBuilds), which keeps every tuple in the
+// order the probes would have produced it.
 //
 // The access path recognizes sargable conjuncts of the form
 // <column> <op> <constant> and picks, in order of preference,
@@ -59,8 +62,16 @@ func (k pathKind) String() string {
 	}
 }
 
-// sarg is a sargable condition on the scanned table, extracted from a
-// conjunct of WHERE.
+// via names a filtered build's path, with the index it reads.
+func (a accessPath) via() string {
+	if a.kind == kindIndexEq {
+		return fmt.Sprintf("%s(%s)", a.kind, a.indexName)
+	}
+	return a.kind.String()
+}
+
+// sarg is a sargable condition on one table, extracted from a conjunct
+// of WHERE.
 type sarg struct {
 	off int    // column position
 	op  string // "=", "<", "<=", ">", ">="
@@ -113,8 +124,8 @@ func lastTable(e Expr) int {
 }
 
 // sargable extracts the condition a bound conjunct puts on a column of
-// the base table, if it has that form.
-func sargable(e Expr, ev *env) (sarg, bool) {
+// table tab, if it has that form.
+func sargable(e Expr, tab int, ev *env) (sarg, bool) {
 	switch x := e.(type) {
 	case *BinOp:
 		col, colOK := x.L.(*slot)
@@ -126,7 +137,7 @@ func sargable(e Expr, ev *env) (sarg, bool) {
 			val, valOK = constValue(x.L, ev)
 			op = flipOp(op)
 		}
-		if !colOK || !valOK || val == nil || col.tab != 0 {
+		if !colOK || !valOK || val == nil || col.tab != tab {
 			return sarg{}, false
 		}
 		switch op {
@@ -138,7 +149,7 @@ func sargable(e Expr, ev *env) (sarg, bool) {
 		// re-checked by the residual filter.
 		col, colOK := x.E.(*slot)
 		lo, loOK := constValue(x.Lo, ev)
-		if colOK && loOK && lo != nil && col.tab == 0 {
+		if colOK && loOK && lo != nil && col.tab == tab {
 			return sarg{off: col.off, op: ">=", val: lo}, true
 		}
 	}
@@ -302,7 +313,7 @@ type joinKind uint8
 const (
 	joinPK    joinKind = iota // the join column is the whole primary key: point lookup
 	joinIndex                 // the join column is indexed: index lookup
-	joinHash                  // neither: hash table built once over a full scan
+	joinHash                  // a hash table built once, on first probe, over the table's path
 )
 
 func (k joinKind) String() string {
@@ -315,7 +326,9 @@ type tablePlan struct {
 	name, alias string
 	schema      *storage.Schema
 
-	path accessPath // tables[0]
+	// path is how tables[0] is scanned, and what a hash join's build
+	// reads: a full scan, unless it is a filtered build.
+	path accessPath
 
 	join     joinKind // tables[1:]
 	index    string   // joinIndex
@@ -326,6 +339,9 @@ type tablePlan struct {
 	// row is in the tuple, before any later table is probed. The last
 	// table has none: the whole predicate is applied there.
 	filters []Expr
+	// own is what the conjuncts placed at this joined table pin or bound
+	// on its columns: a filtered build's path (filteredBuilds).
+	own []sarg
 
 	on [2]*Col // the ON columns as written, left then right, for Explain
 }
@@ -450,8 +466,13 @@ func planTables(e *storage.Engine, from TableRef, joins []Join, where Expr, ev *
 				if at < last {
 					p.tables[at].filters = append(p.tables[at].filters, c)
 				}
+				if at > 0 {
+					if s, ok := sargable(c, at, ev); ok {
+						p.tables[at].own = append(p.tables[at].own, s)
+					}
+				}
 			}
-			if s, ok := sargable(c, ev); ok {
+			if s, ok := sargable(c, 0, ev); ok {
 				p.sargs = append(p.sargs, s)
 			}
 		}
@@ -560,7 +581,33 @@ func planSelect(e *storage.Engine, s *Select, ev *env) (*selectPlan, error) {
 	default:
 		p.inOrder = scanOrdered(p.tables[0].schema, p.sargs, p.order)
 	}
+	p.filteredBuilds()
 	return p, nil
+}
+
+// filteredBuilds turns the probe of every joined table whose own
+// conjuncts — those placed at it that compare one of its columns with a
+// constant — give it an access path into a hash join over that path: the
+// table is read once through it into a hash on the join column, and a
+// probe that misses drops the tuple without touching storage. A bucket
+// holds, in primary-key order, exactly the rows of what the probe would
+// have returned that the path fetches; a row it does not fetch fails an
+// own conjunct, which early placement drops the tuple on anyway. So the
+// tuples, their order and the results are the probe's.
+//
+// It needs early placement, which says no conjunct can fail. It is not
+// worth a build when the base path is a point lookup (one tuple, one
+// probe) or the scan stops at a LIMIT (a few tuples may be all it reads).
+func (p *selectPlan) filteredBuilds() {
+	if p.levels == nil || p.tables[0].path.kind == kindPoint || (p.inOrder && p.keep >= 0) {
+		return
+	}
+	for k := 1; k < len(p.tables); k++ {
+		t := &p.tables[k]
+		if path := choosePath(t.schema, t.own); path.kind != kindFull {
+			t.join, t.path = joinHash, path
+		}
+	}
 }
 
 // outputColumn resolves an ORDER BY expression against an aggregated
@@ -671,6 +718,9 @@ func (p *tablesPlan) describe(sb *strings.Builder, base string) {
 			sb.WriteString(" " + t.alias)
 		}
 		if i > 0 {
+			if t.path.kind != kindFull {
+				sb.WriteString(" via " + t.path.via())
+			}
 			fmt.Fprintf(sb, " on %s = %s", exprString(t.on[0]), exprString(t.on[1]))
 		}
 		sep := " where "
@@ -689,7 +739,8 @@ func (p *tablesPlan) describe(sb *strings.Builder, base string) {
 
 // Explain describes the plan a statement would run with the given
 // parameters, on one line: for each table, in join order, its access
-// path or join strategy and the conjuncts of WHERE applied there, then
+// path or join strategy (with "via <path>" when a hash join's build is
+// filtered) and the conjuncts of WHERE applied there, then
 // how the output is grouped, ordered and cut — "ordered-stop(n)" when
 // the scan's own order is ORDER BY's and it ends after n rows, "top-n(n)"
 // when a bounded stable selection stands in for the sort, "sort" when

@@ -536,7 +536,23 @@ func TestExplainPlans(t *testing.T) {
 		{`SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 90 AND d.city = 5`,
 			"full-scan on emp e -> pk-probe dept d on e.dept = d.name where (e.salary > 90) and (d.city = 5)"},
 		{`SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name JOIN proj p ON p.dept = d.name WHERE p.id > 1 AND d.city <> 'SEA' AND e.active`,
-			"full-scan on emp e where e.active -> pk-probe dept d on e.dept = d.name where (d.city <> SEA) -> hash-join proj p on d.name = p.dept where (p.id > 1)"},
+			"full-scan on emp e where e.active -> pk-probe dept d on e.dept = d.name where (d.city <> SEA) -> hash-join proj p via pk-range on d.name = p.dept where (p.id > 1)"},
+		// A joined table its own conjuncts select through a path is read
+		// once, into a hash on the join column — whatever the probe would
+		// have been — unless the predicate may fail, the base is one row or
+		// the scan stops at its LIMIT.
+		{`SELECT e.name FROM proj p JOIN emp e ON p.lead = e.id WHERE e.dept = 'eng'`,
+			"full-scan on proj p -> hash-join emp e via index-eq(emp_dept) on p.lead = e.id where (e.dept = eng)"},
+		{`SELECT e.name FROM dept d JOIN emp e ON e.dept = d.name WHERE e.id > 2 ORDER BY d.name`,
+			"full-scan on dept d -> hash-join emp e via pk-range on d.name = e.dept where (e.id > 2) -> ordered"},
+		{`SELECT e.name FROM emp e JOIN proj p ON p.lead = e.id WHERE p.id = 3 ORDER BY e.salary LIMIT 2`,
+			"full-scan on emp e -> hash-join proj p via pk-point on e.id = p.lead where (p.id = 3) -> top-n(2)"},
+		{`SELECT e.name FROM proj p JOIN emp e ON p.lead = e.id WHERE e.dept = 'eng' AND p.id / 2 > 0`,
+			"full-scan on proj p -> pk-probe emp e on p.lead = e.id where (e.dept = eng) and ((p.id / 2) > 0)"},
+		{`SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE e.id = 1 AND d.name = 'eng'`,
+			"pk-point on emp e where (e.id = 1) -> pk-probe dept d on e.dept = d.name where (d.name = eng)"},
+		{`SELECT e.name FROM emp e JOIN proj p ON p.lead = e.id WHERE p.id > 1 ORDER BY e.id LIMIT 2`,
+			"full-scan on emp e -> hash-join proj p on e.id = p.lead where (p.id > 1) -> ordered-stop(2)"},
 
 		{`UPDATE emp SET salary = 1 WHERE dept = 'eng'`, "index-eq on emp where (dept = eng)"},
 		{`DELETE FROM emp WHERE id > 3`, "pk-range on emp where (id > 3)"},
