@@ -122,6 +122,9 @@ func TestDifferentialCases(t *testing.T) {
 		`CREATE TABLE tag (id INT PRIMARY KEY, cust INT, label TEXT)`,
 		`CREATE INDEX tag_label ON tag (label)`,
 		`CREATE TABLE empty (id INT PRIMARY KEY, v INT)`,
+		`CREATE TABLE pay (id INT PRIMARY KEY, cust INT, amt FLOAT, note TEXT)`,
+		`CREATE INDEX pay_cust ON pay (cust)`,
+		`CREATE INDEX pay_amt ON pay (amt)`,
 	)
 	tx := d.e.Begin()
 	regions := []any{"north", "south", "east", nil}
@@ -152,6 +155,30 @@ func TestDifferentialCases(t *testing.T) {
 		}
 		d.insert(tx, "tag", i, cust, fmt.Sprintf("t%d", i%3))
 	}
+	// pay's join columns hold what a keyed fetch must coerce or skip:
+	// customer ids, ids of no customer and NULL in cust (INT); integral,
+	// fractional and NULL amounts in amt (FLOAT); and 2^53 beside 2^53+1,
+	// which rounds to it as a FLOAT.
+	for i := int64(1); i <= 24; i++ {
+		var cust, amt any = (i * 7) % 15, float64(i%8) * 0.5
+		if i%9 == 0 {
+			cust = nil
+		}
+		if i%10 == 0 {
+			amt = nil
+		}
+		d.insert(tx, "pay", i, cust, amt, fmt.Sprintf("n%d", i%4))
+	}
+	d.insert(tx, "pay", int64(25), int64(1<<53), float64(1<<53), "n1")
+	d.insert(tx, "pay", int64(26), int64(1<<53+1), 0.5, "n2")
+	d.commit(tx)
+
+	// Committed history under pay's indexes: a deleted row and moved join
+	// keys, whose old entries stay in the index until vacuum.
+	tx = d.e.Begin()
+	d.delete(tx, "pay", []any{int64(3)})
+	d.update(tx, "pay", int64(12), int64(6), 1.0, "n0")
+	d.update(tx, "pay", int64(18), int64(2), 2.0, "n2")
 	d.commit(tx)
 
 	type stmt struct {
@@ -257,21 +284,23 @@ func TestDifferentialCases(t *testing.T) {
 		{`SELECT id FROM cust WHERE name LIKE 5`, nil},
 	}
 	// Filtered builds — a joined table read once through the path of its
-	// own conjuncts into a hash on the join column — on each join kind,
-	// and the plans that must not make one, each with the plan it runs.
+	// own conjuncts into a hash on the join column — on each join kind;
+	// keyed fetches — the base read through its join column's index for
+	// the keys of an equality build — on each join column type; and the
+	// plans that must make neither, each with the plan it runs.
 	planned := []struct {
 		src    string
 		params []any
 		plan   string
 	}{
 		{`SELECT o.oid, o.line, c.name FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region = 'north'`, nil,
-			"full-scan on ord o -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = north)"},
+			"full-scan on ord o keyed-fetch(ord_cust) -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = north)"},
 		{`SELECT o.oid, c.id, c.score FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region = ? AND o.qty > 0 ORDER BY c.score DESC LIMIT 4`, []any{"north"},
-			"full-scan on ord o where (o.qty > 0) -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = ?) -> top-n(4)"},
+			"full-scan on ord o keyed-fetch(ord_cust) where (o.qty > 0) -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = ?) -> top-n(4)"},
 		{`SELECT c.region, COUNT(*), SUM(o.qty) FROM ord o JOIN cust c ON o.cust = c.id WHERE c.id >= 3 AND c.id < 10 GROUP BY c.region`, nil,
 			"full-scan on ord o -> hash-join cust c via pk-range on o.cust = c.id where (c.id >= 3) and (c.id < 10) -> group"},
-		{`SELECT o.oid, c.name FROM ord o JOIN cust c ON o.cust = c.id WHERE c.id = 5`, nil,
-			"full-scan on ord o -> hash-join cust c via pk-point on o.cust = c.id where (c.id = 5)"},
+		{`SELECT o.oid, c.name FROM ord o JOIN cust c ON o.cust = c.id WHERE c.id = 3`, nil,
+			"full-scan on ord o keyed-fetch(ord_cust) -> hash-join cust c via pk-point on o.cust = c.id where (c.id = 3)"},
 		{`SELECT c.id, o.oid, o.line FROM cust c JOIN ord o ON o.cust = c.id WHERE o.oid >= 4 AND o.oid < 9`, nil,
 			"full-scan on cust c -> hash-join ord o via pk-range on c.id = o.cust where (o.oid >= 4) and (o.oid < 9)"},
 		{`SELECT c.id, o.line FROM cust c JOIN ord o ON o.cust = c.id WHERE o.oid = 5 AND o.line = 1`, nil,
@@ -283,7 +312,46 @@ func TestDifferentialCases(t *testing.T) {
 		{`SELECT c.id, t.label FROM cust c JOIN tag t ON t.cust = c.id WHERE t.id BETWEEN 2 AND 7 AND c.vip`, nil,
 			"full-scan on cust c where c.vip -> hash-join tag t via pk-range on c.id = t.cust where t.id BETWEEN 2 AND 7"},
 		{`SELECT o.oid, c.name, i.title FROM ord o JOIN cust c ON o.cust = c.id JOIN item i ON i.code = o.item WHERE c.region = 'south' AND i.code >= 'b'`, nil,
-			"full-scan on ord o -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = south) -> hash-join item i via pk-range on o.item = i.code where (i.code >= b)"},
+			"full-scan on ord o keyed-fetch(ord_cust) -> hash-join cust c via index-eq(cust_region) on o.cust = c.id where (c.region = south) -> hash-join item i via pk-range on o.item = i.code where (i.code >= b)"},
+		// Keyed fetches: FLOAT base column and INT keys, INT base column and
+		// FLOAT keys (fractional ones match nothing), a pk-range base that
+		// cuts fetched rows, output in the scan's order and in a top-n with
+		// ties, a group, a third table, and a FLOAT key of 2^53, which
+		// 2^53+1 probes to as well.
+		{`SELECT p.id, p.amt, c.name FROM pay p JOIN cust c ON p.amt = c.id WHERE c.region = 'east'`, nil,
+			"full-scan on pay p keyed-fetch(pay_amt) -> hash-join cust c via index-eq(cust_region) on p.amt = c.id where (c.region = east)"},
+		{`SELECT p.id, c.id, c.score FROM pay p JOIN cust c ON p.cust = c.score WHERE c.region = ?`, []any{"north"},
+			"full-scan on pay p keyed-fetch(pay_cust) -> hash-join cust c via index-eq(cust_region) on p.cust = c.score where (c.region = ?)"},
+		{`SELECT p.id, c.id, c.score FROM pay p JOIN cust c ON p.cust = c.score WHERE c.region = ?`, []any{"east"},
+			"full-scan on pay p keyed-fetch(pay_cust) -> hash-join cust c via index-eq(cust_region) on p.cust = c.score where (c.region = ?)"},
+		{`SELECT p.id, c.name FROM pay p JOIN cust c ON p.cust = c.id WHERE p.id >= 5 AND p.id < 20 AND c.region = 'north'`, nil,
+			"pk-range on pay p keyed-fetch(pay_cust) where (p.id >= 5) and (p.id < 20) -> hash-join cust c via index-eq(cust_region) on p.cust = c.id where (c.region = north)"},
+		{`SELECT p.id, p.note, c.id FROM pay p JOIN cust c ON p.cust = c.id WHERE c.region = 'east' ORDER BY p.id`, nil,
+			"full-scan on pay p keyed-fetch(pay_cust) -> hash-join cust c via index-eq(cust_region) on p.cust = c.id where (c.region = east) -> ordered"},
+		{`SELECT p.id, p.note FROM pay p JOIN cust c ON p.cust = c.id WHERE c.region = 'north' ORDER BY p.note DESC LIMIT 2`, nil,
+			"full-scan on pay p keyed-fetch(pay_cust) -> hash-join cust c via index-eq(cust_region) on p.cust = c.id where (c.region = north) -> top-n(2)"},
+		{`SELECT p.note, COUNT(*), SUM(p.amt) FROM pay p JOIN cust c ON p.cust = c.id WHERE c.region = 'east' GROUP BY p.note`, nil,
+			"full-scan on pay p keyed-fetch(pay_cust) -> hash-join cust c via index-eq(cust_region) on p.cust = c.id where (c.region = east) -> group"},
+		{`SELECT p.id, c.name, t.label FROM pay p JOIN cust c ON p.cust = c.id JOIN tag t ON t.cust = c.id WHERE c.region = 'east' AND t.label <> 't0'`, nil,
+			"full-scan on pay p keyed-fetch(pay_cust) -> hash-join cust c via index-eq(cust_region) on p.cust = c.id where (c.region = east) -> hash-join tag t on c.id = t.cust where (t.label <> t0)"},
+		{`SELECT a.id, a.cust, b.amt FROM pay a JOIN pay b ON a.cust = b.amt WHERE b.id = ?`, []any{int64(6)},
+			"full-scan on pay a keyed-fetch(pay_cust) -> hash-join pay b via pk-point on a.cust = b.amt where (b.id = ?)"},
+		{`SELECT a.id, a.cust, b.amt FROM pay a JOIN pay b ON a.cust = b.amt WHERE b.id = ?`, []any{int64(25)},
+			"full-scan on pay a keyed-fetch(pay_cust) -> hash-join pay b via pk-point on a.cust = b.amt where (b.id = ?)"},
+		// No keyed fetch: a pk-range build, an index-eq base, no index on the
+		// base's join column, an ordered stop, an edge read, a predicate that
+		// may fail.
+		{`SELECT p.id, c.name FROM pay p JOIN cust c ON p.cust = c.id WHERE c.id > 6`, nil,
+			"full-scan on pay p -> hash-join cust c via pk-range on p.cust = c.id where (c.id > 6)"},
+		{`SELECT p.id, c.name FROM pay p JOIN cust c ON p.cust = c.id WHERE p.amt = 1 AND c.region = 'east'`, nil,
+			"index-eq on pay p where (p.amt = 1) -> hash-join cust c via index-eq(cust_region) on p.cust = c.id where (c.region = east)"},
+		{`SELECT p.id, t.id FROM pay p JOIN tag t ON t.id = p.id WHERE t.label = 't1'`, nil,
+			"full-scan on pay p -> hash-join tag t via index-eq(tag_label) on p.id = t.id where (t.label = t1)"},
+		{`SELECT p.id, c.name FROM pay p JOIN cust c ON p.cust = c.id WHERE c.region = 'north' ORDER BY p.id LIMIT 3`, nil,
+			"full-scan on pay p -> pk-probe cust c on p.cust = c.id where (c.region = north) -> ordered-stop(3)"},
+		{`SELECT MAX(id) FROM pay`, nil, "edge(max) on pay -> group"},
+		{`SELECT p.id FROM pay p JOIN cust c ON p.cust = c.id WHERE c.region = 'north' AND p.amt / p.amt = 1`, nil,
+			"full-scan on pay p -> pk-probe cust c on p.cust = c.id where (c.region = north) and ((p.amt / p.amt) = 1)"},
 		// No build: part of the predicate may fail, the base is one row, the
 		// scan stops at its LIMIT.
 		{`SELECT o.oid FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region = 'north' AND o.qty / o.qty = 1`, nil,
@@ -341,6 +409,19 @@ func TestDifferentialCases(t *testing.T) {
 	d.update(tx, "tag", int64(7), nil, nil)
 	d.delete(tx, "tag", []any{int64(1)})
 	d.insert(tx, "empty", int64(5), int64(50))
+	// pay rows moved into a build's keys (north is now 0 and 6), out of
+	// them, between them and to NULL; new first and matching keys; a
+	// matching row deleted; an amount moved onto an east key.
+	d.update(tx, "pay", int64(5), int64(0), 2.5, "n1")
+	d.update(tx, "pay", int64(12), int64(7), 1.0, "n0")
+	d.update(tx, "pay", int64(15), int64(6), 3.5, "n3")
+	d.update(tx, "pay", int64(20), nil, 4.0, "n0")
+	d.update(tx, "pay", int64(8), int64(11), 4.0, "n0")
+	d.insert(tx, "pay", int64(0), int64(6), 10.0, "n0")
+	d.insert(tx, "pay", int64(30), int64(0), nil, "n2")
+	d.delete(tx, "pay", []any{int64(24)})
+	d.insert(tx, "pay", int64(40), int64(6), 1.0, "n0")
+	d.delete(tx, "pay", []any{int64(40)})
 	run(tx)
 	tx.Abort()
 }
@@ -351,6 +432,9 @@ func TestDifferentialCases(t *testing.T) {
 // all nullable.
 type gen struct {
 	rng *rand.Rand
+	// indexed names, per table, the columns with a secondary index: at
+	// least one each.
+	indexed map[string][]string
 	// mayFail lets predicates in that can raise an error on some rows.
 	mayFail bool
 	params  []any
@@ -483,7 +567,14 @@ func (g *gen) statement() (string, []any) {
 		right := genFrom{alias, genTables[order[i]].key}
 		left := from[g.rng.Intn(len(from))]
 		var l, r string
-		if g.rng.Intn(5) == 0 {
+		if cols := g.indexed[genTables[order[0]].name]; i == 1 && g.rng.Intn(2) == 0 {
+			// The driving table's indexed column, which a keyed fetch reads.
+			c := cols[g.rng.Intn(len(cols))]
+			l, r = "a."+c, g.numCol(alias, right.key)
+			if c == "s" {
+				r = g.strCol(alias, right.key)
+			}
+		} else if g.rng.Intn(5) == 0 {
 			l, r = g.strCol(left.alias, left.key), g.strCol(alias, right.key)
 		} else {
 			l, r = g.numCol(left.alias, left.key), g.numCol(alias, right.key)
@@ -584,20 +675,25 @@ func randomRow(rng *rand.Rand, key ...any) []any {
 // TestDifferentialRandom compares executor and oracle on seeded random
 // schemas' worth of indexes, data and statements: first on committed
 // data, then under a transaction's own pending writes. Some statements
-// must run a filtered build, or the test says nothing about it.
+// must run a filtered build, and some a keyed fetch, or the test says
+// nothing about them.
 func TestDifferentialRandom(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 6
 	}
-	builds := 0
+	builds, fetches := 0, 0
 	for seed := 0; seed < seeds; seed++ {
-		builds += differentialRandom(t, int64(seed))
+		b, f := differentialRandom(t, int64(seed))
+		builds, fetches = builds+b, fetches+f
 	}
 	if builds == 0 {
 		t.Fatal("no statement ran a filtered build")
 	}
-	t.Logf("%d statements ran a filtered build", builds)
+	if fetches == 0 {
+		t.Fatal("no statement ran a keyed fetch")
+	}
+	t.Logf("%d statements ran a filtered build, %d a keyed fetch", builds, fetches)
 }
 
 // FuzzDifferentialSQL is TestDifferentialRandom on seeds beyond its own.
@@ -610,8 +706,9 @@ func FuzzDifferentialSQL(f *testing.F) {
 
 // differentialRandom builds one random schema, data set and statement
 // batch from seed, compares executor and oracle on all of it, and
-// returns how many statements ran a filtered build.
-func differentialRandom(t *testing.T, seed int64) (builds int) {
+// returns how many statements ran a filtered build and how many a keyed
+// fetch.
+func differentialRandom(t *testing.T, seed int64) (builds, fetches int) {
 	const perSeed = 120
 	rng := rand.New(rand.NewSource(seed))
 	ddl := []string{
@@ -619,11 +716,19 @@ func differentialRandom(t *testing.T, seed int64) (builds int) {
 		`CREATE TABLE t1 (id INT, sub INT, x INT, y INT, f FLOAT, s TEXT, g BOOL, PRIMARY KEY (id, sub))`,
 		`CREATE TABLE t2 (code TEXT PRIMARY KEY, x INT, y INT, f FLOAT, s TEXT, g BOOL)`,
 	}
+	indexed := map[string][]string{}
 	for _, tab := range genTables {
-		for _, col := range []string{"x", "y", "s", "f"} {
+		cols := []string{"x", "y", "s", "f"}
+		for _, col := range cols {
 			if rng.Intn(3) == 0 {
-				ddl = append(ddl, fmt.Sprintf(`CREATE INDEX %s_%s ON %s (%s)`, tab.name, col, tab.name, col))
+				indexed[tab.name] = append(indexed[tab.name], col)
 			}
+		}
+		if len(indexed[tab.name]) == 0 {
+			indexed[tab.name] = []string{cols[rng.Intn(len(cols))]}
+		}
+		for _, col := range indexed[tab.name] {
+			ddl = append(ddl, fmt.Sprintf(`CREATE INDEX %s_%s ON %s (%s)`, tab.name, col, tab.name, col))
 		}
 	}
 	d := newDiff(t, ddl...)
@@ -655,7 +760,7 @@ func differentialRandom(t *testing.T, seed int64) (builds int) {
 	write(tx, 20+rng.Intn(120))
 	d.commit(tx)
 
-	g := &gen{rng: rng}
+	g := &gen{rng: rng, indexed: indexed}
 	tx = d.e.Begin()
 	defer tx.Abort()
 	for i := 0; i < perSeed; i++ {
@@ -664,11 +769,15 @@ func differentialRandom(t *testing.T, seed int64) (builds int) {
 		}
 		g.mayFail = i%4 == 3
 		src, params := g.statement()
-		if plan := d.compare(tx, src, params...); strings.Contains(plan, " via ") { // a filtered build
+		plan := d.compare(tx, src, params...)
+		if strings.Contains(plan, " via ") { // a filtered build
 			builds++
 		}
+		if strings.Contains(plan, " keyed-fetch(") {
+			fetches++
+		}
 	}
-	return builds
+	return builds, fetches
 }
 
 // TestDifferentialTPCW runs every prepared SELECT of the TPC-W workload

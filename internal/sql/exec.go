@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"sconrep/internal/storage"
@@ -69,6 +70,9 @@ type selectRun struct {
 	ev *env
 	// hashes[k] is table k's hash-join build, made on first probe.
 	hashes []hashBuild
+	// bufs[k] holds the rows of table k's latest index read — a probe's,
+	// or for k = 0 the keyed fetch's — and is reused by the next one.
+	bufs [][]storage.KV
 
 	rows [][]any // the output, when it needs no sorting
 	top  topN    // the output, when it does
@@ -101,17 +105,20 @@ func execSelect(tx *storage.Txn, e *storage.Engine, s *Select, ev *env) (*Result
 	}
 	r := &selectRun{p: p, tx: tx, ev: ev, top: topN{order: p.order, n: p.keep}}
 	ev.rows = make([][]any, len(p.tables))
+	if len(p.tables) > 1 {
+		r.bufs = make([][]storage.KV, len(p.tables))
+	}
 	if p.aggregated {
 		r.groups = map[string]int{}
 	} else {
 		r.rows = [][]any{} // no rows is an empty Rows, not a nil one; the wire tells them apart
 	}
 
-	base := &p.tables[0]
-	err = scanPath(tx, base.name, base.path, p.edge == "max", func(kv storage.KV) (bool, error) {
-		more, err := r.bindRow(0, kv.Row)
-		return more && p.edge == "", err
-	})
+	if p.tables[0].fetch != "" {
+		err = r.keyedFetch()
+	} else {
+		err = r.scan()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -136,6 +143,51 @@ func execSelect(tx *storage.Txn, e *storage.Engine, s *Select, ev *env) (*Result
 		}
 	}
 	return &Result{Columns: p.columns, Rows: rows}, nil
+}
+
+// scan drives the nested loop from the base table's access path.
+func (r *selectRun) scan() error {
+	base, edge := &r.p.tables[0], r.p.edge
+	return scanPath(r.tx, base.name, base.path, edge == "max", func(kv storage.KV) (bool, error) {
+		more, err := r.bindRow(0, kv.Row)
+		return more && edge == "", err
+	})
+}
+
+// keyedFetch drives the nested loop from the base rows that table 1's
+// build can match (plan's keyedFetch): the build's keys, coerced to the
+// base's join column type, select those rows through the base's index,
+// inside its path's bounds and in primary-key order. A key that does not
+// coerce matches no base row, since no row's probe reaches it.
+func (r *selectRun) keyedFetch() error {
+	base, t := &r.p.tables[0], &r.p.tables[1]
+	h, err := r.build(1)
+	if err != nil {
+		return err
+	}
+	typ := base.schema.Columns[t.leftKey.off].Type
+	keys := make([]any, 0, len(h.rows))
+	for _, rows := range h.rows {
+		v := rows[0][t.rightCol]
+		if f, ok := v.(float64); ok && typ == storage.TInt && math.Abs(f) >= 1<<53 {
+			// Several integers round to f, so all of them probe to it; an
+			// index lookup by one value would fetch only one.
+			return r.scan()
+		}
+		if k, err := coerceValue(v, typ); err == nil {
+			keys = append(keys, k)
+		}
+	}
+	r.bufs[0], err = r.tx.AppendIndexIn(r.bufs[0][:0], base.name, base.fetch, keys, base.path.lo, base.path.hi)
+	if err != nil {
+		return err
+	}
+	for _, kv := range r.bufs[0] {
+		if more, err := r.bindRow(0, kv.Row); err != nil || !more {
+			return err
+		}
+	}
+	return nil
 }
 
 // bindRow puts table k's row into the tuple, applies the conjuncts that
@@ -185,41 +237,20 @@ func (r *selectRun) probe(k int) (bool, error) {
 		}
 		return r.bindRow(k, row)
 	case joinIndex:
-		kvs, err := r.tx.ScanIndexEq(t.name, t.index, cv)
+		r.bufs[k], err = r.tx.AppendIndexIn(r.bufs[k][:0], t.name, t.index, []any{cv}, "", "")
 		if err != nil {
 			return false, err
 		}
-		for _, kv := range kvs {
+		for _, kv := range r.bufs[k] {
 			if more, err := r.bindRow(k, kv.Row); err != nil || !more {
 				return false, err
 			}
 		}
 		return true, nil
 	}
-	if r.hashes == nil {
-		r.hashes = make([]hashBuild, len(r.p.tables))
-	}
-	h := &r.hashes[k]
-	if h.group == nil {
-		h.group = map[string]int{}
-		err := scanPath(r.tx, t.name, t.path, false, func(kv storage.KV) (bool, error) {
-			v := kv.Row[t.rightCol]
-			if v == nil {
-				return true, nil
-			}
-			r.keyBuf = storage.EncodeValue(r.keyBuf[:0], v)
-			g, ok := h.group[string(r.keyBuf)]
-			if !ok {
-				g = len(h.rows)
-				h.group[string(r.keyBuf)] = g
-				h.rows = append(h.rows, nil)
-			}
-			h.rows[g] = append(h.rows[g], kv.Row)
-			return true, nil
-		})
-		if err != nil {
-			return false, err
-		}
+	h, err := r.build(k)
+	if err != nil {
+		return false, err
 	}
 	r.keyBuf = storage.EncodeValue(r.keyBuf[:0], cv)
 	g, ok := h.group[string(r.keyBuf)]
@@ -232,6 +263,35 @@ func (r *selectRun) probe(k int) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// build returns table k's hash-join build, reading it through the
+// table's path on first use.
+func (r *selectRun) build(k int) (*hashBuild, error) {
+	if r.hashes == nil {
+		r.hashes = make([]hashBuild, len(r.p.tables))
+	}
+	h := &r.hashes[k]
+	if h.group != nil {
+		return h, nil
+	}
+	t := &r.p.tables[k]
+	h.group = map[string]int{}
+	return h, scanPath(r.tx, t.name, t.path, false, func(kv storage.KV) (bool, error) {
+		v := kv.Row[t.rightCol]
+		if v == nil {
+			return true, nil
+		}
+		r.keyBuf = storage.EncodeValue(r.keyBuf[:0], v)
+		g, ok := h.group[string(r.keyBuf)]
+		if !ok {
+			g = len(h.rows)
+			h.group[string(r.keyBuf)] = g
+			h.rows = append(h.rows, nil)
+		}
+		h.rows[g] = append(h.rows[g], kv.Row)
+		return true, nil
+	})
 }
 
 // emit projects the tuple at hand (of a plain SELECT) or the group at

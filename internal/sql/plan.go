@@ -13,9 +13,11 @@ import (
 // LIMIT are met. There is no cost model and no join reordering: tables
 // are joined in the order written, and every choice follows from the
 // statement's shape, the schemas and the constants in hand — including
-// the one choice that reads a joined table ahead of its probes, the
-// filtered build (see filteredBuilds), which keeps every tuple in the
-// order the probes would have produced it.
+// the two that read ahead of the nested loop: the filtered build (see
+// filteredBuilds) reads a joined table before its first probe, and the
+// keyed fetch (see keyedFetch) then reads only the base rows that build
+// can match. Both keep every tuple in the order the scan and its probes
+// would have produced it.
 //
 // The access path recognizes sargable conjuncts of the form
 // <column> <op> <constant> and picks, in order of preference,
@@ -329,6 +331,9 @@ type tablePlan struct {
 	// path is how tables[0] is scanned, and what a hash join's build
 	// reads: a full scan, unless it is a filtered build.
 	path accessPath
+	// fetch names the index on tables[0]'s join column through which a
+	// keyed fetch reads it (keyedFetch); "" scans path.
+	fetch string
 
 	join     joinKind // tables[1:]
 	index    string   // joinIndex
@@ -582,6 +587,7 @@ func planSelect(e *storage.Engine, s *Select, ev *env) (*selectPlan, error) {
 		p.inOrder = scanOrdered(p.tables[0].schema, p.sargs, p.order)
 	}
 	p.filteredBuilds()
+	p.keyedFetch()
 	return p, nil
 }
 
@@ -608,6 +614,30 @@ func (p *selectPlan) filteredBuilds() {
 			t.join, t.path = joinHash, path
 		}
 	}
+}
+
+// keyedFetch reads the base table through its index on the join column
+// of tables[1] when tables[1] is a filtered build over an equality path
+// (index-eq or pk-point), which holds few rows and so few keys: the
+// executor reads the build first, fetches the base rows whose join
+// column holds one of its keys inside the base path's bounds, and visits
+// them in primary-key order. Any other base row's probe finds no bucket
+// and drops the tuple, so the tuples, their order and the results are
+// the scan's. Only a full or pk-range base is worth it: an index-eq base
+// reads few rows already. filteredBuilds makes no build where the scan
+// may stop early (an ordered stop; an edge read has no join).
+func (p *selectPlan) keyedFetch() {
+	if len(p.tables) < 2 {
+		return
+	}
+	base, t := &p.tables[0], &p.tables[1]
+	equality := t.path.kind == kindIndexEq || t.path.kind == kindPoint
+	if t.join != joinHash || !equality || (base.path.kind != kindFull && base.path.kind != kindRange) {
+		return
+	}
+	// tables[1]'s ON column pairs with one of the base's, the only table
+	// before it.
+	base.fetch = indexOn(base.schema, base.schema.Columns[t.leftKey.off].Name)
 }
 
 // outputColumn resolves an ORDER BY expression against an aggregated
@@ -717,6 +747,9 @@ func (p *tablesPlan) describe(sb *strings.Builder, base string) {
 		if t.alias != t.name {
 			sb.WriteString(" " + t.alias)
 		}
+		if t.fetch != "" {
+			sb.WriteString(" keyed-fetch(" + t.fetch + ")")
+		}
 		if i > 0 {
 			if t.path.kind != kindFull {
 				sb.WriteString(" via " + t.path.via())
@@ -739,13 +772,14 @@ func (p *tablesPlan) describe(sb *strings.Builder, base string) {
 
 // Explain describes the plan a statement would run with the given
 // parameters, on one line: for each table, in join order, its access
-// path or join strategy (with "via <path>" when a hash join's build is
-// filtered) and the conjuncts of WHERE applied there, then
-// how the output is grouped, ordered and cut — "ordered-stop(n)" when
-// the scan's own order is ORDER BY's and it ends after n rows, "top-n(n)"
-// when a bounded stable selection stands in for the sort, "sort" when
-// everything is sorted, "edge(min|max)" when the answer is read off one
-// end of the tree.
+// path (with "keyed-fetch(<index>)" when the base is read through that
+// index for the build's keys) or join strategy (with "via <path>" when
+// a hash join's build is filtered) and the conjuncts of WHERE applied
+// there, then how the output is grouped, ordered and cut —
+// "ordered-stop(n)" when the scan's own order is ORDER BY's and it ends
+// after n rows, "top-n(n)" when a bounded stable selection stands in for
+// the sort, "sort" when everything is sorted, "edge(min|max)" when the
+// answer is read off one end of the tree.
 func Explain(e *storage.Engine, stmt Stmt, params []any) (string, error) {
 	ev, err := newEnv(params)
 	if err != nil {

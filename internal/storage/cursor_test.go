@@ -26,7 +26,9 @@ func kvTable(t *testing.T) *Engine {
 }
 
 // TestCursorAgainstModel compares Cursor (both directions, whole and
-// abandoned scans), ScanRange and ScanIndexEq with a brute-force model:
+// abandoned scans), ScanRange, ScanIndexEq and AppendIndexIn (several
+// values, one repeated, inside key bounds, after rows already in dst)
+// with a brute-force model:
 // a table several chunks long, history on both sides of the reader's
 // snapshot, and the reader's own inserts, updates and deletes on top.
 func TestCursorAgainstModel(t *testing.T) {
@@ -150,6 +152,37 @@ func TestCursorAgainstModel(t *testing.T) {
 				t.Fatalf("%s: ScanIndexEq grp=%d: %d rows, want %d", what, g, len(got), len(want))
 			}
 		}
+		for trial := 0; trial < 20; trial++ {
+			in := map[int64]bool{}
+			var vals []any
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				g := int64(rng.Intn(5))
+				in[g] = true
+				vals = append(vals, g)
+			}
+			lo, hi := int64(rng.Intn(ids)), int64(rng.Intn(ids+200))
+			loKey, hiKey := EncodeKey(lo), EncodeKey(hi)
+			if trial%3 == 0 {
+				lo, loKey, hi, hiKey = math.MinInt64, "", ids+1000, ""
+			}
+			want := [][]any{{"already in dst"}}
+			for _, id := range all {
+				if id >= lo && id < hi && in[model[id][1].(int64)] {
+					want = append(want, model[id])
+				}
+			}
+			kvs, err := reader.AppendIndexIn([]KV{{Row: want[0]}}, "kv", "kv_grp", vals, loKey, hiKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [][]any
+			for _, kv := range kvs {
+				got = append(got, kv.Row)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: AppendIndexIn grp in %v, [%d,%d): %d rows, want %d", what, vals, lo, hi, len(got), len(want))
+			}
+		}
 	}
 	check("committed")
 
@@ -197,8 +230,60 @@ func TestCursorAgainstModel(t *testing.T) {
 	}
 }
 
-// TestSharedRowsNeverMutated holds rows handed out by Get, Cursor and
-// ScanIndexEq — they are the stored slices, not copies — while other
+// TestIndexReadOwnWritesKeyOrder moves rows into, out of and within an
+// index value by the reader's own writes: the value's rows still come
+// back in key order, from ScanIndexEq and from AppendIndexIn.
+func TestIndexReadOwnWritesKeyOrder(t *testing.T) {
+	e := kvTable(t)
+	tx := e.Begin()
+	for id := int64(1); id <= 9; id++ {
+		if err := tx.Insert("kv", []any{id, id % 3, int64(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+
+	reader := e.Begin()
+	for _, r := range [][]any{
+		{int64(5), int64(0), int64(0)}, // into grp 0, between its keys
+		{int64(6), int64(1), int64(0)}, // out of grp 0
+		{int64(3), int64(0), int64(1)}, // within grp 0
+	} {
+		if err := reader.Update("kv", EncodeKey(r[0]), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reader.Insert("kv", []any{int64(0), int64(0), int64(0)}); err != nil { // a new first key
+		t.Fatal(err)
+	}
+	ids := func(kvs []KV) []int64 {
+		var out []int64
+		for _, kv := range kvs {
+			out = append(out, kv.Row[0].(int64))
+		}
+		return out
+	}
+	for grp, want := range [][]int64{{0, 3, 5, 9}, {1, 4, 6, 7}, {2, 8}} {
+		kvs, err := reader.ScanIndexEq("kv", "kv_grp", int64(grp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ids(kvs); !reflect.DeepEqual(got, want) {
+			t.Errorf("ScanIndexEq grp=%d: %v, want %v", grp, got, want)
+		}
+	}
+	kvs, err := reader.AppendIndexIn(nil, "kv", "kv_grp", []any{int64(1), int64(0), int64(1)}, EncodeKey(int64(1)), EncodeKey(int64(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ids(kvs), []int64{1, 3, 4, 5, 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendIndexIn grp in (1, 0, 1), ids [1,7): %v, want %v", got, want)
+	}
+}
+
+// TestSharedRowsNeverMutated holds rows handed out by Get, Cursor,
+// ScanIndexEq and AppendIndexIn — they are the stored slices, not
+// copies — while other
 // goroutines install and publish new versions of the same keys and
 // vacuum the old ones away, then checks every held row still reads as
 // it did. Under -race a write into a shared row is reported as one.
@@ -274,6 +359,20 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 				}
 				for _, kv := range kvs[:min(2, len(kvs))] {
 					all = append(all, hold(kv.Row))
+				}
+				// A keyed fetch's read: two values, key bounds, a reused buffer.
+				lo, hi := EncodeKey(int64(8)), EncodeKey(int64(40))
+				kvs, err = rtx.AppendIndexIn(kvs[:0], "kv", "kv_grp", []any{int64(g), int64(g + 1)}, lo, hi)
+				if err != nil {
+					t.Error(err)
+				}
+				for i, kv := range kvs {
+					if kv.Key < lo || kv.Key >= hi || (i > 0 && kvs[i-1].Key >= kv.Key) {
+						t.Errorf("AppendIndexIn row %d key %q out of bounds or order", i, kv.Key)
+					}
+					if i < 2 {
+						all = append(all, hold(kv.Row))
+					}
 				}
 				rtx.Abort()
 				if len(all) > 4000 {

@@ -273,8 +273,9 @@ func (e *Engine) TableVersionsAt(names []string, snapshot uint64) map[string]uin
 	return out
 }
 
-// RowEstimate returns the number of primary keys present in a table
-// (including tombstoned chains); used by the SQL planner.
+// RowEstimate returns the number of primary keys present in a table,
+// tombstoned chains included. The planner has no cost model and does not
+// call it; tests read it as a row count.
 func (e *Engine) RowEstimate(tableName string) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

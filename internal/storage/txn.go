@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"sconrep/internal/btree"
 	"sconrep/internal/writeset"
@@ -15,15 +17,15 @@ import (
 // A Txn must be used from a single goroutine.
 //
 // Rows are shared, not copied. Every row a read hands out — from Get,
-// ScanRange, ScanAll, ScanIndexEq or a Cursor — is the stored slice
-// itself: a committed version's row in its chain, or the transaction's
-// own pending image. Neither is ever written again (a chain row is
-// immutable once installed, vacuum only unlinks it; a later write by
-// this transaction replaces the pending image with a new slice), so a
-// caller may keep a row as long as it likes, across commits and after
-// the transaction ends. In exchange the caller must not write into it:
-// copy first, as the SQL layer's UPDATE does. Insert and Update copy
-// the row they are given, so the caller's slice stays the caller's.
+// ScanRange, ScanAll, ScanIndexEq, AppendIndexIn or a Cursor — is the
+// stored slice itself: a committed version's row in its chain, or the
+// transaction's own pending image. Neither is ever written again (a
+// chain row is immutable once installed, vacuum only unlinks it; a later
+// write by this transaction replaces the pending image with a new
+// slice), so a caller may keep a row as long as it likes, across commits
+// and after the transaction ends. In exchange the caller must not write
+// into it: copy first, as the SQL layer's UPDATE does. Insert and Update
+// copy the row they are given, so the caller's slice stays the caller's.
 type Txn struct {
 	e        *Engine
 	snapshot uint64
@@ -401,62 +403,97 @@ func (t *Txn) ScanAll(table string) ([]KV, error) {
 }
 
 // ScanIndexEq returns the visible rows whose indexed column equals
-// val, using the named secondary index, in primary-key order within
-// equal values. The rows are shared (see Txn).
+// val, using the named secondary index, in primary-key order. The rows
+// are shared (see Txn).
 func (t *Txn) ScanIndexEq(table, index string, val any) ([]KV, error) {
+	return t.AppendIndexIn(nil, table, index, []any{val}, "", "")
+}
+
+// AppendIndexIn appends to dst the rows visible to this transaction
+// whose indexed column equals one of vals (NULL matches nothing), found
+// through the named secondary index, with encoded primary keys in
+// [lo, hi) — empty lo or hi leaves that side open — and returns the
+// extended slice. The appended rows are in primary-key order, each
+// once, with the transaction's own writes merged in, all read under one
+// table lock. The rows are shared (see Txn).
+func (t *Txn) AppendIndexIn(dst []KV, table, index string, vals []any, lo, hi string) ([]KV, error) {
 	if t.finished {
-		return nil, ErrTxnFinished
+		return dst, ErrTxnFinished
 	}
-	if val == nil {
-		return nil, nil // NULL matches nothing under equality
-	}
-	var out []KV
+	start := len(dst)
 	t.e.mu.RLock()
 	tb, ok := t.e.tables[table]
 	if !ok {
 		t.e.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, table)
+		return dst, fmt.Errorf("%w: %s", ErrNoTable, table)
 	}
 	tb.mu.RLock()
 	ix, ok := tb.indexes[index]
 	if !ok {
 		tb.mu.RUnlock()
 		t.e.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoIndex, index, table)
+		return dst, fmt.Errorf("%w: %s on %s", ErrNoIndex, index, table)
 	}
 	col := ix.col
-	prefix := string(EncodeValue(nil, val))
-	it := ix.tree.Scan(prefix, prefix+"\xff")
-	for it.Next() {
-		pk := it.Key()[len(prefix):]
-		if pw := t.pending(table, pk); pw != nil {
-			continue // overlaid below
-		}
-		cv, ok := tb.rows.Get(pk)
-		if !ok {
+	written := t.writes[table]
+	var buf [64]byte
+	for _, val := range vals {
+		if val == nil {
 			continue
 		}
-		vr := cv.(*chain).visibleAt(t.snapshot)
-		// The index is a superset over versions: re-check the value.
-		if vr != nil && ValuesEqual(vr.row[col], val) {
-			out = append(out, KV{Key: pk, Row: vr.row})
+		// An entry is the value's encoding followed by the row's key;
+		// encodings are prefix-free, so the value's entries are one run.
+		prefix := EncodeValue(buf[:0], val)
+		it := ix.tree.Scan(string(append(prefix, lo...)), "")
+		for it.Next() {
+			entry := it.Key()
+			if len(entry) < len(prefix) || entry[:len(prefix)] != string(prefix) {
+				break
+			}
+			pk := entry[len(prefix):]
+			if hi != "" && pk >= hi {
+				break
+			}
+			if pw, ok := written[pk]; ok && !pw.removed {
+				continue // overlaid below
+			}
+			cv, ok := tb.rows.Get(pk)
+			if !ok {
+				continue
+			}
+			vr := cv.(*chain).visibleAt(t.snapshot)
+			// The index is a superset over versions: re-check the value.
+			if vr != nil && ValuesEqual(vr.row[col], val) {
+				dst = append(dst, KV{Key: pk, Row: vr.row})
+			}
 		}
 	}
 	tb.mu.RUnlock()
 	t.e.mu.RUnlock()
 
-	if m := t.writes[table]; len(m) > 0 {
-		for key, pw := range m {
-			if pw.removed || pw.op == writeset.OpDelete {
-				continue
-			}
-			if ValuesEqual(pw.row[col], val) {
-				out = append(out, KV{Key: key, Row: pw.row})
+	for key, pw := range written {
+		if pw.removed || pw.op == writeset.OpDelete || key < lo || (hi != "" && key >= hi) {
+			continue
+		}
+		for _, val := range vals {
+			if val != nil && ValuesEqual(pw.row[col], val) {
+				dst = append(dst, KV{Key: key, Row: pw.row})
+				break
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	}
-	return out, nil
+
+	// Each value's rows came in key order; a second value or an own write
+	// may have broken it, and only a repeated value repeats a row.
+	out := dst[start:]
+	for i := 1; i < len(out); i++ {
+		if out[i-1].Key >= out[i].Key {
+			slices.SortFunc(out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+			out = slices.CompactFunc(out, func(a, b KV) bool { return a.Key == b.Key })
+			return dst[:start+len(out)], nil
+		}
+	}
+	return dst, nil
 }
 
 // WriteSet exports the transaction's buffered writes as full row
