@@ -53,7 +53,7 @@ update-schema:
 # The same gate CI runs (.github/workflows/ci.yml): the end-to-end
 # benchmark smoke, then build, vet, sconrep-vet, formatting (fails on
 # any unformatted file), tests, the flake guard (25 runs of the tests
-# that ride a restart or a crashed replica), race tests. benchmark/ is
+# that ride a restart, a crashed replica or a lease), race tests. benchmark/ is
 # a frozen nested module ./... does not reach; bench-e2e-smoke starts
 # by vetting it, so an API break it would not survive (a changed Begin
 # or Dispatch signature) is the first thing this target reports.
@@ -64,7 +64,7 @@ ci: bench-e2e-smoke
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test ./...
-	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade' ./cmd/sconrepd ./internal/cluster .
+	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule' ./cmd/sconrepd ./internal/cluster .
 	$(GO) test -race ./internal/...
 
 # Seeded chaos harness: fault-injected TPC-W over the networked

@@ -58,23 +58,24 @@ func main() {
 	streamIdle := flag.Duration("stream-idle", 5*time.Second, "server-side idle teardown and refresh-stream partition detector (0 = none)")
 	backoffMin := flag.Duration("backoff-min", 20*time.Millisecond, "initial reconnect/retry backoff")
 	backoffMax := flag.Duration("backoff-max", time.Second, "backoff ceiling")
-	subLease := flag.Duration("sub-lease", 10*time.Second, "certifier role: how long a replica stays subscribed after its refresh stream drops")
-	streamGrace := flag.Duration("stream-grace", 500*time.Millisecond, "replica role: how long after losing the refresh stream the replica keeps serving; must stay below -sub-lease")
+	subLease := flag.Duration("sub-lease", 10*time.Second, "certifier role: how long a replica stays subscribed after its refresh stream drops; replicas keep serving for a quarter of it after losing their stream, and refuse it when their -stream-idle is at least 3/4 of it")
 	shards := flag.Int("shards", 1, "certifier/replica/gateway roles: number of certification shards; every role of one deployment must agree")
 	shardTables := flag.String("shard-tables", "", "explicit table→shard pins as table=shard[,table=shard...]; unlisted tables hash over [0,shards). Must be identical on every role")
 	serveShards := flag.String("serve-shards", "", "replica role: comma-separated shard IDs this replica subscribes to (empty = all); versions certified elsewhere arrive as skip markers")
 	replicaShards := flag.String("replica-shards", "", "gateway role: per-replica served shards as idx=shard[+shard...][,idx=...] matching each replica's -serve-shards (replicas absent from the list serve all shards); enables shard-aware routing")
 	flag.Parse()
+	if *subLease < 0 {
+		log.Fatalf("-sub-lease %s: must not be negative", *subLease)
+	}
 
 	smap, err := buildShardMap(*shards, *shardTables)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ncfg := cluster.NetConfig{
-		Timeouts:    wire.Timeouts{Call: *callTimeout, Idle: *streamIdle},
-		Backoff:     wire.Backoff{Min: *backoffMin, Max: *backoffMax},
-		StreamGrace: *streamGrace,
-		SubLease:    *subLease,
+		Timeouts: wire.Timeouts{Call: *callTimeout, Idle: *streamIdle},
+		Backoff:  wire.Backoff{Min: *backoffMin, Max: *backoffMax},
+		SubLease: *subLease,
 	}
 
 	switch *role {

@@ -62,10 +62,9 @@ INSERT INTO acct VALUES (2, 100);
 	}
 	const anyPort = "127.0.0.1:0"
 	ncfg := cluster.NetConfig{
-		Timeouts:    wire.Timeouts{Call: 5 * time.Second, Idle: 2 * time.Second},
-		Backoff:     wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
-		StreamGrace: 500 * time.Millisecond,
-		SubLease:    10 * time.Second,
+		Timeouts: wire.Timeouts{Call: 5 * time.Second, Idle: 2 * time.Second},
+		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+		SubLease: 10 * time.Second,
 	}
 
 	certCfg := cluster.CertifierConfig{Listen: anyPort, WALPath: filepath.Join(dir, "cert.wal"), Net: ncfg}

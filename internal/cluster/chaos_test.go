@@ -109,18 +109,18 @@ func runChaos(t *testing.T, mode core.Mode, seed int64, shards int) {
 	// Clean bring-up and load; noise starts with the workload.
 	inj.SetActive(false)
 
-	// Timing discipline: the replica serve gate must close
-	// (StreamGrace + Idle) before the certifier stops waiting for a
-	// partitioned subscriber (SubLease), and the client call timeout
-	// must outlast an eager commit stalled for a full lease.
+	// Timing discipline: the replica serve gate must close (Idle plus a
+	// quarter of the lease) before the certifier stops waiting for a
+	// partitioned subscriber (SubLease) — NewNetworked refuses it
+	// otherwise — and the client call timeout must outlast an eager
+	// commit stalled for a full lease.
 	ncfg := cluster.NetConfig{
 		DialerFor: func(link string) wire.Dialer {
 			return wire.Dialer(inj.Dialer(link, nil))
 		},
-		Timeouts:    wire.Timeouts{Call: 3 * time.Second, Idle: 400 * time.Millisecond},
-		Backoff:     wire.Backoff{Min: 5 * time.Millisecond, Max: 80 * time.Millisecond},
-		StreamGrace: 500 * time.Millisecond,
-		SubLease:    2 * time.Second,
+		Timeouts: wire.Timeouts{Call: 3 * time.Second, Idle: 400 * time.Millisecond},
+		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 80 * time.Millisecond},
+		SubLease: 2 * time.Second,
 	}
 	cfg := cluster.Config{
 		Replicas:      chaosReplicas,

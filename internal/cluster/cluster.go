@@ -573,13 +573,9 @@ func (s *Session) ensureClient() (*wire.Client, error) {
 		s.epoch++
 	}
 	n := s.c.ncfg
-	to := n.ClientTimeouts
-	if to == (wire.Timeouts{}) {
-		to = n.Timeouts
-	}
 	wc, err := wire.Dial(s.c.gateway.Addr(), s.effectiveID(),
 		wire.WithDialer(n.dialer(LinkClient)),
-		wire.WithTimeouts(to))
+		wire.WithTimeouts(n.Timeouts))
 	if err != nil {
 		return nil, err
 	}

@@ -109,10 +109,9 @@ func runCrashRecoveryChaos(t *testing.T, mode core.Mode, seed int64) {
 		DialerFor: func(link string) wire.Dialer {
 			return wire.Dialer(inj.Dialer(link, nil))
 		},
-		Timeouts:    wire.Timeouts{Call: 3 * time.Second, Idle: 400 * time.Millisecond},
-		Backoff:     wire.Backoff{Min: 5 * time.Millisecond, Max: 80 * time.Millisecond},
-		StreamGrace: 500 * time.Millisecond,
-		SubLease:    2 * time.Second,
+		Timeouts: wire.Timeouts{Call: 3 * time.Second, Idle: 400 * time.Millisecond},
+		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 80 * time.Millisecond},
+		SubLease: 2 * time.Second,
 	}
 	dataDir := t.TempDir()
 	c, err := cluster.NewNetworked(cluster.Config{

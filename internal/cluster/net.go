@@ -36,24 +36,22 @@ type NetConfig struct {
 	// CertLink(i), ReplicaLink(i)); nil — or a nil return — means
 	// net.Dial. The fault injector's Injector.Dialer plugs in here.
 	DialerFor func(link string) wire.Dialer
-	// Timeouts bounds certifier- and replica-link I/O.
+	// Timeouts bounds the I/O of every link. Its Idle is also the
+	// refresh stream's partition detector; zero runs none.
 	Timeouts wire.Timeouts
-	// ClientTimeouts bounds client ⇄ gateway I/O; zero means Timeouts.
-	ClientTimeouts wire.Timeouts
 	// Backoff is the reconnect/retry schedule for all links.
 	Backoff wire.Backoff
-	// StreamGrace is how long a replica keeps serving after its refresh
-	// stream drops before its gate closes. It must stay comfortably
-	// below SubLease: the replica must stop serving before the
-	// certifier stops waiting for it. Zero means 500ms.
-	StreamGrace time.Duration
-	// SubLease is the certifier-side subscription lease (see
-	// wire.WithSubLease). Zero means the wire default.
+	// SubLease is the certifier's subscription lease (wire.WithSubLease);
+	// zero means the wire default. Every subAck carries it, and a replica
+	// serves for a quarter of it after its stream drops; NewNetworked and
+	// every replica refuse a lease Timeouts.Idle leaves no room for
+	// (wire.CheckLease).
 	SubLease time.Duration
-	// ReadyTimeout bounds the wait for every replica's refresh stream
-	// at startup. Zero means 10s.
-	ReadyTimeout time.Duration
 }
+
+// readyTimeout bounds NewNetworked's wait for every replica's refresh
+// stream.
+const readyTimeout = 10 * time.Second
 
 func (n *NetConfig) dialer(link string) wire.Dialer {
 	if n.DialerFor == nil {
@@ -103,13 +101,11 @@ func delayLinks(m latency.Model, seed int64, dialerFor func(link string) wire.Di
 // returned cluster talk to the gateway through wire.Client connections,
 // so every link can be faulted via NetConfig.DialerFor. When the latency
 // model has a one-way delay, every link's dialer — the caller's, if it
-// gave one — is wrapped to charge it per message.
+// gave one — is wrapped to charge it per message. A configuration
+// whose replicas would refuse its lease is an error (wire.CheckLease).
 func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
-	if ncfg.StreamGrace <= 0 {
-		ncfg.StreamGrace = 500 * time.Millisecond
-	}
-	if ncfg.ReadyTimeout <= 0 {
-		ncfg.ReadyTimeout = 10 * time.Second
+	if err := wire.CheckLease(ncfg.Timeouts.Idle, ncfg.SubLease); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.Latency.OneWay > 0 {
 		ncfg.DialerFor = delayLinks(cfg.Latency, cfg.Seed, ncfg.DialerFor)
@@ -178,12 +174,12 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 	// Wait for every replica's refresh stream before declaring the
 	// cluster up: a replica whose subscription never connected would
 	// start gated and the first transactions would all reroute.
-	deadline := time.Now().Add(ncfg.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	for _, r := range c.nodes {
 		for !r.cc.Ready(0) {
 			if time.Now().After(deadline) {
 				c.Close()
-				return nil, fmt.Errorf("cluster: replica refresh streams not up within %s", ncfg.ReadyTimeout)
+				return nil, fmt.Errorf("cluster: replica refresh streams not up within %s", readyTimeout)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

@@ -215,8 +215,10 @@ type ReplicaConfig struct {
 	// MaxLag is the worst per-table lag, in versions, at which Health
 	// still reports the replica ready.
 	MaxLag uint64
-	// Net configures the wire layer; a replica reads Timeouts, Backoff,
-	// StreamGrace (as given: no default) and DialerFor(CertLink(ID)).
+	// Net configures the wire layer; a replica reads Timeouts, Backoff
+	// and DialerFor(CertLink(ID)). Its serve grace comes from the lease
+	// the certifier sends, and a lease Timeouts.Idle leaves no room for
+	// is refused: the replica logs it and never serves.
 	Net NetConfig
 }
 
@@ -259,9 +261,10 @@ func StartReplica(cfg ReplicaConfig) (*ReplicaNode, error) {
 	rslot.Store(n.Replica)
 	// Serve gate: while the refresh stream has been dead longer than the
 	// grace (or the replica is still catching up to the version floor it
-	// saw at resubscribe), requests carrying a begin header fail with
-	// ErrUnavailable and the gateway routes elsewhere — a partitioned
-	// replica must not serve possibly stale strong reads.
+	// saw at resubscribe, or has not had a subAck yet), requests carrying
+	// a begin header fail with ErrUnavailable and the gateway routes
+	// elsewhere — a partitioned replica must not serve possibly stale
+	// strong reads.
 	gate := func() error {
 		if n.serving() {
 			return nil
@@ -275,8 +278,9 @@ func StartReplica(cfg ReplicaConfig) (*ReplicaNode, error) {
 	return n, nil
 }
 
-// serving reports whether the serve gate is open.
-func (n *ReplicaNode) serving() bool { return n.cc.Ready(n.cfg.Net.StreamGrace) }
+// serving reports whether the serve gate is open. The grace is a
+// quarter of the certifier's lease, 0 before its first subAck.
+func (n *ReplicaNode) serving() bool { return n.cc.Ready(n.cc.Grace()) }
 
 // Store returns the node's persistent backend, nil for an in-memory
 // replica.

@@ -139,9 +139,8 @@ func TestOpenCertifierRestart(t *testing.T) {
 // instead of being acknowledged before any other replica applied it.
 func TestEagerGatewayNeedsEagerCertifier(t *testing.T) {
 	ncfg := NetConfig{
-		Timeouts:    wire.Timeouts{Call: 5 * time.Second, Idle: 2 * time.Second},
-		Backoff:     wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
-		StreamGrace: 500 * time.Millisecond,
+		Timeouts: wire.Timeouts{Call: 5 * time.Second, Idle: 2 * time.Second},
+		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 	}
 	cert, err := StartCertifier(CertifierConfig{Listen: "127.0.0.1:0", Eager: false, Net: ncfg})
 	if err != nil {

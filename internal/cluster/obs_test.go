@@ -199,3 +199,47 @@ func TestBeginTablesRouteSpan(t *testing.T) {
 		})
 	}
 }
+
+// TestTableVersionGaugeFollowsRestart: sconrep_replica_table_version
+// reads the live engine when scraped, so once a disk restart has swapped
+// a replica's engine the gauge reports the recovered engine's table
+// versions, the commits made while the replica was down included.
+func TestTableVersionGaugeFollowsRestart(t *testing.T) {
+	c := newDurableCluster(t, Config{Replicas: 2, Mode: core.Fine, Seed: 4, DataDir: t.TempDir()})
+	reg := obs.NewRegistry()
+	c.EnableObs(reg, nil)
+	gauge := func() uint64 {
+		t.Helper()
+		var sb strings.Builder
+		reg.WritePrometheus(&sb)
+		const series = `sconrep_replica_table_version{replica="1",table="counter"} `
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, series); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return uint64(f)
+			}
+		}
+		t.Fatalf("no %s in the exposition", series)
+		return 0
+	}
+	s := c.NewSession()
+	defer s.Close()
+	bumpN(t, s, 3)
+	waitAllAt(t, c, c.Certifier().Version())
+	c.KillReplica(1)
+	bumpN(t, s, 4)
+	want := c.Certifier().TableVersions()["counter"]
+	if got := gauge(); got >= want {
+		t.Fatalf("killed replica's gauge at %d, want below %d", got, want)
+	}
+	if err := c.RestartReplica(1); err != nil {
+		t.Fatal(err)
+	}
+	waitAllAt(t, c, c.Certifier().Version())
+	if got := gauge(); got != want {
+		t.Fatalf("gauge after the restart = %d, want the recovered engine's %d", got, want)
+	}
+}

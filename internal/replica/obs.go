@@ -2,7 +2,6 @@ package replica
 
 import (
 	"strconv"
-	"sync"
 
 	"sconrep/internal/obs"
 )
@@ -25,14 +24,6 @@ type obsState struct {
 	// batches (ObserveValue, unitless).
 	reorderWait *obs.Histogram
 	applyBatch  *obs.Histogram
-
-	// mu guards the gauge snapshots; the applier updates them from
-	// inside the replica's apply critical section.
-	// locks after Replica.mu
-	mu sync.Mutex
-	// tableVers tracks Vt per table for the table-version gauges.
-	// guarded by mu
-	tableVers map[string]uint64
 }
 
 // EnableObs registers this replica's metrics with reg and, when tr is
@@ -45,11 +36,7 @@ func (r *Replica) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 		return
 	}
 	id := strconv.Itoa(r.cfg.ID)
-	o := &obsState{id: r.cfg.ID, traces: tr, tableVers: make(map[string]uint64)}
-	// Bootstrapped tables start at the engine's current version.
-	for _, tab := range r.engine().Tables() {
-		o.tableVers[tab] = r.engine().Version()
-	}
+	o := &obsState{id: r.cfg.ID, traces: tr}
 	o.syncDelay = reg.Histogram("sconrep_sync_delay_seconds",
 		"Synchronization start delay: wait until Vlocal reaches the transaction's minimum start version (the paper's Figure 6 series).",
 		nil, "replica", id)
@@ -96,7 +83,7 @@ func (r *Replica) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 		}, "replica", id)
 	reg.GaugeVecFunc("sconrep_replica_table_version",
 		"Vt per table: the version of the last applied write to each table (fine-grained synchronization input).",
-		"table", o.tableVersions, "replica", id)
+		"table", r.tableVersions, "replica", id)
 	r.obs.Store(o)
 }
 
@@ -113,23 +100,14 @@ func (r *Replica) RefreshQueueDepth() int {
 	return n
 }
 
-// noteTables advances the per-table applied-version map.
-func (o *obsState) noteTables(tables []string, v uint64) {
-	o.mu.Lock()
-	for _, tab := range tables {
-		if v > o.tableVers[tab] {
-			o.tableVers[tab] = v
-		}
-	}
-	o.mu.Unlock()
-}
-
-// tableVersions is the scrape-time view for the table-version gauges.
-func (o *obsState) tableVersions() map[string]float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make(map[string]float64, len(o.tableVers))
-	for tab, v := range o.tableVers {
+// tableVersions is the scrape-time view for the table-version gauges:
+// the live engine's per-table last write at Vlocal, so it follows a
+// disk restart's engine swap.
+func (r *Replica) tableVersions() map[string]float64 {
+	eng := r.engine()
+	vers := eng.TableVersionsAt(eng.Tables(), r.Version())
+	out := make(map[string]float64, len(vers))
+	for tab, v := range vers {
 		out[tab] = float64(v)
 	}
 	return out

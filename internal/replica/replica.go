@@ -526,11 +526,6 @@ func (r *Replica) applyReadyLocked() bool {
 			panic(fmt.Sprintf("replica %d: refresh apply at %d..%d: %v", r.cfg.ID, start, last, err))
 		}
 		progress = true
-		if o := r.obs.Load(); o != nil {
-			for i := range batch {
-				o.noteTables(batch[i].WS.Tables(), batch[i].Version)
-			}
-		}
 		if r.acks != nil {
 			r.acks.post(last)
 		}
@@ -826,36 +821,6 @@ func (t *Txn) Exec(p *sql.Prepared, params ...any) (*sql.Result, error) {
 	return res, nil
 }
 
-// ExecSQL parses and runs one ad-hoc statement.
-func (t *Txn) ExecSQL(src string, params ...any) (*sql.Result, error) {
-	if err := t.checkAlive(); err != nil {
-		return nil, err
-	}
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	sp := t.r.tracer.Load().StartSpan("replica.exec", t.span.Context())
-	var res *sql.Result
-	t.r.withSlot(func() {
-		if t.r.lat != nil {
-			t.r.lat.Statement()
-		}
-		res, err = sql.ExecStmt(t.stx, t.r.engine(), stmt, params...)
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	t.touch(sql.Tables(stmt))
-	if !sql.IsReadOnly(stmt) {
-		if err := t.afterWrite(); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
 // afterWrite refreshes the partial writeset and, when enabled, checks
 // it against pending refreshes (statement-side early certification).
 // "Pending" covers both refreshes still queued in the certifier
@@ -1077,9 +1042,6 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 		// we committed ourselves is ours to log. This run may race the
 		// drainer's around it — sequencing is the backend's job.
 		_ = dur.LogApplied([]*writeset.WriteSet{ws}, dec.Version)
-	}
-	if o := r.obs.Load(); o != nil {
-		o.noteTables(ws.Tables(), dec.Version)
 	}
 
 	// Eager strong consistency: hold the acknowledgment until every

@@ -129,7 +129,7 @@ func TestAckPostedWhileStreamDown(t *testing.T) {
 	release := dialer.hold()
 	dialer.dialed()[0].Close()
 	waitFor(t, "replica 1's stream to drop", func() bool { return !c1.StreamLive(0) })
-	c1.Applied(1, v) // synchronous: on return it has written, or kept v
+	c1.Applied(1, v) // no stream up: on return it has kept v for the next one
 	if through.Load() >= v {
 		t.Fatal("an ack posted with no stream up reached the certifier")
 	}
@@ -163,7 +163,7 @@ func TestNoticeLostWithStream(t *testing.T) {
 	go func() {
 		tx, err := rep.Begin(0, nil)
 		if err == nil {
-			if _, err = tx.ExecSQL(`UPDATE kv SET v = 'eager' WHERE k = 1`); err == nil {
+			if err = execStmt(tx, `UPDATE kv SET v = 'eager' WHERE k = 1`); err == nil {
 				_, err = tx.Commit(true)
 			}
 		}
@@ -289,4 +289,81 @@ func TestAckAboveVersionClosesStream(t *testing.T) {
 	if want := `sconrep_wire_requests_total{link="certifier",op="applied"} 1`; !strings.Contains(sb.String(), want) {
 		t.Fatalf("exposition lacks %q:\n%s", want, sb.String())
 	}
+}
+
+// stallConn holds every Write until its release channel closes, once
+// stalled: a link that stops taking bytes, as the fault injector's
+// delay or a full socket buffer holds a writer inside Write.
+type stallConn struct {
+	net.Conn
+	mu sync.Mutex
+	// release, when non-nil, gates writes.
+	// guarded by mu
+	release chan struct{}
+	waiting atomic.Bool // a Write is held
+}
+
+func (c *stallConn) stall(release chan struct{}) {
+	c.mu.Lock()
+	c.release = release
+	c.mu.Unlock()
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	release := c.release
+	c.mu.Unlock()
+	if release != nil {
+		c.waiting.Store(true)
+		<-release
+	}
+	return c.Conn.Write(p)
+}
+
+// TestAckWriteStallHoldsNoReconnect: a stream's apply acks have one
+// writer of their own, so a write stuck on a dead stream holds nothing
+// the next stream needs. The stream's Write stalls with an ack in it
+// and no deadline (Call is 0), the stream is then cut, and the next
+// stream must still come up and carry the ack.
+func TestAckWriteStallHoldsNoReconnect(t *testing.T) {
+	cert, srv := serveEager(t)
+	reg := obs.NewRegistry()
+	srv.EnableObs(reg)
+	certifyN(t, cert, 1)
+	v := cert.Version()
+	var mu sync.Mutex
+	var conns []*stallConn
+	dial := func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		sc := &stallConn{Conn: c}
+		mu.Lock()
+		conns = append(conns, sc)
+		mu.Unlock()
+		return sc, nil
+	}
+	cli := DialCertifier(srv.Addr(), 1, 0, WithDialer(dial),
+		WithBackoff(Backoff{Min: time.Millisecond, Max: 10 * time.Millisecond}))
+	defer cli.Close()
+	cli.Subscribe(1)
+	waitFor(t, "the stream", func() bool { return cli.StreamLive(0) })
+
+	release := make(chan struct{})
+	defer close(release)
+	mu.Lock()
+	stream := conns[0] // the first dial is the subscription
+	mu.Unlock()
+	stream.stall(release)
+	go cli.Applied(1, v)
+	waitFor(t, "the ack write to stall", stream.waiting.Load)
+	stream.Conn.Close()
+
+	applied := `sconrep_wire_requests_total{link="certifier",op="applied"} 1`
+	waitFor(t, "the next stream up, with the ack on it", func() bool {
+		var sb strings.Builder
+		reg.WritePrometheus(&sb)
+		return cli.StreamLive(0) && strings.Contains(sb.String(), applied)
+	})
 }

@@ -55,16 +55,23 @@ type subAck struct {
 	// certifier sets it when something counts them — the eager mode's
 	// global commit — and a subscriber that is not asked sends none.
 	Acks bool
+	// Lease is the certifier's subscription lease: how long it keeps the
+	// subscription, and eager commits waiting for it, after the stream
+	// drops. The subscriber derives its serve grace from it, or refuses
+	// it (CheckLease).
+	Lease time.Duration
 }
 
 func (a *subAck) appendTo(buf []byte) ([]byte, error) {
 	buf = append(appendHello(buf, linkSubAck), flagIf(a.Acks, flagAcks))
-	return binary.AppendUvarint(buf, a.Version), nil
+	buf = binary.AppendUvarint(buf, a.Version)
+	return binary.AppendVarint(buf, int64(a.Lease)), nil
 }
 
 func (a *subAck) parse(d *writeset.Decoder) {
 	a.Acks = readFlags(d, flagAcks) != 0
 	a.Version = d.Uvarint()
+	a.Lease = time.Duration(d.Varint())
 }
 
 // appliedAck is the one frame a subscriber writes on its subscription
@@ -271,7 +278,7 @@ func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	if d := s.opts.to.Call; d > 0 {
 		c.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := fc.send(&subAck{Version: s.cert.Version(), Acks: sub.GlobalTracked()}); err != nil {
+	if err := fc.send(&subAck{Version: s.cert.Version(), Acks: sub.GlobalTracked(), Lease: s.opts.subLease}); err != nil {
 		return
 	}
 	go func() {
@@ -316,16 +323,11 @@ func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 func (s *CertServer) releaseStream(replicaID, gen int, sub *certifier.Subscription) {
 	s.mu.Lock()
 	current := s.streamGen[replicaID] == gen
-	lease := s.opts.subLease
 	s.mu.Unlock()
 	if !current {
 		return
 	}
-	if lease <= 0 {
-		sub.Cancel()
-		return
-	}
-	time.AfterFunc(lease, func() {
+	time.AfterFunc(s.opts.subLease, func() {
 		s.mu.Lock()
 		expired := s.streamGen[replicaID] == gen
 		s.mu.Unlock()
@@ -417,22 +419,26 @@ type CertClient struct {
 	// acknowledged to clients. A replica must not serve strong reads
 	// until Vlocal reaches it (see Ready).
 	serveFloor atomic.Uint64
+	// lease is the latest subAck's lease in nanoseconds, 0 before the
+	// first and after one this client refused (see Grace).
+	lease atomic.Int64
+	// refused logs the first lease this client cannot honour.
+	refused sync.Once
 
-	// wmu serializes what the client writes on the subscription
-	// connection after the hello. It is held across one socket write,
-	// and never while taking mu.
+	// ackMu hands apply acknowledgments from Applied to the writer of
+	// the current stream's acks. It is never held across I/O.
 	// locks after CertClient.mu
-	wmu sync.Mutex
+	ackMu sync.Mutex
 	// applied is the highest version Applied was called with.
-	// guarded by wmu
+	// guarded by ackMu
 	applied uint64
-	// ackTo is the stream whose subAck asked for apply acknowledgments;
-	// nil while the stream is down or nothing counts them.
-	// guarded by wmu
-	ackTo *frameConn
-	// ackGen is the subscription generation that set ackTo: a stream
+	// ackWake wakes the ack writer of the stream whose subAck asked for
+	// apply acknowledgments; nil while no such stream is up.
+	// guarded by ackMu
+	ackWake chan struct{}
+	// ackGen is the subscription generation that set ackWake: a stream
 	// superseded by Subscribe must not displace its successor's.
-	// guarded by wmu
+	// guarded by ackMu
 	ackGen int
 }
 
@@ -454,7 +460,7 @@ func DialCertifier(addr string, replicaID int, vlocal uint64, opts ...Option) *C
 		}
 		return &certHello{Kind: linkCertReq, ReplicaID: replicaID, VLocal: v}
 	}
-	c := &CertClient{
+	return &CertClient{
 		addr:      addr,
 		replicaID: replicaID,
 		vlocal:    vlocal,
@@ -462,22 +468,17 @@ func DialCertifier(addr string, replicaID int, vlocal uint64, opts ...Option) *C
 		pool:      newConnPool(addr, hello, o.dialer(addr), o.to),
 		closed:    make(chan struct{}),
 	}
-	c.downSince.Store(time.Now().UnixNano())
-	return c
 }
 
 var errClientClosed = errors.New("wire: certifier client closed")
 
 // callRetry performs one certifier call, retrying transport failures
-// with exponential backoff until the client closes or the backoff's
-// MaxElapsed (when set, or the override) runs out. Application-level
-// responses — including abort decisions and certifier errors — return
-// immediately; only the transport retries.
+// with exponential backoff until the client closes or, when it is
+// non-zero, maxElapsed runs out. Application-level responses —
+// including abort decisions and certifier errors — return immediately;
+// only the transport retries.
 func (c *CertClient) callRetry(req certRequest, maxElapsed time.Duration) (certResponse, error) {
 	b := c.opts.backoff
-	if maxElapsed == 0 {
-		maxElapsed = b.MaxElapsed
-	}
 	delay := b.Min
 	start := time.Now()
 	var resp certResponse
@@ -558,8 +559,8 @@ func (c *CertClient) subscribed(gen int) bool {
 
 // subLoop maintains the refresh stream for one subscription
 // generation: connect, take the certifier's version at registration as
-// the serve floor, backfill up to it, then pump batches until the
-// stream breaks; repeat with backoff.
+// the serve floor and its lease, backfill up to the floor, then pump
+// batches until the stream breaks; repeat with backoff.
 func (c *CertClient) subLoop(gen int, q *refreshQueue) {
 	b := c.opts.backoff
 	delay := b.Min
@@ -638,10 +639,18 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 		return false
 	}
 	conn.SetDeadline(time.Time{})
+	// A lease this client cannot honour (CheckLease) is logged once and
+	// leaves it no grace, and the stream is never reported up: it still
+	// applies and acknowledges, but the serve gate stays shut.
+	lease, leaseErr := ack.Lease, CheckLease(c.opts.to.Idle, ack.Lease)
+	if leaseErr != nil {
+		lease = 0
+		c.refused.Do(func() { log.Printf("%v; replica %d refuses the lease and does not serve", leaseErr, c.replicaID) })
+	}
+	c.lease.Store(int64(lease))
 	c.tracked.Store(ack.Acks)
 	if ack.Acks {
-		c.ackOn(gen, fc)
-		defer c.ackOn(gen, nil)
+		defer c.ackOn(gen, fc)()
 	}
 	floor := ack.Version
 	if floor > c.serveFloor.Load() {
@@ -661,7 +670,7 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 		after = hist.History[len(hist.History)-1].Version
 	}
 
-	c.streamUp.Store(true)
+	c.streamUp.Store(leaseErr == nil)
 	defer c.streamDown()
 	for {
 		if d := c.opts.to.Idle; d > 0 {
@@ -679,6 +688,10 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 		}
 	}
 }
+
+// Grace is how long this replica may keep serving after its refresh
+// stream drops: a quarter of the latest lease it honoured, 0 before any.
+func (c *CertClient) Grace() time.Duration { return serveGrace(time.Duration(c.lease.Load())) }
 
 func (c *CertClient) streamDown() {
 	if c.streamUp.CompareAndSwap(true, false) {
@@ -736,54 +749,71 @@ func (c *CertClient) Unsubscribe(replicaID int) {
 	_, _ = c.callRetry(certRequest{Op: opUnsubscribe, ReplicaID: replicaID}, c.opts.backoff.Max)
 }
 
-// Applied implements replica.CertService: one appliedAck frame on the
-// subscription stream, when the certifier asked for them. The caller
-// is the replica's notifier, which has already coalesced to the highest
-// applied version and may block for one socket write. The version is
-// kept either way: it opens the next stream that asks.
+// Applied implements replica.CertService: it raises the version the
+// current stream's ack writer sends, when the certifier asked for acks,
+// and returns without waiting for the write. The version is kept
+// either way: it opens the next stream that asks.
 func (c *CertClient) Applied(replicaID int, v uint64) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	c.ackMu.Lock()
+	defer c.ackMu.Unlock()
 	if v <= c.applied {
 		return
 	}
 	c.applied = v
-	c.sendAckLocked()
+	select {
+	case c.ackWake <- struct{}{}:
+	default:
+	}
 }
 
-// ackOn makes fc — generation gen's stream, whose subAck asked for
-// acknowledgments — the one Applied writes to, and opens it with the
-// highest version applied so far: an ack posted while no stream was up
-// is late by the reconnect, never lost. A nil fc ends that when the
-// stream does.
-func (c *CertClient) ackOn(gen int, fc *frameConn) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+// ackOn starts the writer of fc's acks — generation gen's stream, whose
+// subAck asked for them — unless a newer generation's stream has one,
+// and returns what ends it when the stream does. Applied sends only to
+// the registered wake-up, under ackMu, so none sends on a closed one.
+func (c *CertClient) ackOn(gen int, fc *frameConn) (off func()) {
+	c.ackMu.Lock()
+	defer c.ackMu.Unlock()
 	if gen < c.ackGen {
-		return
+		return func() {}
 	}
-	c.ackGen, c.ackTo = gen, fc
-	if c.applied > 0 {
-		c.sendAckLocked()
+	wake := make(chan struct{}, 1)
+	c.ackGen, c.ackWake = gen, wake
+	go c.writeAcks(fc, wake)
+	return func() {
+		c.ackMu.Lock()
+		if c.ackWake == wake {
+			c.ackWake = nil
+		}
+		c.ackMu.Unlock()
+		close(wake)
 	}
 }
 
-// sendAckLocked writes the cumulative ack on the current stream, if
-// any. A failed write closes the connection: the stream's reader then
-// fails and resubscribes, and the next stream re-sends.
-//
-// Caller holds c.wmu.
-func (c *CertClient) sendAckLocked() {
-	fc := c.ackTo
-	if fc == nil {
-		return
-	}
-	if d := c.opts.to.Call; d > 0 {
-		fc.c.SetWriteDeadline(time.Now().Add(d))
-	}
-	if err := fc.send(&appliedAck{Version: c.applied}); err != nil {
-		c.ackTo = nil
-		fc.c.Close()
+// writeAcks is the only writer on fc after the hello. It sends the
+// highest applied version at once, so an ack posted while no stream was
+// up is late by the reconnect, never lost, and again whenever it rises,
+// until wake closes. A failed write closes the connection: the stream's
+// reader then fails and resubscribes, and the next stream's writer
+// re-sends. A write that blocks holds up only this goroutine.
+func (c *CertClient) writeAcks(fc *frameConn, wake <-chan struct{}) {
+	var sent uint64
+	for {
+		c.ackMu.Lock()
+		v := c.applied
+		c.ackMu.Unlock()
+		if v > sent {
+			if d := c.opts.to.Call; d > 0 {
+				fc.c.SetWriteDeadline(time.Now().Add(d))
+			}
+			if err := fc.send(&appliedAck{Version: v}); err != nil {
+				fc.c.Close()
+				return
+			}
+			sent = v
+		}
+		if _, ok := <-wake; !ok {
+			return
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ import (
 
 // codecVersion is the protocol version carried in every hello. Bump it
 // with any change to a frame layout, then run `make update-schema`.
-const codecVersion = 4
+const codecVersion = 5
 
 // helloMagic opens every connection's first frame.
 const helloMagic = "SCRP"

@@ -67,8 +67,9 @@ func frameCases() []struct {
 		{"clientHello/empty", &clientHello{}, &clientHello{}},
 		{"certHello", &certHello{Kind: linkCertSub, ReplicaID: -1, VLocal: math.MaxUint64, Shards: []int{0, 3}}, &certHello{}},
 		{"certHello/emptyShards", &certHello{Kind: linkCertReq, Shards: []int{}}, &certHello{}},
-		{"subAck", &subAck{Version: math.MaxUint64}, &subAck{}},
-		{"subAck/acks", &subAck{Version: 7, Acks: true}, &subAck{}},
+		{"subAck", &subAck{Version: math.MaxUint64, Lease: math.MaxInt64}, &subAck{}},
+		{"subAck/acks", &subAck{Version: 7, Acks: true, Lease: 2 * time.Second}, &subAck{}},
+		{"subAck/zero", &subAck{}, &subAck{}},
 		{"appliedAck", &appliedAck{Version: math.MaxUint64}, &appliedAck{}},
 		{"appliedAck/zero", &appliedAck{}, &appliedAck{}},
 		{"clientRequest", &clientRequest{Seq: math.MaxUint64, Op: opExec, Name: "n", Tables: []string{"a", ""},
@@ -241,7 +242,7 @@ func TestFrameHostileBytesRejected(t *testing.T) {
 		"unknown error code": {[]byte{1, 0, byte(numErrCodes), 0, 0, 0, 0, 0}, &clientResponse{}},
 		"huge varint count":  {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, new(refreshBatch)},
 		"unknown value tag":  {[]byte{1, 0, 0, 0, 0, 2, 9}, &replicaRequest{}},
-		"subAck flag bits":   {[]byte{flagAcks | 0x02, 7}, &subAck{}},
+		"subAck flag bits":   {[]byte{flagAcks | 0x02, 7, 0}, &subAck{}},
 		"ack varint > 64 b":  {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, &appliedAck{}},
 	}
 	for name, tc := range bad {

@@ -147,7 +147,7 @@ func TestCertClientResubscribeAfterServerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx.ExecSQL(stmt); err != nil {
+		if err := execStmt(tx, stmt); err != nil {
 			t.Fatal(err)
 		}
 		res, err := tx.Commit(false)
@@ -236,7 +236,7 @@ func TestLossyCertifierRestartAdoptsLiveVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx.ExecSQL(stmt); err != nil {
+		if err := execStmt(tx, stmt); err != nil {
 			t.Fatal(err)
 		}
 		res, err := tx.Commit(false)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"time"
 )
@@ -34,9 +35,6 @@ type Timeouts struct {
 type Backoff struct {
 	Min time.Duration
 	Max time.Duration
-	// MaxElapsed caps the total retry span of one logical operation;
-	// zero retries until the owner closes.
-	MaxElapsed time.Duration
 }
 
 func (b Backoff) orDefault() Backoff {
@@ -93,17 +91,14 @@ func WithBackoff(b Backoff) Option {
 	return func(o *options) { o.backoff = b }
 }
 
-// SubLeaseNone disables the subscription lease: a dropped stream
-// unsubscribes its replica immediately.
-const SubLeaseNone = -1
-
 // WithSubLease sets how long the certifier server keeps a replica
 // subscribed after its refresh stream drops (CertServer). Within the
 // lease a reconnecting replica resumes its subscription — and, under
 // eager mode, commits keep waiting for it, which is what prevents a
 // briefly partitioned replica from being silently excluded from the
 // global commit. Past the lease the replica is unsubscribed as
-// crashed. Zero means the default (10s); SubLeaseNone disables.
+// crashed. Every subAck carries the lease, and the replica derives its
+// serve grace from it (see CheckLease). Zero means the default (10s).
 func WithSubLease(d time.Duration) Option {
 	return func(o *options) { o.subLease = d }
 }
@@ -133,6 +128,28 @@ func WithShards(shards []int) Option {
 }
 
 const defaultSubLease = 10 * time.Second
+
+// serveGrace is how long a replica keeps serving after its refresh
+// stream drops, under a certifier lease of lease.
+func serveGrace(lease time.Duration) time.Duration { return lease / 4 }
+
+// CheckLease is the lease rule. The certifier stops waiting for a
+// replica whose stream dropped once the lease runs out, so the replica
+// must have stopped serving strong reads by then. It notices a silent
+// stream at most idle after the last frame, and serves for a quarter of
+// the lease after that: idle + lease/4 must stay below lease. A zero
+// idle runs no detector and is not checked; a zero lease is the
+// default. The error names both values.
+func CheckLease(idle, lease time.Duration) error {
+	if lease == 0 {
+		lease = defaultSubLease
+	}
+	if idle > 0 && idle+serveGrace(lease) >= lease {
+		return fmt.Errorf("wire: stream idle %s plus serve grace %s (a quarter of the lease) is not below the subscription lease %s",
+			idle, serveGrace(lease), lease)
+	}
+	return nil
+}
 
 func buildOptions(opts []Option) options {
 	var o options

@@ -13,6 +13,7 @@ import (
 	"sconrep/internal/core"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
+	"sconrep/internal/sql"
 	"sconrep/internal/storage"
 )
 
@@ -47,6 +48,16 @@ func loadKV(t testing.TB, eng *storage.Engine) {
 	if _, err := tx.CommitLocal(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// execStmt prepares src and runs it in tx, as a replica server does
+// with a statement off the wire.
+func execStmt(tx *replica.Txn, src string) error {
+	p, err := sql.Prepare(src)
+	if err == nil {
+		_, err = tx.Exec(p)
+	}
+	return err
 }
 
 func newDeployment(t testing.TB, n int, mode core.Mode) *deployment {
@@ -205,7 +216,7 @@ func TestEagerCommitRightAfterRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.ExecSQL(`UPDATE kv SET v = 'back' WHERE k = 0`); err != nil {
+	if err := execStmt(tx, `UPDATE kv SET v = 'back' WHERE k = 0`); err != nil {
 		t.Fatal(err)
 	}
 	res, err := tx.Commit(true)
