@@ -286,8 +286,9 @@ func TestDifferentialCases(t *testing.T) {
 	// Filtered builds — a joined table read once through the path of its
 	// own conjuncts into a hash on the join column — on each join kind;
 	// keyed fetches — the base read through its join column's index for
-	// the keys of an equality build — on each join column type; and the
-	// plans that must make neither, each with the plan it runs.
+	// the keys of an equality build — on each join column type; index
+	// walks in value order; and the plans that must make none of them,
+	// each with the plan it runs.
 	planned := []struct {
 		src    string
 		params []any
@@ -360,6 +361,48 @@ func TestDifferentialCases(t *testing.T) {
 			"pk-point on cust c where (c.id = 3) -> index-probe ord o on c.id = o.cust where (o.oid > 2)"},
 		{`SELECT o.oid, o.line, c.name FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region = 'north' ORDER BY o.oid LIMIT 3`, nil,
 			"full-scan on ord o -> pk-probe cust c on o.cust = c.id where (c.region = north) -> ordered-stop(3)"},
+		// Index walks in value order: ties on the column, NULLs first, an
+		// OFFSET, the column followed by primary-key columns, a walked base
+		// with a pk-probe join.
+		{`SELECT id, name, region FROM cust WHERE vip OR id > 6 ORDER BY region LIMIT 5`, nil,
+			"index-order(cust_region) on cust where (vip OR (id > 6)) -> ordered-stop(5)"},
+		{`SELECT oid, line, cust FROM ord ORDER BY cust LIMIT 4`, nil,
+			"index-order(ord_cust) on ord -> ordered-stop(4)"},
+		{`SELECT id, label FROM tag ORDER BY label LIMIT 4`, nil,
+			"index-order(tag_label) on tag -> ordered-stop(4)"},
+		{`SELECT id, cust FROM pay WHERE note <> 'n3' ORDER BY cust LIMIT 12`, nil,
+			"index-order(pay_cust) on pay where (note <> n3) -> ordered-stop(12)"},
+		{`SELECT id, region FROM cust WHERE score IS NOT NULL ORDER BY region LIMIT 3 OFFSET 2`, nil,
+			"index-order(cust_region) on cust where score IS NOT NULL -> ordered-stop(5)"},
+		{`SELECT oid, line, cust FROM ord ORDER BY cust, oid LIMIT 7`, nil,
+			"index-order(ord_cust) on ord -> ordered-stop(7)"},
+		{`SELECT oid, line, cust, qty FROM ord WHERE qty > ? ORDER BY cust, oid, line LIMIT 6 OFFSET 1`, []any{int64(0)},
+			"index-order(ord_cust) on ord where (qty > ?) -> ordered-stop(7)"},
+		{`SELECT o.oid, o.line, c.name FROM ord o JOIN cust c ON o.cust = c.id WHERE c.region <> 'east' ORDER BY o.cust LIMIT 6`, nil,
+			"index-order(ord_cust) on ord o -> pk-probe cust c on o.cust = c.id where (c.region <> east) -> ordered-stop(6)"},
+		// No walk: DESC, a FLOAT column, a conjunct that may fail, no LIMIT,
+		// aggregated, a base with a pk or index path, the column followed by
+		// anything but a primary-key prefix, ORDER BY on a joined table.
+		{`SELECT id, region FROM cust ORDER BY region DESC LIMIT 3`, nil,
+			"full-scan on cust -> top-n(3)"},
+		{`SELECT id, amt FROM pay ORDER BY amt LIMIT 4`, nil,
+			"full-scan on pay -> top-n(4)"},
+		{`SELECT id, region FROM cust WHERE 10 / (id - 5) > 1 ORDER BY region LIMIT 3`, nil,
+			"full-scan on cust where ((10 / (id - 5)) > 1) -> top-n(3)"},
+		{`SELECT id, region FROM cust ORDER BY region`, nil,
+			"full-scan on cust -> sort"},
+		{`SELECT region, COUNT(*) FROM cust GROUP BY region ORDER BY region LIMIT 2`, nil,
+			"full-scan on cust -> group -> top-n(2)"},
+		{`SELECT id, region FROM cust WHERE id > 3 ORDER BY region LIMIT 3`, nil,
+			"pk-range on cust where (id > 3) -> top-n(3)"},
+		{`SELECT id, cust FROM pay WHERE amt = 1 ORDER BY cust LIMIT 2`, nil,
+			"index-eq on pay where (amt = 1) -> top-n(2)"},
+		{`SELECT oid, line, cust FROM ord ORDER BY cust, line LIMIT 3`, nil,
+			"full-scan on ord -> top-n(3)"},
+		{`SELECT oid, line, cust FROM ord ORDER BY cust, qty LIMIT 3`, nil,
+			"full-scan on ord -> top-n(3)"},
+		{`SELECT c.id, t.label FROM cust c JOIN tag t ON t.cust = c.id WHERE c.name LIKE 'name%' ORDER BY t.label LIMIT 3`, nil,
+			"full-scan on cust c where (c.name LIKE name%) -> hash-join tag t on c.id = t.cust -> top-n(3)"},
 	}
 	run := func(tx *storage.Txn) {
 		t.Helper()
@@ -626,7 +669,7 @@ func (g *gen) statement() (string, []any) {
 				items = append(items, g.pick(g.numCol(t.alias, t.key), g.strCol(t.alias, t.key), t.alias+".g", g.numCol(t.alias, t.key)+" + 1"))
 			}
 		}
-		switch g.rng.Intn(4) {
+		switch g.rng.Intn(5) {
 		case 0: // the scan's own order, or nearly
 			for _, k := range base.key[:1+g.rng.Intn(len(base.key))] {
 				orderBy = append(orderBy, "a."+k)
@@ -634,7 +677,16 @@ func (g *gen) statement() (string, []any) {
 			if g.rng.Intn(6) == 0 {
 				orderBy[len(orderBy)-1] += " DESC"
 			}
-		case 1, 2:
+		case 1: // an index's order, or nearly
+			cols := g.indexed[genTables[order[0]].name]
+			orderBy = append(orderBy, "a."+cols[g.rng.Intn(len(cols))])
+			for _, k := range base.key[:g.rng.Intn(1+len(base.key))] {
+				orderBy = append(orderBy, "a."+k)
+			}
+			if g.rng.Intn(6) == 0 {
+				orderBy[g.rng.Intn(len(orderBy))] += " DESC"
+			}
+		case 2, 3:
 			for n := 1 + g.rng.Intn(2); n > 0; n-- {
 				t := from[g.rng.Intn(len(from))]
 				orderBy = append(orderBy, g.pick(g.numCol(t.alias, t.key), g.strCol(t.alias, t.key), t.alias+".g")+g.pick("", " DESC"))
@@ -682,10 +734,10 @@ func TestDifferentialRandom(t *testing.T) {
 	if testing.Short() {
 		seeds = 6
 	}
-	builds, fetches := 0, 0
+	builds, fetches, walks := 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
-		b, f := differentialRandom(t, int64(seed))
-		builds, fetches = builds+b, fetches+f
+		b, f, w := differentialRandom(t, int64(seed))
+		builds, fetches, walks = builds+b, fetches+f, walks+w
 	}
 	if builds == 0 {
 		t.Fatal("no statement ran a filtered build")
@@ -693,7 +745,10 @@ func TestDifferentialRandom(t *testing.T) {
 	if fetches == 0 {
 		t.Fatal("no statement ran a keyed fetch")
 	}
-	t.Logf("%d statements ran a filtered build, %d a keyed fetch", builds, fetches)
+	if walks == 0 {
+		t.Fatal("no statement walked an index")
+	}
+	t.Logf("%d statements ran a filtered build, %d a keyed fetch, %d walked an index", builds, fetches, walks)
 }
 
 // FuzzDifferentialSQL is TestDifferentialRandom on seeds beyond its own.
@@ -706,9 +761,9 @@ func FuzzDifferentialSQL(f *testing.F) {
 
 // differentialRandom builds one random schema, data set and statement
 // batch from seed, compares executor and oracle on all of it, and
-// returns how many statements ran a filtered build and how many a keyed
-// fetch.
-func differentialRandom(t *testing.T, seed int64) (builds, fetches int) {
+// returns how many statements ran a filtered build, how many a keyed
+// fetch and how many walked an index.
+func differentialRandom(t *testing.T, seed int64) (builds, fetches, walks int) {
 	const perSeed = 120
 	rng := rand.New(rand.NewSource(seed))
 	ddl := []string{
@@ -756,8 +811,13 @@ func differentialRandom(t *testing.T, seed int64) (builds, fetches int) {
 			}
 		}
 	}
+	// Two commits, so the indexes also hold entries of versions the
+	// second one replaced.
 	tx := d.e.Begin()
 	write(tx, 20+rng.Intn(120))
+	d.commit(tx)
+	tx = d.e.Begin()
+	write(tx, 10+rng.Intn(40))
 	d.commit(tx)
 
 	g := &gen{rng: rng, indexed: indexed}
@@ -776,8 +836,11 @@ func differentialRandom(t *testing.T, seed int64) (builds, fetches int) {
 		if strings.Contains(plan, " keyed-fetch(") {
 			fetches++
 		}
+		if strings.HasPrefix(plan, "index-order(") {
+			walks++
+		}
 	}
-	return builds, fetches
+	return builds, fetches, walks
 }
 
 // TestDifferentialTPCW runs every prepared SELECT of the TPC-W workload

@@ -25,7 +25,12 @@ import (
 //  1. a primary-key point lookup (equality on every key column),
 //  2. a primary-key range scan (equality/range on a key prefix),
 //  3. a secondary-index equality lookup,
-//  4. a full scan.
+//  4. a full scan,
+//
+// and a SELECT whose base would be a full scan reads it instead by
+//
+//  5. an index walk in value order, when that order is ORDER BY's and
+//     the scan stops at a LIMIT (see indexOrder).
 //
 // Bounds are conservative (they may admit extra rows); the executor
 // always re-applies the full predicate, so the planner affects cost,
@@ -36,7 +41,7 @@ type accessPath struct {
 	kind      pathKind
 	pointKey  string // kindPoint
 	lo, hi    string // kindRange; "" = unbounded
-	indexName string // kindIndexEq
+	indexName string // kindIndexEq, kindIndexOrder
 	indexVal  any    // kindIndexEq
 }
 
@@ -47,6 +52,7 @@ const (
 	kindPoint
 	kindRange
 	kindIndexEq
+	kindIndexOrder
 )
 
 func (k pathKind) String() string {
@@ -59,14 +65,16 @@ func (k pathKind) String() string {
 		return "pk-range"
 	case kindIndexEq:
 		return "index-eq"
+	case kindIndexOrder:
+		return "index-order"
 	default:
 		return "?"
 	}
 }
 
-// via names a filtered build's path, with the index it reads.
+// via names a path with the index it reads.
 func (a accessPath) via() string {
-	if a.kind == kindIndexEq {
+	if a.kind == kindIndexEq || a.kind == kindIndexOrder {
 		return fmt.Sprintf("%s(%s)", a.kind, a.indexName)
 	}
 	return a.kind.String()
@@ -254,7 +262,7 @@ func choosePath(schema *storage.Schema, sargs []sarg) accessPath {
 
 // scanPath feeds fn the candidate rows of one table, in primary-key
 // order (reversed when desc is set, which only a full or range path
-// honours), until fn returns false.
+// honours) or an index walk's value order, until fn returns false.
 func scanPath(tx *storage.Txn, table string, path accessPath, desc bool, fn func(kv storage.KV) (bool, error)) error {
 	switch path.kind {
 	case kindPoint:
@@ -276,7 +284,12 @@ func scanPath(tx *storage.Txn, table string, path accessPath, desc bool, fn func
 		}
 		return nil
 	default:
-		c := tx.Cursor(table, path.lo, path.hi, desc)
+		var c *storage.Cursor
+		if path.kind == kindIndexOrder {
+			c = tx.IndexCursor(table, path.indexName)
+		} else {
+			c = tx.Cursor(table, path.lo, path.hi, desc)
+		}
 		for c.Next() {
 			if more, err := fn(c.KV()); err != nil || !more {
 				return err
@@ -585,6 +598,7 @@ func planSelect(e *storage.Engine, s *Select, ev *env) (*selectPlan, error) {
 		p.edge = edgeOf(p, s)
 	default:
 		p.inOrder = scanOrdered(p.tables[0].schema, p.sargs, p.order)
+		p.indexOrder(ev)
 	}
 	p.filteredBuilds()
 	p.keyedFetch()
@@ -689,6 +703,42 @@ func scanOrdered(schema *storage.Schema, sargs []sarg, order []orderTerm) bool {
 	return true
 }
 
+// indexOrder reads the base table of a plain SELECT by walking one of its
+// indexes in value order (Txn.IndexCursor) instead of the full scan its
+// path would be, when ORDER BY spells the indexed column, ascending and
+// INT or TEXT, optionally followed by a prefix of the primary key,
+// ascending, and the output stops at a LIMIT. The walk's order, (value,
+// primary key) with NULL first, is then ORDER BY's, ties included: the
+// full scan's top-n keeps equal keys in primary-key order, and joins
+// extend tuples without reordering them. So the plan is in order and the
+// scan stops after the LIMIT's rows. That stop must not hide an error
+// the full scan would raise, so no conjunct of WHERE may fail. A
+// predicate that matches nothing walks every entry: the cost of the full
+// scan it replaces.
+func (p *selectPlan) indexOrder(ev *env) {
+	base := &p.tables[0]
+	if p.inOrder || p.keep < 0 || base.path.kind != kindFull || (p.where != nil && kindOf(p.where, ev.params) == kMayFail) {
+		return
+	}
+	schema := base.schema
+	if len(p.order) > 1+len(schema.Key) {
+		return
+	}
+	for i, o := range p.order {
+		c, ok := o.expr.(*slot)
+		if !ok || c.tab != 0 || o.desc || (i > 0 && c.off != schema.ColIndex(schema.Key[i-1])) {
+			return
+		}
+	}
+	col := schema.Columns[p.order[0].expr.(*slot).off]
+	index := indexOn(schema, col.Name)
+	if index == "" || (col.Type != storage.TInt && col.Type != storage.TString) {
+		return
+	}
+	base.path = accessPath{kind: kindIndexOrder, indexName: index}
+	p.inOrder = true
+}
+
 // edgeOf recognises SELECT MIN(k) / MAX(k) FROM t, k the leading
 // primary-key column, with nothing else in the statement: its answer is
 // the first or last visible row of the tree.
@@ -772,7 +822,8 @@ func (p *tablesPlan) describe(sb *strings.Builder, base string) {
 
 // Explain describes the plan a statement would run with the given
 // parameters, on one line: for each table, in join order, its access
-// path (with "keyed-fetch(<index>)" when the base is read through that
+// path ("index-order(<index>)" when the base is an index walk in value
+// order, and "keyed-fetch(<index>)" after it when it is read through that
 // index for the build's keys) or join strategy (with "via <path>" when
 // a hash join's build is filtered) and the conjuncts of WHERE applied
 // there, then how the output is grouped, ordered and cut —
@@ -795,8 +846,11 @@ func Explain(e *storage.Engine, stmt Stmt, params []any) (string, error) {
 			return "", err
 		}
 		base := p.tables[0].path.kind.String()
-		if p.edge != "" {
+		switch {
+		case p.edge != "":
 			base = "edge(" + p.edge + ")"
+		case p.tables[0].path.kind == kindIndexOrder:
+			base = p.tables[0].path.via()
 		}
 		p.describe(&sb, base)
 		if p.aggregated {

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -26,18 +29,27 @@ func kvTable(t *testing.T) *Engine {
 }
 
 // TestCursorAgainstModel compares Cursor (both directions, whole and
-// abandoned scans), ScanRange, ScanIndexEq and AppendIndexIn (several
+// abandoned scans), ScanRange, ScanIndexEq, AppendIndexIn (several
 // values, one repeated, inside key bounds, after rows already in dst)
-// with a brute-force model:
-// a table several chunks long, history on both sides of the reader's
-// snapshot, and the reader's own inserts, updates and deletes on top.
+// and the index walk (whole and abandoned) with a brute-force model:
+// a table several chunks long whose indexed column holds NULLs, history
+// on both sides of two readers' snapshots, vacuum at the newer one's and
+// keys re-inserted after it, and one reader's own inserts, updates and
+// deletes on top — rows moved into, out of and between index values and
+// to and from NULL.
 func TestCursorAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := kvTable(t)
 	const ids = 3000
-	model := map[int64][]any{} // the committed state the reader sees
+	grp := func() any {
+		if rng.Intn(6) == 0 {
+			return nil
+		}
+		return int64(rng.Intn(5))
+	}
+	model := map[int64][]any{} // the committed state at the newest version
 
-	commit := func(n int, track bool) {
+	commit := func(n int) {
 		tx := e.Begin()
 		for i := 0; i < n; i++ {
 			id := int64(rng.Intn(ids))
@@ -45,41 +57,39 @@ func TestCursorAgainstModel(t *testing.T) {
 			_, exists, _ := tx.Get("kv", key)
 			switch {
 			case !exists:
-				r := []any{id, int64(rng.Intn(5)), int64(rng.Intn(1000))}
+				r := []any{id, grp(), int64(rng.Intn(1000))}
 				if err := tx.Insert("kv", r); err != nil {
 					t.Fatal(err)
 				}
-				if track {
-					model[id] = r
-				}
+				model[id] = r
 			case rng.Intn(3) == 0:
 				if err := tx.Delete("kv", key); err != nil {
 					t.Fatal(err)
 				}
-				if track {
-					delete(model, id)
-				}
+				delete(model, id)
 			default:
-				r := []any{id, int64(rng.Intn(5)), int64(rng.Intn(1000))}
+				r := []any{id, grp(), int64(rng.Intn(1000))}
 				if err := tx.Update("kv", key, r); err != nil {
 					t.Fatal(err)
 				}
-				if track {
-					model[id] = r
-				}
+				model[id] = r
 			}
 		}
 		mustCommit(t, tx)
 	}
-	for i := 0; i < 6; i++ {
-		commit(700, true)
-	}
-	reader := e.Begin()
 	for i := 0; i < 3; i++ {
-		commit(700, false) // after the snapshot: invisible
+		commit(700)
+	}
+	older, olderModel := e.Begin(), maps.Clone(model)
+	for i := 0; i < 3; i++ {
+		commit(700)
+	}
+	reader, readerModel := e.Begin(), maps.Clone(model)
+	for i := 0; i < 3; i++ {
+		commit(700) // after the snapshot: invisible
 	}
 
-	check := func(what string) {
+	check := func(what string, reader *Txn, model map[int64][]any) {
 		t.Helper()
 		var all []int64
 		for id := range model {
@@ -167,7 +177,7 @@ func TestCursorAgainstModel(t *testing.T) {
 			}
 			want := [][]any{{"already in dst"}}
 			for _, id := range all {
-				if id >= lo && id < hi && in[model[id][1].(int64)] {
+				if g, ok := model[id][1].(int64); ok && id >= lo && id < hi && in[g] {
 					want = append(want, model[id])
 				}
 			}
@@ -183,18 +193,59 @@ func TestCursorAgainstModel(t *testing.T) {
 				t.Fatalf("%s: AppendIndexIn grp in %v, [%d,%d): %d rows, want %d", what, vals, lo, hi, len(got), len(want))
 			}
 		}
+		// The index walk: by grp, NULL first, then by key; whole, then
+		// abandoned after a random number of rows.
+		walk := slices.Clone(all)
+		sort.SliceStable(walk, func(i, j int) bool { return CompareValues(model[walk[i]][1], model[walk[j]][1]) < 0 })
+		for trial := 0; trial < 4; trial++ {
+			stop := len(walk) + 1
+			if trial > 0 {
+				stop = rng.Intn(len(walk) + 2)
+			}
+			c := reader.IndexCursor("kv", "kv_grp")
+			for i := 0; i < stop; i++ {
+				if i == len(walk) {
+					if c.Next() {
+						t.Fatalf("%s: index walk: extra row %v", what, c.KV().Row)
+					}
+					break
+				}
+				want := model[walk[i]]
+				if !c.Next() || !reflect.DeepEqual(c.KV().Row, want) || c.KV().Key != EncodeKey(want[0]) {
+					t.Fatalf("%s: index walk row %d = %q %v, want %v (err %v)", what, i, c.KV().Key, c.KV().Row, want, c.Err())
+				}
+			}
+			if c.Err() != nil {
+				t.Fatal(c.Err())
+			}
+		}
 	}
-	check("committed")
+	check("committed", reader, readerModel)
+	check("older snapshot", older, olderModel)
+	older.Abort()
+
+	// Vacuum below the reader: the chains of keys deleted before its
+	// snapshot go, and so do the index entries of replaced versions. Then
+	// some of those keys come back.
+	e.Vacuum(reader.Snapshot())
+	check("vacuumed", reader, readerModel)
+	for i := 0; i < 2; i++ {
+		commit(700)
+	}
+	newest := e.Begin()
+	check("re-inserted after vacuum", newest, model)
+	newest.Abort()
 
 	// The reader's own writes, including a key above and a key below
 	// everything committed, and an insert it takes back.
+	model = readerModel
 	for i := 0; i < 400; i++ {
 		id := int64(rng.Intn(ids))
 		key := EncodeKey(id)
 		_, exists := model[id]
 		switch {
 		case !exists:
-			r := []any{id, int64(rng.Intn(5)), int64(-1)}
+			r := []any{id, grp(), int64(-1)}
 			if err := reader.Insert("kv", r); err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +256,7 @@ func TestCursorAgainstModel(t *testing.T) {
 			}
 			delete(model, id)
 		default:
-			r := []any{id, int64(rng.Intn(5)), int64(-2)}
+			r := []any{id, grp(), int64(-2)}
 			if err := reader.Update("kv", key, r); err != nil {
 				t.Fatal(err)
 			}
@@ -219,14 +270,23 @@ func TestCursorAgainstModel(t *testing.T) {
 		}
 		model[id] = r
 	}
-	check("own writes")
+	check("own writes", reader, model)
 
 	if c := reader.Cursor("nosuch", "", "", false); c.Next() || c.Err() == nil {
 		t.Fatal("cursor on an unknown table yielded a row or no error")
 	}
+	if c := reader.IndexCursor("nosuch", "kv_grp"); c.Next() || !errors.Is(c.Err(), ErrNoTable) {
+		t.Fatalf("index walk on an unknown table: err = %v", c.Err())
+	}
+	if c := reader.IndexCursor("kv", "nosuch"); c.Next() || !errors.Is(c.Err(), ErrNoIndex) {
+		t.Fatalf("index walk on an unknown index: err = %v", c.Err())
+	}
 	reader.Abort()
 	if c := reader.Cursor("kv", "", "", false); c.Next() || c.Err() != ErrTxnFinished {
 		t.Fatalf("cursor on a finished transaction: err = %v", c.Err())
+	}
+	if c := reader.IndexCursor("kv", "kv_grp"); c.Next() || c.Err() != ErrTxnFinished {
+		t.Fatalf("index walk on a finished transaction: err = %v", c.Err())
 	}
 }
 
@@ -281,12 +341,114 @@ func TestIndexReadOwnWritesKeyOrder(t *testing.T) {
 	}
 }
 
+// TestIndexEntryFollowsChain deletes a row, vacuums its chain away and
+// inserts the same key with the same indexed value again: the index entry
+// leads to the new chain, for an equality read, a keyed fetch's read and
+// an index walk alike — on an index created with the table, on one
+// CreateIndex backfilled over history, and after a checkpoint restore.
+func TestIndexEntryFollowsChain(t *testing.T) {
+	write := func(t *testing.T, e *Engine, rows ...[]any) {
+		t.Helper()
+		tx := e.Begin()
+		for _, r := range rows {
+			key := EncodeKey(r[0])
+			var err error
+			switch _, exists, _ := tx.Get("kv", key); {
+			case len(r) == 1:
+				err = tx.Delete("kv", key)
+			case exists:
+				err = tx.Update("kv", key, r)
+			default:
+				err = tx.Insert("kv", r)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+	}
+	reads := func(t *testing.T, e *Engine, index string, row []any, walk ...[]any) {
+		t.Helper()
+		tx := e.Begin()
+		defer tx.Abort()
+		rowsOf := func(kvs []KV, err error) [][]any {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out [][]any
+			for _, kv := range kvs {
+				if kv.Key != EncodeKey(kv.Row[0]) {
+					t.Fatalf("key %q does not encode row %v", kv.Key, kv.Row)
+				}
+				out = append(out, kv.Row)
+			}
+			return out
+		}
+		if got := rowsOf(tx.ScanIndexEq("kv", index, row[1])); !reflect.DeepEqual(got, [][]any{row}) {
+			t.Errorf("index-eq read of %v: %v, want %v", row[1], got, row)
+		}
+		if got := rowsOf(tx.AppendIndexIn(nil, "kv", index, []any{int64(99), row[1]}, "", "")); !reflect.DeepEqual(got, [][]any{row}) {
+			t.Errorf("keyed fetch of %v: %v, want %v", row[1], got, row)
+		}
+		var walked []KV
+		c := tx.IndexCursor("kv", index)
+		for c.Next() {
+			walked = append(walked, c.KV())
+		}
+		if got := rowsOf(walked, c.Err()); !reflect.DeepEqual(got, walk) {
+			t.Errorf("index walk: %v, want %v", got, walk)
+		}
+	}
+	cycle := func(t *testing.T, e *Engine, index string) {
+		t.Helper()
+		other := []any{int64(2), nil, int64(0)}
+		write(t, e, []any{int64(1), int64(7), int64(100)}, other)
+		reads(t, e, index, []any{int64(1), int64(7), int64(100)}, other, []any{int64(1), int64(7), int64(100)})
+		write(t, e, []any{int64(1)})
+		e.Vacuum(e.Version())
+		if n := e.tables["kv"].rows.Len(); n != 1 {
+			t.Fatalf("%d chains after vacuum, want 1: the deleted row's is not dropped", n)
+		}
+		write(t, e, []any{int64(1), int64(7), int64(200)})
+		reads(t, e, index, []any{int64(1), int64(7), int64(200)}, other, []any{int64(1), int64(7), int64(200)})
+	}
+
+	t.Run("created with the table", func(t *testing.T) {
+		cycle(t, kvTable(t), "kv_grp")
+	})
+	t.Run("backfilled", func(t *testing.T) {
+		e := kvTable(t)
+		// Versions of key 1 at grp 7 and at grp 8 before the index exists.
+		write(t, e, []any{int64(1), int64(7), int64(1)})
+		write(t, e, []any{int64(1), int64(8), int64(2)})
+		if err := e.CreateIndex("kv", IndexDef{Name: "kv_grp2", Column: "grp"}); err != nil {
+			t.Fatal(err)
+		}
+		cycle(t, e, "kv_grp2")
+	})
+	t.Run("restored", func(t *testing.T) {
+		src := kvTable(t)
+		write(t, src, []any{int64(1), int64(7), int64(1)}, []any{int64(3), int64(7), int64(3)})
+		write(t, src, []any{int64(3)})
+		e := kvTable(t)
+		if err := src.ScanVisible("kv", src.Version(), func(key string, v uint64, row []any) error {
+			return e.RestoreRow("kv", key, row, v)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		e.RestoreVersion(src.Version())
+		cycle(t, e, "kv_grp")
+	})
+}
+
 // TestSharedRowsNeverMutated holds rows handed out by Get, Cursor,
-// ScanIndexEq and AppendIndexIn — they are the stored slices, not
-// copies — while other
-// goroutines install and publish new versions of the same keys and
-// vacuum the old ones away, then checks every held row still reads as
-// it did. Under -race a write into a shared row is reported as one.
+// ScanIndexEq, AppendIndexIn and an index walk — they are the stored
+// slices, not copies — while other goroutines install and publish new
+// versions of the same keys, moving them between index values and to and
+// from NULL, and vacuum the old ones away, then checks every held row
+// still reads as it did. Under -race a write into a shared row, or into
+// an index entry a reader follows, is reported as one.
 func TestSharedRowsNeverMutated(t *testing.T) {
 	e := kvTable(t)
 	const keys = 64
@@ -312,7 +474,11 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 			ws := &writeset.WriteSet{}
 			for i := int64(0); i < 8; i++ {
 				id := (int64(v)*8 + i) % keys
-				ws.Items = append(ws.Items, writeset.Item{Table: "kv", Key: EncodeKey(id), Op: writeset.OpUpdate, Row: []any{id, id % 4, int64(v)}})
+				var grp any = (id + int64(v)) % 4
+				if (id+int64(v))%5 == 0 {
+					grp = nil
+				}
+				ws.Items = append(ws.Items, writeset.Item{Table: "kv", Key: EncodeKey(id), Op: writeset.OpUpdate, Row: []any{id, grp, int64(v)}})
 			}
 			if err := e.InstallWriteSets([]*writeset.WriteSet{ws}, v); err != nil {
 				t.Error(err)
@@ -373,6 +539,22 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 					if i < 2 {
 						all = append(all, hold(kv.Row))
 					}
+				}
+				// An index walk, abandoned after a few rows, in (grp, key) order.
+				w := rtx.IndexCursor("kv", "kv_grp")
+				var prev KV
+				for i := 0; i < 6 && w.Next(); i++ {
+					kv := w.KV()
+					if i > 0 {
+						if o := CompareValues(prev.Row[1], kv.Row[1]); o > 0 || (o == 0 && prev.Key >= kv.Key) {
+							t.Errorf("index walk: %v after %v", kv.Row, prev.Row)
+						}
+					}
+					prev = kv
+					all = append(all, hold(kv.Row))
+				}
+				if w.Err() != nil {
+					t.Error(w.Err())
 				}
 				rtx.Abort()
 				if len(all) > 4000 {

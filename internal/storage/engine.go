@@ -17,7 +17,10 @@
 // Tables are B+-tree ordered by an order-preserving encoding of the
 // primary key; each row is a version chain. Secondary indexes are
 // value-superset indexes: an entry exists while any live version of the
-// row carries the indexed value, and readers re-check visibility.
+// row carries the indexed value — NULL included, which sorts first — and
+// points at the row's chain, so a read goes from the entry straight to
+// the row and re-checks there which version it sees and that it carries
+// the entry's value.
 //
 // Concurrency model. One function, installRun, links row versions into
 // chains; every writer is a thin caller that picks the engine lock and
@@ -84,40 +87,55 @@ func (c *chain) visibleAt(snapshot uint64) *verRow {
 	return nil
 }
 
-// secIndex is a secondary index: (encoded value ++ encoded pk) → refcount.
-// The refcount counts live row versions carrying that value, so vacuum
-// can drop entries precisely.
+// secIndex is a secondary index: (encoded value ++ encoded pk) → *ixEntry.
+// NULL is indexed like any value; its encoding (tag 0x00) sorts first,
+// where ORDER BY puts it, and an equality read never asks for it.
 type secIndex struct {
 	col  int
 	tree *btree.Tree
 }
 
-func (ix *secIndex) entryKey(val any, pk string) string {
-	return string(EncodeValue(nil, val)) + pk
+// ixEntry is one secondary-index entry. n counts the live versions of the
+// row that carry the entry's value, so vacuum can drop the entry
+// precisely; it is written only under the table's exclusive lock. ch is
+// the row's chain, fixed for the entry's life: no entry outlives its
+// chain, because Vacuum drops a chain only when its head is a tombstone
+// and every older version is removed, and removing those versions takes
+// each of the key's entries to zero, which deletes it.
+type ixEntry struct {
+	n  int
+	ch *chain
 }
 
-func (ix *secIndex) add(val any, pk string) {
-	if val == nil {
+// entryKey is the index entry of value val in the row under pk.
+func entryKey(val any, pk string) string {
+	var buf [64]byte
+	return string(append(EncodeValue(buf[:0], val), pk...))
+}
+
+// add counts one more version of the row under pk, whose chain is ch,
+// carrying val.
+func (ix *secIndex) add(val any, pk string, ch *chain) {
+	k := entryKey(val, pk)
+	if p, ok := ix.tree.Get(k); ok {
+		ent := p.(*ixEntry)
+		if ent.ch != ch {
+			panic(fmt.Sprintf("storage: index entry %q outlived its row's chain", k))
+		}
+		ent.n++
 		return
 	}
-	k := ix.entryKey(val, pk)
-	if n, ok := ix.tree.Get(k); ok {
-		ix.tree.Set(k, n.(int)+1)
-	} else {
-		ix.tree.Set(k, 1)
-	}
+	ix.tree.Set(k, &ixEntry{n: 1, ch: ch})
 }
 
+// remove uncounts one version of the row under pk carrying val.
 func (ix *secIndex) remove(val any, pk string) {
-	if val == nil {
-		return
-	}
-	k := ix.entryKey(val, pk)
-	if n, ok := ix.tree.Get(k); ok {
-		if n.(int) <= 1 {
-			ix.tree.Delete(k)
+	k := entryKey(val, pk)
+	if p, ok := ix.tree.Get(k); ok {
+		if ent := p.(*ixEntry); ent.n > 1 {
+			ent.n--
 		} else {
-			ix.tree.Set(k, n.(int)-1)
+			ix.tree.Delete(k)
 		}
 	}
 }
@@ -212,10 +230,10 @@ func (e *Engine) CreateIndex(tableName string, def IndexDef) error {
 	ix := &secIndex{col: col, tree: btree.New()}
 	it := t.rows.ScanAll()
 	for it.Next() {
-		pk := it.Key()
-		for v := it.Value().(*chain).head.Load(); v != nil; v = v.prev {
+		pk, ch := it.Key(), it.Value().(*chain)
+		for v := ch.head.Load(); v != nil; v = v.prev {
 			if !v.deleted {
-				ix.add(v.row[col], pk)
+				ix.add(v.row[col], pk, ch)
 			}
 		}
 	}
@@ -271,21 +289,6 @@ func (e *Engine) TableVersionsAt(names []string, snapshot uint64) map[string]uin
 		}
 	}
 	return out
-}
-
-// RowEstimate returns the number of primary keys present in a table,
-// tombstoned chains included. The planner has no cost model and does not
-// call it; tests read it as a row count.
-func (e *Engine) RowEstimate(tableName string) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if t, ok := e.tables[tableName]; ok {
-		t.mu.RLock()
-		n := t.rows.Len()
-		t.mu.RUnlock()
-		return n
-	}
-	return 0
 }
 
 // storeMax advances a to v unless a is already at or past v.
@@ -391,7 +394,7 @@ func (e *Engine) installRun(wss []*writeset.WriteSet, atVersion uint64) (int, er
 				// Index entries may precede the chain link: the index is a
 				// value superset and readers re-check visibility on the chain.
 				for _, ix := range cur.indexes {
-					ix.add(nv.row[ix.col], it.Key)
+					ix.add(nv.row[ix.col], it.Key, ch)
 				}
 			}
 			nv.prev = ch.head.Load()

@@ -501,13 +501,26 @@ func TestVacuumRemovesTombstones(t *testing.T) {
 	_ = tx.Delete("acct", EncodeKey(int64(1)))
 	mustCommit(t, tx)
 
-	if got := e.RowEstimate("acct"); got != 1 {
-		t.Fatalf("RowEstimate before vacuum = %d, want 1 (tombstone)", got)
+	if got := e.tables["acct"].rows.Len(); got != 1 {
+		t.Fatalf("%d chains before vacuum, want 1 (tombstone)", got)
 	}
 	e.Vacuum(2)
-	if got := e.RowEstimate("acct"); got != 0 {
-		t.Fatalf("RowEstimate after vacuum = %d, want 0", got)
+	if got := e.tables["acct"].rows.Len(); got != 0 {
+		t.Fatalf("%d chains after vacuum, want 0", got)
 	}
+	if got := countVisible(t, e, "acct", 1); got != 0 {
+		t.Fatalf("%d rows visible at the vacuumed snapshot 1, want 0", got)
+	}
+}
+
+// countVisible counts the rows of a table visible at snapshot.
+func countVisible(t *testing.T, e *Engine, table string, snapshot uint64) int {
+	t.Helper()
+	n := 0
+	if err := e.ScanVisible(table, snapshot, func(string, uint64, []any) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestVacuumPreservesOlderSnapshotBoundary(t *testing.T) {
@@ -737,6 +750,12 @@ func TestQuickKeyEncodingOrder(t *testing.T) {
 	for i, f := range []any{fInt, fStr, fFloat} {
 		if err := quick.Check(f, cfg); err != nil {
 			t.Fatalf("case %d: %v", i, err)
+		}
+	}
+	// NUL, which the encoding escapes, against its neighbours.
+	for _, p := range [][2]string{{"a", "a\x00"}, {"a\x00", "a\x01"}, {"a\x00\x00", "a\x00b"}, {"", "\x00"}, {"a\x00b", "a\x00b"}} {
+		if !fStr(p[0], p[1]) || !fStr(p[1], p[0]) {
+			t.Fatalf("%q vs %q: encodings out of order", p[0], p[1])
 		}
 	}
 }

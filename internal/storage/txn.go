@@ -264,24 +264,35 @@ const (
 	maxChunk   = 1024
 )
 
-// Cursor iterates the rows visible to a transaction over a range of
-// encoded primary keys, in key order or its reverse, with the
-// transaction's own pending writes merged in. It reads the tree a chunk
-// at a time and holds no lock between calls, so the caller may go on
-// using the transaction (Get, other cursors) while it iterates, and a
-// scan abandoned early costs only the chunks it read. A write by the
+// Cursor iterates the rows visible to a transaction, with the
+// transaction's own pending writes merged in: over a range of encoded
+// primary keys, in key order or its reverse, or — opened by IndexCursor —
+// over a secondary index in value order. It reads the tree a chunk at a
+// time and holds no lock between calls, so the caller may go on using
+// the transaction (Get, other cursors) while it iterates, and a scan
+// abandoned early costs only the chunks it read. A write by the
 // transaction invalidates its open cursors. Rows are shared (see Txn).
 type Cursor struct {
 	t      *Txn
 	table  string
-	lo, hi string // the part of the range not read yet
+	index  string // the index an index walk reads; "" scans the rows
+	col    int    // the walked index's column
+	lo, hi string // the part of the range not read yet, of keys or index entries
 	desc   bool
-	buf    []KV // committed rows of the current chunk, own-written keys left out
+	buf    []KV     // committed rows of the current chunk, own-written keys left out
+	at     []string // on an index walk that merges own writes, buf's index entries
 	i      int
-	more   bool // the tree may hold keys beyond buf
-	own    []KV // this transaction's live writes in the range, in scan order
+	more   bool    // the tree may hold keys beyond buf
+	own    []posKV // this transaction's live writes in the range, in scan order
 	cur    KV
 	err    error
+}
+
+// posKV is an own write with its position in the cursor's order: its
+// key, or on an index walk its index entry.
+type posKV struct {
+	pos string
+	KV
 }
 
 // Cursor opens a scan of the rows visible to this transaction with
@@ -293,15 +304,56 @@ func (t *Txn) Cursor(table, lo, hi string, desc bool) *Cursor {
 		c.err, c.more = ErrTxnFinished, false
 		return c
 	}
-	// Collected in map order, then sorted.
 	for key, pw := range t.writes[table] {
 		if pw.removed || pw.op == writeset.OpDelete || key < lo || (hi != "" && key >= hi) {
 			continue
 		}
-		c.own = append(c.own, KV{Key: key, Row: pw.row})
+		c.own = append(c.own, posKV{pos: key, KV: KV{Key: key, Row: pw.row}})
 	}
-	sort.Slice(c.own, func(i, j int) bool { return (c.own[i].Key < c.own[j].Key) != desc })
+	c.sortOwn()
 	return c
+}
+
+// IndexCursor opens a walk of every row visible to this transaction in
+// the order of the named secondary index: by the indexed column's value,
+// NULL first, and by encoded primary key among equal values. A row
+// appears once, at the value its visible version carries.
+func (t *Txn) IndexCursor(table, index string) *Cursor {
+	c := &Cursor{t: t, table: table, index: index, more: true}
+	if t.finished {
+		c.err, c.more = ErrTxnFinished, false
+		return c
+	}
+	t.e.mu.RLock()
+	tb, ok := t.e.tables[table]
+	var ix *secIndex
+	if ok {
+		tb.mu.RLock()
+		ix = tb.indexes[index]
+		tb.mu.RUnlock()
+	}
+	t.e.mu.RUnlock()
+	switch {
+	case !ok:
+		c.err, c.more = fmt.Errorf("%w: %s", ErrNoTable, table), false
+		return c
+	case ix == nil:
+		c.err, c.more = fmt.Errorf("%w: %s on %s", ErrNoIndex, index, table), false
+		return c
+	}
+	c.col = ix.col
+	for key, pw := range t.writes[table] {
+		if !pw.removed && pw.op != writeset.OpDelete {
+			c.own = append(c.own, posKV{pos: entryKey(pw.row[c.col], key), KV: KV{Key: key, Row: pw.row}})
+		}
+	}
+	c.sortOwn()
+	return c
+}
+
+// sortOwn puts the own writes, collected in map order, in scan order.
+func (c *Cursor) sortOwn() {
+	sort.Slice(c.own, func(i, j int) bool { return (c.own[i].pos < c.own[j].pos) != c.desc })
 }
 
 // fill reads the next chunk of committed rows under the table lock and
@@ -316,7 +368,7 @@ func (c *Cursor) fill() {
 	if n > cap(c.buf) {
 		c.buf = make([]KV, 0, n)
 	}
-	c.buf, c.i, c.more = c.buf[:0], 0, false
+	c.buf, c.at, c.i, c.more = c.buf[:0], c.at[:0], 0, false
 
 	t := c.t
 	t.e.mu.RLock()
@@ -329,6 +381,10 @@ func (c *Cursor) fill() {
 	written := t.writes[c.table]
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
+	if c.index != "" {
+		c.fillIndex(tb.indexes[c.index], written)
+		return
+	}
 	var it *btree.Iter
 	if c.desc {
 		it = tb.rows.Descend(c.lo, c.hi)
@@ -358,6 +414,41 @@ func (c *Cursor) fill() {
 	}
 }
 
+// fillIndex is fill on an index walk: it reads entries from c.lo on and
+// keeps the row at an entry only if the version the transaction sees
+// carries the entry's value — the index is a superset over versions, and
+// a row whose value changed has an entry at each. Encodings are
+// prefix-free, so that is the entry starting with the version's value
+// encoded, and the rest of the entry is the row's key. Caller holds the
+// table lock; IndexCursor found the index, and indexes are never dropped.
+func (c *Cursor) fillIndex(ix *secIndex, written map[string]*pendingWrite) {
+	var buf [64]byte
+	it := ix.tree.Scan(c.lo, "")
+	for it.Next() {
+		entry := it.Key()
+		if len(c.buf) == cap(c.buf) {
+			c.lo, c.more = entry, true
+			return
+		}
+		vr := it.Value().(*ixEntry).ch.visibleAt(c.t.snapshot)
+		if vr == nil {
+			continue
+		}
+		val := EncodeValue(buf[:0], vr.row[c.col])
+		if len(entry) < len(val) || entry[:len(val)] != string(val) {
+			continue
+		}
+		key := entry[len(val):]
+		if pw, ok := written[key]; ok && !pw.removed {
+			continue // own write overrides; merged from c.own
+		}
+		c.buf = append(c.buf, KV{Key: key, Row: vr.row})
+		if len(c.own) > 0 {
+			c.at = append(c.at, entry)
+		}
+	}
+}
+
 // Next advances to the next visible row and reports whether there is
 // one; after it returns false, Err tells whether the scan failed.
 func (c *Cursor) Next() bool {
@@ -367,7 +458,7 @@ func (c *Cursor) Next() bool {
 	if c.err != nil {
 		return false
 	}
-	if c.i < len(c.buf) && (len(c.own) == 0 || (c.buf[c.i].Key < c.own[0].Key) != c.desc) {
+	if c.i < len(c.buf) && (len(c.own) == 0 || c.bufFirst()) {
 		c.cur = c.buf[c.i]
 		c.i++
 		return true
@@ -375,8 +466,18 @@ func (c *Cursor) Next() bool {
 	if len(c.own) == 0 {
 		return false
 	}
-	c.cur, c.own = c.own[0], c.own[1:]
+	c.cur, c.own = c.own[0].KV, c.own[1:]
 	return true
+}
+
+// bufFirst reports whether the next committed row comes before the next
+// own write.
+func (c *Cursor) bufFirst() bool {
+	at := c.buf[c.i].Key
+	if c.index != "" {
+		at = c.at[c.i]
+	}
+	return (at < c.own[0].pos) != c.desc
 }
 
 // KV returns the row at the current position.
@@ -457,11 +558,7 @@ func (t *Txn) AppendIndexIn(dst []KV, table, index string, vals []any, lo, hi st
 			if pw, ok := written[pk]; ok && !pw.removed {
 				continue // overlaid below
 			}
-			cv, ok := tb.rows.Get(pk)
-			if !ok {
-				continue
-			}
-			vr := cv.(*chain).visibleAt(t.snapshot)
+			vr := it.Value().(*ixEntry).ch.visibleAt(t.snapshot)
 			// The index is a superset over versions: re-check the value.
 			if vr != nil && ValuesEqual(vr.row[col], val) {
 				dst = append(dst, KV{Key: pk, Row: vr.row})

@@ -180,6 +180,10 @@ func EncodeValue(dst []byte, v any) []byte {
 		// Escape NUL so the 0x00 0x00 terminator is unambiguous and
 		// the encoding stays order-preserving.
 		dst = append(dst, 0x04)
+		if strings.IndexByte(tv, 0x00) < 0 {
+			dst = append(dst, tv...)
+			return append(dst, 0x00, 0x00)
+		}
 		for i := 0; i < len(tv); i++ {
 			if tv[i] == 0x00 {
 				dst = append(dst, 0x00, 0xFF)

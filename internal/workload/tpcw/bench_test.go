@@ -20,6 +20,8 @@ const grownOrders = 2000
 // The *Grown cases run on a second engine that has also taken
 // grownOrders purchases, as a live run's order_line has: every one of
 // their lines lies above the BestSellers / AdminConfirm floor.
+// SearchTitleNone searches for a title prefix no item has: the index walk
+// behind SearchTitle reads every entry and returns nothing.
 func BenchmarkTPCWStatements(b *testing.B) {
 	s := DefaultScale()
 	e := storage.NewEngine()
@@ -40,19 +42,21 @@ func BenchmarkTPCWStatements(b *testing.B) {
 		e      *storage.Engine
 		st     *sql.Prepared
 		params func() []any
+		none   bool // the statement matches no row
 	}{
-		{"BestSellers", e, stBestSellers, bestSellers},
-		{"BestSellersGrown", grown, stBestSellers, bestSellers},
+		{"BestSellers", e, stBestSellers, bestSellers, false},
+		{"BestSellersGrown", grown, stBestSellers, bestSellers, false},
 		{"SearchAuthor", e, stSearchAuthor, func() []any {
 			return []any{AuthorLastName(1 + x.Rng.Intn(s.authors()))[:9] + "%"}
-		}},
-		{"PromoItems", e, stPromoItems, func() []any { return []any{x.randItem()} }},
-		{"MaxOrderID", e, stMaxOrderID, func() []any { return nil }},
-		{"AdminRelated", e, stAdminRelated, adminRelated},
-		{"AdminRelatedGrown", grown, stAdminRelated, adminRelated},
-		{"SearchTitle", e, stSearchTitle, func() []any { return []any{"title_0%"} }},
-		{"NewProducts", e, stNewProducts, func() []any { return []any{x.randSubject()} }},
-		{"GetCustomerByID", e, stGetCustomerByID, func() []any { return []any{x.randCustomer()} }},
+		}, false},
+		{"PromoItems", e, stPromoItems, func() []any { return []any{x.randItem()} }, false},
+		{"MaxOrderID", e, stMaxOrderID, func() []any { return nil }, false},
+		{"AdminRelated", e, stAdminRelated, adminRelated, false},
+		{"AdminRelatedGrown", grown, stAdminRelated, adminRelated, false},
+		{"SearchTitle", e, stSearchTitle, func() []any { return []any{"title_0%"} }, false},
+		{"SearchTitleNone", e, stSearchTitle, func() []any { return []any{"title_9%"} }, true},
+		{"NewProducts", e, stNewProducts, func() []any { return []any{x.randSubject()} }, false},
+		{"GetCustomerByID", e, stGetCustomerByID, func() []any { return []any{x.randCustomer()} }, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -63,8 +67,8 @@ func BenchmarkTPCWStatements(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Rows) == 0 {
-					b.Fatalf("%s returned no rows", c.name)
+				if (len(res.Rows) == 0) != c.none {
+					b.Fatalf("%s returned %d rows", c.name, len(res.Rows))
 				}
 				tx.Abort()
 			}

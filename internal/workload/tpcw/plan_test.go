@@ -32,7 +32,7 @@ func TestStatementPlans(t *testing.T) {
 		{stBestSellers, []any{i, s}, "pk-range on order_line ol keyed-fetch(order_line_item) where (ol.ol_o_id > ?) -> hash-join item i via index-eq(item_subject) on ol.ol_i_id = i.i_id where (i.i_subject = ?) -> group -> top-n(50)"},
 		{stProductDetail, []any{i}, "pk-point on item i where (i.i_id = ?) -> pk-probe author a on i.i_a_id = a.a_id"},
 		{stSearchAuthor, []any{s}, "full-scan on author a where (a.a_lname LIKE ?) -> index-probe item i on a.a_id = i.i_a_id -> top-n(50)"},
-		{stSearchTitle, []any{s}, "full-scan on item i where (i.i_title LIKE ?) -> top-n(50)"},
+		{stSearchTitle, []any{s}, "index-order(item_title) on item i where (i.i_title LIKE ?) -> ordered-stop(50)"},
 		{stSearchSubject, []any{s}, "index-eq on item i where (i.i_subject = ?) -> top-n(50)"},
 
 		{stGetCart, []any{i}, "pk-point on shopping_cart where (sc_id = ?)"},
