@@ -115,7 +115,7 @@ const memoCap = 8192
 // writeset) so the replica's contiguous version order survives partial
 // subscription.
 type subscriber struct {
-	mb *mailbox
+	mb *Mailbox
 	// serves[shard] reports subscription to that shard; nil serves all.
 	serves []bool
 }
@@ -285,9 +285,9 @@ func (c *Certifier) SubscribeShards(replicaID int, shards []int) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.subs[replicaID]; ok {
-		old.mb.close()
+		old.mb.Close()
 	}
-	sub := &subscriber{mb: newMailbox()}
+	sub := &subscriber{mb: NewMailbox()}
 	if len(shards) > 0 {
 		serves := make([]bool, len(c.seqs))
 		for _, id := range shards {
@@ -303,7 +303,7 @@ func (c *Certifier) SubscribeShards(replicaID int, shards []int) *Subscription {
 		// stand: a notice put in the mailbox this one replaces is not lost.
 		c.noticeLocked(replicaID, 0)
 	}
-	return &Subscription{c: c, replicaID: replicaID, mb: sub.mb}
+	return &Subscription{Mailbox: sub.mb, c: c, replicaID: replicaID}
 }
 
 // noticeLocked records that origin's commits through v are globally
@@ -315,7 +315,7 @@ func (c *Certifier) noticeLocked(origin int, v uint64) {
 	v = max(v, c.through[origin], c.base.Load())
 	c.through[origin] = v
 	if sub, ok := c.subs[origin]; ok {
-		sub.mb.put(Refresh{Origin: origin, GlobalThrough: v})
+		sub.mb.Put(Refresh{Origin: origin, GlobalThrough: v})
 	}
 }
 
@@ -346,18 +346,21 @@ func (c *Certifier) Unsubscribe(replicaID int) {
 
 func (c *Certifier) unsubscribeLocked(replicaID int) {
 	if sub, ok := c.subs[replicaID]; ok {
-		sub.mb.close()
+		sub.mb.Close()
 		delete(c.subs, replicaID)
 	}
 	// A crashed replica will never ack: stop waiting for it.
 	c.clearLocked(replicaID, math.MaxUint64)
 }
 
-// Subscription is one replica's attachment to the certifier.
+// Subscription is one replica's attachment to the certifier: its
+// mailbox, whose Take blocks for the next batch of refreshes (and, under
+// eager mode, global-commit notices) and reports ok false once the
+// replica unsubscribes or subscribes again.
 type Subscription struct {
+	*Mailbox
 	c         *Certifier
 	replicaID int
-	mb        *mailbox
 }
 
 // Cancel unsubscribes the replica only if this subscription is still
@@ -367,23 +370,12 @@ type Subscription struct {
 func (s *Subscription) Cancel() {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	if cur, ok := s.c.subs[s.replicaID]; ok && cur.mb == s.mb {
+	if cur, ok := s.c.subs[s.replicaID]; ok && cur.mb == s.Mailbox {
 		s.c.unsubscribeLocked(s.replicaID)
 		return
 	}
-	s.mb.close()
+	s.Close()
 }
-
-// Take blocks for the next batch of refresh writesets; ok is false
-// after Unsubscribe/Close.
-func (s *Subscription) Take() ([]Refresh, bool) { return s.mb.take() }
-
-// Pending returns the refreshes queued but not yet taken — the
-// proxy's early certification scans these.
-func (s *Subscription) Pending() []Refresh { return s.mb.peekPending() }
-
-// QueueLen returns the number of queued refreshes.
-func (s *Subscription) QueueLen() int { return s.mb.len() }
 
 // GlobalTracked reports whether the certifier was built WithEager:
 // whether it counts the subscriber's apply acknowledgments and sends it
@@ -451,7 +443,7 @@ func (c *Certifier) EnableObs(reg *obs.Registry) {
 			defer c.mu.Unlock()
 			out := make(map[string]float64, len(c.subs))
 			for id, sub := range c.subs {
-				out[strconv.Itoa(id)] = float64(sub.mb.len())
+				out[strconv.Itoa(id)] = float64(sub.mb.QueueLen())
 			}
 			return out
 		})
@@ -622,7 +614,7 @@ func (c *Certifier) CertifyCtx(origin int, txnID, snapshot uint64, ws *writeset.
 		if !sub.servesAny(shardIDs) {
 			r.WS = nil
 		}
-		sub.mb.put(r)
+		sub.mb.Put(r)
 	}
 	c.mu.Unlock()
 	return Decision{Commit: true, Version: v}, nil
@@ -694,15 +686,16 @@ func (c *Certifier) historyPage(after uint64) ([]Refresh, bool) {
 		// subscription, so an empty page is a safe "caught up".
 		return nil, true
 	}
-	if len(pages) == 1 && c.contiguous(pages[0], after) {
-		return refreshPage(pages[0]), true
+	// K-way merge by version; one shard is a merge of one page. A gap at
+	// the front of the page means the missing version is assigned but
+	// mid-seal — retry. A gap after some progress truncates the page (the
+	// next call resumes at the gap). A front jump below the trim floor is
+	// a trimmed prefix the caller detects and resynchronizes on.
+	n := 0
+	for _, p := range pages {
+		n += len(p)
 	}
-	// K-way merge by version. A gap at the front of the page means the
-	// missing version is assigned but mid-seal — retry. A gap after some
-	// progress truncates the page (the next call resumes at the gap). A
-	// front jump below the trim floor is a trimmed prefix the caller
-	// detects and resynchronizes on.
-	out := make([]Refresh, 0, MaxHistoryBatch)
+	out := make([]Refresh, 0, min(n, MaxHistoryBatch))
 	next := after + 1
 	for len(out) < MaxHistoryBatch {
 		best := -1
@@ -767,30 +760,6 @@ func (c *Certifier) FilterUnserved(refs []Refresh, shards []int) []Refresh {
 		}
 	}
 	return refs
-}
-
-// contiguous reports whether the page starts at after+1 (or inside the
-// trimmed region) and has no version gaps — the single-shard fast path
-// that skips the merge loop.
-func (c *Certifier) contiguous(page []historyEntry, after uint64) bool {
-	if page[0].version != after+1 && after >= c.floor.Load() {
-		return false
-	}
-	for i := 1; i < len(page); i++ {
-		if page[i].version != page[i-1].version+1 {
-			return false
-		}
-	}
-	return true
-}
-
-func refreshPage(page []historyEntry) []Refresh {
-	out := make([]Refresh, 0, len(page))
-	for i := range page {
-		h := &page[i]
-		out = append(out, Refresh{TxnID: h.txnID, Version: h.version, Origin: -1, WS: h.ws})
-	}
-	return out
 }
 
 // TrimBelow discards conflict-index entries and history at or below

@@ -423,16 +423,40 @@ func TestConcurrentCertifyAssignsDistinctVersions(t *testing.T) {
 
 func TestMailboxOrderIndependence(t *testing.T) {
 	// The contract is that subscribers may receive refreshes out of
-	// version order; verify Take returns everything that was put.
-	mb := newMailbox()
-	for i := 0; i < 10; i++ {
-		mb.put(Refresh{Version: uint64(10 - i)})
-	}
-	batch, ok := mb.take()
-	if !ok || len(batch) != 10 {
-		t.Fatalf("take = %d, %v", len(batch), ok)
-	}
-	if n := mb.len(); n != 0 {
-		t.Fatalf("%d entries left after the drain", n)
+	// version order; verify Take returns everything that was put, in put
+	// order, whether it arrived one refresh per Put (the certifier's
+	// fan-out) or as one several-refresh Put (a wire client's frame).
+	for _, several := range []bool{false, true} {
+		t.Run(fmt.Sprintf("several=%v", several), func(t *testing.T) {
+			mb := NewMailbox()
+			var rs []Refresh
+			for i := 0; i < 10; i++ {
+				rs = append(rs, Refresh{Version: uint64(10 - i)})
+			}
+			if several {
+				mb.Put(rs...)
+			} else {
+				for _, r := range rs {
+					mb.Put(r)
+				}
+			}
+			batch, ok := mb.Take()
+			if !ok || len(batch) != len(rs) {
+				t.Fatalf("take = %d, %v", len(batch), ok)
+			}
+			for i := range batch {
+				if batch[i].Version != rs[i].Version {
+					t.Fatalf("take[%d] = version %d, want %d", i, batch[i].Version, rs[i].Version)
+				}
+			}
+			if n := mb.QueueLen(); n != 0 {
+				t.Fatalf("%d entries left after the drain", n)
+			}
+			mb.Close()
+			mb.Put(rs...)
+			if _, ok := mb.Take(); ok {
+				t.Fatal("a closed mailbox took a put")
+			}
+		})
 	}
 }

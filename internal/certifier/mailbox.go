@@ -5,13 +5,18 @@ import (
 	"sync"
 )
 
-// mailbox is an unbounded FIFO queue connecting the certifier to one
-// replica's refresh applier. The certifier must never block on a slow
-// replica (that is exactly the coupling the lazy design removes), so
-// sends always succeed; the applier drains at its own pace.
-type mailbox struct {
+// Mailbox is the one refresh queue between the certifier and a replica's
+// applier, an unbounded FIFO used on both ends of the link: in the
+// certifier it is a subscriber's queue, filled by the refresh fan-out
+// and drained by the stream writer (or, in process, by the replica); in
+// a remote replica it is the wire client's queue, filled from the
+// stream and drained by the applier. The certifier must never block on
+// a slow replica (that is exactly the coupling the lazy design
+// removes), so puts always succeed; the applier drains at its own pace.
+type Mailbox struct {
 	// mu guards the queue; the certifier fans refreshes out to every
-	// subscriber's mailbox while holding its own registry lock.
+	// subscriber's mailbox while holding its own registry lock, and the
+	// wire client closes its mailbox under its subscription lock.
 	// locks after Certifier.mu
 	mu sync.Mutex
 	// items is the queued refresh backlog.
@@ -23,18 +28,19 @@ type mailbox struct {
 	closed bool
 }
 
-func newMailbox() *mailbox {
-	return &mailbox{notify: make(chan struct{}, 1)}
+// NewMailbox returns an empty, open mailbox.
+func NewMailbox() *Mailbox {
+	return &Mailbox{notify: make(chan struct{}, 1)}
 }
 
-// put enqueues one refresh. It is a no-op after close.
-func (m *mailbox) put(r Refresh) {
+// Put enqueues refreshes in order. It is a no-op after Close.
+func (m *Mailbox) Put(rs ...Refresh) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
-	m.items = append(m.items, r)
+	m.items = append(m.items, rs...)
 	m.mu.Unlock()
 	select {
 	case m.notify <- struct{}{}:
@@ -42,19 +48,19 @@ func (m *mailbox) put(r Refresh) {
 	}
 }
 
-// coalesceRounds bounds take's burst coalescing: after the first
-// refresh lands, take yields to the scheduler at most this many times
+// coalesceRounds bounds Take's burst coalescing: after the first
+// refresh lands, Take yields to the scheduler at most this many times
 // while the queue keeps growing, so a burst of concurrent committers
 // collapses into one larger batch (one wire frame, one group-apply)
 // without adding measurable latency when the queue is quiet.
 const coalesceRounds = 2
 
-// take removes and returns all queued refreshes, blocking until at
+// Take removes and returns all queued refreshes, blocking until at
 // least one is available or the mailbox is closed. ok is false once
 // the mailbox is closed and drained. Under load it coalesces: having
 // seen a non-empty queue, it briefly yields and re-drains while
 // concurrent committers are still appending.
-func (m *mailbox) take() (batch []Refresh, ok bool) {
+func (m *Mailbox) Take() (batch []Refresh, ok bool) {
 	for {
 		m.mu.Lock()
 		if len(m.items) > 0 {
@@ -81,23 +87,23 @@ func (m *mailbox) take() (batch []Refresh, ok bool) {
 	}
 }
 
-// peekPending returns a snapshot of the queued refreshes without
-// removing them — the proxy's early certification scans these.
-func (m *mailbox) peekPending() []Refresh {
+// Pending returns a snapshot of the queued refreshes without removing
+// them — the proxy's early certification scans these.
+func (m *Mailbox) Pending() []Refresh {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Refresh(nil), m.items...)
 }
 
-// len returns the number of queued refreshes.
-func (m *mailbox) len() int {
+// QueueLen returns the number of queued refreshes.
+func (m *Mailbox) QueueLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.items)
 }
 
-// close wakes any blocked take; subsequent puts are dropped.
-func (m *mailbox) close() {
+// Close wakes any blocked Take; subsequent puts are dropped.
+func (m *Mailbox) Close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()

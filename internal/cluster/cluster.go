@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,29 +113,18 @@ type Cluster struct {
 	// finished; nil until EnableObs.
 	readDelay atomic.Pointer[obs.Histogram]
 
-	// smu guards stores: RestartReplica swaps entries while obs
-	// scrapes read them.
-	smu sync.Mutex
-	// stores holds each replica's persistent backend (nil entries for
-	// in-memory clusters).
-	// guarded by smu
-	stores []*pstore.Store
 	// loadFn is the deterministic LoadData bootstrap, kept so a disk
-	// restart can rebuild an empty data directory.
+	// restart can rebuild an empty data directory. Set before traffic.
 	loadFn func(e *storage.Engine) error
 	// recoveryHist observes each disk restart's recovery time; nil
-	// until EnableObs.
+	// until EnableObs, which runs before traffic.
 	recoveryHist *obs.Histogram
 }
 
 // Store returns replica i's persistent backend, nil for in-memory
 // replicas. The store is live: CheckpointNow forces a fuzzy
 // checkpoint, and KillReplica/RestartReplica abandon and replace it.
-func (c *Cluster) Store(i int) *pstore.Store {
-	c.smu.Lock()
-	defer c.smu.Unlock()
-	return c.stores[i]
-}
+func (c *Cluster) Store(i int) *pstore.Store { return c.nodes[i].Store() }
 
 // storeDir is replica i's data directory under Config.DataDir; empty
 // for an in-memory cluster.
@@ -254,66 +242,30 @@ func (c *Cluster) LoadData(load func(e *storage.Engine) error) error {
 	// Durable replicas: the bulk load is not logged (recovery re-runs
 	// it instead), so align each store's log with the loaded version
 	// and remember the loader for disk restarts.
-	c.smu.Lock()
-	for i, st := range c.stores {
-		if st == nil {
-			continue
-		}
-		if err := st.StartAt(v0); err != nil {
-			c.smu.Unlock()
-			return fmt.Errorf("cluster: aligning store %d: %w", i, err)
+	for i := range c.nodes {
+		if st := c.Store(i); st != nil {
+			if err := st.StartAt(v0); err != nil {
+				return fmt.Errorf("cluster: aligning store %d: %w", i, err)
+			}
 		}
 	}
 	c.loadFn = load
-	c.smu.Unlock()
 	c.loaded = true
 	return nil
 }
 
-// KillReplica simulates kill -9 on a durable replica: detach it and
-// abandon its store mid-flight — in-flight checkpoints abort leaving
-// .tmp files, the unforced WAL tail may be lost. For in-memory
-// replicas it is plain Crash.
-func (c *Cluster) KillReplica(i int) {
-	c.replicas[i].Crash()
-	if st := c.Store(i); st != nil {
-		st.Abandon()
-	}
-}
+// KillReplica simulates kill -9 on replica i (ReplicaNode.Kill).
+func (c *Cluster) KillReplica(i int) { c.nodes[i].Kill() }
 
-// RestartReplica brings a killed durable replica back through the
-// disk-restart path: reopen the data directory (newest verifying
-// checkpoint + contiguous WAL suffix, Bootstrap on a wiped one), swap
-// the recovered backend in, and resubscribe from the recovered Vlocal
-// so the certifier backfills only the missing history suffix.
+// RestartReplica brings killed replica i back (ReplicaNode.Restart); a
+// durable one re-runs the LoadData function when its directory holds no
+// checkpoint.
 func (c *Cluster) RestartReplica(i int) error {
-	c.smu.Lock()
-	if c.stores[i] == nil {
-		c.smu.Unlock()
-		if err := c.replicas[i].Recover(); err != nil {
-			return err
-		}
-		return nil
-	}
-	boot := c.loadFn
-	c.smu.Unlock()
-	// boot re-runs the LoadData function when the directory holds no
-	// checkpoint.
-	backend, err := openBackend(c.storeDir(i), c.cfg.CheckpointEvery, boot)
-	if err != nil {
+	if err := c.nodes[i].Restart(c.loadFn); err != nil {
 		return err
 	}
-	st := backend.(*pstore.Store)
-	c.smu.Lock()
-	c.stores[i] = st
-	hist := c.recoveryHist
-	c.smu.Unlock()
-	if hist != nil {
-		hist.Observe(st.Stats().RecoveryTook)
-	}
-	if err := c.replicas[i].RecoverFrom(st); err != nil {
-		st.Abandon()
-		return err
+	if st := c.Store(i); st != nil && c.recoveryHist != nil {
+		c.recoveryHist.Observe(st.Stats().RecoveryTook)
 	}
 	return nil
 }
@@ -397,12 +349,9 @@ func (c *Cluster) enableStoreObs(reg *obs.Registry) {
 		storeGauges(reg, func() *pstore.Store { return c.Store(i) }, "replica", strconv.Itoa(i))
 	}
 	if durable {
-		hist := reg.Histogram("sconrep_pstore_recovery_seconds",
+		c.recoveryHist = reg.Histogram("sconrep_pstore_recovery_seconds",
 			"Disk-restart recovery time: checkpoint restore plus WAL suffix replay, observed by RestartReplica.",
 			nil)
-		c.smu.Lock()
-		c.recoveryHist = hist
-		c.smu.Unlock()
 	}
 }
 
@@ -477,9 +426,8 @@ func (c *Cluster) NumReplicas() int { return len(c.replicas) }
 func (c *Cluster) Balancer() *lb.LoadBalancer { return c.balancer }
 
 // Close stops the nodes in reverse construction order — each replica
-// node detaches its replica, stopping its appliers — and closes any
-// persistent stores gracefully, including ones a disk restart swapped
-// in.
+// node detaches its replica, stopping its appliers, and closes its
+// storage, the store a disk restart swapped in if there was one.
 func (c *Cluster) Close() {
 	if c.gateway != nil {
 		c.gateway.Close()
@@ -488,14 +436,6 @@ func (c *Cluster) Close() {
 		n.Close()
 	}
 	c.certNode.Close()
-	c.smu.Lock()
-	stores := append([]*pstore.Store(nil), c.stores...)
-	c.smu.Unlock()
-	for _, st := range stores {
-		if st != nil {
-			_ = st.Close()
-		}
-	}
 }
 
 // VacuumAll reclaims storage on every replica and trims the

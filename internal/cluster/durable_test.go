@@ -162,3 +162,40 @@ func TestRestartFailsLoudlyOnTrimmedHistory(t *testing.T) {
 		t.Fatal("replica serving after a failed restart")
 	}
 }
+
+// TestRestartKeepsOneStore: a disk restart replaces a node's store, and
+// the cluster keeps no copy of its own to go stale — the node and the
+// cluster name the same, live store, and a checkpoint taken on it is the
+// one the cluster reports.
+func TestRestartKeepsOneStore(t *testing.T) {
+	c := newDurableCluster(t, Config{
+		Replicas: 2, Mode: core.Coarse, Seed: 5,
+		DataDir: t.TempDir(), CheckpointEvery: 64,
+	})
+	s := c.NewSession()
+	defer s.Close()
+	const victim = 1
+
+	bumpN(t, s, 4)
+	waitAllAt(t, c, c.Certifier().Version())
+	abandoned := c.Store(victim)
+	c.KillReplica(victim)
+	bumpN(t, s, 4)
+	if err := c.RestartReplica(victim); err != nil {
+		t.Fatal(err)
+	}
+	st := c.nodes[victim].Store()
+	if st == abandoned {
+		t.Fatal("the node still holds the store its kill abandoned")
+	}
+	if st != c.Store(victim) {
+		t.Fatal("the node and the cluster name different stores after a restart")
+	}
+	waitAllAt(t, c, c.Certifier().Version())
+	if err := st.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Store(victim).Stats().CheckpointCount, st.Stats().CheckpointCount; got != want || want == 0 {
+		t.Fatalf("cluster reports %d checkpoints, the restarted store took %d", got, want)
+	}
+}

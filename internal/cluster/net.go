@@ -10,7 +10,6 @@ import (
 	"sconrep/internal/history"
 	"sconrep/internal/latency"
 	"sconrep/internal/metrics"
-	"sconrep/internal/pstore"
 	"sconrep/internal/wire"
 )
 
@@ -126,7 +125,6 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 		certNode: cert,
 		cert:     cert.Cert,
 		coll:     metrics.NewCollector(),
-		stores:   make([]*pstore.Store, cfg.Replicas),
 	}
 	if cfg.RecordHistory {
 		c.rec = history.NewRecorder()
@@ -159,7 +157,6 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 		r.Replica.OnFinish(c.finished)
 		c.nodes = append(c.nodes, r)
 		c.replicas = append(c.replicas, r.Replica)
-		c.stores[i] = r.Store()
 		gcfg.Replicas = append(gcfg.Replicas, r.Addr())
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -227,8 +228,14 @@ type ReplicaNode struct {
 	*wire.ReplicaServer
 	Replica *replica.Replica
 	cfg     ReplicaConfig
-	backend storage.Backend
 	cc      *wire.CertClient
+
+	// mu guards the backend slot: Restart swaps it while observability
+	// scrapes read it.
+	mu sync.Mutex
+	// backend is the replica's storage, the one Close closes.
+	// guarded by mu
+	backend storage.Backend
 }
 
 // StartReplica opens cfg's storage, subscribes the replica to the
@@ -283,10 +290,48 @@ func StartReplica(cfg ReplicaConfig) (*ReplicaNode, error) {
 func (n *ReplicaNode) serving() bool { return n.cc.Ready(n.cc.Grace()) }
 
 // Store returns the node's persistent backend, nil for an in-memory
-// replica.
+// replica. The store is live: Kill abandons it and Restart replaces it.
 func (n *ReplicaNode) Store() *pstore.Store {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	st, _ := n.backend.(*pstore.Store)
 	return st
+}
+
+// Kill simulates kill -9: the replica detaches and a persistent store
+// is abandoned mid-flight — in-flight checkpoints abort leaving .tmp
+// files, the unforced WAL tail may be lost. An in-memory replica just
+// crashes.
+func (n *ReplicaNode) Kill() {
+	n.Replica.Crash()
+	if st := n.Store(); st != nil {
+		st.Abandon()
+	}
+}
+
+// Restart brings a killed replica back. An in-memory one recovers from
+// the certifier's history. A durable one takes the disk-restart path:
+// its data directory is reopened (newest verifying checkpoint plus the
+// contiguous WAL suffix, boot re-run on a directory that holds no
+// checkpoint), the recovered store replaces the abandoned one, and the
+// replica resubscribes from the recovered Vlocal, so the certifier
+// backfills only the missing history suffix.
+func (n *ReplicaNode) Restart(boot func(*storage.Engine) error) error {
+	if n.Store() == nil {
+		return n.Replica.Recover()
+	}
+	backend, err := openBackend(n.cfg.DataDir, n.cfg.CheckpointEvery, boot)
+	if err != nil {
+		return err
+	}
+	n.mu.Lock()
+	n.backend = backend
+	n.mu.Unlock()
+	if err := n.Replica.RecoverFrom(backend); err != nil {
+		backend.(*pstore.Store).Abandon()
+		return err
+	}
+	return nil
 }
 
 // EnableObs attaches the node to reg and returns what its
@@ -399,7 +444,10 @@ func (n *ReplicaNode) Close() error {
 	}
 	n.Replica.Crash()
 	n.cc.Close()
-	return n.backend.Close()
+	n.mu.Lock()
+	backend := n.backend
+	n.mu.Unlock()
+	return backend.Close()
 }
 
 // GatewayConfig describes a gateway node: the load balancer.

@@ -45,7 +45,7 @@ func TestApplySameKeyAdjacentVersions(t *testing.T) {
 				v := uint64(i + 2)
 				backlog = append(backlog, mkRefresh(t, eng, v, k, fmt.Sprintf("v%d", v)))
 			}
-			fake.queue.push(backlog...)
+			fake.queue.Put(backlog...)
 			waitVersion(t, r, uint64(len(keys)+1))
 			if got := r.AppliedRefreshes(); got != int64(len(keys)) {
 				t.Fatalf("applied refreshes = %d, want %d", got, len(keys))
@@ -164,7 +164,7 @@ func TestApplyCrashBetweenPublishes(t *testing.T) {
 				fake.mu.Lock()
 				q := fake.queue
 				fake.mu.Unlock()
-				q.push(backlog[pushed : pushed+n]...)
+				q.Put(backlog[pushed : pushed+n]...)
 				pushed += n
 				if !crashed && pushed > crashAt {
 					// Let the drainer get into the backlog, then pull the plug:

@@ -14,74 +14,13 @@ import (
 	"sconrep/internal/writeset"
 )
 
-// fakeQueue is a directly drivable RefreshSource: tests push refresh
-// batches and the replica's applier takes them, with no certifier in
-// between.
-type fakeQueue struct {
-	mu     sync.Mutex
-	items  []certifier.Refresh
-	notify chan struct{}
-	closed bool
-}
-
-func newFakeQueue() *fakeQueue { return &fakeQueue{notify: make(chan struct{}, 1)} }
-
-func (q *fakeQueue) push(batch ...certifier.Refresh) {
-	q.mu.Lock()
-	q.items = append(q.items, batch...)
-	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (q *fakeQueue) Take() ([]certifier.Refresh, bool) {
-	for {
-		q.mu.Lock()
-		if len(q.items) > 0 {
-			batch := q.items
-			q.items = nil
-			q.mu.Unlock()
-			return batch, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, false
-		}
-		q.mu.Unlock()
-		<-q.notify
-	}
-}
-
-func (q *fakeQueue) Pending() []certifier.Refresh {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]certifier.Refresh(nil), q.items...)
-}
-
-func (q *fakeQueue) QueueLen() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-func (q *fakeQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
 // fakeCert is a scriptable CertService for deterministic batch tests:
 // Certify hands out a predetermined version, Subscribe returns a
-// pushable queue, and History replays whatever the test recorded.
+// mailbox the test puts refreshes into directly, and History replays
+// whatever the test recorded.
 type fakeCert struct {
 	mu         sync.Mutex
-	queue      *fakeQueue
+	queue      *certifier.Mailbox
 	history    []certifier.Refresh
 	acks       []uint64
 	nextCommit uint64 // version the next Certify assigns
@@ -91,7 +30,7 @@ type fakeCert struct {
 	onCertify func(v, txnID uint64, ws *writeset.WriteSet)
 }
 
-func newFakeCert() *fakeCert { return &fakeCert{queue: newFakeQueue()} }
+func newFakeCert() *fakeCert { return &fakeCert{queue: certifier.NewMailbox()} }
 
 func (f *fakeCert) Certify(origin int, txnID, snapshot uint64, ws *writeset.WriteSet, _ dtrace.SpanContext) (certifier.Decision, error) {
 	f.mu.Lock()
@@ -111,14 +50,14 @@ func (f *fakeCert) Certify(origin int, txnID, snapshot uint64, ws *writeset.Writ
 func (f *fakeCert) Subscribe(replicaID int) RefreshSource {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.queue = newFakeQueue()
+	f.queue = certifier.NewMailbox()
 	return f.queue
 }
 
 func (f *fakeCert) Unsubscribe(replicaID int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.queue.close()
+	f.queue.Close()
 }
 
 func (f *fakeCert) Applied(replicaID int, v uint64) {
@@ -194,13 +133,13 @@ func TestBatchStopsAtLocalCommitVersion(t *testing.T) {
 	}()
 
 	// Out-of-order arrival: the tail of the post-commit batch first.
-	fake.queue.push(mkRefresh(t, eng, 5, 5, "r5"), mkRefresh(t, eng, 6, 6, "r6"))
+	fake.queue.Put(mkRefresh(t, eng, 5, 5, "r5"), mkRefresh(t, eng, 6, 6, "r6"))
 	select {
 	case err := <-done:
 		t.Fatalf("commit finished before predecessors applied: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	fake.queue.push(mkRefresh(t, eng, 2, 2, "r2"), mkRefresh(t, eng, 3, 3, "r3"))
+	fake.queue.Put(mkRefresh(t, eng, 2, 2, "r2"), mkRefresh(t, eng, 3, 3, "r3"))
 
 	select {
 	case err := <-done:
@@ -247,7 +186,7 @@ func TestCrashMidBatchRecoversViaHistory(t *testing.T) {
 		fake.history = append(fake.history, ref)
 		fake.mu.Unlock()
 	}
-	fake.queue.push(backlog...)
+	fake.queue.Put(backlog...)
 
 	// Crash somewhere inside the batch apply window.
 	time.Sleep(5 * time.Millisecond)
@@ -304,7 +243,7 @@ func TestCommitAdoptsOwnBackfilledRefresh(t *testing.T) {
 	fake.mu.Lock()
 	fake.nextCommit = 2
 	fake.onCertify = func(v, txnID uint64, ws *writeset.WriteSet) {
-		fake.queue.push(certifier.Refresh{TxnID: txnID, Version: v, Origin: -1, WS: ws})
+		fake.queue.Put(certifier.Refresh{TxnID: txnID, Version: v, Origin: -1, WS: ws})
 		deadline := time.Now().Add(5 * time.Second)
 		for eng.Version() < v {
 			if time.Now().After(deadline) {
@@ -424,7 +363,7 @@ func TestEarlyCertKillMidBatch(t *testing.T) {
 		}
 		backlog = append(backlog, mkRefresh(t, eng, v, k, fmt.Sprintf("v%d", v)))
 	}
-	fake.queue.push(backlog...)
+	fake.queue.Put(backlog...)
 
 	// Wait until the drainer has the batch in flight.
 	deadline := time.Now().Add(5 * time.Second)

@@ -95,7 +95,7 @@ func BenchmarkRefreshApply(b *testing.B) {
 					v++
 					refs[j] = certifier.Refresh{TxnID: v, Version: v, Origin: -1, WS: wss[j]}
 				}
-				fake.queue.push(refs...)
+				fake.queue.Put(refs...)
 				r.mu.Lock()
 				for eng.Version() < v {
 					r.cond.Wait()

@@ -64,7 +64,9 @@ type CertService interface {
 	Subscribe(replicaID int) RefreshSource
 	// Unsubscribe detaches it (crash).
 	Unsubscribe(replicaID int)
-	// Applied acknowledges that the replica applied version v.
+	// Applied acknowledges that the replica applied every version up to
+	// v. The drainer calls it once per applied batch, outside the
+	// replica's lock, so it must not wait for I/O.
 	Applied(replicaID int, v uint64)
 	// History returns one version-ordered page of refreshes with
 	// versions greater than after, for recovery catch-up. A page is
@@ -173,10 +175,6 @@ type Replica struct {
 	// applierGen invalidates stale applier/drainer goroutines.
 	// guarded by mu
 	applierGen int
-	// acks coalesces apply acknowledgments for the notifier goroutine;
-	// replaced on every attach.
-	// guarded by mu
-	acks *ackBox
 	// minServe is the recovery catch-up floor: the highest version the
 	// certifier had assigned when this replica last recovered. Commits
 	// up to it may already be acknowledged to clients, so transactions
@@ -302,8 +300,9 @@ func (r *Replica) Active() int { return int(r.active.Load()) }
 // has committed.
 func (r *Replica) AppliedRefreshes() int64 { return r.appliedRefreshes.Load() }
 
-// attach subscribes to the certifier and starts the refresh applier.
-// Caller must not hold r.mu.
+// attach subscribes to the certifier and starts the refresh applier
+// and drainer, the two goroutines of an attachment. Caller must not
+// hold r.mu.
 func (r *Replica) attach() {
 	r.mu.Lock()
 	r.sub = r.cert.Subscribe(r.cfg.ID)
@@ -311,29 +310,9 @@ func (r *Replica) attach() {
 	r.applierGen++
 	gen := r.applierGen
 	sub := r.sub
-	r.acks = newAckBox()
-	acks := r.acks
 	r.mu.Unlock()
 	go r.applier(sub, gen)
 	go r.drainer(gen)
-	go r.notifier(acks)
-}
-
-// notifier ships apply acknowledgments to the certifier, coalesced to
-// the highest applied version (the certifier's accounting is
-// cumulative). One goroutine per attachment: a 1000-refresh catch-up
-// posts to the box 1000 times but spawns nothing and sends only as
-// many acks as the network hop can drain.
-func (r *Replica) notifier(acks *ackBox) {
-	for {
-		v, ok := acks.next()
-		if !ok {
-			return
-		}
-		// The commit notification (eager accounting, §IV-D) is a message;
-		// it goes out here so it never stalls the drainer.
-		r.cert.Applied(r.cfg.ID, v)
-	}
 }
 
 // applier receives refresh batches from the certifier, performs the
@@ -514,6 +493,18 @@ func (r *Replica) applyReadyLocked() bool {
 			// apply. wss stays ours until r.applying clears: the backend
 			// copies anything it parks.
 			_ = dur.LogApplied(wss, start)
+			// The commit notification (eager accounting, §IV-D), one per
+			// batch and cumulative. Nothing on it waits for I/O:
+			// CertClient.Applied raises a version and wakes its stream's
+			// writer, and the in-process Certifier.Applied returns at once
+			// unless it is eager. A batch that was in flight across a crash
+			// acks too, and truly: its versions are applied, if perhaps to
+			// an engine a disk restart has since replaced. That ack clears
+			// waits at or below last only: those versions were certified
+			// before the crash, and Unsubscribe already cleared this
+			// replica from their waits, so it cannot end a wait for a
+			// version certified after a resubscription.
+			r.cert.Applied(r.cfg.ID, last)
 		}
 		r.mu.Lock()
 		r.applying = nil
@@ -526,9 +517,6 @@ func (r *Replica) applyReadyLocked() bool {
 			panic(fmt.Sprintf("replica %d: refresh apply at %d..%d: %v", r.cfg.ID, start, last, err))
 		}
 		progress = true
-		if r.acks != nil {
-			r.acks.post(last)
-		}
 		r.cond.Broadcast()
 	}
 }
@@ -1093,12 +1081,8 @@ func (r *Replica) Crash() {
 	r.reorder = make(map[uint64]certifier.Refresh)
 	r.committing = make(map[uint64]bool)
 	r.arrived = make(map[uint64]time.Time)
-	acks := r.acks
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	if acks != nil {
-		acks.stop()
-	}
 	r.cert.Unsubscribe(r.cfg.ID)
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sconrep/internal/certifier"
+	"sconrep/internal/latency"
 	"sconrep/internal/metrics"
 	"sconrep/internal/obs"
 	"sconrep/internal/sql"
@@ -657,5 +658,66 @@ func TestActiveCount(t *testing.T) {
 	tx.Abort()
 	if r.Active() != 0 {
 		t.Fatalf("active after double abort = %d", r.Active())
+	}
+}
+
+// TestCrashedBatchAckKeepsEagerWait: the drainer acknowledges a batch
+// itself once it is applied, even one that was in flight across a
+// crash. That ack is true, and it must not end an eager wait for a
+// version certified after the replica recovered: the commit below may
+// return only once replica 1 has applied it.
+func TestCrashedBatchAckKeepsEagerWait(t *testing.T) {
+	cert := certifier.New(certifier.WithEager())
+	lat := latency.NewSource(latency.Model{ApplyWriteSet: 150 * time.Millisecond, Scale: 1}, 1)
+	var reps []*Replica
+	for i, l := range []*latency.Source{nil, lat} {
+		eng := storage.NewEngine()
+		loadKV(t, eng)
+		reps = append(reps, New(Config{ID: i, EarlyCert: true, Latency: l}, eng, Local(cert)))
+	}
+	defer func() {
+		for _, r := range reps {
+			r.Crash()
+		}
+	}()
+	if err := cert.StartAt(reps[0].Version()); err != nil {
+		t.Fatal(err)
+	}
+	origin, slow := reps[0], reps[1]
+
+	// A lazy commit: the certifier still counts replica 1's ack for it,
+	// and replica 1's drainer holds it in a slow batch apply.
+	commitUpdate(t, origin, 1, "in flight")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		slow.mu.Lock()
+		applying := len(slow.applying)
+		slow.mu.Unlock()
+		if applying > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replica 1 never started a batch apply")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	slow.Crash()
+	if err := slow.Recover(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx, err := origin.Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(setStmt, "after recovery", int64(2)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tx.Commit(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := slow.Version(); v < res.Version {
+		t.Fatalf("eager wait for version %d ended with replica 1 at %d", res.Version, v)
 	}
 }

@@ -399,9 +399,10 @@ type CertClient struct {
 	closeOnce sync.Once
 
 	mu sync.Mutex
-	// queue is the current subscription's local refresh queue.
+	// queue is the current subscription's refresh queue: the certifier's
+	// mailbox type, filled from the stream.
 	// guarded by mu
-	queue *refreshQueue
+	queue *certifier.Mailbox
 	// sub is the live subscription stream connection.
 	// guarded by mu
 	sub net.Conn
@@ -412,7 +413,8 @@ type CertClient struct {
 	// Stream health for the replica serve gate.
 	streamUp  atomic.Bool
 	downSince atomic.Int64 // unix nanos
-	// tracked is the latest subAck's Acks bit, read through every queue.
+	// tracked is the latest subAck's Acks bit, read through every
+	// subscription Subscribe returned.
 	tracked atomic.Bool
 	// serveFloor is the certifier version observed at the last
 	// (re)subscribe: everything the certifier may already have
@@ -528,27 +530,39 @@ func (c *CertClient) Certify(origin int, txnID, snapshot uint64, ws *writeset.Wr
 	return resp.Decision, err
 }
 
-// Subscribe implements replica.CertService. The returned queue is
+// Subscribe implements replica.CertService. The returned mailbox is
 // fed by a background loop that dials the stream, backfills missed
 // refreshes, and reconnects with backoff when the link drops — the
-// queue itself stays open until Unsubscribe or Close, so the replica's
-// applier never exits on a transient partition.
+// mailbox itself stays open until Unsubscribe or Close, so the
+// replica's applier never exits on a transient partition.
 func (c *CertClient) Subscribe(replicaID int) replica.RefreshSource {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.queue != nil {
-		c.queue.close()
+		c.queue.Close()
 	}
 	if c.sub != nil {
 		c.sub.Close()
 		c.sub = nil
 	}
 	c.subGen++
-	q := newRefreshQueue(&c.tracked)
+	q := certifier.NewMailbox()
 	c.queue = q
 	go c.subLoop(c.subGen, q)
-	return q
+	return clientSub{Mailbox: q, tracked: &c.tracked}
 }
+
+// clientSub is a remote subscription: the client's mailbox, plus
+// whether the certifier sends global-commit notices. The bit is the
+// client's latest subAck's, so it outlives the mailbox, which a
+// recovering replica replaces before the next subAck; it is set before
+// the stream reports up, so before the serve gate lets a transaction in.
+type clientSub struct {
+	*certifier.Mailbox
+	tracked *atomic.Bool
+}
+
+func (s clientSub) GlobalTracked() bool { return s.tracked.Load() }
 
 // subscribed reports whether gen is still the current subscription.
 func (c *CertClient) subscribed(gen int) bool {
@@ -561,7 +575,7 @@ func (c *CertClient) subscribed(gen int) bool {
 // generation: connect, take the certifier's version at registration as
 // the serve floor and its lease, backfill up to the floor, then pump
 // batches until the stream breaks; repeat with backoff.
-func (c *CertClient) subLoop(gen int, q *refreshQueue) {
+func (c *CertClient) subLoop(gen int, q *certifier.Mailbox) {
 	b := c.opts.backoff
 	delay := b.Min
 	for {
@@ -591,7 +605,7 @@ func (c *CertClient) subLoop(gen int, q *refreshQueue) {
 // runStream performs one connect-backfill-pump cycle; it reports
 // whether the stream got as far as delivering refreshes (for backoff
 // reset).
-func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
+func (c *CertClient) runStream(gen int, q *certifier.Mailbox) bool {
 	dial := c.opts.dialer(c.addr)
 	conn, err := dial("tcp", c.addr)
 	if err != nil {
@@ -666,7 +680,7 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 		if len(hist.History) == 0 {
 			break
 		}
-		q.push(hist.History)
+		q.Put(hist.History...)
 		after = hist.History[len(hist.History)-1].Version
 	}
 
@@ -684,7 +698,7 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 			return true
 		}
 		if len(batch) > 0 {
-			q.push(batch)
+			q.Put(batch...)
 		}
 	}
 }
@@ -739,7 +753,7 @@ func (c *CertClient) Unsubscribe(replicaID int) {
 		c.sub = nil
 	}
 	if c.queue != nil {
-		c.queue.close()
+		c.queue.Close()
 		c.queue = nil
 	}
 	c.mu.Unlock()
@@ -851,7 +865,7 @@ func (c *CertClient) Close() {
 		c.sub = nil
 	}
 	if c.queue != nil {
-		c.queue.close()
+		c.queue.Close()
 		c.queue = nil
 	}
 	c.mu.Unlock()

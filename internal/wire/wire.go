@@ -40,10 +40,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"sconrep/internal/certifier"
 )
 
 // connPool is a lazily grown pool of connections to one address. Each
@@ -197,88 +194,4 @@ func (p *connPool) close() {
 		rc.c.Close()
 	}
 	p.free = nil
-}
-
-// refreshQueue implements replica.RefreshSource over a push stream.
-type refreshQueue struct {
-	// mu guards the backlog; CertClient rotates queues while holding
-	// its subscription lock.
-	// locks after CertClient.mu
-	mu sync.Mutex
-	// items is the received-but-untaken refresh backlog.
-	// guarded by mu
-	items  []certifier.Refresh
-	notify chan struct{}
-	// closed drops further pushes.
-	// guarded by mu
-	closed bool
-	// tracked is the client's latest subAck's Acks bit; it outlives the
-	// queue, which a recovering replica replaces before the next subAck.
-	tracked *atomic.Bool
-}
-
-func newRefreshQueue(tracked *atomic.Bool) *refreshQueue {
-	return &refreshQueue{notify: make(chan struct{}, 1), tracked: tracked}
-}
-
-func (q *refreshQueue) push(batch []certifier.Refresh) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.items = append(q.items, batch...)
-	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
-// Take implements replica.RefreshSource.
-func (q *refreshQueue) Take() ([]certifier.Refresh, bool) {
-	for {
-		q.mu.Lock()
-		if len(q.items) > 0 {
-			batch := q.items
-			q.items = nil
-			q.mu.Unlock()
-			return batch, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, false
-		}
-		q.mu.Unlock()
-		<-q.notify
-	}
-}
-
-// Pending implements replica.RefreshSource.
-func (q *refreshQueue) Pending() []certifier.Refresh {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]certifier.Refresh(nil), q.items...)
-}
-
-// GlobalTracked tells the replica whether the certifier sends
-// global-commit notices. It is set before the stream reports up, so
-// before the serve gate lets a transaction in.
-func (q *refreshQueue) GlobalTracked() bool { return q.tracked.Load() }
-
-// QueueLen implements replica.RefreshSource.
-func (q *refreshQueue) QueueLen() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-func (q *refreshQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
 }
