@@ -56,15 +56,6 @@ type Model struct {
 	// new transactions away from them.
 	TailProb   float64
 	TailFactor float64
-	// ApplyBatchMarginal is the fraction of ApplyWriteSet each writeset
-	// after the first costs when a replica applies a contiguous run of
-	// refreshes in one engine critical section. Group-applying amortizes
-	// the per-commit overhead (log write, lock cycle, version publish)
-	// exactly like the certifier's group commit amortizes CommitIO; the
-	// per-row work still has to happen, which is what the marginal
-	// fraction charges. 0 means the default of 0.4; 1 disables the
-	// amortization (every writeset pays full price).
-	ApplyBatchMarginal float64
 	// Scale multiplies every duration. 0 is treated as 1.0.
 	Scale float64
 }
@@ -195,6 +186,15 @@ func (s *Source) Statement() { s.sleep(s.m.StatementCPU) }
 // ApplyWriteSet simulates applying one refresh writeset (heavy-tailed).
 func (s *Source) ApplyWriteSet() { s.sleep(s.heavyTailed(s.m.ApplyWriteSet)) }
 
+// applyBatchMarginal is the fraction of ApplyWriteSet each writeset
+// after the first costs when a replica applies a contiguous run of
+// refreshes in one engine critical section. Group-applying amortizes
+// the per-commit overhead (log write, lock cycle, version publish)
+// exactly like the certifier's group commit amortizes CommitIO; the
+// per-row work still has to happen, which is what the marginal
+// fraction charges.
+const applyBatchMarginal = 0.4
+
 // ApplyWriteSetBatch simulates group-applying n contiguous refresh
 // writesets as one batch: the first writeset pays
 // the full apply cost, each subsequent one only the marginal fraction,
@@ -208,11 +208,7 @@ func (s *Source) ApplyWriteSetBatch(n int) {
 		s.ApplyWriteSet()
 		return
 	}
-	marginal := s.m.ApplyBatchMarginal
-	if marginal == 0 {
-		marginal = 0.4
-	}
-	d := time.Duration(float64(s.m.ApplyWriteSet) * (1 + marginal*float64(n-1)))
+	d := time.Duration(float64(s.m.ApplyWriteSet) * (1 + applyBatchMarginal*float64(n-1)))
 	s.sleep(s.heavyTailed(d))
 }
 

@@ -18,6 +18,12 @@
 //	*.tmp                      in-flight checkpoint; ignored and
 //	                           removed on open
 //
+// Both file kinds carry strings and rows in internal/writeset's binary
+// layout, the one the certify request and the refresh stream use; the
+// package has no codec of its own. A checkpoint or WAL record that is
+// intact but in another build's format fails Open loudly
+// (ErrSnapshotFormat, wal.ErrFormat) instead of being recovered past.
+//
 // Segments rotate at every checkpoint and are pruned once wholly
 // covered by one, so WAL space is bounded by the checkpoint interval.
 package pstore
@@ -43,11 +49,6 @@ type Options struct {
 	// CheckpointEvery is the number of logged versions between
 	// automatic fuzzy checkpoints. 0 means the default (1024).
 	CheckpointEvery uint64
-	// KeepCheckpoints is how many checkpoint files to retain (newest
-	// first); older ones are pruned after each new checkpoint. 0 means
-	// the default (2) — the latest plus one fallback in case the
-	// latest is damaged on disk.
-	KeepCheckpoints int
 	// Bootstrap populates a fresh engine (schema + initial data) when
 	// no checkpoint exists. It must be deterministic: recovery re-runs
 	// it and expects the same engine version the original run had when
@@ -133,9 +134,12 @@ type Store struct {
 
 const (
 	defaultCheckpointEvery = 1024
-	defaultKeepCheckpoints = 2
-	ckptPattern            = "checkpoint-%016d.ckpt"
-	segPattern             = "wal-%016d.log"
+	// keepCheckpoints is how many checkpoint files survive a prune,
+	// newest first: the latest plus one fallback in case the latest is
+	// damaged on disk.
+	keepCheckpoints = 2
+	ckptPattern     = "checkpoint-%016d.ckpt"
+	segPattern      = "wal-%016d.log"
 )
 
 // Open opens (creating if needed) the store rooted at dir and runs
@@ -147,9 +151,6 @@ const (
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = defaultCheckpointEvery
-	}
-	if opts.KeepCheckpoints == 0 {
-		opts.KeepCheckpoints = defaultKeepCheckpoints
 	}
 	s := &Store{
 		dir:      dir,
@@ -173,16 +174,22 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	// Newest verifying checkpoint wins; a damaged one falls back to
-	// its predecessor (KeepCheckpoints retains one for exactly this).
+	// its predecessor (keepCheckpoints retains one for exactly this).
+	// An intact image in another format is not damage: it was written
+	// by another build, and recovering past it would discard its state.
 	var firstErr error
 	for i := len(ckpts) - 1; i >= 0 && s.eng == nil; i-- {
-		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(ckptPattern, ckpts[i])))
+		path := filepath.Join(dir, fmt.Sprintf(ckptPattern, ckpts[i]))
+		data, err := os.ReadFile(path)
 		if err == nil {
 			var eng *storage.Engine
 			var v uint64
 			if eng, v, err = LoadSnapshot(data); err == nil {
 				s.eng, s.ckptV = eng, v
 				break
+			}
+			if errors.Is(err, ErrSnapshotFormat) {
+				return nil, fmt.Errorf("pstore: %s: %w", path, err)
 			}
 		}
 		if firstErr == nil {
@@ -513,14 +520,14 @@ func (s *Store) rotateLocked(base uint64) error {
 	return nil
 }
 
-// pruneLocked removes checkpoints beyond KeepCheckpoints and segments
+// pruneLocked removes checkpoints beyond keepCheckpoints and segments
 // wholly covered by the newest checkpoint.
 func (s *Store) pruneLocked() {
 	ckpts, segs, err := s.scanDir()
 	if err != nil {
 		return
 	}
-	for i := 0; i+s.opts.KeepCheckpoints < len(ckpts); i++ {
+	for i := 0; i+keepCheckpoints < len(ckpts); i++ {
 		_ = os.Remove(filepath.Join(s.dir, fmt.Sprintf(ckptPattern, ckpts[i])))
 	}
 	// Segment segs[i] holds versions (segs[i], segs[i+1]]; it is dead

@@ -7,45 +7,55 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+	"strings"
 
 	"sconrep/internal/storage"
+	"sconrep/internal/writeset"
 )
 
 // Checkpoint snapshot format. A checkpoint is the deterministic binary
 // image of everything visible at one commit version S — the consistent
-// (snapshot, Vlocal) pair of the fuzzy-checkpoint protocol:
+// (snapshot, Vlocal) pair of the fuzzy-checkpoint protocol. Strings and
+// rows are in internal/writeset's layout, the one the certify request,
+// the refresh stream and the WAL segments beside it already carry:
 //
-//	magic   "SCKP0001" (8 bytes)
+//	magic   "SCKP0002" (8 bytes)
 //	uvarint S (snapshot version)
 //	uvarint table count
 //	per table, in lexical name order:
-//	  str name
-//	  uvarint #columns; per column: str name, 1 byte type
-//	  uvarint #key columns; per: str name
-//	  uvarint #indexes; per: str name, str column
+//	  string name
+//	  uvarint #columns; per column: string name, 1 byte type
+//	  uvarint #key columns; per: string name
+//	  uvarint #indexes; per: string name, string column
 //	  uvarint #rows
 //	  per row, in primary-key order:
-//	    str encoded-pk
+//	    string encoded-pk
 //	    uvarint row commit version (≤ S)
-//	    uvarint #values (= #columns); per value: tag byte + payload
-//	      0 NULL · 1 false · 2 true · 3 int64 (8B LE) ·
-//	      4 float64 (8B LE) · 5 str
+//	    row (#values = #columns)
 //	crc32 (IEEE, 4 bytes LE) over everything above
 //
-// str is uvarint length + bytes. The encoding is canonical: one engine
-// state at one version has exactly one byte image, which is what lets
-// the recovery-equivalence tests compare replicas with bytes.Equal.
-// Loading verifies the trailing CRC before any parsing, rejects
-// unsorted or duplicate tables/keys, schema-checks every row, and
-// bounds every count by the bytes that remain — arbitrary input yields
-// an error, never a panic or a half-built engine.
+// A change to the writeset layout bumps snapMagic together with the
+// wire and wal codec versions. The encoding is canonical: one engine
+// state at one version has exactly one byte image (the decoder refuses
+// non-minimal varints), which is what lets the recovery-equivalence
+// tests compare replicas with bytes.Equal. Loading verifies the
+// trailing CRC before any parsing, rejects unsorted or duplicate
+// tables/keys, schema-checks every row, and bounds every count by the
+// bytes that remain — arbitrary input yields an error, never a panic or
+// a half-built engine. The decoder aliases the image, so the loader
+// copies every string the engine keeps: one surviving row must not pin
+// the whole file.
 
-const snapMagic = "SCKP0001"
+const snapMagic = "SCKP0002"
 
 // ErrBadSnapshot reports an unreadable or failed-verification
 // checkpoint image.
 var ErrBadSnapshot = errors.New("pstore: bad checkpoint snapshot")
+
+// ErrSnapshotFormat reports a checkpoint image in a format this build
+// does not read: intact (its CRC matches) but written by another build.
+// It is never treated as damage.
+var ErrSnapshotFormat = errors.New("pstore: checkpoint image in an unknown format")
 
 // errAborted signals a snapshot write cancelled by the abort callback
 // (store closed mid-checkpoint).
@@ -73,21 +83,20 @@ func WriteSnapshot(w io.Writer, eng *storage.Engine, at uint64, abort func() boo
 		if !ok {
 			return cw.n, fmt.Errorf("pstore: table %s vanished during snapshot", name)
 		}
-		buf = buf[:0]
-		buf = appendStr(buf, name)
+		buf = writeset.AppendString(buf[:0], name)
 		buf = binary.AppendUvarint(buf, uint64(len(sch.Columns)))
 		for _, c := range sch.Columns {
-			buf = appendStr(buf, c.Name)
+			buf = writeset.AppendString(buf, c.Name)
 			buf = append(buf, byte(c.Type))
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(sch.Key)))
 		for _, k := range sch.Key {
-			buf = appendStr(buf, k)
+			buf = writeset.AppendString(buf, k)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(sch.Indexes)))
 		for _, ix := range sch.Indexes {
-			buf = appendStr(buf, ix.Name)
-			buf = appendStr(buf, ix.Column)
+			buf = writeset.AppendString(buf, ix.Name)
+			buf = writeset.AppendString(buf, ix.Column)
 		}
 		if err := cw.write(buf); err != nil {
 			return cw.n, err
@@ -114,15 +123,11 @@ func WriteSnapshot(w io.Writer, eng *storage.Engine, at uint64, abort func() boo
 				return errAborted
 			}
 			emitted++
-			buf = appendStr(buf[:0], key)
+			buf = writeset.AppendString(buf[:0], key)
 			buf = binary.AppendUvarint(buf, version)
-			buf = binary.AppendUvarint(buf, uint64(len(row)))
-			for _, v := range row {
-				var verr error
-				buf, verr = appendValue(buf, v)
-				if verr != nil {
-					return verr
-				}
+			var err error
+			if buf, err = writeset.AppendRow(buf, row); err != nil {
+				return err
 			}
 			return cw.write(buf)
 		})
@@ -156,7 +161,8 @@ func SnapshotAt(eng *storage.Engine, at uint64) ([]byte, error) {
 // LoadSnapshot verifies and decodes a snapshot image into a fresh
 // engine, returning it with its snapshot version. The CRC is checked
 // before parsing and the engine is built and returned only on full
-// success, so a corrupt checkpoint can never leak partial state.
+// success, so a corrupt checkpoint can never leak partial state. An
+// intact image with another magic fails with ErrSnapshotFormat.
 func LoadSnapshot(data []byte) (*storage.Engine, uint64, error) {
 	if len(data) < len(snapMagic)+4 {
 		return nil, 0, fmt.Errorf("%w: short image (%d bytes)", ErrBadSnapshot, len(data))
@@ -170,149 +176,73 @@ func LoadSnapshot(data []byte) (*storage.Engine, uint64, error) {
 
 // parseSnapshot decodes a CRC-stripped snapshot body. Split from
 // LoadSnapshot so the fuzz target can exercise the parser directly —
-// the CRC gate would otherwise shield it from nearly every input.
+// the CRC gate would otherwise shield it from nearly every input. The
+// decoder's first failure sticks and is reported once, by Done; each
+// table header and each row is checked for it before it reaches the
+// engine, so no half-decoded value does.
 func parseSnapshot(body []byte) (*storage.Engine, uint64, error) {
-	r := &creader{b: body}
-	magic, err := r.take(len(snapMagic))
-	if err != nil || string(magic) != snapMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+	if len(body) < len(snapMagic) {
+		return nil, 0, fmt.Errorf("%w: short image (%d bytes)", ErrBadSnapshot, len(body))
 	}
-	at, err := r.uvarint()
-	if err != nil {
-		return nil, 0, err
+	if magic := string(body[:len(snapMagic)]); magic != snapMagic {
+		return nil, 0, fmt.Errorf("%w: magic %q, this build reads %q", ErrSnapshotFormat, magic, snapMagic)
 	}
-	ntables, err := r.count()
-	if err != nil {
-		return nil, 0, err
-	}
+	d := writeset.NewDecoder(body[len(snapMagic):])
+	at := d.Uvarint()
 	eng := storage.NewEngine()
 	prevTable := ""
-	for ti := uint64(0); ti < ntables; ti++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, 0, err
+decode:
+	for ti, ntables := 0, d.Count(); ti < ntables; ti++ {
+		name := strings.Clone(d.Str())
+		sch := &storage.Schema{Table: name}
+		for i, n := 0, d.Count(); i < n; i++ {
+			sch.Columns = append(sch.Columns, storage.Column{Name: strings.Clone(d.Str()), Type: storage.ColType(d.Byte())})
+		}
+		for i, n := 0, d.Count(); i < n; i++ {
+			sch.Key = append(sch.Key, strings.Clone(d.Str()))
+		}
+		for i, n := 0, d.Count(); i < n; i++ {
+			sch.Indexes = append(sch.Indexes, storage.IndexDef{Name: strings.Clone(d.Str()), Column: strings.Clone(d.Str())})
+		}
+		if d.Failed() {
+			break
 		}
 		if ti > 0 && name <= prevTable {
 			return nil, 0, fmt.Errorf("%w: tables out of order at %q", ErrBadSnapshot, name)
 		}
 		prevTable = name
-		sch := &storage.Schema{Table: name}
-		ncols, err := r.count()
-		if err != nil {
-			return nil, 0, err
-		}
-		for i := uint64(0); i < ncols; i++ {
-			cn, err := r.str()
-			if err != nil {
-				return nil, 0, err
-			}
-			ct, err := r.byte()
-			if err != nil {
-				return nil, 0, err
-			}
-			sch.Columns = append(sch.Columns, storage.Column{Name: cn, Type: storage.ColType(ct)})
-		}
-		nkey, err := r.count()
-		if err != nil {
-			return nil, 0, err
-		}
-		for i := uint64(0); i < nkey; i++ {
-			kn, err := r.str()
-			if err != nil {
-				return nil, 0, err
-			}
-			sch.Key = append(sch.Key, kn)
-		}
-		nidx, err := r.count()
-		if err != nil {
-			return nil, 0, err
-		}
-		for i := uint64(0); i < nidx; i++ {
-			in, err := r.str()
-			if err != nil {
-				return nil, 0, err
-			}
-			ic, err := r.str()
-			if err != nil {
-				return nil, 0, err
-			}
-			sch.Indexes = append(sch.Indexes, storage.IndexDef{Name: in, Column: ic})
-		}
 		if err := eng.CreateTable(sch); err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
-		nrows, err := r.count()
-		if err != nil {
-			return nil, 0, err
-		}
 		prevKey := ""
-		for ri := uint64(0); ri < nrows; ri++ {
-			key, err := r.str()
-			if err != nil {
-				return nil, 0, err
-			}
-			if ri > 0 && key <= prevKey {
+		for ri, nrows := 0, d.Count(); ri < nrows; ri++ {
+			key, rv, row := d.Str(), d.Uvarint(), d.Row()
+			switch {
+			case d.Failed():
+				break decode
+			case ri > 0 && key <= prevKey:
 				return nil, 0, fmt.Errorf("%w: keys out of order in %s", ErrBadSnapshot, name)
+			case rv > at:
+				return nil, 0, fmt.Errorf("%w: row version %d above snapshot %d", ErrBadSnapshot, rv, at)
+			case len(row) != len(sch.Columns):
+				return nil, 0, fmt.Errorf("%w: row arity %d, want %d", ErrBadSnapshot, len(row), len(sch.Columns))
 			}
 			prevKey = key
-			rv, err := r.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			if rv > at {
-				return nil, 0, fmt.Errorf("%w: row version %d above snapshot %d", ErrBadSnapshot, rv, at)
-			}
-			nvals, err := r.count()
-			if err != nil {
-				return nil, 0, err
-			}
-			if nvals != ncols {
-				return nil, 0, fmt.Errorf("%w: row arity %d, want %d", ErrBadSnapshot, nvals, ncols)
-			}
-			row := make([]any, nvals)
-			for i := range row {
-				if row[i], err = r.val(); err != nil {
-					return nil, 0, err
+			for i, v := range row {
+				if s, ok := v.(string); ok {
+					row[i] = strings.Clone(s)
 				}
 			}
-			if err := eng.RestoreRow(name, key, row, rv); err != nil {
+			if err := eng.RestoreRow(name, strings.Clone(key), row, rv); err != nil {
 				return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 			}
 		}
 	}
-	if r.rem() != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, r.rem())
+	if err := d.Done(); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	eng.RestoreVersion(at)
 	return eng, at, nil
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendValue(dst []byte, v any) ([]byte, error) {
-	switch tv := v.(type) {
-	case nil:
-		return append(dst, 0), nil
-	case bool:
-		if tv {
-			return append(dst, 2), nil
-		}
-		return append(dst, 1), nil
-	case int64:
-		dst = append(dst, 3)
-		return binary.LittleEndian.AppendUint64(dst, uint64(tv)), nil
-	case float64:
-		dst = append(dst, 4)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(tv)), nil
-	case string:
-		dst = append(dst, 5)
-		return appendStr(dst, tv), nil
-	default:
-		return dst, fmt.Errorf("pstore: cannot encode value of type %T", v)
-	}
 }
 
 // crcWriter tees writes through a running CRC32.
@@ -327,99 +257,4 @@ func (c *crcWriter) write(p []byte) error {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return err
-}
-
-// creader is a bounds-checked cursor over untrusted snapshot bytes.
-type creader struct {
-	b []byte
-}
-
-func (r *creader) rem() int { return len(r.b) }
-
-func (r *creader) take(n int) ([]byte, error) {
-	if n < 0 || n > len(r.b) {
-		return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out, nil
-}
-
-func (r *creader) byte() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *creader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrBadSnapshot)
-	}
-	// Reject non-minimal encodings (a zero final byte adds nothing):
-	// the format is canonical, one state → one byte image.
-	if n > 1 && r.b[n-1] == 0 {
-		return 0, fmt.Errorf("%w: non-minimal uvarint", ErrBadSnapshot)
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-// count reads a uvarint bounded by the bytes remaining: every counted
-// element occupies at least one byte, so anything larger is garbage
-// and must not drive allocation.
-func (r *creader) count() (uint64, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(r.b)) {
-		return 0, fmt.Errorf("%w: count %d exceeds %d remaining bytes", ErrBadSnapshot, v, len(r.b))
-	}
-	return v, nil
-}
-
-func (r *creader) str() (string, error) {
-	n, err := r.count()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (r *creader) val() (any, error) {
-	tag, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case 0:
-		return nil, nil
-	case 1:
-		return false, nil
-	case 2:
-		return true, nil
-	case 3:
-		b, err := r.take(8)
-		if err != nil {
-			return nil, err
-		}
-		return int64(binary.LittleEndian.Uint64(b)), nil
-	case 4:
-		b, err := r.take(8)
-		if err != nil {
-			return nil, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-	case 5:
-		return r.str()
-	default:
-		return nil, fmt.Errorf("%w: unknown value tag %d", ErrBadSnapshot, tag)
-	}
 }

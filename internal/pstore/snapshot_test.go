@@ -2,11 +2,35 @@ package pstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sconrep/internal/storage"
 	"sconrep/internal/writeset"
 )
+
+// goldenPath holds typedEngine's checkpoint image as hex.
+const goldenPath = "testdata/typed.ckpt.hex"
+
+// goldenImage reads the committed checkpoint image of typedEngine.
+func goldenImage(t testing.TB) []byte {
+	t.Helper()
+	text, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	return img
+}
 
 // typedEngine builds an engine exercising every value type, NULLs,
 // strings with NULs, multiple tables, and a composite key.
@@ -155,6 +179,13 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(img[:len(img)-4]) // parser input is the CRC-stripped body
+	// The golden body and the same body with a padded varint: the
+	// second decodes to the same state, so accepting it would break
+	// the fixed point below.
+	golden := goldenImage(f)
+	body := golden[:len(golden)-4]
+	f.Add(body)
+	f.Add(nonMinimalVersion(body))
 	empty, _ := SnapshotAt(storage.NewEngine(), 0)
 	f.Add(empty[:len(empty)-4])
 	f.Add([]byte(snapMagic))
@@ -173,4 +204,100 @@ func FuzzCheckpointLoad(f *testing.F) {
 			t.Fatal("accepted snapshot is not canonical (re-encode differs)")
 		}
 	})
+}
+
+// TestCheckpointGoldenImage pins the checkpoint's byte layout, value
+// tags included: the image carries rows in internal/writeset's layout,
+// so a change to a tag or a length prefix there changes every image on
+// disk and must not pass unnoticed.
+func TestCheckpointGoldenImage(t *testing.T) {
+	e := typedEngine(t)
+	img, err := SnapshotAt(e, e.Version())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, goldenImage(t)) {
+		t.Fatalf("checkpoint layout changed. A layout change must bump the wire codecVersion, "+
+			"the wal codecVersion and snapMagic together; then write this image to %s:\n%s",
+			goldenPath, hex.EncodeToString(img))
+	}
+}
+
+// nonMinimalVersion re-encodes the snapshot version of a CRC-stripped
+// body with a redundant trailing zero byte: the same value, a second
+// byte image.
+func nonMinimalVersion(body []byte) []byte {
+	v, n := binary.Uvarint(body[len(snapMagic):])
+	out := append([]byte(nil), body[:len(snapMagic)]...)
+	out = binary.AppendUvarint(out, v)
+	out[len(out)-1] |= 0x80
+	out = append(out, 0)
+	return append(out, body[len(snapMagic)+n:]...)
+}
+
+// TestLoadSnapshotOwnsItsStrings: the decoder aliases the image, so a
+// loader that kept those strings would change when the image buffer is
+// reused. After LoadSnapshot the buffer is the caller's again.
+func TestLoadSnapshotOwnsItsStrings(t *testing.T) {
+	e := typedEngine(t)
+	img, err := SnapshotAt(e, e.Version())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := append([]byte(nil), img...)
+	loaded, at, err := LoadSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range img {
+		img[i] = 'X'
+	}
+	again, err := SnapshotAt(loaded, at)
+	if err != nil {
+		t.Fatalf("loaded engine broken by overwriting the image: %v", err)
+	}
+	if !bytes.Equal(again, saved) {
+		t.Fatal("loaded engine changed when the image buffer was overwritten: it kept aliased strings")
+	}
+}
+
+// oldFormatImage is a CRC-valid image of an empty engine at version 0
+// in the checkpoint format with pstore's own value tags, SCKP0001.
+func oldFormatImage() []byte {
+	img := append([]byte("SCKP0001"), 0, 0) // version 0, no tables
+	return binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
+}
+
+// TestOldFormatCheckpointRefused: an intact image in another format is
+// not damage. LoadSnapshot names the format, and Open fails instead of
+// bootstrapping a fresh engine over the only checkpoint there is.
+func TestOldFormatCheckpointRefused(t *testing.T) {
+	_, _, err := LoadSnapshot(oldFormatImage())
+	if !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("LoadSnapshot(SCKP0001) err = %v, want ErrSnapshotFormat", err)
+	}
+	if !strings.Contains(err.Error(), "SCKP0001") || !strings.Contains(err.Error(), snapMagic) {
+		t.Fatalf("error does not name both formats: %v", err)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "checkpoint-0000000000000000.ckpt")
+	if err := os.WriteFile(path, oldFormatImage(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bootstrapped := false
+	st, err := Open(dir, Options{Bootstrap: func(*storage.Engine) error {
+		bootstrapped = true
+		return nil
+	}})
+	if err == nil {
+		st.Close()
+		t.Fatal("Open recovered a directory whose only checkpoint is SCKP0001")
+	}
+	if !errors.Is(err, ErrSnapshotFormat) || bootstrapped {
+		t.Fatalf("Open err = %v, bootstrapped = %v; want ErrSnapshotFormat and no bootstrap", err, bootstrapped)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, oldFormatImage()) {
+		t.Fatalf("Open touched the old-format checkpoint (%v)", err)
+	}
 }

@@ -11,10 +11,14 @@ import (
 )
 
 // Binary codec. A writeset crosses the certify request, the refresh
-// stream, recovery history pages and the decision log, and a row value
-// additionally crosses the client and replica links as a statement
-// parameter or a result cell. All of them use the one layout below, so
-// this file is the only place that knows it:
+// stream, recovery history pages, the decision log and a replica's WAL
+// segments; a row value additionally crosses the client and replica
+// links as a statement parameter or a result cell, and a string or row
+// is the unit of a replica's checkpoint image (internal/pstore). All of
+// them use the one layout below, so this file is the only place that
+// knows it. A change to it bumps, together, the wire codecVersion, the
+// wal codecVersion and pstore's snapMagic: each carrier refuses bytes
+// of another version instead of misreading them.
 //
 //	writeset: flags byte (0 = nil writeset, the version skip marker)
 //	          [flagTrace] 16-byte TraceID + 8-byte SpanID
@@ -170,10 +174,12 @@ func (d *Decoder) Done() error {
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.p) - d.off }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the minimal encoding is
+// accepted — a final zero byte adds nothing — so every value has one
+// byte image, which the canonical checkpoint image relies on.
 func (d *Decoder) Uvarint() uint64 {
 	v, n := binary.Uvarint(d.p[d.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.p[d.off+n-1] == 0 {
 		d.Fail()
 		return 0
 	}
@@ -181,15 +187,11 @@ func (d *Decoder) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads a signed varint.
+// Varint reads a zig-zag signed varint (binary.AppendVarint), minimal
+// like Uvarint.
 func (d *Decoder) Varint() int64 {
-	v, n := binary.Varint(d.p[d.off:])
-	if n <= 0 {
-		d.Fail()
-		return 0
-	}
-	d.off += n
-	return v
+	u := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Byte reads one byte.

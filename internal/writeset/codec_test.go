@@ -1,6 +1,7 @@
 package writeset
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -66,5 +67,33 @@ func TestDecoderBoundsCounts(t *testing.T) {
 	}
 	if n, isNil := d.Len(); n != 0 || isNil || d.Done() != nil {
 		t.Errorf("Len of an empty header = %d, %v", n, isNil)
+	}
+}
+
+// TestDecoderRefusesNonMinimalVarints: a varint whose final byte is
+// zero adds nothing, so accepting it would give one value two byte
+// images; the checkpoint image's canonical form depends on refusing it.
+func TestDecoderRefusesNonMinimalVarints(t *testing.T) {
+	nonMinimal := []byte{0x80, 0x00} // zero, padded to two bytes
+	for name, read := range map[string]func(*Decoder){
+		"Uvarint": func(d *Decoder) { d.Uvarint() },
+		"Varint":  func(d *Decoder) { d.Varint() },
+	} {
+		d := NewDecoder(nonMinimal)
+		read(d)
+		if d.Done() != ErrCorrupt {
+			t.Errorf("%s accepted the non-minimal encoding % x", name, nonMinimal)
+		}
+		d = NewDecoder([]byte{0x80, 0x01}) // 128 (or 64 zigzagged), minimal
+		read(d)
+		if err := d.Done(); err != nil {
+			t.Errorf("%s refused a minimal two-byte varint: %v", name, err)
+		}
+	}
+	for _, v := range []int64{0, -1, 1, -64, 64, math.MinInt64, math.MaxInt64} {
+		d := NewDecoder(binary.AppendVarint(nil, v))
+		if got := d.Varint(); got != v || d.Done() != nil {
+			t.Errorf("Varint(%d) decoded as %d", v, got)
+		}
 	}
 }
