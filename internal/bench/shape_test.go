@@ -91,3 +91,40 @@ func TestShapeGranularityAblation(t *testing.T) {
 		t.Errorf("fine read-only start delay (%v) should be well under half the coarse one (%v) on the skewed workload", fs, cs)
 	}
 }
+
+// TestShapeFig4QueriesStage asserts that Figure 4's Queries stage is
+// the statements' time and nothing else: it is the same at the 25% and
+// 100% update mixes, in every mode. The stage runs from the replica's
+// begin to the commit's arrival there, and a read's commit reaches the
+// replica on whatever request the gateway sends it next; the gateway
+// reports how long it held it, and the replica takes that out. A
+// Queries stage that kept the hold would grow as reads grow more common
+// — and most in ESC, whose long global waits leave the replicas' links
+// idle longest. Half Figure 4's testbed keeps the eight runs short.
+func TestShapeFig4QueriesStage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-point sweep")
+	}
+	prof := Profile{Scale: 1.0, Warmup: 150 * time.Millisecond, Measure: 450 * time.Millisecond}
+	queries := func(mode core.Mode, ratio int) time.Duration {
+		res, err := Run(Point{
+			Workload: "micro", Mode: mode,
+			Replicas: 4, Clients: 4,
+			UpdatePercent: ratio,
+		}, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Snapshot.StageMeans[metrics.StageQueries]
+	}
+	for _, mode := range Modes {
+		at25, at100 := queries(mode, 25), queries(mode, 100)
+		t.Logf("%s Queries stage: %v at 25%% updates, %v at 100%%", mode, at25, at100)
+		if at100 <= 0 {
+			t.Fatalf("%s: no Queries stage at 100%% updates", mode)
+		}
+		if r := float64(at25) / float64(at100); r < 0.75 || r > 1.25 {
+			t.Errorf("%s: Queries stage %v at 25%% updates is %.2f× its %v at 100%%, want within 25%%", mode, at25, r, at100)
+		}
+	}
+}

@@ -363,6 +363,11 @@ func (c *Cluster) NumReplicas() int { return len(c.nodes) }
 // Balancer exposes the load balancer.
 func (c *Cluster) Balancer() *lb.LoadBalancer { return c.gateway.Balancer() }
 
+// FlushEnds delivers at once the ends the gateway holds for its next
+// request to each replica (wire.Gateway.FlushEnds): transactions the
+// sessions have finished stop counting in the replicas' Active.
+func (c *Cluster) FlushEnds() { c.gateway.FlushEnds() }
+
 // Close stops the nodes in reverse construction order — each replica
 // node detaches its replica, stopping its appliers, and closes its
 // storage, the store a disk restart swapped in if there was one.

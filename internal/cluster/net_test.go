@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -183,17 +184,24 @@ func TestNetworkedSessionReconnect(t *testing.T) {
 
 // frameCounter counts the frames the dialing side of the client link
 // and of the replica links moves: socket writes plus non-empty reads,
-// one per request or response.
-type frameCounter struct{ client, replica atomic.Int64 }
+// one per request or response. On the replica links it leaves out the
+// gateway's status probes, request and answer: they belong to no
+// transaction, though they carry held ends like any request. It counts
+// the probes apart, and notes the link of the latest other request and
+// whether that request carried ends.
+type frameCounter struct {
+	client, replica, probes atomic.Int64
+	last                    atomic.Pointer[lastRequest]
+}
+
+type lastRequest struct {
+	link    string
+	carried bool
+}
 
 func (f *frameCounter) dialerFor(label string) wire.Dialer {
-	var n *atomic.Int64
-	switch {
-	case label == LinkClient:
-		n = &f.client
-	case strings.HasPrefix(label, "replica/"):
-		n = &f.replica
-	default:
+	isClient := label == LinkClient
+	if !isClient && !strings.HasPrefix(label, "replica/") {
 		return nil
 	}
 	return func(network, addr string) (net.Conn, error) {
@@ -201,7 +209,10 @@ func (f *frameCounter) dialerFor(label string) wire.Dialer {
 		if err != nil {
 			return nil, err
 		}
-		return &countedConn{Conn: c, n: n}, nil
+		if isClient {
+			return &countedConn{Conn: c, n: &f.client}, nil
+		}
+		return &replicaCountedConn{countedConn: countedConn{Conn: c, n: &f.replica}, f: f, link: label}, nil
 	}
 }
 
@@ -218,22 +229,68 @@ func (c *countedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write counts before it writes: a one-way frame's effect — the replica
+// Write counts before it writes: a one-way frame's effect — the gateway
 // ending the transaction — can outrun this goroutine's next statement.
 func (c *countedConn) Write(p []byte) (int, error) {
 	c.n.Add(1)
 	return c.Conn.Write(p)
 }
 
+// The replica link's request frames start with the u32 length, the
+// uvarint sequence number, the op byte and the flags byte; these are
+// internal/wire's status op and its flag for a request carrying ends.
+const (
+	wireOpStatus = 5
+	wireFlagEnds = 1 << 3
+)
+
+// replicaCountedConn is a countedConn on a replica link that reads each
+// request's op and flags. A connection runs one exchange at a time, so
+// the read after a status request is its answer.
+type replicaCountedConn struct {
+	countedConn
+	f            *frameCounter
+	link         string
+	hello, probe bool
+}
+
+func (c *replicaCountedConn) Read(p []byte) (int, error) {
+	if !c.probe {
+		return c.countedConn.Read(p)
+	}
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.probe = false
+	}
+	return n, err
+}
+
+func (c *replicaCountedConn) Write(p []byte) (int, error) {
+	if !c.hello {
+		c.hello = true
+		return c.countedConn.Write(p)
+	}
+	_, n := binary.Uvarint(p[4:])
+	if op, flags := p[4+n], p[5+n]; op == wireOpStatus {
+		c.probe = true
+		c.f.probes.Add(1)
+	} else {
+		c.f.last.Store(&lastRequest{link: c.link, carried: flags&wireFlagEnds != 0})
+		c.n.Add(1)
+	}
+	return c.Conn.Write(p)
+}
+
 // waitQuiet polls, within a bound, until no replica has a transaction
-// open. A transaction's last frame can be a one-way commit or abort —
-// nobody's round trip — so what it costs and leaves behind is read only
-// after it has arrived.
+// open, flushing the gateway's held ends each time. A transaction's last
+// client frame can be a one-way commit or abort — nobody's round trip —
+// and the gateway holds its end for a later request to the replica, so
+// what it costs and leaves behind is read only after it has arrived.
 func waitQuiet(t *testing.T, c *Cluster) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; i < c.NumReplicas(); i++ {
-		for c.Replica(i).Active() != 0 {
+		for c.FlushEnds(); c.Replica(i).Active() != 0; c.FlushEnds() {
 			if time.Now().After(deadline) {
 				t.Fatalf("replica %d still has %d open transactions", i, c.Replica(i).Active())
 			}
@@ -257,8 +314,8 @@ func waitApplied(t *testing.T, c *Cluster, v uint64) {
 }
 
 // framesOf runs txn three times and returns the fewest frames one run
-// moved on the client link and on the replica links: the gateway's
-// status probes share the replica links and can only add frames.
+// moved on the client link and on the replica links: a new pooled
+// connection's hello can only add frames.
 func framesOf(t *testing.T, c *Cluster, f *frameCounter, txn func()) (client, replica int64) {
 	client, replica = math.MaxInt64, math.MaxInt64
 	for i := 0; i < 3; i++ {
@@ -273,10 +330,12 @@ func framesOf(t *testing.T, c *Cluster, f *frameCounter, txn func()) (client, re
 
 // TestNetworkedFrameCounts pins what a transaction costs on the wire.
 // Begin rides on the first request, and a transaction that wrote nothing
-// ends with one frame — its commit, or any abort, is not answered: 2N+1
-// frames per link for N read statements, 2N+2 once one of them wrote, 2
-// for a bare commit (no response had said read-only yet), none for a bare
-// abort.
+// ends with one client frame — its commit, or any abort, is not answered
+// — and no replica frame: the gateway holds the end, and the next
+// request to that replica carries it. N read statements cost 2N+1 frames
+// on the client link and 2N on the replica link; 2N+2 on both once one
+// of them wrote; 2 for a bare commit (no response had said read-only
+// yet), none for a bare abort.
 func TestNetworkedFrameCounts(t *testing.T) {
 	var fc frameCounter
 	c := newNetClusterWith(t, core.Coarse, func(n *NetConfig) { n.DialerFor = fc.dialerFor })
@@ -318,26 +377,48 @@ func TestNetworkedFrameCounts(t *testing.T) {
 	}
 	const read1, read2, write = `SELECT v FROM kv WHERE k = 1`, `SELECT v FROM kv WHERE k = 2`, `UPDATE kv SET v = 'counted' WHERE k = 1`
 	for _, tc := range []struct {
-		name   string
-		txn    func()
-		frames int64
+		name            string
+		txn             func()
+		client, replica int64
 	}{
-		{"one read", run(true, read1), 3},
-		{"three reads", run(true, read1, read2, read1), 7},
-		{"read, update, read", run(false, read1, write, read2), 8},
+		{"one read", run(true, read1), 3, 2},
+		{"three reads", run(true, read1, read2, read1), 7, 6},
 		{"read, abort", func() {
 			tx := begin()
 			mustExec(tx, read1)
 			tx.Abort()
-		}, 3},
-		{"begin, commit", run(true), 2},
-		{"begin, abort", func() { begin().Abort() }, 0},
+		}, 3, 2},
+		{"read, update, read", run(false, read1, write, read2), 8, 8},
+		{"begin, commit", run(true), 2, 2},
+		{"begin, abort", func() { begin().Abort() }, 0, 0},
 	} {
 		client, replica := framesOf(t, c, &fc, tc.txn)
-		if client != tc.frames || replica != tc.frames {
+		if client != tc.client || replica != tc.replica {
 			t.Errorf("%s: %d client-link and %d replica-link frames, want %d and %d",
-				tc.name, client, replica, tc.frames, tc.frames)
+				tc.name, client, replica, tc.client, tc.replica)
 		}
+	}
+
+	// The next transaction routed to a replica carries, on its first
+	// request, the end of the read before it there — unless a status
+	// probe, due every 500ms, took it first. Ties in least-active routing
+	// rotate, so one-read transactions visit the replicas in turn.
+	heldSince := map[string]int64{} // replica link → probes when its latest read began
+	checked := 0
+	for i := 0; i < 4*c.NumReplicas(); i++ {
+		probes := fc.probes.Load()
+		run(true, read1)()
+		last := fc.last.Load()
+		if since, ok := heldSince[last.link]; ok && since == fc.probes.Load() {
+			if !last.carried {
+				t.Fatalf("read %d went to %s without the end of the read before it there", i, last.link)
+			}
+			checked++
+		}
+		heldSince[last.link] = probes
+	}
+	if checked == 0 {
+		t.Fatal("a status probe fell between every two reads on one replica; nothing checked")
 	}
 }
 

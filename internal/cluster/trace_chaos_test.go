@@ -81,13 +81,16 @@ func runTraceChaos(t *testing.T, seed int64) {
 	inj.SetActive(false)
 
 	// Drain: every refresh applied everywhere ends every refresh.apply
-	// span; only then is the full forest in the collectors.
+	// span, and every end the gateway held delivered — no transaction
+	// open anywhere — every replica.txn span; only then is the full
+	// forest in the collectors.
 	target := c.Certifier().Version()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
+		c.FlushEnds()
 		caughtUp := true
 		for i := 0; i < chaosReplicas; i++ {
-			if c.Replica(i).Version() < target {
+			if c.Replica(i).Version() < target || c.Replica(i).Active() != 0 {
 				caughtUp = false
 			}
 		}

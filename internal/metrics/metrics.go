@@ -69,11 +69,17 @@ type Timeline struct {
 	begin time.Time
 	// at[i] is visit i's start as an offset from begin; a visit ends
 	// where the next starts, the last at at[n] once stopped.
-	at      [numStages + 1]time.Duration
-	stage   [numStages]uint8
+	at    [numStages + 1]time.Duration
+	stage [numStages]uint8
+	// excised is the time Excise took out; offsets are wall time since
+	// begin less it.
+	excised time.Duration
 	n       uint8
 	stopped bool
 }
+
+// now is the current offset from begin.
+func (tl *Timeline) now() time.Duration { return time.Since(tl.begin) - tl.excised }
 
 // Enter ends the running visit, if any, and starts one to stage s.
 func (tl *Timeline) Enter(s Stage) {
@@ -83,7 +89,7 @@ func (tl *Timeline) Enter(s Stage) {
 	if tl.n == 0 {
 		tl.begin = time.Now()
 	} else {
-		tl.at[tl.n] = time.Since(tl.begin)
+		tl.at[tl.n] = tl.now()
 	}
 	tl.stage[tl.n] = uint8(s)
 	tl.n++
@@ -94,8 +100,19 @@ func (tl *Timeline) Stop() {
 	if tl.stopped || tl.n == 0 {
 		return
 	}
-	tl.at[tl.n] = time.Since(tl.begin)
+	tl.at[tl.n] = tl.now()
 	tl.stopped = true
+}
+
+// Excise takes d out of the running visit as time the transaction was
+// not in it: the visit ends d sooner than the next Enter or Stop, and
+// every later visit starts d sooner and keeps its own length. d is
+// capped at the running visit's length so far.
+func (tl *Timeline) Excise(d time.Duration) {
+	if tl.stopped || tl.n == 0 || d <= 0 {
+		return
+	}
+	tl.excised += min(d, tl.now()-tl.at[tl.n-1])
 }
 
 // Begin returns when the first visit started (zero if none did).

@@ -48,6 +48,54 @@ func TestTimelineAccumulates(t *testing.T) {
 	}
 }
 
+// TestTimelineExcise: excised time leaves the running visit, the visits
+// after it keep their lengths and start that much sooner, and an
+// excision longer than the visit so far empties it without reaching
+// back into the visits before it.
+func TestTimelineExcise(t *testing.T) {
+	var tl Timeline
+	tl.Enter(StageVersion)
+	time.Sleep(5 * time.Millisecond)
+	tl.Enter(StageQueries)
+	time.Sleep(40 * time.Millisecond)
+	tl.Excise(30 * time.Millisecond)
+	tl.Enter(StageCommit)
+	time.Sleep(10 * time.Millisecond)
+	tl.Stop()
+	version, queries, commit := tl.Stage(StageVersion), tl.Stage(StageQueries), tl.Stage(StageCommit)
+	if version < 5*time.Millisecond {
+		t.Fatalf("version stage = %v, want its own 5ms at least", version)
+	}
+	if queries < 10*time.Millisecond || queries >= 40*time.Millisecond {
+		t.Fatalf("queries stage = %v, want 40ms slept less 30ms excised", queries)
+	}
+	if commit < 10*time.Millisecond {
+		t.Fatalf("commit stage = %v, want its own 10ms at least", commit)
+	}
+	if _, start, _ := tl.Visit(2); start != version+queries {
+		t.Fatalf("commit starts at %v, want where queries ends (%v)", start, version+queries)
+	}
+	if tl.Total() != version+queries+commit {
+		t.Fatalf("total %v != sum of stages", tl.Total())
+	}
+
+	var capped Timeline
+	capped.Enter(StageVersion)
+	time.Sleep(5 * time.Millisecond)
+	capped.Enter(StageQueries)
+	capped.Excise(time.Hour)
+	capped.Stop()
+	if v, q := capped.Stage(StageVersion), capped.Stage(StageQueries); v < 5*time.Millisecond || q > time.Millisecond {
+		t.Fatalf("over-long excision: version %v, queries %v; want version kept, queries emptied", v, q)
+	}
+	// A stopped timeline no longer changes.
+	total := capped.Total()
+	capped.Excise(time.Millisecond)
+	if capped.Total() != total {
+		t.Fatalf("excision changed a stopped timeline: %v → %v", total, capped.Total())
+	}
+}
+
 func TestTimerReenterStage(t *testing.T) {
 	var tl Timeline
 	tl.Enter(StageSync)

@@ -639,6 +639,12 @@ func (t *Txn) outcome() string {
 // transaction has finished.
 func (t *Txn) Stages() metrics.Timeline { return t.stages }
 
+// Excise takes d out of the running stage: the caller held the
+// request that ends the transaction that long before passing it on, so
+// the stage ends where it would have had the request come at once, and
+// the stages after it keep their own lengths (metrics.Timeline.Excise).
+func (t *Txn) Excise(d time.Duration) { t.stages.Excise(d) }
+
 // waitSpans names the span that covers each stage spent waiting.
 var waitSpans = [...]string{
 	metrics.StageVersion: "replica.version_wait",

@@ -82,9 +82,12 @@ func frameCases() []struct {
 		{"clientResponse/zero", &clientResponse{}, &clientResponse{}},
 		{"clientResponse/emptyResult", &clientResponse{Result: &sql.Result{Columns: []string{}, Rows: [][]any{}}}, &clientResponse{}},
 		{"replicaRequest", &replicaRequest{Seq: 3, Op: opCommit, Begin: true, MinVersion: math.MaxUint64, Trace: sc,
-			TxnID: 77, SQL: "UPDATE kv SET v = ? WHERE k = ?", Params: edgeValues(), Eager: true}, &replicaRequest{}},
+			SQL: "UPDATE kv SET v = ? WHERE k = ?", Params: edgeValues(), Eager: true}, &replicaRequest{}},
+		{"replicaRequest/txn", &replicaRequest{Seq: 3, Op: opExec, TxnID: math.MaxUint64, SQL: "SELECT 1"}, &replicaRequest{}},
 		{"replicaRequest/zero", &replicaRequest{}, &replicaRequest{}},
-		{"replicaRequest/oneWay", &replicaRequest{Seq: 2, Op: opAbort, TxnID: 77, OneWay: true}, &replicaRequest{}},
+		{"replicaRequest/ends", &replicaRequest{Seq: 2, Op: opStatus, Ends: []replicaEnd{
+			{TxnID: 77}, {TxnID: math.MaxUint64, Abort: true, HeldUs: 1<<63 - 1}, {TxnID: 1<<56 + 3, HeldUs: 500_000}}}, &replicaRequest{}},
+		{"replicaRequest/emptyEnds", &replicaRequest{Seq: 2, Op: opExec, TxnID: 77, Ends: []replicaEnd{}}, &replicaRequest{}},
 		{"replicaResponse", &replicaResponse{Seq: 4, Err: "x", ErrCode: codeUnavailable, TxnID: 5, Snapshot: 6, Result: result,
 			Commit: replica.CommitResult{Version: math.MaxUint64, ReadOnly: true, WrittenTables: []string{"b", "a"},
 				TableVersions: map[string]uint64{"b": 2, "a": math.MaxUint64, "c": 0}},
@@ -221,14 +224,14 @@ func TestFrameHostileBytesRejected(t *testing.T) {
 		p[i] = b
 		return p
 	}
-	// oneWay is a one-way replica request with its flags byte replaced.
-	oneWay := func(flags byte) []byte {
-		p, _ := (&replicaRequest{Seq: 1, Op: opCommit, TxnID: 7, OneWay: true}).appendTo(nil)
+	// replicaFlags is a replica request with its flags byte replaced.
+	replicaFlags := func(flags byte) []byte {
+		p, _ := (&replicaRequest{Seq: 1, Op: opCommit, TxnID: 7}).appendTo(nil)
 		p[2] = flags
 		return p
 	}
-	if err := parsePayload(oneWay(flagOneWay|flagEager), &replicaRequest{}); err != nil {
-		t.Fatalf("one-way eager replica request: %v", err)
+	if err := parsePayload(replicaFlags(flagBegin|flagEager), &replicaRequest{}); err != nil {
+		t.Fatalf("eager replica request: %v", err)
 	}
 	bad := map[string]struct {
 		p []byte
@@ -237,11 +240,12 @@ func TestFrameHostileBytesRejected(t *testing.T) {
 		"unknown op byte":    {mutate(1, byte(numOps)), &clientRequest{}},
 		"unknown flag bits":  {mutate(2, 0x80), &clientRequest{}},
 		"client flag eager":  {mutate(2, flagOneWay|flagEager), &clientRequest{}},
-		"replica flag bits":  {oneWay(flagOneWay | flagReadOnly), &replicaRequest{}},
+		"replica flag bits":  {replicaFlags(flagEager | flagReadOnly), &replicaRequest{}},
+		"ends count > len":   {[]byte{1, byte(opStatus), flagEnds, 0, 0x7f, 1, 0, 0, 0}, &replicaRequest{}},
 		"tables count > len": {mutate(4, 0x7f), &clientRequest{}},
 		"unknown error code": {[]byte{1, 0, byte(numErrCodes), 0, 0, 0, 0, 0}, &clientResponse{}},
 		"huge varint count":  {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, new(refreshBatch)},
-		"unknown value tag":  {[]byte{1, 0, 0, 0, 0, 2, 9}, &replicaRequest{}},
+		"unknown value tag":  {[]byte{1, 0, 0, 0, 0, 2, 9, 2}, &replicaRequest{}},
 		"subAck flag bits":   {[]byte{flagAcks | 0x02, 7, 0}, &subAck{}},
 		"ack varint > 64 b":  {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, &appliedAck{}},
 	}

@@ -56,9 +56,10 @@ type clientRequest struct {
 	SQL    string
 	Params []any
 
-	// OneWay marks a frame that is not answered (see replicaRequest): an
-	// abort always, a commit when the open transaction's latest response
-	// said ReadOnly.
+	// OneWay marks a frame that is not answered: an abort always, a
+	// commit when the open transaction's latest response said ReadOnly.
+	// The client link is the only one with such frames; the gateway
+	// passes the end on to the replica as a replicaEnd.
 	OneWay bool
 }
 
@@ -176,22 +177,40 @@ func ServeGateway(addr string, mode core.Mode, replicaAddrs []string, opts ...Op
 }
 
 // Close stops the gateway: the probe loop, the listener and live client
-// sessions, and the replica connection pools.
+// sessions, then it flushes the held ends and closes the replica
+// connection pools.
 func (g *Gateway) Close() error {
 	close(g.stop)
 	err := g.server.Close()
+	g.FlushEnds()
 	for _, r := range g.replicas {
 		r.pool.close()
 	}
 	return err
 }
 
+// FlushEnds delivers every held end now: each replica holding one gets
+// a status probe, which carries them. The probe loop does the same
+// within one period; tests call this to reach quiescence without
+// waiting for it.
+func (g *Gateway) FlushEnds() {
+	for _, r := range g.replicas {
+		if r.holding() {
+			r.probe()
+		}
+	}
+}
+
 // Balancer exposes the LB (tests).
 func (g *Gateway) Balancer() *lb.LoadBalancer { return g.balancer }
 
-// probeLoop keeps replica health fresh so recovered replicas rejoin.
+// probePeriod is how often the gateway probes each replica's status.
+const probePeriod = 500 * time.Millisecond
+
+// probeLoop keeps replica health fresh so recovered replicas rejoin, and
+// bounds how long an end is held on an idle link: one probe period.
 func (g *Gateway) probeLoop() {
-	tick := time.NewTicker(500 * time.Millisecond)
+	tick := time.NewTicker(probePeriod)
 	defer tick.Stop()
 	for {
 		select {
@@ -239,8 +258,14 @@ func (g *Gateway) handle(fc *frameConn) {
 	defer g.sessions.Add(-1)
 	defer func() {
 		if sess.open {
-			sess.replica.send(&replicaRequest{Op: opAbort, TxnID: sess.txnID})
+			sess.replica.hold(sess.txnID, true)
 			sess.end()
+			select {
+			case <-g.stop:
+				// Close may have flushed already: no request follows.
+				sess.replica.probe()
+			default:
+			}
 		}
 		g.balancer.EndSession(sess.id)
 	}()
@@ -274,9 +299,9 @@ func (g *Gateway) handle(fc *frameConn) {
 // answered. That commit is local to the replica and its result is
 // already here, so the gateway does now what the commit response used to
 // make it do — before it reads the session's next request, the order an
-// answered commit gave — and passes the frame on to release the
-// snapshot. Anything else is refused: the caller closes the connection,
-// which aborts what was open.
+// answered commit gave — and holds the end for the next request to the
+// replica, which releases the snapshot there. Anything else is refused:
+// the caller closes the connection, which aborts what was open.
 func (g *Gateway) oneWay(sess *gatewaySession, req *clientRequest) bool {
 	switch {
 	case req.Begin:
@@ -290,7 +315,7 @@ func (g *Gateway) oneWay(sess *gatewaySession, req *clientRequest) bool {
 	g.obsReqs.Load().With(req.Op.String()).Inc()
 	if sess.open {
 		sess.end()
-		sess.replica.send(&replicaRequest{Op: req.Op, TxnID: sess.txnID})
+		sess.replica.hold(sess.txnID, req.Op == opAbort)
 	}
 	return true
 }

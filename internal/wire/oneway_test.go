@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"net"
 	"strconv"
 	"sync/atomic"
@@ -8,6 +9,8 @@ import (
 	"time"
 
 	"sconrep/internal/core"
+	"sconrep/internal/metrics"
+	"sconrep/internal/obs"
 	"sconrep/internal/obs/dtrace"
 )
 
@@ -144,11 +147,11 @@ func TestOneWayFrameOutOfPlaceClosesSession(t *testing.T) {
 	}
 }
 
-// TestReplicaOneWayCommitOfWriterAborts: a one-way commit has nobody to
-// hear a verdict, so a replica never certifies one — a transaction that
-// wrote is aborted — and writes nothing back: the next bytes on the
-// connection answer the next request.
-func TestReplicaOneWayCommitOfWriterAborts(t *testing.T) {
+// TestReplicaCommitEndOfWriterAborts: a commit end has nobody to hear
+// a verdict, so a replica never certifies one — a transaction that wrote
+// is aborted — and the request that carried it is answered for its own
+// operation, after the end ran.
+func TestReplicaCommitEndOfWriterAborts(t *testing.T) {
 	d := newDeployment(t, 1, core.Coarse)
 	v0 := d.cert.Version()
 	fc := rawPeer(t, d.repSrvs[0].Addr(), bareHello(linkReplica))
@@ -159,25 +162,257 @@ func TestReplicaOneWayCommitOfWriterAborts(t *testing.T) {
 	if err := fc.recv(&resp); err != nil || resp.Err != "" || resp.Commit.ReadOnly || d.replicas[0].Active() != 1 {
 		t.Fatalf("update: %+v, %v; %d active", resp, err, d.replicas[0].Active())
 	}
-	if err := fc.send(&replicaRequest{Seq: 2, Op: opCommit, TxnID: resp.TxnID, OneWay: true}); err != nil {
+	if err := fc.send(&replicaRequest{Seq: 2, Op: opStatus, Ends: []replicaEnd{{TxnID: resp.TxnID}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fc.send(&replicaRequest{Seq: 3, Op: opStatus}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.recv(&resp); err != nil || resp.Seq != 3 || resp.Active != 0 {
-		t.Fatalf("after the one-way commit: %+v, %v; want the status answer, nothing open", resp, err)
+	if err := fc.recv(&resp); err != nil || resp.Seq != 2 || resp.Active != 0 {
+		t.Fatalf("status carrying the commit end: %+v, %v; want nothing open", resp, err)
 	}
 	if v := d.cert.Version(); v != v0 {
-		t.Fatalf("certifier moved from version %d to %d: a one-way commit was certified", v0, v)
+		t.Fatalf("certifier moved from version %d to %d: a commit end was certified", v0, v)
 	}
 	if got := snapshotKV(t, d.replicas[0].Engine())[1]; got != "init" {
-		t.Fatalf("kv[1] = %q after an aborted one-way commit", got)
+		t.Fatalf("kv[1] = %q after an aborted commit end", got)
 	}
+}
 
-	// Any other one-way operation closes the connection.
-	if err := fc.send(&replicaRequest{Seq: 4, Op: opStatus, OneWay: true}); err != nil {
+// readTxn opens a read on the replica at addr over fc — the begin header
+// riding on the statement — and returns its TxnID.
+func readTxn(t *testing.T, fc *frameConn, seq uint64) uint64 {
+	t.Helper()
+	var resp replicaResponse
+	if err := fc.send(&replicaRequest{Seq: seq, Begin: true, Op: opExec, SQL: `SELECT v FROM kv WHERE k = 1`}); err != nil {
 		t.Fatal(err)
 	}
-	expectClosed(t, fc, "a one-way status")
+	if err := fc.recv(&resp); err != nil || resp.Err != "" || !resp.Commit.ReadOnly || resp.TxnID == 0 {
+		t.Fatalf("read: %+v, %v", resp, err)
+	}
+	return resp.TxnID
+}
+
+// status sends a status request carrying ends over fc and returns the
+// replica's answer.
+func status(t *testing.T, fc *frameConn, seq uint64, ends ...replicaEnd) *replicaResponse {
+	t.Helper()
+	var resp replicaResponse
+	if err := fc.send(&replicaRequest{Seq: seq, Op: opStatus, Ends: ends}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.recv(&resp); err != nil || resp.Seq != seq {
+		t.Fatalf("status: %+v, %v", resp, err)
+	}
+	return &resp
+}
+
+// TestHeldEndIdleBound: the end of a read with no traffic after it waits
+// for the gateway's next status probe, so its replica has it within one
+// probe period; FlushEnds and Close deliver it at once.
+func TestHeldEndIdleBound(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	rep := d.replicas[0]
+	// readThrough runs one read through gw and returns once the gateway
+	// has taken its one-way commit: the end is held from then on.
+	readThrough := func(gw *Gateway) time.Time {
+		t.Helper()
+		c, err := Dial(gw.Addr(), "idle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.Start("", nil, dtrace.SpanContext{})
+		if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := c.CommitEx(); err != nil || !info.ReadOnly {
+			t.Fatalf("commit = %+v, %v", info, err)
+		}
+		for gw.replicas[0].Active() != 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return time.Now()
+	}
+
+	t.Run("probe", func(t *testing.T) {
+		held := readThrough(d.gateway)
+		// Half a period on top is slack for a loaded scheduler.
+		for rep.Active() != 0 {
+			if time.Since(held) > probePeriod+probePeriod/2 {
+				t.Fatalf("replica still has the read open %v after the gateway took its commit; probe period %v", time.Since(held), probePeriod)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	t.Run("FlushEnds", func(t *testing.T) {
+		readThrough(d.gateway)
+		d.gateway.FlushEnds()
+		if n := rep.Active(); n != 0 {
+			t.Fatalf("replica has %d open transactions after FlushEnds", n)
+		}
+	})
+	t.Run("Close", func(t *testing.T) {
+		gw, err := ServeGateway("127.0.0.1:0", core.Coarse, []string{d.repSrvs[0].Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		readThrough(gw)
+		gw.Close()
+		if n := rep.Active(); n != 0 {
+			t.Fatalf("replica has %d open transactions after the gateway closed", n)
+		}
+	})
+	t.Run("Close with a read open", func(t *testing.T) {
+		gw, err := ServeGateway("127.0.0.1:0", core.Coarse, []string{d.repSrvs[0].Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(gw.Addr(), "open")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.Start("", nil, dtrace.SpanContext{})
+		if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil {
+			t.Fatal(err)
+		}
+		// The session's abort is held after Close has flushed, and no
+		// probe follows: the closing session delivers it itself.
+		gw.Close()
+		for deadline := time.Now().Add(probePeriod); rep.Active() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica still has %d open transactions %v after the gateway closed", rep.Active(), probePeriod)
+			}
+		}
+	})
+}
+
+// TestEndUnknownOrRepeatedIsNoop: an end naming a transaction the replica
+// does not hold — one already ended, or an ID it never issued — ends
+// nothing, and still counts as the request it stands for.
+func TestEndUnknownOrRepeatedIsNoop(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	reg := obs.NewRegistry()
+	d.repSrvs[0].EnableObs(reg)
+	count := func(o op) int64 { return d.repSrvs[0].obsReqs.Load().With(o.String()).Value() }
+	fc := rawPeer(t, d.repSrvs[0].Addr(), bareHello(linkReplica))
+	first := readTxn(t, fc, 1)
+	second := readTxn(t, fc, 2)
+	resp := status(t, fc, 3, replicaEnd{TxnID: first}, replicaEnd{TxnID: first}, replicaEnd{TxnID: first, Abort: true},
+		replicaEnd{TxnID: second + 1000}, replicaEnd{TxnID: 0, Abort: true})
+	if resp.Active != 1 {
+		t.Fatalf("%d open after ending the first read, then it again, then unknown IDs; want the second still open", resp.Active)
+	}
+	if c, a := count(opCommit), count(opAbort); c != 3 || a != 2 {
+		t.Fatalf("request counter: commit %d, abort %d; want each end counted (3 and 2)", c, a)
+	}
+	// The second read is untouched: it still answers a statement.
+	var exec replicaResponse
+	if err := fc.send(&replicaRequest{Seq: 4, Op: opExec, TxnID: second, SQL: `SELECT v FROM kv WHERE k = 2`}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.recv(&exec); err != nil || exec.Err != "" {
+		t.Fatalf("the second read after the stray ends: %+v, %v", exec, err)
+	}
+	if resp := status(t, fc, 5, replicaEnd{TxnID: second}); resp.Active != 0 {
+		t.Fatalf("%d open after the second read's end", resp.Active)
+	}
+}
+
+// TestFailedExchangeDropsEnds: ends go with the request that took them.
+// When its exchange fails they are dropped, never carried again: the
+// transaction stays open at the replica.
+func TestFailedExchangeDropsEnds(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	addr := d.repSrvs[0].Addr()
+	var refuse atomic.Bool
+	refuse.Store(true)
+	dial := func(network, a string) (net.Conn, error) {
+		if refuse.Load() {
+			return nil, errors.New("refused by the test")
+		}
+		return net.Dial(network, a)
+	}
+	o := buildOptions([]Option{WithDialer(dial)})
+	rr := newRemoteReplica(0, addr, &o)
+	defer rr.pool.close()
+
+	fc := rawPeer(t, addr, bareHello(linkReplica))
+	id := readTxn(t, fc, 1)
+	rr.hold(id, false)
+	if _, err := rr.call(&replicaRequest{Op: opStatus}); err == nil {
+		t.Fatal("the exchange succeeded over a refusing dialer")
+	}
+	refuse.Store(false)
+	rr.probe()
+	if !rr.healthy.Load() || rr.holding() {
+		t.Fatalf("after the refused exchange and a good probe: healthy %v, holding %v", rr.healthy.Load(), rr.holding())
+	}
+	if n := d.replicas[0].Active(); n != 1 {
+		t.Fatalf("replica has %d open, want the read whose end was dropped", n)
+	}
+	if resp := status(t, fc, 2, replicaEnd{TxnID: id}); resp.Active != 0 {
+		t.Fatalf("%d open after ending the read directly", resp.Active)
+	}
+}
+
+// TestHeldEndExcisedFromStages: the time the gateway held a read's end
+// is not Queries time. The end is held past 50ms; the replica's Queries
+// stage is the statement's, and Commit keeps its own length.
+func TestHeldEndExcisedFromStages(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	finished := make(chan metrics.Timeline, 1)
+	d.replicas[0].OnFinish(func(tl metrics.Timeline, committed, readOnly bool) {
+		if committed && readOnly {
+			finished <- tl
+		}
+	})
+	o := buildOptions(nil)
+	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &o)
+	defer rr.pool.close()
+	resp, err := rr.call(&replicaRequest{Begin: true, Op: opExec, SQL: `SELECT v FROM kv WHERE k = 1`})
+	if err != nil || !resp.Commit.ReadOnly {
+		t.Fatalf("read: %+v, %v", resp, err)
+	}
+	const hold = 60 * time.Millisecond
+	rr.hold(resp.TxnID, false)
+	time.Sleep(hold)
+	start := time.Now()
+	rr.probe()
+	carried := time.Since(start)
+	tl := <-finished
+	if q := tl.Stage(metrics.StageQueries); q >= hold-10*time.Millisecond {
+		t.Fatalf("Queries stage %v holds the %v the end was held", q, hold)
+	}
+	if c := tl.Stage(metrics.StageCommit); c <= 0 || c > carried {
+		t.Fatalf("Commit stage %v, want positive and within the %v exchange that carried it", c, carried)
+	}
+}
+
+// TestStaleTxnIDAfterRestartEndsNothing: transaction IDs do not repeat
+// across server incarnations. An end naming a transaction of the server
+// that last listened on an address — as a request retried on a fresh
+// dial after a restart would carry — ends nothing at the new one.
+func TestStaleTxnIDAfterRestartEndsNothing(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	addr := d.repSrvs[0].Addr()
+	old := rawPeer(t, addr, bareHello(linkReplica))
+	stale := readTxn(t, old, 1)
+	d.repSrvs[0].Close()
+	srv, err := ServeReplica(d.replicas[0], addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.repSrvs[0] = srv // closed by the deployment's cleanup
+	fc := rawPeer(t, addr, bareHello(linkReplica))
+	fresh := readTxn(t, fc, 1)
+	if fresh == stale {
+		t.Fatalf("the restarted server issued TxnID %d again", fresh)
+	}
+	status(t, fc, 2, replicaEnd{TxnID: stale})
+	var exec replicaResponse
+	if err := fc.send(&replicaRequest{Seq: 3, Op: opExec, TxnID: fresh, SQL: `SELECT v FROM kv WHERE k = 2`}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.recv(&exec); err != nil || exec.Err != "" {
+		t.Fatalf("the new server's read after a stale end: %+v, %v", exec, err)
+	}
 }

@@ -1,10 +1,10 @@
 package wire
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"log"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,33 +29,58 @@ type replicaRequest struct {
 	// Begin marks the begin header: the replica passes its serve gate,
 	// starts a transaction under MinVersion (the start delay), and runs
 	// Op in it. The response carries the new TxnID and Snapshot unless
-	// the request failed or ended the transaction.
+	// the request failed or ended the transaction. MinVersion travels
+	// only under Begin, and TxnID only without it.
 	Begin      bool
 	MinVersion uint64
 	// Trace is the caller's span context for the begin.
 	Trace dtrace.SpanContext
 
-	// exec / commit / abort (ignored under Begin)
-	TxnID  uint64
+	// exec / commit / abort
+	TxnID uint64
+	// Ends are transactions the gateway has finished without an answer
+	// from the replica — see replicaEnd. The replica runs them before
+	// Op, whatever Op is and whatever becomes of it.
+	Ends   []replicaEnd
 	SQL    string
 	Params []any
 	Eager  bool
+}
 
-	// OneWay marks a frame nobody waits on: no response is written. Only
-	// what needs no answer travels so — an abort, and the commit of a
-	// transaction that wrote nothing, whose outcome the last response
-	// already carried. A flag and not a rule both ends infer: a receiver
-	// that disagreed would desynchronize the Seq echo silently.
-	OneWay bool
+// replicaEnd ends one transaction whose end needs no answer: an abort,
+// or the commit of a transaction that had written nothing when the
+// replica last answered, whose outcome that answer already carried.
+// The gateway holds it until its next request to the replica, any
+// session's or its status probe, and that request carries it. A commit
+// end of a transaction that wrote aborts it — nobody could hear a
+// verdict, so it is never certified — and an end naming a TxnID the
+// replica does not know is a no-op.
+type replicaEnd struct {
+	TxnID uint64
+	Abort bool
+	// HeldUs is how long the gateway held the end, in microseconds on its
+	// own clock: the replica takes it out of the transaction's running
+	// stage (replica.Txn.Excise).
+	HeldUs uint64
 }
 
 func (r *replicaRequest) appendTo(buf []byte) ([]byte, error) {
 	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) |
-		flagIf(r.Eager, flagEager) | flagIf(r.OneWay, flagOneWay)
+		flagIf(r.Eager, flagEager) | flagIf(r.Ends != nil, flagEnds)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = appendSpan(append(buf, byte(r.Op), flags), flags, r.Trace)
-	buf = binary.AppendUvarint(buf, r.MinVersion)
-	buf = binary.AppendUvarint(buf, r.TxnID)
+	if r.Begin {
+		buf = binary.AppendUvarint(buf, r.MinVersion)
+	} else {
+		buf = binary.AppendUvarint(buf, r.TxnID)
+	}
+	if r.Ends != nil {
+		buf = binary.AppendUvarint(buf, uint64(len(r.Ends)))
+		for _, e := range r.Ends {
+			// The abort bit rides in the low bit of the hold.
+			buf = binary.AppendUvarint(binary.AppendUvarint(buf, e.TxnID), e.HeldUs<<1|uint64(flagIf(e.Abort, 1)))
+		}
+	}
 	buf = writeset.AppendString(buf, r.SQL)
 	return writeset.AppendRow(buf, r.Params)
 }
@@ -63,11 +88,26 @@ func (r *replicaRequest) appendTo(buf []byte) ([]byte, error) {
 func (r *replicaRequest) parse(d *writeset.Decoder) {
 	r.Seq = d.Uvarint()
 	r.Op = readOp(d)
-	flags := readFlags(d, flagBegin|flagTrace|flagEager|flagOneWay)
-	r.Begin, r.Eager, r.OneWay = flags&flagBegin != 0, flags&flagEager != 0, flags&flagOneWay != 0
+	flags := readFlags(d, flagBegin|flagTrace|flagEager|flagEnds)
+	r.Begin, r.Eager = flags&flagBegin != 0, flags&flagEager != 0
 	r.Trace = readSpan(d, flags)
-	r.MinVersion = d.Uvarint()
-	r.TxnID = d.Uvarint()
+	if r.Begin {
+		r.MinVersion = d.Uvarint()
+	} else {
+		r.TxnID = d.Uvarint()
+	}
+	if flags&flagEnds != 0 {
+		// An end takes two bytes at least.
+		if n := d.Uvarint(); n <= uint64(d.Remaining()/2) {
+			r.Ends = make([]replicaEnd, n)
+		} else {
+			d.Fail()
+		}
+		for i := 0; i < len(r.Ends) && !d.Failed(); i++ {
+			id, held := d.Uvarint(), d.Uvarint()
+			r.Ends[i] = replicaEnd{TxnID: id, Abort: held&1 != 0, HeldUs: held >> 1}
+		}
+	}
 	r.SQL = d.Str()
 	r.Params = d.Row()
 }
@@ -221,7 +261,9 @@ type ReplicaServer struct {
 	// txns maps wire txn IDs to open transactions.
 	// guarded by mu
 	txns map[uint64]*openTxn
-	// next is the last issued wire txn ID.
+	// next is the last issued wire txn ID. Its high bits are a random
+	// prefix drawn per server (incarnationPrefix), so an ID issued by an
+	// earlier process on the same address names nothing here.
 	// guarded by mu
 	next uint64
 	// stmts caches parses by statement text (string → *sql.Prepared):
@@ -237,9 +279,30 @@ func ServeReplica(rep *replica.Replica, addr string, opts ...Option) (*ReplicaSe
 	if err != nil {
 		return nil, err
 	}
-	s := &ReplicaServer{server: srv, rep: rep, txns: make(map[uint64]*openTxn)}
+	prefix, err := incarnationPrefix()
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
+	s := &ReplicaServer{server: srv, rep: rep, txns: make(map[uint64]*openTxn), next: prefix}
 	go s.acceptLoop(s.handle)
 	return s, nil
+}
+
+// incarnationPrefix draws the high bits of a server's transaction IDs:
+// 24 random bits above a 24-bit counter, so an ID is a 7-byte varint. A
+// request the gateway retries on a fresh connection after a replica
+// restart reaches the new process, and an end it carries must name none
+// of that process's transactions. Random, not counted: a restarted
+// process remembers nothing of the last. Two processes draw the same
+// prefix with chance 2^-24; a counter that outgrows its 24 bits carries
+// into the prefix, which keeps IDs unique within the process.
+func incarnationPrefix() (uint64, error) {
+	var b [4]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return 0, fmt.Errorf("wire: transaction ID prefix: %w", err)
+	}
+	return uint64(binary.LittleEndian.Uint32(b[:])&(1<<24-1)) << 24, nil
 }
 
 // prepared caches parses by statement text.
@@ -306,15 +369,11 @@ func (s *ReplicaServer) handle(fc *frameConn) {
 		if !guard.ok(req.Seq) {
 			return
 		}
-		if req.OneWay && (req.Begin || req.Op != opCommit && req.Op != opAbort) {
-			log.Printf("wire: replica %d: closing %s: one-way %q frame", s.rep.ID(), c.RemoteAddr(), req.Op)
-			return
-		}
 		c.SetReadDeadline(time.Time{})
-		resp := s.dispatch(&req)
-		if req.OneWay {
-			continue
+		for _, e := range req.Ends {
+			s.end(e)
 		}
+		resp := s.dispatch(&req)
 		resp.Seq = req.Seq
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
@@ -334,6 +393,30 @@ func ownStrings(params []any) []any {
 		}
 	}
 	return params
+}
+
+// end runs one end a request carried (see replicaEnd). It counts as the
+// commit or abort request it stands for.
+func (s *ReplicaServer) end(e replicaEnd) {
+	o := opCommit
+	if e.Abort {
+		o = opAbort
+	}
+	s.obsReqs.Load().With(o.String()).Inc()
+	ot, ok := s.getTxn(e.TxnID)
+	if !ok {
+		return
+	}
+	ot.mu.Lock()
+	defer ot.mu.Unlock()
+	tx := ot.tx
+	tx.Excise(time.Duration(e.HeldUs) * time.Microsecond)
+	if _, _, readOnly := tx.ReadOnlyCommit(); readOnly && !e.Abort {
+		tx.Commit(false)
+	} else {
+		tx.Abort()
+	}
+	s.dropTxn(e.TxnID)
 }
 
 // dispatch serves one request: the begin header, when present, opens
@@ -397,13 +480,6 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 		ended = errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed)
 	case opCommit:
 		ended = true
-		if req.OneWay {
-			if _, _, readOnly := tx.ReadOnlyCommit(); !readOnly {
-				// Nobody could hear the verdict: never certify.
-				tx.Abort()
-				break
-			}
-		}
 		resp.Touched = tx.Touched()
 		resp.Commit, err = tx.Commit(req.Eager)
 		resp.Snapshot = tx.Snapshot()
@@ -443,6 +519,20 @@ type remoteReplica struct {
 	pool    *connPool
 	active  atomic.Int64
 	healthy atomic.Bool
+
+	// mu is a leaf: it guards ends for one append or one take.
+	mu sync.Mutex
+	// ends are the transactions ended here whose replica has not heard
+	// so yet; the next request to the replica takes them all.
+	// guarded by mu
+	ends []heldEnd
+}
+
+// heldEnd is an end waiting for a request to carry it.
+type heldEnd struct {
+	txnID uint64
+	abort bool
+	since time.Time
 }
 
 func newRemoteReplica(id int, addr string, o *options) *remoteReplica {
@@ -461,17 +551,44 @@ func (r *remoteReplica) Active() int { return int(r.active.Load()) }
 // Crashed implements lb.Node.
 func (r *remoteReplica) Crashed() bool { return !r.healthy.Load() }
 
-// send puts req on the wire one-way: nothing comes back.
-func (r *remoteReplica) send(req *replicaRequest) {
-	req.OneWay = true
-	if err := r.pool.call(req, nil); err != nil {
-		r.healthy.Store(false)
-	}
+// hold queues the end of transaction txnID for the next request to the
+// replica.
+func (r *remoteReplica) hold(txnID uint64, abort bool) {
+	now := time.Now()
+	r.mu.Lock()
+	r.ends = append(r.ends, heldEnd{txnID: txnID, abort: abort, since: now})
+	r.mu.Unlock()
 }
 
-// call performs one exchange. An answered error comes back with its
-// response, a transport error without one.
+// holding reports whether any end waits for a request.
+func (r *remoteReplica) holding() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.ends) > 0
+}
+
+// takeEnds hands every held end to one request, each stamped with how
+// long it was held. They are delivered at most once: a request whose
+// exchange fails drops them, as the one-way frame they replace was.
+func (r *remoteReplica) takeEnds() []replicaEnd {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.ends) == 0 {
+		return nil
+	}
+	now := time.Now()
+	ends := make([]replicaEnd, len(r.ends))
+	for i, h := range r.ends {
+		ends[i] = replicaEnd{TxnID: h.txnID, Abort: h.abort, HeldUs: uint64(now.Sub(h.since) / time.Microsecond)}
+	}
+	r.ends = r.ends[:0]
+	return ends
+}
+
+// call performs one exchange, carrying every held end. An answered
+// error comes back with its response, a transport error without one.
 func (r *remoteReplica) call(req *replicaRequest) (*replicaResponse, error) {
+	req.Ends = r.takeEnds()
 	var resp replicaResponse
 	if err := r.pool.call(req, &resp); err != nil {
 		r.healthy.Store(false)
@@ -491,12 +608,9 @@ func (r *replicaResponse) refused() bool {
 
 // probe refreshes the health flag; the gateway calls it periodically
 // so crashed or gated replicas rejoin the routing set once they
-// recover or catch up.
+// recover or catch up, and the held ends it carries wait at most one
+// probe period.
 func (r *remoteReplica) probe() {
-	var resp replicaResponse
-	if err := r.pool.call(&replicaRequest{Op: opStatus}, &resp); err != nil {
-		r.healthy.Store(false)
-		return
-	}
-	r.healthy.Store(!resp.Crashed && resp.Ready)
+	resp, err := r.call(&replicaRequest{Op: opStatus})
+	r.healthy.Store(err == nil && !resp.Crashed && resp.Ready)
 }

@@ -25,13 +25,19 @@
 // first request. Neither is ending one that wrote nothing: a read-only
 // commit is local to its replica and has no verdict, so every response
 // that leaves such a transaction open already says what the commit
-// would return, and the commit — like any abort — is a request flagged
-// OneWay, which no hop answers. A one-way frame still takes a sequence
-// number, and a receiver closes the connection on one out of place.
+// would return. The client sends that commit — like any abort — as a
+// request flagged OneWay, which the gateway does not answer; a one-way
+// frame still takes a sequence number, and the gateway closes the
+// connection on one out of place. The gateway does not forward it as a
+// frame of its own: it holds the end for that replica, and its next
+// request there — any session's, the status probe within 500 ms, or a
+// flush on Close — carries every end held so far, which the replica
+// runs before the request's own operation. The replica link carries
+// requests and their answers only.
 //
 // Requests use small per-destination connection pools (one in-flight
-// call per connection, answered or not); refresh streaming uses one
-// dedicated connection per replica. Row values are []any restricted to
+// exchange per connection); refresh streaming uses one dedicated
+// connection per replica. Row values are []any restricted to
 // int64/float64/string/bool/nil, laid out by internal/writeset.
 package wire
 
@@ -44,8 +50,7 @@ import (
 )
 
 // connPool is a lazily grown pool of connections to one address. Each
-// call takes a connection for a full request/response exchange, or for
-// the one frame of a request that is not answered.
+// call takes a connection for a full request/response exchange.
 type connPool struct {
 	addr string
 	dial Dialer
@@ -139,9 +144,8 @@ func (p *connPool) put(rc *rpcConn) {
 	p.mu.Unlock()
 }
 
-// call performs one request/response exchange, or with a nil resp puts
-// a one-way request on the wire, under the Timeouts.Call deadline (zero
-// means none); on any error the connection is discarded. If the request
+// call performs one request/response exchange under the Timeouts.Call
+// deadline (zero means none); on any error the connection is discarded. If the request
 // fails to send on a pooled connection — the server likely reaped it
 // while idle — the exchange is retried once on a fresh connection; a
 // send that reached the wire is never retried here, so retry-safety
@@ -165,18 +169,16 @@ func (p *connPool) call(req request, resp response) error {
 			}
 			return fmt.Errorf("wire: send to %s: %w", p.addr, err)
 		}
-		if resp != nil {
-			if d > 0 {
-				rc.c.SetReadDeadline(time.Now().Add(d))
-			}
-			if err := rc.recv(resp); err != nil {
-				rc.c.Close()
-				return fmt.Errorf("wire: recv from %s: %w", p.addr, err)
-			}
-			if resp.seq() != rc.seq {
-				rc.c.Close()
-				return fmt.Errorf("wire: response out of sequence from %s (got %d, want %d)", p.addr, resp.seq(), rc.seq)
-			}
+		if d > 0 {
+			rc.c.SetReadDeadline(time.Now().Add(d))
+		}
+		if err := rc.recv(resp); err != nil {
+			rc.c.Close()
+			return fmt.Errorf("wire: recv from %s: %w", p.addr, err)
+		}
+		if resp.seq() != rc.seq {
+			rc.c.Close()
+			return fmt.Errorf("wire: response out of sequence from %s (got %d, want %d)", p.addr, resp.seq(), rc.seq)
 		}
 		if d > 0 {
 			rc.c.SetDeadline(time.Time{})

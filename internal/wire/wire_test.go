@@ -455,11 +455,14 @@ func TestClientErrorsWithoutTxn(t *testing.T) {
 
 // idle fails the test unless no transaction is open anywhere: neither in
 // the gateway's per-replica active counts (what the balancer routes by)
-// nor at a replica. It polls, within a bound: a transaction's last frame
-// can be a one-way commit or abort, which returns before it has arrived.
+// nor at a replica. It polls, within a bound, flushing the gateway's held
+// ends each time: a transaction's last frame can be a one-way commit or
+// abort, which returns before the gateway has read it, and the gateway
+// holds its end for a request to carry.
 func (d *deployment) idle(t *testing.T) {
 	t.Helper()
 	busy := func() bool {
+		d.gateway.FlushEnds()
 		for i, rr := range d.gateway.replicas {
 			if rr.Active() != 0 || d.replicas[i].Active() != 0 {
 				return true
