@@ -53,8 +53,8 @@ update-schema:
 # The same gate CI runs (.github/workflows/ci.yml): the end-to-end
 # benchmark smoke, then build, vet, sconrep-vet, formatting (fails on
 # any unformatted file), tests, the flake guard (25 runs of the tests
-# that ride a restart, a crashed replica, a lease or the gateway's probe
-# period), race tests. benchmark/ is
+# that ride a restart, a crashed replica, a lease or the probe period —
+# the gateway's, or a client's idle timer), race tests. benchmark/ is
 # a frozen nested module ./... does not reach; bench-e2e-smoke starts
 # by vetting it, so an API break it would not survive (a changed Begin
 # or Dispatch signature) is the first thing this target reports.
@@ -65,7 +65,7 @@ ci: bench-e2e-smoke
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test ./...
-	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/wire .
+	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/wire .
 	$(GO) test -race ./internal/...
 
 # Seeded chaos harness: fault-injected TPC-W over the networked

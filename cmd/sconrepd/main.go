@@ -341,8 +341,9 @@ func runClient(connect, session string, ncfg cluster.NetConfig) {
 			}
 			// Autocommit is one round trip for a read and two for an
 			// update: the begin header rides on the statement, a commit
-			// that wrote nothing is not answered, and a header request
-			// that fails leaves no transaction to abort.
+			// that wrote nothing sends nothing (its end rides on the next
+			// request), and a header request that fails leaves no
+			// transaction to abort.
 			c.Start("", nil, dtrace.SpanContext{})
 			res, err := c.Exec(line)
 			if err != nil {

@@ -188,10 +188,12 @@ func TestNetworkedSessionReconnect(t *testing.T) {
 // gateway's status probes, request and answer: they belong to no
 // transaction, though they carry held ends like any request. It counts
 // the probes apart, and notes the link of the latest other request and
-// whether that request carried ends.
+// whether that request carried ends; on the client link, whether the
+// latest request carried an end.
 type frameCounter struct {
 	client, replica, probes atomic.Int64
 	last                    atomic.Pointer[lastRequest]
+	clientEnd               atomic.Bool
 }
 
 type lastRequest struct {
@@ -210,7 +212,7 @@ func (f *frameCounter) dialerFor(label string) wire.Dialer {
 			return nil, err
 		}
 		if isClient {
-			return &countedConn{Conn: c, n: &f.client}, nil
+			return &clientCountedConn{countedConn: countedConn{Conn: c, n: &f.client}, f: f}, nil
 		}
 		return &replicaCountedConn{countedConn: countedConn{Conn: c, n: &f.replica}, f: f, link: label}, nil
 	}
@@ -229,20 +231,42 @@ func (c *countedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write counts before it writes: a one-way frame's effect — the gateway
-// ending the transaction — can outrun this goroutine's next statement.
 func (c *countedConn) Write(p []byte) (int, error) {
 	c.n.Add(1)
 	return c.Conn.Write(p)
 }
 
-// The replica link's request frames start with the u32 length, the
-// uvarint sequence number, the op byte and the flags byte; these are
-// internal/wire's status op and its flag for a request carrying ends.
+// Request frames on the client and replica links start with the u32
+// length, the uvarint sequence number, the op byte and the flags byte;
+// these are internal/wire's status op and its flag for a request
+// carrying ends — a client request's end has the same bit.
 const (
 	wireOpStatus = 5
 	wireFlagEnds = 1 << 3
 )
+
+// requestHead returns a request frame's op and flags bytes.
+func requestHead(p []byte) (op, flags byte) {
+	_, n := binary.Uvarint(p[4:])
+	return p[4+n], p[5+n]
+}
+
+// clientCountedConn is a countedConn on the client link that notes
+// whether each request after the hello carried an end.
+type clientCountedConn struct {
+	countedConn
+	f     *frameCounter
+	hello bool
+}
+
+func (c *clientCountedConn) Write(p []byte) (int, error) {
+	if c.hello {
+		_, flags := requestHead(p)
+		c.f.clientEnd.Store(flags&wireFlagEnds != 0)
+	}
+	c.hello = true
+	return c.countedConn.Write(p)
+}
 
 // replicaCountedConn is a countedConn on a replica link that reads each
 // request's op and flags. A connection runs one exchange at a time, so
@@ -270,8 +294,7 @@ func (c *replicaCountedConn) Write(p []byte) (int, error) {
 		c.hello = true
 		return c.countedConn.Write(p)
 	}
-	_, n := binary.Uvarint(p[4:])
-	if op, flags := p[4+n], p[5+n]; op == wireOpStatus {
+	if op, flags := requestHead(p); op == wireOpStatus {
 		c.probe = true
 		c.f.probes.Add(1)
 	} else {
@@ -282,10 +305,11 @@ func (c *replicaCountedConn) Write(p []byte) (int, error) {
 }
 
 // waitQuiet polls, within a bound, until no replica has a transaction
-// open, flushing the gateway's held ends each time. A transaction's last
-// client frame can be a one-way commit or abort — nobody's round trip —
-// and the gateway holds its end for a later request to the replica, so
-// what it costs and leaves behind is read only after it has arrived.
+// open, flushing the gateway's held ends each time. A read-only commit or
+// an abort sends nothing: a session that goes on holds its end for its
+// next request and an idle one sends it one probe period on, and then
+// the gateway holds it for a later request to the replica. Closing the
+// session sends it at once.
 func waitQuiet(t *testing.T, c *Cluster) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -315,13 +339,14 @@ func waitApplied(t *testing.T, c *Cluster, v uint64) {
 
 // framesOf runs txn three times and returns the fewest frames one run
 // moved on the client link and on the replica links: a new pooled
-// connection's hello can only add frames.
-func framesOf(t *testing.T, c *Cluster, f *frameCounter, txn func()) (client, replica int64) {
+// connection's hello can only add frames. Every frame counted is a
+// request or its answer, so a run's frames are all moved when it
+// returns; the end it leaves held rides on the next run's first request.
+func framesOf(f *frameCounter, txn func()) (client, replica int64) {
 	client, replica = math.MaxInt64, math.MaxInt64
 	for i := 0; i < 3; i++ {
 		c0, r0 := f.client.Load(), f.replica.Load()
 		txn()
-		waitQuiet(t, c)
 		client = min(client, f.client.Load()-c0)
 		replica = min(replica, f.replica.Load()-r0)
 	}
@@ -330,12 +355,12 @@ func framesOf(t *testing.T, c *Cluster, f *frameCounter, txn func()) (client, re
 
 // TestNetworkedFrameCounts pins what a transaction costs on the wire.
 // Begin rides on the first request, and a transaction that wrote nothing
-// ends with one client frame — its commit, or any abort, is not answered
-// — and no replica frame: the gateway holds the end, and the next
-// request to that replica carries it. N read statements cost 2N+1 frames
-// on the client link and 2N on the replica link; 2N+2 on both once one
-// of them wrote; 2 for a bare commit (no response had said read-only
-// yet), none for a bare abort.
+// ends with no frame on either link: the client holds its commit, or any
+// abort, and the session's next request carries it; the gateway holds
+// it in turn, and the next request to that replica carries it. N read
+// statements cost 2N frames on each link; 2N+2 on both once one of them
+// wrote; 2 for a bare commit (no response had said read-only yet), none
+// for a bare abort.
 func TestNetworkedFrameCounts(t *testing.T) {
 	var fc frameCounter
 	c := newNetClusterWith(t, core.Coarse, func(n *NetConfig) { n.DialerFor = fc.dialerFor })
@@ -360,7 +385,6 @@ func TestNetworkedFrameCounts(t *testing.T) {
 	tx := begin()
 	mustExec(tx, `SELECT v FROM kv WHERE k = 1`)
 	tx.Abort()
-	waitQuiet(t, c)
 
 	// run commits a transaction of the given statements.
 	run := func(readOnly bool, stmts ...string) func() {
@@ -381,22 +405,46 @@ func TestNetworkedFrameCounts(t *testing.T) {
 		txn             func()
 		client, replica int64
 	}{
-		{"one read", run(true, read1), 3, 2},
-		{"three reads", run(true, read1, read2, read1), 7, 6},
+		{"one read", run(true, read1), 2, 2},
+		{"three reads", run(true, read1, read2, read1), 6, 6},
 		{"read, abort", func() {
 			tx := begin()
 			mustExec(tx, read1)
 			tx.Abort()
-		}, 3, 2},
+		}, 2, 2},
 		{"read, update, read", run(false, read1, write, read2), 8, 8},
 		{"begin, commit", run(true), 2, 2},
 		{"begin, abort", func() { begin().Abort() }, 0, 0},
 	} {
-		client, replica := framesOf(t, c, &fc, tc.txn)
+		client, replica := framesOf(&fc, tc.txn)
 		if client != tc.client || replica != tc.replica {
 			t.Errorf("%s: %d client-link and %d replica-link frames, want %d and %d",
 				tc.name, client, replica, tc.client, tc.replica)
 		}
+	}
+
+	// The session's next transaction carries, on its first request, the
+	// end of the read before it; a transaction's later requests carry
+	// none.
+	commit := func(tx *Tx) {
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ended := range []func(*Tx){commit, (*Tx).Abort} {
+		tx := begin()
+		mustExec(tx, read1)
+		ended(tx)
+		tx = begin()
+		mustExec(tx, read2)
+		if !fc.clientEnd.Load() {
+			t.Fatal("the first request after a read's end carried no end")
+		}
+		mustExec(tx, read1)
+		if fc.clientEnd.Load() {
+			t.Fatal("a transaction's second request carried an end")
+		}
+		tx.Abort()
 	}
 
 	// The next transaction routed to a replica carries, on its first
@@ -796,14 +844,20 @@ func (c *mangledConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestNetworkedOneWayFrameLostOrDoubled: a one-way frame has no response
-// to miss, but it consumes a sequence number like any other. Dropped, it
-// is a gap at the session's next frame; doubled, a repeat at once. Either
-// way the gateway closes the connection — which aborts what the lost
-// commit left open — and the session goes on under a new epoch.
+// TestNetworkedOneWayFrameLostOrDoubled: no client frame goes
+// unanswered; a read's commit sends nothing, and its end rides on the
+// session's next request. That frame, lost, is a request whose answer
+// never comes: the call times out, and the transaction it began is
+// retried on a fresh connection. Doubled, it is answered once and then a
+// repeat, on which the gateway closes the connection, and the session's
+// next request finds it closed. Either way the closed connection aborts
+// what the lost end left open, and the session goes on under a new
+// epoch.
 func TestNetworkedOneWayFrameLostOrDoubled(t *testing.T) {
 	var m mangleWrites
 	c := newNetClusterWith(t, core.Session, func(n *NetConfig) {
+		// A lost request costs one call timeout.
+		n.Timeouts.Call = 2 * time.Second
 		n.DialerFor = func(link string) wire.Dialer {
 			if link == LinkClient {
 				return m.dial
@@ -825,23 +879,16 @@ func TestNetworkedOneWayFrameLostOrDoubled(t *testing.T) {
 	}
 	read()
 	for epoch, arm := range []*atomic.Bool{&m.drop, &m.dup} {
-		// The armed frame is the read's commit: the statement before it
-		// was answered. The commit reports success either way — the read
-		// saw one consistent snapshot and has no effect.
-		tx, _ := s.Begin("")
-		if _, err := tx.ExecSQL(`SELECT v FROM kv WHERE k = 1`); err != nil {
-			t.Fatal(err)
-		}
+		// The armed frame is the next read's first request, which carries
+		// the end of the read before it: that read's commit sent nothing.
 		arm.Store(true)
-		if res, err := tx.Commit(); err != nil || !res.ReadOnly {
-			t.Fatalf("commit = %+v, %v", res, err)
-		}
+		read()
 		if arm.Load() {
-			t.Fatal("the commit wrote no frame")
+			t.Fatal("the read wrote no frame")
 		}
-		// The next transaction's first request finds the connection
-		// closed, or is the frame that shows the gap; it carries no
-		// commit, so it is retried on a fresh connection.
+		// Lost, the request was retried on a fresh connection; doubled,
+		// it was answered, and this read's first request finds the
+		// connection closed. It carries no commit, so it is retried too.
 		read()
 		if got, want := s.effectiveID(), fmt.Sprintf("mangled#%d", epoch+1); got != want {
 			t.Fatalf("session runs as %q, want %q", got, want)
@@ -851,6 +898,49 @@ func TestNetworkedOneWayFrameLostOrDoubled(t *testing.T) {
 	if violations := history.CheckMonotonicSessions(c.Recorder().Events()); len(violations) != 0 {
 		t.Fatalf("monotonic-session violations: %v", violations)
 	}
+}
+
+// TestNetworkedHeldEndConnectionLost: a session whose connection breaks
+// while its client holds a read's end reconnects under a new epoch, and
+// the end, never delivered, leaves nothing open: the gateway aborts the
+// read when the connection goes.
+func TestNetworkedHeldEndConnectionLost(t *testing.T) {
+	var conn atomic.Pointer[net.Conn]
+	c := newNetClusterWith(t, core.Session, func(n *NetConfig) {
+		n.DialerFor = func(link string) wire.Dialer {
+			if link != LinkClient {
+				return nil
+			}
+			return func(network, addr string) (net.Conn, error) {
+				nc, err := net.Dial(network, addr)
+				if err == nil {
+					conn.Store(&nc)
+				}
+				return nc, err
+			}
+		}
+	})
+	s := c.SessionWithID("severed")
+	tx, _ := s.Begin("")
+	if _, err := tx.ExecSQL(`SELECT v FROM kv WHERE k = 1`); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := tx.Commit(); err != nil || !res.ReadOnly {
+		t.Fatalf("commit = %+v, %v", res, err)
+	}
+	(*conn.Load()).Close()
+	tx, _ = s.Begin("")
+	if _, err := tx.ExecSQL(`SELECT v FROM kv WHERE k = 2`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.effectiveID(); got != "severed#1" {
+		t.Fatalf("session runs as %q, want %q", got, "severed#1")
+	}
+	s.Close()
+	waitQuiet(t, c)
 }
 
 // TestNetworkedParamTypes: a statement takes every parameter type the
@@ -932,7 +1022,9 @@ func TestNetworkedStageMeans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A read's commit is a one-way frame: its replica finishes it later.
+	// A read's commit sends nothing: its replica finishes it when its end
+	// arrives, which closing the session sends.
+	s.Close()
 	waitQuiet(t, c)
 	snap := c.Collector().Snapshot()
 	for _, st := range []metrics.Stage{metrics.StageVersion, metrics.StageQueries, metrics.StageCertify, metrics.StageCommit} {
@@ -947,8 +1039,9 @@ func TestNetworkedStageMeans(t *testing.T) {
 
 // TestLinkChargesOneWay pins the latency model's network charge: with
 // only OneWay set, every message pays it once, on the link that carries
-// it. A one-statement read pays 5 (client → gateway → replica and back,
-// then the one-way commit frame); a one-statement update pays 10 (the
+// it. A one-statement read pays 4 (client → gateway → replica and back;
+// its commit sends nothing, and its end rides on the update's first
+// request, which pays its own delay); a one-statement update pays 10 (the
 // statement's 4, and the commit's client → gateway → replica →
 // certifier and back); under ESC with a second replica the update's
 // commit also waits for the refresh → apply ack → global-commit notice
@@ -961,8 +1054,8 @@ func TestLinkChargesOneWay(t *testing.T) {
 		replicas     int
 		read, update int
 	}{
-		{core.Coarse, 1, 5, 10},
-		{core.Eager, 2, 5, 12},
+		{core.Coarse, 1, 4, 10},
+		{core.Eager, 2, 4, 12},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			c, err := New(Config{Replicas: tc.replicas, Mode: tc.mode, Latency: latency.Model{OneWay: ow}})

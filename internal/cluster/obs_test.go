@@ -174,8 +174,9 @@ func TestBeginTablesRouteSpan(t *testing.T) {
 			_, wrote := run(tc.update)
 			tx, _ := run(tc.read)
 
-			// A networked read's commit is a one-way frame: replica.txn ends
-			// when the replica gets to it, not when Commit returns.
+			// A networked read's commit sends nothing: replica.txn ends when
+			// the end reaches the replica — on the session's next request, or
+			// one probe period on — not when Commit returns.
 			byName := map[string]dtrace.Span{}
 			for deadline := time.Now().Add(5 * time.Second); byName["replica.txn"].ID.IsZero() && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 				for _, coll := range colls {

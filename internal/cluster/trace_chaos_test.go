@@ -81,9 +81,10 @@ func runTraceChaos(t *testing.T, seed int64) {
 	inj.SetActive(false)
 
 	// Drain: every refresh applied everywhere ends every refresh.apply
-	// span, and every end the gateway held delivered — no transaction
-	// open anywhere — every replica.txn span; only then is the full
-	// forest in the collectors.
+	// span, and every end delivered — each browser's Close sent the end
+	// its client held, and the gateway's are flushed: no transaction open
+	// anywhere — every replica.txn span; only then is the full forest in
+	// the collectors.
 	target := c.Certifier().Version()
 	deadline := time.Now().Add(10 * time.Second)
 	for {

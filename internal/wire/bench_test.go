@@ -216,9 +216,9 @@ func countingDialer(n *atomic.Int64) Dialer {
 // over loopback TCP. On the two request links (client → gateway →
 // replica and back): an eager begin and its abort, and a one-statement
 // read transaction whose begin rides on the statement — one round trip
-// each and then a client frame nobody waits for, the abort or the
-// read-only commit, whose end rides on the gateway's next request to the
-// replica; the read reports every frame the client link moved. With the
+// each, and the abort or the read-only commit sends nothing: its end
+// rides on the next transaction's first request; the read reports every
+// frame the client link moved. With the
 // certifier links behind them: a one-statement update on three replicas,
 // which adds an answered commit, the certify exchange and the refresh
 // fan-out, and reports every frame the certifier links moved — under

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,10 +18,27 @@ type Client struct {
 	conn net.Conn
 	fc   *frameConn
 	to   Timeouts
-	seq  uint64
 	// broken is set on any transport error: the session's gateway state
 	// is unknown and the caller must reconnect with a fresh session.
 	broken atomic.Bool
+	// mu is held across each exchange, request and answer: the session's
+	// own and the idle timer's.
+	mu sync.Mutex
+	// guarded by mu
+	seq uint64
+	// end is the end of the session's latest transaction when that needed
+	// no answer — a read-only commit or an abort — while no request has
+	// carried it yet; holding says one is held, since when.
+	// guarded by mu
+	end clientEnd
+	// guarded by mu
+	holding bool
+	// guarded by mu
+	since time.Time
+	// idle sends a held end on a request of its own once it has been held
+	// for probePeriod; nil until the first end is held.
+	// guarded by mu
+	idle *time.Timer
 	// pending is the begin header armed by Start and not yet sent.
 	pending *clientRequest
 	// snapshot is the latest transaction's begin snapshot.
@@ -27,10 +46,13 @@ type Client struct {
 	// readOnly: the latest response left a transaction open that had
 	// written nothing, with readTables its observed table-set. Committing
 	// it is local to its replica (§IV) and everything the commit response
-	// would say is already here, so that commit is a one-way frame.
+	// would say is already here, so that commit is an end the client
+	// holds.
 	readOnly   bool
 	readTables []string
 }
+
+var errBroken = errors.New("wire: session broken, reconnect")
 
 // Dial opens a session against a gateway.
 func Dial(addr, sessionID string, opts ...Option) (*Client, error) {
@@ -51,26 +73,39 @@ func Dial(addr, sessionID string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Close ends the session.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close ends the session. A held end goes out first, on a request of its
+// own, so the replica releases the snapshot now; if it cannot, the
+// gateway aborts the transaction when the connection closes.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	if c.holding && !c.broken.Load() {
+		c.exchange(&clientRequest{})
+	}
+	if c.idle != nil {
+		c.idle.Stop()
+	}
+	c.mu.Unlock()
+	return c.conn.Close()
+}
 
 // Broken reports whether the session hit a transport error. A broken
 // client cannot be reused: the gateway may have already aborted the
 // open transaction and dropped the session's version floor.
 func (c *Client) Broken() bool { return c.broken.Load() }
 
-// send puts one request on the wire, the armed begin header riding on
-// it. It is all there is to a one-way request, and the first half of
-// call.
-func (c *Client) send(req *clientRequest) error {
+// exchange puts req on the wire, carrying the held end, and reads its
+// answer. Caller holds mu. A held end is delivered at most once: an
+// exchange that fails drops it, and the gateway aborts what was open
+// when the connection goes.
+func (c *Client) exchange(req *clientRequest) (*clientResponse, error) {
 	if c.broken.Load() {
-		return fmt.Errorf("wire: session broken, reconnect")
+		return nil, errBroken
 	}
-	if hdr := c.pending; hdr != nil {
-		c.pending = nil
-		req.Begin, req.TxnName, req.Tables, req.Trace = true, hdr.TxnName, hdr.Tables, hdr.Trace
+	if c.holding {
+		c.holding = false
+		c.end.HeldUs = uint64(time.Since(c.since) / time.Microsecond)
+		req.End = &c.end
 	}
-	c.readOnly = false
 	c.seq++
 	req.Seq = c.seq
 	if d := c.to.Call; d > 0 {
@@ -78,21 +113,7 @@ func (c *Client) send(req *clientRequest) error {
 	}
 	if err := c.fc.send(req); err != nil {
 		c.broken.Store(true)
-		return fmt.Errorf("wire: send: %w", err)
-	}
-	return nil
-}
-
-// sendOneWay sends a request the gateway does not answer.
-func (c *Client) sendOneWay(o op) error {
-	err := c.send(&clientRequest{Op: o, OneWay: true})
-	c.conn.SetWriteDeadline(time.Time{})
-	return err
-}
-
-func (c *Client) call(req clientRequest) (*clientResponse, error) {
-	if err := c.send(&req); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wire: send: %w", err)
 	}
 	if d := c.to.Call; d > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(d))
@@ -107,14 +128,62 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 		return nil, fmt.Errorf("wire: response out of sequence (got %d, want %d)", resp.Seq, c.seq)
 	}
 	c.conn.SetDeadline(time.Time{})
+	return &resp, nil
+}
+
+// call performs one exchange for the session, the armed begin header
+// riding on it.
+func (c *Client) call(req clientRequest) (*clientResponse, error) {
+	if hdr := c.pending; hdr != nil {
+		c.pending = nil
+		req.Begin, req.TxnName, req.Tables, req.Trace = true, hdr.TxnName, hdr.Tables, hdr.Trace
+	}
+	c.readOnly = false
+	c.mu.Lock()
+	resp, err := c.exchange(&req)
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	if resp.Err != "" {
-		return &resp, decodeErr(resp.ErrCode, resp.Err)
+		return resp, decodeErr(resp.ErrCode, resp.Err)
 	}
 	if req.Begin {
 		c.snapshot = resp.Snapshot
 	}
 	c.readOnly, c.readTables = resp.ReadOnly && req.Op != opCommit, resp.ReadTables
-	return &resp, nil
+	return resp, nil
+}
+
+// hold holds the end of the open transaction for the session's next
+// request and sets the idle timer to fire probePeriod from now. A second
+// end before any request ends nothing — no transaction was opened in
+// between — so the first is kept.
+func (c *Client) hold(abort bool) {
+	c.readOnly = false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.holding {
+		return
+	}
+	c.end, c.holding, c.since = clientEnd{Abort: abort}, true, time.Now()
+	if c.idle == nil {
+		c.idle = time.AfterFunc(probePeriod, c.sendIdle)
+	} else {
+		c.idle.Reset(probePeriod)
+	}
+}
+
+// sendIdle runs on the idle timer: a held end goes out on an answered
+// request that carries nothing else, so an idle session pins no snapshot
+// at its replica. An error marks the session broken, and its next call
+// reports it.
+func (c *Client) sendIdle() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.holding {
+		c.exchange(&clientRequest{})
+	}
 }
 
 // RegisterTxn declares a named transaction's table-set at the gateway
@@ -194,13 +263,11 @@ func (c *Client) Commit() (version uint64, readOnly bool, err error) {
 
 // CommitEx finishes the open transaction and returns the full commit
 // observation. A transaction that wrote nothing commits without a round
-// trip: the frame goes out at once — an idle session must not pin a
-// snapshot at its replica — and nobody waits for an answer.
+// trip and without a frame: the client holds its end, and the session's
+// next request carries it (see hold).
 func (c *Client) CommitEx() (CommitInfo, error) {
 	if c.readOnly && c.pending == nil {
-		if err := c.sendOneWay(opCommit); err != nil {
-			return CommitInfo{}, err
-		}
+		c.hold(false)
 		return CommitInfo{Version: c.snapshot, ReadOnly: true, Snapshot: c.snapshot, ReadTables: c.readTables}, nil
 	}
 	resp, err := c.call(clientRequest{Op: opCommit})
@@ -216,13 +283,18 @@ func (c *Client) CommitEx() (CommitInfo, error) {
 	}, nil
 }
 
-// Abort discards the open transaction, one-way: there is nothing to
-// learn from an answer. One whose begin header never went out exists
-// only here, so nothing is sent.
+// Abort discards the open transaction without a frame: there is nothing
+// to learn from an answer, so the client holds its end like a read-only
+// commit's. One whose begin header never went out exists only here, so
+// nothing is held.
 func (c *Client) Abort() error {
 	if c.pending != nil {
 		c.pending = nil
 		return nil
 	}
-	return c.sendOneWay(opAbort)
+	if c.broken.Load() {
+		return errBroken
+	}
+	c.hold(true)
+	return nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"net"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -14,14 +15,15 @@ import (
 	"sconrep/internal/obs/dtrace"
 )
 
-// TestOneWayCommitFeedsSessionFloor: a read committed one-way raises the
-// session's floor exactly as the answered commit did, though no commit
-// response is ever sent. The data was loaded under the balancer's feet
+// TestCarriedEndFeedsSessionFloor: a read-only commit sends nothing, and
+// the session's next request, which carries its end, raises the
+// session's floor before that request's transaction is routed — as the
+// answered commit did. The data was loaded under the balancer's feet
 // (version 1, never observed), so the floor the second transaction is
 // routed with can only have come from the first one's observation: the
 // session version under SC, the read table's per-session version under
 // FSC.
-func TestOneWayCommitFeedsSessionFloor(t *testing.T) {
+func TestCarriedEndFeedsSessionFloor(t *testing.T) {
 	for _, mode := range []core.Mode{core.Session, core.Fine} {
 		t.Run(mode.String(), func(t *testing.T) {
 			d := newDeployment(t, 2, mode)
@@ -60,8 +62,8 @@ func TestOneWayCommitFeedsSessionFloor(t *testing.T) {
 			if err != nil || !info.ReadOnly || info.Version != snap {
 				t.Fatalf("commit = %+v, %v", info, err)
 			}
-			if got := frames.Load() - before; got != 1 {
-				t.Fatalf("a read-only commit moved %d client-link frames, want the one it sent", got)
+			if got := frames.Load() - before; got != 0 {
+				t.Fatalf("a read-only commit moved %d client-link frames, want none", got)
 			}
 			if min2, _ := routedAt(); min2 < snap {
 				t.Fatalf("next transaction routed with MinVersion %d, want >= %d, the snapshot the session read at", min2, snap)
@@ -98,22 +100,24 @@ func expectClosed(t *testing.T, fc *frameConn, after string) {
 	}
 }
 
-// TestOneWayFrameOutOfPlaceClosesSession: only an abort, and the commit
-// of an open transaction whose latest response said read-only, may go
-// unanswered. The gateway closes the connection on anything else — it
-// guesses nothing about a peer that disagrees on who answers what — and
-// the close aborts what was open; nothing reaches the certifier.
-func TestOneWayFrameOutOfPlaceClosesSession(t *testing.T) {
+// TestCarriedEndOutOfPlaceClosesSession: only an abort, and the commit
+// of an open transaction whose latest response said read-only, may travel
+// as an end. The gateway closes the connection on a commit end of a
+// transaction that wrote, or with nothing open, whatever request carries
+// it — it guesses nothing about a peer that disagrees on who answers
+// what — and the close aborts what was open; nothing reaches the
+// certifier, and the carrying request does not run.
+func TestCarriedEndOutOfPlaceClosesSession(t *testing.T) {
 	const read, write = `SELECT v FROM kv WHERE k = 1`, `UPDATE kv SET v = 'hostile' WHERE k = 1`
 	for _, tc := range []struct {
-		name   string
-		first  *clientRequest // answered, opens the transaction; nil: none
-		oneWay clientRequest
+		name    string
+		first   *clientRequest // answered, opens the transaction; nil: none
+		carrier clientRequest  // carries a commit end
 	}{
-		{"commit after an update", &clientRequest{Begin: true, Op: opExec, SQL: write}, clientRequest{Op: opCommit}},
-		{"exec", &clientRequest{Begin: true, Op: opExec, SQL: read}, clientRequest{Op: opExec, SQL: write}},
-		{"begin header", nil, clientRequest{Begin: true, Op: opCommit}},
-		{"commit with nothing open", nil, clientRequest{Op: opCommit}},
+		{"commit after an update", &clientRequest{Begin: true, Op: opExec, SQL: write}, clientRequest{}},
+		{"exec", &clientRequest{Begin: true, Op: opExec, SQL: write}, clientRequest{Op: opExec, SQL: read}},
+		{"begin header", &clientRequest{Begin: true, Op: opExec, SQL: write}, clientRequest{Begin: true, Op: opExec, SQL: read}},
+		{"commit with nothing open", nil, clientRequest{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newDeployment(t, 1, core.Coarse)
@@ -134,11 +138,11 @@ func TestOneWayFrameOutOfPlaceClosesSession(t *testing.T) {
 					t.Fatalf("response to a statement that wrote=%v says ReadOnly=%v", wrote, resp.ReadOnly)
 				}
 			}
-			tc.oneWay.Seq, tc.oneWay.OneWay = seq+1, true
-			if err := fc.send(&tc.oneWay); err != nil {
+			tc.carrier.Seq, tc.carrier.End = seq+1, &clientEnd{}
+			if err := fc.send(&tc.carrier); err != nil {
 				t.Fatal(err)
 			}
-			expectClosed(t, fc, "a one-way frame out of place")
+			expectClosed(t, fc, "a commit end out of place")
 			d.idle(t)
 			if v := d.cert.Version(); v != v0 {
 				t.Fatalf("certifier moved from version %d to %d", v0, v)
@@ -204,14 +208,16 @@ func status(t *testing.T, fc *frameConn, seq uint64, ends ...replicaEnd) *replic
 	return &resp
 }
 
-// TestHeldEndIdleBound: the end of a read with no traffic after it waits
-// for the gateway's next status probe, so its replica has it within one
-// probe period; FlushEnds and Close deliver it at once.
+// TestHeldEndIdleBound: the end of a read that the gateway holds, with no
+// request to its replica after it, waits for the gateway's next status
+// probe, so the replica has it within one probe period; FlushEnds and
+// Close deliver it at once.
 func TestHeldEndIdleBound(t *testing.T) {
 	d := newDeployment(t, 1, core.Coarse)
 	rep := d.replicas[0]
 	// readThrough runs one read through gw and returns once the gateway
-	// has taken its one-way commit: the end is held from then on.
+	// has taken its commit end, carried on a register request, which
+	// sends nothing to a replica: the gateway holds the end from then on.
 	readThrough := func(gw *Gateway) time.Time {
 		t.Helper()
 		c, err := Dial(gw.Addr(), "idle")
@@ -226,8 +232,11 @@ func TestHeldEndIdleBound(t *testing.T) {
 		if info, err := c.CommitEx(); err != nil || !info.ReadOnly {
 			t.Fatalf("commit = %+v, %v", info, err)
 		}
-		for gw.replicas[0].Active() != 0 {
-			time.Sleep(100 * time.Microsecond)
+		if err := c.RegisterTxn("carrier", []string{"kv"}); err != nil {
+			t.Fatal(err)
+		}
+		if n := gw.replicas[0].Active(); n != 0 {
+			t.Fatalf("gateway counts %d open on the replica after the register request carried the end", n)
 		}
 		return time.Now()
 	}
@@ -285,6 +294,166 @@ func TestHeldEndIdleBound(t *testing.T) {
 	})
 }
 
+// TestClientHeldEndIdleBound: a read-only commit or an abort sends
+// nothing, and an idle client sends the end it holds on a request of its
+// own one probe period on, which the gateway passes on to the replica at
+// once: the replica sees the end within two probe periods. Close sends it
+// before it closes the connection.
+func TestClientHeldEndIdleBound(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	rep := d.replicas[0]
+	// open runs one statement in a new transaction on a new session.
+	open := func(sql string) *Client {
+		t.Helper()
+		c, err := Dial(d.gateway.Addr(), "idle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.Start("", nil, dtrace.SpanContext{})
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// idleBound fails the test unless the replica, and the gateway's
+	// count of it, read nothing open within 2.5 probe periods of ended
+	// (the half period is slack for a loaded scheduler), and unless the
+	// client sent exactly one request for the end.
+	idleBound := func(c *Client, ended time.Time) {
+		t.Helper()
+		seq := c.sent()
+		for rep.Active() != 0 || d.gateway.replicas[0].Active() != 0 {
+			if time.Since(ended) > 2*probePeriod+probePeriod/2 {
+				t.Fatalf("replica has %d open %v after an idle client ended its transaction; probe period %v",
+					rep.Active(), time.Since(ended), probePeriod)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.seq != seq+1 || c.holding {
+			t.Fatalf("the idle client sent %d requests and holds an end: %v; want one request and none held", c.seq-seq, c.holding)
+		}
+	}
+
+	t.Run("read", func(t *testing.T) {
+		c := open(`SELECT v FROM kv WHERE k = 1`)
+		if info, err := c.CommitEx(); err != nil || !info.ReadOnly {
+			t.Fatalf("commit = %+v, %v", info, err)
+		}
+		idleBound(c, time.Now())
+	})
+	t.Run("abort", func(t *testing.T) {
+		c := open(`UPDATE kv SET v = 'idle' WHERE k = 1`)
+		if err := c.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		idleBound(c, time.Now())
+		if got := snapshotKV(t, rep.Engine())[1]; got != "init" {
+			t.Fatalf("kv[1] = %q after the abort", got)
+		}
+	})
+	t.Run("Close", func(t *testing.T) {
+		for _, sql := range []string{`SELECT v FROM kv WHERE k = 1`, `UPDATE kv SET v = 'idle' WHERE k = 1`} {
+			c := open(sql)
+			var err error
+			if sql[0] == 'S' {
+				_, err = c.CommitEx()
+			} else {
+				err = c.Abort()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			if n := rep.Active(); n != 0 {
+				t.Fatalf("replica has %d open after the client closed: %s", n, sql)
+			}
+		}
+	})
+}
+
+// TestClientIdleTimerRacesSession: the idle timer's request and the
+// session's own never interleave on the wire. A goroutine plays the
+// timer, firing it over and over, while the session runs reads back to
+// back: every call succeeds in sequence, and nothing is left open once
+// the client closes.
+func TestClientIdleTimerRacesSession(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	c, err := Dial(d.gateway.Addr(), "raced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.sendIdle()
+			runtime.Gosched()
+		}
+	}()
+	const reads = 200
+	for i := 0; i < reads; i++ {
+		c.Start("", nil, dtrace.SpanContext{})
+		if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if info, err := c.CommitEx(); err != nil || !info.ReadOnly {
+			t.Fatalf("commit %d = %+v, %v", i, info, err)
+		}
+	}
+	close(stop)
+	<-done
+	t.Logf("%d requests for %d reads", c.sent(), reads)
+	if c.Broken() {
+		t.Fatal("the session broke")
+	}
+	c.Close()
+	d.idle(t)
+}
+
+// TestClientHeldEndExcisedFromStages: the time the client held a read's
+// end is not Queries time either. The client holds it past 50ms before
+// Close sends it; the replica's Queries stage is the statement's.
+func TestClientHeldEndExcisedFromStages(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	finished := make(chan metrics.Timeline, 1)
+	d.replicas[0].OnFinish(func(tl metrics.Timeline, committed, readOnly bool) {
+		if committed && readOnly {
+			finished <- tl
+		}
+	})
+	c, err := Dial(d.gateway.Addr(), "held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start("", nil, dtrace.SpanContext{})
+	if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := c.CommitEx(); err != nil || !info.ReadOnly {
+		t.Fatalf("commit = %+v, %v", info, err)
+	}
+	const hold = 60 * time.Millisecond
+	time.Sleep(hold)
+	c.Close()
+	var tl metrics.Timeline
+	select {
+	case tl = <-finished:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the read never committed at the replica")
+	}
+	if q := tl.Stage(metrics.StageQueries); q >= hold-10*time.Millisecond {
+		t.Fatalf("Queries stage %v holds the %v the client held the end", q, hold)
+	}
+}
+
 // TestEndUnknownOrRepeatedIsNoop: an end naming a transaction the replica
 // does not hold — one already ended, or an ID it never issued — ends
 // nothing, and still counts as the request it stands for.
@@ -337,7 +506,7 @@ func TestFailedExchangeDropsEnds(t *testing.T) {
 
 	fc := rawPeer(t, addr, bareHello(linkReplica))
 	id := readTxn(t, fc, 1)
-	rr.hold(id, false)
+	rr.hold(id, false, 0)
 	if _, err := rr.call(&replicaRequest{Op: opStatus}); err == nil {
 		t.Fatal("the exchange succeeded over a refusing dialer")
 	}
@@ -373,7 +542,7 @@ func TestHeldEndExcisedFromStages(t *testing.T) {
 		t.Fatalf("read: %+v, %v", resp, err)
 	}
 	const hold = 60 * time.Millisecond
-	rr.hold(resp.TxnID, false)
+	rr.hold(resp.TxnID, false, 0)
 	time.Sleep(hold)
 	start := time.Now()
 	rr.probe()

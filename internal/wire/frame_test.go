@@ -75,7 +75,9 @@ func frameCases() []struct {
 		{"clientRequest", &clientRequest{Seq: math.MaxUint64, Op: opExec, Name: "n", Tables: []string{"a", ""},
 			Begin: true, TxnName: "tpcw.buyConfirm", Trace: sc, SQL: "SELECT 1", Params: edgeValues()}, &clientRequest{}},
 		{"clientRequest/zero", &clientRequest{}, &clientRequest{}},
-		{"clientRequest/oneWay", &clientRequest{Seq: 2, Op: opCommit, OneWay: true}, &clientRequest{}},
+		{"clientRequest/end", &clientRequest{Seq: 2, Op: opExec, Begin: true, End: &clientEnd{Abort: true, HeldUs: 1<<63 - 1},
+			SQL: "SELECT 1"}, &clientRequest{}},
+		{"clientRequest/endOnly", &clientRequest{Seq: 2, End: &clientEnd{HeldUs: 500_000}}, &clientRequest{}},
 		{"clientRequest/empties", &clientRequest{Tables: []string{}, Params: []any{}}, &clientRequest{}},
 		{"clientResponse", &clientResponse{Seq: 9, Err: "boom", ErrCode: codeConflict, Result: result, Snapshot: math.MaxUint64,
 			Version: math.MaxUint64, ReadOnly: true, WriteTables: []string{"kv"}, ReadTables: []string{}}, &clientResponse{}},
@@ -230,6 +232,15 @@ func TestFrameHostileBytesRejected(t *testing.T) {
 		p[2] = flags
 		return p
 	}
+	// withEnd is an ends-only client request whose end reads as the
+	// given bytes.
+	withEnd := func(end ...byte) []byte {
+		p, _ := (&clientRequest{Seq: 1, End: &clientEnd{}}).appendTo(nil)
+		return append(append(p[:3:3], end...), p[4:]...)
+	}
+	if err := parsePayload(withEnd(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), &clientRequest{}); err != nil {
+		t.Fatalf("client end of 2^64-1: %v", err)
+	}
 	if err := parsePayload(replicaFlags(flagBegin|flagEager), &replicaRequest{}); err != nil {
 		t.Fatalf("eager replica request: %v", err)
 	}
@@ -239,7 +250,9 @@ func TestFrameHostileBytesRejected(t *testing.T) {
 	}{
 		"unknown op byte":    {mutate(1, byte(numOps)), &clientRequest{}},
 		"unknown flag bits":  {mutate(2, 0x80), &clientRequest{}},
-		"client flag eager":  {mutate(2, flagOneWay|flagEager), &clientRequest{}},
+		"client flag eager":  {mutate(2, flagEnd|flagEager), &clientRequest{}},
+		"client end > 64 b":  {withEnd(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02), &clientRequest{}},
+		"client end missing": {mutate(2, flagEnd), &clientRequest{}},
 		"replica flag bits":  {replicaFlags(flagEager | flagReadOnly), &replicaRequest{}},
 		"ends count > len":   {[]byte{1, byte(opStatus), flagEnds, 0, 0x7f, 1, 0, 0, 0}, &replicaRequest{}},
 		"tables count > len": {mutate(4, 0x7f), &clientRequest{}},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,8 +34,9 @@ func (h *clientHello) parse(d *writeset.Decoder) { h.SessionID = d.Str() }
 type clientRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	// Op is opRegister, opExec, opCommit or opAbort; opNone on a request
-	// that carries nothing but the begin header.
+	// Op is opRegister, opExec or opCommit; opNone on a request that
+	// carries nothing but the begin header, or, without one, nothing but
+	// End.
 	Op op
 
 	// register; with Begin, an explicit table-set (lb.DispatchCtx)
@@ -52,21 +54,39 @@ type clientRequest struct {
 	// the lb route and the replica begin; zero from an untraced client.
 	Trace dtrace.SpanContext
 
+	// End ends the session's open transaction before anything else in
+	// the request runs — see clientEnd; nil when the request carries no
+	// end.
+	End *clientEnd
+
 	// exec
 	SQL    string
 	Params []any
+}
 
-	// OneWay marks a frame that is not answered: an abort always, a
-	// commit when the open transaction's latest response said ReadOnly.
-	// The client link is the only one with such frames; the gateway
-	// passes the end on to the replica as a replicaEnd.
-	OneWay bool
+// clientEnd is the end of a transaction that needs no answer: an abort,
+// or the commit of a transaction whose latest response said it had
+// written nothing, and so already said what that commit returns. The
+// client holds it until the session's next request, of any op, and that
+// request carries it; an idle client sends it on a request of its own
+// after probePeriod. The gateway does what the commit response would
+// have made it do and passes the end on to the replica as a replicaEnd.
+type clientEnd struct {
+	Abort bool
+	// HeldUs is how long the client held the end, in microseconds on its
+	// own clock; the gateway adds its own hold before the replica excises
+	// both (replica.Txn.Excise).
+	HeldUs uint64
 }
 
 func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
-	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) | flagIf(r.OneWay, flagOneWay)
+	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) | flagIf(r.End != nil, flagEnd)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = appendSpan(append(buf, byte(r.Op), flags), flags, r.Trace)
+	if e := r.End; e != nil {
+		// The abort bit rides in the low bit of the hold, as in replicaEnd.
+		buf = binary.AppendUvarint(buf, e.HeldUs<<1|uint64(flagIf(e.Abort, 1)))
+	}
 	buf = writeset.AppendString(buf, r.Name)
 	buf = appendStrings(buf, r.Tables)
 	buf = writeset.AppendString(buf, r.TxnName)
@@ -77,9 +97,13 @@ func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
 func (r *clientRequest) parse(d *writeset.Decoder) {
 	r.Seq = d.Uvarint()
 	r.Op = readOp(d)
-	flags := readFlags(d, flagBegin|flagTrace|flagOneWay)
-	r.Begin, r.OneWay = flags&flagBegin != 0, flags&flagOneWay != 0
+	flags := readFlags(d, flagBegin|flagTrace|flagEnd)
+	r.Begin = flags&flagBegin != 0
 	r.Trace = readSpan(d, flags)
+	if flags&flagEnd != 0 {
+		held := d.Uvarint()
+		r.End = &clientEnd{Abort: held&1 != 0, HeldUs: held >> 1}
+	}
 	r.Name = d.Str()
 	r.Tables = readStrings(d)
 	r.TxnName = d.Str()
@@ -96,8 +120,8 @@ type clientResponse struct {
 	Snapshot uint64
 	// commit; ReadOnly and ReadTables also on every response that leaves
 	// open a transaction that has written nothing: its commit would be
-	// read-only over ReadTables at its snapshot, and the client sends it
-	// one-way.
+	// read-only over ReadTables at its snapshot, and the client holds it
+	// as a clientEnd.
 	Version     uint64
 	ReadOnly    bool
 	WriteTables []string
@@ -258,7 +282,7 @@ func (g *Gateway) handle(fc *frameConn) {
 	defer g.sessions.Add(-1)
 	defer func() {
 		if sess.open {
-			sess.replica.hold(sess.txnID, true)
+			sess.replica.hold(sess.txnID, true, 0)
 			sess.end()
 			select {
 			case <-g.stop:
@@ -278,12 +302,9 @@ func (g *Gateway) handle(fc *frameConn) {
 		if !guard.ok(req.Seq) {
 			return
 		}
-		if req.OneWay {
-			if !g.oneWay(sess, &req) {
-				log.Printf("wire: gateway: closing %s: one-way %q frame out of place", c.RemoteAddr(), req.Op)
-				return
-			}
-			continue
+		if req.End != nil && !g.runEnd(sess, req.End) {
+			log.Printf("wire: gateway: closing %s: commit end out of place", c.RemoteAddr())
+			return
 		}
 		resp := g.dispatch(sess, &req)
 		resp.Seq = req.Seq
@@ -293,29 +314,32 @@ func (g *Gateway) handle(fc *frameConn) {
 	}
 }
 
-// oneWay serves a frame the client does not wait on, and reports
-// whether it was one that may travel so: an abort, or the commit of an
-// open transaction that had written nothing when its replica last
-// answered. That commit is local to the replica and its result is
-// already here, so the gateway does now what the commit response used to
-// make it do — before it reads the session's next request, the order an
-// answered commit gave — and holds the end for the next request to the
-// replica, which releases the snapshot there. Anything else is refused:
-// the caller closes the connection, which aborts what was open.
-func (g *Gateway) oneWay(sess *gatewaySession, req *clientRequest) bool {
-	switch {
-	case req.Begin:
-		return false
-	case req.Op == opAbort:
-	case req.Op == opCommit && sess.open && sess.roCommit.ReadOnly:
+// runEnd runs the end a request carried, before the request itself and
+// whatever becomes of it, and reports whether it was one that may travel
+// so: an abort, or the commit of an open transaction that had written
+// nothing when its replica last answered. That commit is local to the
+// replica and its result is already here, so the gateway does now what
+// the commit response used to make it do — before it routes the
+// session's next transaction, the order an answered commit gave — and
+// holds the end for the next request to the replica, which releases the
+// snapshot there. The replica excises the client's hold and the
+// gateway's alike. A commit end out of place is refused: the caller
+// closes the connection, which aborts what was open. An abort with
+// nothing open ends nothing.
+func (g *Gateway) runEnd(sess *gatewaySession, e *clientEnd) bool {
+	o := opAbort
+	if !e.Abort {
+		if !sess.open || !sess.roCommit.ReadOnly {
+			return false
+		}
+		o = opCommit
 		g.balancer.ObserveCommit(sess.id, sess.roCommit)
-	default:
-		return false
 	}
-	g.obsReqs.Load().With(req.Op.String()).Inc()
+	g.obsReqs.Load().With(o.String()).Inc()
 	if sess.open {
 		sess.end()
-		sess.replica.hold(sess.txnID, req.Op == opAbort)
+		held := time.Duration(min(e.HeldUs, math.MaxInt64/uint64(time.Microsecond))) * time.Microsecond
+		sess.replica.hold(sess.txnID, e.Abort, held)
 	}
 	return true
 }
@@ -349,7 +373,16 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		return resp
 	case opNone, opExec, opCommit:
 	default:
-		return fail(fmt.Errorf("wire: no answered client op %q", req.Op))
+		return fail(fmt.Errorf("wire: no client op %q", req.Op))
+	}
+	if req.Op == opNone && !req.Begin {
+		// The request carried an end and nothing else: the client went
+		// idle or is closing. No later request of this session will carry
+		// the end on, so its replica gets it now.
+		if r := sess.replica; r != nil && r.holding() {
+			r.probe()
+		}
+		return resp
 	}
 	switch {
 	case req.Begin && sess.open:

@@ -122,8 +122,8 @@ type replicaResponse struct {
 	Result   *sql.Result
 	// Commit is the commit's result — and, on a response that leaves open
 	// a transaction that has written nothing, what its commit would
-	// return now (replica.Txn.ReadOnlyCommit): that commit is then a
-	// one-way frame.
+	// return now (replica.Txn.ReadOnlyCommit): that commit then needs no
+	// answer, and travels as an end.
 	Commit replica.CommitResult
 	// Touched is the transaction's observed table-set (reads and writes),
 	// as of the same moment as Commit — forwarded to the history checker.
@@ -552,11 +552,12 @@ func (r *remoteReplica) Active() int { return int(r.active.Load()) }
 func (r *remoteReplica) Crashed() bool { return !r.healthy.Load() }
 
 // hold queues the end of transaction txnID for the next request to the
-// replica.
-func (r *remoteReplica) hold(txnID uint64, abort bool) {
-	now := time.Now()
+// replica; held is how long the end was held before it reached the
+// gateway.
+func (r *remoteReplica) hold(txnID uint64, abort bool, held time.Duration) {
+	since := time.Now().Add(-held)
 	r.mu.Lock()
-	r.ends = append(r.ends, heldEnd{txnID: txnID, abort: abort, since: now})
+	r.ends = append(r.ends, heldEnd{txnID: txnID, abort: abort, since: since})
 	r.mu.Unlock()
 }
 
@@ -569,7 +570,7 @@ func (r *remoteReplica) holding() bool {
 
 // takeEnds hands every held end to one request, each stamped with how
 // long it was held. They are delivered at most once: a request whose
-// exchange fails drops them, as the one-way frame they replace was.
+// exchange fails drops them.
 func (r *remoteReplica) takeEnds() []replicaEnd {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -48,8 +48,8 @@ func listen(link, addr string, opts []Option) (*server, error) {
 
 // EnableObs counts served requests per operation under
 // sconrep_wire_requests_total{link=...}, plus any further label pairs
-// given; a one-way client frame counts like an answered one, and each end
-// a replica request carries counts as the commit or abort it stands for.
+// given; each end a client or replica request carries counts as the
+// commit or abort it stands for.
 // Call before traffic.
 func (s *server) EnableObs(reg *obs.Registry, labelPairs ...string) {
 	if reg == nil {

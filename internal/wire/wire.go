@@ -22,18 +22,31 @@
 // version; there is no negotiation. On the last two links a request is
 // an optional begin header plus an operation: starting a transaction is
 // not an exchange of its own, the header rides on the transaction's
-// first request. Neither is ending one that wrote nothing: a read-only
+// first request. Neither is ending one that needs no answer: a read-only
 // commit is local to its replica and has no verdict, so every response
 // that leaves such a transaction open already says what the commit
-// would return. The client sends that commit — like any abort — as a
-// request flagged OneWay, which the gateway does not answer; a one-way
-// frame still takes a sequence number, and the gateway closes the
-// connection on one out of place. The gateway does not forward it as a
-// frame of its own: it holds the end for that replica, and its next
-// request there — any session's, the status probe within 500 ms, or a
-// flush on Close — carries every end held so far, which the replica
-// runs before the request's own operation. The replica link carries
-// requests and their answers only.
+// would return, and an abort has nothing to say. Such an end rides on a
+// later request, on each link in turn:
+//
+//   - client link: the client holds it and the session's next request,
+//     of any op, carries it (clientEnd). The gateway runs it before the
+//     request itself — the commit's observation feeds the session's
+//     floor before its next transaction is routed — and closes the
+//     connection on a commit end out of place. A client idle for
+//     probePeriod (500 ms) with an end held sends it on an answered
+//     request that carries nothing else, and Close does the same.
+//   - replica link: the gateway holds it for that replica, and its next
+//     request there — any session's, the status probe within
+//     probePeriod, or a flush on Close — carries every end held so far
+//     (replicaEnd), which the replica runs before the request's own
+//     operation. A request that carried only a client's end is passed on
+//     at once, so an idle session pins no snapshot at its replica for
+//     more than about one probe period.
+//
+// Each end carries how long it was held, and the replica takes that out
+// of the transaction's stage timeline. No request link carries one-way
+// frames: every frame on the client and replica links is an answered
+// request or its response.
 //
 // Requests use small per-destination connection pools (one in-flight
 // exchange per connection); refresh streaming uses one dedicated

@@ -456,9 +456,10 @@ func TestClientErrorsWithoutTxn(t *testing.T) {
 // idle fails the test unless no transaction is open anywhere: neither in
 // the gateway's per-replica active counts (what the balancer routes by)
 // nor at a replica. It polls, within a bound, flushing the gateway's held
-// ends each time: a transaction's last frame can be a one-way commit or
-// abort, which returns before the gateway has read it, and the gateway
-// holds its end for a request to carry.
+// ends each time: a read-only commit or an abort returns before anything
+// is sent, and its end waits at the client for the session's next
+// request — or for the idle timer, one probe period on — and then at the
+// gateway for a request to the replica.
 func (d *deployment) idle(t *testing.T) {
 	t.Helper()
 	busy := func() bool {
@@ -483,6 +484,13 @@ func (d *deployment) idle(t *testing.T) {
 	}
 }
 
+// sent is how many requests the client has sent.
+func (c *Client) sent() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seq
+}
+
 // TestBeginHeader covers the begin header on the client API: armed by
 // Start it rides on the next request, BeginTx sends it alone, and a
 // header request that fails leaves no transaction anywhere.
@@ -499,8 +507,8 @@ func TestBeginHeader(t *testing.T) {
 	if err := c.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if c.seq != 0 {
-		t.Fatalf("Start+Abort sent %d requests", c.seq)
+	if c.sent() != 0 {
+		t.Fatalf("Start+Abort sent %d requests", c.sent())
 	}
 	d.idle(t)
 
@@ -514,8 +522,8 @@ func TestBeginHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.seq != 2 || info.ReadOnly || info.Snapshot != snap || info.Version <= snap {
-		t.Fatalf("after %d requests: commit %+v, begin snapshot %d", c.seq, info, snap)
+	if c.sent() != 2 || info.ReadOnly || info.Snapshot != snap || info.Version <= snap {
+		t.Fatalf("after %d requests: commit %+v, begin snapshot %d", c.sent(), info, snap)
 	}
 
 	// Header + commit: a transaction with no statement is one request.
@@ -524,18 +532,19 @@ func TestBeginHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.seq != 3 || !bare.ReadOnly || bare.Version < info.Version {
-		t.Fatalf("bare commit after %d requests: %+v, want read-only at >= %d", c.seq, bare, info.Version)
+	if c.sent() != 3 || !bare.ReadOnly || bare.Version < info.Version {
+		t.Fatalf("bare commit after %d requests: %+v, want read-only at >= %d", c.sent(), bare, info.Version)
 	}
 
 	// Eager: the header goes out alone and plain operations follow. The
-	// transaction wrote nothing, so its commit is a frame and no exchange.
+	// transaction wrote nothing, so its commit sends nothing: the client
+	// holds its end for the next request.
 	eager, err := c.BeginTx("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.seq != 4 || eager < info.Version {
-		t.Fatalf("BeginTx: %d requests, snapshot %d, want >= %d", c.seq, eager, info.Version)
+	if c.sent() != 4 || eager < info.Version {
+		t.Fatalf("BeginTx: %d requests, snapshot %d, want >= %d", c.sent(), eager, info.Version)
 	}
 	res, err := c.Exec(`SELECT v FROM kv WHERE k = 1`)
 	if err != nil || res.Rows[0][0].(string) != "deferred" {
@@ -543,8 +552,8 @@ func TestBeginHeader(t *testing.T) {
 	}
 	read, err := c.CommitEx()
 	want := CommitInfo{Version: eager, ReadOnly: true, Snapshot: eager, ReadTables: []string{"kv"}}
-	if err != nil || !reflect.DeepEqual(read, want) {
-		t.Fatalf("read-only commit = %+v, %v; want %+v", read, err, want)
+	if err != nil || !reflect.DeepEqual(read, want) || c.sent() != 5 {
+		t.Fatalf("read-only commit = %+v, %v after %d requests; want %+v after 5", read, err, c.sent(), want)
 	}
 	d.idle(t)
 	if _, err := c.BeginTx(""); err != nil {
