@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... .
 
 vet:
 	$(GO) vet ./...
@@ -53,8 +53,10 @@ update-schema:
 # The same gate CI runs (.github/workflows/ci.yml): the end-to-end
 # benchmark smoke, then build, vet, sconrep-vet, formatting (fails on
 # any unformatted file), tests, the flake guard (25 runs of the tests
-# that ride a restart, a crashed replica, a lease or the probe period —
-# the gateway's, or a client's idle timer), race tests. benchmark/ is
+# that ride a restart, a crashed replica, a lease, the probe period —
+# the gateway's, or a client's idle timer — or the replicas' concurrent
+# bulk loads), race tests (the root package too: Bootstrap runs user
+# code on every replica at once). benchmark/ is
 # a frozen nested module ./... does not reach; bench-e2e-smoke starts
 # by vetting it, so an API break it would not survive (a changed Begin
 # or Dispatch signature) is the first thing this target reports.
@@ -65,8 +67,8 @@ ci: bench-e2e-smoke
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test ./...
-	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/wire .
-	$(GO) test -race ./internal/...
+	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/wire .
+	$(GO) test -race ./internal/... .
 
 # Seeded chaos harness: fault-injected TPC-W over the networked
 # cluster, oracle-checked in all four modes, under the race detector.
@@ -109,16 +111,19 @@ bench:
 # default scale, and the two that read every order line above a fixed
 # floor again after 2 000 runtime orders (the *Grown cases, the table a
 # live run reads), and a title search that matches nothing (the index
-# walk's worst case). Results land in BENCH_hotpath.json (committed,
-# so before/after numbers travel with the code); benchjson -require
-# fails the run if any expected benchmark went missing. Override
+# walk's worst case), and one replica's bulk load of each workload at
+# its default scale on a fresh engine (the work LoadData runs on every
+# replica at once, most of a cluster set-up's wall time). Results land
+# in BENCH_hotpath.json (committed, so before/after numbers travel with
+# the code); benchjson -require fails the run if any expected benchmark
+# went missing. Override
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
-HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID
+HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements|BenchmarkLoad
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
-		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ \
+		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ ./internal/bench/ \
 		| tee bench_output.txt
 	$(GO) run ./cmd/benchjson -require '$(HOTPATH_REQUIRE)' < bench_output.txt > BENCH_hotpath.json
 	@rm -f bench_output.txt

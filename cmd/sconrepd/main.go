@@ -245,6 +245,9 @@ func runReplica(cfg cluster.ReplicaConfig, obsAddr string) (*cluster.ReplicaNode
 }
 
 // loadBootstrap executes semicolon-terminated statements from a file.
+// It reads the file afresh and shares nothing between calls, so it is
+// also a cluster.LoadData function (TestObsFamiliesMatchCluster runs
+// it on every in-process replica at once).
 func loadBootstrap(eng *storage.Engine, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

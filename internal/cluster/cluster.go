@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -198,20 +199,30 @@ func (c *Cluster) finished(tl metrics.Timeline, committed, readOnly bool) {
 
 // LoadData bootstraps every replica with identical initial data by
 // running load against each engine, then aligns the certifier's
-// version counter with the replicas. load must be deterministic.
+// version counter with the replicas. load runs once per replica, and
+// the calls run concurrently, each on its own replica's engine: load
+// must be deterministic and must not share mutable state between
+// calls. An error names the lowest-numbered replica that failed.
 func (c *Cluster) LoadData(load func(e *storage.Engine) error) error {
 	if c.loaded {
 		return errors.New("cluster: LoadData called twice")
 	}
-	var v0 uint64
+	errs := make([]error, len(c.nodes))
+	var wg sync.WaitGroup
 	for i, n := range c.nodes {
-		eng := n.Replica.Engine()
-		if err := load(eng); err != nil {
-			return fmt.Errorf("cluster: loading replica %d: %w", i, err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = load(n.Replica.Engine())
+		}()
+	}
+	wg.Wait()
+	v0 := c.nodes[0].Replica.Engine().Version()
+	for i, n := range c.nodes {
+		if errs[i] != nil {
+			return fmt.Errorf("cluster: loading replica %d: %w", i, errs[i])
 		}
-		if i == 0 {
-			v0 = eng.Version()
-		} else if got := eng.Version(); got != v0 {
+		if got := n.Replica.Engine().Version(); got != v0 {
 			return fmt.Errorf("cluster: non-deterministic load: replica 0 at %d, replica %d at %d", v0, i, got)
 		}
 	}

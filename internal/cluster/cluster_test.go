@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +134,90 @@ func TestLoadDataTwiceFails(t *testing.T) {
 	c := newCluster(t, Config{Replicas: 1, Mode: core.Coarse})
 	if err := c.LoadData(loadCounter); err == nil {
 		t.Fatal("second LoadData succeeded")
+	}
+}
+
+// TestLoadDataLoadsReplicasConcurrently holds every replica's load at a
+// barrier until all of them have entered it, which only loads running
+// at once can pass: a loop that loads one replica after another would
+// wait there forever. The timeout only keeps such a loop from hanging
+// the test; nothing here is timed.
+func TestLoadDataLoadsReplicasConcurrently(t *testing.T) {
+	const replicas = 3
+	c, err := New(Config{Replicas: replicas, Mode: core.Coarse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var entered sync.WaitGroup
+	entered.Add(replicas)
+	allIn := make(chan struct{})
+	go func() { entered.Wait(); close(allIn) }()
+	err = c.LoadData(func(e *storage.Engine) error {
+		entered.Done()
+		select {
+		case <-allIn:
+		case <-time.After(time.Minute):
+			return errors.New("the other replicas' loads never started")
+		}
+		return loadCounter(e)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < replicas; i++ {
+		if got, want := c.Replica(i).Engine().Version(), c.Certifier().Version(); got != want || got == 0 {
+			t.Errorf("replica %d at version %d, certifier at %d", i, got, want)
+		}
+	}
+}
+
+// TestLoadDataNamesFailingReplica: when replicas 1 and 2 fail their
+// loads, the error is replica 1's and says so.
+func TestLoadDataNamesFailingReplica(t *testing.T) {
+	c, err := New(Config{Replicas: 3, Mode: core.Coarse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errs := map[*storage.Engine]error{
+		c.Replica(1).Engine(): errors.New("disk full on one"),
+		c.Replica(2).Engine(): errors.New("disk full on two"),
+	}
+	err = c.LoadData(func(e *storage.Engine) error {
+		if err := loadCounter(e); err != nil {
+			return err
+		}
+		return errs[e]
+	})
+	if err == nil || !errors.Is(err, errs[c.Replica(1).Engine()]) || !strings.Contains(err.Error(), "replica 1") {
+		t.Fatalf("LoadData = %v, want replica 1's error", err)
+	}
+}
+
+// TestLoadDataRefusesNonDeterministicLoad: a replica whose load commits
+// one row more than the others ends at a different version, and LoadData
+// refuses the load.
+func TestLoadDataRefusesNonDeterministicLoad(t *testing.T) {
+	c, err := New(Config{Replicas: 3, Mode: core.Coarse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	odd := c.Replica(2).Engine()
+	err = c.LoadData(func(e *storage.Engine) error {
+		if err := loadCounter(e); err != nil || e != odd {
+			return err
+		}
+		tx := e.Begin()
+		if err := tx.Insert("counter", []any{int64(99), int64(0)}); err != nil {
+			return err
+		}
+		_, err := tx.CommitLocal()
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "non-deterministic load") || !strings.Contains(err.Error(), "replica 2") {
+		t.Fatalf("LoadData = %v, want the version check naming replica 2", err)
 	}
 }
 

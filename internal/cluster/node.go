@@ -222,8 +222,9 @@ type ReplicaConfig struct {
 	DataDir         string
 	CheckpointEvery uint64
 	// Bootstrap loads the initial database; it must be deterministic and
-	// the same on every replica. Nil leaves an empty engine for the
-	// caller to load before traffic.
+	// the same on every replica, and it may run while other replicas run
+	// theirs, so it shares no mutable state between calls. Nil leaves an
+	// empty engine for the caller to load before traffic.
 	Bootstrap func(*storage.Engine) error
 	// Shards is the deployment's table→shard map and ServeShards this
 	// replica's partial refresh subscription (nil = all shards): versions

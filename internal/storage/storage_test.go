@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -442,6 +443,70 @@ func TestApplyWriteSetOrdering(t *testing.T) {
 	}
 	if e.Version() != 2 {
 		t.Fatalf("Version = %d, want 2", e.Version())
+	}
+}
+
+// TestWriteSetRowsNeverMutated: Txn.WriteSet hands out the pending row
+// images, not copies of them. A writeset taken mid-transaction (the
+// replica's partial writeset for early certification), the writeset a
+// commit installs and a row a reader got from the engine must each read
+// as they did after the same key is written again — by the same
+// transaction, from the very slice it wrote before, and by a later one.
+func TestWriteSetRowsNeverMutated(t *testing.T) {
+	e := newTestEngine(t)
+	key := EncodeKey(int64(1))
+	tx := e.Begin()
+	if err := tx.Insert("acct", row(1, "ann", 100, true)); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	read, ok, err := e.Begin().Get("acct", key)
+	if err != nil || !ok {
+		t.Fatalf("Get = %v, %v", ok, err)
+	}
+
+	tx = e.Begin()
+	img := row(1, "ann", 90, true)
+	if err := tx.Update("acct", key, img); err != nil {
+		t.Fatal(err)
+	}
+	partial := tx.WriteSet()
+	img[2] = 80.0 // the caller edits its own slice and writes it again
+	if err := tx.Update("acct", key, img); err != nil {
+		t.Fatal(err)
+	}
+	committed := tx.WriteSet()
+	tx.Abort()
+	if err := e.ApplyWriteSet(committed, e.Version()+1); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = e.Begin()
+	cur, _, err := tx.Get("acct", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append([]any(nil), cur...)
+	next[1], next[2] = "bob", 70.0
+	if err := tx.Update("acct", key, next); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+
+	for _, c := range []struct {
+		name      string
+		got, want []any
+	}{
+		{"partial writeset", partial.Items[0].Row, row(1, "ann", 90, true)},
+		{"committed writeset", committed.Items[0].Row, row(1, "ann", 80, true)},
+		{"row read before both commits", read, row(1, "ann", 100, true)},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if got, _, _ := e.Begin().Get("acct", key); !reflect.DeepEqual(got, row(1, "bob", 70, true)) {
+		t.Errorf("latest row = %v", got)
 	}
 }
 

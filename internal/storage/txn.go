@@ -594,19 +594,19 @@ func (t *Txn) AppendIndexIn(dst []KV, table, index string, vals []any, lo, hi st
 }
 
 // WriteSet exports the transaction's buffered writes as full row
-// images, in first-touch order.
+// images, in first-touch order. The rows are the pending images
+// themselves, not copies: Insert and Update store a fresh copy of the
+// caller's row, a later write to the same key replaces the image
+// instead of editing it, and a row handed out is read-only (see Txn),
+// so a writeset taken mid-transaction keeps the images it was given.
 func (t *Txn) WriteSet() *writeset.WriteSet {
-	ws := &writeset.WriteSet{}
+	ws := &writeset.WriteSet{Items: make([]writeset.Item, 0, len(t.order))}
 	for _, ref := range t.order {
 		pw := t.writes[ref.table][ref.key]
 		if pw.removed {
 			continue
 		}
-		item := writeset.Item{Table: ref.table, Key: ref.key, Op: pw.op}
-		if pw.op != writeset.OpDelete {
-			item.Row = append([]any(nil), pw.row...)
-		}
-		ws.Items = append(ws.Items, item)
+		ws.Items = append(ws.Items, writeset.Item{Table: ref.table, Key: ref.key, Op: pw.op, Row: pw.row})
 	}
 	return ws
 }

@@ -36,8 +36,9 @@ func tableName(i int) string { return fmt.Sprintf("micro%d", i) }
 func Load(e *storage.Engine, s Scale) error {
 	filler := strings.Repeat("x", 100)
 	for t := 0; t < NumTables; t++ {
+		name := tableName(t)
 		if err := e.CreateTable(&storage.Schema{
-			Table: tableName(t),
+			Table: name,
 			Columns: []storage.Column{
 				{Name: "id", Type: storage.TInt},
 				{Name: "val", Type: storage.TInt},
@@ -49,12 +50,12 @@ func Load(e *storage.Engine, s Scale) error {
 		}
 		tx := e.Begin()
 		for i := 0; i < s.RowsPerTable; i++ {
-			if err := tx.Insert(tableName(t), []any{int64(i), int64(i), filler}); err != nil {
+			if err := tx.Insert(name, []any{int64(i), int64(i), filler}); err != nil {
 				return err
 			}
 		}
 		if _, err := tx.CommitLocal(); err != nil {
-			return fmt.Errorf("micro: loading %s: %w", tableName(t), err)
+			return fmt.Errorf("micro: loading %s: %w", name, err)
 		}
 	}
 	return nil

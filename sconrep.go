@@ -213,8 +213,10 @@ func (b *Boot) Exec(q string, args ...any) {
 func (b *Boot) Err() error { return b.err }
 
 // Bootstrap loads the initial schema and data. The function runs once
-// per replica and must be deterministic (same statements, same
-// order). Call it exactly once, before any sessions.
+// per replica, concurrently with the other replicas' calls, each on its
+// own replica's *Boot: it must be deterministic (same statements, same
+// order) and must not share mutable state between those calls. Call it
+// exactly once, before any sessions.
 func (db *DB) Bootstrap(fn func(*Boot) error) error {
 	return db.c.LoadData(func(e *storage.Engine) error {
 		b := &Boot{e: e}
