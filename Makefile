@@ -54,8 +54,9 @@ update-schema:
 # benchmark smoke, then build, vet, sconrep-vet, formatting (fails on
 # any unformatted file), tests, the flake guard (25 runs of the tests
 # that ride a restart, a crashed replica, a lease, the probe period —
-# the gateway's, or a client's idle timer — or the replicas' concurrent
-# bulk loads), race tests (the root package too: Bootstrap runs user
+# the gateway's, or a client's idle timer — the replicas' concurrent
+# bulk loads, or a local commit's turn in the apply window between
+# refreshes), race tests (the root package too: Bootstrap runs user
 # code on every replica at once). benchmark/ is
 # a frozen nested module ./... does not reach; bench-e2e-smoke starts
 # by vetting it, so an API break it would not survive (a changed Begin
@@ -67,7 +68,7 @@ ci: bench-e2e-smoke
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test ./...
-	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/wire .
+	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/wire .
 	$(GO) test -race ./internal/... .
 
 # Seeded chaos harness: fault-injected TPC-W over the networked

@@ -52,8 +52,8 @@ type Config struct {
 	DisableEarlyCert bool
 	// Seed makes injected jitter deterministic.
 	Seed int64
-	// WAL, when non-nil, backs the certifier's decision log; nil uses
-	// an in-memory log.
+	// WAL, when non-nil, backs the certifier's decision log; nil
+	// discards every decision record (nothing is retained).
 	WAL *wal.Log
 	// RecordHistory enables the consistency-checking event recorder.
 	RecordHistory bool

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -58,8 +59,8 @@ type CertifierConfig struct {
 	// Eager enables global-commit tracking, which the eager mode needs.
 	Eager bool
 	// WALPath names the decision log's file; WAL, used when WALPath is
-	// empty, is an already open log. With neither, decisions are logged
-	// in memory.
+	// empty, is an already open log. With neither, decisions are encoded
+	// and appended as usual but discarded: nothing is kept.
 	WALPath string
 	WAL     *wal.Log
 	// Latency is the simulated cost source; nil injects no delays.
@@ -75,7 +76,7 @@ type CertifierConfig struct {
 // prefix and the file is truncated to it, so the log appends cleanly
 // instead of burying new records behind garbage. A replay error returns
 // before the file is touched. The file is returned open for the caller
-// to close; opened is nil when the log is cfg.WAL or in memory.
+// to close; opened is nil when the log is cfg.WAL or discarded.
 func openCertifier(cfg CertifierConfig) (_ *certifier.Certifier, opened *wal.Log, err error) {
 	opts := []certifier.Option{certifier.WithShards(cfg.Shards), certifier.WithLatency(cfg.Latency)}
 	if cfg.Eager {
@@ -84,7 +85,7 @@ func openCertifier(cfg CertifierConfig) (_ *certifier.Certifier, opened *wal.Log
 	if cfg.WALPath == "" {
 		l := cfg.WAL
 		if l == nil {
-			l = wal.NewMemory()
+			l = wal.NewWriter(io.Discard)
 		}
 		return certifier.New(append(opts, certifier.WithWAL(l))...), nil, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"sconrep/internal/history"
 	"sconrep/internal/obs"
 	"sconrep/internal/replica"
+	"sconrep/internal/shard"
 	"sconrep/internal/storage"
 	"sconrep/internal/wire"
 	"sconrep/internal/writeset"
@@ -129,6 +131,39 @@ func TestOpenCertifierRestart(t *testing.T) {
 	}
 	if got := fileSize(t, path); got != int64(len(data)) {
 		t.Fatalf("refused log was cut from %d to %d bytes", len(data), got)
+	}
+}
+
+// TestDiscardedDecisionLogKeepsNothing: a certifier started without a
+// decision-log file or an open log keeps none of the records it logs.
+// Once its history is trimmed, 20 000 certifications of a 1 KB row leave
+// the live heap within 10 MB of where it started; an in-memory log
+// would hold over 20 MB of them.
+func TestDiscardedDecisionLogKeepsNothing(t *testing.T) {
+	n, err := StartCertifier(CertifierConfig{Listen: "127.0.0.1:0", Shards: shard.Single()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := liveHeap()
+	row := strings.Repeat("x", 1024)
+	for id := uint64(1); id <= 20000; id++ {
+		ws := &writeset.WriteSet{Items: []writeset.Item{
+			{Table: "t", Key: fmt.Sprintf("k%d", id), Op: writeset.OpUpdate, Row: []any{row}},
+		}}
+		if d, err := n.Cert.Certify(0, id, n.Cert.Version(), ws); err != nil || !d.Commit {
+			t.Fatalf("certify %d: %+v, %v", id, d, err)
+		}
+	}
+	n.Cert.TrimBelow(n.Cert.Version())
+	if grew := liveHeap() - before; grew >= 10<<20 {
+		t.Fatalf("live heap grew %.1f MB over 20 000 trimmed certifications, want < 10 MB", float64(grew)/(1<<20))
 	}
 }
 

@@ -76,7 +76,6 @@ type Stats struct {
 	// forced). Tests wait on it before simulating a crash whose
 	// recovery must be exact.
 	LoggedVersion uint64
-	Parked        int
 	WALBroken     bool
 }
 
@@ -99,10 +98,6 @@ type Store struct {
 	// next is the version the next appended record must carry.
 	// guarded by mu
 	next uint64
-	// parked holds runs that arrived ahead of next, keyed by start
-	// version, until the gap before them is appended.
-	// guarded by mu
-	parked map[uint64][]*writeset.WriteSet
 	// ckptV is the newest durable checkpoint version.
 	// guarded by mu
 	ckptV uint64
@@ -158,7 +153,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		opts:     opts,
 		clock:    opts.Clock,
-		parked:   make(map[uint64][]*writeset.WriteSet),
 		retained: make(map[uint64]int64),
 	}
 	if s.clock == nil {
@@ -323,11 +317,11 @@ func (s *Store) StartAt(v uint64) error {
 }
 
 // LogApplied implements storage.Backend: append writesets applied at
-// startVersion+i. Runs arriving ahead of the contiguous log tail are
-// parked (copied — the caller recycles the slice) until the gap fills.
-// Append failures degrade to dropping records rather than failing the
-// apply pipeline: the WAL is an optimization over certifier backfill,
-// not the durability authority.
+// startVersion+i. A run starting above the contiguous log tail + 1 is
+// refused and leaves the log unchanged; the part of a run at or below
+// the tail is skipped. Append failures degrade to dropping records
+// rather than failing the apply pipeline: the WAL is an optimization
+// over certifier backfill, not the durability authority.
 func (s *Store) LogApplied(wss []*writeset.WriteSet, startVersion uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -342,53 +336,20 @@ func (s *Store) LogApplied(wss []*writeset.WriteSet, startVersion uint64) error 
 		startVersion = s.next
 	}
 	if startVersion > s.next {
-		s.parked[startVersion] = append([]*writeset.WriteSet(nil), wss...)
-		return nil
+		return fmt.Errorf("pstore: %w: log tail at %d, run starts at %d", storage.ErrBadVersion, s.next-1, startVersion)
 	}
-	s.appendRunLocked(wss)
-	for !s.walBroken {
-		run, ok := s.parked[s.next]
-		if !ok {
-			break
-		}
-		delete(s.parked, s.next)
-		s.appendRunLocked(run)
-	}
-	s.maybeCheckpointLocked()
-	return nil
-}
-
-// appendRunLocked appends a contiguous run starting exactly at s.next.
-func (s *Store) appendRunLocked(wss []*writeset.WriteSet) {
 	for _, ws := range wss {
 		rec := wal.Record{Version: s.next, WriteSet: *ws}
 		if err := s.log.Append(&rec); err != nil {
-			// Degrade: stop logging, drop parked runs; the segment
-			// rotation at the next checkpoint heals the log.
+			// Degrade: stop logging; the segment rotation at the next
+			// checkpoint heals the log.
 			s.walBroken = true
-			s.parked = make(map[uint64][]*writeset.WriteSet)
-			return
+			break
 		}
 		s.next++
 	}
-}
-
-// Realign implements storage.Backend: crash recovery may discard
-// applied-but-unlogged versions, leaving a gap no future append will
-// fill. Skip to the new next version; replay stops at the gap and the
-// certifier backfills past it.
-func (s *Store) Realign(nextVersion uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || nextVersion <= s.next {
-		return
-	}
-	s.next = nextVersion
-	for start := range s.parked { // det:order-insensitive
-		if start < nextVersion {
-			delete(s.parked, start)
-		}
-	}
+	s.maybeCheckpointLocked()
+	return nil
 }
 
 // maybeCheckpointLocked starts an async fuzzy checkpoint when enough
@@ -453,7 +414,6 @@ func (s *Store) checkpoint() error {
 	if s.walBroken {
 		s.next = s.eng.Version() + 1
 		s.walBroken = false
-		s.parked = make(map[uint64][]*writeset.WriteSet)
 	}
 	if err := s.rotateLocked(s.next - 1); err != nil {
 		return err
@@ -596,7 +556,6 @@ func (s *Store) Stats() Stats {
 		RecoveredVersion:   s.recoveredV,
 		RecoveryTook:       s.recoveryDur,
 		LoggedVersion:      s.next - 1,
-		Parked:             len(s.parked),
 		WALBroken:          s.walBroken,
 	}
 }

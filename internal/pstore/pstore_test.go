@@ -2,6 +2,7 @@ package pstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -156,33 +157,42 @@ func TestTornWALTailDiscarded(t *testing.T) {
 	mustEqualAt(t, st2.Engine(), referenceEngine(t, 19), 19)
 }
 
-func TestLogAppliedReordersRuns(t *testing.T) {
+// TestLogAppliedRefusesRunAboveTail: the replica logs inside its apply
+// window, so runs arrive in version order. A run that starts above the
+// log's tail would leave a gap; it is refused, and the log stays as it
+// was — the next in-order run still appends, and recovery reaches it.
+func TestLogAppliedRefusesRunAboveTail(t *testing.T) {
 	dir := t.TempDir()
 	st := openKV(t, dir, Options{})
-	// Apply everything on the engine, but deliver log runs out of
-	// order — the local-commit/drainer race the store must sequence.
+	applyAndLog(t, st, 1, 2)
 	var runs [][]*writeset.WriteSet
-	for v := uint64(1); v <= 6; v++ {
+	for v := uint64(3); v <= 6; v++ {
 		ws := kvWS(v)
 		if err := st.Engine().ApplyWriteSet(ws, v); err != nil {
 			t.Fatal(err)
 		}
 		runs = append(runs, []*writeset.WriteSet{ws})
 	}
-	_ = st.LogApplied(runs[4], 5)
-	_ = st.LogApplied(runs[5], 6)
-	if st.Stats().Parked != 2 {
-		t.Fatalf("parked = %d, want 2", st.Stats().Parked)
+	before := st.Stats()
+	if err := st.LogApplied(runs[2], 5); !errors.Is(err, storage.ErrBadVersion) {
+		t.Fatalf("run above the tail: err = %v, want ErrBadVersion", err)
 	}
-	// Parked runs must be copied: the replica recycles the slice it
-	// passed, so clobber the originals and expect no effect.
-	runs[4][0] = kvWS(999)
-	runs[5][0] = kvWS(998)
-	_ = st.LogApplied(runs[0], 1)
-	_ = st.LogApplied(runs[1], 2)
-	_ = st.LogApplied([]*writeset.WriteSet{kvWS(3), kvWS(4)}, 3)
-	if p := st.Stats().Parked; p != 0 {
-		t.Fatalf("parked = %d, want 0 after gap filled", p)
+	if after := st.Stats(); after.LoggedVersion != 2 || after.WALBytes != before.WALBytes {
+		t.Fatalf("refused run moved the log: logged %d, %d WAL bytes; want 2, %d",
+			after.LoggedVersion, after.WALBytes, before.WALBytes)
+	}
+	// In order again — a run overlapping the tail appends only its new
+	// part.
+	for _, run := range []struct {
+		wss   []*writeset.WriteSet
+		start uint64
+	}{{runs[0], 3}, {[]*writeset.WriteSet{runs[0][0], runs[1][0]}, 3}, {runs[2], 5}, {runs[3], 6}} {
+		if err := st.LogApplied(run.wss, run.start); err != nil {
+			t.Fatalf("log at %d: %v", run.start, err)
+		}
+	}
+	if v := st.Stats().LoggedVersion; v != 6 {
+		t.Fatalf("logged version %d, want 6", v)
 	}
 	st.Abandon()
 
@@ -236,31 +246,6 @@ func TestStartAtAlignsLogAfterBulkLoad(t *testing.T) {
 		t.Fatalf("recovered version %d, want 9", v)
 	}
 	mustEqualAt(t, st2.Engine(), referenceEngine(t, 9), 9)
-}
-
-func TestRealignSkipsLostVersions(t *testing.T) {
-	dir := t.TempDir()
-	st := openKV(t, dir, Options{})
-	applyAndLog(t, st, 1, 3)
-	// Versions 4-5 were applied but their log records lost in a crash
-	// window; the replica realigns before resuming at 6.
-	for v := uint64(4); v <= 5; v++ {
-		if err := st.Engine().ApplyWriteSet(kvWS(v), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Realign(6)
-	applyAndLog(t, st, 6, 8)
-	st.Abandon()
-
-	st2 := openKV(t, dir, Options{})
-	defer st2.Close()
-	// Replay must stop cleanly at the gap: versions 1-3 recovered,
-	// 4-8 left for certifier backfill — never a silent hole.
-	if v := st2.Engine().Version(); v != 3 {
-		t.Fatalf("recovered version %d, want 3 (stop at realign gap)", v)
-	}
-	mustEqualAt(t, st2.Engine(), referenceEngine(t, 3), 3)
 }
 
 func TestAutoCheckpointPrunesSegments(t *testing.T) {

@@ -91,14 +91,14 @@ func TestApplyBatchRefusesMisplacedStart(t *testing.T) {
 		wss[i] = mkRefresh(t, eng, 0, int64(i), "x").WS
 	}
 	for _, start := range []uint64{1, 3} { // behind Vlocal+1, and past it
-		if err := r.applyBatch(wss, start); !errors.Is(err, storage.ErrBadVersion) {
+		if err := r.applyBatch(wss, start, true); !errors.Is(err, storage.ErrBadVersion) {
 			t.Fatalf("applyBatch at %d: err = %v, want ErrBadVersion", start, err)
 		}
 	}
 	if r.Version() != 1 || r.AppliedRefreshes() != 0 {
 		t.Fatalf("refused batch left Vlocal = %d, applied = %d", r.Version(), r.AppliedRefreshes())
 	}
-	if err := r.applyBatch(wss, 2); err != nil {
+	if err := r.applyBatch(wss, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	if r.Version() != 1+maxApplyBatch || r.AppliedRefreshes() != maxApplyBatch {

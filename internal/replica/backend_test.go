@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"sconrep/internal/certifier"
 	"sconrep/internal/pstore"
 	"sconrep/internal/storage"
+	"sconrep/internal/writeset"
 )
 
 // recordingCert wraps a CertService and records every History call —
@@ -172,10 +174,10 @@ func TestRecoverFailsLoudlyOnTrimmedHistory(t *testing.T) {
 	}
 }
 
-// In-process crash recovery with the SAME backend must realign the
-// durable log: versions backfilled from history are logged, and the
-// store keeps sequencing future runs instead of parking them behind a
-// gap.
+// In-process crash recovery with the SAME backend keeps the durable
+// log contiguous: a batch in flight across the crash logs before the
+// window lets a backfill in, versions backfilled from history are
+// logged in order after it, and the store accepts the runs that follow.
 func TestRecoverRealignsDurableLog(t *testing.T) {
 	dir := t.TempDir()
 	cert := certifier.New()
@@ -231,5 +233,83 @@ func TestRecoverRealignsDurableLog(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatal("durable state differs from never-crashed peer")
+	}
+}
+
+// orderedLog is a storage.Backend that records the start of every
+// logged run and flags any run that does not start at its tail + 1.
+// A run starting at slowAt takes 50 ms to log.
+type orderedLog struct {
+	storage.MemBackend
+	slowAt uint64
+
+	mu     sync.Mutex
+	tail   uint64
+	starts []uint64
+	gaps   []string
+}
+
+func (o *orderedLog) LogApplied(wss []*writeset.WriteSet, start uint64) error {
+	if start == o.slowAt {
+		time.Sleep(50 * time.Millisecond)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.starts = append(o.starts, start)
+	if start != o.tail+1 {
+		o.gaps = append(o.gaps, fmt.Sprintf("run %d logged at tail %d", start, o.tail))
+	}
+	o.tail = max(o.tail, start+uint64(len(wss))-1)
+	return nil
+}
+
+// TestLocalCommitLogsBeforeLaterRefresh: a local commit installs and
+// logs inside the apply window, so the refresh queued right behind it
+// cannot reach the durable log first, however slow the commit's append.
+func TestLocalCommitLogsBeforeLaterRefresh(t *testing.T) {
+	eng := storage.NewEngine()
+	loadKV(t, eng) // Vlocal = 1
+	fake := newFakeCert()
+	dur := &orderedLog{MemBackend: storage.MemBackend{Eng: eng}, slowAt: 2, tail: 1}
+	r := NewWithBackend(Config{ID: 0, EarlyCert: true}, dur, fake)
+	defer r.Crash()
+
+	tx, err := r.Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(setStmt, "local", int64(9)); err != nil {
+		t.Fatal(err)
+	}
+	// The commit takes version 2; refresh 3 is queued before its
+	// decision returns, so the drainer waits on it from the start.
+	fake.mu.Lock()
+	fake.nextCommit = 2
+	fake.onCertify = func(uint64, uint64, *writeset.WriteSet) {
+		fake.queue.Put(mkRefresh(t, eng, 3, 3, "r3"))
+	}
+	fake.mu.Unlock()
+	if _, err := tx.Commit(false); err != nil {
+		t.Fatal(err)
+	}
+	waitVersion(t, r, 3)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		dur.mu.Lock()
+		starts, gaps := append([]uint64(nil), dur.starts...), dur.gaps
+		dur.mu.Unlock()
+		if len(gaps) > 0 {
+			t.Fatalf("runs reached the log out of order: %v", gaps)
+		}
+		if len(starts) == 2 {
+			if want := []uint64{2, 3}; !reflect.DeepEqual(starts, want) {
+				t.Fatalf("logged runs %v, want %v", starts, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("logged runs %v, want [2 3]", starts)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

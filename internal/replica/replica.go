@@ -57,7 +57,7 @@ var (
 // (certifier.Certifier via Local) or remote (wire.CertClient).
 type CertService interface {
 	// Certify submits an update transaction's writeset for
-	// certification. sc is the committing span's context (zero when
+	// certification. sc is the commit span's context (zero when
 	// tracing is off); remote implementations ship it on the wire.
 	Certify(origin int, txnID, snapshot uint64, ws *writeset.WriteSet, sc dtrace.SpanContext) (certifier.Decision, error)
 	// Subscribe attaches the replica to the refresh stream.
@@ -144,10 +144,10 @@ type Replica struct {
 	cond *sync.Cond
 	// dur is the durable backend: every applied run — refresh batches
 	// and local commits alike — is reported to it after the engine
-	// apply. Captured under mu so a batch in flight across a crash
-	// keeps logging to the store it started with (which a disk restart
-	// has abandoned — those appends no-op) rather than corrupting the
-	// replacement's sequencing.
+	// apply, inside the apply window. Captured under mu so a run in
+	// flight across a crash keeps logging to the store it started with
+	// (which a disk restart has abandoned — those appends no-op) rather
+	// than to the replacement, whose log tail it does not extend.
 	// guarded by mu
 	dur storage.Backend
 	// sub is the live certifier subscription.
@@ -156,16 +156,13 @@ type Replica struct {
 	// reorder buffers out-of-order refreshes by version.
 	// guarded by mu
 	reorder map[uint64]certifier.Refresh
-	// applying is the batch the drainer is currently group-applying.
-	// Entries leave the reorder buffer before they reach the engine, so
+	// applying is the run inside the apply window (applyLocked): the
+	// drainer's refresh batch or a local commit's writeset. Refreshes
+	// leave the reorder buffer before they reach the engine, so
 	// statement-side early certification must scan this window too or a
 	// write racing the apply would miss a certain conflict.
 	// guarded by mu
 	applying []certifier.Refresh
-	// committing marks versions owned by in-flight local commits so
-	// the applier does not wait for a refresh that will never arrive.
-	// guarded by mu
-	committing map[uint64]bool
 	// actives indexes in-flight client transactions by id.
 	// guarded by mu
 	actives map[uint64]*Txn
@@ -186,10 +183,9 @@ type Replica struct {
 	// guarded by mu
 	globalThrough uint64
 
-	// wssBuf recycles the per-batch writeset slice. The applying window
-	// (at most one batch is inside the engine at a time) serializes it:
-	// built under mu while the window is empty, used until the batch
-	// completes.
+	// wssBuf recycles the per-run writeset slice. The apply window (at
+	// most one run is inside the engine at a time) serializes it: built
+	// under mu while the window is empty, used until the run completes.
 	wssBuf []*writeset.WriteSet
 
 	slots chan struct{}
@@ -252,15 +248,14 @@ func NewWithBackend(cfg Config, b storage.Backend, cert CertService) *Replica {
 
 func newReplica(cfg Config, b storage.Backend, cert CertService) *Replica {
 	r := &Replica{
-		cfg:        cfg,
-		dur:        b,
-		cert:       cert,
-		lat:        cfg.Latency,
-		reorder:    make(map[uint64]certifier.Refresh),
-		committing: make(map[uint64]bool),
-		actives:    make(map[uint64]*Txn),
-		slots:      make(chan struct{}, dbSlots),
-		arrived:    make(map[uint64]time.Time),
+		cfg:     cfg,
+		dur:     b,
+		cert:    cert,
+		lat:     cfg.Latency,
+		reorder: make(map[uint64]certifier.Refresh),
+		actives: make(map[uint64]*Txn),
+		slots:   make(chan struct{}, dbSlots),
+		arrived: make(map[uint64]time.Time),
 	}
 	r.eng.Store(b.Engine())
 	r.cond = sync.NewCond(&r.mu)
@@ -394,27 +389,25 @@ const maxApplyBatch = 8
 
 // applyReadyLocked group-applies reorder-buffer entries contiguous
 // with Vlocal and reports whether it applied anything. Each round
-// coalesces the longest run of queued refreshes — stopping at a
-// version owned by an in-flight local commit, and bounded by
-// maxApplyBatch — into ONE batch applied by applyBatch under a
-// single DBMS slot, with one amortized latency charge, one coalesced
-// apply acknowledgment, and one broadcast. Versions publish in order,
-// so no version is observable before its predecessors and Vlocal stays
-// monotonic.
+// coalesces the longest run of queued refreshes — stopping at the first
+// missing version, such as one a local commit owns, and bounded by
+// maxApplyBatch — into ONE batch applied through the apply window
+// (applyLocked) under a single DBMS slot, with one amortized latency
+// charge, one coalesced apply acknowledgment, and one broadcast.
+// Versions publish in order, so no version is observable before its
+// predecessors and Vlocal stays monotonic.
 //
-// r.mu is temporarily released around the (slow) apply itself so
-// statements on other transactions proceed concurrently; entries are
-// removed from the reorder buffer under the lock (and parked in
-// r.applying for early certification), so concurrent callers never
-// double-apply.
+// Entries are removed from the reorder buffer under the lock (and
+// held in r.applying for early certification), so concurrent callers
+// never double-apply.
 func (r *Replica) applyReadyLocked() bool {
 	progress := false
 	for {
-		// At most one batch may be inside the engine at a time. Without
+		// At most one run may be inside the engine at a time. Without
 		// this guard a recovery backfill could start applying while the
 		// previous generation's drainer still has a batch in flight
 		// (Crash does not wait for it), and the loser of that race would
-		// see ErrBadVersion — a double apply. The in-flight batch
+		// see ErrBadVersion — a double apply. The run in flight
 		// broadcasts when it completes, re-waking this caller.
 		if len(r.applying) > 0 {
 			return progress
@@ -425,9 +418,6 @@ func (r *Replica) applyReadyLocked() bool {
 		// log2(n) reallocations per drained backlog.
 		batch := make([]certifier.Refresh, 0, min(maxApplyBatch, len(r.reorder)))
 		for v := start; ; v++ {
-			if r.committing[v] {
-				break // a local commit owns this version
-			}
 			ref, ok := r.reorder[v]
 			if !ok {
 				break
@@ -463,90 +453,113 @@ func (r *Replica) applyReadyLocked() bool {
 			}
 			o.applyBatch.ObserveValue(float64(len(batch)))
 		}
-		wss := r.wssBuf[:0]
-		for i := range batch {
-			wss = append(wss, batch[i].WS)
-		}
-		r.wssBuf = wss[:0]
-		last := batch[len(batch)-1].Version
 		var spans []*dtrace.ActiveSpan
 		if tr := r.tracer.Load(); tr != nil {
 			spans = r.startApplySpans(tr, batch)
 		}
-		dur := r.dur
-		r.applying = batch
-		r.mu.Unlock()
-		var err error
-		r.withSlot(func() {
-			if r.lat != nil {
-				r.lat.ApplyWriteSetBatch(len(batch))
-			}
-			err = r.applyBatch(wss, start)
-		})
-		if err == nil {
-			// Durable logging is non-forced and advisory (the certifier
-			// is the durability authority; a lost tail is backfilled on
-			// recovery), so it runs outside r.mu and after the engine
-			// apply. wss stays ours until r.applying clears: the backend
-			// copies anything it parks.
-			_ = dur.LogApplied(wss, start)
-			// The commit notification (eager accounting, §IV-D), one per
-			// batch and cumulative. Nothing on it waits for I/O:
-			// CertClient.Applied raises a version and wakes its stream's
-			// writer, and the in-process Certifier.Applied returns at once
-			// unless it is eager. A batch that was in flight across a crash
-			// acks too, and truly: its versions are applied, if perhaps to
-			// an engine a disk restart has since replaced. That ack clears
-			// waits at or below last only: those versions were certified
-			// before the crash, and Unsubscribe already cleared this
-			// replica from their waits, so it cannot end a wait for a
-			// version certified after a resubscription.
-			r.cert.Applied(r.cfg.ID, last)
-		}
-		r.mu.Lock()
-		r.applying = nil
+		r.applyLocked(batch, true)
 		for _, sp := range spans {
 			sp.End()
 		}
-		if err != nil {
-			// Ordering is enforced by construction; an apply failure
-			// here means state divergence, which must be loud.
-			panic(fmt.Sprintf("replica %d: refresh apply at %d..%d: %v", r.cfg.ID, start, last, err))
-		}
 		progress = true
-		r.cond.Broadcast()
 	}
 }
 
-// applyBatch installs the group-applied batch wss at versions start,
-// start+1, … and publishes its tail, on the caller's goroutine — the
-// paper's replica applies refresh writesets one after another in
-// certifier order. It counts before it publishes: once a version is
-// visible, every refresh at or below it is in AppliedRefreshes — the
-// order the ordering tests and convergence waiters observe.
+// applyLocked runs one run through the apply window, the one critical
+// section for every install into the engine and the log append after
+// it: the drainer's refresh batches (refresh) and a local commit's own
+// writeset alike. Runs therefore install, publish and reach the durable
+// log in version order, one at a time. The caller holds r.mu, has
+// checked that the window is free, and hands over a run that starts at
+// Vlocal+1; applyLocked releases r.mu for the install and log, and
+// retakes it with the window free again and every waiter woken.
+//
+// The two callers differ only in what surrounds the body: a refresh
+// batch is charged the amortized batch cost, counted in
+// AppliedRefreshes and acknowledged to the certifier; a local commit is
+// charged LocalCommit. An install or log error is state divergence —
+// ordering is enforced by construction — and panics.
+func (r *Replica) applyLocked(run []certifier.Refresh, refresh bool) {
+	wss := r.wssBuf[:0]
+	for i := range run {
+		wss = append(wss, run[i].WS)
+	}
+	r.wssBuf = wss[:0]
+	start, last := run[0].Version, run[len(run)-1].Version
+	dur := r.dur
+	r.applying = run
+	r.mu.Unlock()
+	var err error
+	r.withSlot(func() {
+		switch {
+		case r.lat == nil:
+		case refresh:
+			r.lat.ApplyWriteSetBatch(len(run))
+		default:
+			r.lat.LocalCommit()
+		}
+		err = r.applyBatch(wss, start, refresh)
+	})
+	if err == nil {
+		// Durable logging is non-forced (the certifier is the durability
+		// authority; a lost tail is backfilled on recovery). It runs
+		// outside r.mu, but inside the window, so the next run cannot
+		// reach the log first.
+		err = dur.LogApplied(wss, start)
+	}
+	if err == nil && refresh {
+		// The commit notification (eager accounting, §IV-D), one per
+		// batch and cumulative. Nothing on it waits for I/O:
+		// CertClient.Applied raises a version and wakes its stream's
+		// writer, and the in-process Certifier.Applied returns at once
+		// unless it is eager. A batch that was in flight across a crash
+		// acks too, and truly: its versions are applied, if perhaps to
+		// an engine a disk restart has since replaced. That ack clears
+		// waits at or below last only: those versions were certified
+		// before the crash, and Unsubscribe already cleared this
+		// replica from their waits, so it cannot end a wait for a
+		// version certified after a resubscription.
+		r.cert.Applied(r.cfg.ID, last)
+	}
+	r.mu.Lock()
+	r.applying = nil
+	if err != nil {
+		panic(fmt.Sprintf("replica %d: apply at %d..%d: %v", r.cfg.ID, start, last, err))
+	}
+	r.cond.Broadcast()
+}
+
+// applyBatch installs the run wss at versions start, start+1, … and
+// publishes its tail, on the caller's goroutine — the paper's replica
+// commits writesets one after another in certifier order. A refresh
+// run counts before it publishes: once a version is visible, every
+// refresh at or below it is in AppliedRefreshes — the order the
+// ordering tests and convergence waiters observe.
 //
 // The publish does NOT broadcast r.cond: snapshot reads observe the
 // published watermark directly through Begin (no wait involved), and
-// version waiters (commit sync, tests) are woken by the caller's
-// broadcast under r.mu after the batch completes. Broadcasting per
+// version waiters (commit sync, tests) are woken by applyLocked's
+// broadcast under r.mu after the run completes. Broadcasting per
 // publish as well was measured to cost more than the installs
 // themselves (a wakeup storm of r.mu acquisitions).
 //
-// An install error leaves the watermark where it was; the caller treats
-// it as divergence. The caller must hold the r.applying window (at most
-// one batch inside the engine) and must NOT hold r.mu.
-func (r *Replica) applyBatch(wss []*writeset.WriteSet, start uint64) error {
+// An install error leaves the watermark where it was. The caller must
+// hold the apply window (at most one run inside the engine) and must
+// NOT hold r.mu.
+func (r *Replica) applyBatch(wss []*writeset.WriteSet, start uint64, refresh bool) error {
 	eng := r.engine()
-	// The applying window and the commit slot protocol make this batch
-	// the engine's only writer, so the check cannot race — it turns an
-	// ordering bug into a loud error whatever the schedule.
+	// The apply window makes this run the engine's only writer, so the
+	// check cannot race — it turns an ordering bug into a loud error
+	// whatever the schedule.
 	if v := eng.Version(); start != v+1 {
-		return fmt.Errorf("%w: engine at %d, refresh batch starts at %d", storage.ErrBadVersion, v, start)
+		return fmt.Errorf("%w: engine at %d, run starts at %d", storage.ErrBadVersion, v, start)
 	}
 	if err := eng.InstallWriteSets(wss, start); err != nil {
-		return fmt.Errorf("refresh apply at %d: %w", start, err)
+		return fmt.Errorf("install at %d: %w", start, err)
 	}
-	r.appliedRefreshes.Add(int64(len(wss)))
+	if refresh {
+		r.appliedRefreshes.Add(int64(len(wss)))
+	}
 	eng.PublishVersion(start + uint64(len(wss)) - 1)
 	return nil
 }
@@ -830,7 +843,7 @@ func (t *Txn) afterWrite() error {
 		// exempt those: a reorder entry goes stale when a duplicate (a
 		// reconnect, a history backfill) arrives while its version is in
 		// the in-flight batch, and stays until the drainer idles; and
-		// applyBatch publishes the in-flight batch before the drainer
+		// applyBatch publishes the run in the window before applyLocked
 		// retakes r.mu to clear r.applying.
 		snap := t.stx.Snapshot()
 		for _, ref := range r.reorder {
@@ -840,8 +853,9 @@ func (t *Txn) afterWrite() error {
 				break
 			}
 		}
-		// The drainer's in-flight batch left the reorder buffer but is
-		// not yet applied; each of its writesets must still be checked
+		// The run in the apply window — a refresh batch that left the
+		// reorder buffer, or a local commit's writeset — is not yet
+		// applied; each of its writesets must still be checked
 		// individually.
 		if !killed {
 			for i := range r.applying {
@@ -974,66 +988,33 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 		return CommitResult{}, ErrCertifyConflict
 	}
 
-	// Claim our version slot so the applier will not wait for a
-	// refresh at dec.Version, then wait for all predecessors.
+	// Wait for our turn: every predecessor applied and the apply window
+	// free. The drainer stops at our version on its own — the refresh
+	// stream does not carry the origin's commits back to it.
 	t.enter(metrics.StageSync)
 	r.mu.Lock()
-	r.committing[dec.Version] = true
-	r.cond.Broadcast() // let the drainer re-evaluate its stop condition
-	appliedAsRefresh := false
 	for {
 		if r.crashed {
-			delete(r.committing, dec.Version)
 			r.mu.Unlock()
 			t.abortInternal()
 			return CommitResult{}, ErrCrashed
 		}
-		// A resubscribe backfill replays certifier history, which
-		// includes this replica's OWN commits: if the claim above lost
-		// the race with the drainer, our writeset — identical content,
-		// straight from the certifier — is already installed (or is
-		// inside the in-flight batch). Committing it again would be a
-		// double apply, so adopt the refresh as our commit instead.
-		if r.engine().Version() >= dec.Version {
-			appliedAsRefresh = true
+		v := r.engine().Version()
+		if v >= dec.Version || (v == dec.Version-1 && len(r.applying) == 0) {
 			break
-		}
-		covered := len(r.applying) > 0 && r.applying[len(r.applying)-1].Version >= dec.Version
-		if r.engine().Version() == dec.Version-1 && !covered {
-			break // our turn: predecessors applied, our slot is free
 		}
 		r.cond.Wait()
 	}
-	r.mu.Unlock()
-
-	// Local commit at the assigned version.
+	// A resubscribe backfill replays certifier history, which includes
+	// this replica's OWN commits: the drainer may already have installed
+	// our writeset — identical content, straight from the certifier.
+	// Committing it again would be a double apply, so adopt the refresh
+	// as our commit instead; logging it is the drainer's.
 	t.enter(metrics.StageCommit)
-	if !appliedAsRefresh {
-		var commitErr error
-		r.withSlot(func() {
-			if r.lat != nil {
-				r.lat.LocalCommit()
-			}
-			commitErr = r.engine().ApplyWriteSet(ws, dec.Version)
-		})
-		if commitErr != nil {
-			// The slot was claimed and predecessors applied; failure here
-			// is a protocol bug, not a runtime condition.
-			panic(fmt.Sprintf("replica %d: local commit at %d: %v", r.cfg.ID, dec.Version, commitErr))
-		}
+	if r.engine().Version() < dec.Version {
+		r.applyLocked([]certifier.Refresh{{Version: dec.Version, WS: ws}}, false)
 	}
-	r.mu.Lock()
-	delete(r.committing, dec.Version)
-	dur := r.dur
-	// Wake the drainer: refreshes may have queued up behind our slot.
-	r.cond.Broadcast()
 	r.mu.Unlock()
-	if !appliedAsRefresh {
-		// A writeset adopted as a refresh is logged by the drainer; one
-		// we committed ourselves is ours to log. This run may race the
-		// drainer's around it — sequencing is the backend's job.
-		_ = dur.LogApplied([]*writeset.WriteSet{ws}, dec.Version)
-	}
 
 	// Eager strong consistency: hold the acknowledgment until every
 	// replica has applied the writeset (global commit delay). The
@@ -1082,7 +1063,6 @@ func (r *Replica) Crash() {
 		}
 	}
 	r.reorder = make(map[uint64]certifier.Refresh)
-	r.committing = make(map[uint64]bool)
 	r.arrived = make(map[uint64]time.Time)
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -1103,12 +1083,6 @@ func (r *Replica) Recover() error {
 	// history; the reorder buffer deduplicates overlap by version.
 	r.attach()
 	engV := r.engine().Version()
-	r.mu.Lock()
-	// Crash discards applied-but-unlogged runs from the replica's
-	// buffers; realign the durable log so it does not park every future
-	// run behind versions that will never be logged again.
-	r.dur.Realign(engV + 1)
-	r.mu.Unlock()
 	// History is paged (at most certifier.MaxHistoryBatch per call):
 	// loop until an empty page, applying each page before fetching the
 	// next so backfill memory stays bounded. Versions certified after

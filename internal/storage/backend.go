@@ -20,20 +20,16 @@ type Backend interface {
 	Engine() *Engine
 
 	// LogApplied records that wss[i] was applied at startVersion+i.
-	// Runs may arrive out of version order when the applier and a
-	// local commit race; the backend is responsible for sequencing
-	// them. Durable backends append without forcing: losing the tail
-	// is safe because the certifier backfills it on recovery. For the
-	// same reason an error is advisory, not fatal — a backend that can
-	// no longer log degrades to a deeper recovery, not to divergence.
+	// The replica calls it from inside its apply window, so runs arrive
+	// in version order: each starts at or below the log's tail + 1 (a
+	// run reaching below the tail was already logged, in part or in
+	// whole). A run starting above it would leave a gap and is refused
+	// with an error, which the replica treats as state divergence.
+	// Durable backends append without forcing: losing the tail is safe
+	// because the certifier backfills it on recovery. A backend that can
+	// no longer write drops runs without error — a deeper recovery, not
+	// divergence.
 	LogApplied(wss []*writeset.WriteSet, startVersion uint64) error
-
-	// Realign tells the backend the next version the replica will
-	// apply. Crash recovery may discard applied-but-unlogged versions
-	// from the replica's buffers; realigning lets the backend close
-	// the resulting log gap instead of waiting forever for versions
-	// that will never be logged.
-	Realign(nextVersion uint64)
 
 	// Close releases the backend's resources gracefully.
 	Close() error
@@ -47,7 +43,5 @@ type MemBackend struct {
 func (m MemBackend) Engine() *Engine { return m.Eng }
 
 func (m MemBackend) LogApplied([]*writeset.WriteSet, uint64) error { return nil }
-
-func (m MemBackend) Realign(uint64) {}
 
 func (m MemBackend) Close() error { return nil }

@@ -449,11 +449,9 @@ func (e *Engine) ApplyWriteSetBatch(wss []*writeset.WriteSet, startVersion uint6
 // InstallWriteSets installs a contiguous run of writesets without
 // publishing them: wss[i] installs at atVersion+i, and readers cannot
 // observe the new versions until PublishVersion raises the watermark
-// to them. It holds only a shared lock on the engine, so runs that meet
-// installRun's precondition install concurrently — the replica's
-// refresh applier derives that schedule from the batch's conflict
-// graph. atVersion must be above the published version (the watermark
-// only ever chases installs).
+// to them. It holds only a shared lock on the engine, so snapshot
+// reads proceed while the run installs. atVersion must be above the
+// published version (the watermark only ever chases installs).
 func (e *Engine) InstallWriteSets(wss []*writeset.WriteSet, atVersion uint64) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -94,9 +94,10 @@ type Log struct {
 	frame []byte
 }
 
-// NewMemory returns a log writing to an in-memory buffer — used by
-// clusters where durability is simulated by the latency model rather
-// than real disk I/O.
+// NewMemory returns a log writing to an in-memory buffer that
+// MemoryBytes reads back, for replaying a log without touching disk.
+// The buffer keeps every record appended; a log whose records nobody
+// reads is NewWriter(io.Discard).
 func NewMemory() *Log {
 	l := &Log{}
 	l.w = &l.buf

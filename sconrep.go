@@ -51,53 +51,20 @@ import (
 )
 
 // Mode selects the consistency configuration.
-type Mode int
+type Mode = core.Mode
 
-// The four configurations of the paper (§III, §IV).
+// The four configurations of the paper (§III, §IV). The zero value is
+// Eager.
 const (
-	Eager Mode = iota
-	Coarse
-	Fine
-	Session
+	Eager   = core.Eager
+	Coarse  = core.Coarse
+	Fine    = core.Fine
+	Session = core.Session
 )
-
-// String returns the paper-style label (ESC/CSC/FSC/SC).
-func (m Mode) String() string { return m.internal().String() }
-
-// Strong reports whether the mode guarantees strong consistency.
-func (m Mode) Strong() bool { return m.internal().Strong() }
-
-func (m Mode) internal() core.Mode {
-	switch m {
-	case Eager:
-		return core.Eager
-	case Coarse:
-		return core.Coarse
-	case Fine:
-		return core.Fine
-	default:
-		return core.Session
-	}
-}
 
 // ParseMode resolves "ESC", "CSC", "FSC", "SC" (and lowercase
 // synonyms eager/coarse/fine/session).
-func ParseMode(s string) (Mode, error) {
-	cm, err := core.ParseMode(s)
-	if err != nil {
-		return 0, err
-	}
-	switch cm {
-	case core.Eager:
-		return Eager, nil
-	case core.Coarse:
-		return Coarse, nil
-	case core.Fine:
-		return Fine, nil
-	default:
-		return Session, nil
-	}
-}
+func ParseMode(s string) (Mode, error) { return core.ParseMode(s) }
 
 // Config configures a replicated database.
 type Config struct {
@@ -116,7 +83,7 @@ type Config struct {
 	// Seed makes simulated jitter deterministic.
 	Seed int64
 	// WALPath, when set, makes the certifier's decision log durable in
-	// that file; otherwise the log is in memory.
+	// that file; otherwise decision records are discarded.
 	WALPath string
 	// RecordHistory enables the consistency-violation checker (see
 	// DB.CheckConsistency).
@@ -158,7 +125,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	c, err := cluster.New(cluster.Config{
 		Replicas:         cfg.Replicas,
-		Mode:             cfg.Mode.internal(),
+		Mode:             cfg.Mode,
 		Latency:          model,
 		Seed:             cfg.Seed,
 		WAL:              log,
