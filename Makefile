@@ -114,17 +114,19 @@ bench:
 # live run reads), and a title search that matches nothing (the index
 # walk's worst case), and one replica's bulk load of each workload at
 # its default scale on a fresh engine (the work LoadData runs on every
-# replica at once, most of a cluster set-up's wall time). Results land
+# replica at once, most of a cluster set-up's wall time), and a
+# 10 000-key B-tree built from ascending and from random keys (the
+# index under every table; a bulk load inserts in key order). Results land
 # in BENCH_hotpath.json (committed, so before/after numbers travel with
 # the code); benchjson -require fails the run if any expected benchmark
 # went missing. Override
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
-HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements|BenchmarkLoad
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw
+HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements|BenchmarkLoad|BenchmarkTreeSet
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw,BenchmarkTreeSet/ascending,BenchmarkTreeSet/random
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
-		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ ./internal/bench/ \
+		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ ./internal/bench/ ./internal/btree/ \
 		| tee bench_output.txt
 	$(GO) run ./cmd/benchjson -require '$(HOTPATH_REQUIRE)' < bench_output.txt > BENCH_hotpath.json
 	@rm -f bench_output.txt

@@ -5,9 +5,19 @@
 // leaves are chained so range scans are a leaf walk. The tree is not
 // safe for concurrent mutation; the storage engine serializes writers
 // and uses its own MVCC machinery for readers.
+//
+// A leaf's key and value arrays are allocated once, at full capacity,
+// and never regrow. A full leaf splits in half, except on an insert
+// past the tree's last key: then only the new key moves to a fresh
+// leaf, so an ascending load (a bulk load in key order, or an
+// ever-growing order id) leaves every leaf but the last one full,
+// instead of half-empty leaves nothing will insert into again.
 package btree
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // degree is the maximum number of children of an internal node. Leaves
 // hold up to degree-1 keys. 64 keeps nodes around a cache line multiple
@@ -27,7 +37,7 @@ type Tree struct {
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{root: &leaf{}, height: 0}
+	return &Tree{root: newLeaf(), height: 0}
 }
 
 // node is either *internal or *leaf.
@@ -47,6 +57,11 @@ type leaf struct {
 	values []any
 	next   *leaf
 	prev   *leaf
+}
+
+// newLeaf returns an empty leaf with room for maxKeys keys.
+func newLeaf() *leaf {
+	return &leaf{keys: make([]string, 0, maxKeys), values: make([]any, 0, maxKeys)}
 }
 
 func (n *internal) firstKey() string { return n.children[0].firstKey() }
@@ -143,17 +158,25 @@ func (t *Tree) insertRec(n node, k string, v any) (node, string, bool) {
 			nd.values[i] = v
 			return nil, "", false
 		}
-		nd.keys = append(nd.keys, "")
-		copy(nd.keys[i+1:], nd.keys[i:])
-		nd.keys[i] = k
-		nd.values = append(nd.values, nil)
-		copy(nd.values[i+1:], nd.values[i:])
-		nd.values[i] = v
-		if len(nd.keys) > maxKeys {
-			right := t.splitLeaf(nd)
-			return right, right.keys[0], true
+		if len(nd.keys) < maxKeys {
+			nd.insertAt(i, k, v)
+			return nil, "", true
 		}
-		return nil, "", true
+		into := nd
+		var right *leaf
+		if i == maxKeys && nd.next == nil {
+			// Past the tree's last key: the new key alone starts the next
+			// leaf, and this one stays full.
+			right = nd.link()
+			into, i = right, 0
+		} else {
+			right = nd.split()
+			if mid := len(nd.keys); i >= mid {
+				into, i = right, i-mid
+			}
+		}
+		into.insertAt(i, k, v)
+		return right, right.keys[0], true
 
 	case *internal:
 		ci := nd.childIndex(k)
@@ -175,20 +198,34 @@ func (t *Tree) insertRec(n node, k string, v any) (node, string, bool) {
 	panic("btree: unknown node type")
 }
 
-func (t *Tree) splitLeaf(l *leaf) *leaf {
-	mid := len(l.keys) / 2
-	right := &leaf{
-		keys:   append([]string(nil), l.keys[mid:]...),
-		values: append([]any(nil), l.values[mid:]...),
-		next:   l.next,
-		prev:   l,
-	}
+// insertAt puts k/v at position i of a leaf with room for it.
+func (l *leaf) insertAt(i int, k string, v any) {
+	l.keys = slices.Insert(l.keys, i, k)
+	l.values = slices.Insert(l.values, i, v)
+}
+
+// link links a new empty leaf in after l and returns it.
+func (l *leaf) link() *leaf {
+	right := newLeaf()
+	right.next, right.prev = l.next, l
 	if l.next != nil {
 		l.next.prev = right
 	}
-	l.keys = l.keys[:mid:mid]
-	l.values = l.values[:mid:mid]
 	l.next = right
+	return right
+}
+
+// split moves the upper half of the full leaf l to a new leaf linked in
+// after it. l keeps its arrays, so it has room again.
+func (l *leaf) split() *leaf {
+	mid := (len(l.keys) + 1) / 2
+	right := l.link()
+	right.keys = append(right.keys, l.keys[mid:]...)
+	right.values = append(right.values, l.values[mid:]...)
+	clear(l.keys[mid:])
+	clear(l.values[mid:])
+	l.keys = l.keys[:mid]
+	l.values = l.values[:mid]
 	return right
 }
 
@@ -236,8 +273,8 @@ func (t *Tree) deleteRec(n node, k string) bool {
 		if i >= len(nd.keys) || nd.keys[i] != k {
 			return false
 		}
-		nd.keys = append(nd.keys[:i], nd.keys[i+1:]...)
-		nd.values = append(nd.values[:i], nd.values[i+1:]...)
+		nd.keys = slices.Delete(nd.keys, i, i+1)
+		nd.values = slices.Delete(nd.values, i, i+1)
 		return true
 
 	case *internal:
@@ -383,21 +420,42 @@ func (t *Tree) check() error {
 	if n != t.size {
 		return fmt.Errorf("btree: size %d but iterated %d keys", t.size, n)
 	}
-	return t.checkNode(t.root, t.height)
+	return t.checkNode(t.root, t.height, "", "")
 }
 
-func (t *Tree) checkNode(n node, depth int) error {
+// checkNode checks the subtree n, whose keys must lie in [lo, hi) (an
+// empty hi is unbounded).
+func (t *Tree) checkNode(n node, depth int, lo, hi string) error {
 	switch nd := n.(type) {
 	case *leaf:
 		if depth != 0 {
 			return fmt.Errorf("btree: leaf at depth %d", depth)
 		}
+		if len(nd.keys) != len(nd.values) || cap(nd.keys) != maxKeys || cap(nd.values) != maxKeys {
+			return fmt.Errorf("btree: leaf with %d keys, %d values, capacities %d and %d",
+				len(nd.keys), len(nd.values), cap(nd.keys), cap(nd.values))
+		}
+		if nd.next != nil && nd.next.prev != nd {
+			return fmt.Errorf("btree: leaf chain broken after %q", nd.firstKey())
+		}
+		for _, k := range nd.keys {
+			if k < lo || hi != "" && k >= hi {
+				return fmt.Errorf("btree: key %q outside its leaf's range [%q, %q)", k, lo, hi)
+			}
+		}
 	case *internal:
 		if len(nd.keys) != len(nd.children)-1 {
 			return fmt.Errorf("btree: internal with %d keys, %d children", len(nd.keys), len(nd.children))
 		}
-		for _, c := range nd.children {
-			if err := t.checkNode(c, depth-1); err != nil {
+		for i, c := range nd.children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = nd.keys[i-1]
+			}
+			if i < len(nd.keys) {
+				chi = nd.keys[i]
+			}
+			if err := t.checkNode(c, depth-1, clo, chi); err != nil {
 				return err
 			}
 		}

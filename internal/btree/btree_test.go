@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -325,11 +326,160 @@ func TestDescend(t *testing.T) {
 	}
 }
 
-func BenchmarkTreeInsert(b *testing.B) {
+// leaves returns the tree's leaves in chain order.
+func (t *Tree) leaves() []*leaf {
+	n := t.root
+	for {
+		in, ok := n.(*internal)
+		if !ok {
+			break
+		}
+		n = in.children[0]
+	}
+	var out []*leaf
+	for l := n.(*leaf); l != nil; l = l.next {
+		out = append(out, l)
+	}
+	return out
+}
+
+// TestAscendingFillsLeaves: keys inserted in ascending order leave every
+// leaf but the last one full, because an insert past the last key splits
+// off only the new key.
+func TestAscendingFillsLeaves(t *testing.T) {
 	tr := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Set(fmt.Sprintf("%012d", i), i)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		tr.Set(fmt.Sprintf("%08d", i), i)
+	}
+	if err := tr.check(); err != nil {
+		t.Fatal(err)
+	}
+	ls := tr.leaves()
+	if want := (n + maxKeys - 1) / maxKeys; len(ls) != want {
+		t.Fatalf("%d leaves, want %d", len(ls), want)
+	}
+	for i, l := range ls[:len(ls)-1] {
+		if len(l.keys) != maxKeys {
+			t.Fatalf("leaf %d of %d holds %d keys, want %d", i, len(ls), len(l.keys), maxKeys)
+		}
+	}
+	if got, want := len(ls[len(ls)-1].keys), n-(len(ls)-1)*maxKeys; got != want {
+		t.Fatalf("last leaf holds %d keys, want %d", got, want)
+	}
+}
+
+// TestInsertOrders builds trees from ascending, descending, random and
+// ascending-with-interleaved-delete sequences, and checks each one's
+// structure and that Scan and Descend yield every key once, in order.
+func TestInsertOrders(t *testing.T) {
+	const n = 4000
+	key := func(i int) string { return fmt.Sprintf("%06d", i) }
+	for _, tc := range []struct {
+		name  string
+		build func(tr *Tree, present map[string]bool)
+	}{
+		{"ascending", func(tr *Tree, present map[string]bool) {
+			for i := 0; i < n; i++ {
+				tr.Set(key(i), i)
+				present[key(i)] = true
+			}
+		}},
+		{"descending", func(tr *Tree, present map[string]bool) {
+			for i := n - 1; i >= 0; i-- {
+				tr.Set(key(i), i)
+				present[key(i)] = true
+			}
+		}},
+		{"random", func(tr *Tree, present map[string]bool) {
+			for _, i := range rand.New(rand.NewSource(3)).Perm(n) {
+				tr.Set(key(i), i)
+				present[key(i)] = true
+			}
+		}},
+		{"ascending-interleaved-delete", func(tr *Tree, present map[string]bool) {
+			rng := rand.New(rand.NewSource(4))
+			for i := 0; i < n; i++ {
+				tr.Set(key(i), i)
+				present[key(i)] = true
+				// Delete now and then: the tail key, a key just behind it,
+				// or a whole stretch, so tail leaves empty and unlink.
+				switch r := rng.Intn(20); {
+				case r == 0:
+					tr.Delete(key(i))
+					delete(present, key(i))
+				case r == 1 && i >= 10:
+					tr.Delete(key(i - 10))
+					delete(present, key(i-10))
+				case r == 2 && i >= 200:
+					for j := i - 200; j < i-100; j++ {
+						tr.Delete(key(j))
+						delete(present, key(j))
+					}
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := New()
+			present := map[string]bool{}
+			tc.build(tr, present)
+			if err := tr.check(); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Len() != len(present) {
+				t.Fatalf("Len = %d, want %d", tr.Len(), len(present))
+			}
+			var want []string
+			for k := range present {
+				want = append(want, k)
+			}
+			sort.Strings(want)
+			it := tr.ScanAll()
+			for _, k := range want {
+				if !it.Next() || it.Key() != k {
+					t.Fatalf("Scan: got %q, want %q", it.Key(), k)
+				}
+			}
+			if it.Next() {
+				t.Fatalf("Scan: extra key %q", it.Key())
+			}
+			it = tr.Descend("", "")
+			for i := len(want) - 1; i >= 0; i-- {
+				if !it.Next() || it.Key() != want[i] {
+					t.Fatalf("Descend: got %q, want %q", it.Key(), want[i])
+				}
+			}
+			if it.Next() {
+				t.Fatalf("Descend: extra key %q", it.Key())
+			}
+		})
+	}
+}
+
+// BenchmarkTreeSet builds a 10 000-key tree per iteration, keys inserted
+// in ascending order (a bulk load in key order) or in random order.
+func BenchmarkTreeSet(b *testing.B) {
+	const n = 10000
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%012d", i)
+	}
+	shuffled := slices.Clone(keys)
+	rand.New(rand.NewSource(5)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, order := range []struct {
+		name string
+		keys []string
+	}{{"ascending", keys}, {"random", shuffled}} {
+		b.Run(order.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := New()
+				for _, k := range order.keys {
+					tr.Set(k, nil)
+				}
+			}
+		})
 	}
 }
 

@@ -68,8 +68,9 @@ func BenchmarkRefreshApply(b *testing.B) {
 			defer r.Crash()
 
 			// Writesets are prebuilt and reused; only the Refresh envelope
-			// (version, txn id) changes per iteration. The engine copies
-			// rows on apply, so sharing is safe.
+			// (version, txn id) changes per iteration. The engine links the
+			// rows as handed and nothing writes into them, so one row may
+			// back many versions.
 			wss := make([]*writeset.WriteSet, mode.backlog)
 			schema, ok := eng.Schema("kv")
 			if !ok {

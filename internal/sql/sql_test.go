@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -823,5 +824,53 @@ func TestVarcharLengthIgnored(t *testing.T) {
 	res := h.query(`SELECT s FROM t WHERE id = 1`)
 	if res.Rows[0][0].(string) != "hello" {
 		t.Fatal("varchar round trip failed")
+	}
+}
+
+// TestCreateIndexDuringSelect: CREATE INDEX installs a new schema
+// instead of editing the one planners already hold, so a SELECT planned
+// while indexes are being added reads a consistent index list. Run under
+// -race: the planner reads Schema.Indexes with no lock.
+func TestCreateIndexDuringSelect(t *testing.T) {
+	h := newHarness(t)
+	h.exec(`CREATE TABLE t (id INT PRIMARY KEY, c0 INT, c1 INT, c2 INT, c3 INT, c4 INT, c5 INT, c6 INT, c7 INT)`)
+	h.exec(`INSERT INTO t VALUES (1, 0, 1, 2, 3, 4, 5, 6, 7), (2, 0, 1, 2, 3, 4, 5, 6, 8)`)
+	done := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < 8; i++ {
+			tx := h.e.Begin()
+			_, err := Exec(tx, h.e, fmt.Sprintf(`CREATE INDEX t_c%d ON t (c%d)`, i, i))
+			tx.Abort()
+			if err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		tx := h.e.Begin()
+		res, err := Exec(tx, h.e, `SELECT id FROM t WHERE c7 = ?`, 7)
+		tx.Abort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0] != int64(1) {
+			t.Fatalf("rows = %v, want [[1]]", res.Rows)
+		}
+	}
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	if s, _ := h.e.Schema("t"); len(s.Indexes) != 8 {
+		t.Fatalf("schema lists %d indexes, want 8", len(s.Indexes))
 	}
 }

@@ -38,6 +38,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -238,7 +239,11 @@ func (e *Engine) CreateIndex(tableName string, def IndexDef) error {
 		}
 	}
 	t.indexes[def.Name] = ix
-	t.schema.Indexes = append(t.schema.Indexes, def)
+	// Copy on write: Schema hands the old *Schema to readers that hold
+	// no lock, so it is never edited.
+	cp := *t.schema
+	cp.Indexes = append(slices.Clip(cp.Indexes), def)
+	t.schema = &cp
 	return nil
 }
 
@@ -302,33 +307,29 @@ func storeMax(a *atomic.Uint64, v uint64) {
 }
 
 // sizeRun validates a run against the table schemas and sizes its
-// slabs. n is how many leading writesets are installable: len(wss)
-// with a nil error, otherwise the index of the first writeset naming
-// an unknown table or carrying a malformed row. items and elems count
-// the row versions and row cells of those n writesets. Caller holds
-// e.mu.
-func (e *Engine) sizeRun(wss []*writeset.WriteSet) (n, items, elems int, err error) {
+// version slab. n is how many leading writesets are installable:
+// len(wss) with a nil error, otherwise the index of the first writeset
+// naming an unknown table or carrying a malformed row. items counts the
+// row versions of those n writesets. Caller holds e.mu.
+func (e *Engine) sizeRun(wss []*writeset.WriteSet) (n, items int, err error) {
 	var cur *table
 	for i, ws := range wss {
-		wsElems := 0
 		for j := range ws.Items {
 			it := &ws.Items[j]
 			if cur == nil || cur.schema.Table != it.Table {
 				if cur = e.tables[it.Table]; cur == nil {
-					return i, items, elems, fmt.Errorf("%w: %s", ErrNoTable, it.Table)
+					return i, items, fmt.Errorf("%w: %s", ErrNoTable, it.Table)
 				}
 			}
 			if it.Op != writeset.OpDelete {
 				if err := cur.schema.CheckRow(it.Row); err != nil {
-					return i, items, elems, err
+					return i, items, err
 				}
-				wsElems += len(it.Row)
 			}
 		}
 		items += len(ws.Items)
-		elems += wsElems
 	}
-	return len(wss), items, elems, nil
+	return len(wss), items, nil
 }
 
 // installRun is the one place a row version is linked into a chain:
@@ -346,19 +347,20 @@ func (e *Engine) sizeRun(wss []*writeset.WriteSet) (n, items, elems int, err err
 // an earlier-versioned run starts after that run returned, with a
 // happens-before edge.
 //
-// Version rows and their row copies come from two run-sized slabs: two
-// allocations per call instead of two per item, which is most of what
-// the refresh-apply hot path allocates. A slab stays reachable while any
-// one of its rows does (chains point into it), so vacuum reclaims slab
-// memory at run granularity rather than row granularity — bounded
-// amplification (a run is one local commit or at most one apply batch)
-// traded for an allocation rate the garbage collector no longer
-// dominates. Each table's lock is taken once per stretch of same-table
-// items.
+// The row image each item carries is linked as handed, not copied: it
+// is a Txn's private pending copy, or a row freshly decoded from a
+// frame, the WAL or a checkpoint, and nobody writes into it afterwards
+// (the rule every install entry point states). Version rows come from
+// one run-sized slab: one allocation per call instead of one per item,
+// which is most of what the refresh-apply hot path allocates. A slab
+// stays reachable while any one of its version rows does (chains point
+// into it), so vacuum reclaims version rows at run granularity — bounded
+// amplification, a run being one local commit or at most one apply
+// batch — and the row images themselves one by one. Each table's lock
+// is taken once per stretch of same-table items.
 func (e *Engine) installRun(wss []*writeset.WriteSet, atVersion uint64) (int, error) {
-	n, items, elems, err := e.sizeRun(wss)
+	n, items, err := e.sizeRun(wss)
 	slab := make([]verRow, items)
-	rowBuf := make([]any, elems)
 	var (
 		cur  *table
 		last uint64 // newest version linked into cur since it was locked
@@ -388,9 +390,7 @@ func (e *Engine) installRun(wss []*writeset.WriteSet, atVersion uint64) (int, er
 			if it.Op == writeset.OpDelete {
 				nv.deleted = true
 			} else {
-				nv.row = rowBuf[:len(it.Row):len(it.Row)]
-				rowBuf = rowBuf[len(it.Row):]
-				copy(nv.row, it.Row)
+				nv.row = it.Row
 				// Index entries may precede the chain link: the index is a
 				// value superset and readers re-check visibility on the chain.
 				for _, ix := range cur.indexes {
@@ -413,6 +413,10 @@ func (e *Engine) installRun(wss []*writeset.WriteSet, atVersion uint64) (int, er
 // must be exactly Version()+1: the proxy is responsible for applying
 // refresh and local commits in certifier order, and this check turns
 // an ordering bug into a loud error instead of silent corruption.
+//
+// The engine keeps the row slices it is handed, here and in
+// ApplyWriteSetBatch, InstallWriteSets and RestoreRow: the caller must
+// not write into an item's Row after the call.
 func (e *Engine) ApplyWriteSet(ws *writeset.WriteSet, atVersion uint64) error {
 	return e.ApplyWriteSetBatch([]*writeset.WriteSet{ws}, atVersion)
 }
@@ -428,7 +432,8 @@ func (e *Engine) ApplyWriteSet(ws *writeset.WriteSet, atVersion uint64) error {
 // On a mid-batch failure the version counter stops at the last
 // writeset before the offending one (the contiguous durable prefix)
 // and the error names the offending version; callers treat it as state
-// divergence (the replica panics).
+// divergence (the replica panics). The engine keeps the row slices it
+// is handed (see ApplyWriteSet).
 func (e *Engine) ApplyWriteSetBatch(wss []*writeset.WriteSet, startVersion uint64) error {
 	if len(wss) == 0 {
 		return nil
@@ -451,7 +456,8 @@ func (e *Engine) ApplyWriteSetBatch(wss []*writeset.WriteSet, startVersion uint6
 // observe the new versions until PublishVersion raises the watermark
 // to them. It holds only a shared lock on the engine, so snapshot
 // reads proceed while the run installs. atVersion must be above the
-// published version (the watermark only ever chases installs).
+// published version (the watermark only ever chases installs). The
+// engine keeps the row slices it is handed (see ApplyWriteSet).
 func (e *Engine) InstallWriteSets(wss []*writeset.WriteSet, atVersion uint64) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

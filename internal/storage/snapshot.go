@@ -76,7 +76,8 @@ func (e *Engine) TablesSorted() []string {
 // commit-order check. Checkpoint restore only: the engine must not be
 // serving traffic, keys must arrive at most once, and the caller must
 // finish with RestoreVersion. Row images are schema-checked so a
-// corrupt checkpoint cannot plant malformed rows.
+// corrupt checkpoint cannot plant malformed rows. The engine keeps row
+// as its version image: the caller must not write into it afterwards.
 func (e *Engine) RestoreRow(tableName, key string, row []any, version uint64) error {
 	ws := writeset.WriteSet{Items: []writeset.Item{{Table: tableName, Key: key, Op: writeset.OpUpdate, Row: row}}}
 	e.mu.RLock()

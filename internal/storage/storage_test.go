@@ -476,9 +476,26 @@ func TestWriteSetRowsNeverMutated(t *testing.T) {
 		t.Fatal(err)
 	}
 	committed := tx.WriteSet()
+	// A later delete reuses the key's slot; the writesets already taken
+	// keep their items.
+	if err := tx.Delete("acct", key); err != nil {
+		t.Fatal(err)
+	}
+	if ws := tx.WriteSet(); len(ws.Items) != 1 || ws.Items[0].Op != writeset.OpDelete {
+		t.Fatalf("writeset after delete = %v", ws)
+	}
+	for name, ws := range map[string]*writeset.WriteSet{"partial": partial, "committed": committed} {
+		if len(ws.Items) != 1 || ws.Items[0].Op != writeset.OpUpdate {
+			t.Fatalf("%s writeset after a later delete = %v", name, ws)
+		}
+	}
 	tx.Abort()
 	if err := e.ApplyWriteSet(committed, e.Version()+1); err != nil {
 		t.Fatal(err)
+	}
+	// The engine links the pending image as handed: no copy.
+	if got, _, _ := e.Begin().Get("acct", key); &got[0] != &committed.Items[0].Row[0] {
+		t.Error("installed row is a copy of the writeset's row image")
 	}
 
 	tx = e.Begin()

@@ -25,29 +25,41 @@ import (
 // slice), so a caller may keep a row as long as it likes, across commits
 // and after the transaction ends. In exchange the caller must not write
 // into it: copy first, as the SQL layer's UPDATE does. Insert and Update
-// copy the row they are given, so the caller's slice stays the caller's.
+// copy the row they are given, so the caller's slice stays the caller's;
+// that copy is the only one a row takes on its way into the engine,
+// which installs the pending image itself at commit.
+//
+// Pending writes live in first-touch order in chunks that are never
+// regrown — the first holds one write, each later one twice as many up
+// to maxWriteChunk — and the per-table maps point into them, so a write
+// allocates nothing it does not keep: a one-write transaction pays for
+// one slot, and a bulk load for its rows plus a bounded tail.
 type Txn struct {
 	e        *Engine
 	snapshot uint64
-	// writes buffers this transaction's modifications:
-	// table → encoded pk → pending write.
-	writes   map[string]map[string]*pendingWrite
-	order    []writeRef
+	// writes indexes the pending writes: table → encoded pk → the key's
+	// slot in chunks. Allocated at the first write.
+	writes map[string]map[string]*pendingWrite
+	// chunks holds every key written, in first-touch order.
+	chunks   [][]pendingWrite
 	finished bool
 }
 
+// maxWriteChunk caps a pending-write chunk's length.
+const maxWriteChunk = 1024
+
+// pendingWrite is the buffered write to one key. A key keeps its slot
+// for the transaction's life; a later write to it overwrites the slot's
+// op and row.
 type pendingWrite struct {
-	op  writeset.Op
-	row []any
+	table string
+	key   string
+	op    writeset.Op
+	row   []any
 	// removed marks a write cancelled by a later operation in the same
 	// transaction (insert followed by delete of a row that did not
 	// exist at the snapshot).
 	removed bool
-}
-
-type writeRef struct {
-	table string
-	key   string
 }
 
 // Begin starts a transaction reading the engine's latest snapshot.
@@ -66,11 +78,7 @@ func (e *Engine) BeginAt(v uint64) (*Txn, error) {
 }
 
 func (e *Engine) beginAt(v uint64) *Txn {
-	return &Txn{
-		e:        e,
-		snapshot: v,
-		writes:   make(map[string]map[string]*pendingWrite),
-	}
+	return &Txn{e: e, snapshot: v}
 }
 
 // Snapshot returns the version this transaction reads.
@@ -86,16 +94,33 @@ func (t *Txn) pending(table, key string) *pendingWrite {
 	return nil
 }
 
-func (t *Txn) setPending(table, key string, pw *pendingWrite) {
-	m, ok := t.writes[table]
-	if !ok {
+// setPending records op with row as the write to (table, key): in the
+// key's slot if it has one, else in a new slot at the end of the chunks.
+func (t *Txn) setPending(table, key string, op writeset.Op, row []any) {
+	m := t.writes[table]
+	if pw, ok := m[key]; ok {
+		pw.op, pw.row, pw.removed = op, row, false
+		return
+	}
+	if m == nil {
+		if t.writes == nil {
+			t.writes = make(map[string]map[string]*pendingWrite)
+		}
 		m = make(map[string]*pendingWrite)
 		t.writes[table] = m
 	}
-	if _, existed := m[key]; !existed {
-		t.order = append(t.order, writeRef{table, key})
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		n := 1
+		if last >= 0 {
+			n = min(2*cap(t.chunks[last]), maxWriteChunk)
+		}
+		t.chunks = append(t.chunks, make([]pendingWrite, 0, n))
+		last++
 	}
-	m[key] = pw
+	c := append(t.chunks[last], pendingWrite{table: table, key: key, op: op, row: row})
+	t.chunks[last] = c
+	m[key] = &c[len(c)-1]
 }
 
 // committedAt returns the committed row visible at the snapshot,
@@ -159,7 +184,7 @@ func (t *Txn) Insert(table string, row []any) error {
 		}
 		// Delete then re-insert within the transaction: the row existed
 		// committed, so the net effect is an update.
-		t.setPending(table, key, &pendingWrite{op: writeset.OpUpdate, row: append([]any(nil), row...)})
+		t.setPending(table, key, writeset.OpUpdate, slices.Clone(row))
 		return nil
 	}
 	_, exists, err := t.committedAt(table, key)
@@ -169,7 +194,7 @@ func (t *Txn) Insert(table string, row []any) error {
 	if exists {
 		return fmt.Errorf("%w: %s[%q]", ErrDuplicateKey, table, key)
 	}
-	t.setPending(table, key, &pendingWrite{op: writeset.OpInsert, row: append([]any(nil), row...)})
+	t.setPending(table, key, writeset.OpInsert, slices.Clone(row))
 	return nil
 }
 
@@ -202,7 +227,7 @@ func (t *Txn) Update(table, key string, row []any) error {
 		if pw.op == writeset.OpDelete {
 			return fmt.Errorf("%w: %s[%q]", ErrNoRow, table, key)
 		}
-		t.setPending(table, key, &pendingWrite{op: pw.op, row: append([]any(nil), row...)})
+		t.setPending(table, key, pw.op, slices.Clone(row))
 		return nil
 	}
 	_, exists, err := t.committedAt(table, key)
@@ -212,7 +237,7 @@ func (t *Txn) Update(table, key string, row []any) error {
 	if !exists {
 		return fmt.Errorf("%w: %s[%q]", ErrNoRow, table, key)
 	}
-	t.setPending(table, key, &pendingWrite{op: writeset.OpUpdate, row: append([]any(nil), row...)})
+	t.setPending(table, key, writeset.OpUpdate, slices.Clone(row))
 	return nil
 }
 
@@ -234,7 +259,7 @@ func (t *Txn) Delete(table, key string) error {
 			pw.removed = true
 			return nil
 		}
-		t.setPending(table, key, &pendingWrite{op: writeset.OpDelete})
+		t.setPending(table, key, writeset.OpDelete, nil)
 		return nil
 	}
 	_, exists, err := t.committedAt(table, key)
@@ -244,7 +269,7 @@ func (t *Txn) Delete(table, key string) error {
 	if !exists {
 		return fmt.Errorf("%w: %s[%q]", ErrNoRow, table, key)
 	}
-	t.setPending(table, key, &pendingWrite{op: writeset.OpDelete})
+	t.setPending(table, key, writeset.OpDelete, nil)
 	return nil
 }
 
@@ -600,22 +625,28 @@ func (t *Txn) AppendIndexIn(dst []KV, table, index string, vals []any, lo, hi st
 // instead of editing it, and a row handed out is read-only (see Txn),
 // so a writeset taken mid-transaction keeps the images it was given.
 func (t *Txn) WriteSet() *writeset.WriteSet {
-	ws := &writeset.WriteSet{Items: make([]writeset.Item, 0, len(t.order))}
-	for _, ref := range t.order {
-		pw := t.writes[ref.table][ref.key]
-		if pw.removed {
-			continue
+	n := 0
+	for _, c := range t.chunks {
+		n += len(c)
+	}
+	ws := &writeset.WriteSet{Items: make([]writeset.Item, 0, n)}
+	for _, c := range t.chunks {
+		for i := range c {
+			if pw := &c[i]; !pw.removed {
+				ws.Items = append(ws.Items, writeset.Item{Table: pw.table, Key: pw.key, Op: pw.op, Row: pw.row})
+			}
 		}
-		ws.Items = append(ws.Items, writeset.Item{Table: ref.table, Key: ref.key, Op: pw.op, Row: pw.row})
 	}
 	return ws
 }
 
 // ReadOnly reports whether the transaction has buffered no writes.
 func (t *Txn) ReadOnly() bool {
-	for _, ref := range t.order {
-		if !t.writes[ref.table][ref.key].removed {
-			return false
+	for _, c := range t.chunks {
+		for i := range c {
+			if !c[i].removed {
+				return false
+			}
 		}
 	}
 	return true
