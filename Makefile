@@ -56,7 +56,8 @@ update-schema:
 # that ride a restart, a crashed replica, a lease, the probe period —
 # the gateway's, or a client's idle timer — the replicas' concurrent
 # bulk loads, or a local commit's turn in the apply window between
-# refreshes), race tests (the root package too: Bootstrap runs user
+# refreshes, and the read path's allocation ceilings, which a stray
+# collection or timer could tip), race tests (the root package too: Bootstrap runs user
 # code on every replica at once). benchmark/ is
 # a frozen nested module ./... does not reach; bench-e2e-smoke starts
 # by vetting it, so an API break it would not survive (a changed Begin
@@ -68,7 +69,7 @@ ci: bench-e2e-smoke
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test ./...
-	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/wire .
+	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/sql ./internal/wire .
 	$(GO) test -race ./internal/... .
 
 # Seeded chaos harness: fault-injected TPC-W over the networked
@@ -116,17 +117,19 @@ bench:
 # its default scale on a fresh engine (the work LoadData runs on every
 # replica at once, most of a cluster set-up's wall time), and a
 # 10 000-key B-tree built from ascending and from random keys (the
-# index under every table; a bulk load inserts in key order). Results land
+# index under every table; a bulk load inserts in key order), and a
+# prepared point SELECT and point UPDATE run under the plan the
+# statement keeps (the SQL share of every read). Results land
 # in BENCH_hotpath.json (committed, so before/after numbers travel with
 # the code); benchjson -require fails the run if any expected benchmark
 # went missing. Override
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
-HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements|BenchmarkLoad|BenchmarkTreeSet
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw,BenchmarkTreeSet/ascending,BenchmarkTreeSet/random
+HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements|BenchmarkLoad|BenchmarkTreeSet|BenchmarkExecPrepared
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw,BenchmarkTreeSet/ascending,BenchmarkTreeSet/random,BenchmarkExecPrepared/point-select,BenchmarkExecPrepared/point-update
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
-		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ ./internal/bench/ ./internal/btree/ \
+		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ ./internal/bench/ ./internal/btree/ ./internal/sql/ \
 		| tee bench_output.txt
 	$(GO) run ./cmd/benchjson -require '$(HOTPATH_REQUIRE)' < bench_output.txt > BENCH_hotpath.json
 	@rm -f bench_output.txt

@@ -454,9 +454,9 @@ func (n *ReplicaNode) tableLag(certTV map[string]uint64) map[string]float64 {
 	eng := n.Replica.Engine()
 	engTV := eng.TableVersionsAt(names, eng.Version())
 	lags := make(map[string]float64, len(names))
-	for _, t := range names {
+	for i, t := range names {
 		lags[t] = 0
-		if cv, lv := certTV[t], engTV[t]; cv > lv {
+		if cv, lv := certTV[t], engTV[i]; cv > lv {
 			lags[t] = float64(cv - lv)
 		}
 	}

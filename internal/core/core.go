@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -110,7 +111,8 @@ func NewTracker() *Tracker {
 // ObserveCommit folds one acknowledged commit into the tracker:
 // version is the certifier-assigned commit version, writtenTables the
 // tables in the transaction's writeset, session the committing
-// client's session ID ("" for none).
+// client's session ID ("" for none). A table name is copied when it
+// first enters the tracker, so the caller's may alias a frame.
 //
 // Versions only move forward; replica responses may arrive out of
 // order.
@@ -121,7 +123,10 @@ func (t *Tracker) ObserveCommit(version uint64, writtenTables []string, session 
 		t.vsystem = version
 	}
 	for _, tab := range writtenTables {
-		if version > t.tables[tab] {
+		if cur, known := t.tables[tab]; version > cur {
+			if !known {
+				tab = strings.Clone(tab)
+			}
 			t.tables[tab] = version
 		}
 	}
@@ -145,21 +150,27 @@ func (t *Tracker) ObserveReadOnly(snapshot uint64, session string) {
 }
 
 // ObserveTableVersions folds a commit response's per-table observation
-// bounds into the session's fine-grained floors (see Tracker.sessTables
-// and MinStartVersion's Fine case).
-func (t *Tracker) ObserveTableVersions(session string, tableVersions map[string]uint64) {
-	if session == "" || len(tableVersions) == 0 {
+// bounds — versions[i] for tables[i]; 0 is no bound — into the
+// session's fine-grained floors (see Tracker.sessTables and
+// MinStartVersion's Fine case). A table name is copied only when it
+// first enters the session's floors, so the caller's may alias a frame.
+func (t *Tracker) ObserveTableVersions(session string, tables []string, versions []uint64) {
+	if session == "" || len(versions) == 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	floors := t.sessTables[session]
-	if floors == nil {
-		floors = make(map[string]uint64, len(tableVersions))
-		t.sessTables[session] = floors
-	}
-	for tab, v := range tableVersions {
-		if v > floors[tab] {
+	for i, v := range versions {
+		tab := tables[i]
+		if cur, known := floors[tab]; v > cur {
+			if floors == nil {
+				floors = make(map[string]uint64, len(versions))
+				t.sessTables[session] = floors
+			}
+			if !known {
+				tab = strings.Clone(tab)
+			}
 			floors[tab] = v
 		}
 	}

@@ -131,7 +131,7 @@ func TestObserveReadOnlyAdvancesSessionMonotonically(t *testing.T) {
 func TestFinePerTableSessionFloor(t *testing.T) {
 	tr := NewTracker()
 	tr.ObserveCommit(100, []string{"hot"}, "s")
-	tr.ObserveTableVersions("s", map[string]uint64{"hot": 100})
+	tr.ObserveTableVersions("s", []string{"hot"}, []uint64{100})
 	// A read on a busy replica observed snapshot 500; the scalar floor
 	// advances (coarse/session semantics) but must not leak into fine.
 	tr.ObserveReadOnly(500, "s")
@@ -146,7 +146,7 @@ func TestFinePerTableSessionFloor(t *testing.T) {
 	}
 	// The replica reported the newest write to "cold" this session
 	// could have observed: subsequent reads of it must not regress.
-	tr.ObserveTableVersions("s", map[string]uint64{"cold": 42})
+	tr.ObserveTableVersions("s", []string{"cold"}, []uint64{42})
 	if got := tr.MinStartVersion(Fine, []string{"cold"}, "s"); got != 42 {
 		t.Fatalf("fine(cold) after observation = %d, want 42", got)
 	}
@@ -226,15 +226,17 @@ func TestQuickInvariants(t *testing.T) {
 		for _, o := range observations {
 			v := o.Version % 1000
 			var tabs []string
+			var vers []uint64
 			tv := map[string]uint64{}
 			for _, tb := range o.Tables {
 				tab := string(rune('a' + tb%6))
 				tabs = append(tabs, tab)
+				vers = append(vers, v)
 				tv[tab] = v
 			}
 			session := string(rune('A' + o.Session%4))
 			tr.ObserveCommit(v, tabs, session)
-			tr.ObserveTableVersions(session, tv)
+			tr.ObserveTableVersions(session, tabs, vers)
 			m := floors[session]
 			if m == nil {
 				m = map[string]uint64{}

@@ -276,7 +276,7 @@ func (l *LoadBalancer) DispatchCtx(sessionID, txnName string, tables []string, s
 // session monotonic; for updates Vsystem, the written tables' Vt, and
 // the session version all advance.
 func (l *LoadBalancer) ObserveCommit(sessionID string, res replica.CommitResult) {
-	l.tracker.ObserveTableVersions(sessionID, res.TableVersions)
+	l.tracker.ObserveTableVersions(sessionID, res.Touched, res.TableVersions)
 	if res.ReadOnly {
 		l.tracker.ObserveReadOnly(res.Version, sessionID)
 		return

@@ -105,10 +105,13 @@ func (r *Replica) RefreshQueueDepth() int {
 // disk restart's engine swap.
 func (r *Replica) tableVersions() map[string]float64 {
 	eng := r.engine()
-	vers := eng.TableVersionsAt(eng.Tables(), r.Version())
+	names := eng.Tables()
+	vers := eng.TableVersionsAt(names, r.Version())
 	out := make(map[string]float64, len(vers))
-	for tab, v := range vers {
-		out[tab] = float64(v)
+	for i, v := range vers {
+		if v > 0 {
+			out[names[i]] = float64(v)
+		}
 	}
 	return out
 }

@@ -21,6 +21,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -625,14 +626,17 @@ type Txn struct {
 	readOnly      bool
 	commitVersion uint64
 	partial       *writeset.WriteSet // updated after each write statement
-	// touched accumulates the table-sets of executed statements — the
-	// transaction's observed read set, reported to the history checker.
-	touched map[string]bool
-	// roCommit and roTouched cache ReadOnlyCommit's answer; roCommit is
-	// unset (not ReadOnly) until built and again once a statement has
-	// touched a table they do not cover.
-	roCommit  CommitResult
-	roTouched []string
+	// touched accumulates the table-sets of executed statements, each
+	// table once, in order of first touch — the transaction's observed
+	// read set, reported to the history checker. It only grows by
+	// append, so a prefix handed out stays as it was; touchedBuf backs
+	// the first few.
+	touched    []string
+	touchedBuf [4]string
+	// roCommit caches ReadOnlyCommit's answer; it is unset (not ReadOnly)
+	// until built and again once a statement has touched a table it does
+	// not cover.
+	roCommit CommitResult
 	// span is the transaction's replica.txn span (nil when tracing is
 	// off); ended in abortInternal, the single finalization point.
 	// waits is the span the wait spans hang under — span, then
@@ -688,7 +692,8 @@ func (t *Txn) leave() {
 // is the caller's span context: the transaction's replica.txn span is
 // recorded under it.
 func (r *Replica) Begin(minVersion uint64, parent *dtrace.SpanContext) (*Txn, error) {
-	tx := &Txn{r: r, id: r.nextTxnID.Add(1), touched: make(map[string]bool)}
+	tx := &Txn{r: r, id: r.nextTxnID.Add(1)}
+	tx.touched = tx.touchedBuf[:0]
 	if tr := r.tracer.Load(); tr != nil {
 		var sc dtrace.SpanContext
 		if parent != nil {
@@ -737,44 +742,39 @@ func (r *Replica) Begin(minVersion uint64, parent *dtrace.SpanContext) (*Txn, er
 func (t *Txn) Snapshot() uint64 { return t.stx.Snapshot() }
 
 // Touched returns the tables accessed by executed statements so far
-// (reads and writes).
-func (t *Txn) Touched() []string {
-	out := make([]string, 0, len(t.touched))
-	for tab := range t.touched {
-		out = append(out, tab)
-	}
-	return out
-}
+// (reads and writes), in order of first touch. The slice is the
+// transaction's own, not a copy: the caller must not modify it.
+func (t *Txn) Touched() []string { return t.touched }
 
 // touch adds a statement's table-set to the observed read set.
 func (t *Txn) touch(tables []string) {
 	for _, tab := range tables {
-		if !t.touched[tab] {
-			t.touched[tab] = true
+		if !slices.Contains(t.touched, tab) {
+			t.touched = append(t.touched, tab)
 			t.roCommit = CommitResult{}
 		}
 	}
 }
 
-// ReadOnlyCommit returns what Commit would return now, and Touched, for
-// a transaction that has buffered no write; ok is false for one that
-// has. Such a commit is local (§IV), so its outcome is known as soon as
-// the last statement is: the wire layer reports it with every statement
-// and a read-only commit needs no answer. Table versions read now bound
-// what the snapshot can have observed at least as tightly as at commit
-// time: every version at or below the snapshot was installed before it
-// was taken. The returned values are shared with later calls and must
-// not be modified.
-func (t *Txn) ReadOnlyCommit() (res CommitResult, touched []string, ok bool) {
+// ReadOnlyCommit returns what Commit would return now for a transaction
+// that has buffered no write; ok is false for one that has. Such a
+// commit is local (§IV), so its outcome is known as soon as the last
+// statement is: the wire layer reports it with every statement and a
+// read-only commit needs no answer. Table versions read now bound what
+// the snapshot can have observed at least as tightly as at commit time:
+// every version at or below the snapshot was installed before it was
+// taken. The returned values are shared with later calls and must not
+// be modified.
+func (t *Txn) ReadOnlyCommit() (res CommitResult, ok bool) {
 	if !t.stx.ReadOnly() {
-		return CommitResult{}, nil, false
+		return CommitResult{}, false
 	}
 	if !t.roCommit.ReadOnly {
 		snap := t.stx.Snapshot()
-		t.roTouched = t.Touched()
-		t.roCommit = CommitResult{Version: snap, ReadOnly: true, TableVersions: t.r.engine().TableVersionsAt(t.roTouched, snap)}
+		touched := t.Touched()
+		t.roCommit = CommitResult{Version: snap, ReadOnly: true, Touched: touched, TableVersions: t.r.engine().TableVersionsAt(touched, snap)}
 	}
-	return t.roCommit, t.roTouched, true
+	return t.roCommit, true
 }
 
 // checkAlive returns the error state of the transaction, if any. A
@@ -928,13 +928,17 @@ type CommitResult struct {
 	// WrittenTables lists the tables in the writeset (empty for
 	// read-only) — the load balancer updates Vt from these.
 	WrittenTables []string
-	// TableVersions bounds, per touched table, the newest write this
-	// transaction can have observed (written tables report the commit
-	// version itself). The load balancer folds these into the session's
-	// per-table floors — the fine-grained session bound that lets a
-	// later transaction on a cold table start immediately while still
-	// never regressing below anything this one saw.
-	TableVersions map[string]uint64
+	// Touched is the transaction's observed table-set, reads and writes
+	// (Txn.Touched) — forwarded to the history checker.
+	Touched []string
+	// TableVersions bounds, per table of Touched and aligned with it, the
+	// newest write this transaction can have observed (written tables
+	// report the commit version itself; 0 is no bound). The load
+	// balancer folds these into the session's per-table floors — the
+	// fine-grained session bound that lets a later transaction on a cold
+	// table start immediately while still never regressing below
+	// anything this one saw.
+	TableVersions []uint64
 }
 
 // Commit finishes the transaction. Read-only transactions commit
@@ -948,7 +952,7 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 	commitSpan := t.r.tracer.Load().StartSpan("replica.commit", t.span.Context())
 	defer commitSpan.End()
 	t.waits = commitSpan
-	if res, _, ok := t.ReadOnlyCommit(); ok {
+	if res, ok := t.ReadOnlyCommit(); ok {
 		commitSpan.SetAttr("read_only", "true")
 		// Read-only: local commit, no certification (§IV).
 		t.enter(metrics.StageCommit)
@@ -1036,11 +1040,18 @@ func (t *Txn) Commit(eager bool) (CommitResult, error) {
 		}
 	}
 
-	tv := r.engine().TableVersionsAt(t.Touched(), t.stx.Snapshot())
-	for _, tab := range ws.Tables() {
-		tv[tab] = dec.Version
+	// A statement that failed after writing touched nothing, but its
+	// writes stand: every written table joins the observed set.
+	written := ws.Tables()
+	t.touch(written)
+	touched := t.Touched()
+	tv := r.engine().TableVersionsAt(touched, t.stx.Snapshot())
+	for i, tab := range touched {
+		if slices.Contains(written, tab) {
+			tv[i] = dec.Version
+		}
 	}
-	res := CommitResult{Version: dec.Version, WrittenTables: ws.Tables(), TableVersions: tv}
+	res := CommitResult{Version: dec.Version, WrittenTables: written, Touched: touched, TableVersions: tv}
 	t.committed, t.commitVersion = true, dec.Version
 	t.abortInternal() // storage txn state is no longer needed
 	return res, nil

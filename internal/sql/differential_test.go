@@ -108,6 +108,33 @@ func (d *diff) compare(tx *storage.Txn, src string, params ...any) string {
 	return plan
 }
 
+// comparePrepared runs src through one prepared statement once per
+// parameter set, in order, so each execution after the first either
+// reuses the plan the one before it kept or replaces it; and demands of
+// every execution what a fresh plan gives: the same rows, or an error
+// alike, and the same Explain.
+func (d *diff) comparePrepared(tx *storage.Txn, src string, sets ...[]any) {
+	d.t.Helper()
+	p, err := sql.Prepare(src)
+	if err != nil {
+		d.t.Fatalf("prepare %q: %v", src, err)
+	}
+	for _, params := range sets {
+		got, err := p.Exec(tx, d.e, params...)
+		want, wantErr := sql.ExecStmt(tx, d.e, p.Stmt, params...)
+		gotPlan, _ := p.Explain(d.e, params...)
+		wantPlan, _ := sql.Explain(d.e, p.Stmt, params)
+		switch {
+		case gotPlan != wantPlan:
+			d.t.Fatalf("%s %v\n\tprepared plan: %s\n\tfresh plan:    %s", src, params, gotPlan, wantPlan)
+		case (err == nil) != (wantErr == nil):
+			d.t.Fatalf("%s %v\n\tplan: %s\n\tprepared error: %v\n\tfresh error:    %v", src, params, wantPlan, err, wantErr)
+		case err == nil && !reflect.DeepEqual(got, want):
+			d.t.Fatalf("%s %v\n\tplan: %s\n\tprepared: %v\n\tfresh:    %v", src, params, wantPlan, got, want)
+		}
+	}
+}
+
 // TestDifferentialCases runs the shapes the executor treats specially —
 // and the inputs each could get wrong — against the oracle, on committed
 // data and again inside a transaction whose own inserts, updates and
@@ -708,6 +735,35 @@ func (g *gen) statement() (string, []any) {
 
 func (g *gen) pick2(xs ...int) int { return xs[g.rng.Intn(len(xs))] }
 
+// varyParams returns another parameter set for the same statement: each
+// parameter, with even odds, becomes NULL (an integer or a float), an
+// integer (a NULL), another value of its type, or — where the statement
+// may fail anyway — a string in place of a number.
+func varyParams(rng *rand.Rand, params []any, mayFail bool) []any {
+	out := append([]any(nil), params...)
+	for i, v := range out {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		switch v.(type) {
+		case nil:
+			out[i] = int64(rng.Intn(8))
+		case string:
+			out[i] = genWords[rng.Intn(len(genWords))]
+		default:
+			switch {
+			case mayFail && rng.Intn(3) == 0:
+				out[i] = genWords[rng.Intn(len(genWords))]
+			case rng.Intn(2) == 0:
+				out[i] = nil
+			default:
+				out[i] = int64(rng.Intn(8))
+			}
+		}
+	}
+	return out
+}
+
 // randomRow draws the non-key columns.
 func randomRow(rng *rand.Rand, key ...any) []any {
 	null := func(v any) any {
@@ -751,7 +807,8 @@ func TestDifferentialRandom(t *testing.T) {
 	t.Logf("%d statements ran a filtered build, %d a keyed fetch, %d walked an index", builds, fetches, walks)
 }
 
-// FuzzDifferentialSQL is TestDifferentialRandom on seeds beyond its own.
+// FuzzDifferentialSQL is TestDifferentialRandom on seeds beyond its own,
+// prepared statements' kept plans included.
 func FuzzDifferentialSQL(f *testing.F) {
 	for seed := int64(0); seed < 30; seed++ {
 		f.Add(seed)
@@ -760,9 +817,10 @@ func FuzzDifferentialSQL(f *testing.F) {
 }
 
 // differentialRandom builds one random schema, data set and statement
-// batch from seed, compares executor and oracle on all of it, and
-// returns how many statements ran a filtered build, how many a keyed
-// fetch and how many walked an index.
+// batch from seed, compares executor and oracle on all of it, runs each
+// statement through a prepared statement with its parameters and with
+// varied ones (comparePrepared), and returns how many statements ran a
+// filtered build, how many a keyed fetch and how many walked an index.
 func differentialRandom(t *testing.T, seed int64) (builds, fetches, walks int) {
 	const perSeed = 120
 	rng := rand.New(rand.NewSource(seed))
@@ -821,6 +879,9 @@ func differentialRandom(t *testing.T, seed int64) (builds, fetches, walks int) {
 	d.commit(tx)
 
 	g := &gen{rng: rng, indexed: indexed}
+	// The varied parameters draw from a stream of their own, so the
+	// statements are the ones the seed always made.
+	vary := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 	tx = d.e.Begin()
 	defer tx.Abort()
 	for i := 0; i < perSeed; i++ {
@@ -830,6 +891,7 @@ func differentialRandom(t *testing.T, seed int64) (builds, fetches, walks int) {
 		g.mayFail = i%4 == 3
 		src, params := g.statement()
 		plan := d.compare(tx, src, params...)
+		d.comparePrepared(tx, src, params, varyParams(vary, params, g.mayFail))
 		if strings.Contains(plan, " via ") { // a filtered build
 			builds++
 		}

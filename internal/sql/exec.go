@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"sconrep/internal/storage"
 )
 
 // Result is the outcome of executing a statement. SELECTs populate
-// Columns and Rows; INSERT/UPDATE/DELETE populate Affected.
+// Columns and Rows; INSERT/UPDATE/DELETE populate Affected. A SELECT's
+// Columns are its plan's, shared with every result of that plan: they
+// are read-only.
 type Result struct {
 	Columns  []string
 	Rows     [][]any
@@ -35,22 +39,80 @@ func newEnv(params []any) (*env, error) {
 	return &env{params: params}, nil
 }
 
-// ExecStmt executes a parsed statement inside tx. DDL statements go
-// directly to the engine and are not transactional.
+// ExecStmt executes a parsed statement inside tx, planned afresh. DDL
+// statements go directly to the engine and are not transactional.
 func ExecStmt(tx *storage.Txn, e *storage.Engine, stmt Stmt, params ...any) (*Result, error) {
 	ev, err := newEnv(params)
 	if err != nil {
 		return nil, err
 	}
+	pl, err := planStmt(e, stmt, ev)
+	if err != nil {
+		return nil, err
+	}
+	return run(tx, e, stmt, pl, ev)
+}
+
+// plan is a planned SELECT (*selectPlan), UPDATE or DELETE (*writePlan).
+// Once made it is never modified: executions share it, and keep their
+// own state in their env and, for a SELECT, their selectRun.
+type plan interface {
+	base() *tablesPlan
+}
+
+// writePlan is a planned UPDATE or DELETE: its one table and, for an
+// UPDATE, the SET clause bound against it.
+type writePlan struct {
+	tablesPlan
+	setIdx  []int
+	setExpr []Expr
+}
+
+// planStmt plans a SELECT, UPDATE or DELETE against e's current schemas
+// and ev's parameters, leaving the plan's constants in ev. Any other
+// statement runs unplanned: its plan is nil.
+func planStmt(e *storage.Engine, stmt Stmt, ev *env) (plan, error) {
 	switch s := stmt.(type) {
 	case *Select:
-		return execSelect(tx, e, s, ev)
+		return planSelect(e, s, ev)
+	case *Update:
+		return planWrite(e, s.Table, s.Where, s.Set, ev)
+	case *Delete:
+		return planWrite(e, s.Table, s.Where, nil, ev)
+	}
+	return nil, nil
+}
+
+// planWrite plans an UPDATE (set non-empty) or DELETE of table.
+func planWrite(e *storage.Engine, table string, where Expr, set []SetClause, ev *env) (*writePlan, error) {
+	tp, b, err := planTables(e, TableRef{Table: table, Alias: table}, nil, where, ev)
+	if err != nil {
+		return nil, err
+	}
+	p := &writePlan{tablesPlan: *tp, setIdx: make([]int, len(set)), setExpr: make([]Expr, len(set))}
+	schema := p.tables[0].schema
+	for i, sc := range set {
+		if p.setIdx[i] = schema.ColIndex(sc.Column); p.setIdx[i] < 0 {
+			return nil, fmt.Errorf("sql: table %s has no column %s", table, sc.Column)
+		}
+		if p.setExpr[i], err = b.bind(sc.Expr); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// run executes stmt, planned as pl, inside tx.
+func run(tx *storage.Txn, e *storage.Engine, stmt Stmt, pl plan, ev *env) (*Result, error) {
+	switch s := stmt.(type) {
+	case *Select:
+		return execSelect(tx, pl.(*selectPlan), ev)
 	case *Insert:
 		return execInsert(tx, e, s, ev)
 	case *Update:
-		return execUpdate(tx, e, s, ev)
+		return execUpdate(tx, s.Table, pl.(*writePlan), ev)
 	case *Delete:
-		return execDelete(tx, e, s, ev)
+		return execDelete(tx, s.Table, pl.(*writePlan), ev)
 	case *CreateTable:
 		return &Result{}, e.CreateTable(s.Schema)
 	case *CreateIndex:
@@ -89,6 +151,8 @@ type selectRun struct {
 	// join's — from its encoding to the map access, which converts it
 	// without a copy.
 	keyBuf []byte
+	// tuple backs ev.rows for a statement of up to four tables.
+	tuple [4][]any
 }
 
 // hashBuild is a joined table's rows grouped by their join column's
@@ -98,13 +162,14 @@ type hashBuild struct {
 	rows  [][][]any
 }
 
-func execSelect(tx *storage.Txn, e *storage.Engine, s *Select, ev *env) (*Result, error) {
-	p, err := planSelect(e, s, ev)
-	if err != nil {
-		return nil, err
-	}
+// execSelect runs a planned SELECT.
+func execSelect(tx *storage.Txn, p *selectPlan, ev *env) (*Result, error) {
 	r := &selectRun{p: p, tx: tx, ev: ev, top: topN{order: p.order, n: p.keep}}
-	ev.rows = make([][]any, len(p.tables))
+	if len(p.tables) <= len(r.tuple) {
+		ev.rows = r.tuple[:len(p.tables)]
+	} else {
+		ev.rows = make([][]any, len(p.tables))
+	}
 	if len(p.tables) > 1 {
 		r.bufs = make([][]storage.KV, len(p.tables))
 	}
@@ -114,6 +179,7 @@ func execSelect(tx *storage.Txn, e *storage.Engine, s *Select, ev *env) (*Result
 		r.rows = [][]any{} // no rows is an empty Rows, not a nil one; the wire tells them apart
 	}
 
+	var err error
 	if p.tables[0].fetch != "" {
 		err = r.keyedFetch()
 	} else {
@@ -148,7 +214,7 @@ func execSelect(tx *storage.Txn, e *storage.Engine, s *Select, ev *env) (*Result
 // scan drives the nested loop from the base table's access path.
 func (r *selectRun) scan() error {
 	base, edge := &r.p.tables[0], r.p.edge
-	return scanPath(r.tx, base.name, base.path, edge == "max", func(kv storage.KV) (bool, error) {
+	return scanPath(r.tx, base.name, base.resolve(r.ev.consts), edge == "max", func(kv storage.KV) (bool, error) {
 		more, err := r.bindRow(0, kv.Row)
 		return more && edge == "", err
 	})
@@ -178,7 +244,8 @@ func (r *selectRun) keyedFetch() error {
 			keys = append(keys, k)
 		}
 	}
-	r.bufs[0], err = r.tx.AppendIndexIn(r.bufs[0][:0], base.name, base.fetch, keys, base.path.lo, base.path.hi)
+	path := base.resolve(r.ev.consts)
+	r.bufs[0], err = r.tx.AppendIndexIn(r.bufs[0][:0], base.name, base.fetch, keys, path.lo, path.hi)
 	if err != nil {
 		return err
 	}
@@ -277,7 +344,7 @@ func (r *selectRun) build(k int) (*hashBuild, error) {
 	}
 	t := &r.p.tables[k]
 	h.group = map[string]int{}
-	return h, scanPath(r.tx, t.name, t.path, false, func(kv storage.KV) (bool, error) {
+	return h, scanPath(r.tx, t.name, t.resolve(r.ev.consts), false, func(kv storage.KV) (bool, error) {
 		v := kv.Row[t.rightCol]
 		if v == nil {
 			return true, nil
@@ -586,16 +653,12 @@ func execInsert(tx *storage.Txn, e *storage.Engine, s *Insert, ev *env) (*Result
 	return &Result{Affected: n}, nil
 }
 
-// matchingKVs returns the rows of a single table matching WHERE, for
-// UPDATE and DELETE, all of them before the first is written.
-func matchingKVs(tx *storage.Txn, e *storage.Engine, table string, where Expr, ev *env) ([]storage.KV, *tablesPlan, error) {
-	p, err := planTables(e, TableRef{Table: table, Alias: table}, nil, where, ev)
-	if err != nil {
-		return nil, nil, err
-	}
+// matchingKVs returns the rows of a planned UPDATE's or DELETE's table
+// matching WHERE, all of them before the first is written.
+func matchingKVs(tx *storage.Txn, table string, p *writePlan, ev *env) ([]storage.KV, error) {
 	ev.rows = make([][]any, 1)
 	var out []storage.KV
-	err = scanPath(tx, table, p.tables[0].path, false, func(kv storage.KV) (bool, error) {
+	err := scanPath(tx, table, p.tables[0].resolve(ev.consts), false, func(kv storage.KV) (bool, error) {
 		ev.rows[0] = kv.Row
 		if p.where != nil {
 			if ok, err := isTrue(p.where, ev); err != nil || !ok {
@@ -605,56 +668,44 @@ func matchingKVs(tx *storage.Txn, e *storage.Engine, table string, where Expr, e
 		out = append(out, kv)
 		return true, nil
 	})
-	return out, p, err
+	return out, err
 }
 
-func execUpdate(tx *storage.Txn, e *storage.Engine, s *Update, ev *env) (*Result, error) {
-	kvs, p, err := matchingKVs(tx, e, s.Table, s.Where, ev)
+func execUpdate(tx *storage.Txn, table string, p *writePlan, ev *env) (*Result, error) {
+	kvs, err := matchingKVs(tx, table, p, ev)
 	if err != nil {
 		return nil, err
 	}
 	schema := p.tables[0].schema
-	setIdx := make([]int, len(s.Set))
-	setExpr := make([]Expr, len(s.Set))
-	for i, sc := range s.Set {
-		ci := schema.ColIndex(sc.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("sql: table %s has no column %s", s.Table, sc.Column)
-		}
-		setIdx[i] = ci
-		if setExpr[i], err = p.binder.bind(sc.Expr); err != nil {
-			return nil, err
-		}
-	}
 	for _, kv := range kvs {
 		ev.rows[0] = kv.Row
 		// kv.Row is the stored row, shared: the new image is a copy.
 		newRow := append([]any(nil), kv.Row...)
-		for i := range s.Set {
-			v, err := eval(setExpr[i], ev)
+		for i, e := range p.setExpr {
+			v, err := eval(e, ev)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerceValue(v, schema.Columns[setIdx[i]].Type)
+			cv, err := coerceValue(v, schema.Columns[p.setIdx[i]].Type)
 			if err != nil {
 				return nil, err
 			}
-			newRow[setIdx[i]] = cv
+			newRow[p.setIdx[i]] = cv
 		}
-		if err := tx.Update(s.Table, kv.Key, newRow); err != nil {
+		if err := tx.Update(table, kv.Key, newRow); err != nil {
 			return nil, err
 		}
 	}
 	return &Result{Affected: len(kvs)}, nil
 }
 
-func execDelete(tx *storage.Txn, e *storage.Engine, s *Delete, ev *env) (*Result, error) {
-	kvs, _, err := matchingKVs(tx, e, s.Table, s.Where, ev)
+func execDelete(tx *storage.Txn, table string, p *writePlan, ev *env) (*Result, error) {
+	kvs, err := matchingKVs(tx, table, p, ev)
 	if err != nil {
 		return nil, err
 	}
 	for _, kv := range kvs {
-		if err := tx.Delete(s.Table, kv.Key); err != nil {
+		if err := tx.Delete(table, kv.Key); err != nil {
 			return nil, err
 		}
 	}
@@ -700,17 +751,35 @@ func IsReadOnly(stmt Stmt) bool {
 	return ok
 }
 
-// Stmt preparation: a prepared statement caches the parse and exposes
-// the static table-set.
+// Stmt preparation: a prepared statement caches the parse, exposes
+// the static table-set, and keeps its latest plan per engine.
 
 // Prepared is a parsed statement ready for repeated execution with
-// different parameters.
+// different parameters, on one engine or several.
 type Prepared struct {
 	SQL      string
 	Stmt     Stmt
 	TableSet []string
 	ReadOnly bool
+
+	// plans holds the latest plan per engine, at most maxPlanEngines of
+	// them; the slice is replaced whole, never edited, so readers load it
+	// without a lock. mu serializes the replacements.
+	plans atomic.Pointer[[]enginePlan]
+	mu    sync.Mutex
 }
+
+// enginePlan is a plan made against the engine numbered engine
+// (storage.Engine.ID).
+type enginePlan struct {
+	engine uint64
+	plan   plan
+}
+
+// maxPlanEngines bounds how many engines' plans a Prepared keeps: one
+// per replica of an in-process cluster, with room for restarts, whose
+// engines are new ones.
+const maxPlanEngines = 8
 
 // Prepare parses src once.
 func Prepare(src string) (*Prepared, error) {
@@ -726,7 +795,75 @@ func Prepare(src string) (*Prepared, error) {
 	}, nil
 }
 
-// Exec runs the prepared statement in tx.
+// Exec runs the prepared statement in tx, under the plan it keeps for
+// e while that fits (tablesPlan.fits), under a fresh one that replaces
+// it otherwise.
 func (p *Prepared) Exec(tx *storage.Txn, e *storage.Engine, params ...any) (*Result, error) {
-	return ExecStmt(tx, e, p.Stmt, params...)
+	ev, err := newEnv(params)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := p.plan(e, ev)
+	if err != nil {
+		return nil, err
+	}
+	return run(tx, e, p.Stmt, pl, ev)
+}
+
+// Explain is Explain of the plan Exec would run with these parameters.
+func (p *Prepared) Explain(e *storage.Engine, params ...any) (string, error) {
+	ev, err := newEnv(params)
+	if err != nil {
+		return "", err
+	}
+	pl, err := p.plan(e, ev)
+	if err != nil {
+		return "", err
+	}
+	return explain(e, p.Stmt, pl)
+}
+
+// plan returns the plan kept for e if it fits this execution, or plans
+// afresh and keeps that; either way ev is left holding the plan's
+// constants.
+func (p *Prepared) plan(e *storage.Engine, ev *env) (plan, error) {
+	id := e.ID()
+	if ps := p.plans.Load(); ps != nil {
+		for _, ep := range *ps {
+			if ep.engine == id {
+				if ep.plan.base().fits(e, ev) {
+					return ep.plan, nil
+				}
+				break
+			}
+		}
+	}
+	pl, err := planStmt(e, p.Stmt, ev)
+	if err != nil || pl == nil {
+		return pl, err
+	}
+	p.keep(id, pl)
+	return pl, nil
+}
+
+// keep makes pl the plan kept for the engine numbered id, dropping the
+// longest-kept other engine's when the list is full.
+func (p *Prepared) keep(id uint64, pl plan) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var old []enginePlan
+	if ps := p.plans.Load(); ps != nil {
+		old = *ps
+	}
+	next := make([]enginePlan, 0, min(len(old)+1, maxPlanEngines))
+	for _, ep := range old {
+		if ep.engine != id {
+			next = append(next, ep)
+		}
+	}
+	if len(next) == maxPlanEngines {
+		next = append(next[:0], next[1:]...)
+	}
+	next = append(next, enginePlan{engine: id, plan: pl})
+	p.plans.Store(&next)
 }

@@ -13,13 +13,17 @@ import (
 // while a group's output row is computed, that group's aggregate states.
 type env struct {
 	rows   [][]any
-	params []any // normalised once, by ExecStmt
+	params []any // normalised once, by newEnv
 	aggs   []aggState
+	// consts are the values of the plan's sarg constants for this
+	// execution (tablesPlan.bindConsts), in constBuf when they fit.
+	consts   []any
+	constBuf [4]any
 }
 
 // slot is a column reference bound to its position in the tuple. bind
-// replaces every *Col by a slot once per execution, so no name is
-// resolved per row.
+// replaces every *Col by a slot once per plan, so no name is resolved
+// per row or per execution.
 type slot struct {
 	tab, off int
 	typ      storage.ColType

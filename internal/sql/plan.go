@@ -35,14 +35,33 @@ import (
 // Bounds are conservative (they may admit extra rows); the executor
 // always re-applies the full predicate, so the planner affects cost,
 // never which rows come back or in what order.
+//
+// A plan holds no parameter value, so a prepared statement keeps it
+// from one execution to the next (Prepared): a sarg names the constant
+// it compares with, and each execution evaluates those constants
+// (bindConsts) and fills the chosen path's key and bounds from them
+// (tablePlan.resolve). Every choice the parameters can sway follows
+// from three things alone — how many there are, which constants are
+// usable (evaluate without error, are not NULL and coerce to their
+// column's type) and whether kindOf says the predicate may fail — so a
+// plan is reused exactly while all three come out as they did when it
+// was made, and its tables' schemas are still the engine's
+// (tablesPlan.fits).
 
-// accessPath describes how to fetch the candidate rows of one table.
+// accessPath describes how to fetch the candidate rows of one table. A
+// plan's paths carry only kind and index; the values are an
+// execution's (tablePlan.resolve).
 type accessPath struct {
 	kind      pathKind
 	pointKey  string // kindPoint
 	lo, hi    string // kindRange; "" = unbounded
 	indexName string // kindIndexEq, kindIndexOrder
 	indexVal  any    // kindIndexEq
+}
+
+// shape is the path without its values: what a plan keeps of it.
+func (a accessPath) shape() accessPath {
+	return accessPath{kind: a.kind, indexName: a.indexName}
 }
 
 type pathKind uint8
@@ -81,11 +100,21 @@ func (a accessPath) via() string {
 }
 
 // sarg is a sargable condition on one table, extracted from a conjunct
-// of WHERE.
+// of WHERE: a column compared with a constant.
 type sarg struct {
 	off int    // column position
 	op  string // "=", "<", "<=", ">", ">="
-	val any    // evaluated constant, never NULL
+	// konst indexes the constant in the plan's konsts and in an
+	// execution's env.consts.
+	konst int
+}
+
+// konst is the constant side of a sarg — literals, placeholders and
+// arithmetic over them — and the type of the column it is compared
+// with, to which each execution coerces its value.
+type konst struct {
+	expr Expr
+	typ  storage.ColType
 }
 
 // splitConjuncts flattens a WHERE tree into AND-ed conjuncts.
@@ -95,16 +124,6 @@ func splitConjuncts(e Expr, out []Expr) []Expr {
 		return splitConjuncts(b.R, out)
 	}
 	return append(out, e)
-}
-
-// constValue evaluates a bound expression that references no column:
-// literals, placeholders, and arithmetic over them.
-func constValue(e Expr, ev *env) (any, bool) {
-	if lastTable(e) != noTable {
-		return nil, false
-	}
-	v, err := eval(e, ev)
-	return v, err == nil
 }
 
 // noTable is lastTable's answer for an expression without columns.
@@ -133,37 +152,35 @@ func lastTable(e Expr) int {
 	return noTable
 }
 
-// sargable extracts the condition a bound conjunct puts on a column of
-// table tab, if it has that form.
-func sargable(e Expr, tab int, ev *env) (sarg, bool) {
+// sargable reports whether a bound conjunct has the form <column> <op>
+// <constant>, and returns its parts: the column, the operator with the
+// column on the left, and the constant — an expression that reads no
+// column. Whether that constant is usable is each execution's to say.
+func sargable(e Expr) (col *slot, op string, val Expr, ok bool) {
 	switch x := e.(type) {
 	case *BinOp:
 		col, colOK := x.L.(*slot)
-		val, valOK := constValue(x.R, ev)
-		op := x.Op
+		val, op = x.R, x.Op
 		if !colOK {
 			// constant <op> column: flip.
 			col, colOK = x.R.(*slot)
-			val, valOK = constValue(x.L, ev)
-			op = flipOp(op)
+			val, op = x.L, flipOp(op)
 		}
-		if !colOK || !valOK || val == nil || col.tab != tab {
-			return sarg{}, false
+		if !colOK || lastTable(val) != noTable {
+			return nil, "", nil, false
 		}
 		switch op {
 		case "=", "<", "<=", ">", ">=":
-			return sarg{off: col.off, op: op, val: val}, true
+			return col, op, val, true
 		}
 	case *Between:
 		// BETWEEN contributes its lower bound; the upper bound is
 		// re-checked by the residual filter.
-		col, colOK := x.E.(*slot)
-		lo, loOK := constValue(x.Lo, ev)
-		if colOK && loOK && lo != nil && col.tab == tab {
-			return sarg{off: col.off, op: ">=", val: lo}, true
+		if col, colOK := x.E.(*slot); colOK && lastTable(x.Lo) == noTable {
+			return col, ">=", x.Lo, true
 		}
 	}
-	return sarg{}, false
+	return nil, "", nil, false
 }
 
 func flipOp(op string) string {
@@ -181,35 +198,35 @@ func flipOp(op string) string {
 	}
 }
 
-// eqValue returns the constant the conditions pin column off to, coerced
-// to the column's type.
-func eqValue(schema *storage.Schema, sargs []sarg, off int) (any, bool) {
+// eqValue returns the constant the conditions pin column off to, from
+// the usable constants in consts (coerced to the column's type; nil
+// where unusable), or nil.
+func eqValue(sargs []sarg, consts []any, off int) any {
 	var v any
 	for _, s := range sargs {
-		if s.op == "=" && s.off == off {
-			v = s.val
+		if s.op == "=" && s.off == off && consts[s.konst] != nil {
+			v = consts[s.konst]
 		}
 	}
-	if v == nil {
-		return nil, false
-	}
-	cv, err := coerceValue(v, schema.Columns[off].Type)
-	return cv, err == nil
+	return v
 }
 
 // choosePath picks the access path for one table given the sargable
-// conditions on it.
-func choosePath(schema *storage.Schema, sargs []sarg) accessPath {
+// conditions on it and the values of their constants. Which usable
+// constants there are decides the path's kind and index; their values
+// only its key or bounds.
+func choosePath(schema *storage.Schema, sargs []sarg, consts []any) accessPath {
 	if len(sargs) == 0 {
 		return accessPath{kind: kindFull}
 	}
 
 	// PK prefix: equality on leading key columns. All of them is a point
 	// lookup.
-	var prefix []any
+	var buf [4]any
+	prefix := buf[:0]
 	for _, kc := range schema.Key {
-		v, ok := eqValue(schema, sargs, schema.ColIndex(kc))
-		if !ok {
+		v := eqValue(sargs, consts, schema.ColIndex(kc))
+		if v == nil {
 			break
 		}
 		prefix = append(prefix, v)
@@ -227,11 +244,8 @@ func choosePath(schema *storage.Schema, sargs []sarg) accessPath {
 	}
 	next := schema.ColIndex(schema.Key[len(prefix)])
 	for _, c := range sargs {
-		if c.off != next || c.op == "=" {
-			continue
-		}
-		cv, err := coerceValue(c.val, schema.Columns[next].Type)
-		if err != nil {
+		cv := consts[c.konst]
+		if c.off != next || c.op == "=" || cv == nil {
 			continue
 		}
 		bound := storage.EncodeKey(append(prefix[:len(prefix):len(prefix)], cv)...)
@@ -253,11 +267,23 @@ func choosePath(schema *storage.Schema, sargs []sarg) accessPath {
 
 	// Secondary-index equality.
 	for _, def := range schema.Indexes {
-		if v, ok := eqValue(schema, sargs, schema.ColIndex(def.Column)); ok {
+		if v := eqValue(sargs, consts, schema.ColIndex(def.Column)); v != nil {
 			return accessPath{kind: kindIndexEq, indexName: def.Name, indexVal: v}
 		}
 	}
 	return accessPath{kind: kindFull}
+}
+
+// resolve returns the table's path with this execution's key or bounds
+// in it, from the constants bindConsts evaluated. The constants usable
+// now are the ones usable when the plan chose the path, so choosePath
+// chooses it again.
+func (t *tablePlan) resolve(consts []any) accessPath {
+	switch t.path.kind {
+	case kindPoint, kindRange, kindIndexEq:
+		return choosePath(t.schema, t.sargs, consts)
+	}
+	return t.path
 }
 
 // scanPath feeds fn the candidate rows of one table, in primary-key
@@ -342,8 +368,14 @@ type tablePlan struct {
 	schema      *storage.Schema
 
 	// path is how tables[0] is scanned, and what a hash join's build
-	// reads: a full scan, unless it is a filtered build.
+	// reads: a full scan, unless it is a filtered build. It holds no
+	// values: resolve fills them in per execution.
 	path accessPath
+	// sargs are what the conjuncts of WHERE pin or bound on the table's
+	// columns: for tables[0], every conjunct's; for a joined table, those
+	// of the conjuncts placed at it, which a filtered build's path reads
+	// (filteredBuilds).
+	sargs []sarg
 	// fetch names the index on tables[0]'s join column through which a
 	// keyed fetch reads it (keyedFetch); "" scans path.
 	fetch string
@@ -357,9 +389,6 @@ type tablePlan struct {
 	// row is in the tuple, before any later table is probed. The last
 	// table has none: the whole predicate is applied there.
 	filters []Expr
-	// own is what the conjuncts placed at this joined table pin or bound
-	// on its columns: a filtered build's path (filteredBuilds).
-	own []sarg
 
 	on [2]*Col // the ON columns as written, left then right, for Explain
 }
@@ -376,13 +405,74 @@ type orderTerm struct {
 // the tables, the predicate, and where its conjuncts apply.
 type tablesPlan struct {
 	tables []tablePlan
-	where  Expr    // bound; applied whole to every complete tuple
-	sargs  []sarg  // what the predicate's conjuncts pin or bound on tables[0]
-	binder *binder // knows every table; binds the rest of the statement
+	where  Expr // bound; applied whole to every complete tuple
+	// konsts are the sargs' constants, and usable says which of them were
+	// usable under the parameters the plan was made with.
+	konsts []konst
+	usable []bool
+	// nparams is how many parameters the plan was bound with, and mayFail
+	// what kindOf said of where under them.
+	nparams int
+	mayFail bool
 	// For Explain: WHERE as written and, per conjunct, the table at which
 	// it first applies; nil when all apply at the last table.
 	written Expr
 	levels  []int
+}
+
+// base is every plan's tablesPlan.
+func (p *tablesPlan) base() *tablesPlan { return p }
+
+// bindConsts evaluates the sargs' constants for one execution into
+// ev.consts, each coerced to its column's type, or nil where unusable —
+// an evaluation error, NULL, or a value the column's type does not
+// take. It reports whether the usable ones are exactly those usable
+// when the plan was made.
+func (p *tablesPlan) bindConsts(ev *env) bool {
+	switch n := len(p.konsts); {
+	case n <= len(ev.constBuf):
+		ev.consts = ev.constBuf[:n]
+	case cap(ev.consts) < n:
+		ev.consts = make([]any, n)
+	default:
+		ev.consts = ev.consts[:n]
+	}
+	same := true
+	for i, k := range p.konsts {
+		v, err := eval(k.expr, ev)
+		if err == nil {
+			v, err = coerceValue(v, k.typ)
+		}
+		if err != nil {
+			v = nil
+		}
+		ev.consts[i] = v
+		if (v != nil) != p.usable[i] {
+			same = false
+		}
+	}
+	return same
+}
+
+// fits reports whether the plan may serve one more execution on e with
+// ev's parameters: each of its tables' schemas is still e's current one
+// (CreateIndex installs a new one), and every choice the parameters can
+// sway comes out as it did — the parameter count, kindOf's verdict on
+// the predicate, and which constants are usable. It leaves this
+// execution's constants in ev.
+func (p *tablesPlan) fits(e *storage.Engine, ev *env) bool {
+	if len(ev.params) != p.nparams {
+		return false
+	}
+	for i := range p.tables {
+		if s, _ := e.Schema(p.tables[i].name); s != p.tables[i].schema {
+			return false
+		}
+	}
+	if p.where != nil && (kindOf(p.where, ev.params) == kMayFail) != p.mayFail {
+		return false
+	}
+	return p.bindConsts(ev)
 }
 
 // selectPlan is a planned SELECT.
@@ -410,30 +500,31 @@ type selectPlan struct {
 
 // planTables binds the FROM clause and WHERE shared by SELECT, UPDATE
 // and DELETE (the latter two with no joins), and chooses the access
-// path.
-func planTables(e *storage.Engine, from TableRef, joins []Join, where Expr, ev *env) (*tablesPlan, error) {
+// path. It returns the binder, which knows every table, to bind the
+// rest of the statement, and leaves the sargs' constants in ev.
+func planTables(e *storage.Engine, from TableRef, joins []Join, where Expr, ev *env) (*tablesPlan, *binder, error) {
 	schema, ok := e.Schema(from.Table)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", storage.ErrNoTable, from.Table)
+		return nil, nil, fmt.Errorf("%w: %s", storage.ErrNoTable, from.Table)
 	}
 	b := &binder{nparams: len(ev.params), tables: make([]boundTable, 1, 1+len(joins))}
 	b.tables[0] = boundTable{alias: from.Alias, schema: schema}
-	p := &tablesPlan{binder: b, tables: make([]tablePlan, 1, 1+len(joins))}
+	p := &tablesPlan{nparams: len(ev.params), tables: make([]tablePlan, 1, 1+len(joins))}
 	p.tables[0] = tablePlan{name: from.Table, alias: from.Alias, schema: schema}
 
 	for _, j := range joins {
 		right, ok := e.Schema(j.Right.Table)
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", storage.ErrNoTable, j.Right.Table)
+			return nil, nil, fmt.Errorf("%w: %s", storage.ErrNoTable, j.Right.Table)
 		}
 		// Decide which side of ON binds to the tables joined so far.
 		leftCol, rightCol, err := orientJoin(j, b.tables, right)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		left, err := b.resolve(leftCol)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t := tablePlan{
 			name:     j.Right.Table,
@@ -444,7 +535,7 @@ func planTables(e *storage.Engine, from TableRef, joins []Join, where Expr, ev *
 			on:       [2]*Col{leftCol, rightCol},
 		}
 		if t.rightCol < 0 {
-			return nil, fmt.Errorf("sql: unknown join column %s.%s", j.Right.Alias, rightCol.Name)
+			return nil, nil, fmt.Errorf("sql: unknown join column %s.%s", j.Right.Alias, rightCol.Name)
 		}
 		switch {
 		case len(right.Key) == 1 && right.Key[0] == rightCol.Name:
@@ -461,7 +552,7 @@ func planTables(e *storage.Engine, from TableRef, joins []Join, where Expr, ev *
 	if where != nil {
 		var err error
 		if p.where, err = b.bind(where); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// A conjunct belongs to the first table at which all its columns
 		// are in the tuple. Dropping a tuple there, before the later
@@ -471,7 +562,8 @@ func planTables(e *storage.Engine, from TableRef, joins []Join, where Expr, ev *
 		// raises on that tuple), so that is when it is done; the whole
 		// predicate is applied to every complete tuple either way.
 		last := len(p.tables) - 1
-		early := last > 0 && kindOf(p.where, ev.params) != kMayFail
+		p.mayFail = kindOf(p.where, ev.params) == kMayFail
+		early := last > 0 && !p.mayFail
 		conjs := splitConjuncts(p.where, nil)
 		p.written = where
 		if early {
@@ -484,19 +576,23 @@ func planTables(e *storage.Engine, from TableRef, joins []Join, where Expr, ev *
 				if at < last {
 					p.tables[at].filters = append(p.tables[at].filters, c)
 				}
-				if at > 0 {
-					if s, ok := sargable(c, at, ev); ok {
-						p.tables[at].own = append(p.tables[at].own, s)
-					}
-				}
 			}
-			if s, ok := sargable(c, 0, ev); ok {
-				p.sargs = append(p.sargs, s)
+			// A sargable conjunct on a joined table is placed at it, and
+			// feeds its path only when placed early.
+			if col, op, val, ok := sargable(c); ok && (col.tab == 0 || early) {
+				t := &p.tables[col.tab]
+				t.sargs = append(t.sargs, sarg{off: col.off, op: op, konst: len(p.konsts)})
+				p.konsts = append(p.konsts, konst{expr: val, typ: col.typ})
 			}
 		}
 	}
-	p.tables[0].path = choosePath(schema, p.sargs)
-	return p, nil
+	p.usable = make([]bool, len(p.konsts))
+	p.bindConsts(ev)
+	for i, v := range ev.consts {
+		p.usable[i] = v != nil
+	}
+	p.tables[0].path = choosePath(schema, p.tables[0].sargs, ev.consts).shape()
+	return p, b, nil
 }
 
 // orientJoin decides which Col of the ON clause references the
@@ -541,11 +637,10 @@ func indexOn(s *storage.Schema, col string) string {
 // planSelect plans a SELECT against the engine's current schemas and
 // the parameters in ev.
 func planSelect(e *storage.Engine, s *Select, ev *env) (*selectPlan, error) {
-	tp, err := planTables(e, s.From, s.Joins, s.Where, ev)
+	tp, b, err := planTables(e, s.From, s.Joins, s.Where, ev)
 	if err != nil {
 		return nil, err
 	}
-	b := tp.binder
 	p := &selectPlan{tablesPlan: *tp, offset: s.Offset, keep: -1}
 	if s.Limit >= 0 {
 		p.keep = s.Offset + s.Limit
@@ -597,10 +692,10 @@ func planSelect(e *storage.Engine, s *Select, ev *env) (*selectPlan, error) {
 		p.inOrder = len(p.order) == 0 && p.keep < 0
 		p.edge = edgeOf(p, s)
 	default:
-		p.inOrder = scanOrdered(p.tables[0].schema, p.sargs, p.order)
-		p.indexOrder(ev)
+		p.inOrder = scanOrdered(p.tables[0].schema, p.tables[0].sargs, ev.consts, p.order)
+		p.indexOrder()
 	}
-	p.filteredBuilds()
+	p.filteredBuilds(ev.consts)
 	p.keyedFetch()
 	return p, nil
 }
@@ -618,14 +713,14 @@ func planSelect(e *storage.Engine, s *Select, ev *env) (*selectPlan, error) {
 // It needs early placement, which says no conjunct can fail. It is not
 // worth a build when the base path is a point lookup (one tuple, one
 // probe) or the scan stops at a LIMIT (a few tuples may be all it reads).
-func (p *selectPlan) filteredBuilds() {
+func (p *selectPlan) filteredBuilds(consts []any) {
 	if p.levels == nil || p.tables[0].path.kind == kindPoint || (p.inOrder && p.keep >= 0) {
 		return
 	}
 	for k := 1; k < len(p.tables); k++ {
 		t := &p.tables[k]
-		if path := choosePath(t.schema, t.own); path.kind != kindFull {
-			t.join, t.path = joinHash, path
+		if path := choosePath(t.schema, t.sargs, consts); path.kind != kindFull {
+			t.join, t.path = joinHash, path.shape()
 		}
 	}
 }
@@ -678,11 +773,8 @@ func outputColumn(e Expr, items []SelectItem) int {
 // keys, all ascending, spell out a prefix of the primary key, where a
 // column the predicate pins to one constant may be skipped or named
 // anywhere, since every surviving row agrees on it.
-func scanOrdered(schema *storage.Schema, sargs []sarg, order []orderTerm) bool {
-	pinned := func(off int) bool {
-		_, ok := eqValue(schema, sargs, off)
-		return ok
-	}
+func scanOrdered(schema *storage.Schema, sargs []sarg, consts []any, order []orderTerm) bool {
+	pinned := func(off int) bool { return eqValue(sargs, consts, off) != nil }
 	ki := 0
 	for _, o := range order {
 		c, ok := o.expr.(*slot)
@@ -715,9 +807,9 @@ func scanOrdered(schema *storage.Schema, sargs []sarg, order []orderTerm) bool {
 // the full scan would raise, so no conjunct of WHERE may fail. A
 // predicate that matches nothing walks every entry: the cost of the full
 // scan it replaces.
-func (p *selectPlan) indexOrder(ev *env) {
+func (p *selectPlan) indexOrder() {
 	base := &p.tables[0]
-	if p.inOrder || p.keep < 0 || base.path.kind != kindFull || (p.where != nil && kindOf(p.where, ev.params) == kMayFail) {
+	if p.inOrder || p.keep < 0 || base.path.kind != kindFull || p.mayFail {
 		return
 	}
 	schema := base.schema
@@ -836,15 +928,20 @@ func Explain(e *storage.Engine, stmt Stmt, params []any) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	pl, err := planStmt(e, stmt, ev)
+	if err != nil {
+		return "", err
+	}
+	return explain(e, stmt, pl)
+}
+
+// explain renders Explain's line for stmt planned as pl (nil for a
+// statement planStmt does not plan).
+func explain(e *storage.Engine, stmt Stmt, pl plan) (string, error) {
 	var sb strings.Builder
-	var target string // of an UPDATE or DELETE
-	var where Expr
 	switch s := stmt.(type) {
 	case *Select:
-		p, err := planSelect(e, s, ev)
-		if err != nil {
-			return "", err
-		}
+		p := pl.(*selectPlan)
 		base := p.tables[0].path.kind.String()
 		switch {
 		case p.edge != "":
@@ -872,17 +969,10 @@ func Explain(e *storage.Engine, stmt Stmt, params []any) (string, error) {
 			return "", fmt.Errorf("%w: %s", storage.ErrNoTable, s.Table)
 		}
 		return "insert on " + s.Table, nil
-	case *Update:
-		target, where = s.Table, s.Where
-	case *Delete:
-		target, where = s.Table, s.Where
-	default:
-		return "", fmt.Errorf("sql: cannot explain %T", stmt)
+	case *Update, *Delete:
+		p := pl.base()
+		p.describe(&sb, p.tables[0].path.kind.String())
+		return sb.String(), nil
 	}
-	p, err := planTables(e, TableRef{Table: target, Alias: target}, nil, where, ev)
-	if err != nil {
-		return "", err
-	}
-	p.describe(&sb, p.tables[0].path.kind.String())
-	return sb.String(), nil
+	return "", fmt.Errorf("sql: cannot explain %T", stmt)
 }

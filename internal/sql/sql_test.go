@@ -829,14 +829,21 @@ func TestVarcharLengthIgnored(t *testing.T) {
 
 // TestCreateIndexDuringSelect: CREATE INDEX installs a new schema
 // instead of editing the one planners already hold, so a SELECT planned
-// while indexes are being added reads a consistent index list. Run under
-// -race: the planner reads Schema.Indexes with no lock.
+// while indexes are being added reads a consistent index list, and a
+// prepared statement shared by two readers replaces the plan it keeps
+// as the schema changes under it. Run under -race: the planner reads
+// Schema.Indexes with no lock, and readers load the kept plans with
+// none.
 func TestCreateIndexDuringSelect(t *testing.T) {
 	h := newHarness(t)
 	h.exec(`CREATE TABLE t (id INT PRIMARY KEY, c0 INT, c1 INT, c2 INT, c3 INT, c4 INT, c5 INT, c6 INT, c7 INT)`)
 	h.exec(`INSERT INTO t VALUES (1, 0, 1, 2, 3, 4, 5, 6, 7), (2, 0, 1, 2, 3, 4, 5, 6, 8)`)
+	prepared, err := Prepare(`SELECT id FROM t WHERE c7 = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
-	errc := make(chan error, 1)
+	errc := make(chan error, 2)
 	go func() {
 		defer close(done)
 		for i := 0; i < 8; i++ {
@@ -849,26 +856,56 @@ func TestCreateIndexDuringSelect(t *testing.T) {
 			}
 		}
 	}()
+	read := func(prep bool) error {
+		tx := h.e.Begin()
+		defer tx.Abort()
+		var res *Result
+		var err error
+		if prep {
+			res, err = prepared.Exec(tx, h.e, 7)
+		} else {
+			res, err = Exec(tx, h.e, `SELECT id FROM t WHERE c7 = ?`, 7)
+		}
+		if err == nil && (len(res.Rows) != 1 || res.Rows[0][0] != int64(1)) {
+			err = fmt.Errorf("rows = %v, want [[1]]", res.Rows)
+		}
+		return err
+	}
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := read(true); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
 	for running := true; running; {
 		select {
 		case <-done:
 			running = false
 		default:
 		}
-		tx := h.e.Begin()
-		res, err := Exec(tx, h.e, `SELECT id FROM t WHERE c7 = ?`, 7)
-		tx.Abort()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 1 || res.Rows[0][0] != int64(1) {
-			t.Fatalf("rows = %v, want [[1]]", res.Rows)
+		for _, prep := range []bool{false, true} {
+			if err := read(prep); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	<-readerDone
 	select {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+	if plan, _ := prepared.Explain(h.e, 7); !strings.HasPrefix(plan, "index-eq on t") {
+		t.Fatalf("after the last CREATE INDEX the prepared plan is %q, want an index-eq read", plan)
 	}
 	if s, _ := h.e.Schema("t"); len(s.Indexes) != 8 {
 		t.Fatalf("schema lists %d indexes, want 8", len(s.Indexes))

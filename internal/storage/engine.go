@@ -175,12 +175,22 @@ type Engine struct {
 	// Exclusive-lock commits store it directly; InstallWriteSets callers
 	// advance it through PublishVersion's max-CAS.
 	version atomic.Uint64
+	// id names the engine among every engine of the process (ID).
+	id uint64
 }
+
+// engines counts the engines made in this process.
+var engines atomic.Uint64
 
 // NewEngine returns an empty engine at version 0.
 func NewEngine() *Engine {
-	return &Engine{tables: make(map[string]*table)}
+	return &Engine{tables: make(map[string]*table), id: engines.Add(1)}
 }
+
+// ID returns a number no other engine of the process has: a key under
+// which a caller can keep what it derived from this engine's schemas
+// without holding the engine itself.
+func (e *Engine) ID() uint64 { return e.id }
 
 // CreateTable registers a table. It is an error if the name is taken.
 func (e *Engine) CreateTable(s *Schema) error {
@@ -276,21 +286,16 @@ func (e *Engine) Version() uint64 {
 
 // TableVersionsAt returns, for each named table, the newest version
 // that wrote it, capped at snapshot — an upper bound on the newest
-// write a transaction reading at that snapshot can have observed.
-// Unknown tables and tables never written are omitted (their bound is
-// zero).
-func (e *Engine) TableVersionsAt(names []string, snapshot uint64) map[string]uint64 {
+// write a transaction reading at that snapshot can have observed. The
+// versions are aligned with names; an unknown table and a table never
+// written read 0.
+func (e *Engine) TableVersionsAt(names []string, snapshot uint64) []uint64 {
+	out := make([]uint64, len(names))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make(map[string]uint64, len(names))
-	for _, n := range names {
+	for i, n := range names {
 		if t, ok := e.tables[n]; ok {
-			if v := t.lastWrite.Load(); v > 0 {
-				if v > snapshot {
-					v = snapshot
-				}
-				out[n] = v
-			}
+			out[i] = min(t.lastWrite.Load(), snapshot)
 		}
 	}
 	return out

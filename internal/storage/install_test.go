@@ -66,7 +66,7 @@ func TestInstallInvisibleUntilPublish(t *testing.T) {
 		t.Fatalf("published install not visible: row = %v", r)
 	}
 	// The per-table last-write bound tracks installs even before publish.
-	if vt := e.TableVersionsAt([]string{"kv"}, 2)["kv"]; vt != 2 {
+	if vt := e.TableVersionsAt([]string{"kv"}, 2)[0]; vt != 2 {
 		t.Fatalf("TableVersionsAt = %d, want 2", vt)
 	}
 }

@@ -39,8 +39,17 @@ type Client struct {
 	// for probePeriod; nil until the first end is held.
 	// guarded by mu
 	idle *time.Timer
-	// pending is the begin header armed by Start and not yet sent.
-	pending *clientRequest
+	// req and resp are every exchange's, reused.
+	// guarded by mu
+	req clientRequest
+	// guarded by mu
+	resp clientResponse
+	// armed says Start armed a begin header not yet sent: a transaction
+	// named txnName, or over tables, under the caller's span context.
+	armed   bool
+	txnName string
+	tables  []string
+	trace   dtrace.SpanContext
 	// snapshot is the latest transaction's begin snapshot.
 	snapshot uint64
 	// readOnly: the latest response left a transaction open that had
@@ -79,7 +88,8 @@ func Dial(addr, sessionID string, opts ...Option) (*Client, error) {
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.holding && !c.broken.Load() {
-		c.exchange(&clientRequest{})
+		c.req = clientRequest{}
+		c.exchange()
 	}
 	if c.idle != nil {
 		c.idle.Stop()
@@ -93,18 +103,19 @@ func (c *Client) Close() error {
 // open transaction and dropped the session's version floor.
 func (c *Client) Broken() bool { return c.broken.Load() }
 
-// exchange puts req on the wire, carrying the held end, and reads its
-// answer. Caller holds mu. A held end is delivered at most once: an
-// exchange that fails drops it, and the gateway aborts what was open
-// when the connection goes.
-func (c *Client) exchange(req *clientRequest) (*clientResponse, error) {
+// exchange puts c.req on the wire, carrying the held end, and reads its
+// answer into c.resp. Caller holds mu. A held end is delivered at most
+// once: an exchange that fails drops it, and the gateway aborts what was
+// open when the connection goes.
+func (c *Client) exchange() error {
 	if c.broken.Load() {
-		return nil, errBroken
+		return errBroken
 	}
+	req := &c.req
 	if c.holding {
 		c.holding = false
 		c.end.HeldUs = uint64(time.Since(c.since) / time.Microsecond)
-		req.End = &c.end
+		req.HasEnd, req.End = true, c.end
 	}
 	c.seq++
 	req.Seq = c.seq
@@ -113,45 +124,49 @@ func (c *Client) exchange(req *clientRequest) (*clientResponse, error) {
 	}
 	if err := c.fc.send(req); err != nil {
 		c.broken.Store(true)
-		return nil, fmt.Errorf("wire: send: %w", err)
+		return fmt.Errorf("wire: send: %w", err)
 	}
 	if d := c.to.Call; d > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(d))
 	}
-	var resp clientResponse
-	if err := c.fc.recv(&resp); err != nil {
+	if err := c.fc.recv(&c.resp); err != nil {
 		c.broken.Store(true)
-		return nil, fmt.Errorf("wire: recv: %w", err)
+		return fmt.Errorf("wire: recv: %w", err)
 	}
-	if resp.Seq != c.seq {
+	if c.resp.Seq != c.seq {
 		c.broken.Store(true)
-		return nil, fmt.Errorf("wire: response out of sequence (got %d, want %d)", resp.Seq, c.seq)
+		return fmt.Errorf("wire: response out of sequence (got %d, want %d)", c.resp.Seq, c.seq)
 	}
 	c.conn.SetDeadline(time.Time{})
-	return &resp, nil
+	return nil
 }
 
 // call performs one exchange for the session, the armed begin header
-// riding on it.
-func (c *Client) call(req clientRequest) (*clientResponse, error) {
-	if hdr := c.pending; hdr != nil {
-		c.pending = nil
-		req.Begin, req.TxnName, req.Tables, req.Trace = true, hdr.TxnName, hdr.Tables, hdr.Trace
-	}
+// riding on it, and returns its answer. The answer is a copy: c.resp
+// is the next exchange's, the idle timer's included, once mu is
+// released.
+func (c *Client) call(o op, query string, params []any) (clientResponse, error) {
+	begin := c.armed
+	c.armed = false
 	c.readOnly = false
 	c.mu.Lock()
-	resp, err := c.exchange(&req)
+	c.req = clientRequest{Op: o, SQL: query, Params: params}
+	if begin {
+		c.req.Begin, c.req.TxnName, c.req.Tables, c.req.Trace = true, c.txnName, c.tables, c.trace
+	}
+	err := c.exchange()
+	resp := c.resp
 	c.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return clientResponse{}, err
 	}
 	if resp.Err != "" {
 		return resp, decodeErr(resp.ErrCode, resp.Err)
 	}
-	if req.Begin {
+	if begin {
 		c.snapshot = resp.Snapshot
 	}
-	c.readOnly, c.readTables = resp.ReadOnly && req.Op != opCommit, resp.ReadTables
+	c.readOnly, c.readTables = resp.ReadOnly && o != opCommit, resp.ReadTables
 	return resp, nil
 }
 
@@ -182,15 +197,21 @@ func (c *Client) sendIdle() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.holding {
-		c.exchange(&clientRequest{})
+		c.req = clientRequest{}
+		c.exchange()
 	}
 }
 
 // RegisterTxn declares a named transaction's table-set at the gateway
 // (fine-grained consistency).
 func (c *Client) RegisterTxn(name string, tables []string) error {
-	_, err := c.call(clientRequest{Op: opRegister, Name: name, Tables: tables})
-	return err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.req = clientRequest{Op: opRegister, Name: name, Tables: tables}
+	if err := c.exchange(); err != nil {
+		return err
+	}
+	return decodeErr(c.resp.ErrCode, c.resp.Err)
 }
 
 // Start arms the begin header of the session's next transaction and
@@ -202,7 +223,7 @@ func (c *Client) RegisterTxn(name string, tables []string) error {
 // failed header request leaves no transaction behind. Abort before the
 // header went out discards it locally.
 func (c *Client) Start(txnName string, tables []string, sc dtrace.SpanContext) {
-	c.pending = &clientRequest{Begin: true, TxnName: txnName, Tables: tables, Trace: sc}
+	c.armed, c.txnName, c.tables, c.trace = true, txnName, tables, sc
 }
 
 // Snapshot returns the version the session's latest transaction reads
@@ -220,7 +241,7 @@ func (c *Client) Begin(txnName string) error {
 // request with no operation, in a round trip of its own.
 func (c *Client) BeginTx(txnName string) (snapshot uint64, err error) {
 	c.Start(txnName, nil, dtrace.SpanContext{})
-	if _, err := c.call(clientRequest{}); err != nil {
+	if _, err := c.call(opNone, "", nil); err != nil {
 		return 0, err
 	}
 	return c.snapshot, nil
@@ -234,7 +255,7 @@ func (c *Client) Exec(query string, params ...any) (*sql.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.call(clientRequest{Op: opExec, SQL: query, Params: params})
+	resp, err := c.call(opExec, query, params)
 	if err != nil {
 		return nil, err
 	}
@@ -266,11 +287,11 @@ func (c *Client) Commit() (version uint64, readOnly bool, err error) {
 // trip and without a frame: the client holds its end, and the session's
 // next request carries it (see hold).
 func (c *Client) CommitEx() (CommitInfo, error) {
-	if c.readOnly && c.pending == nil {
+	if c.readOnly && !c.armed {
 		c.hold(false)
 		return CommitInfo{Version: c.snapshot, ReadOnly: true, Snapshot: c.snapshot, ReadTables: c.readTables}, nil
 	}
-	resp, err := c.call(clientRequest{Op: opCommit})
+	resp, err := c.call(opCommit, "", nil)
 	if err != nil {
 		return CommitInfo{}, err
 	}
@@ -288,8 +309,8 @@ func (c *Client) CommitEx() (CommitInfo, error) {
 // commit's. One whose begin header never went out exists only here, so
 // nothing is held.
 func (c *Client) Abort() error {
-	if c.pending != nil {
-		c.pending = nil
+	if c.armed {
+		c.armed = false
 		return nil
 	}
 	if c.broken.Load() {

@@ -138,7 +138,7 @@ func TestCarriedEndOutOfPlaceClosesSession(t *testing.T) {
 					t.Fatalf("response to a statement that wrote=%v says ReadOnly=%v", wrote, resp.ReadOnly)
 				}
 			}
-			tc.carrier.Seq, tc.carrier.End = seq+1, &clientEnd{}
+			tc.carrier.Seq, tc.carrier.HasEnd = seq+1, true
 			if err := fc.send(&tc.carrier); err != nil {
 				t.Fatal(err)
 			}
@@ -507,7 +507,7 @@ func TestFailedExchangeDropsEnds(t *testing.T) {
 	fc := rawPeer(t, addr, bareHello(linkReplica))
 	id := readTxn(t, fc, 1)
 	rr.hold(id, false, 0)
-	if _, err := rr.call(&replicaRequest{Op: opStatus}); err == nil {
+	if err := rr.call(&replicaRequest{Op: opStatus}, new(replicaResponse)); err == nil {
 		t.Fatal("the exchange succeeded over a refusing dialer")
 	}
 	refuse.Store(false)
@@ -537,7 +537,8 @@ func TestHeldEndExcisedFromStages(t *testing.T) {
 	o := buildOptions(nil)
 	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &o)
 	defer rr.pool.close()
-	resp, err := rr.call(&replicaRequest{Begin: true, Op: opExec, SQL: `SELECT v FROM kv WHERE k = 1`})
+	var resp replicaResponse
+	err := rr.call(&replicaRequest{Begin: true, Op: opExec, SQL: `SELECT v FROM kv WHERE k = 1`}, &resp)
 	if err != nil || !resp.Commit.ReadOnly {
 		t.Fatalf("read: %+v, %v", resp, err)
 	}

@@ -42,11 +42,15 @@ import (
 // receiver reads through one bufio.Reader per connection into a fresh
 // exact-size buffer per frame, and decoded strings alias that buffer:
 // it is never reused, and code that keeps a decoded string past the
-// request clones it where it is retained.
+// request clones it where it is retained. Everything else a receiver
+// decodes into is its connection's to reuse: one writeset.Decoder per
+// connection, and on the request links one request and one response
+// value per connection (per session at the gateway), whose slices the
+// next frame of the same kind overwrites.
 
 // codecVersion is the protocol version carried in every hello. Bump it
 // with any change to a frame layout, then run `make update-schema`.
-const codecVersion = 7
+const codecVersion = 8
 
 // helloMagic opens every connection's first frame.
 const helloMagic = "SCRP"
@@ -142,7 +146,13 @@ func encodeFrame(buf []byte, f outFrame) ([]byte, error) {
 // parsePayload decodes one frame payload into f; trailing bytes are an
 // error. Strings decoded into f alias p.
 func parsePayload(p []byte, f inFrame) error {
-	d := writeset.NewDecoder(p)
+	var d writeset.Decoder
+	return parseWith(&d, p, f)
+}
+
+// parseWith is parsePayload through the caller's decoder.
+func parseWith(d *writeset.Decoder, p []byte, f inFrame) error {
+	d.Reset(p)
 	f.parse(d)
 	return d.Done()
 }
@@ -153,6 +163,8 @@ type frameConn struct {
 	c    net.Conn
 	br   *bufio.Reader
 	wbuf []byte
+	// dec decodes every frame recv reads.
+	dec writeset.Decoder
 }
 
 func newFrameConn(c net.Conn) *frameConn {
@@ -199,7 +211,7 @@ func (fc *frameConn) recv(f inFrame) error {
 	if err != nil {
 		return err
 	}
-	return parsePayload(p, f)
+	return parseWith(&fc.dec, p, f)
 }
 
 // appendHello appends the prefix every hello starts with.
@@ -236,7 +248,8 @@ func (fc *frameConn) recvHello(accept string, f inFrame) (link, error) {
 	if err != nil {
 		return 0, err
 	}
-	d := writeset.NewDecoder(p)
+	d := &fc.dec
+	d.Reset(p)
 	l, err := checkHello(d, accept)
 	if err != nil {
 		return 0, err
@@ -263,6 +276,7 @@ const (
 	flagCrashed  = 1 << 5
 	flagReady    = 1 << 6
 	flagCommit   = 1 << 7
+	flagVersions = 1 << 7 // replica responses only: table versions aligned with Touched follow it
 )
 
 func flagIf(cond bool, bit byte) byte {
@@ -292,15 +306,24 @@ func appendStrings(buf []byte, ss []string) []byte {
 // readSlice reads an AppendLen-headed slice, one element per read call;
 // nil stays nil.
 func readSlice[T any](d *writeset.Decoder, read func(*writeset.Decoder) T) []T {
+	return readSliceInto(d, nil, read)
+}
+
+// readSliceInto is readSlice into dst's array when it has room, so a
+// value decoded frame after frame reuses its slices.
+func readSliceInto[T any](d *writeset.Decoder, dst []T, read func(*writeset.Decoder) T) []T {
 	n, isNil := d.Len()
 	if isNil || d.Failed() {
 		return nil
 	}
-	out := make([]T, n)
-	for i := 0; i < n && !d.Failed(); i++ {
-		out[i] = read(d)
+	if dst == nil || cap(dst) < n {
+		dst = make([]T, n)
 	}
-	return out
+	dst = dst[:n]
+	for i := 0; i < n && !d.Failed(); i++ {
+		dst[i] = read(d)
+	}
+	return dst
 }
 
 func readStrings(d *writeset.Decoder) []string { return readSlice(d, (*writeset.Decoder).Str) }

@@ -75,9 +75,9 @@ func frameCases() []struct {
 		{"clientRequest", &clientRequest{Seq: math.MaxUint64, Op: opExec, Name: "n", Tables: []string{"a", ""},
 			Begin: true, TxnName: "tpcw.buyConfirm", Trace: sc, SQL: "SELECT 1", Params: edgeValues()}, &clientRequest{}},
 		{"clientRequest/zero", &clientRequest{}, &clientRequest{}},
-		{"clientRequest/end", &clientRequest{Seq: 2, Op: opExec, Begin: true, End: &clientEnd{Abort: true, HeldUs: 1<<63 - 1},
+		{"clientRequest/end", &clientRequest{Seq: 2, Op: opExec, Begin: true, HasEnd: true, End: clientEnd{Abort: true, HeldUs: 1<<63 - 1},
 			SQL: "SELECT 1"}, &clientRequest{}},
-		{"clientRequest/endOnly", &clientRequest{Seq: 2, End: &clientEnd{HeldUs: 500_000}}, &clientRequest{}},
+		{"clientRequest/endOnly", &clientRequest{Seq: 2, HasEnd: true, End: clientEnd{HeldUs: 500_000}}, &clientRequest{}},
 		{"clientRequest/empties", &clientRequest{Tables: []string{}, Params: []any{}}, &clientRequest{}},
 		{"clientResponse", &clientResponse{Seq: 9, Err: "boom", ErrCode: codeConflict, Result: result, Snapshot: math.MaxUint64,
 			Version: math.MaxUint64, ReadOnly: true, WriteTables: []string{"kv"}, ReadTables: []string{}}, &clientResponse{}},
@@ -92,11 +92,11 @@ func frameCases() []struct {
 		{"replicaRequest/emptyEnds", &replicaRequest{Seq: 2, Op: opExec, TxnID: 77, Ends: []replicaEnd{}}, &replicaRequest{}},
 		{"replicaResponse", &replicaResponse{Seq: 4, Err: "x", ErrCode: codeUnavailable, TxnID: 5, Snapshot: 6, Result: result,
 			Commit: replica.CommitResult{Version: math.MaxUint64, ReadOnly: true, WrittenTables: []string{"b", "a"},
-				TableVersions: map[string]uint64{"b": 2, "a": math.MaxUint64, "c": 0}},
-			Touched: []string{"a", "b"}, Version: 8, Active: 3, Crashed: true, Ready: true}, &replicaResponse{}},
+				Touched: []string{"a", "b", "c"}, TableVersions: []uint64{math.MaxUint64, 2, 0}},
+			Version: 8, Active: 3, Crashed: true, Ready: true}, &replicaResponse{}},
 		{"replicaResponse/zero", &replicaResponse{}, &replicaResponse{}},
 		{"replicaResponse/empties", &replicaResponse{Commit: replica.CommitResult{WrittenTables: []string{},
-			TableVersions: map[string]uint64{}}, Touched: []string{}}, &replicaResponse{}},
+			Touched: []string{}, TableVersions: []uint64{}}}, &replicaResponse{}},
 		{"certRequest", &certRequest{Seq: 1, Op: opCertify, Origin: -1, TxnID: 2, Snapshot: 3, WS: ws, Trace: sc,
 			ReplicaID: 4, After: math.MaxUint64, Shards: []int{1}}, &certRequest{}},
 		{"certRequest/zero", &certRequest{}, &certRequest{}},
@@ -235,7 +235,7 @@ func TestFrameHostileBytesRejected(t *testing.T) {
 	// withEnd is an ends-only client request whose end reads as the
 	// given bytes.
 	withEnd := func(end ...byte) []byte {
-		p, _ := (&clientRequest{Seq: 1, End: &clientEnd{}}).appendTo(nil)
+		p, _ := (&clientRequest{Seq: 1, HasEnd: true}).appendTo(nil)
 		return append(append(p[:3:3], end...), p[4:]...)
 	}
 	if err := parsePayload(withEnd(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), &clientRequest{}); err != nil {
@@ -340,8 +340,9 @@ func TestHelloRejected(t *testing.T) {
 
 // TestRetainedStringsAreCopies: what a server keeps past the request —
 // a registered transaction's name and tables, the statement cache key
-// and its parse, string parameters bound for a row, the keys of a
-// version map — is its own copy. Each is decoded from a buffer the
+// and its parse, string parameters bound for a row, the table names a
+// commit's versions enter the balancer's tracker under — is its own
+// copy. Each is decoded from a buffer the
 // test owns and then overwrites; a retained alias would change with it.
 func TestRetainedStringsAreCopies(t *testing.T) {
 	d := newDeployment(t, 1, core.Fine)
@@ -364,7 +365,7 @@ func TestRetainedStringsAreCopies(t *testing.T) {
 
 	var reg clientRequest
 	p := decode(&clientRequest{Op: opRegister, Name: "alias.txn", Tables: []string{"kv"}}, &reg)
-	d.gateway.dispatch(&gatewaySession{id: "s"}, &reg)
+	d.gateway.dispatch(&gatewaySession{id: "s"}, &reg, &clientResponse{})
 	scribble(p)
 	if ts, ok := d.gateway.Balancer().Registry().Lookup("alias.txn"); !ok || len(ts) != 1 || ts[0] != "kv" {
 		t.Errorf("registered table-set = %v, %v", ts, ok)
@@ -387,10 +388,15 @@ func TestRetainedStringsAreCopies(t *testing.T) {
 	}
 
 	var commit replicaResponse
-	p = decode(&replicaResponse{Commit: replica.CommitResult{TableVersions: map[string]uint64{"kv": 7}}}, &commit)
+	p = decode(&replicaResponse{Commit: replica.CommitResult{Version: 9, WrittenTables: []string{"kv"},
+		Touched: []string{"kv"}, TableVersions: []uint64{9}}}, &commit)
+	d.gateway.Balancer().ObserveCommit("s", commit.Commit)
 	scribble(p)
-	if v, ok := commit.Commit.TableVersions["kv"]; !ok || v != 7 {
-		t.Errorf("decoded version map = %v", commit.Commit.TableVersions)
+	if v := d.gateway.Balancer().Tracker().MinStartVersion(core.Fine, []string{"kv"}, "s"); v != 9 {
+		t.Errorf("session floor on kv after the frame was overwritten = %d, want 9", v)
+	}
+	if v := d.gateway.Balancer().Tracker().TableVersion("kv"); v != 9 {
+		t.Errorf("Vt(kv) after the frame was overwritten = %d, want 9", v)
 	}
 }
 

@@ -54,10 +54,11 @@ type clientRequest struct {
 	// the lb route and the replica begin; zero from an untraced client.
 	Trace dtrace.SpanContext
 
-	// End ends the session's open transaction before anything else in
-	// the request runs — see clientEnd; nil when the request carries no
-	// end.
-	End *clientEnd
+	// HasEnd says the request carries End, which ends the session's open
+	// transaction before anything else in the request runs — see
+	// clientEnd.
+	HasEnd bool
+	End    clientEnd
 
 	// exec
 	SQL    string
@@ -80,12 +81,12 @@ type clientEnd struct {
 }
 
 func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
-	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) | flagIf(r.End != nil, flagEnd)
+	flags := flagIf(r.Begin, flagBegin) | flagIf(r.Trace != dtrace.SpanContext{}, flagTrace) | flagIf(r.HasEnd, flagEnd)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = appendSpan(append(buf, byte(r.Op), flags), flags, r.Trace)
-	if e := r.End; e != nil {
+	if r.HasEnd {
 		// The abort bit rides in the low bit of the hold, as in replicaEnd.
-		buf = binary.AppendUvarint(buf, e.HeldUs<<1|uint64(flagIf(e.Abort, 1)))
+		buf = binary.AppendUvarint(buf, r.End.HeldUs<<1|uint64(flagIf(r.End.Abort, 1)))
 	}
 	buf = writeset.AppendString(buf, r.Name)
 	buf = appendStrings(buf, r.Tables)
@@ -94,21 +95,23 @@ func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
 	return writeset.AppendRow(buf, r.Params)
 }
 
+// parse decodes into r, reusing the array of its Params.
 func (r *clientRequest) parse(d *writeset.Decoder) {
 	r.Seq = d.Uvarint()
 	r.Op = readOp(d)
 	flags := readFlags(d, flagBegin|flagTrace|flagEnd)
 	r.Begin = flags&flagBegin != 0
 	r.Trace = readSpan(d, flags)
-	if flags&flagEnd != 0 {
+	r.HasEnd, r.End = flags&flagEnd != 0, clientEnd{}
+	if r.HasEnd {
 		held := d.Uvarint()
-		r.End = &clientEnd{Abort: held&1 != 0, HeldUs: held >> 1}
+		r.End = clientEnd{Abort: held&1 != 0, HeldUs: held >> 1}
 	}
 	r.Name = d.Str()
 	r.Tables = readStrings(d)
 	r.TxnName = d.Str()
 	r.SQL = d.Str()
-	r.Params = d.Row()
+	r.Params = d.RowInto(r.Params)
 }
 
 type clientResponse struct {
@@ -257,8 +260,15 @@ type gatewaySession struct {
 	open    bool
 	// roCommit is what committing the open transaction would return, as
 	// of its replica's latest response; unset (not ReadOnly) once the
-	// transaction has written, and while a request is in flight.
+	// transaction has written, and while a request is in flight. Its
+	// slices are resp's: the next exchange overwrites them.
 	roCommit replica.CommitResult
+	// fwd and resp are the session's exchange with its replica, reused
+	// from request to request, and ends the array fwd carries held ends
+	// in.
+	fwd  replicaRequest
+	resp replicaResponse
+	ends []replicaEnd
 }
 
 // end closes the session's open transaction in the gateway's books.
@@ -294,21 +304,22 @@ func (g *Gateway) handle(fc *frameConn) {
 		g.balancer.EndSession(sess.id)
 	}()
 	var guard seqGuard
+	var req clientRequest
+	var resp clientResponse
 	for {
-		var req clientRequest
 		if err := fc.recv(&req); err != nil {
 			return
 		}
 		if !guard.ok(req.Seq) {
 			return
 		}
-		if req.End != nil && !g.runEnd(sess, req.End) {
+		if req.HasEnd && !g.runEnd(sess, &req.End) {
 			log.Printf("wire: gateway: closing %s: commit end out of place", c.RemoteAddr())
 			return
 		}
-		resp := g.dispatch(sess, &req)
+		g.dispatch(sess, &req, &resp)
 		resp.Seq = req.Seq
-		if err := fc.send(resp); err != nil {
+		if err := fc.send(&resp); err != nil {
 			return
 		}
 	}
@@ -344,11 +355,11 @@ func (g *Gateway) runEnd(sess *gatewaySession, e *clientEnd) bool {
 	return true
 }
 
-// dispatch serves one client request. Apart from register, every
-// request is one request to the transaction's replica: a begin header
-// is routed here and forwarded on it, so starting a transaction and
-// running its first operation cost one round trip on each link.
-func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResponse {
+// dispatch serves one client request into resp. Apart from register,
+// every request is one request to the transaction's replica: a begin
+// header is routed here and forwarded on it, so starting a transaction
+// and running its first operation cost one round trip on each link.
+func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest, resp *clientResponse) {
 	reqs := g.obsReqs.Load()
 	if req.Begin {
 		reqs.With("begin").Inc()
@@ -356,11 +367,10 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 	if req.Op != opNone {
 		reqs.With(req.Op.String()).Inc()
 	}
-	resp := &clientResponse{}
-	fail := func(err error) *clientResponse {
+	*resp = clientResponse{}
+	fail := func(err error) {
 		resp.Err = err.Error()
 		resp.ErrCode = codeOf(err)
-		return resp
 	}
 	switch req.Op {
 	case opRegister:
@@ -370,10 +380,11 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 			tables[i] = strings.Clone(t)
 		}
 		g.balancer.RegisterTxn(strings.Clone(req.Name), tables)
-		return resp
+		return
 	case opNone, opExec, opCommit:
 	default:
-		return fail(fmt.Errorf("wire: no client op %q", req.Op))
+		fail(fmt.Errorf("wire: no client op %q", req.Op))
+		return
 	}
 	if req.Op == opNone && !req.Begin {
 		// The request carried an end and nothing else: the client went
@@ -382,27 +393,30 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if r := sess.replica; r != nil && r.holding() {
 			r.probe()
 		}
-		return resp
+		return
 	}
 	switch {
 	case req.Begin && sess.open:
-		return fail(errors.New("wire: transaction already open on this session"))
+		fail(errors.New("wire: transaction already open on this session"))
+		return
 	case !req.Begin && !sess.open:
-		return fail(errors.New("wire: no open transaction"))
+		fail(errors.New("wire: no open transaction"))
+		return
 	}
-	fwd := &replicaRequest{Op: req.Op, TxnID: sess.txnID, SQL: req.SQL, Params: req.Params}
+	fwd, r := &sess.fwd, &sess.resp
+	*fwd = replicaRequest{Op: req.Op, TxnID: sess.txnID, SQL: req.SQL, Params: req.Params}
 	// A header request the replica refused with an answer — its gate is
 	// closed or it crashed — started nothing there: route it again. The
 	// refusal marked that replica down, so the balancer picks another;
 	// after every other has refused too, the refusal is the answer. A
 	// transport error is not routed again: the request may have run.
-	var r *replicaResponse
 	var err error
 	for refusals := 0; ; refusals++ {
 		if req.Begin {
 			route, rerr := g.balancer.DispatchCtx(sess.id, req.TxnName, req.Tables, req.Trace)
 			if rerr != nil {
-				return fail(rerr)
+				fail(rerr)
+				return
 			}
 			sess.replica = route.Node.(*remoteReplica)
 			sess.replica.active.Add(1)
@@ -420,7 +434,11 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 			sess.end()
 		}
 		sess.roCommit = replica.CommitResult{}
-		r, err = sess.replica.call(fwd)
+		fwd.Ends = sess.ends
+		err = sess.replica.call(fwd, r)
+		if fwd.Ends != nil {
+			sess.ends = fwd.Ends
+		}
 		if err == nil {
 			break
 		}
@@ -429,8 +447,9 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if sess.open && (req.Begin || errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed)) {
 			sess.end()
 		}
-		if !req.Begin || r == nil || !r.refused() || refusals >= len(g.replicas)-1 {
-			return fail(err)
+		if !req.Begin || !r.refused() || refusals >= len(g.replicas)-1 {
+			fail(err)
+			return
 		}
 	}
 	if req.Begin {
@@ -439,17 +458,12 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 	resp.Snapshot = r.Snapshot
 	resp.Result = r.Result
 	resp.ReadOnly = r.Commit.ReadOnly
-	resp.ReadTables = r.Touched
+	resp.ReadTables = r.Commit.Touched
 	if req.Op == opCommit {
-		// The tracker keeps table names as map keys for good.
-		for i, t := range r.Commit.WrittenTables {
-			r.Commit.WrittenTables[i] = strings.Clone(t)
-		}
 		g.balancer.ObserveCommit(sess.id, r.Commit)
 		resp.Version = r.Commit.Version
 		resp.WriteTables = r.Commit.WrittenTables
 	} else {
 		sess.roCommit = r.Commit
 	}
-	return resp
 }

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"fmt"
+	"log"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -467,4 +470,90 @@ func TestSilentPeerIsReaped(t *testing.T) {
 func isTimeout(err error) bool {
 	ne, ok := err.(net.Error)
 	return ok && ne.Timeout()
+}
+
+// logBuffer collects log output from several goroutines.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestHelloClosedEarlyNotLogged: a connection that either end closes
+// before its hello arrived logs nothing — not the server's own Close of
+// a connection still waiting in its hello, as every cluster teardown
+// does, nor a peer that hangs up first — while a hello that arrives and
+// is refused still logs its "rejecting" line.
+func TestHelloClosedEarlyNotLogged(t *testing.T) {
+	var out logBuffer
+	log.SetOutput(&out)
+	defer log.SetOutput(os.Stderr)
+	srv, err := ServeCertifier(certifier.New(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	live := func() int {
+		s := srv.server
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns)
+	}
+	// settle waits until the server holds n connections: a connection is
+	// untracked only after its hello has failed, and logged.
+	settle := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); live() != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("server holds %d connections, want %d", live(), n)
+			}
+		}
+	}
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	hangUp := dial()
+	settle(1)
+	hangUp.Close()
+	settle(0)
+	bad := dial()
+	defer bad.Close()
+	frame, _ := encodeFrame(nil, bareHello(linkReplica))
+	copy(frame[4:], "XXXX") // the magic
+	if _, err := bad.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(out.String(), "rejecting") && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	settle(0)
+	if got := strings.Count(out.String(), "rejecting"); got != 1 {
+		t.Fatalf("log after a hang-up and a bad magic holds %d rejecting lines, want 1 (the bad magic's):\n%s", got, out.String())
+	}
+
+	waiting := dial()
+	defer waiting.Close()
+	settle(1)
+	srv.Close()
+	settle(0)
+	if got := strings.Count(out.String(), "rejecting"); got != 1 {
+		t.Fatalf("Close with a connection in its hello logged:\n%s", out.String())
+	}
 }

@@ -85,21 +85,28 @@ func (r *replicaRequest) appendTo(buf []byte) ([]byte, error) {
 	return writeset.AppendRow(buf, r.Params)
 }
 
+// parse decodes into r, reusing the arrays of its Ends and Params.
 func (r *replicaRequest) parse(d *writeset.Decoder) {
+	ends := r.Ends
 	r.Seq = d.Uvarint()
 	r.Op = readOp(d)
 	flags := readFlags(d, flagBegin|flagTrace|flagEager|flagEnds)
 	r.Begin, r.Eager = flags&flagBegin != 0, flags&flagEager != 0
 	r.Trace = readSpan(d, flags)
+	r.MinVersion, r.TxnID = 0, 0
 	if r.Begin {
 		r.MinVersion = d.Uvarint()
 	} else {
 		r.TxnID = d.Uvarint()
 	}
+	r.Ends = nil
 	if flags&flagEnds != 0 {
 		// An end takes two bytes at least.
 		if n := d.Uvarint(); n <= uint64(d.Remaining()/2) {
-			r.Ends = make([]replicaEnd, n)
+			if ends == nil || uint64(cap(ends)) < n {
+				ends = make([]replicaEnd, n)
+			}
+			r.Ends = ends[:n]
 		} else {
 			d.Fail()
 		}
@@ -109,7 +116,7 @@ func (r *replicaRequest) parse(d *writeset.Decoder) {
 		}
 	}
 	r.SQL = d.Str()
-	r.Params = d.Row()
+	r.Params = d.RowInto(r.Params)
 }
 
 type replicaResponse struct {
@@ -123,11 +130,9 @@ type replicaResponse struct {
 	// Commit is the commit's result — and, on a response that leaves open
 	// a transaction that has written nothing, what its commit would
 	// return now (replica.Txn.ReadOnlyCommit): that commit then needs no
-	// answer, and travels as an end.
+	// answer, and travels as an end. Its TableVersions travel as bare
+	// values, one per table of its Touched.
 	Commit replica.CommitResult
-	// Touched is the transaction's observed table-set (reads and writes),
-	// as of the same moment as Commit — forwarded to the history checker.
-	Touched []string
 
 	// status
 	Version uint64
@@ -139,8 +144,12 @@ type replicaResponse struct {
 }
 
 func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
+	tv := r.Commit.TableVersions
+	if tv != nil && len(tv) != len(r.Commit.Touched) {
+		return nil, fmt.Errorf("wire: %d table versions for %d touched tables", len(tv), len(r.Commit.Touched))
+	}
 	flags := flagIf(r.Result != nil, flagResult) | flagIf(r.Commit.ReadOnly, flagReadOnly) |
-		flagIf(r.Crashed, flagCrashed) | flagIf(r.Ready, flagReady)
+		flagIf(r.Crashed, flagCrashed) | flagIf(r.Ready, flagReady) | flagIf(tv != nil, flagVersions)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = writeset.AppendString(append(buf, flags, byte(r.ErrCode)), r.Err)
 	buf = binary.AppendUvarint(buf, r.TxnID)
@@ -151,15 +160,20 @@ func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, r.Commit.Version)
 	buf = appendStrings(buf, r.Commit.WrittenTables)
-	buf = appendVersions(buf, r.Commit.TableVersions)
-	buf = appendStrings(buf, r.Touched)
+	buf = appendStrings(buf, r.Commit.Touched)
+	for _, v := range tv {
+		buf = binary.AppendUvarint(buf, v)
+	}
 	buf = binary.AppendUvarint(buf, r.Version)
 	return binary.AppendVarint(buf, int64(r.Active)), nil
 }
 
+// parse decodes into r, reusing the arrays of its Commit's Touched and
+// TableVersions.
 func (r *replicaResponse) parse(d *writeset.Decoder) {
+	tv := r.Commit.TableVersions
 	r.Seq = d.Uvarint()
-	flags := readFlags(d, flagResult|flagReadOnly|flagCrashed|flagReady)
+	flags := readFlags(d, flagResult|flagReadOnly|flagCrashed|flagReady|flagVersions)
 	r.Commit.ReadOnly, r.Crashed, r.Ready = flags&flagReadOnly != 0, flags&flagCrashed != 0, flags&flagReady != 0
 	r.ErrCode = readErrCode(d)
 	r.Err = d.Str()
@@ -168,8 +182,19 @@ func (r *replicaResponse) parse(d *writeset.Decoder) {
 	r.Result = readResult(d, flags)
 	r.Commit.Version = d.Uvarint()
 	r.Commit.WrittenTables = readStrings(d)
-	r.Commit.TableVersions = readVersions(d)
-	r.Touched = readStrings(d)
+	r.Commit.Touched = readSliceInto(d, r.Commit.Touched, (*writeset.Decoder).Str)
+	r.Commit.TableVersions = nil
+	if flags&flagVersions != 0 {
+		// Touched's length is bounded by the frame: so is this one.
+		if n := len(r.Commit.Touched); tv == nil || cap(tv) < n {
+			tv = make([]uint64, n)
+		}
+		tv = tv[:len(r.Commit.Touched)]
+		for i := range tv {
+			tv[i] = d.Uvarint()
+		}
+		r.Commit.TableVersions = tv
+	}
 	r.Version = d.Uvarint()
 	r.Active = int(d.Varint())
 }
@@ -358,11 +383,12 @@ func (s *ReplicaServer) handle(fc *frameConn) {
 		return
 	}
 	var guard seqGuard
+	var req replicaRequest
+	var resp replicaResponse
 	for {
 		if d := s.opts.to.Idle; d > 0 {
 			c.SetReadDeadline(time.Now().Add(d))
 		}
-		var req replicaRequest
 		if err := fc.recv(&req); err != nil {
 			return
 		}
@@ -373,12 +399,12 @@ func (s *ReplicaServer) handle(fc *frameConn) {
 		for _, e := range req.Ends {
 			s.end(e)
 		}
-		resp := s.dispatch(&req)
+		s.dispatch(&req, &resp)
 		resp.Seq = req.Seq
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
 		}
-		if err := fc.send(resp); err != nil {
+		if err := fc.send(&resp); err != nil {
 			return
 		}
 	}
@@ -411,7 +437,7 @@ func (s *ReplicaServer) end(e replicaEnd) {
 	defer ot.mu.Unlock()
 	tx := ot.tx
 	tx.Excise(time.Duration(e.HeldUs) * time.Microsecond)
-	if _, _, readOnly := tx.ReadOnlyCommit(); readOnly && !e.Abort {
+	if _, readOnly := tx.ReadOnlyCommit(); readOnly && !e.Abort {
 		tx.Commit(false)
 	} else {
 		tx.Abort()
@@ -419,9 +445,10 @@ func (s *ReplicaServer) end(e replicaEnd) {
 	s.dropTxn(e.TxnID)
 }
 
-// dispatch serves one request: the begin header, when present, opens
-// the transaction the operation then runs in; otherwise TxnID names it.
-func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
+// dispatch serves one request into resp: the begin header, when
+// present, opens the transaction the operation then runs in; otherwise
+// TxnID names it.
+func (s *ReplicaServer) dispatch(req *replicaRequest, resp *replicaResponse) {
 	reqs := s.obsReqs.Load()
 	if req.Begin {
 		reqs.With("begin").Inc()
@@ -429,11 +456,10 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 	if req.Op != opNone {
 		reqs.With(req.Op.String()).Inc()
 	}
-	resp := &replicaResponse{}
-	fail := func(err error) *replicaResponse {
+	*resp = replicaResponse{}
+	fail := func(err error) {
 		resp.Err = err.Error()
 		resp.ErrCode = codeOf(err)
-		return resp
 	}
 	var tx *replica.Txn
 	switch {
@@ -445,23 +471,26 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 		if g := s.opts.gate; g != nil && g() != nil {
 			resp.Ready = false
 		}
-		return resp
+		return
 	case req.Begin:
 		if g := s.opts.gate; g != nil {
 			if err := g(); err != nil {
-				return fail(err)
+				fail(err)
+				return
 			}
 		}
 		var err error
 		tx, err = s.rep.Begin(req.MinVersion, &req.Trace)
 		if err != nil {
-			return fail(err)
+			fail(err)
+			return
 		}
 		resp.Snapshot = tx.Snapshot()
 	default:
 		ot, ok := s.getTxn(req.TxnID)
 		if !ok {
-			return fail(replica.ErrTxnDone)
+			fail(replica.ErrTxnDone)
+			return
 		}
 		ot.mu.Lock()
 		defer ot.mu.Unlock()
@@ -480,7 +509,6 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 		ended = errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed)
 	case opCommit:
 		ended = true
-		resp.Touched = tx.Touched()
 		resp.Commit, err = tx.Commit(req.Eager)
 		resp.Snapshot = tx.Snapshot()
 	case opAbort:
@@ -502,12 +530,12 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 		resp.TxnID = s.addTxn(tx)
 	}
 	if err != nil {
-		return fail(err)
+		fail(err)
+		return
 	}
 	if !ended {
-		resp.Commit, resp.Touched, _ = tx.ReadOnlyCommit()
+		resp.Commit, _ = tx.ReadOnlyCommit()
 	}
-	return resp
 }
 
 // remoteReplica is the gateway's handle on one replica process. It
@@ -569,36 +597,38 @@ func (r *remoteReplica) holding() bool {
 }
 
 // takeEnds hands every held end to one request, each stamped with how
-// long it was held. They are delivered at most once: a request whose
-// exchange fails drops them.
-func (r *remoteReplica) takeEnds() []replicaEnd {
+// long it was held, in buf's array when it has room; nil when none is
+// held. They are delivered at most once: a request whose exchange fails
+// drops them.
+func (r *remoteReplica) takeEnds(buf []replicaEnd) []replicaEnd {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.ends) == 0 {
 		return nil
 	}
 	now := time.Now()
-	ends := make([]replicaEnd, len(r.ends))
-	for i, h := range r.ends {
-		ends[i] = replicaEnd{TxnID: h.txnID, Abort: h.abort, HeldUs: uint64(now.Sub(h.since) / time.Microsecond)}
+	ends := buf[:0]
+	for _, h := range r.ends {
+		ends = append(ends, replicaEnd{TxnID: h.txnID, Abort: h.abort, HeldUs: uint64(now.Sub(h.since) / time.Microsecond)})
 	}
 	r.ends = r.ends[:0]
 	return ends
 }
 
-// call performs one exchange, carrying every held end. An answered
-// error comes back with its response, a transport error without one.
-func (r *remoteReplica) call(req *replicaRequest) (*replicaResponse, error) {
-	req.Ends = r.takeEnds()
-	var resp replicaResponse
-	if err := r.pool.call(req, &resp); err != nil {
+// call performs one exchange into resp, carrying every held end in
+// req.Ends (whose array it reuses). An answered error comes back with
+// its response; a transport error leaves resp zero.
+func (r *remoteReplica) call(req *replicaRequest, resp *replicaResponse) error {
+	req.Ends = r.takeEnds(req.Ends)
+	if err := r.pool.call(req, resp); err != nil {
+		*resp = replicaResponse{}
 		r.healthy.Store(false)
-		return nil, err
+		return err
 	}
 	if resp.refused() {
 		r.healthy.Store(false)
 	}
-	return &resp, decodeErr(resp.ErrCode, resp.Err)
+	return decodeErr(resp.ErrCode, resp.Err)
 }
 
 // refused reports an answer that says the replica is not serving: it
@@ -612,6 +642,7 @@ func (r *replicaResponse) refused() bool {
 // recover or catch up, and the held ends it carries wait at most one
 // probe period.
 func (r *remoteReplica) probe() {
-	resp, err := r.call(&replicaRequest{Op: opStatus})
+	var resp replicaResponse
+	err := r.call(&replicaRequest{Op: opStatus}, &resp)
 	r.healthy.Store(err == nil && !resp.Crashed && resp.Ready)
 }

@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"sconrep/internal/obs"
@@ -119,16 +122,27 @@ func (s *server) untrack(c net.Conn) {
 // hello reads a connection's first frame, which must open one of the
 // accept links, into f. The read runs under Timeouts.Idle, which stays
 // armed on return: a peer that connects and never speaks is reaped like
-// an idle one. A refused hello is logged and reported as false; the
-// caller closes the connection by returning.
+// an idle one. A hello that fails is reported as false, and the caller
+// closes the connection by returning; a refused one — a bad frame, magic,
+// version or link, or a peer that never spoke — is logged, a connection
+// either end closed before its hello arrived is not.
 func (s *server) hello(fc *frameConn, accept string, f inFrame) (link, bool) {
 	if d := s.opts.to.Idle; d > 0 {
 		fc.c.SetReadDeadline(time.Now().Add(d))
 	}
 	kind, err := fc.recvHello(accept, f)
 	if err != nil {
-		log.Printf("wire: %s: rejecting %s: %v", s.link, fc.c.RemoteAddr(), err)
+		if !closedEarly(err) {
+			log.Printf("wire: %s: rejecting %s: %v", s.link, fc.c.RemoteAddr(), err)
+		}
 		return 0, false
 	}
 	return kind, true
+}
+
+// closedEarly reports a read error that says the connection closed: this
+// end's Close (a server shutting down), or the peer's close or reset.
+func closedEarly(err error) bool {
+	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) ||
+		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, syscall.ECONNRESET)
 }

@@ -407,8 +407,8 @@ func TestDistributedReplicaCrashFailover(t *testing.T) {
 func TestStatusAndStmtCache(t *testing.T) {
 	d := newDeployment(t, 1, core.Coarse)
 	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &options{})
-	resp, err := rr.call(&replicaRequest{Op: opStatus})
-	if err != nil {
+	var resp replicaResponse
+	if err := rr.call(&replicaRequest{Op: opStatus}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Crashed || resp.Version == 0 {

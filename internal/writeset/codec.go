@@ -151,6 +151,10 @@ type Decoder struct {
 // for what aliasing demands of p.
 func NewDecoder(p []byte) *Decoder { return &Decoder{p: p} }
 
+// Reset points the decoder at a new buffer, so one Decoder value serves
+// every frame of a connection.
+func (d *Decoder) Reset(p []byte) { *d = Decoder{p: p} }
+
 // Fail marks the buffer corrupt; for callers that validate a field the
 // decoder cannot (an enum byte out of range).
 func (d *Decoder) Fail() {
@@ -288,16 +292,23 @@ func (d *Decoder) Value() any {
 }
 
 // Row reads an AppendRow row.
-func (d *Decoder) Row() []any {
+func (d *Decoder) Row() []any { return d.RowInto(nil) }
+
+// RowInto reads an AppendRow row into dst's array when it has room for
+// it, into a new one otherwise; a nil row stays nil.
+func (d *Decoder) RowInto(dst []any) []any {
 	n, isNil := d.Len()
 	if isNil || d.Failed() {
 		return nil
 	}
-	row := make([]any, n)
-	for i := 0; i < n && !d.Failed(); i++ {
-		row[i] = d.Value()
+	if dst == nil || cap(dst) < n {
+		dst = make([]any, n)
 	}
-	return row
+	dst = dst[:n]
+	for i := 0; i < n && !d.Failed(); i++ {
+		dst[i] = d.Value()
+	}
+	return dst
 }
 
 // WriteSet reads an AppendTo writeset; nil for the skip marker.
