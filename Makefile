@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint update-schema ci chaos recovery bench bench-hotpath bench-e2e-smoke fuzz-smoke sweep examples clean
+.PHONY: all build test race vet lint ci flake-guard chaos recovery bench bench-hotpath bench-e2e-smoke fuzz-smoke sweep examples clean
 
 # Pinned external linter versions (CI installs these; locally they run
 # only when already on PATH — the build never downloads tools).
@@ -25,13 +25,13 @@ vet:
 	gofmt -l .
 
 # Project-specific static analysis (sconrep-vet: FSC table-sets, lock
-# discipline, chaos determinism, wire-schema compatibility, lock-order
-# deadlock analysis) plus staticcheck/govulncheck when installed.
-# sconrep-vet must run from the module root: its loader resolves
-# module-local imports through the source importer, and the wirecompat
-# analyzer reads internal/wire/schema.lock relative to it. -strict
-# promotes warnings to failures, keeping the committed tree clean of
-# both. After intentional wire evolution run `make update-schema`.
+# discipline, chaos determinism, lock-order deadlock analysis) plus
+# staticcheck/govulncheck when installed. sconrep-vet must run from the
+# module root: its loader resolves module-local imports through the
+# source importer. -strict promotes warnings to failures, keeping the
+# committed tree clean of both. Binary layouts are not linted: the wire
+# frames, WAL records and checkpoint image are pinned by golden-bytes
+# tests, so layout drift fails `make test`.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/sconrep-vet -strict ./...
@@ -44,24 +44,14 @@ lint:
 	else \
 		echo "lint: govulncheck not installed, skipping (CI pins $(GOVULNCHECK_VERSION))"; fi
 
-# Regenerate the committed wire schema lock after intentional
-# protocol evolution; the diff is the review artifact (CI's
-# schema-drift step fails if the lock is stale).
-update-schema:
-	$(GO) run ./cmd/sconrep-vet -update-schema ./...
-
 # The same gate CI runs (.github/workflows/ci.yml): the end-to-end
 # benchmark smoke, then build, vet, sconrep-vet, formatting (fails on
-# any unformatted file), tests, the flake guard (25 runs of the tests
-# that ride a restart, a crashed replica, a lease, the probe period —
-# the gateway's, or a client's idle timer — the replicas' concurrent
-# bulk loads, or a local commit's turn in the apply window between
-# refreshes, and the read path's allocation ceilings, which a stray
-# collection or timer could tip), race tests (the root package too: Bootstrap runs user
-# code on every replica at once). benchmark/ is
-# a frozen nested module ./... does not reach; bench-e2e-smoke starts
-# by vetting it, so an API break it would not survive (a changed Begin
-# or Dispatch signature) is the first thing this target reports.
+# any unformatted file), tests, the flake guard, race tests (the root
+# package too: Bootstrap runs user code on every replica at once).
+# benchmark/ is a frozen nested module ./... does not reach;
+# bench-e2e-smoke starts by vetting it, so an API break it would not
+# survive (a changed Begin or Dispatch signature) is the first thing
+# this target reports.
 ci: bench-e2e-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -69,8 +59,21 @@ ci: bench-e2e-smoke
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test ./...
-	$(GO) test -count=25 -run 'TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs' ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/sql ./internal/wire .
+	$(MAKE) flake-guard
 	$(GO) test -race ./internal/... .
+
+# Flake guard: one run of the suite cannot see a flake that fails one
+# run in four, so these tests run 25 times — the ones that ride a
+# restart, a crashed replica, a lease, the probe period (the gateway's,
+# or a client's idle timer), the replicas' concurrent bulk loads, or a
+# local commit's turn in the apply window between refreshes, and the
+# read path's allocation ceilings, which a stray collection or timer
+# could tip. CI's flake-guard step runs this target: this is the one
+# list.
+FLAKE_TESTS = TestDeploymentSmoke|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs
+FLAKE_PKGS = ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/sql ./internal/wire .
+flake-guard:
+	$(GO) test -count=25 -run '$(FLAKE_TESTS)' $(FLAKE_PKGS)
 
 # Seeded chaos harness: fault-injected TPC-W over the networked
 # cluster, oracle-checked in all four modes, under the race detector.

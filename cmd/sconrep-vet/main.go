@@ -1,20 +1,19 @@
 // Command sconrep-vet runs sconrep's custom static-analysis suite
-// (tableset, lockcheck, determinism, wirecompat, lockorder — see
-// internal/analysis) over the module:
+// (tableset, lockcheck, determinism, lockorder — see internal/analysis)
+// over the module:
 //
-//	sconrep-vet [-run names] [-strict] [-update-schema] [packages]
+//	sconrep-vet [-run names] [-strict] [packages]
 //
 // Packages default to ./... and are resolved with `go list`, so the
 // command must run from the module root (`make lint` does). Errors
-// (consistency holes: a wire layout that differs from the locked one,
-// lock cycles, staleness bugs) always fail the run; Warnings (hygiene:
-// undeclared lock orders, unexported wire fields) fail only under
-// -strict, which is how `make lint` and CI run.
+// (consistency holes: lock cycles, unguarded accesses, staleness bugs)
+// always fail the run; Warnings (hygiene: undeclared lock orders,
+// over-declared table-sets) fail only under -strict, which is how
+// `make lint` and CI run.
 //
-// -update-schema regenerates internal/wire/schema.lock from the
-// current tree instead of analyzing, making intentional protocol
-// evolution a reviewed diff. It refuses when a layout changed but the
-// owning package's codecVersion did not.
+// Binary layouts (wire frames, WAL records, the checkpoint image) are
+// not this command's business: golden-bytes tests in their packages
+// pin them, so layout drift fails `go test ./...`.
 //
 // The suite is built on a stdlib-only mirror of
 // golang.org/x/tools/go/analysis; if x/tools is ever vendored, the
@@ -31,7 +30,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"sconrep/internal/analysis"
@@ -40,8 +38,6 @@ import (
 func main() {
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	strict := flag.Bool("strict", false, "fail on warnings too, not just errors (CI mode)")
-	updateSchema := flag.Bool("update-schema", false,
-		"regenerate "+analysis.WireSchemaLockFile+" from the tree and exit")
 	detPkgs := flag.String("determinism.pkgs", "",
 		"comma-separated extra package paths holding seeded (replay-critical) code")
 	flag.Parse()
@@ -66,16 +62,7 @@ func main() {
 	}
 
 	loader := analysis.NewLoader()
-	if *updateSchema {
-		if err := writeSchemaLock(loader, pkgs); err != nil {
-			fmt.Fprintln(os.Stderr, "sconrep-vet:", err)
-			os.Exit(2)
-		}
-		return
-	}
-
 	errors, warnings := 0, 0
-	seen := map[string]bool{} // structs shared across packages would double-report
 	for _, p := range pkgs {
 		files := make([]string, 0, len(p.GoFiles))
 		for _, f := range p.GoFiles {
@@ -102,17 +89,12 @@ func main() {
 					rel = r
 				}
 			}
-			line := fmt.Sprintf("%s:%d:%d: %s: %s", rel, pos.Line, pos.Column, d.Severity, d.Message)
-			if seen[line] {
-				continue
-			}
-			seen[line] = true
 			if d.Severity == analysis.Error {
 				errors++
 			} else {
 				warnings++
 			}
-			fmt.Println(line)
+			fmt.Printf("%s:%d:%d: %s: %s\n", rel, pos.Line, pos.Column, d.Severity, d.Message)
 		}
 	}
 	if errors > 0 || warnings > 0 {
@@ -121,57 +103,6 @@ func main() {
 	if errors > 0 || (*strict && warnings > 0) {
 		os.Exit(1)
 	}
-}
-
-// writeSchemaLock collects the codec-reachable schema from every listed
-// package, checks it against the lock it replaces (a changed layout
-// needs a bumped codecVersion), merges, and rewrites the lockfile.
-func writeSchemaLock(loader *analysis.Loader, pkgs []listPkg) error {
-	merged := analysis.NewSchema()
-	var perPkg []*analysis.Schema
-	for _, p := range pkgs {
-		files := make([]string, 0, len(p.GoFiles))
-		for _, f := range p.GoFiles {
-			files = append(files, filepath.Join(p.Dir, f))
-		}
-		if len(files) == 0 {
-			continue
-		}
-		pkg, err := loader.Load(p.ImportPath, files)
-		if err != nil {
-			return err
-		}
-		schema, err := analysis.CollectSchema(pkg, loader.Fset)
-		if err != nil {
-			return err
-		}
-		if err := merged.Merge(schema); err != nil {
-			return err
-		}
-		perPkg = append(perPkg, schema)
-	}
-	if len(merged.Structs) == 0 {
-		return fmt.Errorf("no codec-reachable wire structs found in the listed packages; refusing to write an empty %s", analysis.WireSchemaLockFile)
-	}
-	if data, err := os.ReadFile(analysis.WireSchemaLockFile); err == nil {
-		old, err := analysis.ParseSchemaLock(data)
-		if err != nil {
-			return fmt.Errorf("%s: %v", analysis.WireSchemaLockFile, err)
-		}
-		if err := analysis.CheckBump(old, perPkg); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(analysis.WireSchemaLockFile, merged.Format(), 0o644); err != nil {
-		return err
-	}
-	var names []string
-	for n := range merged.Structs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Printf("sconrep-vet: wrote %s (%d structs)\n", analysis.WireSchemaLockFile, len(names))
-	return nil
 }
 
 func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {

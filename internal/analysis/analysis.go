@@ -1,7 +1,7 @@
 // Package analysis is sconrep's custom static-analysis suite: a small
 // stdlib-only framework mirroring golang.org/x/tools/go/analysis (so
 // the analyzers port to a real vettool unchanged if x/tools is ever
-// vendored), plus five project-specific analyzers that turn the
+// vendored), plus four project-specific analyzers that turn the
 // paper's conventions into machine-checked invariants:
 //
 //   - tableset: each workload transaction's declared static table-set
@@ -18,11 +18,6 @@
 //     no global math/rand, no unannotated map iteration — and
 //     packages importing math/rand outside the seeded list are
 //     flagged as coverage gaps.
-//   - wirecompat: every struct that reaches the binary frame codec or
-//     the WAL record codec must match the committed wire schema lock
-//     (internal/wire/schema.lock), and a layout may change only
-//     together with its package's codecVersion byte — the positional
-//     codec's one compatibility mechanism.
 //   - lockorder: the inter-mutex acquisition graph, built from
 //     "locks after" annotations plus observed acquisitions, must be
 //     acyclic, and cross-shard same-class multi-acquires must be
@@ -30,7 +25,10 @@
 //
 // The cmd/sconrep-vet driver runs the suite over the module
 // (`make lint` and the CI lint job); analysistest-style fixture tests
-// live under testdata/src.
+// live under testdata/src. The binary layouts of the wire frames, the
+// WAL records and the checkpoint image are not analyzed here: each is
+// pinned by its own golden-bytes test, which compares encodings, not
+// struct shapes.
 package analysis
 
 import (
@@ -41,10 +39,9 @@ import (
 )
 
 // Severity classifies a diagnostic. The driver always fails the run
-// on an Error (a correctness hole — an FSC staleness bug, a wire
-// layout that differs from the locked one, a lock cycle); a Warning
-// (a performance or hygiene regression, an undeclared-but-consistent
-// lock order, an unexported wire field) fails only under
+// on an Error (a correctness hole — an FSC staleness bug, an
+// unguarded access, a lock cycle); a Warning (a performance or hygiene
+// regression, an undeclared-but-consistent lock order) fails only under
 // sconrep-vet -strict, which is how CI runs.
 type Severity int
 
@@ -107,5 +104,5 @@ func (p *Pass) Reportf(pos token.Pos, sev Severity, format string, args ...any) 
 
 // Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{TableSet, LockCheck, Determinism, WireCompat, LockOrder}
+	return []*Analyzer{TableSet, LockCheck, Determinism, LockOrder}
 }

@@ -851,3 +851,17 @@ func (lo *lockOrderPkg) cycleAnchor(scc []lockClass, declared map[lockEdge]token
 	}
 	return lo.classes[scc[0]].pos
 }
+
+// calleeFunc resolves a call's static callee, if it is a declared
+// function or method.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[f].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[f.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}

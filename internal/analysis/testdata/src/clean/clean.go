@@ -1,5 +1,5 @@
 // Fixture with none of the suite's trigger conventions: no TxnNames
-// registry, no guard annotations, not a seeded package. All five
+// registry, no guard annotations, not a seeded package. All four
 // analyzers must report nothing.
 package clean
 

@@ -34,17 +34,17 @@ import (
 //	    row (#values = #columns)
 //	crc32 (IEEE, 4 bytes LE) over everything above
 //
-// A change to the writeset layout bumps snapMagic together with the
-// wire and wal codec versions. The encoding is canonical: one engine
-// state at one version has exactly one byte image (the decoder refuses
-// non-minimal varints), which is what lets the recovery-equivalence
-// tests compare replicas with bytes.Equal. Loading verifies the
-// trailing CRC before any parsing, rejects unsorted or duplicate
-// tables/keys, schema-checks every row, and bounds every count by the
-// bytes that remain — arbitrary input yields an error, never a panic or
-// a half-built engine. The decoder aliases the image, so the loader
-// copies every string the engine keeps: one surviving row must not pin
-// the whole file.
+// A change to the image's layout, the writeset layout included, bumps
+// snapMagic; TestCheckpointGoldenImage pins the bytes under it. The
+// encoding is canonical: one engine state at one version has exactly
+// one byte image (the decoder refuses non-minimal varints), which is
+// what lets the recovery-equivalence tests compare replicas with
+// bytes.Equal. Loading verifies the trailing CRC before any parsing,
+// rejects unsorted or duplicate tables/keys, schema-checks every row,
+// and bounds every count by the bytes that remain — arbitrary input
+// yields an error, never a panic or a half-built engine. The decoder
+// aliases the image, so the loader copies every string the engine
+// keeps: one surviving row must not pin the whole file.
 
 const snapMagic = "SCKP0002"
 

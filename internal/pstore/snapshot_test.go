@@ -209,17 +209,24 @@ func FuzzCheckpointLoad(f *testing.F) {
 // TestCheckpointGoldenImage pins the checkpoint's byte layout, value
 // tags included: the image carries rows in internal/writeset's layout,
 // so a change to a tag or a length prefix there changes every image on
-// disk and must not pass unnoticed.
+// disk and must not pass unnoticed. The golden opens with the snapMagic
+// it was written under. Under an unchanged magic a difference is a
+// layout change that needs snapMagic bumped, and the new image is not
+// printed; under another magic the test prints the image to commit.
 func TestCheckpointGoldenImage(t *testing.T) {
 	e := typedEngine(t)
 	img, err := SnapshotAt(e, e.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(img, goldenImage(t)) {
-		t.Fatalf("checkpoint layout changed. A layout change must bump the wire codecVersion, "+
-			"the wal codecVersion and snapMagic together; then write this image to %s:\n%s",
-			goldenPath, hex.EncodeToString(img))
+	golden := goldenImage(t)
+	switch {
+	case bytes.Equal(img, golden):
+	case bytes.HasPrefix(golden, []byte(snapMagic)):
+		t.Fatalf("%s: layout changed: bump snapMagic (the golden was written under %s)", goldenPath, snapMagic)
+	default:
+		t.Fatalf("%s is not an image of %s; after review, write this image to it:\n%s",
+			goldenPath, snapMagic, hex.EncodeToString(img))
 	}
 }
 

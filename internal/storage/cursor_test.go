@@ -566,8 +566,9 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 	wg.Wait()
 
 	// A transaction's own UPDATE after a read leaves the row it read, and
-	// the committed version, as they were; so does writing into the slice
-	// it passed to Update.
+	// the committed version, as they were; so does a second UPDATE of the
+	// same key. Each image is a fresh slice: Update keeps the one it is
+	// handed.
 	tx = e.Begin()
 	key := EncodeKey(int64(3))
 	first, _, _ := tx.Get("kv", key)
@@ -577,11 +578,11 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 	if err := tx.Update("kv", key, image); err != nil {
 		t.Fatal(err)
 	}
-	image[2] = int64(-99)
 	second, _, _ := tx.Get("kv", key)
 	if second[2] != int64(-1) {
 		t.Fatalf("own update reads %v, want -1", second[2])
 	}
+	image = append([]any(nil), first...)
 	image[2] = int64(-2)
 	if err := tx.Update("kv", key, image); err != nil {
 		t.Fatal(err)

@@ -451,7 +451,7 @@ func TestApplyWriteSetOrdering(t *testing.T) {
 // replica's partial writeset for early certification), the writeset a
 // commit installs and a row a reader got from the engine must each read
 // as they did after the same key is written again — by the same
-// transaction, from the very slice it wrote before, and by a later one.
+// transaction, with a new image, and by a later one.
 func TestWriteSetRowsNeverMutated(t *testing.T) {
 	e := newTestEngine(t)
 	key := EncodeKey(int64(1))
@@ -471,7 +471,7 @@ func TestWriteSetRowsNeverMutated(t *testing.T) {
 		t.Fatal(err)
 	}
 	partial := tx.WriteSet()
-	img[2] = 80.0 // the caller edits its own slice and writes it again
+	img = row(1, "ann", 80, true) // the handed-over slice is the transaction's now
 	if err := tx.Update("acct", key, img); err != nil {
 		t.Fatal(err)
 	}

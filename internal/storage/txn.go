@@ -24,10 +24,11 @@ import (
 // write by this transaction replaces the pending image with a new
 // slice), so a caller may keep a row as long as it likes, across commits
 // and after the transaction ends. In exchange the caller must not write
-// into it: copy first, as the SQL layer's UPDATE does. Insert and Update
-// copy the row they are given, so the caller's slice stays the caller's;
-// that copy is the only one a row takes on its way into the engine,
-// which installs the pending image itself at commit.
+// into it: copy first, as the SQL layer's UPDATE does. The rule runs
+// the other way too, as it does for the Engine's installs: Insert and
+// Update keep the slice they are handed as the pending image, which the
+// engine installs at commit, so the caller must not write into a row
+// after handing it over. A row is never copied on its way in.
 //
 // Pending writes live in first-touch order in chunks that are never
 // regrown — the first holds one write, each later one twice as many up
@@ -184,7 +185,7 @@ func (t *Txn) Insert(table string, row []any) error {
 		}
 		// Delete then re-insert within the transaction: the row existed
 		// committed, so the net effect is an update.
-		t.setPending(table, key, writeset.OpUpdate, slices.Clone(row))
+		t.setPending(table, key, writeset.OpUpdate, row)
 		return nil
 	}
 	_, exists, err := t.committedAt(table, key)
@@ -194,7 +195,7 @@ func (t *Txn) Insert(table string, row []any) error {
 	if exists {
 		return fmt.Errorf("%w: %s[%q]", ErrDuplicateKey, table, key)
 	}
-	t.setPending(table, key, writeset.OpInsert, slices.Clone(row))
+	t.setPending(table, key, writeset.OpInsert, row)
 	return nil
 }
 
@@ -227,7 +228,7 @@ func (t *Txn) Update(table, key string, row []any) error {
 		if pw.op == writeset.OpDelete {
 			return fmt.Errorf("%w: %s[%q]", ErrNoRow, table, key)
 		}
-		t.setPending(table, key, pw.op, slices.Clone(row))
+		t.setPending(table, key, pw.op, row)
 		return nil
 	}
 	_, exists, err := t.committedAt(table, key)
@@ -237,7 +238,7 @@ func (t *Txn) Update(table, key string, row []any) error {
 	if !exists {
 		return fmt.Errorf("%w: %s[%q]", ErrNoRow, table, key)
 	}
-	t.setPending(table, key, writeset.OpUpdate, slices.Clone(row))
+	t.setPending(table, key, writeset.OpUpdate, row)
 	return nil
 }
 

@@ -91,6 +91,42 @@ func TestCancelledInsertIsReadOnly(t *testing.T) {
 	}
 }
 
+// TestTxnKeepsTheRowItIsHanded: Insert and Update take the caller's
+// slice as the pending image — the writeset exports it, and the engine
+// installs it at commit — on a fresh key, over a committed row, and
+// over a pending write.
+func TestTxnKeepsTheRowItIsHanded(t *testing.T) {
+	e := newTestEngine(t)
+	same := func(what string, got, want []any) {
+		t.Helper()
+		if len(got) == 0 || &got[0] != &want[0] {
+			t.Errorf("%s: the row is a copy, not the slice handed in", what)
+		}
+	}
+	tx := e.Begin()
+	ins := row(1, "a", 1, true)
+	if err := tx.Insert("acct", ins); err != nil {
+		t.Fatal(err)
+	}
+	got, _, _ := tx.Get("acct", EncodeKey(int64(1)))
+	same("pending insert", got, ins)
+	upd := row(1, "a2", 1, true)
+	if err := tx.Update("acct", EncodeKey(int64(1)), upd); err != nil {
+		t.Fatal(err)
+	}
+	same("update of a pending insert", tx.WriteSet().Items[0].Row, upd)
+	mustCommit(t, tx)
+	got, _, _ = e.Begin().Get("acct", EncodeKey(int64(1)))
+	same("installed insert", got, upd)
+
+	tx = e.Begin()
+	upd = row(1, "a3", 1, true)
+	if err := tx.Update("acct", EncodeKey(int64(1)), upd); err != nil {
+		t.Fatal(err)
+	}
+	same("update of a committed row", tx.WriteSet().Items[0].Row, upd)
+}
+
 // TestWriteSetAcrossChunks: a transaction whose writes span many pending
 // chunks, on two tables, exports exactly its writes in first-touch
 // order, and no chunk was regrown to hold them.

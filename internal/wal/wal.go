@@ -21,7 +21,9 @@
 //
 // The payload is the codec version byte, uvarint Version, uvarint TxnID
 // and the writeset in internal/writeset's binary layout — the same bytes
-// the certify request and the refresh stream carry it in.
+// the certify request and the refresh stream carry it in. The version
+// byte changes with any change to that layout; testdata/records.golden
+// pins the layout under it.
 //
 // The header CRC makes the size field trustworthy before any payload
 // allocation happens, so a bit flip in a length prefix cannot turn
@@ -67,8 +69,7 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // an incompatible build. It is never treated as a torn tail.
 var ErrFormat = errors.New("wal: record payload in an unknown format")
 
-// codecVersion is the first byte of every record payload; sconrep-vet's
-// wirecompat analyzer ties it to Record's locked layout.
+// codecVersion is the first byte of every record payload.
 const codecVersion = 1
 
 const (
@@ -133,8 +134,6 @@ func Open(path string) (*Log, error) {
 const maxRetainedFrame = 1 << 20
 
 // appendRecord appends r's payload encoding to buf.
-//
-// wirecompat:codec
 func appendRecord(buf []byte, r *Record) ([]byte, error) {
 	buf = append(buf, codecVersion)
 	buf = binary.AppendUvarint(buf, r.Version)
@@ -143,8 +142,6 @@ func appendRecord(buf []byte, r *Record) ([]byte, error) {
 }
 
 // parseRecord decodes one payload into r. Decoded strings alias p.
-//
-// wirecompat:codec
 func parseRecord(p []byte, r *Record) error {
 	d := writeset.NewDecoder(p)
 	if v := d.Byte(); v != codecVersion && !d.Failed() {

@@ -31,10 +31,11 @@ import (
 // every layout. The whole compatibility story is the hello — each
 // connection's first frame starts with helloMagic, the codecVersion
 // byte and a link byte, and a peer that reads another version closes
-// the connection with an error naming both. sconrep-vet's wirecompat
-// analyzer locks every struct that reaches send or recv in
-// schema.lock together with codecVersion, so a layout change without a
-// version bump fails CI.
+// the connection with an error naming both. TestFrameRoundTrip compares
+// the bytes of one populated and one degenerate value of every frame
+// type with testdata/frames.golden, which records the codecVersion it
+// was written under: a layout change under an unchanged codecVersion
+// fails `go test`.
 //
 // A sender assembles header and payload in its connection's buffer and
 // hands them to the net.Conn in one Write — the fault injector and the
@@ -49,7 +50,8 @@ import (
 // next frame of the same kind overwrites.
 
 // codecVersion is the protocol version carried in every hello. Bump it
-// with any change to a frame layout, then run `make update-schema`.
+// with any change to a frame layout; TestFrameRoundTrip then prints the
+// testdata/frames.golden to commit.
 const codecVersion = 8
 
 // helloMagic opens every connection's first frame.
@@ -172,8 +174,6 @@ func newFrameConn(c net.Conn) *frameConn {
 }
 
 // send writes f as one frame in one Write.
-//
-// wirecompat:codec
 func (fc *frameConn) send(f outFrame) error {
 	buf, err := encodeFrame(fc.wbuf[:0], f)
 	if err != nil {
@@ -204,8 +204,6 @@ func (fc *frameConn) readFrame() ([]byte, error) {
 }
 
 // recv reads one frame into f.
-//
-// wirecompat:codec
 func (fc *frameConn) recv(f inFrame) error {
 	p, err := fc.readFrame()
 	if err != nil {

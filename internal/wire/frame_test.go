@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,13 +47,17 @@ func edgeValues() []any {
 		math.Inf(1), "", "héllo\x00", true, false}
 }
 
+// parse reads nothing: a bare hello is all prefix, which decodePayload
+// checks and whose link byte it stores.
+func (h *bareHello) parse(*writeset.Decoder) {}
+
 // frameCases is one populated and one degenerate instance of every
-// frame type, as (value, fresh zero value to decode into) pairs. The
-// degenerate ones pin what a reflective codec used to blur: nil apart
-// from empty for every slice and map, a nil *sql.Result apart from an
-// empty one, an empty writeset apart from the nil skip marker, a zero
-// span context apart from a set one, and max uint64 everywhere a
-// version travels.
+// frame type, as (value, fresh zero value to decode into) pairs; their
+// bytes are pinned in testdata/frames.golden. The degenerate ones pin
+// what a reflective codec used to blur: nil apart from empty for every
+// slice and map, a nil *sql.Result apart from an empty one, an empty
+// writeset apart from the nil skip marker, a zero span context apart
+// from a set one, and max uint64 everywhere a version travels.
 func frameCases() []struct {
 	name     string
 	in, zero frame
@@ -63,6 +73,7 @@ func frameCases() []struct {
 		name     string
 		in, zero frame
 	}{
+		{"bareHello", ptr(bareHello(linkReplica)), new(bareHello)},
 		{"clientHello", &clientHello{SessionID: "alice"}, &clientHello{}},
 		{"clientHello/empty", &clientHello{}, &clientHello{}},
 		{"certHello", &certHello{Kind: linkCertSub, ReplicaID: -1, VLocal: math.MaxUint64, Shards: []int{0, 3}}, &certHello{}},
@@ -118,7 +129,7 @@ const helloLen = len(helloMagic) + 2
 
 func isHello(f frame) bool {
 	switch f.(type) {
-	case *clientHello, *certHello, *subAck:
+	case *bareHello, *clientHello, *certHello, *subAck:
 		return true
 	}
 	return false
@@ -131,11 +142,14 @@ func decodePayload(p []byte, f frame) error {
 		return parsePayload(p, f)
 	}
 	d := writeset.NewDecoder(p)
-	l, err := checkHello(d, "cqsa")
+	l, err := checkHello(d, "crqsa")
 	if err != nil {
 		return err
 	}
-	if h, ok := f.(*certHello); ok {
+	switch h := f.(type) {
+	case *bareHello:
+		*h = bareHello(l)
+	case *certHello:
 		h.Kind = l
 	}
 	f.parse(d)
@@ -145,14 +159,19 @@ func decodePayload(p []byte, f frame) error {
 // TestFrameRoundTrip: every frame type decodes to exactly what was
 // encoded — DeepEqual, which tells nil from empty and compares maps as
 // maps — and re-encodes to the same bytes, which is what pins -0
-// (DeepEqual cannot tell it from 0).
+// (DeepEqual cannot tell it from 0). The bytes themselves must match
+// testdata/frames.golden: a peer built from another revision reads
+// them.
 func TestFrameRoundTrip(t *testing.T) {
-	for _, tc := range frameCases() {
+	cases := frameCases()
+	lines := []string{fmt.Sprintf("codecVersion %d", codecVersion)}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			enc, err := tc.in.appendTo(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			lines = append(lines, fmt.Sprintf("%s %x", tc.name, enc))
 			if err := decodePayload(enc, tc.zero); err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -167,6 +186,85 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("round trip diverged:\n got %+v\nwant %+v", tc.zero, tc.in)
 			}
 		})
+	}
+	if !t.Failed() && len(lines) == len(cases)+1 { // not when -run picked some cases
+		checkGolden(t, "testdata/frames.golden", lines)
+	}
+}
+
+// goldenHeader opens a golden file.
+const goldenHeader = "# One \"name hex\" line per test case, under the version they were encoded with.\n" +
+	"# The test prints a new file only for a new version."
+
+// checkGolden compares a layout's encodings — lines[0] names the
+// version they were written under, each later line is "name hex" —
+// with the golden file at path. Under an unchanged version any
+// difference is a layout change that needs the version bumped, and the
+// new bytes are not printed: there is nothing to commit until the bump.
+// A golden of another version is stale, and the test prints the file
+// to commit in its place.
+func checkGolden(t *testing.T, path string, lines []string) {
+	t.Helper()
+	text, _ := os.ReadFile(path)
+	var old []string
+	for _, l := range strings.Split(string(text), "\n") {
+		if l = strings.TrimSpace(l); l != "" && !strings.HasPrefix(l, "#") {
+			old = append(old, l)
+		}
+	}
+	if slices.Equal(old, lines) {
+		return
+	}
+	if len(old) > 0 && old[0] == lines[0] {
+		var changed []string
+		for _, l := range lines[1:] {
+			if !slices.Contains(old, l) {
+				changed = append(changed, strings.Fields(l)[0])
+			}
+		}
+		for _, l := range old[1:] {
+			if !slices.Contains(lines, l) && !slices.Contains(changed, strings.Fields(l)[0]) {
+				changed = append(changed, strings.Fields(l)[0])
+			}
+		}
+		t.Fatalf("%s: layout changed: bump codecVersion (%s differ from the golden written under %s)",
+			path, strings.Join(changed, ", "), lines[0])
+	}
+	t.Fatalf("%s is not the golden of %s; after review, commit this as %s:\n%s\n%s\n",
+		path, lines[0], path, goldenHeader, strings.Join(lines, "\n"))
+}
+
+// TestFrameCasesComplete: every type in the package with an appendTo
+// method — every frame this build can send — has a frameCases entry,
+// so its bytes are in the golden.
+func TestFrameCasesComplete(t *testing.T) {
+	covered := map[string]bool{}
+	for _, tc := range frameCases() {
+		covered[reflect.TypeOf(tc.in).Elem().Name()] = true
+	}
+	files, _ := filepath.Glob("*.go")
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "appendTo" {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if typ := recv.(*ast.Ident).Name; !covered[typ] {
+				t.Errorf("%s: %s has an appendTo method but no frameCases entry", fset.Position(fn.Pos()), typ)
+			}
+		}
 	}
 }
 
@@ -331,9 +429,10 @@ func TestHelloRejected(t *testing.T) {
 	}
 
 	hello := appendHello(nil, linkClient)
-	hello[len(helloMagic)] = 9
+	hello[len(helloMagic)] = codecVersion + 1
 	_, err := checkHello(writeset.NewDecoder(hello), "c")
-	if err == nil || !strings.Contains(err.Error(), "version 9") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", codecVersion)) {
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", codecVersion+1)) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("version %d", codecVersion)) {
 		t.Fatalf("version mismatch error = %v, want both versions named", err)
 	}
 }
@@ -418,6 +517,7 @@ func FuzzFrameCodec(f *testing.F) {
 		func() frame { return &certRequest{} },
 		func() frame { return &certResponse{} },
 		func() frame { return new(refreshBatch) },
+		func() frame { return new(bareHello) },
 	}
 	kindOf := func(v frame) byte {
 		for i, mk := range kinds {

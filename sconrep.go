@@ -369,12 +369,13 @@ func IsRetryable(err error) bool {
 		errors.Is(err, replica.ErrCrashed) || errors.Is(err, wire.ErrUnavailable)
 }
 
-// CrashReplica detaches replica i (fault injection). Its durable state
-// is retained.
-func (db *DB) CrashReplica(i int) { db.c.Replica(i).Crash() }
+// CrashReplica kills replica i (fault injection), as the cluster's
+// KillReplica does. Its durable state is retained.
+func (db *DB) CrashReplica(i int) { db.c.KillReplica(i) }
 
-// RecoverReplica reattaches a crashed replica and catches it up.
-func (db *DB) RecoverReplica(i int) error { return db.c.Replica(i).Recover() }
+// RecoverReplica restarts a crashed replica and catches it up, as the
+// cluster's RestartReplica does.
+func (db *DB) RecoverReplica(i int) error { return db.c.RestartReplica(i) }
 
 // ReplicaVersion returns replica i's Vlocal (monitoring).
 func (db *DB) ReplicaVersion(i int) uint64 { return db.c.Replica(i).Version() }
