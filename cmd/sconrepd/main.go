@@ -14,6 +14,10 @@
 // MUST be identical for every replica (deterministic load); the
 // certifier adopts the replicas' bootstrapped version on first
 // contact.
+// A sharded deployment gives the shard map to the certifier alone
+// (-shards, -shard-tables); replicas name the shards they serve
+// (-serve-shards), and learn the map on their subscription, the gateway
+// from the replicas.
 package main
 
 import (
@@ -60,19 +64,15 @@ func main() {
 	backoffMin := flag.Duration("backoff-min", 20*time.Millisecond, "initial reconnect/retry backoff")
 	backoffMax := flag.Duration("backoff-max", time.Second, "backoff ceiling")
 	subLease := flag.Duration("sub-lease", 10*time.Second, "certifier role: how long a replica stays subscribed after its refresh stream drops; replicas keep serving for a quarter of it after losing their stream, and refuse it when their -stream-idle is at least 3/4 of it")
-	shards := flag.Int("shards", 1, "certifier/replica/gateway roles: number of certification shards; every role of one deployment must agree")
-	shardTables := flag.String("shard-tables", "", "explicit table→shard pins as table=shard[,table=shard...]; unlisted tables hash over [0,shards). Must be identical on every role")
-	serveShards := flag.String("serve-shards", "", "replica role: comma-separated shard IDs this replica subscribes to (empty = all); versions certified elsewhere arrive as skip markers")
-	replicaShards := flag.String("replica-shards", "", "gateway role: per-replica served shards as idx=shard[+shard...][,idx=...] matching each replica's -serve-shards (replicas absent from the list serve all shards); enables shard-aware routing")
+	shards := flag.Int("shards", 1, "certifier role: number of certification shards; replicas learn the table→shard map on their subscription, the gateway from the replicas")
+	shardTables := flag.String("shard-tables", "", "certifier role: explicit table→shard pins as table=shard[,table=shard...]; unlisted tables hash over [0,shards)")
+	serveShards := flag.String("serve-shards", "", "replica role: comma-separated shard IDs this replica subscribes to (empty = all); versions certified elsewhere arrive as skip markers, the gateway routes to it only transactions on these shards, and a shard the certifier lacks is refused")
 	flag.Parse()
 	if *subLease < 0 {
 		log.Fatalf("-sub-lease %s: must not be negative", *subLease)
 	}
 
-	smap, err := buildShardMap(*shards, *shardTables)
-	if err != nil {
-		log.Fatal(err)
-	}
+	var err error
 	ncfg := cluster.NetConfig{
 		Timeouts: wire.Timeouts{Call: *callTimeout, Idle: *streamIdle},
 		Backoff:  wire.Backoff{Min: *backoffMin, Max: *backoffMax},
@@ -81,13 +81,11 @@ func main() {
 
 	switch *role {
 	case "certifier":
-		_, _, err = runCertifier(cluster.CertifierConfig{
-			Listen:  *listen,
-			Shards:  smap,
-			Eager:   *eager,
-			WALPath: *walPath,
-			Net:     ncfg,
-		}, *obsAddr)
+		cfg := cluster.CertifierConfig{Listen: *listen, Eager: *eager, WALPath: *walPath, Net: ncfg}
+		if cfg.Shards, err = shard.Parse(*shards, *shardTables); err != nil {
+			log.Fatalf("-shards/-shard-tables: %v", err)
+		}
+		_, _, err = runCertifier(cfg, *obsAddr)
 	case "replica":
 		cfg := cluster.ReplicaConfig{
 			Replica:         replica.Config{ID: *id, EarlyCert: true},
@@ -95,27 +93,23 @@ func main() {
 			Certifier:       *certAddr,
 			DataDir:         *dataDir,
 			CheckpointEvery: *checkpointEvery,
-			Shards:          smap,
 			MaxLag:          *obsMaxLag,
 			Net:             ncfg,
 		}
 		if *bootstrap != "" {
 			cfg.Bootstrap = func(e *storage.Engine) error { return loadBootstrap(e, *bootstrap) }
 		}
-		if cfg.ServeShards, err = parseShardList(*serveShards, ","); err != nil {
+		if cfg.ServeShards, err = parseShardList(*serveShards); err != nil {
 			log.Fatalf("-serve-shards: %v", err)
 		}
 		_, _, err = runReplica(cfg, *obsAddr)
 	case "gateway":
-		cfg := cluster.GatewayConfig{Listen: *listen, Shards: smap, Net: ncfg}
+		cfg := cluster.GatewayConfig{Listen: *listen, Net: ncfg}
 		if cfg.Mode, err = core.ParseMode(*modeFlag); err != nil {
 			log.Fatal(err)
 		}
 		if *replicasFlag != "" {
 			cfg.Replicas = strings.Split(*replicasFlag, ",")
-		}
-		if cfg.ReplicaShards, err = parseReplicaShards(*replicaShards); err != nil {
-			log.Fatalf("-replica-shards: %v", err)
 		}
 		_, _, err = runGateway(cfg, *obsAddr)
 	case "client":
@@ -130,63 +124,19 @@ func main() {
 	select {}
 }
 
-// buildShardMap turns the -shards / -shard-tables flags into the
-// deployment's shard map; the default is the one-shard map. An entry
-// naming a shard outside [0, n) is refused.
-func buildShardMap(n int, tablesSpec string) (*shard.Map, error) {
-	assign := map[string]int{}
-	if tablesSpec != "" {
-		for _, pair := range strings.Split(tablesSpec, ",") {
-			table, shardStr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok {
-				return nil, fmt.Errorf("-shard-tables: %q is not table=shard", pair)
-			}
-			s, err := strconv.Atoi(shardStr)
-			if err != nil {
-				return nil, fmt.Errorf("-shard-tables: %q: %w", pair, err)
-			}
-			assign[table] = s
-		}
-	}
-	return shard.New(n, assign)
-}
-
-// parseShardList parses a list of shard IDs separated by sep; nil for
+// parseShardList parses a comma-separated list of shard IDs; nil for
 // "".
-func parseShardList(spec, sep string) ([]int, error) {
+func parseShardList(spec string) ([]int, error) {
 	if spec == "" {
 		return nil, nil
 	}
 	var out []int
-	for _, f := range strings.Split(spec, sep) {
+	for _, f := range strings.Split(spec, ",") {
 		s, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, s)
-	}
-	return out, nil
-}
-
-// parseReplicaShards parses idx=shard[+shard...][,idx=...] into the
-// balancer's served map; nil for "".
-func parseReplicaShards(spec string) (map[int][]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := map[int][]int{}
-	for _, ent := range strings.Split(spec, ",") {
-		idxStr, shardsStr, ok := strings.Cut(strings.TrimSpace(ent), "=")
-		if !ok {
-			return nil, fmt.Errorf("%q is not idx=shard+shard", ent)
-		}
-		idx, err := strconv.Atoi(idxStr)
-		if err != nil {
-			return nil, err
-		}
-		if out[idx], err = parseShardList(shardsStr, "+"); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

@@ -14,7 +14,9 @@ import (
 	"sconrep/internal/cluster"
 	"sconrep/internal/core"
 	"sconrep/internal/obs"
+	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
+	"sconrep/internal/shard"
 	"sconrep/internal/storage"
 	"sconrep/internal/wire"
 )
@@ -124,13 +126,15 @@ INSERT INTO acct VALUES (2, 100);
 		d.replicas, d.replicaObs = append(d.replicas, r), append(d.replicaObs, rObs)
 		gwCfg.Replicas = append(gwCfg.Replicas, r.Addr())
 	}
-	if d.gw, d.gwObs, err = runGateway(gwCfg, anyPort); err != nil {
-		t.Fatal(err)
-	}
-
+	// The package comment's start order: the gateway starts once the
+	// replicas serve, so its first probes, before it takes a client, find
+	// both ready.
 	healthz(t, d.certObs, "certifier")
 	for _, rObs := range d.replicaObs {
 		healthz(t, rObs, "replica")
+	}
+	if d.gw, d.gwObs, err = runGateway(gwCfg, anyPort); err != nil {
+		t.Fatal(err)
 	}
 	if h := healthz(t, d.gwObs, "gateway"); h.Detail["live_replicas"] != float64(2) {
 		t.Fatalf("gateway health: %+v", h)
@@ -309,6 +313,106 @@ func TestObsFamiliesMatchCluster(t *testing.T) {
 	for name := range inProcess {
 		if !deployed[name] {
 			t.Errorf("the in-process cluster exports %s, which no sconrepd node does", name)
+		}
+	}
+}
+
+// TestShardedDeploymentLearnsRouting is README's sharded deployment with
+// the map on the certifier only: -shards 2 -shard-tables a=0,b=1 there,
+// replicas with nothing but -serve-shards (all, 0, 1), a gateway with
+// no shard flag. The gateway learns the map and each replica's shards
+// from its status probes: no strong read is stale, and no transaction
+// on a reaches the replica that serves shard 1 only.
+func TestShardedDeploymentLearnsRouting(t *testing.T) {
+	dir := t.TempDir()
+	schema := filepath.Join(dir, "schema.sql")
+	err := os.WriteFile(schema, []byte(`
+CREATE TABLE a (id INT, v INT, PRIMARY KEY (id));
+CREATE TABLE b (id INT, v INT, PRIMARY KEY (id));
+INSERT INTO a VALUES (1, 0);
+INSERT INTO b VALUES (1, 0);
+`), 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ncfg := cluster.NetConfig{
+		Timeouts: wire.Timeouts{Call: 5 * time.Second, Idle: 2 * time.Second},
+		Backoff:  wire.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+	}
+	const anyPort = "127.0.0.1:0"
+	smap, err := shard.Parse(2, "a=0,b=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, _, err := runCertifier(cluster.CertifierConfig{Listen: anyPort, Shards: smap, Net: ncfg}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cert.Close()
+	gwCfg := cluster.GatewayConfig{Listen: anyPort, Mode: core.Coarse, Net: ncfg}
+	for id, serve := range []string{"", "0", "1"} {
+		cfg := cluster.ReplicaConfig{
+			Replica:   replica.Config{ID: id, EarlyCert: true},
+			Listen:    anyPort,
+			Certifier: cert.Addr(),
+			Bootstrap: func(e *storage.Engine) error { return loadBootstrap(e, schema) },
+			MaxLag:    100,
+			Net:       ncfg,
+		}
+		if cfg.ServeShards, err = parseShardList(serve); err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := runReplica(cfg, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		gwCfg.Replicas = append(gwCfg.Replicas, r.Addr())
+	}
+	gw, gwObs, err := runGateway(gwCfg, anyPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	defer gwObs.Close()
+	for deadline := time.Now().Add(10 * time.Second); gw.Balancer().LiveReplicas() < 3; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway routes to %d of 3 replicas", gw.Balancer().LiveReplicas())
+		}
+	}
+	client, err := wire.Dial(gw.Addr(), "witness", wire.WithTimeouts(ncfg.Timeouts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const pairs = 200
+	for _, table := range []string{"a", "b"} {
+		stale := 0
+		for i := 1; i <= pairs; i++ {
+			client.Start("", []string{table}, dtrace.SpanContext{})
+			if _, err := client.Exec(fmt.Sprintf(`UPDATE %s SET v = ? WHERE id = 1`, table), int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := client.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			client.Start("", []string{table}, dtrace.SpanContext{})
+			res, err := client.Exec(fmt.Sprintf(`SELECT v FROM %s WHERE id = 1`, table))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := client.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows[0][0] != int64(i) {
+				stale++
+			}
+		}
+		if stale != 0 {
+			t.Errorf("%d of %d strong reads on %s were stale", stale, pairs, table)
+		}
+		if table == "a" && strings.Contains(metrics(t, gwObs), `sconrep_lb_routed_total{replica="2"}`) {
+			t.Errorf("a transaction on a reached the replica serving shard 1 only")
 		}
 	}
 }

@@ -100,7 +100,13 @@ func TestShapeGranularityAblation(t *testing.T) {
 // reports how long it held it, and the replica takes that out. A
 // Queries stage that kept the hold would grow as reads grow more common
 // — and most in ESC, whose long global waits leave the replicas' links
-// idle longest. Half Figure 4's testbed keeps the eight runs short.
+// idle longest. Half Figure 4's testbed keeps the runs short.
+//
+// Each mix's reading is the smaller of two runs, taken in the order 25,
+// 100, 100, 25: load from outside the test only ever adds to a run's
+// stage, and interleaving the mixes spreads a burst of it over both.
+// One run per mix read up to 1.31× on a loaded 2-CPU host, next to
+// 1.34× for a replica that keeps the hold.
 func TestShapeFig4QueriesStage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-point sweep")
@@ -119,6 +125,8 @@ func TestShapeFig4QueriesStage(t *testing.T) {
 	}
 	for _, mode := range Modes {
 		at25, at100 := queries(mode, 25), queries(mode, 100)
+		at100 = min(at100, queries(mode, 100))
+		at25 = min(at25, queries(mode, 25))
 		t.Logf("%s Queries stage: %v at 25%% updates, %v at 100%%", mode, at25, at100)
 		if at100 <= 0 {
 			t.Fatalf("%s: no Queries stage at 100%% updates", mode)

@@ -220,8 +220,9 @@ func New(opts ...Option) *Certifier {
 	return c
 }
 
-// Shards returns the number of certification shards.
-func (c *Certifier) Shards() int { return len(c.seqs) }
+// ShardMap returns the table→shard map certification is partitioned
+// by; the one-shard map when WithShards gave none.
+func (c *Certifier) ShardMap() *shard.Map { return c.smap }
 
 // lockAll acquires every sequencer lock in shard-ID order.
 func (c *Certifier) lockAll() {

@@ -79,7 +79,7 @@ type Config struct {
 	// ReplicaShards, when non-nil, gives replica i the partial refresh
 	// subscription ReplicaShards[i] (a nil entry = all shards): versions
 	// certified entirely elsewhere reach that replica as skip markers,
-	// and the balancer routes transactions only to replicas covering
+	// and the gateway routes transactions only to replicas covering
 	// their table-set's shards. Must have one entry per replica when
 	// set, every ID in [0, Shards) — [0, 1) on an unsharded cluster.
 	ReplicaShards [][]int
@@ -142,8 +142,8 @@ func (cfg Config) certifierConfig() (CertifierConfig, error) {
 		return CertifierConfig{}, fmt.Errorf("cluster: ReplicaShards has %d entries for %d replicas", len(cfg.ReplicaShards), cfg.Replicas)
 	}
 	for i, served := range cfg.ReplicaShards {
-		if err := checkShards(fmt.Sprintf("ReplicaShards[%d]", i), served, smap.N()); err != nil {
-			return CertifierConfig{}, err
+		if id, ok := smap.Lacks(served); ok {
+			return CertifierConfig{}, fmt.Errorf("cluster: ReplicaShards[%d] names shard %d, want [0,%d)", i, id, smap.N())
 		}
 	}
 	return CertifierConfig{
@@ -161,22 +161,6 @@ func (c *Cluster) replicaConfig(i int) replica.Config {
 		EarlyCert: !c.cfg.DisableEarlyCert,
 		Latency:   latency.NewSource(c.cfg.Latency, c.cfg.Seed+int64(i)*7919+1),
 	}
-}
-
-// servedShards is Config.ReplicaShards in the balancer's form (see
-// GatewayConfig.ReplicaShards): nil unless the cluster runs with partial
-// replica subscriptions.
-func (c *Cluster) servedShards() map[int][]int {
-	if c.cfg.ReplicaShards == nil {
-		return nil
-	}
-	served := make(map[int][]int, len(c.cfg.ReplicaShards))
-	for i, s := range c.cfg.ReplicaShards {
-		if s != nil {
-			served[i] = s
-		}
-	}
-	return served
 }
 
 // New builds and starts a cluster on loopback with the default wire

@@ -42,11 +42,11 @@ func TestLeaseRule(t *testing.T) {
 		defer inj.RestoreAll()
 		subscribed := func() bool { return slices.Contains(c.Certifier().Replicas(), 1) }
 		waitUntil(t, "every gate open", func() bool {
-			return c.nodes[0].serving() && c.nodes[1].serving() && c.nodes[2].serving()
+			return c.nodes[0].cc.Serving() && c.nodes[1].cc.Serving() && c.nodes[2].cc.Serving()
 		})
 
 		inj.Cut(CertLink(1))
-		waitUntil(t, "replica 1's gate to close", func() bool { return !c.nodes[1].serving() })
+		waitUntil(t, "replica 1's gate to close", func() bool { return !c.nodes[1].cc.Serving() })
 		if !subscribed() {
 			t.Fatal("the certifier dropped replica 1 before its gate closed")
 		}
@@ -131,7 +131,7 @@ func TestLeaseRule(t *testing.T) {
 		}
 		defer n.Close()
 		for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
-			if n.serving() {
+			if n.cc.Serving() {
 				t.Fatal("replica serves before any subAck gave it a floor and a lease")
 			}
 		}

@@ -129,14 +129,12 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 		c.rec = history.NewRecorder()
 	}
 
-	gcfg := GatewayConfig{
-		Listen:        loopback,
-		Mode:          cfg.Mode,
-		Shards:        ccfg.Shards,
-		ReplicaShards: c.servedShards(),
-		Net:           ncfg,
-	}
+	gcfg := GatewayConfig{Listen: loopback, Mode: cfg.Mode, Net: ncfg}
 	for i := 0; i < cfg.Replicas; i++ {
+		var served []int
+		if cfg.ReplicaShards != nil {
+			served = cfg.ReplicaShards[i]
+		}
 		// No Bootstrap: LoadData populates the engines and aligns the
 		// stores once the cluster is up.
 		r, err := StartReplica(ReplicaConfig{
@@ -145,8 +143,7 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 			Certifier:       cert.Addr(),
 			DataDir:         c.storeDir(i),
 			CheckpointEvery: cfg.CheckpointEvery,
-			Shards:          ccfg.Shards,
-			ServeShards:     gcfg.ReplicaShards[i], // nil map or entry: all shards
+			ServeShards:     served,
 			Net:             ncfg,
 		})
 		if err != nil {
@@ -158,14 +155,8 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 		gcfg.Replicas = append(gcfg.Replicas, r.Addr())
 	}
 
-	if c.gateway, err = StartGateway(gcfg); err != nil {
-		c.Close()
-		return nil, err
-	}
-
-	// Wait for every replica's refresh stream before declaring the
-	// cluster up: a replica whose subscription never connected would
-	// start gated and the first transactions would all reroute.
+	// Wait for every replica's refresh stream before starting the
+	// gateway, whose first probes then find every replica serving.
 	deadline := time.Now().Add(readyTimeout)
 	for _, r := range c.nodes {
 		for !r.cc.Ready(0) {
@@ -175,6 +166,10 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
+	}
+	if c.gateway, err = StartGateway(gcfg); err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
 }

@@ -36,25 +36,12 @@ func (n NetConfig) options(extra ...wire.Option) []wire.Option {
 	return append([]wire.Option{wire.WithTimeouts(n.Timeouts), wire.WithBackoff(n.Backoff)}, extra...)
 }
 
-// checkShards refuses a served-shard list that names a shard outside
-// [0, n): its subscriber would be served nothing but skip markers. who
-// names the list's owner in the error.
-func checkShards(who string, served []int, n int) error {
-	for _, id := range served {
-		if id < 0 || id >= n {
-			return fmt.Errorf("cluster: %s names shard %d, want [0,%d)", who, id, n)
-		}
-	}
-	return nil
-}
-
 // CertifierConfig describes a certifier node.
 type CertifierConfig struct {
 	// Listen is the address to serve on.
 	Listen string
 	// Shards is the deployment's table→shard map, one sequencer per
-	// shard; nil is the one-shard map. Every node of a deployment must be
-	// given the same one.
+	// shard; nil is the one-shard map. Replicas and the gateway learn it.
 	Shards *shard.Map
 	// Eager enables global-commit tracking, which the eager mode needs.
 	Eager bool
@@ -227,10 +214,9 @@ type ReplicaConfig struct {
 	// theirs, so it shares no mutable state between calls. Nil leaves an
 	// empty engine for the caller to load before traffic.
 	Bootstrap func(*storage.Engine) error
-	// Shards is the deployment's table→shard map and ServeShards this
-	// replica's partial refresh subscription (nil = all shards): versions
-	// certified elsewhere arrive as skip markers.
-	Shards      *shard.Map
+	// ServeShards is this replica's partial refresh subscription (nil =
+	// all shards): versions certified elsewhere arrive as skip markers.
+	// One the certifier's map lacks is refused.
 	ServeShards []int
 	// MaxLag is the worst per-table lag, in versions, at which Health
 	// still reports the replica ready.
@@ -263,9 +249,6 @@ type ReplicaNode struct {
 // StartReplica opens cfg's storage, subscribes the replica to the
 // certifier and serves it.
 func StartReplica(cfg ReplicaConfig) (*ReplicaNode, error) {
-	if err := checkShards("ServeShards", cfg.ServeShards, cfg.Shards.N()); err != nil {
-		return nil, err
-	}
 	backend, err := openBackend(cfg.DataDir, cfg.CheckpointEvery, cfg.Bootstrap)
 	if err != nil {
 		return nil, err
@@ -293,23 +276,13 @@ func StartReplica(cfg ReplicaConfig) (*ReplicaNode, error) {
 	// saw at resubscribe, or has not had a subAck yet), requests carrying
 	// a begin header fail with ErrUnavailable and the gateway routes
 	// elsewhere — a partitioned replica must not serve possibly stale
-	// strong reads.
-	gate := func() error {
-		if n.serving() {
-			return nil
-		}
-		return wire.ErrUnavailable
-	}
-	if n.ReplicaServer, err = wire.ServeReplica(n.Replica, cfg.Listen, cfg.Net.options(wire.WithGate(gate))...); err != nil {
+	// strong reads. Status answers report the client's shards and map.
+	if n.ReplicaServer, err = wire.ServeReplica(n.Replica, cfg.Listen, cfg.Net.options(wire.WithCertClient(n.cc))...); err != nil {
 		n.Close()
 		return nil, err
 	}
 	return n, nil
 }
-
-// serving reports whether the serve gate is open. The grace is a
-// quarter of the certifier's lease, 0 before its first subAck.
-func (n *ReplicaNode) serving() bool { return n.cc.Ready(n.cc.Grace()) }
 
 // Store returns the node's persistent backend, nil for an in-memory
 // replica. The store is live: Kill abandons it and Restart replaces it.
@@ -441,13 +414,15 @@ func storeGauges(reg *obs.Registry, store func() *pstore.Store, labelPairs ...st
 // tableLag is the replica's replication lag per table: the certifier's
 // last committed version of each table (certTV, read over the
 // certifier link) minus the live engine's applied version of it. Tables
-// on shards outside a partial subscription are left out: the replica
+// on shards outside a partial subscription, by the certifier's map, are
+// left out (all of them before the map arrives): the replica
 // deliberately never applies their data, so their lag is meaningless
 // and would grow without bound.
 func (n *ReplicaNode) tableLag(certTV map[string]uint64) map[string]float64 {
+	smap, served := n.cc.ShardMap(), n.cfg.ServeShards
 	names := make([]string, 0, len(certTV))
 	for t := range certTV {
-		if shard.Covers(n.cfg.ServeShards, []int{n.cfg.Shards.Of(t)}) {
+		if served == nil || smap != nil && shard.Covers(served, []int{smap.Of(t)}) {
 			names = append(names, t)
 		}
 	}
@@ -471,7 +446,7 @@ func (n *ReplicaNode) tableLag(certTV map[string]uint64) map[string]float64 {
 // table lags more than MaxLag versions is unready.
 func (n *ReplicaNode) Health() obs.Health {
 	rep := n.Replica
-	serving := n.serving()
+	serving := n.cc.Serving()
 	detail := map[string]any{"replica": rep.ID(), "vlocal": rep.Version(), "crashed": rep.Crashed(), "serving": serving}
 	ready := !rep.Crashed() && serving
 	if certTV, err := n.cc.TableVersions(); err != nil {
@@ -513,14 +488,9 @@ type GatewayConfig struct {
 	// Mode is the consistency configuration.
 	Mode core.Mode
 	// Replicas lists the replica nodes' addresses; a replica's index
-	// here is its ID to the balancer.
+	// here is its ID to the balancer, which routes by the shards and
+	// shard map each replica's status answers report.
 	Replicas []string
-	// Shards is the deployment's table→shard map. ReplicaShards, when
-	// non-nil, lists each replica's ServeShards by index — a missing or
-	// nil entry means all — and makes dispatch shard-aware: a transaction
-	// is routed only to replicas covering its table-set's shards.
-	Shards        *shard.Map
-	ReplicaShards map[int][]int
 	// Net configures the wire layer; a gateway reads Timeouts, Backoff
 	// and, for replica i, DialerFor(ReplicaLink(i)).
 	Net NetConfig
@@ -532,13 +502,8 @@ type GatewayNode struct {
 	cfg GatewayConfig
 }
 
-// StartGateway serves cfg's gateway.
+// StartGateway serves cfg's gateway once it has probed every replica.
 func StartGateway(cfg GatewayConfig) (*GatewayNode, error) {
-	for i, served := range cfg.ReplicaShards {
-		if err := checkShards(fmt.Sprintf("ReplicaShards[%d]", i), served, cfg.Shards.N()); err != nil {
-			return nil, err
-		}
-	}
 	linkOf := make(map[string]string, len(cfg.Replicas))
 	for i, addr := range cfg.Replicas {
 		linkOf[addr] = ReplicaLink(i)
@@ -547,9 +512,6 @@ func StartGateway(cfg GatewayConfig) (*GatewayNode, error) {
 	gw, err := wire.ServeGateway(cfg.Listen, cfg.Mode, cfg.Replicas, cfg.Net.options(wire.WithDialerFunc(dialerFor))...)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ReplicaShards != nil {
-		gw.Balancer().SetShardRouting(cfg.Shards, cfg.ReplicaShards)
 	}
 	return &GatewayNode{Gateway: gw, cfg: cfg}, nil
 }

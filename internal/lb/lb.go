@@ -49,9 +49,8 @@ type LoadBalancer struct {
 	// still spreads sessions.
 	// guarded by mu
 	rr int
-	// smap enables shard-aware routing when non-nil with N>1: a
-	// transaction is routed only to replicas subscribed to every shard
-	// its table-set touches.
+	// smap is the first shard map recorded; with N>1, a transaction is
+	// routed only to replicas subscribed to every shard it touches.
 	// guarded by mu
 	smap *shard.Map
 	// served maps node ID to its subscribed shard set; a missing or nil
@@ -80,6 +79,7 @@ func New(mode core.Mode, nodes []Node) *LoadBalancer {
 		tracker:  core.NewTracker(),
 		registry: core.NewTableSetRegistry(),
 		nodes:    append([]Node(nil), nodes...),
+		served:   make(map[int][]int),
 	}
 }
 
@@ -135,20 +135,29 @@ func (l *LoadBalancer) EnableObs(reg *obs.Registry) {
 		})
 }
 
-// SetShardRouting makes dispatch shard-aware: smap keys each table to
-// its certification shard, served lists the shards each node (by
-// replica ID) subscribes to — a missing or nil entry means all shards.
-// A transaction then routes only to replicas that cover every shard
-// its table-set touches (the registry is consulted for routing in
-// every consistency mode, not just fine-grained); a transaction whose
-// table-set is unknown routes to full-coverage replicas only, trading
-// balance for correctness exactly like the fine-grained mode's coarse
-// degradation. Call before traffic.
-func (l *LoadBalancer) SetShardRouting(smap *shard.Map, served map[int][]int) {
+// SetShardRouting records that node id subscribes to served (nil or
+// empty = all shards) under smap, its certifier's table→shard map. The
+// first map recorded is the balancer's; for another it records nothing
+// and reports false. With several shards, dispatch is shard-aware: a
+// transaction routes only to replicas that cover every shard its
+// table-set touches (the registry is consulted for routing in every
+// consistency mode, not just fine-grained); one whose table-set is
+// unknown routes to full-coverage replicas only, trading balance for
+// correctness exactly like the fine-grained mode's coarse degradation.
+// The gateway calls it during traffic, on each status answer.
+func (l *LoadBalancer) SetShardRouting(id int, smap *shard.Map, served []int) bool {
+	if len(served) == 0 {
+		served = nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.smap = smap
-	l.served = served
+	if l.smap == nil {
+		l.smap = smap
+	} else if !l.smap.Equal(smap) {
+		return false
+	}
+	l.served[id] = served
+	return true
 }
 
 // AddNode attaches a replica to the routing set.

@@ -6,6 +6,7 @@ import (
 	"sconrep/internal/core"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
+	"sconrep/internal/shard"
 )
 
 // fakeNode implements Node for routing tests.
@@ -167,5 +168,43 @@ func TestDispatchTables(t *testing.T) {
 	lc.ObserveCommit("s", replica.CommitResult{Version: 7, WrittenTables: []string{"t"}})
 	if r, _ := lc.DispatchCtx("x", "", []string{"country"}, dtrace.SpanContext{}); r.MinVersion != 7 {
 		t.Fatalf("coarse with explicit tables min = %d, want 7", r.MinVersion)
+	}
+}
+
+// TestSetShardRouting: the first map a node reports becomes the
+// balancer's, and each node's served shards route transactions to it; a
+// report of another map is refused and changes nothing, and a node that
+// changes its shards is routed by the new ones.
+func TestSetShardRouting(t *testing.T) {
+	ab, _ := shard.New(2, map[string]int{"a": 0, "b": 1})
+	ba, _ := shard.New(2, map[string]int{"a": 1, "b": 0})
+	full, zero, one := &fakeNode{id: 0, active: 5}, &fakeNode{id: 1}, &fakeNode{id: 2}
+	l := New(core.Coarse, []Node{full, zero, one})
+	routeA := func() int {
+		t.Helper()
+		route, err := l.DispatchCtx("s", "", []string{"a"}, dtrace.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return route.Node.ID()
+	}
+	if !l.SetShardRouting(0, ab, nil) || !l.SetShardRouting(1, ab, []int{0}) || !l.SetShardRouting(2, ab, []int{1}) {
+		t.Fatal("a report of the first map refused")
+	}
+	// Replica 2 is idle but lacks a's shard; the full replica is busy.
+	if id := routeA(); id != 1 {
+		t.Fatalf("a routed to %d, want 1", id)
+	}
+	if l.SetShardRouting(2, ba, []int{0}) {
+		t.Fatal("a report of another map accepted")
+	}
+	if id := routeA(); id != 1 {
+		t.Fatalf("after a refused report, a routed to %d, want 1", id)
+	}
+	if !l.SetShardRouting(1, ab, []int{}) || !l.SetShardRouting(2, ab, []int{1}) || !l.SetShardRouting(1, ab, []int{1}) {
+		t.Fatal("a report of the first map refused")
+	}
+	if id := routeA(); id != 0 {
+		t.Fatalf("a routed to %d, want the full replica 0", id)
 	}
 }

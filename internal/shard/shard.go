@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Map is an immutable table→shard assignment over n shards. Tables
@@ -59,6 +61,52 @@ func (m *Map) N() int {
 	}
 	return m.n
 }
+
+// Parse builds the map over n shards with the assignments spec lists as
+// comma-separated table=shard pairs, the form Spec writes.
+func Parse(n int, spec string) (*Map, error) {
+	assign := map[string]int{}
+	if spec != "" {
+		for _, pair := range strings.Split(spec, ",") {
+			table, id, ok := strings.Cut(strings.TrimSpace(pair), "=")
+			if !ok {
+				return nil, fmt.Errorf("shard: %q is not table=shard", pair)
+			}
+			s, err := strconv.Atoi(id)
+			if err != nil {
+				return nil, fmt.Errorf("shard: %q: %w", pair, err)
+			}
+			assign[table] = s
+		}
+	}
+	return New(n, assign)
+}
+
+// Spec lists the explicit assignments as Parse reads them, in sorted
+// order. With N they are the whole map: every other table hashes.
+func (m *Map) Spec() string {
+	var pairs []string
+	if m != nil {
+		for t, s := range m.assign {
+			pairs = append(pairs, t+"="+strconv.Itoa(s))
+		}
+	}
+	sort.Strings(pairs)
+	return strings.Join(pairs, ",")
+}
+
+// Lacks returns the first of ids that is no shard of m.
+func (m *Map) Lacks(ids []int) (int, bool) {
+	for _, id := range ids {
+		if id < 0 || id >= m.N() {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// Equal reports whether m and o assign every table alike.
+func (m *Map) Equal(o *Map) bool { return m.N() == o.N() && m.Spec() == o.Spec() }
 
 // Of returns the shard the table maps to.
 func (m *Map) Of(table string) int {

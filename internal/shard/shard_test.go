@@ -67,3 +67,32 @@ func TestCovers(t *testing.T) {
 		t.Fatal("missing shard must not cover")
 	}
 }
+
+// TestParseSpec: Spec writes the pins in one sorted form that Parse
+// reads back to an equal map, whatever order they were given in; a pair
+// that is not table=shard, or names a shard the map lacks, is refused.
+func TestParseSpec(t *testing.T) {
+	m, err := Parse(3, " orders=2,customer=0 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Spec(); got != "customer=0,orders=2" {
+		t.Fatalf("Spec = %q", got)
+	}
+	back, err := Parse(m.N(), m.Spec())
+	if err != nil || !back.Equal(m) || back.Of("orders") != 2 {
+		t.Fatalf("Parse(Spec) = %v, %v; want a map equal to %q", back, err, m.Spec())
+	}
+	other, _ := Parse(3, "orders=1,customer=0")
+	if m.Equal(other) || m.Equal(Single()) || !Single().Equal(nil) {
+		t.Fatal("Equal does not tell maps apart by count and pins")
+	}
+	if id, ok := m.Lacks([]int{0, 2, 3}); !ok || id != 3 {
+		t.Fatalf("Lacks = %d, %v; want 3", id, ok)
+	}
+	for _, bad := range []string{"orders", "orders=x", "orders=3", "orders=-1"} {
+		if _, err := Parse(3, bad); err == nil {
+			t.Errorf("Parse(3, %q) accepted", bad)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"sconrep/internal/storage"
@@ -752,7 +751,7 @@ func IsReadOnly(stmt Stmt) bool {
 }
 
 // Stmt preparation: a prepared statement caches the parse, exposes
-// the static table-set, and keeps its latest plan per engine.
+// the static table-set, and keeps the plan it last ran under.
 
 // Prepared is a parsed statement ready for repeated execution with
 // different parameters, on one engine or several.
@@ -762,11 +761,9 @@ type Prepared struct {
 	TableSet []string
 	ReadOnly bool
 
-	// plans holds the latest plan per engine, at most maxPlanEngines of
-	// them; the slice is replaced whole, never edited, so readers load it
-	// without a lock. mu serializes the replacements.
-	plans atomic.Pointer[[]enginePlan]
-	mu    sync.Mutex
+	// kept is the latest plan and the engine it was made against; it is
+	// replaced whole, never edited, so readers load it without a lock.
+	kept atomic.Pointer[enginePlan]
 }
 
 // enginePlan is a plan made against the engine numbered engine
@@ -775,11 +772,6 @@ type enginePlan struct {
 	engine uint64
 	plan   plan
 }
-
-// maxPlanEngines bounds how many engines' plans a Prepared keeps: one
-// per replica of an in-process cluster, with room for restarts, whose
-// engines are new ones.
-const maxPlanEngines = 8
 
 // Prepare parses src once.
 func Prepare(src string) (*Prepared, error) {
@@ -795,9 +787,9 @@ func Prepare(src string) (*Prepared, error) {
 	}, nil
 }
 
-// Exec runs the prepared statement in tx, under the plan it keeps for
-// e while that fits (tablesPlan.fits), under a fresh one that replaces
-// it otherwise.
+// Exec runs the prepared statement in tx, under the plan it keeps while
+// that was made against e and fits (tablesPlan.fits), under a fresh one
+// that replaces it otherwise.
 func (p *Prepared) Exec(tx *storage.Txn, e *storage.Engine, params ...any) (*Result, error) {
 	ev, err := newEnv(params)
 	if err != nil {
@@ -823,47 +815,18 @@ func (p *Prepared) Explain(e *storage.Engine, params ...any) (string, error) {
 	return explain(e, p.Stmt, pl)
 }
 
-// plan returns the plan kept for e if it fits this execution, or plans
-// afresh and keeps that; either way ev is left holding the plan's
-// constants.
+// plan returns the kept plan if it was made against e and fits this
+// execution, or plans afresh and keeps that in its place; either way ev
+// is left holding the plan's constants.
 func (p *Prepared) plan(e *storage.Engine, ev *env) (plan, error) {
 	id := e.ID()
-	if ps := p.plans.Load(); ps != nil {
-		for _, ep := range *ps {
-			if ep.engine == id {
-				if ep.plan.base().fits(e, ev) {
-					return ep.plan, nil
-				}
-				break
-			}
-		}
+	if k := p.kept.Load(); k != nil && k.engine == id && k.plan.base().fits(e, ev) {
+		return k.plan, nil
 	}
 	pl, err := planStmt(e, p.Stmt, ev)
 	if err != nil || pl == nil {
 		return pl, err
 	}
-	p.keep(id, pl)
+	p.kept.Store(&enginePlan{engine: id, plan: pl})
 	return pl, nil
-}
-
-// keep makes pl the plan kept for the engine numbered id, dropping the
-// longest-kept other engine's when the list is full.
-func (p *Prepared) keep(id uint64, pl plan) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var old []enginePlan
-	if ps := p.plans.Load(); ps != nil {
-		old = *ps
-	}
-	next := make([]enginePlan, 0, min(len(old)+1, maxPlanEngines))
-	for _, ep := range old {
-		if ep.engine != id {
-			next = append(next, ep)
-		}
-	}
-	if len(next) == maxPlanEngines {
-		next = append(next[:0], next[1:]...)
-	}
-	next = append(next, enginePlan{engine: id, plan: pl})
-	p.plans.Store(&next)
 }

@@ -30,12 +30,8 @@ func kvEngine(t testing.TB) *storage.Engine {
 
 // keptPlan returns the plan p keeps for e, or nil.
 func keptPlan(p *Prepared, e *storage.Engine) plan {
-	if ps := p.plans.Load(); ps != nil {
-		for _, ep := range *ps {
-			if ep.engine == e.ID() {
-				return ep.plan
-			}
-		}
+	if k := p.kept.Load(); k != nil && k.engine == e.ID() {
+		return k.plan
 	}
 	return nil
 }
@@ -89,8 +85,9 @@ func TestPreparedPlanFollowsCreateIndex(t *testing.T) {
 // TestPreparedKeepsPlanPerEngine: executions whose parameters make the
 // same choices reuse the plan kept for their engine; one that flips a
 // choice (a NULL where an integer was, which is no longer sargable)
-// replaces it, and so does flipping back. Two engines keep a plan each,
-// so alternating between them replans nothing. An execution with too few
+// replaces it, and so does flipping back. A Prepared keeps one plan:
+// an execution on another engine plans afresh and takes the slot, and
+// the first engine then plans afresh in turn. An execution with too few
 // parameters gets the error planning gives it.
 func TestPreparedKeepsPlanPerEngine(t *testing.T) {
 	e1, e2 := kvEngine(t), kvEngine(t)
@@ -115,15 +112,6 @@ func TestPreparedKeepsPlanPerEngine(t *testing.T) {
 	if again := exec(e1, int64(2), 1); again != first {
 		t.Fatal("a second point read planned afresh")
 	}
-	other := exec(e2, int64(3), 1)
-	if other == first {
-		t.Fatal("the second engine ran the first engine's plan")
-	}
-	for i := 0; i < 3; i++ {
-		if exec(e1, int64(4), 1) != first || exec(e2, int64(5), 1) != other {
-			t.Fatal("alternating engines replanned")
-		}
-	}
 	null := exec(e1, nil, 0)
 	if null == first {
 		t.Fatal("k = NULL ran the point plan")
@@ -131,11 +119,22 @@ func TestPreparedKeepsPlanPerEngine(t *testing.T) {
 	if plan, _ := p.Explain(e1, nil); !strings.HasPrefix(plan, "full-scan") {
 		t.Fatalf("k = NULL plan %q, want a full scan", plan)
 	}
-	if back := exec(e1, int64(6), 1); back == null || back == first {
+	back := exec(e1, int64(6), 1)
+	if back == null || back == first {
 		t.Fatal("k = 6 after k = NULL did not plan afresh")
 	}
+	other := exec(e2, int64(3), 1)
+	if other == nil || other == back {
+		t.Fatal("the second engine ran the first engine's plan")
+	}
+	if keptPlan(p, e1) != nil {
+		t.Fatal("the first engine's plan is still kept after the second engine replanned")
+	}
 	if exec(e2, int64(7), 1) != other {
-		t.Fatal("replanning on one engine disturbed the other's plan")
+		t.Fatal("the second engine replanned a plan it keeps")
+	}
+	if again := exec(e1, int64(4), 1); again == nil || again == back || again == other {
+		t.Fatal("the first engine did not plan afresh and take the slot back")
 	}
 	// Too few parameters is the fresh plan's error, not a kept plan's
 	// read past the end of them.

@@ -15,6 +15,7 @@ import (
 	"sconrep/internal/certifier"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
+	"sconrep/internal/shard"
 	"sconrep/internal/writeset"
 )
 
@@ -61,18 +62,23 @@ type subAck struct {
 	// drops. The subscriber derives its serve grace from it, or refuses
 	// it (CheckLease).
 	Lease time.Duration
+	// Shards is the certifier's table→shard map. An ack that carries
+	// nothing else refuses a subscription to a shard outside it.
+	Shards *shard.Map
 }
 
 func (a *subAck) appendTo(buf []byte) ([]byte, error) {
 	buf = append(appendHello(buf, linkSubAck), flagIf(a.Acks, flagAcks))
 	buf = binary.AppendUvarint(buf, a.Version)
-	return binary.AppendVarint(buf, int64(a.Lease)), nil
+	buf = binary.AppendVarint(buf, int64(a.Lease))
+	return appendShardMap(buf, a.Shards), nil
 }
 
 func (a *subAck) parse(d *writeset.Decoder) {
 	a.Acks = readFlags(d, flagAcks) != 0
 	a.Version = d.Uvarint()
 	a.Lease = time.Duration(d.Varint())
+	a.Shards = readShardMap(d)
 }
 
 // appliedAck is the one frame a subscriber writes on its subscription
@@ -260,14 +266,16 @@ const coalesceRounds = 2
 // connection, which ends the other.
 func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	c, replicaID := fc.c, hello.ReplicaID
-	// A shard this certifier does not have means the two roles were
-	// started with different -shards: refuse, so the replica's gate
-	// never opens, rather than serve it a stream of skip markers.
-	for _, id := range hello.Shards {
-		if id < 0 || id >= s.cert.Shards() {
-			log.Printf("wire: certifier: replica %d subscribes to shard %d, certifier has %d shard(s); closing its stream", replicaID, id, s.cert.Shards())
-			return
-		}
+	if d := s.opts.to.Call; d > 0 {
+		c.SetWriteDeadline(time.Now().Add(d))
+	}
+	// A shard this certifier does not have: refuse, so the replica's
+	// gate never opens, rather than serve it a stream of skip markers.
+	smap := s.cert.ShardMap()
+	if id, ok := smap.Lacks(hello.Shards); ok {
+		log.Printf("wire: certifier: replica %d subscribes to shard %d, certifier has %d shard(s); closing its stream", replicaID, id, smap.N())
+		fc.send(&subAck{Shards: smap})
+		return
 	}
 	s.mu.Lock()
 	s.streamGen[replicaID]++
@@ -283,10 +291,7 @@ func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	// and carries the version read after it: a commit certified before
 	// registration is at or below that version (the subscriber's
 	// backfill), a later one is in the mailbox.
-	if d := s.opts.to.Call; d > 0 {
-		c.SetWriteDeadline(time.Now().Add(d))
-	}
-	if err := fc.send(&subAck{Version: s.cert.Version(), Acks: sub.GlobalTracked(), Lease: s.opts.subLease}); err != nil {
+	if err := fc.send(&subAck{Version: s.cert.Version(), Acks: sub.GlobalTracked(), Lease: s.opts.subLease, Shards: smap}); err != nil {
 		return
 	}
 	go func() {
@@ -440,8 +445,11 @@ type CertClient struct {
 	// lease is the latest subAck's lease in nanoseconds, 0 before the
 	// first and after one this client refused (see Grace).
 	lease atomic.Int64
-	// refused logs the first lease this client cannot honour.
-	refused sync.Once
+	// refused logs the first lease this client cannot honour, and
+	// refusedShards the certifier's first refusal of its shards.
+	refused, refusedShards sync.Once
+	// smap is the latest subAck's shard map, nil before the first.
+	smap atomic.Pointer[shard.Map]
 	// moves counts what can move the certifier's table versions as far
 	// as this client sees: each delivery of refreshes and each of its own
 	// certifications, which its stream does not carry. tableVers is the
@@ -676,6 +684,13 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) bool {
 		}
 		return false
 	}
+	if id, ok := ack.Shards.Lacks(c.opts.shards); ok {
+		c.refusedShards.Do(func() {
+			log.Printf("wire: certifier %s has %d shard(s) and refuses replica %d, which serves shard %d", c.addr, ack.Shards.N(), c.replicaID, id)
+		})
+		return false
+	}
+	c.smap.Store(ack.Shards)
 	conn.SetDeadline(time.Time{})
 	// A lease this client cannot honour (CheckLease) is logged once and
 	// leaves it no grace, and the stream is never reported up: it still
@@ -732,6 +747,12 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) bool {
 // Grace is how long this replica may keep serving after its refresh
 // stream drops: a quarter of the latest lease it honoured, 0 before any.
 func (c *CertClient) Grace() time.Duration { return serveGrace(time.Duration(c.lease.Load())) }
+
+// Serving is the replica server's gate: Ready within Grace.
+func (c *CertClient) Serving() bool { return c.Ready(c.Grace()) }
+
+// ShardMap is the latest subAck's shard map, nil before the first.
+func (c *CertClient) ShardMap() *shard.Map { return c.smap.Load() }
 
 func (c *CertClient) streamDown() {
 	if c.streamUp.CompareAndSwap(true, false) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sconrep/internal/core"
+	"sconrep/internal/lb"
 	"sconrep/internal/metrics"
 	"sconrep/internal/obs"
 	"sconrep/internal/obs/dtrace"
@@ -501,7 +502,7 @@ func TestFailedExchangeDropsEnds(t *testing.T) {
 		return net.Dial(network, a)
 	}
 	o := buildOptions([]Option{WithDialer(dial)})
-	rr := newRemoteReplica(0, addr, &o)
+	rr := newRemoteReplica(0, addr, &o, lb.New(core.Coarse, nil))
 	defer rr.pool.close()
 
 	fc := rawPeer(t, addr, bareHello(linkReplica))
@@ -535,7 +536,7 @@ func TestHeldEndExcisedFromStages(t *testing.T) {
 		}
 	})
 	o := buildOptions(nil)
-	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &o)
+	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &o, lb.New(core.Coarse, nil))
 	defer rr.pool.close()
 	var resp replicaResponse
 	err := rr.call(&replicaRequest{Begin: true, Op: opExec, SQL: `SELECT v FROM kv WHERE k = 1`}, &resp)

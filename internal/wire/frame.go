@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strings"
 
 	"sconrep/internal/obs/dtrace"
+	"sconrep/internal/shard"
 	"sconrep/internal/sql"
 	"sconrep/internal/writeset"
 )
@@ -52,7 +54,7 @@ import (
 // codecVersion is the protocol version carried in every hello. Bump it
 // with any change to a frame layout; TestFrameRoundTrip then prints the
 // testdata/frames.golden to commit.
-const codecVersion = 8
+const codecVersion = 9
 
 // helloMagic opens every connection's first frame.
 const helloMagic = "SCRP"
@@ -275,6 +277,7 @@ const (
 	flagReady    = 1 << 6
 	flagCommit   = 1 << 7
 	flagVersions = 1 << 7 // replica responses only: table versions aligned with Touched follow it
+	flagShards   = 1 << 0 // replica status responses only: served shards and the shard map follow
 )
 
 func flagIf(cond bool, bit byte) byte {
@@ -366,6 +369,29 @@ func readVersions(d *writeset.Decoder) map[string]uint64 {
 	for i := 0; i < n && !d.Failed(); i++ {
 		k := strings.Clone(d.Str())
 		m[k] = d.Uvarint()
+	}
+	return m
+}
+
+// appendShardMap appends a shard map as its shard count and Spec; a nil
+// map as count 0, which no map has.
+func appendShardMap(buf []byte, m *shard.Map) []byte {
+	if m == nil {
+		return binary.AppendUvarint(buf, 0)
+	}
+	return writeset.AppendString(binary.AppendUvarint(buf, uint64(m.N())), m.Spec())
+}
+
+// readShardMap reads what appendShardMap wrote into a map of copied
+// names, as it is kept.
+func readShardMap(d *writeset.Decoder) *shard.Map {
+	n := d.Uvarint()
+	if n == 0 || d.Failed() {
+		return nil
+	}
+	m, err := shard.Parse(int(min(n, math.MaxInt32)), strings.Clone(d.Str()))
+	if err != nil || n > math.MaxInt32 {
+		d.Fail()
 	}
 	return m
 }

@@ -22,6 +22,7 @@ import (
 	"sconrep/internal/core"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
+	"sconrep/internal/shard"
 	"sconrep/internal/sql"
 	"sconrep/internal/writeset"
 )
@@ -69,6 +70,10 @@ func frameCases() []struct {
 		{Table: "orders", Key: "o9", Op: writeset.OpDelete},
 	}}
 	result := &sql.Result{Columns: []string{"k", "v"}, Rows: [][]any{edgeValues(), {}, nil}, Affected: -1}
+	twoShards, err := shard.New(2, map[string]int{"b": 1, "a": 0})
+	if err != nil {
+		panic(err)
+	}
 	return []struct {
 		name     string
 		in, zero frame
@@ -81,6 +86,7 @@ func frameCases() []struct {
 		{"subAck", &subAck{Version: math.MaxUint64, Lease: math.MaxInt64}, &subAck{}},
 		{"subAck/acks", &subAck{Version: 7, Acks: true, Lease: 2 * time.Second}, &subAck{}},
 		{"subAck/zero", &subAck{}, &subAck{}},
+		{"subAck/shards", &subAck{Version: 3, Lease: time.Second, Shards: twoShards}, &subAck{}},
 		{"appliedAck", &appliedAck{Version: math.MaxUint64}, &appliedAck{}},
 		{"appliedAck/zero", &appliedAck{}, &appliedAck{}},
 		{"clientRequest", &clientRequest{Seq: math.MaxUint64, Op: opExec, Name: "n", Tables: []string{"a", ""},
@@ -106,6 +112,9 @@ func frameCases() []struct {
 				Touched: []string{"a", "b", "c"}, TableVersions: []uint64{math.MaxUint64, 2, 0}},
 			Version: 8, Active: 3, Crashed: true, Ready: true}, &replicaResponse{}},
 		{"replicaResponse/zero", &replicaResponse{}, &replicaResponse{}},
+		{"replicaResponse/status", &replicaResponse{Seq: 5, Version: 9, Active: 2, Ready: true,
+			Served: []int{1}, Shards: twoShards}, &replicaResponse{}},
+		{"replicaResponse/statusAll", &replicaResponse{Seq: 5, Ready: true, Shards: shard.Single()}, &replicaResponse{}},
 		{"replicaResponse/empties", &replicaResponse{Commit: replica.CommitResult{WrittenTables: []string{},
 			Touched: []string{}, TableVersions: []uint64{}}}, &replicaResponse{}},
 		{"certRequest", &certRequest{Seq: 1, Op: opCertify, Origin: -1, TxnID: 2, Snapshot: 3, WS: ws, Trace: sc,

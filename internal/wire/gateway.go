@@ -190,14 +190,17 @@ func ServeGateway(addr string, mode core.Mode, replicaAddrs []string, opts ...Op
 	if err != nil {
 		return nil, err
 	}
-	g := &Gateway{server: srv, stop: make(chan struct{})}
-	nodes := make([]lb.Node, 0, len(replicaAddrs))
+	g := &Gateway{server: srv, stop: make(chan struct{}), balancer: lb.New(mode, nil)}
 	for i, a := range replicaAddrs {
-		rr := newRemoteReplica(i, a, &g.opts)
+		rr := newRemoteReplica(i, a, &g.opts, g.balancer)
 		g.replicas = append(g.replicas, rr)
-		nodes = append(nodes, rr)
+		g.balancer.AddNode(rr)
 	}
-	g.balancer = lb.New(mode, nodes)
+	// A replica is down until a probe finds it ready: probe each once
+	// before the first client.
+	for _, r := range g.replicas {
+		r.probe()
+	}
 	go g.acceptLoop(g.handle)
 	go g.probeLoop()
 	return g, nil

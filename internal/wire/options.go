@@ -62,7 +62,7 @@ type options struct {
 	to       Timeouts
 	backoff  Backoff
 	subLease time.Duration
-	gate     func() error
+	cert     *CertClient
 	vlocalFn func() uint64
 	shards   []int
 }
@@ -103,12 +103,13 @@ func WithSubLease(d time.Duration) Option {
 	return func(o *options) { o.subLease = d }
 }
 
-// WithGate installs a serve gate on a replica server: requests that
-// carry a begin header fail with the gate's error while it is non-nil.
-// The gate is how a replica that has lost its refresh stream (or is
-// catching up after one) stops serving possibly stale strong reads.
-func WithGate(g func() error) Option {
-	return func(o *options) { o.gate = g }
+// WithCertClient gives a replica server its replica's certifier client.
+// Requests that carry a begin header fail with ErrUnavailable while the
+// client is not Serving: a replica that has lost its refresh stream (or
+// is catching up after one) must not serve possibly stale strong reads.
+// Status answers carry the client's shards and shard map.
+func WithCertClient(cc *CertClient) Option {
+	return func(o *options) { o.cert = cc }
 }
 
 // WithVLocal gives the certifier client a live view of the replica's

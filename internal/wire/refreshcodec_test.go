@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -250,9 +251,11 @@ func TestShardedHistoryPartialRequest(t *testing.T) {
 }
 
 // TestSubscribeRefusesUnknownShard: a subscription naming a shard the
-// certifier does not have means the two roles disagree on -shards. The
-// server closes the connection with nothing registered and no ack, so
-// the replica's gate never opens — whatever the certifier's shard count.
+// certifier does not have is refused with nothing registered. The
+// server answers with an ack that carries only its map — no version, no
+// lease — which the replica logs the refusal by, and closes the
+// connection, so the replica's gate never opens — whatever the
+// certifier's shard count.
 func TestSubscribeRefusesUnknownShard(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -279,9 +282,16 @@ func TestSubscribeRefusesUnknownShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ack subAck
-			_, err = fc.recvHello(string(linkSubAck), &ack)
+			if _, err := fc.recvHello(string(linkSubAck), &ack); err != nil {
+				t.Fatalf("subscription to shard %d: %v, want an ack with the map", tc.shard, err)
+			}
+			if want := (subAck{Shards: tc.cert.ShardMap()}); !reflect.DeepEqual(ack, want) {
+				t.Fatalf("refusal ack %+v, want %+v", ack, want)
+			}
+			var batch refreshBatch
+			err = fc.recv(&batch)
 			if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
-				t.Fatalf("subscription to shard %d of %d: err = %v, want the connection closed", tc.shard, tc.cert.Shards(), err)
+				t.Fatalf("subscription to shard %d of %d: err = %v after the ack, want the connection closed", tc.shard, tc.cert.ShardMap().N(), err)
 			}
 			if ids := tc.cert.Replicas(); len(ids) != 0 {
 				t.Fatalf("refused subscription registered replicas %v", ids)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"sconrep/internal/lb"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
+	"sconrep/internal/shard"
 	"sconrep/internal/sql"
 	"sconrep/internal/writeset"
 )
@@ -141,6 +143,10 @@ type replicaResponse struct {
 	// Ready reports the serve gate: false while the replica's refresh
 	// stream is down or it is catching up after a partition.
 	Ready bool
+	// Served (nil = all shards) and Shards, the map its certifier sent,
+	// are on a status answer once the replica has the map.
+	Served []int
+	Shards *shard.Map
 }
 
 func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
@@ -149,7 +155,8 @@ func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("wire: %d table versions for %d touched tables", len(tv), len(r.Commit.Touched))
 	}
 	flags := flagIf(r.Result != nil, flagResult) | flagIf(r.Commit.ReadOnly, flagReadOnly) |
-		flagIf(r.Crashed, flagCrashed) | flagIf(r.Ready, flagReady) | flagIf(tv != nil, flagVersions)
+		flagIf(r.Crashed, flagCrashed) | flagIf(r.Ready, flagReady) | flagIf(tv != nil, flagVersions) |
+		flagIf(r.Shards != nil, flagShards)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = writeset.AppendString(append(buf, flags, byte(r.ErrCode)), r.Err)
 	buf = binary.AppendUvarint(buf, r.TxnID)
@@ -165,7 +172,11 @@ func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, v)
 	}
 	buf = binary.AppendUvarint(buf, r.Version)
-	return binary.AppendVarint(buf, int64(r.Active)), nil
+	buf = binary.AppendVarint(buf, int64(r.Active))
+	if r.Shards != nil {
+		buf = appendShardMap(appendInts(buf, r.Served), r.Shards)
+	}
+	return buf, nil
 }
 
 // parse decodes into r, reusing the arrays of its Commit's Touched and
@@ -173,7 +184,7 @@ func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
 func (r *replicaResponse) parse(d *writeset.Decoder) {
 	tv := r.Commit.TableVersions
 	r.Seq = d.Uvarint()
-	flags := readFlags(d, flagResult|flagReadOnly|flagCrashed|flagReady|flagVersions)
+	flags := readFlags(d, flagResult|flagReadOnly|flagCrashed|flagReady|flagVersions|flagShards)
 	r.Commit.ReadOnly, r.Crashed, r.Ready = flags&flagReadOnly != 0, flags&flagCrashed != 0, flags&flagReady != 0
 	r.ErrCode = readErrCode(d)
 	r.Err = d.Str()
@@ -197,6 +208,10 @@ func (r *replicaResponse) parse(d *writeset.Decoder) {
 	}
 	r.Version = d.Uvarint()
 	r.Active = int(d.Varint())
+	r.Served, r.Shards = nil, nil
+	if flags&flagShards != 0 {
+		r.Served, r.Shards = readInts(d), readShardMap(d)
+	}
 }
 
 func (r *replicaRequest) setSeq(n uint64) { r.Seq = n }
@@ -468,16 +483,17 @@ func (s *ReplicaServer) dispatch(req *replicaRequest, resp *replicaResponse) {
 		resp.Active = s.rep.Active()
 		resp.Crashed = s.rep.Crashed()
 		resp.Ready = true
-		if g := s.opts.gate; g != nil && g() != nil {
-			resp.Ready = false
+		if cc := s.opts.cert; cc != nil {
+			resp.Ready = cc.Serving()
+			if resp.Shards = cc.ShardMap(); resp.Shards != nil {
+				resp.Served = cc.opts.shards
+			}
 		}
 		return
 	case req.Begin:
-		if g := s.opts.gate; g != nil {
-			if err := g(); err != nil {
-				fail(err)
-				return
-			}
+		if cc := s.opts.cert; cc != nil && !cc.Serving() {
+			fail(ErrUnavailable)
+			return
 		}
 		var err error
 		tx, err = s.rep.Begin(req.MinVersion, &req.Trace)
@@ -541,12 +557,15 @@ func (s *ReplicaServer) dispatch(req *replicaRequest, resp *replicaResponse) {
 // remoteReplica is the gateway's handle on one replica process. It
 // implements lb.Node: the active count is tracked gateway-side (the
 // gateway initiates every transaction), and health is derived from
-// link errors plus status probes.
+// link errors plus status probes: it is down until one finds it ready.
 type remoteReplica struct {
-	id      int
-	pool    *connPool
-	active  atomic.Int64
-	healthy atomic.Bool
+	id       int
+	pool     *connPool
+	balancer *lb.LoadBalancer
+	active   atomic.Int64
+	healthy  atomic.Bool
+	// mismatched is set once a report of another map is logged.
+	mismatched atomic.Bool
 
 	// mu is a leaf: it guards ends for one append or one take.
 	mu sync.Mutex
@@ -563,11 +582,9 @@ type heldEnd struct {
 	since time.Time
 }
 
-func newRemoteReplica(id int, addr string, o *options) *remoteReplica {
+func newRemoteReplica(id int, addr string, o *options, balancer *lb.LoadBalancer) *remoteReplica {
 	hello := func() outFrame { return bareHello(linkReplica) }
-	r := &remoteReplica{id: id, pool: newConnPool(addr, hello, o.dialer(addr), o.to)}
-	r.healthy.Store(true)
-	return r
+	return &remoteReplica{id: id, pool: newConnPool(addr, hello, o.dialer(addr), o.to), balancer: balancer}
 }
 
 // ID implements lb.Node.
@@ -640,9 +657,18 @@ func (r *replicaResponse) refused() bool {
 // probe refreshes the health flag; the gateway calls it periodically
 // so crashed or gated replicas rejoin the routing set once they
 // recover or catch up, and the held ends it carries wait at most one
-// probe period.
+// probe period. The shards and map it reports reach the balancer before
+// the replica is marked up; a replica with another map stays down.
 func (r *remoteReplica) probe() {
 	var resp replicaResponse
 	err := r.call(&replicaRequest{Op: opStatus}, &resp)
-	r.healthy.Store(err == nil && !resp.Crashed && resp.Ready)
+	up := err == nil && !resp.Crashed && resp.Ready
+	if up && resp.Shards != nil && !r.balancer.SetShardRouting(r.id, resp.Shards, resp.Served) {
+		if !r.mismatched.Swap(true) {
+			log.Printf("wire: gateway: replica %d reports a %d-shard map pinning %q, not the one it routes by; treating it as down",
+				r.id, resp.Shards.N(), resp.Shards.Spec())
+		}
+		up = false
+	}
+	r.healthy.Store(up)
 }

@@ -9,12 +9,14 @@
 //
 //   - certifier link (CertServer / CertClient): replicas certify
 //     writesets and fetch recovery history on request/response
-//     connections, and hold one subscription connection each, on which
-//     refreshes stream down and — when the certifier's subAck says so,
-//     i.e. under eager mode — global-commit notices with them, and
+//     connections, and hold one subscription connection each, whose
+//     subAck carries the certifier's shard map, and on which
+//     refreshes stream down and — when the subAck says so, i.e.
+//     under eager mode — global-commit notices with them, and
 //     cumulative apply acknowledgments travel up as one-way frames;
-//   - replica link (ReplicaServer / replicaConn): the gateway begins,
-//     executes, and commits transactions on a replica;
+//   - replica link (ReplicaServer / remoteReplica): the gateway begins,
+//     executes, and commits transactions on a replica, and probes its
+//     status, which carries the replica's shards and that map;
 //   - client link (Gateway / Client): applications open sessions and
 //     run named transactions.
 //

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"sconrep/internal/certifier"
 	"sconrep/internal/core"
+	"sconrep/internal/lb"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/replica"
 	"sconrep/internal/sql"
@@ -66,7 +66,8 @@ func newDeployment(t testing.TB, n int, mode core.Mode) *deployment {
 }
 
 // newDeploymentWith is newDeployment with extra options on the replica
-// servers and their certifier clients.
+// servers and their certifier clients. Each replica server is gated by
+// its certifier client, as a replica node's is.
 func newDeploymentWith(t testing.TB, n int, mode core.Mode, repOpts ...Option) *deployment {
 	t.Helper()
 	d := &deployment{}
@@ -88,7 +89,7 @@ func newDeploymentWith(t testing.TB, n int, mode core.Mode, repOpts ...Option) *
 		loadKV(t, eng)
 		cc := DialCertifier(d.certSrv.Addr(), i, eng.Version(), repOpts...)
 		rep := replica.New(replica.Config{ID: i, EarlyCert: true}, eng, cc)
-		srv, err := ServeReplica(rep, "127.0.0.1:0", repOpts...)
+		srv, err := ServeReplica(rep, "127.0.0.1:0", append(repOpts, WithCertClient(cc))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,13 +98,10 @@ func newDeploymentWith(t testing.TB, n int, mode core.Mode, repOpts ...Option) *
 		d.repSrvs = append(d.repSrvs, srv)
 		replicaAddrs = append(replicaAddrs, srv.Addr())
 	}
-	d.gateway, err = ServeGateway("127.0.0.1:0", mode, replicaAddrs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// As cluster.NewNetworked does: a replica whose refresh stream is
 	// not up yet is no subscriber, so a commit made now would neither
-	// wait for it (eager) nor reach it.
+	// wait for it (eager) nor reach it, and the gateway's first probe
+	// would find it gated.
 	deadline := time.Now().Add(10 * time.Second)
 	for _, cc := range d.clients {
 		for !cc.Ready(0) {
@@ -112,6 +110,10 @@ func newDeploymentWith(t testing.TB, n int, mode core.Mode, repOpts ...Option) *
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+	d.gateway, err = ServeGateway("127.0.0.1:0", mode, replicaAddrs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		d.gateway.Close()
@@ -406,7 +408,7 @@ func TestDistributedReplicaCrashFailover(t *testing.T) {
 
 func TestStatusAndStmtCache(t *testing.T) {
 	d := newDeployment(t, 1, core.Coarse)
-	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &options{})
+	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &options{}, lb.New(core.Coarse, nil))
 	var resp replicaResponse
 	if err := rr.call(&replicaRequest{Op: opStatus}, &resp); err != nil {
 		t.Fatal(err)
@@ -575,24 +577,29 @@ func TestBeginHeader(t *testing.T) {
 	d.idle(t)
 }
 
+// setGate closes or opens the gate of cc's replica server as a dropped
+// or restored refresh stream would, without touching the stream.
+func setGate(cc *CertClient, closed bool) {
+	cc.downSince.Store(0)
+	cc.streamUp.Store(!closed)
+}
+
 // TestBeginHeaderRefused: the serve gate and the balancer refuse the
 // header wherever it rides, the caller can tell (ErrUnavailable), and
 // the session stays usable.
 func TestBeginHeaderRefused(t *testing.T) {
-	var shut atomic.Bool
-	gate := func() error {
-		if shut.Load() {
-			return ErrUnavailable
+	d := newDeployment(t, 2, core.Coarse)
+	shut := func(closed bool) {
+		for _, cc := range d.clients {
+			setGate(cc, closed)
 		}
-		return nil
 	}
-	d := newDeploymentWith(t, 2, core.Coarse, WithGate(gate))
 	c, err := Dial(d.gateway.Addr(), "s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	shut.Store(true)
+	shut(true)
 	for i := 0; i < 3; i++ {
 		c.Start("", nil, dtrace.SpanContext{})
 		if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); !errors.Is(err, ErrUnavailable) {
@@ -604,7 +611,7 @@ func TestBeginHeaderRefused(t *testing.T) {
 		}
 	}
 	d.idle(t)
-	shut.Store(false)
+	shut(false)
 	for _, rr := range d.gateway.replicas {
 		rr.probe()
 	}
@@ -643,7 +650,7 @@ func TestGatewayReroutesRefusedBegin(t *testing.T) {
 		name   string
 		refuse func(d *deployment)
 	}{
-		{"gated", func(d *deployment) { d.repSrvs[0].opts.gate = func() error { return ErrUnavailable } }},
+		{"gated", func(d *deployment) { setGate(d.clients[0], true) }},
 		{"crashed", func(d *deployment) { d.replicas[0].Crash() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
