@@ -228,14 +228,14 @@ func TableI(w io.Writer) {
 	fmt.Fprintln(w, "Table I — database and table versions")
 	fmt.Fprintf(w, "%-5s %-14s %8s %4s %4s %4s\n", "txn", "updates", "Vsystem", "VA", "VB", "VC")
 	for i, st := range steps {
-		tr.ObserveCommit(uint64(i+1), st.tables, "")
+		tr.ObserveCommit(uint64(i+1), st.tables)
 		fmt.Fprintf(w, "%-5s %-14v %8d %4d %4d %4d\n",
 			st.name, st.tables, tr.VSystem(),
 			tr.TableVersion("A"), tr.TableVersion("B"), tr.TableVersion("C"))
 	}
 	fmt.Fprintf(w, "T6 accesses table A only: CSC start version = %d, FSC start version = %d\n\n",
-		tr.MinStartVersion(core.Coarse, []string{"A"}, ""),
-		tr.MinStartVersion(core.Fine, []string{"A"}, ""))
+		tr.MinStartVersion(core.Coarse, []string{"A"}, core.Floor{}),
+		tr.MinStartVersion(core.Fine, []string{"A"}, core.Floor{}))
 }
 
 // AblationGranularity compares CSC against FSC on a skewed micro

@@ -406,12 +406,10 @@ type Session struct {
 	lat *latency.Source
 
 	// wc is the session's gateway connection. A transport failure makes
-	// it unusable (its gateway-side version floor is gone), so
-	// ensureClient reconnects under a fresh epoch — to the consistency
-	// oracle the reconnect is a brand-new session, exactly the guarantee
-	// a real client loses when its connection drops.
-	wc    *wire.Client
-	epoch int
+	// it unusable, so ensureClient reconnects under the same ID, and the
+	// new connection takes the session's floor from the broken one: the
+	// session keeps its guarantees across the reconnect.
+	wc *wire.Client
 }
 
 // NewSession opens a session with a generated ID.
@@ -429,40 +427,28 @@ func (c *Cluster) SessionWithID(id string) *Session {
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }
 
-// effectiveID is the identifier the gateway (and the history oracle)
-// sees: the base ID, suffixed with the reconnect epoch after the first
-// transport failure.
-func (s *Session) effectiveID() string {
-	if s.epoch == 0 {
-		return s.id
-	}
-	return fmt.Sprintf("%s#%d", s.id, s.epoch)
-}
-
 // ensureClient returns a usable gateway connection, dialing (or
-// re-dialing under a new epoch) as needed.
+// re-dialing) as needed.
 func (s *Session) ensureClient() (*wire.Client, error) {
 	if s.wc != nil && !s.wc.Broken() {
 		return s.wc, nil
 	}
-	if s.wc != nil {
-		s.wc.Close()
-		s.wc = nil
-		s.epoch++
-	}
 	n := s.c.ncfg
-	wc, err := wire.Dial(s.c.gateway.Addr(), s.effectiveID(),
+	wc, err := wire.Dial(s.c.gateway.Addr(), s.id,
 		wire.WithDialer(n.dialer(LinkClient)),
 		wire.WithTimeouts(n.Timeouts))
 	if err != nil {
 		return nil, err
 	}
+	if s.wc != nil {
+		s.wc.Close()
+		wc.Resume(s.wc)
+	}
 	s.wc = wc
 	return wc, nil
 }
 
-// Close ends the session: closing its gateway connection drops its
-// accounting at the balancer.
+// Close ends the session and closes its gateway connection.
 func (s *Session) Close() {
 	if s.wc != nil {
 		s.wc.Close()
@@ -476,8 +462,8 @@ func (s *Session) Think(mean time.Duration) { s.lat.Think(mean) }
 // Tx is one client transaction in flight. Begin sends nothing: the
 // begin header (name or tables, and the root span) rides on the
 // transaction's first request, and until that request is answered wc
-// is nil. After it: the gateway connection the transaction runs on, its
-// begin snapshot, and the session epoch ID it was begun under.
+// is nil. After it: the gateway connection the transaction runs on and
+// its begin snapshot.
 type Tx struct {
 	s      *Session
 	submit time.Time
@@ -486,7 +472,6 @@ type Tx struct {
 	done   bool
 	wc     *wire.Client
 	snap   uint64
-	sessID string
 
 	// span is the client.txn root span (nil when tracing is off).
 	span *dtrace.ActiveSpan
@@ -541,7 +526,7 @@ func (t *Tx) first(commit bool, do func(*wire.Client) error) error {
 		if err == nil {
 			wc.Start(t.name, t.tables, t.span.Context())
 			if err = do(wc); err == nil {
-				t.wc, t.snap, t.sessID = wc, wc.Snapshot(), t.s.effectiveID()
+				t.wc, t.snap = wc, wc.Snapshot()
 				return nil
 			}
 			if wc.Broken() && attempt == 0 && !commit {
@@ -648,7 +633,7 @@ func (t *Tx) Commit() (replica.CommitResult, error) {
 	if rec := t.s.c.rec; rec != nil {
 		rec.Record(history.Event{
 			TxnID:       t.s.c.nextTxn.Add(1),
-			Session:     t.sessID,
+			Session:     t.s.id,
 			ReadOnly:    info.ReadOnly,
 			Submit:      t.submit,
 			Acked:       acked,

@@ -130,9 +130,10 @@ func TestNetworkedSmoke(t *testing.T) {
 	}
 }
 
-// TestNetworkedSessionReconnect verifies the epoch discipline: a
-// session whose gateway connection breaks resumes under a fresh
-// session ID, so the oracle never sees one session lose its floor.
+// TestNetworkedSessionReconnect: a session whose gateway connection
+// breaks reconnects under the same ID, and the new connection carries
+// the session's floor, so the oracle sees one session that never lost
+// its guarantees.
 func TestNetworkedSessionReconnect(t *testing.T) {
 	c := newNetCluster(t, core.Session)
 	s := c.SessionWithID("flaky")
@@ -148,34 +149,48 @@ func TestNetworkedSessionReconnect(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.effectiveID(); got != "flaky" {
-		t.Fatalf("effectiveID = %q before any failure", got)
-	}
 
 	// Sever the gateway connection out from under the session.
-	s.wc.Close()
-	// The next transaction must transparently reconnect with a new
-	// epoch.
+	severed := s.wc
+	severed.Close()
+	// The next transaction must transparently reconnect.
 	tx2, err := s.Begin("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx2.ExecSQL(`SELECT v FROM kv WHERE k = 2`); err != nil {
+	res, err := tx2.ExecSQL(`SELECT v FROM kv WHERE k = 2`)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.effectiveID(); got != "flaky#1" {
-		t.Fatalf("effectiveID = %q after reconnect", got)
+	if s.wc == severed {
+		t.Fatal("the session did not reconnect")
 	}
+	if got := res.Rows[0][0]; got != "one" {
+		t.Fatalf("read %v after the reconnect, want the session's own write", got)
+	}
+	checkSessionHistory(t, c, "flaky", 2)
+}
+
+// checkSessionHistory checks that the history holds n events, every one
+// under session id, which a reconnect keeps, and that the session's
+// guarantees hold over them: read-your-writes (CheckSession) and
+// monotonic reads.
+func checkSessionHistory(t *testing.T, c *Cluster, id string, n int) {
+	t.Helper()
 	events := c.Recorder().Events()
-	sessions := map[string]bool{}
-	for _, e := range events {
-		sessions[e.Session] = true
+	if len(events) != n {
+		t.Fatalf("history holds %d events, want %d", len(events), n)
 	}
-	if !sessions["flaky"] || !sessions["flaky#1"] {
-		t.Fatalf("history sessions = %v, want both epochs", sessions)
+	for _, e := range events {
+		if e.Session != id {
+			t.Fatalf("an event ran as session %q, want %q", e.Session, id)
+		}
+	}
+	if violations := history.CheckSession(events); len(violations) != 0 {
+		t.Fatalf("session violations: %v", violations)
 	}
 	if violations := history.CheckMonotonicSessions(events); len(violations) != 0 {
 		t.Fatalf("monotonic-session violations: %v", violations)
@@ -679,14 +694,18 @@ func TestNetworkedStartErrorsSurfaceFromFirstStatement(t *testing.T) {
 
 // dropResponses wraps the client link: while armed, the next response
 // is read off the socket — the gateway did serve the request — and
-// thrown away with the connection.
-type dropResponses struct{ armed atomic.Bool }
+// thrown away with the connection. dials counts the connections.
+type dropResponses struct {
+	armed atomic.Bool
+	dials atomic.Int32
+}
 
 func (d *dropResponses) dial(network, addr string) (net.Conn, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
+	d.dials.Add(1)
 	return &droppingConn{Conn: c, d: d}, nil
 }
 
@@ -706,8 +725,8 @@ func (c *droppingConn) Read(p []byte) (int, error) {
 
 // TestNetworkedLostFirstResponseRetries drops the response to the
 // request that carries the begin header and a statement. Nothing can
-// have committed, so the session retries it once on a fresh connection
-// under a new epoch, and the gateway aborts the orphan when the old
+// have committed, so the session retries it once on a fresh connection,
+// under its own ID, and the gateway aborts the orphan when the old
 // connection dies: every increment lands exactly once.
 func TestNetworkedLostFirstResponseRetries(t *testing.T) {
 	var drop dropResponses
@@ -748,8 +767,8 @@ func TestNetworkedLostFirstResponseRetries(t *testing.T) {
 		if drop.armed.Load() {
 			t.Fatal("no response was dropped")
 		}
-		if got, want := s.effectiveID(), fmt.Sprintf("lossy#%d", i); got != want {
-			t.Fatalf("round %d ran as %q, want one reconnect per dropped response (%q)", i, got, want)
+		if got, want := drop.dials.Load(), int32(i+1); got != want {
+			t.Fatalf("round %d: %d connections, want one reconnect per dropped response (%d)", i, got, want)
 		}
 	}
 	if got := run(`SELECT n FROM counter WHERE id = 1`).Rows[0][0].(int64); got != rounds {
@@ -763,9 +782,12 @@ func TestNetworkedLostFirstResponseRetries(t *testing.T) {
 	if _, err := tx.Commit(); err == nil {
 		t.Fatal("a bare commit whose response was lost reported success")
 	}
-	if got, want := s.effectiveID(), fmt.Sprintf("lossy#%d", rounds); got != want {
-		t.Fatalf("session epoch moved to %q during a commit, want %q", got, want)
+	if got, want := drop.dials.Load(), int32(rounds+1); got != want {
+		t.Fatalf("%d connections after a lost commit answer, want %d: the commit was retried", got, want)
 	}
+	// Every answered transaction ran as "lossy"; the lost commit was never
+	// answered, so the history holds nothing of it.
+	checkSessionHistory(t, c, "lossy", rounds+2)
 }
 
 // TestNetworkedKilledStatementIsTerminal: early certification kills a
@@ -817,13 +839,18 @@ func TestNetworkedKilledStatementIsTerminal(t *testing.T) {
 
 // mangleWrites wraps the client link: while armed, the next frame
 // written is dropped (reported written, never sent) or sent twice.
-type mangleWrites struct{ drop, dup atomic.Bool }
+// dials counts the connections.
+type mangleWrites struct {
+	drop, dup atomic.Bool
+	dials     atomic.Int32
+}
 
 func (m *mangleWrites) dial(network, addr string) (net.Conn, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
+	m.dials.Add(1)
 	return &mangledConn{Conn: c, m: m}, nil
 }
 
@@ -851,8 +878,8 @@ func (c *mangledConn) Write(p []byte) (int, error) {
 // retried on a fresh connection. Doubled, it is answered once and then a
 // repeat, on which the gateway closes the connection, and the session's
 // next request finds it closed. Either way the closed connection aborts
-// what the lost end left open, and the session goes on under a new
-// epoch.
+// what the lost end left open, and the session goes on under its own ID
+// with its floor.
 func TestNetworkedOneWayFrameLostOrDoubled(t *testing.T) {
 	var m mangleWrites
 	c := newNetClusterWith(t, core.Session, func(n *NetConfig) {
@@ -878,7 +905,7 @@ func TestNetworkedOneWayFrameLostOrDoubled(t *testing.T) {
 		}
 	}
 	read()
-	for epoch, arm := range []*atomic.Bool{&m.drop, &m.dup} {
+	for i, arm := range []*atomic.Bool{&m.drop, &m.dup} {
 		// The armed frame is the next read's first request, which carries
 		// the end of the read before it: that read's commit sent nothing.
 		arm.Store(true)
@@ -890,20 +917,19 @@ func TestNetworkedOneWayFrameLostOrDoubled(t *testing.T) {
 		// it was answered, and this read's first request finds the
 		// connection closed. It carries no commit, so it is retried too.
 		read()
-		if got, want := s.effectiveID(), fmt.Sprintf("mangled#%d", epoch+1); got != want {
-			t.Fatalf("session runs as %q, want %q", got, want)
+		if got, want := m.dials.Load(), int32(i+2); got != want {
+			t.Fatalf("%d connections, want %d: one reconnect per mangled frame", got, want)
 		}
 		waitQuiet(t, c)
 	}
-	if violations := history.CheckMonotonicSessions(c.Recorder().Events()); len(violations) != 0 {
-		t.Fatalf("monotonic-session violations: %v", violations)
-	}
+	checkSessionHistory(t, c, "mangled", 5)
 }
 
 // TestNetworkedHeldEndConnectionLost: a session whose connection breaks
-// while its client holds a read's end reconnects under a new epoch, and
+// while its client holds a read's end reconnects under its own ID, and
 // the end, never delivered, leaves nothing open: the gateway aborts the
-// read when the connection goes.
+// read when the connection goes. The read's snapshot was folded into the
+// session's floor when it committed, so the reconnect keeps it.
 func TestNetworkedHeldEndConnectionLost(t *testing.T) {
 	var conn atomic.Pointer[net.Conn]
 	c := newNetClusterWith(t, core.Session, func(n *NetConfig) {
@@ -928,7 +954,8 @@ func TestNetworkedHeldEndConnectionLost(t *testing.T) {
 	if res, err := tx.Commit(); err != nil || !res.ReadOnly {
 		t.Fatalf("commit = %+v, %v", res, err)
 	}
-	(*conn.Load()).Close()
+	severed := conn.Load()
+	(*severed).Close()
 	tx, _ = s.Begin("")
 	if _, err := tx.ExecSQL(`SELECT v FROM kv WHERE k = 2`); err != nil {
 		t.Fatal(err)
@@ -936,11 +963,12 @@ func TestNetworkedHeldEndConnectionLost(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.effectiveID(); got != "severed#1" {
-		t.Fatalf("session runs as %q, want %q", got, "severed#1")
+	if conn.Load() == severed {
+		t.Fatal("the session did not reconnect")
 	}
 	s.Close()
 	waitQuiet(t, c)
+	checkSessionHistory(t, c, "severed", 2)
 }
 
 // TestNetworkedParamTypes: a statement takes every parameter type the

@@ -10,10 +10,14 @@
 //     client (coarse-grained strong consistency synchronizes on this);
 //   - Vt       — per-table versions: the latest commit that wrote each
 //     table (fine-grained strong consistency synchronizes on the max
-//     over the transaction's table-set);
-//   - Vsession — per-session versions: the latest commit acknowledged
-//     to each client session (session consistency synchronizes on
-//     this).
+//     over the transaction's table-set).
+//
+// The third input, Vsession, is not the balancer's: each client session
+// holds its own Floor — the newest version it was told of, and under
+// fine-grained consistency the newest write to each table it can have
+// observed — and sends it with every begin. The session outlives its
+// connection, so its floor does too (Terry et al., "Session Guarantees
+// for Weakly Consistent Replicated Data", PDIS 1994).
 //
 // Eager strong consistency needs no start version at all (every
 // replica already committed everything acknowledged), paying instead
@@ -22,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -84,39 +89,27 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Tracker is the load balancer's version accounting: soft state,
-// rebuilt from replica responses after a failover.
+// rebuilt from replica responses after a failover. It holds Vsystem and
+// Vt only; a session's floor is the client's (Floor).
 type Tracker struct {
-	mu       sync.Mutex
-	vsystem  uint64
-	tables   map[string]uint64
-	sessions map[string]uint64
-	// sessTables holds per-session *per-table* floors: the newest write
-	// to each table the session can have observed, as reported by the
-	// replicas with each commit. The fine-grained mode synchronizes on
-	// these instead of the scalar session floor — a session that read a
-	// hot table at a fresh snapshot must not regress on THAT table, but
-	// owes nothing to a cold table it merely shared a snapshot with.
-	sessTables map[string]map[string]uint64
+	mu      sync.Mutex
+	vsystem uint64
+	tables  map[string]uint64
 }
 
 // NewTracker returns a tracker at version 0 with no known tables.
 func NewTracker() *Tracker {
-	return &Tracker{
-		tables:     make(map[string]uint64),
-		sessions:   make(map[string]uint64),
-		sessTables: make(map[string]map[string]uint64),
-	}
+	return &Tracker{tables: make(map[string]uint64)}
 }
 
-// ObserveCommit folds one acknowledged commit into the tracker:
+// ObserveCommit folds one acknowledged update commit into the tracker:
 // version is the certifier-assigned commit version, writtenTables the
-// tables in the transaction's writeset, session the committing
-// client's session ID ("" for none). A table name is copied when it
+// tables in the transaction's writeset. A table name is copied when it
 // first enters the tracker, so the caller's may alias a frame.
 //
 // Versions only move forward; replica responses may arrive out of
 // order.
-func (t *Tracker) ObserveCommit(version uint64, writtenTables []string, session string) {
+func (t *Tracker) ObserveCommit(version uint64, writtenTables []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if version > t.vsystem {
@@ -128,50 +121,6 @@ func (t *Tracker) ObserveCommit(version uint64, writtenTables []string, session 
 				tab = strings.Clone(tab)
 			}
 			t.tables[tab] = version
-		}
-	}
-	if session != "" && version > t.sessions[session] {
-		t.sessions[session] = version
-	}
-}
-
-// ObserveReadOnly records a read-only completion for a session: the
-// session must continue to see at least the snapshot it just read
-// (monotonic reads within the session).
-func (t *Tracker) ObserveReadOnly(snapshot uint64, session string) {
-	if session == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if snapshot > t.sessions[session] {
-		t.sessions[session] = snapshot
-	}
-}
-
-// ObserveTableVersions folds a commit response's per-table observation
-// bounds — versions[i] for tables[i]; 0 is no bound — into the
-// session's fine-grained floors (see Tracker.sessTables and
-// MinStartVersion's Fine case). A table name is copied only when it
-// first enters the session's floors, so the caller's may alias a frame.
-func (t *Tracker) ObserveTableVersions(session string, tables []string, versions []uint64) {
-	if session == "" || len(versions) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	floors := t.sessTables[session]
-	for i, v := range versions {
-		tab := tables[i]
-		if cur, known := floors[tab]; v > cur {
-			if floors == nil {
-				floors = make(map[string]uint64, len(versions))
-				t.sessTables[session] = floors
-			}
-			if !known {
-				tab = strings.Clone(tab)
-			}
-			floors[tab] = v
 		}
 	}
 }
@@ -190,15 +139,9 @@ func (t *Tracker) TableVersion(table string) uint64 {
 	return t.tables[table]
 }
 
-// SessionVersion returns the session's last acknowledged version.
-func (t *Tracker) SessionVersion(session string) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sessions[session]
-}
-
 // MinStartVersion returns the version the executing replica must reach
-// before the transaction may start, per Theorems 1 and 2:
+// before the transaction may start, per Theorems 1 and 2, for a session
+// whose floor is f:
 //
 //	Eager   → 0            (replicas are always current for acked txns)
 //	Coarse  → max(Vsystem, Vsession)
@@ -218,60 +161,79 @@ func (t *Tracker) SessionVersion(session string) uint64 {
 // and SC provides them, so CSC must too.
 //
 // Fine enforces the same guarantee at table granularity (Vsession,t:
-// the newest write to table t the session can have observed, fed back
-// by the replicas with each commit). A scalar floor would be wrong
-// here, not merely loose: every read-only commit would teach the
-// session its snapshot version, and the next transaction — even one
-// over tables nobody ever writes — would wait out the full replication
-// lag to reach a version whose extra content it cannot observe. That
-// erases exactly the benefit §III-C claims for skewed workloads. The
-// per-table floors keep everything a client can actually see
-// monotonic: reads of a table never run below any write to it the
-// session has observed, and a session's own writes (floored at their
-// commit versions) stay visible.
-func (t *Tracker) MinStartVersion(mode Mode, tableSet []string, session string) uint64 {
+// see Floor). A scalar floor would be wrong here, not merely loose:
+// every read-only commit would teach the session its snapshot version,
+// and the next transaction — even one over tables nobody ever writes —
+// would wait out the full replication lag to reach a version whose
+// extra content it cannot observe. That erases exactly the benefit
+// §III-C claims for skewed workloads. The per-table floors keep
+// everything a client can actually see monotonic: reads of a table
+// never run below any write to it the session has observed, and a
+// session's own writes (floored at their commit versions) stay visible.
+func (t *Tracker) MinStartVersion(mode Mode, tableSet []string, f Floor) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	floor := t.sessions[session]
 	switch mode {
 	case Eager:
 		return 0
-	case Coarse:
-		return maxU64(t.vsystem, floor)
 	case Fine:
 		var v uint64
-		sess := t.sessTables[session]
 		for _, tab := range tableSet {
-			if tv := t.tables[tab]; tv > v {
-				v = tv
-			}
-			if sv := sess[tab]; sv > v {
-				v = sv
-			}
+			v = max(v, t.tables[tab], f.table(tab))
 		}
 		return v
 	case Session:
-		return floor
+		return f.Version
 	default:
-		// Unknown modes get the strongest (coarse) treatment rather
-		// than silently weakening consistency.
-		return maxU64(t.vsystem, floor)
+		// Coarse; unknown modes get the strongest (coarse) treatment
+		// rather than silently weakening consistency.
+		return max(t.vsystem, f.Version)
 	}
 }
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+// Floor is one session's start floor, Vsession: the newest versions the
+// session was told of, which none of its later transactions may start
+// below. The client keeps it across connections and sends it with each
+// begin; the gateway starts the transaction at the maximum of it and
+// the tracker's bound (Tracker.MinStartVersion). A commit whose answer
+// never arrived raises nothing: the session's guarantees cover what it
+// was told.
+type Floor struct {
+	// Version is the newest commit version, or read-only snapshot, the
+	// session was answered.
+	Version uint64
+	// Tables and Versions are the fine-grained floors, aligned: for each
+	// table, the newest write to it the session can have observed. Only
+	// a fine-grained gateway reports them, so under the other modes they
+	// stay empty.
+	Tables   []string
+	Versions []uint64
 }
 
-// ForgetSession drops a session's accounting (client disconnect).
-func (t *Tracker) ForgetSession(session string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.sessions, session)
-	delete(t.sessTables, session)
+// Observe folds one answered commit into f: version is its commit
+// version, or its snapshot when it wrote nothing; versions, aligned
+// with tables and nil when absent, are the per-table bounds its replica
+// reported (0 is no bound). A table name is copied when it first enters
+// f, so the caller's may alias a frame.
+func (f *Floor) Observe(version uint64, tables []string, versions []uint64) {
+	f.Version = max(f.Version, version)
+	for i, v := range versions {
+		switch j := slices.Index(f.Tables, tables[i]); {
+		case j >= 0:
+			f.Versions[j] = max(f.Versions[j], v)
+		case v > 0:
+			f.Tables = append(f.Tables, strings.Clone(tables[i]))
+			f.Versions = append(f.Versions, v)
+		}
+	}
+}
+
+// table returns the floor of one table, 0 when f holds none.
+func (f Floor) table(tab string) uint64 {
+	if j := slices.Index(f.Tables, tab); j >= 0 {
+		return f.Versions[j]
+	}
+	return 0
 }
 
 // Snapshot returns a copy of all table versions, for inspection.

@@ -45,7 +45,7 @@ func TestTableI(t *testing.T) {
 		{[]string{"b", "c"}, 5, 1, 5, 5}, // T5 updates B,C
 	}
 	for i, st := range steps {
-		tr.ObserveCommit(uint64(i+1), st.tables, "")
+		tr.ObserveCommit(uint64(i+1), st.tables)
 		if got := tr.VSystem(); got != st.wantSys {
 			t.Fatalf("after T%d: Vsystem = %d, want %d", i+1, got, st.wantSys)
 		}
@@ -62,65 +62,67 @@ func TestTableI(t *testing.T) {
 
 	// T6 reads and writes table A only. The paper's point: coarse
 	// requires Vlocal = 5, fine requires only Vlocal = 1.
-	if got := tr.MinStartVersion(Coarse, []string{"a"}, ""); got != 5 {
+	if got := tr.MinStartVersion(Coarse, []string{"a"}, Floor{}); got != 5 {
 		t.Fatalf("CSC start version = %d, want 5", got)
 	}
-	if got := tr.MinStartVersion(Fine, []string{"a"}, ""); got != 1 {
+	if got := tr.MinStartVersion(Fine, []string{"a"}, Floor{}); got != 1 {
 		t.Fatalf("FSC start version = %d, want 1", got)
 	}
-	if got := tr.MinStartVersion(Eager, []string{"a"}, ""); got != 0 {
+	if got := tr.MinStartVersion(Eager, []string{"a"}, Floor{}); got != 0 {
 		t.Fatalf("ESC start version = %d, want 0", got)
 	}
 }
 
 func TestFineReadOnlyTablesStartImmediately(t *testing.T) {
 	tr := NewTracker()
-	tr.ObserveCommit(1, []string{"orders"}, "")
-	tr.ObserveCommit(2, []string{"orders"}, "")
+	tr.ObserveCommit(1, []string{"orders"})
+	tr.ObserveCommit(2, []string{"orders"})
 	// "country" has never been written: fine-grained needs version 0.
-	if got := tr.MinStartVersion(Fine, []string{"country"}, ""); got != 0 {
+	if got := tr.MinStartVersion(Fine, []string{"country"}, Floor{}); got != 0 {
 		t.Fatalf("FSC on read-only table = %d, want 0", got)
 	}
-	if got := tr.MinStartVersion(Fine, []string{"country", "orders"}, ""); got != 2 {
+	if got := tr.MinStartVersion(Fine, []string{"country", "orders"}, Floor{}); got != 2 {
 		t.Fatalf("FSC on mixed set = %d, want 2", got)
 	}
 }
 
+// TestSessionTracking: each session's floor is its own, and the
+// tracker adds every session's commits to the coarse bound.
 func TestSessionTracking(t *testing.T) {
 	tr := NewTracker()
-	tr.ObserveCommit(3, []string{"t"}, "alice")
-	tr.ObserveCommit(7, []string{"t"}, "bob")
-	if got := tr.MinStartVersion(Session, nil, "alice"); got != 3 {
+	var alice, bob Floor
+	tr.ObserveCommit(3, []string{"t"})
+	alice.Observe(3, nil, nil)
+	tr.ObserveCommit(7, []string{"t"})
+	bob.Observe(7, nil, nil)
+	if got := tr.MinStartVersion(Session, nil, alice); got != 3 {
 		t.Fatalf("alice session version = %d, want 3", got)
 	}
-	if got := tr.MinStartVersion(Session, nil, "bob"); got != 7 {
+	if got := tr.MinStartVersion(Session, nil, bob); got != 7 {
 		t.Fatalf("bob session version = %d, want 7", got)
 	}
-	if got := tr.MinStartVersion(Session, nil, "carol"); got != 0 {
+	if got := tr.MinStartVersion(Session, nil, Floor{}); got != 0 {
 		t.Fatalf("new session version = %d, want 0", got)
 	}
 	// Coarse sees every session's updates.
-	if got := tr.MinStartVersion(Coarse, nil, "alice"); got != 7 {
+	if got := tr.MinStartVersion(Coarse, nil, alice); got != 7 {
 		t.Fatalf("coarse after bob = %d, want 7", got)
-	}
-	tr.ForgetSession("bob")
-	if got := tr.SessionVersion("bob"); got != 0 {
-		t.Fatalf("forgotten session = %d", got)
 	}
 }
 
 func TestObserveReadOnlyAdvancesSessionMonotonically(t *testing.T) {
 	tr := NewTracker()
-	tr.ObserveCommit(5, []string{"t"}, "s")
-	tr.ObserveReadOnly(9, "s") // read a snapshot at 9 on a fresh replica
-	if got := tr.SessionVersion("s"); got != 9 {
-		t.Fatalf("session after read = %d, want 9", got)
+	var s Floor
+	tr.ObserveCommit(5, []string{"t"})
+	s.Observe(5, nil, nil)
+	s.Observe(9, nil, nil) // read a snapshot at 9 on a fresh replica
+	if got := tr.MinStartVersion(Coarse, nil, s); got != 9 {
+		t.Fatalf("coarse after a read at 9 = %d, want 9", got)
 	}
-	tr.ObserveReadOnly(2, "s") // older read must not regress
-	if got := tr.SessionVersion("s"); got != 9 {
+	s.Observe(2, nil, nil) // an older read must not regress
+	if got := tr.MinStartVersion(Session, nil, s); got != 9 {
 		t.Fatalf("session regressed to %d", got)
 	}
-	tr.ObserveReadOnly(1, "") // no session: no-op, must not panic
 }
 
 // TestFinePerTableSessionFloor pins the fine-grained session rule: the
@@ -130,40 +132,43 @@ func TestObserveReadOnlyAdvancesSessionMonotonically(t *testing.T) {
 // tables the session actually observed writes to stay floored.
 func TestFinePerTableSessionFloor(t *testing.T) {
 	tr := NewTracker()
-	tr.ObserveCommit(100, []string{"hot"}, "s")
-	tr.ObserveTableVersions("s", []string{"hot"}, []uint64{100})
+	var s Floor
+	tr.ObserveCommit(100, []string{"hot"})
+	s.Observe(100, []string{"hot"}, []uint64{100})
 	// A read on a busy replica observed snapshot 500; the scalar floor
 	// advances (coarse/session semantics) but must not leak into fine.
-	tr.ObserveReadOnly(500, "s")
-	if got := tr.MinStartVersion(Fine, []string{"cold"}, "s"); got != 0 {
+	s.Observe(500, []string{"hot"}, []uint64{0})
+	if got := tr.MinStartVersion(Fine, []string{"cold"}, s); got != 0 {
 		t.Fatalf("fine(cold) = %d, want 0: scalar session floor leaked into the per-table rule", got)
 	}
-	if got := tr.MinStartVersion(Fine, []string{"hot"}, "s"); got != 100 {
+	if got := tr.MinStartVersion(Fine, []string{"hot"}, s); got != 100 {
 		t.Fatalf("fine(hot) = %d, want 100", got)
 	}
-	if got := tr.MinStartVersion(Coarse, nil, "s"); got != 500 {
+	if got := tr.MinStartVersion(Coarse, nil, s); got != 500 {
 		t.Fatalf("coarse = %d, want 500 (scalar floor intact)", got)
 	}
 	// The replica reported the newest write to "cold" this session
 	// could have observed: subsequent reads of it must not regress.
-	tr.ObserveTableVersions("s", []string{"cold"}, []uint64{42})
-	if got := tr.MinStartVersion(Fine, []string{"cold"}, "s"); got != 42 {
+	s.Observe(500, []string{"cold"}, []uint64{42})
+	if got := tr.MinStartVersion(Fine, []string{"cold"}, s); got != 42 {
 		t.Fatalf("fine(cold) after observation = %d, want 42", got)
 	}
 	// Another session owes nothing to s's observations.
-	if got := tr.MinStartVersion(Fine, []string{"cold"}, "other"); got != 0 {
+	if got := tr.MinStartVersion(Fine, []string{"cold"}, Floor{}); got != 0 {
 		t.Fatalf("fine(cold) for fresh session = %d, want 0", got)
 	}
-	tr.ForgetSession("s")
-	if got := tr.MinStartVersion(Fine, []string{"cold"}, "s"); got != 0 {
-		t.Fatalf("fine(cold) after ForgetSession = %d, want 0", got)
+	// A table enters the floor once, and a zero version is no bound: it
+	// enters nothing.
+	s.Observe(0, []string{"warm", "cold", "idle"}, []uint64{7, 40, 0})
+	if len(s.Tables) != 3 || s.Tables[2] != "warm" || s.Versions[2] != 7 || s.table("cold") != 42 {
+		t.Fatalf("floor = %v %v, want [hot cold warm] [100 42 7]", s.Tables, s.Versions)
 	}
 }
 
 func TestOutOfOrderObservations(t *testing.T) {
 	tr := NewTracker()
-	tr.ObserveCommit(5, []string{"x"}, "s")
-	tr.ObserveCommit(3, []string{"x", "y"}, "s")
+	tr.ObserveCommit(5, []string{"x"})
+	tr.ObserveCommit(3, []string{"x", "y"})
 	if tr.VSystem() != 5 {
 		t.Fatalf("Vsystem = %d, want 5", tr.VSystem())
 	}
@@ -173,8 +178,11 @@ func TestOutOfOrderObservations(t *testing.T) {
 	if tr.TableVersion("y") != 3 {
 		t.Fatalf("Vy = %d, want 3", tr.TableVersion("y"))
 	}
-	if tr.SessionVersion("s") != 5 {
-		t.Fatalf("Vsession = %d, want 5", tr.SessionVersion("s"))
+	var s Floor
+	s.Observe(5, []string{"x"}, []uint64{5})
+	s.Observe(3, []string{"x", "y"}, []uint64{3, 3})
+	if s.Version != 5 || s.table("x") != 5 || s.table("y") != 3 {
+		t.Fatalf("floor = %d, x %d, y %d; want 5, 5, 3", s.Version, s.table("x"), s.table("y"))
 	}
 }
 
@@ -211,6 +219,8 @@ func TestRegistry(t *testing.T) {
 //  4. Session start version ≤ Coarse start version.
 //  5. MinStartVersion(Fine, S) = max over tables in S of
 //     max(Vt, the session's per-table floor).
+//
+// Each session's Floor observes its own commits, as its client does.
 func TestQuickInvariants(t *testing.T) {
 	type obs struct {
 		Version uint64
@@ -220,7 +230,8 @@ func TestQuickInvariants(t *testing.T) {
 	f := func(observations []obs, probe []uint8, sess uint8) bool {
 		tr := NewTracker()
 		var maxV uint64
-		// Mirror of the per-session per-table floors the tracker should
+		sessions := map[string]*Floor{}
+		// Mirror of the per-session per-table floors the Floors should
 		// accumulate from the commit responses.
 		floors := map[string]map[string]uint64{}
 		for _, o := range observations {
@@ -235,8 +246,11 @@ func TestQuickInvariants(t *testing.T) {
 				tv[tab] = v
 			}
 			session := string(rune('A' + o.Session%4))
-			tr.ObserveCommit(v, tabs, session)
-			tr.ObserveTableVersions(session, tabs, vers)
+			tr.ObserveCommit(v, tabs)
+			if sessions[session] == nil {
+				sessions[session] = &Floor{}
+			}
+			sessions[session].Observe(v, tabs, vers)
 			m := floors[session]
 			if m == nil {
 				m = map[string]uint64{}
@@ -259,9 +273,13 @@ func TestQuickInvariants(t *testing.T) {
 			probeSet = append(probeSet, string(rune('a'+tb%6)))
 		}
 		session := string(rune('A' + sess%4))
-		coarse := tr.MinStartVersion(Coarse, probeSet, session)
-		fine := tr.MinStartVersion(Fine, probeSet, session)
-		sessionV := tr.MinStartVersion(Session, probeSet, session)
+		var floor Floor
+		if f := sessions[session]; f != nil {
+			floor = *f
+		}
+		coarse := tr.MinStartVersion(Coarse, probeSet, floor)
+		fine := tr.MinStartVersion(Fine, probeSet, floor)
+		sessionV := tr.MinStartVersion(Session, probeSet, floor)
 		if fine > coarse || sessionV > coarse {
 			return false
 		}

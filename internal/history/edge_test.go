@@ -14,8 +14,8 @@ func mkT(id uint64, session string, ro bool, submitMS, ackMS int, snapshot, comm
 // histories a fault-injected run produces: commit-version gaps left by
 // aborted transactions, zero-duration transactions whose ack and a
 // successor's submit coincide, read-only traffic crossing sessions,
-// session epochs from reconnects, and — as the control — histories
-// built to violate each guarantee.
+// a session that reconnects under its own ID, and — as the control —
+// histories built to violate each guarantee.
 func TestCheckerEdgeCases(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -67,19 +67,24 @@ func TestCheckerEdgeCases(t *testing.T) {
 			},
 		},
 		{
-			// A reconnect bumps the session epoch ("s" → "s#1"): the two
-			// halves are distinct sessions, so a snapshot regression
-			// across the break is legal for session guarantees.
-			name: "session epochs split on reconnect",
+			// A session keeps its ID across a reconnect, and its floor
+			// with it: a read after the break that misses the session's
+			// own write from before it is a session violation (and a
+			// strong one), and its snapshot below the write's is a
+			// monotonic one.
+			name: "same-id reconnect that regresses is flagged",
 			events: []Event{
-				mk(1, "s", true, 0, 10, 5, 5),
-				mk(2, "s#1", true, 20, 30, 3, 3),
+				mk(1, "s", false, 0, 10, 4, 5),
+				mk(2, "s", true, 20, 30, 3, 3), // first transaction on the new connection
 			},
+			strong:    1,
+			session:   1,
+			monotonic: 1,
 		},
 		{
-			// Control: the same history without the epoch split IS a
-			// monotonic violation — proving the epoch discipline is what
-			// keeps chaos runs honest, not checker leniency.
+			// Control: a read-only snapshot regression within one
+			// session ID is a monotonic violation, whatever the session's
+			// connections did — no reconnect splits a session.
 			name: "same history without epoch split is flagged",
 			events: []Event{
 				mk(1, "s", true, 0, 10, 5, 5),

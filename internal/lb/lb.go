@@ -5,10 +5,12 @@
 // mode requires — which is where the coarse-grained, fine-grained, and
 // session techniques actually live.
 //
-// The load balancer holds soft state only (active counts, version
-// accounting, the table-set dictionary); it can be rebuilt from
-// replica responses, which is the paper's fault-tolerance argument for
-// using a standby rather than replicating it.
+// The load balancer holds soft state only (active counts, Vsystem and
+// Vt, the table-set dictionary); it can be rebuilt from replica
+// responses, which is the paper's fault-tolerance argument for using a
+// standby rather than replicating it. It keeps nothing per session: a
+// session's floor (core.Floor) comes with each dispatch, from the
+// client that holds it.
 package lb
 
 import (
@@ -234,23 +236,26 @@ func (l *LoadBalancer) requiredShards(tables []string, known bool) []int {
 }
 
 // Dispatch picks a replica (least active transactions, skipping
-// crashed nodes) and computes the start-version tag for a transaction.
+// crashed nodes) and computes the start-version tag for a transaction
+// of a session that holds no floor.
 //
 // txnName selects the table-set under fine-grained consistency; an
 // unregistered or empty name falls back to coarse-grained treatment
 // (synchronize on Vsystem), preserving strong consistency when the
 // workload information is missing — the degradation §V-D describes.
 func (l *LoadBalancer) Dispatch(sessionID, txnName string) (Route, error) {
-	return l.DispatchCtx(sessionID, txnName, nil, dtrace.SpanContext{})
+	return l.DispatchCtx(sessionID, txnName, nil, core.Floor{}, dtrace.SpanContext{})
 }
 
-// DispatchCtx is Dispatch under the caller's span context: the routing
-// decision is recorded as an lb.route span annotated with the chosen
-// replica and the start-version tag. A non-empty tables is the
+// DispatchCtx is Dispatch for a session whose floor is floor, under the
+// caller's span context: the start tag is the maximum of the mode's
+// bound and the floor (core.Tracker.MinStartVersion), and the routing
+// decision is recorded as an lb.route span annotated with the session,
+// the chosen replica and the tag. A non-empty tables is the
 // transaction's table-set, stated by the client instead of looked up
 // under txnName — the paper's footnote-1 alternative; under non-fine
 // modes it only constrains shard routing.
-func (l *LoadBalancer) DispatchCtx(sessionID, txnName string, tables []string, sc dtrace.SpanContext) (Route, error) {
+func (l *LoadBalancer) DispatchCtx(sessionID, txnName string, tables []string, floor core.Floor, sc dtrace.SpanContext) (Route, error) {
 	span := l.tracer.Load().StartSpan("lb.route", sc)
 	defer span.End()
 	// The table-set drives routing in every mode once sharding is on,
@@ -272,8 +277,9 @@ func (l *LoadBalancer) DispatchCtx(sessionID, txnName string, tables []string, s
 		l.obsDegraded.Inc()
 		mode = core.Coarse
 	}
-	route := Route{Node: node, MinVersion: l.tracker.MinStartVersion(mode, tables, sessionID), Trace: span.Context()}
+	route := Route{Node: node, MinVersion: l.tracker.MinStartVersion(mode, tables, floor), Trace: span.Context()}
 	if span != nil {
+		span.SetAttr("session", sessionID)
 		span.SetAttr("replica", strconv.Itoa(node.ID()))
 		span.SetAttr("min_version", strconv.FormatUint(route.MinVersion, 10))
 	}
@@ -281,21 +287,13 @@ func (l *LoadBalancer) DispatchCtx(sessionID, txnName string, tables []string, s
 }
 
 // ObserveCommit folds a replica's commit response into the version
-// accounting. For read-only transactions the snapshot keeps the
-// session monotonic; for updates Vsystem, the written tables' Vt, and
-// the session version all advance.
-func (l *LoadBalancer) ObserveCommit(sessionID string, res replica.CommitResult) {
-	l.tracker.ObserveTableVersions(sessionID, res.Touched, res.TableVersions)
-	if res.ReadOnly {
-		l.tracker.ObserveReadOnly(res.Version, sessionID)
-		return
+// accounting: an update advances Vsystem and its written tables' Vt; a
+// read-only commit moves nothing here. The session's own floor is its
+// client's to raise, and the session ID is unused.
+func (l *LoadBalancer) ObserveCommit(_ string, res replica.CommitResult) {
+	if !res.ReadOnly {
+		l.tracker.ObserveCommit(res.Version, res.WrittenTables)
 	}
-	l.tracker.ObserveCommit(res.Version, res.WrittenTables, sessionID)
-}
-
-// EndSession drops a session's accounting.
-func (l *LoadBalancer) EndSession(sessionID string) {
-	l.tracker.ForgetSession(sessionID)
 }
 
 // LiveReplicas returns the number of non-crashed nodes.

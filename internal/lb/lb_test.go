@@ -95,7 +95,8 @@ func TestVersionTaggingPerMode(t *testing.T) {
 
 	l = New(core.Session, nodes)
 	observe(l)
-	if r, _ := l.Dispatch("alice", "any"); r.MinVersion != 5 {
+	alice := core.Floor{Version: 5}
+	if r, _ := l.DispatchCtx("alice", "any", nil, alice, dtrace.SpanContext{}); r.MinVersion != 5 {
 		t.Fatalf("session(alice) min = %d, want 5", r.MinVersion)
 	}
 	if r, _ := l.Dispatch("carol", "any"); r.MinVersion != 0 {
@@ -104,7 +105,7 @@ func TestVersionTaggingPerMode(t *testing.T) {
 
 	l = New(core.Eager, nodes)
 	observe(l)
-	if r, _ := l.Dispatch("alice", "any"); r.MinVersion != 0 {
+	if r, _ := l.DispatchCtx("alice", "any", nil, alice, dtrace.SpanContext{}); r.MinVersion != 0 {
 		t.Fatalf("eager min = %d, want 0", r.MinVersion)
 	}
 
@@ -128,19 +129,36 @@ func TestVersionTaggingPerMode(t *testing.T) {
 	}
 }
 
+// TestReadOnlyObservationKeepsSessionMonotonic: a read-only commit
+// moves no balancer state; the session's floor, which its client raised
+// to the read's snapshot, lifts the start tag above the mode's bound.
 func TestReadOnlyObservationKeepsSessionMonotonic(t *testing.T) {
-	l := New(core.Session, []Node{&fakeNode{id: 0}})
+	l := New(core.Coarse, []Node{&fakeNode{id: 0}})
+	l.ObserveCommit("s", replica.CommitResult{Version: 4, WrittenTables: []string{"t"}})
 	l.ObserveCommit("s", replica.CommitResult{Version: 9, ReadOnly: true})
-	if r, _ := l.Dispatch("s", ""); r.MinVersion != 9 {
-		t.Fatalf("session after read-only = %d, want 9", r.MinVersion)
+	if got := l.Tracker().VSystem(); got != 4 {
+		t.Fatalf("Vsystem = %d after a read-only commit at 9, want 4", got)
 	}
-	// Read-only must not advance Vsystem (no update happened).
-	if got := l.Tracker().VSystem(); got != 0 {
-		t.Fatalf("Vsystem advanced by read-only commit: %d", got)
+	for _, tc := range []struct {
+		floor core.Floor
+		want  uint64
+	}{{core.Floor{}, 4}, {core.Floor{Version: 2}, 4}, {core.Floor{Version: 9}, 9}} {
+		if r, _ := l.DispatchCtx("s", "", nil, tc.floor, dtrace.SpanContext{}); r.MinVersion != tc.want {
+			t.Fatalf("floor %+v: min = %d, want %d", tc.floor, r.MinVersion, tc.want)
+		}
 	}
-	l.EndSession("s")
-	if r, _ := l.Dispatch("s", ""); r.MinVersion != 0 {
-		t.Fatalf("session survived EndSession: %d", r.MinVersion)
+	// Fine: the floor of a declared table counts, another table's not.
+	lf := New(core.Fine, []Node{&fakeNode{id: 0}})
+	floor := core.Floor{Version: 30, Tables: []string{"a"}, Versions: []uint64{12}}
+	if r, _ := lf.DispatchCtx("s", "", []string{"a"}, floor, dtrace.SpanContext{}); r.MinVersion != 12 {
+		t.Fatalf("fine(a) min = %d, want 12", r.MinVersion)
+	}
+	if r, _ := lf.DispatchCtx("s", "", []string{"b"}, floor, dtrace.SpanContext{}); r.MinVersion != 0 {
+		t.Fatalf("fine(b) min = %d, want 0", r.MinVersion)
+	}
+	// An unregistered name degrades to coarse, scalar floor included.
+	if r, _ := lf.DispatchCtx("s", "unknown", nil, floor, dtrace.SpanContext{}); r.MinVersion != 30 {
+		t.Fatalf("fine(unknown) min = %d, want 30", r.MinVersion)
 	}
 }
 
@@ -157,16 +175,16 @@ func TestDispatchTables(t *testing.T) {
 	l := New(core.Fine, []Node{&fakeNode{id: 0}})
 	l.ObserveCommit("s", replica.CommitResult{Version: 4, WrittenTables: []string{"orders"}})
 	l.ObserveCommit("s", replica.CommitResult{Version: 9, WrittenTables: []string{"item"}})
-	if r, _ := l.DispatchCtx("x", "", []string{"orders"}, dtrace.SpanContext{}); r.MinVersion != 4 {
+	if r, _ := l.DispatchCtx("x", "", []string{"orders"}, core.Floor{}, dtrace.SpanContext{}); r.MinVersion != 4 {
 		t.Fatalf("explicit tables min = %d, want 4", r.MinVersion)
 	}
-	if r, _ := l.DispatchCtx("x", "", []string{"country"}, dtrace.SpanContext{}); r.MinVersion != 0 {
+	if r, _ := l.DispatchCtx("x", "", []string{"country"}, core.Floor{}, dtrace.SpanContext{}); r.MinVersion != 0 {
 		t.Fatalf("untouched table min = %d, want 0", r.MinVersion)
 	}
 	// Non-fine modes ignore the set and use their own rule.
 	lc := New(core.Coarse, []Node{&fakeNode{id: 0}})
 	lc.ObserveCommit("s", replica.CommitResult{Version: 7, WrittenTables: []string{"t"}})
-	if r, _ := lc.DispatchCtx("x", "", []string{"country"}, dtrace.SpanContext{}); r.MinVersion != 7 {
+	if r, _ := lc.DispatchCtx("x", "", []string{"country"}, core.Floor{}, dtrace.SpanContext{}); r.MinVersion != 7 {
 		t.Fatalf("coarse with explicit tables min = %d, want 7", r.MinVersion)
 	}
 }
@@ -182,7 +200,7 @@ func TestSetShardRouting(t *testing.T) {
 	l := New(core.Coarse, []Node{full, zero, one})
 	routeA := func() int {
 		t.Helper()
-		route, err := l.DispatchCtx("s", "", []string{"a"}, dtrace.SpanContext{})
+		route, err := l.DispatchCtx("s", "", []string{"a"}, core.Floor{}, dtrace.SpanContext{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,6 +52,10 @@ var (
 	// global commits: nobody would ever report it global. The transaction
 	// is aborted, and a retry would be too.
 	ErrNotEager = errors.New("replica: eager commit, but the certifier does not track global commits")
+	// ErrStartTimeout refuses a begin whose start version the replica
+	// did not reach within the caller's bound (BeginWithin). Nothing
+	// was started.
+	ErrStartTimeout = errors.New("replica: start version not reached in time")
 )
 
 // CertService is the certifier as seen by a replica: local
@@ -594,12 +598,32 @@ func (r *Replica) startApplySpans(tr *dtrace.Tracer, batch []certifier.Refresh) 
 
 // WaitVersion blocks until Vlocal ≥ v (the synchronization start
 // delay) or the replica crashes.
-func (r *Replica) WaitVersion(v uint64) error {
+func (r *Replica) WaitVersion(v uint64) error { return r.waitVersion(v, 0) }
+
+// waitVersion is WaitVersion for at most limit (0: no bound), after
+// which it returns ErrStartTimeout.
+func (r *Replica) waitVersion(v uint64, limit time.Duration) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// expired is allocated only for a wait that has a bound: a wait
+	// that needs none must cost the read path nothing.
+	var expired *bool
+	if limit > 0 && r.engine().Version() < v {
+		expired = new(bool)
+		t := time.AfterFunc(limit, func() {
+			r.mu.Lock()
+			*expired = true
+			r.cond.Broadcast()
+			r.mu.Unlock()
+		})
+		defer t.Stop()
+	}
 	for r.engine().Version() < v {
 		if r.crashed {
 			return ErrCrashed
+		}
+		if expired != nil && *expired {
+			return ErrStartTimeout
 		}
 		r.cond.Wait()
 	}
@@ -692,6 +716,14 @@ func (t *Txn) leave() {
 // is the caller's span context: the transaction's replica.txn span is
 // recorded under it.
 func (r *Replica) Begin(minVersion uint64, parent *dtrace.SpanContext) (*Txn, error) {
+	return r.BeginWithin(minVersion, 0, parent)
+}
+
+// BeginWithin is Begin that waits for minVersion at most limit (0: no
+// bound): a start version the replica has not reached by then fails
+// with ErrStartTimeout and starts nothing. A server bounds the wait of
+// a start version its caller chose, which no version may ever reach.
+func (r *Replica) BeginWithin(minVersion uint64, limit time.Duration, parent *dtrace.SpanContext) (*Txn, error) {
 	tx := &Txn{r: r, id: r.nextTxnID.Add(1)}
 	tx.touched = tx.touchedBuf[:0]
 	if tr := r.tracer.Load(); tr != nil {
@@ -712,7 +744,7 @@ func (r *Replica) Begin(minVersion uint64, parent *dtrace.SpanContext) (*Txn, er
 		tx.span.SetAttr("replica", strconv.Itoa(r.cfg.ID))
 		tx.span.SetAttr("min_version", strconv.FormatUint(minVersion, 10))
 	}
-	err := r.WaitVersion(minVersion)
+	err := r.waitVersion(minVersion, limit)
 	if err == nil {
 		r.mu.Lock()
 		if r.crashed {
@@ -725,7 +757,11 @@ func (r *Replica) Begin(minVersion uint64, parent *dtrace.SpanContext) (*Txn, er
 	}
 	if err != nil {
 		tx.leave()
-		tx.span.SetAttr("outcome", "crashed")
+		outcome := "crashed"
+		if err == ErrStartTimeout {
+			outcome = "start timeout"
+		}
+		tx.span.SetAttr("outcome", outcome)
 		tx.span.End()
 		return nil, err
 	}
@@ -933,11 +969,11 @@ type CommitResult struct {
 	Touched []string
 	// TableVersions bounds, per table of Touched and aligned with it, the
 	// newest write this transaction can have observed (written tables
-	// report the commit version itself; 0 is no bound). The load
-	// balancer folds these into the session's per-table floors — the
-	// fine-grained session bound that lets a later transaction on a cold
-	// table start immediately while still never regressing below
-	// anything this one saw.
+	// report the commit version itself; 0 is no bound). Under
+	// fine-grained consistency the session's client folds these into its
+	// per-table floors (core.Floor) — the session bound that lets a later
+	// transaction on a cold table start immediately while still never
+	// regressing below anything this one saw.
 	TableVersions []uint64
 }
 

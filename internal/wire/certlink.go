@@ -445,9 +445,8 @@ type CertClient struct {
 	// lease is the latest subAck's lease in nanoseconds, 0 before the
 	// first and after one this client refused (see Grace).
 	lease atomic.Int64
-	// refused logs the first lease this client cannot honour, and
-	// refusedShards the certifier's first refusal of its shards.
-	refused, refusedShards sync.Once
+	// refused logs the first lease this client cannot honour.
+	refused sync.Once
 	// smap is the latest subAck's shard map, nil before the first.
 	smap atomic.Pointer[shard.Map]
 	// moves counts what can move the certifier's table versions as far
@@ -606,7 +605,10 @@ func (c *CertClient) subscribed(gen int) bool {
 // subLoop maintains the refresh stream for one subscription
 // generation: connect, take the certifier's version at registration as
 // the serve floor and its lease, backfill up to the floor, then pump
-// batches until the stream breaks; repeat with backoff.
+// batches until the stream breaks; repeat with backoff. A certifier
+// that lacks a shard this client serves refuses it for good: its map is
+// fixed for its life, so the loop ends there and the replica stays
+// unready until it is restarted with shards the certifier has.
 func (c *CertClient) subLoop(gen int, q *certifier.Mailbox) {
 	b := c.opts.backoff
 	delay := b.Min
@@ -619,7 +621,10 @@ func (c *CertClient) subLoop(gen int, q *certifier.Mailbox) {
 		if !c.subscribed(gen) {
 			return
 		}
-		if c.runStream(gen, q) {
+		switch c.runStream(gen, q) {
+		case streamRefused:
+			return
+		case streamDelivered:
 			delay = b.Min // made progress: reset the backoff
 		}
 		c.streamDown()
@@ -634,20 +639,27 @@ func (c *CertClient) subLoop(gen int, q *certifier.Mailbox) {
 	}
 }
 
-// runStream performs one connect-backfill-pump cycle; it reports
-// whether the stream got as far as delivering refreshes (for backoff
-// reset).
-func (c *CertClient) runStream(gen int, q *certifier.Mailbox) bool {
+// streamEnd is how one runStream cycle ended.
+type streamEnd int
+
+const (
+	streamFailed    streamEnd = iota // before delivering refreshes
+	streamDelivered                  // after delivering refreshes: the backoff resets
+	streamRefused                    // the certifier lacks a shard this client serves
+)
+
+// runStream performs one connect-backfill-pump cycle.
+func (c *CertClient) runStream(gen int, q *certifier.Mailbox) streamEnd {
 	dial := c.opts.dialer(c.addr)
 	conn, err := dial("tcp", c.addr)
 	if err != nil {
-		return false
+		return streamFailed
 	}
 	c.mu.Lock()
 	if c.subGen != gen {
 		c.mu.Unlock()
 		conn.Close()
-		return false
+		return streamFailed
 	}
 	c.sub = conn
 	c.mu.Unlock()
@@ -669,7 +681,7 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) bool {
 		conn.SetDeadline(time.Now().Add(d))
 	}
 	if err := fc.send(&certHello{Kind: linkCertSub, ReplicaID: c.replicaID, VLocal: from, Shards: c.opts.shards}); err != nil {
-		return false
+		return streamFailed
 	}
 	// The ack arrives once the server has registered the subscription;
 	// its version is the serve floor. Every version the certifier had
@@ -682,13 +694,11 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) bool {
 		if !errors.Is(err, io.EOF) {
 			log.Printf("wire: subscribe to %s: %v", c.addr, err)
 		}
-		return false
+		return streamFailed
 	}
 	if id, ok := ack.Shards.Lacks(c.opts.shards); ok {
-		c.refusedShards.Do(func() {
-			log.Printf("wire: certifier %s has %d shard(s) and refuses replica %d, which serves shard %d", c.addr, ack.Shards.N(), c.replicaID, id)
-		})
-		return false
+		log.Printf("wire: certifier %s has %d shard(s) and refuses replica %d, which serves shard %d", c.addr, ack.Shards.N(), c.replicaID, id)
+		return streamRefused
 	}
 	c.smap.Store(ack.Shards)
 	conn.SetDeadline(time.Time{})
@@ -714,7 +724,7 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) bool {
 	for after := from; after < floor; {
 		hist, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.backoff.Max)
 		if err != nil {
-			return false
+			return streamFailed
 		}
 		if len(hist.History) == 0 {
 			break
@@ -732,10 +742,10 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) bool {
 		}
 		var batch refreshBatch
 		if err := fc.recv(&batch); err != nil {
-			return true
+			return streamDelivered
 		}
 		if !c.subscribed(gen) {
-			return true
+			return streamDelivered
 		}
 		if len(batch) > 0 {
 			q.Put(batch...)

@@ -8,18 +8,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sconrep/internal/core"
 	"sconrep/internal/obs/dtrace"
 	"sconrep/internal/sql"
 )
 
 // Client is an application's connection to a gateway: one session, one
-// transaction at a time.
+// transaction at a time. It holds the session's floor, which a client
+// dialed after this one breaks takes over (Resume).
 type Client struct {
 	conn net.Conn
 	fc   *frameConn
 	to   Timeouts
-	// broken is set on any transport error: the session's gateway state
-	// is unknown and the caller must reconnect with a fresh session.
+	// broken is set on any transport error: what the gateway holds of
+	// the open transaction is unknown, and the caller must reconnect.
 	broken atomic.Bool
 	// mu is held across each exchange, request and answer: the session's
 	// own and the idle timer's.
@@ -53,12 +55,17 @@ type Client struct {
 	// snapshot is the latest transaction's begin snapshot.
 	snapshot uint64
 	// readOnly: the latest response left a transaction open that had
-	// written nothing, with readTables its observed table-set. Committing
-	// it is local to its replica (§IV) and everything the commit response
-	// would say is already here, so that commit is an end the client
-	// holds.
-	readOnly   bool
-	readTables []string
+	// written nothing, with readTables its observed table-set and
+	// readVersions their bounds. Committing it is local to its replica
+	// (§IV) and everything the commit response would say is already
+	// here, so that commit is an end the client holds.
+	readOnly     bool
+	readTables   []string
+	readVersions []uint64
+	// floor is the session's: every commit answered on it, and every
+	// held read-only end, raises it before the next begin header, which
+	// carries it.
+	floor core.Floor
 }
 
 var errBroken = errors.New("wire: session broken, reconnect")
@@ -100,8 +107,14 @@ func (c *Client) Close() error {
 
 // Broken reports whether the session hit a transport error. A broken
 // client cannot be reused: the gateway may have already aborted the
-// open transaction and dropped the session's version floor.
+// open transaction. The session goes on: dial a new client under the
+// same ID and Resume it from this one.
 func (c *Client) Broken() bool { return c.broken.Load() }
+
+// Resume makes c, freshly dialed, carry on prev's session: c takes the
+// session's floor from prev, so read-your-writes and monotonic reads
+// hold across the reconnect. prev, broken or closed, is not used again.
+func (c *Client) Resume(prev *Client) { c.floor = prev.floor }
 
 // exchange puts c.req on the wire, carrying the held end, and reads its
 // answer into c.resp. Caller holds mu. A held end is delivered at most
@@ -152,7 +165,7 @@ func (c *Client) call(o op, query string, params []any) (clientResponse, error) 
 	c.mu.Lock()
 	c.req = clientRequest{Op: o, SQL: query, Params: params}
 	if begin {
-		c.req.Begin, c.req.TxnName, c.req.Tables, c.req.Trace = true, c.txnName, c.tables, c.trace
+		c.req.Begin, c.req.TxnName, c.req.Tables, c.req.Trace, c.req.Floor = true, c.txnName, c.tables, c.trace, c.floor
 	}
 	err := c.exchange()
 	resp := c.resp
@@ -166,7 +179,7 @@ func (c *Client) call(o op, query string, params []any) (clientResponse, error) 
 	if begin {
 		c.snapshot = resp.Snapshot
 	}
-	c.readOnly, c.readTables = resp.ReadOnly && o != opCommit, resp.ReadTables
+	c.readOnly, c.readTables, c.readVersions = resp.ReadOnly && o != opCommit, resp.ReadTables, resp.TableVersions
 	return resp, nil
 }
 
@@ -288,6 +301,7 @@ func (c *Client) Commit() (version uint64, readOnly bool, err error) {
 // next request carries it (see hold).
 func (c *Client) CommitEx() (CommitInfo, error) {
 	if c.readOnly && !c.armed {
+		c.floor.Observe(c.snapshot, c.readTables, c.readVersions)
 		c.hold(false)
 		return CommitInfo{Version: c.snapshot, ReadOnly: true, Snapshot: c.snapshot, ReadTables: c.readTables}, nil
 	}
@@ -295,6 +309,7 @@ func (c *Client) CommitEx() (CommitInfo, error) {
 	if err != nil {
 		return CommitInfo{}, err
 	}
+	c.floor.Observe(resp.Version, resp.ReadTables, resp.TableVersions)
 	return CommitInfo{
 		Version:     resp.Version,
 		ReadOnly:    resp.ReadOnly,

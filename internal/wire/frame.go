@@ -54,7 +54,7 @@ import (
 // codecVersion is the protocol version carried in every hello. Bump it
 // with any change to a frame layout; TestFrameRoundTrip then prints the
 // testdata/frames.golden to commit.
-const codecVersion = 9
+const codecVersion = 10
 
 // helloMagic opens every connection's first frame.
 const helloMagic = "SCRP"
@@ -276,7 +276,7 @@ const (
 	flagCrashed  = 1 << 5
 	flagReady    = 1 << 6
 	flagCommit   = 1 << 7
-	flagVersions = 1 << 7 // replica responses only: table versions aligned with Touched follow it
+	flagVersions = 1 << 7 // replica and client responses only: table versions aligned with the touched tables follow them
 	flagShards   = 1 << 0 // replica status responses only: served shards and the shard map follow
 )
 
@@ -328,6 +328,33 @@ func readSliceInto[T any](d *writeset.Decoder, dst []T, read func(*writeset.Deco
 }
 
 func readStrings(d *writeset.Decoder) []string { return readSlice(d, (*writeset.Decoder).Str) }
+
+// appendAligned appends versions that ride aligned with a string slice
+// already written: len(vs) values and no length, which must be the
+// slice's.
+func appendAligned(buf []byte, vs []uint64, names []string) ([]byte, error) {
+	if len(vs) != len(names) {
+		return nil, fmt.Errorf("wire: %d versions for %d tables", len(vs), len(names))
+	}
+	for _, v := range vs {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf, nil
+}
+
+// readAligned reads the n versions appendAligned wrote, into dst's array
+// when it has room. n is the length of a slice the frame carried, so
+// the frame bounds it.
+func readAligned(d *writeset.Decoder, dst []uint64, n int) []uint64 {
+	if dst == nil || cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = d.Uvarint()
+	}
+	return dst
+}
 
 func appendInts(buf []byte, xs []int) []byte {
 	buf = writeset.AppendLen(buf, len(xs), xs == nil)

@@ -96,10 +96,17 @@ func frameCases() []struct {
 			SQL: "SELECT 1"}, &clientRequest{}},
 		{"clientRequest/endOnly", &clientRequest{Seq: 2, HasEnd: true, End: clientEnd{HeldUs: 500_000}}, &clientRequest{}},
 		{"clientRequest/empties", &clientRequest{Tables: []string{}, Params: []any{}}, &clientRequest{}},
+		{"clientRequest/floor", &clientRequest{Seq: 3, Op: opExec, Begin: true, Floor: core.Floor{Version: 41},
+			SQL: "SELECT 1"}, &clientRequest{}},
+		{"clientRequest/tableFloors", &clientRequest{Seq: 3, Op: opExec, Begin: true, Tables: []string{"a"}, SQL: "SELECT 1",
+			Floor: core.Floor{Version: math.MaxUint64, Tables: []string{"a", "b"}, Versions: []uint64{math.MaxUint64, 3}}},
+			&clientRequest{}},
 		{"clientResponse", &clientResponse{Seq: 9, Err: "boom", ErrCode: codeConflict, Result: result, Snapshot: math.MaxUint64,
 			Version: math.MaxUint64, ReadOnly: true, WriteTables: []string{"kv"}, ReadTables: []string{}}, &clientResponse{}},
 		{"clientResponse/zero", &clientResponse{}, &clientResponse{}},
 		{"clientResponse/emptyResult", &clientResponse{Result: &sql.Result{Columns: []string{}, Rows: [][]any{}}}, &clientResponse{}},
+		{"clientResponse/versions", &clientResponse{Seq: 9, Snapshot: 7, Version: 7, ReadOnly: true,
+			ReadTables: []string{"a", "b"}, TableVersions: []uint64{math.MaxUint64, 0}}, &clientResponse{}},
 		{"replicaRequest", &replicaRequest{Seq: 3, Op: opCommit, Begin: true, MinVersion: math.MaxUint64, Trace: sc,
 			SQL: "UPDATE kv SET v = ? WHERE k = ?", Params: edgeValues(), Eager: true}, &replicaRequest{}},
 		{"replicaRequest/txn", &replicaRequest{Seq: 3, Op: opExec, TxnID: math.MaxUint64, SQL: "SELECT 1"}, &replicaRequest{}},
@@ -450,7 +457,7 @@ func TestHelloRejected(t *testing.T) {
 // a registered transaction's name and tables, the statement cache key
 // and its parse, string parameters bound for a row, the table names a
 // commit's versions enter the balancer's tracker under — is its own
-// copy. Each is decoded from a buffer the
+// copy, and so is what a client keeps of a response in its floor. Each is decoded from a buffer the
 // test owns and then overwrites; a retained alias would change with it.
 func TestRetainedStringsAreCopies(t *testing.T) {
 	d := newDeployment(t, 1, core.Fine)
@@ -500,11 +507,18 @@ func TestRetainedStringsAreCopies(t *testing.T) {
 		Touched: []string{"kv"}, TableVersions: []uint64{9}}}, &commit)
 	d.gateway.Balancer().ObserveCommit("s", commit.Commit)
 	scribble(p)
-	if v := d.gateway.Balancer().Tracker().MinStartVersion(core.Fine, []string{"kv"}, "s"); v != 9 {
-		t.Errorf("session floor on kv after the frame was overwritten = %d, want 9", v)
-	}
 	if v := d.gateway.Balancer().Tracker().TableVersion("kv"); v != 9 {
 		t.Errorf("Vt(kv) after the frame was overwritten = %d, want 9", v)
+	}
+
+	// The client keeps the table names of its floor past the response.
+	var answer clientResponse
+	p = decode(&clientResponse{Version: 9, ReadTables: []string{"kv"}, TableVersions: []uint64{9}}, &answer)
+	var floor core.Floor
+	floor.Observe(answer.Version, answer.ReadTables, answer.TableVersions)
+	scribble(p)
+	if v := d.gateway.Balancer().Tracker().MinStartVersion(core.Fine, []string{"kv"}, floor); v != 9 {
+		t.Errorf("session floor on kv after the frame was overwritten = %d, want 9", v)
 	}
 }
 

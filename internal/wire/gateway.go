@@ -45,11 +45,13 @@ type clientRequest struct {
 
 	// Begin marks the begin header: the session's next transaction
 	// starts with this request — routed by TxnName or Tables, started at
-	// the chosen replica under the mode's start rule — and Op then runs
-	// in it, all in the one round trip. A header request that fails
-	// leaves no transaction behind.
+	// the chosen replica under the mode's start rule and no lower than
+	// Floor, the session's own — and Op then runs in it, all in the one
+	// round trip. A header request that fails leaves no transaction
+	// behind.
 	Begin   bool
 	TxnName string
+	Floor   core.Floor
 	// Trace is the client-side root span's context, propagated through
 	// the lb route and the replica begin; zero from an untraced client.
 	Trace dtrace.SpanContext
@@ -88,6 +90,13 @@ func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
 		// The abort bit rides in the low bit of the hold, as in replicaEnd.
 		buf = binary.AppendUvarint(buf, r.End.HeldUs<<1|uint64(flagIf(r.End.Abort, 1)))
 	}
+	if r.Begin {
+		buf = appendStrings(binary.AppendUvarint(buf, r.Floor.Version), r.Floor.Tables)
+		var err error
+		if buf, err = appendAligned(buf, r.Floor.Versions, r.Floor.Tables); err != nil {
+			return nil, err
+		}
+	}
 	buf = writeset.AppendString(buf, r.Name)
 	buf = appendStrings(buf, r.Tables)
 	buf = writeset.AppendString(buf, r.TxnName)
@@ -95,7 +104,7 @@ func (r *clientRequest) appendTo(buf []byte) ([]byte, error) {
 	return writeset.AppendRow(buf, r.Params)
 }
 
-// parse decodes into r, reusing the array of its Params.
+// parse decodes into r, reusing the arrays of its Params and Floor.
 func (r *clientRequest) parse(d *writeset.Decoder) {
 	r.Seq = d.Uvarint()
 	r.Op = readOp(d)
@@ -106,6 +115,15 @@ func (r *clientRequest) parse(d *writeset.Decoder) {
 	if r.HasEnd {
 		held := d.Uvarint()
 		r.End = clientEnd{Abort: held&1 != 0, HeldUs: held >> 1}
+	}
+	f := &r.Floor
+	tables, versions := f.Tables, f.Versions
+	*f = core.Floor{}
+	if r.Begin {
+		f.Version = d.Uvarint()
+		if f.Tables = readSliceInto(d, tables, (*writeset.Decoder).Str); f.Tables != nil {
+			f.Versions = readAligned(d, versions, len(f.Tables))
+		}
 	}
 	r.Name = d.Str()
 	r.Tables = readStrings(d)
@@ -129,10 +147,15 @@ type clientResponse struct {
 	ReadOnly    bool
 	WriteTables []string
 	ReadTables  []string
+	// TableVersions, aligned with ReadTables, are the replica's
+	// per-table bounds (replica.CommitResult.TableVersions): a
+	// fine-grained gateway forwards them for the session's floor, any
+	// other sends none.
+	TableVersions []uint64
 }
 
 func (r *clientResponse) appendTo(buf []byte) ([]byte, error) {
-	flags := flagIf(r.Result != nil, flagResult) | flagIf(r.ReadOnly, flagReadOnly)
+	flags := flagIf(r.Result != nil, flagResult) | flagIf(r.ReadOnly, flagReadOnly) | flagIf(r.TableVersions != nil, flagVersions)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = writeset.AppendString(append(buf, flags, byte(r.ErrCode)), r.Err)
 	buf, err := appendResult(buf, r.Result)
@@ -142,12 +165,16 @@ func (r *clientResponse) appendTo(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, r.Snapshot)
 	buf = binary.AppendUvarint(buf, r.Version)
 	buf = appendStrings(buf, r.WriteTables)
-	return appendStrings(buf, r.ReadTables), nil
+	buf = appendStrings(buf, r.ReadTables)
+	if r.TableVersions == nil {
+		return buf, nil
+	}
+	return appendAligned(buf, r.TableVersions, r.ReadTables)
 }
 
 func (r *clientResponse) parse(d *writeset.Decoder) {
 	r.Seq = d.Uvarint()
-	flags := readFlags(d, flagResult|flagReadOnly)
+	flags := readFlags(d, flagResult|flagReadOnly|flagVersions)
 	r.ReadOnly = flags&flagReadOnly != 0
 	r.ErrCode = readErrCode(d)
 	r.Err = d.Str()
@@ -156,6 +183,10 @@ func (r *clientResponse) parse(d *writeset.Decoder) {
 	r.Version = d.Uvarint()
 	r.WriteTables = readStrings(d)
 	r.ReadTables = readStrings(d)
+	r.TableVersions = nil
+	if flags&flagVersions != 0 {
+		r.TableVersions = readAligned(d, nil, len(r.ReadTables))
+	}
 }
 
 // Gateway is the networked load balancer: it accepts client sessions,
@@ -255,17 +286,19 @@ func (g *Gateway) probeLoop() {
 }
 
 // gatewaySession is the per-connection session state: sessions are
-// serial, so at most one transaction is open per connection.
+// serial, so at most one transaction is open per connection. It is the
+// connection's only: the session's floor is its client's, and nothing
+// of the session outlives the connection here.
 type gatewaySession struct {
+	// id names the session in lb.route spans.
 	id      string
 	replica *remoteReplica
 	txnID   uint64
 	open    bool
-	// roCommit is what committing the open transaction would return, as
-	// of its replica's latest response; unset (not ReadOnly) once the
-	// transaction has written, and while a request is in flight. Its
-	// slices are resp's: the next exchange overwrites them.
-	roCommit replica.CommitResult
+	// readOnly says the open transaction had written nothing when its
+	// replica last answered, so its commit may travel as an end; false
+	// while a request is in flight.
+	readOnly bool
 	// fwd and resp are the session's exchange with its replica, reused
 	// from request to request, and ends the array fwd carries held ends
 	// in.
@@ -289,7 +322,6 @@ func (g *Gateway) handle(fc *frameConn) {
 	// A session may think for as long as it likes between requests: only
 	// the hello runs under the idle deadline.
 	c.SetReadDeadline(time.Time{})
-	// The balancer keeps the session id until EndSession.
 	sess := &gatewaySession{id: strings.Clone(hello.SessionID)}
 	g.sessions.Add(1)
 	defer g.sessions.Add(-1)
@@ -304,7 +336,6 @@ func (g *Gateway) handle(fc *frameConn) {
 			default:
 			}
 		}
-		g.balancer.EndSession(sess.id)
 	}()
 	var guard seqGuard
 	var req clientRequest
@@ -332,9 +363,8 @@ func (g *Gateway) handle(fc *frameConn) {
 // whatever becomes of it, and reports whether it was one that may travel
 // so: an abort, or the commit of an open transaction that had written
 // nothing when its replica last answered. That commit is local to the
-// replica and its result is already here, so the gateway does now what
-// the commit response used to make it do — before it routes the
-// session's next transaction, the order an answered commit gave — and
+// replica, its result is already at the client, which folded it into
+// the session's floor, and it moves no balancer state: the gateway
 // holds the end for the next request to the replica, which releases the
 // snapshot there. The replica excises the client's hold and the
 // gateway's alike. A commit end out of place is refused: the caller
@@ -343,11 +373,10 @@ func (g *Gateway) handle(fc *frameConn) {
 func (g *Gateway) runEnd(sess *gatewaySession, e *clientEnd) bool {
 	o := opAbort
 	if !e.Abort {
-		if !sess.open || !sess.roCommit.ReadOnly {
+		if !sess.open || !sess.readOnly {
 			return false
 		}
 		o = opCommit
-		g.balancer.ObserveCommit(sess.id, sess.roCommit)
 	}
 	g.obsReqs.Load().With(o.String()).Inc()
 	if sess.open {
@@ -416,7 +445,7 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest, resp *clien
 	var err error
 	for refusals := 0; ; refusals++ {
 		if req.Begin {
-			route, rerr := g.balancer.DispatchCtx(sess.id, req.TxnName, req.Tables, req.Trace)
+			route, rerr := g.balancer.DispatchCtx(sess.id, req.TxnName, req.Tables, req.Floor, req.Trace)
 			if rerr != nil {
 				fail(rerr)
 				return
@@ -436,7 +465,7 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest, resp *clien
 			fwd.Eager = g.balancer.Mode() == core.Eager
 			sess.end()
 		}
-		sess.roCommit = replica.CommitResult{}
+		sess.readOnly = false
 		fwd.Ends = sess.ends
 		err = sess.replica.call(fwd, r)
 		if fwd.Ends != nil {
@@ -462,11 +491,14 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest, resp *clien
 	resp.Result = r.Result
 	resp.ReadOnly = r.Commit.ReadOnly
 	resp.ReadTables = r.Commit.Touched
+	if g.balancer.Mode() == core.Fine {
+		resp.TableVersions = r.Commit.TableVersions
+	}
 	if req.Op == opCommit {
 		g.balancer.ObserveCommit(sess.id, r.Commit)
 		resp.Version = r.Commit.Version
 		resp.WriteTables = r.Commit.WrittenTables
 	} else {
-		sess.roCommit = r.Commit
+		sess.readOnly = r.Commit.ReadOnly
 	}
 }

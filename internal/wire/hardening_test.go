@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -555,5 +557,52 @@ func TestHelloClosedEarlyNotLogged(t *testing.T) {
 	settle(0)
 	if got := strings.Count(out.String(), "rejecting"); got != 1 {
 		t.Fatalf("Close with a connection in its hello logged:\n%s", out.String())
+	}
+}
+
+// TestUnreachableFloorIsRefused: a begin header's floor is the client's
+// word, and no version may ever reach it. The replica waits for it at
+// most half a call and refuses the begin with ErrStartTimeout, inside
+// the client's call deadline: the exchange is answered, so the gateway
+// keeps its connection to the replica and the replica routable, and the
+// replica serves the next session normally.
+func TestUnreachableFloorIsRefused(t *testing.T) {
+	const call = 400 * time.Millisecond
+	d := newDeploymentWith(t, 1, core.Session, WithTimeouts(Timeouts{Call: call}))
+	dial := func(session string) *Client {
+		t.Helper()
+		c, err := Dial(d.gateway.Addr(), session, WithTimeouts(Timeouts{Call: call}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	read := func(c *Client) error {
+		c.Start("", nil, dtrace.SpanContext{})
+		if _, err := c.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil {
+			return err
+		}
+		_, _, err := c.Commit()
+		return err
+	}
+	greedy := dial("greedy")
+	greedy.floor.Version = math.MaxUint64
+	start := time.Now()
+	if err := read(greedy); !errors.Is(err, replica.ErrStartTimeout) {
+		t.Fatalf("begin at an unreachable floor: %v, want ErrStartTimeout", err)
+	}
+	if took := time.Since(start); took >= call {
+		t.Fatalf("refused after %s, not inside the call deadline %s", took, call)
+	}
+	if greedy.Broken() || d.gateway.replicas[0].Crashed() {
+		t.Fatal("the refusal broke the client's connection or took the replica out of routing")
+	}
+	if err := read(dial("next")); err != nil {
+		t.Fatalf("the next session: %v", err)
+	}
+	greedy.floor.Version = 0
+	if err := read(greedy); err != nil {
+		t.Fatalf("the refused session at an honest floor: %v", err)
 	}
 }

@@ -151,9 +151,6 @@ type replicaResponse struct {
 
 func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
 	tv := r.Commit.TableVersions
-	if tv != nil && len(tv) != len(r.Commit.Touched) {
-		return nil, fmt.Errorf("wire: %d table versions for %d touched tables", len(tv), len(r.Commit.Touched))
-	}
 	flags := flagIf(r.Result != nil, flagResult) | flagIf(r.Commit.ReadOnly, flagReadOnly) |
 		flagIf(r.Crashed, flagCrashed) | flagIf(r.Ready, flagReady) | flagIf(tv != nil, flagVersions) |
 		flagIf(r.Shards != nil, flagShards)
@@ -168,8 +165,10 @@ func (r *replicaResponse) appendTo(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, r.Commit.Version)
 	buf = appendStrings(buf, r.Commit.WrittenTables)
 	buf = appendStrings(buf, r.Commit.Touched)
-	for _, v := range tv {
-		buf = binary.AppendUvarint(buf, v)
+	if tv != nil {
+		if buf, err = appendAligned(buf, tv, r.Commit.Touched); err != nil {
+			return nil, err
+		}
 	}
 	buf = binary.AppendUvarint(buf, r.Version)
 	buf = binary.AppendVarint(buf, int64(r.Active))
@@ -196,15 +195,7 @@ func (r *replicaResponse) parse(d *writeset.Decoder) {
 	r.Commit.Touched = readSliceInto(d, r.Commit.Touched, (*writeset.Decoder).Str)
 	r.Commit.TableVersions = nil
 	if flags&flagVersions != 0 {
-		// Touched's length is bounded by the frame: so is this one.
-		if n := len(r.Commit.Touched); tv == nil || cap(tv) < n {
-			tv = make([]uint64, n)
-		}
-		tv = tv[:len(r.Commit.Touched)]
-		for i := range tv {
-			tv[i] = d.Uvarint()
-		}
-		r.Commit.TableVersions = tv
+		r.Commit.TableVersions = readAligned(d, tv, len(r.Commit.Touched))
 	}
 	r.Version = d.Uvarint()
 	r.Active = int(d.Varint())
@@ -242,6 +233,7 @@ const (
 	codeCrashed
 	codeUnavailable
 	codeNotEager
+	codeStartTimeout
 	numErrCodes
 )
 
@@ -265,6 +257,8 @@ func codeOf(err error) errCode {
 		return codeUnavailable
 	case errors.Is(err, replica.ErrNotEager):
 		return codeNotEager
+	case errors.Is(err, replica.ErrStartTimeout):
+		return codeStartTimeout
 	default:
 		return codeOther
 	}
@@ -283,6 +277,8 @@ func decodeErr(code errCode, msg string) error {
 		return fmt.Errorf("%w: %s", ErrUnavailable, msg)
 	case codeNotEager:
 		return fmt.Errorf("%w: %s", replica.ErrNotEager, msg)
+	case codeStartTimeout:
+		return fmt.Errorf("%w: %s", replica.ErrStartTimeout, msg)
 	default:
 		return errors.New(msg)
 	}
@@ -495,8 +491,12 @@ func (s *ReplicaServer) dispatch(req *replicaRequest, resp *replicaResponse) {
 			fail(ErrUnavailable)
 			return
 		}
+		// The start version may be a client's floor, which no version
+		// need ever reach: wait for it at most half a call, so that the
+		// refusal reaches the gateway inside its call deadline, and the
+		// gateway's answer the client inside the client's.
 		var err error
-		tx, err = s.rep.Begin(req.MinVersion, &req.Trace)
+		tx, err = s.rep.BeginWithin(req.MinVersion, s.opts.to.Call/2, &req.Trace)
 		if err != nil {
 			fail(err)
 			return

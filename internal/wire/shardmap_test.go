@@ -51,8 +51,9 @@ func TestClientLearnsShardMap(t *testing.T) {
 }
 
 // TestClientLogsShardRefusalOnce: a subscriber naming a shard its
-// certifier lacks is refused on every reconnect, logs it once, naming
-// the shard and the certifier's count, and never reports its stream up.
+// certifier lacks is refused, logs it once, naming the shard and the
+// certifier's count, never reports its stream up, and does not
+// subscribe again: the certifier logs one refusal.
 func TestClientLogsShardRefusalOnce(t *testing.T) {
 	var logged logBuffer
 	log.SetOutput(&logged)
@@ -66,15 +67,15 @@ func TestClientLogsShardRefusalOnce(t *testing.T) {
 		WithBackoff(Backoff{Min: time.Millisecond, Max: 5 * time.Millisecond}))
 	defer cli.Close()
 	cli.Subscribe(7)
-	// Several reconnects, each refused.
+	// Room for several reconnects at the backoff ceiling: there is none.
 	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if cli.StreamLive(0) || cli.Serving() || cli.ShardMap() != nil {
 			t.Fatal("refused subscription reported up")
 		}
 	}
 	out := logged.String()
-	if n := strings.Count(out, "subscribes to shard 3"); n < 2 {
-		t.Fatalf("certifier logged %d refusals, want one per reconnect:\n%s", n, out)
+	if n := strings.Count(out, "subscribes to shard 3, certifier has 1 shard(s); closing its stream"); n != 1 {
+		t.Fatalf("certifier logged %d refusals, want one: a refused subscription is not retried:\n%s", n, out)
 	}
 	if n := strings.Count(out, "has 1 shard(s) and refuses replica 7, which serves shard 3"); n != 1 {
 		t.Fatalf("replica logged the refusal %d times, want once:\n%s", n, out)

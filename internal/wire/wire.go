@@ -18,7 +18,10 @@
 //     executes, and commits transactions on a replica, and probes its
 //     status, which carries the replica's shards and that map;
 //   - client link (Gateway / Client): applications open sessions and
-//     run named transactions.
+//     run named transactions. A session's floor is its client's: every
+//     begin header carries it, and a client dialed after a broken one
+//     takes it over (Client.Resume), so a session outlives its
+//     connection and the gateway keeps nothing of it past one.
 //
 // Every connection opens with a hello frame carrying the protocol
 // version; there is no negotiation. On the last two links a request is
@@ -30,11 +33,11 @@
 // would return, and an abort has nothing to say. Such an end rides on a
 // later request, on each link in turn:
 //
-//   - client link: the client holds it and the session's next request,
-//     of any op, carries it (clientEnd). The gateway runs it before the
-//     request itself — the commit's observation feeds the session's
-//     floor before its next transaction is routed — and closes the
-//     connection on a commit end out of place. A client idle for
+//   - client link: the client folds a read-only commit into the
+//     session's floor at once, holds its end, and the session's next
+//     request, of any op, carries it (clientEnd). The gateway runs it
+//     before the request itself and closes the connection on a commit
+//     end out of place. A client idle for
 //     probePeriod (500 ms) with an end held sends it on an answered
 //     request that carries nothing else, and Close does the same.
 //   - replica link: the gateway holds it for that replica, and its next

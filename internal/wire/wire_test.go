@@ -280,6 +280,55 @@ func TestDistributedFineGrained(t *testing.T) {
 	}
 }
 
+// TestClientFloorFollowsAnswers: a client folds each answered commit,
+// and each read-only commit it holds the end of, into its session's
+// floor. The per-table floors come only from a fine-grained gateway, so
+// a client under any other mode holds, and sends, none.
+func TestClientFloorFollowsAnswers(t *testing.T) {
+	for _, mode := range []core.Mode{core.Coarse, core.Fine} {
+		d := newDeployment(t, 1, mode)
+		dial := func(session string) *Client {
+			t.Helper()
+			c, err := Dial(d.gateway.Addr(), session)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		run := func(c *Client, stmt string) uint64 {
+			t.Helper()
+			c.Start("", []string{"kv"}, dtrace.SpanContext{})
+			if _, err := c.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+			v, _, err := c.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		c, other := dial("s"), dial("other")
+		written := run(c, `UPDATE kv SET v = 'x' WHERE k = 1`)
+		if c.floor.Version != written {
+			t.Fatalf("%s: floor %d after a commit at %d", mode, c.floor.Version, written)
+		}
+		later := run(other, `UPDATE kv SET v = 'y' WHERE k = 3`)
+		if snap := run(c, `SELECT v FROM kv WHERE k = 2`); snap != later || c.floor.Version != later {
+			t.Fatalf("%s: floor %d after a read at %d, want %d", mode, c.floor.Version, snap, later)
+		}
+		var tables []string
+		var versions []uint64
+		if mode == core.Fine {
+			tables, versions = []string{"kv"}, []uint64{later}
+		}
+		if !reflect.DeepEqual(c.floor.Tables, tables) || !reflect.DeepEqual(c.floor.Versions, versions) {
+			t.Fatalf("%s: per-table floors %v %v, want %v %v", mode, c.floor.Tables, c.floor.Versions, tables, versions)
+		}
+		c.Close()
+		other.Close()
+	}
+}
+
 func TestDistributedConcurrentClients(t *testing.T) {
 	d := newDeployment(t, 3, core.Coarse)
 	var wg sync.WaitGroup

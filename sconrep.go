@@ -241,8 +241,9 @@ func (db *DB) RegisterTxn(name string, stmts ...*Stmt) {
 	db.c.RegisterTxn(name, ps...)
 }
 
-// SessionHandle is one client connection. Transactions within a
-// session are serial.
+// SessionHandle is one client session. Transactions within a session
+// are serial, and its guarantees hold across a reconnect: the session
+// holds its own version floor.
 type SessionHandle struct{ s *cluster.Session }
 
 // Session opens a session with a generated ID.
@@ -250,13 +251,15 @@ func (db *DB) Session() *SessionHandle {
 	return &SessionHandle{s: db.c.NewSession()}
 }
 
-// SessionWithID opens a session with an explicit ID (one ID = one
-// client for the session-consistency bookkeeping).
+// SessionWithID opens a session with an explicit ID. The ID names the
+// session in traces and in the consistency oracle's history, so give
+// each session its own; the session's guarantees come from the version
+// floor the handle holds, which a reconnect keeps.
 func (db *DB) SessionWithID(id string) *SessionHandle {
 	return &SessionHandle{s: db.c.SessionWithID(id)}
 }
 
-// Close releases the session's accounting.
+// Close ends the session and closes its connection.
 func (s *SessionHandle) Close() { s.s.Close() }
 
 // ID returns the session identifier.
