@@ -65,12 +65,13 @@ ci: bench-e2e-smoke
 # Flake guard: one run of the suite cannot see a flake that fails one
 # run in four, so these tests run 25 times — the ones that ride a
 # restart, a crashed replica, a lease, the probe period (the gateway's,
-# or a client's idle timer), the replicas' concurrent bulk loads, or a
+# or a client's idle timer), a restarted gateway's first probe against a
+# delayed certifier link, the replicas' concurrent bulk loads, or a
 # local commit's turn in the apply window between refreshes, a
 # reconnect backoff, a bounded start wait, and the read path's
 # allocation ceilings, which a stray collection or timer could tip.
 # CI's flake-guard step runs this target: this is the one list.
-FLAKE_TESTS = TestDeploymentSmoke|TestShardedDeploymentLearnsRouting|TestGatewayLearnsShardRouting|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs|TestClientLogsShardRefusalOnce|TestUnreachableFloorIsRefused
+FLAKE_TESTS = TestDeploymentSmoke|TestShardedDeploymentLearnsRouting|TestGatewayLearnsShardRouting|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs|TestClientLogsShardRefusalOnce|TestUnreachableFloorIsRefused|TestRestartedGatewayKeepsStrongReads
 FLAKE_PKGS = ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/sql ./internal/wire .
 flake-guard:
 	$(GO) test -count=25 -run '$(FLAKE_TESTS)' $(FLAKE_PKGS)

@@ -104,6 +104,15 @@ func runChaosBacklog(t *testing.T, mode core.Mode, seed int64) {
 	}
 	c.RegisterTxn("bumpSlot", bumpSlot)
 	v0 := c.Certifier().Version()
+	// The oracle reads every version on every replica: a transaction
+	// open at v0 on each engine keeps them all linked.
+	for i := 0; i < chaosReplicas; i++ {
+		hold, err := c.Replica(i).Engine().BeginAt(v0)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, replay)
+		}
+		defer hold.Abort()
+	}
 
 	inj.SetActive(true)
 	labels := []string{cluster.LinkClient}
@@ -200,6 +209,7 @@ func runChaosBacklog(t *testing.T, mode core.Mode, seed int64) {
 				t.Fatalf("%v\n%s", err, replay)
 			}
 			kvs, err := tx.ScanAll("slot")
+			tx.Abort()
 			if err != nil {
 				t.Fatalf("%v\n%s", err, replay)
 			}

@@ -376,26 +376,21 @@ func (c *Cluster) Close() {
 	c.certNode.Close()
 }
 
-// VacuumAll reclaims storage on every replica and trims the
-// certifier's history/index below the slowest replica's version.
-// Safe to call while the cluster runs.
+// VacuumAll trims the certifier's history and conflict index at the
+// lowest of the replicas' horizons (storage.Engine.Horizon). Each
+// replica collects its own row versions as it installs; no replica
+// holds a transaction, or a checkpoint scan, at a snapshot below its
+// horizon, so none will certify one below the trim. Safe to call while
+// the cluster runs.
 func (c *Cluster) VacuumAll() {
-	min := uint64(^uint64(0))
+	low := uint64(^uint64(0))
 	for _, n := range c.nodes {
-		if v := n.Replica.Version(); v < min {
-			min = v
-		}
+		low = min(low, n.Replica.Engine().Horizon())
 	}
-	if min == ^uint64(0) || min == 0 {
+	if low == ^uint64(0) {
 		return
 	}
-	// Transactions may still be running at snapshots as low as min;
-	// keep one extra version of slack.
-	watermark := min - 1
-	for _, n := range c.nodes {
-		n.Replica.Engine().Vacuum(watermark)
-	}
-	c.Certifier().TrimBelow(watermark)
+	c.Certifier().TrimBelow(low)
 }
 
 // Session is one client's connection to the gateway. A session issues

@@ -492,9 +492,21 @@ func mustBegin(t *testing.T, s *Session, name string) *Tx {
 	return tx
 }
 
+// TestVacuumAllKeepsClusterServing trims the certifier mid-run and at
+// the end, and the session goes on committing and reading; a read
+// transaction open across the trim keeps its replica's horizon at its
+// snapshot, so the trim stays at or below it and the reads still see
+// that snapshot.
 func TestVacuumAllKeepsClusterServing(t *testing.T) {
 	c := newCluster(t, Config{Replicas: 2, Mode: core.Fine, Seed: 9})
 	s := c.NewSession()
+	reader := c.NewSession()
+	defer reader.Close()
+	open := mustBegin(t, reader, "readCounter")
+	first, err := open.Exec(readCounter, int64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		tx := mustBegin(t, s, "bumpCounter")
 		if _, err := tx.Exec(bumpCounter, int64(i%4)); err != nil {
@@ -509,6 +521,16 @@ func TestVacuumAllKeepsClusterServing(t *testing.T) {
 		}
 	}
 	c.VacuumAll()
+	again, err := open.Exec(readCounter, int64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(again.Rows) != fmt.Sprint(first.Rows) {
+		t.Fatalf("open transaction read %v after the trims, %v before", again.Rows, first.Rows)
+	}
+	if _, err := open.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	tx := mustBegin(t, s, "readCounter")
 	if _, err := tx.Exec(readCounter, int64(1)); err != nil {
 		t.Fatal(err)

@@ -50,6 +50,29 @@ func TestClusterObservability(t *testing.T) {
 		t.Fatalf("exposition:\n%s", text)
 	}
 
+	// The sessions closed with the ends they held; once the gateway's
+	// are delivered too, no snapshot is open and no replica's horizon
+	// lags its version.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.FlushEnds()
+		var sb strings.Builder
+		reg.WritePrometheus(&sb)
+		stuck := ""
+		for i := 0; i < c.NumReplicas(); i++ {
+			if line := fmt.Sprintf("sconrep_replica_gc_horizon_lag{replica=\"%d\"} 0\n", i); !strings.Contains(sb.String(), line) {
+				stuck = line
+			}
+		}
+		if stuck == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("exposition lacks %q with every session closed:\n%s", stuck, sb.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
 	// Vlocal on every replica must have advanced past the bootstrap
 	// version: the load committed updates and FSC refreshes them.
 	for i := 0; i < c.NumReplicas(); i++ {

@@ -95,6 +95,8 @@ type Tracker struct {
 	mu      sync.Mutex
 	vsystem uint64
 	tables  map[string]uint64
+	// seed is the floor Seed put under every table's Vt.
+	seed uint64
 }
 
 // NewTracker returns a tracker at version 0 with no known tables.
@@ -125,6 +127,21 @@ func (t *Tracker) ObserveCommit(version uint64, writtenTables []string) {
 	}
 }
 
+// Seed folds in a version the tracker learned without observing the
+// commits below it: a replica's Vlocal, from the first status answer a
+// new gateway gets from that replica. Vsystem rises to it, and it
+// becomes a floor under every table's Vt, since the tracker cannot tell
+// which tables those commits wrote. Under FSC a transaction therefore
+// starts at or above the seed, as under CSC, but only there: a commit
+// observed later raises only its own tables' Vt, so §III-C's benefit
+// holds for every lag after the seed. Versions only move forward.
+func (t *Tracker) Seed(v uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.vsystem = max(t.vsystem, v)
+	t.seed = max(t.seed, v)
+}
+
 // VSystem returns the current system version.
 func (t *Tracker) VSystem() uint64 {
 	t.mu.Lock()
@@ -132,11 +149,11 @@ func (t *Tracker) VSystem() uint64 {
 	return t.vsystem
 }
 
-// TableVersion returns Vt for one table.
+// TableVersion returns Vt for one table, at or above the seed.
 func (t *Tracker) TableVersion(table string) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.tables[table]
+	return max(t.seed, t.tables[table])
 }
 
 // MinStartVersion returns the version the executing replica must reach
@@ -179,7 +196,7 @@ func (t *Tracker) MinStartVersion(mode Mode, tableSet []string, f Floor) uint64 
 	case Fine:
 		var v uint64
 		for _, tab := range tableSet {
-			v = max(v, t.tables[tab], f.table(tab))
+			v = max(v, t.seed, t.tables[tab], f.table(tab))
 		}
 		return v
 	case Session:

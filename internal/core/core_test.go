@@ -88,6 +88,35 @@ func TestFineReadOnlyTablesStartImmediately(t *testing.T) {
 
 // TestSessionTracking: each session's floor is its own, and the
 // tracker adds every session's commits to the coarse bound.
+// TestSeedFloorsEveryTable: a seed raises Vsystem and floors every
+// table's Vt, known or not, so FSC starts at it like CSC; a later commit
+// raises only its own tables, a lower seed changes nothing, and a
+// transaction over no table is not held.
+func TestSeedFloorsEveryTable(t *testing.T) {
+	tr := NewTracker()
+	tr.Seed(5)
+	if v := tr.VSystem(); v != 5 {
+		t.Fatalf("Vsystem %d after Seed(5)", v)
+	}
+	for _, tc := range []struct {
+		mode   Mode
+		tables []string
+		want   uint64
+	}{{Coarse, nil, 5}, {Fine, []string{"a"}, 5}, {Fine, nil, 0}, {Session, []string{"a"}, 0}} {
+		if got := tr.MinStartVersion(tc.mode, tc.tables, Floor{}); got != tc.want {
+			t.Errorf("%v over %v after Seed(5): start %d, want %d", tc.mode, tc.tables, got, tc.want)
+		}
+	}
+	tr.ObserveCommit(7, []string{"a"})
+	tr.Seed(3)
+	if a, b := tr.MinStartVersion(Fine, []string{"a"}, Floor{}), tr.MinStartVersion(Fine, []string{"b"}, Floor{}); a != 7 || b != 5 {
+		t.Errorf("FSC starts a at %d, b at %d; want 7 and 5", a, b)
+	}
+	if v := tr.VSystem(); v != 7 {
+		t.Errorf("Vsystem %d after a commit at 7 and Seed(3), want 7", v)
+	}
+}
+
 func TestSessionTracking(t *testing.T) {
 	tr := NewTracker()
 	var alice, bob Floor

@@ -387,8 +387,12 @@ func (s *Store) CheckpointNow() error {
 // checkpoint covers. Caller has set ckptBusy; cleared here.
 func (s *Store) checkpoint() error {
 	began := s.clock()
-	at := s.eng.Version()
+	// The pin holds the horizon at or below at from the moment at is
+	// chosen until the image is written.
+	pin := s.eng.Begin()
+	at := pin.Snapshot()
 	err := s.writeCheckpointFile(at)
+	pin.Abort()
 
 	s.mu.Lock()
 	defer func() {

@@ -350,7 +350,7 @@ func TestCheckpointRecoveryEdgeCases(t *testing.T) {
 				if v != ckptV {
 					t.Fatalf("snapshot version %d, want %d", v, ckptV)
 				}
-				mustEqualAt(t, eng, referenceEngine(t, 512), ckptV)
+				mustEqualAt(t, eng, referenceEngine(t, ckptV), ckptV)
 				st.Abandon()
 				return 512
 			},

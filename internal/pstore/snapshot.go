@@ -65,8 +65,15 @@ var errAborted = errors.New("pstore: snapshot aborted")
 // returns the CRC-inclusive byte count. abort, if non-nil, is polled
 // between row chunks; returning true abandons the write. The scan is
 // fuzzy: it never blocks the apply pipeline (see Engine.ScanVisible),
-// yet the image is exactly the state at version at.
+// yet the image is exactly the state at version at, which it pins for
+// the whole write, so installs meanwhile cut nothing it reads. A
+// version below eng's horizon fails with storage.ErrPruned.
 func WriteSnapshot(w io.Writer, eng *storage.Engine, at uint64, abort func() bool) (int64, error) {
+	pin, err := eng.BeginAt(at)
+	if err != nil {
+		return 0, fmt.Errorf("pstore: snapshot at %d: %w", at, err)
+	}
+	defer pin.Abort()
 	cw := &crcWriter{w: w}
 	buf := make([]byte, 0, 256)
 
@@ -148,8 +155,9 @@ func WriteSnapshot(w io.Writer, eng *storage.Engine, at uint64, abort func() boo
 	return cw.n, nil
 }
 
-// SnapshotAt returns the canonical snapshot image of eng at version at.
-// The recovery-equivalence oracle compares these across replicas.
+// SnapshotAt returns the canonical snapshot image of eng at version at,
+// which must not be below eng's horizon (see WriteSnapshot). The
+// recovery-equivalence oracle compares these across replicas.
 func SnapshotAt(eng *storage.Engine, at uint64) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := WriteSnapshot(&buf, eng, at, nil); err != nil {

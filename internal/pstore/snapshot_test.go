@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sconrep/internal/storage"
 	"sconrep/internal/writeset"
@@ -35,6 +36,12 @@ func goldenImage(t testing.TB) []byte {
 // typedEngine builds an engine exercising every value type, NULLs,
 // strings with NULs, multiple tables, and a composite key.
 func typedEngine(t testing.TB) *storage.Engine {
+	return typedEngineWith(t, func(*storage.Engine) {})
+}
+
+// typedEngineWith is typedEngine calling at(e) as e reaches each
+// version, before the next write lands.
+func typedEngineWith(t testing.TB, at func(e *storage.Engine)) *storage.Engine {
 	e := storage.NewEngine()
 	if err := e.CreateTable(&storage.Schema{
 		Table: "a_typed",
@@ -79,6 +86,7 @@ func typedEngine(t testing.TB) *storage.Engine {
 		if err := e.ApplyWriteSet(ws, v); err != nil {
 			t.Fatal(err)
 		}
+		at(e)
 	}
 	// A delete: tombstoned rows must be absent from the snapshot.
 	v++
@@ -87,6 +95,7 @@ func typedEngine(t testing.TB) *storage.Engine {
 	}}}, v); err != nil {
 		t.Fatal(err)
 	}
+	at(e)
 	return e
 }
 
@@ -122,9 +131,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // Snapshots at an older version must see through newer writes — the
-// fuzzy-checkpoint visibility rule.
+// fuzzy-checkpoint visibility rule — as long as something holds that
+// version at or above the horizon; once nothing does, the snapshot is
+// refused.
 func TestSnapshotAtOlderVersion(t *testing.T) {
-	e := typedEngine(t)
+	var hold *storage.Txn
+	e := typedEngineWith(t, func(e *storage.Engine) {
+		if e.Version() == 2 {
+			hold = e.Begin()
+		}
+	})
 	imgOld, err := SnapshotAt(e, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +160,10 @@ func TestSnapshotAtOlderVersion(t *testing.T) {
 	}
 	if !bytes.Equal(imgOld, img2) {
 		t.Fatal("older-version snapshot not a fixed point")
+	}
+	hold.Abort()
+	if _, err := SnapshotAt(e, 2); !errors.Is(err, storage.ErrPruned) {
+		t.Fatalf("snapshot at 2 below the horizon %d: %v, want storage.ErrPruned", e.Horizon(), err)
 	}
 }
 
@@ -306,5 +326,88 @@ func TestOldFormatCheckpointRefused(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, oldFormatImage()) {
 		t.Fatalf("Open touched the old-format checkpoint (%v)", err)
+	}
+}
+
+// TestFuzzyCheckpointMatchesQuiescentImage writes a checkpoint while a
+// writer keeps updating and deleting the rows it scans, each write
+// pruning the chain it extends, and requires the image to be
+// byte-identical to that of an engine that applied the same writesets
+// up to the checkpoint's version and then stopped.
+func TestFuzzyCheckpointMatchesQuiescentImage(t *testing.T) {
+	const rows = 2000
+	schema := &storage.Schema{
+		Table:   "kv",
+		Columns: []storage.Column{{Name: "k", Type: storage.TInt}, {Name: "v", Type: storage.TInt}},
+		Key:     []string{"k"},
+	}
+	// ws is the writeset at version v: a bulk load at 1, then an update of
+	// one row and, every third version, a delete of another.
+	ws := func(v uint64) *writeset.WriteSet {
+		w := &writeset.WriteSet{}
+		if v == 1 {
+			for k := int64(0); k < rows; k++ {
+				w.Items = append(w.Items, writeset.Item{Table: "kv", Key: storage.EncodeKey(k), Op: writeset.OpInsert, Row: []any{k, int64(0)}})
+			}
+			return w
+		}
+		k := int64(v*13) % rows
+		w.Items = append(w.Items, writeset.Item{Table: "kv", Key: storage.EncodeKey(k), Op: writeset.OpUpdate, Row: []any{k, int64(v)}})
+		if v%3 == 0 {
+			w.Items = append(w.Items, writeset.Item{Table: "kv", Key: storage.EncodeKey(int64(v*7+1) % rows), Op: writeset.OpDelete})
+		}
+		return w
+	}
+	build := func(to uint64) *storage.Engine {
+		e := storage.NewEngine()
+		if err := e.CreateTable(schema); err != nil {
+			t.Fatal(err)
+		}
+		for v := uint64(1); v <= to; v++ {
+			if err := e.ApplyWriteSet(ws(v), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+
+	e := build(100)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := e.Version() + 1; ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.ApplyWriteSet(ws(v), v); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	pin := e.Begin()
+	at := pin.Snapshot()
+	var img bytes.Buffer
+	_, err := WriteSnapshot(&img, e, at, func() bool {
+		time.Sleep(200 * time.Microsecond) // let writes land mid-scan
+		return false
+	})
+	pin.Abort()
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Version() <= at {
+		t.Fatalf("no write landed during the checkpoint at %d", at)
+	}
+	want, err := SnapshotAt(build(at), at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img.Bytes(), want) {
+		t.Fatalf("fuzzy image at %d (%d bytes) differs from the quiescent one (%d bytes)", at, img.Len(), len(want))
 	}
 }

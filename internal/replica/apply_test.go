@@ -35,7 +35,9 @@ func TestApplySameKeyAdjacentVersions(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := storage.NewEngine()
-			loadKV(t, eng) // Vlocal = 1
+			loadKV(t, eng)      // Vlocal = 1
+			hold := eng.Begin() // keeps every version for the reads below
+			defer hold.Abort()
 			fake := newFakeCert()
 			r := New(Config{ID: 0, EarlyCert: true}, eng, fake)
 			defer r.Crash()

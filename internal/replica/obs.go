@@ -64,6 +64,13 @@ func (r *Replica) EnableObs(reg *obs.Registry, tr *obs.TraceRecorder) {
 	reg.GaugeFunc("sconrep_replica_applied_version",
 		"Vlocal: the replica's latest applied commit version.",
 		func() float64 { return float64(r.Version()) }, "replica", id)
+	reg.GaugeFunc("sconrep_replica_gc_horizon_lag",
+		"Vlocal minus the storage horizon: how many versions the oldest open snapshot holds collection back (0 when none is open).",
+		func() float64 {
+			e := r.engine()
+			h := e.Horizon() // first: the version only grows past it
+			return float64(e.Version() - h)
+		}, "replica", id)
 	reg.GaugeFunc("sconrep_replica_refresh_queue_depth",
 		"Refresh writesets received but not yet applied (mailbox + reorder buffer).",
 		func() float64 { return float64(r.RefreshQueueDepth()) }, "replica", id)

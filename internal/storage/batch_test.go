@@ -17,6 +17,8 @@ func insertWS(id int64, owner string, bal float64) *writeset.WriteSet {
 
 func TestApplyWriteSetBatch(t *testing.T) {
 	e := newTestEngine(t)
+	hold := e.Begin() // keeps every version for the reads at older snapshots
+	defer hold.Abort()
 	batch := []*writeset.WriteSet{
 		insertWS(1, "ann", 1),
 		insertWS(2, "bob", 2),
@@ -179,6 +181,7 @@ func dumpAt(t *testing.T, e *Engine, v uint64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer tx.Abort()
 	kvs, err := tx.ScanAll("acct")
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +224,10 @@ func TestApplyWriteSetBatchMatchesPerWriteset(t *testing.T) {
 	for name, wss := range inputs {
 		t.Run(name, func(t *testing.T) {
 			one, many, split := newTestEngine(t), newTestEngine(t), newTestEngine(t)
+			// A transaction open at snapshot 0 keeps every version readable.
+			for _, e := range []*Engine{one, many, split} {
+				defer e.Begin().Abort()
+			}
 			for i, ws := range wss {
 				if err := one.ApplyWriteSet(ws, uint64(i+1)); err != nil {
 					t.Fatal(err)

@@ -33,8 +33,8 @@ func kvTable(t *testing.T) *Engine {
 // values, one repeated, inside key bounds, after rows already in dst)
 // and the index walk (whole and abandoned) with a brute-force model:
 // a table several chunks long whose indexed column holds NULLs, history
-// on both sides of two readers' snapshots, vacuum at the newer one's and
-// keys re-inserted after it, and one reader's own inserts, updates and
+// on both sides of two readers' snapshots, pruning at the newer one's
+// once the older ends and keys re-inserted after it, and one reader's own inserts, updates and
 // deletes on top — rows moved into, out of and between index values and
 // to and from NULL.
 func TestCursorAgainstModel(t *testing.T) {
@@ -224,16 +224,16 @@ func TestCursorAgainstModel(t *testing.T) {
 	check("older snapshot", older, olderModel)
 	older.Abort()
 
-	// Vacuum below the reader: the chains of keys deleted before its
-	// snapshot go, and so do the index entries of replaced versions. Then
+	// With older ended, the reader holds the horizon: the next installs
+	// cut every version only older could see, with its index entries,
+	// and drop the chains of keys deleted before the reader's snapshot;
 	// some of those keys come back.
-	e.Vacuum(reader.Snapshot())
-	check("vacuumed", reader, readerModel)
 	for i := 0; i < 2; i++ {
 		commit(700)
 	}
+	check("pruned", reader, readerModel)
 	newest := e.Begin()
-	check("re-inserted after vacuum", newest, model)
+	check("re-inserted after pruning", newest, model)
 	newest.Abort()
 
 	// The reader's own writes, including a key above and a key below
@@ -341,8 +341,9 @@ func TestIndexReadOwnWritesKeyOrder(t *testing.T) {
 	}
 }
 
-// TestIndexEntryFollowsChain deletes a row, vacuums its chain away and
-// inserts the same key with the same indexed value again: the index entry
+// TestIndexEntryFollowsChain deletes a row, has the next install drop
+// its chain from the tree and inserts the same key with the same indexed
+// value again: the index entry
 // leads to the new chain, for an equality read, a keyed fetch's read and
 // an index walk alike — on an index created with the table, on one
 // CreateIndex backfilled over history, and after a checkpoint restore.
@@ -406,9 +407,9 @@ func TestIndexEntryFollowsChain(t *testing.T) {
 		write(t, e, []any{int64(1), int64(7), int64(100)}, other)
 		reads(t, e, index, []any{int64(1), int64(7), int64(100)}, other, []any{int64(1), int64(7), int64(100)})
 		write(t, e, []any{int64(1)})
-		e.Vacuum(e.Version())
+		write(t, e, other) // the first install the delete's horizon has passed
 		if n := e.tables["kv"].rows.Len(); n != 1 {
-			t.Fatalf("%d chains after vacuum, want 1: the deleted row's is not dropped", n)
+			t.Fatalf("%d chains after the next install, want 1: the deleted row's is not dropped", n)
 		}
 		write(t, e, []any{int64(1), int64(7), int64(200)})
 		reads(t, e, index, []any{int64(1), int64(7), int64(200)}, other, []any{int64(1), int64(7), int64(200)})
@@ -446,7 +447,7 @@ func TestIndexEntryFollowsChain(t *testing.T) {
 // ScanIndexEq, AppendIndexIn and an index walk — they are the stored
 // slices, not copies — while other goroutines install and publish new
 // versions of the same keys, moving them between index values and to and
-// from NULL, and vacuum the old ones away, then checks every held row
+// from NULL, and prune the old ones away as they install, then checks every held row
 // still reads as it did. Under -race a write into a shared row, or into
 // an index entry a reader follows, is reported as one.
 func TestSharedRowsNeverMutated(t *testing.T) {
@@ -467,7 +468,7 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	wg.Add(1)
-	go func() { // the applier: install without publishing, then publish, then vacuum
+	go func() { // the applier: install without publishing, then publish
 		defer wg.Done()
 		defer close(done)
 		for v := uint64(2); v < 2+rounds; v++ {
@@ -485,12 +486,6 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 				return
 			}
 			e.PublishVersion(v)
-			if v%16 == 0 {
-				// Behind the readers, or (one of them descheduled for a
-				// while) under one: then its reads come back short, which
-				// is vacuum's contract, not this test's subject.
-				e.Vacuum(v - 8)
-			}
 		}
 	}()
 	for g := 0; g < 3; g++ {

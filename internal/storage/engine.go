@@ -25,17 +25,26 @@
 // Concurrency model. One function, installRun, links row versions into
 // chains; every writer is a thin caller that picks the engine lock and
 // the ordering check. ApplyWriteSet, ApplyWriteSetBatch and CommitLocal
-// (and Vacuum) hold e.mu exclusively and publish the versions they
-// install before releasing it, exactly as the paper's
-// one-commit-at-a-time proxy requires. InstallWriteSets holds e.mu
-// shared, so several runs install concurrently, and leaves publication
-// to a later PublishVersion. Readers take the per-table lock for B-tree
-// and index traversal and rely on atomically swapped chain heads plus
-// the snapshot filter, so versions installed but not yet published are
-// never observable. installRun states what concurrent callers owe it.
+// hold e.mu exclusively and publish the versions they install before
+// releasing it, exactly as the paper's one-commit-at-a-time proxy
+// requires. InstallWriteSets holds e.mu shared, so several runs install
+// concurrently, and leaves publication to a later PublishVersion.
+// Readers take the per-table lock for B-tree and index traversal and
+// rely on atomically swapped chain heads plus the snapshot filter, so
+// versions installed but not yet published are never observable.
+// installRun states what concurrent callers owe it.
+//
+// Garbage. Every unfinished Txn and every ScanVisible pins the snapshot
+// it reads, and Horizon is the lowest pin, or the published version
+// when nothing is pinned: no reader can see a version older than the
+// newest one at or below it. installRun, as it pushes a head onto a
+// chain, cuts every version older than that one, and drops from the
+// tree the chains of earlier deletes whose tombstone the horizon has
+// passed. Collection rides the install path; nothing sweeps.
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -55,16 +64,21 @@ var (
 	ErrConflict     = errors.New("storage: write-write conflict")
 	ErrTxnFinished  = errors.New("storage: transaction already finished")
 	ErrBadVersion   = errors.New("storage: commit version out of order")
+	ErrPruned       = errors.New("storage: snapshot below the horizon")
 )
 
-// verRow is one version of a row. deleted marks a tombstone. row and
-// prev are immutable after the verRow is linked into a chain, except
-// that Vacuum (under an exclusive engine lock) may cut prev.
+// verRow is one version of a row. deleted marks a tombstone. version,
+// deleted and row are immutable after the verRow is linked into a chain;
+// prev is cut to nil by installRun once no snapshot at or above the
+// horizon can reach past the version (prune). A reader pinned at or
+// above the horizon stops at or before that version, so it never
+// follows a link being cut; prev is atomic all the same, so a walk and
+// a cut are race-free whatever the walker's snapshot.
 type verRow struct {
 	version uint64
 	deleted bool
 	row     []any
-	prev    *verRow
+	prev    atomic.Pointer[verRow]
 }
 
 // chain is the version chain of one primary key, newest first. The
@@ -77,7 +91,7 @@ type chain struct {
 
 // visibleAt returns the newest version at or below snapshot, or nil.
 func (c *chain) visibleAt(snapshot uint64) *verRow {
-	for v := c.head.Load(); v != nil; v = v.prev {
+	for v := c.head.Load(); v != nil; v = v.prev.Load() {
 		if v.version <= snapshot {
 			if v.deleted {
 				return nil
@@ -96,13 +110,14 @@ type secIndex struct {
 	tree *btree.Tree
 }
 
-// ixEntry is one secondary-index entry. n counts the live versions of the
-// row that carry the entry's value, so vacuum can drop the entry
-// precisely; it is written only under the table's exclusive lock. ch is
-// the row's chain, fixed for the entry's life: no entry outlives its
-// chain, because Vacuum drops a chain only when its head is a tombstone
-// and every older version is removed, and removing those versions takes
-// each of the key's entries to zero, which deletes it.
+// ixEntry is one secondary-index entry. n counts the versions still
+// linked in the row's chain that carry the entry's value, so a prune
+// drops the entry exactly when it cuts the last of them; it is written
+// only under the table's exclusive lock. ch is the row's chain, fixed
+// for the entry's life: no entry outlives its chain, because a chain
+// leaves the tree only once the horizon has passed its tombstone head
+// and every older version is cut, and cutting those versions takes each
+// of the key's entries to zero, which deletes it.
 type ixEntry struct {
 	n  int
 	ch *chain
@@ -141,6 +156,57 @@ func (ix *secIndex) remove(val any, pk string) {
 	}
 }
 
+// swap counts nv, the new head of the row under pk whose chain is ch,
+// into the index, and uncounts every version of cut, the versions a
+// prune just unlinked. A cut version carrying nv's value cancels nv's
+// count instead, so an update that leaves the indexed column alone
+// touches no entry.
+func (ix *secIndex) swap(pk string, ch *chain, nv, cut *verRow) {
+	add := !nv.deleted
+	for v := cut; v != nil; v = v.prev.Load() {
+		if v.deleted {
+			continue
+		}
+		if add && sameEncoding(v.row[ix.col], nv.row[ix.col]) {
+			add = false
+			continue
+		}
+		ix.remove(v.row[ix.col], pk)
+	}
+	if add {
+		ix.add(nv.row[ix.col], pk, ch)
+	}
+}
+
+// sameEncoding reports whether a and b index under one entry.
+func sameEncoding(a, b any) bool {
+	var ab, bb [64]byte
+	return string(EncodeValue(ab[:0], a)) == string(EncodeValue(bb[:0], b))
+}
+
+// prune unlinks, from the chain nv heads, every version older than the
+// newest one at or below horizon, and returns the first of them, the
+// head of the unlinked list; nil when there is nothing to cut.
+func prune(nv *verRow, horizon uint64) *verRow {
+	for v := nv; v != nil; v = v.prev.Load() {
+		if v.version <= horizon {
+			if v.prev.Load() == nil {
+				return nil // nothing linked below: store nothing
+			}
+			return v.prev.Swap(nil)
+		}
+	}
+	return nil
+}
+
+// tomb is a delete waiting for the horizon to pass it: once it has,
+// and the chain under key still ends in that tombstone, the chain
+// leaves the tree.
+type tomb struct {
+	key string
+	v   *verRow
+}
+
 // table holds one table's schema, row chains, and secondary indexes.
 type table struct {
 	schema *Schema
@@ -156,6 +222,10 @@ type table struct {
 	// indexes maps index name → index.
 	// guarded by mu
 	indexes map[string]*secIndex
+	// tombs are the deletes whose chains are still in rows, in install
+	// order (version order, except that concurrent runs may interleave).
+	// guarded by mu
+	tombs []tomb
 	// lastWrite is the newest version that installed an item (write or
 	// tombstone) into this table — the per-table Vt as the engine sees
 	// it, including not-yet-published refreshes. Advanced by max-CAS so
@@ -177,6 +247,21 @@ type Engine struct {
 	version atomic.Uint64
 	// id names the engine among every engine of the process (ID).
 	id uint64
+	// pinMu guards pins. Begin reads the version and pins it, and
+	// Horizon reads the lowest pin, under it, so a begin racing a
+	// horizon read lands at or above the value that read returns.
+	// locks after Engine.mu
+	pinMu sync.Mutex
+	// pins are the snapshots that unfinished transactions and scans
+	// read, ascending, each once with how many hold it.
+	// guarded by pinMu
+	pins []pin
+}
+
+// pin is one pinned snapshot and how many readers hold it.
+type pin struct {
+	snapshot uint64
+	n        int
 }
 
 // engines counts the engines made in this process.
@@ -242,7 +327,7 @@ func (e *Engine) CreateIndex(tableName string, def IndexDef) error {
 	it := t.rows.ScanAll()
 	for it.Next() {
 		pk, ch := it.Key(), it.Value().(*chain)
-		for v := ch.head.Load(); v != nil; v = v.prev {
+		for v := ch.head.Load(); v != nil; v = v.prev.Load() {
 			if !v.deleted {
 				ix.add(v.row[col], pk, ch)
 			}
@@ -282,6 +367,77 @@ func (e *Engine) Tables() []string {
 // Version returns the engine's published commit version (Vlocal).
 func (e *Engine) Version() uint64 {
 	return e.version.Load()
+}
+
+// Horizon returns the oldest snapshot any reader may still read: the
+// lowest snapshot an unfinished Txn or a running ScanVisible holds, or
+// the published version when none does. It never falls. No snapshot
+// below it can be begun or scanned, and every version older than the
+// newest one at or below it is garbage, which installRun cuts from each
+// chain it pushes a head onto.
+func (e *Engine) Horizon() uint64 {
+	e.pinMu.Lock()
+	defer e.pinMu.Unlock()
+	return e.horizonLocked()
+}
+
+// horizonLocked is Horizon; caller holds pinMu.
+func (e *Engine) horizonLocked() uint64 {
+	if len(e.pins) > 0 {
+		return e.pins[0].snapshot
+	}
+	return e.version.Load()
+}
+
+// pinLatest pins the published version and returns it.
+func (e *Engine) pinLatest() uint64 {
+	e.pinMu.Lock()
+	defer e.pinMu.Unlock()
+	v := e.version.Load()
+	e.pinLocked(v)
+	return v
+}
+
+// pinAt pins snapshot v, which must lie between the horizon and the
+// published version.
+func (e *Engine) pinAt(v uint64) error {
+	e.pinMu.Lock()
+	defer e.pinMu.Unlock()
+	if cur := e.version.Load(); v > cur {
+		return fmt.Errorf("storage: snapshot %d ahead of engine version %d", v, cur)
+	}
+	if h := e.horizonLocked(); v < h {
+		return fmt.Errorf("%w: snapshot %d, horizon %d", ErrPruned, v, h)
+	}
+	e.pinLocked(v)
+	return nil
+}
+
+// pinLocked adds one hold on snapshot v; caller holds pinMu. A new
+// snapshot is almost always the newest, so the search runs from the end.
+func (e *Engine) pinLocked(v uint64) {
+	i := len(e.pins)
+	for i > 0 && e.pins[i-1].snapshot > v {
+		i--
+	}
+	if i > 0 && e.pins[i-1].snapshot == v {
+		e.pins[i-1].n++
+		return
+	}
+	e.pins = slices.Insert(e.pins, i, pin{snapshot: v, n: 1})
+}
+
+// unpin releases one hold on snapshot v.
+func (e *Engine) unpin(v uint64) {
+	e.pinMu.Lock()
+	defer e.pinMu.Unlock()
+	i, ok := slices.BinarySearchFunc(e.pins, v, func(p pin, v uint64) int { return cmp.Compare(p.snapshot, v) })
+	if !ok {
+		panic(fmt.Sprintf("storage: unpin of snapshot %d, which nothing pins", v))
+	}
+	if e.pins[i].n--; e.pins[i].n == 0 {
+		e.pins = slices.Delete(e.pins, i, i+1)
+	}
 }
 
 // TableVersionsAt returns, for each named table, the newest version
@@ -343,6 +499,13 @@ func (e *Engine) sizeRun(wss []*writeset.WriteSet) (n, items int, err error) {
 // of them, or on error the ones before the offending writeset, which
 // itself is left untouched.
 //
+// It is also the one place versions are forgotten. The horizon is read
+// once, before the first link: a reader that begins later pins a
+// version at or above it. Each chain the run pushes a head onto is cut
+// below its newest version at or below that horizon (prune), and the
+// table's earlier deletes the horizon has passed leave the tree
+// (dropTombsLocked).
+//
 // The caller holds e.mu, shared or exclusive, and owns every ordering
 // check. Writes to one record inside one run are linked in version
 // order by the goroutine that runs it, so a run may write a record as
@@ -359,25 +522,30 @@ func (e *Engine) sizeRun(wss []*writeset.WriteSet) (n, items int, err error) {
 // one run-sized slab: one allocation per call instead of one per item,
 // which is most of what the refresh-apply hot path allocates. A slab
 // stays reachable while any one of its version rows does (chains point
-// into it), so vacuum reclaims version rows at run granularity — bounded
-// amplification, a run being one local commit or at most one apply
-// batch — and the row images themselves one by one. Each table's lock
-// is taken once per stretch of same-table items.
+// into it), so pruning reclaims version rows at run granularity —
+// bounded amplification, a run being one local commit or at most one
+// apply batch — and the row images themselves one by one. Each table's
+// lock is taken once per stretch of same-table items.
 func (e *Engine) installRun(wss []*writeset.WriteSet, atVersion uint64) (int, error) {
 	n, items, err := e.sizeRun(wss)
+	horizon := e.Horizon()
 	slab := make([]verRow, items)
 	var (
 		cur  *table
 		last uint64 // newest version linked into cur since it was locked
 	)
+	release := func() {
+		cur.dropTombsLocked(horizon)
+		cur.mu.Unlock()
+		storeMax(&cur.lastWrite, last)
+	}
 	for i, ws := range wss[:n] {
 		v := atVersion + uint64(i)
 		for j := range ws.Items {
 			it := &ws.Items[j]
 			if cur == nil || cur.schema.Table != it.Table {
 				if cur != nil {
-					cur.mu.Unlock()
-					storeMax(&cur.lastWrite, last)
+					release()
 				}
 				cur = e.tables[it.Table]
 				cur.mu.Lock()
@@ -394,24 +562,55 @@ func (e *Engine) installRun(wss []*writeset.WriteSet, atVersion uint64) (int, er
 			}
 			if it.Op == writeset.OpDelete {
 				nv.deleted = true
+				cur.tombs = append(cur.tombs, tomb{key: it.Key, v: nv})
 			} else {
 				nv.row = it.Row
-				// Index entries may precede the chain link: the index is a
-				// value superset and readers re-check visibility on the chain.
+			}
+			nv.prev.Store(ch.head.Load())
+			// Index entries may precede the chain link: the index is a
+			// value superset and readers re-check visibility on the chain.
+			// The cut versions are invisible to every pinned snapshot.
+			if cut := prune(nv, horizon); cut != nil || !nv.deleted {
 				for _, ix := range cur.indexes {
-					ix.add(nv.row[ix.col], it.Key, ch)
+					ix.swap(it.Key, ch, nv, cut)
 				}
 			}
-			nv.prev = ch.head.Load()
 			ch.head.Store(nv)
 			last = v
 		}
 	}
 	if cur != nil {
-		cur.mu.Unlock()
-		storeMax(&cur.lastWrite, last)
+		release()
 	}
 	return n, err
+}
+
+// dropTombsLocked takes out of the tree the chains of the deletes the
+// horizon has passed, oldest first, stopping at the first it has not:
+// a chain whose head is still that tombstone is visible to no snapshot
+// at or above the horizon, so its older versions are cut (with their
+// index entries) and its key is removed. A key written again since its
+// delete keeps its chain. Caller holds t.mu exclusively.
+func (t *table) dropTombsLocked(horizon uint64) {
+	i := 0
+	for ; i < len(t.tombs) && t.tombs[i].v.version <= horizon; i++ {
+		tb := t.tombs[i]
+		cv, ok := t.rows.Get(tb.key)
+		if !ok || cv.(*chain).head.Load() != tb.v {
+			continue
+		}
+		if cut := prune(tb.v, horizon); cut != nil {
+			for _, ix := range t.indexes {
+				ix.swap(tb.key, nil, tb.v, cut)
+			}
+		}
+		t.rows.Delete(tb.key)
+	}
+	if i > 0 {
+		n := copy(t.tombs, t.tombs[i:])
+		clear(t.tombs[n:])
+		t.tombs = t.tombs[:n]
+	}
 }
 
 // ApplyWriteSet commits a writeset at the given version. The version
@@ -480,53 +679,4 @@ func (e *Engine) InstallWriteSets(wss []*writeset.WriteSet, atVersion uint64) er
 // version in (Version(), v] before publishing v.
 func (e *Engine) PublishVersion(v uint64) {
 	storeMax(&e.version, v)
-}
-
-// Vacuum drops row versions that are no longer visible to any
-// snapshot at or above keepVersion, and returns how many versions were
-// reclaimed. Chains whose only remaining version is a tombstone at or
-// below keepVersion are removed entirely.
-func (e *Engine) Vacuum(keepVersion uint64) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	removed := 0
-	for _, t := range e.tables {
-		t.mu.Lock()
-		var drop []string
-		it := t.rows.ScanAll()
-		for it.Next() {
-			pk := it.Key()
-			ch := it.Value().(*chain)
-			// Find the newest version at or below keepVersion: it is
-			// the oldest version any live snapshot can still see.
-			var keep *verRow
-			for v := ch.head.Load(); v != nil; v = v.prev {
-				if v.version <= keepVersion {
-					keep = v
-					break
-				}
-			}
-			if keep == nil {
-				continue
-			}
-			for v := keep.prev; v != nil; v = v.prev {
-				removed++
-				if !v.deleted {
-					for _, ix := range t.indexes {
-						ix.remove(v.row[ix.col], pk)
-					}
-				}
-			}
-			keep.prev = nil
-			if keep.deleted && keep == ch.head.Load() {
-				removed++
-				drop = append(drop, pk)
-			}
-		}
-		for _, pk := range drop {
-			t.rows.Delete(pk)
-		}
-		t.mu.Unlock()
-	}
-	return removed
 }

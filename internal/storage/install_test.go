@@ -108,6 +108,8 @@ func TestInstallBehindPublishedRejected(t *testing.T) {
 // the publish, every version in the run reads its own write.
 func TestInstallRunRewritesRecord(t *testing.T) {
 	e := newKVEngine(t, 2) // version 1
+	hold := e.Begin()      // keeps version 1 readable
+	defer hold.Abort()
 	run := []*writeset.WriteSet{
 		updateWS("kv", 0, 20), updateWS("kv", 1, 30), updateWS("kv", 0, 40), updateWS("kv", 0, 50),
 	}

@@ -19,12 +19,18 @@ const scanChunk = 512
 //
 // This is the fuzzy-checkpoint scan: it holds only the per-table read
 // lock, released every scanChunk keys, so commits and installs (which
-// need e.mu, exclusively or shared) proceed underneath it.
-// The result is still a consistent snapshot at `snapshot`: versions
-// installed during the scan are above it and filtered out by the
-// visibility check, and Vacuum only removes versions invisible at the
-// replica watermark, which the caller keeps at or below snapshot.
+// need e.mu, exclusively or shared) proceed underneath it. The result
+// is still a consistent snapshot at `snapshot`: versions installed
+// during the scan are above it and filtered out by the visibility
+// check, and the scan pins its snapshot for its whole run, so no
+// install cuts a version it can see. A snapshot below Horizon fails
+// with ErrPruned; a caller that scans twice at one snapshot pins it
+// across both (a Txn from BeginAt does).
 func (e *Engine) ScanVisible(tableName string, snapshot uint64, fn func(key string, version uint64, row []any) error) error {
+	if err := e.pinAt(snapshot); err != nil {
+		return err
+	}
+	defer e.unpin(snapshot)
 	e.mu.RLock()
 	t, ok := e.tables[tableName]
 	e.mu.RUnlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -359,6 +360,7 @@ func TestSecondaryIndexTracksUpdates(t *testing.T) {
 	tx := e.Begin()
 	_ = tx.Insert("acct", row(1, "ann", 1, true))
 	mustCommit(t, tx)
+	old := e.Begin() // snapshot 1, open across the update
 
 	tx = e.Begin()
 	_ = tx.Update("acct", EncodeKey(int64(1)), row(1, "bob", 1, true))
@@ -374,10 +376,6 @@ func TestSecondaryIndexTracksUpdates(t *testing.T) {
 	}
 
 	// An old snapshot must still find the old value through the index.
-	old, err := e.BeginAt(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	kvs, _ = old.ScanIndexEq("acct", "acct_owner", "ann")
 	if len(kvs) != 1 {
 		t.Fatalf("old snapshot index scan = %d rows, want 1", len(kvs))
@@ -529,6 +527,8 @@ func TestWriteSetRowsNeverMutated(t *testing.T) {
 
 func TestBeginAt(t *testing.T) {
 	e := newTestEngine(t)
+	hold := e.Begin() // keeps snapshot 0 at or above the horizon
+	defer hold.Abort()
 	tx := e.Begin()
 	_ = tx.Insert("acct", row(1, "a", 1, true))
 	mustCommit(t, tx)
@@ -544,6 +544,26 @@ func TestBeginAt(t *testing.T) {
 	}
 }
 
+// chainVersions returns the versions still linked in the chain under
+// key, newest first; nil when the key has no chain.
+func chainVersions(e *Engine, table, key string) []uint64 {
+	tb := e.tables[table]
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	cv, ok := tb.rows.Get(key)
+	if !ok {
+		return nil
+	}
+	var out []uint64
+	for v := cv.(*chain).head.Load(); v != nil; v = v.prev.Load() {
+		out = append(out, v.version)
+	}
+	return out
+}
+
+// TestVacuum: with no snapshot open, each install cuts the chain it
+// extends below the version before it, so five commits to one row leave
+// two versions linked, and the replaced values' index entries are gone.
 func TestVacuum(t *testing.T) {
 	e := newTestEngine(t)
 	key := EncodeKey(int64(1))
@@ -555,25 +575,30 @@ func TestVacuum(t *testing.T) {
 		_ = tx.Update("acct", key, row(1, fmt.Sprintf("v%d", i), float64(i), true))
 		mustCommit(t, tx)
 	}
-	// Chain now has 5 versions; keep only those needed for snapshot ≥ 5.
-	removed := e.Vacuum(5)
-	if removed != 4 {
-		t.Fatalf("Vacuum removed %d versions, want 4", removed)
+	if got, want := chainVersions(e, "acct", key), []uint64{5, 4}; !slices.Equal(got, want) {
+		t.Fatalf("chain after 5 commits = %v, want %v", got, want)
 	}
 	tx = e.Begin()
+	defer tx.Abort()
 	r, ok, _ := tx.Get("acct", key)
 	if !ok || r[1].(string) != "v5" {
-		t.Fatalf("row after vacuum = %v, %v", r, ok)
+		t.Fatalf("row after pruning = %v, %v", r, ok)
 	}
 	// Old values are gone from the secondary index as well.
+	if n := e.tables["acct"].indexes["acct_owner"].tree.Len(); n != 2 {
+		t.Fatalf("owner index holds %d entries, want 2 (v5 and v4)", n)
+	}
 	if kvs, _ := tx.ScanIndexEq("acct", "acct_owner", "v1"); len(kvs) != 0 {
-		t.Fatal("vacuumed version still reachable via index")
+		t.Fatal("pruned version still reachable via index")
 	}
 	if kvs, _ := tx.ScanIndexEq("acct", "acct_owner", "v5"); len(kvs) != 1 {
 		t.Fatal("live version lost from index")
 	}
 }
 
+// TestVacuumRemovesTombstones: a deleted row's chain stays while the
+// horizon is below its tombstone, and the first install into the table
+// after the horizon passes it takes the chain out of the tree.
 func TestVacuumRemovesTombstones(t *testing.T) {
 	e := newTestEngine(t)
 	tx := e.Begin()
@@ -581,17 +606,25 @@ func TestVacuumRemovesTombstones(t *testing.T) {
 	mustCommit(t, tx)
 	tx = e.Begin()
 	_ = tx.Delete("acct", EncodeKey(int64(1)))
-	mustCommit(t, tx)
+	mustCommit(t, tx) // version 2
 
 	if got := e.tables["acct"].rows.Len(); got != 1 {
-		t.Fatalf("%d chains before vacuum, want 1 (tombstone)", got)
+		t.Fatalf("%d chains after the delete, want 1 (tombstone)", got)
 	}
-	e.Vacuum(2)
-	if got := e.tables["acct"].rows.Len(); got != 0 {
-		t.Fatalf("%d chains after vacuum, want 0", got)
+	tx = e.Begin()
+	_ = tx.Insert("acct", row(2, "b", 1, true))
+	mustCommit(t, tx)
+	if got := e.tables["acct"].rows.Len(); got != 1 {
+		t.Fatalf("%d chains after the next install, want 1 (row 2)", got)
 	}
-	if got := countVisible(t, e, "acct", 1); got != 0 {
-		t.Fatalf("%d rows visible at the vacuumed snapshot 1, want 0", got)
+	if n := e.tables["acct"].indexes["acct_owner"].tree.Len(); n != 1 {
+		t.Fatalf("owner index holds %d entries, want 1", n)
+	}
+	if got := countVisible(t, e, "acct", e.Version()); got != 1 {
+		t.Fatalf("%d rows visible, want 1", got)
+	}
+	if err := e.ScanVisible("acct", 1, func(string, uint64, []any) error { return nil }); !errors.Is(err, ErrPruned) {
+		t.Fatalf("scan at snapshot 1, below the horizon: %v, want ErrPruned", err)
 	}
 }
 
@@ -605,6 +638,10 @@ func countVisible(t *testing.T, e *Engine, table string, snapshot uint64) int {
 	return n
 }
 
+// TestVacuumPreservesOlderSnapshotBoundary: an open transaction holds
+// the horizon at its snapshot, so later installs keep the version it
+// reads; once it ends, the next install cuts it, and a snapshot below
+// the new horizon can no longer be begun.
 func TestVacuumPreservesOlderSnapshotBoundary(t *testing.T) {
 	e := newTestEngine(t)
 	key := EncodeKey(int64(1))
@@ -614,15 +651,37 @@ func TestVacuumPreservesOlderSnapshotBoundary(t *testing.T) {
 	tx = e.Begin()
 	_ = tx.Update("acct", key, row(1, "v2", 2, true))
 	mustCommit(t, tx) // version 2
-	tx = e.Begin()
-	_ = tx.Update("acct", key, row(1, "v3", 3, true))
-	mustCommit(t, tx) // version 3
-
-	e.Vacuum(2) // snapshots at ≥2 must stay valid
-	snap2, _ := e.BeginAt(2)
+	snap2, err := e.BeginAt(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i <= 4; i++ {
+		tx = e.Begin()
+		_ = tx.Update("acct", key, row(1, fmt.Sprintf("v%d", i), float64(i), true))
+		mustCommit(t, tx)
+	}
+	if h := e.Horizon(); h != 2 {
+		t.Fatalf("horizon %d with snapshot 2 open, want 2", h)
+	}
 	r, ok, _ := snap2.Get("acct", key)
 	if !ok || r[1].(string) != "v2" {
-		t.Fatalf("snapshot 2 after Vacuum(2) = %v, %v; want v2", r, ok)
+		t.Fatalf("snapshot 2 after later installs = %v, %v; want v2", r, ok)
+	}
+	if got, want := chainVersions(e, "acct", key), []uint64{4, 3, 2}; !slices.Equal(got, want) {
+		t.Fatalf("chain with snapshot 2 open = %v, want %v", got, want)
+	}
+	snap2.Abort()
+	if h := e.Horizon(); h != 4 {
+		t.Fatalf("horizon %d with nothing open, want the version 4", h)
+	}
+	if _, err := e.BeginAt(2); !errors.Is(err, ErrPruned) {
+		t.Fatalf("BeginAt(2) below the horizon: %v, want ErrPruned", err)
+	}
+	tx = e.Begin()
+	_ = tx.Update("acct", key, row(1, "v5", 5, true))
+	mustCommit(t, tx)
+	if got, want := chainVersions(e, "acct", key), []uint64{5, 4}; !slices.Equal(got, want) {
+		t.Fatalf("chain after the reader ended = %v, want %v", got, want)
 	}
 }
 
@@ -670,6 +729,9 @@ func TestQuickSnapshotIsolation(t *testing.T) {
 			Columns: []Column{{Name: "k", Type: TInt}, {Name: "v", Type: TInt}},
 			Key:     []string{"k"},
 		})
+		// A transaction open at snapshot 0 keeps every version readable.
+		hold := e.Begin()
+		defer hold.Abort()
 		// Oracle: value of each key after each version.
 		history := []map[int64]int64{{}} // history[v] = state at version v
 		state := map[int64]int64{}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -106,8 +107,11 @@ func TestConcurrentReadersWhileApplying(t *testing.T) {
 	}
 }
 
-// TestVacuumConcurrentWithReads runs vacuum under concurrent snapshot
-// readers pinned above the watermark.
+// TestVacuumConcurrentWithReads prunes on every install while readers
+// hold snapshots: each reader scans the table twice with commits
+// landing in between, and both scans must return the 32 rows its
+// snapshot saw — version 1 inserted them at 0 and every later commit
+// added 1 to one row, so they sum to the snapshot minus 1.
 func TestVacuumConcurrentWithReads(t *testing.T) {
 	e := NewEngine()
 	_ = e.CreateTable(&Schema{
@@ -136,10 +140,19 @@ func TestVacuumConcurrentWithReads(t *testing.T) {
 				default:
 				}
 				rtx := e.Begin()
-				if _, err := rtx.ScanAll("kv"); err != nil {
-					t.Error(err)
-					rtx.Abort()
-					return
+				for pass := 0; pass < 2; pass++ {
+					rows, err := rtx.ScanAll("kv")
+					var sum int64
+					for _, kv := range rows {
+						sum += kv.Row[1].(int64)
+					}
+					if err != nil || len(rows) != 32 || sum != int64(rtx.Snapshot())-1 {
+						t.Errorf("scan %d at snapshot %d: %d rows summing to %d (err %v), want 32 summing to %d",
+							pass, rtx.Snapshot(), len(rows), sum, err, rtx.Snapshot()-1)
+						rtx.Abort()
+						return
+					}
+					runtime.Gosched()
 				}
 				rtx.Abort()
 			}
@@ -153,12 +166,12 @@ func TestVacuumConcurrentWithReads(t *testing.T) {
 		if _, err := utx.CommitLocal(); err != nil {
 			t.Fatal(err)
 		}
-		if i%20 == 0 && e.Version() > 2 {
-			e.Vacuum(e.Version() - 1)
-		}
 	}
 	close(stop)
 	wg.Wait()
+	if h, v := e.Horizon(), e.Version(); h != v {
+		t.Fatalf("horizon %d with every reader ended, want the version %d", h, v)
+	}
 }
 
 // BenchmarkApplyWriteSet measures the replication hot path.

@@ -14,13 +14,16 @@ import (
 // as of the snapshot version plus the transaction's own buffered
 // writes; writes are buffered until commit.
 //
-// A Txn must be used from a single goroutine.
+// A Txn must be used from a single goroutine. Until it ends (Abort or
+// CommitLocal) it pins its snapshot: the engine's horizon stays at or
+// below it, so every version the snapshot sees stays linked. A Txn that
+// is dropped without ending holds collection back for good.
 //
 // Rows are shared, not copied. Every row a read hands out — from Get,
 // ScanRange, ScanAll, ScanIndexEq, AppendIndexIn or a Cursor — is the
 // stored slice itself: a committed version's row in its chain, or the
 // transaction's own pending image. Neither is ever written again (a
-// chain row is immutable once installed, vacuum only unlinks it; a later
+// chain row is immutable once installed, a prune only unlinks it; a later
 // write by this transaction replaces the pending image with a new
 // slice), so a caller may keep a row as long as it likes, across commits
 // and after the transaction ends. In exchange the caller must not write
@@ -65,21 +68,28 @@ type pendingWrite struct {
 
 // Begin starts a transaction reading the engine's latest snapshot.
 func (e *Engine) Begin() *Txn {
-	return e.beginAt(e.version.Load())
+	return &Txn{e: e, snapshot: e.pinLatest()}
 }
 
-// BeginAt starts a transaction reading the snapshot at version v,
-// which must not exceed the engine's current version.
+// BeginAt starts a transaction reading the snapshot at version v, which
+// must lie between the engine's horizon and its current version: below
+// the horizon, versions the snapshot would see may be gone (ErrPruned).
 func (e *Engine) BeginAt(v uint64) (*Txn, error) {
-	cur := e.version.Load()
-	if v > cur {
-		return nil, fmt.Errorf("storage: snapshot %d ahead of engine version %d", v, cur)
+	if err := e.pinAt(v); err != nil {
+		return nil, err
 	}
-	return e.beginAt(v), nil
+	return &Txn{e: e, snapshot: v}, nil
 }
 
-func (e *Engine) beginAt(v uint64) *Txn {
-	return &Txn{e: e, snapshot: v}
+// finish ends the transaction and releases its snapshot; it reports
+// false if the transaction had already ended.
+func (t *Txn) finish() bool {
+	if t.finished {
+		return false
+	}
+	t.finished = true
+	t.e.unpin(t.snapshot)
+	return true
 }
 
 // Snapshot returns the version this transaction reads.
@@ -653,9 +663,10 @@ func (t *Txn) ReadOnly() bool {
 	return true
 }
 
-// Abort discards the transaction.
+// Abort discards the transaction. Aborting an ended transaction does
+// nothing.
 func (t *Txn) Abort() {
-	t.finished = true
+	t.finish()
 }
 
 // CommitLocal commits the transaction directly against this engine
@@ -664,11 +675,10 @@ func (t *Txn) Abort() {
 // the writeset through the certifier and call Engine.ApplyWriteSet at
 // the assigned version.
 func (t *Txn) CommitLocal() (uint64, error) {
-	if t.finished {
+	ws := t.WriteSet()
+	if !t.finish() {
 		return 0, ErrTxnFinished
 	}
-	t.finished = true
-	ws := t.WriteSet()
 	t.e.mu.Lock()
 	defer t.e.mu.Unlock()
 	if ws.Empty() {

@@ -14,20 +14,23 @@ import (
 	"sconrep/internal/metrics"
 	"sconrep/internal/obs"
 	"sconrep/internal/obs/dtrace"
+	"sconrep/internal/sql"
 )
 
 // TestCarriedEndFeedsSessionFloor: a read-only commit sends nothing, and
 // the session's next request, which carries its end, raises the
 // session's floor before that request's transaction is routed — as the
-// answered commit did. The data was loaded under the balancer's feet
-// (version 1, never observed), so the floor the second transaction is
-// routed with can only have come from the first one's observation: the
-// session version under SC, the read table's per-session version under
-// FSC.
+// answered commit did. The replicas then commit an update the gateway
+// never sees, so their version passes the one its tracker was seeded
+// with at startup (core.Tracker.Seed), and the floor the second
+// transaction is routed with can only have come from the first one's
+// observation: the session version under SC, the read table's
+// per-session version under FSC.
 func TestCarriedEndFeedsSessionFloor(t *testing.T) {
 	for _, mode := range []core.Mode{core.Session, core.Fine} {
 		t.Run(mode.String(), func(t *testing.T) {
 			d := newDeployment(t, 2, mode)
+			unseen := commitUnseen(t, d)
 			coll := dtrace.NewCollector(64)
 			d.gateway.Balancer().EnableTracing(dtrace.New("gateway", coll))
 			var frames atomic.Int64
@@ -55,8 +58,8 @@ func TestCarriedEndFeedsSessionFloor(t *testing.T) {
 				return minVersion, c.Snapshot()
 			}
 			min1, snap := routedAt()
-			if min1 != 0 || snap == 0 {
-				t.Fatalf("first read routed with MinVersion %d at snapshot %d, want 0 and the loaded version", min1, snap)
+			if min1 >= snap || snap < unseen {
+				t.Fatalf("first read routed with MinVersion %d at snapshot %d, want the snapshot at or above the unseen commit %d and the bound below it", min1, snap, unseen)
 			}
 			before := frames.Load()
 			info, err := c.CommitEx()
@@ -71,6 +74,38 @@ func TestCarriedEndFeedsSessionFloor(t *testing.T) {
 			}
 		})
 	}
+}
+
+// commitUnseen commits an update on replica 0 directly, past the
+// gateway, waits until every replica has applied it, and returns its
+// version.
+func commitUnseen(t *testing.T, d *deployment) uint64 {
+	t.Helper()
+	p, err := sql.Prepare(`UPDATE kv SET v = 'unseen' WHERE k = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := d.replicas[0].Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(p); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tx.Commit(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, r := range d.replicas {
+		for r.Version() < res.Version {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d stuck at %d, want %d", r.ID(), r.Version(), res.Version)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return res.Version
 }
 
 // rawPeer is a hand-driven connection: the hello is sent, the rest is

@@ -564,6 +564,8 @@ type remoteReplica struct {
 	balancer *lb.LoadBalancer
 	active   atomic.Int64
 	healthy  atomic.Bool
+	// seeded is set once a ready status answer has seeded the tracker.
+	seeded atomic.Bool
 	// mismatched is set once a report of another map is logged.
 	mismatched atomic.Bool
 
@@ -659,6 +661,13 @@ func (r *replicaResponse) refused() bool {
 // recover or catch up, and the held ends it carries wait at most one
 // probe period. The shards and map it reports reach the balancer before
 // the replica is marked up; a replica with another map stays down.
+//
+// The replica's first ready answer also seeds the balancer's tracker
+// with its Vlocal (core.Tracker.Seed), before the replica is routable:
+// a gateway started after commits it never saw must not route below
+// them. In the lazy modes a commit's origin installs it before it is
+// acknowledged, so once every replica has answered, the seed is at or
+// above every acknowledged version.
 func (r *remoteReplica) probe() {
 	var resp replicaResponse
 	err := r.call(&replicaRequest{Op: opStatus}, &resp)
@@ -669,6 +678,9 @@ func (r *remoteReplica) probe() {
 				r.id, resp.Shards.N(), resp.Shards.Spec())
 		}
 		up = false
+	}
+	if up && !r.seeded.Swap(true) {
+		r.balancer.Tracker().Seed(resp.Version)
 	}
 	r.healthy.Store(up)
 }

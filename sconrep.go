@@ -75,7 +75,7 @@ type Config struct {
 	Mode Mode
 	// SimulateLAN injects the paper's testbed costs (network hops,
 	// commit I/O, writeset application), scaled by TimeScale. Without
-	// it the cluster runs at raw in-memory speed.
+	// it the cluster runs over loopback TCP with no delay added.
 	SimulateLAN bool
 	// TimeScale compresses (<1) or stretches (>1) simulated delays;
 	// 0 means 1.0.
@@ -383,7 +383,10 @@ func (db *DB) RecoverReplica(i int) error { return db.c.RestartReplica(i) }
 // ReplicaVersion returns replica i's Vlocal (monitoring).
 func (db *DB) ReplicaVersion(i int) uint64 { return db.c.Replica(i).Version() }
 
-// Vacuum reclaims storage across the cluster.
+// Vacuum trims the certifier's history at the oldest snapshot any
+// replica still holds (cluster.Cluster.VacuumAll). Replicas collect
+// their own row versions as they install; this call forgets nothing an
+// open transaction can read.
 func (db *DB) Vacuum() { db.c.VacuumAll() }
 
 // Stats summarizes committed/aborted counts and latency since the
