@@ -387,12 +387,12 @@ func (s *Store) CheckpointNow() error {
 // checkpoint covers. Caller has set ckptBusy; cleared here.
 func (s *Store) checkpoint() error {
 	began := s.clock()
-	// The pin holds the horizon at or below at from the moment at is
-	// chosen until the image is written.
-	pin := s.eng.Begin()
-	at := pin.Snapshot()
-	err := s.writeCheckpointFile(at)
-	pin.Abort()
+	// The snapshot holds the horizon at or below at from the moment at
+	// is chosen until the image is written.
+	snap := s.eng.Begin()
+	at := snap.Snapshot()
+	err := s.writeCheckpointFile(snap)
+	snap.Abort()
 
 	s.mu.Lock()
 	defer func() {
@@ -426,10 +426,10 @@ func (s *Store) checkpoint() error {
 	return nil
 }
 
-// writeCheckpointFile writes checkpoint-<at>.ckpt atomically
-// (tmp + fsync + rename + dir fsync).
-func (s *Store) writeCheckpointFile(at uint64) error {
-	final := filepath.Join(s.dir, fmt.Sprintf(ckptPattern, at))
+// writeCheckpointFile writes checkpoint-<at>.ckpt, the image at snap's
+// snapshot at, atomically (tmp + fsync + rename + dir fsync).
+func (s *Store) writeCheckpointFile(snap *storage.Txn) error {
+	final := filepath.Join(s.dir, fmt.Sprintf(ckptPattern, snap.Snapshot()))
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -440,7 +440,7 @@ func (s *Store) writeCheckpointFile(at uint64) error {
 		defer s.mu.Unlock()
 		return s.closed
 	}
-	_, werr := WriteSnapshot(f, s.eng, at, abort)
+	_, werr := WriteSnapshot(f, s.eng, snap, abort)
 	if werr == nil {
 		werr = f.Sync()
 	}

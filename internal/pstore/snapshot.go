@@ -61,19 +61,15 @@ var ErrSnapshotFormat = errors.New("pstore: checkpoint image in an unknown forma
 // (store closed mid-checkpoint).
 var errAborted = errors.New("pstore: snapshot aborted")
 
-// WriteSnapshot writes the snapshot of eng at version at to w and
-// returns the CRC-inclusive byte count. abort, if non-nil, is polled
-// between row chunks; returning true abandons the write. The scan is
-// fuzzy: it never blocks the apply pipeline (see Engine.ScanVisible),
-// yet the image is exactly the state at version at, which it pins for
-// the whole write, so installs meanwhile cut nothing it reads. A
-// version below eng's horizon fails with storage.ErrPruned.
-func WriteSnapshot(w io.Writer, eng *storage.Engine, at uint64, abort func() bool) (int64, error) {
-	pin, err := eng.BeginAt(at)
-	if err != nil {
-		return 0, fmt.Errorf("pstore: snapshot at %d: %w", at, err)
-	}
-	defer pin.Abort()
+// WriteSnapshot writes the image of eng at snap's snapshot to w and
+// returns the CRC-inclusive byte count. snap is an unfinished
+// transaction of eng, whose pin keeps installs from cutting what the
+// scan reads; its own writes are not part of the image. abort, if
+// non-nil, is polled between row chunks; returning true abandons the
+// write. The scan is fuzzy: it never blocks the apply pipeline (see
+// Txn.ScanVisible), yet the image is exactly the state at the snapshot.
+func WriteSnapshot(w io.Writer, eng *storage.Engine, snap *storage.Txn, abort func() bool) (int64, error) {
+	at := snap.Snapshot()
 	cw := &crcWriter{w: w}
 	buf := make([]byte, 0, 256)
 
@@ -113,7 +109,7 @@ func WriteSnapshot(w io.Writer, eng *storage.Engine, at uint64, abort func() boo
 		// emit. Both scans see the same rows — visibility at a fixed
 		// version is stable no matter what installs land meanwhile.
 		rows := uint64(0)
-		err := eng.ScanVisible(name, at, func(string, uint64, []any) error {
+		err := snap.ScanVisible(name, func(string, uint64, []any) error {
 			rows++
 			return nil
 		})
@@ -125,7 +121,7 @@ func WriteSnapshot(w io.Writer, eng *storage.Engine, at uint64, abort func() boo
 			return cw.n, err
 		}
 		emitted := uint64(0)
-		err = eng.ScanVisible(name, at, func(key string, version uint64, row []any) error {
+		err = snap.ScanVisible(name, func(key string, version uint64, row []any) error {
 			if emitted%512 == 0 && abort != nil && abort() {
 				return errAborted
 			}
@@ -156,11 +152,17 @@ func WriteSnapshot(w io.Writer, eng *storage.Engine, at uint64, abort func() boo
 }
 
 // SnapshotAt returns the canonical snapshot image of eng at version at,
-// which must not be below eng's horizon (see WriteSnapshot). The
-// recovery-equivalence oracle compares these across replicas.
+// which must lie between eng's horizon and its version: below the
+// horizon it fails with storage.ErrPruned. The recovery-equivalence
+// oracle compares these across replicas.
 func SnapshotAt(eng *storage.Engine, at uint64) ([]byte, error) {
+	snap, err := eng.BeginAt(at)
+	if err != nil {
+		return nil, fmt.Errorf("pstore: snapshot at %d: %w", at, err)
+	}
+	defer snap.Abort()
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, eng, at, nil); err != nil {
+	if _, err := WriteSnapshot(&buf, eng, snap, nil); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -387,14 +387,14 @@ func TestFuzzyCheckpointMatchesQuiescentImage(t *testing.T) {
 			}
 		}
 	}()
-	pin := e.Begin()
-	at := pin.Snapshot()
+	snap := e.Begin()
+	at := snap.Snapshot()
 	var img bytes.Buffer
-	_, err := WriteSnapshot(&img, e, at, func() bool {
+	_, err := WriteSnapshot(&img, e, snap, func() bool {
 		time.Sleep(200 * time.Microsecond) // let writes land mid-scan
 		return false
 	})
-	pin.Abort()
+	snap.Abort()
 	close(stop)
 	<-done
 	if err != nil {

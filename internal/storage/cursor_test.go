@@ -433,7 +433,9 @@ func TestIndexEntryFollowsChain(t *testing.T) {
 		write(t, src, []any{int64(1), int64(7), int64(1)}, []any{int64(3), int64(7), int64(3)})
 		write(t, src, []any{int64(3)})
 		e := kvTable(t)
-		if err := src.ScanVisible("kv", src.Version(), func(key string, v uint64, row []any) error {
+		snap := src.Begin()
+		defer snap.Abort()
+		if err := snap.ScanVisible("kv", func(key string, v uint64, row []any) error {
 			return e.RestoreRow("kv", key, row, v)
 		}); err != nil {
 			t.Fatal(err)

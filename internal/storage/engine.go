@@ -34,13 +34,14 @@
 // versions installed but not yet published are never observable.
 // installRun states what concurrent callers owe it.
 //
-// Garbage. Every unfinished Txn and every ScanVisible pins the snapshot
-// it reads, and Horizon is the lowest pin, or the published version
-// when nothing is pinned: no reader can see a version older than the
-// newest one at or below it. installRun, as it pushes a head onto a
-// chain, cuts every version older than that one, and drops from the
-// tree the chains of earlier deletes whose tombstone the horizon has
-// passed. Collection rides the install path; nothing sweeps.
+// Garbage. Every unfinished Txn pins the snapshot it reads (a
+// checkpoint scan reads through one), and Horizon is the lowest pin, or
+// the published version when nothing is pinned: no reader can see a
+// version older than the newest one at or below it. installRun, as it
+// pushes a head onto a chain, cuts every version older than that one,
+// and drops from the tree the chains of earlier deletes whose tombstone
+// the horizon has passed. Collection rides the install path; nothing
+// sweeps.
 package storage
 
 import (
@@ -156,32 +157,14 @@ func (ix *secIndex) remove(val any, pk string) {
 	}
 }
 
-// swap counts nv, the new head of the row under pk whose chain is ch,
-// into the index, and uncounts every version of cut, the versions a
-// prune just unlinked. A cut version carrying nv's value cancels nv's
-// count instead, so an update that leaves the indexed column alone
-// touches no entry.
-func (ix *secIndex) swap(pk string, ch *chain, nv, cut *verRow) {
-	add := !nv.deleted
+// uncount uncounts, from the row under pk, every live version of cut,
+// the versions a prune just unlinked.
+func (ix *secIndex) uncount(pk string, cut *verRow) {
 	for v := cut; v != nil; v = v.prev.Load() {
-		if v.deleted {
-			continue
+		if !v.deleted {
+			ix.remove(v.row[ix.col], pk)
 		}
-		if add && sameEncoding(v.row[ix.col], nv.row[ix.col]) {
-			add = false
-			continue
-		}
-		ix.remove(v.row[ix.col], pk)
 	}
-	if add {
-		ix.add(nv.row[ix.col], pk, ch)
-	}
-}
-
-// sameEncoding reports whether a and b index under one entry.
-func sameEncoding(a, b any) bool {
-	var ab, bb [64]byte
-	return string(EncodeValue(ab[:0], a)) == string(EncodeValue(bb[:0], b))
 }
 
 // prune unlinks, from the chain nv heads, every version older than the
@@ -252,8 +235,8 @@ type Engine struct {
 	// horizon read lands at or above the value that read returns.
 	// locks after Engine.mu
 	pinMu sync.Mutex
-	// pins are the snapshots that unfinished transactions and scans
-	// read, ascending, each once with how many hold it.
+	// pins are the snapshots that unfinished transactions read,
+	// ascending, each once with how many hold it.
 	// guarded by pinMu
 	pins []pin
 }
@@ -370,11 +353,10 @@ func (e *Engine) Version() uint64 {
 }
 
 // Horizon returns the oldest snapshot any reader may still read: the
-// lowest snapshot an unfinished Txn or a running ScanVisible holds, or
-// the published version when none does. It never falls. No snapshot
-// below it can be begun or scanned, and every version older than the
-// newest one at or below it is garbage, which installRun cuts from each
-// chain it pushes a head onto.
+// lowest snapshot an unfinished Txn holds, or the published version
+// when none does. It never falls. No snapshot below it can be begun,
+// and every version older than the newest one at or below it is
+// garbage, which installRun cuts from each chain it pushes a head onto.
 func (e *Engine) Horizon() uint64 {
 	e.pinMu.Lock()
 	defer e.pinMu.Unlock()
@@ -570,10 +552,14 @@ func (e *Engine) installRun(wss []*writeset.WriteSet, atVersion uint64) (int, er
 			// Index entries may precede the chain link: the index is a
 			// value superset and readers re-check visibility on the chain.
 			// The cut versions are invisible to every pinned snapshot.
-			if cut := prune(nv, horizon); cut != nil || !nv.deleted {
-				for _, ix := range cur.indexes {
-					ix.swap(it.Key, ch, nv, cut)
+			// Counting nv before uncounting the cut keeps an entry both
+			// carry from leaving the tree in between.
+			cut := prune(nv, horizon)
+			for _, ix := range cur.indexes {
+				if !nv.deleted {
+					ix.add(nv.row[ix.col], it.Key, ch)
 				}
+				ix.uncount(it.Key, cut)
 			}
 			ch.head.Store(nv)
 			last = v
@@ -599,10 +585,9 @@ func (t *table) dropTombsLocked(horizon uint64) {
 		if !ok || cv.(*chain).head.Load() != tb.v {
 			continue
 		}
-		if cut := prune(tb.v, horizon); cut != nil {
-			for _, ix := range t.indexes {
-				ix.swap(tb.key, nil, tb.v, cut)
-			}
+		cut := prune(tb.v, horizon)
+		for _, ix := range t.indexes {
+			ix.uncount(tb.key, cut)
 		}
 		t.rows.Delete(tb.key)
 	}

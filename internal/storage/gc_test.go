@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -274,5 +275,100 @@ func TestPruneMatchesUnprunedEngine(t *testing.T) {
 	stopReaders()
 	if h, v := e.Horizon(), e.Version(); h != v {
 		t.Fatalf("horizon %d with every snapshot closed, want the version %d", h, v)
+	}
+}
+
+// TestCommitLocalConflictsWithConcurrentDelete runs concurrent
+// CommitLocal writers that update, delete and re-insert a few rows with
+// no other snapshot open, so each commit's own snapshot is what holds
+// the horizon. First committer wins must hold for every committed
+// write: no other write of its row committed after its snapshot and
+// before it. In particular an update of a row deleted after its
+// snapshot fails with ErrConflict even when a third writer's install
+// has meanwhile passed the delete's tombstone.
+func TestCommitLocalConflictsWithConcurrentDelete(t *testing.T) {
+	e := NewEngine()
+	gcTables(t, e)
+	const keys = 4
+	for k := int64(0); k < keys; k++ {
+		tx := e.Begin()
+		if err := tx.Insert("kv", []any{k, int64(0), int64(0)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.CommitLocal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type commit struct {
+		key               string
+		op                string
+		snapshot, version uint64
+	}
+	var (
+		mu      sync.Mutex
+		commits []commit
+		wg      sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 400; i++ {
+				k := int64(rng.Intn(keys))
+				key := EncodeKey(k)
+				tx := e.Begin()
+				row, ok, err := tx.Get("kv", key)
+				op := "insert"
+				switch {
+				case err != nil:
+				case !ok:
+					err = tx.Insert("kv", []any{k, int64(0), int64(0)})
+				case rng.Intn(2) == 0:
+					op = "delete"
+					err = tx.Delete("kv", key)
+				default:
+					op = "update"
+					err = tx.Update("kv", key, []any{k, row[1], row[2].(int64) + 1})
+				}
+				if err != nil {
+					tx.Abort()
+					t.Error(err)
+					return
+				}
+				v, err := tx.CommitLocal()
+				if errors.Is(err, ErrConflict) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				commits = append(commits, commit{key: key, op: op, snapshot: tx.Snapshot(), version: v})
+				mu.Unlock()
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+
+	byKey := make(map[string][]commit)
+	for _, c := range commits {
+		byKey[c.key] = append(byKey[c.key], c)
+	}
+	for key, cs := range byKey {
+	row:
+		for _, c := range cs {
+			for _, o := range cs {
+				if o.version > c.snapshot && o.version < c.version {
+					t.Errorf("row %q: %s at %d (snapshot %d) committed over the %s at %d", key, c.op, c.version, c.snapshot, o.op, o.version)
+					break row
+				}
+			}
+		}
+	}
+	if h, v := e.Horizon(), e.Version(); h != v {
+		t.Fatalf("horizon %d with every transaction ended, want the version %d", h, v)
 	}
 }

@@ -13,26 +13,25 @@ import (
 const scanChunk = 512
 
 // ScanVisible calls fn for every primary key with a live (non-deleted)
-// version at or below snapshot, in key order, with that version's
-// commit version and row image. The row slice is the engine's own
-// immutable version image and must not be mutated.
+// version at or below the transaction's snapshot, in key order, with
+// that version's commit version and row image: the committed state the
+// snapshot reads, without the transaction's own writes. The row slice
+// is the engine's own immutable version image and must not be mutated.
 //
 // This is the fuzzy-checkpoint scan: it holds only the per-table read
 // lock, released every scanChunk keys, so commits and installs (which
 // need e.mu, exclusively or shared) proceed underneath it. The result
-// is still a consistent snapshot at `snapshot`: versions installed
-// during the scan are above it and filtered out by the visibility
-// check, and the scan pins its snapshot for its whole run, so no
-// install cuts a version it can see. A snapshot below Horizon fails
-// with ErrPruned; a caller that scans twice at one snapshot pins it
-// across both (a Txn from BeginAt does).
-func (e *Engine) ScanVisible(tableName string, snapshot uint64, fn func(key string, version uint64, row []any) error) error {
-	if err := e.pinAt(snapshot); err != nil {
-		return err
+// is still a consistent snapshot: versions installed during the scan
+// are above it and filtered out by the visibility check, and the
+// transaction's pin on its snapshot keeps every install from cutting a
+// version the scan can see.
+func (t *Txn) ScanVisible(tableName string, fn func(key string, version uint64, row []any) error) error {
+	if t.finished {
+		return ErrTxnFinished
 	}
-	defer e.unpin(snapshot)
+	e := t.e
 	e.mu.RLock()
-	t, ok := e.tables[tableName]
+	tb, ok := e.tables[tableName]
 	e.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
@@ -46,10 +45,10 @@ func (e *Engine) ScanVisible(tableName string, snapshot uint64, fn func(key stri
 	lo := ""
 	for {
 		chunk = chunk[:0]
-		t.mu.RLock()
-		it := t.rows.Scan(lo, "")
+		tb.mu.RLock()
+		it := tb.rows.Scan(lo, "")
 		for it.Next() {
-			if v := it.Value().(*chain).visibleAt(snapshot); v != nil {
+			if v := it.Value().(*chain).visibleAt(t.snapshot); v != nil {
 				chunk = append(chunk, hit{key: it.Key(), version: v.version, row: v.row})
 			}
 			lo = it.Key() + "\x00"
@@ -58,7 +57,7 @@ func (e *Engine) ScanVisible(tableName string, snapshot uint64, fn func(key stri
 			}
 		}
 		more := len(chunk) == scanChunk
-		t.mu.RUnlock()
+		tb.mu.RUnlock()
 		for i := range chunk {
 			if err := fn(chunk[i].key, chunk[i].version, chunk[i].row); err != nil {
 				return err

@@ -623,16 +623,21 @@ func TestVacuumRemovesTombstones(t *testing.T) {
 	if got := countVisible(t, e, "acct", e.Version()); got != 1 {
 		t.Fatalf("%d rows visible, want 1", got)
 	}
-	if err := e.ScanVisible("acct", 1, func(string, uint64, []any) error { return nil }); !errors.Is(err, ErrPruned) {
-		t.Fatalf("scan at snapshot 1, below the horizon: %v, want ErrPruned", err)
+	if _, err := e.BeginAt(1); !errors.Is(err, ErrPruned) {
+		t.Fatalf("snapshot 1, below the horizon: %v, want ErrPruned", err)
 	}
 }
 
 // countVisible counts the rows of a table visible at snapshot.
 func countVisible(t *testing.T, e *Engine, table string, snapshot uint64) int {
 	t.Helper()
+	tx, err := e.BeginAt(snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
 	n := 0
-	if err := e.ScanVisible(table, snapshot, func(string, uint64, []any) error { n++; return nil }); err != nil {
+	if err := tx.ScanVisible(table, func(string, uint64, []any) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return n

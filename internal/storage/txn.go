@@ -675,29 +675,22 @@ func (t *Txn) Abort() {
 // the writeset through the certifier and call Engine.ApplyWriteSet at
 // the assigned version.
 func (t *Txn) CommitLocal() (uint64, error) {
-	ws := t.WriteSet()
-	if !t.finish() {
+	if t.finished {
 		return 0, ErrTxnFinished
 	}
+	ws := t.WriteSet()
 	t.e.mu.Lock()
 	defer t.e.mu.Unlock()
+	// The snapshot stays pinned until the check is done: a delete
+	// committed after it keeps its tombstone in the chain, where the
+	// check sees it, instead of leaving the tree with the next install.
+	err := t.checkFirstCommitter(ws)
+	t.finish()
+	if err != nil {
+		return 0, err
+	}
 	if ws.Empty() {
 		return t.e.version.Load(), nil
-	}
-	// First committer wins: if any written record changed after our
-	// snapshot, abort. The exclusive e.mu excludes every other installRun
-	// caller, so the plain tree reads here are race-free.
-	for i := range ws.Items {
-		it := &ws.Items[i]
-		tb, ok := t.e.tables[it.Table]
-		if !ok {
-			return 0, fmt.Errorf("%w: %s", ErrNoTable, it.Table)
-		}
-		if cv, ok := tb.rows.Get(it.Key); ok {
-			if head := cv.(*chain).head.Load(); head != nil && head.version > t.snapshot {
-				return 0, fmt.Errorf("%w: %s[%q]", ErrConflict, it.Table, it.Key)
-			}
-		}
 	}
 	v := t.e.version.Load() + 1
 	if _, err := t.e.installRun([]*writeset.WriteSet{ws}, v); err != nil {
@@ -705,4 +698,24 @@ func (t *Txn) CommitLocal() (uint64, error) {
 	}
 	t.e.version.Store(v)
 	return v, nil
+}
+
+// checkFirstCommitter fails with ErrConflict if a record ws writes
+// changed after the transaction's snapshot: first committer wins. The
+// caller holds e.mu exclusively, which excludes every installRun
+// caller, so the plain tree reads are race-free.
+func (t *Txn) checkFirstCommitter(ws *writeset.WriteSet) error {
+	for i := range ws.Items {
+		it := &ws.Items[i]
+		tb, ok := t.e.tables[it.Table]
+		if !ok {
+			return fmt.Errorf("%w: %s", ErrNoTable, it.Table)
+		}
+		if cv, ok := tb.rows.Get(it.Key); ok {
+			if head := cv.(*chain).head.Load(); head != nil && head.version > t.snapshot {
+				return fmt.Errorf("%w: %s[%q]", ErrConflict, it.Table, it.Key)
+			}
+		}
+	}
+	return nil
 }

@@ -18,8 +18,11 @@ func TestLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < NumTables; i++ {
+		tx := e.Begin()
 		got := 0
-		if err := e.ScanVisible(tableName(i), e.Version(), func(string, uint64, []any) error { got++; return nil }); err != nil {
+		err := tx.ScanVisible(tableName(i), func(string, uint64, []any) error { got++; return nil })
+		tx.Abort()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got != 200 {

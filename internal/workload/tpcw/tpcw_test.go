@@ -68,8 +68,10 @@ func TestLoadCardinalities(t *testing.T) {
 		"cc_xacts": s.orders(),
 	}
 	rows := func(table string) int {
+		tx := e.Begin()
+		defer tx.Abort()
 		n := 0
-		if err := e.ScanVisible(table, e.Version(), func(string, uint64, []any) error { n++; return nil }); err != nil {
+		if err := tx.ScanVisible(table, func(string, uint64, []any) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return n
