@@ -47,7 +47,8 @@ lint:
 # The same gate CI runs (.github/workflows/ci.yml): the end-to-end
 # benchmark smoke, then build, vet, sconrep-vet, formatting (fails on
 # any unformatted file), tests, the flake guard, race tests (the root
-# package too: Bootstrap runs user code on every replica at once).
+# package too: Bootstrap's other replicas are built at once, sharing
+# the first one's rows).
 # benchmark/ is a frozen nested module ./... does not reach;
 # bench-e2e-smoke starts by vetting it, so an API break it would not
 # survive (a changed Begin or Dispatch signature) is the first thing
@@ -66,12 +67,13 @@ ci: bench-e2e-smoke
 # run in four, so these tests run 25 times — the ones that ride a
 # restart, a crashed replica, a lease, the probe period (the gateway's,
 # or a client's idle timer), a restarted gateway's first probe against a
-# delayed certifier link, the replicas' concurrent bulk loads, or a
+# delayed certifier link, the replicas built from replica 0's load and
+# then fed refreshes, or a
 # local commit's turn in the apply window between refreshes, a
 # reconnect backoff, a bounded start wait, and the read path's
 # allocation ceilings, which a stray collection or timer could tip.
 # CI's flake-guard step runs this target: this is the one list.
-FLAKE_TESTS = TestDeploymentSmoke|TestShardedDeploymentLearnsRouting|TestGatewayLearnsShardRouting|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs|TestClientLogsShardRefusalOnce|TestUnreachableFloorIsRefused|TestRestartedGatewayKeepsStrongReads
+FLAKE_TESTS = TestDeploymentSmoke|TestShardedDeploymentLearnsRouting|TestGatewayLearnsShardRouting|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataRunsLoaderOnce|TestLoadDataReplicasAreIdentical|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs|TestClientLogsShardRefusalOnce|TestUnreachableFloorIsRefused|TestRestartedGatewayKeepsStrongReads
 FLAKE_PKGS = ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/sql ./internal/wire .
 flake-guard:
 	$(GO) test -count=25 -run '$(FLAKE_TESTS)' $(FLAKE_PKGS)
@@ -117,9 +119,10 @@ bench:
 # default scale, and the two that read every order line above a fixed
 # floor again after 2 000 runtime orders (the *Grown cases, the table a
 # live run reads), and a title search that matches nothing (the index
-# walk's worst case), and one replica's bulk load of each workload at
-# its default scale on a fresh engine (the work LoadData runs on every
-# replica at once, most of a cluster set-up's wall time), and a
+# walk's worst case), and one bulk load of each workload at its default
+# scale on a fresh engine (the work LoadData runs on replica 0, most of
+# a cluster set-up's wall time) and one engine built from a micro-loaded
+# one's image (what LoadData then does for every other replica), and a
 # 10 000-key B-tree built from ascending and from random keys (the
 # index under every table; a bulk load inserts in key order), and a
 # prepared point SELECT and point UPDATE run under the plan the
@@ -130,7 +133,7 @@ bench:
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
 HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements|BenchmarkLoad|BenchmarkTreeSet|BenchmarkExecPrepared
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw,BenchmarkTreeSet/ascending,BenchmarkTreeSet/random,BenchmarkExecPrepared/point-select,BenchmarkExecPrepared/point-update
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw,BenchmarkLoad/copy,BenchmarkTreeSet/ascending,BenchmarkTreeSet/random,BenchmarkExecPrepared/point-select,BenchmarkExecPrepared/point-update
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
 		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ ./internal/bench/ ./internal/btree/ ./internal/sql/ \

@@ -23,8 +23,8 @@ func main() {
 	}
 	defer db.Close()
 
-	// Bootstrap runs deterministically on every replica, on all of them
-	// at once: the function shares no mutable state between its calls.
+	// Bootstrap runs once, on the first replica; the others are built
+	// from what it committed.
 	err = db.Bootstrap(func(b *sconrep.Boot) error {
 		b.Exec(`CREATE TABLE accounts (id INT PRIMARY KEY, owner TEXT, balance FLOAT)`)
 		b.Exec(`CREATE INDEX accounts_owner ON accounts (owner)`)

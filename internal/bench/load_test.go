@@ -8,10 +8,11 @@ import (
 	"sconrep/internal/workload/tpcw"
 )
 
-// BenchmarkLoad is one replica's bulk load at the workload's default
-// scale, on a fresh engine per iteration: the work Cluster.LoadData
-// runs on every replica at once, and most of a cluster set-up's wall
-// time.
+// BenchmarkLoad is one bulk load at the workload's default scale, on a
+// fresh engine per iteration: the work Cluster.LoadData runs on replica
+// 0, and most of a cluster set-up's wall time. copy is what LoadData
+// then does for each other replica: read a micro-loaded engine's image
+// and build a fresh engine from it.
 func BenchmarkLoad(b *testing.B) {
 	for _, w := range []struct {
 		name string
@@ -29,4 +30,23 @@ func BenchmarkLoad(b *testing.B) {
 			}
 		})
 	}
+	b.Run("copy", func(b *testing.B) {
+		src := storage.NewEngine()
+		if err := micro.Load(src, micro.DefaultScale()); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			snap := src.Begin()
+			img, err := snap.Image()
+			snap.Abort()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := storage.NewEngine().Build(snap.Snapshot(), img); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -181,33 +181,43 @@ func (c *Cluster) finished(tl metrics.Timeline, committed, readOnly bool) {
 	c.coll.RecordTimeline(tl, !readOnly, syncDelay)
 }
 
-// LoadData bootstraps every replica with identical initial data by
-// running load against each engine, then aligns the certifier's
-// version counter with the replicas. load runs once per replica, and
-// the calls run concurrently, each on its own replica's engine: load
-// must be deterministic and must not share mutable state between
-// calls. An error names the lowest-numbered replica that failed.
+// LoadData bootstraps every replica with identical initial data, then
+// aligns the certifier's version counter with the replicas. load runs
+// once, on replica 0's engine; replicas 1…n−1 are then built
+// concurrently from replica 0's committed state (storage.Txn.Image at
+// the loaded version, storage.Engine.Build), sharing its row images. A
+// load error names replica 0, a build error its target replica.
 func (c *Cluster) LoadData(load func(e *storage.Engine) error) error {
 	if c.loaded {
 		return errors.New("cluster: LoadData called twice")
 	}
+	src := c.nodes[0].Replica.Engine()
+	if err := load(src); err != nil {
+		return fmt.Errorf("cluster: loading replica 0: %w", err)
+	}
+	v0 := src.Version()
+	snap, err := src.BeginAt(v0)
+	if err != nil {
+		return fmt.Errorf("cluster: reading replica 0: %w", err)
+	}
+	img, err := snap.Image()
+	snap.Abort()
+	if err != nil {
+		return fmt.Errorf("cluster: reading replica 0: %w", err)
+	}
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
-	for i, n := range c.nodes {
+	for i, n := range c.nodes[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = load(n.Replica.Engine())
+			errs[i+1] = n.Replica.Engine().Build(v0, img)
 		}()
 	}
 	wg.Wait()
-	v0 := c.nodes[0].Replica.Engine().Version()
-	for i, n := range c.nodes {
-		if errs[i] != nil {
-			return fmt.Errorf("cluster: loading replica %d: %w", i, errs[i])
-		}
-		if got := n.Replica.Engine().Version(); got != v0 {
-			return fmt.Errorf("cluster: non-deterministic load: replica 0 at %d, replica %d at %d", v0, i, got)
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("cluster: building replica %d: %w", i, err)
 		}
 	}
 	if err := c.Certifier().StartAt(v0); err != nil {

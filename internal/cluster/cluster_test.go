@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"sconrep/internal/core"
 	"sconrep/internal/history"
 	"sconrep/internal/latency"
+	"sconrep/internal/pstore"
 	"sconrep/internal/replica"
 	"sconrep/internal/sql"
 	"sconrep/internal/storage"
@@ -137,88 +140,209 @@ func TestLoadDataTwiceFails(t *testing.T) {
 	}
 }
 
-// TestLoadDataLoadsReplicasConcurrently holds every replica's load at a
-// barrier until all of them have entered it, which only loads running
-// at once can pass: a loop that loads one replica after another would
-// wait there forever. The timeout only keeps such a loop from hanging
-// the test; nothing here is timed.
-func TestLoadDataLoadsReplicasConcurrently(t *testing.T) {
-	const replicas = 3
-	c, err := New(Config{Replicas: replicas, Mode: core.Coarse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var entered sync.WaitGroup
-	entered.Add(replicas)
-	allIn := make(chan struct{})
-	go func() { entered.Wait(); close(allIn) }()
-	err = c.LoadData(func(e *storage.Engine) error {
-		entered.Done()
-		select {
-		case <-allIn:
-		case <-time.After(time.Minute):
-			return errors.New("the other replicas' loads never started")
+// TestLoadDataRunsLoaderOnce: the loader runs once, on replica 0, and
+// every replica ends at the certifier's version. A loader error names
+// replica 0; a replica that cannot be built from replica 0's state (it
+// already has a table) is named in the error, and the loader still ran
+// once.
+func TestLoadDataRunsLoaderOnce(t *testing.T) {
+	newC := func(t *testing.T) *Cluster {
+		t.Helper()
+		c, err := New(Config{Replicas: 3, Mode: core.Coarse})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return loadCounter(e)
+		t.Cleanup(c.Close)
+		return c
+	}
+	var mu sync.Mutex
+	var calls []*storage.Engine
+	counting := func(load func(*storage.Engine) error) func(*storage.Engine) error {
+		mu.Lock()
+		calls = nil
+		mu.Unlock()
+		return func(e *storage.Engine) error {
+			mu.Lock()
+			calls = append(calls, e)
+			mu.Unlock()
+			return load(e)
+		}
+	}
+	onceOnReplica0 := func(t *testing.T, c *Cluster) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if len(calls) != 1 || calls[0] != c.Replica(0).Engine() {
+			t.Fatalf("loader ran on %d engines (%v), want once on replica 0's", len(calls), calls)
+		}
+	}
+
+	t.Run("loads", func(t *testing.T) {
+		c := newC(t)
+		if err := c.LoadData(counting(loadCounter)); err != nil {
+			t.Fatal(err)
+		}
+		onceOnReplica0(t, c)
+		for i := 0; i < c.NumReplicas(); i++ {
+			if got, want := c.Replica(i).Engine().Version(), c.Certifier().Version(); got != want || got == 0 {
+				t.Errorf("replica %d at version %d, certifier at %d", i, got, want)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < replicas; i++ {
-		if got, want := c.Replica(i).Engine().Version(), c.Certifier().Version(); got != want || got == 0 {
-			t.Errorf("replica %d at version %d, certifier at %d", i, got, want)
+	t.Run("loader error", func(t *testing.T) {
+		c := newC(t)
+		failed := errors.New("disk full")
+		err := c.LoadData(counting(func(e *storage.Engine) error {
+			if err := loadCounter(e); err != nil {
+				return err
+			}
+			return failed
+		}))
+		if !errors.Is(err, failed) || !strings.Contains(err.Error(), "replica 0") {
+			t.Fatalf("LoadData = %v, want the loader's error naming replica 0", err)
 		}
-	}
+		onceOnReplica0(t, c)
+	})
+	t.Run("build error", func(t *testing.T) {
+		c := newC(t)
+		if err := c.Replica(2).Engine().CreateTable(&storage.Schema{
+			Table:   "stray",
+			Columns: []storage.Column{{Name: "id", Type: storage.TInt}},
+			Key:     []string{"id"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		err := c.LoadData(counting(loadCounter))
+		if err == nil || !strings.Contains(err.Error(), "replica 2") {
+			t.Fatalf("LoadData = %v, want a build error naming replica 2", err)
+		}
+		onceOnReplica0(t, c)
+	})
 }
 
-// TestLoadDataNamesFailingReplica: when replicas 1 and 2 fail their
-// loads, the error is replica 1's and says so.
-func TestLoadDataNamesFailingReplica(t *testing.T) {
-	c, err := New(Config{Replicas: 3, Mode: core.Coarse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	errs := map[*storage.Engine]error{
-		c.Replica(1).Engine(): errors.New("disk full on one"),
-		c.Replica(2).Engine(): errors.New("disk full on two"),
-	}
-	err = c.LoadData(func(e *storage.Engine) error {
-		if err := loadCounter(e); err != nil {
-			return err
-		}
-		return errs[e]
-	})
-	if err == nil || !errors.Is(err, errs[c.Replica(1).Engine()]) || !strings.Contains(err.Error(), "replica 1") {
-		t.Fatalf("LoadData = %v, want replica 1's error", err)
-	}
-}
-
-// TestLoadDataRefusesNonDeterministicLoad: a replica whose load commits
-// one row more than the others ends at a different version, and LoadData
-// refuses the load.
-func TestLoadDataRefusesNonDeterministicLoad(t *testing.T) {
-	c, err := New(Config{Replicas: 3, Mode: core.Coarse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	odd := c.Replica(2).Engine()
-	err = c.LoadData(func(e *storage.Engine) error {
-		if err := loadCounter(e); err != nil || e != odd {
-			return err
-		}
-		tx := e.Begin()
-		if err := tx.Insert("counter", []any{int64(99), int64(0)}); err != nil {
-			return err
-		}
-		_, err := tx.CommitLocal()
+// loadItems is loadCounter plus an item table with two secondary
+// indexes, NULLs in one of them, rows written over several commits and
+// a delete last, so the table was written after every row it keeps.
+func loadItems(e *storage.Engine) error {
+	if err := loadCounter(e); err != nil {
 		return err
-	})
-	if err == nil || !strings.Contains(err.Error(), "non-deterministic load") || !strings.Contains(err.Error(), "replica 2") {
-		t.Fatalf("LoadData = %v, want the version check naming replica 2", err)
 	}
+	if err := e.CreateTable(&storage.Schema{
+		Table:   "item",
+		Columns: []storage.Column{{Name: "id", Type: storage.TInt}, {Name: "grp", Type: storage.TInt}, {Name: "name", Type: storage.TString}},
+		Key:     []string{"id"},
+		Indexes: []storage.IndexDef{{Name: "item_grp", Column: "grp"}, {Name: "item_name", Column: "name"}},
+	}); err != nil {
+		return err
+	}
+	for round := int64(0); round < 3; round++ {
+		tx := e.Begin()
+		for i := int64(0); i < 20; i++ {
+			var grp any = i % 3
+			if i%5 == 0 {
+				grp = nil
+			}
+			if err := tx.Insert("item", []any{round*20 + i, grp, fmt.Sprintf("n%02d", (i*7)%20)}); err != nil {
+				return err
+			}
+		}
+		if _, err := tx.CommitLocal(); err != nil {
+			return err
+		}
+	}
+	tx := e.Begin()
+	if err := tx.Delete("item", storage.EncodeKey(int64(59))); err != nil {
+		return err
+	}
+	_, err := tx.CommitLocal()
+	return err
+}
+
+// TestLoadDataReplicasAreIdentical: the replicas LoadData builds from
+// replica 0 hold its state exactly — the same checkpoint image byte for
+// byte, the same per-table versions (the item table's a delete's, above
+// every row it keeps), the same index reads, the same horizon — and
+// stay identical as updates install on each of them.
+func TestLoadDataReplicasAreIdentical(t *testing.T) {
+	c, err := New(Config{Replicas: 3, Mode: core.Coarse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.LoadData(loadItems); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterTxn("bumpCounter", bumpCounter)
+	v0 := c.Certifier().Version()
+	tables := []string{"counter", "item", "ref", "none"}
+	type state struct {
+		image    []byte
+		versions []uint64
+		horizon  uint64
+		reads    [][]storage.KV
+	}
+	stateOf := func(t *testing.T, i int, at uint64) state {
+		t.Helper()
+		e := c.Replica(i).Engine()
+		img, err := pstore.SnapshotAt(e, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := state{image: img, versions: e.TableVersionsAt(tables, at), horizon: e.Horizon()}
+		tx, err := e.BeginAt(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Abort()
+		for _, ix := range []string{"item_grp", "item_name"} {
+			var walk []storage.KV
+			cur := tx.IndexCursor("item", ix)
+			for cur.Next() {
+				walk = append(walk, cur.KV())
+			}
+			if cur.Err() != nil {
+				t.Fatal(cur.Err())
+			}
+			st.reads = append(st.reads, walk)
+		}
+		for _, q := range [][]any{{"item_grp", int64(1)}, {"item_name", "n07"}} {
+			kvs, err := tx.ScanIndexEq("item", q[0].(string), q[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.reads = append(st.reads, kvs)
+		}
+		return st
+	}
+	same := func(t *testing.T, at uint64) {
+		t.Helper()
+		want := stateOf(t, 0, at)
+		if len(want.reads[0]) != 59 || len(want.reads[2]) == 0 || len(want.reads[3]) == 0 {
+			t.Fatalf("replica 0 reads %d, %d, %d rows: the load is not what the test expects", len(want.reads[0]), len(want.reads[2]), len(want.reads[3]))
+		}
+		for i := 1; i < c.NumReplicas(); i++ {
+			got := stateOf(t, i, at)
+			if !bytes.Equal(got.image, want.image) {
+				t.Errorf("replica %d: image at %d differs from replica 0's", i, at)
+			}
+			if !reflect.DeepEqual(got.versions, want.versions) || got.horizon != want.horizon {
+				t.Errorf("replica %d: table versions %v, horizon %d; replica 0 %v, %d", i, got.versions, got.horizon, want.versions, want.horizon)
+			}
+			if !reflect.DeepEqual(got.reads, want.reads) {
+				t.Errorf("replica %d: index reads differ from replica 0's", i)
+			}
+		}
+	}
+
+	same(t, v0)
+	if vt := c.Replica(1).Engine().TableVersionsAt([]string{"item"}, v0); vt[0] != v0 {
+		t.Errorf("item table version %d, want the delete's %d", vt[0], v0)
+	}
+	s := c.NewSession()
+	defer s.Close()
+	bumpN(t, s, 40)
+	waitAllAt(t, c, v0+40)
+	same(t, v0+40)
 }
 
 // TestStrongConsistencyUnderConcurrency is the core correctness test:

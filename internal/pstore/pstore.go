@@ -53,8 +53,7 @@ type Options struct {
 	// no checkpoint exists. It must be deterministic: recovery re-runs
 	// it and expects the same engine version the original run had when
 	// StartAt was called. A cluster's restart passes its LoadData
-	// function, which keeps no mutable state between calls, so it may
-	// run here while other stores run it too.
+	// function.
 	Bootstrap func(*storage.Engine) error
 	// Clock is injectable for the seeded tests; nil means time.Now.
 	// It feeds stats only — no durability decision depends on it.

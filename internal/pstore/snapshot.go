@@ -188,8 +188,10 @@ func LoadSnapshot(data []byte) (*storage.Engine, uint64, error) {
 // LoadSnapshot so the fuzz target can exercise the parser directly —
 // the CRC gate would otherwise shield it from nearly every input. The
 // decoder's first failure sticks and is reported once, by Done; each
-// table header and each row is checked for it before it reaches the
-// engine, so no half-decoded value does.
+// table header and each row is checked for it before it joins the
+// image, and only a fully decoded image reaches storage.Engine.Build,
+// which checks key order, row versions and every row against its
+// schema.
 func parseSnapshot(body []byte) (*storage.Engine, uint64, error) {
 	if len(body) < len(snapMagic) {
 		return nil, 0, fmt.Errorf("%w: short image (%d bytes)", ErrBadSnapshot, len(body))
@@ -199,8 +201,7 @@ func parseSnapshot(body []byte) (*storage.Engine, uint64, error) {
 	}
 	d := writeset.NewDecoder(body[len(snapMagic):])
 	at := d.Uvarint()
-	eng := storage.NewEngine()
-	prevTable := ""
+	var imgs []storage.TableImage
 decode:
 	for ti, ntables := 0, d.Count(); ti < ntables; ti++ {
 		name := strings.Clone(d.Str())
@@ -217,41 +218,32 @@ decode:
 		if d.Failed() {
 			break
 		}
-		if ti > 0 && name <= prevTable {
+		if ti > 0 && name <= imgs[ti-1].Schema.Table {
 			return nil, 0, fmt.Errorf("%w: tables out of order at %q", ErrBadSnapshot, name)
 		}
-		prevTable = name
-		if err := eng.CreateTable(sch); err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		prevKey := ""
-		for ri, nrows := 0, d.Count(); ri < nrows; ri++ {
+		nrows := d.Count()
+		img := storage.TableImage{Schema: sch, Rows: make([]storage.VersionedRow, 0, nrows)}
+		for ri := 0; ri < nrows; ri++ {
 			key, rv, row := d.Str(), d.Uvarint(), d.Row()
-			switch {
-			case d.Failed():
+			if d.Failed() {
 				break decode
-			case ri > 0 && key <= prevKey:
-				return nil, 0, fmt.Errorf("%w: keys out of order in %s", ErrBadSnapshot, name)
-			case rv > at:
-				return nil, 0, fmt.Errorf("%w: row version %d above snapshot %d", ErrBadSnapshot, rv, at)
-			case len(row) != len(sch.Columns):
-				return nil, 0, fmt.Errorf("%w: row arity %d, want %d", ErrBadSnapshot, len(row), len(sch.Columns))
 			}
-			prevKey = key
 			for i, v := range row {
 				if s, ok := v.(string); ok {
 					row[i] = strings.Clone(s)
 				}
 			}
-			if err := eng.RestoreRow(name, strings.Clone(key), row, rv); err != nil {
-				return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
+			img.Rows = append(img.Rows, storage.VersionedRow{Key: strings.Clone(key), Version: rv, Row: row})
 		}
+		imgs = append(imgs, img)
 	}
 	if err := d.Done(); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	eng.RestoreVersion(at)
+	eng := storage.NewEngine()
+	if err := eng.Build(at, imgs); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
 	return eng, at, nil
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -432,15 +433,16 @@ func TestIndexEntryFollowsChain(t *testing.T) {
 		src := kvTable(t)
 		write(t, src, []any{int64(1), int64(7), int64(1)}, []any{int64(3), int64(7), int64(3)})
 		write(t, src, []any{int64(3)})
-		e := kvTable(t)
 		snap := src.Begin()
 		defer snap.Abort()
-		if err := snap.ScanVisible("kv", func(key string, v uint64, row []any) error {
-			return e.RestoreRow("kv", key, row, v)
-		}); err != nil {
+		img, err := snap.Image()
+		if err != nil {
 			t.Fatal(err)
 		}
-		e.RestoreVersion(src.Version())
+		e := NewEngine()
+		if err := e.Build(snap.Snapshot(), img); err != nil {
+			t.Fatal(err)
+		}
 		cycle(t, e, "kv_grp")
 	})
 }
@@ -450,8 +452,12 @@ func TestIndexEntryFollowsChain(t *testing.T) {
 // slices, not copies — while other goroutines install and publish new
 // versions of the same keys, moving them between index values and to and
 // from NULL, and prune the old ones away as they install, then checks every held row
-// still reads as it did. Under -race a write into a shared row, or into
-// an index entry a reader follows, is reported as one.
+// still reads as it did. A twin engine built from the first one's image
+// shares its row images: readers hold its rows too while the first
+// engine updates and prunes those very rows, and the twin reads as it
+// did, through its rows and its index, at the end. Under -race a write
+// into a shared row, or into an index entry a reader follows, is
+// reported as one.
 func TestSharedRowsNeverMutated(t *testing.T) {
 	e := kvTable(t)
 	const keys = 64
@@ -465,6 +471,45 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 
 	type held struct{ row, was []any }
 	hold := func(r []any) held { return held{row: r, was: append([]any(nil), r...)} }
+
+	twin := NewEngine()
+	snap := e.Begin()
+	img, err := snap.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Build(snap.Snapshot(), img); err != nil {
+		t.Fatal(err)
+	}
+	snap.Abort()
+	twinReads := func() string {
+		rtx := twin.Begin()
+		defer rtx.Abort()
+		kvs, err := rtx.ScanAll("kv")
+		if err != nil {
+			t.Error(err)
+		}
+		out := fmt.Sprint(kvs)
+		for g := int64(0); g < 4; g++ {
+			kvs, err := rtx.ScanIndexEq("kv", "kv_grp", g)
+			if err != nil {
+				t.Error(err)
+			}
+			out += fmt.Sprint(kvs)
+		}
+		return out
+	}
+	twinWas := twinReads()
+	{
+		a, b := e.Begin(), twin.Begin()
+		ra, _, _ := a.Get("kv", EncodeKey(int64(5)))
+		rb, _, _ := b.Get("kv", EncodeKey(int64(5)))
+		if &ra[0] != &rb[0] {
+			t.Fatal("the twin copied its rows instead of sharing them")
+		}
+		a.Abort()
+		b.Abort()
+	}
 
 	const rounds = 300
 	var wg sync.WaitGroup
@@ -512,6 +557,13 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 				} else if ok {
 					all = append(all, hold(r))
 				}
+				ttx := twin.Begin()
+				if kvs, err := ttx.ScanIndexEq("kv", "kv_grp", int64(n%4)); err != nil || len(kvs) != keys/4 {
+					t.Errorf("twin index read of %d: %d rows, %v", n%4, len(kvs), err)
+				} else {
+					all = append(all, hold(kvs[n%len(kvs)].Row))
+				}
+				ttx.Abort()
 				c := rtx.Cursor("kv", "", "", n%2 == 0)
 				for i := 0; i < 5 && c.Next(); i++ {
 					all = append(all, hold(c.KV().Row))
@@ -561,6 +613,9 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if got := twinReads(); got != twinWas {
+		t.Errorf("twin reads %s after the other engine's updates, was %s", got, twinWas)
+	}
 
 	// A transaction's own UPDATE after a read leaves the row it read, and
 	// the committed version, as they were; so does a second UPDATE of the

@@ -24,10 +24,11 @@
 //
 // Concurrency model. One function, installRun, links row versions into
 // chains; every writer is a thin caller that picks the engine lock and
-// the ordering check. ApplyWriteSet, ApplyWriteSetBatch and CommitLocal
-// hold e.mu exclusively and publish the versions they install before
-// releasing it, exactly as the paper's one-commit-at-a-time proxy
-// requires. InstallWriteSets holds e.mu shared, so several runs install
+// the ordering check. (Build, which makes an empty engine whole from an
+// image, builds its chains off to the side and swaps them in under
+// e.mu.) ApplyWriteSet, ApplyWriteSetBatch and CommitLocal hold e.mu
+// exclusively and publish the versions they install before releasing
+// it, exactly as the paper's one-commit-at-a-time proxy requires. InstallWriteSets holds e.mu shared, so several runs install
 // concurrently, and leaves publication to a later PublishVersion.
 // Readers take the per-table lock for B-tree and index traversal and
 // rely on atomically swapped chain heads plus the snapshot filter, so
@@ -262,13 +263,8 @@ func (e *Engine) ID() uint64 { return e.id }
 
 // CreateTable registers a table. It is an error if the name is taken.
 func (e *Engine) CreateTable(s *Schema) error {
-	cp := &Schema{
-		Table:   s.Table,
-		Columns: append([]Column(nil), s.Columns...),
-		Key:     append([]string(nil), s.Key...),
-		Indexes: append([]IndexDef(nil), s.Indexes...),
-	}
-	if err := cp.normalize(); err != nil {
+	cp, err := s.clone()
+	if err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -276,16 +272,22 @@ func (e *Engine) CreateTable(s *Schema) error {
 	if _, exists := e.tables[cp.Table]; exists {
 		return fmt.Errorf("storage: table %s already exists", cp.Table)
 	}
-	t := &table{
-		schema:  cp,
-		rows:    btree.New(),
-		indexes: make(map[string]*secIndex),
-	}
-	for _, def := range cp.Indexes {
-		t.indexes[def.Name] = &secIndex{col: cp.ColIndex(def.Column), tree: btree.New()}
-	}
-	e.tables[cp.Table] = t
+	e.tables[cp.Table] = newTable(cp)
 	return nil
+}
+
+// newTable returns an empty table under the validated schema s, with
+// its (empty) secondary indexes.
+func newTable(s *Schema) *table {
+	t := &table{
+		schema:  s,
+		rows:    btree.New(),
+		indexes: make(map[string]*secIndex, len(s.Indexes)),
+	}
+	for _, def := range s.Indexes {
+		t.indexes[def.Name] = &secIndex{col: s.ColIndex(def.Column), tree: btree.New()}
+	}
+	return t
 }
 
 // CreateIndex adds a secondary index to an existing table and
@@ -499,7 +501,7 @@ func (e *Engine) sizeRun(wss []*writeset.WriteSet) (n, items int, err error) {
 //
 // The row image each item carries is linked as handed, not copied: it
 // is a Txn's private pending copy, or a row freshly decoded from a
-// frame, the WAL or a checkpoint, and nobody writes into it afterwards
+// frame or the WAL, and nobody writes into it afterwards
 // (the rule every install entry point states). Version rows come from
 // one run-sized slab: one allocation per call instead of one per item,
 // which is most of what the refresh-apply hot path allocates. A slab
@@ -604,7 +606,7 @@ func (t *table) dropTombsLocked(horizon uint64) {
 // an ordering bug into a loud error instead of silent corruption.
 //
 // The engine keeps the row slices it is handed, here and in
-// ApplyWriteSetBatch, InstallWriteSets and RestoreRow: the caller must
+// ApplyWriteSetBatch, InstallWriteSets and Build: the caller must
 // not write into an item's Row after the call.
 func (e *Engine) ApplyWriteSet(ws *writeset.WriteSet, atVersion uint64) error {
 	return e.ApplyWriteSetBatch([]*writeset.WriteSet{ws}, atVersion)

@@ -121,17 +121,17 @@ func (s *Schema) CheckRow(row []any) error {
 	return nil
 }
 
-// clone returns a deep copy safe to hand to another engine instance.
-func (s *Schema) clone() *Schema {
+// clone returns a validated deep copy, the engine's own: it shares no
+// slice with s, which the caller may go on using.
+func (s *Schema) clone() (*Schema, error) {
 	cp := &Schema{
 		Table:   s.Table,
 		Columns: append([]Column(nil), s.Columns...),
 		Key:     append([]string(nil), s.Key...),
 		Indexes: append([]IndexDef(nil), s.Indexes...),
 	}
-	// normalize cannot fail: the source already passed it.
 	if err := cp.normalize(); err != nil {
-		panic(err)
+		return nil, err
 	}
-	return cp
+	return cp, nil
 }

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
-	"sconrep/internal/writeset"
+	"sconrep/internal/btree"
 )
 
 // scanChunk is how many keys ScanVisible collects per table-lock
@@ -36,12 +38,7 @@ func (t *Txn) ScanVisible(tableName string, fn func(key string, version uint64, 
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
-	type hit struct {
-		key     string
-		version uint64
-		row     []any
-	}
-	chunk := make([]hit, 0, scanChunk)
+	chunk := make([]VersionedRow, 0, scanChunk)
 	lo := ""
 	for {
 		chunk = chunk[:0]
@@ -49,17 +46,17 @@ func (t *Txn) ScanVisible(tableName string, fn func(key string, version uint64, 
 		it := tb.rows.Scan(lo, "")
 		for it.Next() {
 			if v := it.Value().(*chain).visibleAt(t.snapshot); v != nil {
-				chunk = append(chunk, hit{key: it.Key(), version: v.version, row: v.row})
+				chunk = append(chunk, VersionedRow{Key: it.Key(), Version: v.version, Row: v.row})
 			}
-			lo = it.Key() + "\x00"
 			if len(chunk) == scanChunk {
+				lo = it.Key() + "\x00"
 				break
 			}
 		}
 		more := len(chunk) == scanChunk
 		tb.mu.RUnlock()
 		for i := range chunk {
-			if err := fn(chunk[i].key, chunk[i].version, chunk[i].row); err != nil {
+			if err := fn(chunk[i].Key, chunk[i].Version, chunk[i].Row); err != nil {
 				return err
 			}
 		}
@@ -77,23 +74,140 @@ func (e *Engine) TablesSorted() []string {
 	return names
 }
 
-// RestoreRow installs a row image at the given version, bypassing the
-// commit-order check. Checkpoint restore only: the engine must not be
-// serving traffic, keys must arrive at most once, and the caller must
-// finish with RestoreVersion. Row images are schema-checked so a
-// corrupt checkpoint cannot plant malformed rows. The engine keeps row
-// as its version image: the caller must not write into it afterwards.
-func (e *Engine) RestoreRow(tableName, key string, row []any, version uint64) error {
-	ws := writeset.WriteSet{Items: []writeset.Item{{Table: tableName, Key: key, Op: writeset.OpUpdate, Row: row}}}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, err := e.installRun([]*writeset.WriteSet{&ws}, version)
-	return err
+// VersionedRow is one live row of a TableImage: its encoded primary
+// key, the version that wrote it, and its image.
+type VersionedRow struct {
+	Key     string
+	Version uint64
+	Row     []any
 }
 
-// RestoreVersion force-sets the published version after a checkpoint
-// restore. Restore only; it is not a commit and performs no ordering
-// checks.
-func (e *Engine) RestoreVersion(v uint64) {
-	e.version.Store(v)
+// TableImage is one table's committed state at one version, the unit
+// Build takes: its schema, the newest version that wrote it, and its
+// live rows in ascending key order.
+type TableImage struct {
+	Schema *Schema
+	// LastWrite is the newest version that wrote the table. A delete
+	// counts, so it may lie above every row's version; Build keeps the
+	// larger of it and the newest row's, so 0 leaves it to the rows.
+	LastWrite uint64
+	Rows      []VersionedRow
+}
+
+// Image returns the committed state the transaction's snapshot reads,
+// in the form Build takes: every table in lexical name order, each
+// with the rows ScanVisible finds and the version TableVersionsAt
+// reports. The schemas and rows are the engine's own, shared like every
+// row a read returns (see Txn).
+func (t *Txn) Image() ([]TableImage, error) {
+	names := t.e.TablesSorted()
+	last := t.e.TableVersionsAt(names, t.snapshot)
+	imgs := make([]TableImage, len(names))
+	for i, name := range names {
+		img := &imgs[i]
+		img.LastWrite = last[i]
+		t.e.mu.RLock()
+		tb := t.e.tables[name] // tables are never dropped
+		tb.mu.RLock()
+		// Every row the snapshot sees has a chain in the tree.
+		img.Schema, img.Rows = tb.schema, make([]VersionedRow, 0, tb.rows.Len())
+		tb.mu.RUnlock()
+		t.e.mu.RUnlock()
+		err := t.ScanVisible(name, func(key string, version uint64, row []any) error {
+			img.Rows = append(img.Rows, VersionedRow{Key: key, Version: version, Row: row})
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return imgs, nil
+}
+
+// Build makes an empty engine (no table, version 0) hold imgs at
+// version at, then publishes at, once. Each row becomes its chain's only
+// version; each table's lastWrite is restored, so TableVersionsAt reads
+// what it read where the image was taken; the trees are built bottom up
+// (btree.Sorted), the row tree from the rows and each secondary index
+// from its entries sorted. Checkpoint restore and Cluster.LoadData both
+// make engines this way.
+//
+// Rows must ascend strictly by key, at versions no higher than at, and
+// each is schema-checked, so a corrupt image cannot plant a malformed
+// row; on any error the engine is left as it was. Row images and key
+// strings are kept, not copied: engines built from one image share
+// them, and nobody may write into them afterwards (the rule every
+// install entry point states). Everything else — version rows, chains,
+// trees, index entries — is each engine's own, so what one engine
+// links, cuts or drops no other sees.
+func (e *Engine) Build(at uint64, imgs []TableImage) error {
+	tables := make(map[string]*table, len(imgs))
+	for _, img := range imgs {
+		t, err := buildTable(img, at)
+		if err != nil {
+			return err
+		}
+		if _, dup := tables[t.schema.Table]; dup {
+			return fmt.Errorf("storage: build: table %s appears twice", t.schema.Table)
+		}
+		tables[t.schema.Table] = t
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.tables) > 0 || e.version.Load() > 0 {
+		return fmt.Errorf("storage: build into an engine with %d tables at version %d", len(e.tables), e.version.Load())
+	}
+	e.tables = tables
+	e.version.Store(at)
+	return nil
+}
+
+// buildTable is Build's work on one table. Version rows, chains and
+// index entries each come from one table-sized slab, as installRun
+// carves a run's version rows from one.
+func buildTable(img TableImage, at uint64) (*table, error) {
+	s, err := img.Schema.clone()
+	if err != nil {
+		return nil, err
+	}
+	t := newTable(s)
+	rows := img.Rows
+	vers := make([]verRow, len(rows))
+	chains := make([]chain, len(rows))
+	last := img.LastWrite
+	for i, r := range rows {
+		switch {
+		case i > 0 && r.Key <= rows[i-1].Key:
+			return nil, fmt.Errorf("storage: build: table %s: keys out of order at row %d", s.Table, i)
+		case r.Version > at:
+			return nil, fmt.Errorf("storage: build: table %s: row version %d above %d", s.Table, r.Version, at)
+		}
+		if err := s.CheckRow(r.Row); err != nil {
+			return nil, err
+		}
+		v := &vers[i]
+		v.version, v.row = r.Version, r.Row
+		chains[i].head.Store(v)
+		last = max(last, r.Version)
+	}
+	if last > at {
+		return nil, fmt.Errorf("storage: build: table %s last written at %d, above %d", s.Table, last, at)
+	}
+	t.lastWrite.Store(last)
+	t.rows = btree.Sorted(len(rows), func(i int) (string, any) { return rows[i].Key, &chains[i] })
+	type entry struct {
+		key string
+		ent *ixEntry
+	}
+	sorted := make([]entry, len(rows))
+	for _, ix := range t.indexes {
+		ents := make([]ixEntry, len(rows))
+		for i, r := range rows {
+			ents[i] = ixEntry{n: 1, ch: &chains[i]}
+			sorted[i] = entry{key: entryKey(r.Row[ix.col], r.Key), ent: &ents[i]}
+		}
+		slices.SortFunc(sorted, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+		ix.tree = btree.Sorted(len(sorted), func(i int) (string, any) { return sorted[i].key, sorted[i].ent })
+	}
+	return t, nil
 }

@@ -143,17 +143,22 @@ func (t *Txn) committedAt(table, key string) ([]any, bool, error) {
 	if !ok {
 		return nil, false, fmt.Errorf("%w: %s", ErrNoTable, table)
 	}
+	if vr := tb.visibleAt(key, t.snapshot); vr != nil {
+		return vr.row, true, nil
+	}
+	return nil, false, nil
+}
+
+// visibleAt returns the version of the row under key visible at
+// snapshot, or nil. Caller holds e.mu, shared or exclusive.
+func (tb *table) visibleAt(key string, snapshot uint64) *verRow {
 	tb.mu.RLock()
 	cv, ok := tb.rows.Get(key)
 	tb.mu.RUnlock()
 	if !ok {
-		return nil, false, nil
+		return nil
 	}
-	vr := cv.(*chain).visibleAt(t.snapshot)
-	if vr == nil {
-		return nil, false, nil
-	}
-	return vr.row, true, nil
+	return cv.(*chain).visibleAt(snapshot)
 }
 
 // Get returns the row under the encoded primary key, as visible to
@@ -173,19 +178,23 @@ func (t *Txn) Get(table, key string) ([]any, bool, error) {
 }
 
 // Insert adds a row. It fails with ErrDuplicateKey if the key is
-// visible to this transaction.
+// visible to this transaction. It holds e.mu's read lock once, for the
+// schema and the committed lookup both: a bulk load is one Insert per
+// row.
 func (t *Txn) Insert(table string, row []any) error {
 	if t.finished {
 		return ErrTxnFinished
 	}
-	s, ok := t.e.Schema(table)
+	t.e.mu.RLock()
+	defer t.e.mu.RUnlock()
+	tb, ok := t.e.tables[table]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, table)
 	}
-	if err := s.CheckRow(row); err != nil {
+	if err := tb.schema.CheckRow(row); err != nil {
 		return err
 	}
-	key, err := s.KeyOf(row)
+	key, err := tb.schema.KeyOf(row)
 	if err != nil {
 		return err
 	}
@@ -198,11 +207,7 @@ func (t *Txn) Insert(table string, row []any) error {
 		t.setPending(table, key, writeset.OpUpdate, row)
 		return nil
 	}
-	_, exists, err := t.committedAt(table, key)
-	if err != nil {
-		return err
-	}
-	if exists {
+	if tb.visibleAt(key, t.snapshot) != nil {
 		return fmt.Errorf("%w: %s[%q]", ErrDuplicateKey, table, key)
 	}
 	t.setPending(table, key, writeset.OpInsert, row)

@@ -179,11 +179,9 @@ func (b *Boot) Exec(q string, args ...any) {
 // Err returns the first error, if any.
 func (b *Boot) Err() error { return b.err }
 
-// Bootstrap loads the initial schema and data. The function runs once
-// per replica, concurrently with the other replicas' calls, each on its
-// own replica's *Boot: it must be deterministic (same statements, same
-// order) and must not share mutable state between those calls. Call it
-// exactly once, before any sessions.
+// Bootstrap loads the initial schema and data. The function runs once,
+// on the first replica, and every other replica is built from the state
+// it committed. Call it exactly once, before any sessions.
 func (db *DB) Bootstrap(fn func(*Boot) error) error {
 	return db.c.LoadData(func(e *storage.Engine) error {
 		b := &Boot{e: e}
