@@ -181,6 +181,11 @@ func (c *Cluster) finished(tl metrics.Timeline, committed, readOnly bool) {
 	c.coll.RecordTimeline(tl, !readOnly, syncDelay)
 }
 
+// buildReplica builds one replica's engine from replica 0's image
+// (storage.Engine.Build); a variable so a test can hold the builds at a
+// barrier.
+var buildReplica = (*storage.Engine).Build
+
 // LoadData bootstraps every replica with identical initial data, then
 // aligns the certifier's version counter with the replicas. load runs
 // once, on replica 0's engine; replicas 1…n−1 are then built
@@ -211,7 +216,7 @@ func (c *Cluster) LoadData(load func(e *storage.Engine) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i+1] = n.Replica.Engine().Build(v0, img)
+			errs[i+1] = buildReplica(n.Replica.Engine(), v0, img)
 		}()
 	}
 	wg.Wait()

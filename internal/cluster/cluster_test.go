@@ -140,59 +140,89 @@ func TestLoadDataTwiceFails(t *testing.T) {
 	}
 }
 
-// TestLoadDataRunsLoaderOnce: the loader runs once, on replica 0, and
-// every replica ends at the certifier's version. A loader error names
-// replica 0; a replica that cannot be built from replica 0's state (it
-// already has a table) is named in the error, and the loader still ran
-// once.
-func TestLoadDataRunsLoaderOnce(t *testing.T) {
-	newC := func(t *testing.T) *Cluster {
-		t.Helper()
-		c, err := New(Config{Replicas: 3, Mode: core.Coarse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		return c
+// newLoadCluster is a three-replica CSC cluster with nothing loaded.
+func newLoadCluster(t *testing.T) *Cluster {
+	t.Helper()
+	c, err := New(Config{Replicas: 3, Mode: core.Coarse})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var calls []*storage.Engine
-	counting := func(load func(*storage.Engine) error) func(*storage.Engine) error {
-		mu.Lock()
-		calls = nil
-		mu.Unlock()
-		return func(e *storage.Engine) error {
-			mu.Lock()
-			calls = append(calls, e)
-			mu.Unlock()
-			return load(e)
-		}
-	}
-	onceOnReplica0 := func(t *testing.T, c *Cluster) {
-		t.Helper()
-		mu.Lock()
-		defer mu.Unlock()
-		if len(calls) != 1 || calls[0] != c.Replica(0).Engine() {
-			t.Fatalf("loader ran on %d engines (%v), want once on replica 0's", len(calls), calls)
-		}
-	}
+	t.Cleanup(c.Close)
+	return c
+}
 
-	t.Run("loads", func(t *testing.T) {
-		c := newC(t)
-		if err := c.LoadData(counting(loadCounter)); err != nil {
-			t.Fatal(err)
+// loaderCalls wraps load so it records each engine it runs on; once
+// fails t unless that was replica 0's engine and no other.
+type loaderCalls struct {
+	mu    sync.Mutex
+	calls []*storage.Engine
+}
+
+func (l *loaderCalls) wrap(load func(*storage.Engine) error) func(*storage.Engine) error {
+	return func(e *storage.Engine) error {
+		l.mu.Lock()
+		l.calls = append(l.calls, e)
+		l.mu.Unlock()
+		return load(e)
+	}
+}
+
+func (l *loaderCalls) once(t *testing.T, c *Cluster) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.calls) != 1 || l.calls[0] != c.Replica(0).Engine() {
+		t.Fatalf("loader ran on %d engines (%v), want once on replica 0's", len(l.calls), l.calls)
+	}
+}
+
+// TestLoadDataLoadsReplicasConcurrently: the loader runs once, on
+// replica 0, and replicas 1 and 2 are built from its state at once. The
+// builds wait at a barrier until both have entered it, which only builds
+// running at once can pass: a loop that builds one replica after another
+// would wait there forever. The timeout only keeps such a loop from
+// hanging the test; nothing here is timed. Every replica ends at the
+// certifier's version.
+func TestLoadDataLoadsReplicasConcurrently(t *testing.T) {
+	c := newLoadCluster(t)
+	built := c.NumReplicas() - 1
+	var entered sync.WaitGroup
+	entered.Add(built)
+	allIn := make(chan struct{})
+	go func() { entered.Wait(); close(allIn) }()
+	build := buildReplica
+	t.Cleanup(func() { buildReplica = build })
+	buildReplica = func(e *storage.Engine, at uint64, imgs []storage.TableImage) error {
+		entered.Done()
+		select {
+		case <-allIn:
+		case <-time.After(time.Minute):
+			return errors.New("the other replicas' builds never started")
 		}
-		onceOnReplica0(t, c)
-		for i := 0; i < c.NumReplicas(); i++ {
-			if got, want := c.Replica(i).Engine().Version(), c.Certifier().Version(); got != want || got == 0 {
-				t.Errorf("replica %d at version %d, certifier at %d", i, got, want)
-			}
+		return build(e, at, imgs)
+	}
+	var l loaderCalls
+	if err := c.LoadData(l.wrap(loadCounter)); err != nil {
+		t.Fatal(err)
+	}
+	l.once(t, c)
+	for i := 0; i < c.NumReplicas(); i++ {
+		if got, want := c.Replica(i).Engine().Version(), c.Certifier().Version(); got != want || got == 0 {
+			t.Errorf("replica %d at version %d, certifier at %d", i, got, want)
 		}
-	})
+	}
+}
+
+// TestLoadDataNamesFailingReplica: a loader error names replica 0, the
+// only replica the loader runs on. When replicas 1 and 2 cannot be built
+// from replica 0's state (each already has a table), the error is
+// replica 1's and says so; the loader still ran once.
+func TestLoadDataNamesFailingReplica(t *testing.T) {
 	t.Run("loader error", func(t *testing.T) {
-		c := newC(t)
+		c := newLoadCluster(t)
 		failed := errors.New("disk full")
-		err := c.LoadData(counting(func(e *storage.Engine) error {
+		var l loaderCalls
+		err := c.LoadData(l.wrap(func(e *storage.Engine) error {
 			if err := loadCounter(e); err != nil {
 				return err
 			}
@@ -201,22 +231,25 @@ func TestLoadDataRunsLoaderOnce(t *testing.T) {
 		if !errors.Is(err, failed) || !strings.Contains(err.Error(), "replica 0") {
 			t.Fatalf("LoadData = %v, want the loader's error naming replica 0", err)
 		}
-		onceOnReplica0(t, c)
+		l.once(t, c)
 	})
 	t.Run("build error", func(t *testing.T) {
-		c := newC(t)
-		if err := c.Replica(2).Engine().CreateTable(&storage.Schema{
-			Table:   "stray",
-			Columns: []storage.Column{{Name: "id", Type: storage.TInt}},
-			Key:     []string{"id"},
-		}); err != nil {
-			t.Fatal(err)
+		c := newLoadCluster(t)
+		for _, i := range []int{1, 2} {
+			if err := c.Replica(i).Engine().CreateTable(&storage.Schema{
+				Table:   "stray",
+				Columns: []storage.Column{{Name: "id", Type: storage.TInt}},
+				Key:     []string{"id"},
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		err := c.LoadData(counting(loadCounter))
-		if err == nil || !strings.Contains(err.Error(), "replica 2") {
-			t.Fatalf("LoadData = %v, want a build error naming replica 2", err)
+		var l loaderCalls
+		err := c.LoadData(l.wrap(loadCounter))
+		if err == nil || !strings.Contains(err.Error(), "replica 1") {
+			t.Fatalf("LoadData = %v, want replica 1's build error", err)
 		}
-		onceOnReplica0(t, c)
+		l.once(t, c)
 	})
 }
 
