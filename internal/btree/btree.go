@@ -11,8 +11,7 @@
 // past the tree's last key: then only the new key moves to a fresh
 // leaf, so an ascending load (a bulk load in key order, or an
 // ever-growing order id) leaves every leaf but the last one full,
-// instead of half-empty leaves nothing will insert into again. Sorted
-// builds that layout directly from keys already in order.
+// instead of half-empty leaves nothing will insert into again.
 package btree
 
 import (
@@ -241,56 +240,6 @@ func (t *Tree) splitInternal(n *internal) (*internal, string) {
 	n.keys = n.keys[: midC-1 : midC-1]
 	n.children = n.children[:midC:midC]
 	return right, sep
-}
-
-// Sorted returns a tree of the n pairs at(0), …, at(n-1), whose keys
-// must ascend strictly. It is the tree a run of Set calls in that order
-// builds — every leaf full but the last — made bottom up, a leaf at a
-// time and then each level of internal nodes over the one below,
-// without a search per key.
-func Sorted(n int, at func(i int) (string, any)) *Tree {
-	t := &Tree{root: newLeaf(), size: n}
-	var (
-		level []node
-		first []string // the smallest key under each node of level
-		prev  *leaf
-		last  string
-	)
-	for i := 0; i < n; {
-		l := newLeaf()
-		for ; i < n && len(l.keys) < maxKeys; i++ {
-			k, v := at(i)
-			if i > 0 && k <= last {
-				panic(fmt.Sprintf("btree: Sorted key %q after %q", k, last))
-			}
-			last = k
-			l.keys = append(l.keys, k)
-			l.values = append(l.values, v)
-		}
-		if prev != nil {
-			prev.next, l.prev = l, prev
-		}
-		prev = l
-		level, first = append(level, l), append(first, l.keys[0])
-	}
-	for len(level) > 1 {
-		var up []node
-		var upFirst []string
-		for j := 0; j < len(level); j += degree {
-			end := min(j+degree, len(level))
-			up = append(up, &internal{
-				keys:     slices.Clone(first[j+1 : end]),
-				children: slices.Clone(level[j:end]),
-			})
-			upFirst = append(upFirst, first[j])
-		}
-		level, first = up, upFirst
-		t.height++
-	}
-	if len(level) == 1 {
-		t.root = level[0]
-	}
-	return t
 }
 
 // Delete removes k and reports whether it was present.

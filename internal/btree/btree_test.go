@@ -495,63 +495,3 @@ func BenchmarkTreeGet(b *testing.B) {
 		tr.Get(fmt.Sprintf("%012d", i%n))
 	}
 }
-
-// TestSorted builds trees bottom up from ascending keys, at sizes around
-// one leaf and one full internal level, and requires each to pass the
-// structure check, to lay its leaves out as ascending Set calls do, to
-// scan every key once in both directions, and to go on taking random
-// Sets and Deletes; keys that do not ascend panic.
-func TestSorted(t *testing.T) {
-	for _, n := range []int{0, 1, maxKeys - 1, maxKeys, maxKeys + 1, maxKeys * degree, maxKeys*degree + 1, 3*maxKeys*degree + 5} {
-		keys := make([]string, n)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("%08d", 2*i)
-		}
-		tr := Sorted(n, func(i int) (string, any) { return keys[i], i })
-		if err := tr.check(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		set := New()
-		for i, k := range keys {
-			set.Set(k, i)
-		}
-		ls, setLs := tr.leaves(), set.leaves()
-		if len(ls) != len(setLs) || tr.Len() != n {
-			t.Fatalf("n=%d: %d leaves and Len %d, ascending Set makes %d leaves", n, len(ls), tr.Len(), len(setLs))
-		}
-		for i, l := range ls {
-			if sl := setLs[i]; !slices.Equal(l.keys, sl.keys) {
-				t.Fatalf("n=%d: leaf %d holds %v, ascending Set's %v", n, i, l.keys, sl.keys)
-			}
-		}
-		var up, down []string
-		for it := tr.ScanAll(); it.Next(); {
-			up = append(up, it.Key())
-		}
-		for it := tr.Descend("", ""); it.Next(); {
-			down = append(down, it.Key())
-		}
-		slices.Reverse(down)
-		if !slices.Equal(up, keys) || !slices.Equal(down, keys) {
-			t.Fatalf("n=%d: scans return %d and %d keys, want %d in order", n, len(up), len(down), n)
-		}
-		rng := rand.New(rand.NewSource(int64(n)))
-		for j := 0; j < 2000 && n > 0; j++ {
-			k := fmt.Sprintf("%08d", rng.Intn(2*n+2))
-			if rng.Intn(3) == 0 {
-				tr.Delete(k)
-			} else {
-				tr.Set(k, j)
-			}
-		}
-		if err := tr.check(); err != nil {
-			t.Fatalf("n=%d after Sets and Deletes: %v", n, err)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Sorted took keys that do not ascend")
-		}
-	}()
-	Sorted(2, func(i int) (string, any) { return "k", i })
-}

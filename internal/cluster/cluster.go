@@ -108,8 +108,9 @@ type Cluster struct {
 	// before traffic, so plain field access suffices).
 	tracer *dtrace.Tracer
 
-	// loadFn is the deterministic LoadData bootstrap, kept so a disk
-	// restart can rebuild an empty data directory. Set before traffic.
+	// loadFn is the LoadData bootstrap, kept so a disk restart can
+	// rebuild an empty data directory; it refuses a load that ends
+	// anywhere but LoadData's version. Set before traffic.
 	loadFn func(e *storage.Engine) error
 }
 
@@ -192,6 +193,11 @@ var buildReplica = (*storage.Engine).Build
 // concurrently from replica 0's committed state (storage.Txn.Image at
 // the loaded version, storage.Engine.Build), sharing its row images. A
 // load error names replica 0, a build error its target replica.
+//
+// load must be deterministic: a durable replica restarted on a data
+// directory with no checkpoint runs it again (RestartReplica), and the
+// certifier backfills that replica from the version the first run
+// reached. A rerun that ends at any other version fails the restart.
 func (c *Cluster) LoadData(load func(e *storage.Engine) error) error {
 	if c.loaded {
 		return errors.New("cluster: LoadData called twice")
@@ -238,7 +244,15 @@ func (c *Cluster) LoadData(load func(e *storage.Engine) error) error {
 			}
 		}
 	}
-	c.loadFn = load
+	c.loadFn = func(e *storage.Engine) error {
+		if err := load(e); err != nil {
+			return err
+		}
+		if v := e.Version(); v != v0 {
+			return fmt.Errorf("cluster: non-deterministic load: the loader reached version %d, LoadData's reached %d", v, v0)
+		}
+		return nil
+	}
 	c.loaded = true
 	return nil
 }
@@ -248,7 +262,8 @@ func (c *Cluster) KillReplica(i int) { c.nodes[i].Kill() }
 
 // RestartReplica brings killed replica i back (ReplicaNode.Restart); a
 // durable one re-runs the LoadData function when its directory holds no
-// checkpoint.
+// checkpoint, and refuses to come back if that run ends at a version
+// other than LoadData's.
 func (c *Cluster) RestartReplica(i int) error { return c.nodes[i].Restart(c.loadFn) }
 
 // ExecSchemaAll applies a DDL statement (CREATE TABLE / CREATE INDEX)

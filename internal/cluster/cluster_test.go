@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,6 +252,46 @@ func TestLoadDataNamesFailingReplica(t *testing.T) {
 		}
 		l.once(t, c)
 	})
+}
+
+// TestLoadDataRefusesNonDeterministicLoad: LoadData runs the loader
+// once, so it cannot compare two loads; a durable replica restarted on a
+// directory with no checkpoint runs it again. A rerun that commits one
+// row more ends at another version than the certifier backfills from,
+// and the restart fails, leaving the replica detached.
+func TestLoadDataRefusesNonDeterministicLoad(t *testing.T) {
+	c, err := New(Config{Replicas: 2, Mode: core.Coarse, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	var runs atomic.Int32
+	if err := c.LoadData(func(e *storage.Engine) error {
+		if err := loadCounter(e); err != nil || runs.Add(1) == 1 {
+			return err
+		}
+		tx := e.Begin()
+		if err := tx.Insert("counter", []any{int64(99), int64(0)}); err != nil {
+			return err
+		}
+		_, err := tx.CommitLocal()
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ck := c.Store(1).Stats().CheckpointCount; ck != 0 {
+		t.Fatalf("replica 1 holds %d checkpoints; the restart would not rerun the loader", ck)
+	}
+	c.KillReplica(1)
+	if err := c.RestartReplica(1); err == nil || !strings.Contains(err.Error(), "non-deterministic load") {
+		t.Fatalf("RestartReplica = %v, want the version check", err)
+	}
+	if runs.Load() != 2 {
+		t.Fatalf("the loader ran %d times, want once at LoadData and once at the restart", runs.Load())
+	}
+	if !c.Replica(1).Crashed() {
+		t.Fatal("replica serving after a refused restart")
+	}
 }
 
 // loadItems is loadCounter plus an item table with two secondary

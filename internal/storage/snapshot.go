@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"sconrep/internal/btree"
 )
 
 // scanChunk is how many keys ScanVisible collects per table-lock
@@ -127,10 +125,10 @@ func (t *Txn) Image() ([]TableImage, error) {
 // Build makes an empty engine (no table, version 0) hold imgs at
 // version at, then publishes at, once. Each row becomes its chain's only
 // version; each table's lastWrite is restored, so TableVersionsAt reads
-// what it read where the image was taken; the trees are built bottom up
-// (btree.Sorted), the row tree from the rows and each secondary index
-// from its entries sorted. Checkpoint restore and Cluster.LoadData both
-// make engines this way.
+// what it read where the image was taken; the row tree and each
+// secondary index are filled in key order, the ascending load that
+// leaves every leaf but the last full. Checkpoint restore and
+// Cluster.LoadData both make engines this way.
 //
 // Rows must ascend strictly by key, at versions no higher than at, and
 // each is schema-checked, so a corrupt image cannot plant a malformed
@@ -194,7 +192,9 @@ func buildTable(img TableImage, at uint64) (*table, error) {
 		return nil, fmt.Errorf("storage: build: table %s last written at %d, above %d", s.Table, last, at)
 	}
 	t.lastWrite.Store(last)
-	t.rows = btree.Sorted(len(rows), func(i int) (string, any) { return rows[i].Key, &chains[i] })
+	for i, r := range rows {
+		t.rows.Set(r.Key, &chains[i])
+	}
 	type entry struct {
 		key string
 		ent *ixEntry
@@ -207,7 +207,9 @@ func buildTable(img TableImage, at uint64) (*table, error) {
 			sorted[i] = entry{key: entryKey(r.Row[ix.col], r.Key), ent: &ents[i]}
 		}
 		slices.SortFunc(sorted, func(a, b entry) int { return strings.Compare(a.key, b.key) })
-		ix.tree = btree.Sorted(len(sorted), func(i int) (string, any) { return sorted[i].key, sorted[i].ent })
+		for _, en := range sorted {
+			ix.tree.Set(en.key, en.ent)
+		}
 	}
 	return t, nil
 }
