@@ -73,7 +73,7 @@ ci: bench-e2e-smoke
 # reconnect backoff, a bounded start wait, and the read path's
 # allocation ceilings, which a stray collection or timer could tip.
 # CI's flake-guard step runs this target: this is the one list.
-FLAKE_TESTS = TestDeploymentSmoke|TestShardedDeploymentLearnsRouting|TestGatewayLearnsShardRouting|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLoadDataNamesFailingReplica|TestLoadDataReplicasAreIdentical|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs|TestClientLogsShardRefusalOnce|TestUnreachableFloorIsRefused|TestRestartedGatewayKeepsStrongReads
+FLAKE_TESTS = TestDeploymentSmoke|TestShardedDeploymentLearnsRouting|TestGatewayLearnsShardRouting|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLoadDataNamesFailingReplica|TestLoadDataReplicasAreIdentical|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs|TestClientLogsShardRefusalOnce|TestUnreachableFloorIsRefused|TestRestartedGatewayKeepsStrongReads|TestRecoverFetchesMissedSuffixOnce|TestReconnectBelowTrimFloorIsRefused
 FLAKE_PKGS = ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/sql ./internal/wire .
 flake-guard:
 	$(GO) test -count=25 -run '$(FLAKE_TESTS)' $(FLAKE_PKGS)

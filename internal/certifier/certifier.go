@@ -18,14 +18,15 @@
 package certifier
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sconrep/internal/latency"
 	"sconrep/internal/obs"
@@ -40,7 +41,7 @@ import (
 type Refresh struct {
 	TxnID   uint64
 	Version uint64
-	Origin  int // originating replica ID (-1 for recovery replays)
+	Origin  int // originating replica ID (-1: unknown, a version restored from the decision log)
 	// WS also carries the certifying span's context (WriteSet.Trace)
 	// when tracing is enabled: trace baggage rides the shared writeset
 	// clone so this envelope — copied by value through mailbox rings,
@@ -71,10 +72,9 @@ type Decision struct {
 // conservatively.
 var ErrSnapshotTooOld = errors.New("certifier: snapshot below certification window")
 
-// MaxHistoryBatch caps how many refreshes one History call returns. A
-// recovering replica that is far behind loops over pages instead of
-// receiving (and allocating, and framing onto the wire) its entire
-// missed suffix in one response.
+// MaxHistoryBatch caps how many refreshes one History page and one
+// refresh-stream frame carry: a subscriber far behind receives its
+// backfill in several frames, none near the wire's frame bound.
 const MaxHistoryBatch = 4096
 
 type historyEntry struct {
@@ -267,24 +267,40 @@ func (c *Certifier) Version() uint64 {
 	return c.version.Load()
 }
 
-// Subscribe registers a replica to receive every shard's refresh
-// stream and returns its mailbox handle. Re-subscribing (recovery)
-// replaces the previous mailbox.
-func (c *Certifier) Subscribe(replicaID int) *Subscription {
-	return c.SubscribeShards(replicaID, nil)
+// TrimmedError refuses a subscription from a version below the
+// certifier's trim floor (TrimBelow): the versions between are gone, so
+// no backfill can bring the subscriber up to date.
+type TrimmedError struct {
+	After uint64 // the version the subscriber stands at
+	Floor uint64 // the trim floor: only versions above it are retained
 }
 
-// SubscribeShards registers a replica for the refresh streams of the
-// given shards only (nil or empty = all shards). Versions certified
-// entirely on other shards arrive as skip markers — refreshes with a
-// nil writeset — so the replica's version order stays contiguous while
-// it receives only the row data it serves.
-func (c *Certifier) SubscribeShards(replicaID int, shards []int) *Subscription {
+func (e *TrimmedError) Error() string {
+	return fmt.Sprintf("certifier: history is trimmed through version %d, above the subscriber's version %d", e.Floor, e.After)
+}
+
+// Subscribe registers a replica that stands at version after for the
+// refresh streams of the given shards (nil or empty = all shards).
+// Re-subscribing (recovery, reconnect) replaces the previous mailbox.
+//
+// The new mailbox opens with the backfill: every retained version in
+// (after, Floor], the subscriber's own commits included (a disk restart
+// may have lost them); every later version is fanned out to it. The
+// backfill is exact without waiting for certifications in flight: it is
+// read holding every sequencer lock, when each version up to Floor is
+// sealed, and a fan-out takes c.mu, which Subscribe holds throughout, so
+// every version above Floor is fanned out after the subscriber is
+// registered. A version at or below Floor whose fan-out is still
+// pending arrives twice; the subscriber's reorder buffer drops the copy.
+//
+// Versions certified entirely on other shards arrive as skip markers —
+// refreshes with a nil writeset — in the backfill as on the stream, so
+// the replica's version order stays contiguous while it receives only
+// the row data it serves. A subscriber below the trim floor is refused
+// with a *TrimmedError, and nothing is registered.
+func (c *Certifier) Subscribe(replicaID int, shards []int, after uint64) (*Subscription, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.subs[replicaID]; ok {
-		old.mb.Close()
-	}
 	sub := &subscriber{mb: NewMailbox()}
 	if len(shards) > 0 {
 		serves := make([]bool, len(c.seqs))
@@ -295,13 +311,31 @@ func (c *Certifier) SubscribeShards(replicaID int, shards []int) *Subscription {
 		}
 		sub.serves = serves
 	}
+	floor := c.Version()
+	c.lockAll()
+	backfill := c.historyLocked(after, floor, math.MaxInt)
+	c.unlockAll()
+	// Read after the histories: TrimBelow raises the floor before it
+	// trims, so a trim that reached them is seen here.
+	if trim := c.floor.Load(); after < trim {
+		return nil, &TrimmedError{After: after, Floor: trim}
+	}
+	for i := range backfill {
+		if backfill[i].WS != nil && !sub.servesAny(c.smap.OfTables(backfill[i].WS.Tables())) {
+			backfill[i].WS = nil
+		}
+	}
+	if old, ok := c.subs[replicaID]; ok {
+		old.mb.Close()
+	}
+	sub.mb.Put(backfill...)
 	c.subs[replicaID] = sub
 	if c.eager {
 		// The subscription opens with where the replica's own commits
 		// stand: a notice put in the mailbox this one replaces is not lost.
 		c.noticeLocked(replicaID, 0)
 	}
-	return &Subscription{Mailbox: sub.mb, c: c, replicaID: replicaID}
+	return &Subscription{Mailbox: sub.mb, c: c, replicaID: replicaID, floor: floor}, nil
 }
 
 // noticeLocked records that origin's commits through v are globally
@@ -359,7 +393,14 @@ type Subscription struct {
 	*Mailbox
 	c         *Certifier
 	replicaID int
+	floor     uint64
 }
+
+// Floor is the certifier's version when the subscription was
+// registered: every version up to it is in the backfill, every later
+// one is fanned out. The error is always nil; a refused subscription
+// has no Subscription.
+func (s *Subscription) Floor() (uint64, error) { return s.floor, nil }
 
 // Cancel unsubscribes the replica only if this subscription is still
 // its current one. A stale stream handler (the replica already
@@ -635,129 +676,45 @@ func (c *Certifier) Applied(replicaID int, v uint64) {
 }
 
 // History returns one version-ordered page (at most MaxHistoryBatch
-// entries) of the refresh stream with versions above after, for a
-// recovering replica to catch up from its durable state. Callers loop
-// until an empty page; pages are contiguous, so together with the
-// caller's live subscription (established before the first History
-// call) every version is delivered exactly by one of the two paths —
-// the reorder buffer deduplicates overlap. Each shard's history is
-// version-sorted by construction, so the per-shard cut is a binary
-// search and the page a bounded k-way merge — no call scans or copies
-// the whole retained history.
-//
-// Contiguity across shards is load-bearing: a version reserved by a
-// concurrent certification that has not sealed into its shard's
-// history yet must not be skipped — a higher version on another shard
-// may have been fanned out before the caller subscribed, so truncating
-// at the gap and relying on the stream would lose it forever. History
-// therefore waits out in-flight seals (they last one certification
-// critical section) instead of returning a page with a hole.
+// entries) of the refresh history with versions above after, for
+// readers of what was certified (tests, the benchmark's replay); callers
+// loop until an empty page. Replicas do not call it: a subscription
+// carries its own backfill (Subscribe). A page starts above the trim
+// floor, so a caller below it sees the jump.
 func (c *Certifier) History(after uint64) []Refresh {
-	for {
-		out, ok := c.historyPage(after)
-		if ok {
-			return out
-		}
-		// The version right above after is assigned but mid-seal on its
-		// shard; it lands as soon as the writer leaves its critical
-		// section.
-		time.Sleep(20 * time.Microsecond)
-	}
+	c.lockAll()
+	defer c.unlockAll()
+	return c.historyLocked(after, math.MaxUint64, MaxHistoryBatch)
 }
 
-// historyPage builds one page; ok is false when the page would start
-// at an assigned-but-not-yet-sealed version and the caller must retry.
-func (c *Certifier) historyPage(after uint64) ([]Refresh, bool) {
-	// Per-shard pages, each cut by binary search under that shard's
-	// lock only.
-	pages := make([][]historyEntry, 0, len(c.seqs))
-	for _, s := range c.seqs {
-		s.mu.Lock()
-		if p := s.historyAfter(after); len(p) > 0 {
-			pages = append(pages, p)
-		}
-		s.mu.Unlock()
-	}
-	if len(pages) == 0 {
-		// Nothing recorded above after. Versions in (after, Version()]
-		// that are still mid-seal will fan out after the caller's
-		// subscription, so an empty page is a safe "caught up".
-		return nil, true
-	}
-	// K-way merge by version; one shard is a merge of one page. A gap at
-	// the front of the page means the missing version is assigned but
-	// mid-seal — retry. A gap after some progress truncates the page (the
-	// next call resumes at the gap). A front jump below the trim floor is
-	// a trimmed prefix the caller detects and resynchronizes on.
+// historyLocked returns the first limit retained history entries in
+// (after, through], in version order. Each shard's history is
+// version-sorted by construction, so each is cut by binary search. The
+// caller holds every sequencer lock, so no version is mid-seal: a
+// version is drawn and sealed into its home shard's history in one
+// critical section, and the merged entries have no hole.
+func (c *Certifier) historyLocked(after, through uint64, limit int) []Refresh {
+	tails := make([][]historyEntry, len(c.seqs))
 	n := 0
-	for _, p := range pages {
-		n += len(p)
+	for i, s := range c.seqs {
+		tail := s.historyAfter(after)
+		tail = tail[:min(len(tail), limit)]
+		tails[i] = tail[:sort.Search(len(tail), func(j int) bool { return tail[j].version > through })]
+		n += len(tails[i])
 	}
-	out := make([]Refresh, 0, min(n, MaxHistoryBatch))
-	next := after + 1
-	for len(out) < MaxHistoryBatch {
-		best := -1
-		for i, p := range pages {
-			if len(p) == 0 {
-				continue
-			}
-			if best == -1 || p[0].version < pages[best][0].version {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		h := pages[best][0]
-		if h.version != next {
-			if len(out) != 0 {
-				break
-			}
-			if after >= c.floor.Load() {
-				return nil, false
-			}
-			// Trimmed region: the page legitimately starts above
-			// after+1; the caller sees the jump and resynchronizes.
-			next = h.version
-		}
-		out = append(out, Refresh{TxnID: h.txnID, Version: h.version, Origin: -1, WS: h.ws})
-		next = h.version + 1
-		pages[best] = pages[best][1:]
+	if n == 0 {
+		return nil
 	}
-	return out, true
-}
-
-// FilterUnserved replaces the writeset of every refresh certified
-// entirely outside the given shard set with a skip marker (nil
-// writeset), in place — the history-backfill counterpart of a partial
-// refresh subscription. A nil or empty shard set serves everything and
-// returns refs untouched.
-func (c *Certifier) FilterUnserved(refs []Refresh, shards []int) []Refresh {
-	if len(shards) == 0 {
-		return refs
-	}
-	serves := make([]bool, len(c.seqs))
-	for _, id := range shards {
-		if id >= 0 && id < len(serves) {
-			serves[id] = true
+	out := make([]Refresh, 0, n)
+	for _, tail := range tails {
+		for _, h := range tail {
+			out = append(out, Refresh{TxnID: h.txnID, Version: h.version, Origin: h.origin, WS: h.ws})
 		}
 	}
-	for i := range refs {
-		if refs[i].WS == nil {
-			continue
-		}
-		served := false
-		for _, id := range c.smap.OfTables(refs[i].WS.Tables()) {
-			if serves[id] {
-				served = true
-				break
-			}
-		}
-		if !served {
-			refs[i].WS = nil
-		}
+	if len(tails) > 1 {
+		slices.SortFunc(out, func(a, b Refresh) int { return cmp.Compare(a.Version, b.Version) })
 	}
-	return refs
+	return out[:min(n, limit)]
 }
 
 // TrimBelow discards conflict-index entries and history at or below

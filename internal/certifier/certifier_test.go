@@ -23,6 +23,17 @@ func ws(keys ...string) *writeset.WriteSet {
 	return w
 }
 
+// subscribe registers replica id as caught up: it stands at the
+// certifier's version, so its mailbox opens with no backfill.
+func subscribe(t *testing.T, c *Certifier, id int) *Subscription {
+	t.Helper()
+	s, err := c.Subscribe(id, nil, c.Version())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestCertifyCommitAndConflict(t *testing.T) {
 	c := New()
 	d1, err := c.Certify(0, 1, 0, ws("a"))
@@ -58,9 +69,9 @@ func TestCertifyRejectsEmptyWriteset(t *testing.T) {
 
 func TestRefreshFanOutSkipsOrigin(t *testing.T) {
 	c := New()
-	s0 := c.Subscribe(0)
-	s1 := c.Subscribe(1)
-	s2 := c.Subscribe(2)
+	s0 := subscribe(t, c, 0)
+	s1 := subscribe(t, c, 1)
+	s2 := subscribe(t, c, 2)
 
 	if _, err := c.Certify(1, 10, 0, ws("x")); err != nil {
 		t.Fatal(err)
@@ -78,7 +89,7 @@ func TestRefreshFanOutSkipsOrigin(t *testing.T) {
 
 func TestPendingVisibleForEarlyCertification(t *testing.T) {
 	c := New()
-	s0 := c.Subscribe(0)
+	s0 := subscribe(t, c, 0)
 	_, _ = c.Certify(1, 1, 0, ws("k1"))
 	_, _ = c.Certify(1, 2, 1, ws("k2"))
 	pending := s0.Pending()
@@ -97,7 +108,7 @@ func TestPendingVisibleForEarlyCertification(t *testing.T) {
 
 func TestUnsubscribeClosesMailbox(t *testing.T) {
 	c := New()
-	s := c.Subscribe(3)
+	s := subscribe(t, c, 3)
 	done := make(chan bool)
 	go func() {
 		_, ok := s.Take()
@@ -138,9 +149,9 @@ func noticed(t *testing.T, sub *Subscription) (through uint64, ok bool) {
 
 func TestEagerGlobalCommit(t *testing.T) {
 	c := New(WithEager())
-	s0 := c.Subscribe(0)
-	c.Subscribe(1)
-	c.Subscribe(2)
+	s0 := subscribe(t, c, 0)
+	subscribe(t, c, 1)
+	subscribe(t, c, 2)
 	// The subscription opens with where the origin's commits stand.
 	if v, ok := noticed(t, s0); !ok || v != 0 || !s0.GlobalTracked() {
 		t.Fatalf("opening notice = %d, %v; want 0, true", v, ok)
@@ -162,7 +173,7 @@ func TestEagerGlobalCommit(t *testing.T) {
 		t.Fatalf("global commit through %d after both acks, want %d", v, d.Version)
 	}
 	// A resubscription opens with the same watermark.
-	if v, _ := noticed(t, c.Subscribe(0)); v != d.Version {
+	if v, _ := noticed(t, subscribe(t, c, 0)); v != d.Version {
 		t.Fatalf("resubscription opens through %d, want %d", v, d.Version)
 	}
 }
@@ -171,11 +182,11 @@ func TestEagerGlobalCommit(t *testing.T) {
 // stays empty, and says that nobody tracks global commits.
 func TestLazySendsNoNotice(t *testing.T) {
 	c := New()
-	s0 := c.Subscribe(0)
+	s0 := subscribe(t, c, 0)
 	if s0.GlobalTracked() {
 		t.Fatal("a lazy certifier's subscription claims to track global commits")
 	}
-	c.Subscribe(1)
+	subscribe(t, c, 1)
 	d, _ := c.Certify(0, 1, 0, ws("a"))
 	c.Applied(1, d.Version)
 	if n := s0.QueueLen(); n != 0 {
@@ -185,7 +196,7 @@ func TestLazySendsNoNotice(t *testing.T) {
 
 func TestEagerSingleReplicaNeedsNoWait(t *testing.T) {
 	c := New(WithEager())
-	s0 := c.Subscribe(0)
+	s0 := subscribe(t, c, 0)
 	d, _ := c.Certify(0, 1, 0, ws("a"))
 	if v, _ := noticed(t, s0); v != d.Version {
 		t.Fatalf("single-replica eager commit: through %d at certify time, want %d", v, d.Version)
@@ -194,8 +205,8 @@ func TestEagerSingleReplicaNeedsNoWait(t *testing.T) {
 
 func TestEagerReleasedOnReplicaCrash(t *testing.T) {
 	c := New(WithEager())
-	s0 := c.Subscribe(0)
-	c.Subscribe(1)
+	s0 := subscribe(t, c, 0)
+	subscribe(t, c, 1)
 	d, _ := c.Certify(0, 1, 0, ws("a"))
 	noticed(t, s0)   // the opening notice
 	c.Unsubscribe(1) // crash: the waiter must not block forever
@@ -210,8 +221,8 @@ func TestEagerReleasedOnReplicaCrash(t *testing.T) {
 func TestRestoredVersionsAreGlobal(t *testing.T) {
 	log := wal.NewMemory()
 	old := New(WithEager(), WithWAL(log))
-	old.Subscribe(0)
-	old.Subscribe(1)
+	subscribe(t, old, 0)
+	subscribe(t, old, 1)
 	d, _ := old.Certify(0, 1, 0, ws("a")) // replica 1 never acks
 
 	c := New(WithEager())
@@ -220,7 +231,7 @@ func TestRestoredVersionsAreGlobal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := noticed(t, c.Subscribe(0)); v != d.Version {
+	if v, _ := noticed(t, subscribe(t, c, 0)); v != d.Version {
 		t.Fatalf("after restore the subscription opens through %d, want %d", v, d.Version)
 	}
 }

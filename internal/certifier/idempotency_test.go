@@ -89,9 +89,9 @@ func TestCertifyMemoEviction(t *testing.T) {
 // the max) release all earlier global-commit waiters.
 func TestAppliedIsCumulative(t *testing.T) {
 	c := New(WithEager())
-	c.Subscribe(0)
-	c.Subscribe(1)
-	s2 := c.Subscribe(2) // the origin
+	subscribe(t, c, 0)
+	subscribe(t, c, 1)
+	s2 := subscribe(t, c, 2) // the origin
 	defer c.Unsubscribe(0)
 	defer c.Unsubscribe(1)
 
@@ -120,9 +120,9 @@ func TestAppliedIsCumulative(t *testing.T) {
 // replica already resubscribed) must not tear down the live one.
 func TestSubscriptionCancelRespectsReplacement(t *testing.T) {
 	c := New()
-	old := c.Subscribe(0)
-	replacement := c.Subscribe(0) // replica reconnected
-	old.Cancel()                  // stale lease fires afterwards
+	old := subscribe(t, c, 0)
+	replacement := subscribe(t, c, 0) // replica reconnected
+	old.Cancel()                      // stale lease fires afterwards
 
 	if d, err := c.Certify(1, 1, 0, ws("a")); err != nil || !d.Commit {
 		t.Fatalf("certify: %+v, %v", d, err)

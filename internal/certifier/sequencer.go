@@ -23,6 +23,7 @@ type sequencer struct {
 	// ascending shard-ID order (sconrep-vet lockorder enforces the
 	// tagged loops).
 	// locks self ascending
+	// locks after Certifier.mu
 	mu sync.Mutex
 	// index is the shard's conflict index over the certification
 	// window. Cross-shard writesets are indexed in full on every
@@ -92,17 +93,10 @@ func (s *sequencer) memoPut(k memoKey, e memoEntry) {
 	s.memo[k] = e
 }
 
-// historyAfter returns up to MaxHistoryBatch of the shard's history
-// entries with versions above after. Caller holds s.mu; the returned
-// slice is a copy.
+// historyAfter returns the shard's history entries with versions above
+// after, in version order. Caller holds s.mu; the slice aliases the
+// history, so a caller that keeps it past the lock copies it.
 func (s *sequencer) historyAfter(after uint64) []historyEntry {
 	i := sort.Search(len(s.history), func(i int) bool { return s.history[i].version > after })
-	if i == len(s.history) {
-		return nil
-	}
-	n := len(s.history) - i
-	if n > MaxHistoryBatch {
-		n = MaxHistoryBatch
-	}
-	return append([]historyEntry(nil), s.history[i:i+n]...)
+	return s.history[i:]
 }

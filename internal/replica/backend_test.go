@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -13,23 +14,6 @@ import (
 	"sconrep/internal/storage"
 	"sconrep/internal/writeset"
 )
-
-// recordingCert wraps a CertService and records every History call —
-// the probe for the tentpole's acceptance check: a replica restored
-// from checkpoint + WAL must ask the certifier only for the history
-// suffix its durable state missed, never for the full history.
-type recordingCert struct {
-	CertService
-	mu     sync.Mutex
-	afters []uint64
-}
-
-func (c *recordingCert) History(after uint64) []certifier.Refresh {
-	c.mu.Lock()
-	c.afters = append(c.afters, after)
-	c.mu.Unlock()
-	return c.CertService.History(after)
-}
 
 // waitLogged blocks until the store's contiguous durable tail reaches
 // v. Logging is asynchronous relative to apply visibility, so a test
@@ -46,26 +30,15 @@ func waitLogged(t *testing.T, st *pstore.Store, v uint64) {
 	}
 }
 
-// firstHistoryAfter returns the cursor of recovery's first History
-// page. History is paged, so later calls advance the cursor; the first
-// one proves where backfill started.
-func (c *recordingCert) firstHistoryAfter(t *testing.T) uint64 {
-	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.afters) == 0 {
-		t.Fatal("History never called during recovery")
-	}
-	return c.afters[0]
-}
-
 // TestDiskRestartBackfillsOnlyHistorySuffix is the tentpole scenario
 // end to end at the replica layer: a durable replica is killed without
 // warning (Crash + backend Abandon — no graceful close), its store is
 // reopened from the latest checkpoint plus the WAL suffix, and the
-// replica resumes via RecoverFrom. The certifier must be asked only
-// for versions after the recovered Vlocal, and the recovered replica
-// must converge to byte-identical state with a never-crashed peer.
+// replica resumes via RecoverFrom. The replica must resubscribe from
+// exactly the recovered Vlocal — the certifier trims its history
+// through it first, so a subscription from any lower version is
+// refused, and one from a higher version leaves a gap — and converge to
+// byte-identical state with a never-crashed peer.
 func TestDiskRestartBackfillsOnlyHistorySuffix(t *testing.T) {
 	dir := t.TempDir()
 	cert := certifier.New()
@@ -77,8 +50,7 @@ func TestDiskRestartBackfillsOnlyHistorySuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := &recordingCert{CertService: Local(cert)}
-	r1 := NewWithBackend(Config{ID: 1, EarlyCert: true}, st, rc)
+	r1 := NewWithBackend(Config{ID: 1, EarlyCert: true}, st, Local(cert))
 	defer r1.Crash()
 	if err := cert.StartAt(r0.Version()); err != nil {
 		t.Fatal(err)
@@ -119,14 +91,11 @@ func TestDiskRestartBackfillsOnlyHistorySuffix(t *testing.T) {
 	if recovered < ckptV {
 		t.Fatalf("recovered version %d below checkpoint %d", recovered, ckptV)
 	}
+	cert.TrimBelow(recovered)
 	if err := r1.RecoverFrom(st2); err != nil {
-		t.Fatal(err)
+		t.Fatalf("recovery from Vlocal %d over history trimmed through it: %v", recovered, err)
 	}
 	waitVersion(t, r1, final)
-
-	if after := rc.firstHistoryAfter(t); after != recovered {
-		t.Fatalf("recovery asked History(after=%d), want the recovered Vlocal %d", after, recovered)
-	}
 
 	// Byte-identical equivalence with the never-crashed peer.
 	want, err := pstore.SnapshotAt(r0.Engine(), final)
@@ -166,11 +135,20 @@ func TestRecoverFailsLoudlyOnTrimmedHistory(t *testing.T) {
 	// suffix is gone.
 	rg.cert.TrimBelow(rg.cert.Version() - 1)
 
-	if err := rg.replicas[1].Recover(); err == nil {
-		t.Fatal("Recover succeeded over a trimmed history gap")
+	vlocal := rg.replicas[1].Version()
+	err := rg.replicas[1].Recover()
+	var trimmed *certifier.TrimmedError
+	if !errors.As(err, &trimmed) {
+		t.Fatalf("Recover over a trimmed history gap: %v, want a *certifier.TrimmedError", err)
+	}
+	if trimmed.After != vlocal || trimmed.Floor != rg.cert.Version()-1 {
+		t.Fatalf("refusal %+v, want after %d, floor %d", trimmed, vlocal, rg.cert.Version()-1)
 	}
 	if !rg.replicas[1].Crashed() {
 		t.Fatal("replica serving after a failed recovery")
+	}
+	if v := rg.replicas[1].Version(); v != vlocal {
+		t.Fatalf("refused replica moved from %d to %d", vlocal, v)
 	}
 }
 

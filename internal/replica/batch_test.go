@@ -15,9 +15,10 @@ import (
 )
 
 // fakeCert is a scriptable CertService for deterministic batch tests:
-// Certify hands out a predetermined version, Subscribe returns a
-// mailbox the test puts refreshes into directly, and History replays
-// whatever the test recorded.
+// Certify hands out a predetermined version, and Subscribe returns a
+// mailbox the test puts refreshes into directly, opened with a backfill
+// of whatever the test recorded in history and floored at its last
+// version.
 type fakeCert struct {
 	mu         sync.Mutex
 	queue      *certifier.Mailbox
@@ -51,8 +52,21 @@ func (f *fakeCert) Subscribe(replicaID int) RefreshSource {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.queue = certifier.NewMailbox()
-	return f.queue
+	f.queue.Put(f.history...)
+	var floor uint64
+	if n := len(f.history); n > 0 {
+		floor = f.history[n-1].Version
+	}
+	return fakeSub{f.queue, floor}
 }
+
+// fakeSub is a fakeCert subscription: its mailbox and its floor.
+type fakeSub struct {
+	*certifier.Mailbox
+	floor uint64
+}
+
+func (s fakeSub) Floor() (uint64, error) { return s.floor, nil }
 
 func (f *fakeCert) Unsubscribe(replicaID int) {
 	f.mu.Lock()
@@ -64,18 +78,6 @@ func (f *fakeCert) Applied(replicaID int, v uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.acks = append(f.acks, v)
-}
-
-func (f *fakeCert) History(after uint64) []certifier.Refresh {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []certifier.Refresh
-	for _, r := range f.history {
-		if r.Version > after {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // mkRefresh builds a refresh writing kv[k] = val at version v, with
@@ -165,9 +167,10 @@ func TestBatchStopsAtLocalCommitVersion(t *testing.T) {
 
 // TestCrashMidBatchRecoversViaHistory crashes the replica while the
 // drainer is inside a group apply (the latency source keeps it there)
-// and recovers through History. The engine retains whatever prefix the
-// in-flight batch committed — durable state — and the catch-up must
-// backfill exactly the rest, raise the serve floor, and leave the
+// and recovers through the resubscription's history backfill. The
+// engine retains whatever prefix the in-flight batch committed —
+// durable state — and the catch-up must backfill exactly the rest,
+// return only once it reaches the subscription's floor, and leave the
 // replica identical to a crash-free one.
 func TestCrashMidBatchRecoversViaHistory(t *testing.T) {
 	eng := storage.NewEngine()
@@ -205,7 +208,8 @@ func TestCrashMidBatchRecoversViaHistory(t *testing.T) {
 		}
 	}
 	// Every replayed version may already be acknowledged elsewhere:
-	// transactions must not start below the recovery serve floor.
+	// Recover returns only once the replica is at the floor, so no
+	// transaction starts below it.
 	tx, err := r.Begin(0, nil)
 	if err != nil {
 		t.Fatal(err)

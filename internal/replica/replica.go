@@ -15,7 +15,8 @@
 //   - applies refresh writesets in certifier order through a reorder
 //     buffer (the certifier may deliver out of version order);
 //   - supports crash (detach, keep durable state) and recovery
-//     (reattach, catch up from the certifier's history).
+//     (resubscribe from Vlocal: the subscription backfills what it
+//     missed).
 package replica
 
 import (
@@ -65,7 +66,9 @@ type CertService interface {
 	// certification. sc is the commit span's context (zero when
 	// tracing is off); remote implementations ship it on the wire.
 	Certify(origin int, txnID, snapshot uint64, ws *writeset.WriteSet, sc dtrace.SpanContext) (certifier.Decision, error)
-	// Subscribe attaches the replica to the refresh stream.
+	// Subscribe attaches the replica to the refresh stream from its
+	// Vlocal: the source first delivers the versions the replica missed,
+	// its own commits among them, then every later one.
 	Subscribe(replicaID int) RefreshSource
 	// Unsubscribe detaches it (crash).
 	Unsubscribe(replicaID int)
@@ -73,12 +76,6 @@ type CertService interface {
 	// v. The drainer calls it once per applied batch, outside the
 	// replica's lock, so it must not wait for I/O.
 	Applied(replicaID int, v uint64)
-	// History returns one version-ordered page of refreshes with
-	// versions greater than after, for recovery catch-up. A page is
-	// capped (certifier.MaxHistoryBatch) and may end early at a version
-	// still being certified; callers loop until an empty page and rely
-	// on their live subscription for the raced tail.
-	History(after uint64) []certifier.Refresh
 }
 
 // RefreshSource is one replica's view of its refresh stream.
@@ -98,21 +95,51 @@ type globalTracker interface {
 	GlobalTracked() bool
 }
 
-// localCert adapts *certifier.Certifier to CertService (the Subscribe
-// return type differs).
+// floored is implemented by a RefreshSource whose subscription has a
+// floor: the certifier's version when it registered the subscriber.
+// Every version up to it is in the subscription's backfill. Floor waits
+// for the certifier's answer, and returns its refusal (such as a
+// *certifier.TrimmedError) if it refused the subscription.
+type floored interface {
+	Floor() (uint64, error)
+}
+
+// localCert adapts *certifier.Certifier to CertService. vlocal reads
+// the subscribing replica's Vlocal; newReplica sets it.
 type localCert struct {
-	c *certifier.Certifier
+	c      *certifier.Certifier
+	vlocal func() uint64
 }
 
 func (l localCert) Certify(origin int, txnID, snapshot uint64, ws *writeset.WriteSet, sc dtrace.SpanContext) (certifier.Decision, error) {
 	return l.c.CertifyCtx(origin, txnID, snapshot, ws, sc)
 }
-func (l localCert) Subscribe(id int) RefreshSource           { return l.c.Subscribe(id) }
-func (l localCert) Unsubscribe(id int)                       { l.c.Unsubscribe(id) }
-func (l localCert) Applied(id int, v uint64)                 { l.c.Applied(id, v) }
-func (l localCert) History(after uint64) []certifier.Refresh { return l.c.History(after) }
+func (l localCert) Unsubscribe(id int)       { l.c.Unsubscribe(id) }
+func (l localCert) Applied(id int, v uint64) { l.c.Applied(id, v) }
 
-// Local wraps an in-process certifier as a CertService.
+func (l localCert) Subscribe(id int) RefreshSource {
+	var after uint64
+	if l.vlocal != nil {
+		after = l.vlocal()
+	}
+	sub, err := l.c.Subscribe(id, nil, after)
+	if err != nil {
+		return refused{err}
+	}
+	return sub
+}
+
+// refused is the RefreshSource of a subscription the certifier refused:
+// it delivers nothing, and its Floor is the refusal.
+type refused struct{ err error }
+
+func (refused) Take() ([]certifier.Refresh, bool) { return nil, false }
+func (refused) Pending() []certifier.Refresh      { return nil }
+func (refused) QueueLen() int                     { return 0 }
+func (s refused) Floor() (uint64, error)          { return 0, s.err }
+
+// Local wraps an in-process certifier as a CertService. Each replica
+// built on it subscribes from its own Vlocal.
 func Local(c *certifier.Certifier) CertService { return localCert{c: c} }
 
 // Config holds replica construction parameters.
@@ -177,12 +204,6 @@ type Replica struct {
 	// applierGen invalidates stale applier/drainer goroutines.
 	// guarded by mu
 	applierGen int
-	// minServe is the recovery catch-up floor: the highest version the
-	// certifier had assigned when this replica last recovered. Commits
-	// up to it may already be acknowledged to clients, so transactions
-	// — even ESC ones, whose MinVersion is 0 — must not start below it.
-	// guarded by mu
-	minServe uint64
 	// globalThrough is the certifier's latest global-commit notice; eager
 	// commits wait on cond for it to reach their version.
 	// guarded by mu
@@ -255,13 +276,17 @@ func newReplica(cfg Config, b storage.Backend, cert CertService) *Replica {
 	r := &Replica{
 		cfg:     cfg,
 		dur:     b,
-		cert:    cert,
 		lat:     cfg.Latency,
 		reorder: make(map[uint64]certifier.Refresh),
 		actives: make(map[uint64]*Txn),
 		slots:   make(chan struct{}, dbSlots),
 		arrived: make(map[uint64]time.Time),
 	}
+	if l, ok := cert.(localCert); ok {
+		l.vlocal = r.Version
+		cert = l
+	}
+	r.cert = cert
 	r.eng.Store(b.Engine())
 	r.cond = sync.NewCond(&r.mu)
 	r.attach()
@@ -298,9 +323,9 @@ func (r *Replica) Active() int { return int(r.active.Load()) }
 func (r *Replica) AppliedRefreshes() int64 { return r.appliedRefreshes.Load() }
 
 // attach subscribes to the certifier and starts the refresh applier
-// and drainer, the two goroutines of an attachment. Caller must not
-// hold r.mu.
-func (r *Replica) attach() {
+// and drainer, the two goroutines of an attachment, and returns the
+// subscription. Caller must not hold r.mu.
+func (r *Replica) attach() RefreshSource {
 	r.mu.Lock()
 	r.sub = r.cert.Subscribe(r.cfg.ID)
 	r.crashed = false
@@ -310,6 +335,7 @@ func (r *Replica) attach() {
 	r.mu.Unlock()
 	go r.applier(sub, gen)
 	go r.drainer(gen)
+	return sub
 }
 
 // applier receives refresh batches from the certifier, performs the
@@ -735,11 +761,6 @@ func (r *Replica) BeginWithin(minVersion uint64, limit time.Duration, parent *dt
 		tx.waits = tx.span
 	}
 	tx.enter(metrics.StageVersion)
-	r.mu.Lock()
-	if r.minServe > minVersion {
-		minVersion = r.minServe
-	}
-	r.mu.Unlock()
 	if tx.span != nil {
 		tx.span.SetAttr("replica", strconv.Itoa(r.cfg.ID))
 		tx.span.SetAttr("min_version", strconv.FormatUint(minVersion, 10))
@@ -1116,66 +1137,39 @@ func (r *Replica) Crash() {
 	r.cert.Unsubscribe(r.cfg.ID)
 }
 
-// Recover reattaches a crashed replica: it resubscribes, replays the
-// certifier history it missed, and resumes applying new refreshes.
+// Recover reattaches a crashed replica: it resubscribes from its
+// Vlocal, so the subscription backfills every version it missed, and
+// returns once the replica has applied through the subscription's floor
+// — every version certified before it resubscribed. A certifier that
+// can no longer replay from Vlocal (it trimmed its history above it)
+// refuses the subscription: Recover returns the refusal and leaves the
+// replica crashed, rather than serve silently diverged data. A source
+// with no floor (one that knows nothing of the certifier's version) is
+// caught up as soon as it is attached.
 func (r *Replica) Recover() error {
 	r.mu.Lock()
-	if !r.crashed {
-		r.mu.Unlock()
+	crashed := r.crashed
+	r.mu.Unlock()
+	if !crashed {
 		return errors.New("replica: Recover on a live replica")
 	}
-	r.mu.Unlock()
-
-	// Subscribe first so no refresh is missed, then backfill from
-	// history; the reorder buffer deduplicates overlap by version.
-	r.attach()
-	engV := r.engine().Version()
-	// History is paged (at most certifier.MaxHistoryBatch per call):
-	// loop until an empty page, applying each page before fetching the
-	// next so backfill memory stays bounded. Versions certified after
-	// the subscription above arrive on the live stream.
-	after := engV
-	for first := true; ; first = false {
-		missed := r.cert.History(after)
-		if len(missed) == 0 {
-			break
-		}
-		if first && missed[0].Version > engV+1 {
-			// The certifier trimmed its history above our restore point:
-			// versions in (engV, missed[0].Version) are gone and can never
-			// be applied here. Serving anyway would be silent divergence —
-			// fail loudly and stay crashed.
-			r.Crash()
-			return fmt.Errorf("replica %d: recovery needs history from version %d but the certifier's starts at %d (trimmed below our restore point)",
-				r.cfg.ID, engV+1, missed[0].Version)
-		}
-		after = missed[len(missed)-1].Version
-		r.mu.Lock()
-		for _, ref := range missed {
-			if ref.WS == nil { // skip marker, see applier
-				ref.WS = &writeset.WriteSet{}
-			}
-			if ref.Version > r.engine().Version() {
-				r.reorder[ref.Version] = ref
-			}
-			// Every replayed version was certified — and possibly
-			// acknowledged — while this replica was down; raise the serve
-			// floor so no transaction reads below it.
-			if ref.Version > r.minServe {
-				r.minServe = ref.Version
-			}
-		}
-		r.applyReadyLocked()
-		r.mu.Unlock()
+	f, ok := r.attach().(floored)
+	if !ok {
+		return nil
 	}
-	return nil
+	floor, err := f.Floor()
+	if err != nil {
+		r.Crash()
+		return fmt.Errorf("replica %d: recovery: %w", r.cfg.ID, err)
+	}
+	return r.WaitVersion(floor)
 }
 
 // RecoverFrom reattaches a crashed replica around a replacement
 // backend — the disk-restart path. The process died (the old backend
 // was abandoned mid-write, kill -9 style), a new backend was recovered
 // from its checkpoint + WAL suffix, and the replica resumes from the
-// recovered Vlocal: the certifier backfills only the history suffix
+// recovered Vlocal: the subscription backfills only the history suffix
 // the durable state missed.
 func (r *Replica) RecoverFrom(b storage.Backend) error {
 	r.mu.Lock()

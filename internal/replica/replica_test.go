@@ -413,7 +413,9 @@ func TestEagerCommitWaitsForAllReplicas(t *testing.T) {
 func TestCrashInsideGlobalWait(t *testing.T) {
 	rg := newRig(t, 1, true, certifier.WithEager())
 	defer rg.close()
-	rg.cert.Subscribe(1)
+	if _, err := rg.cert.Subscribe(1, nil, rg.cert.Version()); err != nil {
+		t.Fatal(err)
+	}
 	origin := rg.replicas[0]
 	before := origin.Version()
 

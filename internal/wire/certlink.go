@@ -25,7 +25,9 @@ import (
 type certHello struct {
 	Kind      link
 	ReplicaID int
-	VLocal    uint64 // replica's durable version, for StartAt adoption
+	// VLocal is the replica's live version: a subscription's backfill
+	// starts above it, and a decision-free certifier adopts it (StartAt).
+	VLocal uint64
 	// Shards restricts the refresh subscription to the listed
 	// certification shards (nil or empty = all). Versions certified
 	// entirely elsewhere arrive as skip markers — refreshes with a nil
@@ -47,10 +49,10 @@ func (h *certHello) parse(d *writeset.Decoder) {
 }
 
 // subAck answers a subscription hello. The server writes it after the
-// subscription is registered, so Version — the certifier's version at
-// that moment — bounds what the stream will not carry: everything
-// above it is delivered on the stream, everything up to it is the
-// subscriber's to backfill.
+// subscription is registered, before any refresh frame: Version is the
+// subscription's floor, the certifier's version at registration. The
+// stream carries the backfill — every retained version above the
+// hello's VLocal up to the floor — and then every later version.
 type subAck struct {
 	Version uint64
 	// Acks asks the subscriber for appliedAck frames on this stream. The
@@ -65,13 +67,17 @@ type subAck struct {
 	// Shards is the certifier's table→shard map. An ack that carries
 	// nothing else refuses a subscription to a shard outside it.
 	Shards *shard.Map
+	// Trimmed, when not 0, refuses a subscription whose VLocal is below
+	// the certifier's trim floor: the certifier retains only the
+	// versions above Trimmed (certifier.TrimmedError).
+	Trimmed uint64
 }
 
 func (a *subAck) appendTo(buf []byte) ([]byte, error) {
 	buf = append(appendHello(buf, linkSubAck), flagIf(a.Acks, flagAcks))
 	buf = binary.AppendUvarint(buf, a.Version)
 	buf = binary.AppendVarint(buf, int64(a.Lease))
-	return appendShardMap(buf, a.Shards), nil
+	return binary.AppendUvarint(appendShardMap(buf, a.Shards), a.Trimmed), nil
 }
 
 func (a *subAck) parse(d *writeset.Decoder) {
@@ -79,6 +85,7 @@ func (a *subAck) parse(d *writeset.Decoder) {
 	a.Version = d.Uvarint()
 	a.Lease = time.Duration(d.Varint())
 	a.Shards = readShardMap(d)
+	a.Trimmed = d.Uvarint()
 }
 
 // appliedAck is the one frame a subscriber writes on its subscription
@@ -100,7 +107,7 @@ func (a *appliedAck) parse(d *writeset.Decoder) { a.Version = d.Uvarint() }
 type certRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  op // opCertify, opHistory, opTableVers, opUnsubscribe
+	Op  op // opCertify, opTableVers, opUnsubscribe
 
 	// certify
 	Origin   int
@@ -112,14 +119,6 @@ type certRequest struct {
 
 	// unsubscribe
 	ReplicaID int
-
-	// history
-	After uint64
-	// Shards filters the history page like a partial subscription
-	// filters the stream: entries certified entirely outside these
-	// shards come back as skip markers (nil writeset). Nil = full
-	// fidelity.
-	Shards []int
 }
 
 func (r *certRequest) appendTo(buf []byte) ([]byte, error) {
@@ -133,9 +132,7 @@ func (r *certRequest) appendTo(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf = binary.AppendVarint(buf, int64(r.ReplicaID))
-	buf = binary.AppendUvarint(buf, r.After)
-	return appendInts(buf, r.Shards), nil
+	return binary.AppendVarint(buf, int64(r.ReplicaID)), nil
 }
 
 func (r *certRequest) parse(d *writeset.Decoder) {
@@ -147,8 +144,6 @@ func (r *certRequest) parse(d *writeset.Decoder) {
 	r.Snapshot = d.Uvarint()
 	r.WS = d.WriteSet()
 	r.ReplicaID = int(d.Varint())
-	r.After = d.Uvarint()
-	r.Shards = readInts(d)
 }
 
 // certResponse is the response envelope.
@@ -156,7 +151,6 @@ type certResponse struct {
 	Seq      uint64
 	Err      string
 	Decision certifier.Decision
-	History  []certifier.Refresh
 	// TableVers answers opTableVers: the latest commit version that
 	// wrote each table.
 	TableVers map[string]uint64
@@ -166,13 +160,6 @@ func (r *certResponse) appendTo(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, r.Seq)
 	buf = writeset.AppendString(append(buf, flagIf(r.Decision.Commit, flagCommit)), r.Err)
 	buf = binary.AppendUvarint(buf, r.Decision.Version)
-	buf = writeset.AppendLen(buf, len(r.History), r.History == nil)
-	for i := range r.History {
-		var err error
-		if buf, err = appendRefresh(buf, &r.History[i]); err != nil {
-			return nil, err
-		}
-	}
 	return appendVersions(buf, r.TableVers), nil
 }
 
@@ -181,7 +168,6 @@ func (r *certResponse) parse(d *writeset.Decoder) {
 	r.Decision.Commit = readFlags(d, flagCommit) != 0
 	r.Err = d.Str()
 	r.Decision.Version = d.Uvarint()
-	r.History = readSlice(d, readRefresh)
 	r.TableVers = readVersions(d)
 }
 
@@ -258,12 +244,15 @@ func (s *CertServer) maybeAdopt(h certHello) {
 const coalesceRounds = 2
 
 // streamRefreshes serves one subscription connection in both
-// directions. A writer goroutine pumps the subscription to the replica,
-// one frame per batch it takes — never per refresh: it coalesces
-// bursts, so a backlogged replica receives a few large frames instead
-// of a frame per committed transaction. This goroutine reads the
-// replica's appliedAck frames. Either side's failure closes the
-// connection, which ends the other.
+// directions. The subscription starts at the hello's VLocal, so its
+// backfill goes down the stream ahead of the live refreshes. A writer
+// goroutine pumps the subscription to the replica, one frame per batch
+// it takes — never per refresh: it coalesces bursts, so a backlogged
+// replica receives a few large frames instead of a frame per committed
+// transaction — split at certifier.MaxHistoryBatch refreshes, so a deep
+// backfill never nears maxFrame. This goroutine reads the replica's
+// appliedAck frames. Either side's failure closes the connection, which
+// ends the other.
 func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 	c, replicaID := fc.c, hello.ReplicaID
 	if d := s.opts.to.Call; d > 0 {
@@ -277,21 +266,31 @@ func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 		fc.send(&subAck{Shards: smap})
 		return
 	}
+	sub, err := s.cert.Subscribe(replicaID, hello.Shards, hello.VLocal)
+	var trimmed *certifier.TrimmedError
+	if errors.As(err, &trimmed) {
+		log.Printf("wire: certifier: replica %d: %v; closing its stream", replicaID, err)
+		fc.send(&subAck{Shards: smap, Trimmed: trimmed.Floor})
+		return
+	}
+	// The generation moves only for a registered subscription: a refused
+	// one must not keep the lease of the one it failed to replace from
+	// expiring. One that expires meanwhile cancels nothing newer
+	// (Subscription.Cancel).
 	s.mu.Lock()
 	s.streamGen[replicaID]++
 	gen := s.streamGen[replicaID]
 	s.mu.Unlock()
-	sub := s.cert.SubscribeShards(replicaID, hello.Shards)
 	defer s.releaseStream(replicaID, gen, sub)
 	// A replica that is asked for no acks never writes again, and one
 	// that is writes only when it applies: reads have no deadline, and
 	// return when the peer closes or half-closes.
 	c.SetReadDeadline(time.Time{})
 	// The ack is written only now that the subscription is registered,
-	// and carries the version read after it: a commit certified before
-	// registration is at or below that version (the subscriber's
-	// backfill), a later one is in the mailbox.
-	if err := fc.send(&subAck{Version: s.cert.Version(), Acks: sub.GlobalTracked(), Lease: s.opts.subLease, Shards: smap}); err != nil {
+	// and before the writer starts: it carries the floor, and the
+	// mailbox already holds the backfill up to it.
+	floor, _ := sub.Floor()
+	if err := fc.send(&subAck{Version: floor, Acks: sub.GlobalTracked(), Lease: s.opts.subLease, Shards: smap}); err != nil {
 		return
 	}
 	go func() {
@@ -309,11 +308,15 @@ func (s *CertServer) streamRefreshes(fc *frameConn, hello certHello) {
 				more, _ := sub.Take()
 				batch = append(batch, more...)
 			}
-			if d := s.opts.to.Call; d > 0 {
-				c.SetWriteDeadline(time.Now().Add(d))
-			}
-			if err := fc.send(refreshBatch(batch)); err != nil {
-				return
+			for len(batch) > 0 {
+				n := min(len(batch), certifier.MaxHistoryBatch)
+				if d := s.opts.to.Call; d > 0 {
+					c.SetWriteDeadline(time.Now().Add(d))
+				}
+				if err := fc.send(refreshBatch(batch[:n])); err != nil {
+					return
+				}
+				batch = batch[n:]
 			}
 		}
 	}()
@@ -385,8 +388,6 @@ func (s *CertServer) serveRequests(fc *frameConn) {
 				resp.Err = err.Error()
 			}
 			resp.Decision = d
-		case opHistory:
-			resp.History = s.cert.FilterUnserved(s.cert.History(req.After), req.Shards)
 		case opTableVers:
 			resp.TableVers = s.cert.TableVersions()
 		case opUnsubscribe:
@@ -404,11 +405,12 @@ func (s *CertServer) serveRequests(fc *frameConn) {
 }
 
 // CertClient implements replica.CertService against a remote
-// certifier. Unlike the pre-hardening client, its refresh subscription
-// survives the certifier link: the local queue stays open across
-// reconnects, each reconnect backfills the refreshes missed (from the
-// replica's live Vlocal when WithVLocal is given), and request calls
-// retry transient transport failures with bounded exponential backoff.
+// certifier. Its refresh subscription survives the certifier link: the
+// local queue stays open across reconnects, each reconnect subscribes
+// from the replica's live Vlocal (WithVLocal; the dial-time version
+// without it), so the certifier sends the refreshes missed down the
+// stream first, and request calls retry transient transport failures
+// with bounded exponential backoff.
 type CertClient struct {
 	addr      string
 	replicaID int
@@ -437,10 +439,9 @@ type CertClient struct {
 	// tracked is the latest subAck's Acks bit, read through every
 	// subscription Subscribe returned.
 	tracked atomic.Bool
-	// serveFloor is the certifier version observed at the last
-	// (re)subscribe: everything the certifier may already have
-	// acknowledged to clients. A replica must not serve strong reads
-	// until Vlocal reaches it (see Ready).
+	// serveFloor is the floor of the latest subAck: everything the
+	// certifier may already have acknowledged to clients. A replica must
+	// not serve strong reads until Vlocal reaches it (see Ready).
 	serveFloor atomic.Uint64
 	// lease is the latest subAck's lease in nanoseconds, 0 before the
 	// first and after one this client refused (see Grace).
@@ -562,9 +563,9 @@ func (c *CertClient) Certify(origin int, txnID, snapshot uint64, ws *writeset.Wr
 }
 
 // Subscribe implements replica.CertService. The returned mailbox is
-// fed by a background loop that dials the stream, backfills missed
-// refreshes, and reconnects with backoff when the link drops — the
-// mailbox itself stays open until Unsubscribe or Close, so the
+// fed by a background loop that dials the stream and reconnects with
+// backoff when the link drops, each time from the replica's Vlocal —
+// the mailbox itself stays open until Unsubscribe or Close, so the
 // replica's applier never exits on a transient partition.
 func (c *CertClient) Subscribe(replicaID int) replica.RefreshSource {
 	c.mu.Lock()
@@ -579,21 +580,49 @@ func (c *CertClient) Subscribe(replicaID int) replica.RefreshSource {
 	c.subGen++
 	q := certifier.NewMailbox()
 	c.queue = q
-	go c.subLoop(c.subGen, q)
-	return clientSub{Mailbox: q, tracked: &c.tracked}
+	ans := &subAnswer{done: make(chan struct{})}
+	go c.subLoop(c.subGen, q, ans)
+	return clientSub{Mailbox: q, tracked: &c.tracked, answer: ans}
 }
 
-// clientSub is a remote subscription: the client's mailbox, plus
-// whether the certifier sends global-commit notices. The bit is the
-// client's latest subAck's, so it outlives the mailbox, which a
+// clientSub is a remote subscription: the client's mailbox, whether the
+// certifier sends global-commit notices, and its first answer. The bit
+// is the client's latest subAck's, so it outlives the mailbox, which a
 // recovering replica replaces before the next subAck; it is set before
 // the stream reports up, so before the serve gate lets a transaction in.
 type clientSub struct {
 	*certifier.Mailbox
 	tracked *atomic.Bool
+	answer  *subAnswer
 }
 
 func (s clientSub) GlobalTracked() bool { return s.tracked.Load() }
+
+// Floor waits for the certifier's first answer to this subscription
+// and returns its floor, or the refusal; a subscription that ends
+// unanswered (Unsubscribe, Close) returns an error.
+func (s clientSub) Floor() (uint64, error) {
+	<-s.answer.done
+	return s.answer.floor, s.answer.err
+}
+
+// subAnswer is the certifier's first answer to one subscription.
+type subAnswer struct {
+	once  sync.Once
+	done  chan struct{}
+	floor uint64
+	err   error
+}
+
+// set records the answer; only the first one counts.
+func (a *subAnswer) set(floor uint64, err error) {
+	a.once.Do(func() {
+		a.floor, a.err = floor, err
+		close(a.done)
+	})
+}
+
+var errSubEnded = errors.New("wire: subscription ended before the certifier answered it")
 
 // subscribed reports whether gen is still the current subscription.
 func (c *CertClient) subscribed(gen int) bool {
@@ -603,13 +632,15 @@ func (c *CertClient) subscribed(gen int) bool {
 }
 
 // subLoop maintains the refresh stream for one subscription
-// generation: connect, take the certifier's version at registration as
-// the serve floor and its lease, backfill up to the floor, then pump
-// batches until the stream breaks; repeat with backoff. A certifier
-// that lacks a shard this client serves refuses it for good: its map is
-// fixed for its life, so the loop ends there and the replica stays
-// unready until it is restarted with shards the certifier has.
-func (c *CertClient) subLoop(gen int, q *certifier.Mailbox) {
+// generation: connect, take the subscription's floor and lease from the
+// subAck, then pump batches — the backfill first — until the stream
+// breaks; repeat with backoff. A refusal is for good: a certifier's
+// shard map is fixed for its life, and its trim floor only rises. The
+// loop ends there and the replica stays unready until it is restarted
+// with shards the certifier has, or from state the certifier can bring
+// up to date.
+func (c *CertClient) subLoop(gen int, q *certifier.Mailbox, ans *subAnswer) {
+	defer ans.set(0, errSubEnded)
 	b := c.opts.backoff
 	delay := b.Min
 	for {
@@ -621,7 +652,7 @@ func (c *CertClient) subLoop(gen int, q *certifier.Mailbox) {
 		if !c.subscribed(gen) {
 			return
 		}
-		switch c.runStream(gen, q) {
+		switch c.runStream(gen, q, ans) {
 		case streamRefused:
 			return
 		case streamDelivered:
@@ -645,11 +676,11 @@ type streamEnd int
 const (
 	streamFailed    streamEnd = iota // before delivering refreshes
 	streamDelivered                  // after delivering refreshes: the backoff resets
-	streamRefused                    // the certifier lacks a shard this client serves
+	streamRefused                    // the certifier refused the subscription for good
 )
 
-// runStream performs one connect-backfill-pump cycle.
-func (c *CertClient) runStream(gen int, q *certifier.Mailbox) streamEnd {
+// runStream performs one subscribe-and-pump cycle.
+func (c *CertClient) runStream(gen int, q *certifier.Mailbox, ans *subAnswer) streamEnd {
 	dial := c.opts.dialer(c.addr)
 	conn, err := dial("tcp", c.addr)
 	if err != nil {
@@ -686,9 +717,9 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) streamEnd {
 	// The ack arrives once the server has registered the subscription;
 	// its version is the serve floor. Every version the certifier had
 	// assigned by then may already be acknowledged to some client, so
-	// strong reads must wait for it, and none of them is on the stream:
-	// backfill (from, floor] before reporting the stream up. The
-	// replica's reorder buffer deduplicates overlap with the stream.
+	// strong reads must wait for it (Ready). The stream carries those
+	// above from first, then the live refreshes; the replica's reorder
+	// buffer drops what it already has.
 	var ack subAck
 	if _, err := fc.recvHello(string(linkSubAck), &ack); err != nil {
 		if !errors.Is(err, io.EOF) {
@@ -697,7 +728,18 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) streamEnd {
 		return streamFailed
 	}
 	if id, ok := ack.Shards.Lacks(c.opts.shards); ok {
-		log.Printf("wire: certifier %s has %d shard(s) and refuses replica %d, which serves shard %d", c.addr, ack.Shards.N(), c.replicaID, id)
+		err := fmt.Errorf("wire: certifier %s has %d shard(s) and refuses replica %d, which serves shard %d", c.addr, ack.Shards.N(), c.replicaID, id)
+		log.Print(err)
+		ans.set(0, err)
+		return streamRefused
+	}
+	if ack.Trimmed != 0 {
+		// No grace either: a replica that cannot catch up must not serve
+		// on the strength of the stream it had before.
+		c.lease.Store(0)
+		err := &certifier.TrimmedError{After: from, Floor: ack.Trimmed}
+		log.Printf("wire: certifier %s refuses replica %d: %v", c.addr, c.replicaID, err)
+		ans.set(0, err)
 		return streamRefused
 	}
 	c.smap.Store(ack.Shards)
@@ -715,25 +757,10 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox) streamEnd {
 	if ack.Acks {
 		defer c.ackOn(gen, fc)()
 	}
-	floor := ack.Version
-	if floor > c.serveFloor.Load() {
-		c.serveFloor.Store(floor)
+	if ack.Version > c.serveFloor.Load() {
+		c.serveFloor.Store(ack.Version)
 	}
-	// History is paged (certifier.MaxHistoryBatch per response): loop
-	// until the backfill reaches the floor or the pages run dry.
-	for after := from; after < floor; {
-		hist, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.backoff.Max)
-		if err != nil {
-			return streamFailed
-		}
-		if len(hist.History) == 0 {
-			break
-		}
-		q.Put(hist.History...)
-		c.moves.Add(1)
-		after = hist.History[len(hist.History)-1].Version
-	}
-
+	ans.set(ack.Version, nil)
 	c.streamUp.Store(leaseErr == nil)
 	defer c.streamDown()
 	for {
@@ -784,11 +811,11 @@ func (c *CertClient) StreamLive(grace time.Duration) bool {
 
 // Ready reports whether this replica may serve strong reads: its
 // refresh stream is live (within grace) and its Vlocal has reached the
-// serve floor recorded at the last (re)subscribe. The second condition
-// closes the reconnect window: right after a partition heals the
-// stream is up but the replica may still be applying the backlog, and
-// serving during that window would return stale strong reads.
-// Requires WithVLocal; without it only stream health is checked.
+// floor of the latest subAck. The second condition closes the reconnect
+// window: right after a partition heals the stream is up but the
+// replica may still be applying its backfill, and serving during that
+// window would return stale strong reads. Requires WithVLocal; without
+// it only stream health is checked.
 func (c *CertClient) Ready(grace time.Duration) bool {
 	if !c.StreamLive(grace) {
 		return false
@@ -801,8 +828,11 @@ func (c *CertClient) Ready(grace time.Duration) bool {
 
 // Unsubscribe implements replica.CertService: an explicit detach
 // (crash), told to the certifier so eager commits stop waiting for
-// this replica immediately instead of after the lease.
+// this replica immediately instead of after the lease. It ends the
+// grace too: a replica that recovers serves again only from its next
+// subAck, once it has reached that subscription's floor.
 func (c *CertClient) Unsubscribe(replicaID int) {
+	c.lease.Store(0)
 	c.mu.Lock()
 	c.subGen++
 	if c.sub != nil {
@@ -908,8 +938,8 @@ func (c *CertClient) TableVersions() (map[string]uint64, error) {
 // RecentTableVersions is TableVersions without the round trip while
 // the refresh stream is up and nothing has moved since the last reading
 // was requested: a commit after the request is this client's own
-// certification, or reaches it on the stream or in a resubscription's
-// backfill, so re-reading an idle replica's lag costs nothing. It
+// certification, or reaches it on the stream (a resubscription's
+// backfill included), so re-reading an idle replica's lag costs nothing. It
 // trusts the stream to deliver; use TableVersions where a silent stream
 // must show.
 func (c *CertClient) RecentTableVersions() (map[string]uint64, error) {
@@ -924,18 +954,6 @@ func (c *CertClient) RecentTableVersions() (map[string]uint64, error) {
 type tableVersions struct {
 	vers  map[string]uint64
 	moves uint64
-}
-
-// History implements replica.CertService: one page per call; the
-// replica's recovery loop pages until empty. Pages honour the client's
-// shard subscription (unserved entries arrive as skip markers).
-func (c *CertClient) History(after uint64) []certifier.Refresh {
-	resp, err := c.callRetry(certRequest{Op: opHistory, After: after, Shards: c.opts.shards}, c.opts.backoff.Max)
-	if err != nil {
-		log.Printf("wire: history(%d): %v", after, err)
-		return nil
-	}
-	return resp.History
 }
 
 // Close tears down the client.

@@ -54,7 +54,7 @@ import (
 // codecVersion is the protocol version carried in every hello. Bump it
 // with any change to a frame layout; TestFrameRoundTrip then prints the
 // testdata/frames.golden to commit.
-const codecVersion = 10
+const codecVersion = 11
 
 // helloMagic opens every connection's first frame.
 const helloMagic = "SCRP"
@@ -65,8 +65,8 @@ const helloMagic = "SCRP"
 const maxFrame = 64 << 20
 
 // maxRetainedBuf caps the send buffer a connection keeps between
-// frames, so one large history page does not pin its size for the
-// life of a pooled connection.
+// frames, so one large refresh batch does not pin its size for the
+// life of its connection.
 const maxRetainedBuf = 1 << 20
 
 // errEncode marks a send that failed before any byte was written: the
@@ -96,14 +96,13 @@ const (
 	opRegister
 	opStatus
 	opCertify
-	opHistory
 	opTableVers
 	opUnsubscribe
 	numOps
 )
 
 var opNames = [numOps]string{"", "exec", "commit", "abort", "register", "status",
-	"certify", "history", "tablevers", "unsubscribe"}
+	"certify", "tablevers", "unsubscribe"}
 
 // String is the operation's name in metrics labels and errors.
 func (o op) String() string {

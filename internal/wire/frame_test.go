@@ -83,10 +83,11 @@ func frameCases() []struct {
 		{"clientHello/empty", &clientHello{}, &clientHello{}},
 		{"certHello", &certHello{Kind: linkCertSub, ReplicaID: -1, VLocal: math.MaxUint64, Shards: []int{0, 3}}, &certHello{}},
 		{"certHello/emptyShards", &certHello{Kind: linkCertReq, Shards: []int{}}, &certHello{}},
-		{"subAck", &subAck{Version: math.MaxUint64, Lease: math.MaxInt64}, &subAck{}},
+		{"subAck", &subAck{Version: math.MaxUint64, Lease: math.MaxInt64, Trimmed: math.MaxUint64}, &subAck{}},
 		{"subAck/acks", &subAck{Version: 7, Acks: true, Lease: 2 * time.Second}, &subAck{}},
 		{"subAck/zero", &subAck{}, &subAck{}},
 		{"subAck/shards", &subAck{Version: 3, Lease: time.Second, Shards: twoShards}, &subAck{}},
+		{"subAck/trimmed", &subAck{Shards: twoShards, Trimmed: 12}, &subAck{}},
 		{"appliedAck", &appliedAck{Version: math.MaxUint64}, &appliedAck{}},
 		{"appliedAck/zero", &appliedAck{}, &appliedAck{}},
 		{"clientRequest", &clientRequest{Seq: math.MaxUint64, Op: opExec, Name: "n", Tables: []string{"a", ""},
@@ -125,13 +126,13 @@ func frameCases() []struct {
 		{"replicaResponse/empties", &replicaResponse{Commit: replica.CommitResult{WrittenTables: []string{},
 			Touched: []string{}, TableVersions: []uint64{}}}, &replicaResponse{}},
 		{"certRequest", &certRequest{Seq: 1, Op: opCertify, Origin: -1, TxnID: 2, Snapshot: 3, WS: ws, Trace: sc,
-			ReplicaID: 4, After: math.MaxUint64, Shards: []int{1}}, &certRequest{}},
+			ReplicaID: 4}, &certRequest{}},
 		{"certRequest/zero", &certRequest{}, &certRequest{}},
 		{"certRequest/emptyWS", &certRequest{Op: opCertify, WS: &writeset.WriteSet{}}, &certRequest{}},
 		{"certResponse", &certResponse{Seq: 1, Err: "e", Decision: certifier.Decision{Commit: true, Version: 9},
-			History: codecBatch(), TableVers: map[string]uint64{"t": 1, "s": 2}}, &certResponse{}},
+			TableVers: map[string]uint64{"t": 1, "s": 2}}, &certResponse{}},
 		{"certResponse/zero", &certResponse{}, &certResponse{}},
-		{"certResponse/empties", &certResponse{History: []certifier.Refresh{}, TableVers: map[string]uint64{}}, &certResponse{}},
+		{"certResponse/empties", &certResponse{TableVers: map[string]uint64{}}, &certResponse{}},
 		{"refreshBatch", ptr(refreshBatch(codecBatch())), new(refreshBatch)},
 		{"refreshBatch/empty", ptr(refreshBatch{}), new(refreshBatch)},
 	}

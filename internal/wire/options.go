@@ -113,7 +113,8 @@ func WithCertClient(cc *CertClient) Option {
 }
 
 // WithVLocal gives the certifier client a live view of the replica's
-// durable version, used to backfill missed refreshes on reconnect.
+// version: each (re)subscription starts from it, so the certifier
+// backfills exactly the refreshes missed.
 func WithVLocal(f func() uint64) Option {
 	return func(o *options) { o.vlocalFn = f }
 }

@@ -9,8 +9,8 @@ import (
 
 // Refresh frames. The refresh stream is the replication hot path —
 // every committed update transaction crosses it once per replica — and
-// a refresh has the same layout wherever it travels, pushed on the
-// stream or paged in a history response:
+// a refresh has the same layout in a live batch and in a
+// subscription's backfill:
 //
 //	uvarint TxnID, uvarint Version, varint Origin, writeset
 //

@@ -97,8 +97,9 @@ func subscribeRaw(t testing.TB, addr string, hello certHello) (*frameConn, subAc
 }
 
 // TestRefreshStreamFrames drives the server's stream path with a
-// hand-rolled subscriber: the ack carries the certifier's version at
-// registration, then refresh frames arrive in version order.
+// hand-rolled subscriber at the certifier's version, so it has nothing
+// to backfill: the ack carries the certifier's version at registration,
+// then refresh frames arrive in version order.
 func TestRefreshStreamFrames(t *testing.T) {
 	cert := certifier.New()
 	srv, err := ServeCertifier(cert, "127.0.0.1:0")
@@ -108,7 +109,7 @@ func TestRefreshStreamFrames(t *testing.T) {
 	defer srv.Close()
 
 	certifyN(t, cert, 2)
-	fc, ack := subscribeRaw(t, srv.Addr(), certHello{ReplicaID: 7})
+	fc, ack := subscribeRaw(t, srv.Addr(), certHello{ReplicaID: 7, VLocal: 2})
 	if ack.Version != 2 || ack.Acks {
 		t.Fatalf("ack = %+v, want the certifier's version at registration (2) and, nothing counting them, no apply acks asked for", ack)
 	}
@@ -209,8 +210,10 @@ func TestShardedStreamSubscriptions(t *testing.T) {
 }
 
 // TestShardedHistoryPartialRequest proves the backfill side of partial
-// subscriptions: a history request declaring Shards gets the same
-// filtering as the live stream, one declaring none gets every writeset.
+// subscriptions: a subscription from version 0 over a history of four
+// commits receives them on its stream ahead of any live refresh, with
+// the same filtering as the live stream when it declares Shards, and
+// every writeset when it declares none.
 func TestShardedHistoryPartialRequest(t *testing.T) {
 	cert := newShardedCert(t)
 	srv, err := ServeCertifier(cert, "127.0.0.1:0")
@@ -221,31 +224,39 @@ func TestShardedHistoryPartialRequest(t *testing.T) {
 	for i, table := range []string{"t0", "t1", "t2", "t3"} {
 		certifyOn(t, cert, table, uint64(i+1))
 	}
-
-	fullCli := DialCertifier(srv.Addr(), 9, 0)
-	defer fullCli.Close()
-	full := fullCli.History(0)
-	if len(full) != 4 {
-		t.Fatalf("full history returned %d refreshes, want 4", len(full))
+	backfill := func(shards []int) []certifier.Refresh {
+		t.Helper()
+		fc, ack := subscribeRaw(t, srv.Addr(), certHello{ReplicaID: 9, Shards: shards})
+		if ack.Version != 4 {
+			t.Fatalf("subscription floor %d, want 4", ack.Version)
+		}
+		var got []certifier.Refresh
+		for len(got) < 4 {
+			var batch refreshBatch
+			if err := fc.recv(&batch); err != nil {
+				t.Fatalf("backfill frame after %d refreshes: %v", len(got), err)
+			}
+			got = append(got, batch...)
+		}
+		for i, r := range got {
+			if r.Version != uint64(i+1) {
+				t.Fatalf("backfill %v out of version order", got)
+			}
+		}
+		return got
 	}
-	for _, r := range full {
+
+	for _, r := range backfill(nil) {
 		if r.WS == nil {
-			t.Fatalf("full history: version %d is a skip marker", r.Version)
+			t.Fatalf("full backfill: version %d is a skip marker", r.Version)
 		}
 	}
-
-	partCli := DialCertifier(srv.Addr(), 9, 0, WithShards([]int{1}))
-	defer partCli.Close()
-	part := partCli.History(0)
-	if len(part) != 4 {
-		t.Fatalf("partial history returned %d refreshes, want 4 (markers keep the order contiguous)", len(part))
-	}
-	for _, r := range part {
+	for _, r := range backfill([]int{1}) {
 		if r.Version == 2 && r.WS == nil {
-			t.Fatalf("partial history: version 2 is on the requested shard but arrived as a skip marker")
+			t.Fatalf("partial backfill: version 2 is on the requested shard but arrived as a skip marker")
 		}
 		if r.Version != 2 && r.WS != nil {
-			t.Fatalf("partial history: version %d is off-shard but carried a writeset", r.Version)
+			t.Fatalf("partial backfill: version %d is off-shard but carried a writeset", r.Version)
 		}
 	}
 }

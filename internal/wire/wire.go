@@ -8,10 +8,11 @@
 // codec of frame.go:
 //
 //   - certifier link (CertServer / CertClient): replicas certify
-//     writesets and fetch recovery history on request/response
-//     connections, and hold one subscription connection each, whose
-//     subAck carries the certifier's shard map, and on which
-//     refreshes stream down and — when the subAck says so, i.e.
+//     writesets on request/response connections, and hold one
+//     subscription connection each, opened from the replica's Vlocal,
+//     whose subAck carries the certifier's shard map, and on which
+//     the missed refreshes and then the live ones stream down and —
+//     when the subAck says so, i.e.
 //     under eager mode — global-commit notices with them, and
 //     cumulative apply acknowledgments travel up as one-way frames;
 //   - replica link (ReplicaServer / remoteReplica): the gateway begins,
