@@ -11,7 +11,9 @@
 // past the tree's last key: then only the new key moves to a fresh
 // leaf, so an ascending load (a bulk load in key order, or an
 // ever-growing order id) leaves every leaf but the last one full,
-// instead of half-empty leaves nothing will insert into again.
+// instead of half-empty leaves nothing will insert into again. An
+// insert compares its key with each node's last before searching it,
+// so such a load finds its place in one comparison per level.
 package btree
 
 import (
@@ -153,7 +155,12 @@ func (t *Tree) insert(n node, k string, v any) bool {
 func (t *Tree) insertRec(n node, k string, v any) (node, string, bool) {
 	switch nd := n.(type) {
 	case *leaf:
-		i := search(nd.keys, k)
+		// A key past the node's last goes at its end: an ascending load
+		// descends without a search.
+		i := len(nd.keys)
+		if i == 0 || nd.keys[i-1] >= k {
+			i = search(nd.keys, k)
+		}
 		if i < len(nd.keys) && nd.keys[i] == k {
 			nd.values[i] = v
 			return nil, "", false
@@ -179,7 +186,10 @@ func (t *Tree) insertRec(n node, k string, v any) (node, string, bool) {
 		return right, right.keys[0], true
 
 	case *internal:
-		ci := nd.childIndex(k)
+		ci := len(nd.keys)
+		if ci == 0 || nd.keys[ci-1] > k {
+			ci = nd.childIndex(k)
+		}
 		newChild, sepKey, inserted := t.insertRec(nd.children[ci], k, v)
 		if newChild != nil {
 			nd.keys = append(nd.keys, "")

@@ -155,17 +155,34 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 		gcfg.Replicas = append(gcfg.Replicas, r.Addr())
 	}
 
-	// Wait for every replica's refresh stream before starting the
-	// gateway, whose first probes then find every replica serving.
-	deadline := time.Now().Add(readyTimeout)
-	for _, r := range c.nodes {
-		for !r.cc.Ready(0) {
-			if time.Now().After(deadline) {
-				c.Close()
-				return nil, fmt.Errorf("cluster: replica refresh streams not up within %s", readyTimeout)
+	// Wait for every replica's first subscription answer, and for the
+	// replica to reach its floor (at once on a fresh cluster), before
+	// starting the gateway, whose first probes then find every replica
+	// serving.
+	up := make(chan error, 1)
+	go func() {
+		for i, n := range c.nodes {
+			floor, err := n.Replica.Floor()
+			if err == nil {
+				err = n.Replica.WaitVersion(floor)
 			}
-			time.Sleep(2 * time.Millisecond)
+			if err != nil {
+				up <- fmt.Errorf("cluster: replica %d: %w", i, err)
+				return
+			}
 		}
+		up <- nil
+	}()
+	deadline := time.NewTimer(readyTimeout)
+	defer deadline.Stop()
+	select {
+	case err = <-up:
+	case <-deadline.C:
+		err = fmt.Errorf("cluster: replica refresh streams not up within %s", readyTimeout)
+	}
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
 	if c.gateway, err = StartGateway(gcfg); err != nil {
 		c.Close()

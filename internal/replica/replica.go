@@ -104,6 +104,15 @@ type floored interface {
 	Floor() (uint64, error)
 }
 
+// floorOf waits for sub's floor; a source without one has floor 0.
+func floorOf(sub RefreshSource) (uint64, error) {
+	f, ok := sub.(floored)
+	if !ok {
+		return 0, nil
+	}
+	return f.Floor()
+}
+
 // localCert adapts *certifier.Certifier to CertService. vlocal reads
 // the subscribing replica's Vlocal; newReplica sets it.
 type localCert struct {
@@ -1137,6 +1146,16 @@ func (r *Replica) Crash() {
 	r.cert.Unsubscribe(r.cfg.ID)
 }
 
+// Floor waits for the certifier's first answer to the replica's live
+// subscription and returns its floor, or the refusal (see floored). A
+// fresh replica serves once its Vlocal has reached it (WaitVersion).
+func (r *Replica) Floor() (uint64, error) {
+	r.mu.Lock()
+	sub := r.sub
+	r.mu.Unlock()
+	return floorOf(sub)
+}
+
 // Recover reattaches a crashed replica: it resubscribes from its
 // Vlocal, so the subscription backfills every version it missed, and
 // returns once the replica has applied through the subscription's floor
@@ -1153,11 +1172,7 @@ func (r *Replica) Recover() error {
 	if !crashed {
 		return errors.New("replica: Recover on a live replica")
 	}
-	f, ok := r.attach().(floored)
-	if !ok {
-		return nil
-	}
-	floor, err := f.Floor()
+	floor, err := floorOf(r.attach())
 	if err != nil {
 		r.Crash()
 		return fmt.Errorf("replica %d: recovery: %w", r.cfg.ID, err)

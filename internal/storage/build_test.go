@@ -11,15 +11,14 @@ import (
 	"sconrep/internal/storage"
 )
 
-// loadRowByRow builds the engine Build is checked against the ordinary
-// way: two tables, one with a composite key and one with two secondary
-// indexes (an INT one holding NULLs, a TEXT one with repeated values),
-// filled by Insert in a shuffled key order over several commits, so rows
-// carry different versions and the trees grow out of order.
-func loadRowByRow(t *testing.T, seed int64) *storage.Engine {
-	t.Helper()
-	e := storage.NewEngine()
-	for _, s := range []*storage.Schema{{
+// testData is the data Build is checked against: two tables, one with
+// a composite key and one with two secondary indexes (an INT one
+// holding NULLs, a TEXT one with repeated values), plus an empty table
+// with an index, and their rows in a shuffled key order, split into
+// batches that each commit at one version, so rows carry different
+// versions and the trees grow out of order.
+func testData(seed int64) ([]*storage.Schema, [][]testRow) {
+	schemas := []*storage.Schema{{
 		Table:   "item",
 		Columns: []storage.Column{{Name: "id", Type: storage.TInt}, {Name: "grp", Type: storage.TInt}, {Name: "name", Type: storage.TString}, {Name: "price", Type: storage.TFloat}},
 		Key:     []string{"id"},
@@ -33,36 +32,56 @@ func loadRowByRow(t *testing.T, seed int64) *storage.Engine {
 		Columns: []storage.Column{{Name: "id", Type: storage.TInt}},
 		Key:     []string{"id"},
 		Indexes: []storage.IndexDef{{Name: "empty_id", Column: "id"}},
-	}} {
-		if err := e.CreateTable(s); err != nil {
-			t.Fatal(err)
-		}
-	}
+	}}
 	rng := rand.New(rand.NewSource(seed))
-	var rows [][2]any // table, row
+	var rows []testRow
 	for _, id := range rng.Perm(700) {
 		var grp any = int64(rng.Intn(9))
 		if rng.Intn(6) == 0 {
 			grp = nil
 		}
-		rows = append(rows, [2]any{"item", []any{int64(id), grp, fmt.Sprintf("name-%d", rng.Intn(40)), float64(id) / 4}})
+		rows = append(rows, testRow{"item", []any{int64(id), grp, fmt.Sprintf("name-%d", rng.Intn(40)), float64(id) / 4}})
 	}
 	for _, i := range rng.Perm(300) {
-		rows = append(rows, [2]any{"line", []any{int64(i / 7), int64(i % 7), i%3 == 0}})
+		rows = append(rows, testRow{"line", []any{int64(i / 7), int64(i % 7), i%3 == 0}})
 	}
 	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	var batches [][]testRow
 	for len(rows) > 0 {
 		n := min(len(rows), 1+rng.Intn(200))
+		batches = append(batches, rows[:n])
+		rows = rows[n:]
+	}
+	return schemas, batches
+}
+
+// testRow is one row of testData and its table.
+type testRow struct {
+	table string
+	row   []any
+}
+
+// loadRowByRow loads testData the ordinary way: CreateTable, then one
+// Insert per row and one CommitLocal per batch.
+func loadRowByRow(t *testing.T, seed int64) *storage.Engine {
+	t.Helper()
+	e := storage.NewEngine()
+	schemas, batches := testData(seed)
+	for _, s := range schemas {
+		if err := e.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range batches {
 		tx := e.Begin()
-		for _, r := range rows[:n] {
-			if err := tx.Insert(r[0].(string), r[1].([]any)); err != nil {
+		for _, r := range b {
+			if err := tx.Insert(r.table, r.row); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if _, err := tx.CommitLocal(); err != nil {
 			t.Fatal(err)
 		}
-		rows = rows[n:]
 	}
 	return e
 }

@@ -95,17 +95,19 @@ func (s *Schema) ColIndex(name string) int {
 // NumColumns returns the number of columns.
 func (s *Schema) NumColumns() int { return len(s.Columns) }
 
-// KeyOf extracts and encodes the primary key of a row.
+// KeyOf extracts and encodes the primary key of a row, as EncodeKey
+// encodes the key columns' values.
 func (s *Schema) KeyOf(row []any) (string, error) {
-	vals := make([]any, len(s.keyIdx))
+	var buf [64]byte
+	dst := buf[:0]
 	for i, ci := range s.keyIdx {
 		v := row[ci]
 		if v == nil {
 			return "", fmt.Errorf("storage: table %s: NULL in primary key column %s", s.Table, s.Key[i])
 		}
-		vals[i] = v
+		dst = EncodeValue(dst, v)
 	}
-	return EncodeKey(vals...), nil
+	return string(dst), nil
 }
 
 // CheckRow validates arity and column types.

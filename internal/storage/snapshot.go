@@ -127,8 +127,9 @@ func (t *Txn) Image() ([]TableImage, error) {
 // version; each table's lastWrite is restored, so TableVersionsAt reads
 // what it read where the image was taken; the row tree and each
 // secondary index are filled in key order, the ascending load that
-// leaves every leaf but the last full. Checkpoint restore and
-// Cluster.LoadData both make engines this way.
+// leaves every leaf but the last full. Checkpoint restore, a bulk load
+// (Loader.Build) and Cluster.LoadData's copies of replica 0 all make
+// engines this way.
 //
 // Rows must ascend strictly by key, at versions no higher than at, and
 // each is schema-checked, so a corrupt image cannot plant a malformed
@@ -199,7 +200,10 @@ func buildTable(img TableImage, at uint64) (*table, error) {
 		key string
 		ent *ixEntry
 	}
-	sorted := make([]entry, len(rows))
+	var sorted []entry
+	if len(t.indexes) > 0 {
+		sorted = make([]entry, len(rows))
+	}
 	for _, ix := range t.indexes {
 		ents := make([]ixEntry, len(rows))
 		for i, r := range rows {

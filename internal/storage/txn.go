@@ -37,7 +37,8 @@ import (
 // regrown — the first holds one write, each later one twice as many up
 // to maxWriteChunk — and the per-table maps point into them, so a write
 // allocates nothing it does not keep: a one-write transaction pays for
-// one slot, and a bulk load for its rows plus a bounded tail.
+// one slot, and a large one for its writes plus a bounded tail. (A bulk
+// load does not come through a Txn: it builds the engine from a Loader.)
 type Txn struct {
 	e        *Engine
 	snapshot uint64
@@ -179,8 +180,7 @@ func (t *Txn) Get(table, key string) ([]any, bool, error) {
 
 // Insert adds a row. It fails with ErrDuplicateKey if the key is
 // visible to this transaction. It holds e.mu's read lock once, for the
-// schema and the committed lookup both: a bulk load is one Insert per
-// row.
+// schema and the committed lookup both.
 func (t *Txn) Insert(table string, row []any) error {
 	if t.finished {
 		return ErrTxnFinished

@@ -760,8 +760,10 @@ func (c *CertClient) runStream(gen int, q *certifier.Mailbox, ans *subAnswer) st
 	if ack.Version > c.serveFloor.Load() {
 		c.serveFloor.Store(ack.Version)
 	}
-	ans.set(ack.Version, nil)
+	// Up before answered: a caller that waited for the answer (Floor)
+	// finds the stream up.
 	c.streamUp.Store(leaseErr == nil)
+	ans.set(ack.Version, nil)
 	defer c.streamDown()
 	for {
 		if d := c.opts.to.Idle; d > 0 {

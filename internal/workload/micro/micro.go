@@ -32,30 +32,56 @@ func DefaultScale() Scale { return Scale{RowsPerTable: 10000, Seed: 20100302} }
 
 func tableName(i int) string { return fmt.Sprintf("micro%d", i) }
 
-// Load creates and populates the four tables deterministically.
+// Load creates and populates the four tables deterministically: each
+// table's rows are one version, the tables in order, built into the
+// empty engine e in one step (storage.Loader).
 func Load(e *storage.Engine, s Scale) error {
-	filler := strings.Repeat("x", 100)
+	l, err := storage.NewLoader(schemas()...)
+	if err != nil {
+		return err
+	}
 	for t := 0; t < NumTables; t++ {
-		name := tableName(t)
-		if err := e.CreateTable(&storage.Schema{
-			Table: name,
+		l.Grow(tableName(t), s.RowsPerTable)
+		if err := loadTable(l, t, s); err != nil {
+			return err
+		}
+		l.Commit()
+	}
+	if err := l.Build(e); err != nil {
+		return fmt.Errorf("micro: loading: %w", err)
+	}
+	return nil
+}
+
+// schemas returns the four tables' schemas, in table order.
+func schemas() []*storage.Schema {
+	out := make([]*storage.Schema, NumTables)
+	for t := range out {
+		out[t] = &storage.Schema{
+			Table: tableName(t),
 			Columns: []storage.Column{
 				{Name: "id", Type: storage.TInt},
 				{Name: "val", Type: storage.TInt},
 				{Name: "txt", Type: storage.TString},
 			},
 			Key: []string{"id"},
-		}); err != nil {
+		}
+	}
+	return out
+}
+
+// rowSink takes generated rows: a storage.Loader in Load, or a
+// storage.Txn, which takes the same rows one Insert at a time.
+type rowSink interface {
+	Insert(table string, row []any) error
+}
+
+// loadTable puts table t's rows into sink, in key order.
+func loadTable(sink rowSink, t int, s Scale) error {
+	name, filler := tableName(t), strings.Repeat("x", 100)
+	for i := 0; i < s.RowsPerTable; i++ {
+		if err := sink.Insert(name, []any{int64(i), int64(i), filler}); err != nil {
 			return err
-		}
-		tx := e.Begin()
-		for i := 0; i < s.RowsPerTable; i++ {
-			if err := tx.Insert(name, []any{int64(i), int64(i), filler}); err != nil {
-				return err
-			}
-		}
-		if _, err := tx.CommitLocal(); err != nil {
-			return fmt.Errorf("micro: loading %s: %w", name, err)
 		}
 	}
 	return nil

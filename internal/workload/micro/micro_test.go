@@ -1,11 +1,14 @@
 package micro
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"sconrep/internal/cluster"
 	"sconrep/internal/core"
+	"sconrep/internal/pstore"
 	"sconrep/internal/sql"
 	"sconrep/internal/storage"
 )
@@ -31,6 +34,61 @@ func TestLoad(t *testing.T) {
 	}
 	if e.Version() != NumTables {
 		t.Fatalf("load version = %d, want %d", e.Version(), NumTables)
+	}
+}
+
+// TestLoadMatchesRowByRow: at the paper's scale, Load builds the engine
+// that the same generated rows fed through Txn.Insert, one CommitLocal
+// per table, fill — the same checkpoint bytes, version and per-table
+// versions, and the same plan for every statement.
+func TestLoadMatchesRowByRow(t *testing.T) {
+	s := DefaultScale()
+	built := storage.NewEngine()
+	if err := Load(built, s); err != nil {
+		t.Fatal(err)
+	}
+	rowByRow := storage.NewEngine()
+	for _, sc := range schemas() {
+		if err := rowByRow.CreateTable(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < NumTables; i++ {
+		tx := rowByRow.Begin()
+		if err := loadTable(tx, i, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.CommitLocal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := rowByRow.Version()
+	if built.Version() != v {
+		t.Fatalf("built at version %d, row by row at %d", built.Version(), v)
+	}
+	names := rowByRow.TablesSorted()
+	if got, want := built.TableVersionsAt(names, v), rowByRow.TableVersionsAt(names, v); !reflect.DeepEqual(got, want) {
+		t.Errorf("table versions %v, want %v", got, want)
+	}
+	gotImg, err := pstore.SnapshotAt(built, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantImg, err := pstore.SnapshotAt(rowByRow, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotImg, wantImg) {
+		t.Error("checkpoint image differs from the row-by-row engine's")
+	}
+	for i := 0; i < NumTables; i++ {
+		for _, st := range []*sql.Prepared{readStmts[i], updateStmts[i]} {
+			got, gerr := sql.Explain(built, st.Stmt, []any{int64(1)})
+			want, werr := sql.Explain(rowByRow, st.Stmt, []any{int64(1)})
+			if got != want || (gerr == nil) != (werr == nil) {
+				t.Errorf("%s: plan %q (%v), row by row %q (%v)", st.SQL, got, gerr, want, werr)
+			}
+		}
 	}
 }
 

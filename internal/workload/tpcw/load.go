@@ -39,47 +39,55 @@ const CartIDBase = 1 << 40
 // database sequence the original benchmark uses.
 const OrderIDBase = 1 << 41
 
-// Load populates an engine with the full TPC-W dataset. It is
+// Load populates the empty engine e with the full TPC-W dataset. It is
 // deterministic in Scale.Seed, so loading N replicas yields identical
-// states and identical final versions.
+// states and identical final versions. The rows are collected table by
+// table, each table (orders with its lines and payments) one version,
+// and built into e in one step (storage.Loader).
 func Load(e *storage.Engine, s Scale) error {
-	if err := createSchema(e); err != nil {
+	schemas, err := parseSchema()
+	if err != nil {
 		return err
 	}
+	l, err := storage.NewLoader(schemas...)
+	if err != nil {
+		return err
+	}
+	l.Grow("country", s.countries())
+	l.Grow("address", s.addresses())
+	l.Grow("customer", s.Customers)
+	l.Grow("author", s.authors())
+	l.Grow("item", s.Items)
+	l.Grow("orders", s.orders())
+	l.Grow("order_line", maxLines*s.orders())
+	l.Grow("cc_xacts", s.orders())
 	rng := rand.New(rand.NewSource(s.Seed))
-
-	// Each table loads in one transaction: deterministic version
-	// sequence, tolerable memory.
-	if err := loadCountries(e, s, rng); err != nil {
-		return err
+	for _, load := range loaders {
+		if err := load(l, s, rng); err != nil {
+			return err
+		}
+		l.Commit()
 	}
-	if err := loadAddresses(e, s, rng); err != nil {
-		return err
-	}
-	if err := loadCustomers(e, s, rng); err != nil {
-		return err
-	}
-	if err := loadAuthors(e, s, rng); err != nil {
-		return err
-	}
-	if err := loadItems(e, s, rng); err != nil {
-		return err
-	}
-	if err := loadOrders(e, s, rng); err != nil {
-		return err
+	if err := l.Build(e); err != nil {
+		return fmt.Errorf("tpcw: loading: %w", err)
 	}
 	return nil
 }
 
-func commit(e *storage.Engine, tx *storage.Txn, what string) error {
-	if _, err := tx.CommitLocal(); err != nil {
-		return fmt.Errorf("tpcw: loading %s: %w", what, err)
-	}
-	return nil
+// loaders generate the tables in load order, each group one version:
+// every one draws from the one RNG stream, so the order is part of the
+// data.
+var loaders = []func(rowSink, Scale, *rand.Rand) error{
+	loadCountries, loadAddresses, loadCustomers, loadAuthors, loadItems, loadOrders,
 }
 
-func loadCountries(e *storage.Engine, s Scale, rng *rand.Rand) error {
-	tx := e.Begin()
+// rowSink takes generated rows: a storage.Loader in Load, or a
+// storage.Txn, which takes the same rows one Insert at a time.
+type rowSink interface {
+	Insert(table string, row []any) error
+}
+
+func loadCountries(sink rowSink, s Scale, rng *rand.Rand) error {
 	for i := 1; i <= s.countries(); i++ {
 		row := []any{
 			int64(i),
@@ -87,15 +95,14 @@ func loadCountries(e *storage.Engine, s Scale, rng *rand.Rand) error {
 			1 + rng.Float64()*10,
 			fmt.Sprintf("CUR%02d", i),
 		}
-		if err := tx.Insert("country", row); err != nil {
+		if err := sink.Insert("country", row); err != nil {
 			return err
 		}
 	}
-	return commit(e, tx, "country")
+	return nil
 }
 
-func loadAddresses(e *storage.Engine, s Scale, rng *rand.Rand) error {
-	tx := e.Begin()
+func loadAddresses(sink rowSink, s Scale, rng *rand.Rand) error {
 	for i := 1; i <= s.addresses(); i++ {
 		row := []any{
 			int64(i),
@@ -106,15 +113,14 @@ func loadAddresses(e *storage.Engine, s Scale, rng *rand.Rand) error {
 			fmt.Sprintf("%05d", rng.Intn(99999)),
 			int64(1 + rng.Intn(s.countries())),
 		}
-		if err := tx.Insert("address", row); err != nil {
+		if err := sink.Insert("address", row); err != nil {
 			return err
 		}
 	}
-	return commit(e, tx, "address")
+	return nil
 }
 
-func loadCustomers(e *storage.Engine, s Scale, rng *rand.Rand) error {
-	tx := e.Begin()
+func loadCustomers(sink rowSink, s Scale, rng *rand.Rand) error {
 	for i := 1; i <= s.Customers; i++ {
 		row := []any{
 			int64(i),
@@ -135,15 +141,14 @@ func loadCustomers(e *storage.Engine, s Scale, rng *rand.Rand) error {
 			int64(3000 + rng.Intn(20000)), // c_birthdate
 			randomString(rng, 100, "data"),
 		}
-		if err := tx.Insert("customer", row); err != nil {
+		if err := sink.Insert("customer", row); err != nil {
 			return err
 		}
 	}
-	return commit(e, tx, "customer")
+	return nil
 }
 
-func loadAuthors(e *storage.Engine, s Scale, rng *rand.Rand) error {
-	tx := e.Begin()
+func loadAuthors(sink rowSink, s Scale, rng *rand.Rand) error {
 	for i := 1; i <= s.authors(); i++ {
 		row := []any{
 			int64(i),
@@ -153,15 +158,14 @@ func loadAuthors(e *storage.Engine, s Scale, rng *rand.Rand) error {
 			int64(rng.Intn(20000)),
 			randomString(rng, 200, "bio"),
 		}
-		if err := tx.Insert("author", row); err != nil {
+		if err := sink.Insert("author", row); err != nil {
 			return err
 		}
 	}
-	return commit(e, tx, "author")
+	return nil
 }
 
-func loadItems(e *storage.Engine, s Scale, rng *rand.Rand) error {
-	tx := e.Begin()
+func loadItems(sink rowSink, s Scale, rng *rand.Rand) error {
 	for i := 1; i <= s.Items; i++ {
 		related := func() int64 { return int64(1 + rng.Intn(s.Items)) }
 		srp := 1 + rng.Float64()*299
@@ -185,33 +189,32 @@ func loadItems(e *storage.Engine, s Scale, rng *rand.Rand) error {
 			backings[rng.Intn(len(backings))],
 			fmt.Sprintf("%dx%dx%d", 1+rng.Intn(99), 1+rng.Intn(99), 1+rng.Intn(99)),
 		}
-		if err := tx.Insert("item", row); err != nil {
+		if err := sink.Insert("item", row); err != nil {
 			return err
 		}
 	}
-	return commit(e, tx, "item")
+	return nil
 }
 
-func loadOrders(e *storage.Engine, s Scale, rng *rand.Rand) error {
+func loadOrders(sink rowSink, s Scale, rng *rand.Rand) error {
 	// orders + order_line + cc_xacts load together: their rows are
 	// correlated.
-	tx := e.Begin()
 	for o := 1; o <= s.orders(); o++ {
-		nLines := 1 + rng.Intn(5)
+		nLines := 1 + rng.Intn(maxLines)
 		subTotal := 0.0
 		date := int64(12000 + rng.Intn(400))
-		for l := 1; l <= nLines; l++ {
+		for line := 1; line <= nLines; line++ {
 			qty := int64(1 + rng.Intn(10))
 			price := 1 + rng.Float64()*299
 			subTotal += float64(qty) * price
 			row := []any{
-				int64(o), int64(l),
+				int64(o), int64(line),
 				int64(1 + rng.Intn(s.Items)),
 				qty,
 				float64(rng.Intn(31)) / 100,
 				randomString(rng, 20, "olc"),
 			}
-			if err := tx.Insert("order_line", row); err != nil {
+			if err := sink.Insert("order_line", row); err != nil {
 				return err
 			}
 		}
@@ -229,7 +232,7 @@ func loadOrders(e *storage.Engine, s Scale, rng *rand.Rand) error {
 			int64(1 + rng.Intn(s.addresses())),
 			statuses[rng.Intn(len(statuses))],
 		}
-		if err := tx.Insert("orders", row); err != nil {
+		if err := sink.Insert("orders", row); err != nil {
 			return err
 		}
 		cc := []any{
@@ -243,12 +246,15 @@ func loadOrders(e *storage.Engine, s Scale, rng *rand.Rand) error {
 			date,
 			int64(1 + rng.Intn(s.countries())),
 		}
-		if err := tx.Insert("cc_xacts", cc); err != nil {
+		if err := sink.Insert("cc_xacts", cc); err != nil {
 			return err
 		}
 	}
-	return commit(e, tx, "orders")
+	return nil
 }
+
+// maxLines bounds a preloaded order's lines.
+const maxLines = 5
 
 // UserName derives the deterministic TPC-W user name for customer i.
 func UserName(i int) string { return fmt.Sprintf("user_%06d", i) }

@@ -19,12 +19,38 @@ func TestStatementPlans(t *testing.T) {
 	if err := Load(e, smallScale()); err != nil {
 		t.Fatal(err)
 	}
+	cases := planCases()
+	pinned := make(map[*sql.Prepared]bool, len(cases))
+	for _, c := range cases {
+		pinned[c.st] = true
+		got, err := sql.Explain(e, c.st.Stmt, c.params)
+		if err != nil {
+			t.Errorf("%s: %v", c.st.SQL, err)
+		} else if got != c.want {
+			t.Errorf("%s\n\tplan: %s\n\twant: %s", c.st.SQL, got, c.want)
+		}
+	}
+	for name, stmts := range TxnNames {
+		for _, st := range stmts {
+			if !pinned[st] {
+				t.Errorf("%s: no plan pinned for %q", name, st.SQL)
+			}
+		}
+	}
+}
+
+// planCase is a prepared statement, parameters of the types the
+// interactions pass, and the plan it must get.
+type planCase struct {
+	st     *sql.Prepared
+	params []any
+	want   string
+}
+
+// planCases lists every prepared statement's planCase.
+func planCases() []planCase {
 	const i, f, s = int64(1), 1.5, "x"
-	cases := []struct {
-		st     *sql.Prepared
-		params []any
-		want   string
-	}{
+	return []planCase{
 		{stGetCustomerByID, []any{i}, "pk-point on customer where (c_id = ?)"},
 		{stGetCustomerUname, []any{s}, "index-eq on customer where (c_uname = ?)"},
 		{stPromoItems, []any{i}, "pk-range on item where (i_id >= ?) -> ordered-stop(5)"},
@@ -59,22 +85,5 @@ func TestStatementPlans(t *testing.T) {
 
 		{stAdminRelated, []any{i}, "pk-range on order_line ol where (ol.ol_o_id > ?) -> group -> top-n(5)"},
 		{stAdminUpdate, []any{f, s, s, i, i, i, i, i, i, i}, "pk-point on item where (i_id = ?)"},
-	}
-	pinned := make(map[*sql.Prepared]bool, len(cases))
-	for _, c := range cases {
-		pinned[c.st] = true
-		got, err := sql.Explain(e, c.st.Stmt, c.params)
-		if err != nil {
-			t.Errorf("%s: %v", c.st.SQL, err)
-		} else if got != c.want {
-			t.Errorf("%s\n\tplan: %s\n\twant: %s", c.st.SQL, got, c.want)
-		}
-	}
-	for name, stmts := range TxnNames {
-		for _, st := range stmts {
-			if !pinned[st] {
-				t.Errorf("%s: no plan pinned for %q", name, st.SQL)
-			}
-		}
 	}
 }

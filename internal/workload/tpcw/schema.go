@@ -142,20 +142,32 @@ var Tables = []string{
 	"orders", "order_line", "cc_xacts", "shopping_cart", "shopping_cart_line",
 }
 
-// createSchema applies the DDL to an engine.
-func createSchema(e *storage.Engine) error {
+// parseSchema parses ddl into one schema per table, in ddl order, each
+// CREATE INDEX attached to its table in the order it appears: the
+// schemas the DDL would leave on an engine.
+func parseSchema() ([]*storage.Schema, error) {
+	var schemas []*storage.Schema
+	byName := make(map[string]*storage.Schema)
 	for _, stmt := range ddl {
 		parsed, err := sql.Parse(stmt)
 		if err != nil {
-			return fmt.Errorf("tpcw: parsing DDL: %w", err)
+			return nil, fmt.Errorf("tpcw: parsing DDL: %w", err)
 		}
-		tx := e.Begin()
-		if _, err := sql.ExecStmt(tx, e, parsed); err != nil {
-			return fmt.Errorf("tpcw: applying DDL: %w", err)
+		switch st := parsed.(type) {
+		case *sql.CreateTable:
+			schemas = append(schemas, st.Schema)
+			byName[st.Schema.Table] = st.Schema
+		case *sql.CreateIndex:
+			s, ok := byName[st.Table]
+			if !ok {
+				return nil, fmt.Errorf("tpcw: index %s on undeclared table %s", st.Def.Name, st.Table)
+			}
+			s.Indexes = append(s.Indexes, st.Def)
+		default:
+			return nil, fmt.Errorf("tpcw: DDL statement %T", parsed)
 		}
-		tx.Abort() // DDL is non-transactional; nothing buffered
 	}
-	return nil
+	return schemas, nil
 }
 
 // subjects is the TPC-W subject list.
