@@ -75,8 +75,8 @@ ci: bench-e2e-smoke
 # the wall-clock cost of the latency model's one-way charge, which a
 # busy host stretches.
 # CI's flake-guard step runs this target: this is the one list.
-FLAKE_TESTS = TestDeploymentSmoke|TestShardedDeploymentLearnsRouting|TestGatewayLearnsShardRouting|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLoadDataNamesFailingReplica|TestLoadDataReplicasAreIdentical|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs|TestClientLogsShardRefusalOnce|TestUnreachableFloorIsRefused|TestRestartedGatewayKeepsStrongReads|TestRecoverFetchesMissedSuffixOnce|TestReconnectBelowTrimFloorIsRefused|TestLinkChargesOneWay
-FLAKE_PKGS = ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/sql ./internal/wire .
+FLAKE_TESTS = TestDeploymentSmoke|TestShardedDeploymentLearnsRouting|TestGatewayLearnsShardRouting|TestClusterCrashFailover|TestCrashRecoverThroughFacade|TestLeaseRule|TestRestartKeepsOneStore|TestCrashedBatchAckKeepsEagerWait|TestRecoveryHistogramFollowsRestart|TestHeldEndIdleBound|TestClientHeldEndIdleBound|TestStaleTxnIDAfterRestartEndsNothing|TestLoadDataLoadsReplicasConcurrently|TestLoadDataNamesFailingReplica|TestLoadDataReplicasAreIdentical|TestLocalCommitLogsBeforeLaterRefresh|TestCommitAdoptsOwnBackfilledRefresh|TestBatchStopsAtLocalCommitVersion|TestReadPathAllocs|TestExecPreparedAllocs|TestTPCWStatementAllocs|TestClientLogsShardRefusalOnce|TestUnreachableFloorIsRefused|TestRestartedGatewayKeepsStrongReads|TestRecoverFetchesMissedSuffixOnce|TestReconnectBelowTrimFloorIsRefused|TestLinkChargesOneWay
+FLAKE_PKGS = ./cmd/sconrepd ./internal/cluster ./internal/replica ./internal/sql ./internal/workload/tpcw ./internal/wire .
 flake-guard:
 	$(GO) test -count=25 -run '$(FLAKE_TESTS)' $(FLAKE_PKGS)
 
@@ -121,7 +121,8 @@ bench:
 # default scale, and the two that read every order line above a fixed
 # floor again after 2 000 runtime orders (the *Grown cases, the table a
 # live run reads), and a title search that matches nothing (the index
-# walk's worst case), and one bulk load of each workload at its default
+# walk's worst case) and an author search that matches nothing (the
+# join walk's), and one bulk load of each workload at its default
 # scale on a fresh engine (the work LoadData runs on replica 0) and one
 # engine built from a micro-loaded one's image (what LoadData then does
 # for every other replica) and one whole micro cluster set-up (three
@@ -137,7 +138,7 @@ bench:
 # BENCHTIME for quicker smoke runs (CI uses 100ms).
 BENCHTIME ?= 1s
 HOTPATH_BENCH = BenchmarkRefreshApply|BenchmarkCertifyThroughput|BenchmarkHistoryLookup|BenchmarkWireRefreshStream|BenchmarkWirePartialSubscription|BenchmarkWireRoundTrip|BenchmarkTraceOverhead|BenchmarkRecovery|BenchmarkTPCWStatements|BenchmarkLoad|BenchmarkTreeSet|BenchmarkExecPrepared
-HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw,BenchmarkLoad/copy,BenchmarkLoad/cluster,BenchmarkTreeSet/ascending,BenchmarkTreeSet/random,BenchmarkExecPrepared/point-select,BenchmarkExecPrepared/point-update
+HOTPATH_REQUIRE = BenchmarkRefreshApply/batched,BenchmarkRefreshApply/deep,BenchmarkCertifyThroughput/1shard,BenchmarkCertifyThroughput/4shard-disjoint,BenchmarkCertifyThroughput/4shard-crossmix,BenchmarkCertifyThroughput/4shard-conflicting,BenchmarkHistoryLookup/tail,BenchmarkWireRefreshStream,BenchmarkWirePartialSubscription/full,BenchmarkWirePartialSubscription/half,BenchmarkWirePartialSubscription/quarter,BenchmarkWireRoundTrip/begin-abort,BenchmarkWireRoundTrip/read-txn,BenchmarkWireRoundTrip/update-txn,BenchmarkWireRoundTrip/update-txn-esc,BenchmarkTraceOverhead/disabled,BenchmarkTraceOverhead/enabled,BenchmarkRecovery/restore,BenchmarkRecovery/fullhistory,BenchmarkTPCWStatements/BestSellers,BenchmarkTPCWStatements/BestSellersGrown,BenchmarkTPCWStatements/SearchAuthor,BenchmarkTPCWStatements/SearchAuthorNone,BenchmarkTPCWStatements/PromoItems,BenchmarkTPCWStatements/MaxOrderID,BenchmarkTPCWStatements/AdminRelated,BenchmarkTPCWStatements/AdminRelatedGrown,BenchmarkTPCWStatements/SearchTitle,BenchmarkTPCWStatements/SearchTitleNone,BenchmarkTPCWStatements/NewProducts,BenchmarkTPCWStatements/GetCustomerByID,BenchmarkLoad/micro,BenchmarkLoad/tpcw,BenchmarkLoad/copy,BenchmarkLoad/cluster,BenchmarkTreeSet/ascending,BenchmarkTreeSet/random,BenchmarkExecPrepared/point-select,BenchmarkExecPrepared/point-update
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime $(BENCHTIME) \
 		./internal/replica/ ./internal/certifier/ ./internal/wire/ ./internal/pstore/ ./internal/workload/tpcw/ ./internal/bench/ ./internal/btree/ ./internal/sql/ \

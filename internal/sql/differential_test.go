@@ -152,6 +152,9 @@ func TestDifferentialCases(t *testing.T) {
 		`CREATE TABLE pay (id INT PRIMARY KEY, cust INT, amt FLOAT, note TEXT)`,
 		`CREATE INDEX pay_cust ON pay (cust)`,
 		`CREATE INDEX pay_amt ON pay (amt)`,
+		`CREATE TABLE rev (id INT PRIMARY KEY, cust INT, label TEXT, rank INT, code TEXT)`,
+		`CREATE INDEX rev_label ON rev (label)`,
+		`CREATE INDEX rev_rank ON rev (rank)`,
 	)
 	tx := d.e.Begin()
 	regions := []any{"north", "south", "east", nil}
@@ -198,6 +201,26 @@ func TestDifferentialCases(t *testing.T) {
 	}
 	d.insert(tx, "pay", int64(25), int64(1<<53), float64(1<<53), "n1")
 	d.insert(tx, "pay", int64(26), int64(1<<53+1), 0.5, "n2")
+	// rev is a joined table a walk of its label or rank index drives: rows
+	// of one label point at customers in the opposite order of their own
+	// ids, a customer has several rows under one label, and labels, ranks
+	// and join keys are NULL or match no customer or item.
+	for _, r := range [][]any{
+		{int64(1), int64(9), "r1", int64(2), "b1"},
+		{int64(2), int64(4), "r0", int64(1), "a1"},
+		{int64(3), int64(7), "r1", int64(2), "a2"},
+		{int64(4), int64(2), "r1", nil, "b1"},
+		{int64(5), int64(11), nil, int64(1), nil},
+		{int64(6), int64(9), "r0", int64(0), "c1"},
+		{int64(7), int64(3), "r1", int64(2), "a1"},
+		{int64(8), nil, "r0", int64(3), "zz"},
+		{int64(9), int64(20), "r1", int64(1), "a2"},
+		{int64(10), int64(9), "r1", int64(2), "a1"},
+		{int64(11), int64(1), nil, int64(0), "b2"},
+		{int64(12), int64(6), "r2", nil, "c1"},
+	} {
+		d.insert(tx, "rev", r...)
+	}
 	d.commit(tx)
 
 	// Committed history under pay's indexes: a deleted row and moved join
@@ -409,7 +432,7 @@ func TestDifferentialCases(t *testing.T) {
 			"index-order(ord_cust) on ord o -> pk-probe cust c on o.cust = c.id where (c.region <> east) -> ordered-stop(6)"},
 		// No walk: DESC, a FLOAT column, a conjunct that may fail, no LIMIT,
 		// aggregated, a base with a pk or index path, the column followed by
-		// anything but a primary-key prefix, ORDER BY on a joined table.
+		// anything but a primary-key prefix.
 		{`SELECT id, region FROM cust ORDER BY region DESC LIMIT 3`, nil,
 			"full-scan on cust -> top-n(3)"},
 		{`SELECT id, amt FROM pay ORDER BY amt LIMIT 4`, nil,
@@ -428,8 +451,48 @@ func TestDifferentialCases(t *testing.T) {
 			"full-scan on ord -> top-n(3)"},
 		{`SELECT oid, line, cust FROM ord ORDER BY cust, qty LIMIT 3`, nil,
 			"full-scan on ord -> top-n(3)"},
+		// Join walks — the joined table's index walk drives the join and
+		// probes the base by primary key: ties on the column across base
+		// rows, NULLs first, an OFFSET, a base filter that matches all,
+		// some and none of the rows, a conjunct on each table, an INT
+		// column, a TEXT join key, LIMIT 0.
 		{`SELECT c.id, t.label FROM cust c JOIN tag t ON t.cust = c.id WHERE c.name LIKE 'name%' ORDER BY t.label LIMIT 3`, nil,
-			"full-scan on cust c where (c.name LIKE name%) -> hash-join tag t on c.id = t.cust -> top-n(3)"},
+			"index-order(tag_label) on tag t -> pk-probe cust c on t.cust = c.id where (c.name LIKE name%) -> ordered-stop(3)"},
+		{`SELECT c.id, r.id, r.label FROM cust c JOIN rev r ON r.cust = c.id ORDER BY r.label LIMIT 6`, nil,
+			"index-order(rev_label) on rev r -> pk-probe cust c on r.cust = c.id -> ordered-stop(6)"},
+		{`SELECT c.id, r.id, r.label FROM cust c JOIN rev r ON r.cust = c.id WHERE c.name LIKE 'name%' ORDER BY r.label LIMIT 8 OFFSET 2`, nil,
+			"index-order(rev_label) on rev r -> pk-probe cust c on r.cust = c.id where (c.name LIKE name%) -> ordered-stop(10)"},
+		{`SELECT c.id, r.id FROM cust c JOIN rev r ON r.cust = c.id WHERE c.vip ORDER BY r.label LIMIT 3`, nil,
+			"index-order(rev_label) on rev r -> pk-probe cust c on r.cust = c.id where c.vip -> ordered-stop(3)"},
+		{`SELECT c.id, r.id FROM cust c JOIN rev r ON r.cust = c.id WHERE c.name LIKE ? ORDER BY r.label LIMIT 3`, []any{"zzz%"},
+			"index-order(rev_label) on rev r -> pk-probe cust c on r.cust = c.id where (c.name LIKE ?) -> ordered-stop(3)"},
+		{`SELECT r.id, c.id, r.rank FROM cust c JOIN rev r ON c.id = r.cust WHERE r.id <> 3 AND c.region IS NOT NULL ORDER BY r.rank LIMIT 5 OFFSET 1`, nil,
+			"index-order(rev_rank) on rev r -> pk-probe cust c on r.cust = c.id where (r.id <> 3) and c.region IS NOT NULL -> ordered-stop(6)"},
+		{`SELECT i.code, r.id, r.rank FROM item i JOIN rev r ON r.code = i.code WHERE i.cat = ? ORDER BY r.rank LIMIT 4`, []any{int64(1)},
+			"index-order(rev_rank) on rev r -> pk-probe item i on r.code = i.code where (i.cat = ?) -> ordered-stop(4)"},
+		{`SELECT c.id, r.id FROM cust c JOIN rev r ON r.cust = c.id ORDER BY r.label LIMIT 0`, nil,
+			"index-order(rev_label) on rev r -> pk-probe cust c on r.cust = c.id -> ordered-stop(0)"},
+		// No join walk: DESC, a second ORDER BY term, no LIMIT, a conjunct
+		// that may fail, a base with a pk path, ON off the base's key, join
+		// columns of two types, a FLOAT column, three tables.
+		{`SELECT c.id, r.id FROM cust c JOIN rev r ON r.cust = c.id ORDER BY r.label DESC LIMIT 3`, nil,
+			"full-scan on cust c -> hash-join rev r on c.id = r.cust -> top-n(3)"},
+		{`SELECT c.id, r.id FROM cust c JOIN rev r ON r.cust = c.id ORDER BY r.label, r.id LIMIT 3`, nil,
+			"full-scan on cust c -> hash-join rev r on c.id = r.cust -> top-n(3)"},
+		{`SELECT c.id, r.id FROM cust c JOIN rev r ON r.cust = c.id ORDER BY r.label`, nil,
+			"full-scan on cust c -> hash-join rev r on c.id = r.cust -> sort"},
+		{`SELECT c.id, r.id FROM cust c JOIN rev r ON r.cust = c.id WHERE 10 / (c.id - 5) > 1 ORDER BY r.label LIMIT 3`, nil,
+			"full-scan on cust c -> hash-join rev r on c.id = r.cust where ((10 / (c.id - 5)) > 1) -> top-n(3)"},
+		{`SELECT c.id, r.id FROM cust c JOIN rev r ON r.cust = c.id WHERE c.id > 3 ORDER BY r.label LIMIT 3`, nil,
+			"pk-range on cust c where (c.id > 3) -> hash-join rev r on c.id = r.cust -> top-n(3)"},
+		{`SELECT r.id, c.id FROM rev r JOIN cust c ON r.cust = c.id ORDER BY c.region LIMIT 3`, nil,
+			"full-scan on rev r -> pk-probe cust c on r.cust = c.id -> top-n(3)"},
+		{`SELECT i.code, r.id FROM item i JOIN rev r ON r.cust = i.code ORDER BY r.label LIMIT 3`, nil,
+			"full-scan on item i -> hash-join rev r on i.code = r.cust -> top-n(3)"},
+		{`SELECT c.id, p.id FROM cust c JOIN pay p ON p.cust = c.id ORDER BY p.amt LIMIT 3`, nil,
+			"full-scan on cust c -> index-probe pay p on c.id = p.cust -> top-n(3)"},
+		{`SELECT c.id, r.id, t.id FROM cust c JOIN rev r ON r.cust = c.id JOIN tag t ON t.cust = c.id ORDER BY r.label LIMIT 3`, nil,
+			"full-scan on cust c -> hash-join rev r on c.id = r.cust -> hash-join tag t on c.id = t.cust -> top-n(3)"},
 	}
 	run := func(tx *storage.Txn) {
 		t.Helper()
@@ -478,6 +541,16 @@ func TestDifferentialCases(t *testing.T) {
 	d.update(tx, "tag", int64(4), int64(1), "t2")
 	d.update(tx, "tag", int64(7), nil, nil)
 	d.delete(tx, "tag", []any{int64(1)})
+	// rev under own writes: a label moved into a run, out of it and to
+	// NULL, a join key moved and set to NULL, new rows first and last in
+	// a run, a row deleted, and a new customer its rows point at.
+	d.update(tx, "rev", int64(2), int64(9), "r1", int64(2), "b2")
+	d.update(tx, "rev", int64(3), int64(7), nil, int64(0), "a2")
+	d.update(tx, "rev", int64(7), nil, "r1", int64(2), "a1")
+	d.update(tx, "rev", int64(12), int64(40), "r0", int64(1), "c1")
+	d.insert(tx, "rev", int64(0), int64(2), "r1", int64(2), "zz")
+	d.insert(tx, "rev", int64(30), int64(0), "r1", nil, "a1")
+	d.delete(tx, "rev", []any{int64(10)})
 	d.insert(tx, "empty", int64(5), int64(50))
 	// pay rows moved into a build's keys (north is now 0 and 6), out of
 	// them, between them and to NULL; new first and matching keys; a
@@ -573,8 +646,8 @@ func (g *gen) strCol(alias string, key []string) string {
 func bare(col string) string { return col[strings.IndexByte(col, '.')+1:] }
 
 type genFrom struct {
-	alias string
-	key   []string
+	alias, name string
+	key         []string
 }
 
 func (g *gen) pred(from []genFrom, depth int) string {
@@ -629,15 +702,28 @@ func (g *gen) pred(from []genFrom, depth int) string {
 // statement returns one SELECT and its parameters.
 func (g *gen) statement() (string, []any) {
 	g.params = nil
+	// A sixth of the statements take a join walk's shape (joinOrder): two
+	// tables joined on the base's whole key, ORDER BY the joined table's
+	// indexed column, or nearly, and a LIMIT.
+	walk := g.rng.Intn(6) == 0
 	order := g.rng.Perm(len(genTables))
-	from := []genFrom{{"a", genTables[order[0]].key}}
+	if walk && len(genTables[order[0]].key) > 1 {
+		order[0], order[1] = order[1], order[0]
+	}
+	from := []genFrom{{"a", genTables[order[0]].name, genTables[order[0]].key}}
 	src := " FROM " + genTables[order[0]].name + " a"
-	for i, n := 1, g.rng.Intn(6); i < len(order) && n >= 3+i-1; i++ { // 0, 1 or 2 joins
+	for i, n := 1, g.rng.Intn(6); i < len(order) && (n >= 3+i-1 || walk && i == 1); i++ { // 0, 1 or 2 joins
 		alias := string(rune('a' + i))
-		right := genFrom{alias, genTables[order[i]].key}
+		right := genFrom{alias, genTables[order[i]].name, genTables[order[i]].key}
 		left := from[g.rng.Intn(len(from))]
 		var l, r string
-		if cols := g.indexed[genTables[order[0]].name]; i == 1 && g.rng.Intn(2) == 0 {
+		if key := from[0].key; i == 1 && len(key) == 1 && (walk || g.rng.Intn(4) == 0) {
+			// The base's whole key, which a join walk probes.
+			l, r = "a."+key[0], g.numCol(alias, right.key)
+			if key[0] == "code" {
+				r = g.strCol(alias, right.key)
+			}
+		} else if cols := g.indexed[genTables[order[0]].name]; i == 1 && g.rng.Intn(2) == 0 {
 			// The driving table's indexed column, which a keyed fetch reads.
 			c := cols[g.rng.Intn(len(cols))]
 			l, r = "a."+c, g.numCol(alias, right.key)
@@ -664,7 +750,7 @@ func (g *gen) statement() (string, []any) {
 
 	base := from[0]
 	var items, orderBy []string
-	if g.rng.Intn(4) == 0 { // aggregated
+	if !walk && g.rng.Intn(4) == 0 { // aggregated
 		var groupBy []string
 		for n := g.rng.Intn(3); n > 0; n-- {
 			t := from[g.rng.Intn(len(from))]
@@ -696,7 +782,11 @@ func (g *gen) statement() (string, []any) {
 				items = append(items, g.pick(g.numCol(t.alias, t.key), g.strCol(t.alias, t.key), t.alias+".g", g.numCol(t.alias, t.key)+" + 1"))
 			}
 		}
-		switch g.rng.Intn(5) {
+		shape := g.rng.Intn(6)
+		if walk {
+			shape = 4
+		}
+		switch shape {
 		case 0: // the scan's own order, or nearly
 			for _, k := range base.key[:1+g.rng.Intn(len(base.key))] {
 				orderBy = append(orderBy, "a."+k)
@@ -713,6 +803,15 @@ func (g *gen) statement() (string, []any) {
 			if g.rng.Intn(6) == 0 {
 				orderBy[g.rng.Intn(len(orderBy))] += " DESC"
 			}
+		case 4: // a joined table's index order, or nearly
+			if len(from) == 1 {
+				break
+			}
+			cols := g.indexed[from[1].name]
+			orderBy = append(orderBy, "b."+cols[g.rng.Intn(len(cols))]+g.pick("", "", "", "", " DESC"))
+			if g.rng.Intn(6) == 0 {
+				orderBy = append(orderBy, "b."+from[1].key[0])
+			}
 		case 2, 3:
 			for n := 1 + g.rng.Intn(2); n > 0; n-- {
 				t := from[g.rng.Intn(len(from))]
@@ -724,7 +823,7 @@ func (g *gen) statement() (string, []any) {
 	if len(orderBy) > 0 {
 		src += " ORDER BY " + strings.Join(orderBy, ", ")
 	}
-	if g.rng.Intn(2) == 0 {
+	if walk || g.rng.Intn(2) == 0 {
 		src += fmt.Sprintf(" LIMIT %d", g.pick2(0, 1, 2, 3, 5, 8, 1000))
 		if g.rng.Intn(3) == 0 {
 			src += fmt.Sprintf(" OFFSET %d", g.pick2(0, 1, 2, 4, 50))
@@ -783,17 +882,17 @@ func randomRow(rng *rand.Rand, key ...any) []any {
 // TestDifferentialRandom compares executor and oracle on seeded random
 // schemas' worth of indexes, data and statements: first on committed
 // data, then under a transaction's own pending writes. Some statements
-// must run a filtered build, and some a keyed fetch, or the test says
-// nothing about them.
+// must run a filtered build, some a keyed fetch, some an index walk of
+// the base and some a join walk, or the test says nothing about them.
 func TestDifferentialRandom(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 6
 	}
-	builds, fetches, walks := 0, 0, 0
+	var builds, fetches, walks, joinWalks int
 	for seed := 0; seed < seeds; seed++ {
-		b, f, w := differentialRandom(t, int64(seed))
-		builds, fetches, walks = builds+b, fetches+f, walks+w
+		n := differentialRandom(t, int64(seed))
+		builds, fetches, walks, joinWalks = builds+n.builds, fetches+n.fetches, walks+n.walks, joinWalks+n.joinWalks
 	}
 	if builds == 0 {
 		t.Fatal("no statement ran a filtered build")
@@ -804,7 +903,11 @@ func TestDifferentialRandom(t *testing.T) {
 	if walks == 0 {
 		t.Fatal("no statement walked an index")
 	}
-	t.Logf("%d statements ran a filtered build, %d a keyed fetch, %d walked an index", builds, fetches, walks)
+	if joinWalks == 0 {
+		t.Fatal("no statement drove a join from a joined table's index")
+	}
+	t.Logf("%d statements ran a filtered build, %d a keyed fetch, %d walked the base's index, %d a joined table's",
+		builds, fetches, walks, joinWalks)
 }
 
 // FuzzDifferentialSQL is TestDifferentialRandom on seeds beyond its own,
@@ -816,12 +919,18 @@ func FuzzDifferentialSQL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) { differentialRandom(t, seed) })
 }
 
+// planCounts counts the statements of a batch by the plans they ran.
+type planCounts struct {
+	builds, fetches, walks, joinWalks int
+}
+
 // differentialRandom builds one random schema, data set and statement
 // batch from seed, compares executor and oracle on all of it, runs each
 // statement through a prepared statement with its parameters and with
 // varied ones (comparePrepared), and returns how many statements ran a
-// filtered build, how many a keyed fetch and how many walked an index.
-func differentialRandom(t *testing.T, seed int64) (builds, fetches, walks int) {
+// filtered build, a keyed fetch, an index walk of the base and a join
+// walk.
+func differentialRandom(t *testing.T, seed int64) (n planCounts) {
 	const perSeed = 120
 	rng := rand.New(rand.NewSource(seed))
 	ddl := []string{
@@ -892,17 +1001,20 @@ func differentialRandom(t *testing.T, seed int64) (builds, fetches, walks int) {
 		src, params := g.statement()
 		plan := d.compare(tx, src, params...)
 		d.comparePrepared(tx, src, params, varyParams(vary, params, g.mayFail))
+		switch {
+		case strings.HasPrefix(plan, "index-order(") && strings.Contains(plan, " b -> pk-probe "):
+			n.joinWalks++
+		case strings.HasPrefix(plan, "index-order("):
+			n.walks++
+		}
 		if strings.Contains(plan, " via ") { // a filtered build
-			builds++
+			n.builds++
 		}
 		if strings.Contains(plan, " keyed-fetch(") {
-			fetches++
-		}
-		if strings.HasPrefix(plan, "index-order(") {
-			walks++
+			n.fetches++
 		}
 	}
-	return builds, fetches, walks
+	return n
 }
 
 // TestDifferentialTPCW runs every prepared SELECT of the TPC-W workload

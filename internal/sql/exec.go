@@ -3,7 +3,9 @@ package sql
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"sconrep/internal/storage"
@@ -125,6 +127,12 @@ func run(tx *storage.Txn, e *storage.Engine, stmt Stmt, pl plan, ev *env) (*Resu
 // joined tables, each tuple that passes the predicate is handed to the
 // sink (projection, top-n or aggregation), and the scan ends as soon as
 // the sink has what it needs.
+//
+// Its scratch — hash builds, probe and fetch buffers, the top-n's
+// buffer, the group map and slabs — outlives the execution: the plan
+// pools its runs (newRun, release), so the next execution of the plan
+// reuses what this one grew. Release clears every slice and map that
+// could hold a row, and nothing the Result holds comes from the pool.
 type selectRun struct {
 	p  *selectPlan
 	tx *storage.Txn
@@ -134,6 +142,10 @@ type selectRun struct {
 	// bufs[k] holds the rows of table k's latest index read — a probe's,
 	// or for k = 0 the keyed fetch's — and is reused by the next one.
 	bufs [][]storage.KV
+	// fetchKeys holds the keyed fetch's keys.
+	fetchKeys []any
+	// run holds a join walk's tuples of equal ORDER BY value (joinWalk).
+	run []walked
 
 	rows [][]any // the output, when it needs no sorting
 	top  topN    // the output, when it does
@@ -155,33 +167,98 @@ type selectRun struct {
 }
 
 // hashBuild is a joined table's rows grouped by their join column's
-// encoded value, each group in primary-key order.
+// encoded value, each group in primary-key order. A pooled build keeps
+// its map and group slices, emptied.
 type hashBuild struct {
+	built bool
 	group map[string]int
 	rows  [][][]any
 }
 
-// execSelect runs a planned SELECT.
-func execSelect(tx *storage.Txn, p *selectPlan, ev *env) (*Result, error) {
-	r := &selectRun{p: p, tx: tx, ev: ev, top: topN{order: p.order, n: p.keep}}
+// reset empties the build for the next execution, keeping its storage.
+func (h *hashBuild) reset() {
+	clear(h.group)
+	for g := range h.rows {
+		clear(h.rows[g])
+		h.rows[g] = h.rows[g][:0]
+	}
+	h.rows = h.rows[:0]
+	h.built = false
+}
+
+// newRun returns a run of p for one execution in tx, from the pool when
+// it has one.
+func (p *selectPlan) newRun(tx *storage.Txn, ev *env) *selectRun {
+	r, _ := p.runs.Get().(*selectRun)
+	if r == nil {
+		r = &selectRun{p: p, top: topN{order: p.order, n: p.keep}}
+		if len(p.tables) > 1 {
+			r.bufs = make([][]storage.KV, len(p.tables))
+		}
+		if p.aggregated {
+			r.groups = map[string]int{}
+		}
+	}
+	r.tx, r.ev = tx, ev
 	if len(p.tables) <= len(r.tuple) {
 		ev.rows = r.tuple[:len(p.tables)]
 	} else {
 		ev.rows = make([][]any, len(p.tables))
 	}
-	if len(p.tables) > 1 {
-		r.bufs = make([][]storage.KV, len(p.tables))
+	if !p.aggregated {
+		// No rows is an empty Rows, not a nil one; the wire tells them
+		// apart. The slice is the Result's, never the pool's; an ordered
+		// stop reserves its rows up front.
+		n := 0
+		if p.inOrder && p.keep > 0 {
+			n = min(p.keep, maxPresized)
+		}
+		r.rows = make([][]any, 0, n)
 	}
-	if p.aggregated {
-		r.groups = map[string]int{}
-	} else {
-		r.rows = [][]any{} // no rows is an empty Rows, not a nil one; the wire tells them apart
+	return r
+}
+
+// maxPresized caps the output rows an ordered stop reserves up front.
+const maxPresized = 64
+
+// release clears r of every row it refers to and returns it to p's pool.
+func (p *selectPlan) release(r *selectRun) {
+	for k := range r.hashes {
+		r.hashes[k].reset()
 	}
+	for k := range r.bufs {
+		clear(r.bufs[k])
+		r.bufs[k] = r.bufs[k][:0]
+	}
+	clear(r.fetchKeys)
+	r.fetchKeys = r.fetchKeys[:0]
+	clear(r.run)
+	r.run = r.run[:0]
+	r.top.reset()
+	clear(r.out) // a projection the top-n turned away: no Result holds it
+	clear(r.keys)
+	clear(r.groups)
+	clear(r.firsts)
+	r.firsts = r.firsts[:0]
+	clear(r.aggs)
+	r.aggs = r.aggs[:0]
+	r.tuple = [4][]any{}
+	r.tx, r.ev, r.rows = nil, nil, nil
+	p.runs.Put(r)
+}
+
+// execSelect runs a planned SELECT.
+func execSelect(tx *storage.Txn, p *selectPlan, ev *env) (*Result, error) {
+	r := p.newRun(tx, ev)
+	defer p.release(r)
 
 	var err error
-	if p.tables[0].fetch != "" {
+	switch {
+	case p.joinWalk:
+		err = r.joinWalk()
+	case p.tables[0].fetch != "":
 		err = r.keyedFetch()
-	} else {
+	default:
 		err = r.scan()
 	}
 	if err != nil {
@@ -231,7 +308,7 @@ func (r *selectRun) keyedFetch() error {
 		return err
 	}
 	typ := base.schema.Columns[t.leftKey.off].Type
-	keys := make([]any, 0, len(h.rows))
+	keys := r.fetchKeys[:0]
 	for _, rows := range h.rows {
 		v := rows[0][t.rightCol]
 		if f, ok := v.(float64); ok && typ == storage.TInt && math.Abs(f) >= 1<<53 {
@@ -243,6 +320,7 @@ func (r *selectRun) keyedFetch() error {
 			keys = append(keys, k)
 		}
 	}
+	r.fetchKeys = keys
 	path := base.resolve(r.ev.consts)
 	r.bufs[0], err = r.tx.AppendIndexIn(r.bufs[0][:0], base.name, base.fetch, keys, path.lo, path.hi)
 	if err != nil {
@@ -254,6 +332,90 @@ func (r *selectRun) keyedFetch() error {
 		}
 	}
 	return nil
+}
+
+// walked is a tuple of a join walk: the joined table's row and key, and
+// the base row its join column found.
+type walked struct {
+	key       string
+	base, row []any
+}
+
+// joinWalk drives the join from tables[1]'s index walk (plan's
+// joinOrder). Each walked row whose join column is not NULL finds its
+// base row by primary key; the tuples that pass the whole predicate are
+// gathered per run of equal ORDER BY values and emitted sorted by (base
+// key, joined key), the order the nested loop and its stable top-n give
+// them. The walk stops at the end of the run that fills the output.
+func (r *selectRun) joinWalk() error {
+	base, t := &r.p.tables[0], &r.p.tables[1]
+	col := r.p.order[0].expr.(*slot).off
+	var val any // the ORDER BY value of the run gathered in r.run
+	c := r.tx.IndexCursor(t.name, t.path.indexName)
+	for c.Next() {
+		kv := c.KV()
+		if len(r.run) > 0 && storage.CompareValues(kv.Row[col], val) != 0 {
+			if more, err := r.emitRun(); err != nil || !more {
+				return err
+			}
+		}
+		jv := kv.Row[t.rightCol]
+		if jv == nil {
+			continue
+		}
+		r.keyBuf = storage.EncodeValue(r.keyBuf[:0], jv)
+		row, ok, err := r.tx.Get(base.name, string(r.keyBuf))
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		r.ev.rows[0], r.ev.rows[1] = row, kv.Row
+		if r.p.where != nil {
+			ok, err := isTrue(r.p.where, r.ev)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+		}
+		val = kv.Row[col]
+		r.run = append(r.run, walked{key: kv.Key, base: row, row: kv.Row})
+	}
+	if err := c.Err(); err != nil {
+		return err
+	}
+	_, err := r.emitRun()
+	return err
+}
+
+// emitRun emits the join walk's gathered run in (base key, joined key)
+// order and empties it; it reports whether more output is wanted. The
+// base key is the join value, an INT or TEXT, whose order is its
+// encoding's.
+func (r *selectRun) emitRun() (bool, error) {
+	if len(r.run) > 1 {
+		on := r.p.tables[1].rightCol
+		slices.SortFunc(r.run, func(a, b walked) int {
+			if c := storage.CompareValues(a.row[on], b.row[on]); c != 0 {
+				return c
+			}
+			return strings.Compare(a.key, b.key)
+		})
+	}
+	more := true
+	for i := 0; more && i < len(r.run); i++ {
+		r.ev.rows[0], r.ev.rows[1] = r.run[i].base, r.run[i].row
+		var err error
+		if more, err = r.emit(); err != nil {
+			return false, err
+		}
+	}
+	clear(r.run)
+	r.run = r.run[:0]
+	return more, nil
 }
 
 // bindRow puts table k's row into the tuple, applies the conjuncts that
@@ -338,11 +500,14 @@ func (r *selectRun) build(k int) (*hashBuild, error) {
 		r.hashes = make([]hashBuild, len(r.p.tables))
 	}
 	h := &r.hashes[k]
-	if h.group != nil {
+	if h.built {
 		return h, nil
 	}
 	t := &r.p.tables[k]
-	h.group = map[string]int{}
+	h.built = true
+	if h.group == nil {
+		h.group = map[string]int{}
+	}
 	return h, scanPath(r.tx, t.name, t.resolve(r.ev.consts), false, func(kv storage.KV) (bool, error) {
 		v := kv.Row[t.rightCol]
 		if v == nil {
@@ -353,7 +518,11 @@ func (r *selectRun) build(k int) (*hashBuild, error) {
 		if !ok {
 			g = len(h.rows)
 			h.group[string(r.keyBuf)] = g
-			h.rows = append(h.rows, nil)
+			if g < cap(h.rows) {
+				h.rows = h.rows[:g+1] // a group slice a reset emptied
+			} else {
+				h.rows = append(h.rows, nil)
+			}
 		}
 		h.rows[g] = append(h.rows[g], kv.Row)
 		return true, nil
@@ -455,7 +624,7 @@ func (t *topN) offer(keys, out []any) bool {
 
 // cut sorts the buffered rows and drops all but the best n.
 func (t *topN) cut() {
-	sort.Slice(t.rows, func(a, b int) bool { return t.before(&t.rows[a], &t.rows[b]) })
+	sort.Sort((*byOrder)(t))
 	if t.n >= 0 && len(t.rows) > t.n {
 		t.rows = t.rows[:t.n]
 		bar := t.rows[t.n-1]
@@ -463,9 +632,23 @@ func (t *topN) cut() {
 	}
 }
 
+// byOrder sorts a topN's buffer.
+type byOrder topN
+
+func (b *byOrder) Len() int           { return len(b.rows) }
+func (b *byOrder) Less(i, j int) bool { return (*topN)(b).before(&b.rows[i], &b.rows[j]) }
+func (b *byOrder) Swap(i, j int)      { b.rows[i], b.rows[j] = b.rows[j], b.rows[i] }
+
+// reset empties the buffer for the next execution, keeping its storage.
+func (t *topN) reset() {
+	clear(t.rows)
+	t.rows, t.seq, t.bar = t.rows[:0], 0, nil
+}
+
 // appendSorted appends the kept rows, in order, to rows.
 func (t *topN) appendSorted(rows [][]any) [][]any {
 	t.cut()
+	rows = slices.Grow(rows, len(t.rows))
 	for i := range t.rows {
 		rows = append(rows, t.rows[i].out)
 	}

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"sconrep/internal/storage"
 )
@@ -30,7 +31,10 @@ import (
 // and a SELECT whose base would be a full scan reads it instead by
 //
 //  5. an index walk in value order, when that order is ORDER BY's and
-//     the scan stops at a LIMIT (see indexOrder).
+//     the scan stops at a LIMIT (see indexOrder), or
+//  6. no scan of its own: a walk of the joined table's index drives the
+//     join and probes the base by primary key, when ORDER BY … LIMIT
+//     names that index's column (see joinOrder).
 //
 // Bounds are conservative (they may admit extra rows); the executor
 // always re-applies the full predicate, so the planner affects cost,
@@ -496,6 +500,14 @@ type selectPlan struct {
 	// leading key column over the whole table: the scan runs from that
 	// end of the tree and stops at the first visible row.
 	edge string
+	// joinWalk says tables[1]'s path, an index walk, drives the join
+	// instead of the base's scan (joinOrder).
+	joinWalk bool
+
+	// runs holds the scratch of finished executions (selectRun), cleared,
+	// for the next one to reuse. It is the one part of a plan an
+	// execution writes, and it synchronises itself.
+	runs sync.Pool
 }
 
 // planTables binds the FROM clause and WHERE shared by SELECT, UPDATE
@@ -694,6 +706,7 @@ func planSelect(e *storage.Engine, s *Select, ev *env) (*selectPlan, error) {
 	default:
 		p.inOrder = scanOrdered(p.tables[0].schema, p.tables[0].sargs, ev.consts, p.order)
 		p.indexOrder()
+		p.joinOrder()
 	}
 	p.filteredBuilds(ev.consts)
 	p.keyedFetch()
@@ -831,6 +844,42 @@ func (p *selectPlan) indexOrder() {
 	p.inOrder = true
 }
 
+// joinOrder drives a plain SELECT of two tables, A JOIN B, from a walk of
+// one of B's indexes in value order instead of A's full scan, when
+// ORDER BY spells that index's column alone, ascending and INT or TEXT,
+// the output stops at a LIMIT, and ON pairs a B column with A's whole
+// primary key, the two of one type, INT or TEXT: each B row of the walk finds its one
+// A row by a primary-key probe. The nested loop emits tuples in
+// (A key, B key) order and its stable top-n keeps that order among equal
+// ORDER BY values, so the executor gathers each run of equal values,
+// sorts it by (A key, B key) and emits it, and stops at the end of the
+// run that fills the LIMIT (selectRun.joinWalk). As for indexOrder, no
+// conjunct may fail, and a predicate that matches nothing walks every
+// entry of the index.
+func (p *selectPlan) joinOrder() {
+	if p.inOrder || p.keep < 0 || p.mayFail || len(p.tables) != 2 || len(p.order) != 1 {
+		return
+	}
+	base, t := &p.tables[0], &p.tables[1]
+	o := p.order[0]
+	c, ok := o.expr.(*slot)
+	if !ok || c.tab != 1 || o.desc || base.path.kind != kindFull || len(base.schema.Key) != 1 {
+		return
+	}
+	pk := base.schema.ColIndex(base.schema.Key[0])
+	typ := base.schema.Columns[pk].Type
+	if t.leftKey.off != pk || typ != t.schema.Columns[t.rightCol].Type || (typ != storage.TInt && typ != storage.TString) {
+		return
+	}
+	col := t.schema.Columns[c.off]
+	index := indexOn(t.schema, col.Name)
+	if index == "" || (col.Type != storage.TInt && col.Type != storage.TString) {
+		return
+	}
+	t.path = accessPath{kind: kindIndexOrder, indexName: index}
+	p.joinWalk, p.inOrder = true, true
+}
+
 // edgeOf recognises SELECT MIN(k) / MAX(k) FROM t, k the leading
 // primary-key column, with nothing else in the statement: its answer is
 // the first or last visible row of the tree.
@@ -912,6 +961,31 @@ func (p *tablesPlan) describe(sb *strings.Builder, base string) {
 	}
 }
 
+// describeWalk renders the tables of a join walk (joinOrder): the walk
+// of the joined table, the probe into the base, and every conjunct after
+// it, where the tuple is whole.
+func (p *selectPlan) describeWalk(sb *strings.Builder) {
+	for i, k := range []int{1, 0} {
+		t := &p.tables[k]
+		if i == 0 {
+			fmt.Fprintf(sb, "%s on %s", t.path.via(), t.name)
+		} else {
+			fmt.Fprintf(sb, " -> %s %s", joinPK, t.name)
+		}
+		if t.alias != t.name {
+			sb.WriteString(" " + t.alias)
+		}
+	}
+	fmt.Fprintf(sb, " on %s = %s", exprString(p.tables[1].on[1]), exprString(p.tables[1].on[0]))
+	if p.written != nil {
+		sep := " where "
+		for _, c := range splitConjuncts(p.written, nil) {
+			sb.WriteString(sep + exprString(c))
+			sep = " and "
+		}
+	}
+}
+
 // Explain describes the plan a statement would run with the given
 // parameters, on one line: for each table, in join order, its access
 // path ("index-order(<index>)" when the base is an index walk in value
@@ -944,12 +1018,16 @@ func explain(e *storage.Engine, stmt Stmt, pl plan) (string, error) {
 		p := pl.(*selectPlan)
 		base := p.tables[0].path.kind.String()
 		switch {
+		case p.joinWalk:
+			p.describeWalk(&sb)
 		case p.edge != "":
 			base = "edge(" + p.edge + ")"
 		case p.tables[0].path.kind == kindIndexOrder:
 			base = p.tables[0].path.via()
 		}
-		p.describe(&sb, base)
+		if !p.joinWalk {
+			p.describe(&sb, base)
+		}
 		if p.aggregated {
 			sb.WriteString(" -> group")
 		}

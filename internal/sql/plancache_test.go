@@ -157,7 +157,7 @@ func TestExecPreparedAllocs(t *testing.T) {
 		params    []any
 		max       float64
 	}{
-		{"point-select", `SELECT v FROM kv WHERE k = ?`, []any{int64(3)}, 9},
+		{"point-select", `SELECT v FROM kv WHERE k = ?`, []any{int64(3)}, 6},
 		{"point-update", `UPDATE kv SET n = n + 1 WHERE k = ?`, []any{int64(3)}, 17},
 	} {
 		p, _ := Prepare(tc.src)

@@ -22,17 +22,11 @@ const grownOrders = 2000
 // their lines lies above the BestSellers / AdminConfirm floor.
 // SearchTitleNone searches for a title prefix no item has: the index walk
 // behind SearchTitle reads every entry and returns nothing.
+// SearchAuthorNone searches for an author no item has: the join walk
+// behind SearchAuthor reads every title and probes its author.
 func BenchmarkTPCWStatements(b *testing.B) {
 	s := DefaultScale()
-	e := storage.NewEngine()
-	if err := Load(e, s); err != nil {
-		b.Fatal(err)
-	}
-	grown := storage.NewEngine()
-	if err := Load(grown, s); err != nil {
-		b.Fatal(err)
-	}
-	appendOrders(b, grown, s, grownOrders)
+	e, grown := statementEngines(b, s)
 	x := NewCtx(s, 0, 1)
 	floor := int64(s.orders() * 7 / 10)
 	bestSellers := func() []any { return []any{floor, x.randSubject()} }
@@ -49,6 +43,7 @@ func BenchmarkTPCWStatements(b *testing.B) {
 		{"SearchAuthor", e, stSearchAuthor, func() []any {
 			return []any{AuthorLastName(1 + x.Rng.Intn(s.authors()))[:9] + "%"}
 		}, false},
+		{"SearchAuthorNone", e, stSearchAuthor, func() []any { return []any{"zzz%"} }, true},
 		{"PromoItems", e, stPromoItems, func() []any { return []any{x.randItem()} }, false},
 		{"MaxOrderID", e, stMaxOrderID, func() []any { return nil }, false},
 		{"AdminRelated", e, stAdminRelated, adminRelated, false},
@@ -76,15 +71,72 @@ func BenchmarkTPCWStatements(b *testing.B) {
 	}
 }
 
+// statementEngines loads the two engines the statement benchmarks and
+// allocation ceilings run on: one at scale s, and one that has also
+// taken grownOrders purchases.
+func statementEngines(tb testing.TB, s Scale) (e, grown *storage.Engine) {
+	tb.Helper()
+	e, grown = storage.NewEngine(), storage.NewEngine()
+	for _, en := range []*storage.Engine{e, grown} {
+		if err := Load(en, s); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	appendOrders(tb, grown, s, grownOrders)
+	return e, grown
+}
+
+// TestTPCWStatementAllocs bounds what three statements of the
+// tpcw-durable profile allocate per execution at DefaultScale,
+// transaction included: SearchAuthor (a join walk), and BestSellers and
+// AdminRelated after grownOrders purchases (a hash build and keyed fetch
+// feeding a group, and a group over every recent order line), whose
+// builds, groups and buffers the plan's pooled run keeps from one
+// execution to the next. Most of what is left is the result: one slice
+// per output row.
+func TestTPCWStatementAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	s := DefaultScale()
+	e, grown := statementEngines(t, s)
+	floor := int64(s.orders() * 7 / 10)
+	for _, tc := range []struct {
+		name   string
+		e      *storage.Engine
+		st     *sql.Prepared
+		params []any
+		max    float64
+	}{
+		{"SearchAuthor", e, stSearchAuthor, []any{AuthorLastName(7)[:9] + "%"}, 59},
+		{"BestSellersGrown", grown, stBestSellers, []any{floor, subjects[3]}, 239},
+		{"AdminRelatedGrown", grown, stAdminRelated, []any{floor}, 1085},
+	} {
+		run := func() {
+			tx := tc.e.Begin()
+			if _, err := tc.st.Exec(tx, tc.e, tc.params...); err != nil {
+				t.Fatal(err)
+			}
+			tx.Abort()
+		}
+		run() // plans and keeps the plan, and pools a run
+		if got := testing.AllocsPerRun(50, run); got > tc.max {
+			t.Errorf("%s: %.1f allocations per execution, want at most %.0f", tc.name, got, tc.max)
+		} else {
+			t.Logf("%s: %.1f allocations per execution", tc.name, got)
+		}
+	}
+}
+
 // appendOrders commits n purchases the way BuyConfirm writes them: an
 // order with an id from a browser's range above OrderIDBase and one to
 // three lines of random items.
-func appendOrders(b *testing.B, e *storage.Engine, s Scale, n int) {
+func appendOrders(tb testing.TB, e *storage.Engine, s Scale, n int) {
 	x := NewCtx(s, 0, 2)
 	tx := e.Begin()
 	exec := func(st *sql.Prepared, params ...any) {
 		if _, err := st.Exec(tx, e, params...); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -99,6 +151,6 @@ func appendOrders(b *testing.B, e *storage.Engine, s Scale, n int) {
 		}
 	}
 	if _, err := tx.CommitLocal(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 }
