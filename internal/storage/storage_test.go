@@ -996,3 +996,32 @@ func BenchmarkEnginePointRead(b *testing.B) {
 		r.Abort()
 	}
 }
+
+// BenchmarkTxnWrites buffers n inserts in one transaction and exports
+// them as its writeset, then aborts: the pending-write buffer's cost per
+// transaction size, from a one-statement transaction to a bulk one.
+func BenchmarkTxnWrites(b *testing.B) {
+	e := NewEngine()
+	_ = e.CreateTable(testSchema())
+	for _, n := range []int{1, 16, 1024, 100000} {
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = row(int64(i), "bench", 1.0, true)
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tx := e.Begin()
+				for _, r := range rows {
+					if err := tx.Insert("acct", r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if ws := tx.WriteSet(); len(ws.Items) != n {
+					b.Fatalf("%d writes, want %d", len(ws.Items), n)
+				}
+				tx.Abort()
+			}
+		})
+	}
+}
